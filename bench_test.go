@@ -1,6 +1,7 @@
-// Benchmarks regenerating the paper's evaluation, one per figure (see
-// DESIGN.md §5 and EXPERIMENTS.md). Each benchmark runs the corresponding
-// experiment at quick scale per iteration; run with
+// Benchmarks regenerating the paper's evaluation, one per figure (the
+// experiments themselves are documented in internal/experiments). Each
+// benchmark runs the corresponding experiment at quick scale per
+// iteration; run with
 //
 //	go test -bench=. -benchmem
 //

@@ -1,6 +1,7 @@
 // Command corgi-experiments regenerates the paper's evaluation (Figs. 9-14,
-// the abstract's headline numbers) and the extension studies. See
-// EXPERIMENTS.md for the mapping to the paper and the expected shapes.
+// the abstract's headline numbers) and the extension studies; -list names
+// each experiment with the paper figure it maps to, and each runner's doc
+// comment in internal/experiments states the shape it is expected to show.
 //
 // Usage:
 //

@@ -8,27 +8,32 @@ package main
 // per-node counters make visible, not a correctness requirement.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"corgi/internal/cluster"
+	"corgi/internal/proto"
+	"corgi/internal/registry"
 	"corgi/internal/stream"
 )
 
-// clusterTargets picks the target node per request uid and counts the
-// per-node distribution for the report.
+// clusterTargets is the whole cluster seen as one report handler: each
+// ask goes to the handler of its uid's owner node, and the per-node
+// distribution is counted for the report.
 type clusterTargets struct {
 	ring    *cluster.Ring
-	peers   map[string]cluster.Peer
-	streams map[string]*stream.Client
+	nodes   map[string]registry.ReportHandler
+	streams []*stream.Client
+	https   []*proto.Client
 
 	mu     sync.Mutex
 	counts map[string]int64
 }
 
-// newClusterTargets parses the member list and, for the stream transport,
-// opens one pooled client per node.
+// newClusterTargets parses the member list and opens one pooled client per
+// node on the chosen transport.
 func newClusterTargets(spec, transport string, concurrency int) (*clusterTargets, error) {
 	peers, err := cluster.ParsePeers(spec)
 	if err != nil {
@@ -43,42 +48,49 @@ func newClusterTargets(spec, transport string, concurrency int) (*clusterTargets
 		return nil, err
 	}
 	ct := &clusterTargets{
-		ring:    ring,
-		peers:   make(map[string]cluster.Peer, len(peers)),
-		streams: make(map[string]*stream.Client, len(peers)),
-		counts:  make(map[string]int64, len(peers)),
+		ring:   ring,
+		nodes:  make(map[string]registry.ReportHandler, len(peers)),
+		counts: make(map[string]int64, len(peers)),
 	}
 	for _, p := range peers {
-		ct.peers[p.Name] = p
 		switch transport {
 		case "http":
 			if p.HTTPURL == "" {
 				return nil, fmt.Errorf("cluster: peer %s needs an =httpURL entry with -transport http", p.Name)
 			}
+			c := proto.NewClient(p.HTTPURL)
+			ct.https = append(ct.https, c)
+			ct.nodes[p.Name] = c.Remote()
 		case "stream":
-			ct.streams[p.Name] = stream.NewClient(p.StreamAddr, stream.ClientConfig{
+			c := stream.NewClient(p.StreamAddr, stream.ClientConfig{
 				Timeout:      10 * time.Minute,
 				MaxIdleConns: concurrency,
 			})
+			ct.streams = append(ct.streams, c)
+			ct.nodes[p.Name] = c.Remote()
 		}
 	}
 	return ct, nil
 }
 
-// node resolves a uid's owner and counts the hit.
-func (ct *clusterTargets) node(uid int64) string {
+// owner resolves a uid's owner node's handler and counts the hit.
+func (ct *clusterTargets) owner(uid int64) registry.ReportHandler {
 	n := ct.ring.Owner(uid)
 	ct.mu.Lock()
 	ct.counts[n]++
 	ct.mu.Unlock()
-	return n
+	return ct.nodes[n]
 }
 
-// httpFor returns the owner node's HTTP base URL for a uid.
-func (ct *clusterTargets) httpFor(uid int64) string { return ct.peers[ct.node(uid)].HTTPURL }
+// Report implements registry.ReportHandler on the uid's owner node.
+func (ct *clusterTargets) Report(ctx context.Context, req registry.ReportRequest) (*registry.ReportResult, error) {
+	return ct.owner(req.UID).Report(ctx, req)
+}
 
-// streamFor returns the owner node's pooled stream client for a uid.
-func (ct *clusterTargets) streamFor(uid int64) *stream.Client { return ct.streams[ct.node(uid)] }
+// Lease implements registry.ReportHandler on the uid's owner node.
+func (ct *clusterTargets) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
+	return ct.owner(req.UID).Lease(ctx, req)
+}
 
 // nodeCounts snapshots the per-node request distribution.
 func (ct *clusterTargets) nodeCounts() map[string]int64 {
@@ -91,8 +103,8 @@ func (ct *clusterTargets) nodeCounts() map[string]int64 {
 	return out
 }
 
-// streamStats sums dial/retry/byte counters across the per-node clients.
-func (ct *clusterTargets) streamStats() stream.ClientStats {
+// stats sums dial/retry/byte counters across the per-node clients.
+func (ct *clusterTargets) stats() stream.ClientStats {
 	var total stream.ClientStats
 	for _, c := range ct.streams {
 		s := c.Stats()
@@ -100,6 +112,9 @@ func (ct *clusterTargets) streamStats() stream.ClientStats {
 		total.Retries += s.Retries
 		total.BytesIn += s.BytesIn
 		total.BytesOut += s.BytesOut
+	}
+	for _, c := range ct.https {
+		total.BytesIn += uint64(c.BytesIn())
 	}
 	return total
 }

@@ -77,6 +77,12 @@
 // server measures the wire-protocol cost directly — same sessions, same
 // draws, different encoding and connection model.
 //
+// Whatever the transport, every report and mobility request goes through
+// one function over one registry.ReportHandler — the JSON client, the
+// stream client, a per-uid cluster router over either (-cluster), or the
+// lease wrapper below — so a response is classified identically on all of
+// them: a 429 is a budget rejection, never an error.
+//
 // -transport lease moves the draws onto the client: each user stream
 // holds a clientdraw lease (one POST /v1/lease pre-pays -lease-draws
 // draws' epsilon and carries the customized rows home) and resolves trace
@@ -99,6 +105,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -285,7 +292,7 @@ func main() {
 			IdleConnTimeout:     90 * time.Second,
 		},
 	}
-	regions, err := resolveRegions(client, *server, *regionsFlag)
+	regions, err := resolveRegions(*server, *regionsFlag)
 	if err != nil {
 		log.Fatalf("regions: %v", err)
 	}
@@ -310,32 +317,41 @@ func main() {
 	}
 	log.Printf("trace: %d %s entries (%s) over regions [%s]", len(trace), *workload, traceSource, strings.Join(regions, ", "))
 
-	// Cluster mode: one ring over the member list, per-uid owner routing.
-	var ct *clusterTargets
-	if *clusterSpec != "" {
+	// Every report and mobility request goes through one registry.ReportHandler;
+	// the flags only decide which one. -cluster routes each uid to its
+	// owner node's client over the same ring the servers run; otherwise the
+	// one -server / -stream-addr client carries everything, and -transport
+	// lease wraps it so most requests are drawn on-device.
+	var (
+		reports      registry.ReportHandler
+		ct           *clusterTargets
+		httpClient   *proto.Client
+		streamClient *stream.Client
+		leaseMgr     *leaseManager
+	)
+	switch {
+	case *workload == "forest":
+	case *clusterSpec != "":
 		if ct, err = newClusterTargets(*clusterSpec, *transport, *concurrency); err != nil {
 			log.Fatalf("cluster: %v", err)
 		}
 		defer ct.Close()
-	}
-
-	// The stream client pools persistent connections; every worker shares
-	// it, and each in-flight exchange checks out its own connection. In
-	// cluster mode the per-node clients live in clusterTargets instead.
-	var streamClient *stream.Client
-	if *transport == "stream" && ct == nil {
+		reports = ct
+	case *transport == "stream":
+		// The stream client pools persistent connections; every worker
+		// shares it, and each in-flight exchange checks out its own.
 		streamClient = stream.NewClient(*streamAddr, stream.ClientConfig{
 			Timeout:      10 * time.Minute,
 			MaxIdleConns: *concurrency,
 		})
 		defer streamClient.Close()
+		reports = streamClient.Remote()
+	default:
+		httpClient = proto.NewClient(*server)
+		reports = httpClient.Remote()
 	}
-
-	// The lease transport draws on-device: trace entries resolve against
-	// per-user clientdraw leases, renewed over POST /v1/lease when a cap
-	// runs out or a user's trajectory leaves the leased subtree.
-	var leaseMgr *leaseManager
 	if *transport == "lease" {
+		// On-device draws need each region's tree to open leases against.
 		trees := make(map[string]*loctree.Tree, len(regions))
 		for _, r := range regions {
 			w, err := fetchRegionWorld(*server, r)
@@ -344,18 +360,15 @@ func main() {
 			}
 			trees[r] = w.tree
 		}
-		draws := *leaseDraws
-		if draws < *reportCount {
-			// A lease must cover at least one request's draws or no cap
-			// could ever serve it.
-			draws = *reportCount
-		}
+		// A lease must cover at least one request's draws or no cap could
+		// ever serve it.
 		leaseMgr = &leaseManager{
-			client: proto.NewClient(*server),
+			remote: reports,
 			trees:  trees,
-			draws:  draws,
+			draws:  max(*leaseDraws, *reportCount),
 			states: make(map[string]*leaseState),
 		}
+		reports = leaseMgr
 	}
 
 	workers := make([]*worker, *concurrency)
@@ -370,40 +383,12 @@ func main() {
 		wg      sync.WaitGroup
 	)
 	deadline := time.Now().Add(*duration)
+	ctx := context.Background()
 	issue := func(w *worker) {
 		idx := next.Add(1) - 1
 		switch {
-		case leaseMgr != nil:
-			entry := trace[int(idx)%len(trace)]
-			w.record(doReportLease(leaseMgr, entry, *precisionFlag, *reportCount, &cold))
-		case streamClient != nil && *batch > 0:
-			w.record(doReportBatchStream(streamClient, trace, idx, *batch, *precisionFlag, *reportCount, &cold))
-		case ct != nil && *transport == "stream":
-			// Cluster mode: the exchange goes to the uid's owner node over
-			// that node's pooled stream client.
-			entry := trace[int(idx)%len(trace)]
-			w.record(doReportStream(ct.streamFor(entry.UID), entry, *precisionFlag, *reportCount, &cold))
-		case streamClient != nil:
-			// The stream response always carries the reanchored flag, so one
-			// path serves both the report and mobility workloads.
-			entry := trace[int(idx)%len(trace)]
-			w.record(doReportStream(streamClient, entry, *precisionFlag, *reportCount, &cold))
-		case *workload == "mobility":
-			entry := trace[int(idx)%len(trace)]
-			srv := *server
-			if ct != nil {
-				srv = ct.httpFor(entry.UID)
-			}
-			w.record(doMobilityReport(client, srv, entry, *precisionFlag, *reportCount, &cold))
-		case *workload == "report" && *batch > 0:
-			w.record(doReportBatch(client, *server, trace, idx, *batch, *precisionFlag, *reportCount, &cold))
-		case *workload == "report":
-			entry := trace[int(idx)%len(trace)]
-			srv := *server
-			if ct != nil {
-				srv = ct.httpFor(entry.UID)
-			}
-			w.record(doReport(client, srv, entry, *precisionFlag, *reportCount, &cold))
+		case reports != nil:
+			w.record(doReports(ctx, reports, entriesAt(trace, idx, max(*batch, 1)), *precisionFlag, *reportCount, &cold))
 		case *batch > 0:
 			w.record(doBatch(client, *server, trace, idx, *batch, *wire, &cold))
 		default:
@@ -477,23 +462,21 @@ func main() {
 		report.Config.LeaseDraws = leaseMgr.draws
 	}
 	report.DroppedArrivals = dropped.Load()
-	if streamClient != nil {
-		// Per-sample byte counts are an HTTP-body concept; the stream
-		// client accounts transfer at the connection, so report its totals.
-		cs := streamClient.Stats()
-		report.BytesReceived = int64(cs.BytesIn)
-		report.StreamDials = int64(cs.Dials)
-		report.StreamRetries = int64(cs.Retries)
-	}
-	if ct != nil {
+	// Per-sample byte counts are a forest-workload concept; the report
+	// clients account transfer themselves, so report their totals.
+	var cs stream.ClientStats
+	switch {
+	case ct != nil:
 		report.PerNode = ct.nodeCounts()
-		if *transport == "stream" {
-			cs := ct.streamStats()
-			report.BytesReceived = int64(cs.BytesIn)
-			report.StreamDials = int64(cs.Dials)
-			report.StreamRetries = int64(cs.Retries)
-		}
+		cs = ct.stats()
+	case streamClient != nil:
+		cs = streamClient.Stats()
+	case httpClient != nil:
+		cs.BytesIn = uint64(httpClient.BytesIn())
 	}
+	report.BytesReceived += int64(cs.BytesIn)
+	report.StreamDials = int64(cs.Dials)
+	report.StreamRetries = int64(cs.Retries)
 
 	enc, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -520,7 +503,7 @@ func (w *worker) record(s sample, itemsOK, itemsErr int64) {
 }
 
 // resolveRegions uses the -regions flag, or asks the server.
-func resolveRegions(client *http.Client, server, flagVal string) ([]string, error) {
+func resolveRegions(server, flagVal string) ([]string, error) {
 	if flagVal != "" {
 		var regions []string
 		for _, r := range strings.Split(flagVal, ",") {
@@ -533,21 +516,12 @@ func resolveRegions(client *http.Client, server, flagVal string) ([]string, erro
 		}
 		return regions, nil
 	}
-	resp, err := client.Get(server + "/v1/regions")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
+	rr, err := proto.NewClient(server).FetchRegions()
+	if statusOf(err) == http.StatusNotFound {
 		// Pre-sharding server: drive its single implicit region.
 		return []string{""}, nil
 	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
-	var rr proto.RegionsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	regions := make([]string, len(rr.Regions))
@@ -578,24 +552,9 @@ func buildTrace(regions []string, tracePath, checkinsPath, levelsFlag, deltasFla
 	if err != nil {
 		return nil, "", fmt.Errorf("-deltas: %w", err)
 	}
-	weights := make([]float64, len(regions))
-	source := "synthetic:" + mix
-	switch {
-	case checkinsPath != "":
-		if err := checkinWeights(checkinsPath, regions, weights); err != nil {
-			return nil, "", err
-		}
-		source = "gowalla:" + checkinsPath
-	case mix == "zipf":
-		for i := range weights {
-			weights[i] = 1 / float64(i+1) // Zipf s=1 over region order
-		}
-	case mix == "uniform":
-		for i := range weights {
-			weights[i] = 1
-		}
-	default:
-		return nil, "", fmt.Errorf("unknown -mix %q (uniform or zipf)", mix)
+	weights, source, err := regionWeights(regions, checkinsPath, mix)
+	if err != nil {
+		return nil, "", err
 	}
 	const traceLen = 65536
 	rng := rand.New(rand.NewSource(seed))
@@ -608,6 +567,37 @@ func buildTrace(regions []string, tracePath, checkinsPath, levelsFlag, deltasFla
 		}
 	}
 	return trace, source, nil
+}
+
+// mixWeights are n weights in the named shape: uniform, or Zipf s=1 over
+// index order (a few hot regions or cells dominate, the shape of real
+// check-in data).
+func mixWeights(flagName, mix string, n int) ([]float64, error) {
+	weights := make([]float64, n)
+	for i := range weights {
+		switch mix {
+		case "zipf":
+			weights[i] = 1 / float64(i+1)
+		case "uniform":
+			weights[i] = 1
+		default:
+			return nil, fmt.Errorf("unknown %s %q (uniform or zipf)", flagName, mix)
+		}
+	}
+	return weights, nil
+}
+
+// regionWeights resolves the per-region mix of a synthetic trace and names
+// its source: a check-in file's geography when one is given, -mix
+// otherwise.
+func regionWeights(regions []string, checkinsPath, mix string) ([]float64, string, error) {
+	if checkinsPath != "" {
+		weights := make([]float64, len(regions))
+		err := checkinWeights(checkinsPath, regions, weights)
+		return weights, "gowalla:" + checkinsPath, err
+	}
+	weights, err := mixWeights("-mix", mix, len(regions))
+	return weights, "synthetic:" + mix, err
 }
 
 // reportTraceConfig bundles the report-workload trace parameters.
@@ -679,45 +669,20 @@ func buildReportTrace(server string, regions []string, cfg reportTraceConfig) ([
 	if err != nil {
 		return nil, "", fmt.Errorf("-levels: %w", err)
 	}
-	weights := make([]float64, len(regions))
-	source := "synthetic:" + cfg.Mix + "/cells:" + cfg.CellMix
-	switch {
-	case cfg.CheckinsPath != "":
-		if err := checkinWeights(cfg.CheckinsPath, regions, weights); err != nil {
-			return nil, "", err
-		}
-		source = "gowalla:" + cfg.CheckinsPath + "/cells:" + cfg.CellMix
-	case cfg.Mix == "zipf":
-		for i := range weights {
-			weights[i] = 1 / float64(i+1)
-		}
-	case cfg.Mix == "uniform":
-		for i := range weights {
-			weights[i] = 1
-		}
-	default:
-		return nil, "", fmt.Errorf("unknown -mix %q (uniform or zipf)", cfg.Mix)
+	weights, source, err := regionWeights(regions, cfg.CheckinsPath, cfg.Mix)
+	if err != nil {
+		return nil, "", err
 	}
+	source += "/cells:" + cfg.CellMix
 	cellWeights := map[string][]float64{}
 	for _, region := range regions {
 		w, err := world(region)
 		if err != nil {
 			return nil, "", err
 		}
-		cw := make([]float64, len(w.leaves))
-		switch cfg.CellMix {
-		case "zipf":
-			for i := range cw {
-				cw[i] = 1 / float64(i+1) // Zipf s=1 over leaf order
-			}
-		case "uniform":
-			for i := range cw {
-				cw[i] = 1
-			}
-		default:
-			return nil, "", fmt.Errorf("unknown -cell-mix %q (uniform or zipf)", cfg.CellMix)
+		if cellWeights[region], err = mixWeights("-cell-mix", cfg.CellMix, len(w.leaves)); err != nil {
+			return nil, "", err
 		}
-		cellWeights[region] = cw
 	}
 	users := cfg.Users
 	if users < 1 {
@@ -732,14 +697,7 @@ func buildReportTrace(server string, regions []string, cfg reportTraceConfig) ([
 		leaf := w.leaves[weightedPick(rng, cellWeights[region])]
 		level := levels[rng.Intn(len(levels))]
 		uid := int64(rng.Intn(users))
-		trace[i] = request{
-			Region:  region,
-			Level:   level,
-			Cell:    [2]int{leaf.Coord.Q, leaf.Coord.R},
-			UID:     uid,
-			Seed:    uid*1000003 + 7, // per-user stream: repeat requests share a session
-			ColdKey: reportColdKey(w, region, level, leaf),
-		}
+		trace[i] = mobilityRequest(w, region, level, leaf, uid)
 	}
 	return trace, source, nil
 }
@@ -790,7 +748,9 @@ func buildMobilityTrace(server string, regions []string, cfg mobilityTraceConfig
 	return trace, "synthetic:random-waypoint", err
 }
 
-// mobilityRequest assembles one trace entry for a user standing at leaf.
+// mobilityRequest assembles one report or mobility trace entry for a user
+// standing at leaf. The seed is per user, so one user's requests share one
+// server session stream.
 func mobilityRequest(w *regionWorld, region string, level int, leaf loctree.NodeID, uid int64) request {
 	return request{
 		Region:  region,
@@ -828,13 +788,7 @@ func gowallaMobilityTrace(path string, regions []string, worlds map[string]*regi
 		// (Trajectories yields each user exactly once).
 		lvl := levels[rng.Intn(len(levels))]
 		for _, c := range traj.Points {
-			best, bestDist := -1, math.MaxFloat64
-			for i, center := range centers {
-				if d := geo.Haversine(c.Loc, center); d < bestDist {
-					best, bestDist = i, d
-				}
-			}
-			region := regions[best]
+			region := regions[nearest(centers, c.Loc)]
 			w := worlds[region]
 			leaf, ok := w.tree.Locate(c.Loc, 0)
 			if !ok {
@@ -950,56 +904,18 @@ func stepToward(at, waypoint loctree.NodeID, leafSet map[hexgrid.Coord]loctree.N
 
 // loadReportTrace parses "region level q r" lines; '#' starts a comment.
 func loadReportTrace(path string, users int, seed int64, world func(string) (*regionWorld, error)) ([]request, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	if users < 1 {
 		users = 1
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var trace []request
-	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("%s:%d: want 'region level q r', got %q", path, line, text)
-		}
-		level, err1 := strconv.Atoi(fields[1])
-		q, err2 := strconv.Atoi(fields[2])
-		r, err3 := strconv.Atoi(fields[3])
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("%s:%d: bad integers in %q", path, line, text)
-		}
-		w, err := world(fields[0])
+	return scanTrace(path, "region level q r", func(region string, v []int) (request, error) {
+		w, err := world(region)
 		if err != nil {
-			return nil, err
+			return request{}, err
 		}
-		uid := int64(rng.Intn(users))
-		leaf := loctree.NodeID{Level: 0, Coord: hexgrid.Coord{Q: q, R: r}}
-		trace = append(trace, request{
-			Region:  fields[0],
-			Level:   level,
-			Cell:    [2]int{q, r},
-			UID:     uid,
-			Seed:    uid*1000003 + 7,
-			ColdKey: reportColdKey(w, fields[0], level, leaf),
-		})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(trace) == 0 {
-		return nil, fmt.Errorf("%s: empty trace", path)
-	}
-	return trace, nil
+		leaf := loctree.NodeID{Level: 0, Coord: hexgrid.Coord{Q: v[1], R: v[2]}}
+		return mobilityRequest(w, region, v[0], leaf, int64(rng.Intn(users))), nil
+	})
 }
 
 // checkinWeights assigns each check-in to the nearest serving region
@@ -1015,21 +931,11 @@ func checkinWeights(path string, regions []string, weights []float64) error {
 	if err != nil {
 		return err
 	}
-	matched := 0.0
-	for _, c := range cs {
-		best, bestDist := -1, math.MaxFloat64
-		for i, center := range centers {
-			if d := geo.Haversine(c.Loc, center); d < bestDist {
-				best, bestDist = i, d
-			}
-		}
-		if best >= 0 {
-			weights[best]++
-			matched++
-		}
-	}
-	if matched == 0 {
+	if len(cs) == 0 {
 		return fmt.Errorf("%s: no check-ins matched any region", path)
+	}
+	for _, c := range cs {
+		weights[nearest(centers, c.Loc)]++
 	}
 	for i, w := range weights {
 		if w == 0 {
@@ -1037,6 +943,17 @@ func checkinWeights(path string, regions []string, weights []float64) error {
 		}
 	}
 	return nil
+}
+
+// nearest is the index of the center closest to loc.
+func nearest(centers []geo.LatLng, loc geo.LatLng) int {
+	best, bestDist := 0, math.MaxFloat64
+	for i, center := range centers {
+		if d := geo.Haversine(loc, center); d < bestDist {
+			best, bestDist = i, d
+		}
+	}
+	return best
 }
 
 // regionCenters resolves region names to builtin metro centers for
@@ -1055,30 +972,44 @@ func regionCenters(regions []string) ([]geo.LatLng, error) {
 
 // loadTrace parses "region level delta" lines; '#' starts a comment.
 func loadTrace(path string) ([]request, error) {
+	return scanTrace(path, "region level delta", func(region string, v []int) (request, error) {
+		return request{Region: region, Level: v[0], Delta: v[1]}, nil
+	})
+}
+
+// scanTrace reads a trace file of whitespace-separated lines shaped like
+// format — a region name, then integers — handing each line's region and
+// integers to entry. Blank lines and '#' comments are skipped; an empty
+// trace is an error.
+func scanTrace(path, format string, entry func(region string, v []int) (request, error)) ([]request, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	nfields := len(strings.Fields(format))
 	var trace []request
 	sc := bufio.NewScanner(f)
-	line := 0
-	for sc.Scan() {
-		line++
+	for line := 1; sc.Scan(); line++ {
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
 		fields := strings.Fields(text)
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("%s:%d: want 'region level delta', got %q", path, line, text)
+		if len(fields) != nfields {
+			return nil, fmt.Errorf("%s:%d: want '%s', got %q", path, line, format, text)
 		}
-		level, err1 := strconv.Atoi(fields[1])
-		delta, err2 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("%s:%d: bad integers in %q", path, line, text)
+		v := make([]int, nfields-1)
+		for i := range v {
+			if v[i], err = strconv.Atoi(fields[i+1]); err != nil {
+				return nil, fmt.Errorf("%s:%d: bad integers in %q", path, line, text)
+			}
 		}
-		trace = append(trace, request{Region: fields[0], Level: level, Delta: delta})
+		req, err := entry(fields[0], v)
+		if err != nil {
+			return nil, err
+		}
+		trace = append(trace, req)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -1224,11 +1155,12 @@ func doBatch(client *http.Client, server string, trace []request, idx int64, n i
 	return s, ok, bad
 }
 
-// reportWireRequest translates a trace entry into the /v1/report body.
-func reportWireRequest(entry request, precision, count int) proto.ReportRequest {
-	return proto.ReportRequest{
+// reportRequest translates a trace entry into the report pipeline's
+// request type, whichever handler then carries it.
+func reportRequest(entry request, precision, count int) registry.ReportRequest {
+	return registry.ReportRequest{
 		Region: entry.Region,
-		Cell:   entry.Cell,
+		Cell:   hexgrid.Coord{Q: entry.Cell[0], R: entry.Cell[1]},
 		UID:    entry.UID,
 		Policy: policy.Policy{PrivacyLevel: entry.Level, PrecisionLevel: precision},
 		Seed:   entry.Seed,
@@ -1236,260 +1168,113 @@ func reportWireRequest(entry request, precision, count int) proto.ReportRequest 
 	}
 }
 
-// doReport issues one POST /v1/report draw.
-func doReport(client *http.Client, server string, entry request, precision, count int, cold *coldTracker) (sample, int64, int64) {
-	isCold := cold.first(entry)
-	body, _ := json.Marshal(reportWireRequest(entry, precision, count))
-	req, err := http.NewRequest(http.MethodPost, server+"/v1/report", bytes.NewReader(body))
-	if err != nil {
-		if isCold {
-			cold.forget(entry)
-		}
-		return sample{region: entry.Region, err: true, cold: isCold}, 0, 1
-	}
-	req.Header.Set("Content-Type", "application/json")
-	s, body := roundTripBody(client, req)
-	s.region = entry.Region
-	s.cold = isCold
-	if s.err {
-		if isCold {
-			cold.forget(entry)
-		}
-		return s, 0, 1
-	}
-	var rr proto.ReportResponse
-	if json.Unmarshal(body, &rr) == nil {
-		s.degraded = rr.Degraded
-	}
-	return s, 1, 0
+// batcher is what a handler must add to carry -batch round trips; both
+// remote clients' handler views (stream.Remote, proto.Remote) do.
+type batcher interface {
+	ReportBatch(context.Context, []registry.ReportRequest) ([]stream.BatchResult, error)
 }
 
-// doMobilityReport issues one POST /v1/report draw and, unlike doReport,
-// decodes the response body: the mobility report needs the server's
-// reanchored flag to split latency by temperature, and a 429 marks a
-// budget rejection rather than a generic error.
-func doMobilityReport(client *http.Client, server string, entry request, precision, count int, cold *coldTracker) (sample, int64, int64) {
-	isCold := cold.first(entry)
-	body, _ := json.Marshal(reportWireRequest(entry, precision, count))
-	req, err := http.NewRequest(http.MethodPost, server+"/v1/report", bytes.NewReader(body))
-	if err != nil {
-		if isCold {
-			cold.forget(entry)
-		}
-		return sample{region: entry.Region, err: true, cold: isCold}, 0, 1
+// statusOf is the HTTP-equivalent status a handler answered with: 200 for
+// a result, the server's classification for a rejection, and 0 when no
+// answer arrived at all (a transport fault).
+func statusOf(err error) int {
+	var se *stream.StatusError
+	switch {
+	case err == nil:
+		return http.StatusOK
+	case errors.As(err, &se):
+		return se.Status
 	}
-	req.Header.Set("Content-Type", "application/json")
-
-	start := time.Now()
-	resp, err := client.Do(req)
-	if err != nil {
-		if isCold {
-			cold.forget(entry)
-		}
-		return sample{latency: time.Since(start), region: entry.Region, err: true, cold: isCold}, 0, 1
-	}
-	defer resp.Body.Close()
-	body, readErr := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	s := sample{
-		latency: time.Since(start),
-		status:  resp.StatusCode,
-		bytes:   int64(len(body)),
-		region:  entry.Region,
-		cold:    isCold,
-	}
-	if resp.StatusCode == http.StatusTooManyRequests {
-		// An expected outcome of budget-capped runs: the user's epsilon
-		// window is just spent. The server charges before any session or
-		// entry work, so a 429 absorbed no subtree bootstrap — release the
-		// cold claim so the first *granted* request keeps the cold label,
-		// and keep the cheap rejection round trip out of the cold slice.
-		s.budgetRejected = true
-		if isCold {
-			s.cold = false
-			cold.forget(entry)
-		}
-		return s, 0, 1
-	}
-	var rr proto.ReportResponse
-	if resp.StatusCode != http.StatusOK || readErr != nil || json.Unmarshal(body, &rr) != nil {
-		s.err = true
-		if isCold {
-			cold.forget(entry)
-		}
-		return s, 0, 1
-	}
-	s.reanchored = rr.Reanchored
-	s.degraded = rr.Degraded
-	return s, 1, 0
+	return 0
 }
 
-// doReportBatch packs n consecutive trace entries into one /v1/reports
-// request and counts per-item outcomes from the envelope.
-func doReportBatch(client *http.Client, server string, trace []request, idx int64, n, precision, count int, cold *coldTracker) (sample, int64, int64) {
-	items := make([]proto.ReportRequest, n)
-	entries := make([]request, n)
-	claimed := make([]bool, n)
-	isCold := false
-	for i := 0; i < n; i++ {
-		entries[i] = trace[int(idx*int64(n)+int64(i))%len(trace)]
-		items[i] = reportWireRequest(entries[i], precision, count)
-		if cold.first(entries[i]) {
-			claimed[i] = true
-			isCold = true
-		}
+// doReports resolves entries in one round trip through h — a Report for
+// one entry, a ReportBatch for several — and classifies the answer. It is
+// the one place report and mobility outcomes are accounted, so a response
+// means the same thing whatever h is (the JSON client, the stream client,
+// per-uid cluster routing, or on-device lease draws):
+//
+//   - any failed entry releases its cold claim, so the request that really
+//     absorbs the subtree's first solve gets the cold label;
+//   - a 429 is a budget rejection, never an error: an expected outcome of
+//     budget-capped runs. The server charges before any session or entry
+//     work, so the cheap rejection round trip stays out of the cold slice;
+//   - reanchored and degraded come from the result (for a batch: any item).
+//
+// A batch is one sample whose status is the envelope's; its items count
+// individually in items_ok / items_err.
+func doReports(ctx context.Context, h registry.ReportHandler, entries []request, precision, count int, cold *coldTracker) (sample, int64, int64) {
+	reqs := make([]registry.ReportRequest, len(entries))
+	claimed := make([]bool, len(entries))
+	var s sample
+	for i, entry := range entries {
+		reqs[i] = reportRequest(entry, precision, count)
+		claimed[i] = cold.first(entry)
+		s.cold = s.cold || claimed[i]
 	}
-	forgetAll := func() {
-		for i, c := range claimed {
-			if c {
-				cold.forget(entries[i])
-			}
-		}
-	}
-	body, _ := json.Marshal(proto.BatchReportRequest{Items: items})
-	req, err := http.NewRequest(http.MethodPost, server+"/v1/reports", bytes.NewReader(body))
-	if err != nil {
-		forgetAll()
-		return sample{err: true, cold: isCold}, 0, int64(n)
-	}
-	req.Header.Set("Content-Type", "application/json")
-
 	start := time.Now()
-	resp, err := client.Do(req)
-	if err != nil {
-		forgetAll()
-		return sample{latency: time.Since(start), err: true, cold: isCold}, 0, int64(n)
+	var (
+		results []stream.BatchResult
+		err     error
+	)
+	if len(reqs) == 1 {
+		res, rerr := h.Report(ctx, reqs[0])
+		results, err = []stream.BatchResult{{Result: res, Err: rerr}}, rerr
+		s.region = entries[0].Region
+	} else if b, ok := h.(batcher); ok {
+		results, err = b.ReportBatch(ctx, reqs)
+	} else {
+		err = fmt.Errorf("%T cannot batch", h)
 	}
-	defer resp.Body.Close()
-	var envelope proto.BatchReportResponse
-	decodeErr := json.NewDecoder(resp.Body).Decode(&envelope)
-	s := sample{latency: time.Since(start), status: resp.StatusCode, cold: isCold}
-	if resp.StatusCode != http.StatusOK || decodeErr != nil {
-		forgetAll()
-		s.err = true
-		return s, 0, int64(n)
+	s.latency = time.Since(start)
+	s.status = statusOf(err)
+	if results == nil {
+		// The batch envelope itself failed: every item failed with it.
+		results = make([]stream.BatchResult, len(reqs))
+		for i := range results {
+			results[i].Err = err
+		}
 	}
 	var ok, bad int64
-	for i, item := range envelope.Items {
-		if item.Status == http.StatusOK {
-			ok++
-			if item.Report != nil && item.Report.Degraded {
-				s.degraded = true
-			}
-		} else {
+	for i, r := range results {
+		if r.Err != nil {
 			bad++
-			if i < len(claimed) && claimed[i] {
+			if claimed[i] {
 				cold.forget(entries[i])
 			}
+			continue
 		}
+		ok++
+		s.reanchored = s.reanchored || r.Result.Reanchored
+		s.degraded = s.degraded || r.Result.Degraded
+	}
+	switch {
+	case s.status == http.StatusTooManyRequests:
+		s.budgetRejected, s.cold = true, false
+	case s.status != http.StatusOK:
+		s.err = true
 	}
 	return s, ok, bad
 }
 
-// streamWireRequest is reportWireRequest for the binary transport.
-func streamWireRequest(entry request, precision, count int) stream.Request {
-	return stream.Request{
-		Region: entry.Region,
-		Cell:   entry.Cell,
-		UID:    entry.UID,
-		Policy: policy.Policy{PrivacyLevel: entry.Level, PrecisionLevel: precision},
-		Seed:   entry.Seed,
-		Count:  count,
-	}
-}
-
-// doReportStream issues one REPORT frame over corgi-stream. The decoded
-// response always carries the reanchored flag, so this one function
-// serves both the report and mobility workloads; a 429 StatusError marks
-// a budget rejection exactly like doMobilityReport's HTTP path.
-func doReportStream(sc *stream.Client, entry request, precision, count int, cold *coldTracker) (sample, int64, int64) {
-	isCold := cold.first(entry)
-	start := time.Now()
-	resp, err := sc.Report(streamWireRequest(entry, precision, count))
-	s := sample{latency: time.Since(start), region: entry.Region, cold: isCold}
-	if err != nil {
-		var se *stream.StatusError
-		if errors.As(err, &se) {
-			s.status = se.Status
-			if se.Status == http.StatusTooManyRequests {
-				// Same accounting as the HTTP path: the rejection absorbed
-				// no session work, so release the cold claim for the first
-				// granted request.
-				s.budgetRejected = true
-				if isCold {
-					s.cold = false
-					cold.forget(entry)
-				}
-				return s, 0, 1
-			}
-		}
-		s.err = true
-		if isCold {
-			cold.forget(entry)
-		}
-		return s, 0, 1
-	}
-	s.status = http.StatusOK
-	s.reanchored = resp.Reanchored
-	s.degraded = resp.Degraded
-	return s, 1, 0
-}
-
-// doReportBatchStream packs n consecutive trace entries into one REPORTS
-// frame and counts per-item outcomes, mirroring doReportBatch.
-func doReportBatchStream(sc *stream.Client, trace []request, idx int64, n, precision, count int, cold *coldTracker) (sample, int64, int64) {
-	items := make([]stream.Request, n)
+// entriesAt returns the n consecutive trace entries of issue index idx
+// (cycling).
+func entriesAt(trace []request, idx int64, n int) []request {
 	entries := make([]request, n)
-	claimed := make([]bool, n)
-	isCold := false
-	for i := 0; i < n; i++ {
+	for i := range entries {
 		entries[i] = trace[int(idx*int64(n)+int64(i))%len(trace)]
-		items[i] = streamWireRequest(entries[i], precision, count)
-		if cold.first(entries[i]) {
-			claimed[i] = true
-			isCold = true
-		}
 	}
-	start := time.Now()
-	results, err := sc.ReportBatch(items)
-	s := sample{latency: time.Since(start), cold: isCold}
-	if err != nil {
-		for i, c := range claimed {
-			if c {
-				cold.forget(entries[i])
-			}
-		}
-		var se *stream.StatusError
-		if errors.As(err, &se) {
-			s.status = se.Status
-		}
-		s.err = true
-		return s, 0, int64(n)
-	}
-	s.status = http.StatusOK
-	var ok, bad int64
-	for i, item := range results {
-		if item.Status == http.StatusOK {
-			ok++
-			if item.Report != nil && item.Report.Degraded {
-				s.degraded = true
-			}
-		} else {
-			bad++
-			if i < len(claimed) && claimed[i] {
-				cold.forget(entries[i])
-			}
-		}
-	}
-	return s, ok, bad
+	return entries
 }
 
-// leaseManager holds the lease transport's per-user state: one clientdraw
-// lease per (region, uid, seed, policy) session stream, renewed over POST
-// /v1/lease when its cap runs out or the user's trajectory leaves the
-// leased subtree. The states map is keyed exactly like server-side
-// sessions, so one loadgen user maps onto one server RNG stream.
+// leaseManager is the lease transport seen as a report handler: Report
+// draws on-device from the user's clientdraw lease and only goes to the
+// remote handler's Lease when that lease has to be opened or renewed. It
+// holds one lease per (region, uid, seed, policy) session stream, keyed
+// exactly like server-side sessions, so one loadgen user maps onto one
+// server RNG stream.
 type leaseManager struct {
-	client *proto.Client
+	remote registry.ReportHandler
 	trees  map[string]*loctree.Tree
 	draws  int
 
@@ -1517,106 +1302,79 @@ func (m *leaseManager) state(key string) *leaseState {
 	return st
 }
 
-// doReportLease resolves one trace entry through the lease transport:
-// draw on-device from the user's open lease, acquiring or renewing it
-// first when needed. The measured latency covers whatever the entry
-// actually cost — near-zero for a leased draw, one HTTP round trip when a
-// renewal was due — which is exactly the amortization the transport
-// sells. A 429 on renewal is a budget rejection like the other
-// transports; a 403 on an expired token falls back to one fresh
-// (un-renewed) lease attempt.
-func doReportLease(m *leaseManager, entry request, precision, count int, cold *coldTracker) (sample, int64, int64) {
-	st := m.state(fmt.Sprintf("%s|%d|%d|%d|%d", entry.Region, entry.UID, entry.Seed, entry.Level, precision))
+// Report implements registry.ReportHandler with on-device draws.
+func (m *leaseManager) Report(ctx context.Context, req registry.ReportRequest) (*registry.ReportResult, error) {
+	return doReportLease(ctx, m, req)
+}
+
+// Lease implements registry.ReportHandler by asking the remote.
+func (m *leaseManager) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
+	return m.remote.Lease(ctx, req)
+}
+
+// doReportLease is the lease state machine for one report: draw on-device
+// from the user's open lease, acquiring or renewing it first when needed.
+// The caller's measured latency covers whatever the report actually cost —
+// near-zero for a leased draw, one round trip when a renewal was due —
+// which is exactly the amortization the transport sells. A rejected
+// renewal surfaces as the remote's *stream.StatusError (a 429 is a budget
+// rejection like on the other transports); a 403 on an expired token falls
+// back to one fresh (un-renewed) lease attempt.
+func doReportLease(ctx context.Context, m *leaseManager, req registry.ReportRequest) (*registry.ReportResult, error) {
+	st := m.state(fmt.Sprintf("%s|%d|%d|%d|%d", req.Region, req.UID, req.Seed, req.Policy.PrivacyLevel, req.Policy.PrecisionLevel))
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
-	tree := m.trees[entry.Region]
-	leaf := loctree.NodeID{Level: 0, Coord: hexgrid.Coord{Q: entry.Cell[0], R: entry.Cell[1]}}
-	isCold := cold.first(entry)
-	s := sample{region: entry.Region, cold: isCold}
-	fail := func(start time.Time) (sample, int64, int64) {
-		s.latency = time.Since(start)
-		s.err = true
-		if isCold {
-			cold.forget(entry)
-		}
-		return s, 0, 1
-	}
-	out := make([]loctree.NodeID, count)
-	start := time.Now()
+	leaf := loctree.NodeID{Level: 0, Coord: req.Cell}
+	res := &registry.ReportResult{Region: req.Region, Reports: make([]loctree.NodeID, req.Count)}
 	for attempt := 0; ; attempt++ {
-		if st.lease != nil && tree != nil {
-			err := st.lease.DrawCellNInto(leaf, out)
-			if err == nil {
-				s.latency = time.Since(start)
-				s.status = http.StatusOK
-				s.degraded = st.lease.Degraded()
-				return s, 1, 0
-			}
-			if !errors.Is(err, clientdraw.ErrLeaseExhausted) && !errors.Is(err, clientdraw.ErrOutsideSubtree) {
-				return fail(start)
-			}
-			// Cap spent or the user moved off the leased subtree: renew.
-		}
-		if attempt >= 3 {
-			return fail(start)
-		}
 		var token []byte
 		if st.lease != nil {
+			err := st.lease.DrawCellNInto(leaf, res.Reports)
+			if err == nil {
+				res.Degraded = st.lease.Degraded()
+				return res, nil
+			}
+			if !errors.Is(err, clientdraw.ErrLeaseExhausted) && !errors.Is(err, clientdraw.ErrOutsideSubtree) {
+				return nil, err
+			}
+			// Cap spent or the user moved off the leased subtree: renew.
 			token = st.lease.Token()
 		}
-		lr, err := m.client.Lease(proto.LeaseRequest{
-			Region: entry.Region,
-			Cell:   entry.Cell,
-			UID:    entry.UID,
-			Policy: policy.Policy{PrivacyLevel: entry.Level, PrecisionLevel: precision},
-			Seed:   entry.Seed,
+		if attempt >= 3 {
+			return nil, fmt.Errorf("lease for uid %d still cannot serve cell %v after %d grants", req.UID, req.Cell, attempt)
+		}
+		grant, err := m.remote.Lease(ctx, registry.LeaseRequest{
+			Region: req.Region,
+			Cell:   req.Cell,
+			UID:    req.UID,
+			Policy: req.Policy,
+			Seed:   req.Seed,
 			Draws:  m.draws,
 			Token:  token,
 		})
 		if err != nil {
-			var le *proto.LeaseError
-			if errors.As(err, &le) {
-				if le.Status == http.StatusTooManyRequests {
-					// Same accounting as the other transports: the refused
-					// renewal absorbed no session work, so release the cold
-					// claim for the first granted request.
-					s.latency = time.Since(start)
-					s.status = le.Status
-					s.budgetRejected = true
-					if isCold {
-						s.cold = false
-						cold.forget(entry)
-					}
-					return s, 0, 1
-				}
-				if le.Status == http.StatusForbidden && token != nil {
-					// The renewal token expired while the lease idled; one
-					// fresh lease continues the stream (the server session
-					// still holds the position).
-					st.lease = nil
-					continue
-				}
-				s.status = le.Status
+			if statusOf(err) == http.StatusForbidden && token != nil {
+				// The renewal token expired while the lease idled; one
+				// fresh lease continues the stream (the server session
+				// still holds the position).
+				st.lease = nil
+				continue
 			}
-			return fail(start)
+			return nil, err
 		}
-		var lease *clientdraw.Lease
 		if st.lease != nil {
 			// Renewal: hand the live RNG stream to the next window instead
 			// of replaying O(position) variates from the seed.
-			lease, err = st.lease.Renew(lr.Bundle, lr.Token)
+			st.lease, err = st.lease.Renew(grant.Bundle, grant.Token)
 		} else {
-			lease, err = clientdraw.Open(tree, lr.Bundle, lr.Token)
+			st.lease, err = clientdraw.Open(m.trees[req.Region], grant.Bundle, grant.Token)
 		}
 		if err != nil {
 			st.lease = nil
-			return fail(start)
+			return nil, err
 		}
-		st.lease = lease
-		if lr.Reanchored {
-			s.reanchored = true
-		}
+		res.Reanchored = res.Reanchored || grant.Reanchored
 	}
 }
 
@@ -1632,22 +1390,6 @@ func roundTrip(client *http.Client, req *http.Request) sample {
 	s := sample{latency: time.Since(start), status: resp.StatusCode, bytes: n}
 	s.err = resp.StatusCode != http.StatusOK
 	return s
-}
-
-// roundTripBody is roundTrip for callers that need a flag out of the
-// response body; the returned bytes are nil on transport errors, and the
-// measured latency still covers full-body completion.
-func roundTripBody(client *http.Client, req *http.Request) (sample, []byte) {
-	start := time.Now()
-	resp, err := client.Do(req)
-	if err != nil {
-		return sample{latency: time.Since(start), err: true}, nil
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	s := sample{latency: time.Since(start), status: resp.StatusCode, bytes: int64(len(body))}
-	s.err = resp.StatusCode != http.StatusOK
-	return s, body
 }
 
 // config echoes the run parameters into the report.

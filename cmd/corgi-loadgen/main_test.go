@@ -1,8 +1,11 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,9 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"corgi/internal/budget"
 	"corgi/internal/loctree"
 	"corgi/internal/proto"
 	"corgi/internal/registry"
+	"corgi/internal/stream"
 )
 
 func TestLoadTrace(t *testing.T) {
@@ -92,6 +97,14 @@ func TestBuildTraceSyntheticMix(t *testing.T) {
 // workload tests.
 func reportTestServer(t *testing.T, names ...string) *httptest.Server {
 	t.Helper()
+	srv, _ := reportTestServerOpts(t, registry.Options{}, names...)
+	return srv
+}
+
+// reportTestServerOpts is reportTestServer with registry options, also
+// returning the registry so a test can attach a stream listener to it.
+func reportTestServerOpts(t *testing.T, opts registry.Options, names ...string) (*httptest.Server, *registry.Registry) {
+	t.Helper()
 	specs := make([]registry.Spec, len(names))
 	for i, name := range names {
 		specs[i] = registry.Spec{
@@ -102,7 +115,7 @@ func reportTestServer(t *testing.T, names ...string) *httptest.Server {
 			UniformPriors: true,
 		}
 	}
-	reg, err := registry.New(specs, registry.Options{})
+	reg, err := registry.New(specs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +125,7 @@ func reportTestServer(t *testing.T, names ...string) *httptest.Server {
 	}
 	srv := httptest.NewServer(h.Mux())
 	t.Cleanup(srv.Close)
-	return srv
+	return srv, reg
 }
 
 func TestBuildReportTraceAndDraw(t *testing.T) {
@@ -145,24 +158,25 @@ func TestBuildReportTraceAndDraw(t *testing.T) {
 	}
 
 	// One end-to-end draw through the real wire path.
-	client := &http.Client{Timeout: time.Minute}
+	ctx := context.Background()
+	h := proto.NewClient(srv.URL).Remote()
 	var cold coldTracker
-	s, ok, bad := doReport(client, srv.URL, trace[0], 0, 3, &cold)
+	s, ok, bad := doReports(ctx, h, trace[:1], 0, 3, &cold)
 	if s.err || ok != 1 || bad != 0 {
-		t.Fatalf("doReport: sample %+v ok %d bad %d", s, ok, bad)
+		t.Fatalf("doReports: sample %+v ok %d bad %d", s, ok, bad)
 	}
 	if !s.cold {
 		t.Error("first draw for a subtree must be cold")
 	}
-	s, _, _ = doReport(client, srv.URL, trace[0], 0, 3, &cold)
+	s, _, _ = doReports(ctx, h, trace[:1], 0, 3, &cold)
 	if s.cold {
 		t.Error("repeat draw for the same subtree must be warm")
 	}
 
 	// Batch path with per-item accounting.
-	s, ok, bad = doReportBatch(client, srv.URL, trace, 1, 4, 0, 2, &cold)
+	s, ok, bad = doReports(ctx, h, entriesAt(trace, 1, 4), 0, 2, &cold)
 	if s.err || ok != 4 || bad != 0 {
-		t.Fatalf("doReportBatch: sample %+v ok %d bad %d", s, ok, bad)
+		t.Fatalf("doReports batch: sample %+v ok %d bad %d", s, ok, bad)
 	}
 
 	// Reports/s lands in the summary for the report workload.
@@ -469,10 +483,9 @@ func TestGowallaMobilityTrace(t *testing.T) {
 	}
 }
 
-// TestMobilityEndToEnd drives doMobilityReport against a live in-process
-// server: the subtree crossing must come back with the reanchored flag and
-// land in the re-anchor latency slice, and a budget-capped server must
-// produce 429s that count as rejections, not errors.
+// TestMobilityEndToEnd drives doReports against a live in-process server:
+// the subtree crossing must come back with the reanchored flag and land in
+// the re-anchor latency slice.
 func TestMobilityEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins a real region")
@@ -488,15 +501,16 @@ func TestMobilityEndToEnd(t *testing.T) {
 	mk := func(leaf loctree.NodeID) request {
 		return mobilityRequest(w, "lg-a", 1, leaf, 4)
 	}
-	client := &http.Client{Timeout: time.Minute}
+	ctx := context.Background()
+	h := proto.NewClient(srv.URL).Remote()
 	var cold coldTracker
 	wk := &worker{}
-	wk.record(doMobilityReport(client, srv.URL, mk(leafA), 0, 1, &cold))
-	wk.record(doMobilityReport(client, srv.URL, mk(leafA), 0, 1, &cold))
-	wk.record(doMobilityReport(client, srv.URL, mk(leafB), 0, 1, &cold))
+	wk.record(doReports(ctx, h, []request{mk(leafA)}, 0, 1, &cold))
+	wk.record(doReports(ctx, h, []request{mk(leafA)}, 0, 1, &cold))
+	wk.record(doReports(ctx, h, []request{mk(leafB)}, 0, 1, &cold))
 	// Crossing back: subtree A's forest is already warm, so this sample is
 	// a pure re-anchor — the middle latency tier.
-	wk.record(doMobilityReport(client, srv.URL, mk(leafA), 0, 1, &cold))
+	wk.record(doReports(ctx, h, []request{mk(leafA)}, 0, 1, &cold))
 	if wk.itemsOK != 4 || wk.itemsErr != 0 {
 		t.Fatalf("items ok=%d err=%d", wk.itemsOK, wk.itemsErr)
 	}
@@ -521,6 +535,145 @@ func TestMobilityEndToEnd(t *testing.T) {
 	}
 	if rep.LatencyReanchor == nil {
 		t.Fatal("re-anchor latency slice missing")
+	}
+}
+
+// fakeHandler answers every Report with one canned outcome.
+type fakeHandler struct {
+	res *registry.ReportResult
+	err error
+}
+
+func (f fakeHandler) Report(context.Context, registry.ReportRequest) (*registry.ReportResult, error) {
+	return f.res, f.err
+}
+
+func (f fakeHandler) Lease(context.Context, registry.LeaseRequest) (*registry.LeaseGrant, error) {
+	return nil, errors.New("fakeHandler grants no leases")
+}
+
+// TestDoReportsClassification pins the one response classification every
+// transport shares, over a fake handler: what each kind of answer does to
+// the sample, the item counts, and the entry's cold claim, both when the
+// request is the first to touch its subtree and when it is a later one.
+func TestDoReportsClassification(t *testing.T) {
+	rejected := func(status int) error { return &stream.StatusError{Status: status, Msg: "refused"} }
+	cases := []struct {
+		name string
+		h    fakeHandler
+		// want is the sample a first (cold-claiming) request must produce;
+		// a later request differs only in cold=false.
+		want sample
+		ok   int64
+		// keepsClaim: the request absorbed the subtree's first solve, so
+		// the next request for the key is warm.
+		keepsClaim bool
+	}{
+		{"200", fakeHandler{res: &registry.ReportResult{}},
+			sample{status: 200, cold: true}, 1, true},
+		{"200 reanchored", fakeHandler{res: &registry.ReportResult{Reanchored: true}},
+			sample{status: 200, cold: true, reanchored: true}, 1, true},
+		{"200 degraded", fakeHandler{res: &registry.ReportResult{Degraded: true}},
+			sample{status: 200, cold: true, degraded: true}, 1, true},
+		{"429", fakeHandler{err: rejected(http.StatusTooManyRequests)},
+			sample{status: 429, budgetRejected: true}, 0, false},
+		{"422", fakeHandler{err: rejected(http.StatusUnprocessableEntity)},
+			sample{status: 422, cold: true, err: true}, 0, false},
+		{"transport error", fakeHandler{err: errors.New("connection refused")},
+			sample{cold: true, err: true}, 0, false},
+	}
+	entry := request{Region: "sf", Level: 1, ColdKey: "sf|1|root"}
+	for _, tc := range cases {
+		for _, first := range []bool{true, false} {
+			var cold coldTracker
+			if !first {
+				cold.first(entry)
+			}
+			got, ok, bad := doReports(context.Background(), tc.h, []request{entry}, 0, 1, &cold)
+			want := tc.want
+			want.region = entry.Region
+			want.cold = want.cold && first
+			got.latency = 0
+			if got != want || ok != tc.ok || bad != 1-tc.ok {
+				t.Errorf("%s (first=%v): sample %+v ok %d bad %d, want %+v ok %d bad %d",
+					tc.name, first, got, ok, bad, want, tc.ok, 1-tc.ok)
+			}
+			// A failed first request releases its claim; a later request
+			// never touches one it did not make.
+			if stillClaimed := !cold.first(entry); stillClaimed != (tc.keepsClaim || !first) {
+				t.Errorf("%s (first=%v): cold claim held = %v", tc.name, first, stillClaimed)
+			}
+		}
+	}
+
+	// 429s are budget rejections in the summary, never errors.
+	w := &worker{}
+	w.record(doReports(context.Background(), cases[3].h, []request{entry}, 0, 1, &coldTracker{}))
+	rep := summarize([]*worker{w}, time.Second, config{Workload: "report"})
+	if rep.BudgetRejections != 1 || rep.Errors != 0 || rep.ColdRequests != 0 {
+		t.Errorf("429 summary: rejections %d errors %d cold %d", rep.BudgetRejections, rep.Errors, rep.ColdRequests)
+	}
+}
+
+// TestTransportsAccountAlike replays one user against a budget-capped
+// server through each handler the -transport flag can pick — JSON, stream
+// frames, and on-device lease draws — and checks the accounting the CI
+// smoke asserts: spent budgets show up as rejections on every transport
+// and nothing shows up as an error.
+func TestTransportsAccountAlike(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins a real region")
+	}
+	const eps = 15 // registry.Spec default
+	srv, reg := reportTestServerOpts(t, registry.Options{
+		Budget: budget.Config{LimitEps: 6 * eps, Window: time.Hour},
+	}, "lg-a")
+	ssrv, err := stream.NewServer(reg, stream.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go ssrv.Serve(lis)
+	t.Cleanup(func() { ssrv.Close() })
+	sc := stream.NewClient(lis.Addr().String(), stream.ClientConfig{Timeout: time.Minute})
+	t.Cleanup(func() { sc.Close() })
+
+	w, err := fetchRegionWorld(srv.URL, "lg-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := proto.NewClient(srv.URL)
+	handlers := map[string]registry.ReportHandler{
+		"http":   hc.Remote(),
+		"stream": sc.Remote(),
+		"lease": &leaseManager{
+			remote: hc.Remote(),
+			trees:  map[string]*loctree.Tree{"lg-a": w.tree},
+			draws:  4,
+			states: map[string]*leaseState{},
+		},
+	}
+	uid := int64(0)
+	for name, h := range handlers {
+		// A fresh user per transport: each starts with a full window.
+		uid++
+		entry := mobilityRequest(w, "lg-a", 1, w.leaves[0], uid)
+		var cold coldTracker
+		wk := &worker{}
+		for i := 0; i < 12; i++ {
+			wk.record(doReports(context.Background(), h, []request{entry}, 0, 1, &cold))
+		}
+		rep := summarize([]*worker{wk}, time.Second, config{Workload: "mobility", ReportCount: 1})
+		if rep.Errors != 0 || rep.BudgetRejections == 0 || rep.ItemsOK == 0 {
+			t.Errorf("%s: errors %d, budget rejections %d, items ok %d; want 0, >0, >0 (statuses %v)",
+				name, rep.Errors, rep.BudgetRejections, rep.ItemsOK, rep.StatusCounts)
+		}
+		if rep.ItemsOK+rep.BudgetRejections != 12 {
+			t.Errorf("%s: %d served + %d rejected of 12", name, rep.ItemsOK, rep.BudgetRejections)
+		}
 	}
 }
 

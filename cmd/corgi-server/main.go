@@ -238,7 +238,7 @@ func main() {
 
 	// Cluster mode: every node embeds the consistent-hash router. Requests
 	// for users this node owns serve locally; everything else forwards one
-	// hop to the owner (stream first, HTTP fallback), carrying the epsilon
+	// hop to the owner (its stream client first, its HTTP client second), carrying the epsilon
 	// budget handoff so a rebalance or failover never re-opens a window.
 	var router *cluster.Router
 	if *clusterPeers != "" {
@@ -254,7 +254,7 @@ func main() {
 			log.Fatalf("cluster: %v", err)
 		}
 		h.Handler = router
-		h.Cluster = router
+		h.Cluster = func() any { return router.Stats() }
 		if streamSrv != nil {
 			streamSrv.SetHandler(router)
 		}

@@ -13,44 +13,29 @@ import (
 
 	"corgi/internal/core"
 	"corgi/internal/geo"
-	"corgi/internal/gowalla"
-	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/proto"
+	"corgi/internal/registry"
 )
 
 func main() {
 	// ---- cloud side ----
-	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
+	// A single region is a registry of one: the spec names where the tree
+	// sits and how its matrices are solved, and the handler serves it as
+	// the default region, so the device below never spells a region name.
+	center := geo.SanFrancisco.Center()
+	reg, err := registry.New([]registry.Spec{{
+		Name:      "sf",
+		CenterLat: center.Lat, CenterLng: center.Lng,
+		LeafSpacingKm: 0.1, Height: 2,
+		Epsilon: 15, Iterations: 2, Targets: 3,
+		Seed: 1,
+	}}, registry.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := loctree.NewAt(sys, geo.SanFrancisco.Center(), 2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ds, err := gowalla.Generate(gowalla.GenConfig{Seed: 1})
-	if err != nil {
-		log.Fatal(err)
-	}
-	leaf, err := gowalla.LeafPriors(ds.CheckIns, tree, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	priors, err := loctree.NewPriors(tree, leaf)
-	if err != nil {
-		log.Fatal(err)
-	}
-	leaves := tree.LevelNodes(0)
-	targets := []geo.LatLng{tree.Center(leaves[3]), tree.Center(leaves[24]), tree.Center(leaves[44])}
-	srv, err := core.NewServer(tree, priors, targets, []float64{1, 1, 1}, core.Params{
-		Epsilon: 15, Iterations: 2, UseGraphApprox: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	handler, err := proto.NewHandler(srv, priors, 0.1)
+	handler, err := proto.NewMultiHandler(reg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,14 +7,21 @@ package cluster_test
 import (
 	"context"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"corgi/internal/budget"
 	"corgi/internal/cluster"
+	"corgi/internal/geo"
+	"corgi/internal/gowalla"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
+	"corgi/internal/proto"
 	"corgi/internal/registry"
 	"corgi/internal/stream"
 )
@@ -38,6 +45,9 @@ type testNode struct {
 	reg    *registry.Registry
 	srv    *stream.Server
 	router *cluster.Router
+	// http is the node's JSON listener (startClusterHTTP only): what peers
+	// fall back to when the stream listener is down.
+	http *httptest.Server
 }
 
 // shard returns the node's region shard (budget accountant lives on it).
@@ -55,9 +65,22 @@ func (n *testNode) shard(t *testing.T) *registry.Shard {
 // — the same bootstrap order cmd/corgi-server follows with -cluster-peers.
 func startCluster(t *testing.T, n int, opts registry.Options) []*testNode {
 	t.Helper()
+	return startNodes(t, n, opts, false)
+}
+
+// startClusterHTTP is startCluster with a JSON listener per node, named in
+// every peer list, so forwards have an HTTP fallback.
+func startClusterHTTP(t *testing.T, n int, opts registry.Options) []*testNode {
+	t.Helper()
+	return startNodes(t, n, opts, true)
+}
+
+func startNodes(t *testing.T, n int, opts registry.Options, withHTTP bool) []*testNode {
+	t.Helper()
 	listeners := make([]net.Listener, n)
 	peers := make([]cluster.Peer, n)
-	for i := range listeners {
+	nodes := make([]*testNode, n)
+	for i := range nodes {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -65,28 +88,54 @@ func startCluster(t *testing.T, n int, opts registry.Options) []*testNode {
 		listeners[i] = lis
 		addr := lis.Addr().String()
 		peers[i] = cluster.Peer{Name: addr, StreamAddr: addr}
-	}
-	nodes := make([]*testNode, n)
-	for i := range nodes {
 		reg, err := registry.New(clusterSpec(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := stream.NewServer(reg, stream.Config{})
+		nodes[i] = &testNode{name: addr, reg: reg}
+		if withHTTP {
+			// The URL must be in the peer lists before any router exists, so
+			// the listener opens now and its handler is pointed at the
+			// router below.
+			h, err := proto.NewMultiHandler(reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			node := nodes[i]
+			h.Handler = routerOf{node}
+			node.http = httptest.NewServer(h.Mux())
+			t.Cleanup(node.http.Close)
+			peers[i].HTTPURL = node.http.URL
+		}
+	}
+	for i, node := range nodes {
+		srv, err := stream.NewServer(node.reg, stream.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		router, err := cluster.NewRouter(reg, peers[i].Name, peers, cluster.RouterConfig{})
+		router, err := cluster.NewRouter(node.reg, peers[i].Name, peers, cluster.RouterConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.SetHandler(router)
 		go srv.Serve(listeners[i])
-		node := &testNode{name: peers[i].Name, reg: reg, srv: srv, router: router}
+		node.srv, node.router = srv, router
+		node := node
 		t.Cleanup(func() { node.srv.Close(); node.router.Close() })
-		nodes[i] = node
 	}
 	return nodes
+}
+
+// routerOf defers to a node's router, which is built after the node's
+// HTTP listener (the listener's URL is part of every router's peer list).
+type routerOf struct{ n *testNode }
+
+func (r routerOf) Report(ctx context.Context, req registry.ReportRequest) (*registry.ReportResult, error) {
+	return r.n.router.Report(ctx, req)
+}
+
+func (r routerOf) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
+	return r.n.router.Lease(ctx, req)
 }
 
 // uidOwnedBy finds a uid the ring assigns to want, starting from seed.
@@ -308,5 +357,257 @@ func TestClusterFailoverAndRecovery(t *testing.T) {
 			t.Fatalf("traffic never returned to the recovered owner: %+v", nodes[0].router.Stats())
 		}
 		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// movedUser sets up the rebalance scenario of TestClusterHandoffExactlyOnce
+// on an HTTP-capable cluster: the first uid from seed whose ring sequence
+// starts at node 1 (and, with three nodes, continues at node 2) spends on
+// node 0 while node 0 believes it is alone, then node 0 learns the full
+// membership. It returns the uid and what it spent on node 0.
+func movedUser(t *testing.T, nodes []*testNode, seed int64) (uid int64, preSpend float64) {
+	t.Helper()
+	ring := nodes[0].router.Ring()
+	for uid = seed; ; uid++ {
+		seq := ring.Sequence(uid)
+		if seq[0] == nodes[1].name && (len(nodes) < 3 || seq[1] == nodes[2].name) {
+			break
+		}
+		if uid > seed+20000 {
+			t.Fatal("no uid with the wanted ring sequence")
+		}
+	}
+	all := make([]cluster.Peer, len(nodes))
+	for i, n := range nodes {
+		all[i] = cluster.Peer{Name: n.name, StreamAddr: n.name, HTTPURL: n.http.URL}
+	}
+	if err := nodes[0].router.SetMembers(all[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
+		t.Fatal(err)
+	}
+	if preSpend = nodes[0].shard(t).Budget.Spent(uid); preSpend <= 0 {
+		t.Fatal("no spend recorded before the move")
+	}
+	if err := nodes[0].router.SetMembers(all); err != nil {
+		t.Fatal(err)
+	}
+	return uid, preSpend
+}
+
+// TestClusterHTTPFallbackForwarding is the positive test for the second
+// transport. Two users move to node 1 the same way; the first is forwarded
+// over stream, then node 1's stream listener goes down and the second is
+// forwarded over JSON. Both times the budget handoff is committed exactly
+// once (the accounting of TestClusterHandoffExactlyOnce), and — same seed,
+// same cell, fresh session on the owner — both draw the same sequence.
+func TestClusterHTTPFallbackForwarding(t *testing.T) {
+	nodes := startClusterHTTP(t, 2, registry.Options{Budget: budget.Config{LimitEps: 1000, Window: time.Hour}})
+	b0, b1 := nodes[0].shard(t).Budget, nodes[1].shard(t).Budget
+	var before cluster.Stats
+	forward := func(transport string, uid int64, preSpend float64) ([]loctree.NodeID, cluster.Stats) {
+		imported, forwardedIn := b1.Stats().HandoffsImported, nodes[1].router.Stats().ForwardedIn
+		res, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid))
+		if err != nil {
+			t.Fatalf("%s forward: %v", transport, err)
+		}
+		if got, want := b1.Spent(uid), preSpend+res.EpsSpent; got != want {
+			t.Fatalf("%s: owner counts %v, want %v (handoff %v + fresh %v)", transport, got, want, preSpend, res.EpsSpent)
+		}
+		if got := b0.Spent(uid); got != 0 {
+			t.Fatalf("%s: old owner still counts %v after the commit", transport, got)
+		}
+		if n := b1.Stats().HandoffsImported - imported; n != 1 {
+			t.Fatalf("%s: owner imported %d handoffs, want 1", transport, n)
+		}
+		if n := nodes[1].router.Stats().ForwardedIn - forwardedIn; n != 1 {
+			t.Fatalf("%s: owner saw %d forwards, want 1", transport, n)
+		}
+		// The counters this forward moved on the entry node.
+		now := nodes[0].router.Stats()
+		d := cluster.Stats{
+			ForwardedOut:  now.ForwardedOut - before.ForwardedOut,
+			HTTPFallbacks: now.HTTPFallbacks - before.HTTPFallbacks,
+			Failovers:     now.Failovers - before.Failovers,
+			HandoffsSent:  now.HandoffsSent - before.HandoffsSent,
+		}
+		before = now
+		return append([]loctree.NodeID(nil), res.Reports...), d
+	}
+
+	uid, preSpend := movedUser(t, nodes, 500)
+	before = nodes[0].router.Stats()
+	overStream, d := forward("stream", uid, preSpend)
+	if d.ForwardedOut != 1 || d.HTTPFallbacks != 0 || d.HandoffsSent != 1 {
+		t.Fatalf("stream forward moved %+v", d)
+	}
+
+	uid, preSpend = movedUser(t, nodes, uid+1)
+	if err := nodes[1].srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before = nodes[0].router.Stats()
+	overHTTP, d := forward("http", uid, preSpend)
+	// The failed stream attempt exported and rolled back; the HTTP attempt
+	// exported again and committed.
+	if d.ForwardedOut != 1 || d.HTTPFallbacks != 1 || d.Failovers != 0 || d.HandoffsSent != 2 {
+		t.Fatalf("HTTP fallback moved %+v", d)
+	}
+	if len(overHTTP) == 0 || !reflect.DeepEqual(overHTTP, overStream) {
+		t.Fatalf("HTTP-fallback draws %v, stream-forwarded draws %v", overHTTP, overStream)
+	}
+}
+
+// TestClusterBothTransportsDown: the owner is unreachable over stream and
+// HTTP, so both exports roll back — the spend is restored on the entry
+// node, not lost — and the next ring member serves, receiving the handoff
+// the owner never saw.
+func TestClusterBothTransportsDown(t *testing.T) {
+	opts := registry.Options{Budget: budget.Config{LimitEps: 1000, Window: time.Hour}}
+	nodes := startClusterHTTP(t, 3, opts)
+	uid, preSpend := movedUser(t, nodes, 500)
+	if err := nodes[1].srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	nodes[1].http.Close()
+
+	res, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid))
+	if err != nil {
+		t.Fatalf("report with the owner down on both transports: %v", err)
+	}
+	s := nodes[0].router.Stats()
+	if s.Failovers != 1 || s.ForwardedOut != 1 || s.HTTPFallbacks != 0 || s.FailoverLocal != 0 || s.HandoffsSent != 3 {
+		t.Fatalf("entry node stats: %+v", s)
+	}
+	if fin := nodes[2].router.Stats().ForwardedIn; fin != 1 {
+		t.Fatalf("next ring member saw %d forwards, want 1", fin)
+	}
+	b0, b1, b2 := nodes[0].shard(t).Budget, nodes[1].shard(t).Budget, nodes[2].shard(t).Budget
+	if got, want := b2.Spent(uid), preSpend+res.EpsSpent; got != want {
+		t.Fatalf("stand-in counts %v, want %v (restored handoff %v + fresh %v)", got, want, preSpend, res.EpsSpent)
+	}
+	// Exactly one import, and it is the third export: the two the dead
+	// owner never received were rolled back, not delivered late.
+	if st := b2.Stats(); st.HandoffsImported != 1 || b2.HandoffsApplied(uid, nodes[0].name) != 3 {
+		t.Fatalf("stand-in imported %d handoffs at watermark %d, want 1 at 3",
+			st.HandoffsImported, b2.HandoffsApplied(uid, nodes[0].name))
+	}
+	if b0.Spent(uid) != 0 || b1.Spent(uid) != 0 {
+		t.Fatalf("spend left behind: entry %v, dead owner %v", b0.Spent(uid), b1.Spent(uid))
+	}
+}
+
+// TestClusterReplayCoherence replays a short Gowalla trajectory trace, in
+// global time order and entering at the nodes round-robin (so two thirds
+// of the requests are forwarded), against a three-node cluster and a
+// single node with the same per-user epsilon cap, and checks the coherence
+// a cluster must not lose: every rejection a client sees is one some
+// node's accountant made, no user is granted more than the cap, and the
+// busiest user's draw sequence is identical to the single node's.
+func TestClusterReplayCoherence(t *testing.T) {
+	ctx := context.Background()
+	// The tree every node builds from the shared spec (default 0.1 km
+	// leaves), to map the trace on.
+	center := clusterSpec()[0].Center()
+	sys, err := hexgrid.NewSystem(center, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := loctree.NewAt(sys, center, clusterSpec()[0].Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const d = 0.002 // degrees half-width that keeps the corpus inside the height-2 tree
+	ds, err := gowalla.Generate(gowalla.GenConfig{
+		Seed: 1, NumUsers: 12, NumPlaces: 60, NumCheckIns: 600,
+		BBox: geo.BoundingBox{
+			MinLat: 37.765 - d, MaxLat: 37.765 + d,
+			MinLng: -122.435 - d*1.27, MaxLng: -122.435 + d*1.27,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIns := append([]gowalla.CheckIn(nil), ds.CheckIns...)
+	sort.SliceStable(checkIns, func(a, b int) bool { return checkIns[a].Time.Before(checkIns[b].Time) })
+	var trace []registry.ReportRequest
+	perUser := map[int64]int{}
+	for _, c := range checkIns {
+		leaf, ok := tree.Locate(c.Loc, 0)
+		if !ok {
+			continue
+		}
+		uid := int64(c.UserID)
+		perUser[uid]++
+		trace = append(trace, registry.ReportRequest{
+			Region: testRegion, Cell: leaf.Coord, UID: uid,
+			Policy: policy.Policy{PrivacyLevel: 1}, Seed: uid*1000003 + 7, Count: 1,
+		})
+	}
+	if len(trace) < len(checkIns)/2 {
+		t.Fatalf("only %d of %d check-ins landed inside the tree", len(trace), len(checkIns))
+	}
+	// A cap of the median user's demand exhausts the heavier half mid-trace.
+	counts := make([]int, 0, len(perUser))
+	busiest := int64(-1)
+	for uid, n := range perUser {
+		counts = append(counts, n)
+		if busiest < 0 || n > perUser[busiest] || (n == perUser[busiest] && uid < busiest) {
+			busiest = uid
+		}
+	}
+	sort.Ints(counts)
+	const eps = 15 // registry.Spec default
+	limit := eps * float64(counts[len(counts)/2])
+	opts := registry.Options{Budget: budget.Config{LimitEps: limit, Window: time.Hour}}
+
+	type replay struct {
+		rejections uint64
+		granted    map[int64]float64
+		draws      map[int64][]loctree.NodeID
+	}
+	run := func(entry func(i int) registry.ReportHandler) replay {
+		rp := replay{granted: map[int64]float64{}, draws: map[int64][]loctree.NodeID{}}
+		for i, req := range trace {
+			res, err := entry(i).Report(ctx, req)
+			if err != nil {
+				if status, _ := registry.ReportErrStatus(err); status != http.StatusTooManyRequests {
+					t.Fatalf("request %d: %v", i, err)
+				}
+				rp.rejections++
+				continue
+			}
+			rp.granted[req.UID] += res.EpsSpent
+			rp.draws[req.UID] = append(rp.draws[req.UID], res.Reports...)
+		}
+		return rp
+	}
+	single, err := registry.New(clusterSpec(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := run(func(int) registry.ReportHandler { return single })
+	nodes := startCluster(t, 3, opts)
+	got := run(func(i int) registry.ReportHandler { return nodes[i%len(nodes)].router })
+
+	var nodeRejections, forwarded uint64
+	for _, n := range nodes {
+		nodeRejections += n.shard(t).Budget.Stats().Rejections
+		forwarded += n.router.Stats().ForwardedOut
+	}
+	if forwarded == 0 {
+		t.Fatal("round-robin entry forwarded nothing; the test is vacuous")
+	}
+	if got.rejections == 0 || got.rejections != nodeRejections || got.rejections != want.rejections {
+		t.Fatalf("rejections: clients saw %d, node accountants made %d, single node %d", got.rejections, nodeRejections, want.rejections)
+	}
+	for uid, spent := range got.granted {
+		if spent > limit*(1+1e-9) {
+			t.Errorf("uid %d granted %v eps over a %v cap", uid, spent, limit)
+		}
+	}
+	if len(want.draws[busiest]) == 0 || !reflect.DeepEqual(got.draws[busiest], want.draws[busiest]) {
+		t.Errorf("uid %d draw sequence diverged between the cluster and the single node", busiest)
 	}
 }

@@ -11,10 +11,11 @@ package cluster
 //     lands on (or is redirected to) the owner, every subsequent draw is
 //     node-local — sessions, RNG streams, and budget windows never cross
 //     a node boundary, which is what makes throughput scale linearly.
-//   - forwarded: another node owns the uid → relay over the peer's
-//     corgi-stream connection pool (HTTP JSON fallback when the stream
-//     transport fails), attaching this node's budget handoff for the user
-//     so spend follows the user to its owner (internal/budget/handoff.go).
+//   - forwarded: another node owns the uid → offer the ask to the peer,
+//     which the router holds as an ordered list of registry.ReportHandlers
+//     (its corgi-stream client first, its HTTP JSON client second when the
+//     peer has a URL), attaching this node's budget handoff for the user so
+//     spend follows the user to its owner (internal/budget/handoff.go).
 //   - failover: the owner (and any closer successor) is unreachable → the
 //     ring's deterministic Sequence order names the stand-in every node
 //     agrees on; when the walk reaches this node itself, serve locally.
@@ -25,9 +26,7 @@ package cluster
 // membership change.
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -39,10 +38,7 @@ import (
 	"time"
 
 	"corgi/internal/budget"
-	"corgi/internal/geo"
-	"corgi/internal/hexgrid"
-	"corgi/internal/loctree"
-	"corgi/internal/policy"
+	"corgi/internal/proto"
 	"corgi/internal/registry"
 	"corgi/internal/store"
 	"corgi/internal/stream"
@@ -57,8 +53,9 @@ type RouterConfig struct {
 	// dial (defaults 10s / 2s — forwards should fail over quickly).
 	StreamTimeout time.Duration
 	DialTimeout   time.Duration
-	// HTTPTimeout bounds one HTTP-fallback round trip and one peer store
-	// fetch (default 30s; snapshot payloads can be MBs).
+	// HTTPTimeout bounds one HTTP-fallback round trip (as the forwarded
+	// attempt's context deadline) and one peer store fetch (default 30s;
+	// snapshot payloads can be MBs).
 	HTTPTimeout time.Duration
 }
 
@@ -77,8 +74,25 @@ func (c RouterConfig) withDefaults() RouterConfig {
 
 // peerNode is one remote member's transport state.
 type peerNode struct {
-	peer   Peer
+	peer Peer
+	// client is the member's corgi-stream pool: the health and stats
+	// source, closed when the member leaves.
 	client *stream.Client
+	// transports are the ways to reach the member, in the order a forward
+	// tries them: corgi-stream, then HTTP JSON when the member has a URL.
+	transports []registry.ReportHandler
+}
+
+func newPeerNode(p Peer, cfg RouterConfig) *peerNode {
+	pn := &peerNode{peer: p, client: stream.NewClient(p.StreamAddr, stream.ClientConfig{
+		DialTimeout: cfg.DialTimeout,
+		Timeout:     cfg.StreamTimeout,
+	})}
+	pn.transports = []registry.ReportHandler{pn.client.Remote()}
+	if p.HTTPURL != "" {
+		pn.transports = append(pn.transports, proto.NewClient(p.HTTPURL).Remote())
+	}
+	return pn
 }
 
 // Router routes report and lease asks to their owner nodes. It is safe
@@ -162,13 +176,7 @@ func (r *Router) SetMembers(members []Peer) error {
 			peers[name] = op // keep the warm connection pool
 			continue
 		}
-		peers[name] = &peerNode{
-			peer: p,
-			client: stream.NewClient(p.StreamAddr, stream.ClientConfig{
-				DialTimeout: r.cfg.DialTimeout,
-				Timeout:     r.cfg.StreamTimeout,
-			}),
-		}
+		peers[name] = newPeerNode(p, r.cfg)
 	}
 	r.ring = ring
 	r.peers = peers
@@ -202,325 +210,123 @@ func (r *Router) Close() {
 	}
 }
 
-// route resolves a uid to its serving decision under the current ring:
-// the failover sequence and the peer transports, snapshotted together so
-// a concurrent SetMembers cannot mix topologies mid-request.
-func (r *Router) route(uid int64) ([]string, map[string]*peerNode) {
+// ahead lists the members an ask for uid is offered to before this node
+// serves it itself, and the counter that local serve then bumps: nobody
+// when the ask was already forwarded here (one hop maximum — the sender's
+// ring may be one membership change ahead or behind, and serving beats
+// bouncing) or when this node owns the uid, otherwise the members
+// preceding this node in the ring's failover sequence. Ring and transports
+// are read under one lock, so a concurrent SetMembers cannot mix
+// topologies mid-request.
+func (r *Router) ahead(forwarded bool, uid int64) ([]*peerNode, *atomic.Uint64) {
+	if forwarded {
+		return nil, &r.forwardedIn
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.ring.Sequence(uid), r.peers
+	var peers []*peerNode
+	for i, member := range r.ring.Sequence(uid) {
+		if member == r.self {
+			if i == 0 {
+				return nil, &r.ownerServed
+			}
+			break
+		}
+		if pn := r.peers[member]; pn != nil { // nil only after Close
+			peers = append(peers, pn)
+		}
+	}
+	return peers, &r.failoverLocal
 }
 
 // exportHandoff moves the local accountant's live spend for (region, uid)
-// into a handoff, returning the commit/rollback hooks bound to it. All
-// three are nil/no-ops when there is nothing to hand off.
+// into a handoff, returning the commit/rollback hooks bound to it. The
+// handoff is nil and the hooks no-ops when there is nothing to hand off.
 func (r *Router) exportHandoff(region string, uid int64) (h *budget.Handoff, commit, rollback func()) {
+	nop := func() {}
 	sh, ok := r.reg.ShardIfReady(region)
 	if !ok || sh.Budget == nil {
-		return nil, nil, nil
+		return nil, nop, nop
 	}
 	h = sh.Budget.ExportHandoff(uid, r.self)
 	if h == nil {
-		return nil, nil, nil
+		return nil, nop, nop
 	}
 	acct, seq := sh.Budget, h.Seq
 	r.handoffsSent.Add(1)
 	return h, func() { acct.CommitHandoff(uid, seq) }, func() { acct.RollbackHandoff(uid, seq) }
 }
 
+// forward is the one forwarding loop behind Report and Lease: offer the
+// request to each peer in ring order, over each of its transports in
+// order, until one answers; ok=false means none did and the caller serves
+// locally. ask issues the request against a transport with the budget
+// handoff it is given (and the forwarded bit set). Each attempt is wrapped
+// in its own export: a peer that answered — a result or a
+// *stream.StatusError, whose classification (429, 422, ...) is the
+// request's real outcome — has imported the handoff (import precedes
+// validation), so the export commits; a transport failure means the peer
+// never processed the request, so the spend is restored and the next
+// transport, then the next ring member, is tried. 404 is final too: every
+// node runs the same region set, so it is the client's error.
+func forward[T any](ctx context.Context, r *Router, peers []*peerNode, region string, uid int64,
+	ask func(context.Context, registry.ReportHandler, *budget.Handoff) (T, error)) (res T, ok bool, err error) {
+	for _, pn := range peers {
+		for i, h := range pn.transports {
+			export, commit, rollback := r.exportHandoff(region, uid)
+			actx, cancel := context.WithTimeout(ctx, r.cfg.HTTPTimeout)
+			res, err = ask(actx, h, export)
+			cancel()
+			var se *stream.StatusError
+			if err != nil && !errors.As(err, &se) {
+				rollback()
+				continue
+			}
+			commit()
+			r.forwardedOut.Add(1)
+			if i > 0 {
+				r.httpFallbacks.Add(1)
+			}
+			return res, true, err
+		}
+		r.failovers.Add(1)
+	}
+	return res, false, nil
+}
+
 // Report implements registry.ReportHandler: serve locally when this node
 // owns (or is standing in for, or received a forward for) the uid,
 // otherwise forward to the owner with the budget handoff attached.
 func (r *Router) Report(ctx context.Context, req registry.ReportRequest) (*registry.ReportResult, error) {
-	if req.Forwarded {
-		// One hop maximum: a forwarded request is served here no matter
-		// what this node's ring says (the sender's ring may be one
-		// membership change ahead or behind — serving beats bouncing).
-		r.forwardedIn.Add(1)
-		return r.reg.Report(ctx, req)
+	peers, servedLocally := r.ahead(req.Forwarded, req.UID)
+	res, ok, err := forward(ctx, r, peers, req.Region, req.UID,
+		func(ctx context.Context, h registry.ReportHandler, handoff *budget.Handoff) (*registry.ReportResult, error) {
+			fwd := req
+			fwd.Forwarded, fwd.Handoff = true, handoff
+			return h.Report(ctx, fwd)
+		})
+	if ok {
+		return res, err
 	}
-	seq, peers := r.route(req.UID)
-	for i, member := range seq {
-		if member == r.self {
-			if i == 0 {
-				r.ownerServed.Add(1)
-			} else {
-				r.failoverLocal.Add(1)
-			}
-			return r.reg.Report(ctx, req)
-		}
-		pn := peers[member]
-		if pn == nil { // stale sequence during a SetMembers race: skip
-			continue
-		}
-		res, err, final := r.forwardReport(pn, req)
-		if final {
-			return res, err
-		}
-		r.failovers.Add(1)
-	}
-	// Unreachable: self is always in its own ring, so the loop returns at
-	// the self hop at the latest. Guard for defense in depth.
-	r.failoverLocal.Add(1)
+	servedLocally.Add(1)
 	return r.reg.Report(ctx, req)
 }
 
-// forwardReport relays one report to a peer: corgi-stream first, HTTP
-// JSON fallback on a transport failure. final=false means both
-// transports failed and the caller should try the next ring member.
-func (r *Router) forwardReport(pn *peerNode, req registry.ReportRequest) (*registry.ReportResult, error, bool) {
-	h, commit, rollback := r.exportHandoff(req.Region, req.UID)
-	sreq := stream.Request{
-		Region:    req.Region,
-		Cell:      [2]int{req.Cell.Q, req.Cell.R},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Count:     req.Count,
-		Forwarded: true,
-		Handoff:   h,
-	}
-	resp, err := pn.client.Report(sreq)
-	if err == nil {
-		r.forwardedOut.Add(1)
-		if commit != nil {
-			commit()
-		}
-		return toReportResult(&req, resp), nil, true
-	}
-	var se *stream.StatusError
-	if errors.As(err, &se) {
-		// The peer answered: its classification (429, 422, ...) is the
-		// request's real outcome, and any handoff it imported is applied
-		// (import precedes validation), so the export commits. 404 means
-		// the peer does not serve the region at all — also final: every
-		// node runs the same region set, so a 404 is the client's error.
-		r.forwardedOut.Add(1)
-		if commit != nil {
-			commit()
-		}
-		return nil, se, true
-	}
-	// Transport failure: the peer never processed the request. Restore
-	// the exported spend, then try the HTTP fallback with a fresh export.
-	if rollback != nil {
-		rollback()
-	}
-	if pn.peer.HTTPURL == "" {
-		return nil, err, false
-	}
-	res, err := r.forwardReportHTTP(pn, req)
-	if err == nil {
-		r.httpFallbacks.Add(1)
-		r.forwardedOut.Add(1)
-		return res, nil, true
-	}
-	var he *httpError
-	if errors.As(err, &he) {
-		r.httpFallbacks.Add(1)
-		r.forwardedOut.Add(1)
-		return nil, he, true
-	}
-	return nil, err, false
-}
-
 // Lease implements registry.ReportHandler's lease arm with the same
-// routing as Report. Forwarding is stream-only — the lease frame carries
-// the token and bundle natively; nodes whose stream transport is down
-// fall over to the next ring member rather than to HTTP.
+// routing as Report.
 func (r *Router) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
-	if req.Forwarded {
-		r.forwardedIn.Add(1)
-		return r.reg.Lease(ctx, req)
+	peers, servedLocally := r.ahead(req.Forwarded, req.UID)
+	grant, ok, err := forward(ctx, r, peers, req.Region, req.UID,
+		func(ctx context.Context, h registry.ReportHandler, handoff *budget.Handoff) (*registry.LeaseGrant, error) {
+			fwd := req
+			fwd.Forwarded, fwd.Handoff = true, handoff
+			return h.Lease(ctx, fwd)
+		})
+	if ok {
+		return grant, err
 	}
-	seq, peers := r.route(req.UID)
-	for i, member := range seq {
-		if member == r.self {
-			if i == 0 {
-				r.ownerServed.Add(1)
-			} else {
-				r.failoverLocal.Add(1)
-			}
-			return r.reg.Lease(ctx, req)
-		}
-		pn := peers[member]
-		if pn == nil {
-			continue
-		}
-		h, commit, rollback := r.exportHandoff(req.Region, req.UID)
-		sreq := stream.Request{
-			Region:    req.Region,
-			Cell:      [2]int{req.Cell.Q, req.Cell.R},
-			UID:       req.UID,
-			Policy:    req.Policy,
-			Seed:      req.Seed,
-			Forwarded: true,
-			Handoff:   h,
-		}
-		grant, err := pn.client.Lease(sreq, req.Draws, req.Token)
-		if err == nil {
-			r.forwardedOut.Add(1)
-			if commit != nil {
-				commit()
-			}
-			return grant, nil
-		}
-		var se *stream.StatusError
-		if errors.As(err, &se) {
-			r.forwardedOut.Add(1)
-			if commit != nil {
-				commit()
-			}
-			return nil, se
-		}
-		if rollback != nil {
-			rollback()
-		}
-		r.failovers.Add(1)
-	}
-	r.failoverLocal.Add(1)
+	servedLocally.Add(1)
 	return r.reg.Lease(ctx, req)
-}
-
-// toReportResult converts a stream response back into the registry's
-// result type for the relaying transport to re-encode. Node levels are
-// reconstructed from the request policy (the wire sends coordinates
-// only); centers round-tripped the stream's 32-bit fixed point (~5mm),
-// which is the same representation a direct stream client would see.
-func toReportResult(req *registry.ReportRequest, resp *stream.Response) *registry.ReportResult {
-	res := &registry.ReportResult{
-		Region: resp.Region,
-		SubtreeRoot: loctree.NodeID{
-			Level: req.Policy.PrivacyLevel,
-			Coord: hexgrid.Coord{Q: resp.SubtreeRoot[0], R: resp.SubtreeRoot[1]},
-		},
-		PrecisionLevel: resp.PrecisionLevel,
-		Pruned:         resp.Pruned,
-		Reanchored:     resp.Reanchored,
-		Budgeted:       resp.Budgeted,
-		EpsSpent:       resp.EpsSpent,
-		EpsRemaining:   resp.EpsRemaining,
-		Degraded:       resp.Degraded,
-		Reports:        make([]loctree.NodeID, len(resp.Reports)),
-		Centers:        make([]geo.LatLng, len(resp.Reports)),
-	}
-	for i, rep := range resp.Reports {
-		res.Reports[i] = loctree.NodeID{
-			Level: resp.PrecisionLevel,
-			Coord: hexgrid.Coord{Q: rep.Q, R: rep.R},
-		}
-		res.Centers[i] = geo.LatLng{Lat: rep.Lat, Lng: rep.Lng}
-	}
-	return res
-}
-
-// httpError is an HTTP-fallback rejection carrying the peer's status so
-// registry.ReportErrStatus re-answers with it (same interface contract
-// as stream.StatusError).
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string {
-	return fmt.Sprintf("cluster: peer returned %d: %s", e.status, e.msg)
-}
-func (e *httpError) HTTPStatus() int { return e.status }
-
-// fallbackReportRequest mirrors proto.ReportRequest's JSON shape (the
-// cluster package cannot import internal/proto — proto imports cluster
-// for the stats route).
-type fallbackReportRequest struct {
-	Region string `json:"region,omitempty"`
-	Cell   [2]int `json:"cell"`
-	UID    int64  `json:"uid,omitempty"`
-	policy.Policy
-	Seed      int64           `json:"seed,omitempty"`
-	Count     int             `json:"count,omitempty"`
-	Forwarded bool            `json:"forwarded,omitempty"`
-	Handoff   *budget.Handoff `json:"budget_handoff,omitempty"`
-}
-
-// fallbackReportResponse mirrors proto.ReportResponse.
-type fallbackReportResponse struct {
-	Region         string `json:"region"`
-	PrecisionLevel int    `json:"precision_l"`
-	SubtreeRoot    [2]int `json:"subtree_root"`
-	Pruned         int    `json:"pruned"`
-	Reports        []struct {
-		Q   int     `json:"q"`
-		R   int     `json:"r"`
-		Lat float64 `json:"lat"`
-		Lng float64 `json:"lng"`
-	} `json:"reports"`
-	Reanchored   bool    `json:"reanchored,omitempty"`
-	Budgeted     bool    `json:"budgeted,omitempty"`
-	EpsSpent     float64 `json:"eps_spent,omitempty"`
-	EpsRemaining float64 `json:"eps_remaining,omitempty"`
-	Degraded     bool    `json:"degraded,omitempty"`
-}
-
-// forwardReportHTTP relays one report over the peer's JSON route. A
-// non-2xx answer returns *httpError (the peer processed the request); a
-// transport error returns it bare (the caller fails over).
-func (r *Router) forwardReportHTTP(pn *peerNode, req registry.ReportRequest) (*registry.ReportResult, error) {
-	h, commit, rollback := r.exportHandoff(req.Region, req.UID)
-	body, err := json.Marshal(fallbackReportRequest{
-		Region:    req.Region,
-		Cell:      [2]int{req.Cell.Q, req.Cell.R},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Count:     req.Count,
-		Forwarded: true,
-		Handoff:   h,
-	})
-	if err != nil {
-		if rollback != nil {
-			rollback()
-		}
-		return nil, err
-	}
-	resp, err := r.httpc.Post(pn.peer.HTTPURL+"/v1/report", "application/json", bytes.NewReader(body))
-	if err != nil {
-		if rollback != nil {
-			rollback()
-		}
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if commit != nil {
-		commit() // the peer answered; import precedes validation
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, &httpError{status: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
-	}
-	var fr fallbackReportResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&fr); err != nil {
-		return nil, &httpError{status: http.StatusBadGateway, msg: "decoding peer response: " + err.Error()}
-	}
-	res := &registry.ReportResult{
-		Region: fr.Region,
-		SubtreeRoot: loctree.NodeID{
-			Level: req.Policy.PrivacyLevel,
-			Coord: hexgrid.Coord{Q: fr.SubtreeRoot[0], R: fr.SubtreeRoot[1]},
-		},
-		PrecisionLevel: fr.PrecisionLevel,
-		Pruned:         fr.Pruned,
-		Reanchored:     fr.Reanchored,
-		Budgeted:       fr.Budgeted,
-		EpsSpent:       fr.EpsSpent,
-		EpsRemaining:   fr.EpsRemaining,
-		Degraded:       fr.Degraded,
-		Reports:        make([]loctree.NodeID, len(fr.Reports)),
-		Centers:        make([]geo.LatLng, len(fr.Reports)),
-	}
-	for i, rep := range fr.Reports {
-		res.Reports[i] = loctree.NodeID{Level: fr.PrecisionLevel, Coord: hexgrid.Coord{Q: rep.Q, R: rep.R}}
-		res.Centers[i] = geo.LatLng{Lat: rep.Lat, Lng: rep.Lng}
-	}
-	return res, nil
 }
 
 // FetchSnapshot implements the store's PeerFetchFunc: ask every peer

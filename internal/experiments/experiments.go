@@ -1,5 +1,5 @@
 // Package experiments regenerates every figure of the paper's evaluation
-// (Sec. 6, Figs. 9-14) plus the extension studies listed in DESIGN.md. Each
+// (Sec. 6, Figs. 9-14) plus the extension studies (the ext-* runners). Each
 // experiment is a named Runner producing printable tables; cmd/
 // corgi-experiments drives them, and bench_test.go wraps them as testing.B
 // benchmarks.
@@ -8,8 +8,7 @@
 // core (fewer Algorithm-1 rounds, fewer Monte-Carlo repeats); Full restores
 // paper-scale sweeps. Leaf cells are 0.1 km apart so that the paper's
 // epsilon axis (15-20 km^-1) lands in the regime where Geo-Ind constraints
-// bind (eps*d in [1.5, 3.5]); see EXPERIMENTS.md for the calibration
-// discussion.
+// bind (eps*d in [1.5, 3.5]).
 package experiments
 
 import (
@@ -476,7 +475,7 @@ func Fig12(cfg *Config) ([]*Table, error) {
 // obfuscation range. The paper compares privacy level 3 (343 leaves) with
 // level 2 (49); at single-core scale we compare level 2 (49) with level 1
 // (7) — the shape (wider range => higher loss, loss falls with eps, rises
-// with delta) is the claim under test. See DESIGN.md §3.4.
+// with delta) is the claim under test.
 func Fig13(cfg *Config) ([]*Table, error) {
 	e, err := newEnv(cfg)
 	if err != nil {

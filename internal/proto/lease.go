@@ -9,7 +9,7 @@ package proto
 // transport's eps_remaining ERROR-frame field); bad tokens answer 403.
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -18,6 +18,7 @@ import (
 
 	"corgi/internal/budget"
 	"corgi/internal/hexgrid"
+	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 )
@@ -132,7 +133,7 @@ func (h *MultiHandler) handleLease(w http.ResponseWriter, r *http.Request) {
 		Handoff:   req.Handoff,
 	})
 	if err != nil {
-		status, msg := reportErrStatus(err)
+		status, msg := registry.ReportErrStatus(err)
 		if rem, ok := registry.BudgetRemaining(err); ok {
 			w.Header().Set(epsRemainingHeader, strconv.FormatFloat(rem, 'g', -1, 64))
 		}
@@ -142,53 +143,58 @@ func (h *MultiHandler) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSONPooled(w, r, leaseResponse(grant))
 }
 
-// LeaseError is a structured non-200 outcome of Client.Lease, preserving
-// the HTTP status and — on 429 budget rejections — the user's live
-// epsilon headroom from the X-Corgi-Eps-Remaining header.
-type LeaseError struct {
-	Status int
-	Msg    string
-	// EpsRemaining is the user's window headroom; valid when
-	// HasEpsRemaining (budget rejections only).
-	EpsRemaining    float64
-	HasEpsRemaining bool
-}
-
-// Error formats the failure with its HTTP status.
-func (e *LeaseError) Error() string {
-	return fmt.Sprintf("proto: lease refused with status %d: %s", e.Status, e.Msg)
-}
-
 // Lease requests (or renews) a client-side draw lease. Non-200 responses
-// return a *LeaseError carrying the status and, for budget rejections,
-// the eps_remaining headroom.
+// return a *stream.StatusError carrying the status and, for budget
+// rejections, the eps_remaining headroom.
 func (c *Client) Lease(req LeaseRequest) (*LeaseResponse, error) {
+	return c.lease(context.Background(), req)
+}
+
+func (c *Client) lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, error) {
 	if req.Region == "" {
 		req.Region = c.region
 	}
-	data, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Post(c.base+"/v1/lease", "application/json", bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	defer drainBody(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		le := &LeaseError{Status: resp.StatusCode, Msg: string(msg)}
-		if v := resp.Header.Get(epsRemainingHeader); v != "" {
-			if rem, err := strconv.ParseFloat(v, 64); err == nil {
-				le.EpsRemaining, le.HasEpsRemaining = rem, true
-			}
-		}
-		return nil, le
-	}
 	var lr LeaseResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
+	if err := c.postJSON(ctx, "/v1/lease", "", req, &lr); err != nil {
 		return nil, err
 	}
 	return &lr, nil
+}
+
+// Lease implements registry.ReportHandler over POST /v1/lease.
+func (r Remote) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
+	lr, err := r.c.lease(ctx, LeaseRequest{
+		Region:    req.Region,
+		Cell:      [2]int{req.Cell.Q, req.Cell.R},
+		UID:       req.UID,
+		Policy:    req.Policy,
+		Seed:      req.Seed,
+		Draws:     req.Draws,
+		Token:     req.Token,
+		Forwarded: req.Forwarded,
+		Handoff:   req.Handoff,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &registry.LeaseGrant{
+		Region: lr.Region,
+		SubtreeRoot: loctree.NodeID{
+			Level: req.Policy.PrivacyLevel,
+			Coord: hexgrid.Coord{Q: lr.SubtreeRoot[0], R: lr.SubtreeRoot[1]},
+		},
+		PrecisionLevel: lr.PrecisionLevel,
+		Pruned:         lr.Pruned,
+		Reanchored:     lr.Reanchored,
+		Budgeted:       lr.Budgeted,
+		EpsSpent:       lr.EpsSpent,
+		EpsRemaining:   lr.EpsRemaining,
+		Degraded:       lr.Degraded,
+		DrawCap:        lr.DrawCap,
+		RNGPos:         lr.RNGPos,
+		ExpiresAt:      lr.ExpiresUnixMs,
+		Renewed:        lr.Renewed,
+		Token:          lr.Token,
+		Bundle:         lr.Bundle,
+	}, nil
 }

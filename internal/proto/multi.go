@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"corgi/internal/budget"
-	"corgi/internal/cluster"
 	"corgi/internal/core"
 	"corgi/internal/registry"
 	"corgi/internal/session"
@@ -94,8 +93,9 @@ type MultiStatsResponse struct {
 	Stream        *stream.Stats            `json:"stream,omitempty"`
 	// Cluster reports the consistent-hash router's counters (owner-served
 	// vs forwarded traffic, failovers, budget handoffs, peer store
-	// fetches); only present when the node runs in cluster mode.
-	Cluster *cluster.Stats `json:"cluster,omitempty"`
+	// fetches; a cluster.Stats); only present when the node runs in
+	// cluster mode.
+	Cluster any `json:"cluster,omitempty"`
 	// Lease reports the draw-lease counters (issued/renewed/denied and
 	// pre-paid draws), registry-wide.
 	Lease registry.LeaseStats `json:"lease"`
@@ -139,9 +139,11 @@ type MultiHandler struct {
 	// requests for non-owned users forward to their owner node. Nil serves
 	// every request locally.
 	Handler registry.ReportHandler
-	// Cluster, when set, adds the router's counter section to
-	// GET /v1/stats.
-	Cluster *cluster.Router
+	// Cluster, when set, supplies the router's counter section of
+	// GET /v1/stats (cluster.Router.Stats). A func, not the router: the
+	// router forwards through this package's Client, so proto cannot import
+	// internal/cluster.
+	Cluster func() any
 	// Store, when set, exposes GET /v1/store/snapshot — raw snapshot
 	// bytes (checksummed CRGF files) for peer hydration. The fetching
 	// node re-validates the checksum, so a stale or corrupt byte stream
@@ -322,8 +324,7 @@ func (h *MultiHandler) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Stream = &ss
 	}
 	if h.Cluster != nil {
-		cs := h.Cluster.Stats()
-		resp.Cluster = &cs
+		resp.Cluster = h.Cluster()
 	}
 	resp.Lease = h.reg.LeaseStats()
 	writeJSON(w, resp)

@@ -18,7 +18,7 @@
 // matching If-None-Match get 304 Not Modified with no body, so clients can
 // keep their own on-disk forest caches and revalidate for free. Requests
 // carry the caller's context through the handler into the generation
-// engine, bounded by Handler.Timeout.
+// engine, bounded by MultiHandler.Timeout.
 //
 // Multi-region servers additionally expose the report pipeline (POST
 // /v1/report, batch /v1/reports; see report.go): the server evaluates the
@@ -39,8 +39,10 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"corgi/internal/core"
@@ -48,6 +50,7 @@ import (
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/obf"
+	"corgi/internal/stream"
 )
 
 // TreeResponse describes the server's location tree so a client can rebuild
@@ -90,25 +93,6 @@ type PriorsResponse struct {
 	Probs  []float64 `json:"probs"`
 }
 
-// Handler serves the CORGI server API:
-//
-//	GET  /healthz     -> "ok" (liveness)
-//	GET  /v1/stats    -> StatsResponse (engine cache/solve counters)
-//	GET  /v1/tree     -> TreeResponse
-//	GET  /v1/priors   -> PriorsResponse
-//	POST /v1/matrices -> ForestResponse, or ForestResponseV2 when the
-//	                     request Accepts ContentTypeForestV2
-type Handler struct {
-	server  *core.Server
-	tree    *loctree.Tree
-	priors  *loctree.Priors
-	spacing float64
-
-	// Timeout bounds each /v1/matrices generation; zero means the request
-	// context alone governs cancellation. Expiry returns 504.
-	Timeout time.Duration
-}
-
 // StatsResponse mirrors core.EngineStats for /v1/stats.
 type StatsResponse struct {
 	Hits               uint64 `json:"cache_hits"`
@@ -132,30 +116,6 @@ type StatsResponse struct {
 	DegradedUpgrades   uint64 `json:"degraded_upgrades"`
 	WarmAttempts       uint64 `json:"warm_attempts"`
 	WarmAccepts        uint64 `json:"warm_accepts"`
-}
-
-// NewHandler wires a core server into an http.Handler.
-func NewHandler(server *core.Server, priors *loctree.Priors, leafSpacingKm float64) (*Handler, error) {
-	if server == nil || priors == nil {
-		return nil, fmt.Errorf("proto: nil server or priors")
-	}
-	return &Handler{
-		server:  server,
-		tree:    server.Tree(),
-		priors:  priors,
-		spacing: leafSpacingKm,
-	}, nil
-}
-
-// Mux returns the routed handler.
-func (h *Handler) Mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", h.handleHealthz)
-	mux.HandleFunc("/v1/stats", h.handleStats)
-	mux.HandleFunc("/v1/tree", h.handleTree)
-	mux.HandleFunc("/v1/priors", h.handlePriors)
-	mux.HandleFunc("/v1/matrices", h.handleMatrices)
-	return mux
 }
 
 // writeJSONAs encodes v with the given content type, gzipping when the
@@ -251,13 +211,32 @@ func drainBody(body io.Reader) {
 	io.Copy(io.Discard, io.LimitReader(body, 64<<10))
 }
 
-func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
+// statusError turns a non-200 response into the *stream.StatusError every
+// Client method returns for one: the status, the (bounded) body as the
+// message, and — on budget rejections — the user's live epsilon headroom
+// from the X-Corgi-Eps-Remaining header.
+func statusError(resp *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+	se := &stream.StatusError{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
+	if v := resp.Header.Get(epsRemainingHeader); v != "" {
+		if rem, err := strconv.ParseFloat(v, 64); err == nil {
+			se.EpsRemaining, se.HasEpsRemaining = rem, true
+		}
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
+	return se
+}
+
+// countingBody adds what is read from a response body to a client's
+// received-bytes counter.
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
 }
 
 // statsResponse converts engine counters to their wire form.
@@ -375,55 +354,6 @@ func writeForestNegotiated(w http.ResponseWriter, r *http.Request, tree *loctree
 	writeRaw(w, r, ctype, body)
 }
 
-func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, statsResponse(h.server.Stats()))
-}
-
-func (h *Handler) handleTree(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, treeResponse(h.tree, h.spacing, h.server.Params().Epsilon))
-}
-
-func (h *Handler) handlePriors(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	writeJSON(w, priorsResponse(h.tree, h.priors))
-}
-
-func (h *Handler) handleMatrices(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req MatrixRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx := r.Context()
-	if h.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, h.Timeout)
-		defer cancel()
-	}
-	forest, err := h.server.GenerateForestCtx(ctx, req.PrivacyLevel, req.Delta)
-	if err != nil {
-		status, msg := generateErrStatus(err)
-		http.Error(w, msg, status)
-		return
-	}
-	writeForestNegotiated(w, r, h.tree, forest)
-}
-
 // EncodeForestV1 converts a generated forest into the dense v1 wire form,
 // emitting entries in the tree's level-node order.
 func EncodeForestV1(tree *loctree.Tree, forest *core.Forest) (*ForestResponse, error) {
@@ -462,7 +392,14 @@ type Client struct {
 	// ForceV1 stops advertising the compact v2 forest encoding, so
 	// responses come back as dense v1 JSON.
 	ForceV1 bool
+
+	bytesIn atomic.Int64
 }
+
+// BytesIn is how many response body bytes the client's JSON POSTs (the
+// report, lease and batch routes) have read: corgi-loadgen's
+// bytes_received.
+func (c *Client) BytesIn() int64 { return c.bytesIn.Load() }
 
 // NewClient targets a server base URL (e.g. "http://127.0.0.1:8080"). The
 // client gets its own transport with an idle-connection pool sized for
@@ -614,8 +551,7 @@ func (c *Client) FetchForestTagged(tree *loctree.Tree, privacyLevel, delta int, 
 		return &ForestResult{ETag: etag, NotModified: true}, nil
 	}
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("proto: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
+		return nil, statusError(resp)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -659,28 +595,8 @@ func DecodeForestBody(tree *loctree.Tree, contentType string, body []byte) (*cor
 // failed items carry their own status and error instead of failing the
 // batch. Decode successful items with BatchItemResult.Decode.
 func (c *Client) FetchForestBatch(items []BatchItem) (*BatchForestResponse, error) {
-	body, err := json.Marshal(BatchForestRequest{Items: items})
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequest(http.MethodPost, c.base+"/v1/forests", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", c.accept())
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	defer drainBody(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("proto: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
-	}
 	var br BatchForestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+	if err := c.postJSON(context.Background(), "/v1/forests", c.accept(), BatchForestRequest{Items: items}, &br); err != nil {
 		return nil, err
 	}
 	return &br, nil
@@ -743,8 +659,7 @@ func (c *Client) getJSON(path string, v interface{}) error {
 	defer resp.Body.Close()
 	defer drainBody(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("proto: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
+		return statusError(resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
 }

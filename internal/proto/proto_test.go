@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"context"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -9,41 +10,34 @@ import (
 
 	"corgi/internal/core"
 	"corgi/internal/geo"
-	"corgi/internal/hexgrid"
-	"corgi/internal/loctree"
 	"corgi/internal/policy"
+	"corgi/internal/registry"
 )
 
-func newTestServer(t *testing.T) (*httptest.Server, *core.Server, *loctree.Priors) {
+// newTestServer serves one SF region — a registry of one, addressed as the
+// default region — and returns its engine for solve-count assertions.
+func newTestServer(t *testing.T) (*httptest.Server, *MultiHandler, *core.Server) {
 	t.Helper()
-	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
+	center := geo.SanFrancisco.Center()
+	reg, err := registry.New([]registry.Spec{{
+		Name:      "sf",
+		CenterLat: center.Lat, CenterLng: center.Lng,
+		LeafSpacingKm: 0.1, Height: 2,
+		Epsilon: 15, Iterations: 2, Targets: 3,
+		UniformPriors: true,
+	}}, registry.Options{WarmupDelta: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := loctree.NewAt(sys, geo.SanFrancisco.Center(), 2)
+	sh, err := reg.Shard(context.Background(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	priors := loctree.UniformPriors(tree)
-	leaves := tree.LevelNodes(0)
-	targets := []geo.LatLng{tree.Center(leaves[0]), tree.Center(leaves[20]), tree.Center(leaves[40])}
-	srv, err := core.NewServer(tree, priors, targets, []float64{1, 1, 1}, core.Params{
-		Epsilon: 15, Iterations: 2, UseGraphApprox: true,
-	})
+	h, err := NewMultiHandler(reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := NewHandler(srv, priors, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return httptest.NewServer(h.Mux()), srv, priors
-}
-
-func TestNewHandlerValidation(t *testing.T) {
-	if _, err := NewHandler(nil, nil, 0.1); err == nil {
-		t.Error("nil server must fail")
-	}
+	return httptest.NewServer(h.Mux()), h, sh.Server
 }
 
 func TestFullClientServerRoundTrip(t *testing.T) {

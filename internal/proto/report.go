@@ -9,10 +9,9 @@ import (
 	"net/http"
 	"sync"
 
-	"corgi/internal/budget"
 	"corgi/internal/hexgrid"
-	"corgi/internal/policy"
 	"corgi/internal/registry"
+	"corgi/internal/stream"
 )
 
 // DefaultMaxReportCount bounds how many draws one report request may ask
@@ -21,100 +20,31 @@ import (
 // enforce the same limit.
 const DefaultMaxReportCount = registry.DefaultMaxReportCount
 
-// ReportRequest asks the server to draw obfuscated reports directly: the
-// true leaf cell, the inline customization policy (its fields flatten into
-// the request object: privacy_l, precision_l, user_preferences), a user
-// id, a seed, and a draw count.
-//
-// This is the trusted-serving mode of the report pipeline — the cell and
-// the policy cross the wire, unlike the forest routes where only (privacy
-// level, |S|) does. Clients that must keep the paper's Sec. 5 trust model
-// keep using /v1/forest and sample locally; the wire format is shaped so
-// the same (region, cell, policy, seed) replayed against a fresh server
-// reproduces the local draw sequence exactly.
-type ReportRequest struct {
-	Region string `json:"region,omitempty"`
-	// Cell is the axial (q, r) coordinate of the true leaf cell.
-	Cell [2]int `json:"cell"`
-	// UID partitions session state and metadata attributes between users.
-	UID int64 `json:"uid,omitempty"`
-	policy.Policy
-	// Seed fixes the per-session RNG stream.
-	Seed int64 `json:"seed,omitempty"`
-	// Count is how many reports to draw (default 1, bounded by the
-	// handler's MaxReportCount).
-	Count int `json:"count,omitempty"`
-	// Forwarded marks a node-to-node forward inside a cluster: the
-	// receiver serves locally instead of re-routing, which bounds every
-	// request to at most one forwarding hop.
-	Forwarded bool `json:"forwarded,omitempty"`
-	// Handoff carries the user's live epsilon spend from the node that
-	// owned them before a rebalance or failover; the receiver merges it
-	// before charging so the window budget stays coherent across moves.
-	Handoff *budget.Handoff `json:"budget_handoff,omitempty"`
-}
-
-// ReportedLocation is one drawn report: the node's axial coordinate and
-// its center, ready for a location-based service.
-type ReportedLocation struct {
-	Q   int     `json:"q"`
-	R   int     `json:"r"`
-	Lat float64 `json:"lat"`
-	Lng float64 `json:"lng"`
-}
-
-// ReportResponse carries the drawn reports plus the customization facts.
-type ReportResponse struct {
-	Region string `json:"region"`
-	// PrecisionLevel is the tree level of every reported node.
-	PrecisionLevel int `json:"precision_l"`
-	// SubtreeRoot names the privacy-forest entry that served the draws.
-	SubtreeRoot [2]int `json:"subtree_root"`
-	// Pruned is how many locations the policy's preferences removed.
-	Pruned  int                `json:"pruned"`
-	Reports []ReportedLocation `json:"reports"`
-	// Reanchored is true when this request moved the user's session onto a
-	// different subtree (or preference anchor) — mobility clients and the
-	// loadgen use it to measure re-anchor rates.
-	Reanchored bool `json:"reanchored,omitempty"`
-	// Budgeted is true when the server runs epsilon-budget accounting;
-	// EpsSpent is what this request charged and EpsRemaining the user's
-	// window headroom after it.
-	Budgeted     bool    `json:"budgeted,omitempty"`
-	EpsSpent     float64 `json:"eps_spent,omitempty"`
-	EpsRemaining float64 `json:"eps_remaining,omitempty"`
-	// Degraded is true when the reports were drawn from a planar-Laplace
-	// fallback entry (degraded serving): the epsilon guarantee holds in
-	// full, but utility is below the LP optimum until the background solve
-	// replaces the fallback.
-	Degraded bool `json:"degraded,omitempty"`
-}
+// The report wire shapes are declared once, in internal/stream (which
+// this package imports, not the other way round): the JSON routes and the
+// binary frames carry the same request, response and batch-item fields, so
+// both transports' clients hand callers the same types.
+type (
+	// ReportRequest asks the server to draw obfuscated reports directly.
+	ReportRequest = stream.Request
+	// ReportedLocation is one drawn report.
+	ReportedLocation = stream.ReportedLocation
+	// ReportResponse carries the drawn reports plus the customization facts.
+	ReportResponse = stream.Response
+	// ReportItemResult is one batch item's outcome; items fail
+	// independently with per-item HTTP-equivalent statuses.
+	ReportItemResult = stream.ItemResult
+)
 
 // BatchReportRequest draws for many users/cells in one round trip.
 type BatchReportRequest struct {
 	Items []ReportRequest `json:"items"`
 }
 
-// ReportItemResult is one batch item's outcome; items fail independently
-// with per-item HTTP-equivalent statuses, mirroring /v1/forests.
-type ReportItemResult struct {
-	Status int             `json:"status"`
-	Error  string          `json:"error,omitempty"`
-	Report *ReportResponse `json:"report,omitempty"`
-}
-
 // BatchReportResponse is the batch envelope; HTTP 200 as long as the
 // batch itself was well-formed.
 type BatchReportResponse struct {
 	Items []ReportItemResult `json:"items"`
-}
-
-// reportErrStatus maps a report-pipeline error to an HTTP status, shared
-// by the single and batch paths. The classification lives in
-// registry.ReportErrStatus so the binary stream transport answers from
-// the identical table — a given failure is the same class on every wire.
-func reportErrStatus(err error) (int, string) {
-	return registry.ReportErrStatus(err)
 }
 
 // resolveReport translates one wire request into the registry pipeline.
@@ -138,7 +68,7 @@ func (h *MultiHandler) resolveReport(ctx context.Context, req ReportRequest) (*R
 		Handoff:   req.Handoff,
 	})
 	if err != nil {
-		status, msg := reportErrStatus(err)
+		status, msg := registry.ReportErrStatus(err)
 		return nil, status, msg
 	}
 	defer res.Release()
@@ -232,12 +162,17 @@ func (h *MultiHandler) handleReports(w http.ResponseWriter, r *http.Request) {
 
 // Report draws obfuscated reports from the server-side pipeline. A client
 // with a bound region (NewRegionClient) fills an empty request Region.
+// Non-200 answers return a *stream.StatusError.
 func (c *Client) Report(req ReportRequest) (*ReportResponse, error) {
+	return c.report(context.Background(), req)
+}
+
+func (c *Client) report(ctx context.Context, req ReportRequest) (*ReportResponse, error) {
 	if req.Region == "" {
 		req.Region = c.region
 	}
 	var resp ReportResponse
-	if err := c.postJSON("/v1/report", req, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/report", "", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -248,6 +183,10 @@ func (c *Client) Report(req ReportRequest) (*ReportResponse, error) {
 // The caller's slice is not modified: a bound region fills empty item
 // regions on a copy (matching FetchForestBatch's no-mutation contract).
 func (c *Client) ReportBatch(items []ReportRequest) (*BatchReportResponse, error) {
+	return c.reportBatch(context.Background(), items)
+}
+
+func (c *Client) reportBatch(ctx context.Context, items []ReportRequest) (*BatchReportResponse, error) {
 	sent := items
 	if c.region != "" {
 		sent = append([]ReportRequest(nil), items...)
@@ -258,31 +197,72 @@ func (c *Client) ReportBatch(items []ReportRequest) (*BatchReportResponse, error
 		}
 	}
 	var resp BatchReportResponse
-	if err := c.postJSON("/v1/reports", BatchReportRequest{Items: sent}, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/reports", "", BatchReportRequest{Items: sent}, &resp); err != nil {
 		return nil, err
+	}
+	if len(resp.Items) != len(items) {
+		return nil, fmt.Errorf("proto: batch answered %d items for %d requests", len(resp.Items), len(items))
 	}
 	return &resp, nil
 }
 
-// postJSON posts a JSON body and decodes a JSON response. Every return
-// path fully drains the response body first, so the keep-alive connection
-// goes back to the transport's pool instead of being torn down — without
-// the drain, error responses and decoder-trailing bytes force a fresh TCP
-// connection per affected request.
-func (c *Client) postJSON(path string, body, v interface{}) error {
+// Remote is a Client seen as a registry.ReportHandler, the JSON twin of
+// stream.Remote: registry request types in, registry result types out,
+// rejections as *stream.StatusError, anything else a transport fault. The
+// context bounds each round trip.
+type Remote struct{ c *Client }
+
+// Remote returns the client's registry.ReportHandler view.
+func (c *Client) Remote() Remote { return Remote{c} }
+
+// Report implements registry.ReportHandler over POST /v1/report.
+func (r Remote) Report(ctx context.Context, req registry.ReportRequest) (*registry.ReportResult, error) {
+	resp, err := r.c.report(ctx, stream.WireRequest(req))
+	if err != nil {
+		return nil, err
+	}
+	return resp.Result(req.Policy.PrivacyLevel), nil
+}
+
+// ReportBatch draws for many requests in one POST /v1/reports round trip;
+// per-item outcomes come back in request order.
+func (r Remote) ReportBatch(ctx context.Context, reqs []registry.ReportRequest) ([]stream.BatchResult, error) {
+	resp, err := r.c.reportBatch(ctx, stream.WireRequests(reqs))
+	if err != nil {
+		return nil, err
+	}
+	return stream.BatchResults(reqs, resp.Items), nil
+}
+
+// postJSON posts a JSON body (advertising accept, when non-empty) and
+// decodes a JSON response; a non-200 answer returns a
+// *stream.StatusError. Every return path fully drains the
+// response body first, so the keep-alive connection goes back to the
+// transport's pool instead of being torn down — without the drain, error
+// responses and decoder-trailing bytes force a fresh TCP connection per
+// affected request.
+func (c *Client) postJSON(ctx context.Context, path, accept string, body, v interface{}) error {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	resp, err := c.http.Post(c.base+path, "application/json", bytes.NewReader(data))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
 	if err != nil {
 		return err
 	}
+	req.Header.Set("Content-Type", "application/json")
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return err
+	}
+	resp.Body = countingBody{resp.Body, &c.bytesIn}
 	defer resp.Body.Close()
 	defer drainBody(resp.Body)
 	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("proto: server returned %s: %s", resp.Status, bytes.TrimSpace(msg))
+		return statusError(resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
 }

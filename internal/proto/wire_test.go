@@ -312,10 +312,11 @@ func TestHealthzAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	var ms MultiStatsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&ms); err != nil {
 		t.Fatal(err)
 	}
+	st := ms.Total
 	if st.Solves == 0 || st.Misses == 0 {
 		t.Fatalf("stats after generation: %+v", st)
 	}
@@ -327,7 +328,7 @@ func TestHealthzAndStats(t *testing.T) {
 // TestConcurrentMatricesSingleflight fires identical concurrent HTTP
 // requests and checks exactly one LP solve ran per privacy-level node.
 func TestConcurrentMatricesSingleflight(t *testing.T) {
-	ts, srv, _ := newTestServer(t)
+	ts, _, srv := newTestServer(t)
 	defer ts.Close()
 
 	const callers = 6
@@ -362,11 +363,8 @@ func TestConcurrentMatricesSingleflight(t *testing.T) {
 
 // TestHandlerTimeout checks an impossible deadline surfaces as 504.
 func TestHandlerTimeout(t *testing.T) {
-	_, srv, priors := newTestServer(t)
-	h, err := NewHandler(srv, priors, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, h, _ := newTestServer(t)
+	defer ts.Close()
 	h.Timeout = 1 // 1ns: expired before generation starts
 	req := httptest.NewRequest(http.MethodPost, "/v1/matrices",
 		strings.NewReader(`{"privacy_l": 1, "delta": 2}`))

@@ -395,6 +395,27 @@ func retryable(err error) bool {
 	return !errors.As(err, &se)
 }
 
+// call runs one request/response exchange on a pooled connection: encode
+// appends the request body after the reqID, decode reads the response body
+// (which must be consumed exactly).
+func (c *Client) call(reqType, respType byte, respName string, encode func([]byte) []byte, decode func(*decoder) error) error {
+	return c.withConn(func(cc *clientConn) error {
+		cc.nextID++
+		reqID := cc.nextID
+		bp := getFrame(reqType)
+		*bp = encode(appendU32(*bp, reqID))
+		payload, err := c.exchange(cc, bp, reqID, respType)
+		if err != nil {
+			return err
+		}
+		d := decoder{b: payload}
+		if err := decode(&d); err != nil {
+			return err
+		}
+		return d.done(respName)
+	})
+}
+
 // Report draws obfuscated reports over the stream, mirroring
 // proto.Client.Report. A configured Region fills an empty request region.
 func (c *Client) Report(req Request) (*Response, error) {
@@ -402,24 +423,9 @@ func (c *Client) Report(req Request) (*Response, error) {
 		req.Region = c.cfg.Region
 	}
 	var resp *Response
-	err := c.withConn(func(cc *clientConn) error {
-		cc.nextID++
-		reqID := cc.nextID
-		bp := getFrame(frameReport)
-		*bp = appendU32(*bp, reqID)
-		*bp = appendRequest(*bp, &req)
-		payload, err := c.exchange(cc, bp, reqID, frameReportOK)
-		if err != nil {
-			return err
-		}
-		d := decoder{b: payload}
-		r, err := d.decodeResponse()
-		if err == nil {
-			err = d.done("REPORT_OK")
-		}
-		resp = r
-		return err
-	})
+	err := c.call(frameReport, frameReportOK, "REPORT_OK",
+		func(b []byte) []byte { return appendRequest(b, &req) },
+		func(d *decoder) (err error) { resp, err = d.decodeResponse(); return err })
 	if err != nil {
 		return nil, err
 	}
@@ -437,24 +443,9 @@ func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGra
 		req.Region = c.cfg.Region
 	}
 	var grant *registry.LeaseGrant
-	err := c.withConn(func(cc *clientConn) error {
-		cc.nextID++
-		reqID := cc.nextID
-		bp := getFrame(frameLease)
-		*bp = appendU32(*bp, reqID)
-		*bp = appendLeaseReq(*bp, &req, draws, token)
-		payload, err := c.exchange(cc, bp, reqID, frameLeaseGrant)
-		if err != nil {
-			return err
-		}
-		d := decoder{b: payload}
-		g, err := d.decodeLeaseGrant()
-		if err == nil {
-			err = d.done("LEASE_GRANT")
-		}
-		grant = g
-		return err
-	})
+	err := c.call(frameLease, frameLeaseGrant, "LEASE_GRANT",
+		func(b []byte) []byte { return appendLeaseReq(b, &req, draws, token) },
+		func(d *decoder) (err error) { grant, err = d.decodeLeaseGrant(); return err })
 	if err != nil {
 		return nil, err
 	}
@@ -467,47 +458,34 @@ func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGra
 // modified (a configured Region fills empty item regions on the wire).
 func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 	var results []ItemResult
-	err := c.withConn(func(cc *clientConn) error {
-		cc.nextID++
-		reqID := cc.nextID
-		bp := getFrame(frameReports)
-		*bp = appendU32(*bp, reqID)
-		*bp = appendUvarints(*bp, uint64(len(items)))
-		for i := range items {
-			if items[i].Region == "" && c.cfg.Region != "" {
-				it := items[i]
-				it.Region = c.cfg.Region
-				*bp = appendRequest(*bp, &it)
-			} else {
-				*bp = appendRequest(*bp, &items[i])
+	err := c.call(frameReports, frameReportsOK, "REPORTS_OK",
+		func(b []byte) []byte {
+			b = appendUvarints(b, uint64(len(items)))
+			for _, it := range items {
+				if it.Region == "" {
+					it.Region = c.cfg.Region
+				}
+				b = appendRequest(b, &it)
 			}
-		}
-		payload, err := c.exchange(cc, bp, reqID, frameReportsOK)
-		if err != nil {
-			return err
-		}
-		d := decoder{b: payload}
-		n := d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		if n != uint64(len(items)) {
-			return fmt.Errorf("stream: batch answered %d items for %d requests", n, len(items))
-		}
-		out := make([]ItemResult, 0, n)
-		for i := uint64(0); i < n; i++ {
-			it, err := d.decodeItem()
-			if err != nil {
-				return err
+			return b
+		},
+		func(d *decoder) error {
+			n := d.uvarint()
+			if d.err != nil {
+				return d.err
 			}
-			out = append(out, it)
-		}
-		if err := d.done("REPORTS_OK"); err != nil {
-			return err
-		}
-		results = out
-		return nil
-	})
+			if n != uint64(len(items)) {
+				return fmt.Errorf("stream: batch answered %d items for %d requests", n, len(items))
+			}
+			results = make([]ItemResult, n)
+			for i := range results {
+				var err error
+				if results[i], err = d.decodeItem(); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}

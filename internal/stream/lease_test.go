@@ -247,7 +247,7 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 	_, err = hc.Lease(proto.LeaseRequest{
 		Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1, Draws: 4, Token: lr.Token,
 	})
-	var le *proto.LeaseError
+	var le *stream.StatusError
 	if !errors.As(err, &le) || le.Status != http.StatusTooManyRequests {
 		t.Fatalf("over-cap renewal: %v", err)
 	}
@@ -324,9 +324,9 @@ func TestLeaseTokenRejections(t *testing.T) {
 	wantHTTP403 := func(req proto.LeaseRequest) {
 		t.Helper()
 		_, err := hc.Lease(req)
-		var le *proto.LeaseError
+		var le *stream.StatusError
 		if !errors.As(err, &le) || le.Status != http.StatusForbidden {
-			t.Fatalf("want 403 LeaseError, got %v", err)
+			t.Fatalf("want 403 StatusError, got %v", err)
 		}
 	}
 
@@ -407,10 +407,6 @@ func TestMaxReportCountLimit(t *testing.T) {
 		var se *stream.StatusError
 		if errors.As(err, &se) {
 			return se.Status
-		}
-		var le *proto.LeaseError
-		if errors.As(err, &le) {
-			return le.Status
 		}
 		t.Fatalf("unclassified error: %v", err)
 		return 0

@@ -27,10 +27,9 @@
 //	LEASE   := uint32 reqID | request | uvarint draws | uvarint tokenLen | token
 //	LEASE_GRANT := uint32 reqID | grant
 //
-// where request serializes proto.ReportRequest's fields (region, cell,
-// uid, seed, count, policy triple) with varints and length-prefixed
-// strings, and result mirrors proto.ReportResponse except that report
-// centers ride as internal/codec's 32-bit fixed point — the same quantized
+// where request serializes Request's fields (region, cell, uid, seed,
+// count, policy triple) with varints and length-prefixed strings, and
+// result carries Response's except that report centers ride as internal/codec's 32-bit fixed point — the same quantized
 // representation the forest blobs use, re-scaled to degrees — so each
 // drawn location costs 16 bytes flat. reqID 0 in an ERROR frame marks a
 // connection-level fault (handshake, framing, oversized frame); the
@@ -99,67 +98,101 @@ const (
 	resFlagDegraded   = 4
 )
 
-// Request is one report ask on the stream wire, mirroring the JSON
-// transport's proto.ReportRequest field for field (the stream package
-// cannot import internal/proto — proto imports stream for /v1/stats).
+// Request is one report ask as a remote client sends it: the true leaf
+// cell, the inline customization policy (its fields flatten into the JSON
+// object: privacy_l, precision_l, user_preferences), a user id, a seed, and
+// a draw count. It is the one wire-level request shape of both transports —
+// the JSON routes decode it from the struct tags (internal/proto aliases it
+// as ReportRequest; proto imports stream, so the declaration lives here)
+// and the REPORT frame serializes the same fields with appendRequest.
+//
+// This is the trusted-serving mode of the report pipeline — the cell and
+// the policy cross the wire, unlike the forest routes where only (privacy
+// level, |S|) does. Clients that must keep the paper's Sec. 5 trust model
+// keep using /v1/forest and sample locally; the wire format is shaped so
+// the same (region, cell, policy, seed) replayed against a fresh server
+// reproduces the local draw sequence exactly.
 type Request struct {
-	Region string
+	Region string `json:"region,omitempty"`
 	// Cell is the axial (q, r) coordinate of the true leaf cell.
-	Cell [2]int
-	UID  int64
+	Cell [2]int `json:"cell"`
+	// UID partitions session state and metadata attributes between users.
+	UID int64 `json:"uid,omitempty"`
 	policy.Policy
-	Seed  int64
-	Count int
-	// Forwarded marks a cluster-relayed request (the receiver serves it
-	// locally instead of re-routing); Handoff optionally carries the
-	// relaying node's budget spend for this user. Both ride the version-2
-	// request trailer.
-	Forwarded bool
-	Handoff   *budget.Handoff
+	// Seed fixes the per-session RNG stream.
+	Seed int64 `json:"seed,omitempty"`
+	// Count is how many reports to draw (default 1, bounded by the
+	// server's max report count).
+	Count int `json:"count,omitempty"`
+	// Forwarded marks a node-to-node forward inside a cluster: the
+	// receiver serves locally instead of re-routing, which bounds every
+	// request to at most one forwarding hop.
+	Forwarded bool `json:"forwarded,omitempty"`
+	// Handoff carries the user's live epsilon spend from the node that
+	// owned them before a rebalance or failover; the receiver merges it
+	// before charging so the window budget stays coherent across moves.
+	// On the stream wire both ride the version-2 request trailer.
+	Handoff *budget.Handoff `json:"budget_handoff,omitempty"`
 }
 
-// ReportedLocation is one drawn report. Lat/Lng round-trip the wire as
-// codec's 32-bit fixed point over [-90,90] x [-180,180], so decoded
-// centers match the JSON transport's to ~4.7e-8 degrees (about 5 mm).
+// ReportedLocation is one drawn report: the node's axial coordinate and
+// its center, ready for a location-based service. On the stream wire
+// Lat/Lng travel as codec's 32-bit fixed point over [-90,90] x [-180,180],
+// so decoded centers match the JSON transport's to ~4.7e-8 degrees (about
+// 5 mm).
 type ReportedLocation struct {
-	Q   int
-	R   int
-	Lat float64
-	Lng float64
+	Q   int     `json:"q"`
+	R   int     `json:"r"`
+	Lat float64 `json:"lat"`
+	Lng float64 `json:"lng"`
 }
 
-// Response mirrors proto.ReportResponse.
+// Response carries the drawn reports plus the customization facts, on
+// either transport (internal/proto aliases it as ReportResponse).
 type Response struct {
-	Region         string
-	PrecisionLevel int
-	SubtreeRoot    [2]int
-	Pruned         int
-	Reports        []ReportedLocation
-	Reanchored     bool
-	Budgeted       bool
-	EpsSpent       float64
-	EpsRemaining   float64
-	// Degraded mirrors proto.ReportResponse.Degraded: the reports came from
-	// a planar-Laplace fallback entry, not the LP optimum.
-	Degraded bool
+	Region string `json:"region"`
+	// PrecisionLevel is the tree level of every reported node.
+	PrecisionLevel int `json:"precision_l"`
+	// SubtreeRoot names the privacy-forest entry that served the draws.
+	SubtreeRoot [2]int `json:"subtree_root"`
+	// Pruned is how many locations the policy's preferences removed.
+	Pruned  int                `json:"pruned"`
+	Reports []ReportedLocation `json:"reports"`
+	// Reanchored is true when this request moved the user's session onto a
+	// different subtree (or preference anchor) — mobility clients and the
+	// loadgen use it to measure re-anchor rates.
+	Reanchored bool `json:"reanchored,omitempty"`
+	// Budgeted is true when the server runs epsilon-budget accounting;
+	// EpsSpent is what this request charged and EpsRemaining the user's
+	// window headroom after it.
+	Budgeted     bool    `json:"budgeted,omitempty"`
+	EpsSpent     float64 `json:"eps_spent,omitempty"`
+	EpsRemaining float64 `json:"eps_remaining,omitempty"`
+	// Degraded is true when the reports were drawn from a planar-Laplace
+	// fallback entry (degraded serving): the epsilon guarantee holds in
+	// full, but utility is below the LP optimum until the background solve
+	// replaces the fallback.
+	Degraded bool `json:"degraded,omitempty"`
 }
 
-// ItemResult is one batch item's outcome, mirroring proto.ReportItemResult:
-// items fail independently with per-item HTTP-equivalent statuses. A
-// 429-status item additionally carries the user's live budget headroom.
+// ItemResult is one batch item's outcome: items fail independently with
+// per-item HTTP-equivalent statuses, mirroring /v1/forests.
 type ItemResult struct {
-	Status int
-	Error  string
-	Report *Response
+	Status int       `json:"status"`
+	Error  string    `json:"error,omitempty"`
+	Report *Response `json:"report,omitempty"`
 	// EpsRemaining is the user's window headroom on a budget rejection
 	// (valid when HasEpsRemaining; mirrors the single-request ERROR frame).
-	EpsRemaining    float64
-	HasEpsRemaining bool
+	// Only REPORTS_OK frames carry it; the JSON batch envelope does not.
+	EpsRemaining    float64 `json:"-"`
+	HasEpsRemaining bool    `json:"-"`
 }
 
-// StatusError is an application-level rejection delivered over the stream:
-// the same HTTP-equivalent status the JSON routes would have answered. The
-// connection stays healthy after one — only transport faults close it.
+// StatusError is an application-level rejection from a remote node: the
+// HTTP-equivalent status the server classified the request with
+// (registry.ReportErrStatus), whichever transport carried it — an ERROR
+// frame, or a non-200 answer to internal/proto's client. The connection
+// stays healthy after one; only transport faults close it.
 type StatusError struct {
 	Status int
 	Msg    string
@@ -171,7 +204,7 @@ type StatusError struct {
 
 // Error formats the server's status and message.
 func (e *StatusError) Error() string {
-	return fmt.Sprintf("stream: server returned %d: %s", e.Status, e.Msg)
+	return fmt.Sprintf("server returned %d: %s", e.Status, e.Msg)
 }
 
 // HTTPStatus exposes the owner node's classification to
