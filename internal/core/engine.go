@@ -190,6 +190,10 @@ type flightCall struct {
 // re-reading the file.
 type storeCall struct {
 	done chan struct{}
+	// entries is what the load returned, set before done closes. Waiters
+	// take their entry from here, not from the cache: a cache smaller than
+	// the forest has evicted early siblings by the time the load finishes.
+	entries []*ForestEntry
 }
 
 func newEngine(opts EngineOptions, generate func(context.Context, forestKey) (*ForestEntry, error)) *engine {
@@ -386,13 +390,21 @@ func (en *engine) storeFetch(ctx context.Context, key forestKey) (*ForestEntry, 
 		case <-ctx.Done():
 			return nil, false
 		}
-		// The leader published any snapshot entries to the cache. Skip a
-		// degraded fallback a concurrent fast path may have slipped in: a
-		// snapshot hit is always optimal.
-		if e, ok := en.cache.peek(key); ok && !e.Degraded {
-			return e, true
+		for _, e := range call.entries {
+			if e.Root == key.node {
+				return e, true
+			}
 		}
 		return nil, false
+	}
+	// A load that finished between the caller's cache miss and this point
+	// published its entries before it left storeFlight: serve from them
+	// rather than read the snapshot again. (Skip a degraded fallback a
+	// concurrent fast path may have slipped in: a snapshot hit is always
+	// optimal.)
+	if e, ok := en.cache.peek(key); ok && !e.Degraded {
+		en.storeMu.Unlock()
+		return e, true
 	}
 	call := &storeCall{done: make(chan struct{})}
 	en.storeFlight[ref] = call
@@ -403,6 +415,7 @@ func (en *engine) storeFetch(ctx context.Context, key forestKey) (*ForestEntry, 
 	if err == nil && len(entries) > 0 {
 		en.storeHits.Add(1)
 		en.markPersisted(ref)
+		call.entries = entries
 		for _, e := range entries {
 			k := forestKey{node: e.Root, delta: ref.Delta}
 			en.cache.add(k, e)

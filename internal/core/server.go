@@ -39,6 +39,7 @@ type ForestEntry struct {
 	Degraded bool
 
 	alias aliasState
+	index mechanism.LeafIndex
 }
 
 // CheckGeoInd audits the entry's matrix against its own constraint set.

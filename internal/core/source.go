@@ -22,6 +22,10 @@ func (e *ForestEntry) SubtreeRoot() loctree.NodeID { return e.Root }
 // SupportLeaves implements mechanism.Source.
 func (e *ForestEntry) SupportLeaves() []loctree.NodeID { return e.Leaves }
 
+// LeafIndex implements mechanism.Source: one position table per entry,
+// built on first bind and dropped with the entry.
+func (e *ForestEntry) LeafIndex() *mechanism.LeafIndex { return e.index.Over(e.Leaves) }
+
 // Dim implements mechanism.Source; 0 (the invalid-source signal) covers
 // nil entries and entries without a matrix.
 func (e *ForestEntry) Dim() int {

@@ -555,21 +555,43 @@ func (md *Metadata) Annotate(userID int, refLoc geo.LatLng) map[loctree.NodeID]p
 // the report path annotates O(subtree) instead of O(region) per session
 // bind.
 func (md *Metadata) AnnotateLeaves(userID int, refLoc geo.LatLng, leaves []loctree.NodeID) map[loctree.NodeID]policy.Attributes {
-	t := md.tree
+	view := md.View(userID, refLoc)
 	out := make(map[loctree.NodeID]policy.Attributes, len(leaves))
-	home, hasHome := md.HomeLeaf[userID]
-	office, hasOffice := md.OfficeLeaf[userID]
-	outliers := md.OutlierLeaf[userID]
 	for _, leaf := range leaves {
-		attrs := policy.Attributes{
-			"home":     policy.Bool(hasHome && leaf == home),
-			"office":   policy.Bool(hasOffice && leaf == office),
-			"outlier":  policy.Bool(outliers[leaf]),
-			"popular":  policy.Bool(md.PopularLeaf[leaf]),
-			"checkins": policy.Number(float64(md.CountByLeaf[leaf])),
-			"distance": policy.Number(geo.Haversine(refLoc, t.Center(leaf))),
-		}
+		attrs := make(policy.Attributes, 6)
+		view.Fill(attrs, leaf)
 		out[leaf] = attrs
 	}
 	return out
+}
+
+// View is the metadata as one user standing at one reference location sees
+// it: the per-user lookups done once, so Fill does only per-leaf work.
+type View struct {
+	md                 *Metadata
+	refLoc             geo.LatLng
+	home, office       loctree.NodeID
+	hasHome, hasOffice bool
+	outliers           map[loctree.NodeID]bool
+}
+
+// View returns userID's view of the metadata from refLoc.
+func (md *Metadata) View(userID int, refLoc geo.LatLng) View {
+	v := View{md: md, refLoc: refLoc, outliers: md.OutlierLeaf[userID]}
+	v.home, v.hasHome = md.HomeLeaf[userID]
+	v.office, v.hasOffice = md.OfficeLeaf[userID]
+	return v
+}
+
+// Fill sets dst to leaf's attributes, overwriting whatever an earlier leaf
+// left there (every leaf has the same six keys), so one map serves a whole
+// pass over a subtree. It is the single definition of the attributes the
+// paper's example predicates evaluate against.
+func (v View) Fill(dst policy.Attributes, leaf loctree.NodeID) {
+	dst["home"] = policy.Bool(v.hasHome && leaf == v.home)
+	dst["office"] = policy.Bool(v.hasOffice && leaf == v.office)
+	dst["outlier"] = policy.Bool(v.outliers[leaf])
+	dst["popular"] = policy.Bool(v.md.PopularLeaf[leaf])
+	dst["checkins"] = policy.Number(float64(v.md.CountByLeaf[leaf]))
+	dst["distance"] = policy.Number(geo.Haversine(v.refLoc, v.md.tree.Center(leaf)))
 }

@@ -34,6 +34,10 @@ type Tree struct {
 	root   hexgrid.Coord
 	levels [][]hexgrid.Coord       // levels[h] = nodes at level h in BFS order
 	index  []map[hexgrid.Coord]int // index[h][coord] = position in levels[h]
+	// leaves is levels[0] as NodeIDs. BFS order keeps every subtree's
+	// leaves contiguous (the node at position p of level h owns
+	// [p*7^h, (p+1)*7^h)), so LeavesUnder is a subslice of this one table.
+	leaves []NodeID
 }
 
 // New builds a location tree of the given height rooted at root (a cell at
@@ -69,6 +73,10 @@ func New(sys *hexgrid.System, root hexgrid.Coord, height int) (*Tree, error) {
 			m[c] = i
 		}
 		t.index[h] = m
+	}
+	t.leaves = make([]NodeID, len(t.levels[0]))
+	for i, c := range t.levels[0] {
+		t.leaves[i] = NodeID{Level: 0, Coord: c}
 	}
 	return t, nil
 }
@@ -161,25 +169,30 @@ func (t *Tree) AncestorAt(n NodeID, level int) (NodeID, bool) {
 
 // LeavesUnder returns the leaf descendants of n in deterministic order
 // (digit-order DFS, which coincides with the global BFS order restricted to
-// the subtree). For a leaf it returns the leaf itself.
+// the subtree). For a leaf it returns the leaf itself. The result is a view
+// of the tree's own leaf table: it allocates nothing and must not be
+// modified.
 func (t *Tree) LeavesUnder(n NodeID) []NodeID {
-	if !t.Contains(n) {
+	lo, hi, ok := t.LeafSpan(n)
+	if !ok {
 		return nil
 	}
-	cur := []hexgrid.Coord{n.Coord}
-	for h := n.Level; h > 0; h-- {
-		next := make([]hexgrid.Coord, 0, len(cur)*7)
-		for _, c := range cur {
-			ch := hexgrid.Children(c)
-			next = append(next, ch[:]...)
-		}
-		cur = next
+	return t.leaves[lo:hi:hi]
+}
+
+// LeafSpan returns the half-open range of leaf positions (IndexOf order at
+// level 0) that n's descendants occupy, so a leaf's position inside the
+// subtree is its IndexOf minus lo. ok=false for foreign nodes.
+func (t *Tree) LeafSpan(n NodeID) (lo, hi int, ok bool) {
+	p, ok := t.IndexOf(n)
+	if !ok {
+		return 0, 0, false
 	}
-	out := make([]NodeID, len(cur))
-	for i, c := range cur {
-		out[i] = NodeID{Level: 0, Coord: c}
+	width := 1
+	for h := 0; h < n.Level; h++ {
+		width *= 7
 	}
-	return out
+	return p * width, (p + 1) * width, true
 }
 
 // Locate returns the tree node at the given level containing the geographic

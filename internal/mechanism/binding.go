@@ -2,6 +2,7 @@ package mechanism
 
 import (
 	"fmt"
+	"slices"
 
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
@@ -59,22 +60,25 @@ type Binding struct {
 	epsilon float64
 	anchor  loctree.NodeID
 
-	leafIdx    map[loctree.NodeID]int // source leaf -> matrix row/col
-	dropIdx    []bool                 // by source leaf position
+	// idx is the source's shared leaf → position table. Everything below
+	// is indexed by position or by report row, never keyed by node.
+	idx        *LeafIndex
+	dropIdx    []bool // by source leaf position; nil when nothing is pruned
 	pruned     []loctree.NodeID
-	prunedSet  map[loctree.NodeID]bool
 	keptLeaves []loctree.NodeID
 	keep       []int // kept source-leaf positions in order
 
 	// nodes are the report outcomes (kept leaves, or precision-level
-	// groups); rowIndex maps a row node to its index in nodes; groups
-	// holds, per node, the keptLeaves positions it aggregates (precision
-	// mode only).
-	nodes    []loctree.NodeID
-	rowIndex map[loctree.NodeID]int
-	groups   [][]int
+	// groups); rowOf maps a source leaf position to its row in nodes (see
+	// rowForLeaf; nil when every leaf reports from its own position);
+	// groups holds, per node, the keptLeaves positions it aggregates
+	// (precision mode only). With nothing pruned, keep, keptLeaves and —
+	// at leaf precision — nodes are the source's own slices, not copies.
+	nodes  []loctree.NodeID
+	rowOf  []int32
+	groups [][]int
 
-	rowAlias map[int]*sample.Alias
+	rowAlias []*sample.Alias // by report row, built on first use
 }
 
 // Bind evaluates the policy against one source: preferences decide the
@@ -95,23 +99,18 @@ func Bind(cfg Config) (*Binding, error) {
 	}
 	leaves := cfg.Source.SupportLeaves()
 	b := &Binding{
-		tree:     cfg.Tree,
-		pol:      cfg.Policy,
-		priors:   cfg.Priors,
-		src:      cfg.Source,
-		epsilon:  cfg.Epsilon,
-		anchor:   cfg.Anchor,
-		leafIdx:  make(map[loctree.NodeID]int, len(leaves)),
-		dropIdx:  make([]bool, len(leaves)),
-		rowAlias: map[int]*sample.Alias{},
-	}
-	for i, l := range leaves {
-		b.leafIdx[l] = i
+		tree:    cfg.Tree,
+		pol:     cfg.Policy,
+		priors:  cfg.Priors,
+		src:     cfg.Source,
+		epsilon: cfg.Epsilon,
+		anchor:  cfg.Anchor,
+		idx:     cfg.Source.LeafIndex(),
 	}
 	switch {
 	case cfg.Pruned != nil:
 		for _, n := range cfg.Pruned {
-			if _, ok := b.leafIdx[n]; !ok {
+			if _, ok := b.idx.Pos(n); !ok {
 				return nil, fmt.Errorf("mechanism: pruned leaf %v not in subtree %v", n, cfg.Source.SubtreeRoot())
 			}
 		}
@@ -127,15 +126,24 @@ func Bind(cfg Config) (*Binding, error) {
 		return nil, fmt.Errorf("mechanism: preferences prune %d locations but the matrix is only %d-prunable (Sec. 5.3 tradeoff)",
 			len(b.pruned), cfg.Delta)
 	}
-	b.prunedSet = make(map[loctree.NodeID]bool, len(b.pruned))
-	for _, n := range b.pruned {
-		b.prunedSet[n] = true
-		b.dropIdx[b.leafIdx[n]] = true
-	}
-	for i, l := range leaves {
-		if !b.dropIdx[i] {
-			b.keep = append(b.keep, i)
-			b.keptLeaves = append(b.keptLeaves, l)
+	if len(b.pruned) == 0 {
+		b.keep, b.keptLeaves = b.idx.identity, leaves
+	} else {
+		b.dropIdx = make([]bool, len(leaves))
+		kept := len(leaves)
+		for _, n := range b.pruned {
+			if p, _ := b.idx.Pos(n); !b.dropIdx[p] {
+				b.dropIdx[p] = true
+				kept--
+			}
+		}
+		b.keep = make([]int, 0, kept)
+		b.keptLeaves = make([]loctree.NodeID, 0, kept)
+		for i, l := range leaves {
+			if !b.dropIdx[i] {
+				b.keep = append(b.keep, i)
+				b.keptLeaves = append(b.keptLeaves, l)
+			}
 		}
 	}
 	if len(b.keptLeaves) == 0 {
@@ -143,18 +151,25 @@ func Bind(cfg Config) (*Binding, error) {
 	}
 
 	b.nodes = b.keptLeaves
-	if cfg.Policy.PrecisionLevel > 0 {
+	switch {
+	case cfg.Policy.PrecisionLevel > 0:
 		groups, groupNodes, err := GroupByAncestor(cfg.Tree, b.keptLeaves, cfg.Policy.PrecisionLevel)
 		if err != nil {
 			return nil, err
 		}
 		b.groups = groups
 		b.nodes = groupNodes
+		b.rowOf = ancestorRows(cfg.Tree, leaves, cfg.Policy.PrecisionLevel, groupNodes)
+	case len(b.pruned) > 0:
+		b.rowOf = make([]int32, len(leaves))
+		for p := range b.rowOf {
+			b.rowOf[p] = rowPruned
+		}
+		for row, p := range b.keep {
+			b.rowOf[p] = int32(row)
+		}
 	}
-	b.rowIndex = make(map[loctree.NodeID]int, len(b.nodes))
-	for i, n := range b.nodes {
-		b.rowIndex[n] = i
-	}
+	b.rowAlias = make([]*sample.Alias, len(b.nodes))
 	return b, nil
 }
 
@@ -170,7 +185,7 @@ func (b *Binding) Anchor() loctree.NodeID { return b.anchor }
 
 // Covers reports whether the bound subtree contains leaf.
 func (b *Binding) Covers(leaf loctree.NodeID) bool {
-	_, ok := b.leafIdx[leaf]
+	_, ok := b.idx.Pos(leaf)
 	return ok
 }
 
@@ -197,15 +212,14 @@ func (b *Binding) Meta() RowMeta {
 // precision ancestor lookup, pruned-own-location refusal, report-set
 // membership. A cell outside the subtree is ErrOutsideSubtree.
 func (b *Binding) RowFor(leaf loctree.NodeID) (int, error) {
-	_, covered := b.leafIdx[leaf]
-	return rowForLeaf(b.tree, b.src.SubtreeRoot(), b.pol.PrecisionLevel,
-		covered, b.prunedSet, b.rowIndex, leaf)
+	pos, covered := b.idx.Pos(leaf)
+	return rowForLeaf(b.src.SubtreeRoot(), pos, covered, b.rowOf, leaf)
 }
 
 // Alias returns the alias table for one report row, building and caching
 // it on first use. Caller must hold the binding's owning lock.
 func (b *Binding) Alias(row int) (*sample.Alias, error) {
-	if a, ok := b.rowAlias[row]; ok {
+	if a := b.rowAlias[row]; a != nil {
 		return a, nil
 	}
 	a, err := b.buildRow(row)
@@ -230,7 +244,7 @@ func (b *Binding) Alias(row int) (*sample.Alias, error) {
 //     alias build normalizes.
 func (b *Binding) buildRow(row int) (*sample.Alias, error) {
 	if b.pol.PrecisionLevel == 0 {
-		orig := b.leafIdx[b.nodes[row]]
+		orig := b.keep[row]
 		if len(b.pruned) == 0 {
 			a, err := b.src.SharedAliasRow(orig)
 			if err != nil {
@@ -310,7 +324,7 @@ func (b *Binding) DetachRow(row int) ([]float64, error) {
 	if b.pol.PrecisionLevel > 0 {
 		return b.precisionWeights(row)
 	}
-	orig := b.leafIdx[b.nodes[row]]
+	orig := b.keep[row]
 	r := b.src.MatrixRow(orig)
 	if len(b.pruned) == 0 {
 		return append([]float64(nil), r...), nil
@@ -383,21 +397,20 @@ func EvalPreferences(leaves []loctree.NodeID, pol policy.Policy,
 // consumer (bindings here, the user-side Algorithm 4 path) derives its
 // grouping from this one implementation.
 func GroupByAncestor(tree *loctree.Tree, leaves []loctree.NodeID, level int) ([][]int, []loctree.NodeID, error) {
-	order := make([]loctree.NodeID, 0)
-	groups := map[loctree.NodeID][]int{}
+	var order []loctree.NodeID
+	var groups [][]int
 	for i, leaf := range leaves {
 		anc, ok := tree.AncestorAt(leaf, level)
 		if !ok {
 			return nil, nil, fmt.Errorf("mechanism: no ancestor of %v at level %d", leaf, level)
 		}
-		if _, seen := groups[anc]; !seen {
+		g := slices.Index(order, anc)
+		if g < 0 {
+			g = len(order)
 			order = append(order, anc)
+			groups = append(groups, nil)
 		}
-		groups[anc] = append(groups[anc], i)
+		groups[g] = append(groups[g], i)
 	}
-	out := make([][]int, len(order))
-	for gi, anc := range order {
-		out[gi] = groups[anc]
-	}
-	return out, order, nil
+	return groups, order, nil
 }

@@ -36,6 +36,7 @@ package mechanism
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"corgi/internal/loctree"
@@ -68,6 +69,9 @@ type Source interface {
 	SubtreeRoot() loctree.NodeID
 	// SupportLeaves are the leaf nodes indexing matrix rows/columns.
 	SupportLeaves() []loctree.NodeID
+	// LeafIndex is the leaf → matrix position table over SupportLeaves,
+	// built once per source and shared by every binding of it.
+	LeafIndex() *LeafIndex
 	// Dim is the matrix dimension; 0 signals an unusable source (nil
 	// entry, nil matrix) and callers must treat it as invalid.
 	Dim() int
@@ -84,6 +88,40 @@ type Source interface {
 	IsDegraded() bool
 }
 
+// LeafIndex is the part of a binding that depends only on the source: each
+// support leaf's matrix position, and the identity position list the
+// unpruned arms use as their keep set. A source embeds one and hands it to
+// every Bind, so a re-anchor looks positions up instead of rebuilding them.
+// The zero value is ready (entries decoded from the wire or a store need no
+// constructor), it is immutable once built, and it is collected with the
+// source that holds it.
+type LeafIndex struct {
+	once     sync.Once
+	pos      map[loctree.NodeID]int
+	identity []int
+}
+
+// Over returns x, built over leaves on the first call. A source always
+// passes its own SupportLeaves, so later calls find the table in place.
+func (x *LeafIndex) Over(leaves []loctree.NodeID) *LeafIndex {
+	x.once.Do(func() {
+		x.pos = make(map[loctree.NodeID]int, len(leaves))
+		x.identity = make([]int, len(leaves))
+		for i, l := range leaves {
+			x.pos[l] = i
+			x.identity[i] = i
+		}
+	})
+	return x
+}
+
+// Pos returns leaf's matrix position, or ok=false when the source does not
+// cover it.
+func (x *LeafIndex) Pos(leaf loctree.NodeID) (int, bool) {
+	i, ok := x.pos[leaf]
+	return i, ok
+}
+
 // StaticSource adapts a bare obfuscation matrix to the Source interface:
 // planar-Laplace fallback rows, eval-built matrices, and test fixtures
 // all serve through it. Safe for concurrent use; the alias cache builds
@@ -93,6 +131,7 @@ type StaticSource struct {
 	leaves   []loctree.NodeID
 	m        *obf.Matrix
 	degraded bool
+	index    LeafIndex
 
 	mu    sync.Mutex
 	alias []*sample.Alias
@@ -114,6 +153,9 @@ func (s *StaticSource) SubtreeRoot() loctree.NodeID { return s.root }
 
 // SupportLeaves implements Source.
 func (s *StaticSource) SupportLeaves() []loctree.NodeID { return s.leaves }
+
+// LeafIndex implements Source.
+func (s *StaticSource) LeafIndex() *LeafIndex { return s.index.Over(s.leaves) }
 
 // Dim implements Source.
 func (s *StaticSource) Dim() int {
@@ -170,29 +212,52 @@ type RowMeta struct {
 	Degraded bool
 }
 
+// Entries of a position → report row table that are not rows.
+const (
+	// rowPruned: the user's own preferences pruned this leaf (leaf
+	// precision only — a coarser precision reports the leaf's group).
+	rowPruned = -1
+	// rowMissing: no report node stands for this leaf.
+	rowMissing = -2
+)
+
 // rowForLeaf is the one leaf→row resolution shared by live bindings and
-// detached row sets: precision > 0 reports from the leaf's ancestor
-// group; at leaf precision a cell the user's own preferences pruned has
-// no row to draw from (Algorithm 4's loud failure).
-func rowForLeaf(tree *loctree.Tree, root loctree.NodeID, precision int, covered bool,
-	prunedSet map[loctree.NodeID]bool, rowIndex map[loctree.NodeID]int,
+// detached row sets. pos is the leaf's position in the subtree (valid when
+// covered); rowOf maps positions to report rows, nil meaning every leaf
+// reports from its own position (nothing pruned, leaf precision). At a
+// coarser precision the table already holds the ancestor group's row; at
+// leaf precision a cell the user's own preferences pruned has no row to
+// draw from (Algorithm 4's loud failure).
+func rowForLeaf(root loctree.NodeID, pos int, covered bool, rowOf []int32,
 	leaf loctree.NodeID) (int, error) {
 	if !covered {
 		return 0, fmt.Errorf("%w: cell %v, subtree %v", ErrOutsideSubtree, leaf, root)
 	}
-	rowNode := leaf
-	if precision > 0 {
-		anc, ok := tree.AncestorAt(leaf, precision)
-		if !ok {
-			return 0, fmt.Errorf("mechanism: no ancestor of %v at precision level %d", leaf, precision)
-		}
-		rowNode = anc
-	} else if prunedSet[leaf] {
+	if rowOf == nil {
+		return pos, nil
+	}
+	switch row := int(rowOf[pos]); row {
+	case rowPruned:
 		return 0, fmt.Errorf("mechanism: preferences prune the user's own location %v at precision 0", leaf)
+	case rowMissing:
+		return 0, fmt.Errorf("mechanism: cell %v has no node in the customized report set", leaf)
+	default:
+		return row, nil
 	}
-	row, ok := rowIndex[rowNode]
-	if !ok {
-		return 0, fmt.Errorf("mechanism: node %v missing from the customized report set", rowNode)
+}
+
+// ancestorRows is the position → row table of a coarser precision: each
+// leaf reports from the row of its ancestor at level, rowMissing when no
+// report node is that ancestor.
+func ancestorRows(tree *loctree.Tree, leaves []loctree.NodeID, level int, nodes []loctree.NodeID) []int32 {
+	rowOf := make([]int32, len(leaves))
+	for p, leaf := range leaves {
+		rowOf[p] = rowMissing
+		if anc, ok := tree.AncestorAt(leaf, level); ok {
+			if row := slices.Index(nodes, anc); row >= 0 {
+				rowOf[p] = int32(row)
+			}
+		}
 	}
-	return row, nil
+	return rowOf
 }

@@ -22,15 +22,15 @@ import (
 // Like Binding, Rows is caller-synchronized: the alias cache mutates on
 // first use of each row under the owner's lock.
 type Rows struct {
-	tree      *loctree.Tree
-	root      loctree.NodeID
-	precision int
-	leafSet   map[loctree.NodeID]bool
-	prunedSet map[loctree.NodeID]bool
-	nodes     []loctree.NodeID
-	rowIndex  map[loctree.NodeID]int
-	weights   [][]float64
-	rowAlias  map[int]*sample.Alias
+	tree   *loctree.Tree
+	root   loctree.NodeID
+	lo, hi int // the subtree's leaf span in the tree's leaf order
+	nodes  []loctree.NodeID
+	// rowOf maps a leaf's position in the subtree to its row in nodes,
+	// exactly as Binding.rowOf does on the server.
+	rowOf    []int32
+	weights  [][]float64
+	rowAlias []*sample.Alias // by row, built on first use
 }
 
 // NewRows assembles a detached row set for one subtree. weights is
@@ -44,30 +44,50 @@ func NewRows(tree *loctree.Tree, root loctree.NodeID, precision int,
 	if len(weights) != len(nodes) {
 		return nil, fmt.Errorf("mechanism: %d weight rows for %d report nodes", len(weights), len(nodes))
 	}
-	r := &Rows{
-		tree:      tree,
-		root:      root,
-		precision: precision,
-		leafSet:   make(map[loctree.NodeID]bool),
-		prunedSet: make(map[loctree.NodeID]bool, len(pruned)),
-		nodes:     nodes,
-		rowIndex:  make(map[loctree.NodeID]int, len(nodes)),
-		weights:   weights,
-		rowAlias:  map[int]*sample.Alias{},
-	}
-	for _, leaf := range tree.LeavesUnder(root) {
-		r.leafSet[leaf] = true
-	}
-	if len(r.leafSet) == 0 {
+	lo, hi, ok := tree.LeafSpan(root)
+	if !ok {
 		return nil, fmt.Errorf("mechanism: subtree %v has no leaves in this tree", root)
 	}
-	for _, p := range pruned {
-		r.prunedSet[p] = true
+	r := &Rows{
+		tree:     tree,
+		root:     root,
+		lo:       lo,
+		hi:       hi,
+		nodes:    nodes,
+		weights:  weights,
+		rowAlias: make([]*sample.Alias, len(nodes)),
+	}
+	if precision > 0 {
+		r.rowOf = ancestorRows(tree, tree.LeavesUnder(root), precision, nodes)
+		return r, nil
+	}
+	r.rowOf = make([]int32, hi-lo)
+	for p := range r.rowOf {
+		r.rowOf[p] = rowMissing
 	}
 	for i, n := range nodes {
-		r.rowIndex[n] = i
+		if p, ok := r.pos(n); ok {
+			r.rowOf[p] = int32(i)
+		}
+	}
+	for _, n := range pruned {
+		if p, ok := r.pos(n); ok {
+			r.rowOf[p] = rowPruned
+		}
 	}
 	return r, nil
+}
+
+// pos returns leaf's position inside the detached subtree.
+func (r *Rows) pos(leaf loctree.NodeID) (int, bool) {
+	if leaf.Level != 0 {
+		return 0, false
+	}
+	i, ok := r.tree.IndexOf(leaf)
+	if !ok || i < r.lo || i >= r.hi {
+		return 0, false
+	}
+	return i - r.lo, true
 }
 
 // Root returns the detached subtree root.
@@ -77,21 +97,24 @@ func (r *Rows) Root() loctree.NodeID { return r.root }
 func (r *Rows) Nodes() []loctree.NodeID { return r.nodes }
 
 // Covers reports whether the detached subtree contains leaf.
-func (r *Rows) Covers(leaf loctree.NodeID) bool { return r.leafSet[leaf] }
+func (r *Rows) Covers(leaf loctree.NodeID) bool {
+	_, ok := r.pos(leaf)
+	return ok
+}
 
 // RowFor resolves a true leaf cell to its report row — the same
 // resolution the live Binding applies, so refusals match the server's
 // row for row.
 func (r *Rows) RowFor(leaf loctree.NodeID) (int, error) {
-	return rowForLeaf(r.tree, r.root, r.precision, r.leafSet[leaf],
-		r.prunedSet, r.rowIndex, leaf)
+	pos, covered := r.pos(leaf)
+	return rowForLeaf(r.root, pos, covered, r.rowOf, leaf)
 }
 
 // Alias builds (and caches) the alias table for one row from its exact
 // detached weights — the same sample.New the server's row builds bottom
 // out in. Caller must hold the owning lock.
 func (r *Rows) Alias(row int) (*sample.Alias, error) {
-	if a, ok := r.rowAlias[row]; ok {
+	if a := r.rowAlias[row]; a != nil {
 		return a, nil
 	}
 	w := r.weights[row]

@@ -15,7 +15,6 @@ package registry
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -25,7 +24,6 @@ import (
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
-	"corgi/internal/session"
 )
 
 // DefaultLeaseTTL bounds a draw lease's lifetime when Options.LeaseTTL is
@@ -131,30 +129,11 @@ func (r *Registry) LeaseStats() LeaseStats {
 // Budget and token checks both happen before any session work, so a
 // refused lease consumes nothing from the user's RNG stream.
 func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, error) {
-	sh, err := r.Shard(ctx, req.Region)
+	a, err := r.admit(ctx, req.Region, req.Cell, req.UID, req.Seed, req.Policy, req.Handoff)
 	if err != nil {
 		return nil, err
 	}
-	// Same placement as Report: merge a forwarded handoff before any
-	// validation or charge, so the relayer can commit its export on any
-	// response past region resolution.
-	if req.Handoff != nil && sh.Budget != nil {
-		sh.Budget.ImportHandoff(req.UID, req.Handoff)
-	}
-	tree := sh.Server.Tree()
-	leaf := loctree.NodeID{Level: 0, Coord: req.Cell}
-	if !tree.Contains(leaf) {
-		return nil, fmt.Errorf("%w: cell (%d, %d) outside region %q",
-			ErrBadReport, req.Cell.Q, req.Cell.R, sh.Spec.Name)
-	}
-	if err := req.Policy.Validate(tree.Height()); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
-	}
-	root, ok := tree.AncestorAt(leaf, req.Policy.PrivacyLevel)
-	if !ok {
-		return nil, fmt.Errorf("%w: no ancestor of %v at privacy level %d",
-			ErrBadReport, leaf, req.Policy.PrivacyLevel)
-	}
+	sh := a.sh
 	draws := req.Draws
 	if draws < 1 {
 		draws = 1
@@ -181,7 +160,7 @@ func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, er
 
 	grant := &LeaseGrant{
 		Region:         sh.Spec.Name,
-		SubtreeRoot:    root,
+		SubtreeRoot:    a.root,
 		PrecisionLevel: req.Policy.PrecisionLevel,
 		DrawCap:        draws,
 		Renewed:        renewed,
@@ -204,40 +183,9 @@ func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, er
 		grant.EpsRemaining = remaining
 	}
 
-	key := session.Key{
-		Region: sh.Spec.Name,
-		UID:    req.UID,
-		Seed:   req.Seed,
-		Policy: session.PolicyFingerprint(req.Policy),
-	}
-	hasPrefs := len(req.Policy.Preferences) > 0
-	sess, ok := sh.Sessions.Get(key)
-	if !ok {
-		plan, err := evalPrune(sh, tree, ReportRequest{Region: req.Region, Cell: req.Cell,
-			UID: req.UID, Policy: req.Policy, Seed: req.Seed}, root, leaf)
-		if err != nil {
-			return nil, err
-		}
-		entry, err := sh.Server.ServeEntryCtx(ctx, root, len(plan.pruned))
-		if err != nil {
-			return nil, err
-		}
-		sess, err = sh.Sessions.GetOrCreate(key, func() (*session.Session, error) {
-			return session.New(session.Config{
-				Tree:    tree,
-				Entry:   entry,
-				Delta:   len(plan.pruned),
-				Policy:  req.Policy,
-				Pruned:  plan.pruned,
-				Anchor:  plan.anchor,
-				Priors:  sh.Server.Priors(),
-				Seed:    req.Seed,
-				Epsilon: sh.Spec.Epsilon,
-			})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
-		}
+	sess, err := a.session(ctx)
+	if err != nil {
+		return nil, err
 	}
 	// A renewal continues the stream where the leased window ends: for a
 	// resident session FastForward is a no-op (DetachLease already burned
@@ -254,45 +202,17 @@ func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, er
 	// the shared session off this request's subtree.
 	var bundle *codec.LeaseBundle
 	for attempt := 0; ; attempt++ {
-		if sess.Root() != root || (hasPrefs && sess.Anchor() != leaf) {
-			plan, err := evalPrune(sh, tree, ReportRequest{Region: req.Region, Cell: req.Cell,
-				UID: req.UID, Policy: req.Policy, Seed: req.Seed}, root, leaf)
-			if err != nil {
-				return nil, err
-			}
-			entry, err := sh.Server.ServeEntryCtx(ctx, root, len(plan.pruned))
-			if err != nil {
-				return nil, err
-			}
-			if err := sess.Rebind(session.Rebind{
-				Entry:  entry,
-				Delta:  len(plan.pruned),
-				Pruned: plan.pruned,
-				Anchor: plan.anchor,
-			}); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
-			}
-			grant.Reanchored = true
-		}
-		if sess.Degraded() {
-			d := len(sess.Pruned())
-			if e, ok := sh.Server.PeekEntry(sess.Root(), d); ok && !e.Degraded {
-				if _, err := sess.Upgrade(e, d); err != nil {
-					return nil, err
-				}
-			}
-		}
-		bundle, err = sess.DetachLease(leaf, draws)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, session.ErrOutsideSubtree) && attempt < 4 {
-			continue
-		}
-		if errors.Is(err, session.ErrUnsampleable) {
+		moved, err := a.anchor(ctx, sess)
+		if err != nil {
 			return nil, err
 		}
-		return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
+		grant.Reanchored = grant.Reanchored || moved
+		if bundle, err = sess.DetachLease(a.leaf, draws); err == nil {
+			break
+		}
+		if !retryAnchor(err, attempt) {
+			return nil, drawErr(err)
+		}
 	}
 	grant.Degraded = bundle.Degraded
 	grant.Pruned = len(bundle.Pruned)

@@ -8,10 +8,10 @@ import (
 	"sync"
 
 	"corgi/internal/budget"
+	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
-	"corgi/internal/mechanism"
 	"corgi/internal/policy"
 	"corgi/internal/session"
 )
@@ -193,32 +193,195 @@ type prunePlan struct {
 	anchor loctree.NodeID
 }
 
-// evalPrune evaluates the request policy's preferences over the subtree's
-// leaves, anchored at the user's true cell. Preference-free policies prune
+// attrScratch recycles the one attribute map evalPrune fills leaf by leaf.
+var attrScratch = sync.Pool{New: func() any { return make(policy.Attributes, 6) }}
+
+// evalPrune evaluates a policy's preferences over the subtree's leaves,
+// anchored at the user's true cell: the same prune set
+// mechanism.EvalPreferences returns over Shard.Attrs, computed without
+// materializing the attribute maps — each leaf's attributes overwrite the
+// previous leaf's in one scratch map. Preference-free policies prune
 // nothing and anchor nowhere (their sessions are cell-independent).
-func evalPrune(sh *Shard, tree *loctree.Tree, req ReportRequest, root, leaf loctree.NodeID) (prunePlan, error) {
+func evalPrune(sh *Shard, tree *loctree.Tree, uid int64, pol policy.Policy, root, leaf loctree.NodeID) (prunePlan, error) {
 	plan := prunePlan{pruned: []loctree.NodeID{}}
-	if len(req.Policy.Preferences) == 0 {
+	if len(pol.Preferences) == 0 {
 		return plan, nil
 	}
-	subtreeLeaves := tree.LeavesUnder(root)
-	attrs, err := sh.Attrs(int(req.UID), tree.Center(leaf), subtreeLeaves)
+	md, err := sh.Metadata()
 	if err != nil {
 		return plan, err
 	}
-	pruned, err := mechanism.EvalPreferences(subtreeLeaves, req.Policy, attrs)
+	view := md.View(int(uid), tree.Center(leaf))
+	attrs := attrScratch.Get().(policy.Attributes)
+	defer attrScratch.Put(attrs)
+	for _, l := range tree.LeavesUnder(root) {
+		view.Fill(attrs, l)
+		allowed, err := pol.Allowed(attrs)
+		if err != nil {
+			return plan, fmt.Errorf("%w: evaluating %v: %v", ErrBadReport, l, err)
+		}
+		if !allowed {
+			plan.pruned = append(plan.pruned, l)
+		}
+	}
+	plan.anchor = leaf
+	return plan, nil
+}
+
+// anchoring is one admitted request's place in the session pipeline: what
+// Report and Lease both need to find, build and re-anchor the user's
+// resident session.
+type anchoring struct {
+	sh         *Shard
+	tree       *loctree.Tree
+	uid, seed  int64
+	pol        policy.Policy
+	root, leaf loctree.NodeID
+}
+
+// admit resolves the shard, merges a forwarded budget handoff, and
+// validates the cell and the policy against the region's tree.
+func (r *Registry) admit(ctx context.Context, region string, cell hexgrid.Coord, uid, seed int64,
+	pol policy.Policy, handoff *budget.Handoff) (anchoring, error) {
+	sh, err := r.Shard(ctx, region)
 	if err != nil {
-		return plan, fmt.Errorf("%w: %v", ErrBadReport, err)
+		return anchoring{}, err
 	}
-	if pruned == nil {
-		pruned = []loctree.NodeID{}
+	// Merge a forwarded budget handoff before validation and charging:
+	// once the request is past region resolution the relaying node may
+	// commit its export, so the spend must be counted here even if the
+	// request itself is then rejected. Duplicate deliveries dedupe inside
+	// ImportHandoff.
+	if handoff != nil && sh.Budget != nil {
+		sh.Budget.ImportHandoff(uid, handoff)
 	}
-	return prunePlan{pruned: pruned, anchor: leaf}, nil
+	a := anchoring{sh: sh, tree: sh.Server.Tree(), uid: uid, seed: seed, pol: pol,
+		leaf: loctree.NodeID{Level: 0, Coord: cell}}
+	if !a.tree.Contains(a.leaf) {
+		return anchoring{}, fmt.Errorf("%w: cell (%d, %d) outside region %q",
+			ErrBadReport, cell.Q, cell.R, sh.Spec.Name)
+	}
+	if err := pol.Validate(a.tree.Height()); err != nil {
+		return anchoring{}, fmt.Errorf("%w: %v", ErrBadReport, err)
+	}
+	var ok bool
+	if a.root, ok = a.tree.AncestorAt(a.leaf, pol.PrivacyLevel); !ok {
+		return anchoring{}, fmt.Errorf("%w: no ancestor of %v at privacy level %d",
+			ErrBadReport, a.leaf, pol.PrivacyLevel)
+	}
+	return a, nil
+}
+
+// plan evaluates the preferences at the request's cell and fetches the
+// forest entry that absorbs the resulting prune set (Sec. 5.3: the
+// request's delta is |S|).
+func (a *anchoring) plan(ctx context.Context) (prunePlan, *core.ForestEntry, error) {
+	plan, err := evalPrune(a.sh, a.tree, a.uid, a.pol, a.root, a.leaf)
+	if err != nil {
+		return plan, nil, err
+	}
+	entry, err := a.sh.Server.ServeEntryCtx(ctx, a.root, len(plan.pruned))
+	return plan, entry, err
+}
+
+// session returns the user's resident session, building one when there is
+// none. The key is the user's stream identity — region, uid, seed, policy —
+// with no subtree in it: trajectories re-anchor the resident session
+// instead of fragmenting into per-subtree streams.
+func (a *anchoring) session(ctx context.Context) (*session.Session, error) {
+	key := session.Key{
+		Region: a.sh.Spec.Name,
+		UID:    a.uid,
+		Seed:   a.seed,
+		Policy: session.PolicyFingerprint(a.pol),
+	}
+	if sess, ok := a.sh.Sessions.Get(key); ok {
+		return sess, nil
+	}
+	plan, entry, err := a.plan(ctx)
+	if err != nil {
+		return nil, err
+	}
+	cfg := session.Config{
+		Tree:    a.tree,
+		Entry:   entry,
+		Delta:   len(plan.pruned),
+		Policy:  a.pol,
+		Pruned:  plan.pruned,
+		Anchor:  plan.anchor,
+		Priors:  a.sh.Server.Priors(),
+		Seed:    a.seed,
+		Epsilon: a.sh.Spec.Epsilon,
+	}
+	sess, err := a.sh.Sessions.GetOrCreate(key, func() (*session.Session, error) { return session.New(cfg) })
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
+	}
+	return sess, nil
+}
+
+// anchor moves sess onto the request's subtree when the trajectory left
+// the bound one, or — for preference-bearing policies — moved off the
+// attribute anchor (the "distance" attribute is relative to the user's
+// location, so the prune set must re-evaluate even inside one subtree). It
+// also covers the GetOrCreate admission race: a race-losing request whose
+// winner is anchored elsewhere re-anchors the shared session instead of
+// failing, which is the right semantics for one moving (uid, seed) stream.
+//
+// A session bound while its entry was degraded then checks whether the
+// background LP solve has landed and upgrades in place — the swap never
+// touches the RNG stream, so replayed sequences stay position-aligned
+// across the upgrade.
+func (a *anchoring) anchor(ctx context.Context, sess *session.Session) (moved bool, err error) {
+	if sess.Root() != a.root || (len(a.pol.Preferences) > 0 && sess.Anchor() != a.leaf) {
+		plan, entry, err := a.plan(ctx)
+		if err != nil {
+			return false, err
+		}
+		if err := sess.Rebind(session.Rebind{
+			Entry:  entry,
+			Delta:  len(plan.pruned),
+			Pruned: plan.pruned,
+			Anchor: plan.anchor,
+		}); err != nil {
+			return false, fmt.Errorf("%w: %v", ErrBadReport, err)
+		}
+		moved = true
+	}
+	if sess.Degraded() {
+		d := len(sess.Pruned())
+		if e, ok := a.sh.Server.PeekEntry(sess.Root(), d); ok && !e.Degraded {
+			if _, err := sess.Upgrade(e, d); err != nil {
+				return moved, err
+			}
+		}
+	}
+	return moved, nil
+}
+
+// retryAnchor reports whether a failed draw or detach should re-anchor and
+// try again: a concurrent request on the same stream can re-anchor the
+// shared session between this request's anchor and its draw, and each
+// request must still be served from its own cell — so retry rather than
+// surface a spurious rejection (whose budget was already charged). The
+// attempt bound only guards against a pathological livelock of perfectly
+// interleaved movers.
+func retryAnchor(err error, attempt int) bool {
+	return errors.Is(err, session.ErrOutsideSubtree) && attempt < 4
+}
+
+// drawErr classifies a draw or detach failure: degenerate matrix data is a
+// server fault (5xx), anything else the request's own doing.
+func drawErr(err error) error {
+	if errors.Is(err, session.ErrUnsampleable) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrBadReport, err)
 }
 
 // Report runs the full report pipeline for one request: resolve the
-// shard, validate cell and policy, bind (or re-anchor, or reuse) the
-// user's session, charge the user's epsilon budget, and draw.
+// shard, validate cell and policy, charge the user's epsilon budget, bind
+// (or re-anchor, or reuse) the user's session, and draw.
 //
 // Mobility makes this a three-temperature path:
 //
@@ -236,40 +399,18 @@ func evalPrune(sh *Shard, tree *loctree.Tree, req ReportRequest, root, leaf loct
 // stream (a budget-capped user's replay stays aligned with an uncapped
 // one) and pays for no entry generation or re-anchoring.
 func (r *Registry) Report(ctx context.Context, req ReportRequest) (*ReportResult, error) {
-	sh, err := r.Shard(ctx, req.Region)
+	a, err := r.admit(ctx, req.Region, req.Cell, req.UID, req.Seed, req.Policy, req.Handoff)
 	if err != nil {
 		return nil, err
 	}
-	// Merge a forwarded budget handoff before validation and charging:
-	// once the request is past region resolution the relaying node may
-	// commit its export, so the spend must be counted here even if the
-	// request itself is then rejected. Duplicate deliveries dedupe inside
-	// ImportHandoff.
-	if req.Handoff != nil && sh.Budget != nil {
-		sh.Budget.ImportHandoff(req.UID, req.Handoff)
-	}
-	tree := sh.Server.Tree()
-	leaf := loctree.NodeID{Level: 0, Coord: req.Cell}
-	if !tree.Contains(leaf) {
-		return nil, fmt.Errorf("%w: cell (%d, %d) outside region %q",
-			ErrBadReport, req.Cell.Q, req.Cell.R, sh.Spec.Name)
-	}
-	if err := req.Policy.Validate(tree.Height()); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
-	}
-	root, ok := tree.AncestorAt(leaf, req.Policy.PrivacyLevel)
-	if !ok {
-		return nil, fmt.Errorf("%w: no ancestor of %v at privacy level %d",
-			ErrBadReport, leaf, req.Policy.PrivacyLevel)
-	}
-
+	sh := a.sh
 	count := req.Count
 	if count < 1 {
 		count = 1
 	}
 	res := &ReportResult{
 		Region:         sh.Spec.Name,
-		SubtreeRoot:    root,
+		SubtreeRoot:    a.root,
 		PrecisionLevel: req.Policy.PrecisionLevel,
 	}
 	// Charge epsilon under linear composition — each of the count draws
@@ -292,117 +433,31 @@ func (r *Registry) Report(ctx context.Context, req ReportRequest) (*ReportResult
 		res.EpsRemaining = remaining
 	}
 
-	// The session key is the user's stream identity — region, uid, seed,
-	// policy — with no subtree in it: trajectories re-anchor the resident
-	// session instead of fragmenting into per-subtree streams.
-	key := session.Key{
-		Region: sh.Spec.Name,
-		UID:    req.UID,
-		Seed:   req.Seed,
-		Policy: session.PolicyFingerprint(req.Policy),
+	sess, err := a.session(ctx)
+	if err != nil {
+		return nil, err
 	}
-	hasPrefs := len(req.Policy.Preferences) > 0
-	reanchored := false
-	sess, ok := sh.Sessions.Get(key)
-	if !ok {
-		// Cold: evaluate preferences once to size the prune budget the
-		// entry must absorb (Sec. 5.3: the request's delta is |S|), then
-		// bind a fresh session.
-		plan, err := evalPrune(sh, tree, req, root, leaf)
-		if err != nil {
-			return nil, err
-		}
-		entry, err := sh.Server.ServeEntryCtx(ctx, root, len(plan.pruned))
-		if err != nil {
-			return nil, err
-		}
-		sess, err = sh.Sessions.GetOrCreate(key, func() (*session.Session, error) {
-			return session.New(session.Config{
-				Tree:    tree,
-				Entry:   entry,
-				Delta:   len(plan.pruned),
-				Policy:  req.Policy,
-				Pruned:  plan.pruned,
-				Anchor:  plan.anchor,
-				Priors:  sh.Server.Priors(),
-				Seed:    req.Seed,
-				Epsilon: sh.Spec.Epsilon,
-			})
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
-		}
-	}
-	// Re-anchor when the trajectory left the bound subtree, or — for
-	// preference-bearing policies — moved off the attribute anchor (the
-	// "distance" attribute is relative to the user's location, so the
-	// prune set must re-evaluate even inside one subtree). This check also
-	// covers the GetOrCreate admission race: a race-losing request whose
-	// winner is anchored elsewhere re-anchors the shared session instead
-	// of failing, which is the right semantics for one moving (uid, seed)
-	// stream.
-	//
-	// The check-then-draw pair loops on ErrOutsideSubtree: a concurrent
-	// request on the same stream can re-anchor the shared session between
-	// this request's check and its draw, and each request must still be
-	// served from its own cell — so retry the re-anchor rather than
-	// surface a spurious rejection (whose budget was already charged). The
-	// attempt bound only guards against a pathological livelock of
-	// perfectly interleaved movers.
 	bufs := drawBufsPool.Get().(*drawBufs)
 	bufs.nodes = grown(bufs.nodes, count)
 	for attempt := 0; ; attempt++ {
-		if sess.Root() != root || (hasPrefs && sess.Anchor() != leaf) {
-			plan, err := evalPrune(sh, tree, req, root, leaf)
-			if err != nil {
-				return nil, err
-			}
-			entry, err := sh.Server.ServeEntryCtx(ctx, root, len(plan.pruned))
-			if err != nil {
-				return nil, err
-			}
-			if err := sess.Rebind(session.Rebind{
-				Entry:  entry,
-				Delta:  len(plan.pruned),
-				Pruned: plan.pruned,
-				Anchor: plan.anchor,
-			}); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
-			}
-			reanchored = true
-		}
-		// A session bound while its entry was degraded checks whether the
-		// background LP solve has landed and upgrades in place before
-		// drawing — the swap never touches the RNG stream, so replayed
-		// sequences stay position-aligned across the upgrade.
-		if sess.Degraded() {
-			d := len(sess.Pruned())
-			if e, ok := sh.Server.PeekEntry(sess.Root(), d); ok && !e.Degraded {
-				if _, err := sess.Upgrade(e, d); err != nil {
-					return nil, err
-				}
-			}
-		}
-		res.Degraded = sess.Degraded()
-		err := sess.DrawCellNInto(leaf, bufs.nodes)
-		if err == nil {
-			break
-		}
-		if errors.Is(err, session.ErrOutsideSubtree) && attempt < 4 {
-			continue
-		}
-		drawBufsPool.Put(bufs)
-		if errors.Is(err, session.ErrUnsampleable) {
-			// Degenerate matrix data is a server fault (5xx), not a
-			// request problem.
+		moved, err := a.anchor(ctx, sess)
+		if err != nil {
+			drawBufsPool.Put(bufs)
 			return nil, err
 		}
-		return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
+		res.Reanchored = res.Reanchored || moved
+		res.Degraded = sess.Degraded()
+		if err = sess.DrawCellNInto(a.leaf, bufs.nodes); err == nil {
+			break
+		}
+		if !retryAnchor(err, attempt) {
+			drawBufsPool.Put(bufs)
+			return nil, drawErr(err)
+		}
 	}
-	res.Reanchored = reanchored
 	bufs.centers = grown(bufs.centers, count)
 	for i, n := range bufs.nodes {
-		bufs.centers[i] = tree.Center(n)
+		bufs.centers[i] = a.tree.Center(n)
 	}
 	res.Pruned = len(sess.Pruned())
 	res.Reports = bufs.nodes

@@ -34,6 +34,21 @@ func precompute(t *testing.T, dir string, specs []Spec, maxDelta int) {
 	reg.FlushStores()
 }
 
+// restart opens a brand-new registry over dir's store, as a restarted
+// process would. A forest it solves is written back asynchronously, and a
+// write-back still running when the test returns races the removal of the
+// test's TempDir; cleanups run last-registered first and dir came from
+// t.TempDir() before this call, so the drain registered here runs first.
+func restart(t *testing.T, dir string, specs []Spec) *Registry {
+	t.Helper()
+	reg, err := New(specs, Options{Store: openStore(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reg.FlushStores)
+	return reg
+}
+
 // TestNewRejectsRawEngineStore guards against a caller wiring one
 // un-namespaced store into every shard: bare (level, delta) keys would
 // cross-serve forests between regions.
@@ -84,11 +99,7 @@ func TestWarmRestartServesWithZeroSolves(t *testing.T) {
 	const maxDelta = 1
 	precompute(t, dir, specs, maxDelta)
 
-	// "Restart": a brand-new registry over the same store directory.
-	reg, err := New(specs, Options{Store: openStore(t, dir)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := restart(t, dir, specs)
 	ctx := context.Background()
 	for _, name := range reg.Names() {
 		sh, err := reg.Shard(ctx, name)
@@ -140,10 +151,7 @@ func TestChangedSpecInvalidatesSnapshots(t *testing.T) {
 	if changed[0].Hash() == specs[0].Hash() {
 		t.Fatal("test premise broken: spec change did not change hash")
 	}
-	reg, err := New(changed, Options{Store: openStore(t, dir)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := restart(t, dir, changed)
 	sh, err := reg.Shard(context.Background(), "inv")
 	if err != nil {
 		t.Fatal(err)
@@ -179,10 +187,7 @@ func TestCorruptSnapshotFallsThroughToCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg, err := New(specs, Options{Store: openStore(t, dir)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := restart(t, dir, specs)
 	sh, err := reg.Shard(context.Background(), "cor")
 	if err != nil {
 		t.Fatal(err)

@@ -29,11 +29,11 @@
 package session
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -457,19 +457,60 @@ type Key struct {
 	Region string
 	UID    int64
 	Seed   int64
-	Policy string
+	Policy Fingerprint
 }
+
+// Fingerprint is a policy's digest for session keying: fixed-size and
+// comparable, so it sits in Key by value. It is keyed by a per-process
+// random seed and therefore means nothing outside this process — it is
+// never logged, persisted or sent.
+type Fingerprint [2]uint64
+
+// fingerprintSeeds key the two independent 64-bit halves of a Fingerprint.
+// Clients choose their policies, so the hash must not be one they can
+// compute collisions for offline: a collision would serve one policy from
+// another policy's session.
+var fingerprintSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
 
 // PolicyFingerprint returns a stable digest of a policy for session
 // keying. Two policies with identical levels and identical preference
-// lists (order-sensitive, as the wire carries them) share a fingerprint.
-func PolicyFingerprint(pol policy.Policy) string {
-	canon, err := json.Marshal(pol)
-	if err != nil {
-		// Policy marshals scalars and named types only; Marshal cannot
-		// fail on it.
-		panic(fmt.Sprintf("session: marshaling policy: %v", err))
+// lists (order-sensitive, as the wire carries them) share a fingerprint; a
+// nil and an empty preference list are the same policy.
+//
+// The digest hashes a canonical encoding in which every variable-length
+// field carries its length, so no two distinct policies encode alike. The
+// encoding is built in a stack buffer: fingerprinting allocates nothing
+// unless the preferences outgrow it.
+func PolicyFingerprint(pol policy.Policy) Fingerprint {
+	var stack [256]byte
+	buf := binary.AppendVarint(stack[:0], int64(pol.PrivacyLevel))
+	buf = binary.AppendVarint(buf, int64(pol.PrecisionLevel))
+	buf = binary.AppendUvarint(buf, uint64(len(pol.Preferences)))
+	for _, p := range pol.Preferences {
+		buf = binary.AppendUvarint(buf, uint64(len(p.Var)))
+		buf = append(buf, p.Var...)
+		buf = append(buf, byte(p.Op))
+		// A value is its kind's payload alone, as on the wire: String("1")
+		// and Number(1) differ, stray fields of another kind do not count.
+		switch p.Val.Kind {
+		case policy.KindString:
+			buf = append(buf, 's')
+			buf = binary.AppendUvarint(buf, uint64(len(p.Val.S)))
+			buf = append(buf, p.Val.S...)
+		case policy.KindNumber:
+			buf = append(buf, 'n')
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(p.Val.F))
+		default:
+			buf = append(buf, 'b')
+			if p.Val.B {
+				buf = append(buf, 1)
+			} else {
+				buf = append(buf, 0)
+			}
+		}
 	}
-	sum := sha256.Sum256(canon)
-	return hex.EncodeToString(sum[:16])
+	return Fingerprint{
+		maphash.Bytes(fingerprintSeeds[0], buf),
+		maphash.Bytes(fingerprintSeeds[1], buf),
+	}
 }

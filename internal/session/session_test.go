@@ -1,6 +1,7 @@
 package session
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 	"corgi/internal/policy"
+	"corgi/internal/raceon"
 )
 
 // testWorld builds a height-2 tree and a synthetic stochastic forest entry
@@ -290,17 +292,97 @@ func TestConcurrentDraws(t *testing.T) {
 	}
 }
 
-func TestPolicyFingerprint(t *testing.T) {
-	a := blockPolicy(2, 0)
-	b := blockPolicy(2, 0)
-	if PolicyFingerprint(a) != PolicyFingerprint(b) {
-		t.Fatal("identical policies fingerprint differently")
+// TestPolicyFingerprintMatchesCanonicalJSON: the digest replaced a hash of
+// the policy's JSON form, and must partition policies exactly as that form
+// did — including the cases a naive concatenation of fields would alias.
+func TestPolicyFingerprintMatchesCanonicalJSON(t *testing.T) {
+	pred := func(v string, op policy.Op, val policy.Value) policy.Predicate {
+		return policy.Predicate{Var: v, Op: op, Val: val}
 	}
-	c := blockPolicy(2, 1)
-	if PolicyFingerprint(a) == PolicyFingerprint(c) {
-		t.Fatal("different policies share a fingerprint")
+	prefs := func(ps ...policy.Predicate) policy.Policy {
+		return policy.Policy{PrivacyLevel: 2, Preferences: ps}
+	}
+	home, far := pred("home", policy.OpEq, policy.Bool(false)), pred("distance", policy.OpLe, policy.Number(5))
+	pols := []policy.Policy{
+		{PrivacyLevel: 1},
+		{PrivacyLevel: 2},
+		{PrivacyLevel: 2, PrecisionLevel: 1},
+		{PrivacyLevel: 12},
+		{PrivacyLevel: 1, PrecisionLevel: 2},
+		{PrivacyLevel: 2, Preferences: nil},
+		{PrivacyLevel: 2, Preferences: []policy.Predicate{}},
+		prefs(home),
+		prefs(home, far),
+		prefs(far, home),
+		prefs(home, home),
+		prefs(pred("home", policy.OpNe, policy.Bool(false))),
+		prefs(pred("home", policy.OpEq, policy.Bool(true))),
+		// One value, three kinds.
+		prefs(pred("x", policy.OpEq, policy.String("1"))),
+		prefs(pred("x", policy.OpEq, policy.Number(1))),
+		prefs(pred("x", policy.OpEq, policy.String("true"))),
+		prefs(pred("x", policy.OpEq, policy.Bool(true))),
+		prefs(pred("x", policy.OpEq, policy.Number(0))),
+		prefs(pred("x", policy.OpEq, policy.Number(math.Copysign(0, -1)))),
+		// Only the payload of the value's kind counts.
+		prefs(pred("x", policy.OpEq, policy.Value{Kind: policy.KindString, S: "1", F: 7, B: true})),
+		// Attr/value and predicate/predicate boundaries.
+		prefs(pred("ab", policy.OpEq, policy.String("c"))),
+		prefs(pred("a", policy.OpEq, policy.String("bc"))),
+		prefs(pred("a", policy.OpEq, policy.String("b")), pred("c", policy.OpEq, policy.String("d"))),
+		prefs(pred("a", policy.OpEq, policy.String("bc")), pred("", policy.OpEq, policy.String("d"))),
+		prefs(pred("a", policy.OpEq, policy.String("b\x00c"))),
+		prefs(pred("a", policy.OpEq, policy.String("")), pred("a", policy.OpEq, policy.String(""))),
+		prefs(pred("a", policy.OpEq, policy.String(""))),
+		prefs(pred("a=", policy.OpEq, policy.String(""))),
+		prefs(pred("a", policy.OpLe, policy.String(""))),
+		prefs(pred("a", policy.OpLt, policy.String("="))),
+	}
+	canon := make([]string, len(pols))
+	for i, p := range pols {
+		b, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canon[i] = string(b)
+	}
+	equal := 0
+	for i := range pols {
+		for j := range pols {
+			same := PolicyFingerprint(pols[i]) == PolicyFingerprint(pols[j])
+			if want := canon[i] == canon[j]; same != want {
+				t.Errorf("fingerprints equal = %v, canonical JSON equal = %v:\n  %s\n  %s", same, want, canon[i], canon[j])
+			}
+			if same && i < j {
+				equal++
+			}
+		}
+	}
+	// The table must hold both answers: nil, empty and absent preferences
+	// are one policy (three pairs), and so are the two spellings of
+	// String("1").
+	if equal != 4 {
+		t.Errorf("%d pairs of table entries share a fingerprint, want 4", equal)
 	}
 }
+
+// TestPolicyFingerprintAllocatesNothing: the key is computed on every
+// report, warm ones included.
+func TestPolicyFingerprintAllocatesNothing(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	two := blockPolicy(2, 0)
+	two.Preferences = append(two.Preferences, policy.Predicate{Var: "distance", Op: policy.OpLe, Val: policy.Number(5)})
+	for _, pol := range []policy.Policy{{PrivacyLevel: 1}, two} {
+		pol := pol
+		if got := testing.AllocsPerRun(100, func() { fingerprintSink = PolicyFingerprint(pol) }); got != 0 {
+			t.Errorf("PolicyFingerprint(%v): %v allocs, want 0", pol, got)
+		}
+	}
+}
+
+var fingerprintSink Fingerprint
 
 // synthEntryAt builds a synthetic row-stochastic forest entry over an
 // arbitrary subtree root, mirroring testWorld's construction.
