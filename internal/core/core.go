@@ -330,9 +330,16 @@ func (inst *Instance) constraintPairs(useApprox bool) []obf.Pair {
 // constraint shape is identical across iterations — only coefficients move
 // with the tightened multipliers — so the old basis is usually still (near-)
 // feasible and the warm start lands.
+//
+// It also owns the LP workspaces of the generation: one lp.Solver for the
+// direct LP or the Dantzig-Wolfe master, one for the pricing problem. They
+// are created with the carry in GenerateCtx and die with it when the
+// generation returns; nothing of a solve outlives the generation that ran it.
 type solveCarry struct {
-	pool  []dwColumn
-	basis []int
+	pool    []dwColumn
+	basis   []int
+	master  lp.Solver
+	pricing lp.Solver
 }
 
 // solveStats aggregates per-solve counters surfaced in Result.
@@ -366,7 +373,7 @@ func (inst *Instance) solveMatrix(p Params, pairs []obf.Pair, mult []float64, ca
 			opts.WarmBasis = carry.basis
 			st.warmAttempts++
 		}
-		m, sol, err := inst.solveLP(pairs, mult, &opts)
+		m, sol, err := inst.solveLP(&carry.master, pairs, mult, &opts)
 		if sol != nil {
 			st.iters = sol.Iterations
 			if sol.Warm {
@@ -378,18 +385,16 @@ func (inst *Instance) solveMatrix(p Params, pairs []obf.Pair, mult []float64, ca
 		}
 		return m, st, err
 	}
-	m, pool, st, err := inst.solveDW(pairs, mult, &dwOptions{
+	return inst.solveDW(pairs, mult, &dwOptions{
 		MaxRounds: p.DWRounds, Exact: p.DWExact, SubLP: p.LP,
 		SeedUniform: tightened, NoWarmStart: p.NoWarmStart,
-	}, carry.pool)
-	carry.pool = pool
-	return m, st, err
+	}, carry)
 }
 
 // solveLP builds and solves the LP of Equ. (8)/(16): minimize quality loss
 // subject to row-stochasticity and the per-pair Geo-Ind constraints with
 // the given multipliers mult[p] = exp((eps - eps'_p) * d_p).
-func (inst *Instance) solveLP(pairs []obf.Pair, mult []float64, opts *lp.Options) (*obf.Matrix, *lp.Solution, error) {
+func (inst *Instance) solveLP(sv *lp.Solver, pairs []obf.Pair, mult []float64, opts *lp.Options) (*obf.Matrix, *lp.Solution, error) {
 	k := inst.K()
 	nv := k * k
 	prob := lp.NewProblem(nv)
@@ -430,7 +435,7 @@ func (inst *Instance) solveLP(pairs []obf.Pair, mult []float64, opts *lp.Options
 			}
 		}
 	}
-	sol, err := lp.Solve(prob, opts)
+	sol, err := sv.Solve(prob, opts)
 	if err != nil {
 		return nil, nil, err
 	}

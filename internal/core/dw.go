@@ -27,7 +27,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -91,7 +90,14 @@ type dwColumn struct {
 // (column indices are append-only until the pruning pass reindexes them);
 // pricing solves are warm-started from the last pricing basis, which stays
 // primal feasible because only the objective changes between blocks.
-func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, seed []dwColumn) (*obf.Matrix, []dwColumn, solveStats, error) {
+//
+// carry supplies the generator columns of the previous related solve
+// (re-admitted where they still fit the cone), receives this solve's, and
+// owns the two LP workspaces. The master problem grows by one AddColumn per
+// generated column and is rebuilt only when pruning reindexes it; the pricing
+// problem is built once and only its objective moves, so its standard form
+// and scales are computed once per call.
+func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, carry *solveCarry) (*obf.Matrix, solveStats, error) {
 	k := inst.K()
 	blockCost := make([][]float64, k) // w_l[i] = priors[i]*cost[i][l]
 	for l := 0; l < k; l++ {
@@ -113,11 +119,11 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 			idx[j], ones[j] = j, 1
 		}
 		if err := sub.AddConstraint(lp.EQ, 1, idx, ones); err != nil {
-			return nil, nil, st, err
+			return nil, st, err
 		}
 		for pi, p := range pairs {
 			if err := sub.AddConstraint(lp.LE, 0, []int{p.I, p.J}, []float64{1, -mult[pi]}); err != nil {
-				return nil, nil, st, err
+				return nil, st, err
 			}
 		}
 	}
@@ -152,7 +158,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 	// Re-admit seed generators that remain inside the (possibly tightened)
 	// cone; their cost is re-derived for their block.
 	var cols []dwColumn
-	for _, c := range seed {
+	for _, c := range carry.pool {
 		if c.block < 0 || c.block >= k || len(c.g) != k {
 			continue
 		}
@@ -212,42 +218,45 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 	// pruning reindexes cols) and the last pricing basis.
 	var masterBasis, subBasis []int
 
+	// The master: K Big-M artificials (one per row-sum constraint), then one
+	// variable per generated column, appended as columns arrive. inMaster is
+	// how many of cols the problem already holds; nil means build it.
+	var mp *lp.Problem
+	inMaster := 0
+	rowIdx := make([]int, 0, k)
+	rowVal := make([]float64, 0, k)
 	solveMaster := func() (*lp.Solution, error) {
-		nv := k + len(cols) // artificials first, then generated columns
-		mp := lp.NewProblem(nv)
-		objVec := make([]float64, nv)
-		for i := 0; i < k; i++ {
-			objVec[i] = bigM
-		}
-		for ci, c := range cols {
-			objVec[k+ci] = c.cost
-		}
-		if err := mp.SetObjective(objVec); err != nil {
-			return nil, err
-		}
-		idx := make([]int, 0, nv)
-		val := make([]float64, 0, nv)
-		for i := 0; i < k; i++ {
-			idx = idx[:0]
-			val = val[:0]
-			idx = append(idx, i) // artificial for row i
-			val = append(val, 1)
-			for ci, c := range cols {
-				if c.g[i] != 0 {
-					idx = append(idx, k+ci)
-					val = append(val, c.g[i])
+		if mp == nil {
+			mp = lp.NewProblem(k)
+			for i := 0; i < k; i++ {
+				if err := mp.SetObjectiveCoeff(i, bigM); err != nil {
+					return nil, err
+				}
+				if err := mp.AddConstraint(lp.EQ, 1, []int{i}, []float64{1}); err != nil {
+					return nil, err
 				}
 			}
-			if err := mp.AddConstraint(lp.EQ, 1, idx, val); err != nil {
+			inMaster = 0
+		}
+		for _, c := range cols[inMaster:] {
+			rowIdx, rowVal = rowIdx[:0], rowVal[:0]
+			for i, g := range c.g {
+				if g != 0 {
+					rowIdx = append(rowIdx, i)
+					rowVal = append(rowVal, g)
+				}
+			}
+			if _, err := mp.AddColumn(c.cost, rowIdx, rowVal); err != nil {
 				return nil, err
 			}
 		}
+		inMaster = len(cols)
 		mOpts := *masterOpts // copy: never mutate the caller's Options
 		if !opt.noWarm() && len(masterBasis) > 0 {
 			mOpts.WarmBasis = masterBasis
 			st.warmAttempts++
 		}
-		sol, err := lp.Solve(mp, &mOpts)
+		sol, err := carry.master.Solve(mp, &mOpts)
 		if err != nil {
 			return nil, err
 		}
@@ -273,7 +282,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 		var err error
 		master, err = solveMaster()
 		if err != nil {
-			return nil, nil, st, err
+			return nil, st, err
 		}
 		// Early-stop on a stalled tail (feasible, near-optimal). Only once
 		// the Big-M artificials have left the solution.
@@ -364,16 +373,16 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 					objW[i] = blockCost[l][i] - y[i]
 				}
 				if err := sub.SetObjective(objW); err != nil {
-					return nil, nil, st, err
+					return nil, st, err
 				}
 				sOpts := *subOpts
 				if !opt.noWarm() && len(subBasis) > 0 {
 					sOpts.WarmBasis = subBasis
 					st.warmAttempts++
 				}
-				subSol, err := lp.Solve(sub, &sOpts)
+				subSol, err := carry.pricing.Solve(sub, &sOpts)
 				if err != nil {
-					return nil, nil, st, err
+					return nil, st, err
 				}
 				if subSol.Warm {
 					st.warmAccepts++
@@ -387,9 +396,9 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 				case lp.Infeasible:
 					// The cone intersected with the simplex is empty: the
 					// requested budget admits no stochastic matrix.
-					return nil, nil, st, fmt.Errorf("core: Geo-Ind constraints infeasible (delta too aggressive for epsilon)")
+					return nil, st, fmt.Errorf("core: Geo-Ind constraints infeasible (delta too aggressive for epsilon)")
 				default:
-					return nil, nil, st, fmt.Errorf("core: DW pricing %v (%s)", subSol.Status, subSol.Note)
+					return nil, st, fmt.Errorf("core: DW pricing %v (%s)", subSol.Status, subSol.Note)
 				}
 				if subSol.Objective < -priceTol {
 					negBlocks++
@@ -431,7 +440,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 				}
 			}
 			cols = kept
-			masterBasis = nil // pruning reindexed the master's columns
+			masterBasis, mp = nil, nil // pruning reindexed the master's columns
 		}
 		if opt != nil && opt.OnProgress != nil {
 			opt.OnProgress(round, master.Objective, negBlocks)
@@ -442,7 +451,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 		}
 	}
 	if master == nil {
-		return nil, nil, st, fmt.Errorf("core: DW produced no master solution")
+		return nil, st, fmt.Errorf("core: DW produced no master solution")
 	}
 	if !converged {
 		// Early stop: re-solve the master over everything generated so far;
@@ -450,7 +459,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 		var err error
 		master, err = solveMaster()
 		if err != nil {
-			return nil, nil, st, err
+			return nil, st, err
 		}
 	}
 	// Reject if artificials still carry real weight: no feasible assembly
@@ -459,7 +468,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 	// audit tolerance.
 	for i := 0; i < k; i++ {
 		if master.X[i] > 1e-4 {
-			return nil, nil, st, fmt.Errorf("core: DW master infeasible (artificial %d = %g): delta too aggressive for epsilon", i, master.X[i])
+			return nil, st, fmt.Errorf("core: DW master infeasible (artificial %d = %g): delta too aggressive for epsilon", i, master.X[i])
 		}
 	}
 
@@ -476,9 +485,10 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 		}
 	}
 	if err := z.NormalizeRows(1e-6); err != nil {
-		return nil, nil, st, fmt.Errorf("core: DW assembly: %w", err)
+		return nil, st, fmt.Errorf("core: DW assembly: %w", err)
 	}
-	return z, cols, st, nil
+	carry.pool = cols
+	return z, st, nil
 }
 
 // exponentialProfiles returns, for every peak m, the normalized profile
@@ -503,21 +513,22 @@ func exponentialProfiles(k int, pairs []obf.Pair, mult []float64) [][]float64 {
 	}
 	out := make([][]float64, k)
 	dist := make([]float64, k)
+	var pq profHeap
 	for m := 0; m < k; m++ {
 		for i := range dist {
 			dist[i] = math.Inf(1)
 		}
 		dist[m] = 0
-		pq := &profHeap{items: []profItem{{node: int32(m)}}}
-		for pq.Len() > 0 {
-			it := heap.Pop(pq).(profItem)
+		pq = append(pq[:0], profItem{node: int32(m)})
+		for len(pq) > 0 {
+			it := pq.pop()
 			if it.d > dist[it.node] {
 				continue
 			}
 			for _, a := range adj[it.node] {
 				if nd := it.d + a.w; nd < dist[a.to] {
 					dist[a.to] = nd
-					heap.Push(pq, profItem{node: a.to, d: nd})
+					pq.push(profItem{node: a.to, d: nd})
 				}
 			}
 		}
@@ -542,16 +553,42 @@ type profItem struct {
 	d    float64
 }
 
-type profHeap struct{ items []profItem }
+// profHeap is a binary min-heap on d over one reused slice. push and pop
+// sift exactly as container/heap does, so equal distances leave in the order
+// they always did; being typed, they box nothing.
+type profHeap []profItem
 
-func (h *profHeap) Len() int           { return len(h.items) }
-func (h *profHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
-func (h *profHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *profHeap) Push(x interface{}) { h.items = append(h.items, x.(profItem)) }
-func (h *profHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
+func (h *profHeap) push(it profItem) {
+	*h = append(*h, it)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(s[j].d < s[i].d) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+func (h *profHeap) pop() profItem {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].d < s[j].d {
+			j = r
+		}
+		if !(s[j].d < s[i].d) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }

@@ -11,11 +11,22 @@
 //   - SolveDense: a textbook two-phase primal simplex on a dense tableau.
 //     Simple, exhaustively tested, used as the correctness oracle and for
 //     small subproblems.
-//   - Solve: a sparse revised simplex using the product form of the inverse
-//     (PFI): CSC column storage, eta-file FTRAN/BTRAN, periodic reinversion
-//     with singleton-first ordering, partial pricing, optional RHS
+//   - Solve / Solver.Solve: a sparse revised simplex using the product form
+//     of the inverse (PFI): CSC column storage, eta-file FTRAN/BTRAN, periodic
+//     reinversion with singleton-first ordering, partial pricing, optional RHS
 //     perturbation to defeat the massive primal degeneracy of CORGI's
 //     Geo-Ind constraint systems (every inequality has b = 0).
+//
+// The sparse solver's working memory is flat arrays throughout. The eta file
+// is one record per pivot over one index arena and one value arena, truncated
+// at each reinversion. Reinversion pivots slack and artificial columns
+// structurally — a slack's scaled coefficient becomes an entry of one diagonal
+// vector, not an eta — and factors the remaining "bump" by
+// threshold-Markowitz elimination over column spans in two more arenas, with
+// per-row and per-column count arrays and the same epoch-stamp lookup FTRAN
+// uses (factor.go). A Solver owns all of it, plus the standard form and its
+// scales, and reuses it from solve to solve; when consecutive solves differ
+// only in the objective the standard form and scales carry over too.
 //
 // The CORGI LPs are huge but extremely sparse — each Geo-Ind row has two
 // structural nonzeros — which is exactly the regime PFI handles well.
@@ -63,6 +74,13 @@ type Problem struct {
 	nv   int
 	c    []float64
 	rows []row
+	// rev counts structural changes (constraints and columns added), so a
+	// Solver can tell a new objective from a new matrix.
+	rev int
+	// seen[j] == mark says variable j already occurs in the constraint being
+	// added.
+	seen []int
+	mark int
 }
 
 // NewProblem creates a problem with numVars non-negative variables and an
@@ -123,15 +141,18 @@ func (p *Problem) AddConstraint(sense Sense, b float64, idx []int, val []float64
 		return fmt.Errorf("lp: invalid sense %d", sense)
 	}
 	r := row{sense: sense, b: b, idx: make([]int32, 0, len(idx)), val: make([]float64, 0, len(val))}
-	seen := make(map[int]bool, len(idx))
+	if len(p.seen) < p.nv {
+		p.seen = append(p.seen, make([]int, p.nv-len(p.seen))...)
+	}
+	p.mark++
 	for k, j := range idx {
 		if j < 0 || j >= p.nv {
 			return fmt.Errorf("lp: variable %d out of range [0,%d)", j, p.nv)
 		}
-		if seen[j] {
+		if p.seen[j] == p.mark {
 			return fmt.Errorf("lp: duplicate variable %d in constraint", j)
 		}
-		seen[j] = true
+		p.seen[j] = p.mark
 		if math.IsNaN(val[k]) || math.IsInf(val[k], 0) {
 			return fmt.Errorf("lp: coefficient for variable %d is %v", j, val[k])
 		}
@@ -142,7 +163,46 @@ func (p *Problem) AddConstraint(sense Sense, b float64, idx []int, val []float64
 		r.val = append(r.val, val[k])
 	}
 	p.rows = append(p.rows, r)
+	p.rev++
 	return nil
+}
+
+// AddColumn appends a new non-negative variable with objective coefficient c
+// and coefficient vals[k] in the existing constraint rows[k], and returns its
+// index. rows must be strictly increasing. This is how a column-generation
+// master grows: the result is the problem that building every constraint
+// again with the new variable last would give.
+func (p *Problem) AddColumn(c float64, rows []int, vals []float64) (int, error) {
+	if len(rows) != len(vals) {
+		return 0, fmt.Errorf("lp: %d rows but %d values", len(rows), len(vals))
+	}
+	if math.IsNaN(c) || math.IsInf(c, 0) {
+		return 0, fmt.Errorf("lp: objective coefficient is %v", c)
+	}
+	for k, i := range rows {
+		if i < 0 || i >= len(p.rows) {
+			return 0, fmt.Errorf("lp: constraint %d out of range [0,%d)", i, len(p.rows))
+		}
+		if k > 0 && i <= rows[k-1] {
+			return 0, fmt.Errorf("lp: column rows not strictly increasing at constraint %d", i)
+		}
+		if math.IsNaN(vals[k]) || math.IsInf(vals[k], 0) {
+			return 0, fmt.Errorf("lp: coefficient for constraint %d is %v", i, vals[k])
+		}
+	}
+	j := p.nv
+	for k, i := range rows {
+		if vals[k] == 0 {
+			continue
+		}
+		r := &p.rows[i]
+		r.idx = append(r.idx, int32(j))
+		r.val = append(r.val, vals[k])
+	}
+	p.c = append(p.c, c)
+	p.nv++
+	p.rev++
+	return j, nil
 }
 
 // Status is the outcome of a solve.
@@ -294,7 +354,9 @@ func (p *Problem) CheckFeasible(x []float64, tol float64) (maxViolation float64,
 
 // standardForm is min c·x s.t. Ax = b, x >= 0 with b >= 0, produced by
 // adding slack/surplus variables and flipping negative-RHS rows. Columns
-// 0..nv-1 are the structural variables; slack columns follow.
+// 0..nv-1 are the structural variables; slack columns follow. load fills it
+// from a Problem and equilibrate rescales it, both into the arrays it already
+// has when they are large enough.
 type standardForm struct {
 	m, n int // n includes slacks, excludes artificials
 	nv   int // structural variable count (columns [0,nv) are structural)
@@ -308,13 +370,28 @@ type standardForm struct {
 	// slackSign[i] is +1 (row had <=) or -1 (>=) after RHS normalization.
 	slackOf   []int32
 	slackSign []int8
+	// flipped[i] says row i was negated to make its RHS non-negative; its
+	// dual changes sign on the way back.
+	flipped []bool
+	// The scales equilibrate applied.
+	rowScale, colScale []float64
+
+	next           []int32   // load: per-column fill cursor
+	rowMax, rowMin []float64 // equilibrate: per-row extremes
 }
 
-// toStandard converts the problem. Rows keep their original order so duals
-// map back one-to-one (dual sign accounts for row flips via flipped[]).
+// toStandard converts the problem into a fresh standard form. Rows keep
+// their original order so duals map back one-to-one (dual sign accounts for
+// row flips via flipped[]).
 func (p *Problem) toStandard() (*standardForm, []bool) {
+	sf := new(standardForm)
+	sf.load(p)
+	return sf, sf.flipped
+}
+
+// load converts p into sf, unscaled; equilibrate comes next.
+func (sf *standardForm) load(p *Problem) {
 	m := len(p.rows)
-	flipped := make([]bool, m)
 	nSlack := 0
 	for _, r := range p.rows {
 		if r.sense != EQ {
@@ -322,17 +399,19 @@ func (p *Problem) toStandard() (*standardForm, []bool) {
 		}
 	}
 	n := p.nv + nSlack
-	sf := &standardForm{
-		m: m, n: n, nv: p.nv,
-		c:         make([]float64, n),
-		b:         make([]float64, m),
-		slackOf:   make([]int32, m),
-		slackSign: make([]int8, m),
-	}
-	copy(sf.c, p.c)
+	sf.m, sf.n, sf.nv = m, n, p.nv
+	sf.c = resize(sf.c, n)
+	sf.b = resize(sf.b, m)
+	sf.slackOf = resize(sf.slackOf, m)
+	sf.slackSign = resize(sf.slackSign, m)
+	sf.flipped = resize(sf.flipped, m)
+	clear(sf.slackSign)
+	clear(sf.flipped)
+	clear(sf.c[copy(sf.c, p.c):])
 
 	// Count structural column nonzeros.
-	counts := make([]int32, n+1)
+	counts := resize(sf.colPtr, n+1)
+	clear(counts)
 	for _, r := range p.rows {
 		for _, j := range r.idx {
 			counts[j+1]++
@@ -351,11 +430,12 @@ func (p *Problem) toStandard() (*standardForm, []bool) {
 		counts[j+1] += counts[j]
 	}
 	sf.colPtr = counts
-	nnz := counts[n]
-	sf.rowIdx = make([]int32, nnz)
-	sf.vals = make([]float64, nnz)
+	nnz := int(counts[n])
+	sf.rowIdx = resize(sf.rowIdx, nnz)
+	sf.vals = resize(sf.vals, nnz)
 
-	next := make([]int32, n)
+	sf.next = resize(sf.next, n)
+	next := sf.next
 	copy(next, counts[:n])
 	slackCol = p.nv
 	for i, r := range p.rows {
@@ -365,7 +445,7 @@ func (p *Problem) toStandard() (*standardForm, []bool) {
 		if b < 0 {
 			sign = -1
 			b = -b
-			flipped[i] = true
+			sf.flipped[i] = true
 			switch sense {
 			case LE:
 				sense = GE
@@ -397,7 +477,14 @@ func (p *Problem) toStandard() (*standardForm, []bool) {
 			slackCol++
 		}
 	}
-	return sf, flipped
+}
+
+// setObjective replaces the objective with c (structural variables, original
+// units) under the column scales already applied to the matrix.
+func (sf *standardForm) setObjective(c []float64) {
+	for j, v := range c {
+		sf.c[j] = v * sf.colScale[j]
+	}
 }
 
 // col returns the sparse column j of the standard-form matrix.
@@ -416,16 +503,18 @@ func (sf *standardForm) col(j int) (rows []int32, vals []float64) {
 //
 // b and c are scaled in place alongside the matrix.
 func (sf *standardForm) equilibrate(iters int) (rowScale, colScale []float64) {
-	rowScale = make([]float64, sf.m)
-	colScale = make([]float64, sf.n)
+	sf.rowScale = resize(sf.rowScale, sf.m)
+	sf.colScale = resize(sf.colScale, sf.n)
+	rowScale, colScale = sf.rowScale, sf.colScale
 	for i := range rowScale {
 		rowScale[i] = 1
 	}
 	for j := range colScale {
 		colScale[j] = 1
 	}
-	rowMax := make([]float64, sf.m)
-	rowMin := make([]float64, sf.m)
+	sf.rowMax = resize(sf.rowMax, sf.m)
+	sf.rowMin = resize(sf.rowMin, sf.m)
+	rowMax, rowMin := sf.rowMax, sf.rowMin
 	for pass := 0; pass < iters; pass++ {
 		// Column pass.
 		for j := 0; j < sf.n; j++ {

@@ -1,0 +1,249 @@
+package lp
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"corgi/internal/raceon"
+)
+
+// pricingLP builds a Dantzig-Wolfe pricing problem of the shape core solves
+// at K = side*side: one simplex row over K variables and, for every ordered
+// pair of lattice neighbours (i, j), the cone row x_i <= mult * x_j.
+func pricingLP(t *testing.T, side int, rng *rand.Rand) *Problem {
+	t.Helper()
+	k := side * side
+	p := NewProblem(k)
+	idx := make([]int, k)
+	ones := make([]float64, k)
+	for j := range idx {
+		idx[j], ones[j] = j, 1
+	}
+	mustCon(t, p, EQ, 1, idx, ones)
+	for a := 0; a < k; a++ {
+		for b := 0; b < k; b++ {
+			dr, dc := a/side-b/side, a%side-b%side
+			if d2 := dr*dr + dc*dc; a != b && d2 <= 2 {
+				mult := math.Exp(15 * 0.1 * math.Sqrt(float64(d2)))
+				mustCon(t, p, LE, 0, []int{a, b}, []float64{1, -mult})
+			}
+		}
+	}
+	setPricingObjective(t, p, rng)
+	return p
+}
+
+// setPricingObjective draws a new block objective w_l - y.
+func setPricingObjective(t *testing.T, p *Problem, rng *rand.Rand) {
+	t.Helper()
+	c := make([]float64, p.NumVars())
+	for j := range c {
+		c[j] = rng.Float64() - 0.4
+	}
+	mustObj(t, p, c)
+}
+
+func sameSolution(t *testing.T, name string, got, want *Solution) {
+	t.Helper()
+	if got.Status != want.Status || got.Iterations != want.Iterations || got.Warm != want.Warm ||
+		got.Objective != want.Objective {
+		t.Fatalf("%s: status %v, %d pivots, warm %v, objective %v; fresh solver: %v, %d, %v, %v",
+			name, got.Status, got.Iterations, got.Warm, got.Objective,
+			want.Status, want.Iterations, want.Warm, want.Objective)
+	}
+	if !reflect.DeepEqual(got.X, want.X) || !reflect.DeepEqual(got.Duals, want.Duals) || !reflect.DeepEqual(got.Basis, want.Basis) {
+		t.Fatalf("%s: X, Duals or Basis differ from a fresh solver's", name)
+	}
+}
+
+// TestSolverReuse solves A, a larger B, then A again (and A with a new
+// objective, the path that keeps the standard form) on one Solver. Every
+// result must equal a fresh solver's exactly: no stamp, epoch, diagonal or
+// arena tail may leak between problems of different shape.
+func TestSolverReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	small := pricingLP(t, 4, rng)
+	big := pricingLP(t, 7, rng)
+	other := randomFeasibleLP(t, 30, rng)
+	opt := &Options{Perturb: true}
+	fresh := func(p *Problem, opt *Options) *Solution {
+		t.Helper()
+		sol, err := Solve(p, opt)
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("fresh solve: %v %v", err, sol)
+		}
+		return sol
+	}
+	var sv Solver
+	reused := func(p *Problem, opt *Options) *Solution {
+		t.Helper()
+		sol, err := sv.Solve(p, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
+	}
+	a := fresh(small, opt)
+	sameSolution(t, "A", reused(small, opt), a)
+	sameSolution(t, "B", reused(big, opt), fresh(big, opt))
+	sameSolution(t, "A after B", reused(small, opt), a)
+	sameSolution(t, "C", reused(other, nil), fresh(other, nil))
+	warm := &Options{Perturb: true, WarmBasis: a.Basis}
+	sameSolution(t, "A warm", reused(small, warm), fresh(small, warm))
+	for i := 0; i < 3; i++ {
+		setPricingObjective(t, small, rng)
+		sameSolution(t, "A, new objective", reused(small, warm), fresh(small, warm))
+	}
+	// A rejected warm basis must restore the crash state on a used workspace.
+	bad := &Options{Perturb: true, WarmBasis: append([]int(nil), a.Basis...)}
+	bad.WarmBasis[0] = bad.WarmBasis[1]
+	sameSolution(t, "A, rejected warm basis", reused(small, bad), fresh(small, bad))
+	// Growing the problem is a structural change the solver must notice.
+	mustCon(t, small, LE, 0.5, []int{0, 1}, []float64{1, 1})
+	sameSolution(t, "A plus a row", reused(small, opt), fresh(small, opt))
+	if _, err := small.AddColumn(-0.2, []int{0, 3}, []float64{1, 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	sameSolution(t, "A plus a column", reused(small, opt), fresh(small, opt))
+}
+
+// TestSolveAllocationBudget pins what a primed Solver allocates for a
+// warm-started K=49 pricing re-solve: the Solution it returns (the struct, X,
+// Duals, Basis) and nothing per pivot, per reinversion or per solve.
+func TestSolveAllocationBudget(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	rng := rand.New(rand.NewSource(49))
+	p := pricingLP(t, 7, rng)
+	var sv Solver
+	sol, err := sv.Solve(p, &Options{Perturb: true})
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("priming solve: %v %v", err, sol)
+	}
+	objectives := make([][]float64, 16)
+	for i := range objectives {
+		objectives[i] = make([]float64, p.NumVars())
+		for j := range objectives[i] {
+			objectives[i][j] = rng.Float64() - 0.4
+		}
+	}
+	opt := &Options{Perturb: true, WarmBasis: sol.Basis}
+	// Once through every objective, so the arenas have seen their largest
+	// eta file before anything is counted.
+	run := 0
+	solve := func() {
+		mustObj(t, p, objectives[run%len(objectives)])
+		run++
+		got, err := sv.Solve(p, opt)
+		if err != nil || got.Status != Optimal || !got.Warm {
+			t.Fatalf("re-solve: %v %+v", err, got)
+		}
+	}
+	for range objectives {
+		solve()
+	}
+	avg := testing.AllocsPerRun(len(objectives), solve)
+	t.Logf("allocs per warm re-solve: %.1f", avg)
+	if avg > 8 {
+		t.Errorf("warm pricing re-solve on a primed Solver allocates %.1f times, want <= 8", avg)
+	}
+}
+
+// TestAddColumnMatchesRebuild grows a column-generation master by AddColumn
+// and builds the same master row by row; the two must convert to the same
+// standard form, and AddColumn must reject what AddConstraint would.
+func TestAddColumnMatchesRebuild(t *testing.T) {
+	const k, ncols = 9, 40
+	rng := rand.New(rand.NewSource(5))
+	cols := make([][]float64, ncols)
+	costs := make([]float64, ncols)
+	for c := range cols {
+		cols[c] = make([]float64, k)
+		for i := range cols[c] {
+			if rng.Intn(3) > 0 {
+				cols[c][i] = rng.Float64()
+			}
+		}
+		costs[c] = rng.Float64()
+	}
+	rebuilt := NewProblem(k + ncols)
+	obj := make([]float64, k+ncols)
+	for i := 0; i < k; i++ {
+		obj[i] = 100
+	}
+	copy(obj[k:], costs)
+	mustObj(t, rebuilt, obj)
+	for i := 0; i < k; i++ {
+		idx, val := []int{i}, []float64{1}
+		for c := range cols {
+			if cols[c][i] != 0 {
+				idx, val = append(idx, k+c), append(val, cols[c][i])
+			}
+		}
+		mustCon(t, rebuilt, EQ, 1, idx, val)
+	}
+
+	grown := NewProblem(k)
+	for i := 0; i < k; i++ {
+		if err := grown.SetObjectiveCoeff(i, 100); err != nil {
+			t.Fatal(err)
+		}
+		mustCon(t, grown, EQ, 1, []int{i}, []float64{1})
+	}
+	for c := range cols {
+		var rows []int
+		var vals []float64
+		for i, v := range cols[c] {
+			// Half the zeros are passed explicitly: AddColumn drops them.
+			if v != 0 || i%2 == 0 {
+				rows, vals = append(rows, i), append(vals, v)
+			}
+		}
+		j, err := grown.AddColumn(costs[c], rows, vals)
+		if err != nil || j != k+c {
+			t.Fatalf("AddColumn %d: index %d, %v", c, j, err)
+		}
+	}
+	if grown.NumVars() != rebuilt.NumVars() {
+		t.Fatalf("grown master has %d variables, rebuilt %d", grown.NumVars(), rebuilt.NumVars())
+	}
+	a, _ := grown.toStandard()
+	b, _ := rebuilt.toStandard()
+	a.equilibrate(3)
+	b.equilibrate(3)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("grown and rebuilt masters differ in standard form")
+	}
+	// A constraint over the new variables still catches duplicates.
+	if err := grown.AddConstraint(LE, 1, []int{k + 3, k + 3}, []float64{1, 1}); err == nil {
+		t.Error("duplicate of an added variable must fail")
+	}
+	mustCon(t, grown, LE, 1, []int{k + 3, k + 4}, []float64{1, 1})
+
+	bad := []struct {
+		name string
+		c    float64
+		rows []int
+		vals []float64
+	}{
+		{"length mismatch", 0, []int{0, 1}, []float64{1}},
+		{"NaN cost", math.NaN(), []int{0}, []float64{1}},
+		{"row out of range", 0, []int{k + 1}, []float64{1}},
+		{"negative row", 0, []int{-1}, []float64{1}},
+		{"repeated row", 0, []int{2, 2}, []float64{1, 1}},
+		{"descending rows", 0, []int{3, 2}, []float64{1, 1}},
+		{"infinite coefficient", 0, []int{0}, []float64{math.Inf(1)}},
+	}
+	nv := grown.NumVars()
+	for _, tc := range bad {
+		if _, err := grown.AddColumn(tc.c, tc.rows, tc.vals); err == nil {
+			t.Errorf("AddColumn with %s must fail", tc.name)
+		}
+	}
+	if grown.NumVars() != nv {
+		t.Errorf("rejected columns changed the problem: %d variables, want %d", grown.NumVars(), nv)
+	}
+}

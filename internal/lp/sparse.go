@@ -1,34 +1,69 @@
 package lp
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"os"
 )
 
 // Solve solves the problem with a sparse revised simplex (product form of
 // the inverse). It is the production solver: memory and per-iteration cost
 // scale with the number of nonzeros, not m*n. See the package comment for
-// the algorithmic inventory.
+// the algorithmic inventory. Callers with a sequence of related solves should
+// hold a Solver instead.
 func Solve(p *Problem, opt *Options) (*Solution, error) {
-	sf, flipped := p.toStandard()
-	if sf.m == 0 {
+	return new(Solver).Solve(p, opt)
+}
+
+// Solver is the workspace of the sparse simplex: the standard form and its
+// scales, the simplex vectors, the eta file and the reinversion scratch, all
+// flat arrays that grow to the largest problem seen and are overwritten by
+// each solve. A Solve on a reused Solver returns exactly what a fresh one
+// would; reuse saves only the allocations. The zero value is ready. A Solver
+// is not safe for concurrent use and is meant to be dropped with the
+// computation that made it (core gives each matrix generation its own), not
+// pooled.
+type Solver struct {
+	sf    standardForm
+	bTrue []float64 // equilibrated RHS before perturbation
+	st    sparseState
+	rng   *rand.Rand
+	// The problem sf was last built from, and its structural revision: while
+	// both match, only the objective can have changed, and the standard form,
+	// its scales and the RHS carry over.
+	prob *Problem
+	rev  int
+}
+
+// Solve is the package-level Solve on this workspace.
+func (sv *Solver) Solve(p *Problem, opt *Options) (*Solution, error) {
+	if len(p.rows) == 0 {
 		return SolveDense(p, opt)
 	}
-	rowScale, colScale := sf.equilibrate(3)
-	s := newSparseState(sf, opt)
+	sf := &sv.sf
+	if sv.prob == p && sv.rev == p.rev {
+		sf.setObjective(p.c)
+		copy(sf.b, sv.bTrue)
+	} else {
+		sf.load(p)
+		sf.equilibrate(3)
+		sv.bTrue = append(sv.bTrue[:0], sf.b...)
+		sv.prob, sv.rev = p, p.rev
+	}
 
 	// Optional RHS perturbation to break degeneracy (CORGI's Geo-Ind rows
 	// all have b=0, which otherwise causes severe stalling).
-	bTrue := append([]float64(nil), sf.b...)
 	if opt.perturb() {
-		rng := rand.New(rand.NewSource(opt.seed()))
+		if sv.rng == nil {
+			sv.rng = rand.New(rand.NewSource(opt.seed()))
+		} else {
+			sv.rng.Seed(opt.seed())
+		}
 		for i := range sf.b {
-			sf.b[i] += pertScale * (1 + rng.Float64())
+			sf.b[i] += pertScale * (1 + sv.rng.Float64())
 		}
 	}
-	return s.run(p, flipped, bTrue, opt, rowScale, colScale), nil
+	sv.st.reset(sf, opt)
+	return sv.st.run(p, sv.bTrue, opt), nil
 }
 
 const (
@@ -42,25 +77,15 @@ const (
 // tests can force frequent reinversion.
 var refactorEtas = 80
 
-// eta is one elementary transformation of the product-form inverse: the
-// basis changed by pivoting the (already FTRAN-transformed) column w at
-// position r.
-type eta struct {
-	r     int32
-	idx   []int32
-	vals  []float64
-	pivot float64
-}
-
 type sparseState struct {
 	sf  *standardForm
 	m   int
 	n   int // structural + slack columns (artificials are n..n+m-1)
 	tol float64
 
-	basis    []int // basis[i] = column pivoted at row i
-	inBasis  []bool
-	etas     []eta
+	basis   []int // basis[i] = column pivoted at row i
+	inBasis []bool
+	factor
 	xB       []float64 // current basic values, aligned with rows
 	work     []float64 // dense scratch for FTRAN
 	stamp    []int64   // touch epochs for work
@@ -71,31 +96,55 @@ type sparseState struct {
 	segCur   int
 	iters    int
 	maxIters int
+
+	artRow  [1]int32  // colOf's row slice for an artificial column
+	rowVec  []float64 // dualCleanup: e_r^T B^{-1}
+	warmCol []int     // tryWarmBasis: the decoded warm basis
+	crash   []int     // tryWarmBasis: the crash basis to fall back to
 }
 
-func newSparseState(sf *standardForm, opt *Options) *sparseState {
-	m, n := sf.m, sf.n
-	return &sparseState{
-		sf: sf, m: m, n: n,
-		tol:      opt.tol(),
-		basis:    make([]int, m),
-		inBasis:  make([]bool, n+m),
-		xB:       make([]float64, m),
-		work:     make([]float64, m),
-		stamp:    make([]int64, m),
-		y:        make([]float64, m),
-		costs:    make([]float64, n+m),
-		maxIters: opt.maxIters(m, n),
+// resize returns s with length n, reusing its array when that is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	return s[:n]
 }
 
-// colOf returns column j including artificials (e_i for j = n+i).
+// reset readies the state for a solve of sf from the identity factorisation,
+// keeping every array it already owns that is large enough. Nothing of the
+// previous solve survives but the epoch counter, which only ever has to move
+// forward.
+func (s *sparseState) reset(sf *standardForm, opt *Options) {
+	m, n := sf.m, sf.n
+	s.sf, s.m, s.n = sf, m, n
+	s.tol = opt.tol()
+	s.maxIters = opt.maxIters(m, n)
+	s.basis = resize(s.basis, m)
+	s.inBasis = resize(s.inBasis, n+m)
+	s.xB = resize(s.xB, m)
+	s.work = resize(s.work, m)
+	s.stamp = resize(s.stamp, m) // stale stamps are all below the next epoch
+	s.y = resize(s.y, m)
+	s.costs = resize(s.costs, n+m)
+	clear(s.inBasis)
+	clear(s.work) // dualCleanup reads work[r] whether or not ftran touched row r
+	clear(s.costs)
+	s.clearFactor()
+	s.segCur, s.iters = 0, 0
+}
+
+var unitVal = []float64{1}
+
+// colOf returns column j including artificials (e_i for j = n+i). An
+// artificial's row slice is invalidated by the next colOf.
 func (s *sparseState) colOf(j int) (rows []int32, vals []float64) {
 	if j < s.n {
 		return s.sf.col(j)
 	}
-	i := int32(j - s.n)
-	return []int32{i}, []float64{1}
+	s.artRow[0] = int32(j - s.n)
+	return s.artRow[:], unitVal
 }
 
 // ftran computes w = B^{-1} a_j into s.work, returning the touched indices.
@@ -105,7 +154,11 @@ func (s *sparseState) ftran(rows []int32, vals []float64) []int32 {
 	s.touched = s.touched[:0]
 	w := s.work
 	for k, r := range rows {
-		w[r] = vals[k]
+		v := vals[k]
+		if d := s.diag[r]; d != 1 && v != 0 {
+			v /= d
+		}
+		w[r] = v
 		s.stamp[r] = s.epoch
 		s.touched = append(s.touched, r)
 	}
@@ -120,7 +173,8 @@ func (s *sparseState) ftran(rows []int32, vals []float64) []int32 {
 			continue
 		}
 		t /= et.pivot
-		for k, j := range et.idx {
+		eIdx, eVal := s.etaCol(et)
+		for k, j := range eIdx {
 			if j == r {
 				continue
 			}
@@ -129,7 +183,7 @@ func (s *sparseState) ftran(rows []int32, vals []float64) []int32 {
 				s.touched = append(s.touched, j)
 				w[j] = 0
 			}
-			w[j] -= et.vals[k] * t
+			w[j] -= eVal[k] * t
 		}
 		w[r] = t
 	}
@@ -138,6 +192,13 @@ func (s *sparseState) ftran(rows []int32, vals []float64) []int32 {
 
 // ftranDense applies B^{-1} to a dense vector in place.
 func (s *sparseState) ftranDense(x []float64) {
+	if s.nDiag > 0 {
+		for r, d := range s.diag {
+			if t := x[r]; d != 1 && t != 0 {
+				x[r] = t / d
+			}
+		}
+	}
 	for e := range s.etas {
 		et := &s.etas[e]
 		t := x[et.r]
@@ -145,11 +206,12 @@ func (s *sparseState) ftranDense(x []float64) {
 			continue
 		}
 		t /= et.pivot
-		for k, j := range et.idx {
+		idx, vals := s.etaCol(et)
+		for k, j := range idx {
 			if j == et.r {
 				continue
 			}
-			x[j] -= et.vals[k] * t
+			x[j] -= vals[k] * t
 		}
 		x[et.r] = t
 	}
@@ -161,13 +223,21 @@ func (s *sparseState) btran(y []float64) {
 		et := &s.etas[e]
 		r := et.r
 		sum := 0.0
-		for k, j := range et.idx {
+		idx, vals := s.etaCol(et)
+		for k, j := range idx {
 			if j == r {
 				continue
 			}
-			sum += et.vals[k] * y[j]
+			sum += vals[k] * y[j]
 		}
 		y[r] = (y[r] - sum) / et.pivot
+	}
+	if s.nDiag > 0 {
+		for r, d := range s.diag {
+			if d != 1 {
+				y[r] /= d
+			}
+		}
 	}
 }
 
@@ -175,250 +245,16 @@ func (s *sparseState) btran(y []float64) {
 // indices into s.work) at row r.
 func (s *sparseState) appendEta(r int32, touched []int32) {
 	w := s.work
-	et := eta{r: r, pivot: w[r]}
+	lo := int32(len(s.etaIdx))
 	for _, j := range touched {
 		v := w[j]
 		if j != r && math.Abs(v) < dropTol {
 			continue
 		}
-		et.idx = append(et.idx, j)
-		et.vals = append(et.vals, v)
+		s.etaIdx = append(s.etaIdx, j)
+		s.etaVal = append(s.etaVal, v)
 	}
-	s.etas = append(s.etas, et)
-}
-
-// reinvert rebuilds the eta file from the current set of basic columns and
-// re-associates each basic column with its pivot row (basis[r] = column
-// pivoted at row r). Identity-like columns (artificials, slacks) pivot
-// structurally; the residual "bump" is factored by threshold-Markowitz
-// Gaussian elimination (factorBump), which both orders pivots for sparsity
-// and bounds element growth. xB must be refreshed by the caller.
-func (s *sparseState) reinvert() error {
-	s.etas = s.etas[:0]
-	m := s.m
-	newBasis := make([]int, m)
-	for i := range newBasis {
-		newBasis[i] = -1
-	}
-	rowCoeff := map[int32]float64{} // singleton rows pivoted with coeff != 1
-	var bump []int
-
-	for _, j := range s.basis {
-		switch {
-		case j >= s.n: // artificial e_i: pivot at its own row, no eta
-			i := j - s.n
-			if newBasis[i] != -1 {
-				return fmt.Errorf("lp: row %d pivoted twice during reinversion", i)
-			}
-			newBasis[i] = j
-		default:
-			rows, vals := s.sf.col(j)
-			if len(rows) == 1 && newBasis[rows[0]] == -1 {
-				// Slack (or any singleton) column: pivot at its row; only a
-				// non-unit coefficient needs an eta.
-				r := rows[0]
-				newBasis[r] = j
-				if vals[0] != 1 {
-					s.etas = append(s.etas, eta{r: r, idx: []int32{r}, vals: []float64{vals[0]}, pivot: vals[0]})
-					rowCoeff[r] = vals[0]
-				}
-			} else {
-				bump = append(bump, j)
-			}
-		}
-	}
-	if len(bump) > 0 {
-		if err := s.factorBump(bump, newBasis, rowCoeff); err != nil {
-			return err
-		}
-	}
-	for i, j := range newBasis {
-		if j == -1 {
-			return fmt.Errorf("lp: reinversion left row %d unpivoted", i)
-		}
-	}
-	copy(s.basis, newBasis)
-	return nil
-}
-
-// bumpEntry is a (row, value) pair used during bump factorization.
-type bumpEntry struct {
-	r int32
-	v float64
-}
-
-// factorBump factors the non-triangular part of the basis with
-// right-looking sparse Gaussian elimination: pivot columns are chosen by
-// fewest active nonzeros (Markowitz-style), pivot rows by threshold partial
-// pivoting (|a| >= 0.1 * column max, preferring low row degree). Each pivot
-// emits a PFI eta identical to what sequential FTRAN-pivoting would have
-// produced, so the existing FTRAN/BTRAN machinery applies unchanged.
-func (s *sparseState) factorBump(bump []int, newBasis []int, rowCoeff map[int32]float64) error {
-	nb := len(bump)
-	cols := make([]map[int32]float64, nb)
-	rowCols := make(map[int32]map[int]bool) // active row -> bump columns touching it
-	activeCount := make([]int, nb)
-	pivoted := make([]bool, nb)
-	isActive := func(r int32) bool { return newBasis[r] == -1 }
-
-	for ci, j := range bump {
-		rows, vals := s.sf.col(j)
-		mc := make(map[int32]float64, len(rows)*2)
-		for k, r := range rows {
-			v := vals[k]
-			if c, ok := rowCoeff[r]; ok {
-				v /= c // reflect the singleton eta scaling of row r
-			}
-			mc[r] = v
-			if isActive(r) {
-				set := rowCols[r]
-				if set == nil {
-					set = map[int]bool{}
-					rowCols[r] = set
-				}
-				set[ci] = true
-				activeCount[ci]++
-			}
-		}
-		cols[ci] = mc
-	}
-
-	cand := make([]bumpEntry, 0, 64)
-	for done := 0; done < nb; done++ {
-		// Column choice: fewest active nonzeros (ties: lower index).
-		ci := -1
-		for k := 0; k < nb; k++ {
-			if pivoted[k] {
-				continue
-			}
-			if ci < 0 || activeCount[k] < activeCount[ci] {
-				ci = k
-			}
-		}
-		// Row choice within the column: threshold partial pivoting.
-		cand = cand[:0]
-		colMax := 0.0
-		for r, v := range cols[ci] {
-			if !isActive(r) {
-				continue
-			}
-			cand = append(cand, bumpEntry{r: r, v: v})
-			if av := math.Abs(v); av > colMax {
-				colMax = av
-			}
-		}
-		if colMax < 1e-11 {
-			if os.Getenv("LP_DEBUG") != "" {
-				fullMax, fullN := 0.0, 0
-				for _, v := range cols[ci] {
-					fullN++
-					if av := math.Abs(v); av > fullMax {
-						fullMax = av
-					}
-				}
-				fmt.Printf("bump dead-end: done=%d/%d col=%d activeEntries=%d fullEntries=%d fullMax=%g colMax=%g\n",
-					done, nb, bump[ci], len(cand), fullN, fullMax, colMax)
-			}
-			return fmt.Errorf("lp: numerically singular basis (bump column %d, max entry %g)", bump[ci], colMax)
-		}
-		sortBumpEntries(cand)
-		rPiv, wPiv := int32(-1), 0.0
-		bestDeg := -1
-		for _, e := range cand {
-			if math.Abs(e.v) < 0.99*colMax {
-				continue
-			}
-			deg := len(rowCols[e.r])
-			if rPiv < 0 || deg < bestDeg || (deg == bestDeg && math.Abs(e.v) > math.Abs(wPiv)) {
-				rPiv, wPiv, bestDeg = e.r, e.v, deg
-			}
-		}
-		// Emit the eta: the column's full current state (sorted for
-		// reproducibility), pivot at rPiv.
-		et := eta{r: rPiv, pivot: wPiv}
-		full := make([]bumpEntry, 0, len(cols[ci]))
-		for r, v := range cols[ci] {
-			if r != rPiv && math.Abs(v) < dropTol {
-				continue
-			}
-			full = append(full, bumpEntry{r: r, v: v})
-		}
-		sortBumpEntries(full)
-		for _, e := range full {
-			et.idx = append(et.idx, e.r)
-			et.vals = append(et.vals, e.v)
-		}
-		s.etas = append(s.etas, et)
-		newBasis[rPiv] = bump[ci]
-		pivoted[ci] = true
-
-		// Deactivate the pivot row.
-		affected := rowCols[rPiv]
-		delete(rowCols, rPiv)
-		for ck := range affected {
-			if !pivoted[ck] {
-				activeCount[ck]--
-			}
-		}
-		// Right-looking update of the remaining columns with an entry in
-		// the pivot row: x_rPiv' = x_rPiv / wPiv; x_i -= w_i * x_rPiv'.
-		for ck := range affected {
-			if pivoted[ck] {
-				continue
-			}
-			colK := cols[ck]
-			xr, ok := colK[rPiv]
-			if !ok || xr == 0 {
-				continue
-			}
-			t := xr / wPiv
-			colK[rPiv] = t
-			for r, wv := range cols[ci] {
-				if r == rPiv {
-					continue
-				}
-				old, had := colK[r]
-				nv := old - wv*t
-				switch {
-				case !had:
-					if math.Abs(nv) < dropTol {
-						continue
-					}
-					colK[r] = nv
-					if isActive(r) {
-						set := rowCols[r]
-						if set == nil {
-							set = map[int]bool{}
-							rowCols[r] = set
-						}
-						set[ck] = true
-						activeCount[ck]++
-					}
-				case math.Abs(nv) < dropTol:
-					delete(colK, r)
-					if isActive(r) {
-						delete(rowCols[r], ck)
-						activeCount[ck]--
-					}
-				default:
-					colK[r] = nv
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func sortBumpEntries(es []bumpEntry) {
-	for i := 1; i < len(es); i++ {
-		v := es[i]
-		j := i - 1
-		for j >= 0 && es[j].r > v.r {
-			es[j+1] = es[j]
-			j--
-		}
-		es[j+1] = v
-	}
+	s.etas = append(s.etas, eta{r: r, lo: lo, hi: int32(len(s.etaIdx)), pivot: w[r]})
 }
 
 // refreshXB recomputes xB = B^{-1} b.
@@ -623,14 +459,6 @@ func (s *sparseState) primalLoop() phaseResult {
 		s.basis[r] = q
 		s.xB[r] = theta
 		s.appendEta(r, touched)
-		if os.Getenv("LP_DEBUG") == "2" {
-			if err := s.reinvert(); err != nil {
-				fmt.Printf("SINGULAR after iter=%d enter=%d leave=%d row=%d pivot=%g: %v\n",
-					s.iters, q, leaving, r, bestW, err)
-				return phaseSingular
-			}
-			s.refreshXB()
-		}
 		// A pivot much smaller than the column's largest transformed entry
 		// signals dangerous element growth: refactor immediately.
 		colMax := 0.0
@@ -651,7 +479,8 @@ func (s *sparseState) primalLoop() phaseResult {
 // removed, using dual simplex pivots (the basis is dual feasible because it
 // was primal optimal for the perturbed problem).
 func (s *sparseState) dualCleanup() phaseResult {
-	rowVec := make([]float64, s.m)
+	s.rowVec = resize(s.rowVec, s.m)
+	rowVec := s.rowVec
 	for ; s.iters < s.maxIters; s.iters++ {
 		// Leaving row: most negative basic value.
 		r, worst := -1, -s.tol
@@ -713,7 +542,7 @@ func (s *sparseState) dualCleanup() phaseResult {
 		s.basis[r] = q
 		s.xB[r] = theta
 		s.appendEta(int32(r), touched)
-		if len(s.etas) >= refactorEtas*4 {
+		if s.numEtas() >= refactorEtas*4 {
 			if err := s.reinvert(); err != nil {
 				return phaseSingular
 			}
@@ -734,7 +563,8 @@ func (s *sparseState) tryWarmBasis(warm []int) bool {
 	if len(warm) != s.m {
 		return false
 	}
-	cols := make([]int, s.m)
+	s.warmCol = resize(s.warmCol, s.m)
+	cols := s.warmCol
 	for i, w := range warm {
 		j := w
 		if w < 0 {
@@ -748,50 +578,51 @@ func (s *sparseState) tryWarmBasis(warm []int) bool {
 		}
 		cols[i] = j
 	}
-	seen := make([]bool, s.n+s.m)
-	for _, j := range cols {
-		if seen[j] {
-			return false
-		}
-		seen[j] = true
-	}
-	crash := append([]int(nil), s.basis...)
-	restore := func() {
-		s.etas = s.etas[:0]
-		copy(s.basis, crash)
-		for j := range s.inBasis {
-			s.inBasis[j] = false
-		}
-		for _, j := range s.basis {
-			s.inBasis[j] = true
-		}
-		copy(s.xB, s.sf.b)
-	}
-	copy(s.basis, cols)
-	for j := range s.inBasis {
+	// inBasis holds the crash basis; mark the warm columns over it to catch
+	// duplicates, then drop the crash marks.
+	s.crash = append(s.crash[:0], s.basis...)
+	dup := false
+	for _, j := range s.crash {
 		s.inBasis[j] = false
 	}
 	for _, j := range cols {
+		dup = dup || s.inBasis[j]
 		s.inBasis[j] = true
 	}
-	if err := s.reinvert(); err != nil {
-		restore()
+	copy(s.basis, cols)
+	if dup || s.reinvert() != nil {
+		s.restoreCrash(cols)
 		return false
 	}
 	s.refreshXB()
 	for _, v := range s.xB {
 		if v < -1e-7 {
-			restore()
+			s.restoreCrash(cols)
 			return false
 		}
 	}
 	return true
 }
 
+// restoreCrash undoes a rejected warm basis: identity factorisation, crash
+// basis, xB = b.
+func (s *sparseState) restoreCrash(warm []int) {
+	s.clearFactor()
+	for _, j := range warm {
+		s.inBasis[j] = false
+	}
+	copy(s.basis, s.crash)
+	for _, j := range s.basis {
+		s.inBasis[j] = true
+	}
+	copy(s.xB, s.sf.b)
+}
+
 // run executes phase 1, phase 2 and, if perturbed, the exact cleanup. The
 // standard form has been equilibrated; rowScale/colScale recover original
 // units.
-func (s *sparseState) run(p *Problem, flipped []bool, bTrue []float64, opt *Options, rowScale, colScale []float64) *Solution {
+func (s *sparseState) run(p *Problem, bTrue []float64, opt *Options) *Solution {
+	flipped, rowScale, colScale := s.sf.flipped, s.sf.rowScale, s.sf.colScale
 	// Initial basis: slack where the row has a +1 slack, artificial else.
 	for i := 0; i < s.m; i++ {
 		if s.sf.slackOf[i] >= 0 && s.sf.slackSign[i] == 1 {
