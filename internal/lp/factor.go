@@ -27,10 +27,9 @@ type factor struct {
 	etaVal []float64
 	// diag[r] != 1 is the coefficient of a singleton (slack) column pivoted
 	// at row r during reinversion: B^{-1} starts with a division of row r by
-	// it. nDiag counts such rows. These scalings come before every eta and
-	// touch one row each, so they commute and need no record of their own.
-	diag  []float64
-	nDiag int
+	// it. These scalings come before every eta and touch one row each, so
+	// they commute and need no record of their own.
+	diag []float64
 
 	// Reinversion scratch.
 	newBasis []int
@@ -50,10 +49,6 @@ type factor struct {
 	rowBits  []uint64 // one bit per row, all zero between uses
 }
 
-// numEtas is the length of the eta file as the pivot-count heuristics see
-// it: each diagonal scaling counts as the one-entry eta it replaces.
-func (s *sparseState) numEtas() int { return s.nDiag + len(s.etas) }
-
 // clearFactor resets the factorisation to the identity.
 func (s *sparseState) clearFactor() {
 	s.etas = s.etas[:0]
@@ -63,7 +58,6 @@ func (s *sparseState) clearFactor() {
 	for i := range s.diag {
 		s.diag[i] = 1
 	}
-	s.nDiag = 0
 }
 
 // etaCol returns the nonzeros of eta e.
@@ -105,7 +99,6 @@ func (s *sparseState) reinvert() error {
 				newBasis[r] = j
 				if vals[0] != 1 {
 					s.diag[r] = vals[0]
-					s.nDiag++
 				}
 			} else {
 				bump = append(bump, j)

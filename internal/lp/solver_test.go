@@ -11,7 +11,8 @@ import (
 
 // pricingLP builds a Dantzig-Wolfe pricing problem of the shape core solves
 // at K = side*side: one simplex row over K variables and, for every ordered
-// pair of lattice neighbours (i, j), the cone row x_i <= mult * x_j.
+// pair of lattice neighbours (i, j), the cone row x_i <= mult * x_j with
+// mult = exp(eps * d) over slightly uneven distances d.
 func pricingLP(t *testing.T, side int, rng *rand.Rand) *Problem {
 	t.Helper()
 	k := side * side
@@ -25,8 +26,8 @@ func pricingLP(t *testing.T, side int, rng *rand.Rand) *Problem {
 	for a := 0; a < k; a++ {
 		for b := 0; b < k; b++ {
 			dr, dc := a/side-b/side, a%side-b%side
-			if d2 := dr*dr + dc*dc; a != b && d2 <= 2 {
-				mult := math.Exp(15 * 0.1 * math.Sqrt(float64(d2)))
+			if d2 := dr*dr + dc*dc; a != b && d2 <= 4 {
+				mult := math.Exp(15 * 0.1 * math.Sqrt(float64(d2)) * (1 + 0.2*rng.Float64()))
 				mustCon(t, p, LE, 0, []int{a, b}, []float64{1, -mult})
 			}
 		}
@@ -245,5 +246,48 @@ func TestAddColumnMatchesRebuild(t *testing.T) {
 	}
 	if grown.NumVars() != nv {
 		t.Errorf("rejected columns changed the problem: %d variables, want %d", grown.NumVars(), nv)
+	}
+}
+
+// TestDualCleanupCountsPivotsSinceReinversion drives the dual clean-up from
+// an optimal K=49 pricing basis whose RHS has been disturbed. A reinversion
+// of that basis alone leaves several hundred slack scalings and bump etas, so
+// a bound on the length of the eta file (what dualCleanup used to test) fired
+// after every pivot; a bound on pivots since the last reinversion does not
+// fire at all in a clean-up this short, and every pivot's eta is still there
+// at the end.
+func TestDualCleanupCountsPivotsSinceReinversion(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	p := pricingLP(t, 7, rng)
+	var sv Solver
+	sol, err := sv.Solve(p, nil)
+	if err != nil || sol.Status != Optimal {
+		t.Fatalf("solve: %v %v", err, sol)
+	}
+	s := &sv.st
+	if err := s.reinvert(); err != nil {
+		t.Fatal(err)
+	}
+	slackRows := 0
+	for _, d := range s.diag {
+		if d != 1 {
+			slackRows++
+		}
+	}
+	if slackRows+len(s.etas) < refactorEtas*4 {
+		t.Fatalf("basis reinverts to %d scalings and %d etas: too few to tell the two bounds apart", slackRows, len(s.etas))
+	}
+	for i := range sv.sf.b {
+		sv.sf.b[i] += 1e-3 * (rng.Float64() - 0.5)
+	}
+	s.refreshXB()
+	etas, iters := len(s.etas), s.iters
+	s.dualCleanup()
+	pivots := s.iters - iters
+	if pivots < 5 || pivots >= refactorEtas*4 {
+		t.Fatalf("clean-up took %d dual pivots, want a handful", pivots)
+	}
+	if got := len(s.etas) - etas; got != pivots {
+		t.Errorf("eta file grew by %d over %d dual pivots: the clean-up reinverted on the way", got, pivots)
 	}
 }

@@ -192,11 +192,9 @@ func (s *sparseState) ftran(rows []int32, vals []float64) []int32 {
 
 // ftranDense applies B^{-1} to a dense vector in place.
 func (s *sparseState) ftranDense(x []float64) {
-	if s.nDiag > 0 {
-		for r, d := range s.diag {
-			if t := x[r]; d != 1 && t != 0 {
-				x[r] = t / d
-			}
+	for r, d := range s.diag {
+		if t := x[r]; d != 1 && t != 0 {
+			x[r] = t / d
 		}
 	}
 	for e := range s.etas {
@@ -232,11 +230,9 @@ func (s *sparseState) btran(y []float64) {
 		}
 		y[r] = (y[r] - sum) / et.pivot
 	}
-	if s.nDiag > 0 {
-		for r, d := range s.diag {
-			if d != 1 {
-				y[r] /= d
-			}
+	for r, d := range s.diag {
+		if d != 1 {
+			y[r] /= d
 		}
 	}
 }
@@ -481,6 +477,7 @@ func (s *sparseState) primalLoop() phaseResult {
 func (s *sparseState) dualCleanup() phaseResult {
 	s.rowVec = resize(s.rowVec, s.m)
 	rowVec := s.rowVec
+	etaBase := len(s.etas)
 	for ; s.iters < s.maxIters; s.iters++ {
 		// Leaving row: most negative basic value.
 		r, worst := -1, -s.tol
@@ -542,10 +539,14 @@ func (s *sparseState) dualCleanup() phaseResult {
 		s.basis[r] = q
 		s.xB[r] = theta
 		s.appendEta(int32(r), touched)
-		if s.numEtas() >= refactorEtas*4 {
+		// Like primalLoop, count pivots since the last reinversion, not the
+		// length of the eta file: a reinversion alone leaves more etas than
+		// any fixed bound once the basis is a few hundred rows.
+		if len(s.etas)-etaBase >= refactorEtas*4 {
 			if err := s.reinvert(); err != nil {
 				return phaseSingular
 			}
+			etaBase = len(s.etas)
 			s.refreshXB()
 		}
 	}
