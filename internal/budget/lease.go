@@ -40,6 +40,10 @@ const tokenVersion = 1
 // tagLen is the HMAC-SHA256 tag length appended to the token payload.
 const tagLen = sha256.Size
 
+// maxTokenFixed bounds an encoded token's size without its region bytes:
+// magic, version, ten varints at their widest, the epsilon bits, the tag.
+const maxTokenFixed = len(tokenMagic) + 1 + 10*binary.MaxVarintLen64 + 8 + tagLen
+
 // LeaseToken is the signed claim a draw lease carries: the facts the
 // server asserted at issuance and refuses to re-derive from client input.
 type LeaseToken struct {
@@ -204,26 +208,61 @@ func NewKeyring(secret []byte) (*Keyring, error) {
 
 // userKey derives uid's signing key: HMAC-SHA256(master, uid). Capturing
 // one user's tag material therefore never helps forging another user's.
-func (k *Keyring) userKey(uid int64) []byte {
-	mac := hmac.New(sha256.New, k.master)
+func (k *Keyring) userKey(uid int64) [sha256.Size]byte {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(uid))
-	mac.Write(b[:])
-	return mac.Sum(nil)
+	return hmacSHA256(k.master, b[:])
 }
 
-// Sign encodes and signs a token under its user's derived key.
+// hmacSHA256 is RFC 2104 over sha256.Sum256: H((K ^ opad) || H((K ^ ipad)
+// || msg)), a key longer than one block hashed first. It is byte for byte
+// what crypto/hmac computes (TestSignMatchesCryptoHMAC holds it to that),
+// but hmac.New reaches the hash through the hash.Hash interface, which puts
+// two digests and their pads on the heap per MAC, twice per Sign and twice
+// per Verify; Sum256 takes a plain slice, so everything here stays on the
+// stack. Only a message too long for the inner buffer (a region name of
+// several hundred bytes) allocates.
+func hmacSHA256(key, msg []byte) [sha256.Size]byte {
+	var pad [sha256.BlockSize]byte
+	if len(key) > sha256.BlockSize {
+		sum := sha256.Sum256(key)
+		copy(pad[:], sum[:])
+	} else {
+		copy(pad[:], key)
+	}
+	var stack [sha256.BlockSize + 448]byte
+	inner := stack[:0]
+	if n := sha256.BlockSize + len(msg); n > len(stack) {
+		inner = make([]byte, 0, n)
+	}
+	for _, b := range pad {
+		inner = append(inner, b^0x36)
+	}
+	inner = append(inner, msg...)
+	var outer [sha256.BlockSize + sha256.Size]byte
+	for i, b := range pad {
+		outer[i] = b ^ 0x5c
+	}
+	sum := sha256.Sum256(inner)
+	copy(outer[sha256.BlockSize:], sum[:])
+	return sha256.Sum256(outer[:])
+}
+
+// Sign encodes and signs a token under its user's derived key. The token
+// is its only allocation.
 func (k *Keyring) Sign(t LeaseToken) []byte {
-	payload := appendTokenPayload(nil, t)
-	mac := hmac.New(sha256.New, k.userKey(t.UID))
-	mac.Write(payload)
-	return mac.Sum(payload)
+	buf := make([]byte, 0, maxTokenFixed+len(t.Region))
+	buf = appendTokenPayload(buf, t)
+	key := k.userKey(t.UID)
+	tag := hmacSHA256(key[:], buf)
+	return append(buf, tag[:]...)
 }
 
 // Verify authenticates an encoded token and checks it against the clock:
 // a tampered payload, a truncated tag, a key mismatch (wrong user or
 // wrong server secret), or an expired lease all fail with
-// ErrBadLeaseToken. Only a verified token's fields may be trusted.
+// ErrBadLeaseToken. Only a verified token's fields may be trusted. A token
+// that verifies costs one allocation, its Region string.
 func (k *Keyring) Verify(data []byte, now time.Time) (LeaseToken, error) {
 	t, off, err := decodeTokenPayload(data)
 	if err != nil {
@@ -232,9 +271,9 @@ func (k *Keyring) Verify(data []byte, now time.Time) (LeaseToken, error) {
 	if len(data) != off+tagLen {
 		return LeaseToken{}, fmt.Errorf("%w: bad tag length", ErrBadLeaseToken)
 	}
-	mac := hmac.New(sha256.New, k.userKey(t.UID))
-	mac.Write(data[:off])
-	if !hmac.Equal(mac.Sum(nil), data[off:]) {
+	key := k.userKey(t.UID)
+	tag := hmacSHA256(key[:], data[:off])
+	if !hmac.Equal(tag[:], data[off:]) {
 		return LeaseToken{}, fmt.Errorf("%w: signature mismatch", ErrBadLeaseToken)
 	}
 	if now.UnixMilli() > t.ExpiresAt {

@@ -1,6 +1,13 @@
 package budget
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,6 +121,72 @@ func TestLeaseTokenExpiry(t *testing.T) {
 	}
 }
 
+// TestSignMatchesCryptoHMAC holds the package's own RFC 2104 construction to
+// crypto/hmac's output, byte for byte, over random tokens and over master
+// secrets on every side of SHA-256's 64-byte block (a longer key is hashed
+// first). The second half pins the wire across commits: a token signed by
+// the hmac.New code this construction replaced still verifies.
+func TestSignMatchesCryptoHMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for _, secretLen := range []int{1, 32, 64, 100} {
+		secret := make([]byte, secretLen)
+		rng.Read(secret)
+		kr, err := NewKeyring(secret)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 50; i++ {
+			tok := LeaseToken{
+				UID:       rng.Int63() - rng.Int63(),
+				Region:    strings.Repeat("r", rng.Intn(40)),
+				Root:      loctree.NodeID{Level: rng.Intn(4), Coord: hexgrid.Coord{Q: rng.Intn(99) - 49, R: rng.Intn(99) - 49}},
+				Delta:     rng.Intn(50),
+				Eps:       rng.Float64() * 20,
+				DrawCap:   1 + rng.Intn(1<<16),
+				RNGPos:    rng.Uint64(),
+				IssuedAt:  rng.Int63(),
+				ExpiresAt: rng.Int63(),
+			}
+			if i == 0 {
+				// Too long for the inner hash's stack buffer.
+				tok.Region = strings.Repeat("x", 600)
+			}
+			var uid [8]byte
+			binary.LittleEndian.PutUint64(uid[:], uint64(tok.UID))
+			derive := hmac.New(sha256.New, secret)
+			derive.Write(uid[:])
+			payload := appendTokenPayload(nil, tok)
+			mac := hmac.New(sha256.New, derive.Sum(nil))
+			mac.Write(payload)
+			if got, want := kr.Sign(tok), mac.Sum(payload); !bytes.Equal(got, want) {
+				t.Fatalf("secret of %d bytes, token %d: Sign = %x, crypto/hmac = %x", secretLen, i, got, want)
+			}
+		}
+	}
+
+	const parentToken = "43475431015405706f72746f040106059a9999999999f93f8002800880a0abfef962c0c9b2fef962" +
+		"9844130cb7bd20703be04ff60a566a63d757c3f1cfb29bad248acf6538539f51"
+	data, err := hex.DecodeString(parentToken)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Unix(1700000000, 0)
+	kr, err := NewKeyring([]byte("test-master-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := kr.Verify(data, now)
+	if err != nil {
+		t.Fatalf("token signed at the parent commit: %v", err)
+	}
+	if want := testToken(now); got != want {
+		t.Fatalf("parent token verified as %+v, want %+v", got, want)
+	}
+	if resigned := kr.Sign(got); !bytes.Equal(resigned, data) {
+		t.Fatalf("re-signing the parent token's claims gives %x, want %x", resigned, data)
+	}
+}
+
 func TestNewKeyringRejectsEmptySecret(t *testing.T) {
 	if _, err := NewKeyring(nil); err == nil {
 		t.Fatal("empty secret accepted")
@@ -136,6 +209,16 @@ func FuzzDecodeLeaseToken(f *testing.F) {
 		}
 		if tok.DrawCap < 0 || len(tok.Region) > 256 {
 			t.Fatalf("decoded token violates bounds: %+v", tok)
+		}
+		// Whatever decodes can be signed, and what was signed verifies to
+		// the same claims (compared as signed bytes: a NaN rate is not == itself).
+		signed := kr.Sign(tok)
+		got, err := kr.Verify(signed, tok.Expiry())
+		if err != nil {
+			t.Fatalf("Verify(Sign(%+v)): %v", tok, err)
+		}
+		if !bytes.Equal(kr.Sign(got), signed) {
+			t.Fatalf("Verify(Sign(t)) = %+v, want %+v", got, tok)
 		}
 	})
 }

@@ -23,6 +23,15 @@
 // server would refuse (pruned own location, degenerate row) fails without
 // consuming RNG.
 //
+// Who owns what. On the server a bundle is a set of views: its node lists
+// are the session binding's and an unpruned binding's rows are the forest
+// entry's matrix rows, read once by the encoder and never written (see
+// codec.LeaseBundle). On the device everything is the lease's own: Open and
+// Renew decode the bundle bytes into fresh memory (every row in one arena)
+// that the Lease's mechanism.Rows keeps and nobody else sees, and the bundle
+// bytes themselves are not retained. The one slice a Lease shares with its
+// caller is the token, kept as given for the next renewal.
+//
 // A Lease is safe for concurrent use; draws serialize under an internal
 // mutex exactly as server-side sessions do.
 package clientdraw
@@ -42,6 +51,21 @@ import (
 // ErrLeaseExhausted marks a draw attempted past the lease's pre-paid cap;
 // the client must renew (POST /v1/lease with the old token) to continue.
 var ErrLeaseExhausted = errors.New("clientdraw: lease draw cap exhausted")
+
+// ExhaustedError is the ErrLeaseExhausted a refused draw carries: how far
+// into its cap the lease was and how many draws were asked for. Running out
+// is how a lease normally ends and callers test errors.Is before renewing,
+// so the message is formatted only when it is read.
+type ExhaustedError struct {
+	Used, Cap, Asked int
+}
+
+func (e *ExhaustedError) Error() string {
+	return fmt.Sprintf("%v: %d of %d draws used, %d more requested", ErrLeaseExhausted, e.Used, e.Cap, e.Asked)
+}
+
+// Unwrap makes errors.Is(err, ErrLeaseExhausted) hold.
+func (e *ExhaustedError) Unwrap() error { return ErrLeaseExhausted }
 
 // ErrOutsideSubtree re-exports mechanism.ErrOutsideSubtree (the same
 // sentinel session draws fail with): the true cell left the leased
@@ -73,7 +97,9 @@ type Lease struct {
 // the first local draw consumes the exact variate the server's resident
 // stream reserved for it. The token is parsed (unauthenticated — the
 // client holds no key) for the draw cap; tampering with it only breaks
-// the client's own renewal.
+// the client's own renewal. The lease keeps token, not a copy, and hands it
+// back from Token: the caller must not write it afterwards. bundle is only
+// read during the call.
 func Open(tree *loctree.Tree, bundle, token []byte) (*Lease, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("clientdraw: nil tree")
@@ -104,7 +130,7 @@ func newLease(tree *loctree.Tree, b *codec.LeaseBundle, tok budget.LeaseToken, t
 	}
 	l := &Lease{
 		tree:     tree,
-		token:    append([]byte(nil), token...),
+		token:    token,
 		tok:      tok,
 		degraded: b.Degraded,
 		seed:     b.Seed,
@@ -132,7 +158,7 @@ func newLease(tree *loctree.Tree, b *codec.LeaseBundle, tok budget.LeaseToken, t
 // the next window). When the grant does not continue this stream (a
 // different seed, or a position behind the current one), Renew falls
 // back to a fresh Open. Either way this lease is retired: its remaining
-// draws report exhausted.
+// draws report exhausted. bundle and token are held as in Open.
 func (l *Lease) Renew(bundle, token []byte) (*Lease, error) {
 	b, err := codec.DecodeLeaseBundle(bundle)
 	if err != nil {
@@ -160,7 +186,8 @@ func (l *Lease) Renew(bundle, token []byte) (*Lease, error) {
 	return newLease(l.tree, b, tok, token, rng)
 }
 
-// Token returns the signed lease token, for renewal.
+// Token returns the signed lease token, for renewal: the slice Open or
+// Renew was given, to be sent, not written.
 func (l *Lease) Token() []byte { return l.token }
 
 // Root returns the leased privacy subtree.
@@ -195,8 +222,8 @@ func (l *Lease) Covers(leaf loctree.NodeID) bool { return l.rows.Covers(leaf) }
 
 // DrawCell draws one obfuscated report node for a true leaf cell.
 func (l *Lease) DrawCell(leaf loctree.NodeID) (loctree.NodeID, error) {
-	out := make([]loctree.NodeID, 1)
-	if err := l.DrawCellNInto(leaf, out); err != nil {
+	var out [1]loctree.NodeID
+	if err := l.DrawCellNInto(leaf, out[:]); err != nil {
 		return loctree.NodeID{}, err
 	}
 	return out[0], nil
@@ -229,8 +256,7 @@ func (l *Lease) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.used+n > l.tok.DrawCap {
-		return fmt.Errorf("%w: %d of %d draws used, %d more requested",
-			ErrLeaseExhausted, l.used, l.tok.DrawCap, n)
+		return &ExhaustedError{Used: l.used, Cap: l.tok.DrawCap, Asked: n}
 	}
 	row, err := l.rows.RowFor(leaf)
 	if err != nil {

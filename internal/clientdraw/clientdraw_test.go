@@ -149,12 +149,15 @@ func TestLeaseDrawsWhatTheSessionDraws(t *testing.T) {
 		}
 		w.same(l, a[2], 1)
 		w.same(l, a[len(a)-1], 3) // another row of the same lease
-		if err := l.DrawCellNInto(a[2], make([]loctree.NodeID, 1)); !errors.Is(err, ErrLeaseExhausted) {
+		err := l.DrawCellNInto(a[2], make([]loctree.NodeID, 1))
+		var spent *ExhaustedError
+		if !errors.Is(err, ErrLeaseExhausted) || !errors.As(err, &spent) || *spent != (ExhaustedError{Used: 4, Cap: 4, Asked: 1}) ||
+			err.Error() != "clientdraw: lease draw cap exhausted: 4 of 4 draws used, 1 more requested" {
 			t.Fatalf("draw past the cap: %v", err)
 		}
 
 		// The renewal continues the handed-over stream.
-		l, err := l.Renew(w.grant(a[3], 4))
+		l, err = l.Renew(w.grant(a[3], 4))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -38,6 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"corgi/internal/loctree"
 )
@@ -65,6 +66,14 @@ const (
 // LeaseBundle is a detached session binding: everything a client needs to
 // replay the server's exact draw sequence for one subtree. Produced by
 // session.DetachLease, consumed by internal/clientdraw.
+//
+// Its slices are read-only to whoever holds one. A bundle from DetachLease
+// is a set of views: Pruned and Nodes are the session binding's own lists,
+// and the Rows of an unpruned leaf-precision binding are the forest entry's
+// matrix rows in place (pruned and precision rows share one array made for
+// the bundle). A bundle from DecodeLeaseBundle owns its memory, but its
+// rows are consecutive pieces of one array. Either way: encode it, build
+// alias tables from it, do not write through it.
 type LeaseBundle struct {
 	// Root is the privacy subtree the binding covers.
 	Root loctree.NodeID
@@ -99,7 +108,41 @@ func appendNode(buf []byte, n loctree.NodeID) []byte {
 	return buf
 }
 
-// EncodeLeaseBundle packs a bundle into its binary form.
+// uvarintLen is the encoded size of binary.AppendUvarint(nil, x).
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// varintLen is the encoded size of binary.AppendVarint(nil, x) (zig-zag).
+func varintLen(x int64) int { return uvarintLen(uint64(x<<1) ^ uint64(x>>63)) }
+
+func nodeLen(n loctree.NodeID) int {
+	return varintLen(int64(n.Level)) + varintLen(int64(n.Coord.Q)) + varintLen(int64(n.Coord.R))
+}
+
+// rowEncoding picks a non-empty row's wire form, whichever of dense and
+// sparse is smaller, and returns its kind, nonzero count and encoded size.
+// Sparse pays ~1-2 varint bytes of column index per nonzero on top of the 8
+// weight bytes; dense pays 8 per column, zero or not.
+func rowEncoding(row []float64) (kind byte, nnz, size int) {
+	for _, w := range row {
+		if w != 0 {
+			nnz++
+		}
+	}
+	if 10*nnz >= 8*len(row) {
+		return rowDense, nnz, 1 + 8*len(row)
+	}
+	size = 1 + uvarintLen(uint64(nnz)) + 8*nnz
+	for j, w := range row {
+		if w != 0 {
+			size += uvarintLen(uint64(j))
+		}
+	}
+	return rowSparse, nnz, size
+}
+
+// EncodeLeaseBundle packs a bundle into its binary form. It only reads the
+// bundle (whose slices may be views, see LeaseBundle) and sizes its one
+// buffer exactly, so the result is its only allocation.
 func EncodeLeaseBundle(b *LeaseBundle) ([]byte, error) {
 	n := len(b.Nodes)
 	if n < 1 || n > MaxLeaseNodes {
@@ -108,7 +151,27 @@ func EncodeLeaseBundle(b *LeaseBundle) ([]byte, error) {
 	if len(b.Rows) != n {
 		return nil, fmt.Errorf("codec: lease has %d rows for %d nodes", len(b.Rows), n)
 	}
-	buf := make([]byte, 0, 64+9*n)
+	size := len(leaseMagic) + 2 + uvarintLen(uint64(b.PrecisionLevel)) + nodeLen(b.Root) +
+		varintLen(b.Seed) + uvarintLen(b.RNGPos) + uvarintLen(uint64(len(b.Pruned))) + uvarintLen(uint64(n))
+	for _, p := range b.Pruned {
+		size += nodeLen(p)
+	}
+	for _, nd := range b.Nodes {
+		size += nodeLen(nd)
+	}
+	for i, row := range b.Rows {
+		if len(row) == 0 {
+			size++
+			continue
+		}
+		if len(row) != n {
+			return nil, fmt.Errorf("codec: lease row %d has %d weights for %d nodes", i, len(row), n)
+		}
+		_, _, rowSize := rowEncoding(row)
+		size += rowSize
+	}
+
+	buf := make([]byte, 0, size)
 	buf = append(buf, leaseMagic...)
 	buf = append(buf, leaseVersion)
 	var flags byte
@@ -128,24 +191,14 @@ func EncodeLeaseBundle(b *LeaseBundle) ([]byte, error) {
 	for _, nd := range b.Nodes {
 		buf = appendNode(buf, nd)
 	}
-	for i, row := range b.Rows {
+	for _, row := range b.Rows {
 		if len(row) == 0 {
 			buf = append(buf, rowEmpty)
 			continue
 		}
-		if len(row) != n {
-			return nil, fmt.Errorf("codec: lease row %d has %d weights for %d nodes", i, len(row), n)
-		}
-		nnz := 0
-		for _, w := range row {
-			if w != 0 {
-				nnz++
-			}
-		}
-		// Sparse pays ~1-2 varint bytes of column index per nonzero on top
-		// of the 8 weight bytes; dense pays 8 per column, zero or not.
-		if 10*nnz < 8*n {
-			buf = append(buf, rowSparse)
+		kind, nnz, _ := rowEncoding(row)
+		buf = append(buf, kind)
+		if kind == rowSparse {
 			buf = binary.AppendUvarint(buf, uint64(nnz))
 			for j, w := range row {
 				if w == 0 {
@@ -155,7 +208,6 @@ func EncodeLeaseBundle(b *LeaseBundle) ([]byte, error) {
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
 			}
 		} else {
-			buf = append(buf, rowDense)
 			for _, w := range row {
 				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
 			}
@@ -284,8 +336,25 @@ func DecodeLeaseBundle(data []byte) (*LeaseBundle, error) {
 			return nil, err
 		}
 	}
+	// Rows decode into an arena instead of one vector each. The arena is
+	// sized by what the input can pay for, never by what the header claims:
+	// when a row needs space the decoder takes enough for as many dense rows
+	// (8n+1 bytes each) as the rest of the input could hold, at least one.
+	// A bundle of dense rows, the common kind, gets its n*n in one piece; a
+	// hostile one whose two-byte sparse rows each demand n zeros is served
+	// one row at a time.
+	var arena []float64
+	take := func(rowsLeft, bytesLeft int) []float64 {
+		if len(arena) < n {
+			arena = make([]float64, min(rowsLeft, max(1, bytesLeft/(8*n+1)))*n)
+		}
+		row := arena[:n:n]
+		arena = arena[n:]
+		return row
+	}
 	b.Rows = make([][]float64, n)
 	for i := 0; i < n; i++ {
+		bytesLeft := len(data) - r.off
 		kind, err := r.u8()
 		if err != nil {
 			return nil, err
@@ -294,11 +363,13 @@ func DecodeLeaseBundle(data []byte) (*LeaseBundle, error) {
 		case rowEmpty:
 			// stays nil: unsampleable
 		case rowDense:
-			row := make([]float64, n)
+			if r.off+8*n > len(data) {
+				return nil, fmt.Errorf("codec: lease bundle truncated at byte %d", len(data))
+			}
+			row := take(n-i, bytesLeft)
 			for j := range row {
-				if row[j], err = r.f64(); err != nil {
-					return nil, err
-				}
+				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[r.off:]))
+				r.off += 8
 			}
 			b.Rows[i] = row
 		case rowSparse:
@@ -309,7 +380,7 @@ func DecodeLeaseBundle(data []byte) (*LeaseBundle, error) {
 			if nnz > uint64(n) {
 				return nil, fmt.Errorf("codec: lease row %d claims %d entries for %d nodes", i, nnz, n)
 			}
-			row := make([]float64, n)
+			row := take(n-i, bytesLeft)
 			for k := uint64(0); k < nnz; k++ {
 				col, err := r.uvarint()
 				if err != nil {

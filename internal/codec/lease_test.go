@@ -2,10 +2,12 @@ package codec
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
+	"corgi/internal/raceon"
 )
 
 func nid(level, q, r int) loctree.NodeID {
@@ -38,6 +40,9 @@ func TestLeaseBundleRoundTrip(t *testing.T) {
 	blob, err := EncodeLeaseBundle(want)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(blob) != cap(blob) {
+		t.Fatalf("encoder sized its buffer %d for a %d-byte bundle", cap(blob), len(blob))
 	}
 	got, err := DecodeLeaseBundle(blob)
 	if err != nil {
@@ -119,6 +124,62 @@ func TestLeaseBundleDecodeRejectsMalformed(t *testing.T) {
 	bad[4] = leaseVersion + 1
 	if _, err := DecodeLeaseBundle(bad); err == nil {
 		t.Fatal("bumped version decoded without error")
+	}
+}
+
+// allocatedBy reports the heap bytes one call of f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLeaseBundleDecodeArena pins both sides of the row arena: an honest
+// bundle of dense rows decodes in a handful of allocations however many
+// rows it has, and a bundle whose header claims a large n gets only the row
+// space its bytes pay for, not n*n up front.
+func TestLeaseBundleDecodeArena(t *testing.T) {
+	const k = 49
+	dense := &LeaseBundle{Root: nid(1, 0, 0), Seed: 1, Nodes: make([]loctree.NodeID, k), Rows: make([][]float64, k)}
+	for i := range dense.Nodes {
+		dense.Nodes[i] = nid(0, i, -i)
+		dense.Rows[i] = make([]float64, k)
+		for j := range dense.Rows[i] {
+			dense.Rows[i][j] = 1 / float64(1+i+j)
+		}
+	}
+	blob, err := EncodeLeaseBundle(dense)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The bundle, its node list, its row headers, one arena.
+	if allocs := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeLeaseBundle(blob); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 4 && !raceon.Enabled {
+		t.Errorf("decoding %d dense rows: %v allocations, want <= 4", k, allocs)
+	}
+
+	const n = 4096 // n*n float64s would be 128 MiB
+	empty := &LeaseBundle{Root: nid(2, 0, 0), Nodes: make([]loctree.NodeID, n), Rows: make([][]float64, n)}
+	for i := range empty.Nodes {
+		empty.Nodes[i] = nid(0, i, 0)
+	}
+	blob, err = EncodeLeaseBundle(empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 1 << 20
+	if got := allocatedBy(func() { _, err = DecodeLeaseBundle(blob) }); err != nil || got > bound {
+		t.Errorf("bundle of %d empty rows: err %v, %d bytes allocated, want <= %d", n, err, got, bound)
+	}
+	// Three two-byte sparse rows that each demand n zeros, then nothing.
+	hostile := append(append([]byte(nil), blob[:len(blob)-n]...), rowSparse, 0, rowSparse, 0, rowSparse, 0)
+	if got := allocatedBy(func() { _, err = DecodeLeaseBundle(hostile) }); err == nil || got > bound {
+		t.Errorf("truncated bundle claiming %d rows: err %v, %d bytes allocated, want an error and <= %d", n, err, got, bound)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mechanism
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -259,7 +260,7 @@ func (b *Binding) buildRow(row int) (*sample.Alias, error) {
 		return a, nil
 	}
 
-	weights, err := b.precisionWeights(row)
+	weights, err := b.precisionWeights(row, make([]float64, len(b.nodes)))
 	if err != nil {
 		return nil, err
 	}
@@ -271,14 +272,13 @@ func (b *Binding) buildRow(row int) (*sample.Alias, error) {
 }
 
 // precisionWeights materializes the Equ. 17 aggregated weight vector for
-// one precision-group row. It is the single implementation behind both the
-// live draw path (buildRow) and lease detachment (DetachRow): the float
-// operation order here is what makes a client-rebuilt alias table
-// bit-identical to the server's — sample.New over equal float64 inputs
-// yields equal tables, so equality must hold at the weight vector, not
-// just mathematically.
-func (b *Binding) precisionWeights(row int) ([]float64, error) {
-	weights := make([]float64, len(b.nodes))
+// one precision-group row into weights, which must hold len(Nodes()) zeros.
+// It is the single implementation behind both the live draw path (buildRow)
+// and lease detachment (DetachRow): the float operation order here is what
+// makes a client-rebuilt alias table bit-identical to the server's —
+// sample.New over equal float64 inputs yields equal tables, so equality
+// must hold at the weight vector, not just mathematically.
+func (b *Binding) precisionWeights(row int, weights []float64) ([]float64, error) {
 	for _, u := range b.groups[row] { // u indexes keptLeaves
 		orig := b.keep[u]
 		r := b.src.MatrixRow(orig)
@@ -306,29 +306,73 @@ func (b *Binding) precisionWeights(row int) ([]float64, error) {
 	return weights, nil
 }
 
-// DetachRow materializes the exact weight vector one report row samples
-// from, in the representation a client alias build needs: weights over
-// Nodes(), index-aligned. Each arm reproduces the corresponding buildRow
-// arm's inputs to sample.New bit for bit:
+// DetachRow returns the exact weight vector one report row samples from,
+// in the representation a client alias build needs: weights over Nodes(),
+// index-aligned. Each arm reproduces the corresponding buildRow arm's
+// inputs to sample.New bit for bit:
 //
-//   - leaf precision, empty prune set: a copy of the full matrix row
-//     (the shared alias cache is sample.New over exactly that row);
+//   - leaf precision, empty prune set: the full matrix row itself (the
+//     shared alias cache is sample.New over exactly that row). This arm
+//     returns a VIEW of the source's matrix, which is immutable once the
+//     entry is published and shared by every binding of it: read it,
+//     encode it, never write it;
 //   - leaf precision, pruned: the kept columns in keep order with
 //     NewSubset's minMass admission check (NewSubset feeds sample.New the
-//     same vector);
-//   - coarser precision: precisionWeights, shared with buildRow.
+//     same vector), in a fresh vector;
+//   - coarser precision: precisionWeights, shared with buildRow, in a
+//     fresh vector.
 //
 // A row that buildRow would refuse (degenerate after pruning) returns
 // ErrUnsampleable.
 func (b *Binding) DetachRow(row int) ([]float64, error) {
+	if b.viewsRows() {
+		return b.src.MatrixRow(b.keep[row]), nil
+	}
+	return b.detachInto(row, make([]float64, len(b.nodes)))
+}
+
+// DetachRows is DetachRow for every report row, index-aligned with Nodes():
+// what a lease bundle ships. An unsampleable row comes back nil, the
+// bundle's marker for a row the client must refuse. Unpruned leaf-precision
+// rows are views of the source matrix, as in DetachRow; computed rows share
+// one backing array, so a detach costs two allocations however many rows
+// the subtree has.
+func (b *Binding) DetachRows() ([][]float64, error) {
+	n := len(b.nodes)
+	rows := make([][]float64, n)
+	if b.viewsRows() {
+		for i := range rows {
+			rows[i] = b.src.MatrixRow(b.keep[i])
+		}
+		return rows, nil
+	}
+	arena := make([]float64, n*n)
+	for i := range rows {
+		w, err := b.detachInto(i, arena[i*n:(i+1)*n:(i+1)*n])
+		if err != nil {
+			if !errors.Is(err, ErrUnsampleable) {
+				return nil, err
+			}
+			continue
+		}
+		rows[i] = w
+	}
+	return rows, nil
+}
+
+// viewsRows reports whether report rows are the source's matrix rows as
+// they stand: nothing pruned, leaf precision.
+func (b *Binding) viewsRows() bool {
+	return b.pol.PrecisionLevel == 0 && len(b.pruned) == 0
+}
+
+// detachInto computes a pruned or precision-grouped row into dst, which
+// must hold len(Nodes()) zeros.
+func (b *Binding) detachInto(row int, dst []float64) ([]float64, error) {
 	if b.pol.PrecisionLevel > 0 {
-		return b.precisionWeights(row)
+		return b.precisionWeights(row, dst)
 	}
-	orig := b.keep[row]
-	r := b.src.MatrixRow(orig)
-	if len(b.pruned) == 0 {
-		return append([]float64(nil), r...), nil
-	}
+	r := b.src.MatrixRow(b.keep[row])
 	removed := 0.0
 	for j, d := range b.dropIdx {
 		if d {
@@ -339,11 +383,10 @@ func (b *Binding) DetachRow(row int) ([]float64, error) {
 		return nil, fmt.Errorf("%w: row %v retains %.3g probability mass after pruning",
 			ErrUnsampleable, b.nodes[row], 1-removed)
 	}
-	weights := make([]float64, len(b.keep))
 	for i, j := range b.keep {
-		weights[i] = r[j]
+		dst[i] = r[j]
 	}
-	return weights, nil
+	return dst, nil
 }
 
 // Row returns the normalized report distribution for one row — the

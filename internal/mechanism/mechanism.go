@@ -59,6 +59,22 @@ var ErrUnsampleable = errors.New("mechanism: row unsampleable")
 // the session and retries instead of failing the request.
 var ErrOutsideSubtree = errors.New("mechanism: cell outside the bound subtree")
 
+// OutsideSubtreeError is the ErrOutsideSubtree every refusal carries: which
+// cell, outside which subtree. A moving user hits it on every change of
+// subtree and the callers there only test errors.Is before re-anchoring or
+// renewing, so the message is formatted when somebody reads it, not when
+// the error is made.
+type OutsideSubtreeError struct {
+	Leaf, Root loctree.NodeID
+}
+
+func (e *OutsideSubtreeError) Error() string {
+	return fmt.Sprintf("%v: cell %v, subtree %v", ErrOutsideSubtree, e.Leaf, e.Root)
+}
+
+// Unwrap makes errors.Is(err, ErrOutsideSubtree) hold.
+func (e *OutsideSubtreeError) Unwrap() error { return ErrOutsideSubtree }
+
 // Source is one subtree's obfuscation matrix as the serving stack sees
 // it: the support leaves indexing rows and columns, raw row access for
 // customization, and a shared per-row alias cache for the unpruned fast
@@ -231,7 +247,7 @@ const (
 func rowForLeaf(root loctree.NodeID, pos int, covered bool, rowOf []int32,
 	leaf loctree.NodeID) (int, error) {
 	if !covered {
-		return 0, fmt.Errorf("%w: cell %v, subtree %v", ErrOutsideSubtree, leaf, root)
+		return 0, &OutsideSubtreeError{Leaf: leaf, Root: root}
 	}
 	if rowOf == nil {
 		return pos, nil

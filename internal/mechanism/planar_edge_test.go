@@ -2,6 +2,7 @@ package mechanism_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,5 +157,41 @@ func TestZeroMassRowPropagatesUnsampleable(t *testing.T) {
 	}
 	if _, err := b.Alias(healthy); err != nil {
 		t.Fatalf("Alias(healthy row) = %v", err)
+	}
+}
+
+// TestOutsideSubtreeErrorText pins the typed subtree miss: the text reads
+// as it did when every miss was formatted eagerly, errors.Is finds the
+// sentinel the retry and renew loops test for, and errors.As recovers the
+// cell and the subtree.
+func TestOutsideSubtreeErrorText(t *testing.T) {
+	tree, root, leaves, _ := edgeWorld(t)
+	m := obf.NewMatrix(3)
+	for i := 0; i < 3; i++ {
+		copy(m.Row(i), []float64{0.2, 0.3, 0.5})
+	}
+	src, err := mechanism.NewStaticSource(root, leaves, m, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := mechanism.Bind(mechanism.Config{Tree: tree, Source: src, Policy: policy.Policy{PrivacyLevel: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := tree.LevelNodes(0)[3]
+	_, err = b.RowFor(outside)
+	if !errors.Is(err, mechanism.ErrOutsideSubtree) {
+		t.Fatalf("RowFor(outside) = %v, want ErrOutsideSubtree", err)
+	}
+	var miss *mechanism.OutsideSubtreeError
+	if !errors.As(err, &miss) || miss.Leaf != outside || miss.Root != root {
+		t.Fatalf("RowFor(outside) = %#v, want an OutsideSubtreeError for cell %v under %v", err, outside, root)
+	}
+	want := fmt.Sprintf("mechanism: cell outside the bound subtree: cell %v, subtree %v", outside, root)
+	if err.Error() != want {
+		t.Fatalf("message %q, want %q", err.Error(), want)
+	}
+	if wrapped := fmt.Errorf("lease: %w", err); !errors.Is(wrapped, mechanism.ErrOutsideSubtree) {
+		t.Fatal("a wrapped miss no longer matches ErrOutsideSubtree")
 	}
 }

@@ -2,9 +2,13 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"runtime/debug"
 	"testing"
+	"time"
 
+	"corgi/internal/budget"
+	"corgi/internal/clientdraw"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
@@ -54,6 +58,27 @@ func TestReportAllocationBudgets(t *testing.T) {
 
 	// A user alternating between two cells of the subtree that holds their
 	// home: "home = false" re-evaluates at every move and prunes one cell.
+	sh, prefs, away, root, drop := homeUser(t, reg)
+	entry, err := sh.Server.ServeEntryCtx(context.Background(), root, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := testing.AllocsPerRun(200, func() {
+		if _, _, err := sample.NewSubset(entry.MatrixRow(0), drop); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := reportAllocs(t, reg, prefs, away[0], away[1]) - table; got > 10 {
+		t.Errorf("home = false re-anchor: %v allocs/op beside the %v of its alias table, budget 10", got, table)
+	}
+}
+
+// homeUser finds a user of mobilityBenchWorld's region with a home and
+// returns a "home = false" request for them (the delta-1 entry of the home's
+// K=7 subtree already solved), the subtree's other cells, its root, and the
+// drop flags of the home cell over its leaves.
+func homeUser(t *testing.T, reg *Registry) (sh *Shard, prefs ReportRequest, away []hexgrid.Coord, root loctree.NodeID, drop []bool) {
+	t.Helper()
 	sh, err := reg.Shard(context.Background(), "bench-mob")
 	if err != nil {
 		t.Fatal(err)
@@ -63,9 +88,7 @@ func TestReportAllocationBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree := sh.Server.Tree()
-	var away []hexgrid.Coord
-	var root loctree.NodeID
-	drop := make([]bool, 7)
+	drop = make([]bool, 7)
 	uid := -1
 	for u := 0; u < 500 && uid < 0; u++ {
 		home, ok := md.HomeLeaf[u]
@@ -87,9 +110,9 @@ func TestReportAllocationBudgets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefs := ReportRequest{Region: "bench-mob", UID: int64(uid), Seed: 1,
+	prefs = ReportRequest{Region: "bench-mob", UID: int64(uid), Seed: 1,
 		Policy: policy.Policy{PrivacyLevel: 1, Preferences: []policy.Predicate{pred}}}
-	for _, c := range away[:2] { // solve the delta-1 entry outside the measurement
+	for _, c := range away[:2] { // solve the delta-1 entry outside any measurement
 		prefs.Cell = c
 		res, err := reg.Report(context.Background(), prefs)
 		if err != nil {
@@ -99,17 +122,111 @@ func TestReportAllocationBudgets(t *testing.T) {
 			t.Fatalf("pruned %d cells, want the home cell alone", res.Pruned)
 		}
 	}
-	entry, err := sh.Server.ServeEntryCtx(context.Background(), root, 1)
+	return sh, prefs, away, root, drop
+}
+
+// leaseAllocs measures a lease renewal's allocations on the server side:
+// the request carries the previous grant's token, the session is resident
+// and the user has not moved.
+func leaseAllocs(t *testing.T, reg *Registry, req LeaseRequest) float64 {
+	t.Helper()
+	ctx := context.Background()
+	grant, err := reg.Lease(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := testing.AllocsPerRun(200, func() {
-		if _, _, err := sample.NewSubset(entry.MatrixRow(0), drop); err != nil {
+	return testing.AllocsPerRun(200, func() {
+		req.Token = grant.Token
+		if grant, err = reg.Lease(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got := reportAllocs(t, reg, prefs, away[0], away[1]) - table; got > 10 {
-		t.Errorf("home = false re-anchor: %v allocs/op beside the %v of its alias table, budget 10", got, table)
+}
+
+// TestLeaseAllocationBudgets is the lease path's side of the budgets above.
+// A renewal holds what outlives it and nothing else: the grant, the encoded
+// bundle, the token, the verified token's region string, and the bundle
+// with its row headers on the way to the encoder (a pruned session adds the
+// one array its renormalized rows are computed into). No row is copied: a
+// K=49 renewal costs what a K=7 one does.
+// On the device, a renewal decodes into one arena and builds one alias
+// table for its first draw; leaving the subtree costs the typed error.
+func TestLeaseAllocationBudgets(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	reg, leafA, leafB := mobilityBenchWorld(t, Options{})
+	k7 := LeaseRequest{Region: "bench-mob", Cell: leafA.Coord, UID: 1, Seed: 1, Draws: 32,
+		Policy: policy.Policy{PrivacyLevel: 1}}
+	if got := leaseAllocs(t, reg, k7); got > 8 {
+		t.Errorf("K=7 plain renewal: %v allocs/op, budget 8", got)
+	}
+	k49 := k7
+	k49.UID, k49.Policy = 2, policy.Policy{PrivacyLevel: 2}
+	if got := leaseAllocs(t, reg, k49); got > 8 {
+		t.Errorf("K=49 plain renewal: %v allocs/op, budget 8", got)
+	}
+	sh, prefs, away, _, _ := homeUser(t, reg)
+	pruned := LeaseRequest{Region: prefs.Region, Cell: away[0], UID: prefs.UID, Seed: prefs.Seed, Draws: 32,
+		Policy: prefs.Policy}
+	if got := leaseAllocs(t, reg, pruned); got > 12 {
+		t.Errorf("home = false renewal: %v allocs/op, budget 12", got)
+	}
+
+	kr, err := budget.NewKeyring([]byte("alloc-budget-secret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now()
+	tok := budget.LeaseToken{UID: 1, Region: "bench-mob", Root: leafA, Eps: 15, DrawCap: 32,
+		ExpiresAt: now.Add(time.Minute).UnixMilli()}
+	var signed []byte
+	if got := testing.AllocsPerRun(200, func() { signed = kr.Sign(tok) }); got != 1 {
+		t.Errorf("Keyring.Sign: %v allocs/op, want the token alone", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if _, err := kr.Verify(signed, now); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Errorf("Keyring.Verify: %v allocs/op, budget 1 (the region string)", got)
+	}
+
+	// The device: renew, draw once, then step outside the leased subtree.
+	// Every renewal needs the grant after its own, or the client would fall
+	// back to re-seeding its stream; AllocsPerRun calls 1 + 200 times.
+	tree := sh.Server.Tree()
+	ctx := context.Background()
+	grants := make([]*LeaseGrant, 202)
+	for i := range grants {
+		if grants[i], err = reg.Lease(ctx, k7); err != nil {
+			t.Fatal(err)
+		}
+		k7.Token = grants[i].Token
+	}
+	lease, err := clientdraw.Open(tree, grants[0].Bundle, grants[0].Token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]loctree.NodeID, 1)
+	next := grants[1:]
+	if got := testing.AllocsPerRun(200, func() {
+		if lease, err = lease.Renew(next[0].Bundle, next[0].Token); err != nil {
+			t.Fatal(err)
+		}
+		next = next[1:]
+		if err := lease.DrawCellNInto(leafA, out); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 16 {
+		t.Errorf("client renew + first draw, K=7: %v allocs/op, budget 16", got)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if err := lease.DrawCellNInto(leafB, out); !errors.Is(err, clientdraw.ErrOutsideSubtree) {
+			t.Fatalf("draw outside the subtree: %v", err)
+		}
+	}); got > 1 {
+		t.Errorf("refused draw outside the subtree: %v allocs/op, budget 1", got)
 	}
 }
 

@@ -31,6 +31,12 @@ type Alias struct {
 	alias []int32   // fallback outcome per bucket
 }
 
+// stackN is the largest outcome count whose build scratch lives on the
+// stack: it covers the K=7 and K=49 subtrees every lease and re-anchor
+// rebuilds tables for; the 343-leaf tree still takes its scratch from the
+// heap.
+const stackN = 64
+
 // New builds an alias table from non-negative weights, normalizing
 // internally — weights need not sum to 1, so a δ-pruned matrix row can be
 // passed as-is and the build performs the renormalization of Sec. 4.3
@@ -58,10 +64,16 @@ func New(weights []float64) (*Alias, error) {
 		alias: make([]int32, n),
 	}
 	// Vose's stable construction: scale every weight to mean 1, then pair
-	// each underfull bucket with an overfull donor.
-	scaled := make([]float64, n)
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	// each underfull bucket with an overfull donor. The three work vectors
+	// die with the call, so up to stackN outcomes they are stack arrays.
+	var scaledBuf [stackN]float64
+	var smallBuf, largeBuf [stackN]int32
+	scaled, small, large := scaledBuf[:], smallBuf[:0], largeBuf[:0]
+	if n > stackN {
+		scaled = make([]float64, n)
+		small = make([]int32, 0, n)
+		large = make([]int32, 0, n)
+	}
 	scale := float64(n) / total
 	for i, w := range weights {
 		scaled[i] = w * scale
@@ -124,7 +136,12 @@ func NewSubset(row []float64, drop []bool) (*Alias, []int, error) {
 	if 1-removed < minMass {
 		return nil, nil, fmt.Errorf("sample: row retains %.3g probability mass after pruning", 1-removed)
 	}
-	weights := make([]float64, len(keep))
+	var weightsBuf [stackN]float64
+	weights := weightsBuf[:]
+	if len(keep) > stackN {
+		weights = make([]float64, len(keep))
+	}
+	weights = weights[:len(keep)]
 	for i, j := range keep {
 		weights[i] = row[j]
 	}

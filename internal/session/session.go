@@ -30,7 +30,6 @@ package session
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/maphash"
 	"math"
@@ -380,6 +379,14 @@ func (s *Session) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error
 // privacy-conservative direction, mirroring how its pre-paid epsilon is
 // forfeited.)
 //
+// The bundle is made to be encoded and dropped, so it copies nothing that
+// outlives it anyway: Nodes and Pruned are the binding's own slices and an
+// unpruned leaf-precision binding's Rows are the entry's matrix rows
+// (mechanism.Binding.DetachRows). Both stay valid and unchanged after the
+// session lock is released, because a published entry's matrix is never
+// written and Rebind/Upgrade replace the session's binding instead of
+// editing it. Callers read the bundle; they must not write through it.
+//
 // Rows the live path would refuse (degenerate after pruning) come back as
 // empty rows: the client errors on them without consuming RNG, exactly as
 // the server does when the alias build fails.
@@ -397,28 +404,21 @@ func (s *Session) DetachLease(leaf loctree.NodeID, n int) (*codec.LeaseBundle, e
 	defer s.mu.Unlock()
 	b := s.b
 	if !b.Covers(leaf) {
-		return nil, fmt.Errorf("%w: cell %v, subtree %v", ErrOutsideSubtree, leaf, b.Root())
+		return nil, &mechanism.OutsideSubtreeError{Leaf: leaf, Root: b.Root()}
 	}
-	nodes := b.Nodes()
+	rows, err := b.DetachRows()
+	if err != nil {
+		return nil, err
+	}
 	bundle := &codec.LeaseBundle{
 		Root:           b.Root(),
 		PrecisionLevel: s.pol.PrecisionLevel,
 		Degraded:       b.Source().IsDegraded(),
 		Seed:           s.seed,
 		RNGPos:         s.draws.Load(),
-		Pruned:         append([]loctree.NodeID(nil), b.Pruned()...),
-		Nodes:          append([]loctree.NodeID(nil), nodes...),
-		Rows:           make([][]float64, len(nodes)),
-	}
-	for i := range nodes {
-		w, err := b.DetachRow(i)
-		if err != nil {
-			if !errors.Is(err, ErrUnsampleable) {
-				return nil, err
-			}
-			continue // encoded as an empty (unsampleable) row
-		}
-		bundle.Rows[i] = w
+		Pruned:         b.Pruned(),
+		Nodes:          b.Nodes(),
+		Rows:           rows,
 	}
 	for i := 0; i < n; i++ {
 		s.rng.Float64()

@@ -2,6 +2,7 @@ package session
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"sync"
@@ -526,24 +527,30 @@ func TestConcurrentReanchorDraws(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				// Try a cell of each subtree; exactly one belongs to the
-				// live binding (the other returns the outside-subtree
-				// error, which is the expected miss under racing rebinds).
+				// Try a cell of each subtree. One binding covers exactly one of
+				// the two, so both draws fail only when a Rebind landed between
+				// them (A refused while bound to B, rebind, B refused while
+				// bound to A): a miss the registry's retry loop absorbs. The
+				// re-anchor counter shows that; it is bumped just after the
+				// binding is swapped, so a pair that beats it there is told
+				// apart by its refusals naming different subtrees.
 				la := entryA.Leaves[(g+i)%len(entryA.Leaves)]
 				lb := entryB.Leaves[(g+i)%len(entryB.Leaves)]
-				okA, errA := s.DrawCell(la)
-				okB, errB := s.DrawCell(lb)
+				before := s.Reanchors()
+				_, errA := s.DrawCell(la)
+				_, errB := s.DrawCell(lb)
 				if errA == nil {
 					drawn.Add(1)
-					_ = okA
 				}
 				if errB == nil {
 					drawn.Add(1)
-					_ = okB
 				}
-				if errA != nil && errB != nil {
-					t.Errorf("both subtrees rejected: %v / %v", errA, errB)
-					return
+				if errA != nil && errB != nil && s.Reanchors() == before {
+					var missA, missB *mechanism.OutsideSubtreeError
+					if !errors.As(errA, &missA) || !errors.As(errB, &missB) || missA.Root == missB.Root {
+						t.Errorf("both subtrees rejected with no rebind between: %v / %v", errA, errB)
+						return
+					}
 				}
 			}
 		}(g)

@@ -336,12 +336,13 @@ func (s *Server) handshake(sc *serverConn, fr *frameReader) bool {
 	return true
 }
 
-// frameCtx applies the configured per-frame deadline.
+// frameCtx applies the configured per-frame deadline. With none configured
+// nothing could ever cancel a per-frame context, so none is built.
 func (s *Server) frameCtx() (context.Context, context.CancelFunc) {
 	if s.cfg.Timeout > 0 {
 		return context.WithTimeout(context.Background(), s.cfg.Timeout)
 	}
-	return context.WithCancel(context.Background())
+	return context.Background(), func() {}
 }
 
 // outcome is one resolved request, either a result or a classified error.
