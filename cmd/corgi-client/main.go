@@ -285,11 +285,13 @@ func main() {
 		log.Printf("draw lease: cell (%d,%d) uid %d seed %d cap %d (cell and policy cross the wire once; draws stay on-device)",
 			leaf.Coord.Q, leaf.Coord.R, *uid, s, *reports)
 		lr, err := c.Lease(proto.LeaseRequest{
-			Cell:   [2]int{leaf.Coord.Q, leaf.Coord.R},
-			UID:    *uid,
-			Policy: pol,
-			Seed:   s,
-			Draws:  *reports,
+			Request: proto.ReportRequest{
+				Cell:   [2]int{leaf.Coord.Q, leaf.Coord.R},
+				UID:    *uid,
+				Policy: pol,
+				Seed:   s,
+			},
+			Draws: *reports,
 		})
 		if err != nil {
 			log.Fatalf("lease: %v", err)

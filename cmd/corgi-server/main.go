@@ -121,9 +121,9 @@ func main() {
 	warmup := flag.Int("warmup", -1, "precompute all levels for deltas 0..N at shard bootstrap (-1: off)")
 	storeDir := flag.String("store", "", "persistent forest store directory (populate offline with corgi-gen)")
 	eager := flag.Bool("eager", false, "bootstrap every region at startup instead of on first request")
-	maxBatch := flag.Int("max-batch", proto.DefaultMaxBatch, "max items per POST /v1/forests or /v1/reports request")
+	maxBatch := flag.Int("max-batch", registry.DefaultMaxBatch, "max items per batch request (/v1/forests, /v1/reports, REPORTS frames)")
 	maxSessions := flag.Int("max-sessions", 0, "live report sessions per region shard (0: default 4096)")
-	maxReportCount := flag.Int("max-report-count", proto.DefaultMaxReportCount, "max draws per POST /v1/report request")
+	maxReportCount := flag.Int("max-report-count", registry.DefaultMaxReportCount, "max draws per report request or lease, on every transport")
 	budgetEps := flag.Float64("budget-eps", 0, "per-user epsilon budget per sliding window (0: accounting off)")
 	budgetWindow := flag.Duration("budget-window", time.Hour, "sliding epsilon-budget window")
 	budgetUsers := flag.Int("budget-users", 0, "tracked users per region budget accountant (0: default 65536)")
@@ -185,8 +185,10 @@ func main() {
 			Window:   *budgetWindow,
 			MaxUsers: *budgetUsers,
 		},
-		LeaseSecret: secret,
-		LeaseTTL:    *leaseTTL,
+		LeaseSecret:    secret,
+		LeaseTTL:       *leaseTTL,
+		MaxReportCount: *maxReportCount,
+		MaxBatch:       *maxBatch,
 	})
 	if err != nil {
 		log.Fatalf("registry: %v", err)
@@ -196,8 +198,6 @@ func main() {
 		log.Fatalf("handler: %v", err)
 	}
 	h.Timeout = *requestTimeout
-	h.MaxBatch = *maxBatch
-	h.MaxReportCount = *maxReportCount
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -219,11 +219,7 @@ func main() {
 	var streamSrv *stream.Server
 	var streamLis net.Listener
 	if *streamAddr != "" {
-		streamSrv, err = stream.NewServer(reg, stream.Config{
-			MaxBatch:       *maxBatch,
-			MaxReportCount: *maxReportCount,
-			Timeout:        *requestTimeout,
-		})
+		streamSrv, err = stream.NewServer(reg, stream.Config{Timeout: *requestTimeout})
 		if err != nil {
 			log.Fatalf("stream: %v", err)
 		}

@@ -126,8 +126,8 @@ type (
 	// transport (length-prefixed frames on persistent TCP), answering from
 	// the same MultiServer as the HTTP routes.
 	StreamServer = stream.Server
-	// StreamServerConfig tunes a StreamServer (batch/count limits,
-	// per-request timeout, frame-size cap).
+	// StreamServerConfig tunes a StreamServer's framing (per-request
+	// timeout, frame-size cap); draw and batch limits are the MultiServer's.
 	StreamServerConfig = stream.Config
 	// StreamClient is the pooling, auto-reconnecting corgi-stream client.
 	StreamClient = stream.Client

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -432,7 +433,17 @@ func TestClusterHTTPFallbackForwarding(t *testing.T) {
 			Failovers:     now.Failovers - before.Failovers,
 			HandoffsSent:  now.HandoffsSent - before.HandoffsSent,
 		}
-		before = now
+		// With the user's spend now on the owner, an ask past the cap is the
+		// owner's 429 carrying the owner's headroom, whichever wire relayed it.
+		over := reportReq(t, nodes[0], uid)
+		over.Count = 100
+		_, err = nodes[0].router.Report(context.Background(), over)
+		if rej := registry.Classify(err); rej.Status != http.StatusTooManyRequests ||
+			!rej.HasEps || rej.EpsRemaining != b1.Remaining(uid) {
+			t.Fatalf("%s: forwarded over-budget ask answered %+v, want a 429 with headroom %v",
+				transport, rej, b1.Remaining(uid))
+		}
+		before = nodes[0].router.Stats()
 		return append([]loctree.NodeID(nil), res.Reports...), d
 	}
 
@@ -456,6 +467,31 @@ func TestClusterHTTPFallbackForwarding(t *testing.T) {
 	}
 	if len(overHTTP) == 0 || !reflect.DeepEqual(overHTTP, overStream) {
 		t.Fatalf("HTTP-fallback draws %v, stream-forwarded draws %v", overHTTP, overStream)
+	}
+}
+
+// TestClusterForwardedOverCapKeepsSpend: the draw cap is judged on the owner
+// after the forwarded handoff is merged, so a relayed over-cap ask — refused
+// 422, nothing charged — still moves the user's live window spend to the
+// owner instead of losing it with the committed export.
+func TestClusterForwardedOverCapKeepsSpend(t *testing.T) {
+	nodes := startClusterHTTP(t, 2, registry.Options{
+		MaxReportCount: 7,
+		Budget:         budget.Config{LimitEps: 1000, Window: time.Hour},
+	})
+	uid, preSpend := movedUser(t, nodes, 500)
+	over := reportReq(t, nodes[0], uid)
+	over.Count = 8
+	_, err := nodes[0].router.Report(context.Background(), over)
+	if rej := registry.Classify(err); rej.Status != http.StatusUnprocessableEntity ||
+		!strings.Contains(rej.Msg, "exceeds limit") {
+		t.Fatalf("forwarded count 8 answered %+v (%v), want 422 ... exceeds limit ...", rej, err)
+	}
+	if got := nodes[1].shard(t).Budget.Spent(uid); got != preSpend {
+		t.Fatalf("owner counts %v after the refusal, relayer had %v", got, preSpend)
+	}
+	if got := nodes[0].shard(t).Budget.Spent(uid); got != 0 {
+		t.Fatalf("relayer still counts %v after the commit", got)
 	}
 }
 
@@ -572,7 +608,7 @@ func TestClusterReplayCoherence(t *testing.T) {
 		for i, req := range trace {
 			res, err := entry(i).Report(ctx, req)
 			if err != nil {
-				if status, _ := registry.ReportErrStatus(err); status != http.StatusTooManyRequests {
+				if registry.Classify(err).Status != http.StatusTooManyRequests {
 					t.Fatalf("request %d: %v", i, err)
 				}
 				rp.rejections++

@@ -5,46 +5,29 @@ package proto
 // (encoding/json's native []byte form); the bundle's weights stay exact —
 // base64 wraps the binary codec, it never re-encodes floats. Budget
 // rejections answer 429 with the user's live headroom in the
-// X-Corgi-Eps-Remaining header (the JSON-free analogue of the stream
-// transport's eps_remaining ERROR-frame field); bad tokens answer 403.
+// X-Corgi-Eps-Remaining header, as every 429 does (see reject); bad tokens
+// answer 403.
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 
-	"corgi/internal/budget"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
-	"corgi/internal/policy"
 	"corgi/internal/registry"
+	"corgi/internal/stream"
 )
 
-// epsRemainingHeader carries the user's live epsilon headroom on
-// 429-rejected lease and report requests.
-const epsRemainingHeader = "X-Corgi-Eps-Remaining"
-
-// LeaseRequest asks for a client-side draw lease: a report request plus
-// the draw cap to pre-pay and an optional renewal token.
+// LeaseRequest asks for a client-side draw lease: the report request's
+// fields (its Count unused) plus the draw cap to pre-pay and an optional
+// renewal token.
 type LeaseRequest struct {
-	Region string `json:"region,omitempty"`
-	// Cell is the axial (q, r) coordinate of the true leaf cell.
-	Cell [2]int `json:"cell"`
-	UID  int64  `json:"uid,omitempty"`
-	policy.Policy
-	Seed int64 `json:"seed,omitempty"`
+	stream.Request
 	// Draws is the draw cap to pre-pay (default 1, bounded by the
-	// handler's MaxReportCount — the same limit as /v1/report).
+	// registry's Options.MaxReportCount — the same limit as /v1/report).
 	Draws int `json:"draws,omitempty"`
 	// Token renews a previous lease (base64 on the wire).
 	Token []byte `json:"token,omitempty"`
-	// Forwarded and Handoff mirror ReportRequest: cluster-internal
-	// one-hop forwarding plus the owner-to-owner budget handoff.
-	Forwarded bool            `json:"forwarded,omitempty"`
-	Handoff   *budget.Handoff `json:"budget_handoff,omitempty"`
 }
 
 // LeaseResponse is an issued lease: the signed token, the encoded bundle,
@@ -95,49 +78,20 @@ func leaseResponse(g *registry.LeaseGrant) *LeaseResponse {
 }
 
 // handleLease serves POST /v1/lease: issue (or renew) a client-side draw
-// lease. The draw cap respects the same MaxReportCount limit as
-// /v1/report(+s) — a count the report routes would refuse is refused here.
+// lease.
 func (h *MultiHandler) handleLease(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req LeaseRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodePost(w, r, 1<<20, &req) {
 		return
 	}
 	if req.Region == "" {
 		req.Region = r.URL.Query().Get("region")
 	}
-	maxCount := h.MaxReportCount
-	if maxCount <= 0 {
-		maxCount = DefaultMaxReportCount
-	}
-	if req.Draws > maxCount {
-		http.Error(w, fmt.Sprintf("count %d exceeds limit %d", req.Draws, maxCount),
-			http.StatusUnprocessableEntity)
-		return
-	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-	grant, err := h.handler().Lease(ctx, registry.LeaseRequest{
-		Region:    req.Region,
-		Cell:      hexgrid.Coord{Q: req.Cell[0], R: req.Cell[1]},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Draws:     req.Draws,
-		Token:     req.Token,
-		Forwarded: req.Forwarded,
-		Handoff:   req.Handoff,
-	})
+	grant, err := h.handler().Lease(ctx, req.LeaseAsk(req.Draws, req.Token))
 	if err != nil {
-		status, msg := registry.ReportErrStatus(err)
-		if rem, ok := registry.BudgetRemaining(err); ok {
-			w.Header().Set(epsRemainingHeader, strconv.FormatFloat(rem, 'g', -1, 64))
-		}
-		http.Error(w, msg, status)
+		reject(w, registry.Classify(err))
 		return
 	}
 	writeJSONPooled(w, r, leaseResponse(grant))
@@ -163,17 +117,7 @@ func (c *Client) lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, e
 
 // Lease implements registry.ReportHandler over POST /v1/lease.
 func (r Remote) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
-	lr, err := r.c.lease(ctx, LeaseRequest{
-		Region:    req.Region,
-		Cell:      [2]int{req.Cell.Q, req.Cell.R},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Draws:     req.Draws,
-		Token:     req.Token,
-		Forwarded: req.Forwarded,
-		Handoff:   req.Handoff,
-	})
+	lr, err := r.c.lease(ctx, LeaseRequest{Request: stream.WireLease(req), Draws: req.Draws, Token: req.Token})
 	if err != nil {
 		return nil, err
 	}

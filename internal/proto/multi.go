@@ -19,10 +19,6 @@ import (
 	"corgi/internal/stream"
 )
 
-// DefaultMaxBatch bounds the item count of one POST /v1/forests request,
-// aliasing the registry-level constant shared with the stream transport.
-const DefaultMaxBatch = registry.DefaultMaxBatch
-
 // RegionInfo describes one configured region for /v1/regions. Everything
 // here comes from the spec, so listing regions never forces a bootstrap;
 // Ready reports whether the shard has bootstrapped yet.
@@ -125,12 +121,6 @@ type MultiHandler struct {
 	// Timeout bounds each request's generation work (the whole batch for
 	// /v1/forests); zero leaves the request context alone in charge.
 	Timeout time.Duration
-	// MaxBatch caps the items of one batch request (/v1/forests and
-	// /v1/reports alike). <= 0 uses DefaultMaxBatch.
-	MaxBatch int
-	// MaxReportCount caps the draws of one report request. <= 0 uses
-	// DefaultMaxReportCount.
-	MaxReportCount int
 	// Stream, when set, merges the binary stream transport's counters
 	// into GET /v1/stats so both transports report through one endpoint.
 	Stream *stream.Server
@@ -241,31 +231,41 @@ func (h *MultiHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, "ok\n")
 }
 
+// shardErrStatus classifies a failed shard resolution: an unknown region
+// is the caller's fault, an interrupted wait is 503, and any other
+// bootstrap failure is a server fault.
+func shardErrStatus(err error) (int, string) {
+	switch {
+	case errors.Is(err, registry.ErrUnknownRegion):
+		return http.StatusNotFound, err.Error()
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable, "region bootstrap interrupted: " + err.Error()
+	default:
+		return http.StatusInternalServerError, "region bootstrap failed: " + err.Error()
+	}
+}
+
 // shard resolves the request's ?region= to a bootstrapped shard, writing
 // the error response (404 listing available regions for unknown names)
 // itself when resolution fails.
 func (h *MultiHandler) shard(ctx context.Context, w http.ResponseWriter, r *http.Request) (*registry.Shard, bool) {
 	sh, err := h.reg.Shard(ctx, r.URL.Query().Get("region"))
 	if err != nil {
-		switch {
-		case errors.Is(err, registry.ErrUnknownRegion):
-			http.Error(w, err.Error(), http.StatusNotFound)
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			http.Error(w, "region bootstrap interrupted: "+err.Error(), http.StatusServiceUnavailable)
-		default:
-			http.Error(w, "region bootstrap failed: "+err.Error(), http.StatusInternalServerError)
-		}
+		status, msg := shardErrStatus(err)
+		http.Error(w, msg, status)
 		return nil, false
 	}
 	return sh, true
 }
 
-// requestCtx applies the handler timeout to the request context.
+// requestCtx applies the handler timeout to the request context. With none
+// configured the request's own context is in charge: net/http cancels it
+// when the handler returns, so no second cancel context is built.
 func (h *MultiHandler) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
 	if h.Timeout > 0 {
 		return context.WithTimeout(r.Context(), h.Timeout)
 	}
-	return context.WithCancel(r.Context())
+	return r.Context(), func() {}
 }
 
 func (h *MultiHandler) handleRegions(w http.ResponseWriter, r *http.Request) {
@@ -403,26 +403,12 @@ func (h *MultiHandler) handleForest(w http.ResponseWriter, r *http.Request) {
 // own LP concurrency and deduplicates identical in-flight keys — and fail
 // independently: one bad region or level never poisons its neighbors.
 func (h *MultiHandler) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req BatchForestRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodePost(w, r, 4<<20, &req) {
 		return
 	}
-	maxBatch := h.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	if len(req.Items) == 0 {
-		http.Error(w, "batch has no items", http.StatusBadRequest)
-		return
-	}
-	if len(req.Items) > maxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d items exceeds limit %d", len(req.Items), maxBatch),
-			http.StatusRequestEntityTooLarge)
+	if rej := h.reg.CheckBatch(len(req.Items)); rej != nil {
+		reject(w, *rej)
 		return
 	}
 	ctx, cancel := h.requestCtx(r)
@@ -452,17 +438,7 @@ func (h *MultiHandler) resolveItem(ctx context.Context, item BatchItem, wantV2 b
 	}
 	sh, err := h.reg.Shard(ctx, item.Region)
 	if err != nil {
-		// Mirror the single-request shard() mapping: unknown region is the
-		// caller's fault, an interrupted wait is 503, and any other
-		// bootstrap failure is a server fault, not a 422.
-		switch {
-		case errors.Is(err, registry.ErrUnknownRegion):
-			return fail(http.StatusNotFound, err.Error())
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			return fail(http.StatusServiceUnavailable, "region bootstrap interrupted: "+err.Error())
-		default:
-			return fail(http.StatusInternalServerError, "region bootstrap failed: "+err.Error())
-		}
+		return fail(shardErrStatus(err))
 	}
 	if res.Region == "" {
 		res.Region = sh.Spec.Name

@@ -289,7 +289,7 @@ func TestBatchLimits(t *testing.T) {
 		!strings.Contains(err.Error(), "400") {
 		t.Errorf("empty batch: %v", err)
 	}
-	big := make([]BatchItem, DefaultMaxBatch+1)
+	big := make([]BatchItem, registry.DefaultMaxBatch+1)
 	for i := range big {
 		big[i] = BatchItem{Region: "sf", PrivacyLevel: 1}
 	}

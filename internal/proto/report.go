@@ -7,18 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
+	"strconv"
 
-	"corgi/internal/hexgrid"
 	"corgi/internal/registry"
 	"corgi/internal/stream"
 )
-
-// DefaultMaxReportCount bounds how many draws one report request may ask
-// for; a client wanting more batches requests. It aliases the
-// registry-level constant so the HTTP, stream, and lease transports all
-// enforce the same limit.
-const DefaultMaxReportCount = registry.DefaultMaxReportCount
 
 // The report wire shapes are declared once, in internal/stream (which
 // this package imports, not the other way round): the JSON routes and the
@@ -47,60 +40,39 @@ type BatchReportResponse struct {
 	Items []ReportItemResult `json:"items"`
 }
 
-// resolveReport translates one wire request into the registry pipeline.
-func (h *MultiHandler) resolveReport(ctx context.Context, req ReportRequest) (*ReportResponse, int, string) {
-	maxCount := h.MaxReportCount
-	if maxCount <= 0 {
-		maxCount = DefaultMaxReportCount
+// decodePost reads a POST route's JSON body (at most limit bytes) into v,
+// answering 405 or 400 itself when it cannot.
+func decodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return false
 	}
-	if req.Count > maxCount {
-		return nil, http.StatusUnprocessableEntity,
-			fmt.Sprintf("count %d exceeds limit %d", req.Count, maxCount)
+	if err := json.NewDecoder(io.LimitReader(r.Body, limit)).Decode(v); err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return false
 	}
-	res, err := h.handler().Report(ctx, registry.ReportRequest{
-		Region:    req.Region,
-		Cell:      hexgrid.Coord{Q: req.Cell[0], R: req.Cell[1]},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Count:     req.Count,
-		Forwarded: req.Forwarded,
-		Handoff:   req.Handoff,
-	})
-	if err != nil {
-		status, msg := registry.ReportErrStatus(err)
-		return nil, status, msg
+	return true
+}
+
+// epsRemainingHeader carries the user's live epsilon headroom on
+// 429-rejected lease and report requests.
+const epsRemainingHeader = "X-Corgi-Eps-Remaining"
+
+// reject answers a refused ask: the classification's status and message,
+// with a budget rejection's live headroom in X-Corgi-Eps-Remaining (the
+// JSON-free analogue of the ERROR frame's eps_remaining field).
+func reject(w http.ResponseWriter, rej registry.Rejection) {
+	if rej.HasEps {
+		w.Header().Set(epsRemainingHeader, strconv.FormatFloat(rej.EpsRemaining, 'g', -1, 64))
 	}
-	defer res.Release()
-	resp := &ReportResponse{
-		Region:         res.Region,
-		PrecisionLevel: res.PrecisionLevel,
-		SubtreeRoot:    [2]int{res.SubtreeRoot.Coord.Q, res.SubtreeRoot.Coord.R},
-		Pruned:         res.Pruned,
-		Reports:        make([]ReportedLocation, len(res.Reports)),
-		Reanchored:     res.Reanchored,
-		Budgeted:       res.Budgeted,
-		EpsSpent:       res.EpsSpent,
-		EpsRemaining:   res.EpsRemaining,
-		Degraded:       res.Degraded,
-	}
-	for i, n := range res.Reports {
-		c := res.Centers[i]
-		resp.Reports[i] = ReportedLocation{Q: n.Coord.Q, R: n.Coord.R, Lat: c.Lat, Lng: c.Lng}
-	}
-	return resp, http.StatusOK, ""
+	http.Error(w, rej.Msg, rej.Status)
 }
 
 // handleReport serves POST /v1/report: one user's draws. The region rides
 // in the body (or ?region= as a fallback, matching the other routes).
 func (h *MultiHandler) handleReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req ReportRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodePost(w, r, 1<<20, &req) {
 		return
 	}
 	if req.Region == "" {
@@ -108,55 +80,41 @@ func (h *MultiHandler) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-	resp, status, msg := h.resolveReport(ctx, req)
-	if status != http.StatusOK {
-		http.Error(w, msg, status)
+	res, err := h.handler().Report(ctx, req.Ask())
+	if err != nil {
+		reject(w, registry.Classify(err))
 		return
 	}
-	writeJSONPooled(w, r, resp)
+	defer res.Release()
+	writeJSONPooled(w, r, stream.WireResponse(res))
 }
 
 // handleReports serves POST /v1/reports: a batch of report draws with
-// per-item statuses, fanned out concurrently like /v1/forests — each
-// shard's engine still bounds its own solve concurrency and the session
-// managers serialize per-session draws.
+// per-item statuses, from the same registry.ReportBatch as a REPORTS frame.
 func (h *MultiHandler) handleReports(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
 	var req BatchReportRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decodePost(w, r, 4<<20, &req) {
 		return
 	}
-	maxBatch := h.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	if len(req.Items) == 0 {
-		http.Error(w, "batch has no items", http.StatusBadRequest)
-		return
-	}
-	if len(req.Items) > maxBatch {
-		http.Error(w, fmt.Sprintf("batch of %d items exceeds limit %d", len(req.Items), maxBatch),
-			http.StatusRequestEntityTooLarge)
-		return
+	asks := make([]registry.ReportRequest, len(req.Items))
+	for i := range req.Items {
+		asks[i] = req.Items[i].Ask()
 	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-
-	resp := BatchReportResponse{Items: make([]ReportItemResult, len(req.Items))}
-	var wg sync.WaitGroup
-	for i, item := range req.Items {
-		wg.Add(1)
-		go func(i int, item ReportRequest) {
-			defer wg.Done()
-			rep, status, msg := h.resolveReport(ctx, item)
-			resp.Items[i] = ReportItemResult{Status: status, Error: msg, Report: rep}
-		}(i, item)
+	outs, rej := h.reg.ReportBatch(ctx, h.handler(), asks)
+	if rej != nil {
+		reject(w, *rej)
+		return
 	}
-	wg.Wait()
+	resp := BatchReportResponse{Items: make([]ReportItemResult, len(outs))}
+	for i, out := range outs {
+		resp.Items[i] = ReportItemResult{Status: out.Status, Error: out.Msg}
+		if out.Result != nil {
+			resp.Items[i].Report = stream.WireResponse(out.Result)
+			out.Result.Release()
+		}
+	}
 	writeJSONPooled(w, r, resp)
 }
 

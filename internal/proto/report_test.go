@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +15,7 @@ import (
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 	"corgi/internal/session"
+	"corgi/internal/stream"
 )
 
 func reportSpecs(names ...string) []registry.Spec {
@@ -192,7 +194,7 @@ func TestReportLimitsAndMethods(t *testing.T) {
 		Region: "ra",
 		Cell:   [2]int{leaf.Coord.Q, leaf.Coord.R},
 		Policy: policy.Policy{PrivacyLevel: 1},
-		Count:  DefaultMaxReportCount + 1,
+		Count:  registry.DefaultMaxReportCount + 1,
 	})
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized count: %v", err)
@@ -211,7 +213,7 @@ func TestReportLimitsAndMethods(t *testing.T) {
 	}
 
 	// Oversized batches are rejected whole.
-	items := make([]ReportRequest, DefaultMaxBatch+1)
+	items := make([]ReportRequest, registry.DefaultMaxBatch+1)
 	for i := range items {
 		items[i] = ReportRequest{Region: "ra", Cell: [2]int{leaf.Coord.Q, leaf.Coord.R},
 			Policy: policy.Policy{PrivacyLevel: 1}}
@@ -375,15 +377,16 @@ func TestReportBudget429(t *testing.T) {
 			t.Fatalf("budget echo: %+v", resp)
 		}
 	}
-	// Third draw exceeds 2*eps: raw request to pin the exact status code.
-	body, _ := json.Marshal(req)
-	httpResp, err := http.Post(srv.URL+"/v1/report", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	// Third draw exceeds 2*eps: a 429 whose X-Corgi-Eps-Remaining header
+	// carries the spent window's headroom, as /v1/lease and the stream
+	// ERROR frame do.
+	_, err = c.Report(req)
+	var se *stream.StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests {
+		t.Fatalf("over-budget report -> %v, want 429", err)
 	}
-	defer httpResp.Body.Close()
-	if httpResp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over-budget report -> %d, want 429", httpResp.StatusCode)
+	if rem, ok := se.BudgetRemaining(); !ok || rem != 0 {
+		t.Fatalf("429 headroom = %v, %v; want 0, true", rem, ok)
 	}
 
 	// The batch path classifies per item.

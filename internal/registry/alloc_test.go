@@ -238,7 +238,9 @@ func TestReportReturnsDrawBuffersOnError(t *testing.T) {
 		t.Skip("under the race detector sync.Pool drops a share of what is Put")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
-	reg, err := New(fastSpecs("bufs"), Options{})
+	// A capacity no other report in this process asks for.
+	const count = 1 << 12
+	reg, err := New(fastSpecs("bufs"), Options{MaxReportCount: count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,6 @@ func TestReportReturnsDrawBuffersOnError(t *testing.T) {
 	}
 	tree := sh.Server.Tree()
 	roots := tree.LevelNodes(1)
-	const count = 1 << 12 // a capacity no other report in this process asks for
 	req := ReportRequest{Region: "bufs", Cell: tree.LeavesUnder(roots[0])[0].Coord, UID: 1, Seed: 1,
 		Policy: policy.Policy{PrivacyLevel: 1}, Count: count}
 	res, err := reg.Report(ctx, req)

@@ -47,8 +47,8 @@ type LeaseRequest struct {
 	UID    int64
 	Policy policy.Policy
 	Seed   int64
-	// Draws is the draw cap to pre-pay (min 1); the transport caps it at
-	// the same max-report-count limit as /v1/reports.
+	// Draws is the draw cap to pre-pay (min 1), refused over
+	// Options.MaxReportCount exactly as a report's Count is.
 	Draws int
 	// Token, when non-empty, renews: the previous lease's token proves the
 	// RNG position the new lease must continue from even if the resident
@@ -129,15 +129,11 @@ func (r *Registry) LeaseStats() LeaseStats {
 // Budget and token checks both happen before any session work, so a
 // refused lease consumes nothing from the user's RNG stream.
 func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, error) {
-	a, err := r.admit(ctx, req.Region, req.Cell, req.UID, req.Seed, req.Policy, req.Handoff)
+	a, err := r.admit(ctx, req.Region, req.Cell, req.UID, req.Seed, req.Policy, req.Handoff, req.Draws)
 	if err != nil {
 		return nil, err
 	}
-	sh := a.sh
-	draws := req.Draws
-	if draws < 1 {
-		draws = 1
-	}
+	sh, draws := a.sh, a.draws
 
 	// Renewal first: a bad token must be refused before the budget is
 	// touched (403 beats 429 — the client's next move differs).

@@ -1,19 +1,42 @@
 package registry
 
-// This file pins the serving limits every transport shares. The HTTP
-// handlers (internal/proto), the binary stream transport (internal/stream),
-// and the lease pipeline all cap request fan-out against the SAME numbers:
-// a draw count the /v1/reports endpoint would refuse is refused identically
-// as a REPORTS frame item and as a lease draw cap. The constants live here
-// — below both transports in the import graph (proto and stream each
-// import registry; neither may import the other) — so a deployment that
-// raises one limit raises it everywhere at once.
+import (
+	"fmt"
+	"net/http"
+)
 
-// DefaultMaxReportCount caps the draws one report request (or one lease)
-// may ask for. Every transport enforces it: HTTP /v1/report(+s), stream
-// REPORT/REPORTS frames, and the /v1/lease + LEASE draw cap.
+// This file holds the serving contract's two size limits. Under linear
+// composition the draw count of an ask is an epsilon quantity, so how many
+// draws one ask may pre-pay — and how many asks one batch may carry — are
+// registry options, decided once in New and enforced below the transports:
+// admit refuses an over-cap Report or Lease, CheckBatch a batch envelope.
+// The HTTP routes (internal/proto) and the stream frames (internal/stream)
+// hold no copy of either number; they encode the registry's answer.
+
+// DefaultMaxReportCount is Options.MaxReportCount's default: the draws one
+// report request — or one lease — may ask for.
 const DefaultMaxReportCount = 1000
 
-// DefaultMaxBatch caps the item count of one batch request, shared by
-// HTTP /v1/reports and stream REPORTS frames.
+// DefaultMaxBatch is Options.MaxBatch's default: the item count of one
+// batch request, reports and forests alike.
 const DefaultMaxBatch = 64
+
+// Limits returns the batch-size and draw-count caps this registry
+// enforces, for the stream handshake to advertise.
+func (r *Registry) Limits() (maxBatch, maxReportCount int) {
+	return r.opts.MaxBatch, r.opts.MaxReportCount
+}
+
+// CheckBatch answers the envelope of an n-item batch: nil when it may be
+// served, otherwise the rejection every batch route answers whole (400 for
+// an empty batch, 413 for one over Options.MaxBatch).
+func (r *Registry) CheckBatch(n int) *Rejection {
+	switch {
+	case n == 0:
+		return &Rejection{Status: http.StatusBadRequest, Msg: "batch has no items"}
+	case n > r.opts.MaxBatch:
+		return &Rejection{Status: http.StatusRequestEntityTooLarge,
+			Msg: fmt.Sprintf("batch of %d items exceeds limit %d", n, r.opts.MaxBatch)}
+	}
+	return nil
+}

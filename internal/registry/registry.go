@@ -262,6 +262,12 @@ type Options struct {
 	LeaseSecret []byte
 	// LeaseTTL bounds draw-lease lifetime; <= 0 uses DefaultLeaseTTL.
 	LeaseTTL time.Duration
+	// MaxReportCount caps the draws one Report — or one Lease — may ask
+	// for, on every entry (in-process, cluster-forwarded, HTTP, stream);
+	// <= 0 uses DefaultMaxReportCount. MaxBatch caps the items of one
+	// batch request; <= 0 uses DefaultMaxBatch. See limits.go.
+	MaxReportCount int
+	MaxBatch       int
 }
 
 // Shard is one bootstrapped region: its spec, its serving engine, and its
@@ -401,6 +407,12 @@ func New(specs []Spec, opts Options) (*Registry, error) {
 	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = DefaultLeaseTTL
+	}
+	if opts.MaxReportCount <= 0 {
+		opts.MaxReportCount = DefaultMaxReportCount
+	}
+	if opts.MaxBatch <= 0 {
+		opts.MaxBatch = DefaultMaxBatch
 	}
 	r := &Registry{
 		opts:     opts,

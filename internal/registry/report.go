@@ -26,62 +26,102 @@ var ErrBadReport = errors.New("bad report request")
 // internal/budget directly.
 var ErrBudgetExhausted = budget.ErrBudgetExhausted
 
-// ReportErrStatus maps a report-pipeline error to an HTTP-equivalent
-// status and message. It is the single classification every transport
-// shares — the HTTP handlers (internal/proto) and the binary stream
-// transport (internal/stream) both answer from it, so a given failure is
-// the same class on every wire: unknown regions are 404, caller-side
-// rejections (bad cell, invalid policy, over-budget prune set) 422, an
-// exhausted per-user epsilon budget 429 (the budget regenerates as the
-// accounting window slides, so Too Many Requests is the honest class),
-// a forged or expired lease token 403, interrupted work 5xx, and anything
-// else a server fault.
-func ReportErrStatus(err error) (int, string) {
+// Rejection is a refused ask as every wire carries it: the HTTP-equivalent
+// status, the message, and on a 429 the user's live epsilon headroom. Each
+// transport has one encoder for it (status line plus X-Corgi-Eps-Remaining,
+// ERROR frame, batch item), so a given failure is the same answer whichever
+// route it leaves by.
+type Rejection struct {
+	Status int
+	Msg    string
+	// EpsRemaining is the user's window headroom on a budget rejection
+	// (valid when HasEps), so transports report it without a second
+	// accountant query.
+	EpsRemaining float64
+	HasEps       bool
+}
+
+// Classify maps a report-pipeline error to its Rejection. It is the single
+// classification every transport shares: unknown regions are 404,
+// caller-side rejections (bad cell, invalid policy, over-budget prune set,
+// over-cap draw count) 422, an exhausted per-user epsilon budget 429 (the
+// budget regenerates as the accounting window slides, so Too Many Requests
+// is the honest class), a forged or expired lease token 403, interrupted
+// work 5xx, and anything else a server fault.
+func Classify(err error) Rejection {
+	rej := Rejection{Msg: err.Error()}
 	// A forwarded request's failure arrives as the transport error the
-	// owner node answered with (stream.StatusError or the HTTP fallback's
-	// equivalent); both carry the owner's classification, which must pass
-	// through unchanged so a 429 on the owner is a 429 to the client.
-	var hs interface{ HTTPStatus() int }
-	if errors.As(err, &hs) {
-		return hs.HTTPStatus(), err.Error()
+	// owner node answered with (stream.StatusError, from either of its
+	// wires); it carries the owner's classification and headroom, which
+	// must pass through unchanged so a 429 on the owner is a 429 to the
+	// client.
+	var fwd interface {
+		HTTPStatus() int
+		BudgetRemaining() (float64, bool)
+	}
+	if errors.As(err, &fwd) {
+		rej.Status = fwd.HTTPStatus()
+		rej.EpsRemaining, rej.HasEps = fwd.BudgetRemaining()
+		return rej
 	}
 	switch {
 	case errors.Is(err, ErrUnknownRegion):
-		return http.StatusNotFound, err.Error()
+		rej.Status = http.StatusNotFound
 	case errors.Is(err, ErrBudgetExhausted):
-		return http.StatusTooManyRequests, err.Error()
+		rej.Status = http.StatusTooManyRequests
+		var ex *budget.ExhaustedError
+		if errors.As(err, &ex) {
+			rej.EpsRemaining, rej.HasEps = ex.Remaining, true
+		}
 	case errors.Is(err, ErrBadLeaseToken):
 		// Forged, tampered, or expired lease tokens: unlike a budget
 		// rejection, waiting does not clear the condition.
-		return http.StatusForbidden, err.Error()
+		rej.Status = http.StatusForbidden
 	case errors.Is(err, ErrBadReport):
-		return http.StatusUnprocessableEntity, err.Error()
+		rej.Status = http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "report timed out: " + err.Error()
+		rej.Status, rej.Msg = http.StatusGatewayTimeout, "report timed out: "+rej.Msg
 	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, "request canceled"
+		rej.Status, rej.Msg = http.StatusServiceUnavailable, "request canceled"
 	default:
-		return http.StatusInternalServerError, err.Error()
+		rej.Status = http.StatusInternalServerError
 	}
+	return rej
 }
 
-// BudgetRemaining extracts the user's live epsilon headroom from a
-// 429-class rejection (0, false for any other error), letting transports
-// report eps_remaining on budget rejections without a second accountant
-// query.
-func BudgetRemaining(err error) (float64, bool) {
-	var ex *budget.ExhaustedError
-	if errors.As(err, &ex) {
-		return ex.Remaining, true
+// BatchOutcome is one batch item's answer: the result (Status 200), or the
+// rejection the item was refused with. Items fail independently.
+type BatchOutcome struct {
+	Result *ReportResult
+	Rejection
+}
+
+// ReportBatch answers a batch of report asks through h (the registry
+// itself, or the cluster router in front of it): a rejection for a batch
+// refused whole (see CheckBatch), otherwise one outcome per ask in request
+// order. Items fan out one goroutine each — every shard's engine still
+// bounds its own solve concurrency and the session managers serialize
+// per-session draws — and the caller releases each Result once encoded.
+func (r *Registry) ReportBatch(ctx context.Context, h ReportHandler, reqs []ReportRequest) ([]BatchOutcome, *Rejection) {
+	if rej := r.CheckBatch(len(reqs)); rej != nil {
+		return nil, rej
 	}
-	// Forwarded 429s carry the owner's headroom on the transport error
-	// (stream.StatusError's eps_remaining field) rather than as an
-	// ExhaustedError.
-	var br interface{ BudgetRemaining() (float64, bool) }
-	if errors.As(err, &br) {
-		return br.BudgetRemaining()
+	outs := make([]BatchOutcome, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := h.Report(ctx, reqs[i])
+			if err != nil {
+				outs[i].Rejection = Classify(err)
+				return
+			}
+			outs[i] = BatchOutcome{Result: res, Rejection: Rejection{Status: http.StatusOK}}
+		}(i)
 	}
-	return 0, false
+	wg.Wait()
+	return outs, nil
 }
 
 // ReportRequest is one user's report ask: which region, which true leaf
@@ -105,7 +145,8 @@ type ReportRequest struct {
 	// always replays the same draw sequence from a fresh server — even
 	// across re-anchors, because the session's RNG survives moves.
 	Seed int64
-	// Count is how many reports to draw (min 1).
+	// Count is how many reports to draw (min 1); a count over
+	// Options.MaxReportCount is refused before anything is charged or drawn.
 	Count int
 	// Forwarded marks a request relayed by a peer node's cluster router:
 	// the receiving node serves it locally (it is — or is standing in for —
@@ -237,12 +278,16 @@ type anchoring struct {
 	uid, seed  int64
 	pol        policy.Policy
 	root, leaf loctree.NodeID
+	// draws is how many draws the ask pays for: at least 1, at most the
+	// registry's cap.
+	draws int
 }
 
 // admit resolves the shard, merges a forwarded budget handoff, and
-// validates the cell and the policy against the region's tree.
+// validates the draw count against Options.MaxReportCount and the cell and
+// the policy against the region's tree.
 func (r *Registry) admit(ctx context.Context, region string, cell hexgrid.Coord, uid, seed int64,
-	pol policy.Policy, handoff *budget.Handoff) (anchoring, error) {
+	pol policy.Policy, handoff *budget.Handoff, draws int) (anchoring, error) {
 	sh, err := r.Shard(ctx, region)
 	if err != nil {
 		return anchoring{}, err
@@ -255,8 +300,11 @@ func (r *Registry) admit(ctx context.Context, region string, cell hexgrid.Coord,
 	if handoff != nil && sh.Budget != nil {
 		sh.Budget.ImportHandoff(uid, handoff)
 	}
+	if draws > r.opts.MaxReportCount {
+		return anchoring{}, fmt.Errorf("%w: count %d exceeds limit %d", ErrBadReport, draws, r.opts.MaxReportCount)
+	}
 	a := anchoring{sh: sh, tree: sh.Server.Tree(), uid: uid, seed: seed, pol: pol,
-		leaf: loctree.NodeID{Level: 0, Coord: cell}}
+		leaf: loctree.NodeID{Level: 0, Coord: cell}, draws: max(draws, 1)}
 	if !a.tree.Contains(a.leaf) {
 		return anchoring{}, fmt.Errorf("%w: cell (%d, %d) outside region %q",
 			ErrBadReport, cell.Q, cell.R, sh.Spec.Name)
@@ -399,15 +447,11 @@ func drawErr(err error) error {
 // stream (a budget-capped user's replay stays aligned with an uncapped
 // one) and pays for no entry generation or re-anchoring.
 func (r *Registry) Report(ctx context.Context, req ReportRequest) (*ReportResult, error) {
-	a, err := r.admit(ctx, req.Region, req.Cell, req.UID, req.Seed, req.Policy, req.Handoff)
+	a, err := r.admit(ctx, req.Region, req.Cell, req.UID, req.Seed, req.Policy, req.Handoff, req.Count)
 	if err != nil {
 		return nil, err
 	}
-	sh := a.sh
-	count := req.Count
-	if count < 1 {
-		count = 1
-	}
+	sh, count := a.sh, a.draws
 	res := &ReportResult{
 		Region:         sh.Spec.Name,
 		SubtreeRoot:    a.root,

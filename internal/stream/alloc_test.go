@@ -1,0 +1,58 @@
+package stream_test
+
+import (
+	"testing"
+	"time"
+
+	"corgi/internal/policy"
+	"corgi/internal/raceon"
+	"corgi/internal/registry"
+	"corgi/internal/stream"
+)
+
+// TestRoundTripAllocationBudgets pins the transport hot path: one warm
+// REPORT and one LEASE renewal, client and server in this process over
+// loopback, so the figure is everything a round trip allocates on both
+// sides of the wire (frame codec, handler, registry pipeline, client
+// decode). The budgets are what the pre-contract transports measured; the
+// decode → call → encode handlers must not cost an object more.
+func TestRoundTripAllocationBudgets(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	reg := newRegistry(t, registry.Options{}, "ra")
+	_, leafNodes := leaves(t, reg, "ra")
+	_, addr := startStream(t, reg, stream.Config{})
+	c := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
+	defer c.Close()
+	req := stream.Request{
+		Region: "ra", Cell: [2]int{leafNodes[0].Coord.Q, leafNodes[0].Coord.R},
+		UID: 5, Policy: policy.Policy{PrivacyLevel: 1}, Seed: 11, Count: 1,
+	}
+
+	// The first exchange dials, solves the entry and builds the session.
+	if _, err := c.Report(req); err != nil {
+		t.Fatal(err)
+	}
+	report := testing.AllocsPerRun(200, func() {
+		if _, err := c.Report(req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if report > 4 {
+		t.Errorf("warm REPORT round trip: %v allocs, budget 4", report)
+	}
+
+	grant, err := c.Lease(req, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lease := testing.AllocsPerRun(200, func() {
+		if grant, err = c.Lease(req, 4, grant.Token); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if lease > 10 {
+		t.Errorf("LEASE renewal round trip: %v allocs, budget 10", lease)
+	}
+}

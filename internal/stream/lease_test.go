@@ -10,13 +10,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"corgi/internal/budget"
 	"corgi/internal/clientdraw"
+	"corgi/internal/cluster"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/proto"
@@ -165,8 +169,8 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 		overHTTP = drawLocal(tree, leafA, leafB, false,
 			func(leaf loctree.NodeID, draws int, token []byte) (*registry.LeaseGrant, error) {
 				lr, err := hc.Lease(proto.LeaseRequest{
-					Region: "ra", Cell: [2]int{leaf.Coord.Q, leaf.Coord.R}, UID: uid,
-					Policy: pol, Seed: seed, Draws: draws, Token: token,
+					Request: stream.Request{Region: "ra", Cell: [2]int{leaf.Coord.Q, leaf.Coord.R}, UID: uid, Policy: pol, Seed: seed},
+					Draws:   draws, Token: token,
 				})
 				if err != nil {
 					return nil, err
@@ -235,7 +239,8 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 	hc := proto.NewClient(hsrv.URL)
 
 	lr, err := hc.Lease(proto.LeaseRequest{
-		Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1, Draws: 8,
+		Request: stream.Request{Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1},
+		Draws:   8,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -245,7 +250,8 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 	}
 	// 4 more draws cost 60 against 30 of headroom: refused, headroom intact.
 	_, err = hc.Lease(proto.LeaseRequest{
-		Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1, Draws: 4, Token: lr.Token,
+		Request: stream.Request{Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1},
+		Draws:   4, Token: lr.Token,
 	})
 	var le *stream.StatusError
 	if !errors.As(err, &le) || le.Status != http.StatusTooManyRequests {
@@ -257,7 +263,8 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 	// A renewal the headroom does cover still succeeds: the refusal spent
 	// nothing.
 	if lr, err = hc.Lease(proto.LeaseRequest{
-		Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1, Draws: 2, Token: lr.Token,
+		Request: stream.Request{Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1},
+		Draws:   2, Token: lr.Token,
 	}); err != nil {
 		t.Fatalf("exact-headroom renewal: %v", err)
 	}
@@ -315,7 +322,8 @@ func TestLeaseTokenRejections(t *testing.T) {
 	defer sc.Close()
 
 	lr, err := hc.Lease(proto.LeaseRequest{
-		Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2, Draws: 2,
+		Request: stream.Request{Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2},
+		Draws:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +342,8 @@ func TestLeaseTokenRejections(t *testing.T) {
 	forged := append([]byte(nil), lr.Token...)
 	forged[8] ^= 0x01
 	wantHTTP403(proto.LeaseRequest{
-		Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2, Draws: 2, Token: forged,
+		Request: stream.Request{Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2},
+		Draws:   2, Token: forged,
 	})
 	_, err = sc.Lease(stream.Request{
 		Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2,
@@ -356,12 +365,14 @@ func TestLeaseTokenRejections(t *testing.T) {
 	}
 	tok.ExpiresAt = time.Now().Add(-time.Minute).UnixMilli()
 	wantHTTP403(proto.LeaseRequest{
-		Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2, Draws: 2, Token: kr.Sign(tok),
+		Request: stream.Request{Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2},
+		Draws:   2, Token: kr.Sign(tok),
 	})
 
 	// Wrong presenter: a valid token under a different request UID.
 	wantHTTP403(proto.LeaseRequest{
-		Region: "ra", Cell: cell, UID: 10, Policy: pol, Seed: 2, Draws: 2, Token: lr.Token,
+		Request: stream.Request{Region: "ra", Cell: cell, UID: 10, Policy: pol, Seed: 2},
+		Draws:   2, Token: lr.Token,
 	})
 
 	if st := reg.LeaseStats(); st.DeniedToken != 4 {
@@ -371,7 +382,8 @@ func TestLeaseTokenRejections(t *testing.T) {
 	// The denials never touched the session: the original lease still
 	// renews and continues at the position it granted.
 	lr2, err := hc.Lease(proto.LeaseRequest{
-		Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2, Draws: 2, Token: lr.Token,
+		Request: stream.Request{Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2},
+		Draws:   2, Token: lr.Token,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -381,16 +393,32 @@ func TestLeaseTokenRejections(t *testing.T) {
 	}
 }
 
-// TestMaxReportCountLimit pins the shared draw-count ceiling: every
-// transport path — report, batch item, and lease — refuses a count of
-// registry.DefaultMaxReportCount+1 with the same 422 classification.
+// TestMaxReportCountLimit is the serving contract's cross-entry table. The
+// limits are set ONCE, on the registry, and every way into it — in-process,
+// through an owner-local cluster router, over the JSON routes, over stream
+// frames — answers an over-cap draw count with the same 422 (nothing
+// charged, nothing drawn) and a bad batch envelope with the same 400/413;
+// the stream handshake advertises the registry's numbers.
 func TestMaxReportCountLimit(t *testing.T) {
-	over := registry.DefaultMaxReportCount + 1
+	const (
+		maxCount, maxBatch = 7, 3
+		over               = maxCount + 1
+		uid                = int64(4)
+	)
 	pol := policy.Policy{PrivacyLevel: 1}
+	ctx := context.Background()
 
-	reg := newRegistry(t, registry.Options{}, "ra")
+	reg := newRegistry(t, registry.Options{
+		MaxReportCount: maxCount, MaxBatch: maxBatch,
+		Budget: budget.Config{LimitEps: 1e6, Window: time.Hour},
+	}, "ra")
 	_, leafNodes := leaves(t, reg, "ra")
-	cell := [2]int{leafNodes[0].Coord.Q, leafNodes[0].Coord.R}
+	leaf := leafNodes[0].Coord
+	router, err := cluster.NewRouter(reg, "self", []cluster.Peer{{Name: "self"}}, cluster.RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(router.Close)
 	h, err := proto.NewMultiHandler(reg)
 	if err != nil {
 		t.Fatal(err)
@@ -402,73 +430,140 @@ func TestMaxReportCountLimit(t *testing.T) {
 	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 	defer sc.Close()
 
-	statusOf := func(err error) int {
-		t.Helper()
-		var se *stream.StatusError
-		if errors.As(err, &se) {
-			return se.Status
-		}
-		t.Fatalf("unclassified error: %v", err)
-		return 0
+	// One in-cap report at the cap itself: the user now has window spend
+	// and a resident session whose RNG position the refusals must not move.
+	ask := registry.ReportRequest{Region: "ra", Cell: leaf, UID: uid, Policy: pol, Seed: 3, Count: maxCount}
+	if _, err := reg.Report(ctx, ask); err != nil {
+		t.Fatalf("count %d (the cap) refused: %v", maxCount, err)
 	}
+	sh, err := reg.Shard(ctx, "ra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spent, draws := sh.Budget.Spent(uid), sh.Sessions.Stats().Draws
+	ask.Count = over
+	leaseAsk := registry.LeaseRequest{Region: "ra", Cell: leaf, UID: uid, Policy: pol, Seed: 3, Draws: over}
+	wire := stream.WireRequest(ask)
 
+	// rejection reads the answer off an error, whichever entry produced it
+	// (a client's *stream.StatusError classifies as the status it carries).
+	rejection := func(err error) registry.Rejection {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("count %d accepted", over)
+		}
+		return registry.Classify(err)
+	}
+	item := func(it stream.ItemResult) registry.Rejection {
+		return registry.Rejection{Status: it.Status, Msg: it.Error}
+	}
 	cases := []struct {
 		name  string
-		issue func() int
+		issue func() registry.Rejection
 	}{
-		{"http report", func() int {
-			body, _ := json.Marshal(proto.ReportRequest{
-				Region: "ra", Cell: cell, Policy: pol, Count: over,
-			})
-			resp, err := http.Post(hsrv.URL+"/v1/report", "application/json", bytes.NewReader(body))
+		{"in-proc report", func() registry.Rejection { _, err := reg.Report(ctx, ask); return rejection(err) }},
+		{"in-proc lease", func() registry.Rejection { _, err := reg.Lease(ctx, leaseAsk); return rejection(err) }},
+		{"router report", func() registry.Rejection { _, err := router.Report(ctx, ask); return rejection(err) }},
+		{"router lease", func() registry.Rejection { _, err := router.Lease(ctx, leaseAsk); return rejection(err) }},
+		{"http report", func() registry.Rejection { _, err := hc.Report(wire); return rejection(err) }},
+		{"http batch item", func() registry.Rejection {
+			br, err := hc.ReportBatch([]proto.ReportRequest{wire})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return item(br.Items[0])
+		}},
+		{"http lease", func() registry.Rejection {
+			_, err := hc.Lease(proto.LeaseRequest{Request: stream.WireLease(leaseAsk), Draws: over})
+			return rejection(err)
+		}},
+		{"stream report", func() registry.Rejection { _, err := sc.Report(wire); return rejection(err) }},
+		{"stream batch item", func() registry.Rejection {
+			items, err := sc.ReportBatch([]stream.Request{wire})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return item(items[0])
+		}},
+		{"stream lease", func() registry.Rejection {
+			_, err := sc.Lease(stream.WireLease(leaseAsk), over, nil)
+			return rejection(err)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := tc.issue()
+			if got.Status != http.StatusUnprocessableEntity || !strings.Contains(got.Msg, "exceeds limit") {
+				t.Fatalf("count %d answered %d %q, want 422 ... exceeds limit ...", over, got.Status, got.Msg)
+			}
+			if s, d := sh.Budget.Spent(uid), sh.Sessions.Stats().Draws; s != spent || d != draws {
+				t.Fatalf("refusal charged or drew: spent %v -> %v, draws %d -> %d", spent, s, draws, d)
+			}
+		})
+	}
+	if st := reg.LeaseStats(); st.Issued != 0 {
+		t.Fatalf("refused leases issued: %+v", st)
+	}
+
+	// Batch envelopes: empty is 400, one item over the cap 413, on every
+	// batch route alike.
+	post := func(path string, n int) func() int {
+		return func() int {
+			body, _ := json.Marshal(map[string]any{"items": make([]struct{}, n)})
+			resp, err := http.Post(hsrv.URL+path, "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
 			resp.Body.Close()
 			return resp.StatusCode
-		}},
-		{"http batch item", func() int {
-			br, err := hc.ReportBatch([]proto.ReportRequest{
-				{Region: "ra", Cell: cell, Policy: pol, Count: over},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return br.Items[0].Status
-		}},
-		{"http lease", func() int {
-			_, err := hc.Lease(proto.LeaseRequest{
-				Region: "ra", Cell: cell, Policy: pol, Draws: over,
-			})
-			return statusOf(err)
-		}},
-		{"stream report", func() int {
-			_, err := sc.Report(stream.Request{Region: "ra", Cell: cell, Policy: pol, Count: over})
-			return statusOf(err)
-		}},
-		{"stream batch item", func() int {
-			items, err := sc.ReportBatch([]stream.Request{
-				{Region: "ra", Cell: cell, Policy: pol, Count: over},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return items[0].Status
-		}},
-		{"stream lease", func() int {
-			_, err := sc.Lease(stream.Request{Region: "ra", Cell: cell, Policy: pol}, over, nil)
-			return statusOf(err)
-		}},
+		}
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.issue(); got != http.StatusUnprocessableEntity {
-				t.Fatalf("count %d answered %d, want 422", over, got)
+	frame := func(n int) func() int {
+		return func() int {
+			if _, err := sc.ReportBatch(make([]stream.Request, n)); err != nil {
+				return rejection(err).Status
+			}
+			return http.StatusOK
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		issue func(n int) func() int
+	}{
+		{"POST reports", func(n int) func() int { return post("/v1/reports", n) }},
+		{"POST forests", func(n int) func() int { return post("/v1/forests", n) }},
+		{"REPORTS frame", frame},
+	} {
+		t.Run("envelope "+tc.name, func(t *testing.T) {
+			if got := tc.issue(0)(); got != http.StatusBadRequest {
+				t.Fatalf("empty batch answered %d, want 400", got)
+			}
+			if got := tc.issue(maxBatch + 1)(); got != http.StatusRequestEntityTooLarge {
+				t.Fatalf("%d-item batch answered %d, want 413", maxBatch+1, got)
+			}
+			if got := tc.issue(maxBatch)(); got != http.StatusOK {
+				t.Fatalf("%d-item batch (the cap) answered %d, want 200", maxBatch, got)
 			}
 		})
 	}
-	// The limit itself is the shared constant, not a per-transport copy.
-	if proto.DefaultMaxReportCount != registry.DefaultMaxReportCount {
-		t.Fatal("transport limit diverged from registry limit")
+
+	// WELCOME := uint8 version | uvarint maxBatch | uvarint maxReportCount,
+	// read off a raw connection: the client keeps the numbers to itself.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	hello := append([]byte{7, 0, 0, 0, 1}, stream.Magic...)
+	if _, err := conn.Write(append(hello, stream.Version, stream.Version)); err != nil {
+		t.Fatal(err)
+	}
+	welcome := make([]byte, 8)
+	if _, err := io.ReadFull(conn, welcome); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{4, 0, 0, 0, 2, stream.Version, maxBatch, maxCount}; !bytes.Equal(welcome, want) {
+		t.Fatalf("WELCOME frame % x, want % x", welcome, want)
 	}
 }

@@ -32,15 +32,7 @@ func (r Remote) Report(_ context.Context, req registry.ReportRequest) (*registry
 
 // Lease implements registry.ReportHandler over one LEASE exchange.
 func (r Remote) Lease(_ context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
-	return r.c.Lease(Request{
-		Region:    req.Region,
-		Cell:      [2]int{req.Cell.Q, req.Cell.R},
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Forwarded: req.Forwarded,
-		Handoff:   req.Handoff,
-	}, req.Draws, req.Token)
+	return r.c.Lease(WireLease(req), req.Draws, req.Token)
 }
 
 // BatchResult is one batch item's outcome in handler terms: Result on
@@ -60,7 +52,13 @@ func (r Remote) ReportBatch(_ context.Context, reqs []registry.ReportRequest) ([
 	return BatchResults(reqs, items), nil
 }
 
-// WireRequest spells a registry request in the wire shape.
+// The four functions below are every copy between the wire's request shape
+// and the registry's asks, one per direction for reports and for leases;
+// WireResponse and Response.Result are the pair for report answers. Both
+// transports' servers and Remote views convert through them and nowhere
+// else.
+
+// WireRequest spells a registry report ask in the wire shape.
 func WireRequest(req registry.ReportRequest) Request {
 	return Request{
 		Region:    req.Region,
@@ -74,6 +72,53 @@ func WireRequest(req registry.ReportRequest) Request {
 	}
 }
 
+// Ask is WireRequest's inverse: the registry report ask a wire request
+// stands for.
+func (r *Request) Ask() registry.ReportRequest {
+	return registry.ReportRequest{
+		Region:    r.Region,
+		Cell:      hexgrid.Coord{Q: r.Cell[0], R: r.Cell[1]},
+		UID:       r.UID,
+		Policy:    r.Policy,
+		Seed:      r.Seed,
+		Count:     r.Count,
+		Forwarded: r.Forwarded,
+		Handoff:   r.Handoff,
+	}
+}
+
+// WireLease spells a registry lease ask's request part in the wire shape;
+// the draw cap and renewal token travel beside it (req.Draws, req.Token),
+// never in Count.
+func WireLease(req registry.LeaseRequest) Request {
+	return Request{
+		Region:    req.Region,
+		Cell:      [2]int{req.Cell.Q, req.Cell.R},
+		UID:       req.UID,
+		Policy:    req.Policy,
+		Seed:      req.Seed,
+		Forwarded: req.Forwarded,
+		Handoff:   req.Handoff,
+	}
+}
+
+// LeaseAsk is WireLease's inverse: the registry lease ask for a wire
+// request (its Count ignored) with the draw cap and renewal token that
+// came beside it.
+func (r *Request) LeaseAsk(draws int, token []byte) registry.LeaseRequest {
+	return registry.LeaseRequest{
+		Region:    r.Region,
+		Cell:      hexgrid.Coord{Q: r.Cell[0], R: r.Cell[1]},
+		UID:       r.UID,
+		Policy:    r.Policy,
+		Seed:      r.Seed,
+		Draws:     draws,
+		Token:     token,
+		Forwarded: r.Forwarded,
+		Handoff:   r.Handoff,
+	}
+}
+
 // WireRequests is WireRequest over a batch.
 func WireRequests(reqs []registry.ReportRequest) []Request {
 	out := make([]Request, len(reqs))
@@ -83,8 +128,30 @@ func WireRequests(reqs []registry.ReportRequest) []Request {
 	return out
 }
 
-// Result converts a decoded response back into the registry's result
-// type. The wire sends node coordinates only, so the subtree root's level
+// WireResponse spells a registry result in the wire shape, for the JSON
+// routes; REPORT_OK frames encode the result directly (appendResult).
+func WireResponse(res *registry.ReportResult) *Response {
+	resp := &Response{
+		Region:         res.Region,
+		PrecisionLevel: res.PrecisionLevel,
+		SubtreeRoot:    [2]int{res.SubtreeRoot.Coord.Q, res.SubtreeRoot.Coord.R},
+		Pruned:         res.Pruned,
+		Reports:        make([]ReportedLocation, len(res.Reports)),
+		Reanchored:     res.Reanchored,
+		Budgeted:       res.Budgeted,
+		EpsSpent:       res.EpsSpent,
+		EpsRemaining:   res.EpsRemaining,
+		Degraded:       res.Degraded,
+	}
+	for i, n := range res.Reports {
+		c := res.Centers[i]
+		resp.Reports[i] = ReportedLocation{Q: n.Coord.Q, R: n.Coord.R, Lat: c.Lat, Lng: c.Lng}
+	}
+	return resp
+}
+
+// Result is WireResponse's inverse: a decoded response as the registry's
+// result type. The wire sends node coordinates only, so the subtree root's level
 // comes from the request policy's privacy level and the reports' from the
 // response's precision level.
 func (resp *Response) Result(privacyLevel int) *registry.ReportResult {

@@ -165,8 +165,8 @@ func TestRemoteViewsMatchRegistry(t *testing.T) {
 		if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests || !se.HasEpsRemaining || se.EpsRemaining != 0 {
 			t.Fatalf("%s: over-cap lease answered %v, want a 429 StatusError with zero headroom", name, err)
 		}
-		if rem, ok := registry.BudgetRemaining(err); !ok || rem != 0 {
-			t.Fatalf("%s: BudgetRemaining(%v) = %v, %v", name, err, rem, ok)
+		if rej := registry.Classify(err); rej.Status != se.Status || !rej.HasEps || rej.EpsRemaining != 0 {
+			t.Fatalf("%s: Classify(%v) = %+v", name, err, rej)
 		}
 	}
 }

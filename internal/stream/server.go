@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -22,16 +23,10 @@ var ErrServerClosed = errors.New("stream: server closed")
 // before completing HELLO; slots are cheap but not free.
 const DefaultHandshakeTimeout = 10 * time.Second
 
-// Config tunes a stream Server. The zero value matches the HTTP handler's
-// defaults, so the two transports enforce the same request limits.
+// Config tunes a stream Server's framing. What a request may ask for — draw
+// counts, batch sizes — is the registry's to decide (registry.Options), so
+// both transports enforce the same limits by holding none.
 type Config struct {
-	// MaxBatch caps the items of one REPORTS frame (default
-	// registry.DefaultMaxBatch, the limit every transport shares).
-	MaxBatch int
-	// MaxReportCount caps the draws of one report request — and the draw
-	// cap of one LEASE — (default registry.DefaultMaxReportCount, shared
-	// with the HTTP routes).
-	MaxReportCount int
 	// Timeout bounds each frame's report work (the whole batch for
 	// REPORTS); zero means no per-frame deadline.
 	Timeout time.Duration
@@ -42,12 +37,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = registry.DefaultMaxBatch
-	}
-	if c.MaxReportCount <= 0 {
-		c.MaxReportCount = registry.DefaultMaxReportCount
-	}
 	if c.MaxFrameBytes <= 0 {
 		c.MaxFrameBytes = DefaultMaxFrameBytes
 	}
@@ -277,7 +266,7 @@ func (s *Server) serveConn(sc *serverConn) {
 		if err != nil {
 			if errors.Is(err, ErrFrameTooLarge) {
 				s.oversized.Add(1)
-				s.sendError(sc, 0, 413, err.Error(), 0, false)
+				s.sendError(sc, 0, registry.Rejection{Status: 413, Msg: err.Error()})
 			}
 			return
 		}
@@ -292,7 +281,7 @@ func (s *Server) serveConn(sc *serverConn) {
 		case frameGoodbye:
 			return
 		default:
-			s.sendError(sc, 0, 400, fmt.Sprintf("stream: unexpected frame type %d", ftype), 0, false)
+			s.sendError(sc, 0, registry.Rejection{Status: 400, Msg: fmt.Sprintf("stream: unexpected frame type %d", ftype)})
 			return
 		}
 	}
@@ -306,13 +295,13 @@ func (s *Server) handshake(sc *serverConn, fr *frameReader) bool {
 	if err != nil {
 		if errors.Is(err, ErrFrameTooLarge) {
 			s.oversized.Add(1)
-			s.sendError(sc, 0, 413, err.Error(), 0, false)
+			s.sendError(sc, 0, registry.Rejection{Status: 413, Msg: err.Error()})
 		}
 		return false
 	}
 	s.framesIn.Add(1)
 	fail := func(msg string) bool {
-		s.sendError(sc, 0, 400, msg, 0, false)
+		s.sendError(sc, 0, registry.Rejection{Status: 400, Msg: msg})
 		return false
 	}
 	if ftype != frameHello {
@@ -328,7 +317,8 @@ func (s *Server) handshake(sc *serverConn, fr *frameReader) bool {
 	sc.conn.SetReadDeadline(time.Time{})
 	bp := getFrame(frameWelcome)
 	*bp = append(*bp, Version)
-	*bp = appendUvarints(*bp, uint64(s.cfg.MaxBatch), uint64(s.cfg.MaxReportCount))
+	maxBatch, maxCount := s.reg.Limits()
+	*bp = appendUvarints(*bp, uint64(maxBatch), uint64(maxCount))
 	if sc.writeFrame(bp) != nil {
 		return false
 	}
@@ -345,41 +335,12 @@ func (s *Server) frameCtx() (context.Context, context.CancelFunc) {
 	return context.Background(), func() {}
 }
 
-// outcome is one resolved request, either a result or a classified error.
-type outcome struct {
-	res    *registry.ReportResult
-	status int
-	msg    string
-	epsRem float64
-	hasEps bool
+// badFrame answers a request frame that did not decode.
+func (s *Server) badFrame(sc *serverConn, reqID uint32, err error) {
+	s.sendError(sc, reqID, registry.Rejection{Status: 400, Msg: err.Error()})
 }
 
-// resolve runs one request through the shared registry pipeline, applying
-// the same count cap and error classification as the HTTP handlers.
-func (s *Server) resolve(ctx context.Context, req *Request) outcome {
-	if req.Count > s.cfg.MaxReportCount {
-		return outcome{status: 422, msg: fmt.Sprintf("count %d exceeds limit %d", req.Count, s.cfg.MaxReportCount)}
-	}
-	res, err := (*s.handler.Load()).Report(ctx, registry.ReportRequest{
-		Region:    req.Region,
-		Cell:      req.reqCell(),
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Count:     req.Count,
-		Forwarded: req.Forwarded,
-		Handoff:   req.Handoff,
-	})
-	if err != nil {
-		status, msg := registry.ReportErrStatus(err)
-		epsRem, hasEps := registry.BudgetRemaining(err)
-		return outcome{status: status, msg: msg, epsRem: epsRem, hasEps: hasEps}
-	}
-	s.reports.Add(1)
-	return outcome{res: res, status: statusOK}
-}
-
-// handleReport answers one REPORT frame.
+// handleReport answers one REPORT frame: decode, ask the handler, encode.
 func (s *Server) handleReport(sc *serverConn, payload []byte) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -390,25 +351,25 @@ func (s *Server) handleReport(sc *serverConn, payload []byte) {
 		err = d.done("REPORT")
 	}
 	if err != nil {
-		s.sendError(sc, reqID, 400, err.Error(), 0, false)
+		s.badFrame(sc, reqID, err)
 		return
 	}
 	ctx, cancel := s.frameCtx()
-	out := s.resolve(ctx, &req)
+	res, err := (*s.handler.Load()).Report(ctx, req.Ask())
 	cancel()
-	if out.status != statusOK {
-		s.sendError(sc, reqID, out.status, out.msg, out.epsRem, out.hasEps)
+	if err != nil {
+		s.sendError(sc, reqID, registry.Classify(err))
 		return
 	}
+	s.reports.Add(1)
 	bp := getFrame(frameReportOK)
 	*bp = appendU32(*bp, reqID)
-	*bp = appendResult(*bp, out.res)
-	out.res.Release()
+	*bp = appendResult(*bp, res)
+	res.Release()
 	sc.writeFrame(bp)
 }
 
-// handleLease answers one LEASE frame from the shared registry lease
-// pipeline, applying the same draw-cap limit as the report paths.
+// handleLease answers one LEASE frame from the shared lease pipeline.
 func (s *Server) handleLease(sc *serverConn, payload []byte) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -419,31 +380,14 @@ func (s *Server) handleLease(sc *serverConn, payload []byte) {
 		err = d.done("LEASE")
 	}
 	if err != nil {
-		s.sendError(sc, reqID, 400, err.Error(), 0, false)
-		return
-	}
-	if draws > s.cfg.MaxReportCount {
-		s.sendError(sc, reqID, 422,
-			fmt.Sprintf("count %d exceeds limit %d", draws, s.cfg.MaxReportCount), 0, false)
+		s.badFrame(sc, reqID, err)
 		return
 	}
 	ctx, cancel := s.frameCtx()
-	grant, err := (*s.handler.Load()).Lease(ctx, registry.LeaseRequest{
-		Region:    req.Region,
-		Cell:      req.reqCell(),
-		UID:       req.UID,
-		Policy:    req.Policy,
-		Seed:      req.Seed,
-		Draws:     draws,
-		Token:     token,
-		Forwarded: req.Forwarded,
-		Handoff:   req.Handoff,
-	})
+	grant, err := (*s.handler.Load()).Lease(ctx, req.LeaseAsk(draws, token))
 	cancel()
 	if err != nil {
-		status, msg := registry.ReportErrStatus(err)
-		epsRem, hasEps := registry.BudgetRemaining(err)
-		s.sendError(sc, reqID, status, msg, epsRem, hasEps)
+		s.sendError(sc, reqID, registry.Classify(err))
 		return
 	}
 	s.leases.Add(1)
@@ -454,9 +398,7 @@ func (s *Server) handleLease(sc *serverConn, payload []byte) {
 }
 
 // handleReports answers one REPORTS frame with per-item outcomes in
-// request order, fanned out concurrently like POST /v1/reports — each
-// shard's engine still bounds its own solve concurrency and the session
-// managers serialize per-session draws.
+// request order, from the same registry.ReportBatch as POST /v1/reports.
 func (s *Server) handleReports(sc *serverConn, payload []byte) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -464,74 +406,60 @@ func (s *Server) handleReports(sc *serverConn, payload []byte) {
 	reqID := d.u32()
 	n := d.uvarint()
 	if d.err != nil {
-		s.sendError(sc, reqID, 400, d.err.Error(), 0, false)
+		s.badFrame(sc, reqID, d.err)
 		return
 	}
-	if n == 0 {
-		s.sendError(sc, reqID, 400, "batch has no items", 0, false)
+	// The claimed count sizes the decode below, so the envelope is judged
+	// before any item is read (ReportBatch judges it again, from the same
+	// function, for callers that decode first).
+	if rej := s.reg.CheckBatch(int(min(n, math.MaxInt32))); rej != nil {
+		s.sendError(sc, reqID, *rej)
 		return
 	}
-	if n > uint64(s.cfg.MaxBatch) {
-		s.sendError(sc, reqID, 413,
-			fmt.Sprintf("batch of %d items exceeds limit %d", n, s.cfg.MaxBatch), 0, false)
-		return
-	}
-	reqs := make([]Request, n)
-	for i := range reqs {
-		var err error
-		reqs[i], err = d.decodeRequest(s.intern)
+	asks := make([]registry.ReportRequest, n)
+	for i := range asks {
+		req, err := d.decodeRequest(s.intern)
 		if err != nil {
-			s.sendError(sc, reqID, 400, err.Error(), 0, false)
+			s.badFrame(sc, reqID, err)
 			return
 		}
+		asks[i] = req.Ask()
 	}
 	if err := d.done("REPORTS"); err != nil {
-		s.sendError(sc, reqID, 400, err.Error(), 0, false)
+		s.badFrame(sc, reqID, err)
 		return
 	}
 	s.batches.Add(1)
 	s.batchItems.Add(n)
 	ctx, cancel := s.frameCtx()
-	outs := make([]outcome, n)
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i] = s.resolve(ctx, &reqs[i])
-		}(i)
-	}
-	wg.Wait()
+	outs, rej := s.reg.ReportBatch(ctx, *s.handler.Load(), asks)
 	cancel()
+	if rej != nil {
+		s.sendError(sc, reqID, *rej)
+		return
+	}
 	bp := getFrame(frameReportsOK)
 	*bp = appendU32(*bp, reqID)
 	*bp = appendUvarints(*bp, n)
-	for i := range outs {
-		if outs[i].status == statusOK {
-			*bp = appendU16(*bp, uint16(statusOK))
-			*bp = appendResult(*bp, outs[i].res)
-			outs[i].res.Release()
-		} else {
-			*bp = appendItemError(*bp, outs[i].status, outs[i].msg, outs[i].epsRem, outs[i].hasEps)
+	for _, out := range outs {
+		if out.Result == nil {
+			*bp = appendRejection(*bp, out.Rejection)
+			continue
 		}
+		s.reports.Add(1)
+		*bp = appendU16(*bp, uint16(statusOK))
+		*bp = appendResult(*bp, out.Result)
+		out.Result.Release()
 	}
 	sc.writeFrame(bp)
 }
 
 // sendError writes an ERROR frame (best effort; a failed write surfaces
 // as the connection's read error).
-func (s *Server) sendError(sc *serverConn, reqID uint32, status int, msg string, epsRem float64, hasEps bool) {
+func (s *Server) sendError(sc *serverConn, reqID uint32, rej registry.Rejection) {
 	s.errorFrames.Add(1)
 	bp := getFrame(frameError)
-	*bp = appendU32(*bp, reqID)
-	*bp = appendU16(*bp, uint16(status))
-	if hasEps {
-		*bp = append(*bp, errFlagEpsRemaining)
-		*bp = appendF64(*bp, epsRem)
-	} else {
-		*bp = append(*bp, 0)
-	}
-	*bp = appendString(*bp, msg)
+	*bp = appendRejection(appendU32(*bp, reqID), rej)
 	sc.writeFrame(bp)
 }
 

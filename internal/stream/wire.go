@@ -10,8 +10,8 @@
 // exchanges answered in FIFO order (per-connection ordering is what keeps a
 // moving user's draw sequence session-sticky). Failures come back as ERROR
 // frames carrying the same HTTP-equivalent status classification the JSON
-// routes use (registry.ReportErrStatus), including 429 budget exhaustion
-// with the user's live eps_remaining; a draining server says GOODBYE.
+// routes use (registry.Classify), including 429 budget exhaustion with the
+// user's live eps_remaining; a draining server says GOODBYE.
 //
 // The wire format (all integers little-endian, varints per encoding/binary):
 //
@@ -51,7 +51,6 @@ import (
 
 	"corgi/internal/budget"
 	"corgi/internal/codec"
-	"corgi/internal/hexgrid"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 )
@@ -122,7 +121,7 @@ type Request struct {
 	// Seed fixes the per-session RNG stream.
 	Seed int64 `json:"seed,omitempty"`
 	// Count is how many reports to draw (default 1, bounded by the
-	// server's max report count).
+	// registry's Options.MaxReportCount).
 	Count int `json:"count,omitempty"`
 	// Forwarded marks a node-to-node forward inside a cluster: the
 	// receiver serves locally instead of re-routing, which bounds every
@@ -190,7 +189,7 @@ type ItemResult struct {
 
 // StatusError is an application-level rejection from a remote node: the
 // HTTP-equivalent status the server classified the request with
-// (registry.ReportErrStatus), whichever transport carried it — an ERROR
+// (registry.Classify), whichever transport carried it — an ERROR
 // frame, or a non-200 answer to internal/proto's client. The connection
 // stays healthy after one; only transport faults close it.
 type StatusError struct {
@@ -207,13 +206,13 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("server returned %d: %s", e.Status, e.Msg)
 }
 
-// HTTPStatus exposes the owner node's classification to
-// registry.ReportErrStatus, so a forwarding router re-answers a peer's
-// rejection with the peer's own status instead of a generic 500.
+// HTTPStatus exposes the owner node's classification to registry.Classify,
+// so a forwarding router re-answers a peer's rejection with the peer's own
+// status instead of a generic 500.
 func (e *StatusError) HTTPStatus() int { return e.Status }
 
-// BudgetRemaining exposes a forwarded 429's live headroom to
-// registry.BudgetRemaining.
+// BudgetRemaining exposes a 429's live headroom, to callers and — for a
+// forwarded rejection — to registry.Classify.
 func (e *StatusError) BudgetRemaining() (float64, bool) {
 	return e.EpsRemaining, e.HasEpsRemaining
 }
@@ -551,18 +550,18 @@ func (d *decoder) decodeResponse() (*Response, error) {
 	return resp, d.err
 }
 
-// appendItemError serializes a failed batch item with the same layout an
-// ERROR frame uses after its reqID: status, flags, optional headroom,
-// message.
-func appendItemError(b []byte, status int, msg string, epsRem float64, hasEps bool) []byte {
-	b = appendU16(b, uint16(status))
-	if hasEps {
+// appendRejection serializes a refused ask: status, flags, optional
+// headroom, message. It is the body of an ERROR frame after its reqID and
+// of a failed REPORTS_OK item alike.
+func appendRejection(b []byte, rej registry.Rejection) []byte {
+	b = appendU16(b, uint16(rej.Status))
+	if rej.HasEps {
 		b = append(b, errFlagEpsRemaining)
-		b = appendF64(b, epsRem)
+		b = appendF64(b, rej.EpsRemaining)
 	} else {
 		b = append(b, 0)
 	}
-	return appendString(b, msg)
+	return appendString(b, rej.Msg)
 }
 
 // decodeItem reads one batch item result (status, then error or body).
@@ -590,9 +589,6 @@ func (d *decoder) decodeItem() (ItemResult, error) {
 
 // statusOK avoids importing net/http just for the constant in hot paths.
 const statusOK = 200
-
-// reqCell converts the wire cell to the registry's coordinate type.
-func (r *Request) reqCell() hexgrid.Coord { return hexgrid.Coord{Q: r.Cell[0], R: r.Cell[1]} }
 
 // grantFlagRenewed extends the result flag bits for LEASE_GRANT payloads:
 // the lease was issued against a valid renewal token.
