@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation, one per figure (the
-// experiments themselves are documented in internal/experiments). Each
+// experiments themselves are documented in internal/eval). Each
 // benchmark runs the corresponding experiment at quick scale per
 // iteration; run with
 //
@@ -14,17 +14,17 @@ import (
 	"math/rand"
 	"testing"
 
-	"corgi/internal/experiments"
+	"corgi/internal/eval"
 	"corgi/internal/proto"
 )
 
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
-	run, ok := experiments.Lookup(id)
+	run, ok := eval.Lookup(id)
 	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
-	cfg := &experiments.Config{Quick: true, Seed: 1}
+	cfg := &eval.Config{Quick: true, Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := run(cfg); err != nil {

@@ -1,14 +1,15 @@
 // Command corgi-experiments regenerates the paper's evaluation (Figs. 9-14,
-// the abstract's headline numbers) and the extension studies; -list names
-// each experiment with the paper figure it maps to, and each runner's doc
-// comment in internal/experiments states the shape it is expected to show.
+// the abstract's headline numbers), the extension studies and the
+// utility-vs-privacy frontier; -list names each experiment with the paper
+// figure it maps to, and each runner's doc comment in internal/eval states
+// the shape it is expected to show.
 //
 // Usage:
 //
 //	corgi-experiments -list
 //	corgi-experiments -run fig12 [-full] [-seed 1]
 //	corgi-experiments -run all
-//	corgi-experiments -frontier [-frontier-out FRONTIER.json] [-full] [-seed 1]
+//	corgi-experiments -run frontier -out FRONTIER.json [-full] [-seed 1]
 package main
 
 import (
@@ -20,7 +21,6 @@ import (
 	"time"
 
 	"corgi/internal/eval"
-	"corgi/internal/experiments"
 )
 
 func main() {
@@ -28,82 +28,53 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	full := flag.Bool("full", false, "paper-scale sweeps (slower)")
 	seed := flag.Int64("seed", 1, "master seed")
-	frontier := flag.Bool("frontier", false, "run the utility-vs-privacy frontier sweep (internal/eval)")
-	frontierOut := flag.String("frontier-out", "", "write the frontier JSON artifact here (default stdout only)")
+	out := flag.String("out", "", "write the JSON artifact of the runner that produces one (frontier) here")
 	flag.Parse()
-
-	if *frontier {
-		runFrontier(*full, *seed, *frontierOut)
-		return
-	}
 
 	if *list || *runID == "" {
 		fmt.Println("experiments:")
-		for _, id := range experiments.IDs() {
-			fmt.Printf("  %-20s %s\n", id, experiments.Describe(id))
+		for _, id := range eval.IDs() {
+			fmt.Printf("  %-20s %s\n", id, eval.Describe(id))
 		}
 		return
 	}
-	cfg := &experiments.Config{Quick: !*full, Seed: *seed}
+	cfg := &eval.Config{Quick: !*full, Seed: *seed}
 	ids := []string{*runID}
 	if *runID == "all" {
-		ids = experiments.IDs()
+		ids = eval.IDs()
 	}
+	var artifact any
 	for _, id := range ids {
-		run, ok := experiments.Lookup(id)
+		run, ok := eval.Lookup(id)
 		if !ok {
 			log.Fatalf("unknown experiment %q (try -list)", id)
 		}
-		fmt.Printf("--- %s: %s\n", id, experiments.Describe(id))
+		fmt.Printf("--- %s: %s\n", id, eval.Describe(id))
 		start := time.Now()
-		tables, err := run(cfg)
+		res, err := run(cfg)
 		if err != nil {
 			log.Fatalf("%s: %v", id, err)
 		}
-		for _, t := range tables {
+		for _, t := range res.Tables {
 			t.Fprint(os.Stdout)
+		}
+		if res.Artifact != nil {
+			artifact = res.Artifact
 		}
 		fmt.Printf("--- %s done in %v\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// runFrontier executes the internal/eval sweep (both adversaries over every
-// registered mechanism), prints a summary, and optionally writes the JSON
-// artifact CI uploads.
-func runFrontier(full bool, seed int64, out string) {
-	start := time.Now()
-	f, err := eval.Run(eval.Config{Seed: seed, Quick: !full})
+	if *out == "" {
+		return
+	}
+	if artifact == nil {
+		log.Fatalf("-out: %s produces no artifact (frontier does)", *runID)
+	}
+	data, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {
-		log.Fatalf("frontier: %v", err)
+		log.Fatalf("-out: %v", err)
 	}
-	fmt.Printf("frontier %s: %d cells, delta=%d, robust_dominates=%v\n",
-		f.Schema, f.Cells, f.Delta, f.RobustDominates)
-	for _, m := range f.Mechanisms {
-		fmt.Printf("  %-18s robust=%-5v", m.Name, m.Robust)
-		for _, p := range m.Points {
-			fmt.Printf("  eps=%g loss=%.3fkm remap=%.3fkm pruned=%.3fkm", p.Epsilon,
-				p.UtilityLossKm, p.RemapErrorKm, p.PrunedRemapErrorKm)
-			if p.PruneFailed {
-				fmt.Printf(" PRUNE-FAILED")
-			}
-		}
-		fmt.Println()
+	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+		log.Fatalf("-out: %v", err)
 	}
-	for _, tp := range f.Trajectory {
-		fmt.Printf("  traj %-18s eps=%g users=%d steps=%d reanchors=%d traj=%.3fkm indep=%.3fkm gain=%.2fx eps-budget=%.1f comp-ratio=%.3f holds=%v\n",
-			tp.Mechanism, tp.Epsilon, tp.Users, tp.Steps, tp.Reanchors,
-			tp.TrajErrorKm, tp.IndepErrorKm, tp.CorrelationGain,
-			tp.LinearEpsBudget, tp.CompositionRatio, tp.CompositionHolds)
-	}
-	fmt.Printf("frontier done in %v\n", time.Since(start).Round(time.Millisecond))
-	if out != "" {
-		data, err := json.MarshalIndent(f, "", "  ")
-		if err != nil {
-			log.Fatalf("frontier: %v", err)
-		}
-		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-			log.Fatalf("frontier: %v", err)
-		}
-		fmt.Printf("wrote %s\n", out)
-	}
+	fmt.Printf("wrote %s\n", *out)
 }

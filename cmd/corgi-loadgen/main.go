@@ -67,7 +67,7 @@
 //	              [-users 1000] [-moves 64] [-report-count 1] [-precision 0]
 //	              [-batch 0] [-trace FILE | -checkins FILE]
 //	              [-transport http|stream|lease] [-stream-addr host:port]
-//	              [-lease-draws 256] [-wire v2|v1] [-seed 1] [-out report.json]
+//	              [-lease-draws 256] [-seed 1] [-out report.json]
 //
 // -transport stream sends report and mobility requests over the
 // corgi-stream binary transport (persistent TCP, length-prefixed frames)
@@ -227,16 +227,12 @@ func main() {
 	leaseDraws := flag.Int("lease-draws", 256, "draw cap pre-paid per lease (-transport lease)")
 	clusterSpec := flag.String("cluster", "",
 		"cluster member list, comma-separated streamAddr[=httpURL] entries matching the servers' -cluster-peers: each request routes to its uid's owner node over the same consistent-hash ring (report/mobility workloads, no -batch)")
-	wire := flag.String("wire", "v2", "forest encoding to request: v1 or v2")
 	seed := flag.Int64("seed", 1, "mix/shuffle seed")
 	out := flag.String("out", "", "write the JSON report here (empty: stdout)")
 	flag.Parse()
 
 	if *concurrency < 1 {
 		log.Fatalf("-concurrency must be >= 1")
-	}
-	if *wire != "v1" && *wire != "v2" {
-		log.Fatalf("-wire must be v1 or v2")
 	}
 	if *workload != "forest" && *workload != "report" && *workload != "mobility" {
 		log.Fatalf("-workload must be forest, report, or mobility")
@@ -390,10 +386,10 @@ func main() {
 		case reports != nil:
 			w.record(doReports(ctx, reports, entriesAt(trace, idx, max(*batch, 1)), *precisionFlag, *reportCount, &cold))
 		case *batch > 0:
-			w.record(doBatch(client, *server, trace, idx, *batch, *wire, &cold))
+			w.record(doBatch(client, *server, trace, idx, *batch, &cold))
 		default:
 			entry := trace[int(idx)%len(trace)]
-			w.record(doSingle(client, *server, entry, *wire, &cold))
+			w.record(doSingle(client, *server, entry, &cold))
 		}
 	}
 
@@ -455,7 +451,7 @@ func main() {
 		Server: *server, Workload: *workload, Transport: *transport, Regions: regions,
 		DurationS:   duration.Seconds(),
 		Concurrency: *concurrency, RateRPS: *rate, Batch: *batch,
-		Wire: *wire, Mix: *mix, CellMix: *cellMix, ReportCount: *reportCount,
+		Mix: *mix, CellMix: *cellMix, ReportCount: *reportCount,
 		TraceSource: traceSource,
 	})
 	if leaseMgr != nil {
@@ -1054,8 +1050,9 @@ func weightedPick(rng *rand.Rand, weights []float64) int {
 	return len(weights) - 1
 }
 
-// doSingle issues one region-addressed forest request.
-func doSingle(client *http.Client, server string, entry request, wire string, cold *coldTracker) (sample, int64, int64) {
+// doSingle issues one region-addressed forest request, asking for the v2
+// forest encoding as proto.Client does.
+func doSingle(client *http.Client, server string, entry request, cold *coldTracker) (sample, int64, int64) {
 	isCold := cold.first(entry)
 	body, _ := json.Marshal(proto.MatrixRequest{PrivacyLevel: entry.Level, Delta: entry.Delta})
 	target := server + "/v1/forest"
@@ -1071,9 +1068,7 @@ func doSingle(client *http.Client, server string, entry request, wire string, co
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("Accept-Encoding", "gzip")
-	if wire == "v2" {
-		req.Header.Set("Accept", proto.ContentTypeForestV2+", application/json")
-	}
+	req.Header.Set("Accept", proto.ContentTypeForestV2+", application/json")
 	s := roundTrip(client, req)
 	s.region = entry.Region
 	s.cold = isCold
@@ -1088,7 +1083,7 @@ func doSingle(client *http.Client, server string, entry request, wire string, co
 
 // doBatch packs n consecutive trace entries into one /v1/forests request
 // and counts per-item outcomes from the envelope.
-func doBatch(client *http.Client, server string, trace []request, idx int64, n int, wire string, cold *coldTracker) (sample, int64, int64) {
+func doBatch(client *http.Client, server string, trace []request, idx int64, n int, cold *coldTracker) (sample, int64, int64) {
 	items := make([]proto.BatchItem, n)
 	entries := make([]request, n)
 	claimed := make([]bool, n) // this batch first-saw entry i's key
@@ -1121,9 +1116,7 @@ func doBatch(client *http.Client, server string, trace []request, idx int64, n i
 	// No explicit Accept-Encoding here: the transport negotiates gzip on
 	// its own and transparently decompresses, which the envelope decode
 	// below relies on.
-	if wire == "v2" {
-		req.Header.Set("Accept", proto.ContentTypeForestV2+", application/json")
-	}
+	req.Header.Set("Accept", proto.ContentTypeForestV2+", application/json")
 
 	start := time.Now()
 	resp, err := client.Do(req)
@@ -1402,7 +1395,6 @@ type config struct {
 	Concurrency int      `json:"concurrency"`
 	RateRPS     float64  `json:"rate_rps"`
 	Batch       int      `json:"batch"`
-	Wire        string   `json:"wire"`
 	Mix         string   `json:"mix"`
 	CellMix     string   `json:"cell_mix,omitempty"`
 	ReportCount int      `json:"report_count,omitempty"`

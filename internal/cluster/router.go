@@ -44,30 +44,25 @@ import (
 	"corgi/internal/stream"
 )
 
-// RouterConfig tunes a cluster router.
+// RouterConfig tunes a cluster router. The ring takes NewRing's defaults.
 type RouterConfig struct {
-	// Vnodes and MaxLoadFactor parameterize the ring (see NewRing).
-	Vnodes        int
-	MaxLoadFactor float64
-	// StreamTimeout bounds one forwarded exchange; DialTimeout one peer
-	// dial (defaults 10s / 2s — forwards should fail over quickly).
-	StreamTimeout time.Duration
-	DialTimeout   time.Duration
-	// HTTPTimeout bounds one HTTP-fallback round trip (as the forwarded
-	// attempt's context deadline) and one peer store fetch (default 30s;
-	// snapshot payloads can be MBs).
-	HTTPTimeout time.Duration
+	// DialTimeout bounds one peer dial (default 2s — forwards should fail
+	// over quickly).
+	DialTimeout time.Duration
 }
 
+const (
+	// streamTimeout bounds one forwarded exchange.
+	streamTimeout = 10 * time.Second
+	// httpTimeout bounds one HTTP-fallback round trip (as the forwarded
+	// attempt's context deadline) and one peer store fetch (snapshot
+	// payloads can be MBs).
+	httpTimeout = 30 * time.Second
+)
+
 func (c RouterConfig) withDefaults() RouterConfig {
-	if c.StreamTimeout <= 0 {
-		c.StreamTimeout = 10 * time.Second
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
-	}
-	if c.HTTPTimeout <= 0 {
-		c.HTTPTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -86,7 +81,7 @@ type peerNode struct {
 func newPeerNode(p Peer, cfg RouterConfig) *peerNode {
 	pn := &peerNode{peer: p, client: stream.NewClient(p.StreamAddr, stream.ClientConfig{
 		DialTimeout: cfg.DialTimeout,
-		Timeout:     cfg.StreamTimeout,
+		Timeout:     streamTimeout,
 	})}
 	pn.transports = []registry.ReportHandler{pn.client.Remote()}
 	if p.HTTPURL != "" {
@@ -131,7 +126,7 @@ func NewRouter(reg *registry.Registry, self string, members []Peer, cfg RouterCo
 		self:  self,
 		reg:   reg,
 		cfg:   cfg,
-		httpc: &http.Client{Timeout: cfg.HTTPTimeout},
+		httpc: &http.Client{Timeout: httpTimeout},
 	}
 	if err := r.SetMembers(members); err != nil {
 		return nil, err
@@ -161,7 +156,7 @@ func (r *Router) SetMembers(members []Peer) error {
 	if !selfFound {
 		return fmt.Errorf("cluster: self %q not in member list %v", r.self, names)
 	}
-	ring, err := NewRing(names, r.cfg.Vnodes, r.cfg.MaxLoadFactor)
+	ring, err := NewRing(names, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -274,7 +269,7 @@ func forward[T any](ctx context.Context, r *Router, peers []*peerNode, region st
 	for _, pn := range peers {
 		for i, h := range pn.transports {
 			export, commit, rollback := r.exportHandoff(region, uid)
-			actx, cancel := context.WithTimeout(ctx, r.cfg.HTTPTimeout)
+			actx, cancel := context.WithTimeout(ctx, httpTimeout)
 			res, err = ask(actx, h, export)
 			cancel()
 			var se *stream.StatusError

@@ -213,23 +213,9 @@ func (inst *Instance) AllPairs() []obf.Pair {
 	return out
 }
 
-// SolverKind selects the LP strategy.
-type SolverKind int
-
-// Solver strategies.
-const (
-	// SolverAuto uses the direct sparse simplex for small instances and
-	// Dantzig-Wolfe decomposition (see dw.go) beyond directSolveLimit cells.
-	SolverAuto SolverKind = iota
-	// SolverDirect always builds and solves the monolithic LP.
-	SolverDirect
-	// SolverDW always uses column generation.
-	SolverDW
-)
-
-// directSolveLimit is the largest K routed to the monolithic simplex under
-// SolverAuto; bigger instances use the decomposition, whose bases stay
-// small and well-conditioned.
+// directSolveLimit is the largest K routed to the monolithic simplex;
+// bigger instances use Dantzig-Wolfe decomposition (see dw.go), whose bases
+// stay small and well-conditioned.
 const directSolveLimit = 12
 
 // Params tunes matrix generation.
@@ -247,24 +233,6 @@ type Params struct {
 	UseGraphApprox bool
 	// BudgetVariant selects the reserved-budget approximation form.
 	BudgetVariant budget.Variant
-	// LiteralBudget uses the paper's literal Equ. (14) (max over all prune
-	// sets, including those deleting the pair itself) instead of the
-	// corrected pair-surviving form; see budget.ApproxPair. Literal form
-	// over-reserves and can make Equ. (16) infeasible.
-	LiteralBudget bool
-	// UncappedBudget disables the eps'_{i,j} <= eps cap. By default the
-	// reserved budget is capped so the tightened multiplier stays >= 1,
-	// which keeps Equ. (16) feasible (the uniform matrix always satisfies
-	// it) at the cost of a best-effort (rather than absolute) delta-prunable
-	// guarantee for the affected pairs — matching the residual violations
-	// the paper itself reports for its robust matrices (Sec. 6.2.4).
-	UncappedBudget bool
-	// Solver picks the LP strategy (default SolverAuto).
-	Solver SolverKind
-	// LP carries solver options; nil uses defaults with perturbation on.
-	LP *lp.Options
-	// DWRounds caps column-generation rounds (0 = default).
-	DWRounds int
 	// DWExact runs the column-generation tail to full optimality
 	// certification instead of stopping when improvement stalls below 0.1%.
 	DWExact bool
@@ -286,13 +254,6 @@ func (p Params) validate() error {
 		return fmt.Errorf("core: robust generation needs >= 1 iteration, got %d", p.Iterations)
 	}
 	return nil
-}
-
-func (p Params) lpOptions() *lp.Options {
-	if p.LP != nil {
-		return p.LP
-	}
-	return &lp.Options{Perturb: true}
 }
 
 // Result is the outcome of matrix generation.
@@ -355,20 +316,13 @@ func (st *solveStats) add(o solveStats) {
 	st.warmAccepts += o.warmAccepts
 }
 
-// solveMatrix dispatches one LP solve to the configured strategy, updating
-// carry with whatever state the next related solve can reuse.
+// solveMatrix dispatches one LP solve by instance size (direct simplex up
+// to directSolveLimit cells, decomposition beyond), updating carry with
+// whatever state the next related solve can reuse.
 func (inst *Instance) solveMatrix(p Params, pairs []obf.Pair, mult []float64, carry *solveCarry, tightened bool) (*obf.Matrix, solveStats, error) {
-	kind := p.Solver
-	if kind == SolverAuto {
-		if inst.K() <= directSolveLimit {
-			kind = SolverDirect
-		} else {
-			kind = SolverDW
-		}
-	}
-	if kind == SolverDirect {
+	if inst.K() <= directSolveLimit {
 		var st solveStats
-		opts := *p.lpOptions() // copy: never mutate the caller's Options
+		opts := lp.Options{Perturb: true}
 		if !p.NoWarmStart && len(carry.basis) > 0 {
 			opts.WarmBasis = carry.basis
 			st.warmAttempts++
@@ -385,9 +339,8 @@ func (inst *Instance) solveMatrix(p Params, pairs []obf.Pair, mult []float64, ca
 		}
 		return m, st, err
 	}
-	return inst.solveDW(pairs, mult, &dwOptions{
-		MaxRounds: p.DWRounds, Exact: p.DWExact, SubLP: p.LP,
-		SeedUniform: tightened, NoWarmStart: p.NoWarmStart,
+	return inst.solveDW(pairs, mult, dwOptions{
+		Exact: p.DWExact, SeedUniform: tightened, NoWarmStart: p.NoWarmStart,
 	}, carry)
 }
 
@@ -496,17 +449,17 @@ func (inst *Instance) GenerateCtx(ctx context.Context, p Params) (*Result, error
 		}
 		// Reserved privacy budget from the current matrix (Equ. 14).
 		for pi, pr := range pairs {
-			var ep float64
-			var err error
-			if p.LiteralBudget {
-				ep, err = budget.Approx(m.Row(pr.I), m.Row(pr.J), pr.Dist, p.Epsilon, p.Delta, p.BudgetVariant)
-			} else {
-				ep, err = budget.ApproxPair(m.Row(pr.I), m.Row(pr.J), pr.I, pr.J, pr.Dist, p.Epsilon, p.Delta, p.BudgetVariant)
-			}
+			ep, err := budget.ApproxPair(m.Row(pr.I), m.Row(pr.J), pr.I, pr.J, pr.Dist, p.Epsilon, p.Delta, p.BudgetVariant)
 			if err != nil {
 				return nil, fmt.Errorf("core: reserved budget for pair (%d,%d): %w", pr.I, pr.J, err)
 			}
-			if !p.UncappedBudget && ep > p.Epsilon {
+			// The reserved budget is capped at eps so the tightened
+			// multiplier stays >= 1, which keeps Equ. (16) feasible (the
+			// uniform matrix always satisfies it) at the cost of a
+			// best-effort (rather than absolute) delta-prunable guarantee
+			// for the affected pairs, matching the residual violations the
+			// paper itself reports for its robust matrices (Sec. 6.2.4).
+			if ep > p.Epsilon {
 				ep = p.Epsilon
 			}
 			mult[pi] = budget.TightenedMultiplier(p.Epsilon, ep, pr.Dist)

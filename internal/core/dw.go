@@ -36,17 +36,15 @@ import (
 
 // dwOptions tunes the decomposition.
 type dwOptions struct {
-	MaxRounds   int     // pricing rounds before giving up (default 400)
-	PriceTol    float64 // a block must price below -PriceTol to enter
-	Exact       bool    // run the tail to full optimality certification
-	SeedUniform bool    // seed the uniform generator per block (tightened cones)
-	NoWarmStart bool    // disable master/pricing warm starts (benchmarking)
-	SubLP       *lp.Options
-	MasterLP    *lp.Options
-	OnProgress  func(round int, masterObj float64, negBlocks int)
+	Exact       bool // run the tail to full optimality certification
+	SeedUniform bool // seed the uniform generator per block (tightened cones)
+	NoWarmStart bool // disable master/pricing warm starts (benchmarking)
 }
 
-func (o *dwOptions) noWarm() bool { return o != nil && o.NoWarmStart }
+const (
+	dwMaxRounds = 400  // pricing rounds before giving up
+	dwPriceTol  = 1e-9 // a block must price below -dwPriceTol to enter
+)
 
 // dwStallTol ends the convergence tail once the master objective improves
 // by less than this relative amount over dwStallRounds consecutive rounds
@@ -60,20 +58,6 @@ const (
 	// feasible, near-optimal master. Certification mode ignores the cap.
 	dwExactBudget = 30
 )
-
-func (o *dwOptions) maxRounds() int {
-	if o == nil || o.MaxRounds <= 0 {
-		return 400
-	}
-	return o.MaxRounds
-}
-
-func (o *dwOptions) priceTol() float64 {
-	if o == nil || o.PriceTol <= 0 {
-		return 1e-9
-	}
-	return o.PriceTol
-}
 
 // dwColumn is one generated master column: generator g used by block l.
 type dwColumn struct {
@@ -97,7 +81,7 @@ type dwColumn struct {
 // generated column and is rebuilt only when pruning reindexes it; the pricing
 // problem is built once and only its objective moves, so its standard form
 // and scales are computed once per call.
-func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, carry *solveCarry) (*obf.Matrix, solveStats, error) {
+func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, carry *solveCarry) (*obf.Matrix, solveStats, error) {
 	k := inst.K()
 	blockCost := make([][]float64, k) // w_l[i] = priors[i]*cost[i][l]
 	for l := 0; l < k; l++ {
@@ -127,10 +111,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 			}
 		}
 	}
-	subOpts := &lp.Options{Perturb: true}
-	if opt != nil && opt.SubLP != nil {
-		subOpts = opt.SubLP
-	}
+	subOpts := lp.Options{Perturb: true}
 
 	// Fast pricing candidates: the single-peak exponential profiles
 	// x^(m)_j = exp(-sigma_m(j)), sigma_m = shortest path from m under arc
@@ -139,10 +120,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 	// below only runs for blocks where no profile prices negative, which
 	// keeps convergence exact while eliminating most pricing solves.
 	profiles := exponentialProfiles(k, pairs, mult)
-	masterOpts := &lp.Options{}
-	if opt != nil && opt.MasterLP != nil {
-		masterOpts = opt.MasterLP
-	}
 
 	// Big-M artificials keep the master feasible until enough columns exist.
 	maxW := 0.0
@@ -182,7 +159,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 	// (guaranteed whenever every multiplier is >= 1, which the capped
 	// reserved budget ensures): the master is then feasible from round 0
 	// and the Big-M artificials only ever carry numerical dust.
-	uniformOK := opt != nil && opt.SeedUniform
+	uniformOK := opt.SeedUniform
 	for _, m := range mult {
 		if m < 1 {
 			uniformOK = false
@@ -202,7 +179,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 			cols = append(cols, dwColumn{block: l, g: u, cost: cost})
 		}
 	}
-	priceTol := opt.priceTol()
 	objW := make([]float64, k)
 	type profKey struct {
 		block, peak int
@@ -251,8 +227,8 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 			}
 		}
 		inMaster = len(cols)
-		mOpts := *masterOpts // copy: never mutate the caller's Options
-		if !opt.noWarm() && len(masterBasis) > 0 {
+		var mOpts lp.Options
+		if !opt.NoWarmStart && len(masterBasis) > 0 {
 			mOpts.WarmBasis = masterBasis
 			st.warmAttempts++
 		}
@@ -273,12 +249,12 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 
 	var master *lp.Solution
 	converged := false
-	exact := opt != nil && opt.Exact
+	exact := opt.Exact
 	prevObj := math.Inf(1)
 	stall := 0
 	cursor := 0
 	exactSolves := 0
-	for round := 0; round < opt.maxRounds(); round++ {
+	for round := 0; round < dwMaxRounds; round++ {
 		var err error
 		master, err = solveMaster()
 		if err != nil {
@@ -303,14 +279,14 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 		}
 		prevObj = master.Objective
 		y := master.Duals
-		added, negBlocks := 0, 0
+		added := 0
 		// Fast pass: for every block, try the single-peak profiles first.
 		needExact := make([]bool, k)
 		for l := 0; l < k; l++ {
 			for i := 0; i < k; i++ {
 				objW[i] = blockCost[l][i] - y[i]
 			}
-			bestProfile, bestVal := -1, -priceTol
+			bestProfile, bestVal := -1, -dwPriceTol
 			for m := 0; m < k; m++ {
 				if profAdded[profKey{l, m}] {
 					continue
@@ -351,7 +327,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 				cols = append(cols, dwColumn{block: l, g: g, cost: cost})
 				profAdded[profKey{l, bestProfile}] = true
 				added++
-				negBlocks++
 			} else {
 				needExact[l] = true
 			}
@@ -375,8 +350,8 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 				if err := sub.SetObjective(objW); err != nil {
 					return nil, st, err
 				}
-				sOpts := *subOpts
-				if !opt.noWarm() && len(subBasis) > 0 {
+				sOpts := subOpts
+				if !opt.NoWarmStart && len(subBasis) > 0 {
 					sOpts.WarmBasis = subBasis
 					st.warmAttempts++
 				}
@@ -400,8 +375,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 				default:
 					return nil, st, fmt.Errorf("core: DW pricing %v (%s)", subSol.Status, subSol.Note)
 				}
-				if subSol.Objective < -priceTol {
-					negBlocks++
+				if subSol.Objective < -dwPriceTol {
 					g := append([]float64(nil), subSol.X...)
 					cost := 0.0
 					for i := 0; i < k; i++ {
@@ -441,9 +415,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt *dwOptions, 
 			}
 			cols = kept
 			masterBasis, mp = nil, nil // pruning reindexed the master's columns
-		}
-		if opt != nil && opt.OnProgress != nil {
-			opt.OnProgress(round, master.Objective, negBlocks)
 		}
 		if added == 0 {
 			converged = true

@@ -1,343 +1,292 @@
-// Package eval is the evaluation harness over the mechanism registry: it
-// sweeps every registered mechanism (internal/mechanism.Factories — the
-// LP-optimal robust forest, its non-robust baseline, discretized planar
-// Laplace) across epsilon under two adversaries and emits a
-// utility-vs-privacy frontier artifact.
+// Package eval is the one evaluation package: every figure of the paper's
+// evaluation (Sec. 6, Figs. 9-14, the abstract's headline), the extension
+// studies (the ext-* runners) and the two-adversary utility-vs-privacy
+// frontier (frontier.go, traj.go). Each is a named Runner in one Registry,
+// producing printable tables and, for the frontier, a JSON artifact; cmd/
+// corgi-experiments loops over the registry, and the root bench_test.go
+// wraps the figure runners as testing.B benchmarks.
 //
-// Adversary one is the Bayesian remapping attacker (attack.RemapError):
-// observe one report, form the posterior, answer with the Bayes-optimal
-// remap; its expected distance error is the paper's privacy metric
-// (Sec. 6, refs [26, 27]). Each mechanism is measured both intact and
-// after δ preference-pruning (attack.PrunedRemapError) — the robustness
-// probe: a δ-prunable matrix should hold its error where the non-robust
-// baseline collapses or fails to renormalize at all.
-//
-// Adversary two is the trajectory-correlation attacker (traj.go): a
-// forward-filtering HMM that replays Gowalla mobility sessions through
-// the real serving stack — resident sessions, re-anchors across subtree
-// crossings, budget accounting — and exploits step-to-step correlation
-// the single-report metric cannot see. Alongside it the harness checks
-// the linear-composition bound internal/budget charges by (t draws cost
-// t*eps) against the realized observation-likelihood ratios.
-//
-// The Frontier JSON ("corgi-frontier/1") is reproduced as a CI artifact;
-// its robust_dominates field is the build gate: the robust mechanism's
-// post-prune remap error must dominate the non-robust baseline at every
-// matched epsilon (matched epsilon fixes the utility side of the
-// frontier, so dominance there is dominance at matched utility).
+// Scale notes: the harness defaults to "quick" settings sized for a single
+// core (fewer Algorithm-1 rounds, fewer Monte-Carlo repeats); Full restores
+// paper-scale sweeps. Leaf cells are 0.1 km apart so that the paper's
+// epsilon axis (15-20 km^-1) lands in the regime where Geo-Ind constraints
+// bind (eps*d in [1.5, 3.5]).
 package eval
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
-	"sort"
+	"strings"
+	"time"
 
-	"corgi/internal/attack"
+	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/gowalla"
+	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
-	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 )
 
-// Schema identifies the frontier artifact format.
-const Schema = "corgi-frontier/1"
-
-// Config parameterizes one frontier run.
+// Config tunes a run.
 type Config struct {
-	// Seed drives every random choice (priors corpus, prune sets,
-	// trajectory replay); equal seeds reproduce equal frontiers.
-	Seed int64
-	// Quick shrinks the sweep for CI: fewer cells, epsilons, users.
-	Quick bool
-	// Epsilons overrides the swept Geo-Ind budgets (km^-1). Nil uses the
-	// default grid around the paper's eps = 15.
-	Epsilons []float64
-	// Delta is the preference-prune budget the robust mechanisms are
-	// built for and the pruned-remap probe removes. Default 3.
-	Delta int
+	Quick bool  // reduced repeats/rounds (default mode for the harness)
+	Seed  int64 // master seed; 0 means 1
 }
 
-func (c Config) withDefaults() Config {
-	if c.Epsilons == nil {
-		if c.Quick {
-			c.Epsilons = []float64{10, 15}
-		} else {
-			c.Epsilons = []float64{5, 10, 15}
-		}
+func (c *Config) seed() int64 {
+	if c == nil || c.Seed == 0 {
+		return 1
 	}
-	if c.Delta == 0 {
-		c.Delta = 3
-	}
-	return c
+	return c.Seed
 }
 
-// Point is one (mechanism, epsilon) cell of the frontier under the
-// remapping adversary. Distances are km; higher error = more private,
-// lower utility loss = more useful.
-type Point struct {
-	Epsilon float64 `json:"epsilon"`
-	// UtilityLossKm is the expected true-to-reported distance
-	// sum_i prior_i sum_j z_ij d_ij — the paper's quality-loss objective.
-	UtilityLossKm float64 `json:"utility_loss_km"`
-	// RemapErrorKm is the Bayes-optimal remapping adversary's expected
-	// inference error against the intact mechanism.
-	RemapErrorKm float64 `json:"remap_error_km"`
-	// PrunedRemapErrorKm is the same metric after delta leaves are pruned
-	// and the matrix renormalized — the worst (lowest) error over the
-	// sampled prune sets. Zero when every sampled prune failed.
-	PrunedRemapErrorKm float64 `json:"pruned_remap_error_km"`
-	// PruneFailed marks a mechanism that could not renormalize some
-	// sampled prune set at all (a row lost essentially all mass) — the
-	// failure mode delta-prunable generation exists to rule out.
-	PruneFailed bool `json:"prune_failed"`
+func (c *Config) quick() bool { return c == nil || c.Quick }
+
+// Table is one printable result series.
+type Table struct {
+	ID     string
+	Title  string
+	Header []string
+	Rows   [][]string
 }
 
-// MechanismFrontier is one registered mechanism's sweep.
-type MechanismFrontier struct {
-	Name   string  `json:"name"`
-	Robust bool    `json:"robust"`
-	Points []Point `json:"points"`
-}
-
-// Frontier is the artifact one Run emits.
-type Frontier struct {
-	Schema   string    `json:"schema"`
-	Seed     int64     `json:"seed"`
-	Quick    bool      `json:"quick"`
-	Delta    int       `json:"delta"`
-	Epsilons []float64 `json:"epsilons"`
-	// Cells is the remap-sweep instance size (matrix dimension).
-	Cells      int                 `json:"cells"`
-	Mechanisms []MechanismFrontier `json:"mechanisms"`
-	Trajectory []TrajPoint         `json:"trajectory"`
-	// RobustDominates is the CI gate: at every swept epsilon the robust
-	// forest mechanism's post-prune remap error is at least the
-	// non-robust baseline's (a baseline whose prune failed outright is
-	// dominated by definition).
-	RobustDominates bool `json:"robust_dominates"`
-}
-
-// world is the shared remap-sweep instance: a region tree, data-derived
-// priors, and one cluster of leaf cells the matrices cover.
-type world struct {
-	sys    *hexgrid.System
-	tree   *loctree.Tree
-	leaves []loctree.NodeID
-	cells  []hexgrid.Coord
-	prior  []float64 // normalized over leaves
-	dist   func(i, j int) float64
-	build  mechanism.BuildConfig // template; Epsilon/Delta set per point
-}
-
-func newWorld(cfg Config) (*world, error) {
-	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
-	if err != nil {
-		return nil, err
+// Fprint renders the table as aligned text.
+func (t *Table) Fprint(w io.Writer) {
+	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
+	widths := make([]int, len(t.Header))
+	for i, h := range t.Header {
+		widths[i] = len(h)
 	}
-	tree, err := loctree.NewAt(sys, geo.SanFrancisco.Center(), 2)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := gowalla.Generate(gowalla.GenConfig{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	leafW, err := gowalla.LeafPriors(ds.CheckIns, tree, 1)
-	if err != nil {
-		return nil, err
-	}
-	priors, err := loctree.NewPriors(tree, leafW)
-	if err != nil {
-		return nil, err
-	}
-	clusters := 3 // K = 21
-	if cfg.Quick {
-		clusters = 1 // K = 7
-	}
-	leaves, err := tree.ClusterLeaves(clusters)
-	if err != nil {
-		return nil, err
-	}
-	prior, err := priors.Subset(tree, leaves, true)
-	if err != nil {
-		return nil, err
-	}
-	w := &world{sys: sys, tree: tree, leaves: leaves, prior: prior}
-	w.cells = make([]hexgrid.Coord, len(leaves))
-	centers := make([]geo.LatLng, len(leaves))
-	for i, l := range leaves {
-		w.cells[i] = l.Coord
-		centers[i] = tree.Center(l)
-	}
-	w.dist = func(i, j int) float64 { return geo.Haversine(centers[i], centers[j]) }
-
-	// Shared NR_TARGET service locations so every mechanism optimizes the
-	// same quality objective. A thin target set concentrates row mass on a
-	// few columns, which inflates the reserved budget (Equ. 14) until the
-	// tightened multiplier saturates and the robust solve degenerates — so
-	// the sweep follows the paper's protocol of spreading targets across
-	// the instance.
-	rng := rand.New(rand.NewSource(cfg.Seed + 1000))
-	var targets []geo.LatLng
-	var tprobs []float64
-	nTargets := max(3, len(leaves)/3)
-	for _, idx := range rng.Perm(len(leaves))[:min(nTargets, len(leaves))] {
-		targets = append(targets, centers[idx])
-		tprobs = append(tprobs, 1)
-	}
-	iters := 6
-	if cfg.Quick {
-		iters = 3
-	}
-	w.build = mechanism.BuildConfig{
-		Sys: sys, Cells: w.cells, Priors: prior,
-		Targets: targets, TargetProbs: tprobs, Iterations: iters,
-	}
-	return w, nil
-}
-
-// utilityLoss is the expected reporting distance sum_i p_i sum_j z_ij d_ij.
-func utilityLoss(prior []float64, z *obf.Matrix, dist func(i, j int) float64) float64 {
-	total := 0.0
-	for i := 0; i < z.Dim(); i++ {
-		row := z.Row(i)
-		for j, v := range row {
-			if v > 0 {
-				total += prior[i] * v * dist(i, j)
+	for _, r := range t.Rows {
+		for i, c := range r {
+			if i < len(widths) && len(c) > widths[i] {
+				widths[i] = len(c)
 			}
 		}
 	}
-	return total
+	line := func(cells []string) {
+		parts := make([]string, len(cells))
+		for i, c := range cells {
+			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
+		}
+		fmt.Fprintln(w, strings.Join(parts, "  "))
+	}
+	line(t.Header)
+	for _, r := range t.Rows {
+		line(r)
+	}
+	fmt.Fprintln(w)
 }
 
-// pruneSets samples `sets` distinct delta-sized prune sets; the pruned
-// metric takes the worst case over them, which is the robustness claim's
-// shape (delta-prunable = survives any |S| <= delta).
-func pruneSets(rng *rand.Rand, n, delta, sets int) [][]int {
-	out := make([][]int, sets)
-	for s := range out {
-		out[s] = append([]int(nil), rng.Perm(n)[:delta]...)
-		sort.Ints(out[s])
+// Output is what one runner produces: its printable tables and, for a
+// runner that defines one, the value corgi-experiments -out writes as JSON
+// (the tables are rendered from it).
+type Output struct {
+	Tables   []*Table
+	Artifact any
+}
+
+// Runner produces an experiment's output.
+type Runner func(cfg *Config) (*Output, error)
+
+// registryEntry pairs an id with its runner and description.
+type registryEntry struct {
+	ID   string
+	Desc string
+	Run  Runner
+}
+
+// Registry lists every experiment in presentation order.
+var Registry = []registryEntry{
+	{"fig9", "Convergence of quality loss over Algorithm-1 iterations (delta=2,4)", Fig9},
+	{"fig10a", "Matrix generation time with vs without graph approximation", Fig10a},
+	{"fig10b", "Geo-Ind constraint counts with vs without graph approximation", Fig10b},
+	{"fig11", "Quality loss vs epsilon for non-robust vs CORGI (delta=1..3)", Fig11},
+	{"fig12", "Geo-Ind violations vs number of pruned locations", Fig12},
+	{"fig13", "Quality loss vs privacy level (obfuscation range)", Fig13},
+	{"fig14", "Precision reduction vs matrix recalculation runtime", Fig14},
+	{"headline", "Abstract headline: prune 14.28% -> violation rates", Headline},
+	{"ext-planar", "Extension: planar Laplace baseline comparison", ExtPlanar},
+	{"ext-attack", "Extension: Bayesian adversary inference error", ExtAttack},
+	{"ext-budget", "Extension: exact vs approximate reserved budget", ExtBudget},
+	{"ext-rpbvariant", "Extension: RPB row-i (proof) vs row-j (printed) variants", ExtRPBVariant},
+	{"ext-approx-quality", "Extension: quality cost of the graph approximation", ExtApproxQuality},
+	{"frontier", "Utility-vs-privacy frontier: every mechanism under the remapping and trajectory adversaries", RunFrontier},
+}
+
+func find(id string) (registryEntry, bool) {
+	for _, e := range Registry {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return registryEntry{}, false
+}
+
+// Lookup finds a runner by id.
+func Lookup(id string) (Runner, bool) { e, ok := find(id); return e.Run, ok }
+
+// Describe returns the description for an id, empty when unknown.
+func Describe(id string) string { e, _ := find(id); return e.Desc }
+
+// IDs returns all experiment ids in order.
+func IDs() []string {
+	out := make([]string, len(Registry))
+	for i, e := range Registry {
+		out[i] = e.ID
 	}
 	return out
 }
 
-// sweepMechanisms measures every registered mechanism at every epsilon
-// under the remapping adversary.
-func sweepMechanisms(cfg Config, w *world) ([]MechanismFrontier, error) {
-	sets := 5
-	if cfg.Quick {
-		sets = 3
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 2000))
-	prunes := pruneSets(rng, len(w.leaves), cfg.Delta, sets)
-
-	var out []MechanismFrontier
-	for _, f := range mechanism.Factories() {
-		mf := MechanismFrontier{Name: f.Name, Robust: f.Robust}
-		for _, eps := range cfg.Epsilons {
-			bc := w.build
-			bc.Epsilon = eps
-			bc.Delta = cfg.Delta
-			z, err := mechanism.Build(f.Name, bc)
-			if err != nil {
-				return nil, fmt.Errorf("eval: building %s at eps=%g: %w", f.Name, eps, err)
-			}
-			p := Point{Epsilon: eps, UtilityLossKm: utilityLoss(w.prior, z, w.dist)}
-			p.RemapErrorKm, err = attack.RemapError(w.prior, z, w.dist)
-			if err != nil {
-				return nil, fmt.Errorf("eval: remap error for %s at eps=%g: %w", f.Name, eps, err)
-			}
-			worst := -1.0
-			for _, set := range prunes {
-				e, err := attack.PrunedRemapError(w.prior, z, w.dist, set)
-				if err != nil {
-					// A prune the matrix cannot absorb: the non-robust
-					// failure mode, recorded rather than fatal.
-					p.PruneFailed = true
-					continue
-				}
-				if worst < 0 || e < worst {
-					worst = e
-				}
-			}
-			if worst >= 0 {
-				p.PrunedRemapErrorKm = worst
-			}
-			mf.Points = append(mf.Points, p)
-		}
-		out = append(out, mf)
-	}
-	return out, nil
+// world is the shared evaluation setup: the SF region, a location tree,
+// synthetic Gowalla priors, and the NR_TARGET target locations every
+// instance cut from it optimizes against.
+type world struct {
+	tree    *loctree.Tree
+	priors  *loctree.Priors
+	targets []geo.LatLng
+	tprobs  []float64
 }
 
-// robustDominates is the gate: at every epsilon the robust forest
-// mechanism's worst-case post-prune error must be at least the
-// non-robust baseline's (an outright prune failure is dominated).
-func robustDominates(ms []MechanismFrontier) bool {
-	var robust, plain *MechanismFrontier
-	for i := range ms {
-		switch ms[i].Name {
-		case "forest-optimal":
-			robust = &ms[i]
-		case "forest-nonrobust":
-			plain = &ms[i]
+const (
+	leafSpacingKm = 0.1
+	epsDefault    = 15.0
+)
+
+// newWorld builds the setup every runner shares. seed drives the check-in
+// corpus, the train split and (as seed + 1000) the target draw; height is
+// the tree's (3 = 343 leaves, as in the paper); the nTargets targets are
+// drawn from the leaves of the first `clusters` level-1 clusters. With
+// holdout the priors come from the 90% train side of the paper's 90/10
+// split (Sec. 6.2.3), otherwise from every check-in.
+func newWorld(seed int64, height, clusters, nTargets int, holdout bool) (*world, error) {
+	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), leafSpacingKm)
+	if err != nil {
+		return nil, err
+	}
+	tree, err := loctree.NewAt(sys, geo.SanFrancisco.Center(), height)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := gowalla.Generate(gowalla.GenConfig{Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	checkIns := ds.CheckIns
+	if holdout {
+		if checkIns, _, err = gowalla.SplitTrainTest(checkIns, 0.9, seed); err != nil {
+			return nil, err
 		}
 	}
-	if robust == nil || plain == nil {
-		return false
+	// Check-ins land across the whole SF box; the tree covers only its
+	// center. That matches the paper's approach of indexing an area of
+	// interest; priors are smoothed so every leaf is usable.
+	leaf, err := gowalla.LeafPriors(checkIns, tree, 1)
+	if err != nil {
+		return nil, err
 	}
-	byEps := map[float64]Point{}
-	for _, p := range plain.Points {
-		byEps[p.Epsilon] = p
+	priors, err := loctree.NewPriors(tree, leaf)
+	if err != nil {
+		return nil, err
 	}
-	const tol = 1e-9
-	for _, rp := range robust.Points {
-		pp, ok := byEps[rp.Epsilon]
-		if !ok {
-			continue
-		}
-		if rp.PruneFailed {
-			return false // the robust mechanism must absorb every sampled prune
-		}
-		if pp.PruneFailed {
-			continue // baseline collapsed outright: dominated at this eps
-		}
-		if rp.PrunedRemapErrorKm+tol < pp.PrunedRemapErrorKm {
-			return false
+	w := &world{tree: tree, priors: priors}
+
+	// Shared NR_TARGET service locations so every instance and mechanism
+	// optimizes the same quality objective. A draw of the whole pool is the
+	// pool itself, in tree order.
+	pool, err := tree.ClusterLeaves(clusters)
+	if err != nil {
+		return nil, err
+	}
+	picked := pool
+	if nTargets < len(pool) {
+		picked = nil
+		for _, idx := range sample(rand.New(rand.NewSource(seed+1000)), len(pool), nTargets) {
+			picked = append(picked, pool[idx])
 		}
 	}
-	return true
+	for _, l := range picked {
+		w.targets = append(w.targets, tree.Center(l))
+		w.tprobs = append(w.tprobs, 1)
+	}
+	return w, nil
 }
 
-// Run executes the full frontier sweep: the remapping adversary across
-// all registered mechanisms and epsilons, then the trajectory-correlation
-// adversary through the real serving stack.
-func Run(cfg Config) (*Frontier, error) {
-	cfg = cfg.withDefaults()
-	w, err := newWorld(cfg)
+// figureWorld is the world of the paper's figures: the height-3 tree, with
+// all NR_TARGET = 49 leaves of the K=49 cluster as targets so every
+// instance size shares the same service locations.
+func figureWorld(seed int64) (*world, error) { return newWorld(seed, 3, 7, 49, true) }
+
+// figureInstance is the K = 7m instance of figureWorld(seed), for the
+// runners that study a single instance.
+func figureInstance(seed int64, m int) (*core.Instance, error) {
+	w, err := figureWorld(seed)
 	if err != nil {
 		return nil, err
 	}
-	mechs, err := sweepMechanisms(cfg, w)
+	inst, _, err := w.instance(m)
+	return inst, err
+}
+
+// cluster returns the leaves of the first m level-1 clusters (K = 7m
+// cells), their coordinates, and the priors renormalized over them.
+func (w *world) cluster(m int) ([]loctree.NodeID, []hexgrid.Coord, []float64, error) {
+	leaves, err := w.tree.ClusterLeaves(m)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	traj, err := sweepTrajectories(cfg)
+	cells := make([]hexgrid.Coord, len(leaves))
+	for i, l := range leaves {
+		cells[i] = l.Coord
+	}
+	pr, err := w.priors.Subset(w.tree, leaves, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return &Frontier{
-		Schema:          Schema,
-		Seed:            cfg.Seed,
-		Quick:           cfg.Quick,
-		Delta:           cfg.Delta,
-		Epsilons:        cfg.Epsilons,
-		Cells:           len(w.leaves),
-		Mechanisms:      mechs,
-		Trajectory:      traj,
-		RobustDominates: robustDominates(mechs),
-	}, nil
+	return leaves, cells, pr, nil
+}
+
+// instance builds a core.Instance over cluster(m).
+func (w *world) instance(m int) (*core.Instance, []loctree.NodeID, error) {
+	leaves, cells, pr, err := w.cluster(m)
+	if err != nil {
+		return nil, nil, err
+	}
+	inst, err := core.NewInstance(w.tree.System(), cells, pr, w.targets, w.tprobs, graphx.WeightPaper)
+	return inst, leaves, err
+}
+
+// sample draws n distinct indices out of k: the one sampler behind every
+// random prune set and the target draw.
+func sample(rng *rand.Rand, k, n int) []int { return rng.Perm(k)[:n] }
+
+// pruneTrial prunes the locations in s from a matrix and reports the
+// violation rate over the surviving constraint pairs.
+func pruneTrial(m *obf.Matrix, pairs []obf.Pair, eps float64, s []int) (float64, bool) {
+	pm, keep, err := m.Prune(s)
+	if err != nil {
+		return 0, false // a row lost all mass: skip trial
+	}
+	newIdx := make(map[int]int, len(keep))
+	for ni, oi := range keep {
+		newIdx[oi] = ni
+	}
+	var surviving []obf.Pair
+	for _, p := range pairs {
+		ni, iok := newIdx[p.I]
+		nj, jok := newIdx[p.J]
+		if iok && jok {
+			surviving = append(surviving, obf.Pair{I: ni, J: nj, Dist: p.Dist})
+		}
+	}
+	return pm.CheckGeoInd(surviving, eps, 1e-6).Percent(), true
+}
+
+func f(v float64) string  { return fmt.Sprintf("%.4f", v) }
+func f6(v float64) string { return fmt.Sprintf("%.6f", v) }
+func d(v int) string      { return fmt.Sprintf("%d", v) }
+func ms(t time.Duration) string {
+	return fmt.Sprintf("%.1f", float64(t.Microseconds())/1000.0)
 }

@@ -1,29 +1,14 @@
-// Package experiments regenerates every figure of the paper's evaluation
-// (Sec. 6, Figs. 9-14) plus the extension studies (the ext-* runners). Each
-// experiment is a named Runner producing printable tables; cmd/
-// corgi-experiments drives them, and bench_test.go wraps them as testing.B
-// benchmarks.
-//
-// Scale notes: the harness defaults to "quick" settings sized for a single
-// core (fewer Algorithm-1 rounds, fewer Monte-Carlo repeats); Full restores
-// paper-scale sweeps. Leaf cells are 0.1 km apart so that the paper's
-// epsilon axis (15-20 km^-1) lands in the regime where Geo-Ind constraints
-// bind (eps*d in [1.5, 3.5]).
-package experiments
+package eval
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
-	"sort"
-	"strings"
 	"time"
 
 	"corgi/internal/attack"
 	"corgi/internal/budget"
 	"corgi/internal/core"
 	"corgi/internal/geo"
-	"corgi/internal/gowalla"
 	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
@@ -31,231 +16,30 @@ import (
 	"corgi/internal/planar"
 )
 
-// Config tunes a run.
-type Config struct {
-	Quick bool  // reduced repeats/rounds (default mode for the harness)
-	Seed  int64 // master seed; 0 means 1
-}
-
-func (c *Config) seed() int64 {
-	if c == nil || c.Seed == 0 {
-		return 1
-	}
-	return c.Seed
-}
-
-func (c *Config) quick() bool { return c == nil || c.Quick }
-
-// Table is one printable result series.
-type Table struct {
-	ID     string
-	Title  string
-	Header []string
-	Rows   [][]string
-}
-
-// Fprint renders the table as aligned text.
-func (t *Table) Fprint(w io.Writer) {
-	fmt.Fprintf(w, "== %s: %s ==\n", t.ID, t.Title)
-	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, r := range t.Rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-		}
-		fmt.Fprintln(w, strings.Join(parts, "  "))
-	}
-	line(t.Header)
-	for _, r := range t.Rows {
-		line(r)
-	}
-	fmt.Fprintln(w)
-}
-
-// Runner produces an experiment's tables.
-type Runner func(cfg *Config) ([]*Table, error)
-
-// registryEntry pairs an id with its runner and description.
-type registryEntry struct {
-	ID   string
-	Desc string
-	Run  Runner
-}
-
-// Registry lists every experiment in presentation order.
-var Registry = []registryEntry{
-	{"fig9", "Convergence of quality loss over Algorithm-1 iterations (delta=2,4)", Fig9},
-	{"fig10a", "Matrix generation time with vs without graph approximation", Fig10a},
-	{"fig10b", "Geo-Ind constraint counts with vs without graph approximation", Fig10b},
-	{"fig11", "Quality loss vs epsilon for non-robust vs CORGI (delta=1..3)", Fig11},
-	{"fig12", "Geo-Ind violations vs number of pruned locations", Fig12},
-	{"fig13", "Quality loss vs privacy level (obfuscation range)", Fig13},
-	{"fig14", "Precision reduction vs matrix recalculation runtime", Fig14},
-	{"headline", "Abstract headline: prune 14.28% -> violation rates", Headline},
-	{"ext-planar", "Extension: planar Laplace baseline comparison", ExtPlanar},
-	{"ext-attack", "Extension: Bayesian adversary inference error", ExtAttack},
-	{"ext-budget", "Extension: exact vs approximate reserved budget", ExtBudget},
-	{"ext-rpbvariant", "Extension: RPB row-i (proof) vs row-j (printed) variants", ExtRPBVariant},
-	{"ext-approx-quality", "Extension: quality cost of the graph approximation", ExtApproxQuality},
-}
-
-// Lookup finds a runner by id.
-func Lookup(id string) (Runner, bool) {
-	for _, e := range Registry {
-		if e.ID == id {
-			return e.Run, true
-		}
-	}
-	return nil, false
-}
-
-// IDs returns all experiment ids in order.
-func IDs() []string {
-	out := make([]string, len(Registry))
-	for i, e := range Registry {
-		out[i] = e.ID
-	}
-	return out
-}
-
-// Describe returns the description for an id.
-func Describe(id string) string {
-	for _, e := range Registry {
-		if e.ID == id {
-			return e.Desc
-		}
-	}
-	return ""
-}
-
-// env is the shared experimental setup: the SF region, a height-3 tree
-// (343 leaves, as in the paper), synthetic Gowalla priors, and NR_TARGET
-// target locations.
-type env struct {
-	sys     *hexgrid.System
-	tree    *loctree.Tree
-	priors  *loctree.Priors
-	train   []gowalla.CheckIn
-	test    []gowalla.CheckIn
-	targets []geo.LatLng
-	tprobs  []float64
-	seed    int64
-}
-
-const (
-	leafSpacingKm = 0.1
-	nrTarget      = 49
-	epsDefault    = 15.0
-)
-
-func newEnv(cfg *Config) (*env, error) {
-	seed := cfg.seed()
-	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), leafSpacingKm)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := loctree.NewAt(sys, geo.SanFrancisco.Center(), 3)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := gowalla.Generate(gowalla.GenConfig{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	// 90/10 split (Sec. 6.2.3): priors from train, user locations from test.
-	train, test, err := gowalla.SplitTrainTest(ds.CheckIns, 0.9, seed)
-	if err != nil {
-		return nil, err
-	}
-	// Check-ins land across the whole SF box; the tree covers only its
-	// center. That matches the paper's approach of indexing an area of
-	// interest; priors are smoothed so every leaf is usable.
-	leaf, err := gowalla.LeafPriors(train, tree, 1)
-	if err != nil {
-		return nil, err
-	}
-	priors, err := loctree.NewPriors(tree, leaf)
-	if err != nil {
-		return nil, err
-	}
-	e := &env{sys: sys, tree: tree, priors: priors, train: train, test: test, seed: seed}
-
-	// NR_TARGET targets drawn from the K=49 cluster's leaves so every
-	// instance size shares the same service locations.
-	cluster, err := tree.ClusterLeaves(7)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed + 1000))
-	perm := rng.Perm(len(cluster))[:nrTarget]
-	sort.Ints(perm)
-	for _, idx := range perm {
-		e.targets = append(e.targets, tree.Center(cluster[idx]))
-		e.tprobs = append(e.tprobs, 1)
-	}
-	return e, nil
-}
-
-// instance builds a core.Instance over ClusterLeaves(m) — K = 7m cells.
-func (e *env) instance(m int) (*core.Instance, []loctree.NodeID, error) {
-	leaves, err := e.tree.ClusterLeaves(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	cells := make([]hexgrid.Coord, len(leaves))
-	for i, l := range leaves {
-		cells[i] = l.Coord
-	}
-	pr, err := e.priors.Subset(e.tree, leaves, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	inst, err := core.NewInstance(e.sys, cells, pr, e.targets, e.tprobs, graphx.WeightPaper)
-	if err != nil {
-		return nil, nil, err
-	}
-	return inst, leaves, nil
-}
-
-func f(v float64) string  { return fmt.Sprintf("%.4f", v) }
-func f6(v float64) string { return fmt.Sprintf("%.6f", v) }
-func d(v int) string      { return fmt.Sprintf("%d", v) }
-func ms(t time.Duration) string {
-	return fmt.Sprintf("%.1f", float64(t.Microseconds())/1000.0)
-}
-
 // Fig9 reproduces Fig. 9: the objective value (quality loss) after each
 // Algorithm-1 iteration and its successive differences, for delta = 2 and
-// delta = 4, at K = 49, eps = 15.
-func Fig9(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
+// delta = 4, at K = 49, eps = 15. Repeat r runs in the world of seed + r
+// (its own corpus, split and seed + 1000 + r target draw): the solve is
+// deterministic, and the figure world's targets are all 49 leaves of the
+// K=49 cluster whatever the draw, so anything less repeats one row.
+func Fig9(cfg *Config) (*Output, error) {
 	iters, repeats := 15, 3
 	if cfg.quick() {
 		iters, repeats = 8, 1
+	}
+	insts := make([]*core.Instance, repeats)
+	for rep := range insts {
+		var err error
+		if insts[rep], err = figureInstance(cfg.seed()+int64(rep), 7); err != nil {
+			return nil, err
+		}
 	}
 	objTab := &Table{ID: "fig9ab", Title: "quality loss per iteration (Fig. 9a/b)",
 		Header: []string{"delta", "repeat", "iteration", "quality_loss_km"}}
 	diffTab := &Table{ID: "fig9cd", Title: "difference of quality loss in consecutive iterations (Fig. 9c/d)",
 		Header: []string{"delta", "repeat", "iteration", "loss_diff_km"}}
 	for _, delta := range []int{2, 4} {
-		for rep := 0; rep < repeats; rep++ {
-			inst, _, err := e.instance(7)
-			if err != nil {
-				return nil, err
-			}
+		for rep, inst := range insts {
 			res, err := inst.Generate(core.Params{
 				Epsilon: epsDefault, Delta: delta, Iterations: iters, UseGraphApprox: true,
 			})
@@ -271,29 +55,25 @@ func Fig9(cfg *Config) ([]*Table, error) {
 			}
 		}
 	}
-	return []*Table{objTab, diffTab}, nil
+	return &Output{Tables: []*Table{objTab, diffTab}}, nil
 }
 
 // Fig10a reproduces Fig. 10(a): robust-matrix generation time with and
 // without the graph approximation, for increasing delta.
-func Fig10a(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
+func Fig10a(cfg *Config) (*Output, error) {
 	deltas := []int{1, 2, 3, 4, 5, 6, 7}
 	iters, m := 10, 7 // K = 49
 	if cfg.quick() {
 		deltas = []int{1, 3, 5}
 		iters, m = 3, 3 // K = 21 keeps the full-constraint runs tractable
 	}
+	inst, err := figureInstance(cfg.seed(), m)
+	if err != nil {
+		return nil, err
+	}
 	tab := &Table{ID: "fig10a", Title: "running time (s) of robust matrix generation (Fig. 10a)",
 		Header: []string{"delta", "with_approx_s", "without_approx_s", "speedup"}}
 	for _, delta := range deltas {
-		inst, _, err := e.instance(m)
-		if err != nil {
-			return nil, err
-		}
 		with, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: delta,
 			Iterations: iters, UseGraphApprox: true})
 		if err != nil {
@@ -311,13 +91,13 @@ func Fig10a(cfg *Config) ([]*Table, error) {
 			fmt.Sprintf("%.2fx", without.Elapsed.Seconds()/with.Elapsed.Seconds()),
 		})
 	}
-	return []*Table{tab}, nil
+	return &Output{Tables: []*Table{tab}}, nil
 }
 
 // Fig10b reproduces Fig. 10(b): the number of Geo-Ind constraints with and
 // without the approximation as the location count grows.
-func Fig10b(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
+func Fig10b(cfg *Config) (*Output, error) {
+	e, err := figureWorld(cfg.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -336,13 +116,13 @@ func Fig10b(cfg *Config) ([]*Table, error) {
 			fmt.Sprintf("%.2f", 100*(1-float64(with)/float64(without))),
 		})
 	}
-	return []*Table{tab}, nil
+	return &Output{Tables: []*Table{tab}}, nil
 }
 
 // Fig11 reproduces Fig. 11: quality loss vs epsilon for the non-robust
 // baseline and CORGI with delta = 1, 2, 3.
-func Fig11(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
+func Fig11(cfg *Config) (*Output, error) {
+	inst, err := figureInstance(cfg.seed(), 7)
 	if err != nil {
 		return nil, err
 	}
@@ -354,10 +134,6 @@ func Fig11(cfg *Config) ([]*Table, error) {
 	tab := &Table{ID: "fig11", Title: "quality loss (km) vs epsilon (Fig. 11)",
 		Header: []string{"epsilon", "non_robust", "corgi_d1", "corgi_d2", "corgi_d3"}}
 	for _, eps := range epsList {
-		inst, _, err := e.instance(7)
-		if err != nil {
-			return nil, err
-		}
 		row := []string{fmt.Sprintf("%.0f", eps)}
 		nr, err := inst.Generate(core.Params{Epsilon: eps, UseGraphApprox: true})
 		if err != nil {
@@ -374,47 +150,30 @@ func Fig11(cfg *Config) ([]*Table, error) {
 		}
 		tab.Rows = append(tab.Rows, row)
 	}
-	return []*Table{tab}, nil
+	return &Output{Tables: []*Table{tab}}, nil
 }
 
-// pruneTrial prunes n random locations from a matrix and reports the
-// violation rate over the surviving constraint pairs.
-func pruneTrial(m *obf.Matrix, pairs []obf.Pair, eps float64, n int, rng *rand.Rand) (float64, bool) {
-	s := rng.Perm(m.Dim())[:n]
-	pm, keep, err := m.Prune(s)
-	if err != nil {
-		return 0, false // a row lost all mass: skip trial
-	}
-	newIdx := make(map[int]int, len(keep))
-	for ni, oi := range keep {
-		newIdx[oi] = ni
-	}
-	var surviving []obf.Pair
-	for _, p := range pairs {
-		ni, iok := newIdx[p.I]
-		nj, jok := newIdx[p.J]
-		if iok && jok {
-			surviving = append(surviving, obf.Pair{I: ni, J: nj, Dist: p.Dist})
+// meanViolation is the violation rate after pruning n random locations,
+// averaged over the trials whose prune the matrix could renormalize.
+func meanViolation(m *obf.Matrix, pairs []obf.Pair, eps float64, n, trials int, rng *rand.Rand) float64 {
+	sum, ok := 0.0, 0
+	for t := 0; t < trials; t++ {
+		if v, valid := pruneTrial(m, pairs, eps, sample(rng, m.Dim(), n)); valid {
+			sum += v
+			ok++
 		}
 	}
-	rep := pm.CheckGeoInd(surviving, eps, 1e-6)
-	return rep.Percent(), true
+	if ok == 0 {
+		return 0
+	}
+	return sum / float64(ok)
 }
 
 // violationSweep runs the Fig. 12 protocol for one matrix.
 func violationSweep(m *obf.Matrix, pairs []obf.Pair, eps float64, maxPrune, trials int, rng *rand.Rand) []float64 {
 	out := make([]float64, maxPrune)
 	for n := 1; n <= maxPrune; n++ {
-		sum, ok := 0.0, 0
-		for t := 0; t < trials; t++ {
-			if v, valid := pruneTrial(m, pairs, eps, n, rng); valid {
-				sum += v
-				ok++
-			}
-		}
-		if ok > 0 {
-			out[n-1] = sum / float64(ok)
-		}
+		out[n-1] = meanViolation(m, pairs, eps, n, trials, rng)
 	}
 	return out
 }
@@ -422,8 +181,8 @@ func violationSweep(m *obf.Matrix, pairs []obf.Pair, eps float64, maxPrune, tria
 // Fig12 reproduces Fig. 12: percentage of violated Geo-Ind constraints vs
 // the number of pruned locations, CORGI vs non-robust, for (a) delta = 3 at
 // K = 49 and (b) delta = 5 at K = 70.
-func Fig12(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
+func Fig12(cfg *Config) (*Output, error) {
+	e, err := figureWorld(cfg.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +216,7 @@ func Fig12(cfg *Config) ([]*Table, error) {
 			return nil, err
 		}
 		pairs := inst.NeighborPairs()
-		rng := rand.New(rand.NewSource(e.seed + int64(setup.m)))
+		rng := rand.New(rand.NewSource(cfg.seed() + int64(setup.m)))
 		corgiV := violationSweep(robust.Matrix, pairs, epsDefault, 10, trials, rng)
 		plainV := violationSweep(plain.Matrix, pairs, epsDefault, 10, trials, rng)
 		tab := &Table{ID: setup.name,
@@ -468,7 +227,7 @@ func Fig12(cfg *Config) ([]*Table, error) {
 		}
 		tables = append(tables, tab)
 	}
-	return tables, nil
+	return &Output{Tables: tables}, nil
 }
 
 // Fig13 reproduces Fig. 13: quality loss for a wider vs narrower
@@ -476,8 +235,8 @@ func Fig12(cfg *Config) ([]*Table, error) {
 // level 2 (49); at single-core scale we compare level 2 (49) with level 1
 // (7) — the shape (wider range => higher loss, loss falls with eps, rises
 // with delta) is the claim under test.
-func Fig13(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
+func Fig13(cfg *Config) (*Output, error) {
+	e, err := figureWorld(cfg.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -490,11 +249,7 @@ func Fig13(cfg *Config) ([]*Table, error) {
 		if err != nil {
 			return 0, err
 		}
-		p := core.Params{Epsilon: eps, Delta: delta, Iterations: iters, UseGraphApprox: true}
-		if delta == 0 {
-			p.Iterations = 0
-		}
-		res, err := inst.Generate(p)
+		res, err := inst.Generate(core.Params{Epsilon: eps, Delta: delta, Iterations: iters, UseGraphApprox: true})
 		if err != nil {
 			return 0, err
 		}
@@ -526,14 +281,14 @@ func Fig13(cfg *Config) ([]*Table, error) {
 		}
 		tabB.Rows = append(tabB.Rows, []string{d(delta), f6(lo), f6(hi)})
 	}
-	return []*Table{tabA, tabB}, nil
+	return &Output{Tables: []*Table{tabA, tabB}}, nil
 }
 
 // Fig14 reproduces Fig. 14: the running time of obtaining a coarser-level
 // matrix by precision reduction vs recalculating it from scratch, (a) as
 // the location count grows and (b) as delta grows.
-func Fig14(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
+func Fig14(cfg *Config) (*Output, error) {
+	e, err := figureWorld(cfg.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -555,7 +310,7 @@ func Fig14(cfg *Config) ([]*Table, error) {
 			return nil, err
 		}
 		// Reduction: leaf matrix -> level-1 matrix via Equ. (17).
-		groups, _, err := groupLeavesByParent(e.tree, leaves)
+		groups, parents, err := groupLeavesByParent(e.tree, leaves)
 		if err != nil {
 			return nil, err
 		}
@@ -569,7 +324,7 @@ func Fig14(cfg *Config) ([]*Table, error) {
 		}
 		reduceT := time.Since(t0)
 		// Recalculation: solve the LP over the m level-1 cells directly.
-		recalcT, err := recalcAtLevel1(e, leaves, m)
+		recalcT, err := recalcAtLevel1(e, parents)
 		if err != nil {
 			return nil, err
 		}
@@ -611,7 +366,7 @@ func Fig14(cfg *Config) ([]*Table, error) {
 			d(delta), ms(res.Elapsed), ms(reduceT),
 		})
 	}
-	return []*Table{tabA, tabB}, nil
+	return &Output{Tables: []*Table{tabA, tabB}}, nil
 }
 
 func groupLeavesByParent(tree *loctree.Tree, leaves []loctree.NodeID) ([][]int, []loctree.NodeID, error) {
@@ -620,7 +375,7 @@ func groupLeavesByParent(tree *loctree.Tree, leaves []loctree.NodeID) ([][]int, 
 	for i, leaf := range leaves {
 		anc, ok := tree.AncestorAt(leaf, 1)
 		if !ok {
-			return nil, nil, fmt.Errorf("experiments: leaf %v has no level-1 ancestor", leaf)
+			return nil, nil, fmt.Errorf("eval: leaf %v has no level-1 ancestor", leaf)
 		}
 		if _, seen := groups[anc]; !seen {
 			order = append(order, anc)
@@ -634,21 +389,14 @@ func groupLeavesByParent(tree *loctree.Tree, leaves []loctree.NodeID) ([][]int, 
 	return out, order, nil
 }
 
-func recalcAtLevel1(e *env, leaves []loctree.NodeID, m int) (time.Duration, error) {
-	_, parents, err := groupLeavesByParent(e.tree, leaves)
-	if err != nil {
-		return 0, err
-	}
+func recalcAtLevel1(e *world, parents []loctree.NodeID) (time.Duration, error) {
 	cells := make([]hexgrid.Coord, len(parents))
 	pr := make([]float64, len(parents))
 	for i, p := range parents {
 		cells[i] = p.Coord
 		pr[i] = e.priors.Of(e.tree, p)
 	}
-	if len(cells) < 2 {
-		return 0, fmt.Errorf("experiments: recalculation needs >= 2 cells")
-	}
-	inst, err := core.NewInstanceLevel(e.sys, 1, cells, pr, e.targets, e.tprobs, graphx.WeightPaper)
+	inst, err := core.NewInstanceLevel(e.tree.System(), 1, cells, pr, e.targets, e.tprobs, graphx.WeightPaper)
 	if err != nil {
 		return 0, err
 	}
@@ -656,23 +404,18 @@ func recalcAtLevel1(e *env, leaves []loctree.NodeID, m int) (time.Duration, erro
 	if err != nil {
 		return 0, err
 	}
-	_ = m
 	return res.Elapsed, nil
 }
 
 // Headline reproduces the abstract's claim: pruning 14.28% of locations
 // (7 of 49) causes few violations in CORGI's matrix vs many in the
 // non-robust one.
-func Headline(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
+func Headline(cfg *Config) (*Output, error) {
 	iters, trials := 10, 200
 	if cfg.quick() {
 		iters, trials = 5, 50
 	}
-	inst, _, err := e.instance(7)
+	inst, err := figureInstance(cfg.seed(), 7)
 	if err != nil {
 		return nil, err
 	}
@@ -686,12 +429,12 @@ func Headline(cfg *Config) ([]*Table, error) {
 		return nil, err
 	}
 	pairs := inst.NeighborPairs()
-	rng := rand.New(rand.NewSource(e.seed + 99))
+	rng := rand.New(rand.NewSource(cfg.seed() + 99))
 	sumR, sumP, okN := 0.0, 0.0, 0
 	for t := 0; t < trials; t++ {
-		s := rng.Perm(inst.K())[:7]
-		r, ok1 := pruneTrialWith(robust.Matrix, pairs, epsDefault, s)
-		p, ok2 := pruneTrialWith(plain.Matrix, pairs, epsDefault, s)
+		s := sample(rng, inst.K(), 7)
+		r, ok1 := pruneTrial(robust.Matrix, pairs, epsDefault, s)
+		p, ok2 := pruneTrial(plain.Matrix, pairs, epsDefault, s)
 		if ok1 && ok2 {
 			sumR += r
 			sumP += p
@@ -704,41 +447,17 @@ func Headline(cfg *Config) ([]*Table, error) {
 		[]string{"CORGI (delta=3)", f(sumR / float64(okN)), "3.07"},
 		[]string{"non-robust", f(sumP / float64(okN)), "18.58"},
 	)
-	return []*Table{tab}, nil
-}
-
-func pruneTrialWith(m *obf.Matrix, pairs []obf.Pair, eps float64, s []int) (float64, bool) {
-	pm, keep, err := m.Prune(s)
-	if err != nil {
-		return 0, false
-	}
-	newIdx := make(map[int]int, len(keep))
-	for ni, oi := range keep {
-		newIdx[oi] = ni
-	}
-	var surviving []obf.Pair
-	for _, p := range pairs {
-		ni, iok := newIdx[p.I]
-		nj, jok := newIdx[p.J]
-		if iok && jok {
-			surviving = append(surviving, obf.Pair{I: ni, J: nj, Dist: p.Dist})
-		}
-	}
-	return pm.CheckGeoInd(surviving, eps, 1e-6).Percent(), true
+	return &Output{Tables: []*Table{tab}}, nil
 }
 
 // ExtPlanar compares CORGI's LP-optimal matrices against the discretized
 // planar Laplace mechanism at matched epsilon.
-func ExtPlanar(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
+func ExtPlanar(cfg *Config) (*Output, error) {
 	samples := 4000
 	if cfg.quick() {
 		samples = 1000
 	}
-	inst, _, err := e.instance(3) // K=21
+	inst, err := figureInstance(cfg.seed(), 3) // K=21
 	if err != nil {
 		return nil, err
 	}
@@ -758,7 +477,7 @@ func ExtPlanar(cfg *Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(e.seed + int64(eps)))
+		rng := rand.New(rand.NewSource(cfg.seed() + int64(eps)))
 		rows, err := mech.EmpiricalMatrix(centers, samples, rng)
 		if err != nil {
 			return nil, err
@@ -776,21 +495,17 @@ func ExtPlanar(cfg *Config) ([]*Table, error) {
 			fmt.Sprintf("%.0f", eps), f6(res.QualityLoss), f6(lloss), f(lrep.Percent()),
 		})
 	}
-	return []*Table{tab}, nil
+	return &Output{Tables: []*Table{tab}}, nil
 }
 
 // ExtAttack measures the Bayesian adversary's expected inference error
 // against non-robust, robust, and pruned matrices.
-func ExtAttack(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
+func ExtAttack(cfg *Config) (*Output, error) {
 	iters := 6
 	if cfg.quick() {
 		iters = 3
 	}
-	inst, _, err := e.instance(3) // K=21
+	inst, err := figureInstance(cfg.seed(), 3) // K=21
 	if err != nil {
 		return nil, err
 	}
@@ -803,37 +518,32 @@ func ExtAttack(cfg *Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	dist := func(i, j int) float64 { return inst.Dist(i, j) }
 	prior := inst.Priors()
 	tab := &Table{ID: "ext-attack", Title: "Bayesian adversary expected inference error (km, higher = more private)",
 		Header: []string{"mechanism", "inference_error_km", "after_prune3_km"}}
-	rng := rand.New(rand.NewSource(e.seed + 5))
-	pruneSet := rng.Perm(inst.K())[:3]
+	rng := rand.New(rand.NewSource(cfg.seed() + 5))
+	pruneSet := sample(rng, inst.K(), 3)
 	for _, row := range []struct {
 		name string
 		m    *obf.Matrix
 	}{{"non-robust", plain.Matrix}, {"CORGI delta=3", robust.Matrix}} {
-		before, err := attack.RemapError(prior, row.m, dist)
+		before, err := attack.RemapError(prior, row.m, inst.Dist)
 		if err != nil {
 			return nil, err
 		}
-		after, err := attack.PrunedRemapError(prior, row.m, dist, pruneSet)
+		after, err := attack.PrunedRemapError(prior, row.m, inst.Dist, pruneSet)
 		if err != nil {
 			return nil, err
 		}
 		tab.Rows = append(tab.Rows, []string{row.name, f6(before), f6(after)})
 	}
-	return []*Table{tab}, nil
+	return &Output{Tables: []*Table{tab}}, nil
 }
 
 // ExtBudget compares the exact reserved budget (Equ. 12, exhaustive) with
 // the approximation (Equ. 14) on a small instance.
-func ExtBudget(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
-	inst, _, err := e.instance(1) // K=7
+func ExtBudget(cfg *Config) (*Output, error) {
+	inst, err := figureInstance(cfg.seed(), 1) // K=7
 	if err != nil {
 		return nil, err
 	}
@@ -871,21 +581,17 @@ func ExtBudget(cfg *Config) ([]*Table, error) {
 			d(delta), f(sumE / n), f(sumA / n), f(maxGap), fmt.Sprintf("%v", holds),
 		})
 	}
-	return []*Table{tab}, nil
+	return &Output{Tables: []*Table{tab}}, nil
 }
 
 // ExtRPBVariant compares the proof (row-i) and printed (row-j) forms of
 // Equ. (14) by the violation rates of the matrices they produce.
-func ExtRPBVariant(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
+func ExtRPBVariant(cfg *Config) (*Output, error) {
 	iters, trials := 6, 100
 	if cfg.quick() {
 		iters, trials = 3, 30
 	}
-	inst, _, err := e.instance(3) // K=21
+	inst, err := figureInstance(cfg.seed(), 3) // K=21
 	if err != nil {
 		return nil, err
 	}
@@ -901,24 +607,18 @@ func ExtRPBVariant(cfg *Config) ([]*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(e.seed + 11))
-		sum, ok := 0.0, 0
-		for t := 0; t < trials; t++ {
-			if val, valid := pruneTrial(res.Matrix, pairs, epsDefault, 3, rng); valid {
-				sum += val
-				ok++
-			}
-		}
-		tab.Rows = append(tab.Rows, []string{v.name, f6(res.QualityLoss), f(sum / float64(ok))})
+		rng := rand.New(rand.NewSource(cfg.seed() + 11))
+		viol := meanViolation(res.Matrix, pairs, epsDefault, 3, trials, rng)
+		tab.Rows = append(tab.Rows, []string{v.name, f6(res.QualityLoss), f(viol)})
 	}
-	return []*Table{tab}, nil
+	return &Output{Tables: []*Table{tab}}, nil
 }
 
 // ExtApproxQuality measures the quality-loss premium of the graph
 // approximation and audits approximation-generated matrices against the
 // full pairwise constraint set (the lattice-stretch effect, DESIGN §4).
-func ExtApproxQuality(cfg *Config) ([]*Table, error) {
-	e, err := newEnv(cfg)
+func ExtApproxQuality(cfg *Config) (*Output, error) {
+	e, err := figureWorld(cfg.seed())
 	if err != nil {
 		return nil, err
 	}
@@ -951,5 +651,5 @@ func ExtApproxQuality(cfg *Config) ([]*Table, error) {
 			f(premium), f(rep.Percent()),
 		})
 	}
-	return []*Table{tab}, nil
+	return &Output{Tables: []*Table{tab}}, nil
 }

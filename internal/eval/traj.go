@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"corgi/internal/budget"
+	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/gowalla"
 	"corgi/internal/hexgrid"
@@ -75,6 +76,7 @@ const trajPrivacyLevel = 1
 type forestReporter struct {
 	ctx     context.Context
 	reg     *registry.Registry
+	server  *core.Server
 	region  string
 	seed    int64
 	charged map[int64]float64
@@ -110,7 +112,7 @@ func newForestReporter(ctx context.Context, eps float64, seed int64) (*forestRep
 	if err != nil {
 		return nil, nil, err
 	}
-	return &forestReporter{ctx: ctx, reg: reg, region: region, seed: seed,
+	return &forestReporter{ctx: ctx, reg: reg, server: sh.Server, region: region, seed: seed,
 		charged: map[int64]float64{}}, sh.Server.Tree(), nil
 }
 
@@ -131,11 +133,7 @@ func (f *forestReporter) draw(uid int64, leaf loctree.NodeID) (loctree.NodeID, b
 }
 
 func (f *forestReporter) rows(root loctree.NodeID) (*obf.Matrix, []loctree.NodeID, error) {
-	sh, err := f.reg.Shard(f.ctx, f.region)
-	if err != nil {
-		return nil, nil, err
-	}
-	entry, err := sh.Server.ServeEntryCtx(f.ctx, root, 0)
+	entry, err := f.server.ServeEntryCtx(f.ctx, root, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -607,21 +605,20 @@ func runTrajectory(name string, eps float64, tree *loctree.Tree, rep reporter,
 // sweepTrajectories runs the trajectory adversary against the forest
 // mechanism (through a live registry) and planar Laplace (through
 // session.Session) at each swept epsilon.
-func sweepTrajectories(cfg Config) ([]TrajPoint, error) {
+func sweepTrajectories(seed int64, quick bool, epsilons []float64) ([]TrajPoint, error) {
 	users, steps := 12, 16
-	epsilons := cfg.Epsilons
-	if cfg.Quick {
+	if quick {
 		users, steps = 6, 8
-		epsilons = cfg.Epsilons[len(cfg.Epsilons)-1:]
+		epsilons = epsilons[len(epsilons)-1:]
 	}
 	ctx := context.Background()
 	var out []TrajPoint
 	for _, eps := range epsilons {
-		forest, tree, err := newForestReporter(ctx, eps, cfg.Seed)
+		forest, tree, err := newForestReporter(ctx, eps, seed)
 		if err != nil {
 			return nil, err
 		}
-		corpus, lambda, err := mobilityCorpus(tree, cfg.Seed, users, steps)
+		corpus, lambda, err := mobilityCorpus(tree, seed, users, steps)
 		if err != nil {
 			return nil, err
 		}
@@ -631,7 +628,7 @@ func sweepTrajectories(cfg Config) ([]TrajPoint, error) {
 		}
 		out = append(out, fp)
 
-		planar, err := newPlanarReporter(tree, eps, cfg.Seed)
+		planar, err := newPlanarReporter(tree, eps, seed)
 		if err != nil {
 			return nil, err
 		}

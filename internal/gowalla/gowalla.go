@@ -143,7 +143,6 @@ type GenConfig struct {
 	NumUsers    int
 	NumPlaces   int
 	NumCheckIns int
-	NumClusters int
 	BBox        geo.BoundingBox
 	Start, End  time.Time
 }
@@ -158,9 +157,6 @@ func (c GenConfig) withDefaults() GenConfig {
 	if c.NumCheckIns == 0 {
 		c.NumCheckIns = 38523 // the paper's SF sample size
 	}
-	if c.NumClusters == 0 {
-		c.NumClusters = 15
-	}
 	zero := geo.BoundingBox{}
 	if c.BBox == zero {
 		c.BBox = geo.SanFrancisco
@@ -173,6 +169,10 @@ func (c GenConfig) withDefaults() GenConfig {
 	}
 	return c
 }
+
+// numClusters is the number of venue neighborhoods Generate scatters
+// places around.
+const numClusters = 15
 
 // userProfile is a synthetic user's routine.
 type userProfile struct {
@@ -199,7 +199,7 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 		center geo.LatLng
 		spread float64
 	}
-	clusters := make([]cluster, cfg.NumClusters)
+	clusters := make([]cluster, numClusters)
 	for i := range clusters {
 		clusters[i] = cluster{
 			center: geo.LatLng{

@@ -48,18 +48,20 @@ type ClientConfig struct {
 	// proto.NewRegionClient.
 	Region string
 	// ReconnectBackoff is the first wait after a failed dial (default
-	// 250ms); consecutive failures double it up to MaxReconnectBackoff
-	// (default 15s). After two consecutive dial failures, exchanges that
-	// would need a fresh dial fail fast with ErrNodeDown while the backoff
-	// runs; after it expires ONE probe dial runs (half-open) and its
-	// outcome resets or extends the backoff.
+	// 250ms); consecutive failures double it up to maxReconnectBackoff.
+	// After two consecutive dial failures, exchanges that would need a
+	// fresh dial fail fast with ErrNodeDown while the backoff runs; after
+	// it expires ONE probe dial runs (half-open) and its outcome resets or
+	// extends the backoff.
 	// Before this existed, a node that closed with GOODBYE kept eating a
 	// full dial timeout from every caller until it recovered — failover
 	// worked, but at seconds per request instead of microseconds — and a
 	// recovered node was only rediscovered by luck of timing.
-	ReconnectBackoff    time.Duration
-	MaxReconnectBackoff time.Duration
+	ReconnectBackoff time.Duration
 }
+
+// maxReconnectBackoff caps the doubling dial backoff.
+const maxReconnectBackoff = 15 * time.Second
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.DialTimeout <= 0 {
@@ -73,9 +75,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	}
 	if c.ReconnectBackoff <= 0 {
 		c.ReconnectBackoff = 250 * time.Millisecond
-	}
-	if c.MaxReconnectBackoff <= 0 {
-		c.MaxReconnectBackoff = 15 * time.Second
 	}
 	return c
 }
@@ -261,8 +260,8 @@ func (c *Client) getConn() (cc *clientConn, reused bool, err error) {
 	if err != nil {
 		c.dialFails++
 		backoff := c.cfg.ReconnectBackoff << (c.dialFails - 1)
-		if backoff > c.cfg.MaxReconnectBackoff || backoff <= 0 {
-			backoff = c.cfg.MaxReconnectBackoff
+		if backoff > maxReconnectBackoff || backoff <= 0 {
+			backoff = maxReconnectBackoff
 		}
 		c.backoffUntil = time.Now().Add(backoff)
 	} else {

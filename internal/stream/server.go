@@ -19,9 +19,9 @@ import (
 // http.ErrServerClosed so callers can treat a drained listener as clean.
 var ErrServerClosed = errors.New("stream: server closed")
 
-// DefaultHandshakeTimeout bounds how long a fresh connection may sit
-// before completing HELLO; slots are cheap but not free.
-const DefaultHandshakeTimeout = 10 * time.Second
+// handshakeTimeout bounds how long a fresh connection may sit before
+// completing HELLO; slots are cheap but not free.
+const handshakeTimeout = 10 * time.Second
 
 // Config tunes a stream Server's framing. What a request may ask for — draw
 // counts, batch sizes — is the registry's to decide (registry.Options), so
@@ -32,16 +32,11 @@ type Config struct {
 	Timeout time.Duration
 	// MaxFrameBytes bounds one frame's type+payload (default 4 MiB).
 	MaxFrameBytes int
-	// HandshakeTimeout bounds the HELLO wait on a fresh connection.
-	HandshakeTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxFrameBytes <= 0 {
 		c.MaxFrameBytes = DefaultMaxFrameBytes
-	}
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = DefaultHandshakeTimeout
 	}
 	return c
 }
@@ -290,7 +285,7 @@ func (s *Server) serveConn(sc *serverConn) {
 // handshake validates HELLO and answers WELCOME. Connection-level
 // failures answer an ERROR frame with reqID 0 and close.
 func (s *Server) handshake(sc *serverConn, fr *frameReader) bool {
-	sc.conn.SetReadDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	sc.conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
 	ftype, payload, err := fr.next()
 	if err != nil {
 		if errors.Is(err, ErrFrameTooLarge) {
