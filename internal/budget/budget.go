@@ -5,7 +5,8 @@
 //
 // Exact implements Definition 4.3 / Equ. (12) by exhaustive subset
 // enumeration (exponential in delta; test- and ablation-only). Approx
-// implements the O(K log K) approximation of Equ. (14). The paper prints
+// implements the approximation of Equ. (14) (O(K log K) as the paper sorts it,
+// one O(K delta) pass here). The paper prints
 // Equ. (14) with row j inside the max, while the derivation in Proposition
 // 4.5 bounds via row i; both variants are provided (VariantProof is the
 // default used by the solver, VariantPrinted feeds the ext-rpbvariant
@@ -15,7 +16,6 @@ package budget
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Variant selects which row's top-delta mass enters Equ. (14).
@@ -31,31 +31,9 @@ const (
 
 // TopDeltaSum returns max_{|S| <= delta} sum_{l in S} row[l]: the sum of
 // the delta largest entries (negative entries are never chosen). It runs in
-// O(K log K).
+// O(K * delta) and, up to delta = 8, allocates nothing.
 func TopDeltaSum(row []float64, delta int) float64 {
-	if delta <= 0 || len(row) == 0 {
-		return 0
-	}
-	if delta >= len(row) {
-		sum := 0.0
-		for _, v := range row {
-			if v > 0 {
-				sum += v
-			}
-		}
-		return sum
-	}
-	tmp := append([]float64(nil), row...)
-	sort.Float64s(tmp)
-	sum := 0.0
-	for k := 0; k < delta; k++ {
-		v := tmp[len(tmp)-1-k]
-		if v <= 0 {
-			break
-		}
-		sum += v
-	}
-	return sum
+	return topDeltaSumExcluding(row, delta, -1, -1)
 }
 
 // clampMass keeps 1-T strictly positive for the logarithm.
@@ -195,19 +173,55 @@ func ApproxPair(zi, zj []float64, i, j int, d, eps float64, delta int, v Variant
 }
 
 // topDeltaSumExcluding is TopDeltaSum over the row with indices i and j
-// masked out.
+// masked out (an index outside the row masks nothing). One pass keeps the
+// delta largest positive entries in descending order; they are then added
+// largest first, which is the order (and so the rounding) of summing the tail
+// of a sorted copy. When delta covers the whole row the positive entries are
+// added in row order, as they always were.
 func topDeltaSumExcluding(row []float64, delta, i, j int) float64 {
-	if delta <= 0 || len(row) == 0 {
+	n := len(row)
+	if i >= 0 && i < len(row) {
+		n--
+	}
+	if j >= 0 && j < len(row) && j != i {
+		n--
+	}
+	if delta <= 0 || n == 0 {
 		return 0
 	}
-	tmp := make([]float64, 0, len(row))
+	sum := 0.0
+	if delta >= n {
+		for k, v := range row {
+			if k != i && k != j && v > 0 {
+				sum += v
+			}
+		}
+		return sum
+	}
+	var buf [8]float64
+	top := buf[:0]
+	if delta > len(buf) {
+		top = make([]float64, 0, delta)
+	}
 	for k, v := range row {
-		if k == i || k == j {
+		if k == i || k == j || !(v > 0) {
 			continue
 		}
-		tmp = append(tmp, v)
+		if len(top) < delta {
+			top = append(top, v)
+		} else if v > top[delta-1] {
+			top[delta-1] = v
+		} else {
+			continue
+		}
+		for at := len(top) - 1; at > 0 && top[at] > top[at-1]; at-- {
+			top[at], top[at-1] = top[at-1], top[at]
+		}
 	}
-	return TopDeltaSum(tmp, delta)
+	for _, v := range top {
+		sum += v
+	}
+	return sum
 }
 
 // ExactPair is Exact restricted to prune sets avoiding i and j, matching

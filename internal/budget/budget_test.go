@@ -3,8 +3,11 @@ package budget
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"corgi/internal/raceon"
 )
 
 func TestTopDeltaSum(t *testing.T) {
@@ -260,5 +263,97 @@ func TestTightenedMultiplier(t *testing.T) {
 	// Over-reservation tightens below 1 but stays positive.
 	if got := TightenedMultiplier(1, 5, 1); got >= 1 || got <= 0 {
 		t.Errorf("over-reserved multiplier = %v", got)
+	}
+}
+
+// sortedTopDeltaSum is the reference the one-pass selection replaced: copy
+// the row without i and j, sort, add the tail largest first.
+func sortedTopDeltaSum(row []float64, delta, i, j int) float64 {
+	var tmp []float64
+	for k, v := range row {
+		if k != i && k != j {
+			tmp = append(tmp, v)
+		}
+	}
+	if delta <= 0 || len(tmp) == 0 {
+		return 0
+	}
+	sum := 0.0
+	if delta >= len(tmp) {
+		for _, v := range tmp {
+			if v > 0 {
+				sum += v
+			}
+		}
+		return sum
+	}
+	sort.Float64s(tmp)
+	for k := 0; k < delta; k++ {
+		v := tmp[len(tmp)-1-k]
+		if v <= 0 {
+			break
+		}
+		sum += v
+	}
+	return sum
+}
+
+// TestTopDeltaSumMatchesSortedCopy holds the one-pass selection to the sum
+// the sorted copy gave, bit for bit, on rows with ties, zeros and negatives,
+// for every delta from none to beyond the row and with and without masked
+// indices.
+func TestTopDeltaSumMatchesSortedCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 400; trial++ {
+		row := make([]float64, 1+rng.Intn(49))
+		for k := range row {
+			switch rng.Intn(6) {
+			case 0:
+				row[k] = 0
+			case 1:
+				row[k] = -rng.Float64()
+			case 2:
+				row[k] = float64(rng.Intn(4)) / 7 // ties
+			default:
+				row[k] = rng.ExpFloat64() * 1e-3
+			}
+		}
+		masks := [][2]int{{-1, -1}, {rng.Intn(len(row)), rng.Intn(len(row))}, {rng.Intn(len(row)), len(row) + 3}}
+		for delta := 0; delta <= len(row)+1; delta++ {
+			for _, m := range masks {
+				got, want := topDeltaSumExcluding(row, delta, m[0], m[1]), sortedTopDeltaSum(row, delta, m[0], m[1])
+				if got != want {
+					t.Fatalf("row %v delta %d masking %v: %v, sorted copy %v", row, delta, m, got, want)
+				}
+			}
+			if got, want := TopDeltaSum(row, delta), sortedTopDeltaSum(row, delta, -1, -1); got != want {
+				t.Fatalf("TopDeltaSum(%v, %d) = %v, sorted copy %v", row, delta, got, want)
+			}
+		}
+	}
+}
+
+// TestReservedBudgetAllocatesNothing pins the reserved-budget pass of
+// Algorithm 1 (one ApproxPair per constraint pair per round, on K=49 rows) at
+// zero allocations for the deltas the server solves.
+func TestReservedBudgetAllocatesNothing(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	rng := rand.New(rand.NewSource(49))
+	zi, zj := make([]float64, 49), make([]float64, 49)
+	for k := range zi {
+		zi[k], zj[k] = rng.Float64()/49, rng.Float64()/49
+	}
+	for delta := 1; delta <= 3; delta++ {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ApproxPair(zi, zj, 3, 10, 0.2, 15, delta, VariantProof); err != nil {
+				t.Fatal(err)
+			}
+			TopDeltaSum(zi, delta)
+		})
+		if allocs != 0 {
+			t.Errorf("delta %d: ApproxPair and TopDeltaSum allocate %.0f times, want 0", delta, allocs)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"corgi/internal/budget"
@@ -268,6 +269,8 @@ type Result struct {
 	Constraints int
 	// LPIterations is the total simplex pivots across all solves.
 	LPIterations int
+	// Reinversions is the total basis factorisations across all solves.
+	Reinversions int
 	// WarmAttempts counts LP solves that were offered a warm-start basis
 	// from a related earlier solve; WarmAccepts counts those where the
 	// solver verified and kept it (skipping phase 1 and most pivots).
@@ -293,9 +296,12 @@ func (inst *Instance) constraintPairs(useApprox bool) []obf.Pair {
 // feasible and the warm start lands.
 //
 // It also owns the LP workspaces of the generation: one lp.Solver for the
-// direct LP or the Dantzig-Wolfe master, one for the pricing problem. They
-// are created with the carry in GenerateCtx and die with it when the
-// generation returns; nothing of a solve outlives the generation that ran it.
+// direct LP or the Dantzig-Wolfe master, one for the pricing problem. A carry
+// comes from carryPool in GenerateCtx and goes back when the generation
+// returns, having forgotten its generator columns and basis. The Solvers keep
+// their arrays and nothing else that a later generation can see: an lp.Solver
+// knows a problem by an id no later problem has, so what crosses generations
+// is capacity.
 type solveCarry struct {
 	pool    []dwColumn
 	basis   []int
@@ -303,15 +309,34 @@ type solveCarry struct {
 	pricing lp.Solver
 }
 
+var carryPool = sync.Pool{New: func() any { return new(solveCarry) }}
+
+// release hands the carry back to carryPool.
+func (c *solveCarry) release() {
+	c.pool, c.basis = nil, c.basis[:0]
+	carryPool.Put(c)
+}
+
 // solveStats aggregates per-solve counters surfaced in Result.
 type solveStats struct {
 	iters        int
+	reinversions int
 	warmAttempts int
 	warmAccepts  int
 }
 
+// count adds one LP solve's counters.
+func (st *solveStats) count(sol *lp.Solution) {
+	st.iters += sol.Iterations
+	st.reinversions += sol.Reinversions
+	if sol.Warm {
+		st.warmAccepts++
+	}
+}
+
 func (st *solveStats) add(o solveStats) {
 	st.iters += o.iters
+	st.reinversions += o.reinversions
 	st.warmAttempts += o.warmAttempts
 	st.warmAccepts += o.warmAccepts
 }
@@ -329,12 +354,9 @@ func (inst *Instance) solveMatrix(p Params, pairs []obf.Pair, mult []float64, ca
 		}
 		m, sol, err := inst.solveLP(&carry.master, pairs, mult, &opts)
 		if sol != nil {
-			st.iters = sol.Iterations
-			if sol.Warm {
-				st.warmAccepts++
-			}
+			st.count(sol)
 			if sol.Status == lp.Optimal {
-				carry.basis = sol.Basis
+				carry.basis = append(carry.basis[:0], sol.Basis...)
 			}
 		}
 		return m, st, err
@@ -431,7 +453,8 @@ func (inst *Instance) GenerateCtx(ctx context.Context, p Params) (*Result, error
 		mult[i] = math.Exp(p.Epsilon * pr.Dist)
 	}
 	res := &Result{Constraints: len(pairs) * inst.K()}
-	carry := &solveCarry{}
+	carry := carryPool.Get().(*solveCarry)
+	defer carry.release()
 	m, st, err := inst.solveMatrix(p, pairs, mult, carry, false)
 	if err != nil {
 		return nil, err
@@ -479,6 +502,7 @@ func (inst *Instance) GenerateCtx(ctx context.Context, p Params) (*Result, error
 	res.Matrix = m
 	res.QualityLoss = res.Trace[len(res.Trace)-1]
 	res.LPIterations = total.iters
+	res.Reinversions = total.reinversions
 	res.WarmAttempts = total.warmAttempts
 	res.WarmAccepts = total.warmAccepts
 	res.Elapsed = time.Since(start)

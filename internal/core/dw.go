@@ -83,13 +83,11 @@ type dwColumn struct {
 // and scales are computed once per call.
 func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, carry *solveCarry) (*obf.Matrix, solveStats, error) {
 	k := inst.K()
-	blockCost := make([][]float64, k) // w_l[i] = priors[i]*cost[i][l]
+	blockCost := squareRows(k) // w_l[i] = priors[i]*cost[i][l]
 	for l := 0; l < k; l++ {
-		w := make([]float64, k)
 		for i := 0; i < k; i++ {
-			w[i] = inst.priors[i] * inst.cost[i][l]
+			blockCost[l][i] = inst.priors[i] * inst.cost[i][l]
 		}
-		blockCost[l] = w
 	}
 
 	// Pricing problem skeleton: K vars, cone rows + simplex row. The
@@ -180,6 +178,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 		}
 	}
 	objW := make([]float64, k)
+	needExact := make([]bool, k)
 	type profKey struct {
 		block, peak int
 	}
@@ -239,11 +238,8 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 		if sol.Status != lp.Optimal {
 			return nil, fmt.Errorf("core: DW master %v (%s)", sol.Status, sol.Note)
 		}
-		if sol.Warm {
-			st.warmAccepts++
-		}
-		masterBasis = sol.Basis
-		st.iters += sol.Iterations
+		st.count(sol)
+		masterBasis = append(masterBasis[:0], sol.Basis...)
 		return sol, nil
 	}
 
@@ -281,7 +277,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 		y := master.Duals
 		added := 0
 		// Fast pass: for every block, try the single-peak profiles first.
-		needExact := make([]bool, k)
+		clear(needExact)
 		for l := 0; l < k; l++ {
 			for i := 0; i < k; i++ {
 				objW[i] = blockCost[l][i] - y[i]
@@ -359,13 +355,10 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 				if err != nil {
 					return nil, st, err
 				}
-				if subSol.Warm {
-					st.warmAccepts++
-				}
+				st.count(subSol)
 				if subSol.Status == lp.Optimal {
-					subBasis = subSol.Basis
+					subBasis = append(subBasis[:0], subSol.Basis...)
 				}
-				st.iters += subSol.Iterations
 				switch subSol.Status {
 				case lp.Optimal:
 				case lp.Infeasible:
@@ -469,20 +462,29 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 // optimality condition), so it is a feasible — in fact extreme — point of
 // P = C ∩ simplex.
 func exponentialProfiles(k int, pairs []obf.Pair, mult []float64) [][]float64 {
-	// Arc list: sigma_j <= sigma_i + ln(mult) encodes x_i <= mult*x_j.
+	// Arc list: sigma_j <= sigma_i + ln(mult) encodes x_i <= mult*x_j. Node
+	// i's arcs are arcs[first[i]:first[i+1]], in pair order.
 	type arc struct {
 		to int32
 		w  float64
 	}
-	adj := make([][]arc, k)
+	first := make([]int32, k+2)
+	for _, p := range pairs {
+		first[p.I+2]++
+	}
+	for i := 2; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	arcs := make([]arc, len(pairs))
 	for pi, p := range pairs {
 		w := math.Log(mult[pi])
 		if w < 0 {
 			w = 0 // capped budgets keep mult >= 1; guard regardless
 		}
-		adj[p.I] = append(adj[p.I], arc{to: int32(p.J), w: w})
+		arcs[first[p.I+1]] = arc{to: int32(p.J), w: w}
+		first[p.I+1]++
 	}
-	out := make([][]float64, k)
+	out := squareRows(k)
 	dist := make([]float64, k)
 	var pq profHeap
 	for m := 0; m < k; m++ {
@@ -496,14 +498,14 @@ func exponentialProfiles(k int, pairs []obf.Pair, mult []float64) [][]float64 {
 			if it.d > dist[it.node] {
 				continue
 			}
-			for _, a := range adj[it.node] {
+			for _, a := range arcs[first[it.node]:first[it.node+1]] {
 				if nd := it.d + a.w; nd < dist[a.to] {
 					dist[a.to] = nd
 					pq.push(profItem{node: a.to, d: nd})
 				}
 			}
 		}
-		prof := make([]float64, k)
+		prof := out[m]
 		sum := 0.0
 		for i := 0; i < k; i++ {
 			prof[i] = math.Exp(-dist[i])
@@ -514,9 +516,18 @@ func exponentialProfiles(k int, pairs []obf.Pair, mult []float64) [][]float64 {
 				prof[i] /= sum
 			}
 		}
-		out[m] = prof
 	}
 	return out
+}
+
+// squareRows returns k zeroed rows of length k over one backing array.
+func squareRows(k int) [][]float64 {
+	flat := make([]float64, k*k)
+	rows := make([][]float64, k)
+	for i := range rows {
+		rows[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
+	return rows
 }
 
 type profItem struct {

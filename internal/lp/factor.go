@@ -74,6 +74,7 @@ func (s *sparseState) etaCol(e *eta) ([]int32, []float64) {
 // growth. xB must be refreshed by the caller.
 func (s *sparseState) reinvert() error {
 	s.clearFactor()
+	s.reinversions++
 	m := s.m
 	s.newBasis = resize(s.newBasis, m)
 	newBasis := s.newBasis

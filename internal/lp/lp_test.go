@@ -26,9 +26,7 @@ func solveBoth(t *testing.T, p *Problem, opt *Options) *Solution {
 			t.Fatalf("objective mismatch: dense=%v sparse=%v", d.Objective, s.Objective)
 		}
 		for _, sol := range []*Solution{d, s} {
-			if v, n := p.CheckFeasible(sol.X, 1e-6); n > 0 {
-				t.Fatalf("solution infeasible: %d violations, worst %v", n, v)
-			}
+			certify(t, p, sol, 1e-6)
 		}
 	}
 	return s

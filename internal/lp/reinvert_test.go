@@ -73,9 +73,7 @@ func TestCORGIShapedLP(t *testing.T) {
 			if s.Status != Optimal {
 				t.Fatalf("k=%d perturb=%v: status %v", k, perturb, s.Status)
 			}
-			if v, n := p.CheckFeasible(s.X, 1e-6); n > 0 {
-				t.Fatalf("k=%d perturb=%v: %d violations, worst %g", k, perturb, n, v)
-			}
+			certify(t, p, s, 1e-6)
 			d, err := SolveDense(p, nil)
 			if err != nil || d.Status != Optimal {
 				t.Fatalf("dense: %v %v", err, d.Status)

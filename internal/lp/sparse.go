@@ -15,13 +15,17 @@ func Solve(p *Problem, opt *Options) (*Solution, error) {
 }
 
 // Solver is the workspace of the sparse simplex: the standard form and its
-// scales, the simplex vectors, the eta file and the reinversion scratch, all
-// flat arrays that grow to the largest problem seen and are overwritten by
-// each solve. A Solve on a reused Solver returns exactly what a fresh one
-// would; reuse saves only the allocations. The zero value is ready. A Solver
-// is not safe for concurrent use and is meant to be dropped with the
-// computation that made it (core gives each matrix generation its own), not
-// pooled.
+// scales, the simplex vectors, the eta file, the reinversion scratch and the
+// arrays of the Solution it returns, all flat arrays that grow to the largest
+// problem seen and are overwritten by each solve. A Solve on a reused Solver
+// returns exactly what a fresh one would; reuse saves only the allocations.
+// The zero value is ready. A Solver is not safe for concurrent use.
+//
+// A Solver knows the problem it last loaded by id and revision, never by
+// pointer: one parked in a sync.Pool (core parks each generation's pair)
+// keeps no Problem alive, and because ids are not reissued it meets every
+// later problem exactly as a zero Solver would. What crosses from one owner
+// to the next is capacity.
 type Solver struct {
 	sf    standardForm
 	bTrue []float64 // equilibrated RHS before perturbation
@@ -30,24 +34,27 @@ type Solver struct {
 	// The problem sf was last built from, and its structural revision: while
 	// both match, only the objective can have changed, and the standard form,
 	// its scales and the RHS carry over.
-	prob *Problem
+	prob uint64
 	rev  int
 }
 
-// Solve is the package-level Solve on this workspace.
+// Solve is the package-level Solve on this workspace. The X, Duals and Basis
+// of the Solution it returns are the workspace's own arrays: they are valid
+// until the next Solve on this Solver, and a caller that needs them longer
+// copies them.
 func (sv *Solver) Solve(p *Problem, opt *Options) (*Solution, error) {
 	if len(p.rows) == 0 {
 		return SolveDense(p, opt)
 	}
 	sf := &sv.sf
-	if sv.prob == p && sv.rev == p.rev {
+	if sv.prob == p.id && sv.rev == p.rev {
 		sf.setObjective(p.c)
 		copy(sf.b, sv.bTrue)
 	} else {
 		sf.load(p)
 		sf.equilibrate(3)
 		sv.bTrue = append(sv.bTrue[:0], sf.b...)
-		sv.prob, sv.rev = p, p.rev
+		sv.prob, sv.rev = p.id, p.rev
 	}
 
 	// Optional RHS perturbation to break degeneracy (CORGI's Geo-Ind rows
@@ -96,11 +103,17 @@ type sparseState struct {
 	segCur   int
 	iters    int
 	maxIters int
+	// reinversions counts reinvert calls in this solve.
+	reinversions int
 
 	artRow  [1]int32  // colOf's row slice for an artificial column
-	rowVec  []float64 // dualCleanup: e_r^T B^{-1}
+	rowVec  []float64 // dualCleanup: e_r^T B^{-1}; run: row activities of the self-check
 	warmCol []int     // tryWarmBasis: the decoded warm basis
 	crash   []int     // tryWarmBasis: the crash basis to fall back to
+
+	// The arrays of the Solution run returns.
+	x, duals []float64
+	basisOut []int
 }
 
 // resize returns s with length n, reusing its array when that is large
@@ -132,7 +145,7 @@ func (s *sparseState) reset(sf *standardForm, opt *Options) {
 	clear(s.work) // dualCleanup reads work[r] whether or not ftran touched row r
 	clear(s.costs)
 	s.clearFactor()
-	s.segCur, s.iters = 0, 0
+	s.segCur, s.iters, s.reinversions = 0, 0, 0
 }
 
 var unitVal = []float64{1}
@@ -651,11 +664,11 @@ func (s *sparseState) run(p *Problem, bTrue []float64, opt *Options) *Solution {
 	if nArt > 0 {
 		switch s.primalLoop() {
 		case phaseIterLimit:
-			return &Solution{Status: IterationLimit, Iterations: s.iters, Note: "phase1 iteration limit"}
+			return s.stopped(IterationLimit, "phase1 iteration limit")
 		case phaseSingular:
-			return &Solution{Status: NumericalFailure, Iterations: s.iters, Note: "phase1 singular"}
+			return s.stopped(NumericalFailure, "phase1 singular")
 		case phaseUnbounded:
-			return &Solution{Status: NumericalFailure, Iterations: s.iters, Note: "phase1 unbounded"}
+			return s.stopped(NumericalFailure, "phase1 unbounded")
 		}
 		infeas := 0.0
 		for i := 0; i < s.m; i++ {
@@ -664,7 +677,7 @@ func (s *sparseState) run(p *Problem, bTrue []float64, opt *Options) *Solution {
 			}
 		}
 		if infeas > 1e-7 {
-			return &Solution{Status: Infeasible, Iterations: s.iters, Note: "phase1 positive artificials"}
+			return s.stopped(Infeasible, "phase1 positive artificials")
 		}
 	}
 
@@ -676,11 +689,11 @@ func (s *sparseState) run(p *Problem, bTrue []float64, opt *Options) *Solution {
 	copy(s.costs[:s.sf.n], s.sf.c)
 	switch s.primalLoop() {
 	case phaseIterLimit:
-		return &Solution{Status: IterationLimit, Iterations: s.iters, Note: "phase2 iteration limit"}
+		return s.stopped(IterationLimit, "phase2 iteration limit")
 	case phaseUnbounded:
-		return &Solution{Status: Unbounded, Iterations: s.iters, Note: "phase2 unbounded"}
+		return s.stopped(Unbounded, "phase2 unbounded")
 	case phaseSingular:
-		return &Solution{Status: NumericalFailure, Iterations: s.iters, Note: "phase2 singular"}
+		return s.stopped(NumericalFailure, "phase2 singular")
 	}
 
 	// Remove the perturbation and restore exact feasibility.
@@ -689,25 +702,27 @@ func (s *sparseState) run(p *Problem, bTrue []float64, opt *Options) *Solution {
 		s.refreshXB()
 		switch s.dualCleanup() {
 		case phaseIterLimit:
-			return &Solution{Status: IterationLimit, Iterations: s.iters, Note: "cleanup iteration limit"}
+			return s.stopped(IterationLimit, "cleanup iteration limit")
 		case phaseUnbounded:
-			return &Solution{Status: Infeasible, Iterations: s.iters, Note: "cleanup infeasible"}
+			return s.stopped(Infeasible, "cleanup infeasible")
 		case phaseSingular:
-			return &Solution{Status: NumericalFailure, Iterations: s.iters, Note: "cleanup singular"}
+			return s.stopped(NumericalFailure, "cleanup singular")
 		}
 		// One more primal pass: cleanup may have left negative reduced costs.
 		switch s.primalLoop() {
 		case phaseIterLimit:
-			return &Solution{Status: IterationLimit, Iterations: s.iters, Note: "post-cleanup iteration limit"}
+			return s.stopped(IterationLimit, "post-cleanup iteration limit")
 		case phaseUnbounded:
-			return &Solution{Status: Unbounded, Iterations: s.iters, Note: "post-cleanup unbounded"}
+			return s.stopped(Unbounded, "post-cleanup unbounded")
 		case phaseSingular:
-			return &Solution{Status: NumericalFailure, Iterations: s.iters, Note: "post-cleanup singular"}
+			return s.stopped(NumericalFailure, "post-cleanup singular")
 		}
 	}
 
 	nv := p.NumVars()
-	x := make([]float64, nv)
+	s.x = resize(s.x, nv)
+	x := s.x
+	clear(x)
 	for i := 0; i < s.m; i++ {
 		if j := s.basis[i]; j < nv {
 			v := s.xB[i] * colScale[j]
@@ -718,33 +733,40 @@ func (s *sparseState) run(p *Problem, bTrue []float64, opt *Options) *Solution {
 		}
 	}
 	// Self-check in original units; refuse to report a corrupted point.
-	if _, bad := p.CheckFeasible(x, 1e-6); bad > 0 {
-		return &Solution{Status: NumericalFailure, Iterations: s.iters, Note: "final solution infeasible"}
+	s.rowVec = resize(s.rowVec, s.m)
+	if _, bad := p.checkFeasible(x, 1e-6, s.rowVec); bad > 0 {
+		return s.stopped(NumericalFailure, "final solution infeasible")
 	}
 	s.computeDuals()
-	duals := make([]float64, s.m)
+	s.duals = resize(s.duals, s.m)
 	for i := 0; i < s.m; i++ {
 		yv := s.y[i] * rowScale[i]
 		if flipped[i] {
 			yv = -yv
 		}
-		duals[i] = yv
+		s.duals[i] = yv
 	}
-	basisOut := make([]int, s.m)
+	s.basisOut = resize(s.basisOut, s.m)
 	for i, j := range s.basis {
 		if j >= s.n {
-			basisOut[i] = -(j - s.n + 1)
+			s.basisOut[i] = -(j - s.n + 1)
 		} else {
-			basisOut[i] = j
+			s.basisOut[i] = j
 		}
 	}
 	return &Solution{
-		Status:     Optimal,
-		X:          x,
-		Objective:  p.Eval(x),
-		Duals:      duals,
-		Iterations: s.iters,
-		Basis:      basisOut,
-		Warm:       warm,
+		Status:       Optimal,
+		X:            x,
+		Objective:    p.Eval(x),
+		Duals:        s.duals,
+		Iterations:   s.iters,
+		Reinversions: s.reinversions,
+		Basis:        s.basisOut,
+		Warm:         warm,
 	}
+}
+
+// stopped is the Solution of a solve that did not reach an optimum.
+func (s *sparseState) stopped(status Status, note string) *Solution {
+	return &Solution{Status: status, Iterations: s.iters, Reinversions: s.reinversions, Note: note}
 }

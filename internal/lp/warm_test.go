@@ -76,6 +76,8 @@ func TestWarmBasisResolveSameProblem(t *testing.T) {
 	if !warm.Warm {
 		t.Fatal("warm basis for the identical problem must be accepted")
 	}
+	certify(t, p, cold, 1e-6)
+	certify(t, p, warm, 1e-6)
 	if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
 		t.Fatalf("objective drifted: cold=%v warm=%v", cold.Objective, warm.Objective)
 	}
@@ -112,6 +114,7 @@ func TestWarmBasisSurvivesObjectiveChange(t *testing.T) {
 	if !warm.Warm {
 		t.Fatal("feasible warm basis must be accepted after an objective change")
 	}
+	certify(t, p, warm, 1e-6)
 	ref, err := Solve(p, &Options{Perturb: true})
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +154,9 @@ func TestWarmBasisRejectsGarbage(t *testing.T) {
 		if sol.Warm {
 			t.Errorf("%s: invalid warm basis reported as accepted", name)
 		}
+		if sol.Status == Optimal {
+			certify(t, p, sol, 1e-6)
+		}
 	}
 }
 
@@ -179,4 +185,6 @@ func TestWarmBasisRoundTripEncoding(t *testing.T) {
 	if again.Status != Optimal || !again.Warm {
 		t.Fatalf("round-trip warm solve: status=%v warm=%v", again.Status, again.Warm)
 	}
+	certify(t, p, sol, 1e-6)
+	certify(t, p, again, 1e-6)
 }

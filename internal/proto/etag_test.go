@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -140,6 +141,63 @@ func TestEtagMatches(t *testing.T) {
 		if got := etagMatches(c.header, c.etag); got != c.want {
 			t.Errorf("etagMatches(%q, %q) = %v, want %v", c.header, c.etag, got, c.want)
 		}
+	}
+}
+
+// TestAcceptsGzip: an offer is gzip with a non-zero quality; gzip;q=0 is an
+// explicit refusal and identity alone no offer. Body and ETag both ask this
+// one function, so the refusal is checked on a whole response as well.
+func TestAcceptsGzip(t *testing.T) {
+	cases := []struct {
+		header string
+		want   bool
+	}{
+		{"gzip", true},
+		{"gzip, deflate, br", true},
+		{"deflate, GZIP ; q=0.5", true},
+		{"gzip;q=1.0", true},
+		{"gzip;q=0", false},
+		{"gzip; q=0.000, identity", false},
+		{"br;q=1, gzip;Q=0", false},
+		{"identity", false},
+		{"identity;q=1, *;q=0", false},
+		{"deflate", false},
+		{"gzip;q=high", false},
+		{"gzip;level=9", false},
+		{"", false},
+	}
+	for _, c := range cases {
+		r := httptest.NewRequest(http.MethodGet, "/", nil)
+		r.Header.Set("Accept-Encoding", c.header)
+		if got := acceptsGzip(r); got != c.want {
+			t.Errorf("acceptsGzip(%q) = %v, want %v", c.header, got, c.want)
+		}
+	}
+	if acceptsGzip(nil) {
+		t.Error("no request, no negotiation: must not accept gzip")
+	}
+
+	ts, _, _ := newTestServer(t)
+	defer ts.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/matrices", strings.NewReader(`{"privacy_l":1,"delta":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept-Encoding", "gzip;q=0")
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if enc := resp.Header.Get("Content-Encoding"); enc != "" {
+		t.Errorf("gzip;q=0 answered with Content-Encoding %q", enc)
+	}
+	if tag := resp.Header.Get("ETag"); tag == "" || strings.Contains(tag, "-gzip") {
+		t.Errorf("gzip;q=0 answered with ETag %q, want the identity tag", tag)
+	}
+	var fr ForestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
+		t.Errorf("identity body does not decode as JSON: %v", err)
 	}
 }
 

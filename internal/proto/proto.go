@@ -135,7 +135,7 @@ func writeJSONAs(w http.ResponseWriter, r *http.Request, contentType string, v i
 // Accept-Encoding: gzip (r may be nil to skip negotiation).
 func writeRaw(w http.ResponseWriter, r *http.Request, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
-	if r != nil && strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+	if acceptsGzip(r) {
 		w.Header().Set("Content-Encoding", "gzip")
 		gz := gzip.NewWriter(w)
 		defer gz.Close()
@@ -143,6 +143,30 @@ func writeRaw(w http.ResponseWriter, r *http.Request, contentType string, body [
 		return
 	}
 	w.Write(body)
+}
+
+// acceptsGzip reports whether the request's Accept-Encoding lists gzip with
+// a non-zero quality: "gzip;q=0" is a refusal, not an offer, and a malformed
+// quality is answered with the identity coding every client can read. It is
+// the one place the content coding is decided, so a body and its ETag cannot
+// disagree. A nil request (no negotiation) accepts nothing.
+func acceptsGzip(r *http.Request) bool {
+	if r == nil {
+		return false
+	}
+	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
+		coding, params, _ := strings.Cut(part, ";")
+		if !strings.EqualFold(strings.TrimSpace(coding), "gzip") {
+			continue
+		}
+		q, found := strings.CutPrefix(strings.ToLower(strings.TrimSpace(params)), "q=")
+		if !found {
+			return strings.TrimSpace(params) == ""
+		}
+		v, err := strconv.ParseFloat(strings.TrimSpace(q), 64)
+		return err == nil && v > 0
+	}
+	return false
 }
 
 // forestETag derives the strong ETag for an encoded forest body. Forest
@@ -343,8 +367,7 @@ func writeForestNegotiated(w http.ResponseWriter, r *http.Request, tree *loctree
 	// coding (Accept-Encoding), and the strong ETag must name that exact
 	// representation — without both, a shared cache could satisfy a
 	// v1/identity client with v2/gzip bytes.
-	gzipped := strings.Contains(r.Header.Get("Accept-Encoding"), "gzip")
-	etag := forestETag(body, gzipped)
+	etag := forestETag(body, acceptsGzip(r))
 	w.Header().Set("Vary", "Accept, Accept-Encoding")
 	w.Header().Set("ETag", etag)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
