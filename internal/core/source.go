@@ -23,8 +23,9 @@ func (e *ForestEntry) SubtreeRoot() loctree.NodeID { return e.Root }
 func (e *ForestEntry) SupportLeaves() []loctree.NodeID { return e.Leaves }
 
 // LeafIndex implements mechanism.Source: one position table per entry,
-// built on first bind and dropped with the entry.
-func (e *ForestEntry) LeafIndex() *mechanism.LeafIndex { return e.index.Over(e.Leaves) }
+// with the entry's unpruned bindings beside it, built on first bind and
+// dropped with the entry.
+func (e *ForestEntry) LeafIndex() *mechanism.LeafIndex { return e.index.Over(e.Root, e.Leaves) }
 
 // Dim implements mechanism.Source; 0 (the invalid-source signal) covers
 // nil entries and entries without a matrix.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
@@ -30,8 +31,11 @@ type Config struct {
 	// them (an empty-but-non-nil slice means "evaluated, nothing pruned").
 	// Leave nil to have Bind evaluate Preferences over Attrs.
 	Pruned []loctree.NodeID
-	// Anchor records the true cell the preference attributes were
-	// evaluated at. Zero for preference-free policies.
+	// Anchor is the true cell the preference attributes were evaluated at.
+	// Bind does not read it: where one user's preferences were evaluated is
+	// a fact about that user's session (session.Config.Anchor), not about
+	// the rows, which is what lets users whose preferences prune nothing
+	// share one binding.
 	Anchor loctree.NodeID
 	// Priors supplies leaf priors for precision reduction (Equ. 17);
 	// required when Policy.PrecisionLevel > 0.
@@ -49,23 +53,29 @@ type Config struct {
 // precisionWeights / DetachRow is what keeps draws byte-identical across
 // all of them, so treat any change there as a wire-format change.
 //
-// A Binding is NOT internally synchronized: the alias cache mutates on
-// first use of each row, and the owner (session mutex, single-threaded
-// caller) must serialize access — the same discipline the session's
-// binding half has always had.
+// Who owns a Binding depends on its prune set. One that prunes nothing is a
+// function of (source, precision level) alone, so the source holds it (see
+// LeafIndex) and Bind hands the same object to every session of every such
+// user: "no preferences" and "preferences that prune nothing here" are one
+// case. One that prunes something is built fresh for its caller and
+// belongs to it.
+//
+// Either way a Binding is immutable once Bind returns, apart from the alias
+// cache, whose slots are atomic: concurrent Alias calls are safe, and two
+// that race to build a row store equal tables (an Alias is immutable and a
+// function of its weights). Always hold a Binding by pointer.
 type Binding struct {
-	tree    *loctree.Tree
-	pol     policy.Policy
-	priors  *loctree.Priors
-	src     Source
-	epsilon float64
-	anchor  loctree.NodeID
+	tree      *loctree.Tree
+	precision int
+	priors    *loctree.Priors
+	src       Source
+	epsilon   float64
 
 	// idx is the source's shared leaf → position table. Everything below
 	// is indexed by position or by report row, never keyed by node.
 	idx        *LeafIndex
-	dropIdx    []bool // by source leaf position; nil when nothing is pruned
-	pruned     []loctree.NodeID
+	dropIdx    []bool           // by source leaf position; nil when nothing is pruned
+	pruned     []loctree.NodeID // nil when nothing is pruned
 	keptLeaves []loctree.NodeID
 	keep       []int // kept source-leaf positions in order
 
@@ -79,7 +89,7 @@ type Binding struct {
 	rowOf  []int32
 	groups [][]int
 
-	rowAlias []*sample.Alias // by report row, built on first use
+	rowAlias []atomic.Pointer[sample.Alias] // by report row, built on first use
 }
 
 // Bind evaluates the policy against one source: preferences decide the
@@ -88,6 +98,12 @@ type Binding struct {
 // reserved budget must cover the realized prune set), and the report node
 // set is fixed. No alias table is built yet — rows build lazily on first
 // use.
+//
+// When S is empty the result is the binding the source already holds for
+// the policy's precision level, provided it was bound under this tree,
+// these priors and this ε (the serving stack always does; a caller binding
+// one source under others gets a private binding, as does whoever loses
+// the race to publish the first one).
 func Bind(cfg Config) (*Binding, error) {
 	if cfg.Tree == nil {
 		return nil, fmt.Errorf("mechanism: nil tree")
@@ -99,41 +115,52 @@ func Bind(cfg Config) (*Binding, error) {
 		return nil, fmt.Errorf("mechanism: precision level %d needs priors", cfg.Policy.PrecisionLevel)
 	}
 	leaves := cfg.Source.SupportLeaves()
-	b := &Binding{
-		tree:    cfg.Tree,
-		pol:     cfg.Policy,
-		priors:  cfg.Priors,
-		src:     cfg.Source,
-		epsilon: cfg.Epsilon,
-		anchor:  cfg.Anchor,
-		idx:     cfg.Source.LeafIndex(),
-	}
+	idx := cfg.Source.LeafIndex()
+	var pruned []loctree.NodeID
 	switch {
 	case cfg.Pruned != nil:
 		for _, n := range cfg.Pruned {
-			if _, ok := b.idx.Pos(n); !ok {
+			if _, ok := idx.Pos(n); !ok {
 				return nil, fmt.Errorf("mechanism: pruned leaf %v not in subtree %v", n, cfg.Source.SubtreeRoot())
 			}
 		}
-		b.pruned = cfg.Pruned
+		pruned = cfg.Pruned
 	case len(cfg.Policy.Preferences) > 0:
 		evaluated, err := EvalPreferences(leaves, cfg.Policy, cfg.Attrs)
 		if err != nil {
 			return nil, err
 		}
-		b.pruned = evaluated
+		pruned = evaluated
 	}
-	if len(b.pruned) > cfg.Delta {
+	if len(pruned) > cfg.Delta {
 		return nil, fmt.Errorf("mechanism: preferences prune %d locations but the matrix is only %d-prunable (Sec. 5.3 tradeoff)",
-			len(b.pruned), cfg.Delta)
+			len(pruned), cfg.Delta)
 	}
-	if len(b.pruned) == 0 {
-		b.keep, b.keptLeaves = b.idx.identity, leaves
+
+	var slot *atomic.Pointer[Binding]
+	if len(pruned) == 0 {
+		if slot = idx.unprunedSlot(cfg.Policy.PrecisionLevel); slot != nil {
+			if b := slot.Load(); b != nil && b.tree == cfg.Tree && b.priors == cfg.Priors && b.epsilon == cfg.Epsilon {
+				return b, nil
+			}
+		}
+	}
+	b := &Binding{
+		tree:      cfg.Tree,
+		precision: cfg.Policy.PrecisionLevel,
+		priors:    cfg.Priors,
+		src:       cfg.Source,
+		epsilon:   cfg.Epsilon,
+		idx:       idx,
+	}
+	if len(pruned) == 0 {
+		b.keep, b.keptLeaves = idx.identity, leaves
 	} else {
+		b.pruned = pruned
 		b.dropIdx = make([]bool, len(leaves))
 		kept := len(leaves)
-		for _, n := range b.pruned {
-			if p, _ := b.idx.Pos(n); !b.dropIdx[p] {
+		for _, n := range pruned {
+			if p, _ := idx.Pos(n); !b.dropIdx[p] {
 				b.dropIdx[p] = true
 				kept--
 			}
@@ -153,15 +180,15 @@ func Bind(cfg Config) (*Binding, error) {
 
 	b.nodes = b.keptLeaves
 	switch {
-	case cfg.Policy.PrecisionLevel > 0:
-		groups, groupNodes, err := GroupByAncestor(cfg.Tree, b.keptLeaves, cfg.Policy.PrecisionLevel)
+	case b.precision > 0:
+		groups, groupNodes, err := GroupByAncestor(cfg.Tree, b.keptLeaves, b.precision)
 		if err != nil {
 			return nil, err
 		}
 		b.groups = groups
 		b.nodes = groupNodes
-		b.rowOf = ancestorRows(cfg.Tree, leaves, cfg.Policy.PrecisionLevel, groupNodes)
-	case len(b.pruned) > 0:
+		b.rowOf = ancestorRows(cfg.Tree, leaves, b.precision, groupNodes)
+	case len(pruned) > 0:
 		b.rowOf = make([]int32, len(leaves))
 		for p := range b.rowOf {
 			b.rowOf[p] = rowPruned
@@ -170,7 +197,10 @@ func Bind(cfg Config) (*Binding, error) {
 			b.rowOf[p] = int32(row)
 		}
 	}
-	b.rowAlias = make([]*sample.Alias, len(b.nodes))
+	b.rowAlias = make([]atomic.Pointer[sample.Alias], len(b.nodes))
+	if slot != nil {
+		slot.CompareAndSwap(nil, b)
+	}
 	return b, nil
 }
 
@@ -179,10 +209,6 @@ func (b *Binding) Source() Source { return b.src }
 
 // Root returns the bound subtree root.
 func (b *Binding) Root() loctree.NodeID { return b.src.SubtreeRoot() }
-
-// Anchor returns the attribute anchor cell (zero for preference-free
-// policies).
-func (b *Binding) Anchor() loctree.NodeID { return b.anchor }
 
 // Covers reports whether the bound subtree contains leaf.
 func (b *Binding) Covers(leaf loctree.NodeID) bool {
@@ -194,8 +220,8 @@ func (b *Binding) Covers(leaf loctree.NodeID) bool {
 // Callers must not mutate it.
 func (b *Binding) Nodes() []loctree.NodeID { return b.nodes }
 
-// Pruned returns the leaves the policy's preferences removed. Callers
-// must not mutate it.
+// Pruned returns the leaves the policy's preferences removed, nil when
+// there are none. Callers must not mutate it.
 func (b *Binding) Pruned() []loctree.NodeID { return b.pruned }
 
 // Meta summarizes the binding: ε, support size, prune size, grouping.
@@ -218,16 +244,17 @@ func (b *Binding) RowFor(leaf loctree.NodeID) (int, error) {
 }
 
 // Alias returns the alias table for one report row, building and caching
-// it on first use. Caller must hold the binding's owning lock.
+// it on first use. Safe for concurrent use: callers that race on a row each
+// build it and keep equal tables.
 func (b *Binding) Alias(row int) (*sample.Alias, error) {
-	if a := b.rowAlias[row]; a != nil {
+	if a := b.rowAlias[row].Load(); a != nil {
 		return a, nil
 	}
 	a, err := b.buildRow(row)
 	if err != nil {
 		return nil, err
 	}
-	b.rowAlias[row] = a
+	b.rowAlias[row].Store(a)
 	return a, nil
 }
 
@@ -244,7 +271,7 @@ func (b *Binding) Alias(row int) (*sample.Alias, error) {
 //     Σ_{v∈g_j} z[u][v], with the constant 1/p_row dropped since the
 //     alias build normalizes.
 func (b *Binding) buildRow(row int) (*sample.Alias, error) {
-	if b.pol.PrecisionLevel == 0 {
+	if b.precision == 0 {
 		orig := b.keep[row]
 		if len(b.pruned) == 0 {
 			a, err := b.src.SharedAliasRow(orig)
@@ -363,13 +390,13 @@ func (b *Binding) DetachRows() ([][]float64, error) {
 // viewsRows reports whether report rows are the source's matrix rows as
 // they stand: nothing pruned, leaf precision.
 func (b *Binding) viewsRows() bool {
-	return b.pol.PrecisionLevel == 0 && len(b.pruned) == 0
+	return b.precision == 0 && len(b.pruned) == 0
 }
 
 // detachInto computes a pruned or precision-grouped row into dst, which
 // must hold len(Nodes()) zeros.
 func (b *Binding) detachInto(row int, dst []float64) ([]float64, error) {
-	if b.pol.PrecisionLevel > 0 {
+	if b.precision > 0 {
 		return b.precisionWeights(row, dst)
 	}
 	r := b.src.MatrixRow(b.keep[row])

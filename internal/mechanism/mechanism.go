@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"corgi/internal/loctree"
 	"corgi/internal/obf"
@@ -86,7 +87,8 @@ type Source interface {
 	// SupportLeaves are the leaf nodes indexing matrix rows/columns.
 	SupportLeaves() []loctree.NodeID
 	// LeafIndex is the leaf → matrix position table over SupportLeaves,
-	// built once per source and shared by every binding of it.
+	// built once per source and shared by every binding of it; it also
+	// holds the source's unpruned bindings (see LeafIndex).
 	LeafIndex() *LeafIndex
 	// Dim is the matrix dimension; 0 signals an unusable source (nil
 	// entry, nil matrix) and callers must treat it as invalid.
@@ -105,21 +107,29 @@ type Source interface {
 }
 
 // LeafIndex is the part of a binding that depends only on the source: each
-// support leaf's matrix position, and the identity position list the
-// unpruned arms use as their keep set. A source embeds one and hands it to
-// every Bind, so a re-anchor looks positions up instead of rebuilding them.
-// The zero value is ready (entries decoded from the wire or a store need no
-// constructor), it is immutable once built, and it is collected with the
-// source that holds it.
+// support leaf's matrix position, the identity position list the unpruned
+// arms use as their keep set, and the unpruned bindings themselves. A source
+// embeds one and hands it to every Bind, so a re-anchor looks positions up
+// instead of rebuilding them and, when the user's preferences prune nothing,
+// takes the binding that is already there. The zero value is ready (entries
+// decoded from the wire or a store need no constructor), the table is
+// immutable once built, and all of it is collected with the source that
+// holds it.
 type LeafIndex struct {
 	once     sync.Once
 	pos      map[loctree.NodeID]int
 	identity []int
+	// unpruned[l] is the binding every user whose preferences prune nothing
+	// shares at precision level l, published by the first Bind to build it.
+	// A policy's precision level lies below its privacy level, which is the
+	// root's, so there is one slot per level under the root.
+	unpruned []atomic.Pointer[Binding]
 }
 
-// Over returns x, built over leaves on the first call. A source always
-// passes its own SupportLeaves, so later calls find the table in place.
-func (x *LeafIndex) Over(leaves []loctree.NodeID) *LeafIndex {
+// Over returns x, built on the first call over the source's subtree root
+// and support leaves. A source always passes its own, so later calls find
+// the table in place.
+func (x *LeafIndex) Over(root loctree.NodeID, leaves []loctree.NodeID) *LeafIndex {
 	x.once.Do(func() {
 		x.pos = make(map[loctree.NodeID]int, len(leaves))
 		x.identity = make([]int, len(leaves))
@@ -127,8 +137,18 @@ func (x *LeafIndex) Over(leaves []loctree.NodeID) *LeafIndex {
 			x.pos[l] = i
 			x.identity[i] = i
 		}
+		x.unpruned = make([]atomic.Pointer[Binding], max(root.Level, 1))
 	})
 	return x
+}
+
+// unprunedSlot returns where the source keeps its unpruned binding of one
+// precision level, nil for a level no valid policy over this source has.
+func (x *LeafIndex) unprunedSlot(level int) *atomic.Pointer[Binding] {
+	if level < 0 || level >= len(x.unpruned) {
+		return nil
+	}
+	return &x.unpruned[level]
 }
 
 // Pos returns leaf's matrix position, or ok=false when the source does not
@@ -171,7 +191,7 @@ func (s *StaticSource) SubtreeRoot() loctree.NodeID { return s.root }
 func (s *StaticSource) SupportLeaves() []loctree.NodeID { return s.leaves }
 
 // LeafIndex implements Source.
-func (s *StaticSource) LeafIndex() *LeafIndex { return s.index.Over(s.leaves) }
+func (s *StaticSource) LeafIndex() *LeafIndex { return s.index.Over(s.root, s.leaves) }
 
 // Dim implements Source.
 func (s *StaticSource) Dim() int {

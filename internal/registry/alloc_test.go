@@ -34,13 +34,15 @@ func reportAllocs(t *testing.T, reg *Registry, req ReportRequest, cells ...hexgr
 }
 
 // TestReportAllocationBudgets pins the report path's allocations per
-// temperature. The budgets are the design, not a measurement to loosen: a
-// warm report allocates its result and nothing else; a plain re-anchor adds
-// one binding and its alias-row slice, every other index being the entry's;
-// a pruned re-anchor adds the prune set and the binding's exactly sized
-// position slices. The renormalized alias table the first draw after a
-// pruned re-anchor builds is sample.NewSubset's own cost, measured here on
-// the same row and set aside: no budget on the re-anchor can shrink it.
+// temperature. The budgets are the design, not a measurement to loosen. A
+// released report allocates nothing while the user's preferences prune
+// nothing: the result is the pool's, and a re-anchor takes the binding the
+// entry already holds, whether the policy has no preferences or has some
+// that remove no cell of the new subtree. A pruned re-anchor allocates the
+// prune set and a binding of its own with exactly sized position slices.
+// The renormalized alias table the first draw after a pruned re-anchor
+// builds is sample.NewSubset's own cost, measured here on the same row and
+// set aside: no budget on the re-anchor can shrink it.
 func TestReportAllocationBudgets(t *testing.T) {
 	if raceon.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -48,12 +50,23 @@ func TestReportAllocationBudgets(t *testing.T) {
 	reg, leafA, leafB := mobilityBenchWorld(t, Options{})
 	plain := ReportRequest{Region: "bench-mob", UID: 1, Seed: 1, Policy: policy.Policy{PrivacyLevel: 1}}
 
-	if got := reportAllocs(t, reg, plain, leafA.Coord); got > 1 {
-		t.Errorf("warm report: %v allocs/op, budget 1", got)
+	if got := reportAllocs(t, reg, plain, leafA.Coord); got > 0 {
+		t.Errorf("warm report: %v allocs/op, budget 0", got)
 	}
 	// leafA and leafB sit in different K=7 subtrees: every call crosses.
-	if got := reportAllocs(t, reg, plain, leafA.Coord, leafB.Coord); got > 3 {
-		t.Errorf("preference-free re-anchor: %v allocs/op, budget 3", got)
+	if got := reportAllocs(t, reg, plain, leafA.Coord, leafB.Coord); got > 0 {
+		t.Errorf("preference-free re-anchor: %v allocs/op, budget 0", got)
+	}
+	// Every cell has a check-in count, so the preference is evaluated at
+	// every move and removes nothing.
+	pred, err := policy.ParsePredicate("checkins > -1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keepAll := ReportRequest{Region: "bench-mob", UID: 1, Seed: 1,
+		Policy: policy.Policy{PrivacyLevel: 1, Preferences: []policy.Predicate{pred}}}
+	if got := reportAllocs(t, reg, keepAll, leafA.Coord, leafB.Coord); got > 0 {
+		t.Errorf("re-anchor under preferences that prune nothing: %v allocs/op, budget 0", got)
 	}
 
 	// A user alternating between two cells of the subtree that holds their
@@ -68,8 +81,8 @@ func TestReportAllocationBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if got := reportAllocs(t, reg, prefs, away[0], away[1]) - table; got > 10 {
-		t.Errorf("home = false re-anchor: %v allocs/op beside the %v of its alias table, budget 10", got, table)
+	if got := reportAllocs(t, reg, prefs, away[0], away[1]) - table; got > 9 {
+		t.Errorf("home = false re-anchor: %v allocs/op beside the %v of its alias table, budget 9", got, table)
 	}
 }
 
@@ -230,45 +243,87 @@ func TestLeaseAllocationBudgets(t *testing.T) {
 	}
 }
 
-// TestReportReturnsDrawBuffersOnError: a report that fails after taking
-// its pooled draw buffers must put them back. The failing step here is the
-// entry fetch of a re-anchor under a cancelled context.
-func TestReportReturnsDrawBuffersOnError(t *testing.T) {
+// TestReportReturnsPooledResultOnError: Report takes its result from the
+// pool before it charges, so every failure after that must put it back.
+// The exits are a budget rejection, a re-anchor whose entry fetch fails (a
+// cancelled context), and a refused draw: here the user's own cell, which
+// their preferences pruned; a row degenerate after pruning leaves by the
+// same return.
+func TestReportReturnsPooledResultOnError(t *testing.T) {
 	if raceon.Enabled {
 		t.Skip("under the race detector sync.Pool drops a share of what is Put")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
 	// A capacity no other report in this process asks for.
 	const count = 1 << 12
-	reg, err := New(fastSpecs("bufs"), Options{MaxReportCount: count})
+	reg, err := New(fastSpecs("bench-mob"), Options{
+		MaxReportCount: count,
+		Budget:         budget.Config{LimitEps: 15 * (count + 8), Window: time.Hour},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	sh, err := reg.Shard(ctx, "bufs")
+	sh, err := reg.Shard(ctx, "bench-mob")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if sh.Spec.Epsilon != 15 {
+		t.Fatalf("epsilon %v: the budget above assumes 15", sh.Spec.Epsilon)
+	}
 	tree := sh.Server.Tree()
 	roots := tree.LevelNodes(1)
-	req := ReportRequest{Region: "bufs", Cell: tree.LeavesUnder(roots[0])[0].Coord, UID: 1, Seed: 1,
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	// Before anything is pooled: homeUser keeps the results of its reports.
+	_, prefs, _, _, _ := homeUser(t, reg)
+	md, err := sh.Metadata()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// held reports whether the pool still holds the one result that owns
+	// count-sized arrays, which is what the failing report was handed.
+	held := func() bool {
+		res := resultPool.Get().(*ReportResult)
+		defer resultPool.Put(res)
+		return cap(res.Reports) >= count && cap(res.Centers) >= count
+	}
+	plain := ReportRequest{Region: "bench-mob", Cell: tree.LeavesUnder(roots[0])[0].Coord, UID: 1, Seed: 1,
 		Policy: policy.Policy{PrivacyLevel: 1}, Count: count}
-	res, err := reg.Report(ctx, req)
+	res, err := reg.Report(ctx, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Release()
-
-	// The user moves to a subtree nobody has solved; the solve cannot start.
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	req.Cell = tree.LeavesUnder(roots[1])[0].Coord
-	if _, err := reg.Report(cancelled, req); err == nil {
-		t.Fatal("a re-anchor onto an unsolved entry succeeded under a cancelled context")
+	if !held() {
+		t.Fatal("a released result did not come back from the pool; the checks below would prove nothing")
 	}
-	bufs := drawBufsPool.Get().(*drawBufs)
-	defer drawBufsPool.Put(bufs)
-	if cap(bufs.nodes) < count {
-		t.Fatalf("the failed report dropped its pooled buffers: pool returned capacity %d", cap(bufs.nodes))
+
+	// The user moves to another subtree; its entry cannot be fetched.
+	moved := plain
+	moved.Cell, moved.Count = tree.LeavesUnder(roots[1])[0].Coord, 1
+	if _, err := reg.Report(cancelled, moved); err == nil {
+		t.Fatal("a re-anchor succeeded under a cancelled context")
+	}
+	if !held() {
+		t.Error("a report whose re-anchor failed dropped its pooled result")
+	}
+
+	// "home = false" from the home cell itself: there is no row to draw from.
+	prefs.Cell = md.HomeLeaf[int(prefs.UID)].Coord
+	if _, err := reg.Report(ctx, prefs); !errors.Is(err, ErrBadReport) {
+		t.Fatalf("a draw from the user's own pruned cell: %v, want ErrBadReport", err)
+	}
+	if !held() {
+		t.Error("a report whose draw failed dropped its pooled result")
+	}
+
+	// The window has room for eight more draws, not for count of them.
+	if _, err := reg.Report(ctx, plain); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("an over-budget report: %v, want ErrBudgetExhausted", err)
+	}
+	if !held() {
+		t.Error("a budget-rejected report dropped its pooled result")
 	}
 }

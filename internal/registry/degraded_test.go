@@ -2,24 +2,46 @@ package registry
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"corgi/internal/core"
 	"corgi/internal/policy"
+	"corgi/internal/store"
 )
 
-func degradedTestRegistry(t *testing.T) *Registry {
+// degradedTestRegistry serves degraded with the background solve held back:
+// a solve consults the store before it runs, the store consults its peer
+// hook on a local miss, and the hook here lets the first ask through (the
+// report's own, on its way to the fallback) and parks every later one (the
+// solve's) until land is called. So a report made before land() cannot see
+// the optimal entry, whatever the scheduler does.
+func degradedTestRegistry(t *testing.T) (reg *Registry, land func()) {
 	t.Helper()
+	st := openStore(t, t.TempDir())
+	release := make(chan struct{})
+	var asks atomic.Int32
+	st.SetPeerFetch(func(store.Key) ([]byte, error) {
+		if asks.Add(1) > 1 {
+			<-release
+		}
+		return nil, store.ErrNotFound
+	})
+	var once sync.Once
+	land = func() { once.Do(func() { close(release) }) }
+	t.Cleanup(land) // a failed test must not leave the solve parked
 	// WarmupDelta -1 keeps bootstrap from precomputing the (level, 0)
 	// forests — the whole point is hitting the cold path.
 	reg, err := New(fastSpecs("deg-a"), Options{
 		Engine:      core.EngineOptions{DegradedServing: true},
 		WarmupDelta: -1,
+		Store:       st,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reg
+	return reg, land
 }
 
 // TestReportDegradedColdThenUpgraded drives the degraded fast path through
@@ -27,7 +49,7 @@ func degradedTestRegistry(t *testing.T) *Registry {
 // served from the planar fallback; once the background solve lands, the
 // resident session upgrades in place and reports stop being degraded.
 func TestReportDegradedColdThenUpgraded(t *testing.T) {
-	reg := degradedTestRegistry(t)
+	reg, land := degradedTestRegistry(t)
 	ctx := context.Background()
 	req := ReportRequest{
 		Region: "deg-a",
@@ -44,6 +66,7 @@ func TestReportDegradedColdThenUpgraded(t *testing.T) {
 		t.Fatal("cold report on a degraded-serving shard was not flagged degraded")
 	}
 	sh, _ := reg.Shard(ctx, "deg-a")
+	land()
 	sh.Server.WaitUpgrades()
 	res2, err := reg.Report(ctx, req)
 	if err != nil {
@@ -76,7 +99,7 @@ func TestReportDegradedUpgradeKeepsStreamAligned(t *testing.T) {
 
 	// Degraded stream: first request served from the fallback, then the
 	// upgrade lands, then more draws.
-	degReg := degradedTestRegistry(t)
+	degReg, land := degradedTestRegistry(t)
 	dreq := mkReq()
 	dreq.Region = "deg-a"
 	dreq.Cell = centerCell(t, degReg, "deg-a")
@@ -88,6 +111,7 @@ func TestReportDegradedUpgradeKeepsStreamAligned(t *testing.T) {
 		t.Fatal("first report was not degraded; test precondition broken")
 	}
 	sh, _ := degReg.Shard(ctx, "deg-a")
+	land()
 	sh.Server.WaitUpgrades()
 	var degraded []string
 	for i := 0; i < 3; i++ {

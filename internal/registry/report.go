@@ -189,33 +189,30 @@ type ReportResult struct {
 	// the session upgrades.
 	Degraded bool
 
-	// bufs, non-nil, backs Reports and Centers with pooled slices;
-	// Release returns them.
-	bufs *drawBufs
+	// pooled marks a result Registry.Report took from resultPool; Release
+	// returns it.
+	pooled bool
 }
 
-// drawBufs is one pooled pair of per-draw result slices. The report hot
-// path recycles them across requests (sync.Pool) instead of allocating a
-// Reports and a Centers slice per call.
-type drawBufs struct {
-	nodes   []loctree.NodeID
-	centers []geo.LatLng
-}
+// resultPool recycles whole results, each with the arrays backing its
+// Reports and Centers: a report that is released allocates nothing for its
+// answer.
+var resultPool = sync.Pool{New: func() any { return new(ReportResult) }}
 
-var drawBufsPool = sync.Pool{New: func() any { return new(drawBufs) }}
-
-// Release returns the result's pooled draw buffers for reuse. It is
-// optional — a result never released is simply collected by the GC — but
-// the serving transports call it after encoding, which is what keeps the
-// warm report path allocation-flat. After Release the Reports and Centers
-// slices must not be read.
+// Release hands the result back to Registry.Report for reuse: the struct
+// itself and the arrays behind Reports and Centers. After Release nothing
+// of the result may be read, not a field and not a slice: the next Report
+// on any goroutine overwrites all of it, so copy out what must outlive the
+// call first. It is optional (a result never released is collected by the
+// GC) and a no-op on a result that did not come from Registry.Report (a
+// decoded remote answer); the serving transports call it once the result is
+// encoded, which is what keeps the report path allocation-free.
 func (res *ReportResult) Release() {
-	b := res.bufs
-	if b == nil {
+	if !res.pooled {
 		return
 	}
-	res.bufs, res.Reports, res.Centers = nil, nil, nil
-	drawBufsPool.Put(b)
+	*res = ReportResult{Reports: res.Reports[:0], Centers: res.Centers[:0]}
+	resultPool.Put(res)
 }
 
 // grown returns s resized to n, reallocating only when capacity falls
@@ -381,7 +378,8 @@ func (a *anchoring) session(ctx context.Context) (*session.Session, error) {
 // touches the RNG stream, so replayed sequences stay position-aligned
 // across the upgrade.
 func (a *anchoring) anchor(ctx context.Context, sess *session.Session) (moved bool, err error) {
-	if sess.Root() != a.root || (len(a.pol.Preferences) > 0 && sess.Anchor() != a.leaf) {
+	at := sess.Bound()
+	if at.Root != a.root || (len(a.pol.Preferences) > 0 && at.Anchor != a.leaf) {
 		plan, entry, err := a.plan(ctx)
 		if err != nil {
 			return false, err
@@ -395,11 +393,11 @@ func (a *anchoring) anchor(ctx context.Context, sess *session.Session) (moved bo
 			return false, fmt.Errorf("%w: %v", ErrBadReport, err)
 		}
 		moved = true
+		at = session.Bound{Root: a.root, Pruned: len(plan.pruned), Degraded: entry.Degraded}
 	}
-	if sess.Degraded() {
-		d := len(sess.Pruned())
-		if e, ok := a.sh.Server.PeekEntry(sess.Root(), d); ok && !e.Degraded {
-			if _, err := sess.Upgrade(e, d); err != nil {
+	if at.Degraded {
+		if e, ok := a.sh.Server.PeekEntry(at.Root, at.Pruned); ok && !e.Degraded {
+			if _, err := sess.Upgrade(e, at.Pruned); err != nil {
 				return moved, err
 			}
 		}
@@ -451,12 +449,22 @@ func (r *Registry) Report(ctx context.Context, req ReportRequest) (*ReportResult
 	if err != nil {
 		return nil, err
 	}
-	sh, count := a.sh, a.draws
-	res := &ReportResult{
-		Region:         sh.Spec.Name,
-		SubtreeRoot:    a.root,
-		PrecisionLevel: req.Policy.PrecisionLevel,
+	res := resultPool.Get().(*ReportResult)
+	res.pooled = true
+	if err := a.report(ctx, res); err != nil {
+		res.Release()
+		return nil, err
 	}
+	return res, nil
+}
+
+// report fills res, a zeroed result, with the admitted request's answer.
+// On an error res holds nothing a caller may use.
+func (a *anchoring) report(ctx context.Context, res *ReportResult) error {
+	sh, count := a.sh, a.draws
+	res.Region = sh.Spec.Name
+	res.SubtreeRoot = a.root
+	res.PrecisionLevel = a.pol.PrecisionLevel
 	// Charge epsilon under linear composition — each of the count draws
 	// leaks the subtree matrix's epsilon — before any session work: a
 	// rejected report never touches the RNG (so a budget-capped user's
@@ -468,9 +476,9 @@ func (r *Registry) Report(ctx context.Context, req ReportRequest) (*ReportResult
 	// direction.
 	if sh.Budget != nil {
 		cost := sh.Spec.Epsilon * float64(count)
-		remaining, err := sh.Budget.Charge(req.UID, cost)
+		remaining, err := sh.Budget.Charge(a.uid, cost)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		res.Budgeted = true
 		res.EpsSpent = cost
@@ -479,33 +487,30 @@ func (r *Registry) Report(ctx context.Context, req ReportRequest) (*ReportResult
 
 	sess, err := a.session(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	bufs := drawBufsPool.Get().(*drawBufs)
-	bufs.nodes = grown(bufs.nodes, count)
+	res.Reports = grown(res.Reports, count)
 	for attempt := 0; ; attempt++ {
 		moved, err := a.anchor(ctx, sess)
 		if err != nil {
-			drawBufsPool.Put(bufs)
-			return nil, err
+			return err
 		}
 		res.Reanchored = res.Reanchored || moved
-		res.Degraded = sess.Degraded()
-		if err = sess.DrawCellNInto(a.leaf, bufs.nodes); err == nil {
+		// Pruned and Degraded come from the binding the draws came from: a
+		// concurrent mover on this stream may re-anchor the session the
+		// moment the draw's lock is released.
+		from, err := sess.DrawCellNBound(a.leaf, res.Reports)
+		if err == nil {
+			res.Pruned, res.Degraded = from.Pruned, from.Degraded
 			break
 		}
 		if !retryAnchor(err, attempt) {
-			drawBufsPool.Put(bufs)
-			return nil, drawErr(err)
+			return drawErr(err)
 		}
 	}
-	bufs.centers = grown(bufs.centers, count)
-	for i, n := range bufs.nodes {
-		bufs.centers[i] = a.tree.Center(n)
+	res.Centers = grown(res.Centers, count)
+	for i, n := range res.Reports {
+		res.Centers[i] = a.tree.Center(n)
 	}
-	res.Pruned = len(sess.Pruned())
-	res.Reports = bufs.nodes
-	res.Centers = bufs.centers
-	res.bufs = bufs
-	return res, nil
+	return nil
 }

@@ -453,3 +453,61 @@ func TestReportConcurrentMovers(t *testing.T) {
 		t.Fatalf("racing movers must share one fully-served stream: %+v", st)
 	}
 }
+
+// TestReportConcurrentMoversResultsDescribeTheirOwnBinding races two movers
+// on one (uid, seed, policy) stream whose preferences prune the user's home
+// in one subtree and nothing in the other. The shared session re-anchors
+// under each of them between any two steps of the other, so a result that
+// read its prune count in a second look at the session would now and then
+// report the other mover's: Pruned must be the count of the binding the
+// draws came from, which SubtreeRoot names (run under -race).
+func TestReportConcurrentMoversResultsDescribeTheirOwnBinding(t *testing.T) {
+	reg, _, _ := mobilityBenchWorld(t, Options{})
+	ctx := context.Background()
+	sh, prefs, away, home, _ := homeUser(t, reg)
+	tree := sh.Server.Tree()
+	var other loctree.NodeID
+	for _, r := range tree.LevelNodes(1) {
+		if r != home {
+			other = r
+			break
+		}
+	}
+	cells := map[loctree.NodeID]hexgrid.Coord{home: away[0], other: tree.LeavesUnder(other)[0].Coord}
+	pruned := map[loctree.NodeID]int{home: 1, other: 0}
+	for root, cell := range cells { // both entries solved before the race
+		req := prefs
+		req.Cell = cell
+		res, err := reg.Report(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SubtreeRoot != root || res.Pruned != pruned[root] {
+			t.Fatalf("cell %v: served from %v pruning %d, want %v pruning %d", cell, res.SubtreeRoot, res.Pruned, root, pruned[root])
+		}
+		res.Release()
+	}
+	var wg sync.WaitGroup
+	for root, cell := range cells {
+		wg.Add(1)
+		go func(root loctree.NodeID, cell hexgrid.Coord) {
+			defer wg.Done()
+			req := prefs
+			req.Cell = cell
+			for i := 0; i < 500; i++ {
+				res, err := reg.Report(ctx, req)
+				if err != nil {
+					t.Errorf("racing mover rejected: %v", err)
+					return
+				}
+				gotRoot, got := res.SubtreeRoot, res.Pruned
+				res.Release()
+				if gotRoot != root || got != pruned[root] {
+					t.Errorf("report %d from %v: served from %v with %d pruned, its binding prunes %d", i, cell, gotRoot, got, pruned[root])
+					return
+				}
+			}
+		}(root, cell)
+	}
+	wg.Wait()
+}

@@ -23,9 +23,12 @@
 // boundaries the trajectory crosses, which is what keeps the /v1/report
 // equivalence guarantee alive for trajectories, not just fixed cells.
 //
-// Sessions are safe for concurrent use: the internal *rand.Rand and the
-// live binding are serialized under the session mutex. Draw sequences are
-// deterministic per seed.
+// Sessions are safe for concurrent use: the internal *rand.Rand and which
+// binding is live are serialized under the session mutex. The binding
+// itself may be shared: one that prunes nothing belongs to the forest entry
+// and serves every such session of it (mechanism.Bind), so what a session
+// owns is its RNG stream, its attribute anchor, and the pointer. Draw
+// sequences are deterministic per seed.
 package session
 
 import (
@@ -121,9 +124,13 @@ type Session struct {
 	seed    int64
 	epsilon float64
 
-	mu  sync.Mutex
-	b   *mechanism.Binding
-	rng *rand.Rand
+	mu sync.Mutex
+	b  *mechanism.Binding
+	// anchor is the cell this user's preferences were last evaluated at. It
+	// is the session's, not the binding's: users whose preferences prune
+	// nothing share one binding whatever cell each was evaluated at.
+	anchor loctree.NodeID
+	rng    *rand.Rand
 
 	draws     atomic.Uint64
 	reanchors atomic.Uint64
@@ -134,7 +141,7 @@ type Session struct {
 // check, and the report node set). No alias table is built yet — rows
 // build lazily on first draw.
 func (s *Session) bind(entry mechanism.Source, delta int, pruned []loctree.NodeID,
-	attrs map[loctree.NodeID]policy.Attributes, anchor loctree.NodeID) (*mechanism.Binding, error) {
+	attrs map[loctree.NodeID]policy.Attributes) (*mechanism.Binding, error) {
 	return mechanism.Bind(mechanism.Config{
 		Tree:    s.tree,
 		Source:  entry,
@@ -142,7 +149,6 @@ func (s *Session) bind(entry mechanism.Source, delta int, pruned []loctree.NodeI
 		Policy:  s.pol,
 		Attrs:   attrs,
 		Pruned:  pruned,
-		Anchor:  anchor,
 		Priors:  s.priors,
 		Epsilon: s.epsilon,
 	})
@@ -169,39 +175,69 @@ func New(cfg Config) (*Session, error) {
 		epsilon: cfg.Epsilon,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
-	b, err := s.bind(cfg.Entry, cfg.Delta, cfg.Pruned, cfg.Attrs, cfg.Anchor)
+	b, err := s.bind(cfg.Entry, cfg.Delta, cfg.Pruned, cfg.Attrs)
 	if err != nil {
 		return nil, err
 	}
-	s.b = b
+	s.b, s.anchor = b, cfg.Anchor
 	return s, nil
 }
 
 // Rebind re-anchors the session onto a new forest entry — the mobility
 // move: the policy, seed, and RNG position carry forward untouched, only
 // the subtree binding (prune set, report node set, alias cache) is
-// rebuilt. The binding is assembled outside the session lock, so in-flight
-// draws against the old subtree finish on the old binding; a failed rebind
-// leaves the session exactly as it was.
+// replaced: by the entry's own when the prune set is empty, by a freshly
+// built one otherwise. The binding is found or assembled outside the
+// session lock, so in-flight draws against the old subtree finish on the
+// old binding; a failed rebind leaves the session exactly as it was.
 func (s *Session) Rebind(r Rebind) error {
-	b, err := s.bind(r.Entry, r.Delta, r.Pruned, r.Attrs, r.Anchor)
+	b, err := s.bind(r.Entry, r.Delta, r.Pruned, r.Attrs)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
-	s.b = b
+	s.b, s.anchor = b, r.Anchor
 	s.mu.Unlock()
 	s.reanchors.Add(1)
 	return nil
 }
 
-// Degraded reports whether the current binding serves from a degraded
-// (planar-Laplace fallback) forest entry rather than an LP-optimal one.
-func (s *Session) Degraded() bool {
+// Bound is what a session was bound to at one instant: the subtree, the
+// attribute anchor, and the two facts about the binding a report result
+// carries. Read together under one lock acquisition, they describe one
+// binding; Root, Anchor, Pruned and Degraded read them one at a time.
+type Bound struct {
+	// Root is the bound subtree's root.
+	Root loctree.NodeID
+	// Anchor is the cell the preferences were evaluated at (zero for
+	// preference-free policies).
+	Anchor loctree.NodeID
+	// Pruned is how many leaves the preferences removed.
+	Pruned int
+	// Degraded is true when the rows are a planar-Laplace fallback's.
+	Degraded bool
+}
+
+// bound snapshots the current binding. Caller holds s.mu.
+func (s *Session) bound() Bound {
+	return Bound{
+		Root:     s.b.Root(),
+		Anchor:   s.anchor,
+		Pruned:   len(s.b.Pruned()),
+		Degraded: s.b.Source().IsDegraded(),
+	}
+}
+
+// Bound returns what the session is bound to right now.
+func (s *Session) Bound() Bound {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.b.Source().IsDegraded()
+	return s.bound()
 }
+
+// Degraded reports whether the current binding serves from a degraded
+// (planar-Laplace fallback) forest entry rather than an LP-optimal one.
+func (s *Session) Degraded() bool { return s.Bound().Degraded }
 
 // Meta summarizes the current binding: ε, support size, prune size,
 // precision grouping (the mechanism row metadata).
@@ -223,7 +259,10 @@ func (s *Session) Meta() mechanism.RowMeta {
 // attribute anchor carry forward unchanged, since preferences were
 // evaluated against the same leaf set. A concurrent Rebind between the
 // degraded check and the swap also aborts the upgrade — the session has
-// moved on, and the new subtree's own entry governs.
+// moved on, and the new subtree's own entry governs. (A session that left
+// and came back to the same degraded entry's shared binding in that window
+// is indistinguishable from one that never left, and upgrades: it is bound
+// to the entry this one replaces either way.)
 func (s *Session) Upgrade(entry mechanism.Source, delta int) (bool, error) {
 	if entry == nil || entry.Dim() == 0 || entry.IsDegraded() {
 		return false, nil
@@ -240,7 +279,7 @@ func (s *Session) Upgrade(entry mechanism.Source, delta int) (bool, error) {
 		// not re-run preference evaluation (the attrs are long gone).
 		pruned = []loctree.NodeID{}
 	}
-	b, err := s.bind(entry, delta, pruned, nil, cur.Anchor())
+	b, err := s.bind(entry, delta, pruned, nil)
 	if err != nil {
 		return false, err
 	}
@@ -260,12 +299,12 @@ func (s *Session) Root() loctree.NodeID {
 	return s.b.Root()
 }
 
-// Anchor returns the attribute anchor cell of the current binding (zero
-// for preference-free policies).
+// Anchor returns the cell the preferences were evaluated at for the
+// current binding (zero for preference-free policies).
 func (s *Session) Anchor() loctree.NodeID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.b.Anchor()
+	return s.anchor
 }
 
 // Covers reports whether the current binding's subtree contains leaf.
@@ -344,26 +383,36 @@ func (s *Session) DrawCellN(leaf loctree.NodeID, n int) ([]loctree.NodeID, error
 // instead of allocating per request. The draw semantics — atomicity, error
 // cases, RNG consumption — are exactly DrawCellN's.
 func (s *Session) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
+	_, err := s.DrawCellNBound(leaf, out)
+	return err
+}
+
+// DrawCellNBound is DrawCellNInto returning, with the draws, the binding
+// they came from. A concurrent request on the same stream may re-anchor the
+// session at any moment outside the lock, so a caller that reports facts
+// about the binding beside the draws (registry.Report's Pruned and
+// Degraded) must take them from here, not from a second call.
+func (s *Session) DrawCellNBound(leaf loctree.NodeID, out []loctree.NodeID) (Bound, error) {
 	if len(out) < 1 {
-		return fmt.Errorf("session: draw count %d must be >= 1", len(out))
+		return Bound{}, fmt.Errorf("session: draw count %d must be >= 1", len(out))
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.b
 	row, err := b.RowFor(leaf)
 	if err != nil {
-		return err
+		return Bound{}, err
 	}
 	a, err := b.Alias(row)
 	if err != nil {
-		return err
+		return Bound{}, err
 	}
 	nodes := b.Nodes()
 	for i := range out {
 		out[i] = nodes[a.Draw(s.rng)]
 	}
 	s.draws.Add(uint64(len(out)))
-	return nil
+	return s.bound(), nil
 }
 
 // DetachLease serializes the session's current binding into a lease bundle
@@ -384,7 +433,8 @@ func (s *Session) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error
 // unpruned leaf-precision binding's Rows are the entry's matrix rows
 // (mechanism.Binding.DetachRows). Both stay valid and unchanged after the
 // session lock is released, because a published entry's matrix is never
-// written and Rebind/Upgrade replace the session's binding instead of
+// written, a binding (shared or this session's own) is never edited after
+// Bind, and Rebind/Upgrade replace the session's binding instead of
 // editing it. Callers read the bundle; they must not write through it.
 //
 // Rows the live path would refuse (degenerate after pruning) come back as

@@ -577,3 +577,79 @@ func TestConcurrentReanchorDraws(t *testing.T) {
 		t.Fatalf("draw counter %d, successful draws %d", s.Draws(), drawn.Load())
 	}
 }
+
+// bindHook is a forest entry that runs a function when it is bound, which
+// is how a test gets inside Upgrade between its read of the session's
+// binding and its swap.
+type bindHook struct {
+	*core.ForestEntry
+	onBind func()
+}
+
+func (h bindHook) LeafIndex() *mechanism.LeafIndex {
+	h.onBind()
+	return h.ForestEntry.LeafIndex()
+}
+
+// TestDegradedAndOptimalEntriesNeverShareABinding: unpruned bindings are
+// shared per entry, and a degraded entry and the optimal one that replaces
+// it are two entries, so a session on the fallback never draws optimal rows
+// early and one that upgraded never draws fallback rows again. Beside it,
+// Upgrade's lost-race rule under sharing: an Upgrade that read the degraded
+// binding before a Rebind moved the session elsewhere must not bring the
+// session back, while one whose session left and returned in between finds
+// the same shared binding it read and upgrades it, which is right: the
+// session is on the entry being replaced either way.
+func TestDegradedAndOptimalEntriesNeverShareABinding(t *testing.T) {
+	tree, optimal, priors := testWorld(t, 1)
+	degraded := synthEntryAt(t, tree, optimal.Root, 5)
+	degraded.Degraded = true
+	elsewhere := synthEntryAt(t, tree, tree.LevelNodes(1)[1], 31)
+	pol := policy.Policy{PrivacyLevel: 1}
+
+	bind := func(e *core.ForestEntry) *mechanism.Binding {
+		b, err := mechanism.Bind(mechanism.Config{Tree: tree, Source: e, Policy: pol, Priors: priors})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if d, o := bind(degraded), bind(optimal); d == o || !d.Source().IsDegraded() || o.Source().IsDegraded() {
+		t.Fatal("the degraded entry and the optimal entry share a binding")
+	}
+
+	s, err := New(Config{Tree: tree, Entry: degraded, Policy: pol, Priors: priors, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rebind := func(e *core.ForestEntry) {
+		if err := s.Rebind(Rebind{Entry: e}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	upgraded, err := s.Upgrade(bindHook{optimal, func() { rebind(elsewhere) }}, 0)
+	if err != nil || upgraded {
+		t.Fatalf("an upgrade that lost to a rebind: %v, %v", upgraded, err)
+	}
+	if at := s.Bound(); at.Root != elsewhere.Root || at.Degraded {
+		t.Fatalf("the lost upgrade overwrote the rebind: bound to %+v", at)
+	}
+
+	rebind(degraded)
+	if !s.Degraded() {
+		t.Fatal("a session rebound onto the degraded entry does not report degraded")
+	}
+	upgraded, err = s.Upgrade(bindHook{optimal, func() { rebind(elsewhere); rebind(degraded) }}, 0)
+	if err != nil || !upgraded {
+		t.Fatalf("an upgrade whose session left and came back: %v, %v", upgraded, err)
+	}
+	if at := s.Bound(); at.Root != optimal.Root || at.Degraded {
+		t.Fatalf("after the upgrade: bound to %+v", at)
+	}
+	if again, _ := s.Upgrade(optimal, 0); again {
+		t.Fatal("an upgraded session upgraded again")
+	}
+	if bind(degraded) == bind(optimal) {
+		t.Fatal("the upgrade merged the two entries' bindings")
+	}
+}

@@ -424,7 +424,7 @@ func (c *Client) Report(req Request) (*Response, error) {
 	var resp *Response
 	err := c.call(frameReport, frameReportOK, "REPORT_OK",
 		func(b []byte) []byte { return appendRequest(b, &req) },
-		func(d *decoder) (err error) { resp, err = d.decodeResponse(); return err })
+		func(d *decoder) (err error) { resp, err = d.decodeResponse(req.Region); return err })
 	if err != nil {
 		return nil, err
 	}
@@ -457,13 +457,17 @@ func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGra
 // modified (a configured Region fills empty item regions on the wire).
 func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 	var results []ItemResult
+	region := func(it *Request) string {
+		if it.Region == "" {
+			return c.cfg.Region
+		}
+		return it.Region
+	}
 	err := c.call(frameReports, frameReportsOK, "REPORTS_OK",
 		func(b []byte) []byte {
 			b = appendUvarints(b, uint64(len(items)))
 			for _, it := range items {
-				if it.Region == "" {
-					it.Region = c.cfg.Region
-				}
+				it.Region = region(&it)
 				b = appendRequest(b, &it)
 			}
 			return b
@@ -479,7 +483,7 @@ func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 			results = make([]ItemResult, n)
 			for i := range results {
 				var err error
-				if results[i], err = d.decodeItem(); err != nil {
+				if results[i], err = d.decodeItem(region(&items[i])); err != nil {
 					return err
 				}
 			}

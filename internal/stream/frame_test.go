@@ -12,6 +12,8 @@ import (
 	"testing/iotest"
 	"time"
 
+	"corgi/internal/geo"
+	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 )
@@ -204,7 +206,7 @@ func TestServerSurvivesPartialFrameDelivery(t *testing.T) {
 	if id := d.u32(); id != 7 {
 		t.Fatalf("reqID %d, want 7", id)
 	}
-	resp, err := d.decodeResponse()
+	resp, err := d.decodeResponse(req.Region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,5 +260,29 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 	}
 	if got := srv.Stats().Oversized; got != 1 {
 		t.Fatalf("oversized counter %d, want 1", got)
+	}
+}
+
+// TestDecodeResponseRegion: the decoded response names the region the
+// server answered with. When those are the bytes the request named, it is
+// the request's own string (no copy: TestRoundTripAllocationBudgets counts
+// it); when the server filled in its default for a request that named
+// none, it is the server's.
+func TestDecodeResponseRegion(t *testing.T) {
+	res := &registry.ReportResult{Region: "ra", PrecisionLevel: 1,
+		Reports: make([]loctree.NodeID, 2), Centers: make([]geo.LatLng, 2)}
+	payload := appendResult(nil, res)
+	for _, asked := range []string{"ra", "", "rab"} {
+		d := decoder{b: payload}
+		resp, err := d.decodeResponse(asked)
+		if err == nil {
+			err = d.done("REPORT_OK")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Region != "ra" || len(resp.Reports) != 2 {
+			t.Errorf("asked %q: decoded region %q, %d reports; served \"ra\", 2", asked, resp.Region, len(resp.Reports))
+		}
 	}
 }

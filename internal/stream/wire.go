@@ -514,10 +514,27 @@ func appendResult(b []byte, res *registry.ReportResult) []byte {
 	return b
 }
 
+// decodedResponse is a Response as the client allocates it: the struct and
+// room for the usual single report in one object, Response.Reports pointing
+// into it.
+type decodedResponse struct {
+	Response
+	one [1]ReportedLocation
+}
+
 // decodeResponse reads one result body into the client-side Response.
-func (d *decoder) decodeResponse() (*Response, error) {
-	resp := &Response{}
-	resp.Region = d.str()
+// region is the region the request named: the server answers with the
+// region it served, nearly always those same bytes, and then the response
+// shares the request's string instead of copying it. With one report, a
+// decoded response is one allocation.
+func (d *decoder) decodeResponse(region string) (*Response, error) {
+	dec := &decodedResponse{}
+	resp := &dec.Response
+	if served := d.strBytes(); string(served) == region {
+		resp.Region = region
+	} else {
+		resp.Region = string(served)
+	}
 	resp.PrecisionLevel = int(d.varint())
 	resp.SubtreeRoot[0] = int(d.varint())
 	resp.SubtreeRoot[1] = int(d.varint())
@@ -538,7 +555,10 @@ func (d *decoder) decodeResponse() (*Response, error) {
 	if n > uint64(len(d.b)) {
 		return nil, fmt.Errorf("stream: result claims %d reports in a %d-byte payload", n, len(d.b))
 	}
-	resp.Reports = make([]ReportedLocation, 0, n)
+	resp.Reports = dec.one[:0]
+	if n > uint64(len(dec.one)) {
+		resp.Reports = make([]ReportedLocation, 0, n)
+	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		resp.Reports = append(resp.Reports, ReportedLocation{
 			Q:   int(d.varint()),
@@ -564,15 +584,16 @@ func appendRejection(b []byte, rej registry.Rejection) []byte {
 	return appendString(b, rej.Msg)
 }
 
-// decodeItem reads one batch item result (status, then error or body).
-func (d *decoder) decodeItem() (ItemResult, error) {
+// decodeItem reads one batch item result (status, then error or body);
+// region is the region the item's request named.
+func (d *decoder) decodeItem(region string) (ItemResult, error) {
 	var it ItemResult
 	it.Status = int(d.u16())
 	if d.err != nil {
 		return it, d.err
 	}
 	if it.Status == statusOK {
-		rep, err := d.decodeResponse()
+		rep, err := d.decodeResponse(region)
 		if err != nil {
 			return it, err
 		}
