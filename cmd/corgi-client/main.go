@@ -175,16 +175,14 @@ func dialCluster(spec, region string, uid int64, v1 bool) (*proto.Client, string
 		return nil, "", nil, nil, err
 	}
 	byName := make(map[string]cluster.Peer, len(peers))
-	names := make([]string, len(peers))
-	for i, p := range peers {
+	for _, p := range peers {
 		if p.HTTPURL == "" {
 			// A bare entry names an HTTP endpoint directly.
 			p.HTTPURL = "http://" + p.StreamAddr
 		}
 		byName[p.Name] = p
-		names[i] = p.Name
 	}
-	ring, err := cluster.NewRing(names, 0, 0)
+	ring, err := cluster.RingOf(peers)
 	if err != nil {
 		return nil, "", nil, nil, err
 	}

@@ -9,9 +9,10 @@
 // Regions come from -regions (builtin metro names) or -region-config (the
 // same JSON spec file corgi-server takes), and the generation-default
 // flags (-eps, -height, -spacing, -iters, -targets, -seed, -checkins,
-// -uniform-priors) mirror corgi-server's exactly: both binaries assemble
-// specs through registry.BuildSpecs, so precomputing and serving with the
-// same flags addresses the same spec hashes by construction. For every
+// -uniform-priors) are corgi-server's own: both binaries declare them
+// through registry.SpecDefaults.Bind and assemble specs through
+// registry.BuildSpecs, so precomputing and serving with the same flags
+// addresses the same spec hashes by construction. For every
 // region, every privacy level of its tree is generated for deltas
 // 0..-max-delta and written as checksummed snapshots keyed by the
 // region's spec hash — rerunning after a spec change recomputes only
@@ -24,11 +25,10 @@
 //
 // Usage:
 //
-//	corgi-gen -store ./forests [-regions sf,nyc,la | -region-config regions.json]
-//	          [-max-delta 3] [-workers 0] [-eps 15] [-height 2] [-spacing 0.1]
-//	          [-iters 5] [-targets 20] [-checkins gowalla.txt] [-seed 0]
-//	          [-uniform-priors]
-//	corgi-gen -checkins-out checkins.txt [-n 38523] [-users 500] [-places 2000] [-gen-seed 1]
+//	corgi-gen -store ./forests [region and generation flags, -max-delta, -workers]
+//	corgi-gen -checkins-out checkins.txt [-n, -users, -places, -gen-seed]
+//
+// corgi-gen -h lists every flag with its default.
 package main
 
 import (
@@ -46,49 +46,54 @@ import (
 	"corgi/internal/store"
 )
 
-func main() {
-	storeDir := flag.String("store", "", "forest store directory to populate (required for precompute)")
-	regions := flag.String("regions", "", "comma-separated builtin region names (default: sf)")
-	regionConfig := flag.String("region-config", "", "JSON region-spec file (overrides -regions)")
-	maxDelta := flag.Int("max-delta", 3, "precompute deltas 0..N for every privacy level")
-	workers := flag.Int("workers", 0, "parallel subtree solves per region (0: GOMAXPROCS)")
-	// Generation defaults, mirroring cmd/corgi-server flag for flag: the
-	// precomputed spec hashes match a server started with the same values.
-	eps := flag.Float64("eps", 15, "default Geo-Ind privacy budget (km^-1)")
-	height := flag.Int("height", 2, "default tree height (2 -> 49 leaves, 3 -> 343)")
-	spacing := flag.Float64("spacing", 0.1, "default leaf cell center spacing in km")
-	iters := flag.Int("iters", 5, "default Algorithm-1 robust iterations")
-	targetsN := flag.Int("targets", 20, "default service target count per region")
-	checkins := flag.String("checkins", "", "Gowalla check-in file for the default region's priors")
-	seed := flag.Int64("seed", 0, "synthetic-prior seed override (0: per-region name hash)")
-	uniformPriors := flag.Bool("uniform-priors", false, "use uniform priors everywhere (fast precompute)")
+// options is corgi-gen's flags, one field each.
+type options struct {
+	storeDir          string
+	spec              registry.SpecDefaults
+	maxDelta, workers int
 
-	checkinsOut := flag.String("checkins-out", "", "write a synthetic Gowalla-style check-in file instead of precomputing")
-	n := flag.Int("n", 38523, "check-ins to generate (paper's SF sample size)")
-	users := flag.Int("users", 500, "users in the synthetic sample")
-	places := flag.Int("places", 2000, "venues in the synthetic sample")
-	genSeed := flag.Int64("gen-seed", 1, "synthetic-sample generator seed (for -checkins-out)")
+	checkinsOut      string
+	n, users, places int
+	genSeed          int64
+}
+
+// bind declares corgi-gen's flags on fs. The region flags are the ones
+// corgi-server declares, through the same binder: the precomputed spec
+// hashes match a server started with the same values.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.storeDir, "store", "", "forest store directory to populate (required for precompute)")
+	o.spec.Bind(fs, "precompute")
+	fs.IntVar(&o.maxDelta, "max-delta", 3, "precompute deltas 0..N for every privacy level")
+	fs.IntVar(&o.workers, "workers", 0, "parallel subtree solves per region (0: GOMAXPROCS)")
+
+	fs.StringVar(&o.checkinsOut, "checkins-out", "", "write a synthetic Gowalla-style check-in file instead of precomputing")
+	fs.IntVar(&o.n, "n", 38523, "check-ins to generate (paper's SF sample size)")
+	fs.IntVar(&o.users, "users", 500, "users in the synthetic sample")
+	fs.IntVar(&o.places, "places", 2000, "venues in the synthetic sample")
+	fs.Int64Var(&o.genSeed, "gen-seed", 1, "synthetic-sample generator seed (for -checkins-out)")
+}
+
+func main() {
+	var o options
+	o.bind(flag.CommandLine)
 	flag.Parse()
 
-	if *checkinsOut != "" {
-		genCheckins(*checkinsOut, *n, *users, *places, *genSeed)
+	if o.checkinsOut != "" {
+		genCheckins(o.checkinsOut, o.n, o.users, o.places, o.genSeed)
 		return
 	}
-	if *storeDir == "" {
+	if o.storeDir == "" {
 		log.Fatalf("-store is required (or -checkins-out for the synthetic dataset mode)")
 	}
-	if *maxDelta < 0 {
-		log.Fatalf("-max-delta must be >= 0, got %d", *maxDelta)
+	if o.maxDelta < 0 {
+		log.Fatalf("-max-delta must be >= 0, got %d", o.maxDelta)
 	}
 
-	specs, err := registry.BuildSpecs(*regions, *regionConfig, registry.SpecDefaults{
-		Epsilon: *eps, Height: *height, LeafSpacingKm: *spacing, Iterations: *iters,
-		Targets: *targetsN, Seed: *seed, UniformPriors: *uniformPriors, CheckinsPath: *checkins,
-	})
+	specs, err := registry.BuildSpecs(o.spec)
 	if err != nil {
 		log.Fatalf("regions: %v", err)
 	}
-	st, err := store.Open(*storeDir)
+	st, err := store.Open(o.storeDir)
 	if err != nil {
 		log.Fatalf("store: %v", err)
 	}
@@ -98,8 +103,8 @@ func main() {
 	// snapshot. Rerunning over a populated store hydrates first, so only
 	// missing forests are solved.
 	reg, err := registry.New(specs, registry.Options{
-		Engine:      core.EngineOptions{Workers: *workers},
-		WarmupDelta: *maxDelta,
+		Engine:      core.EngineOptions{Workers: o.workers},
+		WarmupDelta: o.maxDelta,
 		Store:       st,
 	})
 	if err != nil {

@@ -1,16 +1,20 @@
 // Three-node in-process cluster tests: forwarding, budget handoff on
-// rebalance, and failover with recovery. External test package so it can
-// assemble the same stack cmd/corgi-server wires (registry + stream
-// server + router) without cluster importing its own consumers.
+// rebalance, and failover with recovery. External test package so the
+// nodes come up through internal/node, the assembly cmd/corgi-server runs,
+// without cluster importing its own consumers.
 package cluster_test
 
 import (
 	"context"
+	"encoding/json"
+	"flag"
 	"net"
 	"net/http"
-	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,10 +25,9 @@ import (
 	"corgi/internal/gowalla"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
+	"corgi/internal/node"
 	"corgi/internal/policy"
-	"corgi/internal/proto"
 	"corgi/internal/registry"
-	"corgi/internal/stream"
 )
 
 const testRegion = "ra"
@@ -38,105 +41,85 @@ func clusterSpec() []registry.Spec {
 	}}
 }
 
-// testNode is one in-process cluster member: its own registry (sessions,
-// budget), stream server, and embedded router — exactly what one
-// corgi-server process runs in cluster mode.
+// testNode is one in-process cluster member: a corgi-server in cluster
+// mode, minus the process. name is its ring identity, its stream address.
 type testNode struct {
-	name   string
-	reg    *registry.Registry
-	srv    *stream.Server
-	router *cluster.Router
-	// http is the node's JSON listener (startClusterHTTP only): what peers
-	// fall back to when the stream listener is down.
-	http *httptest.Server
+	*node.Node
+	name string
 }
 
 // shard returns the node's region shard (budget accountant lives on it).
 func (n *testNode) shard(t *testing.T) *registry.Shard {
 	t.Helper()
-	sh, err := n.reg.Shard(context.Background(), testRegion)
+	sh, err := n.Registry.Shard(context.Background(), testRegion)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return sh
 }
 
-// startCluster brings up n nodes. Listeners come first: their addresses
-// are the ring member names, and every node gets the identical peer list
-// — the same bootstrap order cmd/corgi-server follows with -cluster-peers.
-func startCluster(t *testing.T, n int, opts registry.Options) []*testNode {
+// startCluster brings up n nodes from corgi-server flags (args, on top of
+// a -region-config holding clusterSpec). Every node listens first: the
+// addresses are the ring member names, and every node gets the identical
+// peer list, the way -cluster-peers hands it to real processes.
+func startCluster(t *testing.T, n int, args ...string) []*testNode {
 	t.Helper()
-	return startNodes(t, n, opts, false)
+	return startNodes(t, n, false, args)
 }
 
-// startClusterHTTP is startCluster with a JSON listener per node, named in
-// every peer list, so forwards have an HTTP fallback.
-func startClusterHTTP(t *testing.T, n int, opts registry.Options) []*testNode {
+// startClusterHTTP is startCluster with every node's JSON listener named
+// in the peer list, so forwards have an HTTP fallback.
+func startClusterHTTP(t *testing.T, n int, args ...string) []*testNode {
 	t.Helper()
-	return startNodes(t, n, opts, true)
+	return startNodes(t, n, true, args)
 }
 
-func startNodes(t *testing.T, n int, opts registry.Options, withHTTP bool) []*testNode {
+func startNodes(t *testing.T, n int, withHTTP bool, args []string) []*testNode {
 	t.Helper()
-	listeners := make([]net.Listener, n)
-	peers := make([]cluster.Peer, n)
+	specs, err := json.Marshal(clusterSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := filepath.Join(t.TempDir(), "regions.json")
+	if err := os.WriteFile(regions, specs, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var cfg node.Config
+	fs := flag.NewFlagSet("corgi-server", flag.ContinueOnError)
+	cfg.Bind(fs)
+	if err := fs.Parse(append([]string{"-addr", "127.0.0.1:0", "-stream-addr", "127.0.0.1:0", "-region-config", regions}, args...)); err != nil {
+		t.Fatal(err)
+	}
 	nodes := make([]*testNode, n)
+	peers := make([]string, n)
 	for i := range nodes {
-		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		nd, err := node.Listen(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		listeners[i] = lis
-		addr := lis.Addr().String()
-		peers[i] = cluster.Peer{Name: addr, StreamAddr: addr}
-		reg, err := registry.New(clusterSpec(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = &testNode{name: addr, reg: reg}
-		if withHTTP {
-			// The URL must be in the peer lists before any router exists, so
-			// the listener opens now and its handler is pointed at the
-			// router below.
-			h, err := proto.NewMultiHandler(reg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			node := nodes[i]
-			h.Handler = routerOf{node}
-			node.http = httptest.NewServer(h.Mux())
-			t.Cleanup(node.http.Close)
-			peers[i].HTTPURL = node.http.URL
+		t.Cleanup(func() { nd.Shutdown(context.Background()) })
+		nodes[i] = &testNode{Node: nd, name: nd.StreamListener.Addr().String()}
+		if peers[i] = nodes[i].name; withHTTP {
+			peers[i] += "=http://" + nd.HTTPListener.Addr().String()
 		}
 	}
-	for i, node := range nodes {
-		srv, err := stream.NewServer(node.reg, stream.Config{})
-		if err != nil {
+	for _, nd := range nodes {
+		nd.Config.ClusterPeers, nd.Config.ClusterSelf = strings.Join(peers, ","), nd.name
+		if err := nd.Start(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		router, err := cluster.NewRouter(node.reg, peers[i].Name, peers, cluster.RouterConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.SetHandler(router)
-		go srv.Serve(listeners[i])
-		node.srv, node.router = srv, router
-		node := node
-		t.Cleanup(func() { node.srv.Close(); node.router.Close() })
 	}
 	return nodes
 }
 
-// routerOf defers to a node's router, which is built after the node's
-// HTTP listener (the listener's URL is part of every router's peer list).
-type routerOf struct{ n *testNode }
-
-func (r routerOf) Report(ctx context.Context, req registry.ReportRequest) (*registry.ReportResult, error) {
-	return r.n.router.Report(ctx, req)
-}
-
-func (r routerOf) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
-	return r.n.router.Lease(ctx, req)
+// members is the peer list every node of the cluster was started with.
+func members(t *testing.T, nodes []*testNode) []cluster.Peer {
+	t.Helper()
+	all, err := cluster.ParsePeers(nodes[0].Config.ClusterPeers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return all
 }
 
 // uidOwnedBy finds a uid the ring assigns to want, starting from seed.
@@ -170,19 +153,19 @@ func reportReq(t *testing.T, n *testNode, uid int64) registry.ReportRequest {
 // it correctly on both sides — and the draws are identical to what a
 // single-node deployment would have produced for the same session.
 func TestClusterForwarding(t *testing.T) {
-	nodes := startCluster(t, 3, registry.Options{})
-	ring := nodes[0].router.Ring()
+	nodes := startCluster(t, 3)
+	ring := nodes[0].Router.Ring()
 
 	// A uid owned by node 1, entering at node 0.
 	uid := uidOwnedBy(t, ring, nodes[1].name, 100)
 	req := reportReq(t, nodes[0], uid)
-	res, err := nodes[0].router.Report(context.Background(), req)
+	res, err := nodes[0].Router.Report(context.Background(), req)
 	if err != nil {
 		t.Fatalf("forwarded report: %v", err)
 	}
 	gotReports := append([]loctree.NodeID(nil), res.Reports...)
 
-	s0, s1 := nodes[0].router.Stats(), nodes[1].router.Stats()
+	s0, s1 := nodes[0].Router.Stats(), nodes[1].Router.Stats()
 	if s0.ForwardedOut != 1 || s0.OwnerServed != 0 {
 		t.Fatalf("entry node stats: %+v", s0)
 	}
@@ -213,10 +196,10 @@ func TestClusterForwarding(t *testing.T) {
 	}
 
 	// Entering at the owner serves locally, no forward.
-	if _, err := nodes[1].router.Report(context.Background(), reportReq(t, nodes[1], uid)); err != nil {
+	if _, err := nodes[1].Router.Report(context.Background(), reportReq(t, nodes[1], uid)); err != nil {
 		t.Fatal(err)
 	}
-	if s1 := nodes[1].router.Stats(); s1.OwnerServed != 1 {
+	if s1 := nodes[1].Router.Stats(); s1.OwnerServed != 1 {
 		t.Fatalf("owner-entry stats: %+v", s1)
 	}
 }
@@ -227,23 +210,19 @@ func TestClusterForwarding(t *testing.T) {
 // new owner counts it (no reset), duplicates dedupe (no double charge),
 // and subsequent forwards carry nothing.
 func TestClusterHandoffExactlyOnce(t *testing.T) {
-	opts := registry.Options{Budget: budget.Config{LimitEps: 1000, Window: time.Hour}}
-	nodes := startCluster(t, 3, opts)
-	fullRing := nodes[0].router.Ring()
-	allPeers := make([]cluster.Peer, len(nodes))
-	for i, n := range nodes {
-		allPeers[i] = cluster.Peer{Name: n.name, StreamAddr: n.name}
-	}
+	nodes := startCluster(t, 3, "-budget-eps", "1000")
+	fullRing := nodes[0].Router.Ring()
+	allPeers := members(t, nodes)
 
 	// A uid the full ring assigns to node 1.
 	uid := uidOwnedBy(t, fullRing, nodes[1].name, 500)
 
 	// Shrink node 0's view to itself — the "before" topology in which
 	// node 0 owns everyone — and let the user spend there.
-	if err := nodes[0].router.SetMembers([]cluster.Peer{{Name: nodes[0].name, StreamAddr: nodes[0].name}}); err != nil {
+	if err := nodes[0].Router.SetMembers(allPeers[:1]); err != nil {
 		t.Fatal(err)
 	}
-	res, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid))
+	res, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +236,12 @@ func TestClusterHandoffExactlyOnce(t *testing.T) {
 
 	// Rebalance: node 0 learns the full membership; the uid's owner is
 	// now node 1.
-	if err := nodes[0].router.SetMembers(allPeers); err != nil {
+	if err := nodes[0].Router.SetMembers(allPeers); err != nil {
 		t.Fatal(err)
 	}
 
 	// First post-move report through node 0: forwarded with the handoff.
-	res2, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid))
+	res2, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid))
 	if err != nil {
 		t.Fatalf("post-move report: %v", err)
 	}
@@ -280,13 +259,13 @@ func TestClusterHandoffExactlyOnce(t *testing.T) {
 	if got := b0.Spent(uid); got != 0 {
 		t.Fatalf("old owner still counts %v after handoff commit", got)
 	}
-	if s0 := nodes[0].router.Stats(); s0.HandoffsSent != 1 {
+	if s0 := nodes[0].Router.Stats(); s0.HandoffsSent != 1 {
 		t.Fatalf("handoffs sent %d, want 1", s0.HandoffsSent)
 	}
 
 	// Second post-move report: nothing left to hand off; the watermark
 	// must not advance and the spend grows only by the new charge.
-	res3, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid))
+	res3, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,22 +285,23 @@ func TestClusterHandoffExactlyOnce(t *testing.T) {
 // back (same address), traffic returns to it — the reconnect-backoff
 // probe is what rediscovers it.
 func TestClusterFailoverAndRecovery(t *testing.T) {
-	nodes := startCluster(t, 3, registry.Options{})
-	ring := nodes[0].router.Ring()
+	nodes := startCluster(t, 3)
+	ring := nodes[0].Router.Ring()
 	uid := uidOwnedBy(t, ring, nodes[1].name, 900)
 
-	// Kill the owner.
-	if err := nodes[1].srv.Close(); err != nil {
+	// Kill the owner: nobody has dialled it yet, so closing its listener
+	// leaves it unreachable.
+	if err := nodes[1].StreamListener.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Requests entering at node 0 still succeed, attributed to failover.
 	for i := 0; i < 3; i++ {
-		if _, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
+		if _, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
 			t.Fatalf("report %d with owner down: %v", i, err)
 		}
 	}
-	s0 := nodes[0].router.Stats()
+	s0 := nodes[0].Router.Stats()
 	if s0.Failovers+s0.FailoverLocal < 3 {
 		t.Fatalf("failover not attributed: %+v", s0)
 	}
@@ -329,33 +309,27 @@ func TestClusterFailoverAndRecovery(t *testing.T) {
 		t.Fatalf("dead owner still marked healthy: %+v", s0.Nodes[nodes[1].name])
 	}
 
-	// Revive the owner on its old address with a fresh stream server over
-	// the same registry and router.
+	// Revive the owner on its old address: the node's stream server takes
+	// a second listener, and the node's Shutdown closes it with the rest.
 	lis, err := net.Listen("tcp", nodes[1].name)
 	if err != nil {
 		t.Fatalf("re-listen on %s: %v", nodes[1].name, err)
 	}
-	srv2, err := stream.NewServer(nodes[1].reg, stream.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2.SetHandler(nodes[1].router)
-	go srv2.Serve(lis)
-	t.Cleanup(func() { srv2.Close() })
+	go nodes[1].Stream.Serve(lis)
 
 	// Traffic returns once node 0's breaker probes the recovered node:
 	// the owner's forwarded-in counter starts moving again.
-	before := nodes[1].router.Stats().ForwardedIn
+	before := nodes[1].Router.Stats().ForwardedIn
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if _, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
+		if _, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
 			t.Fatalf("report during recovery: %v", err)
 		}
-		if nodes[1].router.Stats().ForwardedIn > before {
+		if nodes[1].Router.Stats().ForwardedIn > before {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("traffic never returned to the recovered owner: %+v", nodes[0].router.Stats())
+			t.Fatalf("traffic never returned to the recovered owner: %+v", nodes[0].Router.Stats())
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
@@ -368,7 +342,7 @@ func TestClusterFailoverAndRecovery(t *testing.T) {
 // membership. It returns the uid and what it spent on node 0.
 func movedUser(t *testing.T, nodes []*testNode, seed int64) (uid int64, preSpend float64) {
 	t.Helper()
-	ring := nodes[0].router.Ring()
+	ring := nodes[0].Router.Ring()
 	for uid = seed; ; uid++ {
 		seq := ring.Sequence(uid)
 		if seq[0] == nodes[1].name && (len(nodes) < 3 || seq[1] == nodes[2].name) {
@@ -378,20 +352,17 @@ func movedUser(t *testing.T, nodes []*testNode, seed int64) (uid int64, preSpend
 			t.Fatal("no uid with the wanted ring sequence")
 		}
 	}
-	all := make([]cluster.Peer, len(nodes))
-	for i, n := range nodes {
-		all[i] = cluster.Peer{Name: n.name, StreamAddr: n.name, HTTPURL: n.http.URL}
-	}
-	if err := nodes[0].router.SetMembers(all[:1]); err != nil {
+	all := members(t, nodes)
+	if err := nodes[0].Router.SetMembers(all[:1]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
+	if _, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
 		t.Fatal(err)
 	}
 	if preSpend = nodes[0].shard(t).Budget.Spent(uid); preSpend <= 0 {
 		t.Fatal("no spend recorded before the move")
 	}
-	if err := nodes[0].router.SetMembers(all); err != nil {
+	if err := nodes[0].Router.SetMembers(all); err != nil {
 		t.Fatal(err)
 	}
 	return uid, preSpend
@@ -404,12 +375,12 @@ func movedUser(t *testing.T, nodes []*testNode, seed int64) (uid int64, preSpend
 // once (the accounting of TestClusterHandoffExactlyOnce), and — same seed,
 // same cell, fresh session on the owner — both draw the same sequence.
 func TestClusterHTTPFallbackForwarding(t *testing.T) {
-	nodes := startClusterHTTP(t, 2, registry.Options{Budget: budget.Config{LimitEps: 1000, Window: time.Hour}})
+	nodes := startClusterHTTP(t, 2, "-budget-eps", "1000")
 	b0, b1 := nodes[0].shard(t).Budget, nodes[1].shard(t).Budget
 	var before cluster.Stats
 	forward := func(transport string, uid int64, preSpend float64) ([]loctree.NodeID, cluster.Stats) {
-		imported, forwardedIn := b1.Stats().HandoffsImported, nodes[1].router.Stats().ForwardedIn
-		res, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid))
+		imported, forwardedIn := b1.Stats().HandoffsImported, nodes[1].Router.Stats().ForwardedIn
+		res, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid))
 		if err != nil {
 			t.Fatalf("%s forward: %v", transport, err)
 		}
@@ -422,11 +393,11 @@ func TestClusterHTTPFallbackForwarding(t *testing.T) {
 		if n := b1.Stats().HandoffsImported - imported; n != 1 {
 			t.Fatalf("%s: owner imported %d handoffs, want 1", transport, n)
 		}
-		if n := nodes[1].router.Stats().ForwardedIn - forwardedIn; n != 1 {
+		if n := nodes[1].Router.Stats().ForwardedIn - forwardedIn; n != 1 {
 			t.Fatalf("%s: owner saw %d forwards, want 1", transport, n)
 		}
 		// The counters this forward moved on the entry node.
-		now := nodes[0].router.Stats()
+		now := nodes[0].Router.Stats()
 		d := cluster.Stats{
 			ForwardedOut:  now.ForwardedOut - before.ForwardedOut,
 			HTTPFallbacks: now.HTTPFallbacks - before.HTTPFallbacks,
@@ -437,28 +408,28 @@ func TestClusterHTTPFallbackForwarding(t *testing.T) {
 		// owner's 429 carrying the owner's headroom, whichever wire relayed it.
 		over := reportReq(t, nodes[0], uid)
 		over.Count = 100
-		_, err = nodes[0].router.Report(context.Background(), over)
+		_, err = nodes[0].Router.Report(context.Background(), over)
 		if rej := registry.Classify(err); rej.Status != http.StatusTooManyRequests ||
 			!rej.HasEps || rej.EpsRemaining != b1.Remaining(uid) {
 			t.Fatalf("%s: forwarded over-budget ask answered %+v, want a 429 with headroom %v",
 				transport, rej, b1.Remaining(uid))
 		}
-		before = nodes[0].router.Stats()
+		before = nodes[0].Router.Stats()
 		return append([]loctree.NodeID(nil), res.Reports...), d
 	}
 
 	uid, preSpend := movedUser(t, nodes, 500)
-	before = nodes[0].router.Stats()
+	before = nodes[0].Router.Stats()
 	overStream, d := forward("stream", uid, preSpend)
 	if d.ForwardedOut != 1 || d.HTTPFallbacks != 0 || d.HandoffsSent != 1 {
 		t.Fatalf("stream forward moved %+v", d)
 	}
 
 	uid, preSpend = movedUser(t, nodes, uid+1)
-	if err := nodes[1].srv.Close(); err != nil {
+	if err := nodes[1].Stream.Close(); err != nil {
 		t.Fatal(err)
 	}
-	before = nodes[0].router.Stats()
+	before = nodes[0].Router.Stats()
 	overHTTP, d := forward("http", uid, preSpend)
 	// The failed stream attempt exported and rolled back; the HTTP attempt
 	// exported again and committed.
@@ -475,14 +446,11 @@ func TestClusterHTTPFallbackForwarding(t *testing.T) {
 // 422, nothing charged — still moves the user's live window spend to the
 // owner instead of losing it with the committed export.
 func TestClusterForwardedOverCapKeepsSpend(t *testing.T) {
-	nodes := startClusterHTTP(t, 2, registry.Options{
-		MaxReportCount: 7,
-		Budget:         budget.Config{LimitEps: 1000, Window: time.Hour},
-	})
+	nodes := startClusterHTTP(t, 2, "-max-report-count", "7", "-budget-eps", "1000")
 	uid, preSpend := movedUser(t, nodes, 500)
 	over := reportReq(t, nodes[0], uid)
 	over.Count = 8
-	_, err := nodes[0].router.Report(context.Background(), over)
+	_, err := nodes[0].Router.Report(context.Background(), over)
 	if rej := registry.Classify(err); rej.Status != http.StatusUnprocessableEntity ||
 		!strings.Contains(rej.Msg, "exceeds limit") {
 		t.Fatalf("forwarded count 8 answered %+v (%v), want 422 ... exceeds limit ...", rej, err)
@@ -500,23 +468,22 @@ func TestClusterForwardedOverCapKeepsSpend(t *testing.T) {
 // node, not lost — and the next ring member serves, receiving the handoff
 // the owner never saw.
 func TestClusterBothTransportsDown(t *testing.T) {
-	opts := registry.Options{Budget: budget.Config{LimitEps: 1000, Window: time.Hour}}
-	nodes := startClusterHTTP(t, 3, opts)
+	nodes := startClusterHTTP(t, 3, "-budget-eps", "1000")
 	uid, preSpend := movedUser(t, nodes, 500)
-	if err := nodes[1].srv.Close(); err != nil {
+	if err := nodes[1].Stream.Close(); err != nil {
 		t.Fatal(err)
 	}
-	nodes[1].http.Close()
+	nodes[1].HTTP.Close()
 
-	res, err := nodes[0].router.Report(context.Background(), reportReq(t, nodes[0], uid))
+	res, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid))
 	if err != nil {
 		t.Fatalf("report with the owner down on both transports: %v", err)
 	}
-	s := nodes[0].router.Stats()
+	s := nodes[0].Router.Stats()
 	if s.Failovers != 1 || s.ForwardedOut != 1 || s.HTTPFallbacks != 0 || s.FailoverLocal != 0 || s.HandoffsSent != 3 {
 		t.Fatalf("entry node stats: %+v", s)
 	}
-	if fin := nodes[2].router.Stats().ForwardedIn; fin != 1 {
+	if fin := nodes[2].Router.Stats().ForwardedIn; fin != 1 {
 		t.Fatalf("next ring member saw %d forwards, want 1", fin)
 	}
 	b0, b1, b2 := nodes[0].shard(t).Budget, nodes[1].shard(t).Budget, nodes[2].shard(t).Budget
@@ -624,13 +591,13 @@ func TestClusterReplayCoherence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := run(func(int) registry.ReportHandler { return single })
-	nodes := startCluster(t, 3, opts)
-	got := run(func(i int) registry.ReportHandler { return nodes[i%len(nodes)].router })
+	nodes := startCluster(t, 3, "-budget-eps", strconv.FormatFloat(limit, 'g', -1, 64))
+	got := run(func(i int) registry.ReportHandler { return nodes[i%len(nodes)].Router })
 
 	var nodeRejections, forwarded uint64
 	for _, n := range nodes {
 		nodeRejections += n.shard(t).Budget.Stats().Rejections
-		forwarded += n.router.Stats().ForwardedOut
+		forwarded += n.Router.Stats().ForwardedOut
 	}
 	if forwarded == 0 {
 		t.Fatal("round-robin entry forwarded nothing; the test is vacuous")

@@ -57,3 +57,13 @@ func ParsePeers(spec string) ([]Peer, error) {
 	}
 	return peers, nil
 }
+
+// RingOf builds the ring over a member list: what every node, and every
+// client that routes for itself, derives from the one -cluster-peers value.
+func RingOf(members []Peer) (*Ring, error) {
+	names := make([]string, len(members))
+	for i, p := range members {
+		names[i] = p.Name
+	}
+	return NewRing(names, 0, 0)
+}

@@ -134,31 +134,22 @@ func NewRouter(reg *registry.Registry, self string, members []Peer, cfg RouterCo
 	return r, nil
 }
 
-// Self returns this node's member name.
-func (r *Router) Self() string { return r.self }
-
 // SetMembers replaces the cluster topology: the ring is rebuilt over the
 // new member list and peer transports are opened for new members and
 // closed for removed ones. Every node must apply the same list — the
 // ring is deterministic, so agreement on the list is agreement on
 // ownership. Existing in-flight forwards finish on the old transports.
 func (r *Router) SetMembers(members []Peer) error {
-	names := make([]string, len(members))
 	byName := make(map[string]Peer, len(members))
-	selfFound := false
-	for i, p := range members {
-		names[i] = p.Name
+	for _, p := range members {
 		byName[p.Name] = p
-		if p.Name == r.self {
-			selfFound = true
-		}
 	}
-	if !selfFound {
-		return fmt.Errorf("cluster: self %q not in member list %v", r.self, names)
-	}
-	ring, err := NewRing(names, 0, 0)
+	ring, err := RingOf(members)
 	if err != nil {
 		return err
+	}
+	if _, ok := byName[r.self]; !ok {
+		return fmt.Errorf("cluster: self %q not in member list %v", r.self, ring.Members())
 	}
 	peers := make(map[string]*peerNode, len(members)-1)
 	r.mu.Lock()

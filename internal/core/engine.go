@@ -61,38 +61,47 @@ type EngineOptions struct {
 // over /v1/stats by internal/proto.
 type EngineStats struct {
 	// Hits/Misses/Evictions describe the bounded entry cache.
-	Hits, Misses, Evictions uint64
+	Hits      uint64 `json:"cache_hits"`
+	Misses    uint64 `json:"cache_misses"`
+	Evictions uint64 `json:"cache_evictions"`
 	// CacheBytes/CacheEntries/CacheCapacity describe its current occupancy.
-	CacheBytes    int64
-	CacheEntries  int
-	CacheCapacity int64
+	CacheBytes    int64 `json:"cache_bytes"`
+	CacheEntries  int   `json:"cache_entries"`
+	CacheCapacity int64 `json:"cache_capacity_bytes"`
 	// Solves counts completed subtree generations (LP solves actually run;
 	// cache hits, store hits, and singleflight followers do not increment
 	// it).
-	Solves uint64
+	Solves uint64 `json:"solves"`
 	// InFlight is the number of subtree generations running right now.
-	InFlight int64
+	InFlight int64 `json:"in_flight"`
 	// Workers is the configured solve-concurrency bound.
-	Workers int
+	Workers int `json:"workers"`
 	// StoreHits/StoreMisses count snapshot lookups on the cache-miss path;
 	// StoreWrites counts completed asynchronous write-backs; StoreHydrated
 	// counts entries preloaded by HydrateFromStore. All zero when no store
 	// is attached.
-	StoreHits, StoreMisses, StoreWrites, StoreHydrated uint64
+	StoreHits     uint64 `json:"store_hits"`
+	StoreMisses   uint64 `json:"store_misses"`
+	StoreWrites   uint64 `json:"store_writes"`
+	StoreHydrated uint64 `json:"store_hydrated"`
 	// AliasBuilds/AliasHits count lazy per-row alias-table constructions
 	// and reuses on the report path; AliasBytes is the resident footprint
 	// of tables attached to currently cached entries (eviction subtracts).
-	AliasBuilds, AliasHits uint64
-	AliasBytes             int64
+	AliasBuilds uint64 `json:"alias_builds"`
+	AliasHits   uint64 `json:"alias_hits"`
+	AliasBytes  int64  `json:"alias_bytes"`
 	// DegradedBuilds counts planar-Laplace fallback entries built on the
 	// fast path; DegradedHits counts requests served from a cached fallback
 	// while its real solve was still running; DegradedUpgrades counts
 	// background solves that completed and replaced a fallback with the
 	// optimal entry. All zero unless DegradedServing is enabled.
-	DegradedBuilds, DegradedHits, DegradedUpgrades uint64
+	DegradedBuilds   uint64 `json:"degraded_builds"`
+	DegradedHits     uint64 `json:"degraded_hits"`
+	DegradedUpgrades uint64 `json:"degraded_upgrades"`
 	// WarmAttempts/WarmAccepts aggregate the simplex warm-start counters of
 	// every generation run by this engine (see Result.WarmAttempts).
-	WarmAttempts, WarmAccepts uint64
+	WarmAttempts uint64 `json:"warm_attempts"`
+	WarmAccepts  uint64 `json:"warm_accepts"`
 }
 
 // Merge accumulates o into s. The multi-region registry uses it to fold

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -81,11 +82,7 @@ func newClusterTargets(cl *clients, spec, transport string, concurrency int) (*c
 	if err != nil {
 		return nil, err
 	}
-	names := make([]string, len(peers))
-	for i, p := range peers {
-		names[i] = p.Name
-	}
-	ring, err := cluster.NewRing(names, 0, 0)
+	ring, err := cluster.RingOf(peers)
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +123,5 @@ func (ct *clusterTargets) Lease(ctx context.Context, req registry.LeaseRequest) 
 func (ct *clusterTargets) nodeCounts() map[string]int64 {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
-	out := make(map[string]int64, len(ct.counts))
-	for k, v := range ct.counts {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(ct.counts)
 }

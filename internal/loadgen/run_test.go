@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,7 +10,7 @@ import (
 	"time"
 
 	"corgi/internal/budget"
-	"corgi/internal/cluster"
+	"corgi/internal/node"
 	"corgi/internal/registry"
 )
 
@@ -224,28 +225,41 @@ func TestRunForest(t *testing.T) {
 	}
 }
 
-// TestRunCluster routes users over two independent nodes with the ring
-// the servers would run: every request is counted against its node, and a
-// uid only ever reaches its owner.
+// TestRunCluster routes users over a two-node cluster (corgi-server's own
+// assembly, routers included) with the ring the servers run: every
+// request is counted against its node, and every uid went straight to its
+// owner, so no node forwarded anything.
 func TestRunCluster(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins real regions")
 	}
-	nodes := map[string]*testServer{}
-	var members, spec []string
-	for i := 0; i < 2; i++ {
-		srv := reportTestServer(t, "lg-a")
-		addr := srv.streamAddr(t)
-		nodes[addr] = srv
-		members = append(members, addr)
-		spec = append(spec, addr+"="+srv.URL)
-	}
-	ring, err := cluster.NewRing(members, 0, 0)
-	if err != nil {
+	regions := writeFile(t, "regions.json", `[{"name": "lg-a", "center_lat": 37.765, "center_lng": -122.435,
+		"height": 2, "iterations": 1, "targets": 3, "uniform_priors": true}]`)
+	var cfg node.Config
+	fs := flag.NewFlagSet("corgi-server", flag.ContinueOnError)
+	cfg.Bind(fs)
+	if err := fs.Parse([]string{"-addr", "127.0.0.1:0", "-stream-addr", "127.0.0.1:0", "-region-config", regions}); err != nil {
 		t.Fatal(err)
 	}
+	nodes := make([]*node.Node, 2)
+	var spec []string
+	for i := range nodes {
+		nd, err := node.Listen(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nd.Shutdown(context.Background()) })
+		nodes[i] = nd
+		spec = append(spec, nd.StreamListener.Addr().String()+"=http://"+nd.HTTPListener.Addr().String())
+	}
+	for _, nd := range nodes {
+		nd.Config.ClusterPeers, nd.Config.ClusterSelf = strings.Join(spec, ","), nd.StreamListener.Addr().String()
+		if err := nd.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, transport := range []string{"http", "stream"} {
-		cfg := runConfig(nodes[members[0]].URL)
+		cfg := runConfig("http://" + nodes[0].HTTPListener.Addr().String())
 		cfg.Workload, cfg.Transport, cfg.Cluster, cfg.Users = "mobility", transport, strings.Join(spec, ","), 16
 		rep, err := Run(context.Background(), cfg)
 		if err != nil {
@@ -262,17 +276,16 @@ func TestRunCluster(t *testing.T) {
 			t.Errorf("%s: per_node %v sums to %d of %d requests", transport, rep.PerNode, routed, rep.Requests)
 		}
 	}
-	seen := 0
-	for name, srv := range nodes {
-		seen += len(srv.uids)
-		for uid := range srv.uids {
-			if owner := ring.Owner(uid); owner != name {
-				t.Errorf("uid %d reached %s, its owner is %s", uid, name, owner)
-			}
+	var served uint64
+	for _, nd := range nodes {
+		st := nd.Router.Stats()
+		served += st.OwnerServed
+		if st.ForwardedOut != 0 || st.ForwardedIn != 0 || st.FailoverLocal != 0 {
+			t.Errorf("node %s forwarded: %+v", st.Self, st)
 		}
 	}
-	if seen == 0 {
-		t.Error("no node logged a uid over http")
+	if served == 0 {
+		t.Error("no node's router served a request as owner")
 	}
 }
 

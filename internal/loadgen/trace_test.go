@@ -1,12 +1,9 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -24,15 +21,13 @@ import (
 )
 
 // testServer is an in-process multi-region server that logs what it was
-// asked: hits counts requests per "path?region", uids the users whose
-// POST /v1/report reached it.
+// asked: hits counts requests per "path?region".
 type testServer struct {
 	*httptest.Server
 	reg *registry.Registry
 
 	mu   sync.Mutex
 	hits map[string]int
-	uids map[int64]bool
 }
 
 func (s *testServer) count(key string) int {
@@ -82,22 +77,11 @@ func reportTestServerOpts(t *testing.T, opts registry.Options, names ...string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &testServer{reg: reg, hits: map[string]int{}, uids: map[int64]bool{}}
+	s := &testServer{reg: reg, hits: map[string]int{}}
 	mux := h.Mux()
 	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var ask struct {
-			UID int64 `json:"uid"`
-		}
-		if r.URL.Path == "/v1/report" {
-			body, _ := io.ReadAll(r.Body)
-			json.Unmarshal(body, &ask)
-			r.Body = io.NopCloser(bytes.NewReader(body))
-		}
 		s.mu.Lock()
 		s.hits[r.URL.Path+"?"+r.URL.Query().Get("region")]++
-		if r.URL.Path == "/v1/report" {
-			s.uids[ask.UID] = true
-		}
 		s.mu.Unlock()
 		mux.ServeHTTP(w, r)
 	}))

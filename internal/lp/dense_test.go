@@ -5,8 +5,8 @@ import (
 )
 
 // SolveDense solves the problem with a two-phase primal simplex on a dense
-// tableau. It is intended for small problems (hundreds of rows/columns) and
-// as the correctness oracle for the sparse solver; memory is O(m*(n+m)).
+// tableau. It is the correctness oracle for the sparse solver, for small
+// problems (hundreds of rows/columns); memory is O(m*(n+m)).
 func SolveDense(p *Problem, opt *Options) (*Solution, error) {
 	sf, flipped := p.toStandard()
 	rowScale, colScale := sf.equilibrate(3)

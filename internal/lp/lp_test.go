@@ -32,6 +32,21 @@ func solveBoth(t *testing.T, p *Problem, opt *Options) *Solution {
 	return s
 }
 
+// TestNoRows: a problem without constraints is answered without a simplex,
+// and the answer is the oracle's: x = 0 when no cost is negative, unbounded
+// when one is.
+func TestNoRows(t *testing.T) {
+	p := NewProblem(2)
+	mustObj(t, p, []float64{1, 0})
+	if s := solveBoth(t, p, nil); s.Status != Optimal || s.Objective != 0 || len(s.X) != 2 {
+		t.Errorf("c >= 0: %+v", s)
+	}
+	mustObj(t, p, []float64{1, -1})
+	if s := solveBoth(t, p, nil); s.Status != Unbounded {
+		t.Errorf("a negative cost: %+v", s)
+	}
+}
+
 func TestProblemValidation(t *testing.T) {
 	p := NewProblem(3)
 	if p.NumVars() != 3 {

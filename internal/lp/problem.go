@@ -6,16 +6,13 @@
 //	subject to  a_i·x  (<= | = | >=)  b_i     for each constraint i
 //	            x >= 0
 //
-// Two solvers are provided:
-//
-//   - SolveDense: a textbook two-phase primal simplex on a dense tableau.
-//     Simple, exhaustively tested, used as the correctness oracle and for
-//     small subproblems.
-//   - Solve / Solver.Solve: a sparse revised simplex using the product form
-//     of the inverse (PFI): CSC column storage, eta-file FTRAN/BTRAN, periodic
-//     reinversion with singleton-first ordering, partial pricing, optional RHS
-//     perturbation to defeat the massive primal degeneracy of CORGI's
-//     Geo-Ind constraint systems (every inequality has b = 0).
+// The solver, Solve / Solver.Solve, is a sparse revised simplex using the
+// product form of the inverse (PFI): CSC column storage, eta-file
+// FTRAN/BTRAN, periodic reinversion with singleton-first ordering, partial
+// pricing, optional RHS perturbation to defeat the massive primal
+// degeneracy of CORGI's Geo-Ind constraint systems (every inequality has
+// b = 0). Its correctness oracle, a textbook two-phase primal simplex on a
+// dense tableau, lives in the test tree (dense_test.go).
 //
 // The sparse solver's working memory is flat arrays throughout. The eta file
 // is one record per pivot over one index arena and one value arena, truncated
@@ -289,7 +286,7 @@ func (s Status) String() string {
 
 // Solution is the result of a solve. X, Duals and Basis from Solver.Solve are
 // the Solver's own arrays, overwritten by its next Solve; from the
-// package-level Solve and SolveDense they are the caller's.
+// package-level Solve they are the caller's.
 type Solution struct {
 	Status     Status
 	X          []float64 // primal values, length NumVars (valid when Optimal)

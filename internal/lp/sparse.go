@@ -44,7 +44,14 @@ type Solver struct {
 // copies them.
 func (sv *Solver) Solve(p *Problem, opt *Options) (*Solution, error) {
 	if len(p.rows) == 0 {
-		return SolveDense(p, opt)
+		// Unconstrained over x >= 0: x = 0 is optimal unless some cost is
+		// negative, and then that variable grows without bound.
+		for _, cj := range p.c {
+			if cj < -opt.tol() {
+				return &Solution{Status: Unbounded}, nil
+			}
+		}
+		return &Solution{Status: Optimal, X: make([]float64, p.nv), Duals: []float64{}}, nil
 	}
 	sf := &sv.sf
 	if sv.prob == p.id && sv.rev == p.rev {

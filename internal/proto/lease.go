@@ -89,7 +89,7 @@ func (h *MultiHandler) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-	grant, err := h.handler().Lease(ctx, req.LeaseAsk(req.Draws, req.Token))
+	grant, err := h.Handler.Lease(ctx, req.LeaseAsk(req.Draws, req.Token))
 	if err != nil {
 		reject(w, registry.Classify(err))
 		return

@@ -79,14 +79,14 @@ type BatchForestResponse struct {
 // per-region maps; the budget maps are empty when accounting is disabled,
 // and Stream only appears when a corgi-stream listener is attached.
 type MultiStatsResponse struct {
-	Regions       map[string]StatsResponse `json:"regions"`
-	Total         StatsResponse            `json:"total"`
-	Bootstraps    uint64                   `json:"bootstraps"`
-	Sessions      map[string]session.Stats `json:"sessions,omitempty"`
-	SessionsTotal session.Stats            `json:"sessions_total"`
-	Budget        map[string]budget.Stats  `json:"budget,omitempty"`
-	BudgetTotal   *budget.Stats            `json:"budget_total,omitempty"`
-	Stream        *stream.Stats            `json:"stream,omitempty"`
+	Regions       map[string]core.EngineStats `json:"regions"`
+	Total         core.EngineStats            `json:"total"`
+	Bootstraps    uint64                      `json:"bootstraps"`
+	Sessions      map[string]session.Stats    `json:"sessions,omitempty"`
+	SessionsTotal session.Stats               `json:"sessions_total"`
+	Budget        map[string]budget.Stats     `json:"budget,omitempty"`
+	BudgetTotal   *budget.Stats               `json:"budget_total,omitempty"`
+	Stream        *stream.Stats               `json:"stream,omitempty"`
 	// Cluster reports the consistent-hash router's counters (owner-served
 	// vs forwarded traffic, failovers, budget handoffs, peer store
 	// fetches; a cluster.Stats); only present when the node runs in
@@ -124,10 +124,9 @@ type MultiHandler struct {
 	// Stream, when set, merges the binary stream transport's counters
 	// into GET /v1/stats so both transports report through one endpoint.
 	Stream *stream.Server
-	// Handler, when set, replaces the registry as the report/lease
-	// pipeline entry — cluster mode points it at the router so HTTP
-	// requests for non-owned users forward to their owner node. Nil serves
-	// every request locally.
+	// Handler is the report/lease pipeline entry: the registry, until
+	// cluster mode points it at the router so HTTP requests for non-owned
+	// users forward to their owner node.
 	Handler registry.ReportHandler
 	// Cluster, when set, supplies the router's counter section of
 	// GET /v1/stats (cluster.Router.Stats). A func, not the router: the
@@ -146,42 +145,38 @@ func NewMultiHandler(reg *registry.Registry) (*MultiHandler, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("proto: nil registry")
 	}
-	return &MultiHandler{reg: reg}, nil
-}
-
-// handler returns the report/lease pipeline entry: the cluster router
-// when one is attached, the local registry otherwise.
-func (h *MultiHandler) handler() registry.ReportHandler {
-	if h.Handler != nil {
-		return h.Handler
-	}
-	return h.reg
+	return &MultiHandler{reg: reg, Handler: reg}, nil
 }
 
 // Mux returns the routed handler.
 func (h *MultiHandler) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", h.handleHealthz)
-	mux.HandleFunc("/v1/regions", h.handleRegions)
-	mux.HandleFunc("/v1/stats", h.handleStats)
-	mux.HandleFunc("/v1/tree", h.handleTree)
-	mux.HandleFunc("/v1/priors", h.handlePriors)
+	mux.HandleFunc("/healthz", only(http.MethodGet, h.handleHealthz))
+	mux.HandleFunc("/v1/regions", only(http.MethodGet, h.handleRegions))
+	mux.HandleFunc("/v1/stats", only(http.MethodGet, h.handleStats))
+	mux.HandleFunc("/v1/tree", only(http.MethodGet, h.handleTree))
+	mux.HandleFunc("/v1/priors", only(http.MethodGet, h.handlePriors))
 	mux.HandleFunc("/v1/forest", h.handleForest)
 	// The v1-era route keeps its POST-only contract; GET probing belongs
 	// to /v1/forest.
-	mux.HandleFunc("/v1/matrices", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		h.handleForest(w, r)
-	})
+	mux.HandleFunc("/v1/matrices", only(http.MethodPost, h.handleForest))
 	mux.HandleFunc("/v1/forests", h.handleBatch)
 	mux.HandleFunc("/v1/report", h.handleReport)
 	mux.HandleFunc("/v1/reports", h.handleReports)
 	mux.HandleFunc("/v1/lease", h.handleLease)
-	mux.HandleFunc("/v1/store/snapshot", h.handleStoreSnapshot)
+	mux.HandleFunc("/v1/store/snapshot", only(http.MethodGet, h.handleStoreSnapshot))
 	return mux
+}
+
+// only answers 405 to every method but the one named.
+func only(method string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != method {
+			http.Error(w, method+" only", http.StatusMethodNotAllowed)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // handleStoreSnapshot serves GET /v1/store/snapshot?spec=H&level=L&delta=D:
@@ -190,10 +185,6 @@ func (h *MultiHandler) Mux() *http.ServeMux {
 // The payload is the on-disk checksummed format; the peer validates it
 // with the same decode pipeline as a local read.
 func (h *MultiHandler) handleStoreSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	if h.Store == nil {
 		http.Error(w, "snapshot store not enabled", http.StatusNotFound)
 		return
@@ -223,10 +214,6 @@ func (h *MultiHandler) handleStoreSnapshot(w http.ResponseWriter, r *http.Reques
 }
 
 func (h *MultiHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	io.WriteString(w, "ok\n")
 }
@@ -269,10 +256,6 @@ func (h *MultiHandler) requestCtx(r *http.Request) (context.Context, context.Can
 }
 
 func (h *MultiHandler) handleRegions(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	resp := RegionsResponse{Default: h.reg.DefaultRegion()}
 	for _, name := range h.reg.Names() {
 		spec, _ := h.reg.Spec(name)
@@ -290,34 +273,18 @@ func (h *MultiHandler) handleRegions(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *MultiHandler) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	// One snapshot feeds both views so Total always equals the sum of
 	// Regions, even under live traffic.
-	stats := h.reg.Stats()
-	var total core.EngineStats
 	resp := MultiStatsResponse{
-		Regions:    make(map[string]StatsResponse, len(stats)),
+		Regions:    h.reg.Stats(),
 		Bootstraps: h.reg.Bootstraps(),
 		Sessions:   h.reg.SessionStats(),
 	}
-	for name, s := range stats {
-		resp.Regions[name] = statsResponse(s)
-		total.Merge(s)
-	}
-	resp.Total = statsResponse(total)
-	for _, s := range resp.Sessions {
-		resp.SessionsTotal.Merge(s)
-	}
+	resp.Total = registry.Total(resp.Regions)
+	resp.SessionsTotal = registry.Total(resp.Sessions)
 	if bs := h.reg.BudgetStats(); len(bs) > 0 {
-		resp.Budget = bs
-		var total budget.Stats
-		for _, s := range bs {
-			total.Merge(s)
-		}
-		resp.BudgetTotal = &total
+		total := registry.Total(bs)
+		resp.Budget, resp.BudgetTotal = bs, &total
 	}
 	if h.Stream != nil {
 		ss := h.Stream.Stats()
@@ -331,10 +298,6 @@ func (h *MultiHandler) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *MultiHandler) handleTree(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
 	sh, ok := h.shard(ctx, w, r)
@@ -345,10 +308,6 @@ func (h *MultiHandler) handleTree(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *MultiHandler) handlePriors(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
 	sh, ok := h.shard(ctx, w, r)

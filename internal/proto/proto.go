@@ -93,31 +93,6 @@ type PriorsResponse struct {
 	Probs  []float64 `json:"probs"`
 }
 
-// StatsResponse mirrors core.EngineStats for /v1/stats.
-type StatsResponse struct {
-	Hits               uint64 `json:"cache_hits"`
-	Misses             uint64 `json:"cache_misses"`
-	Evictions          uint64 `json:"cache_evictions"`
-	CacheBytes         int64  `json:"cache_bytes"`
-	CacheEntries       int    `json:"cache_entries"`
-	CacheCapacityBytes int64  `json:"cache_capacity_bytes"`
-	Solves             uint64 `json:"solves"`
-	InFlight           int64  `json:"in_flight"`
-	Workers            int    `json:"workers"`
-	StoreHits          uint64 `json:"store_hits"`
-	StoreMisses        uint64 `json:"store_misses"`
-	StoreWrites        uint64 `json:"store_writes"`
-	StoreHydrated      uint64 `json:"store_hydrated"`
-	AliasBuilds        uint64 `json:"alias_builds"`
-	AliasHits          uint64 `json:"alias_hits"`
-	AliasBytes         int64  `json:"alias_bytes"`
-	DegradedBuilds     uint64 `json:"degraded_builds"`
-	DegradedHits       uint64 `json:"degraded_hits"`
-	DegradedUpgrades   uint64 `json:"degraded_upgrades"`
-	WarmAttempts       uint64 `json:"warm_attempts"`
-	WarmAccepts        uint64 `json:"warm_accepts"`
-}
-
 // writeJSONAs encodes v with the given content type, gzipping when the
 // client offered Accept-Encoding: gzip (r may be nil to skip negotiation).
 // Encoding happens into a buffer first so a marshal failure becomes a clean
@@ -261,33 +236,6 @@ func (b countingBody) Read(p []byte) (int, error) {
 	n, err := b.ReadCloser.Read(p)
 	b.n.Add(int64(n))
 	return n, err
-}
-
-// statsResponse converts engine counters to their wire form.
-func statsResponse(s core.EngineStats) StatsResponse {
-	return StatsResponse{
-		Hits:               s.Hits,
-		Misses:             s.Misses,
-		Evictions:          s.Evictions,
-		CacheBytes:         s.CacheBytes,
-		CacheEntries:       s.CacheEntries,
-		CacheCapacityBytes: s.CacheCapacity,
-		Solves:             s.Solves,
-		InFlight:           s.InFlight,
-		Workers:            s.Workers,
-		StoreHits:          s.StoreHits,
-		StoreMisses:        s.StoreMisses,
-		StoreWrites:        s.StoreWrites,
-		StoreHydrated:      s.StoreHydrated,
-		AliasBuilds:        s.AliasBuilds,
-		AliasHits:          s.AliasHits,
-		AliasBytes:         s.AliasBytes,
-		DegradedBuilds:     s.DegradedBuilds,
-		DegradedHits:       s.DegradedHits,
-		DegradedUpgrades:   s.DegradedUpgrades,
-		WarmAttempts:       s.WarmAttempts,
-		WarmAccepts:        s.WarmAccepts,
-	}
 }
 
 // treeResponse describes a tree so a client can rebuild it locally.

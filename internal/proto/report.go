@@ -80,7 +80,7 @@ func (h *MultiHandler) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-	res, err := h.handler().Report(ctx, req.Ask())
+	res, err := h.Handler.Report(ctx, req.Ask())
 	if err != nil {
 		reject(w, registry.Classify(err))
 		return
@@ -102,7 +102,7 @@ func (h *MultiHandler) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := h.requestCtx(r)
 	defer cancel()
-	outs, rej := h.reg.ReportBatch(ctx, h.handler(), asks)
+	outs, rej := h.reg.ReportBatch(ctx, h.Handler, asks)
 	if rej != nil {
 		reject(w, *rej)
 		return

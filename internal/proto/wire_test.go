@@ -320,7 +320,7 @@ func TestHealthzAndStats(t *testing.T) {
 	if st.Solves == 0 || st.Misses == 0 {
 		t.Fatalf("stats after generation: %+v", st)
 	}
-	if st.Workers < 1 || st.CacheCapacityBytes < 1 {
+	if st.Workers < 1 || st.CacheCapacity < 1 {
 		t.Fatalf("stats missing engine config: %+v", st)
 	}
 }

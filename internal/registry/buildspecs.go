@@ -1,17 +1,24 @@
 package registry
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 )
 
-// SpecDefaults carries flag-level generation defaults applied to any spec
-// field left at its zero value. cmd/corgi-server and cmd/corgi-gen share
-// this assembly (and expose the same flags with the same defaults), so the
-// spec hashes — and therefore the persistent-store snapshots — they
-// address agree by construction: a store populated by corgi-gen under some
-// flag set is hit by a corgi-server started with the same flags.
+// SpecDefaults is what the region flags parse into: where the specs come
+// from, and the generation defaults applied to any spec field left at its
+// zero value. corgi-server and corgi-gen declare these flags through the
+// one Bind and assemble through the one BuildSpecs, so the spec hashes —
+// and therefore the persistent-store snapshots — they address agree by
+// construction: a store populated by corgi-gen under some flag set is hit
+// by a corgi-server started with the same flags.
 type SpecDefaults struct {
+	// Regions is comma-separated builtin metro names (empty means "sf");
+	// RegionConfig is a file holding a JSON array of specs. At most one of
+	// the two may be set.
+	Regions, RegionConfig string
+
 	Epsilon       float64
 	Height        int
 	LeafSpacingKm float64
@@ -23,27 +30,40 @@ type SpecDefaults struct {
 	CheckinsPath string
 }
 
-// BuildSpecs assembles region specs from a -regions flag value
-// (comma-separated builtin metro names; empty means "sf") or a
-// -region-config file path (a JSON array of specs), then fills unset
-// fields from the flag defaults. Exactly one of the two sources may be
-// non-empty.
-func BuildSpecs(regionsFlag, configPath string, d SpecDefaults) ([]Spec, error) {
+// Bind declares the ten region flags on fs. work is what -uniform-priors
+// speeds up in the binary's own words, the one place the two help texts
+// differ.
+func (d *SpecDefaults) Bind(fs *flag.FlagSet, work string) {
+	fs.StringVar(&d.Regions, "regions", "", "comma-separated builtin region names (default: sf)")
+	fs.StringVar(&d.RegionConfig, "region-config", "", "JSON region-spec file (overrides -regions)")
+	fs.Float64Var(&d.Epsilon, "eps", specDefaults.Epsilon, "default Geo-Ind privacy budget (km^-1)")
+	fs.IntVar(&d.Height, "height", specDefaults.Height, "default tree height (2 -> 49 leaves, 3 -> 343)")
+	fs.Float64Var(&d.LeafSpacingKm, "spacing", specDefaults.LeafSpacingKm, "default leaf cell center spacing in km")
+	fs.IntVar(&d.Iterations, "iters", specDefaults.Iterations, "default Algorithm-1 robust iterations")
+	fs.IntVar(&d.Targets, "targets", specDefaults.Targets, "default service target count per region")
+	fs.StringVar(&d.CheckinsPath, "checkins", "", "Gowalla check-in file for the default region's priors")
+	fs.Int64Var(&d.Seed, "seed", 0, "synthetic-prior seed override (0: per-region name hash)")
+	fs.BoolVar(&d.UniformPriors, "uniform-priors", false, "use uniform priors everywhere (fast "+work+")")
+}
+
+// BuildSpecs assembles region specs from d.Regions or d.RegionConfig, then
+// fills unset fields from the flag defaults.
+func BuildSpecs(d SpecDefaults) ([]Spec, error) {
 	var specs []Spec
 	switch {
-	case configPath != "" && regionsFlag != "":
+	case d.RegionConfig != "" && d.Regions != "":
 		return nil, fmt.Errorf("use either -regions or -region-config, not both")
-	case configPath != "":
+	case d.RegionConfig != "":
 		var err error
-		specs, err = LoadSpecsFile(configPath)
+		specs, err = LoadSpecsFile(d.RegionConfig)
 		if err != nil {
 			return nil, err
 		}
 	default:
-		if regionsFlag == "" {
-			regionsFlag = "sf"
+		if d.Regions == "" {
+			d.Regions = "sf"
 		}
-		for _, name := range strings.Split(regionsFlag, ",") {
+		for _, name := range strings.Split(d.Regions, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
 				continue
@@ -60,24 +80,8 @@ func BuildSpecs(regionsFlag, configPath string, d SpecDefaults) ([]Spec, error) 
 		}
 	}
 	for i := range specs {
-		if specs[i].Epsilon == 0 {
-			specs[i].Epsilon = d.Epsilon
-		}
-		if specs[i].Height == 0 {
-			specs[i].Height = d.Height
-		}
-		if specs[i].LeafSpacingKm == 0 {
-			specs[i].LeafSpacingKm = d.LeafSpacingKm
-		}
-		if specs[i].Iterations == 0 {
-			specs[i].Iterations = d.Iterations
-		}
-		if specs[i].Targets == 0 {
-			specs[i].Targets = d.Targets
-		}
-		if specs[i].Seed == 0 {
-			specs[i].Seed = d.Seed
-		}
+		specs[i].fill(Spec{LeafSpacingKm: d.LeafSpacingKm, Height: d.Height, Epsilon: d.Epsilon,
+			Iterations: d.Iterations, Targets: d.Targets, Seed: d.Seed})
 		if d.UniformPriors {
 			specs[i].UniformPriors = true
 		}

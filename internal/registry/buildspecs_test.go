@@ -1,18 +1,43 @@
-package registry
+package registry_test
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"corgi/internal/node"
+	"corgi/internal/registry"
 )
 
-func flagDefaults() SpecDefaults {
-	return SpecDefaults{Epsilon: 15, Height: 2, LeafSpacingKm: 0.1, Iterations: 5, Targets: 20}
+// genFlags parses args the way corgi-gen does for its region flags:
+// through registry.SpecDefaults.Bind, the same call its main makes.
+func genFlags(t *testing.T, args ...string) registry.SpecDefaults {
+	t.Helper()
+	var d registry.SpecDefaults
+	fs := flag.NewFlagSet("corgi-gen", flag.ContinueOnError)
+	d.Bind(fs, "precompute")
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// serverFlags parses args through corgi-server's whole flag set.
+func serverFlags(t *testing.T, args ...string) registry.SpecDefaults {
+	t.Helper()
+	var cfg node.Config
+	fs := flag.NewFlagSet("corgi-server", flag.ContinueOnError)
+	cfg.Bind(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	return cfg.Spec
 }
 
 func TestBuildSpecsBuiltins(t *testing.T) {
-	specs, err := BuildSpecs("", "", flagDefaults())
+	specs, err := registry.BuildSpecs(genFlags(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +45,7 @@ func TestBuildSpecsBuiltins(t *testing.T) {
 		t.Fatalf("default specs: %+v", specs)
 	}
 
-	specs, err = BuildSpecs("sf, nyc ,la", "", flagDefaults())
+	specs, err = registry.BuildSpecs(genFlags(t, "-regions", "sf, nyc ,la"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,11 +58,11 @@ func TestBuildSpecsBuiltins(t *testing.T) {
 		}
 	}
 
-	if _, err := BuildSpecs("atlantis", "", flagDefaults()); err == nil ||
+	if _, err := registry.BuildSpecs(genFlags(t, "-regions", "atlantis")); err == nil ||
 		!strings.Contains(err.Error(), "sf") {
 		t.Errorf("unknown builtin must fail listing builtins, got %v", err)
 	}
-	if _, err := BuildSpecs(" , ", "", flagDefaults()); err == nil {
+	if _, err := registry.BuildSpecs(genFlags(t, "-regions", " , ")); err == nil {
 		t.Error("blank region list must fail")
 	}
 }
@@ -51,10 +76,7 @@ func TestBuildSpecsConfigFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte(cfg), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d := flagDefaults()
-	d.CheckinsPath = "gowalla.txt"
-	d.UniformPriors = true
-	specs, err := BuildSpecs("", path, d)
+	specs, err := registry.BuildSpecs(genFlags(t, "-region-config", path, "-checkins", "gowalla.txt", "-uniform-priors"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,41 +98,55 @@ func TestBuildSpecsConfigFile(t *testing.T) {
 		t.Error("-uniform-priors must apply everywhere")
 	}
 
-	if _, err := BuildSpecs("sf", path, flagDefaults()); err == nil {
+	if _, err := registry.BuildSpecs(genFlags(t, "-regions", "sf", "-region-config", path)); err == nil {
 		t.Error("-regions and -region-config together must fail")
 	}
-	if _, err := BuildSpecs("", filepath.Join(t.TempDir(), "missing.json"), flagDefaults()); err == nil {
+	if _, err := registry.BuildSpecs(genFlags(t, "-region-config", filepath.Join(t.TempDir(), "missing.json"))); err == nil {
 		t.Error("missing config file must fail")
 	}
 }
 
 // TestBuildSpecsHashesAgreeAcrossBinaries guards the corgi-gen /
-// corgi-server store contract: assembling the same flags through
-// BuildSpecs must produce identical spec hashes, whether the spec came
-// from the builtin table or a config file.
+// corgi-server store contract: one argv parsed through each binary's flag
+// set addresses the same spec hashes, whether the specs come from the
+// builtin table or a config file, with the defaults and with every
+// generation flag moved off its default. A flag given to one side only
+// moves that side's hashes: the store is then legitimately cold.
 func TestBuildSpecsHashesAgreeAcrossBinaries(t *testing.T) {
-	genSpecs, err := BuildSpecs("sf,nyc", "", flagDefaults())
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "regions.json")
+	if err := os.WriteFile(path, []byte(`[{"name": "alpha", "center_lat": 37.7, "center_lng": -122.4},
+		{"name": "beta", "center_lat": 40.7, "center_lng": -74.0, "epsilon": 8}]`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srvSpecs, err := BuildSpecs("sf,nyc", "", flagDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range genSpecs {
-		if genSpecs[i].Hash() != srvSpecs[i].Hash() {
-			t.Errorf("region %s: hashes diverge for identical flags", genSpecs[i].Name)
+	hashes := func(d registry.SpecDefaults) []string {
+		t.Helper()
+		specs, err := registry.BuildSpecs(d)
+		if err != nil {
+			t.Fatal(err)
 		}
+		out := make([]string, len(specs))
+		for i, s := range specs {
+			out[i] = s.Hash()
+		}
+		return out
 	}
-	// And a flag override must move the hash (the store is then
-	// legitimately cold for the new parameters).
-	d := flagDefaults()
-	d.Epsilon = 10
-	changed, err := BuildSpecs("sf,nyc", "", d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if changed[0].Hash() == genSpecs[0].Hash() {
-		t.Error("changed -eps did not change the spec hash")
+	moved := [][]string{{"-eps", "10"}, {"-height", "3"}, {"-spacing", "0.2"}, {"-iters", "2"}, {"-targets", "7"},
+		{"-seed", "9"}, {"-checkins", "gowalla.txt"}, {"-uniform-priors"}}
+	for _, source := range [][]string{nil, {"-regions", "sf,nyc"}, {"-region-config", path}} {
+		gen := hashes(genFlags(t, source...))
+		if srv := hashes(serverFlags(t, source...)); strings.Join(gen, ",") != strings.Join(srv, ",") {
+			t.Errorf("%v: corgi-gen addresses %v, corgi-server %v", source, gen, srv)
+		}
+		all := source
+		for _, one := range moved {
+			all = append(all, one...)
+			if srv := hashes(serverFlags(t, append(source, one...)...)); srv[0] == gen[0] {
+				t.Errorf("%v: %v on corgi-server only left the default region's hash where it was", source, one)
+			}
+		}
+		genAll, srvAll := hashes(genFlags(t, all...)), hashes(serverFlags(t, all...))
+		if strings.Join(genAll, ",") != strings.Join(srvAll, ",") || genAll[0] == gen[0] {
+			t.Errorf("%v: corgi-gen addresses %v, corgi-server %v, the defaults %v", all, genAll, srvAll, gen)
+		}
 	}
 }

@@ -13,6 +13,7 @@
 package registry
 
 import (
+	"cmp"
 	"context"
 	cryptorand "crypto/rand"
 	"crypto/sha256"
@@ -21,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
 	"strings"
 	"sync"
@@ -79,28 +81,26 @@ type Spec struct {
 // Center returns the region's anchor point.
 func (s Spec) Center() geo.LatLng { return geo.LatLng{Lat: s.CenterLat, Lng: s.CenterLng} }
 
+// specDefaults is what a spec's zero generation fields mean (Seed's zero
+// means a hash of the region's name instead). The region flags default to
+// the same values, so a spec completed from flags and one completed here
+// hash alike.
+var specDefaults = Spec{LeafSpacingKm: 0.1, Height: 2, Epsilon: 15, Iterations: 5, Targets: 20, SyntheticCheckIns: 38523}
+
+// fill completes s's zero generation fields from d's.
+func (s *Spec) fill(d Spec) {
+	s.LeafSpacingKm = cmp.Or(s.LeafSpacingKm, d.LeafSpacingKm)
+	s.Height = cmp.Or(s.Height, d.Height)
+	s.Epsilon = cmp.Or(s.Epsilon, d.Epsilon)
+	s.Iterations = cmp.Or(s.Iterations, d.Iterations)
+	s.Targets = cmp.Or(s.Targets, d.Targets)
+	s.Seed = cmp.Or(s.Seed, d.Seed)
+	s.SyntheticCheckIns = cmp.Or(s.SyntheticCheckIns, d.SyntheticCheckIns)
+}
+
 func (s Spec) withDefaults() Spec {
-	if s.LeafSpacingKm == 0 {
-		s.LeafSpacingKm = 0.1
-	}
-	if s.Height == 0 {
-		s.Height = 2
-	}
-	if s.Epsilon == 0 {
-		s.Epsilon = 15
-	}
-	if s.Iterations == 0 {
-		s.Iterations = 5
-	}
-	if s.Targets == 0 {
-		s.Targets = 20
-	}
-	if s.Seed == 0 {
-		s.Seed = nameSeed(s.Name)
-	}
-	if s.SyntheticCheckIns == 0 {
-		s.SyntheticCheckIns = 38523
-	}
+	s.fill(specDefaults)
+	s.Seed = cmp.Or(s.Seed, nameSeed(s.Name))
 	return s
 }
 
@@ -451,9 +451,7 @@ func (r *Registry) Spec(name string) (Spec, bool) {
 
 // Ready reports whether a region's shard has bootstrapped.
 func (r *Registry) Ready(name string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.shards[name]
+	_, ok := r.ShardIfReady(name)
 	return ok
 }
 
@@ -688,56 +686,51 @@ func spreadTargets(tree *loctree.Tree, n int) ([]geo.LatLng, []float64, error) {
 	return targets, probs, nil
 }
 
+// bootstrapped snapshots the shards that exist right now, by region, so a
+// walk over them (stats, flushing) runs without the registry lock.
+func (r *Registry) bootstrapped() map[string]*Shard {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.shards)
+}
+
 // FlushStores blocks until every bootstrapped shard's pending store
 // write-backs have finished. Call before process exit so freshly solved
 // forests are durable; without a configured store it is a no-op.
 func (r *Registry) FlushStores() {
-	r.mu.Lock()
-	shards := make([]*Shard, 0, len(r.shards))
-	for _, sh := range r.shards {
-		shards = append(shards, sh)
-	}
-	r.mu.Unlock()
-	for _, sh := range shards {
+	for _, sh := range r.bootstrapped() {
 		sh.Server.FlushStore()
 	}
 }
 
 // Stats snapshots every bootstrapped shard's engine counters by region.
 func (r *Registry) Stats() map[string]core.EngineStats {
-	r.mu.Lock()
-	shards := make(map[string]*Shard, len(r.shards))
-	for name, sh := range r.shards {
-		shards[name] = sh
-	}
-	r.mu.Unlock()
-	out := make(map[string]core.EngineStats, len(shards))
-	for name, sh := range shards {
+	out := map[string]core.EngineStats{}
+	for name, sh := range r.bootstrapped() {
 		out[name] = sh.Server.Stats()
 	}
 	return out
 }
 
-// AggregateStats folds all shard counters into one fleet-wide snapshot.
-func (r *Registry) AggregateStats() core.EngineStats {
-	var total core.EngineStats
-	for _, s := range r.Stats() {
-		total.Merge(s)
+// Total folds per-region counters into their fleet-wide sum.
+func Total[S any, P interface {
+	*S
+	Merge(S)
+}](byRegion map[string]S) (sum S) {
+	for _, s := range byRegion {
+		P(&sum).Merge(s)
 	}
-	return total
+	return sum
 }
+
+// AggregateStats folds all shard counters into one fleet-wide snapshot.
+func (r *Registry) AggregateStats() core.EngineStats { return Total(r.Stats()) }
 
 // SessionStats snapshots every bootstrapped shard's report-session
 // counters by region.
 func (r *Registry) SessionStats() map[string]session.Stats {
-	r.mu.Lock()
-	shards := make(map[string]*Shard, len(r.shards))
-	for name, sh := range r.shards {
-		shards[name] = sh
-	}
-	r.mu.Unlock()
-	out := make(map[string]session.Stats, len(shards))
-	for name, sh := range shards {
+	out := map[string]session.Stats{}
+	for name, sh := range r.bootstrapped() {
 		out[name] = sh.Sessions.Stats()
 	}
 	return out
@@ -745,26 +738,14 @@ func (r *Registry) SessionStats() map[string]session.Stats {
 
 // AggregateSessionStats folds all shard session counters into one
 // fleet-wide snapshot.
-func (r *Registry) AggregateSessionStats() session.Stats {
-	var total session.Stats
-	for _, s := range r.SessionStats() {
-		total.Merge(s)
-	}
-	return total
-}
+func (r *Registry) AggregateSessionStats() session.Stats { return Total(r.SessionStats()) }
 
 // BudgetStats snapshots every bootstrapped shard's epsilon-budget counters
 // by region. Regions without accounting (or not yet bootstrapped) are
 // absent.
 func (r *Registry) BudgetStats() map[string]budget.Stats {
-	r.mu.Lock()
-	shards := make(map[string]*Shard, len(r.shards))
-	for name, sh := range r.shards {
-		shards[name] = sh
-	}
-	r.mu.Unlock()
-	out := make(map[string]budget.Stats, len(shards))
-	for name, sh := range shards {
+	out := map[string]budget.Stats{}
+	for name, sh := range r.bootstrapped() {
 		if sh.Budget != nil {
 			out[name] = sh.Budget.Stats()
 		}
@@ -774,10 +755,4 @@ func (r *Registry) BudgetStats() map[string]budget.Stats {
 
 // AggregateBudgetStats folds all shard budget counters into one fleet-wide
 // snapshot.
-func (r *Registry) AggregateBudgetStats() budget.Stats {
-	var total budget.Stats
-	for _, s := range r.BudgetStats() {
-		total.Merge(s)
-	}
-	return total
-}
+func (r *Registry) AggregateBudgetStats() budget.Stats { return Total(r.BudgetStats()) }

@@ -29,8 +29,8 @@ func NewForestStore(s *Store, specHash string, tree *loctree.Tree) (*ForestStore
 	if s == nil || tree == nil {
 		return nil, fmt.Errorf("store: nil store or tree")
 	}
-	if len(specHash) < 16 {
-		return nil, fmt.Errorf("store: spec hash %q too short", specHash)
+	if err := checkSpecHash(specHash); err != nil {
+		return nil, err
 	}
 	return &ForestStore{store: s, specHash: specHash, tree: tree}, nil
 }

@@ -44,11 +44,7 @@ func (s *Store) peerLoad(k Key) (*Snapshot, error) {
 	if err != nil {
 		return nil, ErrNotFound
 	}
-	snap, err := decodeFile(raw)
-	if err == nil && (snap.SpecHash != k.SpecHash || snap.PrivacyLevel != k.Level || snap.Delta != k.Delta) {
-		err = fmt.Errorf("%w: peer payload key (%s, L%d, d%d) disagrees with requested key (%s, L%d, d%d)",
-			ErrCorrupt, snap.SpecHash, snap.PrivacyLevel, snap.Delta, k.SpecHash, k.Level, k.Delta)
-	}
+	snap, err := decodeKeyed(raw, k)
 	if err != nil {
 		// The checksum caught a corrupt or truncated peer transfer: count
 		// it, do not persist it, and let the caller solve locally.
@@ -83,8 +79,9 @@ func (s *Store) LoadRaw(k Key) ([]byte, error) {
 	return raw, nil
 }
 
-// writeRaw atomically persists pre-encoded snapshot bytes under k,
-// mirroring Save's temp-file + rename discipline.
+// writeRaw atomically persists encoded snapshot bytes under k (temp file +
+// rename, so a reader never observes a half-written snapshot): Save's
+// write, and a validated peer payload's.
 func (s *Store) writeRaw(k Key, raw []byte) error {
 	dir := s.specDir(k.SpecHash)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -94,7 +91,7 @@ func (s *Store) writeRaw(k Key, raw []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer os.Remove(tmp.Name())
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	if _, err := tmp.Write(raw); err != nil {
 		tmp.Close()
 		return fmt.Errorf("store: %w", err)

@@ -54,6 +54,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -78,8 +79,8 @@ var ErrCorrupt = errors.New("store: snapshot corrupt")
 // Key addresses one forest snapshot.
 type Key struct {
 	// SpecHash identifies the full set of generation inputs (see
-	// registry.Spec.Hash). Must be non-empty hex-ish; the first 16
-	// characters become the directory name.
+	// registry.Spec.Hash, lowercase hex). The first 16 characters become
+	// the directory name, so checkSpecHash bounds what it may contain.
 	SpecHash string
 	// Level and Delta are the forest's privacy level and prune allowance.
 	Level, Delta int
@@ -158,9 +159,21 @@ func (s *Store) Stats() Stats {
 	}
 }
 
+// checkSpecHash accepts a spec hash that is safe to name a directory
+// after: 16 or more of [0-9a-z-], which covers the lowercase hex Spec.Hash
+// emits and the readable names tools key scratch stores by, and excludes
+// every separator and dot. A hash arrives from the network (GET
+// /v1/store/snapshot), and "../../../etc/./." is 16 characters too.
+func checkSpecHash(specHash string) error {
+	if len(specHash) < 16 || strings.Trim(specHash, "0123456789abcdefghijklmnopqrstuvwxyz-") != "" {
+		return fmt.Errorf("store: spec hash %q is not 16 or more characters of [0-9a-z-]", specHash)
+	}
+	return nil
+}
+
 func (k Key) validate() error {
-	if len(k.SpecHash) < 16 {
-		return fmt.Errorf("store: spec hash %q too short (want >= 16 chars)", k.SpecHash)
+	if err := checkSpecHash(k.SpecHash); err != nil {
+		return err
 	}
 	if k.Level < 1 || k.Delta < 0 {
 		return fmt.Errorf("store: key (level %d, delta %d) out of range", k.Level, k.Delta)
@@ -198,18 +211,25 @@ func (s *Store) Load(k Key) (*Snapshot, error) {
 		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	snap, err := decodeFile(raw)
+	snap, err := decodeKeyed(raw, k)
 	if err != nil {
 		s.loadCorrupt.Add(1)
 		return nil, err
 	}
-	if snap.SpecHash != k.SpecHash || snap.PrivacyLevel != k.Level || snap.Delta != k.Delta {
-		s.loadCorrupt.Add(1)
-		return nil, fmt.Errorf("%w: payload key (%s, L%d, d%d) disagrees with path key (%s, L%d, d%d)",
-			ErrCorrupt, snap.SpecHash, snap.PrivacyLevel, snap.Delta, k.SpecHash, k.Level, k.Delta)
-	}
 	s.loads.Add(1)
 	return snap, nil
+}
+
+// decodeKeyed is decodeFile for bytes that claim to be k's snapshot, from
+// k's own path or from a peer: a valid file that holds another key's
+// forest is as corrupt as a bad checksum.
+func decodeKeyed(raw []byte, k Key) (*Snapshot, error) {
+	snap, err := decodeFile(raw)
+	if err == nil && (snap.SpecHash != k.SpecHash || snap.PrivacyLevel != k.Level || snap.Delta != k.Delta) {
+		return nil, fmt.Errorf("%w: payload key (%s, L%d, d%d) disagrees with requested key (%s, L%d, d%d)",
+			ErrCorrupt, snap.SpecHash, snap.PrivacyLevel, snap.Delta, k.SpecHash, k.Level, k.Delta)
+	}
+	return snap, err
 }
 
 // Save atomically persists a snapshot under its embedded key.
@@ -228,24 +248,8 @@ func (s *Store) Save(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	dir := s.specDir(k.SpecHash)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, ".snap-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(k)); err != nil {
-		return fmt.Errorf("store: %w", err)
+	if err := s.writeRaw(k, raw); err != nil {
+		return err
 	}
 	s.writes.Add(1)
 	return nil
@@ -266,8 +270,8 @@ func (s *Store) Remove(k Key) error {
 // WriteSpecNote drops a human-readable spec description next to a spec
 // hash's snapshots. It is a debugging aid only and is never read back.
 func (s *Store) WriteSpecNote(specHash string, note any) error {
-	if len(specHash) < 16 {
-		return fmt.Errorf("store: spec hash %q too short", specHash)
+	if err := checkSpecHash(specHash); err != nil {
+		return err
 	}
 	data, err := json.MarshalIndent(note, "", "  ")
 	if err != nil {
@@ -283,8 +287,8 @@ func (s *Store) WriteSpecNote(specHash string, note any) error {
 // List enumerates the snapshot keys stored for one spec hash, sorted by
 // (level, delta). Unparseable file names are skipped.
 func (s *Store) List(specHash string) ([]Key, error) {
-	if len(specHash) < 16 {
-		return nil, fmt.Errorf("store: spec hash %q too short", specHash)
+	if err := checkSpecHash(specHash); err != nil {
+		return nil, err
 	}
 	entries, err := os.ReadDir(s.specDir(specHash))
 	if err != nil {

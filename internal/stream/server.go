@@ -137,12 +137,7 @@ func NewServer(reg *registry.Registry, cfg Config) (*Server, error) {
 
 // SetHandler replaces the serving surface (default: the registry). The
 // cluster router installs itself here during wiring, before Serve.
-func (s *Server) SetHandler(h registry.ReportHandler) {
-	if h == nil {
-		h = s.reg
-	}
-	s.handler.Store(&h)
-}
+func (s *Server) SetHandler(h registry.ReportHandler) { s.handler.Store(&h) }
 
 // intern returns the canonical string for a region name's bytes without
 // allocating for known regions (the map lookup with a string(b) key does
