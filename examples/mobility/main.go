@@ -15,11 +15,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"strings"
 	"time"
 
 	"corgi/internal/budget"
@@ -27,6 +27,7 @@ import (
 	"corgi/internal/policy"
 	"corgi/internal/proto"
 	"corgi/internal/registry"
+	"corgi/internal/stream"
 )
 
 func main() {
@@ -102,8 +103,10 @@ func main() {
 			Seed:   7,
 		})
 		if err != nil {
-			// The budget rejection arrives as a 429 error from the client.
-			if strings.Contains(err.Error(), "429") {
+			// The budget rejection arrives as the server's status, as every
+			// transport's client returns it.
+			var se *stream.StatusError
+			if errors.As(err, &se) && se.Status == http.StatusTooManyRequests {
 				fmt.Printf("step %d (%-7s): 429 Too Many Requests — epsilon window spent; retry after the window slides\n",
 					i+1, route[i])
 				continue

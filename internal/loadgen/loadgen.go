@@ -37,7 +37,7 @@
 // throws away). The report target goes through one
 // registry.ReportHandler — the JSON client, the stream client
 // (persistent TCP, length-prefixed frames), a per-uid cluster router over
-// either, or the lease wrapper — so running one workload over two
+// either, or the lease wrapper (device.Leased) — so running one workload over two
 // transports on the same server measures the wire cost directly: same
 // sessions, same draws, different encoding and connection model. The
 // lease wrapper moves the draws onto the client: each user stream holds a
@@ -89,6 +89,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"corgi/internal/device"
 	"corgi/internal/proto"
 )
 
@@ -203,7 +204,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			// A lease must cover at least one request's draws or no cap
 			// could ever serve it.
 			echo.LeaseDraws = max(cfg.LeaseDraws, cfg.ReportCount)
-			reports = &leaseManager{remote: reports, worlds: w, draws: echo.LeaseDraws, states: map[leaseKey]*leaseState{}}
+			reports = &device.Leased{Remote: reports, Tree: w.tree, Draws: echo.LeaseDraws}
 		}
 		tgt = reportTarget(reports, cfg.Precision, cfg.ReportCount)
 	}

@@ -66,6 +66,15 @@ func (w *worlds) get(region string) (*regionWorld, error) {
 	return rw, nil
 }
 
+// tree is get for a caller that wants the tree alone (device.Leased).
+func (w *worlds) tree(region string) (*loctree.Tree, error) {
+	rw, err := w.get(region)
+	if err != nil {
+		return nil, err
+	}
+	return rw.tree, nil
+}
+
 // buildTrace materializes the replay trace (bounded; it cycles during the
 // run) and names its source for the report.
 //
