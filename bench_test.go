@@ -11,10 +11,11 @@ package corgi
 
 import (
 	"encoding/json"
-	"math/rand"
 	"testing"
 
 	"corgi/internal/eval"
+	"corgi/internal/mechanism"
+	"corgi/internal/obf"
 	"corgi/internal/proto"
 )
 
@@ -222,21 +223,6 @@ func BenchmarkWireEncodeV2(b *testing.B) {
 	b.ReportMetric(float64(n), "payload-bytes")
 }
 
-// BenchmarkObfuscate measures the full user-side pipeline (Algorithm 4)
-// against a prebuilt forest.
-func BenchmarkObfuscate(b *testing.B) {
-	region, priors, forest := benchSetup(b)
-	pol := Policy{PrivacyLevel: 1, PrecisionLevel: 0}
-	rng := rand.New(rand.NewSource(1))
-	real := SanFrancisco.Center()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Obfuscate(region, forest, real, pol, nil, priors, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMatrixPrune measures pruning 2 of 49 locations.
 func BenchmarkMatrixPrune(b *testing.B) {
 	region, priors, _ := benchSetup(b)
@@ -261,10 +247,7 @@ func BenchmarkMatrixPrune(b *testing.B) {
 
 // BenchmarkPrecisionReduce measures Equ. (17) for 49 leaves -> 7 nodes.
 func BenchmarkPrecisionReduce(b *testing.B) {
-	region, priors, forest := benchSetup(b)
-	pol := Policy{PrivacyLevel: 1, PrecisionLevel: 0}
-	_ = pol
-	_ = forest
+	region, priors, _ := benchSetup(b)
 	targets, _ := RandomLeafTargets(region.Tree, 10, 1)
 	server, err := NewServer(region, priors, targets, Params{
 		Epsilon: 15, Iterations: 1, UseGraphApprox: true,
@@ -276,15 +259,17 @@ func BenchmarkPrecisionReduce(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Reuse the user-side full pipeline with precision 1 per iteration.
-	fullForest := &Forest{PrivacyLevel: 2, Delta: 0,
-		Entries: map[NodeID]*ForestEntry{region.Tree.Root(): entry}}
-	rng := rand.New(rand.NewSource(2))
-	polP := Policy{PrivacyLevel: 2, PrecisionLevel: 1}
-	real := SanFrancisco.Center()
+	groups, _, err := mechanism.GroupByAncestor(region.Tree, entry.Leaves, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	leafPriors, err := priors.Subset(region.Tree, entry.Leaves, false)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Obfuscate(region, fullForest, real, polP, nil, priors, rng); err != nil {
+		if _, err := obf.PrecisionReduce(entry.Matrix, groups, leafPriors); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,16 +6,22 @@
 // locations from the obfuscation range and reducing reporting precision
 // along a hierarchical location tree.
 //
-// Typical flow (mirroring Fig. 1 of the paper):
+// Typical flow (mirroring Fig. 1 of the paper; examples/quickstart runs it):
 //
 //	region, _ := corgi.NewRegion(corgi.SanFrancisco.Center(), 0.1, 2)
 //	priors := corgi.UniformPriors(region.Tree)
+//	targets, _ := corgi.RandomLeafTargets(region.Tree, 10, 42)
 //	server, _ := corgi.NewServer(region, priors, targets, corgi.Params{
-//	    Epsilon: 15, Delta is per-request, Iterations: 10,
+//		Epsilon: 15, Iterations: 3, UseGraphApprox: true,
 //	})
-//	forest, _ := server.GenerateForest(privacyLevel, delta)
-//	out, _ := corgi.Obfuscate(region, forest, realLocation, policy, attrs, priors, rng)
-//	// out.Reported is what the location-based service sees.
+//	forest, _ := server.GenerateForest(1 /* privacy level */, 2 /* delta */)
+//	leaf, _ := region.Tree.Locate(real, 0)
+//	root, _ := region.Tree.AncestorAt(leaf, 1)
+//	sess, _ := corgi.NewReportSession(corgi.ReportSessionConfig{
+//		Tree: region.Tree, Entry: forest.Entries[root], Delta: forest.Delta,
+//		Policy: pol, Attrs: attrs, Priors: priors, Seed: 7,
+//	})
+//	reported, _ := sess.Draw(real) // what the location-based service sees
 //
 // The heavy lifting lives in internal packages: internal/lp (a from-scratch
 // sparse revised simplex), internal/core (the LP formulation, the
@@ -34,21 +40,17 @@ package corgi
 
 import (
 	"fmt"
-	"math/rand"
 
 	"corgi/internal/budget"
-	"corgi/internal/clientdraw"
 	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/gowalla"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
-	"corgi/internal/obf"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 	"corgi/internal/session"
 	"corgi/internal/store"
-	"corgi/internal/stream"
 )
 
 // Re-exported fundamental types. Aliases keep the public API a strict view
@@ -56,8 +58,6 @@ import (
 type (
 	// LatLng is a geographic point in degrees.
 	LatLng = geo.LatLng
-	// BoundingBox is a lat/lng rectangle.
-	BoundingBox = geo.BoundingBox
 	// Tree is the hierarchical location tree of Sec. 3.1.
 	Tree = loctree.Tree
 	// NodeID identifies a tree node (level + hex cell).
@@ -76,22 +76,10 @@ type (
 	Params = core.Params
 	// EngineOptions tunes the concurrent generation engine (workers, cache).
 	EngineOptions = core.EngineOptions
-	// EngineStats snapshots the engine's cache and solve counters.
-	EngineStats = core.EngineStats
 	// Server is the CORGI server (Algorithm 3).
 	Server = core.Server
 	// Forest is a privacy forest: one robust matrix per privacy-level node.
 	Forest = core.Forest
-	// ForestEntry is one subtree's matrix.
-	ForestEntry = core.ForestEntry
-	// Outcome reports one user-side obfuscation (Algorithm 4).
-	Outcome = core.Outcome
-	// Matrix is a row-stochastic obfuscation matrix.
-	Matrix = obf.Matrix
-	// Pair is an ordered Geo-Ind constraint pair (used for audits).
-	Pair = obf.Pair
-	// ViolationReport summarizes a Geo-Ind audit.
-	ViolationReport = obf.ViolationReport
 	// CheckIn is one Gowalla-format check-in record.
 	CheckIn = gowalla.CheckIn
 	// Metadata holds the per-user/per-cell policy heuristics of Sec. 6.1.
@@ -99,9 +87,6 @@ type (
 	// RegionSpec declares one named region of a multi-region deployment
 	// (center, tree shape, generation parameters, prior source).
 	RegionSpec = registry.Spec
-	// RegionShard is one bootstrapped region: its spec plus its serving
-	// engine (tree and priors are reachable through Shard.Server).
-	RegionShard = registry.Shard
 	// MultiServer is the multi-region sharding layer: named regions, one
 	// engine shard each, bootstrapped lazily on first use.
 	MultiServer = registry.Registry
@@ -113,83 +98,10 @@ type (
 	ReportSession = session.Session
 	// ReportSessionConfig configures NewReportSession.
 	ReportSessionConfig = session.Config
-	// ReportSessionRebind carries the new subtree binding for
-	// ReportSession.Rebind (the mobility move).
-	ReportSessionRebind = session.Rebind
 	// BudgetConfig tunes per-user epsilon-budget accounting (sliding
 	// window, per-window cap, tracked-user bound).
 	BudgetConfig = budget.Config
-	// BudgetAccountant tracks per-user epsilon spend under linear
-	// composition over a sliding window.
-	BudgetAccountant = budget.Accountant
-	// StreamServer serves the report pipeline over the corgi-stream binary
-	// transport (length-prefixed frames on persistent TCP), answering from
-	// the same MultiServer as the HTTP routes.
-	StreamServer = stream.Server
-	// StreamServerConfig tunes a StreamServer's framing (per-request
-	// timeout, frame-size cap); draw and batch limits are the MultiServer's.
-	StreamServerConfig = stream.Config
-	// StreamClient is the pooling, auto-reconnecting corgi-stream client.
-	StreamClient = stream.Client
-	// StreamClientConfig tunes a StreamClient.
-	StreamClientConfig = stream.ClientConfig
-	// StreamRequest is one report request on the stream wire; it mirrors
-	// the HTTP ReportRequest field for field.
-	StreamRequest = stream.Request
-	// StreamResponse is one report response on the stream wire.
-	StreamResponse = stream.Response
-	// StreamStatusError is an application-level stream failure carrying the
-	// same HTTP-equivalent status the JSON routes would have answered.
-	StreamStatusError = stream.StatusError
-	// LeaseRequest asks the registry for a client-side draw lease: one
-	// epsilon charge pre-pays a whole draw cap, and the grant carries the
-	// user's customized distribution rows plus a signed token.
-	LeaseRequest = registry.LeaseRequest
-	// LeaseGrant is an issued draw lease (token + bundle + the
-	// customization facts a report response would carry).
-	LeaseGrant = registry.LeaseGrant
-	// LeaseStats snapshots lease issuance/denial counters.
-	LeaseStats = registry.LeaseStats
-	// LeaseToken is the authenticated claim set inside a lease token
-	// (user, subtree, epsilon rate, draw cap, RNG position, expiry).
-	LeaseToken = budget.LeaseToken
-	// LeaseKeyring signs and verifies lease tokens with per-user
-	// HMAC-SHA256 keys derived from one master secret.
-	LeaseKeyring = budget.Keyring
-	// ClientLease replays the server's exact draw sequence on the device
-	// from a lease grant; open one with OpenClientLease.
-	ClientLease = clientdraw.Lease
 )
-
-// ErrBudgetExhausted marks a report rejected because drawing it would push
-// the user's epsilon spend over their sliding-window cap (the serving
-// stack answers 429 Too Many Requests).
-var ErrBudgetExhausted = budget.ErrBudgetExhausted
-
-// ErrBadLeaseToken marks a forged, tampered, or expired lease token (the
-// serving stack answers 403 Forbidden).
-var ErrBadLeaseToken = budget.ErrBadLeaseToken
-
-// ErrLeaseExhausted marks a client-side draw past a lease's pre-paid cap;
-// renew the lease (its token rides along) to continue the stream.
-var ErrLeaseExhausted = clientdraw.ErrLeaseExhausted
-
-// OpenClientLease opens a granted draw lease for on-device sampling: it
-// rebuilds the server's alias tables from the bundle's exact weights and
-// positions the RNG stream so every draw is byte-identical to what the
-// server would have produced for the same seed.
-func OpenClientLease(tree *Tree, g *LeaseGrant) (*ClientLease, error) {
-	if g == nil {
-		return nil, fmt.Errorf("corgi: nil lease grant")
-	}
-	return clientdraw.Open(tree, g.Bundle, g.Token)
-}
-
-// NewBudgetAccountant builds a sliding-window per-user epsilon accountant;
-// cfg.LimitEps must be positive.
-func NewBudgetAccountant(cfg BudgetConfig) (*BudgetAccountant, error) {
-	return budget.NewAccountant(cfg)
-}
 
 // SanFrancisco is the paper's evaluation region.
 var SanFrancisco = geo.SanFrancisco
@@ -245,9 +157,6 @@ func GenerateCheckIns(seed int64) ([]CheckIn, error) {
 	}
 	return ds.CheckIns, nil
 }
-
-// LoadCheckIns parses the real Gowalla check-in file format.
-func LoadCheckIns(path string) ([]CheckIn, error) { return gowalla.LoadFile(path) }
 
 // BuildMetadata derives home/office/outlier/popular heuristics from
 // check-ins for policy construction.
@@ -306,7 +215,7 @@ type MultiServerConfig struct {
 	// Budget, when Budget.LimitEps > 0, enables per-user epsilon-budget
 	// accounting on the report pipeline: each draw charges the region's
 	// epsilon against the user's sliding-window cap, and over-cap users
-	// are rejected with ErrBudgetExhausted (429 on the wire).
+	// are rejected (429 on the wire).
 	Budget BudgetConfig
 }
 
@@ -333,38 +242,9 @@ func NewMultiServer(specs []RegionSpec, cfg MultiServerConfig) (*MultiServer, er
 	})
 }
 
-// NewStreamServer builds a corgi-stream transport server over a
-// MultiServer; serve it on a net.Listener with StreamServer.Serve and
-// drain it with StreamServer.Shutdown.
-func NewStreamServer(ms *MultiServer, cfg StreamServerConfig) (*StreamServer, error) {
-	return stream.NewServer(ms, cfg)
-}
-
-// NewStreamClient builds a corgi-stream client for addr ("host:port").
-// Connections dial lazily, pool after use, and failed pooled exchanges
-// retry once on a fresh connection.
-func NewStreamClient(addr string, cfg StreamClientConfig) *StreamClient {
-	return stream.NewClient(addr, cfg)
-}
-
 // BuiltinRegion returns the builtin spec for a metro name ("sf", "nyc",
-// "la", ...); see BuiltinRegionNames for the full list.
+// "la", ...).
 func BuiltinRegion(name string) (RegionSpec, bool) { return registry.BuiltinSpec(name) }
-
-// BuiltinRegionNames lists the builtin metro names.
-func BuiltinRegionNames() []string { return registry.BuiltinNames() }
-
-// Obfuscate runs the user-side pipeline (Algorithm 4): locate the subtree,
-// evaluate preferences, prune, reduce precision, sample. Each call
-// re-derives the customized matrix; for repeated reports under one policy,
-// NewReportSession amortizes the customization and draws in O(1).
-func Obfuscate(r *Region, forest *Forest, real LatLng, pol Policy,
-	attrs map[NodeID]Attributes, priors *Priors, rng *rand.Rand) (*Outcome, error) {
-	if r == nil {
-		return nil, fmt.Errorf("corgi: nil region")
-	}
-	return core.GenerateObfuscatedLocation(r.Tree, forest, real, pol, attrs, priors, rng)
-}
 
 // NewReportSession binds a per-user report session: preferences are
 // evaluated once, |S| is verified against the forest entry's reserved
@@ -379,14 +259,10 @@ func NewReportSession(cfg ReportSessionConfig) (*ReportSession, error) {
 // paper's NR_TARGET protocol.
 func RandomLeafTargets(t *Tree, n int, seed int64) ([]LatLng, error) {
 	leaves := t.LevelNodes(0)
-	if n < 1 || n > len(leaves) {
-		return nil, fmt.Errorf("corgi: %d targets from %d leaves", n, len(leaves))
+	cells := make([]hexgrid.Coord, len(leaves))
+	for i, l := range leaves {
+		cells[i] = l.Coord
 	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(len(leaves))[:n]
-	out := make([]LatLng, n)
-	for i, idx := range perm {
-		out[i] = t.Center(leaves[idx])
-	}
-	return out, nil
+	targets, _, err := core.RandomCellTargets(t.System(), cells, n, seed)
+	return targets, err
 }

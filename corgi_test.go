@@ -2,7 +2,6 @@ package corgi
 
 import (
 	"context"
-	"math/rand"
 	"testing"
 )
 
@@ -53,27 +52,34 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	pol := Policy{PrivacyLevel: 1, PrecisionLevel: 0, Preferences: []Predicate{notHome}}
-	rng := rand.New(rand.NewSource(9))
-	out, err := Obfuscate(region, forest, real, pol, attrs, priors, rng)
+	realLeaf, _ := region.Tree.Locate(real, 0)
+	root, _ := region.Tree.AncestorAt(realLeaf, 1)
+	sess, err := NewReportSession(ReportSessionConfig{
+		Tree: region.Tree, Entry: forest.Entries[root], Delta: forest.Delta,
+		Policy: pol, Attrs: attrs, Priors: priors, Seed: 9,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !region.Tree.Contains(out.Reported) {
-		t.Fatalf("reported node %v outside region", out.Reported)
+	reported, err := sess.Draw(real)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Reported.Level != 0 {
-		t.Fatalf("reported level %d", out.Reported.Level)
+	if !region.Tree.Contains(reported) {
+		t.Fatalf("reported node %v outside region", reported)
+	}
+	if reported.Level != 0 {
+		t.Fatalf("reported level %d", reported.Level)
 	}
 	// The reported location must differ from the real one at least
 	// sometimes across repeats (it is a distribution, not the identity).
 	differs := false
-	realLeaf, _ := region.Tree.Locate(real, 0)
 	for i := 0; i < 50; i++ {
-		o, err := Obfuscate(region, forest, real, pol, attrs, priors, rng)
+		o, err := sess.Draw(real)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if o.Reported != realLeaf {
+		if o != realLeaf {
 			differs = true
 		}
 	}
@@ -95,8 +101,8 @@ func TestFacadeValidation(t *testing.T) {
 	if _, err := NewServer(nil, nil, nil, Params{}); err == nil {
 		t.Error("nil region must fail")
 	}
-	if _, err := Obfuscate(nil, nil, LatLng{}, Policy{}, nil, nil, nil); err == nil {
-		t.Error("nil region must fail")
+	if _, err := NewReportSession(ReportSessionConfig{}); err == nil {
+		t.Error("nil tree must fail")
 	}
 	region, _ := NewRegion(SanFrancisco.Center(), 0.1, 2)
 	if _, err := RandomLeafTargets(region.Tree, 0, 1); err == nil {

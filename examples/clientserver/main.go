@@ -5,13 +5,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"log"
-	"math/rand"
-	"net"
-	"net/http"
+	"net/http/httptest"
+	"os"
 
-	"corgi/internal/core"
+	"corgi/internal/device"
 	"corgi/internal/geo"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
@@ -20,6 +21,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// ---- cloud side ----
 	// A single region is a registry of one: the spec names where the tree
 	// sits and how its matrices are solved, and the handler serves it as
@@ -33,45 +40,32 @@ func main() {
 		Seed: 1,
 	}}, registry.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	handler, err := proto.NewMultiHandler(reg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() {
-		if err := http.Serve(ln, handler.Mux()); err != nil {
-			log.Printf("server stopped: %v", err)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
-	fmt.Println("cloud: CORGI server listening on", base)
+	srv := httptest.NewServer(handler.Mux())
+	defer srv.Close()
+	fmt.Fprintln(w, "cloud: CORGI server listening on", srv.URL)
 
 	// ---- device side ----
-	client := proto.NewClient(base)
-	userTree, info, err := client.FetchTree()
+	conn, err := device.Dial(srv.URL, "", "", 0, false)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("device: rebuilt tree (height %d, %d leaves, eps=%g)\n",
-		info.Height, userTree.NumLeaves(), info.Epsilon)
-	userPriors, err := client.FetchPriors(userTree)
-	if err != nil {
-		log.Fatal(err)
-	}
+	userTree := conn.Tree
+	fmt.Fprintf(w, "device: rebuilt tree (height %d, %d leaves, eps=%g)\n",
+		conn.Info.Height, userTree.NumLeaves(), conn.Info.Epsilon)
 
 	real := geo.SanFrancisco.Center()
 	// The user wants two specific cells out of the range; only |S| = 2 is
 	// sent to the cloud.
 	realLeaf, _ := userTree.Locate(real, 0)
 	root, _ := userTree.AncestorAt(realLeaf, 1)
-	subLeaves := userTree.LeavesUnder(root)
 	secret := map[loctree.NodeID]bool{}
-	for _, l := range subLeaves {
+	for _, l := range userTree.LeavesUnder(root) {
 		if l != realLeaf && len(secret) < 2 {
 			secret[l] = true
 		}
@@ -82,23 +76,30 @@ func main() {
 	}
 	pred, err := policy.ParsePredicate("sensitive != true")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pol := policy.Policy{PrivacyLevel: 1, PrecisionLevel: 0, Preferences: []policy.Predicate{pred}}
 
-	fmt.Println("device: requesting forest with privacy_l=1 delta=2 (nothing else leaves the device)")
-	forest, err := client.FetchForest(userTree, 1, 2)
-	if err != nil {
-		log.Fatal(err)
+	fmt.Fprintln(w, "device: requesting forest with privacy_l=1 delta=2 (nothing else leaves the device)")
+	f := &device.Forest{
+		Conn:    conn,
+		NoCache: true,
+		Attrs: func(loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error) {
+			return attrs, nil
+		},
 	}
-	rng := rand.New(rand.NewSource(21))
 	for i := 0; i < 3; i++ {
-		out, err := core.GenerateObfuscatedLocation(userTree, forest, real, pol, attrs, userPriors, rng)
+		ask, err := conn.Ask(real, 0, pol, 21, 1)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		c := userTree.Center(out.Reported)
-		fmt.Printf("device: report %d -> %v (%.6f, %.6f), pruned %d sensitive cells\n",
-			i+1, out.Reported, c.Lat, c.Lng, len(out.Pruned))
+		res, err := f.Report(context.Background(), ask)
+		if err != nil {
+			return err
+		}
+		c := res.Centers[0]
+		fmt.Fprintf(w, "device: report %d -> %v (%.6f, %.6f), pruned %d sensitive cells\n",
+			i+1, res.Reports[0], c.Lat, c.Lng, res.Pruned)
 	}
+	return nil
 }

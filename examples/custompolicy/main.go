@@ -12,18 +12,19 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
-	"net"
-	"net/http"
+	"net/http/httptest"
+	"os"
+	"slices"
 
 	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/gowalla"
 	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
-	"corgi/internal/loctree"
-	"corgi/internal/obf"
 	"corgi/internal/policy"
 	"corgi/internal/proto"
 	"corgi/internal/registry"
@@ -32,6 +33,12 @@ import (
 const eps = 15.0
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// ---- cloud side: a region with 0.25 km cells over ~3.5 km, large
 	// enough that real users' homes and offices fall inside the
 	// obfuscation range. The server derives its own report-path metadata
@@ -50,29 +57,21 @@ func main() {
 	}
 	reg, err := registry.New([]registry.Spec{spec}, registry.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h, err := proto.NewMultiHandler(reg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() {
-		if err := http.Serve(ln, h.Mux()); err != nil {
-			log.Printf("server stopped: %v", err)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
-	fmt.Println("cloud: CORGI server on", base)
+	srv := httptest.NewServer(h.Mux())
+	defer srv.Close()
+	fmt.Fprintln(w, "cloud: CORGI server on", srv.URL)
 
 	// ---- device side ----
-	c := proto.NewRegionClient(base, spec.Name)
+	c := proto.NewRegionClient(srv.URL, spec.Name)
 	tree, info, err := c.FetchTree()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// The user's own metadata (home/office/outlier heuristics) derives
 	// locally; it never leaves the device on the forest path. (The remote
@@ -80,11 +79,11 @@ func main() {
 	// trust trade-off that path makes.)
 	ds, err := gowalla.Generate(gowalla.GenConfig{Seed: 1})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	md, err := gowalla.BuildMetadata(ds.CheckIns, tree, 0.2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The user's policy: keep home, office, and outlier cells out of the
@@ -94,7 +93,7 @@ func main() {
 	for _, s := range preds {
 		p, err := policy.ParsePredicate(s)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		pol.Preferences = append(pol.Preferences, p)
 	}
@@ -105,46 +104,38 @@ func main() {
 
 	// Pick a user whose inferred home lies inside the obfuscation range
 	// (and is not the cell the user currently stands in).
-	inRange := map[loctree.NodeID]bool{}
-	for _, l := range leaves {
-		inRange[l] = true
-	}
 	user := -1
 	for u := 0; u < 500; u++ {
-		if h, ok := md.HomeLeaf[u]; ok && inRange[h] && h != realLeaf {
+		if h, ok := md.HomeLeaf[u]; ok && slices.Contains(leaves, h) && h != realLeaf {
 			user = u
 			break
 		}
 	}
 	if user < 0 {
-		log.Fatal("no user with a home in range; try another seed")
+		return errors.New("no user with a home in range; try another seed")
 	}
 	attrs := md.Annotate(user, real)
 	var s []int
-	idxOf := map[loctree.NodeID]int{}
 	for i, l := range leaves {
-		idxOf[l] = i
-	}
-	for _, l := range leaves {
 		ok, err := pol.Allowed(attrs[l])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if !ok {
-			s = append(s, idxOf[l])
+			s = append(s, i)
 		}
 	}
-	fmt.Printf("policy %v prunes %d of %d cells\n", preds, len(s), len(leaves))
+	fmt.Fprintf(w, "policy %v prunes %d of %d cells\n", preds, len(s), len(leaves))
 
 	// Robust (delta = |S|) vs non-robust (delta = 0) forests, fetched over
 	// the wire; only (privacy_l, |S|) reaches the server on this path.
 	robust, err := c.FetchForest(tree, 2, len(s))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	plain, err := c.FetchForest(tree, 2, 0)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Wire forests carry matrices, not constraint sets; rebuild the
@@ -157,12 +148,12 @@ func main() {
 	}
 	sys, err := hexgrid.NewSystem(geo.LatLng{Lat: info.OriginLat, Lng: info.OriginLng}, info.LeafSpacingKm)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	auditInst, err := core.NewInstance(sys, cellCoords, leafPriors,
 		[]geo.LatLng{real}, []float64{1}, graphx.WeightPaper)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	pairs := auditInst.NeighborPairs()
 
@@ -171,25 +162,11 @@ func main() {
 		name   string
 		forest *core.Forest
 	}{{"robust (CORGI)", robust}, {"non-robust", plain}} {
-		entry := f.forest.Entries[root]
-		pruned, keep, err := entry.Matrix.Prune(s)
+		rep, err := f.forest.Entries[root].Matrix.CheckGeoIndPruned(s, pairs, eps, 1e-6)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		newIdx := map[int]int{}
-		for ni, oi := range keep {
-			newIdx[oi] = ni
-		}
-		var surviving []obf.Pair
-		for _, p := range pairs {
-			ni, iok := newIdx[p.I]
-			nj, jok := newIdx[p.J]
-			if iok && jok {
-				surviving = append(surviving, obf.Pair{I: ni, J: nj, Dist: p.Dist})
-			}
-		}
-		rep := pruned.CheckGeoInd(surviving, eps, 1e-6)
-		fmt.Printf("%-16s violations after pruning: %d / %d (%.2f%%)\n",
+		fmt.Fprintf(w, "%-16s violations after pruning: %d / %d (%.2f%%)\n",
 			f.name, rep.Violated, rep.Total, rep.Percent())
 	}
 
@@ -203,11 +180,12 @@ func main() {
 		Count:  3,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for i, rep := range resp.Reports {
-		fmt.Printf("remote report %d: cell (%d,%d) center %.6f,%.6f (server pruned %d)\n",
+		fmt.Fprintf(w, "remote report %d: cell (%d,%d) center %.6f,%.6f (server pruned %d)\n",
 			i+1, rep.Q, rep.R, rep.Lat, rep.Lng, resp.Pruned)
 	}
-	fmt.Println("\nThe robust matrix absorbs the customization; the non-robust one leaks.")
+	fmt.Fprintln(w, "\nThe robust matrix absorbs the customization; the non-robust one leaks.")
+	return nil
 }

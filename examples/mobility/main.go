@@ -17,9 +17,11 @@ package main
 import (
 	"errors"
 	"fmt"
+	"io"
 	"log"
-	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"time"
 
 	"corgi/internal/budget"
@@ -31,6 +33,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	const eps = 15.0
 	spec := registry.Spec{
 		Name:      "sf",
@@ -49,28 +57,20 @@ func main() {
 		Budget: budget.Config{LimitEps: 6 * eps, Window: time.Hour},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h, err := proto.NewMultiHandler(reg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() {
-		if err := http.Serve(ln, h.Mux()); err != nil {
-			log.Printf("server stopped: %v", err)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
-	fmt.Println("cloud: budget-capped CORGI server on", base)
+	srv := httptest.NewServer(h.Mux())
+	defer srv.Close()
+	fmt.Fprintln(w, "cloud: budget-capped CORGI server on", srv.URL)
 
-	c := proto.NewRegionClient(base, "sf")
+	c := proto.NewRegionClient(srv.URL, "sf")
 	tree, _, err := c.FetchTree()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// A commute: home subtree -> two transit subtrees -> office subtree,
 	// with a report from each cell along the way (one leaf per subtree
@@ -93,7 +93,7 @@ func main() {
 	hop("office", 3)
 	hop("office", 3)
 
-	fmt.Printf("\nuser 42 commutes across %d subtrees (budget: %.0f eps = 6 reports/hour)\n\n",
+	fmt.Fprintf(w, "\nuser 42 commutes across %d subtrees (budget: %.0f eps = 6 reports/hour)\n\n",
 		4, 6*eps)
 	for i, cell := range cells {
 		resp, err := c.Report(proto.ReportRequest{
@@ -107,11 +107,11 @@ func main() {
 			// transport's client returns it.
 			var se *stream.StatusError
 			if errors.As(err, &se) && se.Status == http.StatusTooManyRequests {
-				fmt.Printf("step %d (%-7s): 429 Too Many Requests — epsilon window spent; retry after the window slides\n",
+				fmt.Fprintf(w, "step %d (%-7s): 429 Too Many Requests — epsilon window spent; retry after the window slides\n",
 					i+1, route[i])
 				continue
 			}
-			log.Fatal(err)
+			return err
 		}
 		tag := "warm      "
 		if resp.Reanchored {
@@ -120,7 +120,7 @@ func main() {
 		if i == 0 {
 			tag = "cold      "
 		}
-		fmt.Printf("step %d (%-7s): %s subtree (%3d,%3d) -> reported (%3d,%3d), %.0f of %.0f eps left\n",
+		fmt.Fprintf(w, "step %d (%-7s): %s subtree (%3d,%3d) -> reported (%3d,%3d), %.0f of %.0f eps left\n",
 			i+1, route[i], tag,
 			resp.SubtreeRoot[0], resp.SubtreeRoot[1],
 			resp.Reports[0].Q, resp.Reports[0].R,
@@ -129,9 +129,10 @@ func main() {
 
 	st := reg.AggregateSessionStats()
 	bt := reg.AggregateBudgetStats()
-	fmt.Printf("\nserver: %d session created, %d re-anchors, %d draws; budget: %d charges, %d rejections\n",
+	fmt.Fprintf(w, "\nserver: %d session created, %d re-anchors, %d draws; budget: %d charges, %d rejections\n",
 		st.Created, st.Reanchors, st.Draws, bt.Charges, bt.Rejections)
-	fmt.Println("\nThe whole trajectory rode ONE session stream: moves re-anchored the")
-	fmt.Println("subtree binding without resetting the RNG, and the epsilon accountant")
-	fmt.Println("capped the trajectory's total leakage under linear composition.")
+	fmt.Fprintln(w, "\nThe whole trajectory rode ONE session stream: moves re-anchored the")
+	fmt.Fprintln(w, "subtree binding without resetting the RNG, and the epsilon accountant")
+	fmt.Fprintln(w, "capped the trajectory's total leakage under linear composition.")
+	return nil
 }

@@ -11,10 +11,13 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
-	"net"
-	"net/http"
+	"math"
+	"net/http/httptest"
+	"os"
 
 	"corgi/internal/geo"
 	"corgi/internal/policy"
@@ -23,6 +26,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// One region per privacy budget: a multi-region server shards them.
 	budgets := []float64{15, 17, 19}
 	var specs []registry.Spec
@@ -40,38 +49,30 @@ func main() {
 	}
 	reg, err := registry.New(specs, registry.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	h, err := proto.NewMultiHandler(reg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() {
-		if err := http.Serve(ln, h.Mux()); err != nil {
-			log.Printf("server stopped: %v", err)
-		}
-	}()
-	base := "http://" + ln.Addr().String()
-	fmt.Println("cloud: multi-region CORGI server on", base)
+	srv := httptest.NewServer(h.Mux())
+	defer srv.Close()
+	fmt.Fprintln(w, "cloud: multi-region CORGI server on", srv.URL)
 
 	rider := geo.SanFrancisco.Center()
 	pol := policy.Policy{PrivacyLevel: 2, PrecisionLevel: 0}
 	const reports = 200
 
-	fmt.Println("eps(km^-1)  mean pickup estimation error (km) over", reports, "remote reports")
+	fmt.Fprintln(w, "eps(km^-1)  mean pickup estimation error (km) over", reports, "remote reports")
 	for i, eps := range budgets {
-		c := proto.NewRegionClient(base, specs[i].Name)
+		c := proto.NewRegionClient(srv.URL, specs[i].Name)
 		tree, _, err := c.FetchTree()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		leaf, ok := tree.Locate(rider, 0)
 		if !ok {
-			log.Fatal("rider outside the service region")
+			return errors.New("rider outside the service region")
 		}
 		// Drivers idle at the region's service targets: recompute the same
 		// even spread the server configured, purely for cost estimation.
@@ -89,7 +90,7 @@ func main() {
 			Count:  reports,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var total float64
 		for _, rep := range resp.Reports {
@@ -105,16 +106,11 @@ func main() {
 					bestSpot = s
 				}
 			}
-			est := geo.Haversine(reported, bestSpot)
-			truth := geo.Haversine(rider, bestSpot)
-			if est > truth {
-				total += est - truth
-			} else {
-				total += truth - est
-			}
+			total += math.Abs(geo.Haversine(reported, bestSpot) - geo.Haversine(rider, bestSpot))
 		}
-		fmt.Printf("%10.0f  %.4f\n", eps, total/reports)
+		fmt.Fprintf(w, "%10.0f  %.4f\n", eps, total/reports)
 	}
-	fmt.Println("\nHigher eps (weaker privacy) -> smaller pickup estimation error,")
-	fmt.Println("the trade-off CORGI's Fig. 11 quantifies — measured through /v1/report.")
+	fmt.Fprintln(w, "\nHigher eps (weaker privacy) -> smaller pickup estimation error,")
+	fmt.Fprintln(w, "the trade-off CORGI's Fig. 11 quantifies — measured through /v1/report.")
+	return nil
 }

@@ -2,13 +2,13 @@ package attack
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
-	"corgi/internal/obf"
 )
 
 // robustInstance generates a small robust matrix the way the serving
@@ -69,32 +69,26 @@ func TestPosteriorRatioBoundAfterPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The surviving Geo-Ind pairs, re-indexed to the pruned matrix.
-	newIdx := map[int]int{}
-	for ni, oi := range keep {
-		newIdx[oi] = ni
-	}
-	var surviving []obf.Pair
-	maxDist := 0.0
-	for _, p := range inst.NeighborPairs() {
-		ni, iok := newIdx[p.I]
-		nj, jok := newIdx[p.J]
-		if iok && jok {
-			surviving = append(surviving, obf.Pair{I: ni, J: nj, Dist: p.Dist})
-			if p.Dist > maxDist {
-				maxDist = p.Dist
-			}
-		}
-	}
-	if len(surviving) == 0 {
-		t.Fatal("pruning removed every constraint pair")
-	}
-
 	// The robust matrix must audit clean after this customization; the
 	// posterior bound below is only meaningful against a clean audit.
-	if rep := pruned.CheckGeoInd(surviving, eps, 1e-6); rep.Violated != 0 {
+	rep, err := res.Matrix.CheckGeoIndPruned(drop, inst.NeighborPairs(), eps, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Total == 0 {
+		t.Fatal("pruning removed every constraint pair")
+	}
+	if rep.Violated != 0 {
 		t.Fatalf("robust matrix violates %d/%d constraints after pruning %d <= delta=%d locations (max excess %v)",
 			rep.Violated, rep.Total, len(drop), delta, rep.MaxExcess)
+	}
+	// The longest surviving pair bounds the distances the adversary ranges
+	// over below.
+	maxDist := 0.0
+	for _, p := range inst.NeighborPairs() {
+		if !slices.Contains(drop, p.I) && !slices.Contains(drop, p.J) && p.Dist > maxDist {
+			maxDist = p.Dist
+		}
 	}
 
 	// Bayesian adversary over the pruned mechanism and the renormalized

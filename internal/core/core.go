@@ -509,26 +509,8 @@ func (inst *Instance) GenerateCtx(ctx context.Context, p Params) (*Result, error
 	return res, nil
 }
 
-// RandomTargets picks n distinct cell centers as target locations Q with
-// uniform probabilities, matching the paper's NR_TARGET protocol.
-func RandomTargets(inst *Instance, n int, seed int64) ([]geo.LatLng, []float64, error) {
-	if n < 1 || n > inst.K() {
-		return nil, nil, fmt.Errorf("core: %d targets from %d cells", n, inst.K())
-	}
-	rng := rand.New(rand.NewSource(seed))
-	perm := rng.Perm(inst.K())[:n]
-	pts := make([]geo.LatLng, n)
-	probs := make([]float64, n)
-	for i, idx := range perm {
-		pts[i] = inst.centers[idx]
-		probs[i] = 1
-	}
-	return pts, probs, nil
-}
-
-// RandomCellTargets picks n distinct centers from raw cells before an
-// instance exists (convenience for call sites that build the instance with
-// the targets).
+// RandomCellTargets picks n distinct cell centers as target locations Q
+// with uniform probabilities, the paper's NR_TARGET protocol.
 func RandomCellTargets(sys *hexgrid.System, cells []hexgrid.Coord, n int, seed int64) ([]geo.LatLng, []float64, error) {
 	if n < 1 || n > len(cells) {
 		return nil, nil, fmt.Errorf("core: %d targets from %d cells", n, len(cells))

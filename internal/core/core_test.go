@@ -213,22 +213,23 @@ func TestGraphApproxMatchesFullSmall(t *testing.T) {
 }
 
 func TestRandomTargets(t *testing.T) {
-	inst := buildInstance(t, 19, 5, 8)
-	pts, probs, err := RandomTargets(inst, 10, 3)
+	sys, _ := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
+	cells := hexgrid.Disk(hexgrid.Coord{}, 2)[:19]
+	pts, probs, err := RandomCellTargets(sys, cells, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pts) != 10 || len(probs) != 10 {
 		t.Fatalf("got %d targets", len(pts))
 	}
-	if _, _, err := RandomTargets(inst, 0, 3); err == nil {
+	if _, _, err := RandomCellTargets(sys, cells, 0, 3); err == nil {
 		t.Error("zero targets must fail")
 	}
-	if _, _, err := RandomTargets(inst, 20, 3); err == nil {
+	if _, _, err := RandomCellTargets(sys, cells, 20, 3); err == nil {
 		t.Error("more targets than cells must fail")
 	}
 	// Determinism.
-	pts2, _, _ := RandomTargets(inst, 10, 3)
+	pts2, _, _ := RandomCellTargets(sys, cells, 10, 3)
 	for i := range pts {
 		if pts[i] != pts2[i] {
 			t.Fatal("targets not deterministic")

@@ -1,14 +1,17 @@
 package core
 
 import (
-	"math/rand"
+	"fmt"
+	"math"
 	"testing"
 
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
+	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 	"corgi/internal/policy"
+	"corgi/internal/session"
 )
 
 // newFlowServer builds a height-2 tree over SF with uniform priors and a
@@ -143,7 +146,30 @@ func TestGenerateEntryCaching(t *testing.T) {
 	}
 }
 
-func TestGenerateObfuscatedLocationEndToEnd(t *testing.T) {
+// userSession is Algorithm 4's set-up as the device runs it (device.Forest):
+// locate the real leaf, take the forest entry of its privacy-level
+// ancestor, and bind a session to it.
+func userSession(tree *loctree.Tree, forest *Forest, real geo.LatLng, pol policy.Policy,
+	attrs map[loctree.NodeID]policy.Attributes, priors *loctree.Priors, seed int64) (*session.Session, error) {
+	realLeaf, ok := tree.Locate(real, 0)
+	if !ok {
+		return nil, fmt.Errorf("real location %v outside the tree region", real)
+	}
+	root, ok := tree.AncestorAt(realLeaf, pol.PrivacyLevel)
+	if !ok {
+		return nil, fmt.Errorf("no ancestor of %v at level %d", realLeaf, pol.PrivacyLevel)
+	}
+	entry, ok := forest.Entries[root]
+	if !ok {
+		return nil, fmt.Errorf("forest has no entry for subtree %v", root)
+	}
+	return session.New(session.Config{
+		Tree: tree, Entry: entry, Delta: forest.Delta,
+		Policy: pol, Attrs: attrs, Priors: priors, Seed: seed,
+	})
+}
+
+func TestUserSideEndToEnd(t *testing.T) {
 	srv, tree, priors := newFlowServer(t)
 	forest, err := srv.GenerateForest(1, 2)
 	if err != nil {
@@ -173,27 +199,30 @@ func TestGenerateObfuscatedLocationEndToEnd(t *testing.T) {
 	pred, _ := policy.ParsePredicate("home != true")
 	pol := policy.Policy{PrivacyLevel: 1, PrecisionLevel: 0, Preferences: []policy.Predicate{pred}}
 
-	rng := rand.New(rand.NewSource(5))
+	sess, err := userSession(tree, forest, real, pol, attrs, priors, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess.Root() != subRoot {
+		t.Fatalf("wrong subtree %v", sess.Root())
+	}
+	if pruned := sess.Pruned(); len(pruned) != 1 || pruned[0] != homeLeaf {
+		t.Fatalf("pruned %v, want [%v]", pruned, homeLeaf)
+	}
 	reportedHome := 0
 	for trial := 0; trial < 200; trial++ {
-		out, err := GenerateObfuscatedLocation(tree, forest, real, pol, attrs, priors, rng)
+		reported, err := sess.Draw(real)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.SubtreeRoot != subRoot {
-			t.Fatalf("wrong subtree %v", out.SubtreeRoot)
-		}
-		if len(out.Pruned) != 1 || out.Pruned[0] != homeLeaf {
-			t.Fatalf("pruned %v, want [%v]", out.Pruned, homeLeaf)
-		}
-		if out.Reported == homeLeaf {
+		if reported == homeLeaf {
 			reportedHome++
 		}
-		if out.Reported.Level != 0 {
-			t.Fatalf("reported level %d, want 0", out.Reported.Level)
+		if reported.Level != 0 {
+			t.Fatalf("reported level %d, want 0", reported.Level)
 		}
-		if !tree.Contains(out.Reported) {
-			t.Fatalf("reported foreign node %v", out.Reported)
+		if !tree.Contains(reported) {
+			t.Fatalf("reported foreign node %v", reported)
 		}
 	}
 	if reportedHome != 0 {
@@ -201,51 +230,77 @@ func TestGenerateObfuscatedLocationEndToEnd(t *testing.T) {
 	}
 }
 
-func TestGenerateObfuscatedLocationPrecisionReduction(t *testing.T) {
+func TestUserSidePrecisionReduction(t *testing.T) {
 	srv, tree, priors := newFlowServer(t)
 	forest, err := srv.GenerateForest(2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pol := policy.Policy{PrivacyLevel: 2, PrecisionLevel: 1}
-	rng := rand.New(rand.NewSource(6))
-	out, err := GenerateObfuscatedLocation(tree, forest, geo.SanFrancisco.Center(), pol, nil, priors, rng)
+	sess, err := userSession(tree, forest, geo.SanFrancisco.Center(), pol, nil, priors, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Reported.Level != 1 {
-		t.Fatalf("reported level %d, want 1", out.Reported.Level)
+	reported, err := sess.Draw(geo.SanFrancisco.Center())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out.Matrix.Dim() != 7 {
-		t.Fatalf("reduced matrix dim %d, want 7", out.Matrix.Dim())
+	if reported.Level != 1 {
+		t.Fatalf("reported level %d, want 1", reported.Level)
 	}
-	if err := out.Matrix.CheckStochastic(1e-6); err != nil {
-		t.Errorf("reduced matrix: %v", err)
+	// Every row of the reduced mechanism is a distribution over the 7
+	// level-1 nodes.
+	b, err := mechanism.Bind(mechanism.Config{
+		Tree: tree, Source: forest.Entries[tree.Root()], Policy: pol, Priors: priors,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Nodes()) != 7 {
+		t.Fatalf("reduced mechanism has %d nodes, want 7", len(b.Nodes()))
+	}
+	for i := range b.Nodes() {
+		row, err := b.Row(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0.0
+		for _, v := range row {
+			if v < 0 {
+				t.Fatalf("row %d has a negative weight %v", i, v)
+			}
+			sum += v
+		}
+		if math.Abs(sum-1) > 1e-6 {
+			t.Errorf("row %d sums to %v", i, sum)
+		}
 	}
 }
 
-func TestGenerateObfuscatedLocationErrors(t *testing.T) {
+func TestUserSideErrors(t *testing.T) {
 	srv, tree, priors := newFlowServer(t)
 	forest, err := srv.GenerateForest(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(7))
 	real := geo.SanFrancisco.Center()
 
 	// Bad policy.
-	if _, err := GenerateObfuscatedLocation(tree, forest, real,
-		policy.Policy{PrivacyLevel: 0, PrecisionLevel: 0}, nil, priors, rng); err == nil {
+	if _, err := userSession(tree, forest, real,
+		policy.Policy{PrivacyLevel: 0, PrecisionLevel: 0}, nil, priors, 7); err == nil {
 		t.Error("invalid policy must fail")
 	}
 	// Forest level mismatch.
-	if _, err := GenerateObfuscatedLocation(tree, forest, real,
-		policy.Policy{PrivacyLevel: 2, PrecisionLevel: 0}, nil, priors, rng); err == nil {
+	if _, err := userSession(tree, forest, real,
+		policy.Policy{PrivacyLevel: 2, PrecisionLevel: 0}, nil, priors, 7); err == nil {
 		t.Error("forest level mismatch must fail")
 	}
 	// Real location outside the region.
-	if _, err := GenerateObfuscatedLocation(tree, forest, geo.LatLng{Lat: 0, Lng: 0},
-		policy.Policy{PrivacyLevel: 1, PrecisionLevel: 0}, nil, priors, rng); err == nil {
+	sess, err := userSession(tree, forest, real, policy.Policy{PrivacyLevel: 1}, nil, priors, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Draw(geo.LatLng{Lat: 0, Lng: 0}); err == nil {
 		t.Error("outside location must fail")
 	}
 	// Preferences pruning more than delta.
@@ -255,13 +310,13 @@ func TestGenerateObfuscatedLocationErrors(t *testing.T) {
 	}
 	pred, _ := policy.ParsePredicate("popular = true")
 	pol := policy.Policy{PrivacyLevel: 1, PrecisionLevel: 0, Preferences: []policy.Predicate{pred}}
-	if _, err := GenerateObfuscatedLocation(tree, forest, real, pol, attrs, priors, rng); err == nil {
+	if _, err := userSession(tree, forest, real, pol, attrs, priors, 7); err == nil {
 		t.Error("pruning beyond delta must fail (Sec. 5.3)")
 	}
 	// Missing attributes.
 	polMissing := policy.Policy{PrivacyLevel: 1, PrecisionLevel: 0,
 		Preferences: []policy.Predicate{{Var: "nope", Op: policy.OpEq, Val: policy.Bool(true)}}}
-	if _, err := GenerateObfuscatedLocation(tree, forest, real, polMissing, attrs, priors, rng); err == nil {
+	if _, err := userSession(tree, forest, real, polMissing, attrs, priors, 7); err == nil {
 		t.Error("missing attribute must fail")
 	}
 }
@@ -280,8 +335,11 @@ func TestPrunedRealLocationAtPrecisionZero(t *testing.T) {
 	}
 	pred, _ := policy.ParsePredicate("home != true")
 	pol := policy.Policy{PrivacyLevel: 1, PrecisionLevel: 0, Preferences: []policy.Predicate{pred}}
-	rng := rand.New(rand.NewSource(8))
-	if _, err := GenerateObfuscatedLocation(tree, forest, real, pol, attrs, priors, rng); err == nil {
+	sess, err := userSession(tree, forest, real, pol, attrs, priors, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.Draw(real); err == nil {
 		t.Error("pruning the real leaf at precision 0 must fail loudly")
 	}
 }
@@ -302,24 +360,11 @@ func TestOutcomeMatrixGeoIndAfterPruneWithinDelta(t *testing.T) {
 	// Prune 2 locations (= delta) from both and compare violation counts.
 	prune := []int{1, 4}
 	checkAfter := func(m *obf.Matrix) obf.ViolationReport {
-		pm, keep, err := m.Prune(prune)
+		rep, err := m.CheckGeoIndPruned(prune, robust.Pairs, 15, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Remap surviving pairs.
-		newIdx := map[int]int{}
-		for ni, oi := range keep {
-			newIdx[oi] = ni
-		}
-		var pairs []obf.Pair
-		for _, p := range robust.Pairs {
-			ni, iok := newIdx[p.I]
-			nj, jok := newIdx[p.J]
-			if iok && jok {
-				pairs = append(pairs, obf.Pair{I: ni, J: nj, Dist: p.Dist})
-			}
-		}
-		return pm.CheckGeoInd(pairs, 15, 1e-6)
+		return rep
 	}
 	robustRep := checkAfter(robust.Matrix)
 	plainRep := checkAfter(plain.Matrix)

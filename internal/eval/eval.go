@@ -265,23 +265,11 @@ func sample(rng *rand.Rand, k, n int) []int { return rng.Perm(k)[:n] }
 // pruneTrial prunes the locations in s from a matrix and reports the
 // violation rate over the surviving constraint pairs.
 func pruneTrial(m *obf.Matrix, pairs []obf.Pair, eps float64, s []int) (float64, bool) {
-	pm, keep, err := m.Prune(s)
+	rep, err := m.CheckGeoIndPruned(s, pairs, eps, 1e-6)
 	if err != nil {
 		return 0, false // a row lost all mass: skip trial
 	}
-	newIdx := make(map[int]int, len(keep))
-	for ni, oi := range keep {
-		newIdx[oi] = ni
-	}
-	var surviving []obf.Pair
-	for _, p := range pairs {
-		ni, iok := newIdx[p.I]
-		nj, jok := newIdx[p.J]
-		if iok && jok {
-			surviving = append(surviving, obf.Pair{I: ni, J: nj, Dist: p.Dist})
-		}
-	}
-	return pm.CheckGeoInd(surviving, eps, 1e-6).Percent(), true
+	return rep.Percent(), true
 }
 
 func f(v float64) string  { return fmt.Sprintf("%.4f", v) }

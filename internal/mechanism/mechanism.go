@@ -6,13 +6,9 @@
 // row their true cell draws from plus its metadata (ε, support size,
 // precision grouping).
 //
-// Before this package existed that ask was answered three separate times:
-// internal/session pruned/renormalized/precision-grouped rows for the
-// server's resident report sessions, internal/clientdraw re-implemented
-// the leaf→row resolution and alias build for lease replay, and
-// core.GenerateObfuscatedLocation materialized whole pruned and
-// precision-reduced matrices for the user-side reference path. All three
-// now bottom out here:
+// Every path answers that ask here: the server's resident report
+// sessions, the device's Algorithm 4 (a session.Session over a fetched
+// forest), and lease replay all bottom out in this package:
 //
 //   - Binding (binding.go) is the live form: one (Source, policy, prune
 //     set) evaluation serving rows lazily — exactly the float operation

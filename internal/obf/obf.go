@@ -204,6 +204,30 @@ func (m *Matrix) Prune(s []int) (*Matrix, []int, error) {
 	return out, keep, nil
 }
 
+// CheckGeoIndPruned is the paper's violation metric after customization
+// (Fig. 12): it prunes s from the matrix (Prune) and audits the result
+// (CheckGeoInd) over the pairs whose endpoints both survive, renumbered to
+// the pruned matrix. Prune's errors pass through.
+func (m *Matrix) CheckGeoIndPruned(s []int, pairs []Pair, eps, tol float64) (ViolationReport, error) {
+	pm, keep, err := m.Prune(s)
+	if err != nil {
+		return ViolationReport{}, err
+	}
+	newIdx := make(map[int]int, len(keep))
+	for ni, oi := range keep {
+		newIdx[oi] = ni
+	}
+	var surviving []Pair
+	for _, p := range pairs {
+		ni, iok := newIdx[p.I]
+		nj, jok := newIdx[p.J]
+		if iok && jok {
+			surviving = append(surviving, Pair{I: ni, J: nj, Dist: p.Dist})
+		}
+	}
+	return pm.CheckGeoInd(surviving, eps, tol), nil
+}
+
 // PrecisionReduce implements Algorithm 2 / Equ. (17): given the leaf-level
 // matrix Z0, the partition of leaf indices into coarse nodes (groups), and
 // the leaf priors, it returns the coarse-level matrix

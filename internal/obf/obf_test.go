@@ -219,6 +219,28 @@ func TestPruneKeepMapping(t *testing.T) {
 	}
 }
 
+func TestCheckGeoIndPrunedAuditsSurvivingPairs(t *testing.T) {
+	m := randomStochastic(5, rand.New(rand.NewSource(4)))
+	s := []int{1, 3}
+	// Pairs touching a pruned index drop out; the rest are renumbered.
+	pairs := []Pair{{I: 0, J: 1, Dist: 1}, {I: 0, J: 2, Dist: 2}, {I: 4, J: 2, Dist: 2}, {I: 3, J: 4, Dist: 1}}
+	got, err := m.CheckGeoIndPruned(s, pairs, 0.1, 1e-9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruned, _, err := m.Prune(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pruned.CheckGeoInd([]Pair{{I: 0, J: 1, Dist: 2}, {I: 2, J: 1, Dist: 2}}, 0.1, 1e-9)
+	if got != want {
+		t.Errorf("CheckGeoIndPruned = %+v, want %+v", got, want)
+	}
+	if _, err := m.CheckGeoIndPruned([]int{5}, pairs, 0.1, 1e-9); err == nil {
+		t.Error("a bad prune set must fail")
+	}
+}
+
 func TestPruneRejectsMassLoss(t *testing.T) {
 	// Row 0 puts all its mass on column 1; pruning column 1 must fail.
 	m, _ := FromRows([][]float64{

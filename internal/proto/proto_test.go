@@ -2,7 +2,6 @@ package proto
 
 import (
 	"context"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +11,7 @@ import (
 	"corgi/internal/geo"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
+	"corgi/internal/session"
 )
 
 // newTestServer serves one SF region — a registry of one, addressed as the
@@ -66,15 +66,23 @@ func TestFullClientServerRoundTrip(t *testing.T) {
 	if len(forest.Entries) != 7 {
 		t.Fatalf("forest has %d entries", len(forest.Entries))
 	}
-	// Full user-side pipeline over the wire-rebuilt forest.
-	pol := policy.Policy{PrivacyLevel: 1, PrecisionLevel: 0}
-	out, err := core.GenerateObfuscatedLocation(tree, forest, geo.SanFrancisco.Center(),
-		pol, nil, priors, rand.New(rand.NewSource(1)))
+	// Algorithm 4 over the wire-rebuilt forest.
+	real := geo.SanFrancisco.Center()
+	leaf, _ := tree.Locate(real, 0)
+	root, _ := tree.AncestorAt(leaf, 1)
+	sess, err := session.New(session.Config{
+		Tree: tree, Entry: forest.Entries[root], Delta: forest.Delta,
+		Policy: policy.Policy{PrivacyLevel: 1}, Priors: priors, Seed: 1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tree.Contains(out.Reported) {
-		t.Fatalf("reported %v not in tree", out.Reported)
+	reported, err := sess.Draw(real)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tree.Contains(reported) {
+		t.Fatalf("reported %v not in tree", reported)
 	}
 }
 
