@@ -1,111 +1,27 @@
-// Benchmarks regenerating the paper's evaluation, one per figure (the
-// experiments themselves are documented in internal/eval). Each
-// benchmark runs the corresponding experiment at quick scale per
-// iteration; run with
+// Micro-benchmarks of the pipeline stages corgi-bench does not measure
+// (forest generation by worker count, v1 encoding, dense pruning,
+// precision reduction); run with
 //
 //	go test -bench=. -benchmem
-//
-// plus micro-benchmarks of the pipeline stages (matrix generation, pruning,
-// precision reduction, sampling).
 package corgi
 
 import (
+	"context"
 	"encoding/json"
 	"testing"
 
-	"corgi/internal/eval"
 	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 	"corgi/internal/proto"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	run, ok := eval.Lookup(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	cfg := &eval.Config{Quick: true, Seed: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig9Convergence regenerates Fig. 9 (Algorithm-1 convergence).
-func BenchmarkFig9Convergence(b *testing.B) { benchExperiment(b, "fig9") }
-
-// BenchmarkFig10aGraphApproxTime regenerates Fig. 10(a) (runtime with vs
-// without the graph approximation).
-func BenchmarkFig10aGraphApproxTime(b *testing.B) { benchExperiment(b, "fig10a") }
-
-// BenchmarkFig10bConstraintCount regenerates Fig. 10(b) (constraint counts).
-func BenchmarkFig10bConstraintCount(b *testing.B) { benchExperiment(b, "fig10b") }
-
-// BenchmarkFig11PrivacyParams regenerates Fig. 11 (quality loss vs epsilon
-// and delta).
-func BenchmarkFig11PrivacyParams(b *testing.B) { benchExperiment(b, "fig11") }
-
-// BenchmarkFig12PruneViolations regenerates Fig. 12 (violations vs pruned
-// locations).
-func BenchmarkFig12PruneViolations(b *testing.B) { benchExperiment(b, "fig12") }
-
-// BenchmarkFig13PrivacyLevel regenerates Fig. 13 (quality loss vs privacy
-// level).
-func BenchmarkFig13PrivacyLevel(b *testing.B) { benchExperiment(b, "fig13") }
-
-// BenchmarkFig14PrecisionReduction regenerates Fig. 14 (precision reduction
-// vs matrix recalculation).
-func BenchmarkFig14PrecisionReduction(b *testing.B) { benchExperiment(b, "fig14") }
-
-// BenchmarkHeadline regenerates the abstract's headline violation numbers.
-func BenchmarkHeadline(b *testing.B) { benchExperiment(b, "headline") }
-
-// --- micro-benchmarks of the pipeline stages ---
-
-func benchSetup(b *testing.B) (*Region, *Priors, *Forest) {
+func benchSetup(b *testing.B) (*Region, *Priors) {
 	b.Helper()
 	region, err := NewRegion(SanFrancisco.Center(), 0.1, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	priors := UniformPriors(region.Tree)
-	targets, err := RandomLeafTargets(region.Tree, 10, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	server, err := NewServer(region, priors, targets, Params{
-		Epsilon: 15, Iterations: 2, UseGraphApprox: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	forest, err := server.GenerateForest(1, 2)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return region, priors, forest
-}
-
-// BenchmarkGenerateMatrixK7 measures one non-robust matrix generation for a
-// 7-cell subtree (the privacy-level-1 unit of work).
-func BenchmarkGenerateMatrixK7(b *testing.B) {
-	region, priors, _ := benchSetup(b)
-	targets, _ := RandomLeafTargets(region.Tree, 10, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		server, err := NewServer(region, priors, targets, Params{
-			Epsilon: 15, Iterations: 1, UseGraphApprox: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := server.GenerateEntry(region.Tree.LevelNodes(1)[0], 0); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return region, UniformPriors(region.Tree)
 }
 
 // benchGenerateForest measures a full privacy-level-1 forest generation
@@ -143,32 +59,10 @@ func BenchmarkGenerateForestWorkers1(b *testing.B) { benchGenerateForest(b, 1) }
 func BenchmarkGenerateForestWorkers2(b *testing.B) { benchGenerateForest(b, 2) }
 func BenchmarkGenerateForestWorkers4(b *testing.B) { benchGenerateForest(b, 4) }
 
-// BenchmarkGenerateForestCached measures the warm path: the whole forest is
-// served from the engine's cache.
-func BenchmarkGenerateForestCached(b *testing.B) {
-	region, priors, _ := benchSetup(b)
-	targets, _ := RandomLeafTargets(region.Tree, 10, 1)
-	server, err := NewServer(region, priors, targets, Params{
-		Epsilon: 15, Iterations: 2, UseGraphApprox: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := server.GenerateForest(1, 2); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := server.GenerateForest(1, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchWireSetup builds the 49x49 root forest for encoding benchmarks.
 func benchWireSetup(b *testing.B) (*Region, *Forest) {
 	b.Helper()
-	region, priors, _ := benchSetup(b)
+	region, priors := benchSetup(b)
 	targets, _ := RandomLeafTargets(region.Tree, 10, 1)
 	server, err := NewServer(region, priors, targets, Params{
 		Epsilon: 15, Iterations: 1, UseGraphApprox: true,
@@ -203,29 +97,9 @@ func BenchmarkWireEncodeV1(b *testing.B) {
 	b.ReportMetric(float64(n), "payload-bytes")
 }
 
-// BenchmarkWireEncodeV2 measures the compact quantized row-sparse encoding
-// and reports the payload size for comparison with v1.
-func BenchmarkWireEncodeV2(b *testing.B) {
-	region, forest := benchWireSetup(b)
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		resp, err := proto.EncodeForestV2(region.Tree, forest)
-		if err != nil {
-			b.Fatal(err)
-		}
-		buf, err := json.Marshal(resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		n = len(buf)
-	}
-	b.ReportMetric(float64(n), "payload-bytes")
-}
-
 // BenchmarkMatrixPrune measures pruning 2 of 49 locations.
 func BenchmarkMatrixPrune(b *testing.B) {
-	region, priors, _ := benchSetup(b)
+	region, priors := benchSetup(b)
 	targets, _ := RandomLeafTargets(region.Tree, 10, 1)
 	server, err := NewServer(region, priors, targets, Params{
 		Epsilon: 15, Iterations: 1, UseGraphApprox: true,
@@ -233,7 +107,7 @@ func BenchmarkMatrixPrune(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	entry, err := server.GenerateEntry(region.Tree.Root(), 2)
+	entry, err := server.GenerateEntryCtx(context.Background(), region.Tree.Root(), 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -247,7 +121,7 @@ func BenchmarkMatrixPrune(b *testing.B) {
 
 // BenchmarkPrecisionReduce measures Equ. (17) for 49 leaves -> 7 nodes.
 func BenchmarkPrecisionReduce(b *testing.B) {
-	region, priors, _ := benchSetup(b)
+	region, priors := benchSetup(b)
 	targets, _ := RandomLeafTargets(region.Tree, 10, 1)
 	server, err := NewServer(region, priors, targets, Params{
 		Epsilon: 15, Iterations: 1, UseGraphApprox: true,
@@ -255,7 +129,7 @@ func BenchmarkPrecisionReduce(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	entry, err := server.GenerateEntry(region.Tree.Root(), 0)
+	entry, err := server.GenerateEntryCtx(context.Background(), region.Tree.Root(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

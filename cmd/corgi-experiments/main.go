@@ -23,24 +23,37 @@ import (
 	"corgi/internal/eval"
 )
 
+// options is corgi-experiments' flags, one field each.
+type options struct {
+	runID, out string
+	list, full bool
+	seed       int64
+}
+
+// bind declares corgi-experiments' flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	fs.StringVar(&o.runID, "run", "", "experiment id (or 'all')")
+	fs.BoolVar(&o.list, "list", false, "list experiments")
+	fs.BoolVar(&o.full, "full", false, "paper-scale sweeps (slower)")
+	fs.Int64Var(&o.seed, "seed", 1, "master seed")
+	fs.StringVar(&o.out, "out", "", "write the JSON artifact of the runner that produces one (frontier) here")
+}
+
 func main() {
-	runID := flag.String("run", "", "experiment id (or 'all')")
-	list := flag.Bool("list", false, "list experiments")
-	full := flag.Bool("full", false, "paper-scale sweeps (slower)")
-	seed := flag.Int64("seed", 1, "master seed")
-	out := flag.String("out", "", "write the JSON artifact of the runner that produces one (frontier) here")
+	var o options
+	o.bind(flag.CommandLine)
 	flag.Parse()
 
-	if *list || *runID == "" {
+	if o.list || o.runID == "" {
 		fmt.Println("experiments:")
 		for _, id := range eval.IDs() {
 			fmt.Printf("  %-20s %s\n", id, eval.Describe(id))
 		}
 		return
 	}
-	cfg := &eval.Config{Quick: !*full, Seed: *seed}
-	ids := []string{*runID}
-	if *runID == "all" {
+	cfg := &eval.Config{Quick: !o.full, Seed: o.seed}
+	ids := []string{o.runID}
+	if o.runID == "all" {
 		ids = eval.IDs()
 	}
 	var artifact any
@@ -63,18 +76,18 @@ func main() {
 		}
 		fmt.Printf("--- %s done in %v\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
-	if *out == "" {
+	if o.out == "" {
 		return
 	}
 	if artifact == nil {
-		log.Fatalf("-out: %s produces no artifact (frontier does)", *runID)
+		log.Fatalf("-out: %s produces no artifact (frontier does)", o.runID)
 	}
 	data, err := json.MarshalIndent(artifact, "", "  ")
 	if err != nil {
 		log.Fatalf("-out: %v", err)
 	}
-	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(o.out, append(data, '\n'), 0o644); err != nil {
 		log.Fatalf("-out: %v", err)
 	}
-	fmt.Printf("wrote %s\n", *out)
+	fmt.Printf("wrote %s\n", o.out)
 }

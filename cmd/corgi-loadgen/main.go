@@ -55,35 +55,47 @@ import (
 	"corgi/internal/loadgen"
 )
 
-func main() {
-	var cfg loadgen.Config
-	flag.StringVar(&cfg.Server, "server", "http://127.0.0.1:8080", "corgi-server base URL")
-	flag.DurationVar(&cfg.Duration, "duration", 10*time.Second, "how long to drive load")
-	flag.StringVar(&cfg.Workload, "workload", "forest", "request type: forest (matrix distribution), report (server-side draws), or mobility (moving-user report streams)")
-	flag.IntVar(&cfg.Concurrency, "concurrency", 8, "worker count (max in-flight requests)")
-	flag.Float64Var(&cfg.Rate, "rate", 0, "open-loop arrival rate in req/s (0: closed loop)")
-	flag.StringVar(&cfg.Regions, "regions", "", "comma-separated regions to hit (empty: ask /v1/regions)")
-	flag.StringVar(&cfg.Levels, "levels", "1", "comma-separated privacy levels to mix")
-	flag.StringVar(&cfg.Deltas, "deltas", "0,1", "comma-separated prune allowances to mix (forest workload)")
-	flag.StringVar(&cfg.Mix, "mix", "uniform", "region weighting: uniform or zipf")
-	flag.StringVar(&cfg.CellMix, "cell-mix", "uniform", "report workload true-cell weighting: uniform or zipf")
-	flag.IntVar(&cfg.Users, "users", 1000, "report/mobility workload distinct user-id pool")
-	flag.IntVar(&cfg.Moves, "moves", 64, "mobility workload random-waypoint steps per synthetic user")
-	flag.IntVar(&cfg.ReportCount, "report-count", 1, "draws per report request")
-	flag.IntVar(&cfg.Precision, "precision", 0, "report workload precision level")
-	flag.IntVar(&cfg.Batch, "batch", 0, "pack N trace entries per batched round trip (0: single requests)")
-	flag.StringVar(&cfg.TracePath, "trace", "", "trace file: 'region level delta' (forest) or 'region level q r' (report) lines")
-	flag.StringVar(&cfg.CheckinsPath, "checkins", "", "Gowalla check-in file; per-region weights follow its geography")
-	flag.StringVar(&cfg.Transport, "transport", "http", "report/mobility transport: http (JSON round trips), stream (corgi-stream binary frames), or lease (client-side draws against POST /v1/lease)")
-	flag.StringVar(&cfg.StreamAddr, "stream-addr", "", "corgi-stream address, host:port (required with -transport stream)")
-	flag.IntVar(&cfg.LeaseDraws, "lease-draws", 256, "draw cap pre-paid per lease (-transport lease)")
-	flag.StringVar(&cfg.Cluster, "cluster", "",
+// options is corgi-loadgen's flags, one field each.
+type options struct {
+	cfg loadgen.Config
+	out string
+}
+
+// bind declares corgi-loadgen's flags on fs.
+func (o *options) bind(fs *flag.FlagSet) {
+	cfg := &o.cfg
+	fs.StringVar(&cfg.Server, "server", "http://127.0.0.1:8080", "corgi-server base URL")
+	fs.DurationVar(&cfg.Duration, "duration", 10*time.Second, "how long to drive load")
+	fs.StringVar(&cfg.Workload, "workload", "forest", "request type: forest (matrix distribution), report (server-side draws), or mobility (moving-user report streams)")
+	fs.IntVar(&cfg.Concurrency, "concurrency", 8, "worker count (max in-flight requests)")
+	fs.Float64Var(&cfg.Rate, "rate", 0, "open-loop arrival rate in req/s (0: closed loop)")
+	fs.StringVar(&cfg.Regions, "regions", "", "comma-separated regions to hit (empty: ask /v1/regions)")
+	fs.StringVar(&cfg.Levels, "levels", "1", "comma-separated privacy levels to mix")
+	fs.StringVar(&cfg.Deltas, "deltas", "0,1", "comma-separated prune allowances to mix (forest workload)")
+	fs.StringVar(&cfg.Mix, "mix", "uniform", "region weighting: uniform or zipf")
+	fs.StringVar(&cfg.CellMix, "cell-mix", "uniform", "report workload true-cell weighting: uniform or zipf")
+	fs.IntVar(&cfg.Users, "users", 1000, "report/mobility workload distinct user-id pool")
+	fs.IntVar(&cfg.Moves, "moves", 64, "mobility workload random-waypoint steps per synthetic user")
+	fs.IntVar(&cfg.ReportCount, "report-count", 1, "draws per report request")
+	fs.IntVar(&cfg.Precision, "precision", 0, "report workload precision level")
+	fs.IntVar(&cfg.Batch, "batch", 0, "pack N trace entries per batched round trip (0: single requests)")
+	fs.StringVar(&cfg.TracePath, "trace", "", "trace file: 'region level delta' (forest) or 'region level q r' (report) lines")
+	fs.StringVar(&cfg.CheckinsPath, "checkins", "", "Gowalla check-in file; per-region weights follow its geography")
+	fs.StringVar(&cfg.Transport, "transport", "http", "report/mobility transport: http (JSON round trips), stream (corgi-stream binary frames), or lease (client-side draws against POST /v1/lease)")
+	fs.StringVar(&cfg.StreamAddr, "stream-addr", "", "corgi-stream address, host:port (required with -transport stream)")
+	fs.IntVar(&cfg.LeaseDraws, "lease-draws", 256, "draw cap pre-paid per lease (-transport lease)")
+	fs.StringVar(&cfg.Cluster, "cluster", "",
 		"cluster member list, comma-separated streamAddr[=httpURL] entries matching the servers' -cluster-peers: each request routes to its uid's owner node over the same consistent-hash ring (report/mobility workloads, no -batch)")
-	flag.Int64Var(&cfg.Seed, "seed", 1, "mix/shuffle seed")
-	out := flag.String("out", "", "write the JSON report here (empty: stdout)")
+	fs.Int64Var(&cfg.Seed, "seed", 1, "mix/shuffle seed")
+	fs.StringVar(&o.out, "out", "", "write the JSON report here (empty: stdout)")
+}
+
+func main() {
+	var o options
+	o.bind(flag.CommandLine)
 	flag.Parse()
 
-	report, err := loadgen.Run(context.Background(), cfg)
+	report, err := loadgen.Run(context.Background(), o.cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,15 +104,15 @@ func main() {
 		log.Fatalf("report: %v", err)
 	}
 	enc = append(enc, '\n')
-	if *out == "" {
+	if o.out == "" {
 		os.Stdout.Write(enc)
 	} else {
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			log.Fatalf("writing %s: %v", *out, err)
+		if err := os.WriteFile(o.out, enc, 0o644); err != nil {
+			log.Fatalf("writing %s: %v", o.out, err)
 		}
-		log.Printf("report written to %s", *out)
+		log.Printf("report written to %s", o.out)
 	}
 	if report.Requests == 0 {
-		log.Fatalf("no requests completed inside %v", cfg.Duration)
+		log.Fatalf("no requests completed inside %v", o.cfg.Duration)
 	}
 }

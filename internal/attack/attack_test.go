@@ -18,7 +18,7 @@ func uniformPrior(n int) []float64 {
 }
 
 func TestNewValidation(t *testing.T) {
-	z := obf.Uniform(3)
+	z := uniform(3)
 	if _, err := New([]float64{1, 1}, z); err == nil {
 		t.Error("length mismatch must fail")
 	}
@@ -32,7 +32,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestPosteriorIdentityMechanism(t *testing.T) {
 	// Identity matrix: observing l reveals the location exactly.
-	a, err := New(uniformPrior(4), obf.Identity(4))
+	a, err := New(uniformPrior(4), identity(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestPosteriorIdentityMechanism(t *testing.T) {
 func TestPosteriorUniformMechanism(t *testing.T) {
 	// Uniform matrix: observation is useless; posterior equals prior.
 	prior := []float64{0.5, 0.25, 0.25}
-	a, err := New(prior, obf.Uniform(3))
+	a, err := New(prior, uniform(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestPosteriorUniformMechanism(t *testing.T) {
 }
 
 func TestPosteriorOutOfRange(t *testing.T) {
-	a, _ := New(uniformPrior(3), obf.Uniform(3))
+	a, _ := New(uniformPrior(3), uniform(3))
 	if a.Posterior(-1) != nil || a.Posterior(3) != nil {
 		t.Error("out-of-range observation must return nil")
 	}
@@ -85,8 +85,8 @@ func TestPosteriorOutOfRange(t *testing.T) {
 func TestExpectedInferenceErrorOrdering(t *testing.T) {
 	// More obfuscation must not decrease adversary error.
 	n := 5
-	id, _ := New(uniformPrior(n), obf.Identity(n))
-	un, _ := New(uniformPrior(n), obf.Uniform(n))
+	id, _ := New(uniformPrior(n), identity(n))
+	un, _ := New(uniformPrior(n), uniform(n))
 	if id.ExpectedInferenceError(lineDist) > un.ExpectedInferenceError(lineDist) {
 		t.Error("identity must leak more than uniform")
 	}
@@ -142,10 +142,30 @@ func TestPosteriorRatioBoundGeoInd(t *testing.T) {
 
 func TestPriorWeightingMatters(t *testing.T) {
 	// Skewed prior shifts the posterior even under a symmetric mechanism.
-	z := obf.Uniform(2)
+	z := uniform(2)
 	a, _ := New([]float64{0.9, 0.1}, z)
 	post := a.Posterior(0)
 	if post[0] <= post[1] {
 		t.Error("posterior must follow the skewed prior")
 	}
+}
+
+// uniform and identity are the two extreme mechanisms: every location
+// reported alike, and the true location reported as it is.
+func uniform(n int) *obf.Matrix {
+	m := obf.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			m.Set(i, j, 1/float64(n))
+		}
+	}
+	return m
+}
+
+func identity(n int) *obf.Matrix {
+	m := obf.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
 }

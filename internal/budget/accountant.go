@@ -227,12 +227,6 @@ func NewAccountant(cfg Config) (*Accountant, error) {
 	}, nil
 }
 
-// Window returns the configured sliding horizon.
-func (a *Accountant) Window() time.Duration { return a.cfg.Window }
-
-// LimitEps returns the per-user cap.
-func (a *Accountant) LimitEps() float64 { return a.cfg.LimitEps }
-
 // Charge records eps of spend for uid if the user's live window total plus
 // eps stays within the cap, returning the window headroom left after the
 // charge; it returns ErrBudgetExhausted (charging nothing) otherwise. The
@@ -295,15 +289,6 @@ func (a *Accountant) Spent(uid int64) float64 {
 		return 0
 	}
 	return el.Value.(*userWindow).expire(now, a.cfg.Window)
-}
-
-// Remaining returns how much of uid's cap is left in the current window.
-func (a *Accountant) Remaining(uid int64) float64 {
-	rem := a.cfg.LimitEps - a.Spent(uid)
-	if rem < 0 {
-		return 0
-	}
-	return rem
 }
 
 // touchLocked returns uid's window, admitting (and LRU-evicting) as needed.

@@ -10,6 +10,8 @@ import (
 	"corgi/internal/raceon"
 )
 
+// Indices -1, -1 mask nothing: the pair forms then compute the literal
+// Equ. (12)/(14), a maximum over every prune set.
 func TestTopDeltaSum(t *testing.T) {
 	row := []float64{0.1, 0.4, 0.05, 0.3, 0.15}
 	tests := []struct {
@@ -24,18 +26,18 @@ func TestTopDeltaSum(t *testing.T) {
 		{9, 1.0}, // delta beyond length
 	}
 	for _, tc := range tests {
-		if got := TopDeltaSum(row, tc.delta); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("TopDeltaSum(delta=%d) = %v, want %v", tc.delta, got, tc.want)
+		if got := topDeltaSumExcluding(row, tc.delta, -1, -1); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("top-%d sum = %v, want %v", tc.delta, got, tc.want)
 		}
 	}
-	if got := TopDeltaSum(nil, 3); got != 0 {
+	if got := topDeltaSumExcluding(nil, 3, -1, -1); got != 0 {
 		t.Errorf("empty row = %v", got)
 	}
 	// Negative entries are never selected.
-	if got := TopDeltaSum([]float64{-1, 0.5, -2}, 2); got != 0.5 {
+	if got := topDeltaSumExcluding([]float64{-1, 0.5, -2}, 2, -1, -1); got != 0.5 {
 		t.Errorf("negative entries selected: %v", got)
 	}
-	if got := TopDeltaSum([]float64{-1, -2}, 5); got != 0 {
+	if got := topDeltaSumExcluding([]float64{-1, -2}, 5, -1, -1); got != 0 {
 		t.Errorf("all-negative full sum = %v", got)
 	}
 }
@@ -48,7 +50,7 @@ func TestTopDeltaSumMonotone(t *testing.T) {
 			row[i] = r.Float64() / 10
 		}
 		d := int(rawDelta % 10)
-		return TopDeltaSum(row, d) <= TopDeltaSum(row, d+1)+1e-15
+		return topDeltaSumExcluding(row, d, -1, -1) <= topDeltaSumExcluding(row, d+1, -1, -1)+1e-15
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -57,20 +59,20 @@ func TestTopDeltaSumMonotone(t *testing.T) {
 
 func TestApproxValidation(t *testing.T) {
 	zi := []float64{0.5, 0.5}
-	if _, err := Approx(zi, zi, 0, 1, 1, VariantProof); err == nil {
+	if _, err := ApproxPair(zi, zi, -1, -1, 0, 1, 1, VariantProof); err == nil {
 		t.Error("zero distance must fail")
 	}
-	if _, err := Approx(zi, zi, 1, 0, 1, VariantProof); err == nil {
+	if _, err := ApproxPair(zi, zi, -1, -1, 1, 0, 1, VariantProof); err == nil {
 		t.Error("zero epsilon must fail")
 	}
-	if _, err := Approx(zi, zi, 1, 1, -1, VariantProof); err == nil {
+	if _, err := ApproxPair(zi, zi, -1, -1, 1, 1, -1, VariantProof); err == nil {
 		t.Error("negative delta must fail")
 	}
 }
 
 func TestApproxZeroDelta(t *testing.T) {
 	zi := []float64{0.2, 0.3, 0.5}
-	got, err := Approx(zi, zi, 1.5, 10, 0, VariantProof)
+	got, err := ApproxPair(zi, zi, -1, -1, 1.5, 10, 0, VariantProof)
 	if err != nil || got != 0 {
 		t.Errorf("delta=0 must reserve nothing, got %v err %v", got, err)
 	}
@@ -80,7 +82,7 @@ func TestApproxIncreasesWithDelta(t *testing.T) {
 	zi := []float64{0.4, 0.3, 0.2, 0.1}
 	prev := -1.0
 	for delta := 0; delta <= 4; delta++ {
-		got, err := Approx(zi, zi, 1, 5, delta, VariantProof)
+		got, err := ApproxPair(zi, zi, -1, -1, 1, 5, delta, VariantProof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,24 +96,24 @@ func TestApproxIncreasesWithDelta(t *testing.T) {
 func TestApproxFormula(t *testing.T) {
 	// Hand check: T = 0.6, eps=2, d=0.5 -> eps' = 2*ln((1-0.6/e)/(0.4)).
 	zi := []float64{0.6, 0.25, 0.15}
-	got, err := Approx(zi, nil, 0.5, 2, 1, VariantProof)
+	got, err := ApproxPair(zi, nil, -1, -1, 0.5, 2, 1, VariantProof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Log((1-0.6/math.E)/0.4) / 0.5
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Approx = %v, want %v", got, want)
+		t.Errorf("ApproxPair = %v, want %v", got, want)
 	}
 }
 
 func TestApproxVariants(t *testing.T) {
 	zi := []float64{0.9, 0.05, 0.05}
 	zj := []float64{0.2, 0.4, 0.4}
-	pi, err := Approx(zi, zj, 1, 3, 1, VariantProof)
+	pi, err := ApproxPair(zi, zj, -1, -1, 1, 3, 1, VariantProof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := Approx(zi, zj, 1, 3, 1, VariantPrinted)
+	pj, err := ApproxPair(zi, zj, -1, -1, 1, 3, 1, VariantPrinted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +125,12 @@ func TestApproxVariants(t *testing.T) {
 func TestApproxHeavyMassClamped(t *testing.T) {
 	// Nearly all mass in the top entry: must stay finite.
 	zi := []float64{1 - 1e-15, 1e-15}
-	got, err := Approx(zi, nil, 1, 5, 1, VariantProof)
+	got, err := ApproxPair(zi, nil, -1, -1, 1, 5, 1, VariantProof)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.IsInf(got, 0) || math.IsNaN(got) {
-		t.Errorf("Approx overflowed: %v", got)
+		t.Errorf("ApproxPair overflowed: %v", got)
 	}
 	if got <= 0 {
 		t.Errorf("heavy mass must reserve a positive budget, got %v", got)
@@ -136,13 +138,13 @@ func TestApproxHeavyMassClamped(t *testing.T) {
 }
 
 func TestExactValidation(t *testing.T) {
-	if _, err := Exact([]float64{1}, []float64{0.5, 0.5}, 1, 1); err == nil {
+	if _, err := ExactPair([]float64{1}, []float64{0.5, 0.5}, -1, -1, 1, 1); err == nil {
 		t.Error("length mismatch must fail")
 	}
-	if _, err := Exact([]float64{1}, []float64{1}, 0, 1); err == nil {
+	if _, err := ExactPair([]float64{1}, []float64{1}, -1, -1, 0, 1); err == nil {
 		t.Error("zero distance must fail")
 	}
-	if _, err := Exact([]float64{1}, []float64{1}, 1, -2); err == nil {
+	if _, err := ExactPair([]float64{1}, []float64{1}, -1, -1, 1, -2); err == nil {
 		t.Error("negative delta must fail")
 	}
 }
@@ -153,22 +155,22 @@ func TestExactBruteForceSmall(t *testing.T) {
 	d := 2.0
 	// delta=1: candidates S={}, {0}, {1}, {2}:
 	// {}: 1; {0}: 0.9/0.5=1.8; {1}: 0.4/0.7; {2}: 0.7/0.8.
-	got, err := Exact(zi, zj, d, 1)
+	got, err := ExactPair(zi, zj, -1, -1, d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := math.Log(1.8) / d
 	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("Exact = %v, want %v", got, want)
+		t.Errorf("ExactPair = %v, want %v", got, want)
 	}
 	// delta=2: best is {0,2}: (1-0.4)/(1-0.7) = 2.0.
-	got2, err := Exact(zi, zj, d, 2)
+	got2, err := ExactPair(zi, zj, -1, -1, d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want2 := math.Log(2.0) / d
 	if math.Abs(got2-want2) > 1e-12 {
-		t.Errorf("Exact delta=2 = %v, want %v", got2, want2)
+		t.Errorf("ExactPair delta=2 = %v, want %v", got2, want2)
 	}
 }
 
@@ -188,7 +190,7 @@ func TestExactNonNegative(t *testing.T) {
 			zj[k] /= sj
 		}
 		delta := int(rawDelta % 3)
-		got, err := Exact(zi, zj, 1.0, delta)
+		got, err := ExactPair(zi, zj, -1, -1, 1.0, delta)
 		return err == nil && got >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -238,11 +240,11 @@ func TestApproxUpperBoundsExactUnderGeoInd(t *testing.T) {
 			continue
 		}
 		for delta := 0; delta <= 2; delta++ {
-			exact, err := Exact(zi, zj, d, delta)
+			exact, err := ExactPair(zi, zj, -1, -1, d, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
-			approx, err := Approx(zi, zj, d, eps, delta, VariantProof)
+			approx, err := ApproxPair(zi, zj, -1, -1, d, eps, delta, VariantProof)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,9 +328,6 @@ func TestTopDeltaSumMatchesSortedCopy(t *testing.T) {
 					t.Fatalf("row %v delta %d masking %v: %v, sorted copy %v", row, delta, m, got, want)
 				}
 			}
-			if got, want := TopDeltaSum(row, delta), sortedTopDeltaSum(row, delta, -1, -1); got != want {
-				t.Fatalf("TopDeltaSum(%v, %d) = %v, sorted copy %v", row, delta, got, want)
-			}
 		}
 	}
 }
@@ -350,10 +349,9 @@ func TestReservedBudgetAllocatesNothing(t *testing.T) {
 			if _, err := ApproxPair(zi, zj, 3, 10, 0.2, 15, delta, VariantProof); err != nil {
 				t.Fatal(err)
 			}
-			TopDeltaSum(zi, delta)
 		})
 		if allocs != 0 {
-			t.Errorf("delta %d: ApproxPair and TopDeltaSum allocate %.0f times, want 0", delta, allocs)
+			t.Errorf("delta %d: ApproxPair allocates %.0f times, want 0", delta, allocs)
 		}
 	}
 }

@@ -163,18 +163,6 @@ func (a *Accountant) ImportHandoff(uid int64, h *Handoff) (applied float64, ok b
 	return applied, true
 }
 
-// HandoffsApplied returns uid's applied import watermark for a source
-// (0 when none) — test and debugging visibility into the dedup state.
-func (a *Accountant) HandoffsApplied(uid int64, source string) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	el, ok := a.users[uid]
-	if !ok {
-		return 0
-	}
-	return el.Value.(*userWindow).applied[source]
-}
-
 // merge folds events into the window, keeping the slice sorted by stamp
 // (expire depends on oldest-first order) and dropping already-expired
 // spend. Caller holds a.mu.

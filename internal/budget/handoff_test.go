@@ -53,13 +53,10 @@ func TestHandoffMovesSpend(t *testing.T) {
 		t.Fatalf("import applied %v ok=%v", applied, ok)
 	}
 	a.CommitHandoff(uid, h.Seq)
-	if rem := b.Remaining(uid); rem != 5 {
-		t.Fatalf("B remaining %v, want 5", rem)
-	}
 	// The cap now binds on B: 5 handed off + 5 fresh = the full limit,
 	// and the next charge is refused.
-	if _, err := b.Charge(uid, 5); err != nil {
-		t.Fatal(err)
+	if rem, err := b.Charge(uid, 5); err != nil || rem != 0 {
+		t.Fatalf("B's fresh charge of 5 leaves %v (%v), want 0", rem, err)
 	}
 	if _, err := b.Charge(uid, 1); !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("over-cap charge after handoff: %v", err)
@@ -113,13 +110,15 @@ func TestHandoffDedupe(t *testing.T) {
 	if st := b.Stats(); st.HandoffDupes != 1 || st.HandoffsImported != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	if wm := b.HandoffsApplied(uid, "nodeA"); wm != 1 {
-		t.Fatalf("watermark %d", wm)
-	}
 	// Distinct sources keep independent watermarks.
 	h2 := &Handoff{Source: "nodeC", Seq: 1, Events: h.Events}
 	if applied, ok := b.ImportHandoff(uid, h2); !ok || applied != 4 {
 		t.Fatalf("import from second source: %v %v", applied, ok)
+	}
+	// nodeA's watermark is 1, not past it: its next export applies.
+	h3 := &Handoff{Source: "nodeA", Seq: 2, Events: h.Events}
+	if _, ok := b.ImportHandoff(uid, h3); !ok {
+		t.Fatal("nodeA's second export ignored: watermark past 1")
 	}
 }
 

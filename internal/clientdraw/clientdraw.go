@@ -7,7 +7,7 @@
 // abstraction, building the same Walker alias tables (internal/sample)
 // over the same float64 weight vectors, equal inputs, equal tables — then
 // seeds math/rand identically and fast-forwards to the recorded position.
-// From there every DrawCell consumes exactly one uniform variate, just
+// From there every draw consumes exactly one uniform variate, just
 // like the server, so the device-local sequence is byte-identical to what
 // /v1/report, the stream transport, or an in-proc registry would have
 // produced for the same seed, including across re-anchors (each lease
@@ -71,10 +71,6 @@ func (e *ExhaustedError) Unwrap() error { return ErrLeaseExhausted }
 // sentinel session draws fail with): the true cell left the leased
 // subtree, and the client must renew at the new location.
 var ErrOutsideSubtree = mechanism.ErrOutsideSubtree
-
-// ErrUnsampleable re-exports mechanism.ErrUnsampleable: the row is
-// degenerate (empty in the bundle) and no draw can be served from it.
-var ErrUnsampleable = mechanism.ErrUnsampleable
 
 // Lease is an open draw lease: the detached mechanism rows with their
 // lazily built alias tables, and the positioned RNG stream. Create with
@@ -196,51 +192,6 @@ func (l *Lease) Root() loctree.NodeID { return l.rows.Root() }
 // Degraded reports whether the leased rows came from a planar-Laplace
 // fallback entry.
 func (l *Lease) Degraded() bool { return l.degraded }
-
-// DrawCap returns the lease's pre-paid draw cap.
-func (l *Lease) DrawCap() int { return l.tok.DrawCap }
-
-// ExpiresUnixMs returns the token expiry (Unix milliseconds).
-func (l *Lease) ExpiresUnixMs() int64 { return l.tok.ExpiresAt }
-
-// Used reports how many draws the lease has served.
-func (l *Lease) Used() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.used
-}
-
-// Remaining reports how many pre-paid draws are left.
-func (l *Lease) Remaining() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tok.DrawCap - l.used
-}
-
-// Covers reports whether the leased subtree contains leaf.
-func (l *Lease) Covers(leaf loctree.NodeID) bool { return l.rows.Covers(leaf) }
-
-// DrawCell draws one obfuscated report node for a true leaf cell.
-func (l *Lease) DrawCell(leaf loctree.NodeID) (loctree.NodeID, error) {
-	var out [1]loctree.NodeID
-	if err := l.DrawCellNInto(leaf, out[:]); err != nil {
-		return loctree.NodeID{}, err
-	}
-	return out[0], nil
-}
-
-// DrawCellN draws n reports for one true cell as one atomic sequence,
-// mirroring session.DrawCellN.
-func (l *Lease) DrawCellN(leaf loctree.NodeID, n int) ([]loctree.NodeID, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("clientdraw: draw count %d must be >= 1", n)
-	}
-	out := make([]loctree.NodeID, n)
-	if err := l.DrawCellNInto(leaf, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
 
 // DrawCellNInto draws len(out) reports into a caller-owned slice. All
 // checks run before any variate is consumed — a refused draw (cap

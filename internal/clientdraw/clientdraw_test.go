@@ -132,6 +132,18 @@ func (w *leaseWorld) same(l *Lease, leaf loctree.NodeID, n int) {
 	}
 }
 
+// used requires that l has served exactly n of its drawCap draws: asking
+// for one more than the rest is refused with that count, and consumes
+// nothing.
+func (w *leaseWorld) used(l *Lease, n, drawCap int) {
+	w.t.Helper()
+	var spent *ExhaustedError
+	err := l.DrawCellNInto(w.entryA.Leaves[0], make([]loctree.NodeID, drawCap-n+1))
+	if !errors.As(err, &spent) || *spent != (ExhaustedError{Used: n, Cap: drawCap, Asked: drawCap - n + 1}) {
+		w.t.Fatalf("asking past the cap: %v, want %d of %d used", err, n, drawCap)
+	}
+}
+
 // TestLeaseDrawsWhatTheSessionDraws walks one stream through an opened
 // lease, a renewal inside the subtree, a refusal outside it, and a renewal
 // after the re-anchor, at leaf precision and at a coarser one.
@@ -144,8 +156,13 @@ func TestLeaseDrawsWhatTheSessionDraws(t *testing.T) {
 			t.Fatal("Open accepted an empty grant")
 		}
 		l := w.open(a[2], 4)
-		if l.Root() != w.entryA.Root || l.DrawCap() != 4 || !l.Covers(a[6]) || l.Covers(b[0]) || l.Covers(w.entryA.Root) {
-			t.Fatalf("lease over %v cap %d covers wrongly", l.Root(), l.DrawCap())
+		if l.Root() != w.entryA.Root {
+			t.Fatalf("lease over %v, granted at %v", l.Root(), w.entryA.Root)
+		}
+		for _, cell := range []loctree.NodeID{b[0], w.entryA.Root} { // a leaf of another subtree, a non-leaf
+			if err := l.DrawCellNInto(cell, make([]loctree.NodeID, 1)); !errors.Is(err, ErrOutsideSubtree) {
+				t.Fatalf("draw at %v: %v, want ErrOutsideSubtree", cell, err)
+			}
 		}
 		w.same(l, a[2], 1)
 		w.same(l, a[len(a)-1], 3) // another row of the same lease
@@ -167,9 +184,7 @@ func TestLeaseDrawsWhatTheSessionDraws(t *testing.T) {
 		if err := l.DrawCellNInto(b[1], make([]loctree.NodeID, 1)); !errors.Is(err, ErrOutsideSubtree) {
 			t.Fatalf("draw outside the leased subtree: %v", err)
 		}
-		if l.Used() != 2 {
-			t.Fatalf("a refused draw consumed: %d used, want 2", l.Used())
-		}
+		w.used(l, 2, 4)
 
 		// Both sessions re-anchor; the server burned the old window's two
 		// unused draws, and so must the resident stream.
@@ -199,20 +214,18 @@ func TestLeaseRefusesWhatTheSessionRefuses(t *testing.T) {
 	l := w.open(a[3], 6)
 	w.same(l, a[3], 2)
 	one := make([]loctree.NodeID, 1)
-	if err := l.DrawCellNInto(a[0], one); !errors.Is(err, ErrUnsampleable) {
+	if err := l.DrawCellNInto(a[0], one); !errors.Is(err, session.ErrUnsampleable) {
 		t.Fatalf("lease draw from the degenerate row: %v", err)
 	}
 	if _, err := w.resident.DrawCell(a[0]); !errors.Is(err, session.ErrUnsampleable) {
 		t.Fatalf("session draw from the degenerate row: %v", err)
 	}
-	if err := l.DrawCellNInto(a[1], one); err == nil || errors.Is(err, ErrUnsampleable) || errors.Is(err, ErrOutsideSubtree) {
+	if err := l.DrawCellNInto(a[1], one); err == nil || errors.Is(err, session.ErrUnsampleable) || errors.Is(err, ErrOutsideSubtree) {
 		t.Fatalf("lease draw from the user's own pruned cell: %v", err)
 	}
 	if _, err := w.resident.DrawCell(a[1]); err == nil {
 		t.Fatal("session drew from the user's own pruned cell")
 	}
-	if l.Used() != 2 {
-		t.Fatalf("refused draws consumed: %d used, want 2", l.Used())
-	}
+	w.used(l, 2, 6)
 	w.same(l, a[4], 4) // still aligned after the refusals
 }

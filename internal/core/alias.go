@@ -87,13 +87,6 @@ func (e *ForestEntry) AliasRow(i int) (*sample.Alias, error) {
 	return a, nil
 }
 
-// AliasBytes reports the resident footprint of the entry's built tables.
-func (e *ForestEntry) AliasBytes() int64 {
-	e.alias.lock()
-	defer e.alias.unlock()
-	return e.alias.bytes
-}
-
 // attachAliasMetrics points the entry's alias cache at the engine
 // counters. Called by the entry cache on admission.
 func (e *ForestEntry) attachAliasMetrics(m *aliasMetrics) {

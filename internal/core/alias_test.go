@@ -51,7 +51,7 @@ func TestAliasRowLazyAndCached(t *testing.T) {
 			t.Fatalf("alias prob(%d) = %v, matrix says %v", j, got, want)
 		}
 	}
-	if e.AliasBytes() == 0 {
+	if aliasBytesOf(e) == 0 {
 		t.Error("built table not byte-accounted")
 	}
 	if _, err := e.AliasRow(99); err == nil {
@@ -117,8 +117,8 @@ func TestAliasMetricsEvictionAccounting(t *testing.T) {
 	if got := m.hits.Load(); got != 1 {
 		t.Fatalf("hits = %d, want 1", got)
 	}
-	if got := m.bytes.Load(); got != e1.AliasBytes() {
-		t.Fatalf("bytes = %d, want %d", got, e1.AliasBytes())
+	if got := m.bytes.Load(); got != aliasBytesOf(e1) {
+		t.Fatalf("bytes = %d, want %d", got, aliasBytesOf(e1))
 	}
 
 	cache.add(k2, e2) // evicts e1
@@ -136,8 +136,8 @@ func TestAliasMetricsEvictionAccounting(t *testing.T) {
 	var m2 aliasMetrics
 	cache2 := newEntryCache(1<<20, &m2)
 	cache2.add(k1, e1)
-	if got := m2.bytes.Load(); got != e1.AliasBytes() {
-		t.Fatalf("re-admitted bytes = %d, want %d", got, e1.AliasBytes())
+	if got := m2.bytes.Load(); got != aliasBytesOf(e1) {
+		t.Fatalf("re-admitted bytes = %d, want %d", got, aliasBytesOf(e1))
 	}
 }
 
@@ -178,4 +178,11 @@ func TestEngineStatsAliasCounters(t *testing.T) {
 	if a.AliasBuilds != 3 || a.AliasHits != 4 || a.AliasBytes != 150 {
 		t.Fatalf("merged alias counters wrong: %+v", a)
 	}
+}
+
+// aliasBytesOf reads the resident footprint of e's built tables.
+func aliasBytesOf(e *ForestEntry) int64 {
+	e.alias.lock()
+	defer e.alias.unlock()
+	return e.alias.bytes
 }

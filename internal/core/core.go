@@ -148,17 +148,11 @@ func normalize(v []float64) ([]float64, error) {
 // K returns the number of locations.
 func (inst *Instance) K() int { return len(inst.cells) }
 
-// Cells returns the cell set (do not modify).
-func (inst *Instance) Cells() []hexgrid.Coord { return inst.cells }
-
 // Centers returns the geographic centers (do not modify).
 func (inst *Instance) Centers() []geo.LatLng { return inst.centers }
 
 // Priors returns the normalized priors (do not modify).
 func (inst *Instance) Priors() []float64 { return inst.priors }
-
-// Graph returns the approximation graph.
-func (inst *Instance) Graph() *graphx.Graph { return inst.graph }
 
 // Dist returns the haversine distance between cells i and j.
 func (inst *Instance) Dist(i, j int) float64 { return inst.dist[i][j] }

@@ -127,21 +127,21 @@ func TestGenerateRobustSmall(t *testing.T) {
 
 func TestQualityLossUniformVsIdentity(t *testing.T) {
 	inst := buildInstance(t, 19, 10, 4)
-	idLoss, err := inst.QualityLoss(obf.Identity(19))
+	idLoss, err := inst.QualityLoss(identity(19))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if idLoss != 0 {
 		t.Errorf("identity matrix loss = %v, want 0", idLoss)
 	}
-	uLoss, err := inst.QualityLoss(obf.Uniform(19))
+	uLoss, err := inst.QualityLoss(uniform(19))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uLoss <= 0 {
 		t.Errorf("uniform matrix loss = %v, want > 0", uLoss)
 	}
-	if _, err := inst.QualityLoss(obf.Uniform(5)); err == nil {
+	if _, err := inst.QualityLoss(uniform(5)); err == nil {
 		t.Error("dimension mismatch must fail")
 	}
 }
@@ -153,8 +153,8 @@ func TestPairSets(t *testing.T) {
 	if len(ap) != 19*18 {
 		t.Fatalf("AllPairs = %d", len(ap))
 	}
-	if len(np) != 2*inst.Graph().NumEdges() {
-		t.Fatalf("NeighborPairs = %d, want %d", len(np), 2*inst.Graph().NumEdges())
+	if len(np) != 2*len(inst.graph.Edges()) {
+		t.Fatalf("NeighborPairs = %d, want %d", len(np), 2*len(inst.graph.Edges()))
 	}
 	if len(np) >= len(ap) {
 		t.Error("approximation must reduce pairs at K=19")
@@ -258,4 +258,24 @@ func TestPaperScaleK49(t *testing.T) {
 	if rep.Violated != 0 {
 		t.Fatalf("violations on fresh K=49 matrix: %d (max %g)", rep.Violated, rep.MaxExcess)
 	}
+}
+
+// uniform and identity are the two extreme mechanisms: every location
+// reported alike, and the true location reported as it is.
+func uniform(n int) *obf.Matrix {
+	m := obf.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			m.Set(i, j, 1/float64(n))
+		}
+	}
+	return m
+}
+
+func identity(n int) *obf.Matrix {
+	m := obf.NewMatrix(n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
 }

@@ -155,7 +155,7 @@ func TestSingleflightSharesOneSolve(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			_, errs[c] = srv.GenerateEntry(root, 1)
+			_, errs[c] = srv.GenerateEntryCtx(context.Background(), root, 1)
 		}(c)
 	}
 	wg.Wait()
@@ -262,7 +262,7 @@ func TestEngineArgumentValidation(t *testing.T) {
 	if _, err := srv.GenerateForest(1, -1); err == nil {
 		t.Error("negative delta must fail")
 	}
-	if _, err := srv.GenerateEntry(loctree.NodeID{Level: 7}, 0); err == nil {
+	if _, err := srv.GenerateEntryCtx(context.Background(), loctree.NodeID{Level: 7}, 0); err == nil {
 		t.Error("foreign node must fail")
 	}
 	if err := srv.Warmup(context.Background(), -1); err == nil {

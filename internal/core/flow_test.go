@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -34,9 +35,9 @@ func newFlowServer(t *testing.T) (*Server, *loctree.Tree, *loctree.Priors) {
 		targets = append(targets, tree.Center(leaves[i*4]))
 		probs = append(probs, 1)
 	}
-	srv, err := NewServer(tree, priors, targets, probs, Params{
+	srv, err := NewServerWithOptions(tree, priors, targets, probs, Params{
 		Epsilon: 15, Iterations: 3, UseGraphApprox: true,
-	})
+	}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,19 +47,19 @@ func newFlowServer(t *testing.T) (*Server, *loctree.Tree, *loctree.Priors) {
 func TestNewServerValidation(t *testing.T) {
 	_, tree, priors := newFlowServer(t)
 	tgt := []geo.LatLng{geo.SanFrancisco.Center()}
-	if _, err := NewServer(nil, priors, tgt, []float64{1}, Params{Epsilon: 1}); err == nil {
+	if _, err := NewServerWithOptions(nil, priors, tgt, []float64{1}, Params{Epsilon: 1}, EngineOptions{}); err == nil {
 		t.Error("nil tree must fail")
 	}
-	if _, err := NewServer(tree, nil, tgt, []float64{1}, Params{Epsilon: 1}); err == nil {
+	if _, err := NewServerWithOptions(tree, nil, tgt, []float64{1}, Params{Epsilon: 1}, EngineOptions{}); err == nil {
 		t.Error("nil priors must fail")
 	}
-	if _, err := NewServer(tree, priors, nil, nil, Params{Epsilon: 1}); err == nil {
+	if _, err := NewServerWithOptions(tree, priors, nil, nil, Params{Epsilon: 1}, EngineOptions{}); err == nil {
 		t.Error("no targets must fail")
 	}
-	if _, err := NewServer(tree, priors, tgt, []float64{1, 2}, Params{Epsilon: 1}); err == nil {
+	if _, err := NewServerWithOptions(tree, priors, tgt, []float64{1, 2}, Params{Epsilon: 1}, EngineOptions{}); err == nil {
 		t.Error("mismatched probs must fail")
 	}
-	if _, err := NewServer(tree, priors, tgt, []float64{1}, Params{Epsilon: 0}); err == nil {
+	if _, err := NewServerWithOptions(tree, priors, tgt, []float64{1}, Params{Epsilon: 0}, EngineOptions{}); err == nil {
 		t.Error("zero epsilon must fail")
 	}
 }
@@ -85,7 +86,7 @@ func TestGenerateForestLevel1(t *testing.T) {
 		if err := e.Matrix.CheckStochastic(1e-6); err != nil {
 			t.Errorf("entry %v: %v", node, err)
 		}
-		if rep := e.CheckGeoInd(15, 1e-6); rep.Violated != 0 {
+		if rep := e.Matrix.CheckGeoInd(e.Pairs, 15, 1e-6); rep.Violated != 0 {
 			t.Errorf("entry %v violates %d constraints", node, rep.Violated)
 		}
 		if len(e.Result.Trace) != 4 { // initial + 3 iterations
@@ -115,10 +116,10 @@ func TestGenerateForestValidation(t *testing.T) {
 	if _, err := srv.GenerateForest(3, 1); err == nil {
 		t.Error("privacy level above height must fail")
 	}
-	if _, err := srv.GenerateEntry(loctree.NodeID{Level: 1, Coord: hexgrid.Coord{Q: 99, R: 99}}, 1); err == nil {
+	if _, err := srv.GenerateEntryCtx(context.Background(), loctree.NodeID{Level: 1, Coord: hexgrid.Coord{Q: 99, R: 99}}, 1); err == nil {
 		t.Error("foreign node must fail")
 	}
-	if _, err := srv.GenerateEntry(srv.Tree().LevelNodes(1)[0], -1); err == nil {
+	if _, err := srv.GenerateEntryCtx(context.Background(), srv.Tree().LevelNodes(1)[0], -1); err == nil {
 		t.Error("negative delta must fail")
 	}
 }
@@ -126,18 +127,18 @@ func TestGenerateForestValidation(t *testing.T) {
 func TestGenerateEntryCaching(t *testing.T) {
 	srv, tree, _ := newFlowServer(t)
 	node := tree.LevelNodes(1)[0]
-	e1, err := srv.GenerateEntry(node, 1)
+	e1, err := srv.GenerateEntryCtx(context.Background(), node, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := srv.GenerateEntry(node, 1)
+	e2, err := srv.GenerateEntryCtx(context.Background(), node, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1 != e2 {
 		t.Error("same request must hit the cache")
 	}
-	e3, err := srv.GenerateEntry(node, 2)
+	e3, err := srv.GenerateEntryCtx(context.Background(), node, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,10 +260,13 @@ func TestUserSidePrecisionReduction(t *testing.T) {
 	if len(b.Nodes()) != 7 {
 		t.Fatalf("reduced mechanism has %d nodes, want 7", len(b.Nodes()))
 	}
-	for i := range b.Nodes() {
-		row, err := b.Row(i)
-		if err != nil {
-			t.Fatal(err)
+	rows, err := b.DetachRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range rows {
+		if len(row) != 7 {
+			t.Fatalf("row %d has %d weights, want 7", i, len(row))
 		}
 		sum := 0.0
 		for _, v := range row {
@@ -271,8 +275,12 @@ func TestUserSidePrecisionReduction(t *testing.T) {
 			}
 			sum += v
 		}
-		if math.Abs(sum-1) > 1e-6 {
-			t.Errorf("row %d sums to %v", i, sum)
+		norm := 0.0
+		for _, v := range row {
+			norm += v / sum
+		}
+		if math.Abs(norm-1) > 1e-6 {
+			t.Errorf("row %d normalises to %v", i, norm)
 		}
 	}
 }
@@ -349,11 +357,11 @@ func TestOutcomeMatrixGeoIndAfterPruneWithinDelta(t *testing.T) {
 	// Geo-Ind violations at (or very near) zero — the core robustness claim.
 	srv, tree, _ := newFlowServer(t)
 	node := tree.LevelNodes(1)[0]
-	robust, err := srv.GenerateEntry(node, 2)
+	robust, err := srv.GenerateEntryCtx(context.Background(), node, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := srv.GenerateEntry(node, 0)
+	plain, err := srv.GenerateEntryCtx(context.Background(), node, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

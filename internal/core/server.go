@@ -42,11 +42,6 @@ type ForestEntry struct {
 	index mechanism.LeafIndex
 }
 
-// CheckGeoInd audits the entry's matrix against its own constraint set.
-func (e *ForestEntry) CheckGeoInd(eps, tol float64) obf.ViolationReport {
-	return e.Matrix.CheckGeoInd(e.Pairs, eps, tol)
-}
-
 // Forest is the privacy forest of Sec. 3.2 / Algorithm 3: one entry per
 // node of the privacy level, so the server never learns which subtree holds
 // the user's real location.
@@ -83,16 +78,10 @@ type forestKey struct {
 	delta int
 }
 
-// NewServer validates inputs and builds a server with default engine
-// options. params.Delta is ignored (per-request); the rest of params applies
-// to every generation.
-func NewServer(tree *loctree.Tree, priors *loctree.Priors, targets []geo.LatLng,
-	targetProbs []float64, params Params) (*Server, error) {
-	return NewServerWithOptions(tree, priors, targets, targetProbs, params, EngineOptions{})
-}
-
-// NewServerWithOptions is NewServer with explicit engine tuning (worker
-// count, cache bound).
+// NewServerWithOptions validates inputs and builds a server with explicit
+// engine tuning (worker count, cache bound; zero values are the defaults).
+// params.Delta is ignored (per-request); the rest of params applies to
+// every generation.
 func NewServerWithOptions(tree *loctree.Tree, priors *loctree.Priors, targets []geo.LatLng,
 	targetProbs []float64, params Params, opts EngineOptions) (*Server, error) {
 	if tree == nil || priors == nil {
@@ -135,14 +124,10 @@ func (s *Server) Priors() *loctree.Priors { return s.priors }
 // Stats snapshots the engine's cache and solve counters.
 func (s *Server) Stats() EngineStats { return s.engine.stats() }
 
-// GenerateEntry generates (or returns cached) the robust matrix for one
-// subtree root at the privacy level, prunable up to delta locations.
-func (s *Server) GenerateEntry(root loctree.NodeID, delta int) (*ForestEntry, error) {
-	return s.GenerateEntryCtx(context.Background(), root, delta)
-}
-
-// GenerateEntryCtx is GenerateEntry honoring ctx cancellation/deadline while
-// waiting for a worker slot or a shared in-flight solve.
+// GenerateEntryCtx generates (or returns cached) the robust matrix for one
+// subtree root at the privacy level, prunable up to delta locations,
+// honoring ctx cancellation/deadline while waiting for a worker slot or a
+// shared in-flight solve.
 func (s *Server) GenerateEntryCtx(ctx context.Context, root loctree.NodeID, delta int) (*ForestEntry, error) {
 	if !s.tree.Contains(root) {
 		return nil, fmt.Errorf("core: node %v not in tree", root)

@@ -67,9 +67,6 @@ func (p XY) Dist(q XY) float64 {
 // Add returns p+q.
 func (p XY) Add(q XY) XY { return XY{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p-q.
-func (p XY) Sub(q XY) XY { return XY{p.X - q.X, p.Y - q.Y} }
-
 // Scale returns p scaled by f.
 func (p XY) Scale(f float64) XY { return XY{p.X * f, p.Y * f} }
 

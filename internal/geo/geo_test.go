@@ -132,9 +132,6 @@ func TestXYOps(t *testing.T) {
 	if s := p.Add(q); s != (XY{4, 6}) {
 		t.Errorf("Add = %v", s)
 	}
-	if s := p.Sub(q); s != (XY{2, 2}) {
-		t.Errorf("Sub = %v", s)
-	}
 	if s := p.Scale(2); s != (XY{6, 8}) {
 		t.Errorf("Scale = %v", s)
 	}

@@ -111,26 +111,8 @@ func Build(cells []hexgrid.Coord, dist func(a, b hexgrid.Coord) float64, mode We
 	return g, nil
 }
 
-// NumNodes returns the number of cells.
-func (g *Graph) NumNodes() int { return len(g.coords) }
-
-// NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.edges) }
-
 // Edges returns the undirected edge list. The slice must not be modified.
 func (g *Graph) Edges() []Edge { return g.edges }
-
-// Coord returns the cell of node i.
-func (g *Graph) Coord(i int) hexgrid.Coord { return g.coords[i] }
-
-// IndexOf returns the node index of a cell.
-func (g *Graph) IndexOf(c hexgrid.Coord) (int, bool) {
-	i, ok := g.index[c]
-	return i, ok
-}
-
-// Degree returns the number of neighbors of node i.
-func (g *Graph) Degree(i int) int { return len(g.adj[i]) }
 
 // Connected reports whether every node is reachable from node 0.
 func (g *Graph) Connected() bool {
@@ -206,13 +188,4 @@ func (h *distHeap) Pop() interface{} {
 	it := old[n-1]
 	h.items = old[:n-1]
 	return it
-}
-
-// ConstraintCount returns the number of Geo-Ind inequality rows an LP over
-// K cells needs, with and without the graph approximation, as compared in
-// Fig. 10(b). Without: one row per ordered pair (i,j), i != j, per
-// obfuscated column l => K^2*(K-1). With: one row per ordered neighbor
-// pair per column => 2*|E|*K.
-func ConstraintCount(k, numEdges int) (without, with int) {
-	return k * k * (k - 1), 2 * numEdges * k
 }

@@ -37,19 +37,19 @@ func TestGraphStructureOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodes() != 37 {
-		t.Errorf("NumNodes = %d, want 37", g.NumNodes())
+	if len(g.coords) != 37 {
+		t.Errorf("%d nodes, want 37", len(g.coords))
 	}
 	if !g.Connected() {
 		t.Error("disk graph must be connected")
 	}
 	// The center cell has all 12 neighbors inside the disk.
-	ci, ok := g.IndexOf(hexgrid.Coord{})
+	ci, ok := g.index[hexgrid.Coord{}]
 	if !ok {
 		t.Fatal("center not indexed")
 	}
-	if g.Degree(ci) != 12 {
-		t.Errorf("center degree = %d, want 12", g.Degree(ci))
+	if len(g.adj[ci]) != 12 {
+		t.Errorf("center degree = %d, want 12", len(g.adj[ci]))
 	}
 	// Immediate edges have weight ~a, diagonal ~sqrt(3)a.
 	a := 0.5
@@ -81,7 +81,7 @@ func TestWeightExactMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gp.NumEdges() != ge.NumEdges() {
+	if len(gp.Edges()) != len(ge.Edges()) {
 		t.Fatal("edge counts differ across modes")
 	}
 	for i, ep := range gp.Edges() {
@@ -109,7 +109,7 @@ func TestShortestPathsBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci, _ := g.IndexOf(hexgrid.Coord{})
+	ci := g.index[hexgrid.Coord{}]
 	d := g.ShortestFrom(ci)
 	if d[ci] != 0 {
 		t.Errorf("self distance %v", d[ci])
@@ -117,16 +117,16 @@ func TestShortestPathsBasics(t *testing.T) {
 	// Immediate neighbor: a. Diagonal: sqrt(3)a (single diagonal edge,
 	// shorter than two immediate hops 2a).
 	a := 0.5
-	ni, _ := g.IndexOf(hexgrid.Coord{Q: 1, R: 0})
+	ni := g.index[hexgrid.Coord{Q: 1, R: 0}]
 	if math.Abs(d[ni]-a) > 1e-9 {
 		t.Errorf("immediate neighbor d_G = %v, want %v", d[ni], a)
 	}
-	di, _ := g.IndexOf(hexgrid.Coord{Q: 1, R: 1})
+	di := g.index[hexgrid.Coord{Q: 1, R: 1}]
 	if math.Abs(d[di]-math.Sqrt(3)*a) > 1e-9 {
 		t.Errorf("diagonal neighbor d_G = %v, want %v", d[di], math.Sqrt(3)*a)
 	}
 	// Straight line of 3 immediate hops.
-	fi, _ := g.IndexOf(hexgrid.Coord{Q: 3, R: 0})
+	fi := g.index[hexgrid.Coord{Q: 3, R: 0}]
 	if math.Abs(d[fi]-3*a) > 1e-9 {
 		t.Errorf("3-hop straight d_G = %v, want %v", d[fi], 3*a)
 	}
@@ -141,12 +141,12 @@ func TestShortestPathsVsEuclidStretch(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := g.AllShortest()
-	for i := 0; i < g.NumNodes(); i++ {
-		for j := 0; j < g.NumNodes(); j++ {
+	for i := 0; i < len(g.coords); i++ {
+		for j := 0; j < len(g.coords); j++ {
 			if i == j {
 				continue
 			}
-			eu := sys.CenterXY(0, g.Coord(i)).Dist(sys.CenterXY(0, g.Coord(j)))
+			eu := sys.CenterXY(0, g.coords[i]).Dist(sys.CenterXY(0, g.coords[j]))
 			dg := all[i][j]
 			if dg < eu-1e-9 {
 				t.Fatalf("pair %d-%d: d_G %v < Euclid %v (impossible)", i, j, dg, eu)
@@ -168,9 +168,9 @@ func TestExactModeGuarantee(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := g.AllShortest()
-	for i := 0; i < g.NumNodes(); i++ {
-		for j := i + 1; j < g.NumNodes(); j++ {
-			eu := sys.CenterXY(0, g.Coord(i)).Dist(sys.CenterXY(0, g.Coord(j)))
+	for i := 0; i < len(g.coords); i++ {
+		for j := i + 1; j < len(g.coords); j++ {
+			eu := sys.CenterXY(0, g.coords[i]).Dist(sys.CenterXY(0, g.coords[j]))
 			if all[i][j] > eu+1e-9 {
 				t.Fatalf("pair %d-%d: scaled d_G %v > Euclid %v", i, j, all[i][j], eu)
 			}
@@ -211,17 +211,26 @@ func TestDisconnectedGraph(t *testing.T) {
 	}
 }
 
+// TestConstraintCount: the Geo-Ind rows of Fig. 10(b) on a real graph, one
+// per ordered neighbor pair per obfuscated column with the approximation
+// against one per ordered pair per column without.
 func TestConstraintCount(t *testing.T) {
-	without, with := ConstraintCount(49, 240)
-	if without != 49*49*48 {
-		t.Errorf("without = %d", without)
+	dist, _ := testDist(t)
+	g, err := Build(hexgrid.Disk(hexgrid.Coord{}, 3), dist, WeightPaper)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if with != 2*240*49 {
-		t.Errorf("with = %d", with)
+	k, degrees := len(g.coords), 0
+	for _, a := range g.adj {
+		degrees += len(a)
 	}
-	// The approximation must be a large reduction at paper scale.
-	if with >= without {
-		t.Error("approximation must reduce constraints")
+	if degrees != 2*len(g.Edges()) {
+		t.Fatalf("adjacency lists hold %d half-edges for %d edges", degrees, len(g.Edges()))
+	}
+	with, without := degrees*k, k*k*(k-1)
+	// The approximation must be a large reduction.
+	if 2*with >= without {
+		t.Errorf("%d rows with the approximation against %d without", with, without)
 	}
 }
 
@@ -231,10 +240,10 @@ func TestIndexOfMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.IndexOf(hexgrid.Coord{Q: 5, R: 5}); ok {
+	if _, ok := g.index[hexgrid.Coord{Q: 5, R: 5}]; ok {
 		t.Error("foreign cell must not be found")
 	}
-	if g.NumEdges() != 0 {
+	if len(g.Edges()) != 0 {
 		t.Error("single cell has no edges")
 	}
 }

@@ -79,16 +79,6 @@ func DiagonalNeighbors(c Coord) [6]Coord {
 	return out
 }
 
-// Neighbors12 returns the 12-cell neighborhood used by the graph
-// approximation: 6 immediate then 6 diagonal neighbors.
-func Neighbors12(c Coord) [12]Coord {
-	var out [12]Coord
-	n, d := Neighbors(c), DiagonalNeighbors(c)
-	copy(out[:6], n[:])
-	copy(out[6:], d[:])
-	return out
-}
-
 // GridDist returns the hex grid distance (number of immediate-neighbor hops)
 // between a and b.
 func GridDist(a, b Coord) int {
@@ -120,24 +110,6 @@ func roundDiv7(x int) int {
 		return (x + 3) / 7
 	}
 	return -((-x + 3) / 7)
-}
-
-// ChildDigit returns which of its parent's 7 children c is: 0 for the
-// center child, 1..6 for the immediate neighbors of the center child in
-// neighborOffsets order. It panics if the hierarchy invariant is broken,
-// which cannot happen for coordinates produced by this package.
-func ChildDigit(c Coord) int {
-	base := childBase(Parent(c))
-	off := c.Sub(base)
-	if off == (Coord{0, 0}) {
-		return 0
-	}
-	for i, o := range neighborOffsets {
-		if off == o {
-			return i + 1
-		}
-	}
-	panic(fmt.Sprintf("hexgrid: %v is not a child of its computed parent", c))
 }
 
 // childBase returns the child-lattice coordinate of p's center child.
@@ -223,12 +195,6 @@ func (s *System) Spacing(level int) float64 {
 	return s.leafSpacing * math.Pow(sqrt7, float64(level))
 }
 
-// CellArea returns the area (km^2) of a cell at the given level.
-func (s *System) CellArea(level int) float64 {
-	a := s.Spacing(level)
-	return math.Sqrt(3) / 2 * a * a
-}
-
 // basis returns the lattice basis vectors at a level.
 func (s *System) basis(level int) (a1, a2 geo.XY) {
 	sp := s.Spacing(level)
@@ -285,22 +251,4 @@ func roundHex(fq, fr float64) Coord {
 		r = -q - sc
 	}
 	return Coord{Q: int(q), R: int(r)}
-}
-
-// Boundary returns the 6 vertices of cell c at level, CCW, as geographic
-// points. Useful for exporting cells (e.g. GeoJSON) and for tests.
-func (s *System) Boundary(level int, c Coord) [6]geo.LatLng {
-	center := s.CenterXY(level, c)
-	// Circumradius R = spacing / sqrt(3); first vertex bisects the angle
-	// between basis vectors a1 and a2 (i.e. at theta+30° from a1).
-	sp := s.Spacing(level)
-	radius := sp / math.Sqrt(3)
-	theta := rotPerLevel*float64(level) + math.Pi/6
-	var out [6]geo.LatLng
-	for i := 0; i < 6; i++ {
-		ang := theta + float64(i)*math.Pi/3
-		v := geo.XY{X: center.X + radius*math.Cos(ang), Y: center.Y + radius*math.Sin(ang)}
-		out[i] = s.proj.Inverse(v)
-	}
-	return out
 }

@@ -51,10 +51,13 @@ func TestNeighborsDistance(t *testing.T) {
 	}
 }
 
+// TestNeighbors12Unique: the graph approximation's 12-cell neighborhood,
+// 6 immediate then 6 diagonal neighbors, holds 12 distinct cells.
 func TestNeighbors12Unique(t *testing.T) {
 	c := Coord{0, 0}
 	seen := map[Coord]bool{c: true}
-	for _, n := range Neighbors12(c) {
+	near, diag := Neighbors(c), DiagonalNeighbors(c)
+	for _, n := range append(near[:], diag[:]...) {
 		if seen[n] {
 			t.Errorf("duplicate neighbor %v", n)
 		}
@@ -105,11 +108,12 @@ func TestGridDistMetricProperties(t *testing.T) {
 func TestParentChildrenRoundTrip(t *testing.T) {
 	f := func(q, r int16) bool {
 		p := Coord{int(q), int(r)}
-		for digit, ch := range Children(p) {
+		kids := Children(p)
+		for digit, ch := range kids {
 			if Parent(ch) != p {
 				return false
 			}
-			if ChildDigit(ch) != digit {
+			if digit > 0 && ch != kids[0].Add(neighborOffsets[digit-1]) {
 				return false
 			}
 		}
@@ -201,14 +205,11 @@ func TestSpacingScalesBySqrt7(t *testing.T) {
 
 func TestCellArea(t *testing.T) {
 	s := testSystem(t)
-	// Area of a parent must equal 7x the child area (aperture 7).
-	r := s.CellArea(1) / s.CellArea(0)
+	// Area of a parent must equal 7x the child area (aperture 7); a hexagon's
+	// area goes as its spacing squared.
+	r := math.Pow(s.Spacing(1)/s.Spacing(0), 2)
 	if math.Abs(r-7) > 1e-9 {
 		t.Errorf("area ratio = %v, want 7", r)
-	}
-	want := math.Sqrt(3) / 2 * 0.25
-	if math.Abs(s.CellArea(0)-want) > 1e-12 {
-		t.Errorf("leaf area = %v, want %v", s.CellArea(0), want)
 	}
 }
 
@@ -288,31 +289,46 @@ func TestCenterDistanceMatchesProjected(t *testing.T) {
 	}
 }
 
+// vertices returns the 6 corners of leaf cell c, CCW: corner i is the point
+// c shares with its neighbors i and i+1, the centroid of the three centers.
+func vertices(s *System, c Coord) [6]geo.XY {
+	var out [6]geo.XY
+	ns := Neighbors(c)
+	o := s.CenterXY(0, c)
+	for i := range ns {
+		a, b := s.CenterXY(0, ns[i]), s.CenterXY(0, ns[(i+1)%6])
+		out[i] = geo.XY{X: (o.X + a.X + b.X) / 3, Y: (o.Y + a.Y + b.Y) / 3}
+	}
+	return out
+}
+
 func TestBoundaryVerticesEquidistant(t *testing.T) {
 	s := testSystem(t)
 	c := Coord{2, 1}
-	center := s.Center(0, c)
+	center := s.CenterXY(0, c)
 	want := s.Spacing(0) / math.Sqrt(3)
-	for i, v := range s.Boundary(0, c) {
-		d := geo.Haversine(center, v)
-		if math.Abs(d-want)/want > 0.01 {
+	for i, v := range vertices(s, c) {
+		if d := center.Dist(v); math.Abs(d-want)/want > 1e-9 {
 			t.Errorf("vertex %d at %v km, want %v", i, d, want)
+		}
+		// Just inside the corner is still c.
+		in := geo.XY{X: center.X + 0.99*(v.X-center.X), Y: center.Y + 0.99*(v.Y-center.Y)}
+		if got := s.LocateXY(0, in); got != c {
+			t.Errorf("inside vertex %d locates to %v, want %v", i, got, c)
 		}
 	}
 }
 
 func TestBoundarySharedVertexWithNeighbor(t *testing.T) {
-	// Adjacent cells share two vertices; verify at least one vertex of a
-	// neighbor coincides with one of ours (within tolerance).
+	// Adjacent cells share two vertices.
 	s := testSystem(t)
 	c := Coord{0, 0}
-	bc := s.Boundary(0, c)
-	n := Neighbors(c)[0]
-	bn := s.Boundary(0, n)
+	bc := vertices(s, c)
+	bn := vertices(s, Neighbors(c)[0])
 	shared := 0
 	for _, v1 := range bc {
 		for _, v2 := range bn {
-			if geo.Haversine(v1, v2) < 1e-6 {
+			if v1.Dist(v2) < 1e-9 {
 				shared++
 			}
 		}
@@ -323,11 +339,18 @@ func TestBoundarySharedVertexWithNeighbor(t *testing.T) {
 }
 
 func TestChildDigitCoverage(t *testing.T) {
-	// All 7 digits occur among a parent's children, in order.
-	for digit, ch := range Children(Coord{-4, 9}) {
-		if got := ChildDigit(ch); got != digit {
-			t.Errorf("ChildDigit(%v) = %d, want %d", ch, got, digit)
+	// All 7 digits occur among a parent's children, in order: the center
+	// child, then its immediate neighbors in neighborOffsets order.
+	kids := Children(Coord{-4, 9})
+	seen := map[Coord]bool{}
+	for digit, ch := range kids {
+		seen[ch] = true
+		if digit > 0 && ch.Sub(kids[0]) != neighborOffsets[digit-1] {
+			t.Errorf("child %d is %v, %v from the center child", digit, ch, ch.Sub(kids[0]))
 		}
+	}
+	if len(seen) != 7 {
+		t.Errorf("%d distinct children, want 7", len(seen))
 	}
 }
 

@@ -133,27 +133,6 @@ func (t *Tree) IndexOf(n NodeID) (int, bool) {
 	return i, ok
 }
 
-// Children returns the children N(v) of a non-leaf node, in digit order.
-func (t *Tree) Children(n NodeID) []NodeID {
-	if n.Level <= 0 || !t.Contains(n) {
-		return nil
-	}
-	ch := hexgrid.Children(n.Coord)
-	out := make([]NodeID, 7)
-	for i, c := range ch {
-		out[i] = NodeID{Level: n.Level - 1, Coord: c}
-	}
-	return out
-}
-
-// ParentOf returns the parent of n, or ok=false for the root or foreign nodes.
-func (t *Tree) ParentOf(n NodeID) (NodeID, bool) {
-	if !t.Contains(n) || n.Level >= t.height {
-		return NodeID{}, false
-	}
-	return NodeID{Level: n.Level + 1, Coord: hexgrid.Parent(n.Coord)}, true
-}
-
 // AncestorAt returns n's ancestor at the given level (n itself if
 // level == n.Level). ok=false if level is out of range or n is foreign.
 func (t *Tree) AncestorAt(n NodeID, level int) (NodeID, bool) {
@@ -323,15 +302,6 @@ func (p *Priors) Of(t *Tree, n NodeID) float64 {
 		return 0
 	}
 	return p.byLevel[n.Level][i]
-}
-
-// Level returns the distribution over level-h nodes (aligned with
-// LevelNodes(h)). The returned slice must not be modified.
-func (p *Priors) Level(h int) []float64 {
-	if h < 0 || h >= len(p.byLevel) {
-		return nil
-	}
-	return p.byLevel[h]
 }
 
 // Subset returns the (re-normalized if normalize is set) prior vector for an

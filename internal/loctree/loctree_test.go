@@ -70,18 +70,34 @@ func TestLevelNodesOutOfRange(t *testing.T) {
 	}
 }
 
+// children are the 7 nodes one level below n, as the hexgrid hierarchy
+// places them.
+func children(n NodeID) []NodeID {
+	var out []NodeID
+	for _, c := range hexgrid.Children(n.Coord) {
+		out = append(out, NodeID{Level: n.Level - 1, Coord: c})
+	}
+	return out
+}
+
+// level is p's distribution over level-h nodes, aligned with LevelNodes(h).
+func level(t *testing.T, tree *Tree, p *Priors, h int) []float64 {
+	t.Helper()
+	v, err := p.Subset(tree, tree.LevelNodes(h), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func TestParentChildConsistency(t *testing.T) {
 	tree := newTestTree(t, 3)
 	for h := 3; h > 0; h-- {
 		for _, n := range tree.LevelNodes(h) {
-			children := tree.Children(n)
-			if len(children) != 7 {
-				t.Fatalf("node %v has %d children", n, len(children))
-			}
-			for _, c := range children {
-				p, ok := tree.ParentOf(c)
+			for _, c := range children(n) {
+				p, ok := tree.AncestorAt(c, n.Level)
 				if !ok || p != n {
-					t.Fatalf("ParentOf(%v) = %v,%v, want %v", c, p, ok, n)
+					t.Fatalf("parent of %v = %v,%v, want %v", c, p, ok, n)
 				}
 				if !tree.Contains(c) {
 					t.Fatalf("child %v not in tree", c)
@@ -89,11 +105,8 @@ func TestParentChildConsistency(t *testing.T) {
 			}
 		}
 	}
-	if _, ok := tree.ParentOf(tree.Root()); ok {
+	if _, ok := tree.AncestorAt(tree.Root(), tree.Height()+1); ok {
 		t.Error("root must have no parent")
-	}
-	if ch := tree.Children(NodeID{Level: 0, Coord: tree.LevelNodes(0)[0].Coord}); ch != nil {
-		t.Error("leaves must have no children")
 	}
 }
 
@@ -103,7 +116,7 @@ func TestChildrenPartitionLevel(t *testing.T) {
 	for h := 3; h > 0; h-- {
 		seen := map[NodeID]bool{}
 		for _, n := range tree.LevelNodes(h) {
-			for _, c := range tree.Children(n) {
+			for _, c := range children(n) {
 				if seen[c] {
 					t.Fatalf("node %v has two parents", c)
 				}
@@ -167,11 +180,7 @@ func TestAncestorAt(t *testing.T) {
 				t.Fatalf("AncestorAt(%v, %d) = %v, want %v", leaf, lv, anc, cur)
 			}
 			if lv < 3 {
-				p, ok := tree.ParentOf(cur)
-				if !ok {
-					t.Fatalf("ParentOf(%v) failed", cur)
-				}
-				cur = p
+				cur = NodeID{Level: lv + 1, Coord: hexgrid.Parent(cur.Coord)}
 			}
 		}
 	}
@@ -310,7 +319,7 @@ func TestPriorsAggregation(t *testing.T) {
 	}
 	// Leaf level normalized.
 	sum := 0.0
-	for _, v := range p.Level(0) {
+	for _, v := range level(t, tree, p, 0) {
 		sum += v
 	}
 	if math.Abs(sum-1) > 1e-12 {
@@ -319,7 +328,7 @@ func TestPriorsAggregation(t *testing.T) {
 	// Every level sums to 1 and each node's prior equals sum of children.
 	for h := 1; h <= 2; h++ {
 		lvSum := 0.0
-		for _, v := range p.Level(h) {
+		for _, v := range level(t, tree, p, h) {
 			lvSum += v
 		}
 		if math.Abs(lvSum-1) > 1e-12 {
@@ -327,7 +336,7 @@ func TestPriorsAggregation(t *testing.T) {
 		}
 		for _, n := range tree.LevelNodes(h) {
 			childSum := 0.0
-			for _, c := range tree.Children(n) {
+			for _, c := range children(n) {
 				childSum += p.Of(tree, c)
 			}
 			if math.Abs(childSum-p.Of(tree, n)) > 1e-12 {
@@ -337,9 +346,6 @@ func TestPriorsAggregation(t *testing.T) {
 	}
 	if p.Of(tree, NodeID{Level: 0, Coord: hexgrid.Coord{Q: 999, R: 999}}) != 0 {
 		t.Error("foreign node prior must be 0")
-	}
-	if p.Level(5) != nil || p.Level(-1) != nil {
-		t.Error("out-of-range level must return nil")
 	}
 }
 
@@ -368,7 +374,7 @@ func TestUniformPriors(t *testing.T) {
 	tree := newTestTree(t, 2)
 	p := UniformPriors(tree)
 	want := 1.0 / 49
-	for _, v := range p.Level(0) {
+	for _, v := range level(t, tree, p, 0) {
 		if math.Abs(v-want) > 1e-12 {
 			t.Fatalf("uniform leaf prior %v, want %v", v, want)
 		}

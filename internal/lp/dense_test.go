@@ -4,6 +4,15 @@ import (
 	"math"
 )
 
+// toStandard converts the problem into a fresh standard form. Rows keep
+// their original order so duals map back one-to-one (dual sign accounts for
+// row flips via flipped[]).
+func (p *Problem) toStandard() (*standardForm, []bool) {
+	sf := new(standardForm)
+	sf.load(p)
+	return sf, sf.flipped
+}
+
 // SolveDense solves the problem with a two-phase primal simplex on a dense
 // tableau. It is the correctness oracle for the sparse solver, for small
 // problems (hundreds of rows/columns); memory is O(m*(n+m)).

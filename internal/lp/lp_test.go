@@ -88,8 +88,8 @@ func TestProblemValidation(t *testing.T) {
 	if err := p.AddConstraint(LE, 1, []int{0, 1}, []float64{1, 1}); err != nil {
 		t.Errorf("valid constraint failed: %v", err)
 	}
-	if p.NumConstraints() != 1 {
-		t.Errorf("NumConstraints = %d", p.NumConstraints())
+	if len(p.rows) != 1 {
+		t.Errorf("NumConstraints = %d", len(p.rows))
 	}
 }
 

@@ -111,9 +111,6 @@ var problemIDs atomic.Uint64
 // NumVars returns the number of variables.
 func (p *Problem) NumVars() int { return p.nv }
 
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // SetObjective sets the (minimization) objective coefficients. The slice is
 // copied. len(c) must equal NumVars.
 func (p *Problem) SetObjective(c []float64) error {
@@ -453,15 +450,6 @@ type standardForm struct {
 
 	next           []int32   // load: per-column fill cursor
 	rowMax, rowMin []float64 // equilibrate: per-row extremes
-}
-
-// toStandard converts the problem into a fresh standard form. Rows keep
-// their original order so duals map back one-to-one (dual sign accounts for
-// row flips via flipped[]).
-func (p *Problem) toStandard() (*standardForm, []bool) {
-	sf := new(standardForm)
-	sf.load(p)
-	return sf, sf.flipped
 }
 
 // load converts p into sf, unscaled; equilibrate comes next.

@@ -63,8 +63,8 @@ func TestWarmBasisResolveSameProblem(t *testing.T) {
 	if cold.Status != Optimal {
 		t.Fatalf("cold solve: %v (%s)", cold.Status, cold.Note)
 	}
-	if len(cold.Basis) != p.NumConstraints() {
-		t.Fatalf("Basis has %d entries, want %d", len(cold.Basis), p.NumConstraints())
+	if len(cold.Basis) != len(p.rows) {
+		t.Fatalf("Basis has %d entries, want %d", len(cold.Basis), len(p.rows))
 	}
 	warm, err := Solve(p, &Options{Perturb: true, WarmBasis: cold.Basis})
 	if err != nil {
@@ -127,7 +127,7 @@ func TestWarmBasisSurvivesObjectiveChange(t *testing.T) {
 func TestWarmBasisRejectsGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	p := randomFeasibleLP(t, 20, rng)
-	m := p.NumConstraints()
+	m := len(p.rows)
 	dup := make([]int, m)
 	for i := range dup {
 		dup[i] = 0 // duplicate column everywhere
@@ -172,7 +172,7 @@ func TestWarmBasisRoundTripEncoding(t *testing.T) {
 	if sol.Status != Optimal {
 		t.Fatalf("solve: %v (%s)", sol.Status, sol.Note)
 	}
-	m := p.NumConstraints()
+	m := len(p.rows)
 	for i, w := range sol.Basis {
 		if w < 0 && -w-1 >= m {
 			t.Errorf("entry %d: artificial row %d out of range [0,%d)", i, -w-1, m)

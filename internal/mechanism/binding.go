@@ -40,8 +40,9 @@ type Config struct {
 	// Priors supplies leaf priors for precision reduction (Equ. 17);
 	// required when Policy.PrecisionLevel > 0.
 	Priors *loctree.Priors
-	// Epsilon is the Geo-Ind budget the source was generated under,
-	// surfaced in RowMeta. Metadata only: it never changes a weight.
+	// Epsilon is the Geo-Ind budget the source was generated under. It
+	// never changes a weight; an unpruned binding is shared only among
+	// binds under the same one.
 	Epsilon float64
 }
 
@@ -50,7 +51,7 @@ type Config struct {
 // served lazily. It is the single implementation of prune/renormalize/
 // precision-grouping behind the resident-session, lease-detach, and
 // user-side (Algorithm 4) paths; the float operation order in buildRow /
-// precisionWeights / DetachRow is what keeps draws byte-identical across
+// precisionWeights / DetachRows is what keeps draws byte-identical across
 // all of them, so treat any change there as a wire-format change.
 //
 // Who owns a Binding depends on its prune set. One that prunes nothing is a
@@ -224,17 +225,6 @@ func (b *Binding) Nodes() []loctree.NodeID { return b.nodes }
 // there are none. Callers must not mutate it.
 func (b *Binding) Pruned() []loctree.NodeID { return b.pruned }
 
-// Meta summarizes the binding: ε, support size, prune size, grouping.
-func (b *Binding) Meta() RowMeta {
-	return RowMeta{
-		Epsilon:  b.epsilon,
-		Support:  len(b.nodes),
-		Pruned:   len(b.pruned),
-		Groups:   len(b.groups),
-		Degraded: b.src.IsDegraded(),
-	}
-}
-
 // RowFor resolves a true leaf cell to the report row it draws from:
 // precision ancestor lookup, pruned-own-location refusal, report-set
 // membership. A cell outside the subtree is ErrOutsideSubtree.
@@ -301,7 +291,7 @@ func (b *Binding) buildRow(row int) (*sample.Alias, error) {
 // precisionWeights materializes the Equ. 17 aggregated weight vector for
 // one precision-group row into weights, which must hold len(Nodes()) zeros.
 // It is the single implementation behind both the live draw path (buildRow)
-// and lease detachment (DetachRow): the float operation order here is what
+// and lease detachment (DetachRows): the float operation order here is what
 // makes a client-rebuilt alias table bit-identical to the server's —
 // sample.New over equal float64 inputs yields equal tables, so equality
 // must hold at the weight vector, not just mathematically.
@@ -333,37 +323,25 @@ func (b *Binding) precisionWeights(row int, weights []float64) ([]float64, error
 	return weights, nil
 }
 
-// DetachRow returns the exact weight vector one report row samples from,
-// in the representation a client alias build needs: weights over Nodes(),
-// index-aligned. Each arm reproduces the corresponding buildRow arm's
-// inputs to sample.New bit for bit:
+// DetachRows returns the exact weight vector every report row samples
+// from, index-aligned with Nodes(): what a lease bundle ships, in the
+// representation a client alias build needs. Each row reproduces the
+// corresponding buildRow arm's inputs to sample.New bit for bit:
 //
 //   - leaf precision, empty prune set: the full matrix row itself (the
-//     shared alias cache is sample.New over exactly that row). This arm
-//     returns a VIEW of the source's matrix, which is immutable once the
-//     entry is published and shared by every binding of it: read it,
-//     encode it, never write it;
+//     shared alias cache is sample.New over exactly that row). These rows
+//     are VIEWS of the source's matrix, which is immutable once the entry
+//     is published and shared by every binding of it: read them, encode
+//     them, never write them;
 //   - leaf precision, pruned: the kept columns in keep order with
 //     NewSubset's minMass admission check (NewSubset feeds sample.New the
-//     same vector), in a fresh vector;
-//   - coarser precision: precisionWeights, shared with buildRow, in a
-//     fresh vector.
+//     same vector);
+//   - coarser precision: precisionWeights, shared with buildRow.
 //
-// A row that buildRow would refuse (degenerate after pruning) returns
-// ErrUnsampleable.
-func (b *Binding) DetachRow(row int) ([]float64, error) {
-	if b.viewsRows() {
-		return b.src.MatrixRow(b.keep[row]), nil
-	}
-	return b.detachInto(row, make([]float64, len(b.nodes)))
-}
-
-// DetachRows is DetachRow for every report row, index-aligned with Nodes():
-// what a lease bundle ships. An unsampleable row comes back nil, the
-// bundle's marker for a row the client must refuse. Unpruned leaf-precision
-// rows are views of the source matrix, as in DetachRow; computed rows share
-// one backing array, so a detach costs two allocations however many rows
-// the subtree has.
+// A row that buildRow would refuse (degenerate after pruning) comes back
+// nil, the bundle's marker for a row the client must refuse. Computed rows
+// share one backing array, so a detach costs two allocations however many
+// rows the subtree has.
 func (b *Binding) DetachRows() ([][]float64, error) {
 	n := len(b.nodes)
 	rows := make([][]float64, n)
@@ -414,30 +392,6 @@ func (b *Binding) detachInto(row int, dst []float64) ([]float64, error) {
 		dst[i] = r[j]
 	}
 	return dst, nil
-}
-
-// Row returns the normalized report distribution for one row — the
-// Mechanism contract's "normalized weight row": non-negative entries over
-// Nodes() summing to 1. The draw paths never call it (alias tables build
-// from the unnormalized vectors so their thresholds stay byte-stable);
-// it serves audits, the evaluation harness, and the fuzzed row contract.
-func (b *Binding) Row(row int) ([]float64, error) {
-	w, err := b.DetachRow(row)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]float64(nil), w...)
-	sum := 0.0
-	for _, v := range out {
-		sum += v
-	}
-	if sum <= 0 {
-		return nil, fmt.Errorf("%w: row %v has no positive mass", ErrUnsampleable, b.nodes[row])
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out, nil
 }
 
 // EvalPreferences returns the leaves of the subtree that fail the policy's

@@ -225,25 +225,6 @@ func (s *StaticSource) SharedAliasRow(i int) (*sample.Alias, error) {
 	return a, nil
 }
 
-// RowMeta is the metadata half of a row ask: the privacy parameter the
-// rows were generated under, the realized support, and how the support is
-// grouped.
-type RowMeta struct {
-	// Epsilon is the Geo-Ind budget (km^-1) the matrix was built with, as
-	// supplied by the binder; 0 when the caller did not plumb it.
-	Epsilon float64
-	// Support is the number of report nodes a draw can land on (kept
-	// leaves at leaf precision, precision groups otherwise).
-	Support int
-	// Pruned is the realized prune-set size |S| (always <= the δ the
-	// binding was admitted under).
-	Pruned int
-	// Groups is the precision-group count (0 at leaf precision).
-	Groups int
-	// Degraded mirrors the source: planar-Laplace fallback rows.
-	Degraded bool
-}
-
 // Entries of a position → report row table that are not rows.
 const (
 	// rowPruned: the user's own preferences pruned this leaf (leaf

@@ -3,7 +3,6 @@ package mechanism_test
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -73,20 +72,19 @@ func TestPlanarPruneToSingleCell(t *testing.T) {
 	if len(nodes) != 1 || nodes[0] != leaves[1] {
 		t.Fatalf("nodes = %v, want exactly [%v]", nodes, leaves[1])
 	}
-	meta := b.Meta()
-	if meta.Support != 1 || meta.Pruned != 2 || !meta.Degraded {
-		t.Fatalf("meta = %+v, want support 1, pruned 2, degraded", meta)
+	if len(b.Pruned()) != 2 || !b.Source().IsDegraded() {
+		t.Fatalf("pruned %v, degraded %v: want 2 pruned, degraded", b.Pruned(), b.Source().IsDegraded())
 	}
 	row, err := b.RowFor(leaves[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	weights, err := b.Row(row)
+	detached, err := b.DetachRows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(weights) != 1 || math.Abs(weights[0]-1) > 1e-12 {
-		t.Fatalf("normalized row = %v, want [1]", weights)
+	if w := detached[row]; len(w) != 1 || !(w[0] > 0) {
+		t.Fatalf("detached row = %v, want one positive weight (the whole distribution once normalised)", w)
 	}
 	a, err := b.Alias(row)
 	if err != nil {
@@ -112,9 +110,9 @@ func TestPlanarPruneToSingleCell(t *testing.T) {
 
 // TestZeroMassRowPropagatesUnsampleable pins the failure contract: a row
 // whose mass the prune set removes entirely must surface as
-// ErrUnsampleable from every row-serving method — the live alias build,
-// the detached lease form, and the normalized audit row — so the serving
-// layers' errors.Is classification (5xx, not 4xx) keeps working.
+// ErrUnsampleable from the live alias build, so the serving layers'
+// errors.Is classification (5xx, not 4xx) keeps working, and as the nil
+// row that marks it unsampleable in a detached lease.
 func TestZeroMassRowPropagatesUnsampleable(t *testing.T) {
 	tree, root, leaves, _ := edgeWorld(t)
 	// Row 0 reports cell 1 with certainty; pruning cell 1 strands it with
@@ -144,11 +142,8 @@ func TestZeroMassRowPropagatesUnsampleable(t *testing.T) {
 	if _, err := b.Alias(row); !errors.Is(err, mechanism.ErrUnsampleable) {
 		t.Fatalf("Alias(zero-mass row) = %v, want ErrUnsampleable", err)
 	}
-	if _, err := b.DetachRow(row); !errors.Is(err, mechanism.ErrUnsampleable) {
-		t.Fatalf("DetachRow(zero-mass row) = %v, want ErrUnsampleable", err)
-	}
-	if _, err := b.Row(row); !errors.Is(err, mechanism.ErrUnsampleable) {
-		t.Fatalf("Row(zero-mass row) = %v, want ErrUnsampleable", err)
+	if rows, err := b.DetachRows(); err != nil || rows[row] != nil {
+		t.Fatalf("DetachRows: zero-mass row %v (%v), want nil, the bundle's unsampleable marker", rows[row], err)
 	}
 	// The healthy rows keep serving from the same binding.
 	healthy, err := b.RowFor(leaves[2])

@@ -96,12 +96,6 @@ func (r *Rows) Root() loctree.NodeID { return r.root }
 // Nodes returns the report node set. Callers must not mutate it.
 func (r *Rows) Nodes() []loctree.NodeID { return r.nodes }
 
-// Covers reports whether the detached subtree contains leaf.
-func (r *Rows) Covers(leaf loctree.NodeID) bool {
-	_, ok := r.pos(leaf)
-	return ok
-}
-
 // RowFor resolves a true leaf cell to its report row — the same
 // resolution the live Binding applies, so refusals match the server's
 // row for row.

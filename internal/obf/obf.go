@@ -58,13 +58,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.z[i*m.n+j] = v }
 // Row returns row i as a live slice (mutations write through).
 func (m *Matrix) Row(i int) []float64 { return m.z[i*m.n : (i+1)*m.n] }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	out := NewMatrix(m.n)
-	copy(out.z, m.z)
-	return out
-}
-
 // CheckStochastic verifies the probability unit measure (Equ. 1): every
 // entry >= -tol and every row sums to 1 within n*tol.
 func (m *Matrix) CheckStochastic(tol float64) error {
@@ -287,23 +280,4 @@ func PrecisionReduce(m *Matrix, groups [][]int, leafPriors []float64) (*Matrix, 
 		}
 	}
 	return out, nil
-}
-
-// Uniform returns the maximally private n x n matrix (every row uniform).
-func Uniform(n int) *Matrix {
-	m := NewMatrix(n)
-	v := 1 / float64(n)
-	for i := range m.z {
-		m.z[i] = v
-	}
-	return m
-}
-
-// Identity returns the zero-privacy matrix (report the true location).
-func Identity(n int) *Matrix {
-	m := NewMatrix(n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }

@@ -84,17 +84,6 @@ func (m *Mechanism) SampleOffset(rng *rand.Rand) geo.XY {
 	return geo.XY{X: r * math.Cos(theta), Y: r * math.Sin(theta)}
 }
 
-// Perturb returns the obfuscated geographic point for a real location,
-// using a local projection anchored at the point itself.
-func (m *Mechanism) Perturb(p geo.LatLng, rng *rand.Rand) geo.LatLng {
-	pr := geo.NewProjection(p)
-	return pr.Inverse(m.SampleOffset(rng))
-}
-
-// ExpectedError returns the mean noise magnitude 2/eps (km), the mechanism's
-// intrinsic utility loss.
-func (m *Mechanism) ExpectedError() float64 { return 2 / m.Epsilon }
-
 // Discretize snaps a perturbed location for real cell index i onto the
 // nearest center among cells (the "remap to the obfuscation range" step
 // needed to compare against CORGI's finite matrices). Returns the reported

@@ -60,9 +60,9 @@ func TestSampleOffsetStatistics(t *testing.T) {
 		sumX += off.X
 		sumY += off.Y
 	}
-	meanR := sum / n
-	if math.Abs(meanR-m.ExpectedError())/m.ExpectedError() > 0.02 {
-		t.Errorf("mean radius %v, want %v", meanR, m.ExpectedError())
+	meanR, want := sum/n, 2/m.Epsilon
+	if math.Abs(meanR-want)/want > 0.02 {
+		t.Errorf("mean radius %v, want %v", meanR, want)
 	}
 	if math.Abs(sumX/n) > 0.01 || math.Abs(sumY/n) > 0.01 {
 		t.Errorf("offset not centered: (%v, %v)", sumX/n, sumY/n)
@@ -92,11 +92,10 @@ func TestRadialCDF(t *testing.T) {
 func TestPerturbStaysNearby(t *testing.T) {
 	m, _ := New(10)
 	rng := rand.New(rand.NewSource(3))
-	p := geo.SanFrancisco.Center()
 	far := 0
 	for i := 0; i < 1000; i++ {
-		q := m.Perturb(p, rng)
-		if geo.Haversine(p, q) > 3 { // 30x the mean error
+		// The offset Discretize adds to the true cell's center.
+		if off := m.SampleOffset(rng); math.Hypot(off.X, off.Y) > 3 { // 30x the mean error
 			far++
 		}
 	}

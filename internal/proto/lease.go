@@ -97,13 +97,9 @@ func (h *MultiHandler) handleLease(w http.ResponseWriter, r *http.Request) {
 	writeJSONPooled(w, r, leaseResponse(grant))
 }
 
-// Lease requests (or renews) a client-side draw lease. Non-200 responses
+// lease requests (or renews) a client-side draw lease. Non-200 responses
 // return a *stream.StatusError carrying the status and, for budget
 // rejections, the eps_remaining headroom.
-func (c *Client) Lease(req LeaseRequest) (*LeaseResponse, error) {
-	return c.lease(context.Background(), req)
-}
-
 func (c *Client) lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, error) {
 	if req.Region == "" {
 		req.Region = c.region

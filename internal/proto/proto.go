@@ -560,37 +560,6 @@ func DecodeForestBody(tree *loctree.Tree, contentType string, body []byte) (*cor
 	return DecodeForest(tree, &fr)
 }
 
-// FetchForestBatch resolves many (region, privacy level, delta) requests
-// in one POST /v1/forests round trip, advertising the compact v2 encoding
-// for the embedded forests. Per-item outcomes come back in request order;
-// failed items carry their own status and error instead of failing the
-// batch. Decode successful items with BatchItemResult.Decode.
-func (c *Client) FetchForestBatch(items []BatchItem) (*BatchForestResponse, error) {
-	var br BatchForestResponse
-	if err := c.postJSON(context.Background(), "/v1/forests", c.accept(), BatchForestRequest{Items: items}, &br); err != nil {
-		return nil, err
-	}
-	return &br, nil
-}
-
-// Decode reassembles a successful batch item's forest against its
-// region's local tree, whichever encoding the batch negotiated.
-func (r *BatchItemResult) Decode(tree *loctree.Tree) (*core.Forest, error) {
-	if r.Status != http.StatusOK {
-		return nil, fmt.Errorf("proto: batch item (%s, %d, %d) failed with %d: %s",
-			r.Region, r.PrivacyLevel, r.Delta, r.Status, r.Error)
-	}
-	switch {
-	case r.ForestV2 != nil:
-		return DecodeForestV2(tree, r.ForestV2)
-	case r.Forest != nil:
-		return DecodeForest(tree, r.Forest)
-	default:
-		return nil, fmt.Errorf("proto: batch item (%s, %d, %d) has no forest payload",
-			r.Region, r.PrivacyLevel, r.Delta)
-	}
-}
-
 // DecodeForest reassembles a dense v1 response against the local tree.
 func DecodeForest(tree *loctree.Tree, fr *ForestResponse) (*core.Forest, error) {
 	forest := &core.Forest{

@@ -136,14 +136,10 @@ func (c *Client) report(ctx context.Context, req ReportRequest) (*ReportResponse
 	return &resp, nil
 }
 
-// ReportBatch draws for many requests in one POST /v1/reports round trip;
+// reportBatch draws for many requests in one POST /v1/reports round trip;
 // per-item outcomes come back in request order with their own statuses.
 // The caller's slice is not modified: a bound region fills empty item
-// regions on a copy (matching FetchForestBatch's no-mutation contract).
-func (c *Client) ReportBatch(items []ReportRequest) (*BatchReportResponse, error) {
-	return c.reportBatch(context.Background(), items)
-}
-
+// regions on a copy.
 func (c *Client) reportBatch(ctx context.Context, items []ReportRequest) (*BatchReportResponse, error) {
 	sent := items
 	if c.region != "" {

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -164,7 +165,7 @@ func TestReportBatchPerItemStatuses(t *testing.T) {
 	badCell := good
 	badCell.Cell = [2]int{9999, 9999}
 
-	resp, err := c.ReportBatch([]ReportRequest{good, badRegion, badPolicy, badCell})
+	resp, err := c.reportBatch(context.Background(), []ReportRequest{good, badRegion, badPolicy, badCell})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestReportLimitsAndMethods(t *testing.T) {
 		items[i] = ReportRequest{Region: "ra", Cell: [2]int{leaf.Coord.Q, leaf.Coord.R},
 			Policy: policy.Policy{PrivacyLevel: 1}}
 	}
-	if _, err := c.ReportBatch(items); err == nil {
+	if _, err := c.reportBatch(context.Background(), items); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 
@@ -390,7 +391,7 @@ func TestReportBudget429(t *testing.T) {
 	}
 
 	// The batch path classifies per item.
-	batch, err := c.ReportBatch([]ReportRequest{req, {Region: "ra",
+	batch, err := c.reportBatch(context.Background(), []ReportRequest{req, {Region: "ra",
 		Cell: req.Cell, UID: 22, Policy: policy.Policy{PrivacyLevel: 1}}})
 	if err != nil {
 		t.Fatal(err)

@@ -31,9 +31,9 @@ func generateTestForest(t *testing.T) (*loctree.Tree, *core.Forest) {
 	priors := loctree.UniformPriors(tree)
 	leaves := tree.LevelNodes(0)
 	targets := []geo.LatLng{tree.Center(leaves[0]), tree.Center(leaves[24])}
-	srv, err := core.NewServer(tree, priors, targets, []float64{1, 1}, core.Params{
+	srv, err := core.NewServerWithOptions(tree, priors, targets, []float64{1, 1}, core.Params{
 		Epsilon: 15, Iterations: 1, UseGraphApprox: true,
-	})
+	}, core.EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"corgi/internal/budget"
-	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/store"
@@ -43,34 +42,6 @@ func benchSpecs(names ...string) []Spec {
 		}
 	}
 	return specs
-}
-
-// BenchmarkStoreHydration measures loading a full precomputed region
-// (every level, deltas 0..2) from disk into the entry cache — the work a
-// warm restart pays instead of LP solves.
-func BenchmarkStoreHydration(b *testing.B) {
-	specs := benchSpecs("bench-hydrate")
-	dir := benchStoreDir(b, specs, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		st, err := store.Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reg, err := New(specs, Options{Store: st})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		sh, err := reg.Shard(context.Background(), specs[0].Name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if est := sh.Server.Stats(); est.StoreHydrated == 0 {
-			b.Fatal("benchmark hydrated nothing")
-		}
-	}
 }
 
 // BenchmarkWarmRestartFirstForest measures the full restart-to-first-byte
@@ -131,43 +102,6 @@ func mobilityBenchWorld(tb testing.TB, opts Options) (*Registry, loctree.NodeID,
 		}
 	}
 	return reg, leafA, leafB
-}
-
-// BenchmarkReportWarm is the stationary baseline: one user reporting from
-// one cell, every request a warm session hit.
-func BenchmarkReportWarm(b *testing.B) {
-	reg, leafA, _ := mobilityBenchWorld(b, Options{})
-	ctx := context.Background()
-	req := ReportRequest{
-		Region: "bench-mob", Cell: leafA.Coord, UID: 1,
-		Policy: policy.Policy{PrivacyLevel: 1}, Seed: 1,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := reg.Report(ctx, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Release()
-	}
-}
-
-// BenchmarkReportMobility is the moving-user worst case: every request
-// crosses a subtree boundary, so every request re-anchors the session
-// (preference-free: no attribute pass, but a fresh binding build per move).
-func BenchmarkReportMobility(b *testing.B) {
-	reg, leafA, leafB := mobilityBenchWorld(b, Options{})
-	ctx := context.Background()
-	cells := [2]hexgrid.Coord{leafA.Coord, leafB.Coord}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := reg.Report(ctx, ReportRequest{
-			Region: "bench-mob", Cell: cells[i%2], UID: 1,
-			Policy: policy.Policy{PrivacyLevel: 1}, Seed: 1,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkReportBudgeted is the warm path with epsilon accounting on —

@@ -127,9 +127,8 @@ func TestShardWaiterHonorsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	time.Sleep(time.Millisecond)
 	if _, err := r.Shard(ctx, "sf"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired context must fail fast, got %v", err)
 	}
@@ -189,8 +188,14 @@ func TestSyntheticPriorsDifferPerRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	pTree, qTree := shP.Server.Tree(), shQ.Server.Tree()
-	pl := shP.Server.Priors().Level(0)
-	ql := shQ.Server.Priors().Level(0)
+	pl, err := shP.Server.Priors().Subset(pTree, pTree.LevelNodes(0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ql, err := shQ.Server.Priors().Subset(qTree, qTree.LevelNodes(0), false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if pTree.NumLeaves() != qTree.NumLeaves() {
 		t.Fatal("same height regions must match in leaf count")
 	}

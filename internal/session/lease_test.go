@@ -36,8 +36,9 @@ func detachByCopy(s *Session) *codec.LeaseBundle {
 		Nodes:          append([]loctree.NodeID(nil), b.Nodes()...),
 		Rows:           make([][]float64, len(b.Nodes())),
 	}
-	for i := range bundle.Rows {
-		if w, err := b.DetachRow(i); err == nil {
+	rows, _ := b.DetachRows()
+	for i, w := range rows {
+		if w != nil {
 			bundle.Rows[i] = append([]float64(nil), w...)
 		}
 	}
@@ -177,7 +178,8 @@ func TestDetachLeaseLeavesEntryUntouched(t *testing.T) {
 					for {
 						// Re-anchor when the other worker moved the session
 						// away, and every third lease regardless.
-						if i%3 == 0 || !s.Covers(leaf) {
+						root := s.Bound().Root
+						if at, _ := tree.AncestorAt(leaf, root.Level); i%3 == 0 || at != root {
 							if err := s.Rebind(Rebind{Entry: e}); err != nil {
 								t.Error(err)
 								return
@@ -207,7 +209,7 @@ func TestDetachLeaseLeavesEntryUntouched(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if _, err := device.DrawCell(leaf); err != nil {
+					if err := device.DrawCellNInto(leaf, make([]loctree.NodeID, 1)); err != nil {
 						t.Error(err)
 						return
 					}

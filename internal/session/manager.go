@@ -153,13 +153,6 @@ func (m *Manager) drainLocked(s *Session) {
 	m.drainedReanchors += s.Reanchors()
 }
 
-// Len reports the resident session count.
-func (m *Manager) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.ll.Len()
-}
-
 // Stats snapshots the manager's counters. Draws and Reanchors cover every
 // admitted session: resident sessions are summed live, departed sessions
 // were drained into manager counters when they left.

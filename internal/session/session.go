@@ -205,7 +205,7 @@ func (s *Session) Rebind(r Rebind) error {
 // Bound is what a session was bound to at one instant: the subtree, the
 // attribute anchor, and the two facts about the binding a report result
 // carries. Read together under one lock acquisition, they describe one
-// binding; Root, Anchor, Pruned and Degraded read them one at a time.
+// binding; Root, Anchor and Pruned read them one at a time.
 type Bound struct {
 	// Root is the bound subtree's root.
 	Root loctree.NodeID
@@ -233,18 +233,6 @@ func (s *Session) Bound() Bound {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bound()
-}
-
-// Degraded reports whether the current binding serves from a degraded
-// (planar-Laplace fallback) forest entry rather than an LP-optimal one.
-func (s *Session) Degraded() bool { return s.Bound().Degraded }
-
-// Meta summarizes the current binding: ε, support size, prune size,
-// precision grouping (the mechanism row metadata).
-func (s *Session) Meta() mechanism.RowMeta {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Meta()
 }
 
 // Upgrade swaps the session's degraded binding for one backed by the
@@ -305,24 +293,6 @@ func (s *Session) Anchor() loctree.NodeID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.anchor
-}
-
-// Covers reports whether the current binding's subtree contains leaf.
-func (s *Session) Covers(leaf loctree.NodeID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Covers(leaf)
-}
-
-// Policy returns the customization triple the session carries across
-// re-anchors.
-func (s *Session) Policy() policy.Policy { return s.pol }
-
-// Nodes returns the report node set (kept leaves, or precision groups).
-func (s *Session) Nodes() []loctree.NodeID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Nodes()
 }
 
 // Pruned returns the leaves the policy's preferences removed under the

@@ -142,11 +142,11 @@ func TestRowWeightsMatchMatrixPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, err := s.b.Alias(row)
+		nodes := s.b.Nodes()
 		s.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes := s.Nodes()
 		if len(nodes) != len(refNodes) {
 			t.Fatalf("precision %d: %d report nodes, reference has %d", precision, len(nodes), len(refNodes))
 		}
@@ -450,7 +450,7 @@ func TestRebindContinuesRNGStream(t *testing.T) {
 	if got := s1.Reanchors(); got != 1 {
 		t.Fatalf("reanchor counter = %d, want 1", got)
 	}
-	if s1.Root() != rootB || !s1.Covers(leafB) || s1.Covers(leafA) {
+	if s1.Root() != rootB || !s1.b.Covers(leafB) || s1.b.Covers(leafA) {
 		t.Fatalf("binding not swapped: root %v", s1.Root())
 	}
 
@@ -636,7 +636,7 @@ func TestDegradedAndOptimalEntriesNeverShareABinding(t *testing.T) {
 	}
 
 	rebind(degraded)
-	if !s.Degraded() {
+	if !s.Bound().Degraded {
 		t.Fatal("a session rebound onto the degraded entry does not report degraded")
 	}
 	upgraded, err = s.Upgrade(bindHook{optimal, func() { rebind(elsewhere); rebind(degraded) }}, 0)

@@ -46,18 +46,14 @@ func (s *Store) peerLoad(k Key) (*Snapshot, error) {
 	}
 	snap, err := decodeKeyed(raw, k)
 	if err != nil {
-		// The checksum caught a corrupt or truncated peer transfer: count
-		// it, do not persist it, and let the caller solve locally.
-		s.peerCorrupt.Add(1)
+		// The checksum caught a corrupt or truncated peer transfer: do
+		// not persist it, and let the caller solve locally.
 		return nil, ErrNotFound
 	}
-	s.peerHits.Add(1)
 	// Persist the validated bytes so the next restart (and subsequent
 	// loads) read locally. Best-effort: a full disk still serves this
 	// request from the fetched snapshot.
-	if err := s.writeRaw(k, raw); err == nil {
-		s.writes.Add(1)
-	}
+	_ = s.writeRaw(k, raw)
 	return snap, nil
 }
 
@@ -75,7 +71,6 @@ func (s *Store) LoadRaw(k Key) ([]byte, error) {
 		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.peerServes.Add(1)
 	return raw, nil
 }
 
@@ -112,6 +107,5 @@ func IsNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
 // peerFetchState is embedded in Store (see store.go); split out here so
 // the cluster surface stays in one file.
 type peerFetchState struct {
-	peerFetch                         atomic.Pointer[PeerFetchFunc]
-	peerHits, peerCorrupt, peerServes atomic.Uint64
+	peerFetch atomic.Pointer[PeerFetchFunc]
 }

@@ -55,7 +55,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -106,25 +105,11 @@ type Snapshot struct {
 	Entries      []EntrySnapshot `json:"entries"`
 }
 
-// Stats counts the store's file-level traffic.
-type Stats struct {
-	// Loads / LoadMisses / LoadCorrupt classify Load outcomes.
-	Loads, LoadMisses, LoadCorrupt uint64
-	// Writes counts successful Save calls.
-	Writes uint64
-	// PeerHits counts misses hydrated from a cluster peer; PeerCorrupt
-	// peer responses rejected by checksum (fell through to local solve);
-	// PeerServes raw snapshot reads served TO peers.
-	PeerHits, PeerCorrupt, PeerServes uint64
-}
-
 // Store is a forest snapshot directory. All methods are safe for
 // concurrent use; Save is atomic (temp file + rename), so a reader never
 // observes a half-written snapshot.
 type Store struct {
 	dir string
-
-	loads, loadMisses, loadCorrupt, writes atomic.Uint64
 
 	// peerFetchState is the cluster shared-tier hook: a Load miss can
 	// hydrate from a peer node's store before falling through to a local
@@ -145,19 +130,6 @@ func Open(dir string) (*Store, error) {
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// Stats snapshots the store's counters.
-func (s *Store) Stats() Stats {
-	return Stats{
-		Loads:       s.loads.Load(),
-		LoadMisses:  s.loadMisses.Load(),
-		LoadCorrupt: s.loadCorrupt.Load(),
-		Writes:      s.writes.Load(),
-		PeerHits:    s.peerHits.Load(),
-		PeerCorrupt: s.peerCorrupt.Load(),
-		PeerServes:  s.peerServes.Load(),
-	}
-}
 
 // checkSpecHash accepts a spec hash that is safe to name a directory
 // after: 16 or more of [0-9a-z-], which covers the lowercase hex Spec.Hash
@@ -199,25 +171,17 @@ func (s *Store) Load(k Key) (*Snapshot, error) {
 	raw, err := os.ReadFile(s.path(k))
 	if err != nil {
 		if os.IsNotExist(err) {
-			s.loadMisses.Add(1)
 			// Shared tier: a peer node may already have paid this solve.
 			// peerLoad validates (same checksum pipeline as a local read)
 			// and persists; any failure is just ErrNotFound to the caller.
 			if snap, perr := s.peerLoad(k); perr == nil {
-				s.loads.Add(1)
 				return snap, nil
 			}
 			return nil, ErrNotFound
 		}
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	snap, err := decodeKeyed(raw, k)
-	if err != nil {
-		s.loadCorrupt.Add(1)
-		return nil, err
-	}
-	s.loads.Add(1)
-	return snap, nil
+	return decodeKeyed(raw, k)
 }
 
 // decodeKeyed is decodeFile for bytes that claim to be k's snapshot, from
@@ -248,11 +212,7 @@ func (s *Store) Save(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	if err := s.writeRaw(k, raw); err != nil {
-		return err
-	}
-	s.writes.Add(1)
-	return nil
+	return s.writeRaw(k, raw)
 }
 
 // Remove deletes a snapshot file (used to purge corrupt or stale files).

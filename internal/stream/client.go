@@ -432,7 +432,7 @@ func (c *Client) Report(req Request) (*Response, error) {
 }
 
 // Lease requests (or renews) a client-side draw lease over the stream,
-// mirroring proto.Client.Lease: the request's Count field is ignored,
+// mirroring POST /v1/lease: the request's Count field is ignored,
 // draws is the cap to pre-pay, and a non-nil token renews a previous
 // lease. Rejections come back as *StatusError with the same statuses the
 // HTTP route answers (429 with eps headroom on budget exhaustion, 403 on
@@ -452,7 +452,7 @@ func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGra
 }
 
 // ReportBatch draws for many requests in one REPORTS round trip,
-// mirroring proto.Client.ReportBatch: per-item outcomes come back in
+// mirroring POST /v1/reports: per-item outcomes come back in
 // request order with their own statuses, and the caller's slice is not
 // modified (a configured Region fills empty item regions on the wire).
 func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {

@@ -90,8 +90,8 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 		var out []draw
 		consume := func(l *clientdraw.Lease, leaf loctree.NodeID, n int) {
 			t.Helper()
-			nodes, err := l.DrawCellN(leaf, n)
-			if err != nil {
+			nodes := make([]loctree.NodeID, n)
+			if err := l.DrawCellNInto(leaf, nodes); err != nil {
 				t.Fatal(err)
 			}
 			for _, nd := range nodes {
@@ -115,8 +115,10 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prev != nil && prev.Remaining() != 0 {
-				t.Fatalf("retired lease still reports %d draws", prev.Remaining())
+			if prev != nil {
+				if err := prev.DrawCellNInto(leafA, make([]loctree.NodeID, 1)); !errors.Is(err, clientdraw.ErrLeaseExhausted) {
+					t.Fatalf("retired lease still draws: %v", err)
+				}
 			}
 			return l
 		}
@@ -128,10 +130,7 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 		l := open(nil, g, 0, false)
 		consume(l, leafA, count) // move 0
 		consume(l, leafA, count) // move 1
-		if l.Remaining() != 0 {
-			t.Fatalf("lease has %d draws left after exact consumption", l.Remaining())
-		}
-		if _, err := l.DrawCell(leafA); !errors.Is(err, clientdraw.ErrLeaseExhausted) {
+		if err := l.DrawCellNInto(leafA, make([]loctree.NodeID, 1)); !errors.Is(err, clientdraw.ErrLeaseExhausted) {
 			t.Fatalf("draw past cap: %v, want ErrLeaseExhausted", err)
 		}
 
@@ -168,18 +167,9 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 		hc := proto.NewClient(hsrv.URL)
 		overHTTP = drawLocal(tree, leafA, leafB, false,
 			func(leaf loctree.NodeID, draws int, token []byte) (*registry.LeaseGrant, error) {
-				lr, err := hc.Lease(proto.LeaseRequest{
-					Request: stream.Request{Region: "ra", Cell: [2]int{leaf.Coord.Q, leaf.Coord.R}, UID: uid, Policy: pol, Seed: seed},
-					Draws:   draws, Token: token,
+				return hc.Remote().Lease(context.Background(), registry.LeaseRequest{
+					Region: "ra", Cell: leaf.Coord, UID: uid, Policy: pol, Seed: seed, Draws: draws, Token: token,
 				})
-				if err != nil {
-					return nil, err
-				}
-				return &registry.LeaseGrant{
-					Reanchored: lr.Reanchored, Renewed: lr.Renewed,
-					DrawCap: lr.DrawCap, RNGPos: lr.RNGPos,
-					Token: lr.Token, Bundle: lr.Bundle,
-				}, nil
 			})
 	}
 
@@ -236,12 +226,12 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 	}
 	hsrv := httptest.NewServer(h.Mux())
 	t.Cleanup(hsrv.Close)
-	hc := proto.NewClient(hsrv.URL)
+	hc := proto.NewClient(hsrv.URL).Remote()
+	ask := func(draws int, token []byte) registry.LeaseRequest {
+		return registry.LeaseRequest{Region: "ra", Cell: leafNodes[0].Coord, UID: 5, Policy: pol, Seed: 1, Draws: draws, Token: token}
+	}
 
-	lr, err := hc.Lease(proto.LeaseRequest{
-		Request: stream.Request{Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1},
-		Draws:   8,
-	})
+	lr, err := hc.Lease(context.Background(), ask(8, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +239,7 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 		t.Fatalf("issue: budgeted=%v spent=%v remaining=%v", lr.Budgeted, lr.EpsSpent, lr.EpsRemaining)
 	}
 	// 4 more draws cost 60 against 30 of headroom: refused, headroom intact.
-	_, err = hc.Lease(proto.LeaseRequest{
-		Request: stream.Request{Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1},
-		Draws:   4, Token: lr.Token,
-	})
+	_, err = hc.Lease(context.Background(), ask(4, lr.Token))
 	var le *stream.StatusError
 	if !errors.As(err, &le) || le.Status != http.StatusTooManyRequests {
 		t.Fatalf("over-cap renewal: %v", err)
@@ -262,10 +249,7 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 	}
 	// A renewal the headroom does cover still succeeds: the refusal spent
 	// nothing.
-	if lr, err = hc.Lease(proto.LeaseRequest{
-		Request: stream.Request{Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1},
-		Draws:   2, Token: lr.Token,
-	}); err != nil {
+	if lr, err = hc.Lease(context.Background(), ask(2, lr.Token)); err != nil {
 		t.Fatalf("exact-headroom renewal: %v", err)
 	}
 	if lr.EpsRemaining != 0 {
@@ -316,22 +300,22 @@ func TestLeaseTokenRejections(t *testing.T) {
 	}
 	hsrv := httptest.NewServer(h.Mux())
 	t.Cleanup(hsrv.Close)
-	hc := proto.NewClient(hsrv.URL)
+	hc := proto.NewClient(hsrv.URL).Remote()
 	_, addr := startStream(t, reg, stream.Config{})
 	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 	defer sc.Close()
+	ask := func(uid int64, token []byte) registry.LeaseRequest {
+		return registry.LeaseRequest{Region: "ra", Cell: leafNodes[0].Coord, UID: uid, Policy: pol, Seed: 2, Draws: 2, Token: token}
+	}
 
-	lr, err := hc.Lease(proto.LeaseRequest{
-		Request: stream.Request{Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2},
-		Draws:   2,
-	})
+	lr, err := hc.Lease(context.Background(), ask(9, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	wantHTTP403 := func(req proto.LeaseRequest) {
+	wantHTTP403 := func(req registry.LeaseRequest) {
 		t.Helper()
-		_, err := hc.Lease(req)
+		_, err := hc.Lease(context.Background(), req)
 		var le *stream.StatusError
 		if !errors.As(err, &le) || le.Status != http.StatusForbidden {
 			t.Fatalf("want 403 StatusError, got %v", err)
@@ -341,10 +325,7 @@ func TestLeaseTokenRejections(t *testing.T) {
 	// Tampered: one flipped byte in the signed payload.
 	forged := append([]byte(nil), lr.Token...)
 	forged[8] ^= 0x01
-	wantHTTP403(proto.LeaseRequest{
-		Request: stream.Request{Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2},
-		Draws:   2, Token: forged,
-	})
+	wantHTTP403(ask(9, forged))
 	_, err = sc.Lease(stream.Request{
 		Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2,
 	}, 2, forged)
@@ -364,16 +345,10 @@ func TestLeaseTokenRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	tok.ExpiresAt = time.Now().Add(-time.Minute).UnixMilli()
-	wantHTTP403(proto.LeaseRequest{
-		Request: stream.Request{Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2},
-		Draws:   2, Token: kr.Sign(tok),
-	})
+	wantHTTP403(ask(9, kr.Sign(tok)))
 
 	// Wrong presenter: a valid token under a different request UID.
-	wantHTTP403(proto.LeaseRequest{
-		Request: stream.Request{Region: "ra", Cell: cell, UID: 10, Policy: pol, Seed: 2},
-		Draws:   2, Token: lr.Token,
-	})
+	wantHTTP403(ask(10, lr.Token))
 
 	if st := reg.LeaseStats(); st.DeniedToken != 4 {
 		t.Fatalf("denied_token = %d, want 4: %+v", st.DeniedToken, st)
@@ -381,10 +356,7 @@ func TestLeaseTokenRejections(t *testing.T) {
 
 	// The denials never touched the session: the original lease still
 	// renews and continues at the position it granted.
-	lr2, err := hc.Lease(proto.LeaseRequest{
-		Request: stream.Request{Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2},
-		Draws:   2, Token: lr.Token,
-	})
+	lr2, err := hc.Lease(context.Background(), ask(9, lr.Token))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,14 +439,14 @@ func TestMaxReportCountLimit(t *testing.T) {
 		{"router lease", func() registry.Rejection { _, err := router.Lease(ctx, leaseAsk); return rejection(err) }},
 		{"http report", func() registry.Rejection { _, err := hc.Report(wire); return rejection(err) }},
 		{"http batch item", func() registry.Rejection {
-			br, err := hc.ReportBatch([]proto.ReportRequest{wire})
+			items, err := hc.Remote().ReportBatch(ctx, []registry.ReportRequest{ask})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return item(br.Items[0])
+			return rejection(items[0].Err)
 		}},
 		{"http lease", func() registry.Rejection {
-			_, err := hc.Lease(proto.LeaseRequest{Request: stream.WireLease(leaseAsk), Draws: over})
+			_, err := hc.Remote().Lease(ctx, leaseAsk)
 			return rejection(err)
 		}},
 		{"stream report", func() registry.Rejection { _, err := sc.Report(wire); return rejection(err) }},

@@ -279,15 +279,15 @@ func TestStreamBatchPartialFailureMatchesHTTP(t *testing.T) {
 	}
 	hsrv := httptest.NewServer(h.Mux())
 	t.Cleanup(hsrv.Close)
-	hc := proto.NewClient(hsrv.URL)
-	httpItems := make([]proto.ReportRequest, 0, 4)
+	hc := proto.NewClient(hsrv.URL).Remote()
+	httpItems := make([]registry.ReportRequest, 0, 4)
 	for _, it := range itemsOf(leaf) {
-		httpItems = append(httpItems, proto.ReportRequest{
-			Region: it.region, Cell: it.cell, UID: it.uid,
+		httpItems = append(httpItems, registry.ReportRequest{
+			Region: it.region, Cell: hexgrid.Coord{Q: it.cell[0], R: it.cell[1]}, UID: it.uid,
 			Policy: policy.Policy{PrivacyLevel: 1}, Seed: 9, Count: 1,
 		})
 	}
-	httpResp, err := hc.ReportBatch(httpItems)
+	httpResp, err := hc.ReportBatch(context.Background(), httpItems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,18 +310,23 @@ func TestStreamBatchPartialFailureMatchesHTTP(t *testing.T) {
 	}
 
 	wantStatus := []int{429, 404, 422, 200}
-	if len(httpResp.Items) != 4 || len(streamResp) != 4 {
-		t.Fatalf("item counts: http %d, stream %d", len(httpResp.Items), len(streamResp))
+	if len(httpResp) != 4 || len(streamResp) != 4 {
+		t.Fatalf("item counts: http %d, stream %d", len(httpResp), len(streamResp))
 	}
 	for i := range wantStatus {
-		hi, si := httpResp.Items[i], streamResp[i]
-		if hi.Status != wantStatus[i] || si.Status != wantStatus[i] {
-			t.Fatalf("item %d: http %d, stream %d, want %d", i, hi.Status, si.Status, wantStatus[i])
+		hi, si := httpResp[i], streamResp[i]
+		status, msg := http.StatusOK, ""
+		var se *stream.StatusError
+		if errors.As(hi.Err, &se) {
+			status, msg = se.Status, se.Msg
 		}
-		if hi.Error != si.Error {
-			t.Fatalf("item %d message diverged: http %q, stream %q", i, hi.Error, si.Error)
+		if status != wantStatus[i] || si.Status != wantStatus[i] {
+			t.Fatalf("item %d: http %d, stream %d, want %d", i, status, si.Status, wantStatus[i])
 		}
-		if (hi.Report != nil) != (si.Report != nil) {
+		if msg != si.Error {
+			t.Fatalf("item %d message diverged: http %q, stream %q", i, msg, si.Error)
+		}
+		if (hi.Result != nil) != (si.Report != nil) {
 			t.Fatalf("item %d payload presence diverged", i)
 		}
 	}
@@ -332,8 +337,8 @@ func TestStreamBatchPartialFailureMatchesHTTP(t *testing.T) {
 	}
 	// The valid item's draw matches across transports (same seed, fresh
 	// identically-primed registries).
-	hr, sr := httpResp.Items[3].Report, streamResp[3].Report
-	if hr.Reports[0].Q != sr.Reports[0].Q || hr.Reports[0].R != sr.Reports[0].R {
+	hr, sr := httpResp[3].Result, streamResp[3].Report
+	if hr.Reports[0].Coord.Q != sr.Reports[0].Q || hr.Reports[0].Coord.R != sr.Reports[0].R {
 		t.Fatalf("valid item draws diverged: http %+v, stream %+v", hr.Reports[0], sr.Reports[0])
 	}
 
