@@ -22,6 +22,7 @@ import (
 	"math"
 	"time"
 
+	"corgi/internal/codec"
 	"corgi/internal/loctree"
 )
 
@@ -78,13 +79,10 @@ func appendTokenPayload(buf []byte, t LeaseToken) []byte {
 	buf = append(buf, tokenMagic...)
 	buf = append(buf, tokenVersion)
 	buf = binary.AppendVarint(buf, t.UID)
-	buf = binary.AppendUvarint(buf, uint64(len(t.Region)))
-	buf = append(buf, t.Region...)
-	buf = binary.AppendVarint(buf, int64(t.Root.Level))
-	buf = binary.AppendVarint(buf, int64(t.Root.Coord.Q))
-	buf = binary.AppendVarint(buf, int64(t.Root.Coord.R))
+	buf = codec.AppendString(buf, t.Region)
+	buf = codec.AppendNode(buf, t.Root)
 	buf = binary.AppendUvarint(buf, uint64(t.Delta))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Eps))
+	buf = codec.AppendF64(buf, t.Eps)
 	buf = binary.AppendUvarint(buf, uint64(t.DrawCap))
 	buf = binary.AppendUvarint(buf, t.RNGPos)
 	buf = binary.AppendVarint(buf, t.IssuedAt)
@@ -92,104 +90,50 @@ func appendTokenPayload(buf []byte, t LeaseToken) []byte {
 	return buf
 }
 
-// decodeTokenPayload parses the signed portion, returning the payload
-// length consumed so the caller can locate the tag.
-func decodeTokenPayload(data []byte) (LeaseToken, int, error) {
+// decodeToken parses an encoded token, the signed payload followed by its
+// tag, and returns the payload length: the tag is the last tagLen bytes.
+func decodeToken(data []byte) (LeaseToken, int, error) {
 	var t LeaseToken
-	if len(data) < len(tokenMagic)+1 || string(data[:len(tokenMagic)]) != tokenMagic {
+	payloadLen := len(data) - tagLen
+	if payloadLen < 0 {
+		return t, 0, fmt.Errorf("%w: bad tag length", ErrBadLeaseToken)
+	}
+	c := codec.NewCursor(data[:payloadLen], "lease token")
+	if string(c.Raw(len(tokenMagic))) != tokenMagic {
 		return t, 0, fmt.Errorf("%w: bad magic", ErrBadLeaseToken)
 	}
-	off := len(tokenMagic)
-	if data[off] != tokenVersion {
-		return t, 0, fmt.Errorf("%w: version %d unsupported", ErrBadLeaseToken, data[off])
+	if v := c.U8(); v != tokenVersion {
+		return t, 0, fmt.Errorf("%w: version %d unsupported", ErrBadLeaseToken, v)
 	}
-	off++
-	varint := func() (int64, error) {
-		v, n := binary.Varint(data[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated at byte %d", ErrBadLeaseToken, off)
-		}
-		off += n
-		return v, nil
+	t.UID = c.Varint()
+	region := c.Bytes()
+	if len(region) > 256 {
+		return t, 0, fmt.Errorf("%w: region length %d out of range", ErrBadLeaseToken, len(region))
 	}
-	uvarint := func() (uint64, error) {
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: truncated at byte %d", ErrBadLeaseToken, off)
-		}
-		off += n
-		return v, nil
+	t.Root = c.Node()
+	t.Delta = int(c.Uvarint())
+	t.Eps = c.F64()
+	drawCap := c.Uvarint()
+	t.RNGPos = c.Uvarint()
+	t.IssuedAt = c.Varint()
+	t.ExpiresAt = c.Varint()
+	if err := c.Done(); err != nil {
+		return t, 0, fmt.Errorf("%w: %v", ErrBadLeaseToken, err)
 	}
-	var err error
-	if t.UID, err = varint(); err != nil {
-		return t, 0, err
+	if drawCap > math.MaxInt32 {
+		return t, 0, fmt.Errorf("%w: draw cap %d out of range", ErrBadLeaseToken, drawCap)
 	}
-	rl, err := uvarint()
-	if err != nil {
-		return t, 0, err
-	}
-	if rl > 256 || off+int(rl) > len(data) {
-		return t, 0, fmt.Errorf("%w: region length %d out of range", ErrBadLeaseToken, rl)
-	}
-	t.Region = string(data[off : off+int(rl)])
-	off += int(rl)
-	lvl, err := varint()
-	if err != nil {
-		return t, 0, err
-	}
-	q, err := varint()
-	if err != nil {
-		return t, 0, err
-	}
-	r, err := varint()
-	if err != nil {
-		return t, 0, err
-	}
-	t.Root = loctree.NodeID{Level: int(lvl)}
-	t.Root.Coord.Q = int(q)
-	t.Root.Coord.R = int(r)
-	delta, err := uvarint()
-	if err != nil {
-		return t, 0, err
-	}
-	t.Delta = int(delta)
-	if off+8 > len(data) {
-		return t, 0, fmt.Errorf("%w: truncated at byte %d", ErrBadLeaseToken, off)
-	}
-	t.Eps = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-	off += 8
-	cap64, err := uvarint()
-	if err != nil {
-		return t, 0, err
-	}
-	if cap64 > math.MaxInt32 {
-		return t, 0, fmt.Errorf("%w: draw cap %d out of range", ErrBadLeaseToken, cap64)
-	}
-	t.DrawCap = int(cap64)
-	if t.RNGPos, err = uvarint(); err != nil {
-		return t, 0, err
-	}
-	if t.IssuedAt, err = varint(); err != nil {
-		return t, 0, err
-	}
-	if t.ExpiresAt, err = varint(); err != nil {
-		return t, 0, err
-	}
-	return t, off, nil
+	t.DrawCap = int(drawCap)
+	t.Region = string(region)
+	return t, payloadLen, nil
 }
 
 // DecodeLeaseToken parses a token WITHOUT authenticating it. Clients use
 // it to read their own lease's cap and expiry; servers must only trust
 // fields coming out of Keyring.Verify.
 func DecodeLeaseToken(data []byte) (LeaseToken, error) {
-	t, off, err := decodeTokenPayload(data)
-	if err != nil {
-		return t, err
-	}
-	if len(data) != off+tagLen {
-		return t, fmt.Errorf("%w: bad tag length", ErrBadLeaseToken)
-	}
-	return t, nil
+	t, _, err := decodeToken(data)
+	return t, err
 }
 
 // Keyring derives per-user lease-signing keys from one master secret and
@@ -264,12 +208,9 @@ func (k *Keyring) Sign(t LeaseToken) []byte {
 // ErrBadLeaseToken. Only a verified token's fields may be trusted. A token
 // that verifies costs one allocation, its Region string.
 func (k *Keyring) Verify(data []byte, now time.Time) (LeaseToken, error) {
-	t, off, err := decodeTokenPayload(data)
+	t, off, err := decodeToken(data)
 	if err != nil {
 		return LeaseToken{}, err
-	}
-	if len(data) != off+tagLen {
-		return LeaseToken{}, fmt.Errorf("%w: bad tag length", ErrBadLeaseToken)
 	}
 	key := k.userKey(t.UID)
 	tag := hmacSHA256(key[:], data[:off])

@@ -1,8 +1,19 @@
-// Package codec implements the compact, quantized, row-sparse matrix
-// encoding shared by the wire protocol (internal/proto, format v2) and the
-// on-disk forest store (internal/store). Keeping the codec below both lets
-// the snapshot format reuse the wire encoding byte for byte without an
-// import cycle between the protocol and the store.
+// Package codec holds the binary encodings of what crosses a process
+// boundary, and the one reader they are decoded with:
+//
+//   - Cursor (cursor.go) is the bounds-checked reader every binary format
+//     in the module decodes through — stream frame bodies
+//     (internal/stream), lease tokens (internal/budget), and the two
+//     formats below — with the appenders their encoders share. A length or
+//     count read from outside input is bounded by the bytes that are
+//     actually there before anything is sized by it.
+//   - The lease bundle (lease.go) is a detached session binding in exact
+//     float64 bits, for device-side draws.
+//   - The matrix blob (this file) is the compact, quantized, row-sparse
+//     matrix encoding shared by the wire protocol (internal/proto, format
+//     v2) and the on-disk forest store (internal/store). Keeping it below
+//     both lets the snapshot format reuse the wire encoding byte for byte
+//     without an import cycle between the protocol and the store.
 //
 // Each matrix entry is a probability in [0, 1], quantized to a 32-bit fixed
 // point q = round(v * (2^32 - 1)); the decode error per entry is at most
@@ -24,7 +35,6 @@
 package codec
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -80,18 +90,17 @@ func EncodeMatrix(m *obf.Matrix) ([]byte, error) {
 		sparseBytes := 2 + 6*nnz
 		denseBytes := 2 + 4*dim
 		if sparseBytes < denseBytes {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(nnz))
+			buf = AppendU16(buf, uint16(nnz))
 			for j, q := range qrow {
 				if q == 0 {
 					continue
 				}
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(j))
-				buf = binary.LittleEndian.AppendUint32(buf, q)
+				buf = AppendU32(AppendU16(buf, uint16(j)), q)
 			}
 		} else {
-			buf = binary.LittleEndian.AppendUint16(buf, denseRowMark)
+			buf = AppendU16(buf, denseRowMark)
 			for _, q := range qrow {
-				buf = binary.LittleEndian.AppendUint32(buf, q)
+				buf = AppendU32(buf, q)
 			}
 		}
 	}
@@ -104,48 +113,29 @@ func DecodeMatrix(data []byte, dim int) (*obf.Matrix, error) {
 		return nil, fmt.Errorf("codec: dimension %d out of range", dim)
 	}
 	m := obf.NewMatrix(dim)
-	off := 0
-	need := func(n int) error {
-		if off+n > len(data) {
-			return fmt.Errorf("codec: blob truncated at byte %d", off)
-		}
-		return nil
-	}
-	for i := 0; i < dim; i++ {
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		n := binary.LittleEndian.Uint16(data[off:])
-		off += 2
+	c := NewCursor(data, "codec: matrix blob")
+	for i := 0; i < dim && c.Err() == nil; i++ {
 		row := m.Row(i)
+		n := c.U16()
 		if n == denseRowMark {
-			if err := need(4 * dim); err != nil {
-				return nil, err
-			}
-			for j := 0; j < dim; j++ {
-				row[j] = Dequantize(binary.LittleEndian.Uint32(data[off:]))
-				off += 4
+			for j := range row {
+				row[j] = Dequantize(c.U32())
 			}
 			continue
 		}
 		if int(n) > dim {
 			return nil, fmt.Errorf("codec: row %d claims %d entries for dim %d", i, n, dim)
 		}
-		if err := need(6 * int(n)); err != nil {
-			return nil, err
-		}
 		for k := 0; k < int(n); k++ {
-			col := binary.LittleEndian.Uint16(data[off:])
-			off += 2
+			col := c.U16()
 			if int(col) >= dim {
 				return nil, fmt.Errorf("codec: row %d column %d out of range", i, col)
 			}
-			row[col] = Dequantize(binary.LittleEndian.Uint32(data[off:]))
-			off += 4
+			row[col] = Dequantize(c.U32())
 		}
 	}
-	if off != len(data) {
-		return nil, fmt.Errorf("codec: blob has %d trailing bytes", len(data)-off)
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

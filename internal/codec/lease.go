@@ -37,7 +37,6 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"corgi/internal/loctree"
@@ -99,13 +98,6 @@ type LeaseBundle struct {
 	// unsampleable: degenerate after pruning, refused client-side without
 	// consuming RNG.
 	Rows [][]float64
-}
-
-func appendNode(buf []byte, n loctree.NodeID) []byte {
-	buf = binary.AppendVarint(buf, int64(n.Level))
-	buf = binary.AppendVarint(buf, int64(n.Coord.Q))
-	buf = binary.AppendVarint(buf, int64(n.Coord.R))
-	return buf
 }
 
 // uvarintLen is the encoded size of binary.AppendUvarint(nil, x).
@@ -180,16 +172,16 @@ func EncodeLeaseBundle(b *LeaseBundle) ([]byte, error) {
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(b.PrecisionLevel))
-	buf = appendNode(buf, b.Root)
+	buf = AppendNode(buf, b.Root)
 	buf = binary.AppendVarint(buf, b.Seed)
 	buf = binary.AppendUvarint(buf, b.RNGPos)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Pruned)))
 	for _, p := range b.Pruned {
-		buf = appendNode(buf, p)
+		buf = AppendNode(buf, p)
 	}
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for _, nd := range b.Nodes {
-		buf = appendNode(buf, nd)
+		buf = AppendNode(buf, nd)
 	}
 	for _, row := range b.Rows {
 		if len(row) == 0 {
@@ -205,136 +197,56 @@ func EncodeLeaseBundle(b *LeaseBundle) ([]byte, error) {
 					continue
 				}
 				buf = binary.AppendUvarint(buf, uint64(j))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
+				buf = AppendF64(buf, w)
 			}
 		} else {
 			for _, w := range row {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w))
+				buf = AppendF64(buf, w)
 			}
 		}
 	}
 	return buf, nil
 }
 
-// leaseReader is a bounds-checked cursor over an encoded bundle.
-type leaseReader struct {
-	data []byte
-	off  int
-}
-
-func (r *leaseReader) u8() (byte, error) {
-	if r.off >= len(r.data) {
-		return 0, fmt.Errorf("codec: lease bundle truncated at byte %d", r.off)
-	}
-	b := r.data[r.off]
-	r.off++
-	return b, nil
-}
-
-func (r *leaseReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("codec: lease bundle bad uvarint at byte %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *leaseReader) varint() (int64, error) {
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("codec: lease bundle bad varint at byte %d", r.off)
-	}
-	r.off += n
-	return v, nil
-}
-
-func (r *leaseReader) f64() (float64, error) {
-	if r.off+8 > len(r.data) {
-		return 0, fmt.Errorf("codec: lease bundle truncated at byte %d", r.off)
-	}
-	bits := binary.LittleEndian.Uint64(r.data[r.off:])
-	r.off += 8
-	return math.Float64frombits(bits), nil
-}
-
-func (r *leaseReader) node() (loctree.NodeID, error) {
-	lvl, err := r.varint()
-	if err != nil {
-		return loctree.NodeID{}, err
-	}
-	q, err := r.varint()
-	if err != nil {
-		return loctree.NodeID{}, err
-	}
-	rr, err := r.varint()
-	if err != nil {
-		return loctree.NodeID{}, err
-	}
-	n := loctree.NodeID{Level: int(lvl)}
-	n.Coord.Q = int(q)
-	n.Coord.R = int(rr)
-	return n, nil
-}
-
 // DecodeLeaseBundle unpacks an encoded bundle, validating every bound; a
 // malformed input of any shape returns an error, never a panic or an
 // oversized allocation.
 func DecodeLeaseBundle(data []byte) (*LeaseBundle, error) {
-	r := &leaseReader{data: data}
-	if len(data) < len(leaseMagic)+2 || string(data[:len(leaseMagic)]) != leaseMagic {
+	c := NewCursor(data, "codec: lease bundle")
+	if string(c.Raw(len(leaseMagic))) != leaseMagic {
 		return nil, fmt.Errorf("codec: not a lease bundle")
 	}
-	r.off = len(leaseMagic)
-	ver, _ := r.u8()
-	if ver != leaseVersion {
+	if ver := c.U8(); ver != leaseVersion {
 		return nil, fmt.Errorf("codec: lease bundle version %d unsupported", ver)
 	}
-	flags, _ := r.u8()
-	b := &LeaseBundle{Degraded: flags&leaseFlagDegraded != 0}
-	prec, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	b := &LeaseBundle{Degraded: c.U8()&leaseFlagDegraded != 0}
+	prec := c.Uvarint()
 	if prec > 64 {
 		return nil, fmt.Errorf("codec: lease precision level %d out of range", prec)
 	}
 	b.PrecisionLevel = int(prec)
-	if b.Root, err = r.node(); err != nil {
-		return nil, err
-	}
-	if b.Seed, err = r.varint(); err != nil {
-		return nil, err
-	}
-	if b.RNGPos, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	nPruned, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
+	b.Root = c.Node()
+	b.Seed = c.Varint()
+	b.RNGPos = c.Uvarint()
+	// A node is three varints, at least three bytes.
+	nPruned := c.Count(3)
 	if nPruned > MaxLeaseNodes {
 		return nil, fmt.Errorf("codec: lease pruned count %d exceeds %d", nPruned, MaxLeaseNodes)
 	}
 	b.Pruned = make([]loctree.NodeID, nPruned)
 	for i := range b.Pruned {
-		if b.Pruned[i], err = r.node(); err != nil {
-			return nil, err
-		}
+		b.Pruned[i] = c.Node()
 	}
-	nNodes, err := r.uvarint()
-	if err != nil {
+	n := c.Count(3)
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	if nNodes < 1 || nNodes > MaxLeaseNodes {
-		return nil, fmt.Errorf("codec: lease node count %d out of range [1, %d]", nNodes, MaxLeaseNodes)
+	if n < 1 || n > MaxLeaseNodes {
+		return nil, fmt.Errorf("codec: lease node count %d out of range [1, %d]", n, MaxLeaseNodes)
 	}
-	n := int(nNodes)
 	b.Nodes = make([]loctree.NodeID, n)
 	for i := range b.Nodes {
-		if b.Nodes[i], err = r.node(); err != nil {
-			return nil, err
-		}
+		b.Nodes[i] = c.Node()
 	}
 	// Rows decode into an arena instead of one vector each. The arena is
 	// sized by what the input can pay for, never by what the header claims:
@@ -353,53 +265,40 @@ func DecodeLeaseBundle(data []byte) (*LeaseBundle, error) {
 		return row
 	}
 	b.Rows = make([][]float64, n)
-	for i := 0; i < n; i++ {
-		bytesLeft := len(data) - r.off
-		kind, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
+	for i := 0; i < n && c.Err() == nil; i++ {
+		bytesLeft := c.left()
+		switch kind := c.U8(); kind {
 		case rowEmpty:
 			// stays nil: unsampleable
 		case rowDense:
-			if r.off+8*n > len(data) {
-				return nil, fmt.Errorf("codec: lease bundle truncated at byte %d", len(data))
+			if c.left() < 8*n {
+				return nil, fmt.Errorf("codec: lease row %d truncated", i)
 			}
 			row := take(n-i, bytesLeft)
 			for j := range row {
-				row[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[r.off:]))
-				r.off += 8
+				row[j] = c.F64()
 			}
 			b.Rows[i] = row
 		case rowSparse:
-			nnz, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
+			nnz := c.Uvarint()
 			if nnz > uint64(n) {
 				return nil, fmt.Errorf("codec: lease row %d claims %d entries for %d nodes", i, nnz, n)
 			}
 			row := take(n-i, bytesLeft)
 			for k := uint64(0); k < nnz; k++ {
-				col, err := r.uvarint()
-				if err != nil {
-					return nil, err
-				}
+				col := c.Uvarint()
 				if col >= uint64(n) {
 					return nil, fmt.Errorf("codec: lease row %d column %d out of range", i, col)
 				}
-				if row[col], err = r.f64(); err != nil {
-					return nil, err
-				}
+				row[col] = c.F64()
 			}
 			b.Rows[i] = row
 		default:
 			return nil, fmt.Errorf("codec: lease row %d has unknown kind %d", i, kind)
 		}
 	}
-	if r.off != len(data) {
-		return nil, fmt.Errorf("codec: lease bundle has %d trailing bytes", len(data)-r.off)
+	if err := c.Done(); err != nil {
+		return nil, err
 	}
 	return b, nil
 }

@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"runtime"
 	"testing"
@@ -180,6 +182,26 @@ func TestLeaseBundleDecodeArena(t *testing.T) {
 	hostile := append(append([]byte(nil), blob[:len(blob)-n]...), rowSparse, 0, rowSparse, 0, rowSparse, 0)
 	if got := allocatedBy(func() { _, err = DecodeLeaseBundle(hostile) }); err == nil || got > bound {
 		t.Errorf("truncated bundle claiming %d rows: err %v, %d bytes allocated, want an error and <= %d", n, err, got, bound)
+	}
+}
+
+// TestLeaseBundleCountsBoundedByBytes: a header that claims as many pruned
+// leaves or report nodes as MaxLeaseNodes allows, with none of them there,
+// is refused before the claim sizes a list.
+func TestLeaseBundleCountsBoundedByBytes(t *testing.T) {
+	head := append([]byte(leaseMagic), leaseVersion, 0, 0) // flags, precision level
+	head = AppendNode(head, nid(1, 0, 0))
+	head = append(head, 0, 0) // seed, rng position
+	for name, blob := range map[string][]byte{
+		"pruned": binary.AppendUvarint(bytes.Clone(head), MaxLeaseNodes),
+		"nodes":  binary.AppendUvarint(append(bytes.Clone(head), 0), MaxLeaseNodes),
+	} {
+		const bound = 16 << 10
+		var err error
+		if got := allocatedBy(func() { _, err = DecodeLeaseBundle(blob) }); err == nil || got > bound {
+			t.Errorf("%s count %d in a %d-byte bundle: err %v, %d bytes allocated, want an error and <= %d",
+				name, MaxLeaseNodes, len(blob), err, got, bound)
+		}
 	}
 }
 

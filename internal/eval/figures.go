@@ -12,6 +12,7 @@ import (
 	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
+	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 	"corgi/internal/planar"
 )
@@ -310,7 +311,7 @@ func Fig14(cfg *Config) (*Output, error) {
 			return nil, err
 		}
 		// Reduction: leaf matrix -> level-1 matrix via Equ. (17).
-		groups, parents, err := groupLeavesByParent(e.tree, leaves)
+		groups, parents, err := mechanism.GroupByAncestor(e.tree, leaves, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -343,7 +344,7 @@ func Fig14(cfg *Config) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	groups, _, err := groupLeavesByParent(e.tree, leaves)
+	groups, _, err := mechanism.GroupByAncestor(e.tree, leaves, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -367,26 +368,6 @@ func Fig14(cfg *Config) (*Output, error) {
 		})
 	}
 	return &Output{Tables: []*Table{tabA, tabB}}, nil
-}
-
-func groupLeavesByParent(tree *loctree.Tree, leaves []loctree.NodeID) ([][]int, []loctree.NodeID, error) {
-	order := make([]loctree.NodeID, 0)
-	groups := map[loctree.NodeID][]int{}
-	for i, leaf := range leaves {
-		anc, ok := tree.AncestorAt(leaf, 1)
-		if !ok {
-			return nil, nil, fmt.Errorf("eval: leaf %v has no level-1 ancestor", leaf)
-		}
-		if _, seen := groups[anc]; !seen {
-			order = append(order, anc)
-		}
-		groups[anc] = append(groups[anc], i)
-	}
-	out := make([][]int, len(order))
-	for gi, anc := range order {
-		out[gi] = groups[anc]
-	}
-	return out, order, nil
 }
 
 func recalcAtLevel1(e *world, parents []loctree.NodeID) (time.Duration, error) {

@@ -92,10 +92,10 @@ type Source interface {
 	// MatrixRow returns raw row i (unnormalized access to the underlying
 	// row-stochastic matrix). Callers must not mutate it.
 	MatrixRow(i int) []float64
-	// SharedAliasRow returns the cached O(1) alias sampler for row i,
-	// building it on first use. The cache is shared across every binding
-	// of the source (the engine-LRU-accounted fast path for unpruned
-	// leaf-precision draws).
+	// SharedAliasRow returns the O(1) alias sampler for row i, the
+	// unpruned leaf-precision fast path. A forest entry serves it from its
+	// engine-LRU-accounted cache; the unpruned binding in LeafIndex caches
+	// what it gets either way.
 	SharedAliasRow(i int) (*sample.Alias, error)
 	// IsDegraded reports whether the rows come from a planar-Laplace
 	// fallback rather than an LP-optimal solve.
@@ -156,17 +156,13 @@ func (x *LeafIndex) Pos(leaf loctree.NodeID) (int, bool) {
 
 // StaticSource adapts a bare obfuscation matrix to the Source interface:
 // planar-Laplace fallback rows, eval-built matrices, and test fixtures
-// all serve through it. Safe for concurrent use; the alias cache builds
-// lazily under an internal mutex, mirroring core.ForestEntry's.
+// all serve through it. Safe for concurrent use.
 type StaticSource struct {
 	root     loctree.NodeID
 	leaves   []loctree.NodeID
 	m        *obf.Matrix
 	degraded bool
 	index    LeafIndex
-
-	mu    sync.Mutex
-	alias []*sample.Alias
 }
 
 // NewStaticSource validates the leaf/matrix alignment and wraps m.
@@ -203,25 +199,15 @@ func (s *StaticSource) MatrixRow(i int) []float64 { return s.m.Row(i) }
 // IsDegraded implements Source.
 func (s *StaticSource) IsDegraded() bool { return s.degraded }
 
-// SharedAliasRow implements Source: the same lazy per-row alias cache a
-// forest entry keeps, minus the engine byte accounting.
+// SharedAliasRow implements Source by building row i's table on each call.
+// The source keeps no cache of its own: the unpruned binding its LeafIndex
+// holds caches every row it draws from, and a table is a pure function of
+// its row, so every build draws the same.
 func (s *StaticSource) SharedAliasRow(i int) (*sample.Alias, error) {
-	if i < 0 || i >= s.m.Dim() {
-		return nil, fmt.Errorf("mechanism: alias row %d outside matrix dimension %d", i, s.m.Dim())
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.alias == nil {
-		s.alias = make([]*sample.Alias, s.m.Dim())
-	}
-	if a := s.alias[i]; a != nil {
-		return a, nil
-	}
 	a, err := sample.New(s.m.Row(i))
 	if err != nil {
 		return nil, fmt.Errorf("mechanism: alias for row %d of %v: %w", i, s.root, err)
 	}
-	s.alias[i] = a
 	return a, nil
 }
 

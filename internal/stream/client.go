@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"corgi/internal/codec"
 	"corgi/internal/registry"
 )
 
@@ -132,10 +133,7 @@ type clientConn struct {
 	// nextID numbers exchanges on this connection; responses echo it, and
 	// a mismatch is a protocol fault (the exchange pattern is strictly
 	// serial per connection).
-	nextID uint32
-	// maxBatch and maxCount are the server's advertised limits.
-	maxBatch int
-	maxCount int
+	nextID   uint32
 	draining bool
 }
 
@@ -192,16 +190,7 @@ func (c *Client) handshake(cc *clientConn) error {
 	if ftype != frameWelcome {
 		return fmt.Errorf("stream: expected WELCOME, got frame type %d", ftype)
 	}
-	d := decoder{b: payload}
-	if v := d.u8(); v != Version {
-		return fmt.Errorf("stream: server negotiated unsupported version %d", v)
-	}
-	cc.maxBatch = int(d.uvarint())
-	cc.maxCount = int(d.uvarint())
-	if err := d.done("WELCOME"); err != nil {
-		return err
-	}
-	return nil
+	return decodeWelcome(payload)
 }
 
 func (c *Client) writeFrame(cc *clientConn, bp *[]byte) error {
@@ -311,7 +300,7 @@ func (c *Client) Close() error {
 		// A GOODBYE tells the server this close is deliberate, not a torn
 		// connection. Best effort.
 		bp := getFrame(frameGoodbye)
-		*bp = appendString(*bp, "client closing")
+		*bp = codec.AppendString(*bp, "client closing")
 		c.writeFrame(cc, bp)
 		cc.conn.Close()
 	}
@@ -332,16 +321,16 @@ func (c *Client) Stats() ClientStats {
 
 // decodeErrorFrame turns an ERROR payload into a *StatusError.
 func decodeErrorFrame(payload []byte) error {
-	d := decoder{b: payload}
-	d.u32() // reqID, already matched by the caller (0 for connection-level)
-	se := &StatusError{Status: int(d.u16())}
-	if d.u8()&errFlagEpsRemaining != 0 {
-		se.EpsRemaining = d.f64()
+	d := codec.NewCursor(payload, "stream: ERROR")
+	d.U32() // reqID, already matched by the caller (0 for connection-level)
+	se := &StatusError{Status: int(d.U16())}
+	if d.U8()&errFlagEpsRemaining != 0 {
+		se.EpsRemaining = d.F64()
 		se.HasEpsRemaining = true
 	}
-	se.Msg = d.str()
-	if d.err != nil {
-		return fmt.Errorf("stream: malformed ERROR frame: %w", d.err)
+	se.Msg = d.Str()
+	if err := d.Err(); err != nil {
+		return err
 	}
 	return se
 }
@@ -370,14 +359,14 @@ func (c *Client) exchange(cc *clientConn, bp *[]byte, reqID uint32, wantType byt
 			cc.draining = true
 			continue
 		case frameError:
-			d := decoder{b: payload}
-			if id := d.u32(); d.err == nil && id != reqID && id != 0 {
+			d := codec.NewCursor(payload, "stream: ERROR")
+			if id := d.U32(); d.Err() == nil && id != reqID && id != 0 {
 				return nil, fmt.Errorf("stream: ERROR for request %d while waiting for %d", id, reqID)
 			}
 			return nil, decodeErrorFrame(payload)
 		case wantType:
-			d := decoder{b: payload}
-			if id := d.u32(); d.err != nil || id != reqID {
+			d := codec.NewCursor(payload, "stream: response")
+			if id := d.U32(); d.Err() != nil || id != reqID {
 				return nil, fmt.Errorf("stream: response for request %d while waiting for %d", id, reqID)
 			}
 			return payload[4:], nil
@@ -396,22 +385,22 @@ func retryable(err error) bool {
 
 // call runs one request/response exchange on a pooled connection: encode
 // appends the request body after the reqID, decode reads the response body
-// (which must be consumed exactly).
-func (c *Client) call(reqType, respType byte, respName string, encode func([]byte) []byte, decode func(*decoder) error) error {
+// (which must be consumed exactly); respName names it in decode errors.
+func (c *Client) call(reqType, respType byte, respName string, encode func([]byte) []byte, decode func(*codec.Cursor) error) error {
 	return c.withConn(func(cc *clientConn) error {
 		cc.nextID++
 		reqID := cc.nextID
 		bp := getFrame(reqType)
-		*bp = encode(appendU32(*bp, reqID))
+		*bp = encode(codec.AppendU32(*bp, reqID))
 		payload, err := c.exchange(cc, bp, reqID, respType)
 		if err != nil {
 			return err
 		}
-		d := decoder{b: payload}
+		d := codec.NewCursor(payload, respName)
 		if err := decode(&d); err != nil {
 			return err
 		}
-		return d.done(respName)
+		return d.Done()
 	})
 }
 
@@ -422,9 +411,9 @@ func (c *Client) Report(req Request) (*Response, error) {
 		req.Region = c.cfg.Region
 	}
 	var resp *Response
-	err := c.call(frameReport, frameReportOK, "REPORT_OK",
+	err := c.call(frameReport, frameReportOK, "stream: REPORT_OK",
 		func(b []byte) []byte { return appendRequest(b, &req) },
-		func(d *decoder) (err error) { resp, err = d.decodeResponse(req.Region); return err })
+		func(d *codec.Cursor) (err error) { resp, err = decodeResponse(d, req.Region); return err })
 	if err != nil {
 		return nil, err
 	}
@@ -442,9 +431,9 @@ func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGra
 		req.Region = c.cfg.Region
 	}
 	var grant *registry.LeaseGrant
-	err := c.call(frameLease, frameLeaseGrant, "LEASE_GRANT",
+	err := c.call(frameLease, frameLeaseGrant, "stream: LEASE_GRANT",
 		func(b []byte) []byte { return appendLeaseReq(b, &req, draws, token) },
-		func(d *decoder) (err error) { grant, err = d.decodeLeaseGrant(); return err })
+		func(d *codec.Cursor) (err error) { grant, err = decodeLeaseGrant(d); return err })
 	if err != nil {
 		return nil, err
 	}
@@ -463,27 +452,27 @@ func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 		}
 		return it.Region
 	}
-	err := c.call(frameReports, frameReportsOK, "REPORTS_OK",
+	err := c.call(frameReports, frameReportsOK, "stream: REPORTS_OK",
 		func(b []byte) []byte {
-			b = appendUvarints(b, uint64(len(items)))
+			b = codec.AppendUvarints(b, uint64(len(items)))
 			for _, it := range items {
 				it.Region = region(&it)
 				b = appendRequest(b, &it)
 			}
 			return b
 		},
-		func(d *decoder) error {
-			n := d.uvarint()
-			if d.err != nil {
-				return d.err
+		func(d *codec.Cursor) error {
+			n := d.Count(minItemLen)
+			if err := d.Err(); err != nil {
+				return err
 			}
-			if n != uint64(len(items)) {
+			if n != len(items) {
 				return fmt.Errorf("stream: batch answered %d items for %d requests", n, len(items))
 			}
 			results = make([]ItemResult, n)
 			for i := range results {
 				var err error
-				if results[i], err = d.decodeItem(region(&items[i])); err != nil {
+				if results[i], err = decodeItem(d, region(&items[i])); err != nil {
 					return err
 				}
 			}

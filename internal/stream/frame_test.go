@@ -12,6 +12,7 @@ import (
 	"testing/iotest"
 	"time"
 
+	"corgi/internal/codec"
 	"corgi/internal/geo"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
@@ -32,7 +33,7 @@ func rawFrame(ftype byte, payload []byte) []byte {
 // pathological TCP segmentation — and expects both to arrive intact.
 func TestFrameReaderPartialDelivery(t *testing.T) {
 	var wire []byte
-	wire = append(wire, rawFrame(frameGoodbye, appendString(nil, "first"))...)
+	wire = append(wire, rawFrame(frameGoodbye, codec.AppendString(nil, "first"))...)
 	wire = append(wire, rawFrame(frameError, []byte{1, 2, 3})...)
 
 	fr := newFrameReader(iotest.OneByteReader(bytes.NewReader(wire)), 0)
@@ -40,8 +41,8 @@ func TestFrameReaderPartialDelivery(t *testing.T) {
 	if err != nil || ftype != frameGoodbye {
 		t.Fatalf("frame 1: type %d, err %v", ftype, err)
 	}
-	d := decoder{b: payload}
-	if got := d.str(); got != "first" || d.done("GOODBYE") != nil {
+	d := codec.NewCursor(payload, "GOODBYE")
+	if got := d.Str(); got != "first" || d.Done() != nil {
 		t.Fatalf("frame 1 payload: %q", got)
 	}
 	ftype, payload, err = fr.next()
@@ -95,12 +96,12 @@ func TestRequestWireRoundTrip(t *testing.T) {
 		Seed:  -9,
 		Count: 3,
 	}
-	d := decoder{b: appendRequest(nil, &req)}
-	got, err := d.decodeRequest(nil)
+	d := codec.NewCursor(appendRequest(nil, &req), "request")
+	got, err := decodeRequest(&d, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.done("request"); err != nil {
+	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Region != req.Region || got.Cell != req.Cell || got.UID != req.UID ||
@@ -194,7 +195,7 @@ func TestServerSurvivesPartialFrameDelivery(t *testing.T) {
 		Policy: policy.Policy{PrivacyLevel: 1},
 		Seed:   5, Count: 3,
 	}
-	payload := appendU32(nil, 7)
+	payload := codec.AppendU32(nil, 7)
 	payload = appendRequest(payload, &req)
 	writeByByte(rawFrame(frameReport, payload))
 
@@ -202,11 +203,11 @@ func TestServerSurvivesPartialFrameDelivery(t *testing.T) {
 	if err != nil || ftype != frameReportOK {
 		t.Fatalf("REPORT answer: type %d, err %v", ftype, err)
 	}
-	d := decoder{b: payload}
-	if id := d.u32(); id != 7 {
+	d := codec.NewCursor(payload, "REPORT_OK")
+	if id := d.U32(); id != 7 {
 		t.Fatalf("reqID %d, want 7", id)
 	}
-	resp, err := d.decodeResponse(req.Region)
+	resp, err := decodeResponse(&d, req.Region)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +247,8 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 	if err != nil || ftype != frameError {
 		t.Fatalf("expected ERROR frame, got type %d, err %v", ftype, err)
 	}
-	d := decoder{b: payload}
-	if id := d.u32(); id != 0 {
+	d := codec.NewCursor(payload, "ERROR")
+	if id := d.U32(); id != 0 {
 		t.Fatalf("connection-level ERROR carries reqID %d, want 0", id)
 	}
 	var se *StatusError
@@ -273,10 +274,10 @@ func TestDecodeResponseRegion(t *testing.T) {
 		Reports: make([]loctree.NodeID, 2), Centers: make([]geo.LatLng, 2)}
 	payload := appendResult(nil, res)
 	for _, asked := range []string{"ra", "", "rab"} {
-		d := decoder{b: payload}
-		resp, err := d.decodeResponse(asked)
+		d := codec.NewCursor(payload, "REPORT_OK")
+		resp, err := decodeResponse(&d, asked)
 		if err == nil {
-			err = d.done("REPORT_OK")
+			err = d.Done()
 		}
 		if err != nil {
 			t.Fatal(err)

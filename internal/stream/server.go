@@ -6,12 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"corgi/internal/codec"
 	"corgi/internal/registry"
 )
 
@@ -308,7 +308,7 @@ func (s *Server) handshake(sc *serverConn, fr *frameReader) bool {
 	bp := getFrame(frameWelcome)
 	*bp = append(*bp, Version)
 	maxBatch, maxCount := s.reg.Limits()
-	*bp = appendUvarints(*bp, uint64(maxBatch), uint64(maxCount))
+	*bp = codec.AppendUvarints(*bp, uint64(maxBatch), uint64(maxCount))
 	if sc.writeFrame(bp) != nil {
 		return false
 	}
@@ -334,11 +334,11 @@ func (s *Server) badFrame(sc *serverConn, reqID uint32, err error) {
 func (s *Server) handleReport(sc *serverConn, payload []byte) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
-	d := decoder{b: payload}
-	reqID := d.u32()
-	req, err := d.decodeRequest(s.intern)
+	d := codec.NewCursor(payload, "stream: REPORT")
+	reqID := d.U32()
+	req, err := decodeRequest(&d, s.intern)
 	if err == nil {
-		err = d.done("REPORT")
+		err = d.Done()
 	}
 	if err != nil {
 		s.badFrame(sc, reqID, err)
@@ -353,7 +353,7 @@ func (s *Server) handleReport(sc *serverConn, payload []byte) {
 	}
 	s.reports.Add(1)
 	bp := getFrame(frameReportOK)
-	*bp = appendU32(*bp, reqID)
+	*bp = codec.AppendU32(*bp, reqID)
 	*bp = appendResult(*bp, res)
 	res.Release()
 	sc.writeFrame(bp)
@@ -363,11 +363,11 @@ func (s *Server) handleReport(sc *serverConn, payload []byte) {
 func (s *Server) handleLease(sc *serverConn, payload []byte) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
-	d := decoder{b: payload}
-	reqID := d.u32()
-	req, draws, token, err := d.decodeLeaseReq(s.intern)
+	d := codec.NewCursor(payload, "stream: LEASE")
+	reqID := d.U32()
+	req, draws, token, err := decodeLeaseReq(&d, s.intern)
 	if err == nil {
-		err = d.done("LEASE")
+		err = d.Done()
 	}
 	if err != nil {
 		s.badFrame(sc, reqID, err)
@@ -382,7 +382,7 @@ func (s *Server) handleLease(sc *serverConn, payload []byte) {
 	}
 	s.leases.Add(1)
 	bp := getFrame(frameLeaseGrant)
-	*bp = appendU32(*bp, reqID)
+	*bp = codec.AppendU32(*bp, reqID)
 	*bp = appendLeaseGrant(*bp, grant)
 	sc.writeFrame(bp)
 }
@@ -392,35 +392,35 @@ func (s *Server) handleLease(sc *serverConn, payload []byte) {
 func (s *Server) handleReports(sc *serverConn, payload []byte) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
-	d := decoder{b: payload}
-	reqID := d.u32()
-	n := d.uvarint()
-	if d.err != nil {
-		s.badFrame(sc, reqID, d.err)
+	d := codec.NewCursor(payload, "stream: REPORTS")
+	reqID := d.U32()
+	n := d.Count(minRequestLen)
+	if err := d.Err(); err != nil {
+		s.badFrame(sc, reqID, err)
 		return
 	}
 	// The claimed count sizes the decode below, so the envelope is judged
 	// before any item is read (ReportBatch judges it again, from the same
 	// function, for callers that decode first).
-	if rej := s.reg.CheckBatch(int(min(n, math.MaxInt32))); rej != nil {
+	if rej := s.reg.CheckBatch(n); rej != nil {
 		s.sendError(sc, reqID, *rej)
 		return
 	}
 	asks := make([]registry.ReportRequest, n)
 	for i := range asks {
-		req, err := d.decodeRequest(s.intern)
+		req, err := decodeRequest(&d, s.intern)
 		if err != nil {
 			s.badFrame(sc, reqID, err)
 			return
 		}
 		asks[i] = req.Ask()
 	}
-	if err := d.done("REPORTS"); err != nil {
+	if err := d.Done(); err != nil {
 		s.badFrame(sc, reqID, err)
 		return
 	}
 	s.batches.Add(1)
-	s.batchItems.Add(n)
+	s.batchItems.Add(uint64(n))
 	ctx, cancel := s.frameCtx()
 	outs, rej := s.reg.ReportBatch(ctx, *s.handler.Load(), asks)
 	cancel()
@@ -429,15 +429,15 @@ func (s *Server) handleReports(sc *serverConn, payload []byte) {
 		return
 	}
 	bp := getFrame(frameReportsOK)
-	*bp = appendU32(*bp, reqID)
-	*bp = appendUvarints(*bp, n)
+	*bp = codec.AppendU32(*bp, reqID)
+	*bp = codec.AppendUvarints(*bp, uint64(n))
 	for _, out := range outs {
 		if out.Result == nil {
 			*bp = appendRejection(*bp, out.Rejection)
 			continue
 		}
 		s.reports.Add(1)
-		*bp = appendU16(*bp, uint16(statusOK))
+		*bp = codec.AppendU16(*bp, uint16(statusOK))
 		*bp = appendResult(*bp, out.Result)
 		out.Result.Release()
 	}
@@ -449,7 +449,7 @@ func (s *Server) handleReports(sc *serverConn, payload []byte) {
 func (s *Server) sendError(sc *serverConn, reqID uint32, rej registry.Rejection) {
 	s.errorFrames.Add(1)
 	bp := getFrame(frameError)
-	*bp = appendRejection(appendU32(*bp, reqID), rej)
+	*bp = appendRejection(codec.AppendU32(*bp, reqID), rej)
 	sc.writeFrame(bp)
 }
 
@@ -471,7 +471,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 	for _, sc := range conns {
 		bp := getFrame(frameGoodbye)
-		*bp = appendString(*bp, "server draining")
+		*bp = codec.AppendString(*bp, "server draining")
 		if sc.writeFrame(bp) == nil {
 			s.goodbyes.Add(1)
 		}

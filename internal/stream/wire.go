@@ -35,6 +35,11 @@
 // connection-level fault (handshake, framing, oversized frame); the
 // connection closes after it.
 //
+// Bodies are read with internal/codec's Cursor and written with the
+// appenders beside it, so a length, a count or a node is bounded exactly
+// as in every other binary format of the module: a claimed count is
+// refused unless the bytes after it can hold that many elements.
+//
 // LEASE asks for a client-side draw lease (the stream analogue of POST
 // /v1/lease): the embedded request's count field is ignored, draws is the
 // cap to pre-pay, and token (possibly empty) renews a previous lease. The
@@ -47,7 +52,6 @@ package stream
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"corgi/internal/budget"
 	"corgi/internal/codec"
@@ -224,139 +228,33 @@ func quantLng(lng float64) uint32 { return codec.Quantize((lng + 180) / 360) }
 func dequantLat(q uint32) float64 { return codec.Dequantize(q)*180 - 90 }
 func dequantLng(q uint32) float64 { return codec.Dequantize(q)*360 - 180 }
 
-// appendString appends a uvarint length-prefixed string.
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
+// Minimum encoded sizes of the elements of the frames' counted lists: the
+// floor codec.Cursor.Count holds a claimed count to, so a frame's count
+// never sizes an allocation its bytes do not pay for.
+const (
+	minRequestLen      = 10 // region length, seven varints, predicate count, flags
+	minPredicateLen    = 4  // name length, op, kind, one value byte
+	minHandoffEventLen = 9  // varint instant, float64 epsilon
+	minReportLen       = 10 // two varints, two uint32 coordinates
+	minItemLen         = 4  // status, flags, message length (a refused item)
+)
 
-func appendU16(b []byte, v uint16) []byte { return binary.LittleEndian.AppendUint16(b, v) }
-func appendU32(b []byte, v uint32) []byte { return binary.LittleEndian.AppendUint32(b, v) }
-
-func appendUvarints(b []byte, vs ...uint64) []byte {
-	for _, v := range vs {
-		b = binary.AppendUvarint(b, v)
+// decodeWelcome checks a WELCOME body: the negotiated version, then the
+// server's advertised limits, which the client reads past (the server
+// enforces them on every frame it receives).
+func decodeWelcome(payload []byte) error {
+	d := codec.NewCursor(payload, "stream: WELCOME")
+	if v := d.U8(); d.Err() == nil && v != Version {
+		return fmt.Errorf("stream: server negotiated unsupported version %d", v)
 	}
-	return b
-}
-
-func appendF64(b []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
-}
-
-// decoder is a cursor over one frame payload. The first malformed read
-// latches err; subsequent reads return zero values, so decode functions
-// check err once at the end instead of after every field.
-type decoder struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("stream: truncated or malformed %s at byte %d", what, d.off)
-	}
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil || d.off >= len(d.b) {
-		d.fail("byte")
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u16() uint16 {
-	if d.err != nil || d.off+2 > len(d.b) {
-		d.fail("uint16")
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail("uint32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) f64() float64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail("float64")
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *decoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-// strBytes returns the raw bytes of a length-prefixed string without
-// allocating; the slice aliases the frame buffer and must not outlive it.
-func (d *decoder) strBytes() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.b)-d.off) {
-		d.fail("string")
-		return nil
-	}
-	s := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) str() string { return string(d.strBytes()) }
-
-// done checks the cursor consumed the payload exactly.
-func (d *decoder) done(what string) error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("stream: %s payload has %d trailing bytes", what, len(d.b)-d.off)
-	}
-	return nil
+	d.Uvarint()
+	d.Uvarint()
+	return d.Done()
 }
 
 // appendRequest serializes one report request body.
 func appendRequest(b []byte, req *Request) []byte {
-	b = appendString(b, req.Region)
+	b = codec.AppendString(b, req.Region)
 	b = binary.AppendVarint(b, int64(req.Cell[0]))
 	b = binary.AppendVarint(b, int64(req.Cell[1]))
 	b = binary.AppendVarint(b, req.UID)
@@ -366,13 +264,13 @@ func appendRequest(b []byte, req *Request) []byte {
 	b = binary.AppendVarint(b, int64(req.PrecisionLevel))
 	b = binary.AppendUvarint(b, uint64(len(req.Preferences)))
 	for _, p := range req.Preferences {
-		b = appendString(b, p.Var)
+		b = codec.AppendString(b, p.Var)
 		b = append(b, byte(p.Op), byte(p.Val.Kind))
 		switch p.Val.Kind {
 		case policy.KindString:
-			b = appendString(b, p.Val.S)
+			b = codec.AppendString(b, p.Val.S)
 		case policy.KindNumber:
-			b = appendF64(b, p.Val.F)
+			b = codec.AppendF64(b, p.Val.F)
 		default:
 			if p.Val.B {
 				b = append(b, 1)
@@ -392,12 +290,12 @@ func appendRequest(b []byte, req *Request) []byte {
 	b = append(b, flags)
 	if flags&reqFlagHandoff != 0 {
 		h := req.Handoff
-		b = appendString(b, h.Source)
+		b = codec.AppendString(b, h.Source)
 		b = binary.AppendUvarint(b, h.Seq)
 		b = binary.AppendUvarint(b, uint64(len(h.Events)))
 		for _, e := range h.Events {
 			b = binary.AppendVarint(b, e.AtUnixNano)
-			b = appendF64(b, e.Eps)
+			b = codec.AppendF64(b, e.Eps)
 		}
 	}
 	return b
@@ -421,69 +319,74 @@ const maxHandoffEvents = 1 << 14
 const maxPreferences = 1 << 10
 
 // decodeRequest reads one request body. intern maps region-name bytes to a
-// shared string (nil falls back to a fresh allocation per request).
-func (d *decoder) decodeRequest(intern func([]byte) string) (Request, error) {
+// shared string (nil falls back to a fresh allocation per request). It
+// accepts only what appendRequest writes, so a request that decodes
+// encodes back to the same bytes.
+func decodeRequest(d *codec.Cursor, intern func([]byte) string) (Request, error) {
 	var req Request
-	if rb := d.strBytes(); intern != nil {
+	if rb := d.Bytes(); intern != nil {
 		req.Region = intern(rb)
 	} else {
 		req.Region = string(rb)
 	}
-	req.Cell[0] = int(d.varint())
-	req.Cell[1] = int(d.varint())
-	req.UID = d.varint()
-	req.Seed = d.varint()
-	req.Count = int(d.varint())
-	req.PrivacyLevel = int(d.varint())
-	req.PrecisionLevel = int(d.varint())
-	nprefs := d.uvarint()
-	if d.err == nil && nprefs > maxPreferences {
+	req.Cell[0] = int(d.Varint())
+	req.Cell[1] = int(d.Varint())
+	req.UID = d.Varint()
+	req.Seed = d.Varint()
+	req.Count = int(d.Varint())
+	req.PrivacyLevel = int(d.Varint())
+	req.PrecisionLevel = int(d.Varint())
+	nprefs := d.Count(minPredicateLen)
+	if nprefs > maxPreferences {
 		return req, fmt.Errorf("stream: request carries %d preferences (limit %d)", nprefs, maxPreferences)
 	}
-	if d.err == nil && nprefs > 0 {
-		req.Preferences = make([]policy.Predicate, 0, nprefs)
-		for i := uint64(0); i < nprefs && d.err == nil; i++ {
-			var p policy.Predicate
-			p.Var = d.str()
-			p.Op = policy.Op(d.u8())
-			switch policy.Kind(d.u8()) {
-			case policy.KindString:
-				p.Val = policy.String(d.str())
-			case policy.KindNumber:
-				p.Val = policy.Number(d.f64())
-			default:
-				p.Val = policy.Bool(d.u8() != 0)
+	if nprefs > 0 {
+		req.Preferences = make([]policy.Predicate, nprefs)
+	}
+	for i := range req.Preferences {
+		p := &req.Preferences[i]
+		p.Var = d.Str()
+		p.Op = policy.Op(d.U8())
+		switch kind := policy.Kind(d.U8()); kind {
+		case policy.KindString:
+			p.Val = policy.String(d.Str())
+		case policy.KindNumber:
+			p.Val = policy.Number(d.F64())
+		case policy.KindBool:
+			v := d.U8()
+			if v > 1 {
+				return req, fmt.Errorf("stream: predicate %d has boolean byte %d", i, v)
 			}
-			req.Preferences = append(req.Preferences, p)
+			p.Val = policy.Bool(v == 1)
+		default:
+			return req, fmt.Errorf("stream: predicate %d has unknown kind %d", i, kind)
 		}
 	}
-	flags := d.u8()
+	flags := d.U8()
+	if flags&^(reqFlagForwarded|reqFlagHandoff) != 0 {
+		return req, fmt.Errorf("stream: request flags %#x carry unknown bits", flags)
+	}
 	req.Forwarded = flags&reqFlagForwarded != 0
 	if flags&reqFlagHandoff != 0 {
-		h := &budget.Handoff{Source: d.str(), Seq: d.uvarint()}
-		n := d.uvarint()
-		if d.err == nil && n > maxHandoffEvents {
-			return req, fmt.Errorf("stream: handoff carries %d events (limit %d)", n, maxHandoffEvents)
+		h := &budget.Handoff{Source: d.Str(), Seq: d.Uvarint()}
+		n := d.Count(minHandoffEventLen)
+		if d.Err() == nil && (n < 1 || n > maxHandoffEvents) {
+			return req, fmt.Errorf("stream: handoff carries %d events (want 1 to %d)", n, maxHandoffEvents)
 		}
-		if d.err == nil {
-			h.Events = make([]budget.HandoffEvent, 0, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				h.Events = append(h.Events, budget.HandoffEvent{
-					AtUnixNano: d.varint(),
-					Eps:        d.f64(),
-				})
-			}
+		h.Events = make([]budget.HandoffEvent, n)
+		for i := range h.Events {
+			h.Events[i] = budget.HandoffEvent{AtUnixNano: d.Varint(), Eps: d.F64()}
 		}
 		req.Handoff = h
 	}
-	return req, d.err
+	return req, d.Err()
 }
 
 // appendResult serializes a registry report result straight from the
 // pipeline's own types — the server never builds an intermediate response
 // struct, it encodes ReportResult into the pooled frame buffer directly.
 func appendResult(b []byte, res *registry.ReportResult) []byte {
-	b = appendString(b, res.Region)
+	b = codec.AppendString(b, res.Region)
 	b = binary.AppendVarint(b, int64(res.PrecisionLevel))
 	b = binary.AppendVarint(b, int64(res.SubtreeRoot.Coord.Q))
 	b = binary.AppendVarint(b, int64(res.SubtreeRoot.Coord.R))
@@ -500,16 +403,16 @@ func appendResult(b []byte, res *registry.ReportResult) []byte {
 	}
 	b = append(b, flags)
 	if res.Budgeted {
-		b = appendF64(b, res.EpsSpent)
-		b = appendF64(b, res.EpsRemaining)
+		b = codec.AppendF64(b, res.EpsSpent)
+		b = codec.AppendF64(b, res.EpsRemaining)
 	}
 	b = binary.AppendUvarint(b, uint64(len(res.Reports)))
 	for i, n := range res.Reports {
 		c := res.Centers[i]
 		b = binary.AppendVarint(b, int64(n.Coord.Q))
 		b = binary.AppendVarint(b, int64(n.Coord.R))
-		b = binary.LittleEndian.AppendUint32(b, quantLat(c.Lat))
-		b = binary.LittleEndian.AppendUint32(b, quantLng(c.Lng))
+		b = codec.AppendU32(b, quantLat(c.Lat))
+		b = codec.AppendU32(b, quantLng(c.Lng))
 	}
 	return b
 }
@@ -527,85 +430,78 @@ type decodedResponse struct {
 // region it served, nearly always those same bytes, and then the response
 // shares the request's string instead of copying it. With one report, a
 // decoded response is one allocation.
-func (d *decoder) decodeResponse(region string) (*Response, error) {
+func decodeResponse(d *codec.Cursor, region string) (*Response, error) {
 	dec := &decodedResponse{}
 	resp := &dec.Response
-	if served := d.strBytes(); string(served) == region {
+	if served := d.Bytes(); string(served) == region {
 		resp.Region = region
 	} else {
 		resp.Region = string(served)
 	}
-	resp.PrecisionLevel = int(d.varint())
-	resp.SubtreeRoot[0] = int(d.varint())
-	resp.SubtreeRoot[1] = int(d.varint())
-	resp.Pruned = int(d.varint())
-	flags := d.u8()
+	resp.PrecisionLevel = int(d.Varint())
+	resp.SubtreeRoot[0] = int(d.Varint())
+	resp.SubtreeRoot[1] = int(d.Varint())
+	resp.Pruned = int(d.Varint())
+	flags := d.U8()
 	resp.Reanchored = flags&resFlagReanchored != 0
 	resp.Budgeted = flags&resFlagBudgeted != 0
 	resp.Degraded = flags&resFlagDegraded != 0
 	if resp.Budgeted {
-		resp.EpsSpent = d.f64()
-		resp.EpsRemaining = d.f64()
+		resp.EpsSpent = d.F64()
+		resp.EpsRemaining = d.F64()
 	}
-	n := d.uvarint()
-	if d.err != nil {
-		return nil, d.err
-	}
-	// Each report costs >= 10 payload bytes; the frame bound keeps n sane.
-	if n > uint64(len(d.b)) {
-		return nil, fmt.Errorf("stream: result claims %d reports in a %d-byte payload", n, len(d.b))
+	n := d.Count(minReportLen)
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	resp.Reports = dec.one[:0]
-	if n > uint64(len(dec.one)) {
+	if n > len(dec.one) {
 		resp.Reports = make([]ReportedLocation, 0, n)
 	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for range n {
 		resp.Reports = append(resp.Reports, ReportedLocation{
-			Q:   int(d.varint()),
-			R:   int(d.varint()),
-			Lat: dequantLat(d.u32()),
-			Lng: dequantLng(d.u32()),
+			Q:   int(d.Varint()),
+			R:   int(d.Varint()),
+			Lat: dequantLat(d.U32()),
+			Lng: dequantLng(d.U32()),
 		})
 	}
-	return resp, d.err
+	return resp, d.Err()
 }
 
 // appendRejection serializes a refused ask: status, flags, optional
 // headroom, message. It is the body of an ERROR frame after its reqID and
 // of a failed REPORTS_OK item alike.
 func appendRejection(b []byte, rej registry.Rejection) []byte {
-	b = appendU16(b, uint16(rej.Status))
+	b = codec.AppendU16(b, uint16(rej.Status))
 	if rej.HasEps {
 		b = append(b, errFlagEpsRemaining)
-		b = appendF64(b, rej.EpsRemaining)
+		b = codec.AppendF64(b, rej.EpsRemaining)
 	} else {
 		b = append(b, 0)
 	}
-	return appendString(b, rej.Msg)
+	return codec.AppendString(b, rej.Msg)
 }
 
 // decodeItem reads one batch item result (status, then error or body);
 // region is the region the item's request named.
-func (d *decoder) decodeItem(region string) (ItemResult, error) {
+func decodeItem(d *codec.Cursor, region string) (ItemResult, error) {
 	var it ItemResult
-	it.Status = int(d.u16())
-	if d.err != nil {
-		return it, d.err
+	it.Status = int(d.U16())
+	if err := d.Err(); err != nil {
+		return it, err
 	}
 	if it.Status == statusOK {
-		rep, err := d.decodeResponse(region)
-		if err != nil {
-			return it, err
-		}
+		rep, err := decodeResponse(d, region)
 		it.Report = rep
-		return it, nil
+		return it, err
 	}
-	if d.u8()&errFlagEpsRemaining != 0 {
-		it.EpsRemaining = d.f64()
+	if d.U8()&errFlagEpsRemaining != 0 {
+		it.EpsRemaining = d.F64()
 		it.HasEpsRemaining = true
 	}
-	it.Error = d.str()
-	return it, d.err
+	it.Error = d.Str()
+	return it, d.Err()
 }
 
 // statusOK avoids importing net/http just for the constant in hot paths.
@@ -621,21 +517,20 @@ const grantFlagRenewed = 8
 func appendLeaseReq(b []byte, req *Request, draws int, token []byte) []byte {
 	b = appendRequest(b, req)
 	b = binary.AppendUvarint(b, uint64(draws))
-	b = binary.AppendUvarint(b, uint64(len(token)))
-	return append(b, token...)
+	return codec.AppendString(b, token)
 }
 
 // decodeLeaseReq reads one LEASE body. The returned token aliases the
-// frame buffer (like every strBytes read) and is only read synchronously
-// by the handler before the next frame arrives.
-func (d *decoder) decodeLeaseReq(intern func([]byte) string) (Request, int, []byte, error) {
-	req, err := d.decodeRequest(intern)
+// frame buffer (like every Cursor.Bytes read) and is only read
+// synchronously by the handler before the next frame arrives.
+func decodeLeaseReq(d *codec.Cursor, intern func([]byte) string) (Request, int, []byte, error) {
+	req, err := decodeRequest(d, intern)
 	if err != nil {
 		return req, 0, nil, err
 	}
-	draws := int(d.uvarint())
-	token := d.strBytes()
-	return req, draws, token, d.err
+	draws := int(d.Uvarint())
+	token := d.Bytes()
+	return req, draws, token, d.Err()
 }
 
 // appendLeaseGrant serializes a registry lease grant straight from the
@@ -643,11 +538,9 @@ func (d *decoder) decodeLeaseReq(intern func([]byte) string) (Request, int, []by
 // uses. The bundle bytes are already codec-encoded exact float64 weights;
 // they ride opaque.
 func appendLeaseGrant(b []byte, g *registry.LeaseGrant) []byte {
-	b = appendString(b, g.Region)
+	b = codec.AppendString(b, g.Region)
 	b = binary.AppendVarint(b, int64(g.PrecisionLevel))
-	b = binary.AppendVarint(b, int64(g.SubtreeRoot.Level))
-	b = binary.AppendVarint(b, int64(g.SubtreeRoot.Coord.Q))
-	b = binary.AppendVarint(b, int64(g.SubtreeRoot.Coord.R))
+	b = codec.AppendNode(b, g.SubtreeRoot)
 	b = binary.AppendVarint(b, int64(g.Pruned))
 	var flags byte
 	if g.Reanchored {
@@ -664,42 +557,38 @@ func appendLeaseGrant(b []byte, g *registry.LeaseGrant) []byte {
 	}
 	b = append(b, flags)
 	if g.Budgeted {
-		b = appendF64(b, g.EpsSpent)
-		b = appendF64(b, g.EpsRemaining)
+		b = codec.AppendF64(b, g.EpsSpent)
+		b = codec.AppendF64(b, g.EpsRemaining)
 	}
 	b = binary.AppendUvarint(b, uint64(g.DrawCap))
 	b = binary.AppendUvarint(b, g.RNGPos)
 	b = binary.AppendVarint(b, g.ExpiresAt)
-	b = binary.AppendUvarint(b, uint64(len(g.Token)))
-	b = append(b, g.Token...)
-	b = binary.AppendUvarint(b, uint64(len(g.Bundle)))
-	return append(b, g.Bundle...)
+	b = codec.AppendString(b, g.Token)
+	return codec.AppendString(b, g.Bundle)
 }
 
 // decodeLeaseGrant reads one LEASE_GRANT body into the registry's grant
 // type. Token and bundle are copied out of the frame buffer — the caller
 // keeps them for the lease's whole lifetime.
-func (d *decoder) decodeLeaseGrant() (*registry.LeaseGrant, error) {
+func decodeLeaseGrant(d *codec.Cursor) (*registry.LeaseGrant, error) {
 	g := &registry.LeaseGrant{}
-	g.Region = d.str()
-	g.PrecisionLevel = int(d.varint())
-	g.SubtreeRoot.Level = int(d.varint())
-	g.SubtreeRoot.Coord.Q = int(d.varint())
-	g.SubtreeRoot.Coord.R = int(d.varint())
-	g.Pruned = int(d.varint())
-	flags := d.u8()
+	g.Region = d.Str()
+	g.PrecisionLevel = int(d.Varint())
+	g.SubtreeRoot = d.Node()
+	g.Pruned = int(d.Varint())
+	flags := d.U8()
 	g.Reanchored = flags&resFlagReanchored != 0
 	g.Budgeted = flags&resFlagBudgeted != 0
 	g.Degraded = flags&resFlagDegraded != 0
 	g.Renewed = flags&grantFlagRenewed != 0
 	if g.Budgeted {
-		g.EpsSpent = d.f64()
-		g.EpsRemaining = d.f64()
+		g.EpsSpent = d.F64()
+		g.EpsRemaining = d.F64()
 	}
-	g.DrawCap = int(d.uvarint())
-	g.RNGPos = d.uvarint()
-	g.ExpiresAt = d.varint()
-	g.Token = append([]byte(nil), d.strBytes()...)
-	g.Bundle = append([]byte(nil), d.strBytes()...)
-	return g, d.err
+	g.DrawCap = int(d.Uvarint())
+	g.RNGPos = d.Uvarint()
+	g.ExpiresAt = d.Varint()
+	g.Token = append([]byte(nil), d.Bytes()...)
+	g.Bundle = append([]byte(nil), d.Bytes()...)
+	return g, d.Err()
 }
