@@ -10,10 +10,12 @@
 //   - The lease bundle (lease.go) is a detached session binding in exact
 //     float64 bits, for device-side draws.
 //   - The matrix blob (this file) is the compact, quantized, row-sparse
-//     matrix encoding shared by the wire protocol (internal/proto, format
-//     v2) and the on-disk forest store (internal/store). Keeping it below
-//     both lets the snapshot format reuse the wire encoding byte for byte
-//     without an import cycle between the protocol and the store.
+//     matrix encoding of a forest entry's portable form,
+//     core.CompactEntry, which is both a wire-v2 entry (internal/proto)
+//     and a snapshot entry (internal/store). core.Forest.Compact and
+//     core.DecodeForest are its one encoder and one decoder outside this
+//     package; it sits below internal/core because core's own imports
+//     (internal/budget) already depend on this package.
 //
 // Each matrix entry is a probability in [0, 1], quantized to a 32-bit fixed
 // point q = round(v * (2^32 - 1)); the decode error per entry is at most
@@ -111,6 +113,11 @@ func EncodeMatrix(m *obf.Matrix) ([]byte, error) {
 func DecodeMatrix(data []byte, dim int) (*obf.Matrix, error) {
 	if dim < 1 || dim > MaxDim {
 		return nil, fmt.Errorf("codec: dimension %d out of range", dim)
+	}
+	// Every row costs at least its 2-byte header, so a dimension the blob
+	// cannot pay for is refused before it sizes dim² values.
+	if len(data) < 2*dim {
+		return nil, fmt.Errorf("codec: %d-byte blob cannot hold %d rows", len(data), dim)
 	}
 	m := obf.NewMatrix(dim)
 	c := NewCursor(data, "codec: matrix blob")

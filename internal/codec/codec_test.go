@@ -100,3 +100,14 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Error("out-of-range column must fail")
 	}
 }
+
+// TestDecodeMatrixDimBoundedByBytes: every row costs at least its 2-byte
+// header, so a dimension the blob cannot pay for is refused before it
+// sizes dim² values (72 MB for this one).
+func TestDecodeMatrixDimBoundedByBytes(t *testing.T) {
+	const bound = 1 << 20
+	var err error
+	if got := allocatedBy(func() { _, err = DecodeMatrix(make([]byte, 10), 3000) }); err == nil || got > bound {
+		t.Errorf("dim 3000 in a 10-byte blob: err %v, %d bytes allocated, want an error and <= %d", err, got, bound)
+	}
+}

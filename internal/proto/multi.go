@@ -407,19 +407,12 @@ func (h *MultiHandler) resolveItem(ctx context.Context, item BatchItem, wantV2 b
 		status, msg := generateErrStatus(err)
 		return fail(status, msg)
 	}
-	if wantV2 {
-		enc, err := EncodeForestV2(sh.Server.Tree(), forest)
-		if err != nil {
-			return fail(http.StatusInternalServerError, err.Error())
-		}
-		res.ForestV2 = enc
-	} else {
-		enc, err := EncodeForestV1(sh.Server.Tree(), forest)
-		if err != nil {
-			return fail(http.StatusInternalServerError, err.Error())
-		}
-		res.Forest = enc
+	enc, _, err := encodeForest(sh.Server.Tree(), forest, wantV2)
+	if err != nil {
+		return fail(http.StatusInternalServerError, err.Error())
 	}
+	res.Forest, _ = enc.(*ForestResponse)
+	res.ForestV2, _ = enc.(*ForestResponseV2)
 	res.Status = http.StatusOK
 	return res
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"corgi/internal/core"
 	"corgi/internal/loctree"
 	"corgi/internal/registry"
 )
@@ -212,7 +213,7 @@ func TestBatchPerItemErrorsAndV2(t *testing.T) {
 		if item.ForestV2 == nil || item.Forest != nil {
 			t.Fatalf("item %d must carry a v2 payload, got %+v", i, item)
 		}
-		forest, err := DecodeForestV2(trees[item.Region], item.ForestV2)
+		forest, err := core.DecodeForest(trees[item.Region], item.ForestV2.PrivacyLevel, item.ForestV2.Delta, item.ForestV2.Entries)
 		if err != nil {
 			t.Fatalf("item %d decode: %v", i, err)
 		}

@@ -80,6 +80,15 @@ type ForestEntryWire struct {
 	Rows   [][]float64 `json:"rows"`
 }
 
+// Claim implements core.EncodedEntry: a dense entry's dimension is its row
+// count.
+func (e ForestEntryWire) Claim() (rootQ, rootR int, leaves [][2]int, dim int) {
+	return e.RootQ, e.RootR, e.Leaves, len(e.Rows)
+}
+
+// Matrix implements core.EncodedEntry.
+func (e ForestEntryWire) Matrix() (*obf.Matrix, error) { return obf.FromRows(e.Rows) }
+
 // ForestResponse carries the whole privacy forest.
 type ForestResponse struct {
 	PrivacyLevel int               `json:"privacy_l"`
@@ -283,6 +292,18 @@ func wantsForestV2(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), ContentTypeForestV2)
 }
 
+// encodeForest is the one place a forest's encoding is picked: the compact
+// v2 form (a *ForestResponseV2) when the request negotiated it, dense v1
+// (a *ForestResponse) otherwise, with the content type that names it.
+func encodeForest(tree *loctree.Tree, forest *core.Forest, v2 bool) (v any, contentType string, err error) {
+	if v2 {
+		v, err = EncodeForestV2(tree, forest)
+		return v, ContentTypeForestV2, err
+	}
+	v, err = EncodeForestV1(tree, forest)
+	return v, "application/json", err
+}
+
 // writeForestNegotiated serves a generated forest in whichever encoding
 // the request's Accept header negotiated (v2 compact or v1 dense), with a
 // strong ETag over the encoded body. A request whose If-None-Match lists
@@ -290,18 +311,7 @@ func wantsForestV2(r *http.Request) bool {
 // small forest cache and revalidate for free (generation itself is served
 // by the engine's own caches; the 304 saves the payload bytes).
 func writeForestNegotiated(w http.ResponseWriter, r *http.Request, tree *loctree.Tree, forest *core.Forest) {
-	var (
-		v     interface{}
-		ctype string
-		err   error
-	)
-	if wantsForestV2(r) {
-		ctype = ContentTypeForestV2
-		v, err = EncodeForestV2(tree, forest)
-	} else {
-		ctype = "application/json"
-		v, err = EncodeForestV1(tree, forest)
-	}
+	v, ctype, err := encodeForest(tree, forest, wantsForestV2(r))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -328,13 +338,13 @@ func writeForestNegotiated(w http.ResponseWriter, r *http.Request, tree *loctree
 // EncodeForestV1 converts a generated forest into the dense v1 wire form,
 // emitting entries in the tree's level-node order.
 func EncodeForestV1(tree *loctree.Tree, forest *core.Forest) (*ForestResponse, error) {
+	entries, err := forest.Ordered(tree)
+	if err != nil {
+		return nil, err
+	}
 	resp := &ForestResponse{PrivacyLevel: forest.PrivacyLevel, Delta: forest.Delta}
-	for _, node := range tree.LevelNodes(forest.PrivacyLevel) {
-		e, ok := forest.Entries[node]
-		if !ok {
-			return nil, fmt.Errorf("proto: forest missing entry for %v", node)
-		}
-		wire := ForestEntryWire{RootQ: node.Coord.Q, RootR: node.Coord.R}
+	for _, e := range entries {
+		wire := ForestEntryWire{RootQ: e.Root.Coord.Q, RootR: e.Root.Coord.R}
 		for _, l := range e.Leaves {
 			wire.Leaves = append(wire.Leaves, [2]int{l.Coord.Q, l.Coord.R})
 		}
@@ -437,16 +447,22 @@ func (c *Client) FetchPriors(tree *loctree.Tree) (*loctree.Priors, error) {
 	if err := c.getJSON(c.path("/v1/priors"), &pr); err != nil {
 		return nil, err
 	}
-	if len(pr.Leaves) != tree.NumLeaves() {
-		return nil, fmt.Errorf("proto: server sent %d priors, tree has %d leaves", len(pr.Leaves), tree.NumLeaves())
+	if len(pr.Leaves) != tree.NumLeaves() || len(pr.Probs) != len(pr.Leaves) {
+		return nil, fmt.Errorf("proto: server sent %d leaves and %d priors, tree has %d leaves",
+			len(pr.Leaves), len(pr.Probs), tree.NumLeaves())
 	}
 	leaf := make([]float64, tree.NumLeaves())
+	seen := make([]bool, tree.NumLeaves())
 	for i, qr := range pr.Leaves {
 		n := loctree.NodeID{Level: 0, Coord: hexgrid.Coord{Q: qr[0], R: qr[1]}}
 		idx, ok := tree.IndexOf(n)
-		if !ok {
+		switch {
+		case !ok:
 			return nil, fmt.Errorf("proto: prior for foreign leaf %v", n)
+		case seen[idx]:
+			return nil, fmt.Errorf("proto: leaf %v has two priors", n)
 		}
+		seen[idx] = true
 		leaf[idx] = pr.Probs[i]
 	}
 	return loctree.NewPriors(tree, leaf)
@@ -543,52 +559,22 @@ func (c *Client) FetchForestTagged(tree *loctree.Tree, privacyLevel, delta int, 
 
 // DecodeForestBody reassembles a raw forest response body against the
 // local tree, dispatching on the response's Content-Type (v2 compact or v1
-// dense). It is the decoding half of FetchForestTagged, exported so
-// callers can re-decode bodies they cached across a 304.
+// dense); core.DecodeForest validates either. It is the decoding half of
+// FetchForestTagged, exported so callers can re-decode bodies they cached
+// across a 304.
 func DecodeForestBody(tree *loctree.Tree, contentType string, body []byte) (*core.Forest, error) {
 	if strings.Contains(contentType, ContentTypeForestV2) {
 		var fr ForestResponseV2
 		if err := json.Unmarshal(body, &fr); err != nil {
 			return nil, err
 		}
-		return DecodeForestV2(tree, &fr)
+		return core.DecodeForest(tree, fr.PrivacyLevel, fr.Delta, fr.Entries)
 	}
 	var fr ForestResponse
 	if err := json.Unmarshal(body, &fr); err != nil {
 		return nil, err
 	}
-	return DecodeForest(tree, &fr)
-}
-
-// DecodeForest reassembles a dense v1 response against the local tree.
-func DecodeForest(tree *loctree.Tree, fr *ForestResponse) (*core.Forest, error) {
-	forest := &core.Forest{
-		PrivacyLevel: fr.PrivacyLevel,
-		Delta:        fr.Delta,
-		Entries:      map[loctree.NodeID]*core.ForestEntry{},
-	}
-	for _, wire := range fr.Entries {
-		root := loctree.NodeID{Level: fr.PrivacyLevel, Coord: hexgrid.Coord{Q: wire.RootQ, R: wire.RootR}}
-		if !tree.Contains(root) {
-			return nil, fmt.Errorf("proto: entry root %v not in tree", root)
-		}
-		if len(wire.Rows) != len(wire.Leaves) {
-			return nil, fmt.Errorf("proto: entry %v has %d rows for %d leaves", root, len(wire.Rows), len(wire.Leaves))
-		}
-		m, err := matrixFromRows(wire.Rows)
-		if err != nil {
-			return nil, fmt.Errorf("proto: entry %v: %w", root, err)
-		}
-		leaves := make([]loctree.NodeID, len(wire.Leaves))
-		for i, qr := range wire.Leaves {
-			leaves[i] = loctree.NodeID{Level: 0, Coord: hexgrid.Coord{Q: qr[0], R: qr[1]}}
-			if !tree.Contains(leaves[i]) {
-				return nil, fmt.Errorf("proto: entry %v leaf %v not in tree", root, leaves[i])
-			}
-		}
-		forest.Entries[root] = &core.ForestEntry{Root: root, Leaves: leaves, Matrix: m}
-	}
-	return forest, nil
+	return core.DecodeForest(tree, fr.PrivacyLevel, fr.Delta, fr.Entries)
 }
 
 func (c *Client) getJSON(path string, v interface{}) error {
@@ -602,16 +588,4 @@ func (c *Client) getJSON(path string, v interface{}) error {
 		return statusError(resp)
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// matrixFromRows validates and builds a wire matrix.
-func matrixFromRows(rows [][]float64) (*obf.Matrix, error) {
-	m, err := obf.FromRows(rows)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.CheckStochastic(1e-6); err != nil {
-		return nil, err
-	}
-	return m, nil
 }

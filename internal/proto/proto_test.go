@@ -9,6 +9,7 @@ import (
 
 	"corgi/internal/core"
 	"corgi/internal/geo"
+	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 	"corgi/internal/session"
@@ -134,5 +135,35 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 	if _, err := c.FetchForest(tree, 9, 1); err == nil {
 		t.Error("client must surface server rejection")
+	}
+}
+
+// TestFetchPriorsRejectsMalformed: a priors response must name each tree
+// leaf once with one probability each. A short probs list used to panic the
+// client, and a leaf listed twice silently zeroed another.
+func TestFetchPriorsRejectsMalformed(t *testing.T) {
+	tree := entryTree(t)
+	fetch := func(mutate func(*PriorsResponse)) error {
+		resp := priorsResponse(tree, loctree.UniformPriors(tree))
+		mutate(&resp)
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { writeJSON(w, resp) }))
+		defer ts.Close()
+		_, err := NewClient(ts.URL).FetchPriors(tree)
+		return err
+	}
+	if err := fetch(func(*PriorsResponse) {}); err != nil {
+		t.Fatalf("well-formed priors refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*PriorsResponse)
+	}{
+		{"short probs", func(p *PriorsResponse) { p.Probs = p.Probs[:len(p.Probs)-1] }},
+		{"duplicate leaf", func(p *PriorsResponse) { p.Leaves[1] = p.Leaves[0] }},
+		{"foreign leaf", func(p *PriorsResponse) { p.Leaves[0] = [2]int{999, 999} }},
+	} {
+		if err := fetch(tc.mutate); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

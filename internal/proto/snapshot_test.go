@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"corgi/internal/core"
 	"corgi/internal/registry"
 	"corgi/internal/store"
 )
@@ -54,7 +55,7 @@ func TestStoreSnapshotKeysStayInsideTheStore(t *testing.T) {
 	}
 
 	const good = "0123456789abcdef0123456789abcdef"
-	if err := st.Save(&store.Snapshot{SpecHash: good, PrivacyLevel: 1, Entries: []store.EntrySnapshot{{Dim: 1}}}); err != nil {
+	if err := st.Save(&store.Snapshot{SpecHash: good, PrivacyLevel: 1, Entries: []core.CompactEntry{{Dim: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := st.LoadRaw(store.Key{SpecHash: good, Level: 1})
@@ -85,7 +86,7 @@ func TestStoreSnapshotKeysStayInsideTheStore(t *testing.T) {
 		if raw, err := st.LoadRaw(k); err == nil || store.IsNotFound(err) {
 			t.Errorf("LoadRaw(%q) = %q, %v; want a key error", hash, raw, err)
 		}
-		if err := st.Save(&store.Snapshot{SpecHash: hash, PrivacyLevel: 1, Entries: []store.EntrySnapshot{{Dim: 1}}}); err == nil {
+		if err := st.Save(&store.Snapshot{SpecHash: hash, PrivacyLevel: 1, Entries: []core.CompactEntry{{Dim: 1}}}); err == nil {
 			t.Errorf("Save under %q succeeded", hash)
 		}
 		if status, body := route(hash); status != http.StatusBadRequest {

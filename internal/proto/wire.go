@@ -1,100 +1,34 @@
 package proto
 
 import (
-	"fmt"
-
-	"corgi/internal/codec"
 	"corgi/internal/core"
-	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 )
 
-// Wire format v2 frames the quantized row-sparse matrix encoding of
-// internal/codec (see its package comment for the byte layout and error
-// bounds): each entry's rows pack into one binary blob, base64-framed by
-// JSON. The same blob format is the forest store's at-rest representation
-// (internal/store), so a snapshot and a v2 response carry identical matrix
-// bytes.
+// Wire format v2 is a list of core.CompactEntry: each entry's rows pack
+// into one internal/codec blob (see its package comment for the byte
+// layout and error bounds), base64-framed by JSON. The forest store's
+// snapshots are the same list, so a snapshot and a v2 response carry
+// identical entry bytes, and core.DecodeForest validates both.
 
 // ContentTypeForestV2 is the negotiated media type for the compact forest
 // encoding. Clients request it via Accept; the server confirms it via
 // Content-Type. Plain "application/json" keeps the v1 dense encoding.
 const ContentTypeForestV2 = "application/x-corgi-forest-v2+json"
 
-// ForestEntryWire2 is one subtree's matrix in the v2 encoding.
-type ForestEntryWire2 struct {
-	RootQ  int      `json:"root_q"`
-	RootR  int      `json:"root_r"`
-	Leaves [][2]int `json:"leaves"` // axial coords in matrix order
-	Dim    int      `json:"dim"`
-	Data   []byte   `json:"data"` // base64 on the wire (encoding/json)
-}
-
 // ForestResponseV2 carries the whole privacy forest in the v2 encoding.
 type ForestResponseV2 struct {
-	PrivacyLevel int                `json:"privacy_l"`
-	Delta        int                `json:"delta"`
-	Entries      []ForestEntryWire2 `json:"entries"`
+	PrivacyLevel int                 `json:"privacy_l"`
+	Delta        int                 `json:"delta"`
+	Entries      []core.CompactEntry `json:"entries"`
 }
 
 // EncodeForestV2 converts a generated forest into the compact wire form.
 // Entries are emitted in the tree's level-node order for determinism.
 func EncodeForestV2(tree *loctree.Tree, forest *core.Forest) (*ForestResponseV2, error) {
-	resp := &ForestResponseV2{PrivacyLevel: forest.PrivacyLevel, Delta: forest.Delta}
-	for _, node := range tree.LevelNodes(forest.PrivacyLevel) {
-		e, ok := forest.Entries[node]
-		if !ok {
-			return nil, fmt.Errorf("proto: forest missing entry for %v", node)
-		}
-		data, err := codec.EncodeMatrix(e.Matrix)
-		if err != nil {
-			return nil, err
-		}
-		wire := ForestEntryWire2{
-			RootQ: node.Coord.Q,
-			RootR: node.Coord.R,
-			Dim:   e.Matrix.Dim(),
-			Data:  data,
-		}
-		for _, l := range e.Leaves {
-			wire.Leaves = append(wire.Leaves, [2]int{l.Coord.Q, l.Coord.R})
-		}
-		resp.Entries = append(resp.Entries, wire)
+	entries, err := forest.Compact(tree)
+	if err != nil {
+		return nil, err
 	}
-	return resp, nil
-}
-
-// DecodeForestV2 reassembles a v2 response against the local tree, with the
-// same validation as the v1 path (membership, shape, row-stochasticity).
-func DecodeForestV2(tree *loctree.Tree, fr *ForestResponseV2) (*core.Forest, error) {
-	forest := &core.Forest{
-		PrivacyLevel: fr.PrivacyLevel,
-		Delta:        fr.Delta,
-		Entries:      map[loctree.NodeID]*core.ForestEntry{},
-	}
-	for _, wire := range fr.Entries {
-		root := loctree.NodeID{Level: fr.PrivacyLevel, Coord: hexgrid.Coord{Q: wire.RootQ, R: wire.RootR}}
-		if !tree.Contains(root) {
-			return nil, fmt.Errorf("proto: entry root %v not in tree", root)
-		}
-		if wire.Dim != len(wire.Leaves) {
-			return nil, fmt.Errorf("proto: entry %v has dim %d for %d leaves", root, wire.Dim, len(wire.Leaves))
-		}
-		m, err := codec.DecodeMatrix(wire.Data, wire.Dim)
-		if err != nil {
-			return nil, fmt.Errorf("proto: entry %v: %w", root, err)
-		}
-		if err := m.CheckStochastic(1e-6); err != nil {
-			return nil, fmt.Errorf("proto: entry %v: %w", root, err)
-		}
-		leaves := make([]loctree.NodeID, len(wire.Leaves))
-		for i, qr := range wire.Leaves {
-			leaves[i] = loctree.NodeID{Level: 0, Coord: hexgrid.Coord{Q: qr[0], R: qr[1]}}
-			if !tree.Contains(leaves[i]) {
-				return nil, fmt.Errorf("proto: entry %v leaf %v not in tree", root, leaves[i])
-			}
-		}
-		forest.Entries[root] = &core.ForestEntry{Root: root, Leaves: leaves, Matrix: m}
-	}
-	return forest, nil
+	return &ForestResponseV2{PrivacyLevel: forest.PrivacyLevel, Delta: forest.Delta, Entries: entries}, nil
 }

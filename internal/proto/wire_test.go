@@ -76,11 +76,7 @@ func TestWireV2RoundTripAndSize(t *testing.T) {
 	t.Logf("v1 %d bytes, v2 %d bytes (%.1fx smaller)",
 		len(v1Bytes), len(v2Bytes), float64(len(v1Bytes))/float64(len(v2Bytes)))
 
-	var decoded ForestResponseV2
-	if err := json.Unmarshal(v2Bytes, &decoded); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeForestV2(tree, &decoded)
+	got, err := DecodeForestBody(tree, ContentTypeForestV2, v2Bytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +98,8 @@ func TestWireV2RoundTripAndSize(t *testing.T) {
 	}
 }
 
-// TestWireV2DecodeErrors exercises the malformed-blob paths.
+// TestWireV2DecodeErrors exercises the malformed-blob paths of a v2 body
+// carrying a real LP-solved forest.
 func TestWireV2DecodeErrors(t *testing.T) {
 	tree, forest := generateTestForest(t)
 	good, err := EncodeForestV2(tree, forest)
@@ -115,25 +112,33 @@ func TestWireV2DecodeErrors(t *testing.T) {
 		_ = json.Unmarshal(b, &c)
 		return &c
 	}
+	decode := func(c *ForestResponseV2) error {
+		body, _ := json.Marshal(c)
+		_, err := DecodeForestBody(tree, ContentTypeForestV2, body)
+		return err
+	}
 
+	if err := decode(clone()); err != nil {
+		t.Fatalf("pristine response must decode: %v", err)
+	}
 	c := clone()
 	c.Entries[0].RootQ = 999
-	if _, err := DecodeForestV2(tree, c); err == nil {
+	if decode(c) == nil {
 		t.Error("foreign root must fail")
 	}
 	c = clone()
 	c.Entries[0].Dim++
-	if _, err := DecodeForestV2(tree, c); err == nil {
+	if decode(c) == nil {
 		t.Error("dim/leaves mismatch must fail")
 	}
 	c = clone()
 	c.Entries[0].Data = c.Entries[0].Data[:len(c.Entries[0].Data)-1]
-	if _, err := DecodeForestV2(tree, c); err == nil {
+	if decode(c) == nil {
 		t.Error("truncated blob must fail")
 	}
 	c = clone()
 	c.Entries[0].Data = append(c.Entries[0].Data, 0)
-	if _, err := DecodeForestV2(tree, c); err == nil {
+	if decode(c) == nil {
 		t.Error("trailing bytes must fail")
 	}
 	c = clone()
@@ -141,8 +146,53 @@ func TestWireV2DecodeErrors(t *testing.T) {
 	for i := 2; i < 8 && i < len(c.Entries[0].Data); i++ {
 		c.Entries[0].Data[i] = 0
 	}
-	if _, err := DecodeForestV2(tree, c); err == nil {
+	if decode(c) == nil {
 		t.Error("non-stochastic row must fail")
+	}
+}
+
+// TestDecodeForestV1Errors exercises the validation paths of a v1 body
+// carrying a real LP-solved forest.
+func TestDecodeForestV1Errors(t *testing.T) {
+	tree, forest := generateTestForest(t)
+	good, err := EncodeForestV1(tree, forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := func() *ForestResponse {
+		b, _ := json.Marshal(good)
+		var c ForestResponse
+		_ = json.Unmarshal(b, &c)
+		return &c
+	}
+	decode := func(c *ForestResponse) error {
+		body, _ := json.Marshal(c)
+		_, err := DecodeForestBody(tree, "application/json", body)
+		return err
+	}
+
+	if err := decode(clone()); err != nil {
+		t.Fatalf("pristine response must decode: %v", err)
+	}
+	c := clone()
+	c.Entries[0].RootQ = 999
+	if decode(c) == nil {
+		t.Error("foreign root must fail")
+	}
+	c = clone()
+	c.Entries[0].Rows = c.Entries[0].Rows[:len(c.Entries[0].Rows)-1]
+	if decode(c) == nil {
+		t.Error("rows/leaves mismatch must fail")
+	}
+	c = clone()
+	c.Entries[0].Rows[0][0] += 0.5
+	if decode(c) == nil {
+		t.Error("non-stochastic row must fail")
+	}
+	c = clone()
+	c.Entries[0].Leaves[0] = [2]int{999, 999}
+	if decode(c) == nil {
+		t.Error("foreign leaf must fail")
 	}
 }
 
@@ -159,45 +209,6 @@ func TestEncodeForestErrorsOnMissingEntry(t *testing.T) {
 	}
 	if _, err := EncodeForestV2(tree, forest); err == nil {
 		t.Error("v2 encoder must reject a partial forest")
-	}
-}
-
-// TestDecodeForestV1Errors exercises the v1 validation paths.
-func TestDecodeForestV1Errors(t *testing.T) {
-	tree, forest := generateTestForest(t)
-	good, err := EncodeForestV1(tree, forest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := func() *ForestResponse {
-		b, _ := json.Marshal(good)
-		var c ForestResponse
-		_ = json.Unmarshal(b, &c)
-		return &c
-	}
-
-	if _, err := DecodeForest(tree, clone()); err != nil {
-		t.Fatalf("pristine response must decode: %v", err)
-	}
-	c := clone()
-	c.Entries[0].RootQ = 999
-	if _, err := DecodeForest(tree, c); err == nil {
-		t.Error("foreign root must fail")
-	}
-	c = clone()
-	c.Entries[0].Rows = c.Entries[0].Rows[:len(c.Entries[0].Rows)-1]
-	if _, err := DecodeForest(tree, c); err == nil {
-		t.Error("rows/leaves mismatch must fail")
-	}
-	c = clone()
-	c.Entries[0].Rows[0][0] += 0.5
-	if _, err := DecodeForest(tree, c); err == nil {
-		t.Error("non-stochastic row must fail")
-	}
-	c = clone()
-	c.Entries[0].Leaves[0] = [2]int{999, 999}
-	if _, err := DecodeForest(tree, c); err == nil {
-		t.Error("foreign leaf must fail")
 	}
 }
 

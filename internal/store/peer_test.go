@@ -3,6 +3,8 @@ package store
 import (
 	"errors"
 	"testing"
+
+	"corgi/internal/core"
 )
 
 // peerPair builds a source store holding one snapshot and an empty local
@@ -21,7 +23,7 @@ func peerPair(t *testing.T) (src, local *Store, k Key) {
 		SpecHash:     testHash,
 		PrivacyLevel: 1,
 		Delta:        2,
-		Entries: []EntrySnapshot{{
+		Entries: []core.CompactEntry{{
 			RootQ: 1, RootR: -1,
 			Leaves: [][2]int{{0, 0}, {1, 0}},
 			Dim:    2,
@@ -100,7 +102,7 @@ func TestPeerFetchRejectsWrongKey(t *testing.T) {
 		SpecHash:     testHash,
 		PrivacyLevel: 2, // valid snapshot, wrong level
 		Delta:        2,
-		Entries:      []EntrySnapshot{{RootQ: 0, RootR: 0, Leaves: [][2]int{{0, 0}}, Dim: 1, Data: []byte{9}}},
+		Entries:      []core.CompactEntry{{RootQ: 0, RootR: 0, Leaves: [][2]int{{0, 0}}, Dim: 1, Data: []byte{9}}},
 	}
 	if err := src.Save(other); err != nil {
 		t.Fatal(err)

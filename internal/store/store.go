@@ -35,10 +35,10 @@
 //	[32]byte SHA-256 of the payload
 //	[]byte   payload: gzip(JSON(Snapshot))
 //
-// Matrix bytes inside the payload reuse the quantized row-sparse encoding
-// of internal/codec — the same representation as wire format v2 — so a
-// snapshot and a v2 response carry identical matrix bytes, and a forest
-// that round-trips through the store re-encodes identically (the codec's
+// The payload's entries are core.CompactEntry — the entry form of wire
+// format v2, quantized row-sparse matrix blobs included — so a snapshot
+// and a v2 response carry identical entry bytes, and a forest that
+// round-trips through the store re-encodes identically (the codec's
 // quantization is idempotent).
 package store
 
@@ -56,6 +56,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"corgi/internal/core"
 )
 
 // FormatVersion is the snapshot file format version this package writes.
@@ -85,24 +87,15 @@ type Key struct {
 	Level, Delta int
 }
 
-// EntrySnapshot is one subtree's matrix at rest, mirroring the wire-v2
-// entry shape.
-type EntrySnapshot struct {
-	RootQ  int      `json:"root_q"`
-	RootR  int      `json:"root_r"`
-	Leaves [][2]int `json:"leaves"`
-	Dim    int      `json:"dim"`
-	Data   []byte   `json:"data"` // internal/codec blob
-}
-
 // Snapshot is one persisted forest: every entry of a (level, delta)
-// privacy forest, plus the key it was generated under.
+// privacy forest, in the same compact form as a wire-v2 body, plus the key
+// it was generated under.
 type Snapshot struct {
-	SpecHash     string          `json:"spec_hash"`
-	PrivacyLevel int             `json:"privacy_l"`
-	Delta        int             `json:"delta"`
-	CreatedUnix  int64           `json:"created_unix"`
-	Entries      []EntrySnapshot `json:"entries"`
+	SpecHash     string              `json:"spec_hash"`
+	PrivacyLevel int                 `json:"privacy_l"`
+	Delta        int                 `json:"delta"`
+	CreatedUnix  int64               `json:"created_unix"`
+	Entries      []core.CompactEntry `json:"entries"`
 }
 
 // Store is a forest snapshot directory. All methods are safe for

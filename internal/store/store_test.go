@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -48,6 +49,92 @@ func levelEntries(t *testing.T, tree *loctree.Tree, level int) []*core.ForestEnt
 	return entries
 }
 
+// compactEntries is a level's entries in the compact form Save writes.
+func compactEntries(tree *loctree.Tree, level int, entries []*core.ForestEntry) ([]core.CompactEntry, error) {
+	forest := &core.Forest{PrivacyLevel: level, Entries: map[loctree.NodeID]*core.ForestEntry{}}
+	for _, e := range entries {
+		forest.Entries[e.Root] = e
+	}
+	return forest.Compact(tree)
+}
+
+// goldenEntries is the fixed K=7 forest testdata/forest.snap holds: the
+// seven level-1 subtrees of testTree, entry e with one dense row (row e,
+// uniform) and sparse rows elsewhere.
+func goldenEntries(tree *loctree.Tree) []*core.ForestEntry {
+	var entries []*core.ForestEntry
+	for e, node := range tree.LevelNodes(1) {
+		leaves := tree.LeavesUnder(node)
+		m := obf.NewMatrix(len(leaves))
+		for i := range leaves {
+			if i == e%len(leaves) {
+				for j := range leaves {
+					m.Set(i, j, 1.0/float64(len(leaves)))
+				}
+				continue
+			}
+			m.Set(i, i, 0.75)
+			m.Set(i, (i+1)%len(leaves), 0.25)
+		}
+		entries = append(entries, &core.ForestEntry{Root: node, Leaves: leaves, Matrix: m})
+	}
+	return entries
+}
+
+// TestForestSnapshotGolden pins the snapshot bytes to testdata/forest.snap,
+// written before snapshot entries and wire-v2 entries became one type:
+// what Save writes for goldenEntries is that file but for its creation
+// time (Save stamps the clock, the golden holds 1760000000), and Load
+// accepts the file, so stores written before keep hydrating.
+func TestForestSnapshotGolden(t *testing.T) {
+	tree := testTree(t)
+	want, err := os.ReadFile(filepath.Join("testdata", "forest.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := decodeFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewForestStore(s, testHash, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	entries := goldenEntries(tree)
+	if err := fs.Save(ctx, 1, 2, entries); err != nil {
+		t.Fatal(err)
+	}
+	key := Key{SpecHash: testHash, Level: 1, Delta: 2}
+	saved, err := s.Load(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved.CreatedUnix = golden.CreatedUnix
+	if got, err := encodeFile(saved); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("Save wrote a snapshot that frames to\n %x\nwant\n %x (err %v)", got, want, err)
+	}
+
+	if err := os.WriteFile(s.path(key), want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.Load(ctx, 1, 2)
+	if err != nil || len(got) != len(entries) {
+		t.Fatalf("Load of the golden: %d entries, err %v; want %d", len(got), err, len(entries))
+	}
+	for i, e := range got {
+		a, _ := codec.EncodeMatrix(entries[i].Matrix)
+		b, _ := codec.EncodeMatrix(e.Matrix)
+		if e.Root != entries[i].Root || !bytes.Equal(a, b) {
+			t.Fatalf("golden entry %d is %v with blob %x, want %v with %x", i, e.Root, b, entries[i].Root, a)
+		}
+	}
+}
+
 func TestSnapshotRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -57,7 +144,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		SpecHash:     testHash,
 		PrivacyLevel: 1,
 		Delta:        2,
-		Entries: []EntrySnapshot{{
+		Entries: []core.CompactEntry{{
 			RootQ: 1, RootR: -1,
 			Leaves: [][2]int{{0, 0}, {1, 0}},
 			Dim:    2,
@@ -114,7 +201,7 @@ func TestCorruptionRejectedByChecksum(t *testing.T) {
 	key := Key{SpecHash: testHash, Level: 1, Delta: 0}
 	snap := &Snapshot{
 		SpecHash: testHash, PrivacyLevel: 1, Delta: 0,
-		Entries: []EntrySnapshot{{Leaves: [][2]int{{0, 0}}, Dim: 1, Data: []byte{9}}},
+		Entries: []core.CompactEntry{{Leaves: [][2]int{{0, 0}}, Dim: 1, Data: []byte{9}}},
 	}
 	if err := s.Save(snap); err != nil {
 		t.Fatal(err)
@@ -163,7 +250,7 @@ func TestListSortsAndSkipsForeignFiles(t *testing.T) {
 	for _, k := range []Key{{testHash, 2, 1}, {testHash, 1, 3}, {testHash, 1, 0}} {
 		snap := &Snapshot{
 			SpecHash: testHash, PrivacyLevel: k.Level, Delta: k.Delta,
-			Entries: []EntrySnapshot{{Leaves: [][2]int{{0, 0}}, Dim: 1, Data: []byte{1}}},
+			Entries: []core.CompactEntry{{Leaves: [][2]int{{0, 0}}, Dim: 1, Data: []byte{1}}},
 		}
 		if err := s.Save(snap); err != nil {
 			t.Fatal(err)
@@ -278,9 +365,17 @@ func TestForestStoreRejectsBadSnapshots(t *testing.T) {
 		t.Error("corrupt snapshot not purged")
 	}
 
-	// Incomplete forest (one entry missing): validated away.
+	// Incomplete forest (one entry missing): Save refuses to write it, and
+	// one written anyway is validated away.
 	entries := levelEntries(t, tree, 1)
-	if err := fs.Save(context.Background(), 1, 0, entries[:len(entries)-1]); err != nil {
+	if err := fs.Save(context.Background(), 1, 0, entries[:len(entries)-1]); err == nil {
+		t.Fatal("Save wrote an incomplete forest")
+	}
+	compact, err := compactEntries(tree, 1, entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(&Snapshot{SpecHash: testHash, PrivacyLevel: 1, Entries: compact[1:]}); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := fs.Load(context.Background(), 1, 0); err != nil || got != nil {
