@@ -192,14 +192,27 @@ func hmacSHA256(key, msg []byte) [sha256.Size]byte {
 	return sha256.Sum256(outer[:])
 }
 
-// Sign encodes and signs a token under its user's derived key. The token
-// is its only allocation.
+// Sign encodes and signs a token under its user's derived key, in a buffer
+// of its own: the token is its only allocation.
 func (k *Keyring) Sign(t LeaseToken) []byte {
-	buf := make([]byte, 0, maxTokenFixed+len(t.Region))
-	buf = appendTokenPayload(buf, t)
+	return k.AppendSign(nil, t)
+}
+
+// AppendSign appends the signed token to dst. A dst whose spare capacity
+// holds the longest token a region as long as t's can encode to (Sign's
+// buffers do) is written in place, allocating nothing; a dst without that
+// room is copied once into a buffer with exactly that room.
+func (k *Keyring) AppendSign(dst []byte, t LeaseToken) []byte {
+	if room := maxTokenFixed + len(t.Region); cap(dst)-len(dst) < room {
+		buf := make([]byte, len(dst), len(dst)+room)
+		copy(buf, dst)
+		dst = buf
+	}
+	start := len(dst)
+	dst = appendTokenPayload(dst, t)
 	key := k.userKey(t.UID)
-	tag := hmacSHA256(key[:], buf)
-	return append(buf, tag[:]...)
+	tag := hmacSHA256(key[:], dst[start:])
+	return append(dst, tag[:]...)
 }
 
 // Verify authenticates an encoded token and checks it against the clock:

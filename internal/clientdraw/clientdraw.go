@@ -26,11 +26,16 @@
 // Who owns what. On the server a bundle is a set of views: its node lists
 // are the session binding's and an unpruned binding's rows are the forest
 // entry's matrix rows, read once by the encoder and never written (see
-// codec.LeaseBundle). On the device everything is the lease's own: Open and
-// Renew decode the bundle bytes into fresh memory (every row in one arena)
-// that the Lease's mechanism.Rows keeps and nobody else sees, and the bundle
-// bytes themselves are not retained. The one slice a Lease shares with its
-// caller is the token, kept as given for the next renewal.
+// codec.LeaseBundle). On the device everything is the lease's own, and it
+// is handed down a renewal chain rather than made anew: Open decodes the
+// bundle bytes into fresh storage (node lists, row headers, every row in
+// one arena, the mechanism.Rows over them, the alias tables it builds),
+// and Renew moves the retired lease's storage into the new lease, which
+// decodes and rebuilds into it, growing it only when the new bundle is
+// larger. Storage belongs to one lease at a time, and a retired lease never
+// reads it again. The bundle bytes themselves are not retained. The one
+// slice a Lease shares with its caller is the token, kept as given for the
+// next renewal.
 //
 // A Lease is safe for concurrent use; draws serialize under an internal
 // mutex exactly as server-side sessions do.
@@ -74,18 +79,30 @@ var ErrOutsideSubtree = mechanism.ErrOutsideSubtree
 
 // Lease is an open draw lease: the detached mechanism rows with their
 // lazily built alias tables, and the positioned RNG stream. Create with
-// Open.
+// Open; continue with Renew.
 type Lease struct {
 	tree     *loctree.Tree
 	token    []byte
 	tok      budget.LeaseToken
+	root     loctree.NodeID
 	degraded bool
 	seed     int64
 
-	mu   sync.Mutex
-	rows *mechanism.Rows
+	mu sync.Mutex
+	// st and rng are this lease's alone until Renew hands them to the next
+	// lease, which leaves both nil here and the lease retired.
+	st   *storage
 	rng  *rand.Rand
 	used int
+}
+
+// storage is what a lease draws from: the decoded bundle (node lists, row
+// headers, row arena) and the rows over it with the alias tables they
+// built. Renew hands it down a chain of leases, each decoding and building
+// into what the one before it held.
+type storage struct {
+	bundle codec.LeaseBundle
+	rows   mechanism.Rows
 }
 
 // Open decodes a lease grant's bundle and token and positions the RNG
@@ -97,11 +114,24 @@ type Lease struct {
 // back from Token: the caller must not write it afterwards. bundle is only
 // read during the call.
 func Open(tree *loctree.Tree, bundle, token []byte) (*Lease, error) {
+	return open(tree, nil, nil, 0, 0, bundle, token)
+}
+
+// open is Open and Renew: decode the grant into st (fresh storage when nil)
+// and position the stream. rng, when non-nil, is a handed-over stream
+// standing at position pos of seed; it continues when the bundle does (the
+// same seed, a position at or past pos), advancing only across the gap.
+// Otherwise the stream is seeded from the bundle and burned to its
+// position.
+func open(tree *loctree.Tree, st *storage, rng *rand.Rand, seed int64, pos uint64, bundle, token []byte) (*Lease, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("clientdraw: nil tree")
 	}
-	b, err := codec.DecodeLeaseBundle(bundle)
-	if err != nil {
+	if st == nil {
+		st = new(storage)
+	}
+	b := &st.bundle
+	if err := codec.DecodeLeaseBundleInto(b, bundle); err != nil {
 		return nil, err
 	}
 	tok, err := budget.DecodeLeaseToken(token)
@@ -112,74 +142,57 @@ func Open(tree *loctree.Tree, bundle, token []byte) (*Lease, error) {
 		return nil, fmt.Errorf("clientdraw: token and bundle disagree (root %v/%v, position %d/%d)",
 			tok.Root, b.Root, tok.RNGPos, b.RNGPos)
 	}
-	return newLease(tree, b, tok, token, nil)
-}
-
-// newLease assembles an open lease from a decoded grant. A nil rng means
-// positioning from scratch: seed the bundle's source and burn its
-// recorded position. A non-nil rng is a handover from Renew, already
-// standing at the bundle's position.
-func newLease(tree *loctree.Tree, b *codec.LeaseBundle, tok budget.LeaseToken, token []byte, rng *rand.Rand) (*Lease, error) {
-	rows, err := mechanism.NewRows(tree, b.Root, b.PrecisionLevel, b.Pruned, b.Nodes, b.Rows)
-	if err != nil {
+	if err := st.rows.Reset(tree, b.Root, b.PrecisionLevel, b.Pruned, b.Nodes, b.Rows); err != nil {
 		return nil, fmt.Errorf("clientdraw: %w", err)
 	}
-	l := &Lease{
-		tree:     tree,
-		token:    token,
-		tok:      tok,
-		degraded: b.Degraded,
-		seed:     b.Seed,
-		rows:     rows,
-		rng:      rng,
-	}
-	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(b.Seed))
+	if rng != nil && b.Seed == seed && b.RNGPos >= pos {
+		for ; pos < b.RNGPos; pos++ {
+			rng.Float64()
+		}
+	} else {
+		rng = rand.New(rand.NewSource(b.Seed))
 		// Fast-forward to the leased window: one variate per position, the
 		// same consumption rate as one alias draw.
 		for i := uint64(0); i < b.RNGPos; i++ {
-			l.rng.Float64()
+			rng.Float64()
 		}
 	}
-	return l, nil
+	return &Lease{
+		tree:     tree,
+		token:    token,
+		tok:      tok,
+		root:     b.Root,
+		degraded: b.Degraded,
+		seed:     b.Seed,
+		st:       st,
+		rng:      rng,
+	}, nil
 }
 
-// Renew opens the next lease window from a renewal grant, handing this
-// lease's live RNG stream over instead of replaying it from the seed.
-// Positions grow without bound over a user's lifetime, so Open's
-// burn-from-zero costs O(position) per renewal — quadratic over a
-// session — while a handover is O(forfeited draws): the stream only
-// advances across the gap the server skipped (renewals continue at the
-// old window's cap, so unconsumed draws are burned, never replayed by
-// the next window). When the grant does not continue this stream (a
-// different seed, or a position behind the current one), Renew falls
-// back to a fresh Open. Either way this lease is retired: its remaining
-// draws report exhausted. bundle and token are held as in Open.
+// Renew opens the next lease window from a renewal grant and retires this
+// lease: from then on its draws report exhausted, while Root, Degraded and
+// Token still describe the window it was. The first Renew of a lease hands
+// the new one its live RNG stream and its storage. The stream saves
+// replaying from the seed: positions grow without bound over a user's
+// lifetime, so Open's burn-from-zero costs O(position) per renewal —
+// quadratic over a session — while a handover is O(forfeited draws), the
+// stream only advancing across the gap the server skipped (renewals
+// continue at the old window's cap, so unconsumed draws are burned, never
+// replayed by the next window). The storage saves the allocations: the
+// grant decodes into this lease's node lists, rows and arena, and alias
+// tables rebuild into this lease's tables. When the grant does not continue
+// the stream (a different seed, or a position behind the current one), the
+// new lease seeds its own, as Open does; so does every later Renew of the
+// same lease, which has nothing left to hand over — two leases never share
+// a stream. A Renew that fails retires this lease all the same. bundle and
+// token are held as in Open.
 func (l *Lease) Renew(bundle, token []byte) (*Lease, error) {
-	b, err := codec.DecodeLeaseBundle(bundle)
-	if err != nil {
-		return nil, err
-	}
-	tok, err := budget.DecodeLeaseToken(token)
-	if err != nil {
-		return nil, err
-	}
-	if tok.RNGPos != b.RNGPos || tok.Root != b.Root {
-		return nil, fmt.Errorf("clientdraw: token and bundle disagree (root %v/%v, position %d/%d)",
-			tok.Root, b.Root, tok.RNGPos, b.RNGPos)
-	}
-	var rng *rand.Rand
 	l.mu.Lock()
-	pos := l.tok.RNGPos + uint64(l.used)
-	if b.Seed == l.seed && b.RNGPos >= pos {
-		for ; pos < b.RNGPos; pos++ {
-			l.rng.Float64()
-		}
-		rng = l.rng
-	}
-	l.used = l.tok.DrawCap // retire the old window either way
+	st, rng, pos := l.st, l.rng, l.tok.RNGPos+uint64(l.used)
+	l.st, l.rng = nil, nil
+	l.used = l.tok.DrawCap
 	l.mu.Unlock()
-	return newLease(l.tree, b, tok, token, rng)
+	return open(l.tree, st, rng, l.seed, pos, bundle, token)
 }
 
 // Token returns the signed lease token, for renewal: the slice Open or
@@ -187,7 +200,7 @@ func (l *Lease) Renew(bundle, token []byte) (*Lease, error) {
 func (l *Lease) Token() []byte { return l.token }
 
 // Root returns the leased privacy subtree.
-func (l *Lease) Root() loctree.NodeID { return l.rows.Root() }
+func (l *Lease) Root() loctree.NodeID { return l.root }
 
 // Degraded reports whether the leased rows came from a planar-Laplace
 // fallback entry.
@@ -206,18 +219,20 @@ func (l *Lease) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	// A retired lease stops here: its storage is the next lease's now.
 	if l.used+n > l.tok.DrawCap {
 		return &ExhaustedError{Used: l.used, Cap: l.tok.DrawCap, Asked: n}
 	}
-	row, err := l.rows.RowFor(leaf)
+	rows := &l.st.rows
+	row, err := rows.RowFor(leaf)
 	if err != nil {
 		return err
 	}
-	a, err := l.rows.Alias(row)
+	a, err := rows.Alias(row)
 	if err != nil {
 		return err
 	}
-	nodes := l.rows.Nodes()
+	nodes := rows.Nodes()
 	for i := range out {
 		out[i] = nodes[a.Draw(l.rng)]
 	}

@@ -3,6 +3,8 @@ package clientdraw
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"corgi/internal/budget"
@@ -228,4 +230,83 @@ func TestLeaseRefusesWhatTheSessionRefuses(t *testing.T) {
 	}
 	w.used(l, 2, 6)
 	w.same(l, a[4], 4) // still aligned after the refusals
+}
+
+// TestRenewHandsOverOnce renews one lease twice, as two goroutines that
+// both saw it run out would: one after the other, then at once. The first
+// Renew hands over the lease's stream and storage; the second has nothing
+// left to hand over and seeds its own stream, as Open does. So each
+// successor draws exactly what a fresh Open of its own grant draws, neither
+// shares a stream or storage with the other, and the renewed lease draws
+// nothing more.
+func TestRenewHandsOverOnce(t *testing.T) {
+	w := newLeaseWorld(t, policy.Policy{PrivacyLevel: 1}, nil)
+	leaf := w.entryA.Leaves[2]
+	type grant struct{ bundle, token []byte }
+	draw := func(l *Lease) []loctree.NodeID {
+		out := make([]loctree.NodeID, 4)
+		if err := l.DrawCellNInto(leaf, out); err != nil {
+			t.Error(err)
+		}
+		return out
+	}
+	// opened draws what a fresh Open of g draws.
+	opened := func(g grant) []loctree.NodeID {
+		l, err := Open(w.tree, g.bundle, g.token)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return draw(l)
+	}
+	check := func(how string, l *Lease, gs [2]grant, got [2][]loctree.NodeID) {
+		t.Helper()
+		for i, g := range gs {
+			if want := opened(g); !slices.Equal(got[i], want) {
+				t.Errorf("%s: renewal %d drew %v, a fresh Open of its grant %v", how, i, got[i], want)
+			}
+		}
+		if err := l.DrawCellNInto(leaf, make([]loctree.NodeID, 1)); !errors.Is(err, ErrLeaseExhausted) {
+			t.Errorf("%s: the renewed lease drew again: %v", how, err)
+		}
+	}
+	grants := func() (gs [2]grant) {
+		for i := range gs {
+			gs[i].bundle, gs[i].token = w.grant(leaf, 4)
+		}
+		return gs
+	}
+
+	l := w.open(leaf, 4)
+	gs := grants()
+	var next [2]*Lease
+	for i, g := range gs {
+		var err error
+		if next[i], err = l.Renew(g.bundle, g.token); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [2][]loctree.NodeID
+	for i, n := range next {
+		got[i] = draw(n)
+	}
+	check("one after the other", l, gs, got)
+
+	l = w.open(leaf, 4)
+	gs = grants()
+	got = [2][]loctree.NodeID{}
+	var wg sync.WaitGroup
+	for i, g := range gs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n, err := l.Renew(g.bundle, g.token)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = draw(n)
+		}()
+	}
+	wg.Wait()
+	check("at once", l, gs, got)
 }

@@ -38,6 +38,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"corgi/internal/loctree"
 )
@@ -66,13 +67,16 @@ const (
 // replay the server's exact draw sequence for one subtree. Produced by
 // session.DetachLease, consumed by internal/clientdraw.
 //
-// Its slices are read-only to whoever holds one. A bundle from DetachLease
-// is a set of views: Pruned and Nodes are the session binding's own lists,
-// and the Rows of an unpruned leaf-precision binding are the forest entry's
-// matrix rows in place (pruned and precision rows share one array made for
-// the bundle). A bundle from DecodeLeaseBundle owns its memory, but its
-// rows are consecutive pieces of one array. Either way: encode it, build
-// alias tables from it, do not write through it.
+// Who owns what depends on the side. A bundle the server detaches is a set
+// of views: Pruned and Nodes are the session binding's own lists, and the
+// Rows of an unpruned leaf-precision binding are the forest entry's matrix
+// rows in place; only the row headers, and the array pruned and precision
+// rows are computed into, belong to whoever detached it (the registry's
+// pooled grant). Read it, encode it, never write through it. A bundle a
+// device decodes owns everything: DecodeLeaseBundleInto reads into the
+// bundle's own node lists, row headers and row arena, reusing them from
+// one decode to the next, so its slices stay valid only until the bundle
+// is decoded into again.
 type LeaseBundle struct {
 	// Root is the privacy subtree the binding covers.
 	Root loctree.NodeID
@@ -98,6 +102,10 @@ type LeaseBundle struct {
 	// unsampleable: degenerate after pruning, refused client-side without
 	// consuming RNG.
 	Rows [][]float64
+
+	// arena is the array DecodeLeaseBundleInto carves non-empty rows from,
+	// in order, kept for the next decode into this bundle.
+	arena []float64
 }
 
 // uvarintLen is the encoded size of binary.AppendUvarint(nil, x).
@@ -132,16 +140,24 @@ func rowEncoding(row []float64) (kind byte, nnz, size int) {
 	return rowSparse, nnz, size
 }
 
-// EncodeLeaseBundle packs a bundle into its binary form. It only reads the
-// bundle (whose slices may be views, see LeaseBundle) and sizes its one
-// buffer exactly, so the result is its only allocation.
+// EncodeLeaseBundle packs a bundle into its binary form, in a buffer of
+// its own sized exactly: the result is its only allocation.
 func EncodeLeaseBundle(b *LeaseBundle) ([]byte, error) {
+	return AppendLeaseBundle(nil, b)
+}
+
+// AppendLeaseBundle appends a bundle's binary form to dst. It only reads
+// the bundle (whose slices may be views, see LeaseBundle) and sizes the
+// encoding first: a dst with room for it is written in place and nothing
+// is allocated, and a dst without room is copied once into a buffer that
+// has exactly that room. On an error dst comes back as it was.
+func AppendLeaseBundle(dst []byte, b *LeaseBundle) ([]byte, error) {
 	n := len(b.Nodes)
 	if n < 1 || n > MaxLeaseNodes {
-		return nil, fmt.Errorf("codec: lease node count %d out of range [1, %d]", n, MaxLeaseNodes)
+		return dst, fmt.Errorf("codec: lease node count %d out of range [1, %d]", n, MaxLeaseNodes)
 	}
 	if len(b.Rows) != n {
-		return nil, fmt.Errorf("codec: lease has %d rows for %d nodes", len(b.Rows), n)
+		return dst, fmt.Errorf("codec: lease has %d rows for %d nodes", len(b.Rows), n)
 	}
 	size := len(leaseMagic) + 2 + uvarintLen(uint64(b.PrecisionLevel)) + nodeLen(b.Root) +
 		varintLen(b.Seed) + uvarintLen(b.RNGPos) + uvarintLen(uint64(len(b.Pruned))) + uvarintLen(uint64(n))
@@ -157,13 +173,17 @@ func EncodeLeaseBundle(b *LeaseBundle) ([]byte, error) {
 			continue
 		}
 		if len(row) != n {
-			return nil, fmt.Errorf("codec: lease row %d has %d weights for %d nodes", i, len(row), n)
+			return dst, fmt.Errorf("codec: lease row %d has %d weights for %d nodes", i, len(row), n)
 		}
 		_, _, rowSize := rowEncoding(row)
 		size += rowSize
 	}
 
-	buf := make([]byte, 0, size)
+	buf := dst
+	if cap(buf)-len(buf) < size {
+		buf = make([]byte, len(dst), len(dst)+size)
+		copy(buf, dst)
+	}
 	buf = append(buf, leaseMagic...)
 	buf = append(buf, leaseVersion)
 	var flags byte
@@ -208,21 +228,36 @@ func EncodeLeaseBundle(b *LeaseBundle) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeLeaseBundle unpacks an encoded bundle, validating every bound; a
-// malformed input of any shape returns an error, never a panic or an
-// oversized allocation.
+// DecodeLeaseBundle unpacks an encoded bundle into a bundle of its own,
+// validating every bound; a malformed input of any shape returns an error,
+// never a panic or an oversized allocation.
 func DecodeLeaseBundle(data []byte) (*LeaseBundle, error) {
+	b := new(LeaseBundle)
+	if err := DecodeLeaseBundleInto(b, data); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// DecodeLeaseBundleInto is DecodeLeaseBundle into b's storage: the pruned
+// and report node lists, the row headers and the row arena of whatever b
+// held before are reused when long enough, and grown when not, so decoding
+// a bundle no larger than the last one allocates nothing. Every field is
+// overwritten and nothing b held can show through: a row that is empty
+// comes back nil and a sparse row is cleared before it is filled. On an
+// error b holds nothing a caller may use, but keeps its storage.
+func DecodeLeaseBundleInto(b *LeaseBundle, data []byte) error {
 	c := NewCursor(data, "codec: lease bundle")
 	if string(c.Raw(len(leaseMagic))) != leaseMagic {
-		return nil, fmt.Errorf("codec: not a lease bundle")
+		return fmt.Errorf("codec: not a lease bundle")
 	}
 	if ver := c.U8(); ver != leaseVersion {
-		return nil, fmt.Errorf("codec: lease bundle version %d unsupported", ver)
+		return fmt.Errorf("codec: lease bundle version %d unsupported", ver)
 	}
-	b := &LeaseBundle{Degraded: c.U8()&leaseFlagDegraded != 0}
+	b.Degraded = c.U8()&leaseFlagDegraded != 0
 	prec := c.Uvarint()
 	if prec > 64 {
-		return nil, fmt.Errorf("codec: lease precision level %d out of range", prec)
+		return fmt.Errorf("codec: lease precision level %d out of range", prec)
 	}
 	b.PrecisionLevel = int(prec)
 	b.Root = c.Node()
@@ -231,50 +266,54 @@ func DecodeLeaseBundle(data []byte) (*LeaseBundle, error) {
 	// A node is three varints, at least three bytes.
 	nPruned := c.Count(3)
 	if nPruned > MaxLeaseNodes {
-		return nil, fmt.Errorf("codec: lease pruned count %d exceeds %d", nPruned, MaxLeaseNodes)
+		return fmt.Errorf("codec: lease pruned count %d exceeds %d", nPruned, MaxLeaseNodes)
 	}
-	b.Pruned = make([]loctree.NodeID, nPruned)
+	b.Pruned = slices.Grow(b.Pruned[:0], nPruned)[:nPruned]
 	for i := range b.Pruned {
 		b.Pruned[i] = c.Node()
 	}
 	n := c.Count(3)
 	if err := c.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if n < 1 || n > MaxLeaseNodes {
-		return nil, fmt.Errorf("codec: lease node count %d out of range [1, %d]", n, MaxLeaseNodes)
+		return fmt.Errorf("codec: lease node count %d out of range [1, %d]", n, MaxLeaseNodes)
 	}
-	b.Nodes = make([]loctree.NodeID, n)
+	b.Nodes = slices.Grow(b.Nodes[:0], n)[:n]
 	for i := range b.Nodes {
 		b.Nodes[i] = c.Node()
 	}
-	// Rows decode into an arena instead of one vector each. The arena is
-	// sized by what the input can pay for, never by what the header claims:
-	// when a row needs space the decoder takes enough for as many dense rows
-	// (8n+1 bytes each) as the rest of the input could hold, at least one.
-	// A bundle of dense rows, the common kind, gets its n*n in one piece; a
-	// hostile one whose two-byte sparse rows each demand n zeros is served
-	// one row at a time.
-	var arena []float64
-	take := func(rowsLeft, bytesLeft int) []float64 {
-		if len(arena) < n {
-			arena = make([]float64, min(rowsLeft, max(1, bytesLeft/(8*n+1)))*n)
+	// Non-empty rows are consecutive n-float pieces of an arena the bundle
+	// keeps for the next decode into it. The arena grows by what the input
+	// can pay for, never by what the header claims: when a row finds no
+	// room, a new arena is made with room for the rows taken so far (they
+	// stay where they are; the room is for the next decode) plus as many
+	// more as the rest of the input could hold as dense rows (8n+1 bytes
+	// each), at least one and at most the rows left, or as many again as
+	// were taken if that is more. A bundle of dense rows, the common kind,
+	// gets its n*n at once; a hostile one whose two-byte sparse rows each
+	// demand n zeros gets room for a few rows at a time, as it pays for
+	// them.
+	used := 0
+	take := func(i, bytesLeft int) []float64 {
+		if cap(b.arena)-used < n {
+			b.arena = make([]float64, used+min(n-i, max(1, bytesLeft/(8*n+1), used/n))*n)
 		}
-		row := arena[:n:n]
-		arena = arena[n:]
+		row := b.arena[used : used+n : used+n]
+		used += n
 		return row
 	}
-	b.Rows = make([][]float64, n)
+	b.Rows = slices.Grow(b.Rows[:0], n)[:n]
 	for i := 0; i < n && c.Err() == nil; i++ {
+		b.Rows[i] = nil // empty: unsampleable, unless a kind below fills it
 		bytesLeft := c.left()
 		switch kind := c.U8(); kind {
 		case rowEmpty:
-			// stays nil: unsampleable
 		case rowDense:
 			if c.left() < 8*n {
-				return nil, fmt.Errorf("codec: lease row %d truncated", i)
+				return fmt.Errorf("codec: lease row %d truncated", i)
 			}
-			row := take(n-i, bytesLeft)
+			row := take(i, bytesLeft)
 			for j := range row {
 				row[j] = c.F64()
 			}
@@ -282,23 +321,21 @@ func DecodeLeaseBundle(data []byte) (*LeaseBundle, error) {
 		case rowSparse:
 			nnz := c.Uvarint()
 			if nnz > uint64(n) {
-				return nil, fmt.Errorf("codec: lease row %d claims %d entries for %d nodes", i, nnz, n)
+				return fmt.Errorf("codec: lease row %d claims %d entries for %d nodes", i, nnz, n)
 			}
-			row := take(n-i, bytesLeft)
+			row := take(i, bytesLeft)
+			clear(row)
 			for k := uint64(0); k < nnz; k++ {
 				col := c.Uvarint()
 				if col >= uint64(n) {
-					return nil, fmt.Errorf("codec: lease row %d column %d out of range", i, col)
+					return fmt.Errorf("codec: lease row %d column %d out of range", i, col)
 				}
 				row[col] = c.F64()
 			}
 			b.Rows[i] = row
 		default:
-			return nil, fmt.Errorf("codec: lease row %d has unknown kind %d", i, kind)
+			return fmt.Errorf("codec: lease row %d has unknown kind %d", i, kind)
 		}
 	}
-	if err := c.Done(); err != nil {
-		return nil, err
-	}
-	return b, nil
+	return c.Done()
 }

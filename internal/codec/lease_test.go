@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"corgi/internal/hexgrid"
@@ -138,31 +139,90 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestLeaseBundleDecodeArena pins both sides of the row arena: an honest
-// bundle of dense rows decodes in a handful of allocations however many
-// rows it has, and a bundle whose header claims a large n gets only the row
-// space its bytes pay for, not n*n up front.
-func TestLeaseBundleDecodeArena(t *testing.T) {
-	const k = 49
-	dense := &LeaseBundle{Root: nid(1, 0, 0), Seed: 1, Nodes: make([]loctree.NodeID, k), Rows: make([][]float64, k)}
-	for i := range dense.Nodes {
-		dense.Nodes[i] = nid(0, i, -i)
-		dense.Rows[i] = make([]float64, k)
-		for j := range dense.Rows[i] {
-			dense.Rows[i][j] = 1 / float64(1+i+j)
+// denseBundle is a k-node bundle of dense rows, every weight nonzero.
+func denseBundle(k int) *LeaseBundle {
+	b := &LeaseBundle{Root: nid(1, 0, 0), Seed: 1, Nodes: make([]loctree.NodeID, k), Rows: make([][]float64, k)}
+	for i := range b.Nodes {
+		b.Nodes[i] = nid(0, i, -i)
+		b.Rows[i] = make([]float64, k)
+		for j := range b.Rows[i] {
+			b.Rows[i][j] = 1 / float64(1+i+j)
 		}
 	}
-	blob, err := EncodeLeaseBundle(dense)
+	return b
+}
+
+// sparseBundle is a 49-node bundle whose rows all encode sparse, with one
+// empty row and a pruned list, so storage that held it has every list and
+// an arena of its own.
+func sparseBundle() *LeaseBundle {
+	const k = 49
+	b := &LeaseBundle{Root: nid(2, 1, 1), PrecisionLevel: 1, Seed: -5, RNGPos: 77,
+		Pruned: []loctree.NodeID{nid(0, 9, 9), nid(0, 8, 8)},
+		Nodes:  make([]loctree.NodeID, k), Rows: make([][]float64, k)}
+	for i := range b.Nodes {
+		b.Nodes[i] = nid(0, -i, i)
+		if i == 3 {
+			continue
+		}
+		b.Rows[i] = make([]float64, k)
+		b.Rows[i][i], b.Rows[i][(i*7)%k] = 0.5, 0.25
+	}
+	return b
+}
+
+// sameBundle reports whether two decoded bundles hold the same values, a
+// nil row only where the other has one, every weight to the bit.
+func sameBundle(a, b *LeaseBundle) bool {
+	if a.Root != b.Root || a.PrecisionLevel != b.PrecisionLevel || a.Degraded != b.Degraded ||
+		a.Seed != b.Seed || a.RNGPos != b.RNGPos || !slices.Equal(a.Pruned, b.Pruned) ||
+		!slices.Equal(a.Nodes, b.Nodes) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		if (a.Rows[i] == nil) != (b.Rows[i] == nil) || !slices.EqualFunc(a.Rows[i], b.Rows[i],
+			func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			return false
+		}
+	}
+	return true
+}
+
+// held returns a bundle whose storage last held blob's decode.
+func held(t testing.TB, blob []byte) *LeaseBundle {
+	b := new(LeaseBundle)
+	if err := DecodeLeaseBundleInto(b, blob); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestLeaseBundleDecodeArena pins both sides of the row arena: an honest
+// bundle of dense rows decodes in a handful of allocations however many
+// rows it has, and none at all into storage that held it, and a bundle
+// whose header claims a large n gets only the row space its bytes pay for,
+// not n*n up front, fresh or into reused storage.
+func TestLeaseBundleDecodeArena(t *testing.T) {
+	const k = 49
+	dense, err := EncodeLeaseBundle(denseBundle(k))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The bundle, its node list, its row headers, one arena.
 	if allocs := testing.AllocsPerRun(20, func() {
-		if _, err := DecodeLeaseBundle(blob); err != nil {
+		if _, err := DecodeLeaseBundle(dense); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 4 && !raceon.Enabled {
 		t.Errorf("decoding %d dense rows: %v allocations, want <= 4", k, allocs)
+	}
+	reused := held(t, dense)
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := DecodeLeaseBundleInto(reused, dense); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 0 && !raceon.Enabled {
+		t.Errorf("decoding %d dense rows into the storage they were decoded into: %v allocations, want 0", k, allocs)
 	}
 
 	const n = 4096 // n*n float64s would be 128 MiB
@@ -170,18 +230,29 @@ func TestLeaseBundleDecodeArena(t *testing.T) {
 	for i := range empty.Nodes {
 		empty.Nodes[i] = nid(0, i, 0)
 	}
-	blob, err = EncodeLeaseBundle(empty)
+	blob, err := EncodeLeaseBundle(empty)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bound = 1 << 20
-	if got := allocatedBy(func() { _, err = DecodeLeaseBundle(blob) }); err != nil || got > bound {
-		t.Errorf("bundle of %d empty rows: err %v, %d bytes allocated, want <= %d", n, err, got, bound)
-	}
 	// Three two-byte sparse rows that each demand n zeros, then nothing.
 	hostile := append(append([]byte(nil), blob[:len(blob)-n]...), rowSparse, 0, rowSparse, 0, rowSparse, 0)
-	if got := allocatedBy(func() { _, err = DecodeLeaseBundle(hostile) }); err == nil || got > bound {
-		t.Errorf("truncated bundle claiming %d rows: err %v, %d bytes allocated, want an error and <= %d", n, err, got, bound)
+	const bound = 1 << 20
+	for _, into := range []struct {
+		name string
+		b    func() *LeaseBundle
+	}{
+		{"fresh", func() *LeaseBundle { return new(LeaseBundle) }},
+		{"reused dense K=49", func() *LeaseBundle { return held(t, dense) }},
+	} {
+		b := into.b()
+		if got := allocatedBy(func() { err = DecodeLeaseBundleInto(b, blob) }); err != nil || got > bound {
+			t.Errorf("%s: bundle of %d empty rows: err %v, %d bytes allocated, want <= %d", into.name, n, err, got, bound)
+		}
+		b = into.b()
+		if got := allocatedBy(func() { err = DecodeLeaseBundleInto(b, hostile) }); err == nil || got > bound {
+			t.Errorf("%s: truncated bundle claiming %d rows: err %v, %d bytes allocated, want an error and <= %d",
+				into.name, n, err, got, bound)
+		}
 	}
 }
 
@@ -205,16 +276,43 @@ func TestLeaseBundleCountsBoundedByBytes(t *testing.T) {
 	}
 }
 
+// FuzzDecodeLeaseBundle decodes each input fresh and into storage that
+// last held a dense K=49 bundle or a sparse-row one, which must agree,
+// error for error: nothing a bundle held may show through a decode into
+// it (a sparse row over a dense one is where it would).
 func FuzzDecodeLeaseBundle(f *testing.F) {
-	blob, err := EncodeLeaseBundle(testBundle())
-	if err != nil {
-		f.Fatal(err)
+	var blobs [][]byte
+	for _, b := range []*LeaseBundle{testBundle(), sparseBundle(), denseBundle(49)} {
+		blob, err := EncodeLeaseBundle(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		blobs = append(blobs, blob)
 	}
-	f.Add(blob)
+	// The K=49 bundles are priors, not seeds: the minimizer's time grows
+	// with the square of an input's length, and the testBundle seed already
+	// has every row kind.
+	f.Add(blobs[0])
+	priors := blobs[1:]
 	f.Add([]byte("CGL1"))
 	f.Add([]byte{})
+	// One storage per prior, kept across inputs: each input is decoded into
+	// it right after the prior is.
+	storage := make([]LeaseBundle, len(priors))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := DecodeLeaseBundle(data)
+		for i, prior := range priors {
+			into := &storage[i]
+			if err := DecodeLeaseBundleInto(into, prior); err != nil {
+				t.Fatal(err)
+			}
+			if got := DecodeLeaseBundleInto(into, data); (got == nil) != (err == nil) || got != nil && got.Error() != err.Error() {
+				t.Fatalf("decode into used storage: error %v, fresh decode %v", got, err)
+			}
+			if err == nil && !sameBundle(into, b) {
+				t.Fatalf("decode into used storage differs from a fresh decode")
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -260,7 +260,7 @@ func TestUserSidePrecisionReduction(t *testing.T) {
 	if len(b.Nodes()) != 7 {
 		t.Fatalf("reduced mechanism has %d nodes, want 7", len(b.Nodes()))
 	}
-	rows, err := b.DetachRows()
+	rows, _, err := b.DetachRows(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,7 +188,7 @@ func Bind(cfg Config) (*Binding, error) {
 		}
 		b.groups = groups
 		b.nodes = groupNodes
-		b.rowOf = ancestorRows(cfg.Tree, leaves, b.precision, groupNodes)
+		b.rowOf = ancestorRows(nil, cfg.Tree, leaves, b.precision, groupNodes)
 	case len(pruned) > 0:
 		b.rowOf = make([]int32, len(leaves))
 		for p := range b.rowOf {
@@ -339,30 +339,32 @@ func (b *Binding) precisionWeights(row int, weights []float64) ([]float64, error
 //   - coarser precision: precisionWeights, shared with buildRow.
 //
 // A row that buildRow would refuse (degenerate after pruning) comes back
-// nil, the bundle's marker for a row the client must refuse. Computed rows
-// share one backing array, so a detach costs two allocations however many
-// rows the subtree has.
-func (b *Binding) DetachRows() ([][]float64, error) {
+// nil, the bundle's marker for a row the client must refuse.
+//
+// The caller owns the storage: the row headers are written into rows'
+// array and computed rows into arena's, each reused when long enough and
+// returned, grown or not, for the next detach to reuse (nil for both is
+// fine). Computed rows share the arena, so a detach into storage that has
+// held a subtree this large allocates nothing however many rows it has.
+func (b *Binding) DetachRows(rows [][]float64, arena []float64) ([][]float64, []float64, error) {
 	n := len(b.nodes)
-	rows := make([][]float64, n)
+	rows = slices.Grow(rows[:0], n)[:n]
 	if b.viewsRows() {
 		for i := range rows {
 			rows[i] = b.src.MatrixRow(b.keep[i])
 		}
-		return rows, nil
+		return rows, arena, nil
 	}
-	arena := make([]float64, n*n)
+	arena = slices.Grow(arena[:0], n*n)[:n*n]
+	clear(arena)
 	for i := range rows {
 		w, err := b.detachInto(i, arena[i*n:(i+1)*n:(i+1)*n])
-		if err != nil {
-			if !errors.Is(err, ErrUnsampleable) {
-				return nil, err
-			}
-			continue
+		if err != nil && !errors.Is(err, ErrUnsampleable) {
+			return rows, arena, err
 		}
 		rows[i] = w
 	}
-	return rows, nil
+	return rows, arena, nil
 }
 
 // viewsRows reports whether report rows are the source's matrix rows as

@@ -141,7 +141,7 @@ func FuzzMechanismRowContract(f *testing.F) {
 				t.Fatalf("%s: admitted prune set of %d, bound with %d under delta=%d", fac.Name, got, len(pruned), delta)
 			}
 			nodes := b.Nodes()
-			rows, err := b.DetachRows()
+			rows, _, err := b.DetachRows(nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", fac.Name, err)
 			}

@@ -247,9 +247,10 @@ func rowForLeaf(root loctree.NodeID, pos int, covered bool, rowOf []int32,
 
 // ancestorRows is the position → row table of a coarser precision: each
 // leaf reports from the row of its ancestor at level, rowMissing when no
-// report node is that ancestor.
-func ancestorRows(tree *loctree.Tree, leaves []loctree.NodeID, level int, nodes []loctree.NodeID) []int32 {
-	rowOf := make([]int32, len(leaves))
+// report node is that ancestor. It is built in rowOf's array when that is
+// long enough.
+func ancestorRows(rowOf []int32, tree *loctree.Tree, leaves []loctree.NodeID, level int, nodes []loctree.NodeID) []int32 {
+	rowOf = slices.Grow(rowOf[:0], len(leaves))[:len(leaves)]
 	for p, leaf := range leaves {
 		rowOf[p] = rowMissing
 		if anc, ok := tree.AncestorAt(leaf, level); ok {

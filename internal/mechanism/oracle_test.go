@@ -213,6 +213,7 @@ func TestBindingMatchesMapOracle(t *testing.T) {
 	all := tree.LevelNodes(0)
 	var unsampleable int
 	var outcomes [3]int
+	var rows mechanism.Rows
 
 	for _, root := range []loctree.NodeID{tree.LevelNodes(1)[3], tree.Root()} {
 		leaves := tree.LeavesUnder(root)
@@ -248,7 +249,7 @@ func TestBindingMatchesMapOracle(t *testing.T) {
 				if !slices.Equal(b.Pruned(), pruned) {
 					t.Fatalf("%s: pruned %v, bound with %v", name, b.Pruned(), pruned)
 				}
-				weights, err := b.DetachRows()
+				weights, _, err := b.DetachRows(nil, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -265,8 +266,9 @@ func TestBindingMatchesMapOracle(t *testing.T) {
 						t.Fatalf("%s row %d: weights %v, oracle %v", name, row, got, want)
 					}
 				}
-				rows, err := mechanism.NewRows(tree, root, precision, pruned, b.Nodes(), weights)
-				if err != nil {
+				// One Rows for every case, so each Reset reuses what the
+				// last one held.
+				if err := rows.Reset(tree, root, precision, pruned, b.Nodes(), weights); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				for _, leaf := range append(slices.Clone(all), root) { // every cell, in or out, and a non-leaf

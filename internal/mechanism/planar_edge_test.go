@@ -79,7 +79,7 @@ func TestPlanarPruneToSingleCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	detached, err := b.DetachRows()
+	detached, _, err := b.DetachRows(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestZeroMassRowPropagatesUnsampleable(t *testing.T) {
 	if _, err := b.Alias(row); !errors.Is(err, mechanism.ErrUnsampleable) {
 		t.Fatalf("Alias(zero-mass row) = %v, want ErrUnsampleable", err)
 	}
-	if rows, err := b.DetachRows(); err != nil || rows[row] != nil {
+	if rows, _, err := b.DetachRows(nil, nil); err != nil || rows[row] != nil {
 		t.Fatalf("DetachRows: zero-mass row %v (%v), want nil, the bundle's unsampleable marker", rows[row], err)
 	}
 	// The healthy rows keep serving from the same binding.

@@ -2,6 +2,7 @@ package mechanism
 
 import (
 	"fmt"
+	"slices"
 
 	"corgi/internal/loctree"
 	"corgi/internal/sample"
@@ -19,6 +20,11 @@ import (
 // without consuming any randomness, matching the server's failed alias
 // build.
 //
+// A Rows is reused, not rebuilt: Reset points it at the next lease's rows
+// and keeps its position table, its alias slots and every table it built,
+// which later rows are rebuilt into in place (sample.Alias.Build). Its
+// tables are its own and never handed out past the owner's lock.
+//
 // Like Binding, Rows is caller-synchronized: the alias cache mutates on
 // first use of each row under the owner's lock.
 type Rows struct {
@@ -31,37 +37,41 @@ type Rows struct {
 	rowOf    []int32
 	weights  [][]float64
 	rowAlias []*sample.Alias // by row, built on first use
+	// spare holds tables built before the last Reset, to be rebuilt for
+	// whichever rows are drawn from next.
+	spare []*sample.Alias
 }
 
-// NewRows assembles a detached row set for one subtree. weights is
-// index-aligned with nodes; an empty row is a server-refused row. The
-// subtree must resolve to at least one leaf in this tree.
-func NewRows(tree *loctree.Tree, root loctree.NodeID, precision int,
-	pruned, nodes []loctree.NodeID, weights [][]float64) (*Rows, error) {
+// Reset points r at a detached row set for one subtree, reusing r's
+// arrays and tables. weights is index-aligned with nodes; an empty row is
+// a server-refused row. The subtree must resolve to at least one leaf in
+// this tree. r keeps nodes and weights, not copies. The zero Rows is ready
+// for Reset, and a Reset that fails leaves r as it was.
+func (r *Rows) Reset(tree *loctree.Tree, root loctree.NodeID, precision int,
+	pruned, nodes []loctree.NodeID, weights [][]float64) error {
 	if tree == nil {
-		return nil, fmt.Errorf("mechanism: nil tree")
+		return fmt.Errorf("mechanism: nil tree")
 	}
 	if len(weights) != len(nodes) {
-		return nil, fmt.Errorf("mechanism: %d weight rows for %d report nodes", len(weights), len(nodes))
+		return fmt.Errorf("mechanism: %d weight rows for %d report nodes", len(weights), len(nodes))
 	}
 	lo, hi, ok := tree.LeafSpan(root)
 	if !ok {
-		return nil, fmt.Errorf("mechanism: subtree %v has no leaves in this tree", root)
+		return fmt.Errorf("mechanism: subtree %v has no leaves in this tree", root)
 	}
-	r := &Rows{
-		tree:     tree,
-		root:     root,
-		lo:       lo,
-		hi:       hi,
-		nodes:    nodes,
-		weights:  weights,
-		rowAlias: make([]*sample.Alias, len(nodes)),
+	for _, a := range r.rowAlias {
+		if a != nil {
+			r.spare = append(r.spare, a)
+		}
 	}
+	r.rowAlias = slices.Grow(r.rowAlias[:0], len(nodes))[:len(nodes)]
+	clear(r.rowAlias)
+	r.tree, r.root, r.lo, r.hi, r.nodes, r.weights = tree, root, lo, hi, nodes, weights
 	if precision > 0 {
-		r.rowOf = ancestorRows(tree, tree.LeavesUnder(root), precision, nodes)
-		return r, nil
+		r.rowOf = ancestorRows(r.rowOf, tree, tree.LeavesUnder(root), precision, nodes)
+		return nil
 	}
-	r.rowOf = make([]int32, hi-lo)
+	r.rowOf = slices.Grow(r.rowOf[:0], hi-lo)[:hi-lo]
 	for p := range r.rowOf {
 		r.rowOf[p] = rowMissing
 	}
@@ -75,7 +85,7 @@ func NewRows(tree *loctree.Tree, root loctree.NodeID, precision int,
 			r.rowOf[p] = rowPruned
 		}
 	}
-	return r, nil
+	return nil
 }
 
 // pos returns leaf's position inside the detached subtree.
@@ -90,9 +100,6 @@ func (r *Rows) pos(leaf loctree.NodeID) (int, bool) {
 	return i - r.lo, true
 }
 
-// Root returns the detached subtree root.
-func (r *Rows) Root() loctree.NodeID { return r.root }
-
 // Nodes returns the report node set. Callers must not mutate it.
 func (r *Rows) Nodes() []loctree.NodeID { return r.nodes }
 
@@ -105,8 +112,9 @@ func (r *Rows) RowFor(leaf loctree.NodeID) (int, error) {
 }
 
 // Alias builds (and caches) the alias table for one row from its exact
-// detached weights — the same sample.New the server's row builds bottom
-// out in. Caller must hold the owning lock.
+// detached weights — the same build sample.New runs for the server's
+// rows, here into a spare table when there is one. Caller must hold the
+// owning lock.
 func (r *Rows) Alias(row int) (*sample.Alias, error) {
 	if a := r.rowAlias[row]; a != nil {
 		return a, nil
@@ -117,8 +125,13 @@ func (r *Rows) Alias(row int) (*sample.Alias, error) {
 		// randomness is consumed, matching the server's failed alias build.
 		return nil, fmt.Errorf("%w: row %v degenerate after pruning", ErrUnsampleable, r.nodes[row])
 	}
-	a, err := sample.New(w)
-	if err != nil {
+	var a *sample.Alias
+	if k := len(r.spare); k > 0 {
+		a, r.spare = r.spare[k-1], r.spare[:k-1]
+	} else {
+		a = new(sample.Alias)
+	}
+	if err := a.Build(w); err != nil {
 		return nil, fmt.Errorf("%w: row %v: %v", ErrUnsampleable, r.nodes[row], err)
 	}
 	r.rowAlias[row] = a

@@ -78,7 +78,7 @@ func leaseResponse(g *registry.LeaseGrant) *LeaseResponse {
 }
 
 // handleLease serves POST /v1/lease: issue (or renew) a client-side draw
-// lease.
+// lease, releasing the grant once the response is written.
 func (h *MultiHandler) handleLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !decodePost(w, r, 1<<20, &req) {
@@ -95,6 +95,7 @@ func (h *MultiHandler) handleLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSONPooled(w, r, leaseResponse(grant))
+	grant.Release()
 }
 
 // lease requests (or renews) a client-side draw lease. Non-200 responses

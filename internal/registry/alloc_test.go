@@ -1,9 +1,11 @@
 package registry
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -140,30 +142,36 @@ func homeUser(t *testing.T, reg *Registry) (sh *Shard, prefs ReportRequest, away
 
 // leaseAllocs measures a lease renewal's allocations on the server side:
 // the request carries the previous grant's token, the session is resident
-// and the user has not moved.
+// and the user has not moved. Every grant is released once its token is
+// copied out, as the stream server releases it once it is encoded.
 func leaseAllocs(t *testing.T, reg *Registry, req LeaseRequest) float64 {
 	t.Helper()
 	ctx := context.Background()
-	grant, err := reg.Lease(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return testing.AllocsPerRun(200, func() {
-		req.Token = grant.Token
-		if grant, err = reg.Lease(ctx, req); err != nil {
+	var token []byte
+	renew := func() {
+		req.Token = token
+		grant, err := reg.Lease(ctx, req)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
+		token = append(token[:0], grant.Token...)
+		grant.Release()
+	}
+	renew()
+	return testing.AllocsPerRun(200, renew)
 }
 
 // TestLeaseAllocationBudgets is the lease path's side of the budgets above.
-// A renewal holds what outlives it and nothing else: the grant, the encoded
-// bundle, the token, the verified token's region string, and the bundle
-// with its row headers on the way to the encoder (a pruned session adds the
-// one array its renormalized rows are computed into). No row is copied: a
-// K=49 renewal costs what a K=7 one does.
-// On the device, a renewal decodes into one arena and builds one alias
-// table for its first draw; leaving the subtree costs the typed error.
+// A released renewal allocates nothing of its own: the grant is the
+// pool's, with the buffers the token and the bundle are written into, the
+// row headers of the detached bundle and the arena a pruned session's
+// renormalized rows are computed into. What is left is the verified
+// token's region string. No row is copied: a K=49 renewal costs what a K=7
+// one does.
+// On the device, a renewal decodes into the storage of the lease it
+// retires and rebuilds its first alias table into that lease's tables: it
+// allocates the new Lease and the region string of the token it parses.
+// Leaving the subtree costs the typed error.
 func TestLeaseAllocationBudgets(t *testing.T) {
 	if raceon.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -171,19 +179,19 @@ func TestLeaseAllocationBudgets(t *testing.T) {
 	reg, leafA, leafB := mobilityBenchWorld(t, Options{})
 	k7 := LeaseRequest{Region: "bench-mob", Cell: leafA.Coord, UID: 1, Seed: 1, Draws: 32,
 		Policy: policy.Policy{PrivacyLevel: 1}}
-	if got := leaseAllocs(t, reg, k7); got > 8 {
-		t.Errorf("K=7 plain renewal: %v allocs/op, budget 8", got)
+	if got := leaseAllocs(t, reg, k7); got > 1 {
+		t.Errorf("K=7 plain renewal: %v allocs/op, budget 1", got)
 	}
 	k49 := k7
 	k49.UID, k49.Policy = 2, policy.Policy{PrivacyLevel: 2}
-	if got := leaseAllocs(t, reg, k49); got > 8 {
-		t.Errorf("K=49 plain renewal: %v allocs/op, budget 8", got)
+	if got := leaseAllocs(t, reg, k49); got > 1 {
+		t.Errorf("K=49 plain renewal: %v allocs/op, budget 1", got)
 	}
 	sh, prefs, away, _, _ := homeUser(t, reg)
 	pruned := LeaseRequest{Region: prefs.Region, Cell: away[0], UID: prefs.UID, Seed: prefs.Seed, Draws: 32,
 		Policy: prefs.Policy}
-	if got := leaseAllocs(t, reg, pruned); got > 12 {
-		t.Errorf("home = false renewal: %v allocs/op, budget 12", got)
+	if got := leaseAllocs(t, reg, pruned); got > 1 {
+		t.Errorf("home = false renewal: %v allocs/op, budget 1", got)
 	}
 
 	kr, err := budget.NewKeyring([]byte("alloc-budget-secret"))
@@ -197,6 +205,14 @@ func TestLeaseAllocationBudgets(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() { signed = kr.Sign(tok) }); got != 1 {
 		t.Errorf("Keyring.Sign: %v allocs/op, want the token alone", got)
 	}
+	buf := make([]byte, 0, cap(signed)) // the room Sign gives a token
+	if got := testing.AllocsPerRun(200, func() {
+		if out := kr.AppendSign(buf, tok); !bytes.Equal(out, signed) {
+			t.Fatalf("AppendSign wrote %x, Sign %x", out, signed)
+		}
+	}); got != 0 {
+		t.Errorf("Keyring.AppendSign into a buffer with room: %v allocs/op, budget 0", got)
+	}
 	if got := testing.AllocsPerRun(200, func() {
 		if _, err := kr.Verify(signed, now); err != nil {
 			t.Fatal(err)
@@ -207,7 +223,8 @@ func TestLeaseAllocationBudgets(t *testing.T) {
 
 	// The device: renew, draw once, then step outside the leased subtree.
 	// Every renewal needs the grant after its own, or the client would fall
-	// back to re-seeding its stream; AllocsPerRun calls 1 + 200 times.
+	// back to re-seeding its stream; AllocsPerRun calls 1 + 200 times. The
+	// grants are kept, not released: the device holds their tokens.
 	tree := sh.Server.Tree()
 	ctx := context.Background()
 	grants := make([]*LeaseGrant, 202)
@@ -231,8 +248,8 @@ func TestLeaseAllocationBudgets(t *testing.T) {
 		if err := lease.DrawCellNInto(leafA, out); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 16 {
-		t.Errorf("client renew + first draw, K=7: %v allocs/op, budget 16", got)
+	}); got > 2 {
+		t.Errorf("client renew + first draw, K=7: %v allocs/op, budget 2 (the Lease, the token's region)", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		if err := lease.DrawCellNInto(leafB, out); !errors.Is(err, clientdraw.ErrOutsideSubtree) {
@@ -325,5 +342,87 @@ func TestReportReturnsPooledResultOnError(t *testing.T) {
 	}
 	if !held() {
 		t.Error("a budget-rejected report dropped its pooled result")
+	}
+}
+
+// TestLeaseReturnsPooledGrantOnError: Lease takes its grant from the pool
+// before it verifies the renewal token, so every failure after that must
+// put it back. The exits are a forged token (403), a re-anchor whose entry
+// fetch fails (a cancelled context) and an exhausted budget (429). The
+// grant is told apart by its token buffer: the region's name is longer
+// than any other region's a lease in this process signs for, so only a
+// grant that signed for it has that much room. Under the race detector,
+// which makes sync.Pool drop a share of what is Put, the exits still run
+// but whether the grant came back is not asserted.
+func TestLeaseReturnsPooledGrantOnError(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	region := strings.Repeat("r", 200)
+	const draws = 4
+	// Room for two leases and half of a third.
+	reg, err := New(fastSpecs(region), Options{
+		Budget: budget.Config{LimitEps: 15 * draws * 5 / 2, Window: time.Hour},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sh, err := reg.Shard(ctx, region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.Spec.Epsilon != 15 {
+		t.Fatalf("epsilon %v: the budget above assumes 15", sh.Spec.Epsilon)
+	}
+	tree := sh.Server.Tree()
+	roots := tree.LevelNodes(1)
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+
+	// held reports whether the pool still holds the one grant whose token
+	// buffer has room for this region, which is what the failing lease was
+	// handed.
+	held := func() bool {
+		g := grantPool.Get().(*LeaseGrant)
+		defer grantPool.Put(g)
+		return raceon.Enabled || cap(g.Token) > len(region)
+	}
+	req := LeaseRequest{Region: region, Cell: tree.LeavesUnder(roots[0])[0].Coord, UID: 1, Seed: 1,
+		Policy: policy.Policy{PrivacyLevel: 1}, Draws: draws}
+	grant, err := reg.Lease(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	token := bytes.Clone(grant.Token)
+	grant.Release()
+	if !held() {
+		t.Fatal("a released grant did not come back from the pool; the checks below would prove nothing")
+	}
+
+	forged := req
+	forged.Token = bytes.Clone(token)
+	forged.Token[len(forged.Token)-1] ^= 1
+	if _, err := reg.Lease(ctx, forged); !errors.Is(err, ErrBadLeaseToken) {
+		t.Fatalf("a lease with a forged token: %v, want ErrBadLeaseToken", err)
+	}
+	if !held() {
+		t.Error("a lease refused for its token dropped its pooled grant")
+	}
+
+	// The user moves to another subtree; its entry cannot be fetched.
+	moved := req
+	moved.Cell, moved.Token = tree.LeavesUnder(roots[1])[0].Coord, token
+	if _, err := reg.Lease(cancelled, moved); err == nil {
+		t.Fatal("a re-anchor succeeded under a cancelled context")
+	}
+	if !held() {
+		t.Error("a lease whose re-anchor failed dropped its pooled grant")
+	}
+
+	// Two leases are paid for; half of a third is left.
+	if _, err := reg.Lease(ctx, req); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("an over-budget lease: %v, want ErrBudgetExhausted", err)
+	}
+	if !held() {
+		t.Error("a budget-rejected lease dropped its pooled grant")
 	}
 }

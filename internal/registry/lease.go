@@ -16,6 +16,7 @@ package registry
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -86,6 +87,43 @@ type LeaseGrant struct {
 	// (codec.DecodeLeaseBundle / clientdraw.Open consume it).
 	Token  []byte
 	Bundle []byte
+
+	// pooled marks a grant Registry.Lease took from grantPool; Release
+	// returns it.
+	pooled bool
+	// bundle is the detached lease Bundle was encoded from, and arena the
+	// array its pruned or precision rows were computed into: the grant owns
+	// both, with bundle's row headers, so the next lease built in this grant
+	// reuses them (bundle's node lists and unpruned rows are views of the
+	// session binding and the forest entry, see codec.LeaseBundle).
+	bundle codec.LeaseBundle
+	arena  []float64
+}
+
+// grantPool recycles whole grants with every buffer a lease is built in:
+// the token, the encoded bundle, the detached bundle's row headers and the
+// row arena. A lease that is released allocates nothing for its answer.
+var grantPool = sync.Pool{New: func() any { return new(LeaseGrant) }}
+
+// Release hands the grant back to Registry.Lease for reuse, the struct and
+// every buffer above. It has ReportResult.Release's contract: after Release
+// nothing of the grant may be read, not a field and not a slice (Token and
+// Bundle included: the next Lease on any goroutine overwrites them), so
+// copy out what must outlive the call first. It is optional (a grant never
+// released is collected by the GC) and a no-op on a grant that did not come
+// from Registry.Lease (a decoded remote answer); the serving transports
+// call it once the grant is encoded.
+func (g *LeaseGrant) Release() {
+	if !g.pooled {
+		return
+	}
+	// The row headers may point into forest entries: drop those pointers
+	// so a pooled grant keeps no entry alive.
+	rows := g.bundle.Rows
+	clear(rows)
+	*g = LeaseGrant{Token: g.Token[:0], Bundle: g.Bundle[:0],
+		bundle: codec.LeaseBundle{Rows: rows[:0]}, arena: g.arena}
+	grantPool.Put(g)
 }
 
 // leaseCounters tracks lease issuance at the registry level (the keyring
@@ -127,12 +165,26 @@ func (r *Registry) LeaseStats() LeaseStats {
 // renewal token, charge draws x epsilon in one call, bind (or re-anchor,
 // or rebuild) the user's session, detach its rows, and sign the token.
 // Budget and token checks both happen before any session work, so a
-// refused lease consumes nothing from the user's RNG stream.
+// refused lease consumes nothing from the user's RNG stream. The grant is
+// the pool's (see LeaseGrant.Release), built in the buffers of an earlier
+// lease.
 func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, error) {
 	a, err := r.admit(ctx, req.Region, req.Cell, req.UID, req.Seed, req.Policy, req.Handoff, req.Draws)
 	if err != nil {
 		return nil, err
 	}
+	grant := grantPool.Get().(*LeaseGrant)
+	grant.pooled = true
+	if err := r.issue(ctx, &a, req, grant); err != nil {
+		grant.Release()
+		return nil, err
+	}
+	return grant, nil
+}
+
+// issue fills grant, a zeroed pooled grant, with the admitted request's
+// lease. On an error grant holds nothing a caller may use.
+func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, grant *LeaseGrant) error {
 	sh, draws := a.sh, a.draws
 
 	// Renewal first: a bad token must be refused before the budget is
@@ -141,26 +193,25 @@ func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, er
 	renewed := false
 	now := time.Now()
 	if len(req.Token) > 0 {
+		var err error
 		prev, err = r.keyring.Verify(req.Token, now)
 		if err != nil {
 			r.lease.deniedToken.Add(1)
-			return nil, err
+			return err
 		}
 		if prev.UID != req.UID || prev.Region != sh.Spec.Name {
 			r.lease.deniedToken.Add(1)
-			return nil, fmt.Errorf("%w: token bound to user %d region %q",
+			return fmt.Errorf("%w: token bound to user %d region %q",
 				ErrBadLeaseToken, prev.UID, prev.Region)
 		}
 		renewed = true
 	}
 
-	grant := &LeaseGrant{
-		Region:         sh.Spec.Name,
-		SubtreeRoot:    a.root,
-		PrecisionLevel: req.Policy.PrecisionLevel,
-		DrawCap:        draws,
-		Renewed:        renewed,
-	}
+	grant.Region = sh.Spec.Name
+	grant.SubtreeRoot = a.root
+	grant.PrecisionLevel = req.Policy.PrecisionLevel
+	grant.DrawCap = draws
+	grant.Renewed = renewed
 	// ONE charge pre-pays the whole cap under linear composition: the
 	// client's n draws cost exactly what n report requests would, but the
 	// accountant is hit once per lease instead of once per draw. Unused
@@ -172,7 +223,7 @@ func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, er
 		remaining, err := sh.Budget.Charge(req.UID, cost)
 		if err != nil {
 			r.lease.deniedBudget.Add(1)
-			return nil, err
+			return err
 		}
 		grant.Budgeted = true
 		grant.EpsSpent = cost
@@ -181,7 +232,7 @@ func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, er
 
 	sess, err := a.session(ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// A renewal continues the stream where the leased window ends: for a
 	// resident session FastForward is a no-op (DetachLease already burned
@@ -195,31 +246,31 @@ func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, er
 
 	// Re-anchor + detach, with the same retry loop as Report: DetachLease
 	// refuses (without burning RNG) when a concurrent request re-anchored
-	// the shared session off this request's subtree.
-	var bundle *codec.LeaseBundle
+	// the shared session off this request's subtree. The detach, the
+	// encoder and the signer all write into the grant's own buffers.
+	bundle := &grant.bundle
 	for attempt := 0; ; attempt++ {
 		moved, err := a.anchor(ctx, sess)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		grant.Reanchored = grant.Reanchored || moved
-		if bundle, err = sess.DetachLease(a.leaf, draws); err == nil {
+		if grant.arena, err = sess.DetachLeaseInto(bundle, grant.arena, a.leaf, draws); err == nil {
 			break
 		}
 		if !retryAnchor(err, attempt) {
-			return nil, drawErr(err)
+			return drawErr(err)
 		}
 	}
 	grant.Degraded = bundle.Degraded
 	grant.Pruned = len(bundle.Pruned)
 	grant.RNGPos = bundle.RNGPos
-	grant.Bundle, err = codec.EncodeLeaseBundle(bundle)
-	if err != nil {
-		return nil, err
+	if grant.Bundle, err = codec.AppendLeaseBundle(grant.Bundle, bundle); err != nil {
+		return err
 	}
 	expires := now.Add(r.leaseTTL)
 	grant.ExpiresAt = expires.UnixMilli()
-	grant.Token = r.keyring.Sign(budget.LeaseToken{
+	grant.Token = r.keyring.AppendSign(grant.Token, budget.LeaseToken{
 		UID:       req.UID,
 		Region:    sh.Spec.Name,
 		Root:      bundle.Root,
@@ -235,5 +286,5 @@ func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, er
 		r.lease.renewed.Add(1)
 	}
 	r.lease.drawsGranted.Add(uint64(draws))
-	return grant, nil
+	return nil
 }

@@ -6,10 +6,13 @@
 // dominates report latency. An alias table pays the scan once and then
 // draws in constant time.
 //
-// Tables are immutable after construction, so any number of goroutines may
-// Draw from one table concurrently — each with its own *rand.Rand, which is
-// NOT safe for concurrent use (callers serialize or shard their RNGs; see
-// also the note in internal/obf).
+// A table New returns is immutable, so any number of goroutines may Draw
+// from one table concurrently — each with its own *rand.Rand, which is NOT
+// safe for concurrent use (callers serialize or shard their RNGs; see also
+// the note in internal/obf). Build rewrites a table in place, for an owner
+// that holds the table alone and wants its arrays back for another row (a
+// device lease rebuilding its tables at renewal); a table anyone else can
+// reach, and every table New returned, is never rebuilt.
 //
 // A draw consumes exactly one uniform variate (the one-uniform trick: the
 // integer part of u*n picks the bucket, the fractional part flips the
@@ -24,7 +27,8 @@ import (
 	"math/rand"
 )
 
-// Alias is an immutable Walker alias table over n outcomes.
+// Alias is a Walker alias table over n outcomes. The zero value is an empty
+// table for Build to fill.
 type Alias struct {
 	n     int
 	prob  []float64 // acceptance threshold per bucket, in [0, 1]
@@ -44,25 +48,39 @@ const stackN = 64
 // A row with no positive mass, a negative weight, or a non-finite weight
 // is an error.
 func New(weights []float64) (*Alias, error) {
+	a := new(Alias)
+	if err := a.Build(weights); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Build makes a the alias table of weights, as New does, reusing a's arrays
+// when they are long enough. Every bucket below n is written, so what a
+// held before cannot show through: the table equals New's bit for bit. The
+// weights are checked before anything is written, so on an error a is as
+// it was. Only a table's sole owner may rebuild it (see the package
+// comment).
+func (a *Alias) Build(weights []float64) error {
 	n := len(weights)
 	if n == 0 {
-		return nil, fmt.Errorf("sample: no weights")
+		return fmt.Errorf("sample: no weights")
 	}
 	total := 0.0
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("sample: bad weight %v at %d", w, i)
+			return fmt.Errorf("sample: bad weight %v at %d", w, i)
 		}
 		total += w
 	}
 	if total <= 0 {
-		return nil, fmt.Errorf("sample: no positive mass across %d weights", n)
+		return fmt.Errorf("sample: no positive mass across %d weights", n)
 	}
-	a := &Alias{
-		n:     n,
-		prob:  make([]float64, n),
-		alias: make([]int32, n),
+	a.n = n
+	if cap(a.prob) < n {
+		a.prob, a.alias = make([]float64, n), make([]int32, n)
 	}
+	a.prob, a.alias = a.prob[:n], a.alias[:n]
 	// Vose's stable construction: scale every weight to mean 1, then pair
 	// each underfull bucket with an overfull donor. The three work vectors
 	// die with the call, so up to stackN outcomes they are stack arrays.
@@ -107,7 +125,7 @@ func New(weights []float64) (*Alias, error) {
 		a.prob[i] = 1
 		a.alias[i] = i
 	}
-	return a, nil
+	return nil
 }
 
 // NewSubset builds an alias table over the kept entries of row — the

@@ -50,7 +50,9 @@ func goldenRow(n int) []float64 {
 // TestAliasTablesUnchanged pins New and NewSubset against digests recorded
 // at the commit before the build's scratch vectors moved to stack arrays
 // (n <= stackN) — on both sides of that threshold the tables must stay
-// bit-identical, or every seeded draw in the repo shifts.
+// bit-identical, or every seeded draw in the repo shifts. Build over a
+// table that held another row, longer or shorter, must land on New's
+// digest too: nothing of the old row may survive an in-place rebuild.
 func TestAliasTablesUnchanged(t *testing.T) {
 	golden := []struct {
 		n              int
@@ -71,6 +73,18 @@ func TestAliasTablesUnchanged(t *testing.T) {
 		}
 		if got := tableDigest(a, nil); got != g.full {
 			t.Errorf("New n=%d: table digest %s, recorded %s", g.n, got, g.full)
+		}
+		for _, held := range []int{343, 7} {
+			var reused Alias
+			if err := reused.Build(goldenRow(held)); err != nil {
+				t.Fatal(err)
+			}
+			if err := reused.Build(row); err != nil {
+				t.Fatalf("Build n=%d over n=%d: %v", g.n, held, err)
+			}
+			if got := tableDigest(&reused, nil); got != g.full {
+				t.Errorf("Build n=%d over a table of n=%d: table digest %s, recorded %s", g.n, held, got, g.full)
+			}
 		}
 		drop := make([]bool, g.n)
 		for j := range drop {

@@ -36,7 +36,7 @@ func detachByCopy(s *Session) *codec.LeaseBundle {
 		Nodes:          append([]loctree.NodeID(nil), b.Nodes()...),
 		Rows:           make([][]float64, len(b.Nodes())),
 	}
-	rows, _ := b.DetachRows()
+	rows, _, _ := b.DetachRows(nil, nil)
 	for i, w := range rows {
 		if w != nil {
 			bundle.Rows[i] = append([]float64(nil), w...)

@@ -416,21 +416,39 @@ func (s *Session) DrawCellNBound(leaf loctree.NodeID, out []loctree.NodeID) (Bou
 // session), DetachLease fails with ErrOutsideSubtree before burning any
 // variate, so the caller's re-anchor-and-retry loop keeps the stream
 // position exact — the same contract DrawCellN gives the report path.
+//
+// DetachLease allocates the bundle, its row headers and, for pruned or
+// precision rows, the array they are computed into; DetachLeaseInto is the
+// same detach into storage the caller keeps.
 func (s *Session) DetachLease(leaf loctree.NodeID, n int) (*codec.LeaseBundle, error) {
+	bundle := new(codec.LeaseBundle)
+	if _, err := s.DetachLeaseInto(bundle, nil, leaf, n); err != nil {
+		return nil, err
+	}
+	return bundle, nil
+}
+
+// DetachLeaseInto is DetachLease into bundle, whose every field it sets:
+// the row headers are written into bundle.Rows' array and pruned or
+// precision rows computed into arena's, each reused when long enough. It
+// returns the arena, grown or not, for the next detach into the same
+// storage; a detach no larger than the last one allocates nothing. On an
+// error bundle holds nothing a caller may use.
+func (s *Session) DetachLeaseInto(bundle *codec.LeaseBundle, arena []float64, leaf loctree.NodeID, n int) ([]float64, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("session: lease draw cap %d must be >= 1", n)
+		return arena, fmt.Errorf("session: lease draw cap %d must be >= 1", n)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.b
 	if !b.Covers(leaf) {
-		return nil, &mechanism.OutsideSubtreeError{Leaf: leaf, Root: b.Root()}
+		return arena, &mechanism.OutsideSubtreeError{Leaf: leaf, Root: b.Root()}
 	}
-	rows, err := b.DetachRows()
+	rows, arena, err := b.DetachRows(bundle.Rows, arena)
 	if err != nil {
-		return nil, err
+		return arena, err
 	}
-	bundle := &codec.LeaseBundle{
+	*bundle = codec.LeaseBundle{
 		Root:           b.Root(),
 		PrecisionLevel: s.pol.PrecisionLevel,
 		Degraded:       b.Source().IsDegraded(),
@@ -444,7 +462,7 @@ func (s *Session) DetachLease(leaf loctree.NodeID, n int) (*codec.LeaseBundle, e
 		s.rng.Float64()
 	}
 	s.draws.Add(uint64(n))
-	return bundle, nil
+	return arena, nil
 }
 
 // FastForward advances the session's RNG stream to absolute position pos

@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -203,6 +204,40 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 		}
 		if overStream[i] != inproc[i] {
 			t.Fatalf("draw %d: lease/stream %+v != in-proc %+v", i, overStream[i], inproc[i])
+		}
+	}
+}
+
+// TestReleaseLeavesDecodedGrantsAlone: only a grant Registry.Lease made
+// is the pool's. A grant a client decoded off either wire is its caller's,
+// and Release leaves every field and every byte of it as it was.
+func TestReleaseLeavesDecodedGrantsAlone(t *testing.T) {
+	reg := newRegistry(t, registry.Options{}, "ra")
+	_, leafNodes := leaves(t, reg, "ra")
+	_, addr := startStream(t, reg, stream.Config{})
+	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
+	defer sc.Close()
+	h, err := proto.NewMultiHandler(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hsrv := httptest.NewServer(h.Mux())
+	t.Cleanup(hsrv.Close)
+	for name, remote := range map[string]registry.ReportHandler{
+		"stream.Client.Lease": sc.Remote(),
+		"proto.Remote.Lease":  proto.NewClient(hsrv.URL).Remote(),
+	} {
+		g, err := remote.Lease(context.Background(), registry.LeaseRequest{Region: "ra", Cell: leafNodes[0].Coord,
+			UID: 1, Policy: policy.Policy{PrivacyLevel: 1}, Seed: 1, Draws: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := *g
+		before.Token, before.Bundle = bytes.Clone(g.Token), bytes.Clone(g.Bundle)
+		g.Release()
+		if !reflect.DeepEqual(*g, before) {
+			t.Errorf("%s: Release changed a decoded grant (region %q, %d token bytes; was %q, %d)",
+				name, g.Region, len(g.Token), before.Region, len(before.Token))
 		}
 	}
 }

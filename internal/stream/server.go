@@ -359,7 +359,8 @@ func (s *Server) handleReport(sc *serverConn, payload []byte) {
 	sc.writeFrame(bp)
 }
 
-// handleLease answers one LEASE frame from the shared lease pipeline.
+// handleLease answers one LEASE frame from the shared lease pipeline,
+// releasing the grant once the frame holds a copy of it.
 func (s *Server) handleLease(sc *serverConn, payload []byte) {
 	s.inflight.Add(1)
 	defer s.inflight.Done()
@@ -384,6 +385,7 @@ func (s *Server) handleLease(sc *serverConn, payload []byte) {
 	bp := getFrame(frameLeaseGrant)
 	*bp = codec.AppendU32(*bp, reqID)
 	*bp = appendLeaseGrant(*bp, grant)
+	grant.Release()
 	sc.writeFrame(bp)
 }
 
