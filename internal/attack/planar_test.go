@@ -6,13 +6,13 @@ import (
 
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
+	"corgi/internal/mechanism"
 	"corgi/internal/obf"
-	"corgi/internal/planar"
 )
 
-// planarFallback builds the degraded-serving fallback matrix exactly as
-// core.Server.fallbackEntry does: discretized planar-Laplace rows over the
-// cell centers. Returns the matrix and the pairwise distance function.
+// planarFallback builds the degraded-serving fallback matrix the way
+// core.PlanarEntry does, through mechanism.PlanarLaplace over k cells.
+// Returns the matrix and the pairwise distance function.
 func planarFallback(t *testing.T, k int, eps float64) (*obf.Matrix, func(i, j int) float64) {
 	t.Helper()
 	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
@@ -27,19 +27,11 @@ func planarFallback(t *testing.T, k int, eps float64) (*obf.Matrix, func(i, j in
 		}
 	}
 	cells = cells[:k]
-	centers := make([]geo.LatLng, k)
-	for i, c := range cells {
-		centers[i] = sys.Center(0, c)
-	}
-	dist := func(i, j int) float64 { return geo.Haversine(centers[i], centers[j]) }
-	rows, err := planar.DiscretizedRows(k, dist, eps)
+	m, err := mechanism.PlanarLaplace(mechanism.BuildConfig{Sys: sys, Cells: cells, Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := obf.NewMatrix(k)
-	for i, row := range rows {
-		copy(m.Row(i), row)
-	}
+	dist := func(i, j int) float64 { return geo.Haversine(sys.Center(0, cells[i]), sys.Center(0, cells[j])) }
 	return m, dist
 }
 

@@ -182,7 +182,7 @@ type engine struct {
 	generate func(ctx context.Context, root forestKey) (*ForestEntry, error)
 	// fallback builds a degraded (planar-Laplace) entry in milliseconds;
 	// nil unless EngineOptions.DegradedServing is set. Wired to
-	// Server.fallbackEntry.
+	// Server.fallbackEntry (core.PlanarEntry).
 	fallback func(ctx context.Context, root forestKey) (*ForestEntry, error)
 }
 

@@ -168,32 +168,33 @@ func (s *Server) PeekEntry(root loctree.NodeID, delta int) (*ForestEntry, bool) 
 // observation; servers may call it on drain.
 func (s *Server) WaitUpgrades() { s.engine.waitUpgrades() }
 
-// fallbackEntry builds a degraded entry for a subtree from analytic
+// fallbackEntry is the degraded entry degraded serving answers with while
+// the LP solve runs.
+func (s *Server) fallbackEntry(ctx context.Context, key forestKey) (*ForestEntry, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return PlanarEntry(s.tree, key.node, s.params.Epsilon)
+}
+
+// PlanarEntry builds a degraded entry for a subtree from analytic
 // discretized planar-Laplace rows: w_i(j) ∝ exp(-(ε/2)·d_ij) over the
 // subtree's leaf centers. No LP runs — cost is O(K²) exponentials,
 // milliseconds even for the largest subtrees. The halved exponent makes the
 // normalized rows ε-Geo-Ind for every pair (see planar.DiscretizedRows),
 // and the bound survives arbitrary row pruning + renormalization, so the
-// fallback is δ-prunable for every δ at once — strictly safe, strictly
-// worse utility than the LP optimum.
-func (s *Server) fallbackEntry(ctx context.Context, key forestKey) (*ForestEntry, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	root := key.node
-	leaves := s.tree.LeavesUnder(root)
+// entry is δ-prunable for every δ at once — strictly safe, strictly worse
+// utility than the LP optimum.
+func PlanarEntry(tree *loctree.Tree, root loctree.NodeID, eps float64) (*ForestEntry, error) {
+	leaves := tree.LeavesUnder(root)
 	cells := make([]hexgrid.Coord, len(leaves))
 	for i, l := range leaves {
 		cells[i] = l.Coord
 	}
 	start := time.Now()
-	m, err := mechanism.Build(mechanism.PlanarLaplaceName, mechanism.BuildConfig{
-		Sys:     s.tree.System(),
-		Cells:   cells,
-		Epsilon: s.params.Epsilon,
-	})
+	m, err := mechanism.PlanarLaplace(mechanism.BuildConfig{Sys: tree.System(), Cells: cells, Epsilon: eps})
 	if err != nil {
-		return nil, fmt.Errorf("core: fallback for subtree %v: %w", root, err)
+		return nil, fmt.Errorf("core: planar entry for subtree %v: %w", root, err)
 	}
 	return &ForestEntry{
 		Root:     root,

@@ -46,10 +46,27 @@ func (e *ForestEntry) SharedAliasRow(i int) (*sample.Alias, error) { return e.Al
 // IsDegraded implements mechanism.Source.
 func (e *ForestEntry) IsDegraded() bool { return e.Degraded }
 
-// buildForestMatrix is the factory body behind the forest-optimal and
-// forest-nonrobust registrations: the same LP pipeline Server.generate
-// runs, over an explicit cell set.
+// Mechanisms are the ways a matrix can be built, in name order: the
+// LP-optimal forest with and without Algorithm 1's robustness rounds (the
+// pipeline Server.generate runs, over an explicit cell set) and analytic
+// planar Laplace. internal/eval sweeps them and the fuzzed row contract
+// binds every one.
+var Mechanisms = []mechanism.Factory{
+	{Name: "forest-nonrobust", Robust: false, Build: func(cfg mechanism.BuildConfig) (*obf.Matrix, error) {
+		return buildForestMatrix(cfg, 0)
+	}},
+	{Name: "forest-optimal", Robust: true, Build: func(cfg mechanism.BuildConfig) (*obf.Matrix, error) {
+		return buildForestMatrix(cfg, cfg.Delta)
+	}},
+	// δ-prunable for every δ: the analytic bound holds row-wise.
+	{Name: mechanism.PlanarLaplaceName, Robust: true, Build: mechanism.PlanarLaplace},
+}
+
 func buildForestMatrix(cfg mechanism.BuildConfig, delta int) (*obf.Matrix, error) {
+	cfg, err := cfg.WithDefaults()
+	if err != nil {
+		return nil, err
+	}
 	inst, err := NewInstance(cfg.Sys, cfg.Cells, cfg.Priors, cfg.Targets, cfg.TargetProbs, graphx.WeightPaper)
 	if err != nil {
 		return nil, err
@@ -68,23 +85,4 @@ func buildForestMatrix(cfg mechanism.BuildConfig, delta int) (*obf.Matrix, error
 		return nil, fmt.Errorf("core: forest build: %w", err)
 	}
 	return res.Matrix, nil
-}
-
-func init() {
-	// The LP-optimal mechanisms register from core (which owns the
-	// solver), keeping the dependency arrow pointing at mechanism.
-	mechanism.Register(mechanism.Factory{
-		Name:   "forest-optimal",
-		Robust: true,
-		Build: func(cfg mechanism.BuildConfig) (*obf.Matrix, error) {
-			return buildForestMatrix(cfg, cfg.Delta)
-		},
-	})
-	mechanism.Register(mechanism.Factory{
-		Name:   "forest-nonrobust",
-		Robust: false,
-		Build: func(cfg mechanism.BuildConfig) (*obf.Matrix, error) {
-			return buildForestMatrix(cfg, 0)
-		},
-	})
 }

@@ -20,7 +20,9 @@
 // For one (seed, policy) and one sequence of cells all of them draw the
 // same nodes: TestEveryPathDrawsTheSame holds the three next to an
 // in-process registry and the stream transport. corgi-client is flags over
-// this package; corgi-loadgen's lease transport is Leased.
+// this package; corgi-loadgen's lease transport is Leased; and the frontier's
+// trajectory adversary (internal/eval) attacks what InHand, a Forest over
+// forests already in hand, draws.
 package device
 
 import (

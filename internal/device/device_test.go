@@ -246,6 +246,48 @@ func TestEveryPathDrawsTheSame(t *testing.T) {
 	}
 }
 
+// TestInHandDrawsWhatItHolds: a Forest over forests the caller already
+// holds draws what the server draws from the same forest, re-anchors where
+// the server does, and refuses a (privacy_l, |S|) it was not given with an
+// error, since there is no server to fetch it from.
+func TestInHandDrawsWhatItHolds(t *testing.T) {
+	ctx := context.Background()
+	n := newNode(t, registry.Options{})
+	sh, err := n.reg.Shard(ctx, "dv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := sh.Server.GenerateForestCtx(ctx, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := sh.Server.Tree()
+	dev := InHand(tree, sh.Spec.Epsilon, sh.Server.Priors(), forest)
+	plain := policy.Policy{PrivacyLevel: 1}
+	home, work := tree.LevelNodes(1)[0], tree.LevelNodes(1)[1]
+	for i, leaf := range []loctree.NodeID{tree.LeavesUnder(home)[0], tree.LeavesUnder(work)[3], tree.LeavesUnder(home)[5]} {
+		req := registry.ReportRequest{Region: "dv", Cell: leaf.Coord, UID: 3, Policy: plain, Seed: 11, Count: 3}
+		want, err := n.reg.Report(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dev.Report(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Reports, want.Reports) || got.Reanchored != want.Reanchored || got.Reanchored != (i > 0) {
+			t.Errorf("ask %d: in hand drew %v (re-anchored %v), the server %v (%v)",
+				i, got.Reports, got.Reanchored, want.Reports, want.Reanchored)
+		}
+		want.Release()
+	}
+	_, err = dev.Report(ctx, registry.ReportRequest{Cell: tree.LeavesUnder(home)[0].Coord, UID: 3,
+		Policy: policy.Policy{PrivacyLevel: 2}, Count: 1})
+	if err == nil || !strings.Contains(err.Error(), "no privacy_l=2 delta=|S|=0 forest in hand") {
+		t.Fatalf("a forest it was not given: %v, want a refusal", err)
+	}
+}
+
 func distinct(s []string) int {
 	seen := map[string]bool{}
 	for _, v := range s {

@@ -54,6 +54,23 @@ type Forest struct {
 	sessions map[session.Key]*session.Session
 }
 
+// InHand is a Forest over forests the caller already holds: Algorithm 4
+// with no server behind it, for a tree whose forests were built with
+// epsilon eps. Nil priors mean uniform ones (only precision reduction reads
+// them). It draws exactly what a Forest that had fetched the same forests
+// draws; a (privacy_l, |S|) it was not given is refused, not fetched.
+func InHand(tree *loctree.Tree, eps float64, priors *loctree.Priors, forests ...*core.Forest) *Forest {
+	if priors == nil {
+		priors = loctree.UniformPriors(tree)
+	}
+	f := &Forest{Conn: &Conn{Tree: tree, Info: &proto.TreeResponse{Epsilon: eps}}, NoCache: true,
+		priors: priors, forests: make(map[[2]int]*core.Forest, len(forests))}
+	for _, forest := range forests {
+		f.forests[[2]int{forest.PrivacyLevel, forest.Delta}] = forest
+	}
+	return f
+}
+
 // CorpusAttrs stands in for the user's own data: user 0's attributes in
 // the synthetic check-in corpus, with distances measured from real.
 func (c *Conn) CorpusAttrs(real geo.LatLng) Attributes {
@@ -203,6 +220,9 @@ func (f *Forest) cachePath(level, delta int) (string, error) {
 func (f *Forest) forest(level, delta int) (*core.Forest, error) {
 	if forest, ok := f.forests[[2]int{level, delta}]; ok {
 		return forest, nil
+	}
+	if f.Conn.Client == nil {
+		return nil, fmt.Errorf("no privacy_l=%d delta=|S|=%d forest in hand and no server to ask", level, delta)
 	}
 	log.Printf("requesting forest: privacy_l=%d delta=|S|=%d", level, delta)
 	forest, err := f.fetch(level, delta)

@@ -145,6 +145,23 @@ func TestRunnersGolden(t *testing.T) {
 	}
 }
 
+// TestFrontierFullGolden pins the paper-scale frontier at seed 1: three
+// epsilons under both adversaries, and 12 users x 16 steps of trajectory
+// replay at each, where the quick golden replays one epsilon.
+func TestFrontierFullGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale frontier solves LPs at three epsilons; skipped in -short")
+	}
+	out, err := RunFrontier(&Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "e6b2ff60105b7876b7fca344ae0432bdecc01a97fbb6d0bc52e77140904410af"
+	if got := fmt.Sprintf("%x", sha256.Sum256(artifactJSON(t, out.Artifact))); got != want {
+		t.Errorf("artifact sha256 = %s, want %s", got, want)
+	}
+}
+
 // artifactJSON encodes an artifact exactly as corgi-experiments -out does.
 func artifactJSON(t *testing.T, v any) []byte {
 	t.Helper()

@@ -6,14 +6,15 @@ import (
 	"sort"
 
 	"corgi/internal/attack"
+	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 )
 
-// The frontier runner sweeps every registered mechanism (internal/
-// mechanism.Factories: the LP-optimal robust forest, its non-robust
-// baseline, discretized planar Laplace) across epsilon under two
+// The frontier runner sweeps every mechanism (core.Mechanisms: the
+// LP-optimal robust forest, its non-robust baseline, discretized planar
+// Laplace) across epsilon under two
 // adversaries and emits a utility-vs-privacy frontier artifact.
 //
 // Adversary one is the Bayesian remapping attacker (attack.RemapError):
@@ -26,10 +27,11 @@ import (
 //
 // Adversary two is the trajectory-correlation attacker (traj.go): a
 // forward-filtering HMM that replays Gowalla mobility sessions through
-// the real serving stack — resident sessions, re-anchors across subtree
-// crossings, budget accounting — and exploits step-to-step correlation
-// the single-report metric cannot see. Alongside it the harness checks
-// the linear-composition bound internal/budget charges by (t draws cost
+// the device's Algorithm 4 (device.Forest: one session per user,
+// re-anchored across subtree crossings) over forest-optimal's and planar
+// Laplace's privacy forests, and exploits step-to-step correlation the
+// single-report metric cannot see. Alongside it the harness checks the
+// linear-composition bound internal/budget charges by (t draws cost
 // t*eps) against the realized observation-likelihood ratios.
 //
 // The Frontier JSON ("corgi-frontier/1") is reproduced as a CI artifact;
@@ -66,7 +68,7 @@ type Point struct {
 	PruneFailed bool `json:"prune_failed"`
 }
 
-// MechanismFrontier is one registered mechanism's sweep.
+// MechanismFrontier is one mechanism's sweep.
 type MechanismFrontier struct {
 	Name   string  `json:"name"`
 	Robust bool    `json:"robust"`
@@ -117,9 +119,9 @@ func pruneSets(rng *rand.Rand, n, delta, sets int) [][]int {
 	return out
 }
 
-// sweepMechanisms measures every registered mechanism at every epsilon
-// under the remapping adversary, over one cluster of leaf cells (K = 21,
-// K = 7 when quick). It returns the sweep and K.
+// sweepMechanisms measures every mechanism at every epsilon under the
+// remapping adversary, over one cluster of leaf cells (K = 21, K = 7 when
+// quick). It returns the sweep and K.
 func sweepMechanisms(seed int64, quick bool, epsilons []float64) ([]MechanismFrontier, int, error) {
 	clusters, iters, sets := 3, 6, 5
 	if quick {
@@ -146,10 +148,10 @@ func sweepMechanisms(seed int64, quick bool, epsilons []float64) ([]MechanismFro
 	prunes := pruneSets(rand.New(rand.NewSource(seed+2000)), k, frontierDelta, sets)
 
 	var out []MechanismFrontier
-	for _, f := range mechanism.Factories() {
+	for _, f := range core.Mechanisms {
 		mf := MechanismFrontier{Name: f.Name, Robust: f.Robust}
 		for _, eps := range epsilons {
-			z, err := mechanism.Build(f.Name, mechanism.BuildConfig{
+			z, err := f.Build(mechanism.BuildConfig{
 				Sys: w.tree.System(), Cells: cells, Priors: prior, Targets: w.targets, TargetProbs: w.tprobs,
 				Epsilon: eps, Delta: frontierDelta, Iterations: iters,
 			})
@@ -224,10 +226,10 @@ func robustDominates(ms []MechanismFrontier) bool {
 }
 
 // RunFrontier executes the full frontier sweep: the remapping adversary
-// across all registered mechanisms and epsilons (the grid around the
-// paper's eps = 15), then the trajectory-correlation adversary through the
-// real serving stack. Equal seeds reproduce equal frontiers. The Frontier
-// is the output's artifact; the tables are rendered from it.
+// across all mechanisms and epsilons (the grid around the paper's
+// eps = 15), then the trajectory-correlation adversary through the
+// device's Algorithm 4. Equal seeds reproduce equal frontiers. The
+// Frontier is the output's artifact; the tables are rendered from it.
 func RunFrontier(cfg *Config) (*Output, error) {
 	seed, quick := cfg.seed(), cfg.quick()
 	epsilons := []float64{5, 10, 15}

@@ -6,31 +6,30 @@ import (
 	"math"
 	"sort"
 
-	"corgi/internal/budget"
 	"corgi/internal/core"
+	"corgi/internal/device"
 	"corgi/internal/geo"
 	"corgi/internal/gowalla"
-	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/mechanism"
-	"corgi/internal/obf"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
-	"corgi/internal/session"
 )
 
 // TrajPoint is one (mechanism, epsilon) cell of the frontier under the
 // trajectory-correlation adversary: Gowalla mobility sessions replayed
-// through the real serving stack, attacked by a forward-filtering HMM
-// that knows the mechanism, the leaf priors, and a mobility model — the
-// correlation the single-report remap metric cannot exploit.
+// through the device's Algorithm 4 (device.Forest over the mechanism's
+// privacy forest), attacked by a forward-filtering HMM that knows the
+// mechanism, the leaf priors, and a mobility model — the correlation the
+// single-report remap metric cannot exploit.
 type TrajPoint struct {
 	Mechanism string  `json:"mechanism"`
 	Epsilon   float64 `json:"epsilon"`
 	Users     int     `json:"users"`
 	Steps     int     `json:"steps"`
-	// Reanchors counts subtree crossings served mid-stream — the mobility
-	// path (session.Rebind) exercised under attack, not just in tests.
+	// Reanchors counts subtree crossings the device re-anchored its
+	// session for mid-stream — the mobility path (session.Rebind)
+	// exercised under attack, not just in tests.
 	Reanchors int `json:"reanchors"`
 	// TrajErrorKm is the HMM adversary's mean distance error per step;
 	// IndepErrorKm is the same adversary forced to treat each report
@@ -40,8 +39,9 @@ type TrajPoint struct {
 	// CorrelationGain = indep/traj: how much exploiting trajectory
 	// correlation sharpens the attack (>= 1 means correlation helps).
 	CorrelationGain float64 `json:"correlation_gain"`
-	// LinearEpsBudget is the mean per-user epsilon the serving stack
-	// charged (internal/budget's linear composition: draws x epsilon).
+	// LinearEpsBudget is the mean per-user epsilon spent under linear
+	// composition (what internal/budget charges): epsilon added once per
+	// draw, in draw order.
 	LinearEpsBudget float64 `json:"linear_eps_budget"`
 	// CompositionRatio is the realized observation log-likelihood ratio
 	// between same-subtree location hypotheses, relative to the linear
@@ -52,37 +52,13 @@ type TrajPoint struct {
 	CompositionHolds bool    `json:"composition_holds"`
 }
 
-// reporter abstracts "the serving stack draws one report": the forest
-// path goes through a live registry (sessions, re-anchors, budget,
-// entry cache), the planar path through session.Session over static
-// planar-Laplace sources with its own accountant.
-type reporter interface {
-	// draw returns the reported leaf node for one true leaf, plus whether
-	// this draw re-anchored the user's session.
-	draw(uid int64, leaf loctree.NodeID) (loctree.NodeID, bool, error)
-	// rows returns, for one privacy-subtree root, the row-stochastic
-	// matrix and its leaf index — the adversary's (public) knowledge of
-	// the mechanism.
-	rows(root loctree.NodeID) (*obf.Matrix, []loctree.NodeID, error)
-	// chargedEps returns the total epsilon the budget layer charged uid.
-	chargedEps(uid int64) float64
-}
-
 const trajPrivacyLevel = 1
 
-// forestReporter serves draws through a real registry shard: resident
-// sessions, Rebind on subtree crossings, per-user epsilon accounting —
-// the exact /v1/report pipeline minus the HTTP framing.
-type forestReporter struct {
-	ctx     context.Context
-	reg     *registry.Registry
-	server  *core.Server
-	region  string
-	seed    int64
-	charged map[int64]float64
-}
-
-func newForestReporter(ctx context.Context, eps float64, seed int64) (*forestReporter, *loctree.Tree, error) {
+// trajForests builds the two privacy_l = 1, |S| = 0 forests the replay
+// draws from, over one region tree: forest-optimal's from a registry
+// shard's server (the LP solves a serving region runs) and planar
+// Laplace's from one planar entry per subtree.
+func trajForests(ctx context.Context, eps float64, seed int64) (*loctree.Tree, *core.Forest, *core.Forest, error) {
 	region := fmt.Sprintf("eval-traj-e%g", eps)
 	reg, err := registry.New([]registry.Spec{{
 		Name:      region,
@@ -96,154 +72,27 @@ func newForestReporter(ctx context.Context, eps float64, seed int64) (*forestRep
 		Targets:       3,
 		Seed:          seed,
 		UniformPriors: true,
-	}}, registry.Options{
-		// A cap far above any replay's spend: the accountant runs (so the
-		// linear-composition charge is the real code path) without ever
-		// rejecting a draw.
-		Budget: budget.Config{LimitEps: 1e9},
-	})
+	}}, registry.Options{})
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := reg.BootstrapAll(ctx); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	sh, err := reg.Shard(ctx, region)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return &forestReporter{ctx: ctx, reg: reg, server: sh.Server, region: region, seed: seed,
-		charged: map[int64]float64{}}, sh.Server.Tree(), nil
-}
-
-func (f *forestReporter) draw(uid int64, leaf loctree.NodeID) (loctree.NodeID, bool, error) {
-	res, err := f.reg.Report(f.ctx, registry.ReportRequest{
-		Region: f.region,
-		Cell:   leaf.Coord,
-		UID:    uid,
-		Policy: policy.Policy{PrivacyLevel: trajPrivacyLevel},
-		Seed:   f.seed + uid,
-		Count:  1,
-	})
+	optimal, err := sh.Server.GenerateForestCtx(ctx, trajPrivacyLevel, 0)
 	if err != nil {
-		return loctree.NodeID{}, false, err
+		return nil, nil, nil, err
 	}
-	f.charged[uid] += res.EpsSpent
-	return res.Reports[0], res.Reanchored, nil
-}
-
-func (f *forestReporter) rows(root loctree.NodeID) (*obf.Matrix, []loctree.NodeID, error) {
-	entry, err := f.server.ServeEntryCtx(f.ctx, root, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	return entry.Matrix, entry.Leaves, nil
-}
-
-func (f *forestReporter) chargedEps(uid int64) float64 { return f.charged[uid] }
-
-// planarReporter serves draws through session.Session over per-subtree
-// planar-Laplace StaticSources — the degraded-serving mechanism replayed
-// as a first-class citizen, with its own linear-composition accountant.
-type planarReporter struct {
-	tree    *loctree.Tree
-	eps     float64
-	seed    int64
-	sources map[loctree.NodeID]*mechanism.StaticSource
-	matrix  map[loctree.NodeID]*obf.Matrix
-	priors  *loctree.Priors
-	acct    *budget.Accountant
-	sess    map[int64]*session.Session
-	charged map[int64]float64
-}
-
-func newPlanarReporter(tree *loctree.Tree, eps float64, seed int64) (*planarReporter, error) {
-	acct, err := budget.NewAccountant(budget.Config{LimitEps: 1e9})
-	if err != nil {
-		return nil, err
-	}
-	p := &planarReporter{
-		tree:    tree,
-		eps:     eps,
-		seed:    seed,
-		sources: map[loctree.NodeID]*mechanism.StaticSource{},
-		matrix:  map[loctree.NodeID]*obf.Matrix{},
-		priors:  loctree.UniformPriors(tree),
-		acct:    acct,
-		sess:    map[int64]*session.Session{},
-		charged: map[int64]float64{},
-	}
+	tree := sh.Server.Tree()
+	planar := &core.Forest{PrivacyLevel: trajPrivacyLevel, Entries: map[loctree.NodeID]*core.ForestEntry{}}
 	for _, root := range tree.LevelNodes(trajPrivacyLevel) {
-		leaves := tree.LeavesUnder(root)
-		cells := make([]hexgrid.Coord, len(leaves))
-		for i, l := range leaves {
-			cells[i] = l.Coord
+		if planar.Entries[root], err = core.PlanarEntry(tree, root, eps); err != nil {
+			return nil, nil, nil, err
 		}
-		m, err := mechanism.Build(mechanism.PlanarLaplaceName, mechanism.BuildConfig{
-			Sys: tree.System(), Cells: cells, Epsilon: eps,
-		})
-		if err != nil {
-			return nil, err
-		}
-		src, err := mechanism.NewStaticSource(root, leaves, m, true)
-		if err != nil {
-			return nil, err
-		}
-		p.sources[root] = src
-		p.matrix[root] = m
 	}
-	return p, nil
+	return tree, optimal, planar, nil
 }
-
-func (p *planarReporter) draw(uid int64, leaf loctree.NodeID) (loctree.NodeID, bool, error) {
-	root, ok := p.tree.AncestorAt(leaf, trajPrivacyLevel)
-	if !ok {
-		return loctree.NodeID{}, false, fmt.Errorf("eval: no subtree over %v", leaf)
-	}
-	src := p.sources[root]
-	sess, ok := p.sess[uid]
-	if !ok {
-		var err error
-		sess, err = session.New(session.Config{
-			Tree:    p.tree,
-			Entry:   src,
-			Policy:  policy.Policy{PrivacyLevel: trajPrivacyLevel},
-			Priors:  p.priors,
-			Seed:    p.seed + uid,
-			Epsilon: p.eps,
-		})
-		if err != nil {
-			return loctree.NodeID{}, false, err
-		}
-		p.sess[uid] = sess
-	}
-	reanchored := false
-	if sess.Root() != root {
-		if err := sess.Rebind(session.Rebind{Entry: src}); err != nil {
-			return loctree.NodeID{}, false, err
-		}
-		reanchored = true
-	}
-	if _, err := p.acct.Charge(uid, p.eps); err != nil {
-		return loctree.NodeID{}, false, err
-	}
-	p.charged[uid] += p.eps
-	out, err := sess.DrawCell(leaf)
-	if err != nil {
-		return loctree.NodeID{}, false, err
-	}
-	return out, reanchored, nil
-}
-
-func (p *planarReporter) rows(root loctree.NodeID) (*obf.Matrix, []loctree.NodeID, error) {
-	m, ok := p.matrix[root]
-	if !ok {
-		return nil, nil, fmt.Errorf("eval: no planar matrix for subtree %v", root)
-	}
-	return m, p.tree.LeavesUnder(root), nil
-}
-
-func (p *planarReporter) chargedEps(uid int64) float64 { return p.charged[uid] }
 
 // trajStep is one located replay step: the true leaf and the stack's
 // reported node.
@@ -314,7 +163,7 @@ func mobilityCorpus(tree *loctree.Tree, seed int64, users, steps int) ([][]loctr
 
 // hmm is the correlating adversary's model over the region's leaves:
 // prior, mobility transition T(a,b) ~ exp(-d/lambda), and per-subtree
-// emission rows taken from the served mechanism itself.
+// emission rows taken from the forest the device draws from.
 type hmm struct {
 	tree     *loctree.Tree
 	leaves   []loctree.NodeID
@@ -326,7 +175,7 @@ type hmm struct {
 	emission map[loctree.NodeID]map[loctree.NodeID][]float64 // root -> observed -> per-leaf likelihood
 }
 
-func newHMM(tree *loctree.Tree, rep reporter, lambda float64) (*hmm, error) {
+func newHMM(tree *loctree.Tree, forest *core.Forest, lambda float64) (*hmm, error) {
 	leaves := tree.LevelNodes(0)
 	n := len(leaves)
 	h := &hmm{
@@ -365,10 +214,11 @@ func newHMM(tree *loctree.Tree, rep reporter, lambda float64) (*hmm, error) {
 	// the likelihood of true leaf l is Z_root[l][o] when l shares the
 	// subtree (reports never leave their subtree) and 0 otherwise.
 	for _, root := range tree.LevelNodes(trajPrivacyLevel) {
-		m, mLeaves, err := rep.rows(root)
-		if err != nil {
-			return nil, err
+		entry, ok := forest.Entries[root]
+		if !ok {
+			return nil, fmt.Errorf("eval: forest has no entry for subtree %v", root)
 		}
+		m, mLeaves := entry.Matrix, entry.Leaves
 		col := make(map[loctree.NodeID]int, len(mLeaves))
 		for i, l := range mLeaves {
 			col[l] = i
@@ -552,27 +402,36 @@ func (h *hmm) compositionRatio(eps float64, logLik map[loctree.NodeID][]float64,
 	return worst
 }
 
-// runTrajectory replays the corpus through one reporter and attacks the
-// transcript.
-func runTrajectory(name string, eps float64, tree *loctree.Tree, rep reporter,
+// runTrajectory replays the corpus through the device's Algorithm 4 over
+// one forest (user uid draws with seed+uid) and attacks the transcript.
+func runTrajectory(name string, eps float64, seed int64, tree *loctree.Tree, forest *core.Forest,
 	corpus [][]loctree.NodeID, lambda float64) (TrajPoint, error) {
-	h, err := newHMM(tree, rep, lambda)
+	h, err := newHMM(tree, forest, lambda)
 	if err != nil {
 		return TrajPoint{}, err
 	}
+	dev := device.InHand(tree, eps, nil, forest)
 	pt := TrajPoint{Mechanism: name, Epsilon: eps}
 	var trajSum, indepSum, chargedSum, worstRatio float64
 	for uid, path := range corpus {
 		steps := make([]trajStep, 0, len(path))
+		charged := 0.0
 		for _, leaf := range path {
-			observed, reanchored, err := rep.draw(int64(uid), leaf)
+			res, err := dev.Report(context.Background(), registry.ReportRequest{
+				Cell:   leaf.Coord,
+				UID:    int64(uid),
+				Policy: policy.Policy{PrivacyLevel: trajPrivacyLevel},
+				Seed:   seed + int64(uid),
+				Count:  1,
+			})
 			if err != nil {
 				return TrajPoint{}, fmt.Errorf("eval: replaying %s uid=%d: %w", name, uid, err)
 			}
-			if reanchored {
+			if res.Reanchored {
 				pt.Reanchors++
 			}
-			steps = append(steps, trajStep{truth: leaf, observed: observed})
+			charged += eps
+			steps = append(steps, trajStep{truth: leaf, observed: res.Reports[0]})
 		}
 		ts, is, n, logLik, obsCount, err := h.replayUser(steps)
 		if err != nil {
@@ -581,7 +440,7 @@ func runTrajectory(name string, eps float64, tree *loctree.Tree, rep reporter,
 		trajSum += ts
 		indepSum += is
 		pt.Steps += n
-		chargedSum += rep.chargedEps(int64(uid))
+		chargedSum += charged
 		if r := h.compositionRatio(eps, logLik, obsCount); r > worstRatio {
 			worstRatio = r
 		}
@@ -603,18 +462,17 @@ func runTrajectory(name string, eps float64, tree *loctree.Tree, rep reporter,
 }
 
 // sweepTrajectories runs the trajectory adversary against the forest
-// mechanism (through a live registry) and planar Laplace (through
-// session.Session) at each swept epsilon.
+// mechanism and planar Laplace at each swept epsilon, both through the
+// device's Algorithm 4.
 func sweepTrajectories(seed int64, quick bool, epsilons []float64) ([]TrajPoint, error) {
 	users, steps := 12, 16
 	if quick {
 		users, steps = 6, 8
 		epsilons = epsilons[len(epsilons)-1:]
 	}
-	ctx := context.Background()
 	var out []TrajPoint
 	for _, eps := range epsilons {
-		forest, tree, err := newForestReporter(ctx, eps, seed)
+		tree, optimal, planar, err := trajForests(context.Background(), eps, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -622,21 +480,16 @@ func sweepTrajectories(seed int64, quick bool, epsilons []float64) ([]TrajPoint,
 		if err != nil {
 			return nil, err
 		}
-		fp, err := runTrajectory("forest-optimal", eps, tree, forest, corpus, lambda)
-		if err != nil {
-			return nil, err
+		for _, m := range []struct {
+			name   string
+			forest *core.Forest
+		}{{"forest-optimal", optimal}, {mechanism.PlanarLaplaceName, planar}} {
+			pt, err := runTrajectory(m.name, eps, seed, tree, m.forest, corpus, lambda)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, pt)
 		}
-		out = append(out, fp)
-
-		planar, err := newPlanarReporter(tree, eps, seed)
-		if err != nil {
-			return nil, err
-		}
-		pp, err := runTrajectory(mechanism.PlanarLaplaceName, eps, tree, planar, corpus, lambda)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pp)
 	}
 	return out, nil
 }

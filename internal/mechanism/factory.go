@@ -2,8 +2,6 @@ package mechanism
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
@@ -36,7 +34,10 @@ type BuildConfig struct {
 	Iterations int
 }
 
-func (c BuildConfig) withDefaults() (BuildConfig, error) {
+// WithDefaults fills what a builder may leave unset: uniform priors and
+// the first min(3, n) cell centers as targets. Every builder applies it
+// to the config it is given.
+func (c BuildConfig) WithDefaults() (BuildConfig, error) {
 	if c.Sys == nil {
 		return c, fmt.Errorf("mechanism: build needs a hexgrid system")
 	}
@@ -65,12 +66,11 @@ func (c BuildConfig) withDefaults() (BuildConfig, error) {
 	return c, nil
 }
 
-// Factory is one registered way of building an obfuscation matrix. The
-// registry is what lets the evaluation harness and the fuzzed row
-// contract sweep "all registered mechanisms" without naming them: the
-// planar-Laplace builder registers here, and internal/core's init
-// registers the LP-optimal forest builders (the dependency points that
-// way — core imports mechanism, never the reverse).
+// Factory is one way of building an obfuscation matrix, named as the
+// frontier artifact names it. internal/core lists the three there are
+// (core.Mechanisms): it owns the LP solver the forest builders run, and
+// the dependency points that way — core imports mechanism, never the
+// reverse.
 type Factory struct {
 	// Name identifies the mechanism in frontier artifacts ("forest-optimal",
 	// "planar-laplace", ...). Unique.
@@ -79,93 +79,36 @@ type Factory struct {
 	// construction for the configured Delta (Algorithm 1), as opposed to
 	// baselines that merely happen to survive pruning.
 	Robust bool
-	// Build constructs the row-stochastic matrix over cfg.Cells.
+	// Build constructs the row-stochastic matrix over cfg.Cells, applying
+	// cfg.WithDefaults first.
 	Build func(cfg BuildConfig) (*obf.Matrix, error)
 }
 
-var (
-	factoryMu sync.RWMutex
-	factories = map[string]Factory{}
-)
+// PlanarLaplaceName is the analytic discretized planar-Laplace builder's
+// name — the mechanism degraded serving answers from.
+const PlanarLaplaceName = "planar-laplace"
 
-// Register adds a mechanism builder. Duplicate names panic: registration
-// happens in package init blocks, where a collision is a programmer
-// error.
-func Register(f Factory) {
-	if f.Name == "" || f.Build == nil {
-		panic("mechanism: Register needs a name and a builder")
-	}
-	factoryMu.Lock()
-	defer factoryMu.Unlock()
-	if _, dup := factories[f.Name]; dup {
-		panic(fmt.Sprintf("mechanism: duplicate factory %q", f.Name))
-	}
-	factories[f.Name] = f
-}
-
-// Factories lists every registered mechanism, name-sorted for stable
-// sweeps.
-func Factories() []Factory {
-	factoryMu.RLock()
-	defer factoryMu.RUnlock()
-	out := make([]Factory, 0, len(factories))
-	for _, f := range factories {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// LookupFactory finds a registered mechanism by name.
-func LookupFactory(name string) (Factory, bool) {
-	factoryMu.RLock()
-	defer factoryMu.RUnlock()
-	f, ok := factories[name]
-	return f, ok
-}
-
-// Build runs a registered mechanism builder by name with defaulted
-// config.
-func Build(name string, cfg BuildConfig) (*obf.Matrix, error) {
-	f, ok := LookupFactory(name)
-	if !ok {
-		return nil, fmt.Errorf("mechanism: no factory %q", name)
-	}
-	cfg, err := cfg.withDefaults()
+// PlanarLaplace builds the analytic discretized planar-Laplace matrix
+// over cfg.Cells (planar.DiscretizedRows over the cell centers): no LP,
+// δ-prunable for every δ, since the bound holds row-wise.
+func PlanarLaplace(cfg BuildConfig) (*obf.Matrix, error) {
+	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
 	}
-	return f.Build(cfg)
-}
-
-// PlanarLaplaceName is the analytic discretized planar-Laplace builder's
-// registry name — the mechanism degraded serving answers from.
-const PlanarLaplaceName = "planar-laplace"
-
-func init() {
-	Register(Factory{
-		Name:   PlanarLaplaceName,
-		Robust: true, // δ-prunable for every δ: the analytic bound holds row-wise
-		Build: func(cfg BuildConfig) (*obf.Matrix, error) {
-			cfg, err := cfg.withDefaults()
-			if err != nil {
-				return nil, err
-			}
-			centers := make([]geo.LatLng, len(cfg.Cells))
-			for i, c := range cfg.Cells {
-				centers[i] = cfg.Sys.Center(0, c)
-			}
-			rows, err := planar.DiscretizedRows(len(centers), func(i, j int) float64 {
-				return geo.Haversine(centers[i], centers[j])
-			}, cfg.Epsilon)
-			if err != nil {
-				return nil, err
-			}
-			m := obf.NewMatrix(len(rows))
-			for i, row := range rows {
-				copy(m.Row(i), row)
-			}
-			return m, nil
-		},
-	})
+	centers := make([]geo.LatLng, len(cfg.Cells))
+	for i, c := range cfg.Cells {
+		centers[i] = cfg.Sys.Center(0, c)
+	}
+	rows, err := planar.DiscretizedRows(len(centers), func(i, j int) float64 {
+		return geo.Haversine(centers[i], centers[j])
+	}, cfg.Epsilon)
+	if err != nil {
+		return nil, err
+	}
+	m := obf.NewMatrix(len(rows))
+	for i, row := range rows {
+		copy(m.Row(i), row)
+	}
+	return m, nil
 }

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	_ "corgi/internal/core" // register the forest mechanism factories
+	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
@@ -15,7 +15,7 @@ import (
 )
 
 // fuzzWorld is the shared K=7 instance the row-contract fuzzer binds
-// against: one level-1 subtree so every registered mechanism builds in
+// against: one level-1 subtree so every mechanism builds in
 // milliseconds, with matrices cached per (factory, epsilon, delta) so the
 // fuzzer spends its iterations on bindings, not LP solves.
 type fuzzWorld struct {
@@ -26,7 +26,7 @@ type fuzzWorld struct {
 	priors *loctree.Priors
 
 	mu      sync.Mutex
-	sources map[string]*mechanism.StaticSource
+	sources map[string]*core.ForestEntry
 }
 
 var (
@@ -56,13 +56,13 @@ func newFuzzWorld() (*fuzzWorld, error) {
 		leaves:  leaves,
 		build:   mechanism.BuildConfig{Sys: sys, Cells: cells, Iterations: 2},
 		priors:  loctree.UniformPriors(tree),
-		sources: map[string]*mechanism.StaticSource{},
+		sources: map[string]*core.ForestEntry{},
 	}, nil
 }
 
 // source builds (or returns the cached) matrix for one factory at one
-// (epsilon, delta), wrapped as a StaticSource.
-func (w *fuzzWorld) source(f mechanism.Factory, eps float64, delta int) (*mechanism.StaticSource, error) {
+// (epsilon, delta), as a forest entry over the subtree.
+func (w *fuzzWorld) source(f mechanism.Factory, eps float64, delta int) (*core.ForestEntry, error) {
 	key := fmt.Sprintf("%s|%g|%d", f.Name, eps, delta)
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -72,20 +72,39 @@ func (w *fuzzWorld) source(f mechanism.Factory, eps float64, delta int) (*mechan
 	bc := w.build
 	bc.Epsilon = eps
 	bc.Delta = delta
-	m, err := mechanism.Build(f.Name, bc)
+	m, err := f.Build(bc)
 	if err != nil {
 		return nil, fmt.Errorf("building %s at eps=%g delta=%d: %w", f.Name, eps, delta, err)
 	}
-	s, err := mechanism.NewStaticSource(w.root, w.leaves, m, false)
-	if err != nil {
-		return nil, err
-	}
+	s := &core.ForestEntry{Root: w.root, Leaves: w.leaves, Matrix: m}
 	w.sources[key] = s
 	return s, nil
 }
 
+func fuzzWorldOnce(t *testing.T) *fuzzWorld {
+	t.Helper()
+	fuzzOnce.Do(func() { fuzzW, fuzzErr = newFuzzWorld() })
+	if fuzzErr != nil {
+		t.Fatal(fuzzErr)
+	}
+	return fuzzW
+}
+
+// TestEveryMechanismBuildsInFuzzWorld keeps the fuzzer's build step
+// honest: FuzzMechanismRowContract skips a mechanism whose build fails,
+// so a builder that always fails would leave it passing with nothing
+// checked. Every mechanism builds at the fuzzer's epsilon 15, delta 1.
+func TestEveryMechanismBuildsInFuzzWorld(t *testing.T) {
+	w := fuzzWorldOnce(t)
+	for _, f := range core.Mechanisms {
+		if _, err := w.source(f, 15, 1); err != nil {
+			t.Errorf("%s: %v", f.Name, err)
+		}
+	}
+}
+
 // FuzzMechanismRowContract fuzzes the Mechanism row contract across every
-// registered factory: for any admitted binding — fuzzer-chosen epsilon,
+// mechanism in core.Mechanisms: for any admitted binding — fuzzer-chosen epsilon,
 // prune budget delta, prune-set bits, precision level — every served row
 // must have non-negative weights summing to 1 over Nodes(), and the
 // binding's metadata must respect |S| <= delta. A binding the
@@ -98,11 +117,7 @@ func FuzzMechanismRowContract(f *testing.F) {
 	f.Add(uint8(7), uint8(0b1111111), uint8(5), false)
 
 	f.Fuzz(func(t *testing.T, deltaB, pruneBits, epsB uint8, precision bool) {
-		fuzzOnce.Do(func() { fuzzW, fuzzErr = newFuzzWorld() })
-		if fuzzErr != nil {
-			t.Fatal(fuzzErr)
-		}
-		w := fuzzW
+		w := fuzzWorldOnce(t)
 		// Small discrete grids keep the (factory, eps, delta) cache — and
 		// the LP solve count — bounded no matter what the fuzzer explores.
 		eps := []float64{5, 10, 15, 20}[epsB%4]
@@ -118,7 +133,7 @@ func FuzzMechanismRowContract(f *testing.F) {
 			pol.PrecisionLevel = 1
 		}
 
-		for _, fac := range mechanism.Factories() {
+		for _, fac := range core.Mechanisms {
 			src, err := w.source(fac, eps, delta)
 			if err != nil {
 				// A build the solver refuses (delta too aggressive for

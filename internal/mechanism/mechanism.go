@@ -18,15 +18,15 @@
 //   - Rows (rows.go) is the detached form: the exact weight vectors a
 //     lease bundle ships, rebuilt into the same alias tables on the
 //     device.
-//   - Factory (factory.go) is the build form: the registry of ways to
-//     construct the underlying matrix (LP-optimal forest entries,
-//     analytic planar-Laplace rows), which is what internal/eval sweeps
-//     and the fuzz contract test iterate over.
+//   - Factory (factory.go) is the build form: one way to construct the
+//     underlying matrix over a cell set. core.Mechanisms lists the
+//     LP-optimal forest builders beside PlanarLaplace; internal/eval
+//     sweeps that list and the fuzzed row contract binds every entry.
 //
-// Sources are wrappers over whatever owns the matrix: core.ForestEntry
-// satisfies Source directly (sharing its engine-accounted alias cache),
-// and StaticSource adapts a bare matrix (planar fallback rows, eval
-// matrices, tests).
+// A Source is whatever owns the matrix. core.ForestEntry is the one
+// implementation, whether its rows were solved, decoded, or built from
+// planar-Laplace rows (core.PlanarEntry), and it shares its
+// engine-accounted alias cache with every binding.
 package mechanism
 
 import (
@@ -37,7 +37,6 @@ import (
 	"sync/atomic"
 
 	"corgi/internal/loctree"
-	"corgi/internal/obf"
 	"corgi/internal/sample"
 )
 
@@ -75,8 +74,7 @@ func (e *OutsideSubtreeError) Unwrap() error { return ErrOutsideSubtree }
 // Source is one subtree's obfuscation matrix as the serving stack sees
 // it: the support leaves indexing rows and columns, raw row access for
 // customization, and a shared per-row alias cache for the unpruned fast
-// path. core.ForestEntry satisfies it structurally; StaticSource adapts
-// a bare matrix.
+// path. core.ForestEntry satisfies it.
 type Source interface {
 	// SubtreeRoot is the privacy-subtree node the matrix covers.
 	SubtreeRoot() loctree.NodeID
@@ -152,63 +150,6 @@ func (x *LeafIndex) unprunedSlot(level int) *atomic.Pointer[Binding] {
 func (x *LeafIndex) Pos(leaf loctree.NodeID) (int, bool) {
 	i, ok := x.pos[leaf]
 	return i, ok
-}
-
-// StaticSource adapts a bare obfuscation matrix to the Source interface:
-// planar-Laplace fallback rows, eval-built matrices, and test fixtures
-// all serve through it. Safe for concurrent use.
-type StaticSource struct {
-	root     loctree.NodeID
-	leaves   []loctree.NodeID
-	m        *obf.Matrix
-	degraded bool
-	index    LeafIndex
-}
-
-// NewStaticSource validates the leaf/matrix alignment and wraps m.
-func NewStaticSource(root loctree.NodeID, leaves []loctree.NodeID, m *obf.Matrix, degraded bool) (*StaticSource, error) {
-	if m == nil || m.Dim() == 0 {
-		return nil, fmt.Errorf("mechanism: static source for %v has no matrix", root)
-	}
-	if len(leaves) != m.Dim() {
-		return nil, fmt.Errorf("mechanism: %d leaves for a %d-dim matrix", len(leaves), m.Dim())
-	}
-	return &StaticSource{root: root, leaves: leaves, m: m, degraded: degraded}, nil
-}
-
-// SubtreeRoot implements Source.
-func (s *StaticSource) SubtreeRoot() loctree.NodeID { return s.root }
-
-// SupportLeaves implements Source.
-func (s *StaticSource) SupportLeaves() []loctree.NodeID { return s.leaves }
-
-// LeafIndex implements Source.
-func (s *StaticSource) LeafIndex() *LeafIndex { return s.index.Over(s.root, s.leaves) }
-
-// Dim implements Source.
-func (s *StaticSource) Dim() int {
-	if s == nil || s.m == nil {
-		return 0
-	}
-	return s.m.Dim()
-}
-
-// MatrixRow implements Source.
-func (s *StaticSource) MatrixRow(i int) []float64 { return s.m.Row(i) }
-
-// IsDegraded implements Source.
-func (s *StaticSource) IsDegraded() bool { return s.degraded }
-
-// SharedAliasRow implements Source by building row i's table on each call.
-// The source keeps no cache of its own: the unpruned binding its LeafIndex
-// holds caches every row it draws from, and a table is a pure function of
-// its row, so every build draws the same.
-func (s *StaticSource) SharedAliasRow(i int) (*sample.Alias, error) {
-	a, err := sample.New(s.m.Row(i))
-	if err != nil {
-		return nil, fmt.Errorf("mechanism: alias for row %d of %v: %w", i, s.root, err)
-	}
-	return a, nil
 }
 
 // Entries of a position → report row table that are not rows.

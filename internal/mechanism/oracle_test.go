@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
@@ -218,10 +219,7 @@ func TestBindingMatchesMapOracle(t *testing.T) {
 	for _, root := range []loctree.NodeID{tree.LevelNodes(1)[3], tree.Root()} {
 		leaves := tree.LeavesUnder(root)
 		m := randomMatrix(rng, len(leaves))
-		src, err := mechanism.NewStaticSource(root, leaves, m, false)
-		if err != nil {
-			t.Fatal(err)
-		}
+		src := &core.ForestEntry{Root: root, Leaves: leaves, Matrix: m}
 		const delta = 8
 		pruneSets := [][]loctree.NodeID{{}, {leaves[0]}, slices.Clone(leaves[:min(7, len(leaves)-1)])}
 		for i := 0; i < 40; i++ {
@@ -298,10 +296,7 @@ func TestBindingMatchesMapOracle(t *testing.T) {
 func TestConcurrentBindsShareOneLeafIndex(t *testing.T) {
 	tree := height2Tree(t)
 	leaves := tree.LeavesUnder(tree.Root())
-	src, err := mechanism.NewStaticSource(tree.Root(), leaves, randomMatrix(rand.New(rand.NewSource(1)), len(leaves)), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := &core.ForestEntry{Root: tree.Root(), Leaves: leaves, Matrix: randomMatrix(rand.New(rand.NewSource(1)), len(leaves))}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
@@ -53,10 +54,7 @@ func TestPlanarPruneToSingleCell(t *testing.T) {
 	for i, row := range rows {
 		copy(m.Row(i), row)
 	}
-	src, err := mechanism.NewStaticSource(root, leaves, m, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := &core.ForestEntry{Root: root, Leaves: leaves, Matrix: m, Degraded: true}
 	b, err := mechanism.Bind(mechanism.Config{
 		Tree:    tree,
 		Source:  src,
@@ -121,10 +119,7 @@ func TestZeroMassRowPropagatesUnsampleable(t *testing.T) {
 	copy(m.Row(0), []float64{0, 1, 0})
 	copy(m.Row(1), []float64{0.2, 0.2, 0.6})
 	copy(m.Row(2), []float64{0.3, 0.2, 0.5})
-	src, err := mechanism.NewStaticSource(root, leaves, m, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := &core.ForestEntry{Root: root, Leaves: leaves, Matrix: m}
 	b, err := mechanism.Bind(mechanism.Config{
 		Tree:   tree,
 		Source: src,
@@ -165,10 +160,7 @@ func TestOutsideSubtreeErrorText(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		copy(m.Row(i), []float64{0.2, 0.3, 0.5})
 	}
-	src, err := mechanism.NewStaticSource(root, leaves, m, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := &core.ForestEntry{Root: root, Leaves: leaves, Matrix: m}
 	b, err := mechanism.Bind(mechanism.Config{Tree: tree, Source: src, Policy: policy.Policy{PrivacyLevel: 1}})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"corgi/internal/core"
 	"corgi/internal/loctree"
 	"corgi/internal/mechanism"
 	"corgi/internal/policy"
@@ -47,15 +48,12 @@ func TestSessionsSharingBindingsDrawWhatEachDrawsAlone(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			var srcs [2]*mechanism.StaticSource
+			var srcs [2]*core.ForestEntry
 			var oracles [2]*oracle
 			for k, root := range tc.roots {
 				leaves := tree.LeavesUnder(root)
 				m := randomMatrix(rng, len(leaves))
-				src, err := mechanism.NewStaticSource(root, leaves, m, false)
-				if err != nil {
-					t.Fatal(err)
-				}
+				src := &core.ForestEntry{Root: root, Leaves: leaves, Matrix: m}
 				srcs[k], oracles[k] = src, newOracle(tree, priors, leaves, m, nil, tc.pol.PrecisionLevel)
 			}
 			var wg sync.WaitGroup
@@ -121,10 +119,7 @@ func TestBindSharesOnlyWhatIsTheSame(t *testing.T) {
 	tree := height2Tree(t)
 	priors := randomPriors(t, tree, 13)
 	leaves := tree.LeavesUnder(tree.Root())
-	src, err := mechanism.NewStaticSource(tree.Root(), leaves, randomMatrix(rand.New(rand.NewSource(1)), len(leaves)), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := &core.ForestEntry{Root: tree.Root(), Leaves: leaves, Matrix: randomMatrix(rand.New(rand.NewSource(1)), len(leaves))}
 	bind := func(cfg mechanism.Config) *mechanism.Binding {
 		t.Helper()
 		cfg.Source, cfg.Delta = src, 1
