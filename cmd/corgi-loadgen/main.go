@@ -25,8 +25,8 @@
 // -levels and -deltas.
 //
 // Workers run closed-loop, or open-loop with -rate R (arrivals no worker
-// is free for count as dropped_arrivals); -batch N packs N entries into
-// one round trip.
+// is free for count as dropped_arrivals); -batch N packs N report entries
+// into one POST /v1/reports or REPORTS frame (a forest is one GET).
 //
 // -transport stream sends report and mobility requests over corgi-stream
 // frames to -stream-addr instead of HTTP+JSON (trace building still uses
@@ -78,7 +78,7 @@ func (o *options) bind(fs *flag.FlagSet) {
 	fs.IntVar(&cfg.Moves, "moves", 64, "mobility workload random-waypoint steps per synthetic user")
 	fs.IntVar(&cfg.ReportCount, "report-count", 1, "draws per report request")
 	fs.IntVar(&cfg.Precision, "precision", 0, "report workload precision level")
-	fs.IntVar(&cfg.Batch, "batch", 0, "pack N trace entries per batched round trip (0: single requests)")
+	fs.IntVar(&cfg.Batch, "batch", 0, "pack N report trace entries per batched round trip (0: single requests; report workload only)")
 	fs.StringVar(&cfg.TracePath, "trace", "", "trace file: 'region level delta' (forest) or 'region level q r' (report) lines")
 	fs.StringVar(&cfg.CheckinsPath, "checkins", "", "Gowalla check-in file; per-region weights follow its geography")
 	fs.StringVar(&cfg.Transport, "transport", "http", "report/mobility transport: http (JSON round trips), stream (corgi-stream binary frames), or lease (client-side draws against POST /v1/lease)")

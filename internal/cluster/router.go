@@ -340,7 +340,7 @@ func (r *Router) FetchSnapshot(k store.Key) ([]byte, error) {
 			resp.Body.Close()
 			continue
 		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		raw, err := io.ReadAll(io.LimitReader(resp.Body, proto.MaxResponseBytes))
 		resp.Body.Close()
 		if err != nil {
 			continue

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -48,7 +49,7 @@ type node struct {
 
 // asked is one request as the server saw it.
 type asked struct {
-	path, ifNoneMatch, body string
+	path, query, ifNoneMatch, body string
 }
 
 func newNode(t *testing.T, opts registry.Options) *node {
@@ -70,7 +71,7 @@ func newNode(t *testing.T, opts registry.Options) *node {
 		body, _ := io.ReadAll(r.Body)
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		n.mu.Lock()
-		n.log = append(n.log, asked{r.URL.Path, r.Header.Get("If-None-Match"), string(body)})
+		n.log = append(n.log, asked{r.URL.Path, r.URL.RawQuery, r.Header.Get("If-None-Match"), string(body)})
 		n.mu.Unlock()
 		mux.ServeHTTP(w, r)
 	}))
@@ -233,12 +234,12 @@ func TestEveryPathDrawsTheSame(t *testing.T) {
 		}
 		if p.name == "device.Forest" {
 			// The paper's trust model: two numbers per forest, and no cell.
-			for _, a := range n.asks("/v1/matrices") {
-				if a.body != `{"privacy_l":1,"delta":0}` && a.body != `{"privacy_l":2,"delta":0}` {
-					t.Errorf("forest path sent %s", a.body)
+			for _, a := range n.asks("/v1/forest") {
+				if a.query != "region=dv&privacy_l=1&delta=0" && a.query != "region=dv&privacy_l=2&delta=0" || a.body != "" {
+					t.Errorf("forest path sent %q with body %q", a.query, a.body)
 				}
 			}
-			if len(n.asks("/v1/matrices")) != 2 || len(n.asks("/v1/priors")) != 1 ||
+			if len(n.asks("/v1/forest")) != 2 || len(n.asks("/v1/priors")) != 1 ||
 				len(n.asks("/v1/report"))+len(n.asks("/v1/lease")) != 0 {
 				t.Errorf("forest path asked the server %v", n.log)
 			}
@@ -354,9 +355,16 @@ func TestForestEvaluatesPreferencesOnTheDevice(t *testing.T) {
 			}
 		}
 	}
-	// One forest for |S| = 1 served all three asks.
-	if got := n.asks("/v1/matrices"); len(got) != 1 || got[0].body != `{"privacy_l":1,"delta":1}` {
-		t.Errorf("forest requests: %v", got)
+	// One forest for |S| = 1 served all three asks, and the server saw no
+	// body and exactly three query keys: the region, the privacy level and
+	// the prune set's size.
+	got := n.asks("/v1/forest")
+	if len(got) != 1 || got[0].body != "" {
+		t.Fatalf("forest requests: %v", got)
+	}
+	q, err := url.ParseQuery(got[0].query)
+	if want := (url.Values{"region": {"dv"}, "privacy_l": {"1"}, "delta": {"1"}}); err != nil || !reflect.DeepEqual(q, want) {
+		t.Errorf("forest query %v (%v), want %v", q, err, want)
 	}
 
 	// A policy with preferences and a device without attributes is refused
@@ -536,13 +544,13 @@ func TestForestCache(t *testing.T) {
 	// what it drew and the forest requests it cost.
 	draw := func(f *Forest) (string, []asked) {
 		t.Helper()
-		before := len(n.asks("/v1/matrices"))
+		before := len(n.asks("/v1/forest"))
 		res, err := f.Report(context.Background(), registry.ReportRequest{
 			Cell: cell.Coord, Policy: policy.Policy{PrivacyLevel: 1}, Seed: 3, Count: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprint(res.Reports), n.asks("/v1/matrices")[before:]
+		return fmt.Sprint(res.Reports), n.asks("/v1/forest")[before:]
 	}
 	slots := func() []string {
 		t.Helper()

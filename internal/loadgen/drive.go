@@ -1,14 +1,11 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sync"
 	"time"
 
@@ -124,10 +121,10 @@ func entriesAt(trace []request, idx int64, n int) []request {
 	return entries
 }
 
-// forestTarget issues forest requests, asking for the v2 forest encoding
-// as proto.Client does: one region-addressed POST /v1/forest read to
-// body completion for a single entry, one POST /v1/forests for several,
-// whose envelope is decoded for the per-item statuses and nothing else.
+// forestTarget issues one forest request per round trip, built as
+// proto.Client builds its own (proto.NewForestRequest), gzip-negotiated
+// explicitly so the body is counted compressed, read to completion and
+// discarded undecoded.
 func forestTarget(server string, concurrency int) target {
 	// The idle pool must cover every worker or keep-alive connections are
 	// torn down and re-dialed constantly (DefaultTransport keeps only 2
@@ -140,55 +137,22 @@ func forestTarget(server string, concurrency int) target {
 			IdleConnTimeout:     90 * time.Second,
 		},
 	}
-	post := func(ctx context.Context, endpoint string, body any, gzip bool, dst io.Writer) outcome {
-		data, _ := json.Marshal(body)
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint, bytes.NewReader(data))
+	return func(ctx context.Context, entries []request) outcome {
+		e := entries[0]
+		req, err := proto.NewForestRequest(ctx, server, e.Region, e.Level, e.Delta, false)
 		if err != nil {
 			return outcome{}
 		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Accept", proto.ContentTypeForestV2+", application/json")
-		if gzip {
-			req.Header.Set("Accept-Encoding", "gzip")
-		}
+		req.Header.Set("Accept-Encoding", "gzip")
 		resp, err := client.Do(req)
 		if err != nil {
 			return outcome{}
 		}
 		defer resp.Body.Close()
-		n, _ := io.Copy(dst, resp.Body)
-		return outcome{status: resp.StatusCode, bytes: n}
-	}
-	return func(ctx context.Context, entries []request) outcome {
-		if len(entries) == 1 {
-			e := entries[0]
-			out := post(ctx, server+"/v1/forest?region="+url.QueryEscape(e.Region),
-				proto.MatrixRequest{PrivacyLevel: e.Level, Delta: e.Delta}, true, io.Discard)
-			if out.status == http.StatusOK {
-				out.items = []item{{}}
-			}
-			return out
-		}
-		batch := proto.BatchForestRequest{Items: make([]proto.BatchItem, len(entries))}
-		for i, e := range entries {
-			batch.Items[i] = proto.BatchItem{Region: e.Region, PrivacyLevel: e.Level, Delta: e.Delta}
-		}
-		// No explicit Accept-Encoding here: the transport negotiates gzip on
-		// its own and transparently decompresses, which the envelope decode
-		// below relies on.
-		var body bytes.Buffer
-		out := post(ctx, server+"/v1/forests", batch, false, &body)
-		var envelope struct {
-			Items []struct {
-				Status int `json:"status"`
-			} `json:"items"`
-		}
-		if out.status != http.StatusOK || json.Unmarshal(body.Bytes(), &envelope) != nil {
-			return out
-		}
-		out.items = make([]item, len(envelope.Items))
-		for i, it := range envelope.Items {
-			out.items[i].err = it.Status != http.StatusOK
+		n, _ := io.Copy(io.Discard, resp.Body)
+		out := outcome{status: resp.StatusCode, bytes: n}
+		if out.status == http.StatusOK {
+			out.items = []item{{}}
 		}
 		return out
 	}

@@ -52,17 +52,25 @@ func (f fakeHandler) Lease(context.Context, registry.LeaseRequest) (*registry.Le
 	return nil, errors.New("fakeHandler grants no leases")
 }
 
-// fakeForests answers POST /v1/forest with status and POST /v1/forests
-// with envelope, a 200 body sent verbatim.
-func fakeForests(t *testing.T, status int, envelope string) target {
+// fakeBatcher answers every ReportBatch with canned item outcomes.
+type fakeBatcher struct {
+	fakeHandler
+	items []stream.BatchResult
+}
+
+func (f fakeBatcher) ReportBatch(context.Context, []registry.ReportRequest) ([]stream.BatchResult, error) {
+	return f.items, nil
+}
+
+// fakeForests answers GET /v1/forest with status.
+func fakeForests(t *testing.T, status int) target {
 	t.Helper()
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/forest" {
-			w.WriteHeader(status)
-			w.Write([]byte("forest bytes"))
-			return
+		if r.Method != http.MethodGet || r.URL.Path != "/v1/forest" {
+			t.Errorf("forest target sent %s %s", r.Method, r.URL.Path)
 		}
-		w.Write([]byte(envelope))
+		w.WriteHeader(status)
+		w.Write([]byte("forest bytes"))
 	}))
 	t.Cleanup(srv.Close)
 	return forestTarget(srv.URL, 1)
@@ -78,13 +86,17 @@ func TestDriveClassification(t *testing.T) {
 	report := func(res *registry.ReportResult, err error) target {
 		return reportTarget(fakeHandler{res, err}, 0, 1)
 	}
+	batch := func(items ...error) target {
+		f := fakeBatcher{}
+		for _, err := range items {
+			f.items = append(f.items, stream.BatchResult{Result: &registry.ReportResult{}, Err: err})
+		}
+		return reportTarget(f, 0, 1)
+	}
+	refused := errors.New("refused")
 	unreachable := forestTarget("http://127.0.0.1:1", 1)
 	one := []request{{Region: "sf", Level: 1, ColdKey: "sf|1|root"}}
 	four := []request{forestRequest("sf", 1, 0), forestRequest("sf", 1, 1), forestRequest("la", 1, 0), forestRequest("la", 2, 0)}
-	const (
-		mixed = `{"items":[{"status":200},{"status":404,"error":"no such region"},{"status":200},{"status":422}]}`
-		short = `{"items":[{"status":200},{"status":200},{"status":200}]}`
-	)
 	cases := []struct {
 		name    string
 		tgt     target
@@ -111,25 +123,21 @@ func TestDriveClassification(t *testing.T) {
 			sample{cold: true, err: true}, 0, []bool{false}},
 		{"report batch over a handler that cannot batch", report(&registry.ReportResult{}, nil), four,
 			sample{cold: true, err: true}, 0, make([]bool, 4)},
+		{"report batch, items fail independently", batch(nil, refused, nil, refused), four,
+			sample{status: 200, cold: true}, 2, []bool{true, false, true, false}},
+		// Three items answered for four sent: nobody can say which entry
+		// went unanswered, so the whole round trip failed.
+		{"report batch, mismatched answer", batch(nil, nil, nil), four,
+			sample{status: 200, cold: true, err: true}, 0, make([]bool, 4)},
 
-		{"forest 200", fakeForests(t, 200, ""), four[:1],
+		{"forest 200", fakeForests(t, 200), four[:1],
 			sample{status: 200, bytes: 12, cold: true}, 1, []bool{true}},
-		{"forest 422", fakeForests(t, 422, ""), four[:1],
+		{"forest 422", fakeForests(t, 422), four[:1],
 			sample{status: 422, bytes: 12, cold: true, err: true}, 0, []bool{false}},
-		{"forest 429", fakeForests(t, 429, ""), four[:1],
+		{"forest 429", fakeForests(t, 429), four[:1],
 			sample{status: 429, bytes: 12, budgetRejected: true}, 0, []bool{false}},
 		{"forest transport error", unreachable, four[:1],
 			sample{cold: true, err: true}, 0, []bool{false}},
-		{"forest batch, items fail independently", fakeForests(t, 0, mixed), four,
-			sample{status: 200, bytes: int64(len(mixed)), cold: true}, 2, []bool{true, false, true, false}},
-		{"forest batch transport error", unreachable, four,
-			sample{cold: true, err: true}, 0, make([]bool, 4)},
-		{"forest batch, undecodable envelope", fakeForests(t, 0, "{"), four,
-			sample{status: 200, bytes: 1, cold: true, err: true}, 0, make([]bool, 4)},
-		// Three items answered for four sent: nobody can say which entry
-		// went unanswered, so the whole round trip failed.
-		{"forest batch, mismatched envelope", fakeForests(t, 0, short), four,
-			sample{status: 200, bytes: int64(len(short)), cold: true, err: true}, 0, make([]bool, 4)},
 	}
 	for _, tc := range cases {
 		for _, first := range []bool{true, false} {

@@ -8,8 +8,8 @@
 // The trace is a replayable request stream (buildTrace). Three workloads
 // exist:
 //
-//   - forest: the matrix-distribution path — POST /v1/forest (or batched
-//     /v1/forests) requests for (region, privacy level, delta) keys;
+//   - forest: the matrix-distribution path — GET /v1/forest requests for
+//     (region, privacy level, delta) keys;
 //   - report: the per-report hot path — requests carrying a true cell, an
 //     inline policy, a user id and a seed, exercising the server-side
 //     session + alias sampling pipeline end to end;
@@ -32,7 +32,7 @@
 //
 // A target carries one round trip's entries to the server and says what
 // came back: the HTTP-equivalent status, the bytes read, one outcome per
-// entry. There are two. The forest target posts raw requests and discards
+// entry. There are two. The forest target sends raw GETs and discards
 // the bodies (a generator must not spend its cores decoding forests it
 // throws away). The report target goes through one
 // registry.ReportHandler — the JSON client, the stream client
@@ -127,6 +127,8 @@ func (c Config) validate() error {
 		return errors.New("-concurrency must be >= 1")
 	case c.Workload != "forest" && !report:
 		return errors.New("-workload must be forest, report, or mobility")
+	case c.Workload == "forest" && c.Batch > 0:
+		return errors.New("-batch is not supported by the forest workload (a forest is one cacheable GET; -batch packs report batches)")
 	case c.Workload == "mobility" && c.Batch > 0:
 		return errors.New("-batch is not supported by the mobility workload (per-response re-anchor parsing)")
 	case c.Workload == "mobility" && c.TracePath != "":

@@ -35,6 +35,8 @@ func TestConfigValidate(t *testing.T) {
 		{func(c *Config) { c.Workload, c.Transport = "mobility", "lease" }, ""},
 		{func(c *Config) { c.Concurrency = 0 }, "-concurrency must be >= 1"},
 		{func(c *Config) { c.Workload = "matrix" }, "-workload must be forest, report, or mobility"},
+		{func(c *Config) { c.Workload, c.Batch = "forest", 2 },
+			"-batch is not supported by the forest workload (a forest is one cacheable GET; -batch packs report batches)"},
 		{func(c *Config) { c.Workload, c.Batch = "mobility", 2 },
 			"-batch is not supported by the mobility workload (per-response re-anchor parsing)"},
 		{func(c *Config) { c.Workload, c.TracePath = "mobility", "t.txt" },
@@ -184,23 +186,22 @@ func TestRunMobilityTransports(t *testing.T) {
 	}
 }
 
-// TestRunForest drives the forest target end to end, single requests
-// closed-loop and batches open-loop.
+// TestRunForest drives the forest target end to end, closed-loop and
+// open-loop.
 func TestRunForest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spins real regions")
 	}
 	srv := reportTestServer(t, "lg-a", "lg-b")
 	for _, tc := range []struct {
-		name  string
-		batch int
-		rate  float64
+		name string
+		rate float64
 	}{
-		{"single", 0, 0},
-		{"batch 4 at 100/s", 4, 100},
+		{"closed loop", 0},
+		{"100/s", 100},
 	} {
 		cfg := runConfig(srv.URL)
-		cfg.Batch, cfg.Rate = tc.batch, tc.rate
+		cfg.Rate = tc.rate
 		rep, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -209,8 +210,8 @@ func TestRunForest(t *testing.T) {
 			t.Errorf("%s: errors %d, requests %d, bytes received %d (statuses %v)",
 				tc.name, rep.Errors, rep.Requests, rep.BytesReceived, rep.StatusCounts)
 		}
-		if items := rep.Requests * int64(max(tc.batch, 1)); rep.ItemsOK+rep.ItemsErr != items || rep.ItemsErr != 0 {
-			t.Errorf("%s: items ok %d + err %d, want %d + 0", tc.name, rep.ItemsOK, rep.ItemsErr, items)
+		if rep.ItemsOK != rep.Requests || rep.ItemsErr != 0 {
+			t.Errorf("%s: items ok %d + err %d, want %d + 0", tc.name, rep.ItemsOK, rep.ItemsErr, rep.Requests)
 		}
 		if got := strings.Join(rep.Config.Regions, ","); got != "lg-a,lg-b" {
 			t.Errorf("%s: regions %q, want the server's /v1/regions listing", tc.name, got)

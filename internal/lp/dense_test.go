@@ -19,7 +19,7 @@ func (p *Problem) toStandard() (*standardForm, []bool) {
 func SolveDense(p *Problem, opt *Options) (*Solution, error) {
 	sf, flipped := p.toStandard()
 	rowScale, colScale := sf.equilibrate(3)
-	tol := opt.tol()
+	tol := optTol
 	maxIters := opt.maxIters(sf.m, sf.n)
 
 	m, n := sf.m, sf.n

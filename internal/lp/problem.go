@@ -310,8 +310,6 @@ type Solution struct {
 type Options struct {
 	// MaxIters bounds total simplex pivots. Default: 50*(m+n)+10000.
 	MaxIters int
-	// Tol is the feasibility/optimality tolerance. Default 1e-9.
-	Tol float64
 	// Perturb enables random RHS perturbation to break degeneracy in the
 	// sparse solver (recommended for highly degenerate systems). After the
 	// perturbed solve the true RHS is restored and the solve is finished
@@ -329,13 +327,6 @@ type Options struct {
 	// crash basis. An accepted warm basis with no artificials skips phase 1
 	// entirely.
 	WarmBasis []int
-}
-
-func (o *Options) tol() float64 {
-	if o == nil || o.Tol <= 0 {
-		return 1e-9
-	}
-	return o.Tol
 }
 
 func (o *Options) maxIters(m, n int) int {

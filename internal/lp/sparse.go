@@ -47,7 +47,7 @@ func (sv *Solver) Solve(p *Problem, opt *Options) (*Solution, error) {
 		// Unconstrained over x >= 0: x = 0 is optimal unless some cost is
 		// negative, and then that variable grows without bound.
 		for _, cj := range p.c {
-			if cj < -opt.tol() {
+			if cj < -optTol {
 				return &Solution{Status: Unbounded}, nil
 			}
 		}
@@ -81,6 +81,7 @@ func (sv *Solver) Solve(p *Problem, opt *Options) (*Solution, error) {
 }
 
 const (
+	optTol     = 1e-9  // feasibility / optimality tolerance
 	pivotTol   = 1e-8  // ratio-test / reinversion pivot threshold
 	dropTol    = 1e-12 // entries below this are dropped from etas
 	pertScale  = 1e-8  // RHS perturbation magnitude
@@ -92,10 +93,9 @@ const (
 var refactorEtas = 80
 
 type sparseState struct {
-	sf  *standardForm
-	m   int
-	n   int // structural + slack columns (artificials are n..n+m-1)
-	tol float64
+	sf *standardForm
+	m  int
+	n  int // structural + slack columns (artificials are n..n+m-1)
 
 	basis   []int // basis[i] = column pivoted at row i
 	inBasis []bool
@@ -139,7 +139,6 @@ func resize[T any](s []T, n int) []T {
 func (s *sparseState) reset(sf *standardForm, opt *Options) {
 	m, n := sf.m, sf.n
 	s.sf, s.m, s.n = sf, m, n
-	s.tol = opt.tol()
 	s.maxIters = opt.maxIters(m, n)
 	s.basis = resize(s.basis, m)
 	s.inBasis = resize(s.inBasis, n+m)
@@ -303,7 +302,7 @@ func (s *sparseState) reducedCost(j int) float64 {
 // allowArtificials is false in every phase (artificials never re-enter).
 func (s *sparseState) price(bland bool) int {
 	nCols := s.n
-	dTol := s.tol
+	dTol := optTol
 	if bland {
 		for j := 0; j < nCols; j++ {
 			if s.inBasis[j] {
@@ -455,7 +454,7 @@ func (s *sparseState) primalLoop() phaseResult {
 		if theta < 0 {
 			theta = 0
 		}
-		if theta < s.tol {
+		if theta < optTol {
 			degenRun++
 		} else {
 			degenRun = 0
@@ -500,7 +499,7 @@ func (s *sparseState) dualCleanup() phaseResult {
 	etaBase := len(s.etas)
 	for ; s.iters < s.maxIters; s.iters++ {
 		// Leaving row: most negative basic value.
-		r, worst := -1, -s.tol
+		r, worst := -1, -optTol
 		for i := 0; i < s.m; i++ {
 			if s.xB[i] < worst {
 				worst = s.xB[i]
@@ -536,7 +535,7 @@ func (s *sparseState) dualCleanup() phaseResult {
 				d = 0 // numerical dust; dual feasibility holds by construction
 			}
 			ratio := d / -alpha
-			if ratio < bestRatio-s.tol || (ratio < bestRatio+s.tol && -alpha > -bestAlpha) {
+			if ratio < bestRatio-optTol || (ratio < bestRatio+optTol && -alpha > -bestAlpha) {
 				bestRatio, bestAlpha, q = ratio, alpha, j
 			}
 		}

@@ -72,7 +72,7 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&c.Warmup, "warmup", -1, "precompute all levels for deltas 0..N at shard bootstrap (-1: off)")
 	fs.StringVar(&c.Store, "store", "", "persistent forest store directory (populate offline with corgi-gen)")
 	fs.BoolVar(&c.Eager, "eager", false, "bootstrap every region at startup instead of on first request")
-	fs.IntVar(&c.MaxBatch, "max-batch", registry.DefaultMaxBatch, "max items per batch request (/v1/forests, /v1/reports, REPORTS frames)")
+	fs.IntVar(&c.MaxBatch, "max-batch", registry.DefaultMaxBatch, "max items per report batch (/v1/reports, REPORTS frames)")
 	fs.IntVar(&c.MaxSessions, "max-sessions", 0, "live report sessions per region shard (0: default 4096)")
 	fs.IntVar(&c.MaxReportCount, "max-report-count", registry.DefaultMaxReportCount, "max draws per report request or lease, on every transport")
 	fs.Float64Var(&c.BudgetEps, "budget-eps", 0, "per-user epsilon budget per sliding window (0: accounting off)")

@@ -3,6 +3,7 @@ package proto
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,16 +11,14 @@ import (
 	"testing"
 )
 
-// postForest issues one forest request, optionally conditional, and
+// getForest issues one forest request, optionally conditional, and
 // returns the response with its body drained.
-func postForest(t *testing.T, url string, level, delta int, accept, ifNoneMatch string) (*http.Response, []byte) {
+func getForest(t *testing.T, url string, level, delta int, accept, ifNoneMatch string) (*http.Response, []byte) {
 	t.Helper()
-	body, _ := json.Marshal(MatrixRequest{PrivacyLevel: level, Delta: delta})
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/matrices", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/forest?privacy_l=%d&delta=%d", url, level, delta), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
@@ -45,7 +44,7 @@ func TestForestETagAnd304(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	defer ts.Close()
 
-	resp, body := postForest(t, ts.URL, 1, 0, ContentTypeForestV2, "")
+	resp, body := getForest(t, ts.URL, 1, 0, ContentTypeForestV2, "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -58,7 +57,7 @@ func TestForestETagAnd304(t *testing.T) {
 	}
 
 	// Same representation, matching tag: 304 with no body.
-	resp, body = postForest(t, ts.URL, 1, 0, ContentTypeForestV2, etag)
+	resp, body = getForest(t, ts.URL, 1, 0, ContentTypeForestV2, etag)
 	if resp.StatusCode != http.StatusNotModified {
 		t.Fatalf("conditional refetch: status %d, want 304", resp.StatusCode)
 	}
@@ -71,27 +70,27 @@ func TestForestETagAnd304(t *testing.T) {
 
 	// A tag list containing the current tag also matches; a stale tag
 	// does not.
-	resp, _ = postForest(t, ts.URL, 1, 0, ContentTypeForestV2, `"stale", `+etag)
+	resp, _ = getForest(t, ts.URL, 1, 0, ContentTypeForestV2, `"stale", `+etag)
 	if resp.StatusCode != http.StatusNotModified {
 		t.Errorf("tag list: status %d, want 304", resp.StatusCode)
 	}
-	resp, body = postForest(t, ts.URL, 1, 0, ContentTypeForestV2, `"stale"`)
+	resp, body = getForest(t, ts.URL, 1, 0, ContentTypeForestV2, `"stale"`)
 	if resp.StatusCode != http.StatusOK || len(body) == 0 {
 		t.Errorf("stale tag: status %d, %d bytes; want full 200", resp.StatusCode, len(body))
 	}
 
 	// Different (level, delta) or a different representation: different tag.
-	resp, _ = postForest(t, ts.URL, 1, 1, ContentTypeForestV2, "")
+	resp, _ = getForest(t, ts.URL, 1, 1, ContentTypeForestV2, "")
 	if other := resp.Header.Get("ETag"); other == etag {
 		t.Error("distinct forests share an ETag")
 	}
-	resp, _ = postForest(t, ts.URL, 1, 0, "application/json", "")
+	resp, _ = getForest(t, ts.URL, 1, 0, "application/json", "")
 	if v1tag := resp.Header.Get("ETag"); v1tag == etag {
 		t.Error("v1 and v2 representations share an ETag")
 	}
 
 	// Tags are deterministic: refetching yields the same tag.
-	resp, _ = postForest(t, ts.URL, 1, 0, ContentTypeForestV2, "")
+	resp, _ = getForest(t, ts.URL, 1, 0, ContentTypeForestV2, "")
 	if again := resp.Header.Get("ETag"); again != etag {
 		t.Errorf("ETag unstable across fetches: %q then %q", etag, again)
 	}
@@ -107,8 +106,7 @@ func TestForestETagAnd304(t *testing.T) {
 		t.Errorf("gzip-negotiated response tag %q lacks the coding suffix", etag)
 	}
 	plain := &http.Client{Transport: &http.Transport{DisableCompression: true}}
-	body2, _ := json.Marshal(MatrixRequest{PrivacyLevel: 1, Delta: 0})
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/matrices", bytes.NewReader(body2))
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/forest?privacy_l=1&delta=0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +177,7 @@ func TestAcceptsGzip(t *testing.T) {
 
 	ts, _, _ := newTestServer(t)
 	defer ts.Close()
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/matrices", strings.NewReader(`{"privacy_l":1,"delta":0}`))
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/forest?privacy_l=1&delta=0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func (c *Client) lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, e
 		req.Region = c.region
 	}
 	var lr LeaseResponse
-	if err := c.postJSON(ctx, "/v1/lease", "", req, &lr); err != nil {
+	if err := c.postJSON(ctx, "/v1/lease", req, &lr); err != nil {
 		return nil, err
 	}
 	return &lr, nil

@@ -2,13 +2,11 @@ package proto
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"corgi/internal/budget"
@@ -37,40 +35,6 @@ type RegionInfo struct {
 type RegionsResponse struct {
 	Default string       `json:"default"`
 	Regions []RegionInfo `json:"regions"`
-}
-
-// BatchItem is one (region, privacy level, delta) forest request inside a
-// batch.
-type BatchItem struct {
-	Region       string `json:"region"`
-	PrivacyLevel int    `json:"privacy_l"`
-	Delta        int    `json:"delta"`
-}
-
-// BatchForestRequest asks for many forests in one round trip.
-type BatchForestRequest struct {
-	Items []BatchItem `json:"items"`
-}
-
-// BatchItemResult carries one item's outcome. Items fail independently:
-// Status is the per-item HTTP-equivalent code, and exactly one of Forest
-// (v1) or ForestV2 is set on success, matching the batch's negotiated
-// encoding.
-type BatchItemResult struct {
-	Region       string            `json:"region"`
-	PrivacyLevel int               `json:"privacy_l"`
-	Delta        int               `json:"delta"`
-	Status       int               `json:"status"`
-	Error        string            `json:"error,omitempty"`
-	Forest       *ForestResponse   `json:"forest,omitempty"`
-	ForestV2     *ForestResponseV2 `json:"forest_v2,omitempty"`
-}
-
-// BatchForestResponse is the batch envelope. The HTTP status is 200 as
-// long as the batch itself was well-formed; per-item failures live in
-// Items[i].Status / Items[i].Error.
-type BatchForestResponse struct {
-	Items []BatchItemResult `json:"items"`
 }
 
 // MultiStatsResponse reports per-region engine counters plus the
@@ -105,9 +69,8 @@ type MultiStatsResponse struct {
 //	GET  /v1/stats                  -> MultiStatsResponse
 //	GET  /v1/tree?region=R          -> TreeResponse
 //	GET  /v1/priors?region=R        -> PriorsResponse
-//	GET|POST /v1/forest?region=R    -> ForestResponse (v1/v2 negotiated)
-//	POST /v1/matrices?region=R      -> same (v1-era path, kept for old clients)
-//	POST /v1/forests                -> BatchForestResponse
+//	GET  /v1/forest?region=R&privacy_l=L&delta=D
+//	                                -> ForestResponse (v1/v2 negotiated, ETag, 304)
 //	POST /v1/report                 -> ReportResponse (server-side draws)
 //	POST /v1/reports                -> BatchReportResponse
 //	POST /v1/lease                  -> LeaseResponse (client-side draw lease)
@@ -118,8 +81,8 @@ type MultiStatsResponse struct {
 type MultiHandler struct {
 	reg *registry.Registry
 
-	// Timeout bounds each request's generation work (the whole batch for
-	// /v1/forests); zero leaves the request context alone in charge.
+	// Timeout bounds each request's generation work; zero leaves the
+	// request context alone in charge.
 	Timeout time.Duration
 	// Stream, when set, merges the binary stream transport's counters
 	// into GET /v1/stats so both transports report through one endpoint.
@@ -156,11 +119,7 @@ func (h *MultiHandler) Mux() *http.ServeMux {
 	mux.HandleFunc("/v1/stats", only(http.MethodGet, h.handleStats))
 	mux.HandleFunc("/v1/tree", only(http.MethodGet, h.handleTree))
 	mux.HandleFunc("/v1/priors", only(http.MethodGet, h.handlePriors))
-	mux.HandleFunc("/v1/forest", h.handleForest)
-	// The v1-era route keeps its POST-only contract; GET probing belongs
-	// to /v1/forest.
-	mux.HandleFunc("/v1/matrices", only(http.MethodPost, h.handleForest))
-	mux.HandleFunc("/v1/forests", h.handleBatch)
+	mux.HandleFunc("/v1/forest", only(http.MethodGet, h.handleForest))
 	mux.HandleFunc("/v1/report", h.handleReport)
 	mux.HandleFunc("/v1/reports", h.handleReports)
 	mux.HandleFunc("/v1/lease", h.handleLease)
@@ -317,29 +276,18 @@ func (h *MultiHandler) handlePriors(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, priorsResponse(sh.Server.Tree(), sh.Server.Priors()))
 }
 
-// handleForest serves one region's forest. POST carries a MatrixRequest
-// body (the v1-era protocol); GET reads privacy_l and delta from the
-// query string for curl-friendly probing.
+// handleForest serves one region's forest for the privacy_l and delta in
+// the query string: the only two numbers that cross the trust boundary
+// (Sec. 5.2 step 4), as a cacheable GET.
 func (h *MultiHandler) handleForest(w http.ResponseWriter, r *http.Request) {
-	var req MatrixRequest
-	switch r.Method {
-	case http.MethodPost:
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-	case http.MethodGet:
-		var err error
-		if req.PrivacyLevel, err = queryInt(r, "privacy_l", 1); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if req.Delta, err = queryInt(r, "delta", 0); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
+	level, err := queryInt(r, "privacy_l", 1)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	delta, err := queryInt(r, "delta", 0)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	ctx, cancel := h.requestCtx(r)
@@ -348,73 +296,13 @@ func (h *MultiHandler) handleForest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	forest, err := sh.Server.GenerateForestCtx(ctx, req.PrivacyLevel, req.Delta)
+	forest, err := sh.Server.GenerateForestCtx(ctx, level, delta)
 	if err != nil {
 		status, msg := generateErrStatus(err)
 		http.Error(w, msg, status)
 		return
 	}
 	writeForestNegotiated(w, r, sh.Server.Tree(), forest)
-}
-
-// handleBatch resolves many (region, level, delta) requests in one round
-// trip. Items fan out concurrently — each shard's engine still bounds its
-// own LP concurrency and deduplicates identical in-flight keys — and fail
-// independently: one bad region or level never poisons its neighbors.
-func (h *MultiHandler) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchForestRequest
-	if !decodePost(w, r, 4<<20, &req) {
-		return
-	}
-	if rej := h.reg.CheckBatch(len(req.Items)); rej != nil {
-		reject(w, *rej)
-		return
-	}
-	ctx, cancel := h.requestCtx(r)
-	defer cancel()
-	wantV2 := wantsForestV2(r)
-
-	resp := BatchForestResponse{Items: make([]BatchItemResult, len(req.Items))}
-	var wg sync.WaitGroup
-	for i, item := range req.Items {
-		wg.Add(1)
-		go func(i int, item BatchItem) {
-			defer wg.Done()
-			resp.Items[i] = h.resolveItem(ctx, item, wantV2)
-		}(i, item)
-	}
-	wg.Wait()
-	writeJSONAs(w, r, "application/json", resp)
-}
-
-// resolveItem generates and encodes one batch item's forest.
-func (h *MultiHandler) resolveItem(ctx context.Context, item BatchItem, wantV2 bool) BatchItemResult {
-	res := BatchItemResult{Region: item.Region, PrivacyLevel: item.PrivacyLevel, Delta: item.Delta}
-	fail := func(status int, msg string) BatchItemResult {
-		res.Status = status
-		res.Error = msg
-		return res
-	}
-	sh, err := h.reg.Shard(ctx, item.Region)
-	if err != nil {
-		return fail(shardErrStatus(err))
-	}
-	if res.Region == "" {
-		res.Region = sh.Spec.Name
-	}
-	forest, err := sh.Server.GenerateForestCtx(ctx, item.PrivacyLevel, item.Delta)
-	if err != nil {
-		status, msg := generateErrStatus(err)
-		return fail(status, msg)
-	}
-	enc, _, err := encodeForest(sh.Server.Tree(), forest, wantV2)
-	if err != nil {
-		return fail(http.StatusInternalServerError, err.Error())
-	}
-	res.Forest, _ = enc.(*ForestResponse)
-	res.ForestV2, _ = enc.(*ForestResponseV2)
-	res.Status = http.StatusOK
-	return res
 }
 
 // queryInt parses an optional integer query parameter.

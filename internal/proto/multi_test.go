@@ -2,16 +2,12 @@ package proto
 
 import (
 	"bytes"
-	"compress/gzip"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"corgi/internal/core"
-	"corgi/internal/loctree"
 	"corgi/internal/registry"
 )
 
@@ -156,164 +152,29 @@ func TestForestGETQueryParams(t *testing.T) {
 		t.Errorf("bad privacy_l -> %d, want 400", resp.StatusCode)
 	}
 
-	// The legacy route keeps its POST-only contract.
-	resp, err = http.Get(ts.URL + "/v1/matrices?region=sf&privacy_l=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/matrices -> %d, want 405", resp.StatusCode)
-	}
-}
-
-// postBatch posts items to /v1/forests as the client posts every JSON
-// route, advertising the compact v2 encoding.
-func postBatch(c *Client, items []BatchItem) (*BatchForestResponse, error) {
-	var br BatchForestResponse
-	if err := c.postJSON(context.Background(), "/v1/forests", c.accept(), BatchForestRequest{Items: items}, &br); err != nil {
-		return nil, err
-	}
-	return &br, nil
-}
-
-func TestBatchPerItemErrorsAndV2(t *testing.T) {
-	ts, _ := newMultiTestServer(t)
-	c := NewClient(ts.URL)
-
-	items := []BatchItem{
-		{Region: "sf", PrivacyLevel: 1, Delta: 0},
-		{Region: "nyc", PrivacyLevel: 1, Delta: 1},
-		{Region: "atlantis", PrivacyLevel: 1, Delta: 0}, // unknown region
-		{Region: "sf", PrivacyLevel: 9, Delta: 0},       // bad level
-		{PrivacyLevel: 2, Delta: 0},                     // default region
-	}
-	br, err := postBatch(c, items)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Items) != len(items) {
-		t.Fatalf("batch returned %d items for %d requests", len(br.Items), len(items))
-	}
-
-	// Successful items carry v2 payloads (the client advertises v2).
-	trees := map[string]*loctree.Tree{}
-	for _, name := range []string{"sf", "nyc"} {
-		tree, _, err := NewRegionClient(ts.URL, name).FetchTree()
+	// A forest has one route and one method: POST is refused, and the
+	// v1-era alias and the batch route are gone.
+	for _, tc := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodPost, "/v1/forest?region=sf&privacy_l=1", http.StatusMethodNotAllowed},
+		{http.MethodPost, "/v1/matrices?region=sf", http.StatusNotFound},
+		{http.MethodGet, "/v1/matrices?region=sf&privacy_l=1", http.StatusNotFound},
+		{http.MethodPost, "/v1/forests", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(`{"privacy_l":1,"delta":0}`))
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees[name] = tree
-	}
-	for _, i := range []int{0, 1, 4} {
-		item := br.Items[i]
-		if item.Status != http.StatusOK || item.Error != "" {
-			t.Fatalf("item %d failed: %+v", i, item)
-		}
-		if item.ForestV2 == nil || item.Forest != nil {
-			t.Fatalf("item %d must carry a v2 payload, got %+v", i, item)
-		}
-		forest, err := core.DecodeForest(trees[item.Region], item.ForestV2.PrivacyLevel, item.ForestV2.Delta, item.ForestV2.Entries)
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			t.Fatalf("item %d decode: %v", i, err)
+			t.Fatal(err)
 		}
-		if len(forest.Entries) == 0 {
-			t.Fatalf("item %d decoded empty forest", i)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s %s -> %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
 		}
-	}
-	// Item 4 named no region; the server must resolve and report "sf".
-	if br.Items[4].Region != "sf" {
-		t.Errorf("defaulted item region %q, want sf", br.Items[4].Region)
-	}
-
-	// Failed items report independently and precisely.
-	if br.Items[2].Status != http.StatusNotFound ||
-		!strings.Contains(br.Items[2].Error, "nyc") {
-		t.Errorf("unknown-region item: %+v", br.Items[2])
-	}
-	if br.Items[3].Status != http.StatusUnprocessableEntity {
-		t.Errorf("bad-level item: %+v", br.Items[3])
-	}
-	for _, i := range []int{2, 3} {
-		if br.Items[i].Forest != nil || br.Items[i].ForestV2 != nil {
-			t.Errorf("failed item %d carries a payload", i)
-		}
-	}
-}
-
-func TestBatchContentNegotiationAndGzip(t *testing.T) {
-	ts, _ := newMultiTestServer(t)
-	body := `{"items": [{"region": "sf", "privacy_l": 1, "delta": 0}]}`
-
-	// Plain JSON Accept: dense v1 payloads, identity encoding.
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/forests", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Encoding"); got != "" {
-		t.Errorf("unsolicited Content-Encoding %q", got)
-	}
-	var v1 BatchForestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if v1.Items[0].Forest == nil || v1.Items[0].ForestV2 != nil {
-		t.Fatalf("v1 negotiation returned %+v", v1.Items[0])
-	}
-
-	// V2 Accept + gzip Accept-Encoding: compact payloads, gzip framing.
-	req, _ = http.NewRequest(http.MethodPost, ts.URL+"/v1/forests", strings.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", ContentTypeForestV2)
-	req.Header.Set("Accept-Encoding", "gzip")
-	resp, err = http.DefaultTransport.RoundTrip(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if got := resp.Header.Get("Content-Encoding"); got != "gzip" {
-		t.Fatalf("Content-Encoding %q, want gzip", got)
-	}
-	gz, err := gzip.NewReader(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 BatchForestResponse
-	if err := json.NewDecoder(gz).Decode(&v2); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Items[0].ForestV2 == nil || v2.Items[0].Forest != nil {
-		t.Fatalf("v2 negotiation returned %+v", v2.Items[0])
-	}
-}
-
-func TestBatchLimits(t *testing.T) {
-	ts, _ := newMultiTestServer(t)
-	c := NewClient(ts.URL)
-
-	if _, err := postBatch(c, nil); err == nil ||
-		!strings.Contains(err.Error(), "400") {
-		t.Errorf("empty batch: %v", err)
-	}
-	big := make([]BatchItem, registry.DefaultMaxBatch+1)
-	for i := range big {
-		big[i] = BatchItem{Region: "sf", PrivacyLevel: 1}
-	}
-	if _, err := postBatch(c, big); err == nil ||
-		!strings.Contains(err.Error(), "413") {
-		t.Errorf("oversized batch: %v", err)
-	}
-
-	resp, err := http.Post(ts.URL+"/v1/forests", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed batch body -> %d", resp.StatusCode)
 	}
 }
 

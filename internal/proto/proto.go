@@ -4,7 +4,8 @@
 // non-sensitive parameters — the privacy level and the *number* of
 // locations they intend to prune (|S|), never locations or preference
 // contents — and receive the privacy forest of robust matrices to customize
-// locally.
+// locally. A forest is one public, deterministic resource with one route,
+// GET /v1/forest?region=R&privacy_l=L&delta=D, built by NewForestRequest.
 //
 // Two wire formats coexist. v1 is dense row-major JSON ([][]float64),
 // served as plain application/json for compatibility. v2 (see wire.go) is a
@@ -18,7 +19,8 @@
 // matching If-None-Match get 304 Not Modified with no body, so clients can
 // keep their own on-disk forest caches and revalidate for free. Requests
 // carry the caller's context through the handler into the generation
-// engine, bounded by MultiHandler.Timeout.
+// engine, bounded by MultiHandler.Timeout. Client reads every response
+// body through one bound, MaxResponseBytes.
 //
 // Multi-region servers additionally expose the report pipeline (POST
 // /v1/report, batch /v1/reports; see report.go): the server evaluates the
@@ -63,13 +65,6 @@ type TreeResponse struct {
 	RootQ         int     `json:"root_q"`
 	RootR         int     `json:"root_r"`
 	Epsilon       float64 `json:"epsilon"`
-}
-
-// MatrixRequest asks for a privacy forest. Only the privacy level and the
-// prune allowance delta = |S| cross the trust boundary (Sec. 5.2 step 4).
-type MatrixRequest struct {
-	PrivacyLevel int `json:"privacy_l"`
-	Delta        int `json:"delta"`
 }
 
 // ForestEntryWire is one subtree's matrix on the wire.
@@ -234,6 +229,36 @@ func statusError(resp *http.Response) error {
 	return se
 }
 
+// MaxResponseBytes bounds every Client response body, as it bounds a
+// cluster peer's store snapshot: a larger body is an error, never a
+// truncated decode, so a misbehaving server cannot make a client buffer
+// without limit.
+const MaxResponseBytes = 64 << 20
+
+// readBody reads a whole response body of at most MaxResponseBytes.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength > MaxResponseBytes {
+		return nil, fmt.Errorf("proto: response body of %d bytes exceeds %d", resp.ContentLength, MaxResponseBytes)
+	}
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, MaxResponseBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(raw) > MaxResponseBytes {
+		return nil, fmt.Errorf("proto: response body exceeds %d bytes", MaxResponseBytes)
+	}
+	return raw, nil
+}
+
+// decodeBody decodes a whole JSON response body, read by readBody, into v.
+func decodeBody(resp *http.Response, v any) error {
+	raw, err := readBody(resp)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(raw, v)
+}
+
 // countingBody adds what is read from a response body to a client's
 // received-bytes counter.
 type countingBody struct {
@@ -273,8 +298,8 @@ func priorsResponse(tree *loctree.Tree, priors *loctree.Priors) PriorsResponse {
 	return resp
 }
 
-// generateErrStatus maps a forest-generation error to an HTTP status and
-// message, shared by the single-forest and batch paths.
+// generateErrStatus maps a forest-generation error to GET /v1/forest's
+// HTTP status and message.
 func generateErrStatus(err error) (int, string) {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -378,7 +403,7 @@ type Client struct {
 }
 
 // BytesIn is how many response body bytes the client's JSON POSTs (the
-// report, lease and batch routes) have read: corgi-loadgen's
+// report, batch report and lease routes) have read: corgi-loadgen's
 // bytes_received.
 func (c *Client) BytesIn() int64 { return c.bytesIn.Load() }
 
@@ -468,12 +493,25 @@ func (c *Client) FetchPriors(tree *loctree.Tree) (*loctree.Priors, error) {
 	return loctree.NewPriors(tree, leaf)
 }
 
-// accept is the Accept header this client advertises for forest routes.
-func (c *Client) accept() string {
-	if c.ForceV1 {
-		return "application/json"
+// NewForestRequest builds the one forest request every consumer sends:
+// GET /v1/forest?region=R&privacy_l=L&delta=D. Only the privacy level and
+// the prune allowance delta = |S| cross the trust boundary (Sec. 5.2 step
+// 4), and a GET of a public, deterministic resource is what a shared cache
+// may store. The request advertises the compact v2 encoding unless forceV1;
+// an empty region addresses the server's default region.
+func NewForestRequest(ctx context.Context, base, region string, privacyLevel, delta int, forceV1 bool) (*http.Request, error) {
+	u := base + "/v1/forest?region=" + url.QueryEscape(region) +
+		"&privacy_l=" + strconv.Itoa(privacyLevel) + "&delta=" + strconv.Itoa(delta)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	if err != nil {
+		return nil, err
 	}
-	return ContentTypeForestV2 + ", application/json"
+	accept := ContentTypeForestV2 + ", application/json"
+	if forceV1 {
+		accept = "application/json"
+	}
+	req.Header.Set("Accept", accept)
+	return req, nil
 }
 
 // ForestResult is one forest fetch outcome, carrying enough for a caller
@@ -508,19 +546,14 @@ func (c *Client) FetchForest(tree *loctree.Tree, privacyLevel, delta int) (*core
 
 // FetchForestTagged is FetchForest with conditional-fetch support: a
 // non-empty ifNoneMatch is sent as If-None-Match, and a 304 comes back as
-// NotModified=true with no body re-downloaded or decoded. Decode a cached
-// body with DecodeForestBody.
+// NotModified=true with no body re-downloaded or decoded. A 304 to a
+// request that sent no tag is an error: there is no cached copy it could
+// mean. Decode a cached body with DecodeForestBody.
 func (c *Client) FetchForestTagged(tree *loctree.Tree, privacyLevel, delta int, ifNoneMatch string) (*ForestResult, error) {
-	body, err := json.Marshal(MatrixRequest{PrivacyLevel: privacyLevel, Delta: delta})
+	req, err := NewForestRequest(context.Background(), c.base, c.region, privacyLevel, delta, c.ForceV1)
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequest(http.MethodPost, c.base+c.path("/v1/matrices"), bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", c.accept())
 	if ifNoneMatch != "" {
 		req.Header.Set("If-None-Match", ifNoneMatch)
 	}
@@ -531,6 +564,9 @@ func (c *Client) FetchForestTagged(tree *loctree.Tree, privacyLevel, delta int, 
 	defer resp.Body.Close()
 	defer drainBody(resp.Body)
 	if resp.StatusCode == http.StatusNotModified {
+		if ifNoneMatch == "" {
+			return nil, errors.New("proto: 304 Not Modified to a forest request that named no cached copy")
+		}
 		etag := resp.Header.Get("ETag")
 		if etag == "" {
 			etag = ifNoneMatch
@@ -540,7 +576,7 @@ func (c *Client) FetchForestTagged(tree *loctree.Tree, privacyLevel, delta int, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, statusError(resp)
 	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -587,5 +623,5 @@ func (c *Client) getJSON(path string, v interface{}) error {
 	if resp.StatusCode != http.StatusOK {
 		return statusError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return decodeBody(resp, v)
 }

@@ -1,9 +1,12 @@
 package proto
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -100,26 +103,8 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /v1/tree -> %d", resp.StatusCode)
 	}
-	resp, err = http.Get(ts.URL + "/v1/matrices")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /v1/matrices -> %d", resp.StatusCode)
-	}
-	// Malformed body.
-	resp, err = http.Post(ts.URL+"/v1/matrices", "application/json", strings.NewReader("{"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad JSON -> %d", resp.StatusCode)
-	}
 	// Invalid privacy level surfaces as unprocessable.
-	resp, err = http.Post(ts.URL+"/v1/matrices", "application/json",
-		strings.NewReader(`{"privacy_l": 9, "delta": 1}`))
+	resp, err = http.Get(ts.URL + "/v1/forest?privacy_l=9&delta=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +149,86 @@ func TestFetchPriorsRejectsMalformed(t *testing.T) {
 	} {
 		if err := fetch(tc.mutate); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestUnsolicited304IsAnError: a 304 answers a conditional request only.
+// To a fetch that named no cached copy it is an error, never a nil forest.
+func TestUnsolicited304IsAnError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("ETag", `"cached"`)
+		w.WriteHeader(http.StatusNotModified)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	if forest, err := c.FetchForest(nil, 1, 0); err == nil {
+		t.Fatalf("unsolicited 304: forest %v and no error", forest)
+	}
+	res, err := c.FetchForestTagged(nil, 1, 0, `"cached"`)
+	if err != nil || !res.NotModified || res.ETag != `"cached"` {
+		t.Fatalf("conditional 304: %+v, %v", res, err)
+	}
+}
+
+// TestResponseBodiesAreBounded: every Client read stops at
+// MaxResponseBytes. Each body is a valid answer padded with whitespace
+// past the bound, so a client that read without one would accept it; a
+// declared (Content-Length) and a chunked oversize body are refused alike.
+func TestResponseBodiesAreBounded(t *testing.T) {
+	real, _, _ := newTestServer(t)
+	defer real.Close()
+	tree, _, err := NewClient(real.URL).FetchTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := NewClient(real.URL).FetchForestTagged(tree, 1, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := map[string]string{
+		"/v1/forest":  string(forest.Body),
+		"/v1/regions": `{"default":"sf","regions":[]}`,
+		"/v1/report":  `{"reports":[]}`,
+	}
+	pad := bytes.Repeat([]byte(" "), 64<<10)
+	serve := func(declared bool) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			body := bodies[r.URL.Path]
+			if r.URL.Path == "/v1/forest" {
+				w.Header().Set("Content-Type", forest.ContentType)
+			}
+			total := MaxResponseBytes + 1
+			if declared {
+				w.Header().Set("Content-Length", strconv.Itoa(total))
+			}
+			if _, err := io.WriteString(w, body); err != nil {
+				return
+			}
+			for n := len(body); n < total; n += len(pad) {
+				if _, err := w.Write(pad[:min(len(pad), total-n)]); err != nil {
+					return
+				}
+			}
+		}))
+	}
+	for _, declared := range []bool{true, false} {
+		ts := serve(declared)
+		defer ts.Close()
+		c := NewClient(ts.URL)
+		if _, err := c.FetchForestTagged(tree, 1, 0, ""); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("forest body over the bound (declared %v): %v", declared, err)
+		}
+		if !declared {
+			// The other reads share the one bounded path; another 64 MiB
+			// buffer apiece would prove nothing more.
+			continue
+		}
+		if _, err := c.FetchRegions(); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("regions body over the bound: %v", err)
+		}
+		if _, err := c.Report(ReportRequest{}); err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Errorf("report body over the bound: %v", err)
 		}
 	}
 }

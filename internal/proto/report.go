@@ -130,7 +130,7 @@ func (c *Client) report(ctx context.Context, req ReportRequest) (*ReportResponse
 		req.Region = c.region
 	}
 	var resp ReportResponse
-	if err := c.postJSON(ctx, "/v1/report", "", req, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/report", req, &resp); err != nil {
 		return nil, err
 	}
 	return &resp, nil
@@ -151,7 +151,7 @@ func (c *Client) reportBatch(ctx context.Context, items []ReportRequest) (*Batch
 		}
 	}
 	var resp BatchReportResponse
-	if err := c.postJSON(ctx, "/v1/reports", "", BatchReportRequest{Items: sent}, &resp); err != nil {
+	if err := c.postJSON(ctx, "/v1/reports", BatchReportRequest{Items: sent}, &resp); err != nil {
 		return nil, err
 	}
 	if len(resp.Items) != len(items) {
@@ -188,14 +188,13 @@ func (r Remote) ReportBatch(ctx context.Context, reqs []registry.ReportRequest) 
 	return stream.BatchResults(reqs, resp.Items), nil
 }
 
-// postJSON posts a JSON body (advertising accept, when non-empty) and
-// decodes a JSON response; a non-200 answer returns a
+// postJSON posts a JSON body and decodes a JSON response; a non-200 answer returns a
 // *stream.StatusError. Every return path fully drains the
 // response body first, so the keep-alive connection goes back to the
 // transport's pool instead of being torn down — without the drain, error
 // responses and decoder-trailing bytes force a fresh TCP connection per
 // affected request.
-func (c *Client) postJSON(ctx context.Context, path, accept string, body, v interface{}) error {
+func (c *Client) postJSON(ctx context.Context, path string, body, v interface{}) error {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return err
@@ -205,9 +204,6 @@ func (c *Client) postJSON(ctx context.Context, path, accept string, body, v inte
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err
@@ -218,5 +214,5 @@ func (c *Client) postJSON(ctx context.Context, path, accept string, body, v inte
 	if resp.StatusCode != http.StatusOK {
 		return statusError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return decodeBody(resp, v)
 }

@@ -218,8 +218,8 @@ func TestHandlerWireV2Negotiation(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	defer ts.Close()
 
-	body := `{"privacy_l": 1, "delta": 0}`
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/matrices", strings.NewReader(body))
+	const route = "/v1/forest?privacy_l=1&delta=0"
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+route, nil)
 	req.Header.Set("Accept", ContentTypeForestV2)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -238,7 +238,7 @@ func TestHandlerWireV2Negotiation(t *testing.T) {
 	}
 
 	// No Accept header keeps the v1 dense format.
-	resp2, err := http.Post(ts.URL+"/v1/matrices", "application/json", strings.NewReader(body))
+	resp2, err := http.Get(ts.URL + route)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,13 +262,12 @@ func TestHandlerWireV2Negotiation(t *testing.T) {
 	}
 }
 
-// TestHandlerGzip checks explicit gzip negotiation on the matrices route.
+// TestHandlerGzip checks explicit gzip negotiation on the forest route.
 func TestHandlerGzip(t *testing.T) {
 	ts, _, _ := newTestServer(t)
 	defer ts.Close()
 
-	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/matrices",
-		strings.NewReader(`{"privacy_l": 1, "delta": 0}`))
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/forest?privacy_l=1&delta=0", nil)
 	req.Header.Set("Accept-Encoding", "gzip")
 	// DisableCompression keeps net/http from transparently gunzipping so the
 	// encoding is observable.
@@ -314,8 +313,7 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 
 	// Generate something, then confirm the stats reflect it.
-	if _, err := http.Post(ts.URL+"/v1/matrices", "application/json",
-		strings.NewReader(`{"privacy_l": 1, "delta": 0}`)); err != nil {
+	if _, err := http.Get(ts.URL + "/v1/forest?privacy_l=1&delta=0"); err != nil {
 		t.Fatal(err)
 	}
 	resp, err = http.Get(ts.URL + "/v1/stats")
@@ -349,8 +347,7 @@ func TestConcurrentMatricesSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/matrices", "application/json",
-				strings.NewReader(`{"privacy_l": 1, "delta": 1}`))
+			resp, err := http.Get(ts.URL + "/v1/forest?privacy_l=1&delta=1")
 			if err != nil {
 				errs[c] = err
 				return
@@ -377,8 +374,7 @@ func TestHandlerTimeout(t *testing.T) {
 	ts, h, _ := newTestServer(t)
 	defer ts.Close()
 	h.Timeout = 1 // 1ns: expired before generation starts
-	req := httptest.NewRequest(http.MethodPost, "/v1/matrices",
-		strings.NewReader(`{"privacy_l": 1, "delta": 2}`))
+	req := httptest.NewRequest(http.MethodGet, "/v1/forest?privacy_l=1&delta=2", nil)
 	rec := httptest.NewRecorder()
 	h.Mux().ServeHTTP(rec, req)
 	if rec.Code != http.StatusGatewayTimeout {

@@ -18,7 +18,7 @@ import (
 const DefaultMaxReportCount = 1000
 
 // DefaultMaxBatch is Options.MaxBatch's default: the item count of one
-// batch request, reports and forests alike.
+// report batch, over POST /v1/reports or a REPORTS frame.
 const DefaultMaxBatch = 64
 
 // Limits returns the batch-size and draw-count caps this registry
@@ -27,9 +27,10 @@ func (r *Registry) Limits() (maxBatch, maxReportCount int) {
 	return r.opts.MaxBatch, r.opts.MaxReportCount
 }
 
-// CheckBatch answers the envelope of an n-item batch: nil when it may be
-// served, otherwise the rejection every batch route answers whole (400 for
-// an empty batch, 413 for one over Options.MaxBatch).
+// CheckBatch answers the envelope of an n-item report batch: nil when it
+// may be served, otherwise the rejection POST /v1/reports and the REPORTS
+// frame both answer whole (400 for an empty batch, 413 for one over
+// Options.MaxBatch).
 func (r *Registry) CheckBatch(n int) *Rejection {
 	switch {
 	case n == 0:

@@ -45,9 +45,6 @@ type ClientConfig struct {
 	// connections are unbounded: each concurrent caller holds one
 	// exclusively for the duration of its exchange.
 	MaxIdleConns int
-	// Region, when set, fills empty request regions, mirroring
-	// proto.NewRegionClient.
-	Region string
 	// ReconnectBackoff is the first wait after a failed dial (default
 	// 250ms); consecutive failures double it up to maxReconnectBackoff.
 	// After two consecutive dial failures, exchanges that would need a
@@ -405,11 +402,8 @@ func (c *Client) call(reqType, respType byte, respName string, encode func([]byt
 }
 
 // Report draws obfuscated reports over the stream, mirroring
-// proto.Client.Report. A configured Region fills an empty request region.
+// proto.Client.Report.
 func (c *Client) Report(req Request) (*Response, error) {
-	if req.Region == "" {
-		req.Region = c.cfg.Region
-	}
 	var resp *Response
 	err := c.call(frameReport, frameReportOK, "stream: REPORT_OK",
 		func(b []byte) []byte { return appendRequest(b, &req) },
@@ -427,9 +421,6 @@ func (c *Client) Report(req Request) (*Response, error) {
 // HTTP route answers (429 with eps headroom on budget exhaustion, 403 on
 // a bad token).
 func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGrant, error) {
-	if req.Region == "" {
-		req.Region = c.cfg.Region
-	}
 	var grant *registry.LeaseGrant
 	err := c.call(frameLease, frameLeaseGrant, "stream: LEASE_GRANT",
 		func(b []byte) []byte { return appendLeaseReq(b, &req, draws, token) },
@@ -442,22 +433,14 @@ func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGra
 
 // ReportBatch draws for many requests in one REPORTS round trip,
 // mirroring POST /v1/reports: per-item outcomes come back in
-// request order with their own statuses, and the caller's slice is not
-// modified (a configured Region fills empty item regions on the wire).
+// request order with their own statuses.
 func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 	var results []ItemResult
-	region := func(it *Request) string {
-		if it.Region == "" {
-			return c.cfg.Region
-		}
-		return it.Region
-	}
 	err := c.call(frameReports, frameReportsOK, "stream: REPORTS_OK",
 		func(b []byte) []byte {
 			b = codec.AppendUvarints(b, uint64(len(items)))
-			for _, it := range items {
-				it.Region = region(&it)
-				b = appendRequest(b, &it)
+			for i := range items {
+				b = appendRequest(b, &items[i])
 			}
 			return b
 		},
@@ -472,7 +455,7 @@ func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 			results = make([]ItemResult, n)
 			for i := range results {
 				var err error
-				if results[i], err = decodeItem(d, region(&items[i])); err != nil {
+				if results[i], err = decodeItem(d, items[i].Region); err != nil {
 					return err
 				}
 			}

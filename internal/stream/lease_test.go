@@ -512,8 +512,8 @@ func TestMaxReportCountLimit(t *testing.T) {
 		t.Fatalf("refused leases issued: %+v", st)
 	}
 
-	// Batch envelopes: empty is 400, one item over the cap 413, on every
-	// batch route alike.
+	// Batch envelopes: empty is 400, one item over the cap 413, on both
+	// batch routes alike.
 	post := func(path string, n int) func() int {
 		return func() int {
 			body, _ := json.Marshal(map[string]any{"items": make([]struct{}, n)})
@@ -538,7 +538,6 @@ func TestMaxReportCountLimit(t *testing.T) {
 		issue func(n int) func() int
 	}{
 		{"POST reports", func(n int) func() int { return post("/v1/reports", n) }},
-		{"POST forests", func(n int) func() int { return post("/v1/forests", n) }},
 		{"REPORTS frame", frame},
 	} {
 		t.Run("envelope "+tc.name, func(t *testing.T) {

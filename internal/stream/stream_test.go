@@ -191,11 +191,11 @@ func TestStreamTrajectoryEquivalence(t *testing.T) {
 	{
 		reg := newRegistry(t, registry.Options{}, "ra")
 		_, addr := startStream(t, reg, stream.Config{})
-		c := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second, Region: "ra"})
+		c := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 		defer c.Close()
 		for i, leaf := range movesOf(reg) {
 			resp, err := c.Report(stream.Request{
-				Cell: [2]int{leaf.Coord.Q, leaf.Coord.R}, UID: uid,
+				Region: "ra", Cell: [2]int{leaf.Coord.Q, leaf.Coord.R}, UID: uid,
 				Policy: pol, Seed: seed, Count: count,
 			})
 			if err != nil {

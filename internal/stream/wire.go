@@ -179,7 +179,8 @@ type Response struct {
 }
 
 // ItemResult is one batch item's outcome: items fail independently with
-// per-item HTTP-equivalent statuses, mirroring /v1/forests.
+// per-item HTTP-equivalent statuses, on the REPORTS frame and on POST
+// /v1/reports alike.
 type ItemResult struct {
 	Status int       `json:"status"`
 	Error  string    `json:"error,omitempty"`
