@@ -123,8 +123,8 @@ func (w *leaseWorld) same(l *Lease, leaf loctree.NodeID, n int) {
 	if err := l.DrawCellNInto(leaf, got); err != nil {
 		w.t.Fatal(err)
 	}
-	want, err := w.resident.DrawCellN(leaf, n)
-	if err != nil {
+	want := make([]loctree.NodeID, n)
+	if err := w.resident.DrawCellNInto(leaf, want); err != nil {
 		w.t.Fatal(err)
 	}
 	for i := range want {
@@ -219,13 +219,13 @@ func TestLeaseRefusesWhatTheSessionRefuses(t *testing.T) {
 	if err := l.DrawCellNInto(a[0], one); !errors.Is(err, session.ErrUnsampleable) {
 		t.Fatalf("lease draw from the degenerate row: %v", err)
 	}
-	if _, err := w.resident.DrawCell(a[0]); !errors.Is(err, session.ErrUnsampleable) {
+	if err := w.resident.DrawCellNInto(a[0], one); !errors.Is(err, session.ErrUnsampleable) {
 		t.Fatalf("session draw from the degenerate row: %v", err)
 	}
 	if err := l.DrawCellNInto(a[1], one); err == nil || errors.Is(err, session.ErrUnsampleable) || errors.Is(err, ErrOutsideSubtree) {
 		t.Fatalf("lease draw from the user's own pruned cell: %v", err)
 	}
-	if _, err := w.resident.DrawCell(a[1]); err == nil {
+	if err := w.resident.DrawCellNInto(a[1], one); err == nil {
 		t.Fatal("session drew from the user's own pruned cell")
 	}
 	w.used(l, 2, 6)

@@ -64,18 +64,6 @@ func (n *testNode) shard(t *testing.T) *registry.Shard {
 // peer list, the way -cluster-peers hands it to real processes.
 func startCluster(t *testing.T, n int, args ...string) []*testNode {
 	t.Helper()
-	return startNodes(t, n, false, args)
-}
-
-// startClusterHTTP is startCluster with every node's JSON listener named
-// in the peer list, so forwards have an HTTP fallback.
-func startClusterHTTP(t *testing.T, n int, args ...string) []*testNode {
-	t.Helper()
-	return startNodes(t, n, true, args)
-}
-
-func startNodes(t *testing.T, n int, withHTTP bool, args []string) []*testNode {
-	t.Helper()
 	specs, err := json.Marshal(clusterSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -99,9 +87,7 @@ func startNodes(t *testing.T, n int, withHTTP bool, args []string) []*testNode {
 		}
 		t.Cleanup(func() { nd.Shutdown(context.Background()) })
 		nodes[i] = &testNode{Node: nd, name: nd.StreamListener.Addr().String()}
-		if peers[i] = nodes[i].name; withHTTP {
-			peers[i] += "=http://" + nd.HTTPListener.Addr().String()
-		}
+		peers[i] = nodes[i].name
 	}
 	for _, nd := range nodes {
 		nd.Config.ClusterPeers, nd.Config.ClusterSelf = strings.Join(peers, ","), nd.name
@@ -172,9 +158,6 @@ func TestClusterForwarding(t *testing.T) {
 	if s1.ForwardedIn != 1 {
 		t.Fatalf("owner node stats: %+v", s1)
 	}
-	if s0.HTTPFallbacks != 0 {
-		t.Fatalf("stream forward took the HTTP fallback: %+v", s0)
-	}
 
 	// The same session served by a standalone registry draws identically:
 	// routing must not perturb the paper's deterministic replay property.
@@ -208,21 +191,19 @@ func TestClusterForwarding(t *testing.T) {
 // ring rebalance + budget): when ownership of a user moves, the first
 // forwarded report carries the old owner's live spend exactly once — the
 // new owner counts it (no reset), duplicates dedupe (no double charge),
-// and subsequent forwards carry nothing.
+// and subsequent forwards carry nothing. Once the spend is on the owner,
+// an ask past the cap is the owner's 429 with the owner's headroom.
 func TestClusterHandoffExactlyOnce(t *testing.T) {
 	nodes := startCluster(t, 3, "-budget-eps", "1000")
 	fullRing := nodes[0].Router.Ring()
-	allPeers := members(t, nodes)
 
 	// A uid the full ring assigns to node 1.
 	uid := uidOwnedBy(t, fullRing, nodes[1].name, 500)
 
-	// Shrink node 0's view to itself — the "before" topology in which
-	// node 0 owns everyone — and let the user spend there.
-	if err := nodes[0].Router.SetMembers(allPeers[:1]); err != nil {
-		t.Fatal(err)
-	}
-	res, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid))
+	// Node 0 as it ran alone, before the rest joined — the "before"
+	// topology in which node 0 owns everyone — and the user spends there.
+	before := soloRouter(t, nodes)
+	res, err := before.Report(context.Background(), reportReq(t, nodes[0], uid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,13 +215,9 @@ func TestClusterHandoffExactlyOnce(t *testing.T) {
 		t.Fatal("no spend recorded before the move")
 	}
 
-	// Rebalance: node 0 learns the full membership; the uid's owner is
-	// now node 1.
-	if err := nodes[0].Router.SetMembers(allPeers); err != nil {
-		t.Fatal(err)
-	}
-
-	// First post-move report through node 0: forwarded with the handoff.
+	// Rebalance: node 0 restarted with the full membership, so the uid's
+	// owner is now node 1. The first post-move report through node 0 is
+	// forwarded with the handoff.
 	res2, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid))
 	if err != nil {
 		t.Fatalf("post-move report: %v", err)
@@ -275,6 +252,29 @@ func TestClusterHandoffExactlyOnce(t *testing.T) {
 	if st := b1.Stats(); st.HandoffsImported != 1 {
 		t.Fatalf("second forward re-applied a handoff: owner imported %d, want 1", st.HandoffsImported)
 	}
+
+	// With the user's spend now on the owner, an ask past the cap is the
+	// owner's 429, relayed with the owner's headroom.
+	over := reportReq(t, nodes[0], uid)
+	over.Count = 100
+	_, err = nodes[0].Router.Report(context.Background(), over)
+	headroom := 1000 - b1.Spent(uid) // -budget-eps less the owner's count
+	if rej := registry.Classify(err); rej.Status != http.StatusTooManyRequests ||
+		!rej.HasEps || rej.EpsRemaining != headroom {
+		t.Fatalf("forwarded over-budget ask answered %+v, want a 429 with headroom %v", rej, headroom)
+	}
+}
+
+// soloRouter is node 0's router as if node 0 had been started with only
+// itself in -cluster-peers: over node 0's registry, it owns every uid.
+func soloRouter(t *testing.T, nodes []*testNode) *cluster.Router {
+	t.Helper()
+	r, err := cluster.NewRouter(nodes[0].Registry, nodes[0].name, members(t, nodes)[:1], cluster.RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r
 }
 
 // TestClusterFailoverAndRecovery: with the owner down, requests fail over
@@ -341,11 +341,11 @@ func appliedThrough(b *budget.Accountant, uid int64, source string, seq uint64) 
 	return !applied
 }
 
-// movedUser sets up the rebalance scenario of TestClusterHandoffExactlyOnce
-// on an HTTP-capable cluster: the first uid from seed whose ring sequence
-// starts at node 1 (and, with three nodes, continues at node 2) spends on
-// node 0 while node 0 believes it is alone, then node 0 learns the full
-// membership. It returns the uid and what it spent on node 0.
+// movedUser sets up the rebalance scenario of TestClusterHandoffExactlyOnce:
+// the first uid from seed whose ring sequence starts at node 1 (and, with
+// three nodes, continues at node 2) spends on node 0 through soloRouter,
+// and node 0's own router, over the full membership, serves what follows.
+// It returns the uid and what it spent on node 0.
 func movedUser(t *testing.T, nodes []*testNode, seed int64) (uid int64, preSpend float64) {
 	t.Helper()
 	ring := nodes[0].Router.Ring()
@@ -358,94 +358,13 @@ func movedUser(t *testing.T, nodes []*testNode, seed int64) (uid int64, preSpend
 			t.Fatal("no uid with the wanted ring sequence")
 		}
 	}
-	all := members(t, nodes)
-	if err := nodes[0].Router.SetMembers(all[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
+	if _, err := soloRouter(t, nodes).Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
 		t.Fatal(err)
 	}
 	if preSpend = nodes[0].shard(t).Budget.Spent(uid); preSpend <= 0 {
 		t.Fatal("no spend recorded before the move")
 	}
-	if err := nodes[0].Router.SetMembers(all); err != nil {
-		t.Fatal(err)
-	}
 	return uid, preSpend
-}
-
-// TestClusterHTTPFallbackForwarding is the positive test for the second
-// transport. Two users move to node 1 the same way; the first is forwarded
-// over stream, then node 1's stream listener goes down and the second is
-// forwarded over JSON. Both times the budget handoff is committed exactly
-// once (the accounting of TestClusterHandoffExactlyOnce), and — same seed,
-// same cell, fresh session on the owner — both draw the same sequence.
-func TestClusterHTTPFallbackForwarding(t *testing.T) {
-	nodes := startClusterHTTP(t, 2, "-budget-eps", "1000")
-	b0, b1 := nodes[0].shard(t).Budget, nodes[1].shard(t).Budget
-	var before cluster.Stats
-	forward := func(transport string, uid int64, preSpend float64) ([]loctree.NodeID, cluster.Stats) {
-		imported, forwardedIn := b1.Stats().HandoffsImported, nodes[1].Router.Stats().ForwardedIn
-		res, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid))
-		if err != nil {
-			t.Fatalf("%s forward: %v", transport, err)
-		}
-		if got, want := b1.Spent(uid), preSpend+res.EpsSpent; got != want {
-			t.Fatalf("%s: owner counts %v, want %v (handoff %v + fresh %v)", transport, got, want, preSpend, res.EpsSpent)
-		}
-		if got := b0.Spent(uid); got != 0 {
-			t.Fatalf("%s: old owner still counts %v after the commit", transport, got)
-		}
-		if n := b1.Stats().HandoffsImported - imported; n != 1 {
-			t.Fatalf("%s: owner imported %d handoffs, want 1", transport, n)
-		}
-		if n := nodes[1].Router.Stats().ForwardedIn - forwardedIn; n != 1 {
-			t.Fatalf("%s: owner saw %d forwards, want 1", transport, n)
-		}
-		// The counters this forward moved on the entry node.
-		now := nodes[0].Router.Stats()
-		d := cluster.Stats{
-			ForwardedOut:  now.ForwardedOut - before.ForwardedOut,
-			HTTPFallbacks: now.HTTPFallbacks - before.HTTPFallbacks,
-			Failovers:     now.Failovers - before.Failovers,
-			HandoffsSent:  now.HandoffsSent - before.HandoffsSent,
-		}
-		// With the user's spend now on the owner, an ask past the cap is the
-		// owner's 429 carrying the owner's headroom, whichever wire relayed it.
-		over := reportReq(t, nodes[0], uid)
-		over.Count = 100
-		_, err = nodes[0].Router.Report(context.Background(), over)
-		headroom := 1000 - b1.Spent(uid) // -budget-eps less the owner's count
-		if rej := registry.Classify(err); rej.Status != http.StatusTooManyRequests ||
-			!rej.HasEps || rej.EpsRemaining != headroom {
-			t.Fatalf("%s: forwarded over-budget ask answered %+v, want a 429 with headroom %v",
-				transport, rej, headroom)
-		}
-		before = nodes[0].Router.Stats()
-		return append([]loctree.NodeID(nil), res.Reports...), d
-	}
-
-	uid, preSpend := movedUser(t, nodes, 500)
-	before = nodes[0].Router.Stats()
-	overStream, d := forward("stream", uid, preSpend)
-	if d.ForwardedOut != 1 || d.HTTPFallbacks != 0 || d.HandoffsSent != 1 {
-		t.Fatalf("stream forward moved %+v", d)
-	}
-
-	uid, preSpend = movedUser(t, nodes, uid+1)
-	if err := nodes[1].Stream.Close(); err != nil {
-		t.Fatal(err)
-	}
-	before = nodes[0].Router.Stats()
-	overHTTP, d := forward("http", uid, preSpend)
-	// The failed stream attempt exported and rolled back; the HTTP attempt
-	// exported again and committed.
-	if d.ForwardedOut != 1 || d.HTTPFallbacks != 1 || d.Failovers != 0 || d.HandoffsSent != 2 {
-		t.Fatalf("HTTP fallback moved %+v", d)
-	}
-	if len(overHTTP) == 0 || !reflect.DeepEqual(overHTTP, overStream) {
-		t.Fatalf("HTTP-fallback draws %v, stream-forwarded draws %v", overHTTP, overStream)
-	}
 }
 
 // TestClusterForwardedOverCapKeepsSpend: the draw cap is judged on the owner
@@ -453,7 +372,7 @@ func TestClusterHTTPFallbackForwarding(t *testing.T) {
 // 422, nothing charged — still moves the user's live window spend to the
 // owner instead of losing it with the committed export.
 func TestClusterForwardedOverCapKeepsSpend(t *testing.T) {
-	nodes := startClusterHTTP(t, 2, "-max-report-count", "7", "-budget-eps", "1000")
+	nodes := startCluster(t, 2, "-max-report-count", "7", "-budget-eps", "1000")
 	uid, preSpend := movedUser(t, nodes, 500)
 	over := reportReq(t, nodes[0], uid)
 	over.Count = 8
@@ -470,24 +389,22 @@ func TestClusterForwardedOverCapKeepsSpend(t *testing.T) {
 	}
 }
 
-// TestClusterBothTransportsDown: the owner is unreachable over stream and
-// HTTP, so both exports roll back — the spend is restored on the entry
-// node, not lost — and the next ring member serves, receiving the handoff
-// the owner never saw.
-func TestClusterBothTransportsDown(t *testing.T) {
-	nodes := startClusterHTTP(t, 3, "-budget-eps", "1000")
+// TestClusterOwnerDown: the owner is unreachable, so the export to it
+// rolls back — the spend is restored on the entry node, not lost — and the
+// next ring member serves, receiving the handoff the owner never saw.
+func TestClusterOwnerDown(t *testing.T) {
+	nodes := startCluster(t, 3, "-budget-eps", "1000")
 	uid, preSpend := movedUser(t, nodes, 500)
 	if err := nodes[1].Stream.Close(); err != nil {
 		t.Fatal(err)
 	}
-	nodes[1].HTTP.Close()
 
 	res, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid))
 	if err != nil {
-		t.Fatalf("report with the owner down on both transports: %v", err)
+		t.Fatalf("report with the owner down: %v", err)
 	}
 	s := nodes[0].Router.Stats()
-	if s.Failovers != 1 || s.ForwardedOut != 1 || s.HTTPFallbacks != 0 || s.FailoverLocal != 0 || s.HandoffsSent != 3 {
+	if s.Failovers != 1 || s.ForwardedOut != 1 || s.FailoverLocal != 0 || s.HandoffsSent != 2 {
 		t.Fatalf("entry node stats: %+v", s)
 	}
 	if fin := nodes[2].Router.Stats().ForwardedIn; fin != 1 {
@@ -497,10 +414,10 @@ func TestClusterBothTransportsDown(t *testing.T) {
 	if got, want := b2.Spent(uid), preSpend+res.EpsSpent; got != want {
 		t.Fatalf("stand-in counts %v, want %v (restored handoff %v + fresh %v)", got, want, preSpend, res.EpsSpent)
 	}
-	// Exactly one import, and it is the third export: the two the dead
-	// owner never received were rolled back, not delivered late.
-	if st := b2.Stats(); st.HandoffsImported != 1 || !appliedThrough(b2, uid, nodes[0].name, 3) {
-		t.Fatalf("stand-in imported %d handoffs, want 1, node 0's third", st.HandoffsImported)
+	// Exactly one import, and it is the second export: the one the dead
+	// owner never received was rolled back, not delivered late.
+	if st := b2.Stats(); st.HandoffsImported != 1 || !appliedThrough(b2, uid, nodes[0].name, 2) {
+		t.Fatalf("stand-in imported %d handoffs, want 1, node 0's second", st.HandoffsImported)
 	}
 	if b0.Spent(uid) != 0 || b1.Spent(uid) != 0 {
 		t.Fatalf("spend left behind: entry %v, dead owner %v", b0.Spent(uid), b1.Spent(uid))

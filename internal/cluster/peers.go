@@ -6,9 +6,9 @@ import (
 )
 
 // Peer names one cluster member and how to reach it: the corgi-stream
-// address is the member's ring identity and primary forward transport;
-// the HTTP base URL (optional) enables the JSON fallback path and peer
-// store-snapshot fetches.
+// address is the member's ring identity and the one transport forwards
+// ride; the HTTP base URL (optional) is where peer store snapshots are
+// fetched from, and what clients routing for themselves dial.
 type Peer struct {
 	// Name is the member's ring identity — the stream address, which every
 	// node's flag list spells identically, so all rings agree.
@@ -16,7 +16,7 @@ type Peer struct {
 	// StreamAddr is the member's corgi-stream listener (host:port).
 	StreamAddr string
 	// HTTPURL is the member's HTTP base URL (e.g. http://host:8080); empty
-	// disables the HTTP fallback and peer store fetch for this member.
+	// disables peer store fetch from this member.
 	HTTPURL string
 }
 

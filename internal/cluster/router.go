@@ -11,19 +11,18 @@ package cluster
 //     lands on (or is redirected to) the owner, every subsequent draw is
 //     node-local — sessions, RNG streams, and budget windows never cross
 //     a node boundary, which is what makes throughput scale linearly.
-//   - forwarded: another node owns the uid → offer the ask to the peer,
-//     which the router holds as an ordered list of registry.ReportHandlers
-//     (its corgi-stream client first, its HTTP JSON client second when the
-//     peer has a URL), attaching this node's budget handoff for the user so
-//     spend follows the user to its owner (internal/budget/handoff.go).
+//   - forwarded: another node owns the uid → send the ask to the peer over
+//     its corgi-stream client, attaching this node's budget handoff for the
+//     user so spend follows the user to its owner
+//     (internal/budget/handoff.go).
 //   - failover: the owner (and any closer successor) is unreachable → the
 //     ring's deterministic Sequence order names the stand-in every node
 //     agrees on; when the walk reaches this node itself, serve locally.
 //
 // A request already marked Forwarded is always served locally: one
 // forward maximum, so no routing loops and a bounded worst-case hop
-// count (exactly one) regardless of topology disagreement during a
-// membership change.
+// count (exactly one) even when two nodes were started with different
+// member lists.
 
 import (
 	"context"
@@ -33,7 +32,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -54,10 +52,9 @@ type RouterConfig struct {
 const (
 	// streamTimeout bounds one forwarded exchange.
 	streamTimeout = 10 * time.Second
-	// httpTimeout bounds one HTTP-fallback round trip (as the forwarded
-	// attempt's context deadline) and one peer store fetch (snapshot
-	// payloads can be MBs).
-	httpTimeout = 30 * time.Second
+	// fetchTimeout bounds one peer store fetch (snapshot payloads can be
+	// MBs).
+	fetchTimeout = 30 * time.Second
 )
 
 func (c RouterConfig) withDefaults() RouterConfig {
@@ -67,47 +64,27 @@ func (c RouterConfig) withDefaults() RouterConfig {
 	return c
 }
 
-// peerNode is one remote member's transport state.
+// peerNode is one remote member: the corgi-stream client every forward to
+// it rides, and the HTTP base URL its store snapshots are fetched from
+// (empty: none).
 type peerNode struct {
-	peer Peer
-	// client is the member's corgi-stream pool: the health and stats
-	// source, closed when the member leaves.
-	client *stream.Client
-	// transports are the ways to reach the member, in the order a forward
-	// tries them: corgi-stream, then HTTP JSON when the member has a URL.
-	transports []registry.ReportHandler
+	client  *stream.Client
+	httpURL string
 }
 
-func newPeerNode(p Peer, cfg RouterConfig) *peerNode {
-	pn := &peerNode{peer: p, client: stream.NewClient(p.StreamAddr, stream.ClientConfig{
-		DialTimeout: cfg.DialTimeout,
-		Timeout:     streamTimeout,
-	})}
-	pn.transports = []registry.ReportHandler{pn.client.Remote()}
-	if p.HTTPURL != "" {
-		pn.transports = append(pn.transports, proto.NewClient(p.HTTPURL).Remote())
-	}
-	return pn
-}
-
-// Router routes report and lease asks to their owner nodes. It is safe
-// for concurrent use; SetMembers swaps the ring atomically under the
-// same lock the request paths read it through.
+// Router routes report and lease asks to their owner nodes. Its topology
+// is the member list NewRouter was given, fixed for the router's life, so
+// the request paths read the ring and the peer map without a lock.
 type Router struct {
-	self string
-	reg  *registry.Registry
-	cfg  RouterConfig
-
-	mu    sync.RWMutex
+	self  string
+	reg   *registry.Registry
 	ring  *Ring
-	peers map[string]*peerNode
-
+	peers map[string]peerNode
 	httpc *http.Client
 
 	ownerServed   atomic.Uint64
 	forwardedIn   atomic.Uint64
 	forwardedOut  atomic.Uint64
-	httpFallbacks atomic.Uint64
 	failovers     atomic.Uint64
 	failoverLocal atomic.Uint64
 	handoffsSent  atomic.Uint64
@@ -117,112 +94,74 @@ type Router struct {
 
 // NewRouter builds the router for one node. self must be one of the
 // members' names (every node lists the full cluster, itself included).
+// Every node must be given the same list — the ring is deterministic, so
+// agreement on the list is agreement on ownership; a node started with a
+// different list is the only way a user's owner changes.
 func NewRouter(reg *registry.Registry, self string, members []Peer, cfg RouterConfig) (*Router, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("cluster: nil registry")
+	}
+	ring, err := RingOf(members)
+	if err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	r := &Router{
 		self:  self,
 		reg:   reg,
-		cfg:   cfg,
-		httpc: &http.Client{Timeout: httpTimeout},
+		ring:  ring,
+		peers: make(map[string]peerNode, len(members)),
+		httpc: &http.Client{Timeout: fetchTimeout},
 	}
-	if err := r.SetMembers(members); err != nil {
-		return nil, err
+	for _, p := range members {
+		if p.Name != self { // a client dials on first use
+			r.peers[p.Name] = peerNode{httpURL: p.HTTPURL, client: stream.NewClient(p.StreamAddr, stream.ClientConfig{
+				DialTimeout: cfg.DialTimeout,
+				Timeout:     streamTimeout,
+			})}
+		}
+	}
+	if len(r.peers) == len(members) {
+		r.Close()
+		return nil, fmt.Errorf("cluster: self %q not in member list %v", self, ring.Members())
 	}
 	return r, nil
 }
 
-// SetMembers replaces the cluster topology: the ring is rebuilt over the
-// new member list and peer transports are opened for new members and
-// closed for removed ones. Every node must apply the same list — the
-// ring is deterministic, so agreement on the list is agreement on
-// ownership. Existing in-flight forwards finish on the old transports.
-func (r *Router) SetMembers(members []Peer) error {
-	byName := make(map[string]Peer, len(members))
-	for _, p := range members {
-		byName[p.Name] = p
-	}
-	ring, err := RingOf(members)
-	if err != nil {
-		return err
-	}
-	if _, ok := byName[r.self]; !ok {
-		return fmt.Errorf("cluster: self %q not in member list %v", r.self, ring.Members())
-	}
-	peers := make(map[string]*peerNode, len(members)-1)
-	r.mu.Lock()
-	old := r.peers
-	for name, p := range byName {
-		if name == r.self {
-			continue
-		}
-		if op, ok := old[name]; ok && op.peer == p {
-			peers[name] = op // keep the warm connection pool
-			continue
-		}
-		peers[name] = newPeerNode(p, r.cfg)
-	}
-	r.ring = ring
-	r.peers = peers
-	r.mu.Unlock()
-	for name, op := range old {
-		if _, kept := peers[name]; !kept {
-			op.client.Close()
-		}
-	}
-	return nil
-}
+// Ring returns the router's ring (for stats and tests).
+func (r *Router) Ring() *Ring { return r.ring }
 
-// Ring returns the current ring (for stats and tests).
-func (r *Router) Ring() *Ring {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.ring
-}
+// Owner returns the member owning a uid.
+func (r *Router) Owner(uid int64) string { return r.ring.Owner(uid) }
 
-// Owner returns the member owning a uid under the current ring.
-func (r *Router) Owner(uid int64) string { return r.Ring().Owner(uid) }
-
-// Close shuts down the peer transports.
+// Close shuts down the peer clients. A forward still draining afterwards
+// finds its peer's client closed and serves locally.
 func (r *Router) Close() {
-	r.mu.Lock()
-	peers := r.peers
-	r.peers = map[string]*peerNode{}
-	r.mu.Unlock()
-	for _, pn := range peers {
+	for _, pn := range r.peers {
 		pn.client.Close()
 	}
 }
 
 // ahead lists the members an ask for uid is offered to before this node
 // serves it itself, and the counter that local serve then bumps: nobody
-// when the ask was already forwarded here (one hop maximum — the sender's
-// ring may be one membership change ahead or behind, and serving beats
+// when the ask was already forwarded here (one hop maximum — the sender
+// may have been started with another member list, and serving beats
 // bouncing) or when this node owns the uid, otherwise the members
-// preceding this node in the ring's failover sequence. Ring and transports
-// are read under one lock, so a concurrent SetMembers cannot mix
-// topologies mid-request.
-func (r *Router) ahead(forwarded bool, uid int64) ([]*peerNode, *atomic.Uint64) {
+// preceding this node in the ring's failover sequence.
+func (r *Router) ahead(forwarded bool, uid int64) ([]string, *atomic.Uint64) {
 	if forwarded {
 		return nil, &r.forwardedIn
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var peers []*peerNode
-	for i, member := range r.ring.Sequence(uid) {
+	seq := r.ring.Sequence(uid)
+	for i, member := range seq {
 		if member == r.self {
 			if i == 0 {
 				return nil, &r.ownerServed
 			}
-			break
-		}
-		if pn := r.peers[member]; pn != nil { // nil only after Close
-			peers = append(peers, pn)
+			return seq[:i], &r.failoverLocal
 		}
 	}
-	return peers, &r.failoverLocal
+	return seq, &r.failoverLocal // unreachable: NewRouter checked self is a member
 }
 
 // exportHandoff moves the local accountant's live spend for (region, uid)
@@ -244,38 +183,31 @@ func (r *Router) exportHandoff(region string, uid int64) (h *budget.Handoff, com
 }
 
 // forward is the one forwarding loop behind Report and Lease: offer the
-// request to each peer in ring order, over each of its transports in
-// order, until one answers; ok=false means none did and the caller serves
-// locally. ask issues the request against a transport with the budget
-// handoff it is given (and the forwarded bit set). Each attempt is wrapped
-// in its own export: a peer that answered — a result or a
-// *stream.StatusError, whose classification (429, 422, ...) is the
-// request's real outcome — has imported the handoff (import precedes
-// validation), so the export commits; a transport failure means the peer
-// never processed the request, so the spend is restored and the next
-// transport, then the next ring member, is tried. 404 is final too: every
-// node runs the same region set, so it is the client's error.
-func forward[T any](ctx context.Context, r *Router, peers []*peerNode, region string, uid int64,
-	ask func(context.Context, registry.ReportHandler, *budget.Handoff) (T, error)) (res T, ok bool, err error) {
-	for _, pn := range peers {
-		for i, h := range pn.transports {
-			export, commit, rollback := r.exportHandoff(region, uid)
-			actx, cancel := context.WithTimeout(ctx, httpTimeout)
-			res, err = ask(actx, h, export)
-			cancel()
-			var se *stream.StatusError
-			if err != nil && !errors.As(err, &se) {
-				rollback()
-				continue
-			}
-			commit()
-			r.forwardedOut.Add(1)
-			if i > 0 {
-				r.httpFallbacks.Add(1)
-			}
-			return res, true, err
+// request to each member ahead in ring order, over its corgi-stream
+// client, until one answers; ok=false means none did and the caller serves
+// locally. ask issues the request against a peer with the budget handoff
+// it is given (and the forwarded bit set). Each attempt is wrapped in its
+// own export: a peer that answered — a result or a *stream.StatusError,
+// whose classification (429, 422, ...) is the request's real outcome — has
+// imported the handoff (import precedes validation), so the export
+// commits; a transport failure means the peer never processed the
+// request, so the spend is restored and the next ring member is tried. 404
+// is final too: every node runs the same region set, so it is the
+// client's error.
+func forward[T any](r *Router, ahead []string, region string, uid int64,
+	ask func(stream.Remote, *budget.Handoff) (T, error)) (res T, ok bool, err error) {
+	for _, member := range ahead {
+		export, commit, rollback := r.exportHandoff(region, uid)
+		res, err = ask(r.peers[member].client.Remote(), export)
+		var se *stream.StatusError
+		if err != nil && !errors.As(err, &se) {
+			rollback()
+			r.failovers.Add(1)
+			continue
 		}
-		r.failovers.Add(1)
+		commit()
+		r.forwardedOut.Add(1)
+		return res, true, err
 	}
 	return res, false, nil
 }
@@ -284,9 +216,9 @@ func forward[T any](ctx context.Context, r *Router, peers []*peerNode, region st
 // owns (or is standing in for, or received a forward for) the uid,
 // otherwise forward to the owner with the budget handoff attached.
 func (r *Router) Report(ctx context.Context, req registry.ReportRequest) (*registry.ReportResult, error) {
-	peers, servedLocally := r.ahead(req.Forwarded, req.UID)
-	res, ok, err := forward(ctx, r, peers, req.Region, req.UID,
-		func(ctx context.Context, h registry.ReportHandler, handoff *budget.Handoff) (*registry.ReportResult, error) {
+	ahead, servedLocally := r.ahead(req.Forwarded, req.UID)
+	res, ok, err := forward(r, ahead, req.Region, req.UID,
+		func(h stream.Remote, handoff *budget.Handoff) (*registry.ReportResult, error) {
 			fwd := req
 			fwd.Forwarded, fwd.Handoff = true, handoff
 			return h.Report(ctx, fwd)
@@ -301,9 +233,9 @@ func (r *Router) Report(ctx context.Context, req registry.ReportRequest) (*regis
 // Lease implements registry.ReportHandler's lease arm with the same
 // routing as Report.
 func (r *Router) Lease(ctx context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
-	peers, servedLocally := r.ahead(req.Forwarded, req.UID)
-	grant, ok, err := forward(ctx, r, peers, req.Region, req.UID,
-		func(ctx context.Context, h registry.ReportHandler, handoff *budget.Handoff) (*registry.LeaseGrant, error) {
+	ahead, servedLocally := r.ahead(req.Forwarded, req.UID)
+	grant, ok, err := forward(r, ahead, req.Region, req.UID,
+		func(h stream.Remote, handoff *budget.Handoff) (*registry.LeaseGrant, error) {
 			fwd := req
 			fwd.Forwarded, fwd.Handoff = true, handoff
 			return h.Lease(ctx, fwd)
@@ -320,16 +252,11 @@ func (r *Router) Lease(ctx context.Context, req registry.LeaseRequest) (*registr
 // wins. The store validates the bytes (checksum + key match), so this
 // path only needs to move them.
 func (r *Router) FetchSnapshot(k store.Key) ([]byte, error) {
-	r.mu.RLock()
-	peers := make([]*peerNode, 0, len(r.peers))
 	for _, pn := range r.peers {
-		if pn.peer.HTTPURL != "" {
-			peers = append(peers, pn)
+		if pn.httpURL == "" {
+			continue
 		}
-	}
-	r.mu.RUnlock()
-	for _, pn := range peers {
-		u := pn.peer.HTTPURL + "/v1/store/snapshot?spec=" + url.QueryEscape(k.SpecHash) +
+		u := pn.httpURL + "/v1/store/snapshot?spec=" + url.QueryEscape(k.SpecHash) +
 			"&level=" + strconv.Itoa(k.Level) + "&delta=" + strconv.Itoa(k.Delta)
 		resp, err := r.httpc.Get(u)
 		if err != nil {
@@ -352,7 +279,7 @@ func (r *Router) FetchSnapshot(k store.Key) ([]byte, error) {
 	return nil, store.ErrNotFound
 }
 
-// NodeStats is one peer transport's health snapshot.
+// NodeStats is one peer's stream-client health snapshot.
 type NodeStats struct {
 	Healthy bool               `json:"healthy"`
 	Stream  stream.ClientStats `json:"stream"`
@@ -365,13 +292,12 @@ type Stats struct {
 	Vnodes  int      `json:"vnodes"`
 	// OwnerServed counts requests this node served as ring owner;
 	// ForwardedIn requests relayed here by peers; ForwardedOut requests
-	// this node relayed away (HTTPFallbacks of those over JSON);
-	// Failovers forward attempts that moved on to the next ring member;
-	// FailoverLocal requests served locally as a stand-in (owner down).
+	// this node relayed away; Failovers forward attempts that moved on to
+	// the next ring member; FailoverLocal requests served locally as a
+	// stand-in (owner down).
 	OwnerServed   uint64 `json:"owner_served"`
 	ForwardedIn   uint64 `json:"forwarded_in"`
 	ForwardedOut  uint64 `json:"forwarded_out"`
-	HTTPFallbacks uint64 `json:"http_fallbacks"`
 	Failovers     uint64 `json:"failovers"`
 	FailoverLocal uint64 `json:"failover_local"`
 	// HandoffsSent counts budget handoffs exported onto forwards;
@@ -385,21 +311,17 @@ type Stats struct {
 
 // Stats snapshots the router's counters.
 func (r *Router) Stats() Stats {
-	r.mu.RLock()
-	ring := r.ring
 	nodes := make(map[string]NodeStats, len(r.peers))
 	for name, pn := range r.peers {
 		nodes[name] = NodeStats{Healthy: pn.client.Healthy(), Stream: pn.client.Stats()}
 	}
-	r.mu.RUnlock()
 	return Stats{
 		Self:            r.self,
-		Members:         ring.Members(),
-		Vnodes:          ring.Vnodes(),
+		Members:         r.ring.Members(),
+		Vnodes:          r.ring.Vnodes(),
 		OwnerServed:     r.ownerServed.Load(),
 		ForwardedIn:     r.forwardedIn.Load(),
 		ForwardedOut:    r.forwardedOut.Load(),
-		HTTPFallbacks:   r.httpFallbacks.Load(),
 		Failovers:       r.failovers.Load(),
 		FailoverLocal:   r.failoverLocal.Load(),
 		HandoffsSent:    r.handoffsSent.Load(),

@@ -77,8 +77,8 @@ func TestSessionsSharingBindingsDrawWhatEachDrawsAlone(t *testing.T) {
 						}
 						leaves := srcs[k].SupportLeaves()
 						leaf := leaves[(7*i+g)%len(leaves)]
-						got, err := sess.DrawCell(leaf)
-						if err != nil {
+						var got [1]loctree.NodeID
+						if err := sess.DrawCellNInto(leaf, got[:]); err != nil {
 							t.Error(err)
 							return
 						}
@@ -88,8 +88,8 @@ func TestSessionsSharingBindingsDrawWhatEachDrawsAlone(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						if want := oracles[k].nodes[table.Draw(alone)]; got != want {
-							t.Errorf("session %d draw %d from %v: %v, alone %v", g, i, leaf, got, want)
+						if want := oracles[k].nodes[table.Draw(alone)]; got[0] != want {
+							t.Errorf("session %d draw %d from %v: %v, alone %v", g, i, leaf, got[0], want)
 							return
 						}
 					}

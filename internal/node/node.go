@@ -211,13 +211,16 @@ func (n *Node) Start(ctx context.Context) error {
 
 	// Cluster mode: every node embeds the consistent-hash router. Requests
 	// for users this node owns serve locally; everything else forwards one
-	// hop to the owner (its stream client first, its HTTP client second),
-	// carrying the epsilon budget handoff so a rebalance or failover never
-	// re-opens a window. Both transports enter through the router, and a
-	// store miss asks the peers before it solves.
+	// hop to the owner over corgi-stream, carrying the epsilon budget
+	// handoff so a rebalance or failover never re-opens a window. Both
+	// transports enter through the router, and a store miss asks the peers
+	// before it solves.
 	if cfg.ClusterPeers != "" {
 		if cfg.ClusterSelf == "" {
 			return fmt.Errorf("cluster: -cluster-self is required with -cluster-peers")
+		}
+		if n.Stream == nil {
+			return fmt.Errorf("cluster: -stream-addr is required with -cluster-peers (peers forward over corgi-stream)")
 		}
 		members, err := cluster.ParsePeers(cfg.ClusterPeers)
 		if err != nil {
@@ -230,9 +233,7 @@ func (n *Node) Start(ctx context.Context) error {
 		n.Router = router
 		h.Handler = router
 		h.Cluster = func() any { return router.Stats() }
-		if n.Stream != nil {
-			n.Stream.SetHandler(router)
-		}
+		n.Stream.SetHandler(router)
 		if n.Store != nil {
 			n.Store.SetPeerFetch(router.FetchSnapshot)
 		}

@@ -116,9 +116,9 @@ func TestClusterAssembly(t *testing.T) {
 	}
 
 	// A snapshot damaged on A's disk fails C's checksum: C solves for itself.
-	// Each of the forest's subtrees misses in turn and asks again (the ones
-	// that miss together share a load), so the payload is refused at least
-	// once and never accepted.
+	// The forest's subtrees miss in turn, but C's store remembers the
+	// refused key, so the payload is fetched exactly once and never
+	// accepted.
 	fetchForest(t, a, 1, 1)
 	a.Registry.FlushStores()
 	damaged := filepath.Join(a.Store.Dir(), snapshotKey(t, a, 1, 1).SpecHash[:16], "L1_d1.snap")
@@ -131,8 +131,8 @@ func TestClusterAssembly(t *testing.T) {
 		t.Fatal(err)
 	}
 	fetchForest(t, c, 1, 1)
-	if rs := c.Router.Stats(); rs.PeerFetches == 0 {
-		t.Errorf("node C router: %d peer fetches, want the damaged payload fetched and refused", rs.PeerFetches)
+	if rs := c.Router.Stats(); rs.PeerFetches != 1 {
+		t.Errorf("node C router: %d peer fetches, want the damaged payload fetched once and refused", rs.PeerFetches)
 	}
 	if solves := c.Registry.AggregateStats().Solves; solves == 0 {
 		t.Error("node C did not fall through to a local solve")
@@ -156,10 +156,14 @@ func TestClusterAssembly(t *testing.T) {
 	}
 
 	// A report for one of B's users entering at A, on either of A's
-	// transports, is forwarded over stream and arrives at B's router.
+	// transports, is forwarded over stream and arrives at B's router. The
+	// user's failover order is B, then C.
 	ring := a.Router.Ring()
 	var uid int64
-	for uid = 1; ring.Owner(uid) != b.Config.ClusterSelf; uid++ {
+	for uid = 1; ; uid++ {
+		if seq := ring.Sequence(uid); seq[0] == b.Config.ClusterSelf && seq[1] == c.Config.ClusterSelf {
+			break
+		}
 	}
 	sh, err := a.Registry.Shard(ctx, testRegion)
 	if err != nil {
@@ -177,20 +181,22 @@ func TestClusterAssembly(t *testing.T) {
 			t.Fatalf("entry %d: %v", i, err)
 		}
 		as, bs := a.Router.Stats(), b.Router.Stats()
-		if as.ForwardedOut != uint64(i+1) || as.HTTPFallbacks != 0 || bs.ForwardedIn != uint64(i+1) {
-			t.Fatalf("entry %d: A forwarded %d (%d over HTTP), B received %d", i, as.ForwardedOut, as.HTTPFallbacks, bs.ForwardedIn)
+		if as.ForwardedOut != uint64(i+1) || bs.ForwardedIn != uint64(i+1) {
+			t.Fatalf("entry %d: A forwarded %d, B received %d", i, as.ForwardedOut, bs.ForwardedIn)
 		}
 	}
-	// With B's stream transport gone the same report takes the JSON route
-	// and still arrives at B's router.
+	// With B's stream transport gone the same report fails over: A gives
+	// up on B and forwards to C, the next member in the user's order.
 	if err := b.Stream.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := proto.NewClient(url(a)).Remote().Report(ctx, req); err != nil {
 		t.Fatal(err)
 	}
-	if as, bs := a.Router.Stats(), b.Router.Stats(); as.ForwardedOut != 3 || as.HTTPFallbacks != 1 || bs.ForwardedIn != 3 {
-		t.Errorf("stream down: A forwarded %d (%d over HTTP), B received %d; want 3 (1), 3", as.ForwardedOut, as.HTTPFallbacks, bs.ForwardedIn)
+	as, bs, cs := a.Router.Stats(), b.Router.Stats(), c.Router.Stats()
+	if as.Failovers != 1 || as.ForwardedOut != 3 || bs.ForwardedIn != 2 || cs.ForwardedIn != 1 {
+		t.Errorf("stream down: A failed over %d and forwarded %d, B received %d, C %d; want 1, 3, 2, 1",
+			as.Failovers, as.ForwardedOut, bs.ForwardedIn, cs.ForwardedIn)
 	}
 
 	// C's solve writes back asynchronously; Shutdown is what makes it
@@ -268,6 +274,7 @@ func TestRefusedConfigs(t *testing.T) {
 	}{
 		{[]string{"-cluster-peers", "127.0.0.1:1"}, "-cluster-self is required"},
 		{[]string{"-cluster-peers", "127.0.0.1:1", "-cluster-self", "127.0.0.1:2"}, "not in member list"},
+		{[]string{"-stream-addr", "", "-cluster-peers", "127.0.0.1:1", "-cluster-self", "127.0.0.1:1"}, "-stream-addr is required"},
 	} {
 		nd, err := node.Listen(parse(t, tc.args...))
 		if err != nil {

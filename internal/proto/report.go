@@ -109,7 +109,8 @@ func (h *MultiHandler) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := BatchReportResponse{Items: make([]ReportItemResult, len(outs))}
 	for i, out := range outs {
-		resp.Items[i] = ReportItemResult{Status: out.Status, Error: out.Msg}
+		resp.Items[i] = ReportItemResult{Status: out.Status, Error: out.Msg,
+			EpsRemaining: out.EpsRemaining, HasEpsRemaining: out.HasEps}
 		if out.Result != nil {
 			resp.Items[i].Report = stream.WireResponse(out.Result)
 			out.Result.Release()

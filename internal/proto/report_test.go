@@ -129,8 +129,8 @@ func TestReportRemoteEqualsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := sess.DrawCellN(leaf, count)
-	if err != nil {
+	local := make([]loctree.NodeID, count)
+	if err := sess.DrawCellNInto(leaf, local); err != nil {
 		t.Fatal(err)
 	}
 
@@ -319,8 +319,8 @@ func TestReportTrajectoryRemoteEqualsLocalAcrossReanchor(t *testing.T) {
 			}
 			current = root
 		}
-		draws, err := sess.DrawCellN(mv.leaf, count)
-		if err != nil {
+		draws := make([]loctree.NodeID, count)
+		if err := sess.DrawCellNInto(mv.leaf, draws); err != nil {
 			t.Fatalf("move %d: %v", i, err)
 		}
 		local = append(local, draws...)

@@ -114,7 +114,7 @@ func TestManagerConcurrent(t *testing.T) {
 				}
 				got[uid] = s
 				mu.Unlock()
-				if _, err := s.DrawCell(s.b.Source().SupportLeaves()[0]); err != nil {
+				if _, err := drawN(s, s.b.Source().SupportLeaves()[0], 1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -143,7 +143,7 @@ func TestManagerDrawsSurviveEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.DrawCellN(s.b.Source().SupportLeaves()[0], 5); err != nil {
+		if _, err := drawN(s, s.b.Source().SupportLeaves()[0], 5); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -311,47 +311,26 @@ func (s *Session) Draws() uint64 { return s.draws.Load() }
 func (s *Session) Reanchors() uint64 { return s.reanchors.Load() }
 
 // Draw locates the true position's leaf cell and draws one obfuscated
-// report node.
+// report node. The cell must belong to the session's current subtree; a
+// cell the user's own preferences pruned is an error at leaf precision
+// (there is no row to draw from), matching Algorithm 4.
 func (s *Session) Draw(real geo.LatLng) (loctree.NodeID, error) {
 	leaf, ok := s.tree.Locate(real, 0)
 	if !ok {
 		return loctree.NodeID{}, fmt.Errorf("session: location %v outside the region", real)
 	}
-	return s.DrawCell(leaf)
+	var out [1]loctree.NodeID
+	err := s.DrawCellNInto(leaf, out[:])
+	return out[0], err
 }
 
-// DrawCell draws one obfuscated report for a true leaf cell. The cell must
-// belong to the session's current subtree; a cell the user's own
-// preferences pruned is an error at leaf precision (there is no row to
-// draw from), matching Algorithm 4.
-func (s *Session) DrawCell(leaf loctree.NodeID) (loctree.NodeID, error) {
-	out, err := s.DrawCellN(leaf, 1)
-	if err != nil {
-		return loctree.NodeID{}, err
-	}
-	return out[0], nil
-}
-
-// DrawCellN draws n reports for one true cell as one atomic sequence: the
-// session mutex is held across all n draws, so concurrent requests
-// sharing a session (batch items with the same uid/seed/policy) cannot
-// interleave inside another request's sequence — each Count-N response is
-// a contiguous slice of the session's deterministic stream.
-func (s *Session) DrawCellN(leaf loctree.NodeID, n int) ([]loctree.NodeID, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("session: draw count %d must be >= 1", n)
-	}
-	out := make([]loctree.NodeID, n)
-	if err := s.DrawCellNInto(leaf, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DrawCellNInto is DrawCellN drawing len(out) reports into a caller-owned
-// slice, so the serving layer can recycle result buffers (sync.Pool)
-// instead of allocating per request. The draw semantics — atomicity, error
-// cases, RNG consumption — are exactly DrawCellN's.
+// DrawCellNInto draws len(out) reports for one true cell into a
+// caller-owned slice, as one atomic sequence: the session mutex is held
+// across all the draws, so concurrent requests sharing a session (batch
+// items with the same uid/seed/policy) cannot interleave inside another
+// request's sequence — each Count-N response is a contiguous slice of the
+// session's deterministic stream. The serving layer recycles the slices
+// (sync.Pool) instead of allocating per request.
 func (s *Session) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 	_, err := s.DrawCellNBound(leaf, out)
 	return err
@@ -415,7 +394,7 @@ func (s *Session) DrawCellNBound(leaf loctree.NodeID, out []loctree.NodeID) (Bou
 // binding does not cover it (a concurrent request re-anchored the shared
 // session), DetachLease fails with ErrOutsideSubtree before burning any
 // variate, so the caller's re-anchor-and-retry loop keeps the stream
-// position exact — the same contract DrawCellN gives the report path.
+// position exact — the same contract DrawCellNInto gives the report path.
 //
 // DetachLease allocates the bundle, its row headers and, for pruned or
 // precision rows, the array they are computed into; DetachLeaseInto is the

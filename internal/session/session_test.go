@@ -83,6 +83,12 @@ func blockPolicy(privacy, precision int) policy.Policy {
 // session's row-wise pruned/renormalized/precision-reduced distribution
 // must equal what the full matrix algebra (obf.Prune + obf.PrecisionReduce)
 // produces, for both leaf precision and a coarser level.
+// drawN draws n reports for one true cell through DrawCellNInto.
+func drawN(s *Session, leaf loctree.NodeID, n int) ([]loctree.NodeID, error) {
+	out := make([]loctree.NodeID, n)
+	return out, s.DrawCellNInto(leaf, out)
+}
+
 func TestRowWeightsMatchMatrixPath(t *testing.T) {
 	tree, entry, priors := testWorld(t, 2)
 	blocked := []loctree.NodeID{entry.Leaves[3], entry.Leaves[11], entry.Leaves[30]}
@@ -186,7 +192,7 @@ func TestOwnLocationPruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.DrawCell(real); err == nil {
+	if _, err := drawN(s, real, 1); err == nil {
 		t.Fatal("drew a report for a leaf the user's own preferences pruned at precision 0")
 	}
 	// At coarser precision the ancestor row still exists.
@@ -197,7 +203,7 @@ func TestOwnLocationPruned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.DrawCell(real); err != nil {
+	if _, err := drawN(s2, real, 1); err != nil {
 		t.Fatalf("precision-1 draw for a pruned leaf: %v", err)
 	}
 }
@@ -217,7 +223,7 @@ func TestDrawOutsideSubtree(t *testing.T) {
 	}
 	for _, l := range tree.LevelNodes(0) {
 		if !inSubtree[l] {
-			if _, err := s.DrawCell(l); err == nil {
+			if _, err := drawN(s, l, 1); err == nil {
 				t.Fatal("drew for a cell outside the session subtree")
 			}
 			break
@@ -237,7 +243,7 @@ func TestDeterministicPerSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := s.DrawCellN(entry.Leaves[0], 64)
+		out, err := drawN(s, entry.Leaves[0], 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +286,7 @@ func TestConcurrentDraws(t *testing.T) {
 			defer wg.Done()
 			leaf := entry.Leaves[g%len(entry.Leaves)]
 			for i := 0; i < 500; i++ {
-				if _, err := s.DrawCell(leaf); err != nil {
+				if _, err := drawN(s, leaf, 1); err != nil {
 					t.Error(err)
 					return
 				}
@@ -427,14 +433,14 @@ func TestRebindContinuesRNGStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre, err := s.DrawCellN(leafA, 8)
+		pre, err := drawN(s, leafA, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Rebind(Rebind{Entry: entryB, Delta: 0}); err != nil {
 			t.Fatal(err)
 		}
-		post, err := s.DrawCellN(leafB, 8)
+		post, err := drawN(s, leafB, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +467,7 @@ func TestRebindContinuesRNGStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshDraws, err := fresh.DrawCellN(leafB, 8)
+	freshDraws, err := drawN(fresh, leafB, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +503,7 @@ func TestRebindFailureKeepsOldBinding(t *testing.T) {
 	if s.Root() != entryA.Root || s.Reanchors() != 0 {
 		t.Fatalf("failed rebind mutated the session: root %v, reanchors %d", s.Root(), s.Reanchors())
 	}
-	if _, err := s.DrawCell(entryA.Leaves[0]); err != nil {
+	if _, err := drawN(s, entryA.Leaves[0], 1); err != nil {
 		t.Fatalf("old binding unusable after failed rebind: %v", err)
 	}
 }
@@ -537,8 +543,8 @@ func TestConcurrentReanchorDraws(t *testing.T) {
 				la := entryA.Leaves[(g+i)%len(entryA.Leaves)]
 				lb := entryB.Leaves[(g+i)%len(entryB.Leaves)]
 				before := s.Reanchors()
-				_, errA := s.DrawCell(la)
-				_, errB := s.DrawCell(lb)
+				_, errA := drawN(s, la, 1)
+				_, errB := drawN(s, lb, 1)
 				if errA == nil {
 					drawn.Add(1)
 				}

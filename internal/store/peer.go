@@ -9,12 +9,15 @@ package store
 // is indistinguishable from a locally solved snapshot. A corrupt or
 // truncated peer response fails the checksum, is NOT persisted, and the
 // miss falls through to a local solve, so a bad peer can cost latency but
-// never correctness.
+// never correctness. A refused key is not fetched again until this process
+// saves it itself: a forest's subtrees miss one after another, and each
+// would otherwise pull the same damaged payload.
 
 import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 )
 
@@ -33,11 +36,14 @@ func (s *Store) SetPeerFetch(fn PeerFetchFunc) {
 
 // peerLoad runs the peer-fetch path for a local miss. It returns
 // ErrNotFound when there is no hook, no peer copy, or the peer bytes fail
-// validation — the caller's fall-through to compute is the same in every
-// case.
+// validation now or did before — the caller's fall-through to compute is
+// the same in every case.
 func (s *Store) peerLoad(k Key) (*Snapshot, error) {
 	p := s.peerFetch.Load()
 	if p == nil || *p == nil {
+		return nil, ErrNotFound
+	}
+	if _, refused := s.refused.Load(k); refused {
 		return nil, ErrNotFound
 	}
 	raw, err := (*p)(k)
@@ -47,7 +53,9 @@ func (s *Store) peerLoad(k Key) (*Snapshot, error) {
 	snap, err := decodeKeyed(raw, k)
 	if err != nil {
 		// The checksum caught a corrupt or truncated peer transfer: do
-		// not persist it, and let the caller solve locally.
+		// not persist it, do not ask for it again, and let the caller
+		// solve locally.
+		s.refused.Store(k, struct{}{})
 		return nil, ErrNotFound
 	}
 	// Persist the validated bytes so the next restart (and subsequent
@@ -108,4 +116,7 @@ func IsNotFound(err error) bool { return errors.Is(err, ErrNotFound) }
 // the cluster surface stays in one file.
 type peerFetchState struct {
 	peerFetch atomic.Pointer[PeerFetchFunc]
+	// refused holds the keys whose peer payload failed validation, until
+	// Save writes the key locally.
+	refused sync.Map // Key -> struct{}
 }

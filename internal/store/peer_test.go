@@ -117,3 +117,39 @@ func TestPeerFetchRejectsWrongKey(t *testing.T) {
 		t.Fatal("wrong-key payload reached the snapshot directory")
 	}
 }
+
+// TestPeerFetchRefusedOnce: a peer payload that fails validation is
+// fetched once per key, not again on every later miss of that key, and a
+// local Save of the key ends the refusal by serving it from disk.
+func TestPeerFetchRefusedOnce(t *testing.T) {
+	src, local, k := peerPair(t)
+	raw, err := src.LoadRaw(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := append([]byte(nil), raw...)
+	damaged[len(damaged)-1] ^= 0xff
+	fetches := 0
+	local.SetPeerFetch(func(Key) ([]byte, error) { fetches++; return damaged, nil })
+	for i := 0; i < 3; i++ {
+		if _, err := local.Load(k); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("load %d: got %v, want ErrNotFound", i, err)
+		}
+	}
+	if fetches != 1 {
+		t.Fatalf("three misses of one refused key fetched it %d times, want 1", fetches)
+	}
+	snap, err := src.Load(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := local.Save(snap); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := local.Load(k); err != nil || len(got.Entries) != 1 {
+		t.Fatalf("load after the local save: %+v, %v", got, err)
+	}
+	if fetches != 1 {
+		t.Fatalf("the saved key went to the peer again: %d fetches", fetches)
+	}
+}

@@ -205,7 +205,11 @@ func (s *Store) Save(snap *Snapshot) error {
 	if err != nil {
 		return err
 	}
-	return s.writeRaw(k, raw)
+	if err := s.writeRaw(k, raw); err != nil {
+		return err
+	}
+	s.refused.Delete(k)
+	return nil
 }
 
 // Remove deletes a snapshot file (used to purge corrupt or stale files).

@@ -330,10 +330,15 @@ func TestStreamBatchPartialFailureMatchesHTTP(t *testing.T) {
 			t.Fatalf("item %d payload presence diverged", i)
 		}
 	}
-	// The stream's 429 item additionally carries the user's live headroom,
-	// which an exhausted window pins to zero.
+	// The 429 item carries the user's live headroom on both wires, which an
+	// exhausted window pins to zero.
 	if !streamResp[0].HasEpsRemaining || streamResp[0].EpsRemaining != 0 {
 		t.Fatalf("429 item headroom: %+v", streamResp[0])
+	}
+	var se429 *stream.StatusError
+	if !errors.As(httpResp[0].Err, &se429) || se429.HasEpsRemaining != streamResp[0].HasEpsRemaining ||
+		se429.EpsRemaining != streamResp[0].EpsRemaining {
+		t.Fatalf("429 item headroom diverged: http %+v, stream %+v", httpResp[0].Err, streamResp[0])
 	}
 	// The valid item's draw matches across transports (same seed, fresh
 	// identically-primed registries).

@@ -186,10 +186,11 @@ type ItemResult struct {
 	Error  string    `json:"error,omitempty"`
 	Report *Response `json:"report,omitempty"`
 	// EpsRemaining is the user's window headroom on a budget rejection
-	// (valid when HasEpsRemaining; mirrors the single-request ERROR frame).
-	// Only REPORTS_OK frames carry it; the JSON batch envelope does not.
-	EpsRemaining    float64 `json:"-"`
-	HasEpsRemaining bool    `json:"-"`
+	// (valid when HasEpsRemaining; mirrors the single-request ERROR frame
+	// and the 429's X-Corgi-Eps-Remaining header). Both batch wires carry
+	// it, a headroom of exactly 0 included.
+	EpsRemaining    float64 `json:"eps_remaining,omitempty"`
+	HasEpsRemaining bool    `json:"has_eps_remaining,omitempty"`
 }
 
 // StatusError is an application-level rejection from a remote node: the
