@@ -38,6 +38,11 @@ var unreachableKept = map[string]string{
 	"hexgrid.Disk":                         "the cell-disk fixture five packages' tests build their regions from",
 	"core.Server.WaitUpgrades":             "fixture: waits out the degraded-to-optimal background solves that the engine and registry tests assert on",
 	"raceon.Enabled":                       "fixture: tests whose assertions the race detector perturbs skip on it",
+	"clock.NewManual":                      "fixture: the manual clock the budget, stream and cluster tests (and nodetest's nodes) read instead of time.Now",
+	"clock.Manual.Now":                     "fixture: what a test hands every Now field in place of time.Now",
+	"clock.Manual.Advance":                 "fixture: how the budget, stream and cluster tests move time instead of waiting for it",
+	"nodetest.Start":                       "fixture: the one N-node bring-up the cluster, node and loadgen tests share",
+	"nodetest.Cluster.Restart":             "fixture: restarts a cluster node on its old addresses, for the cluster kill-and-restart test",
 }
 
 // TestNothingUnreachable is the module's dead-code gate. Every function,

@@ -77,7 +77,8 @@ type Config struct {
 	// later than that bound (sustained sub-Resolution traffic cannot stop
 	// the window from sliding).
 	Resolution time.Duration
-	// Now overrides the clock (tests); nil uses time.Now.
+	// Now is the clock the window reads (nil: time.Now); node.Config.Now
+	// feeds it, and tests hand it a clock.Manual's.
 	Now func() time.Time
 }
 

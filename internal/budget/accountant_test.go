@@ -5,29 +5,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"corgi/internal/clock"
 )
-
-// fakeClock is a manually advanced clock for deterministic window tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
 
 func TestAccountantRejectsNonPositiveLimit(t *testing.T) {
 	for _, limit := range []float64{0, -1} {
@@ -41,7 +21,7 @@ func TestAccountantRejectsNonPositiveLimit(t *testing.T) {
 // limit = n*eps, exactly n draws are granted per window; draw n+1 is
 // rejected with ErrBudgetExhausted and charges nothing.
 func TestChargeBoundary(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewManual()
 	const eps = 15.0
 	a, err := NewAccountant(Config{LimitEps: 3 * eps, Window: time.Hour, Now: clk.Now})
 	if err != nil {
@@ -72,7 +52,7 @@ func TestChargeBoundary(t *testing.T) {
 // slides: the same user is rejected while saturated and granted again the
 // moment their oldest spend leaves the window.
 func TestWindowSlideRegeneratesBudget(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewManual()
 	a, err := NewAccountant(Config{LimitEps: 2, Window: 10 * time.Minute, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +88,7 @@ func TestWindowSlideRegeneratesBudget(t *testing.T) {
 // TestChargeExactCapInclusive verifies a charge landing exactly on the cap
 // is granted (the boundary is inclusive).
 func TestChargeExactCapInclusive(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewManual()
 	a, err := NewAccountant(Config{LimitEps: 5, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +104,7 @@ func TestChargeExactCapInclusive(t *testing.T) {
 // TestRepeatedEqualChargesNoDrift guards the float tolerance: many equal
 // charges summing exactly to the cap must all be granted.
 func TestRepeatedEqualChargesNoDrift(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewManual()
 	const eps = 0.1 // not exactly representable in binary
 	a, err := NewAccountant(Config{LimitEps: 100 * eps, Window: time.Hour, Now: clk.Now})
 	if err != nil {
@@ -153,7 +133,7 @@ func TestChargeRejectsNonPositiveEps(t *testing.T) {
 
 // TestUsersIndependent checks one user's saturation never affects another.
 func TestUsersIndependent(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewManual()
 	a, err := NewAccountant(Config{LimitEps: 1, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +154,7 @@ func TestUsersIndependent(t *testing.T) {
 // exactly: a bucket is stamped at its interval's end, so expiry is at most
 // Resolution late and never early.
 func TestCoalescingKeepsSpendLive(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewManual()
 	a, err := NewAccountant(Config{
 		LimitEps: 10, Window: 10 * time.Second, Resolution: 5 * time.Second, Now: clk.Now,
 	})
@@ -212,7 +192,7 @@ func TestCoalescingKeepsSpendLive(t *testing.T) {
 // timestamp on every charge, so a sustained stream postponed its own
 // expiry forever and hit a full-window lockout.)
 func TestSustainedTrafficWindowSlides(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewManual()
 	// 2 eps/s of steady spend against a 10s window: the sliding total is
 	// ~20-22 eps (window + one bucket of slack), well under the 25 cap —
 	// so a true sliding window grants every charge indefinitely.
@@ -239,7 +219,7 @@ func TestSustainedTrafficWindowSlides(t *testing.T) {
 // TestUserLRUBound verifies the tracked-user LRU evicts the least recently
 // charged user, whose budget then resets.
 func TestUserLRUBound(t *testing.T) {
-	clk := newFakeClock()
+	clk := clock.NewManual()
 	a, err := NewAccountant(Config{LimitEps: 1, MaxUsers: 2, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)

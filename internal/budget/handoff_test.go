@@ -4,23 +4,23 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"corgi/internal/clock"
 )
 
 // handoffPair builds two accountants (node A and node B) sharing a config
 // and a controllable clock.
-func handoffPair(t *testing.T, limit float64) (a, b *Accountant, now *time.Time) {
+func handoffPair(t *testing.T, limit float64) (a, b *Accountant, clk *clock.Manual) {
 	t.Helper()
-	base := time.Unix(1_700_000_000, 0)
-	now = &base
-	clock := func() time.Time { return *now }
+	clk = clock.NewManual()
 	var err error
-	if a, err = NewAccountant(Config{LimitEps: limit, Window: time.Hour, Now: clock}); err != nil {
+	if a, err = NewAccountant(Config{LimitEps: limit, Window: time.Hour, Now: clk.Now}); err != nil {
 		t.Fatal(err)
 	}
-	if b, err = NewAccountant(Config{LimitEps: limit, Window: time.Hour, Now: clock}); err != nil {
+	if b, err = NewAccountant(Config{LimitEps: limit, Window: time.Hour, Now: clk.Now}); err != nil {
 		t.Fatal(err)
 	}
-	return a, b, now
+	return a, b, clk
 }
 
 // TestHandoffMovesSpend: export moves the events out of A, import counts
@@ -126,20 +126,20 @@ func TestHandoffDedupe(t *testing.T) {
 // slides out of the receiver's window exactly when it would have expired
 // on the exporter.
 func TestHandoffExpiry(t *testing.T) {
-	a, b, now := handoffPair(t, 10)
+	a, b, clk := handoffPair(t, 10)
 	const uid = 3
 	if _, err := a.Charge(uid, 5); err != nil {
 		t.Fatal(err)
 	}
 	h := a.ExportHandoff(uid, "nodeA")
-	*now = now.Add(30 * time.Minute)
+	clk.Advance(30 * time.Minute)
 	if applied, ok := b.ImportHandoff(uid, h); !ok || applied != 5 {
 		t.Fatalf("mid-window import: %v %v", applied, ok)
 	}
 	if spent := b.Spent(uid); spent != 5 {
 		t.Fatalf("spend mid-window %v", spent)
 	}
-	*now = now.Add(31 * time.Minute) // past the 1h window from charge time
+	clk.Advance(31 * time.Minute) // past the 1h window from charge time
 	if spent := b.Spent(uid); spent != 0 {
 		t.Fatalf("imported spend did not expire: %v", spent)
 	}
@@ -149,7 +149,7 @@ func TestHandoffExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	h2 := a.ExportHandoff(uid, "nodeA")
-	*now = now.Add(2 * time.Hour)
+	clk.Advance(2 * time.Hour)
 	if applied, ok := b.ImportHandoff(uid, h2); !ok || applied != 0 {
 		t.Fatalf("expired import applied %v ok=%v", applied, ok)
 	}
@@ -158,14 +158,14 @@ func TestHandoffExpiry(t *testing.T) {
 // TestHandoffNothingToExport: a user with no live spend produces no
 // handoff — the forward path stays zero-overhead for fresh users.
 func TestHandoffNothingToExport(t *testing.T) {
-	a, _, now := handoffPair(t, 10)
+	a, _, clk := handoffPair(t, 10)
 	if h := a.ExportHandoff(1, "nodeA"); h != nil {
 		t.Fatalf("export for untouched user: %+v", h)
 	}
 	if _, err := a.Charge(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	*now = now.Add(2 * time.Hour)
+	clk.Advance(2 * time.Hour)
 	if h := a.ExportHandoff(1, "nodeA"); h != nil {
 		t.Fatalf("export of fully expired spend: %+v", h)
 	}

@@ -7,7 +7,6 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
-	"flag"
 	"net"
 	"net/http"
 	"os"
@@ -26,6 +25,7 @@ import (
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/node"
+	"corgi/internal/node/nodetest"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 )
@@ -58,11 +58,10 @@ func (n *testNode) shard(t *testing.T) *registry.Shard {
 	return sh
 }
 
-// startCluster brings up n nodes from corgi-server flags (args, on top of
-// a -region-config holding clusterSpec). Every node listens first: the
-// addresses are the ring member names, and every node gets the identical
-// peer list, the way -cluster-peers hands it to real processes.
-func startCluster(t *testing.T, n int, args ...string) []*testNode {
+// nodesOf brings up n nodes through nodetest, every one over a
+// -region-config holding clusterSpec with the corgi-server flags args on
+// top, and returns the cluster and its nodes.
+func nodesOf(t *testing.T, n int, args ...string) (*nodetest.Cluster, []*testNode) {
 	t.Helper()
 	specs, err := json.Marshal(clusterSpec())
 	if err != nil {
@@ -72,40 +71,12 @@ func startCluster(t *testing.T, n int, args ...string) []*testNode {
 	if err := os.WriteFile(regions, specs, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var cfg node.Config
-	fs := flag.NewFlagSet("corgi-server", flag.ContinueOnError)
-	cfg.Bind(fs)
-	if err := fs.Parse(append([]string{"-addr", "127.0.0.1:0", "-stream-addr", "127.0.0.1:0", "-region-config", regions}, args...)); err != nil {
-		t.Fatal(err)
-	}
+	c := nodetest.Start(t, n, func(int) []string { return append([]string{"-region-config", regions}, args...) })
 	nodes := make([]*testNode, n)
-	peers := make([]string, n)
-	for i := range nodes {
-		nd, err := node.Listen(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { nd.Shutdown(context.Background()) })
-		nodes[i] = &testNode{Node: nd, name: nd.StreamListener.Addr().String()}
-		peers[i] = nodes[i].name
+	for i, nd := range c.Nodes {
+		nodes[i] = &testNode{Node: nd, name: nd.Config.ClusterSelf}
 	}
-	for _, nd := range nodes {
-		nd.Config.ClusterPeers, nd.Config.ClusterSelf = strings.Join(peers, ","), nd.name
-		if err := nd.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return nodes
-}
-
-// members is the peer list every node of the cluster was started with.
-func members(t *testing.T, nodes []*testNode) []cluster.Peer {
-	t.Helper()
-	all, err := cluster.ParsePeers(nodes[0].Config.ClusterPeers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return all
+	return c, nodes
 }
 
 // uidOwnedBy finds a uid the ring assigns to want, starting from seed.
@@ -139,7 +110,7 @@ func reportReq(t *testing.T, n *testNode, uid int64) registry.ReportRequest {
 // it correctly on both sides — and the draws are identical to what a
 // single-node deployment would have produced for the same session.
 func TestClusterForwarding(t *testing.T) {
-	nodes := startCluster(t, 3)
+	_, nodes := nodesOf(t, 3)
 	ring := nodes[0].Router.Ring()
 
 	// A uid owned by node 1, entering at node 0.
@@ -194,7 +165,7 @@ func TestClusterForwarding(t *testing.T) {
 // and subsequent forwards carry nothing. Once the spend is on the owner,
 // an ask past the cap is the owner's 429 with the owner's headroom.
 func TestClusterHandoffExactlyOnce(t *testing.T) {
-	nodes := startCluster(t, 3, "-budget-eps", "1000")
+	_, nodes := nodesOf(t, 3, "-budget-eps", "1000")
 	fullRing := nodes[0].Router.Ring()
 
 	// A uid the full ring assigns to node 1.
@@ -269,7 +240,11 @@ func TestClusterHandoffExactlyOnce(t *testing.T) {
 // itself in -cluster-peers: over node 0's registry, it owns every uid.
 func soloRouter(t *testing.T, nodes []*testNode) *cluster.Router {
 	t.Helper()
-	r, err := cluster.NewRouter(nodes[0].Registry, nodes[0].name, members(t, nodes)[:1], cluster.RouterConfig{})
+	members, err := cluster.ParsePeers(nodes[0].Config.ClusterPeers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := cluster.NewRouter(nodes[0].Registry, nodes[0].name, members[:1], cluster.RouterConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,9 +255,9 @@ func soloRouter(t *testing.T, nodes []*testNode) *cluster.Router {
 // TestClusterFailoverAndRecovery: with the owner down, requests fail over
 // along the ring sequence and keep being served; when the owner comes
 // back (same address), traffic returns to it — the reconnect-backoff
-// probe is what rediscovers it.
+// probe is what rediscovers it, once the nodes' clock passes the backoff.
 func TestClusterFailoverAndRecovery(t *testing.T) {
-	nodes := startCluster(t, 3)
+	c, nodes := nodesOf(t, 3)
 	ring := nodes[0].Router.Ring()
 	uid := uidOwnedBy(t, ring, nodes[1].name, 900)
 
@@ -314,21 +289,19 @@ func TestClusterFailoverAndRecovery(t *testing.T) {
 	}
 	go nodes[1].Stream.Serve(lis)
 
-	// Traffic returns once node 0's breaker probes the recovered node:
-	// the owner's forwarded-in counter starts moving again.
+	// Traffic returns once the clock passes node 0's reconnect backoff:
+	// the one half-open probe finds the recovered owner, and the owner's
+	// forwarded-in counter starts moving again.
 	before := nodes[1].Router.Stats().ForwardedIn
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
-			t.Fatalf("report during recovery: %v", err)
-		}
-		if nodes[1].Router.Stats().ForwardedIn > before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("traffic never returned to the recovered owner: %+v", nodes[0].Router.Stats())
-		}
-		time.Sleep(100 * time.Millisecond)
+	c.Clock.Advance(time.Minute)
+	if _, err := nodes[0].Router.Report(context.Background(), reportReq(t, nodes[0], uid)); err != nil {
+		t.Fatalf("report during recovery: %v", err)
+	}
+	if nodes[1].Router.Stats().ForwardedIn <= before {
+		t.Fatalf("traffic never returned to the recovered owner: %+v", nodes[0].Router.Stats())
+	}
+	if probes := nodes[0].Router.Stats().Nodes[nodes[1].name].Stream.Probes; probes != 1 {
+		t.Fatalf("recovery took %d half-open probes, want exactly one", probes)
 	}
 }
 
@@ -372,7 +345,7 @@ func movedUser(t *testing.T, nodes []*testNode, seed int64) (uid int64, preSpend
 // 422, nothing charged — still moves the user's live window spend to the
 // owner instead of losing it with the committed export.
 func TestClusterForwardedOverCapKeepsSpend(t *testing.T) {
-	nodes := startCluster(t, 2, "-max-report-count", "7", "-budget-eps", "1000")
+	_, nodes := nodesOf(t, 2, "-max-report-count", "7", "-budget-eps", "1000")
 	uid, preSpend := movedUser(t, nodes, 500)
 	over := reportReq(t, nodes[0], uid)
 	over.Count = 8
@@ -393,7 +366,7 @@ func TestClusterForwardedOverCapKeepsSpend(t *testing.T) {
 // rolls back — the spend is restored on the entry node, not lost — and the
 // next ring member serves, receiving the handoff the owner never saw.
 func TestClusterOwnerDown(t *testing.T) {
-	nodes := startCluster(t, 3, "-budget-eps", "1000")
+	_, nodes := nodesOf(t, 3, "-budget-eps", "1000")
 	uid, preSpend := movedUser(t, nodes, 500)
 	if err := nodes[1].Stream.Close(); err != nil {
 		t.Fatal(err)
@@ -424,15 +397,10 @@ func TestClusterOwnerDown(t *testing.T) {
 	}
 }
 
-// TestClusterReplayCoherence replays a short Gowalla trajectory trace, in
-// global time order and entering at the nodes round-robin (so two thirds
-// of the requests are forwarded), against a three-node cluster and a
-// single node with the same per-user epsilon cap, and checks the coherence
-// a cluster must not lose: every rejection a client sees is one some
-// node's accountant made, no user is granted more than the cap, and the
-// busiest user's draw sequence is identical to the single node's.
-func TestClusterReplayCoherence(t *testing.T) {
-	ctx := context.Background()
+// replayTrace is a short Gowalla trajectory trace over clusterSpec's
+// region, in global time order, and each user's request count.
+func replayTrace(t *testing.T) (trace []registry.ReportRequest, perUser map[int64]int) {
+	t.Helper()
 	// The tree every node builds from the shared spec (default 0.1 km
 	// leaves), to map the trace on.
 	center := clusterSpec()[0].Center()
@@ -457,8 +425,7 @@ func TestClusterReplayCoherence(t *testing.T) {
 	}
 	checkIns := append([]gowalla.CheckIn(nil), ds.CheckIns...)
 	sort.SliceStable(checkIns, func(a, b int) bool { return checkIns[a].Time.Before(checkIns[b].Time) })
-	var trace []registry.ReportRequest
-	perUser := map[int64]int{}
+	perUser = map[int64]int{}
 	for _, c := range checkIns {
 		leaf, ok := tree.Locate(c.Loc, 0)
 		if !ok {
@@ -474,6 +441,19 @@ func TestClusterReplayCoherence(t *testing.T) {
 	if len(trace) < len(checkIns)/2 {
 		t.Fatalf("only %d of %d check-ins landed inside the tree", len(trace), len(checkIns))
 	}
+	return trace, perUser
+}
+
+// TestClusterReplayCoherence replays a short Gowalla trajectory trace, in
+// global time order and entering at the nodes round-robin (so two thirds
+// of the requests are forwarded), against a three-node cluster and a
+// single node with the same per-user epsilon cap, and checks the coherence
+// a cluster must not lose: every rejection a client sees is one some
+// node's accountant made, no user is granted more than the cap, and the
+// busiest user's draw sequence is identical to the single node's.
+func TestClusterReplayCoherence(t *testing.T) {
+	ctx := context.Background()
+	trace, perUser := replayTrace(t)
 	// A cap of the median user's demand exhausts the heavier half mid-trace.
 	counts := make([]int, 0, len(perUser))
 	busiest := int64(-1)
@@ -514,7 +494,7 @@ func TestClusterReplayCoherence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := run(func(int) registry.ReportHandler { return single })
-	nodes := startCluster(t, 3, "-budget-eps", strconv.FormatFloat(limit, 'g', -1, 64))
+	_, nodes := nodesOf(t, 3, "-budget-eps", strconv.FormatFloat(limit, 'g', -1, 64))
 	got := run(func(i int) registry.ReportHandler { return nodes[i%len(nodes)].Router })
 
 	var nodeRejections, forwarded uint64

@@ -44,25 +44,20 @@ import (
 
 // RouterConfig tunes a cluster router. The ring takes NewRing's defaults.
 type RouterConfig struct {
-	// DialTimeout bounds one peer dial (default 2s — forwards should fail
-	// over quickly).
-	DialTimeout time.Duration
+	// Now is the clock every peer's reconnect breaker reads (nil:
+	// time.Now).
+	Now func() time.Time
 }
 
 const (
+	// dialTimeout bounds one peer dial: forwards should fail over quickly.
+	dialTimeout = 2 * time.Second
 	// streamTimeout bounds one forwarded exchange.
 	streamTimeout = 10 * time.Second
 	// fetchTimeout bounds one peer store fetch (snapshot payloads can be
 	// MBs).
 	fetchTimeout = 30 * time.Second
 )
-
-func (c RouterConfig) withDefaults() RouterConfig {
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	return c
-}
 
 // peerNode is one remote member: the corgi-stream client every forward to
 // it rides, and the HTTP base URL its store snapshots are fetched from
@@ -105,7 +100,6 @@ func NewRouter(reg *registry.Registry, self string, members []Peer, cfg RouterCo
 	if err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	r := &Router{
 		self:  self,
 		reg:   reg,
@@ -116,8 +110,9 @@ func NewRouter(reg *registry.Registry, self string, members []Peer, cfg RouterCo
 	for _, p := range members {
 		if p.Name != self { // a client dials on first use
 			r.peers[p.Name] = peerNode{httpURL: p.HTTPURL, client: stream.NewClient(p.StreamAddr, stream.ClientConfig{
-				DialTimeout: cfg.DialTimeout,
+				DialTimeout: dialTimeout,
 				Timeout:     streamTimeout,
+				Now:         cfg.Now,
 			})}
 		}
 	}

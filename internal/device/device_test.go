@@ -119,6 +119,29 @@ func (n *node) streamRemote(t *testing.T) stream.Remote {
 	return c.Remote()
 }
 
+// source is one way a user's ask reaches a report, over a node.
+type source struct {
+	name     string
+	reporter func(*node) Reporter
+}
+
+// sources are the five report sources: the registry in process, both
+// remotes, and the device's lease and forest reporters, the lease path
+// granted leaseDraws draws at a time.
+func sources(t *testing.T, leaseDraws int) []source {
+	return []source{
+		{"registry in process", func(n *node) Reporter { return n.reg }},
+		{"proto.Remote", func(n *node) Reporter { return n.dial(t, false).Client.Remote() }},
+		{"stream.Remote", func(n *node) Reporter { return n.streamRemote(t) }},
+		{"device.Leased", func(n *node) Reporter {
+			conn := n.dial(t, false)
+			return &Leased{Remote: conn.Client.Remote(), Tree: conn.TreeOf, Draws: leaseDraws}
+		}},
+		// v1 forests are dense float64 JSON: the rows arrive bit for bit.
+		{"device.Forest", func(n *node) Reporter { return &Forest{Conn: n.dial(t, true), NoCache: true} }},
+	}
+}
+
 // TestEveryPathDrawsTheSame is ROADMAP aim 3's third claim across all
 // paths at once: one seeded sequence of asks, answered by five report
 // sources over five fresh identical registries, draws one sequence of
@@ -145,12 +168,7 @@ func TestEveryPathDrawsTheSame(t *testing.T) {
 	plain := policy.Policy{PrivacyLevel: 1}
 	coarse := policy.Policy{PrivacyLevel: 2, PrecisionLevel: 1}
 
-	type path struct {
-		name     string
-		reporter func(*node) Reporter
-		// between runs after every ask.
-		between func(*node)
-	}
+	// Between every two of the lease path's asks two strangers report.
 	strangers := func(n *node) {
 		for _, stranger := range []int64{900, 901} {
 			res, err := n.reg.Report(context.Background(), registry.ReportRequest{
@@ -162,20 +180,9 @@ func TestEveryPathDrawsTheSame(t *testing.T) {
 			res.Release()
 		}
 	}
-	paths := []path{
-		{"registry in process", func(n *node) Reporter { return n.reg }, nil},
-		{"proto.Remote", func(n *node) Reporter { return n.dial(t, false).Client.Remote() }, nil},
-		{"stream.Remote", func(n *node) Reporter { return n.streamRemote(t) }, nil},
-		{"device.Leased", func(n *node) Reporter {
-			conn := n.dial(t, false)
-			return &Leased{Remote: conn.Client.Remote(), Tree: conn.TreeOf, Draws: 2 * count}
-		}, strangers},
-		// v1 forests are dense float64 JSON: the rows arrive bit for bit.
-		{"device.Forest", func(n *node) Reporter { return &Forest{Conn: n.dial(t, true), NoCache: true} }, nil},
-	}
 
 	var want []string
-	for _, p := range paths {
+	for _, p := range sources(t, 2*count) {
 		n := newNode(t, opts)
 		tree := n.dial(t, false).Tree
 		home, work := tree.LevelNodes(1)[0], tree.LevelNodes(1)[1]
@@ -212,8 +219,8 @@ func TestEveryPathDrawsTheSame(t *testing.T) {
 				}
 				got = append(got, r.String())
 			}
-			if p.between != nil {
-				p.between(n)
+			if p.name == "device.Leased" {
+				strangers(n)
 			}
 		}
 		if want == nil {
@@ -243,6 +250,39 @@ func TestEveryPathDrawsTheSame(t *testing.T) {
 				len(n.asks("/v1/report"))+len(n.asks("/v1/lease")) != 0 {
 				t.Errorf("forest path asked the server %v", n.log)
 			}
+		}
+	}
+}
+
+// TestEveryPathCountsTheSame: an ask for zero draws, or for a negative
+// number, draws one report on every source, and the same one; the wire
+// says a count defaults to 1.
+func TestEveryPathCountsTheSame(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins five regions")
+	}
+	var want []string
+	for _, p := range sources(t, 2) {
+		n := newNode(t, registry.Options{})
+		leaf := n.dial(t, false).Tree.LevelNodes(0)[0]
+		reporter := p.reporter(n)
+		var got []string
+		for _, count := range []int{0, -1} {
+			res, err := reporter.Report(context.Background(), registry.ReportRequest{
+				Region: "dv", Cell: leaf.Coord, UID: 5, Policy: policy.Policy{PrivacyLevel: 1}, Seed: 20231212, Count: count,
+			})
+			if err != nil {
+				t.Fatalf("%s: count %d: %v", p.name, count, err)
+			}
+			if len(res.Reports) != 1 || len(res.Centers) != 1 {
+				t.Fatalf("%s: count %d drew %d reports with %d centers, want 1", p.name, count, len(res.Reports), len(res.Centers))
+			}
+			got = append(got, res.Reports[0].String())
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s drew %v, the registry in process %v", p.name, got, want)
 		}
 	}
 }

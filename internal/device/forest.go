@@ -99,8 +99,7 @@ func (f *Forest) Report(_ context.Context, req registry.ReportRequest) (*registr
 	sess := f.sessions[key]
 	res := &registry.ReportResult{Region: req.Region, SubtreeRoot: root, PrecisionLevel: pol.PrecisionLevel}
 	if sess != nil {
-		at := sess.Bound()
-		res.Reanchored = at.Root != root || (len(pol.Preferences) > 0 && at.Anchor != leaf)
+		res.Reanchored = sess.Bound().Moved(root, leaf, pol)
 	}
 	if sess == nil || res.Reanchored {
 		to, err := f.plan(root, leaf, pol)
@@ -124,7 +123,7 @@ func (f *Forest) Report(_ context.Context, req registry.ReportRequest) (*registr
 		}
 		f.sessions[key] = sess
 	}
-	res.Reports = make([]loctree.NodeID, req.Count)
+	res.Reports = make([]loctree.NodeID, registry.DrawCount(req.Count))
 	from, err := sess.DrawCellNBound(leaf, res.Reports)
 	if err != nil {
 		return nil, fmt.Errorf("obfuscating: %w", err)

@@ -79,7 +79,7 @@ func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*regis
 	defer st.mu.Unlock()
 
 	leaf := loctree.NodeID{Level: 0, Coord: req.Cell}
-	res := &registry.ReportResult{Region: req.Region, Reports: make([]loctree.NodeID, req.Count)}
+	res := &registry.ReportResult{Region: req.Region, Reports: make([]loctree.NodeID, registry.DrawCount(req.Count))}
 	for attempt := 0; ; attempt++ {
 		var token []byte
 		if st.lease != nil {

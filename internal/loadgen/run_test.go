@@ -2,7 +2,6 @@ package loadgen
 
 import (
 	"context"
-	"flag"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +9,7 @@ import (
 	"time"
 
 	"corgi/internal/budget"
-	"corgi/internal/node"
+	"corgi/internal/node/nodetest"
 	"corgi/internal/registry"
 )
 
@@ -236,32 +235,11 @@ func TestRunCluster(t *testing.T) {
 	}
 	regions := writeFile(t, "regions.json", `[{"name": "lg-a", "center_lat": 37.765, "center_lng": -122.435,
 		"height": 2, "iterations": 1, "targets": 3, "uniform_priors": true}]`)
-	var cfg node.Config
-	fs := flag.NewFlagSet("corgi-server", flag.ContinueOnError)
-	cfg.Bind(fs)
-	if err := fs.Parse([]string{"-addr", "127.0.0.1:0", "-stream-addr", "127.0.0.1:0", "-region-config", regions}); err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*node.Node, 2)
-	var spec []string
-	for i := range nodes {
-		nd, err := node.Listen(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { nd.Shutdown(context.Background()) })
-		nodes[i] = nd
-		spec = append(spec, nd.StreamListener.Addr().String()+"=http://"+nd.HTTPListener.Addr().String())
-	}
-	for _, nd := range nodes {
-		nd.Config.ClusterPeers, nd.Config.ClusterSelf = strings.Join(spec, ","), nd.StreamListener.Addr().String()
-		if err := nd.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nodes := nodetest.Start(t, 2, func(int) []string { return []string{"-region-config", regions} }).Nodes
+	peers := nodes[0].Config.ClusterPeers
 	for _, transport := range []string{"http", "stream"} {
 		cfg := runConfig("http://" + nodes[0].HTTPListener.Addr().String())
-		cfg.Workload, cfg.Transport, cfg.Cluster, cfg.Users = "mobility", transport, strings.Join(spec, ","), 16
+		cfg.Workload, cfg.Transport, cfg.Cluster, cfg.Users = "mobility", transport, peers, 16
 		rep, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", transport, err)

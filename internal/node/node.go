@@ -35,8 +35,8 @@ import (
 	"corgi/internal/stream"
 )
 
-// Config is corgi-server's flags, one field each; Bind gives every field's
-// name, default and meaning.
+// Config is corgi-server's flags, one field each, and the node's clock;
+// Bind gives every flag's name, default and meaning.
 type Config struct {
 	Addr, StreamAddr string
 	Spec             registry.SpecDefaults
@@ -59,6 +59,11 @@ type Config struct {
 	ReadTimeout, WriteTimeout, IdleTimeout, RequestTimeout time.Duration
 
 	ClusterPeers, ClusterSelf string
+
+	// Now is the node's clock, the one field that is not a flag (nil:
+	// time.Now): budget windows, lease-token expiry and the router's
+	// reconnect breakers read it.
+	Now func() time.Time
 }
 
 // Bind declares corgi-server's flags on fs, parsing into c.
@@ -155,6 +160,7 @@ func Listen(cfg Config) (*Node, error) {
 			LimitEps: cfg.BudgetEps,
 			Window:   cfg.BudgetWindow,
 			MaxUsers: cfg.BudgetUsers,
+			Now:      cfg.Now,
 		},
 		LeaseSecret:    secret,
 		LeaseTTL:       cfg.LeaseTTL,
@@ -226,7 +232,7 @@ func (n *Node) Start(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		router, err := cluster.NewRouter(reg, cfg.ClusterSelf, members, cluster.RouterConfig{})
+		router, err := cluster.NewRouter(reg, cfg.ClusterSelf, members, cluster.RouterConfig{Now: cfg.Now})
 		if err != nil {
 			return err
 		}

@@ -14,6 +14,7 @@ import (
 
 	"corgi/internal/hexgrid"
 	"corgi/internal/node"
+	"corgi/internal/node/nodetest"
 	"corgi/internal/policy"
 	"corgi/internal/proto"
 	"corgi/internal/registry"
@@ -40,31 +41,6 @@ func parse(t *testing.T, args ...string) node.Config {
 		t.Fatal(err)
 	}
 	return cfg
-}
-
-// startCluster brings up n nodes, each over its own store directory, the
-// way n corgi-server processes come up: all listen, then all start with
-// the one peer list.
-func startCluster(t *testing.T, n int, args ...string) []*node.Node {
-	t.Helper()
-	nodes := make([]*node.Node, n)
-	peers := make([]string, n)
-	for i := range nodes {
-		nd, err := node.Listen(parse(t, append([]string{"-store", t.TempDir()}, args...)...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { nd.Shutdown(context.Background()) })
-		nodes[i] = nd
-		peers[i] = nd.StreamListener.Addr().String() + "=" + url(nd)
-	}
-	for _, nd := range nodes {
-		nd.Config.ClusterPeers, nd.Config.ClusterSelf = strings.Join(peers, ","), nd.StreamListener.Addr().String()
-		if err := nd.Start(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return nodes
 }
 
 func url(nd *node.Node) string { return "http://" + nd.HTTPListener.Addr().String() }
@@ -95,7 +71,8 @@ func snapshotKey(t *testing.T, nd *node.Node, level, delta int) store.Key {
 // (Handler.Handler, Stream.SetHandler), and the shutdown order's last step.
 func TestClusterAssembly(t *testing.T) {
 	ctx := context.Background()
-	nodes := startCluster(t, 3)
+	regions := parse(t).Spec.RegionConfig
+	nodes := nodetest.Start(t, 3, func(int) []string { return []string{"-region-config", regions, "-store", t.TempDir()} }).Nodes
 	a, b, c := nodes[0], nodes[1], nodes[2]
 
 	// A pays for a forest once; B's first request for it is a peer fetch.

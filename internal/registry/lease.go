@@ -191,7 +191,7 @@ func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, gr
 	// touched (403 beats 429 — the client's next move differs).
 	var prev budget.LeaseToken
 	renewed := false
-	now := time.Now()
+	now := r.opts.Budget.Now()
 	if len(req.Token) > 0 {
 		var err error
 		prev, err = r.keyring.Verify(req.Token, now)
@@ -268,7 +268,7 @@ func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, gr
 	if grant.Bundle, err = codec.AppendLeaseBundle(grant.Bundle, bundle); err != nil {
 		return err
 	}
-	expires := now.Add(r.leaseTTL)
+	expires := now.Add(r.opts.LeaseTTL)
 	grant.ExpiresAt = expires.UnixMilli()
 	grant.Token = r.keyring.AppendSign(grant.Token, budget.LeaseToken{
 		UID:       req.UID,

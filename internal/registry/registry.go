@@ -254,6 +254,8 @@ type Options struct {
 	// against the requesting user's window cap (linear composition), and a
 	// user over cap is rejected with budget.ErrBudgetExhausted until spend
 	// slides out of the window. The zero value disables accounting.
+	// Budget.Now is the registry's clock with accounting on or off: lease
+	// tokens are stamped and their expiry checked against it.
 	Budget budget.Config
 	// LeaseSecret is the master secret the HMAC lease-token keyring derives
 	// per-user signing keys from (see internal/budget.Keyring). Empty
@@ -363,10 +365,9 @@ type Registry struct {
 
 	// keyring signs and verifies draw-lease tokens (registry-level: a
 	// lease token names its region, one key hierarchy covers all shards);
-	// leaseTTL bounds lease lifetime; lease holds the lease counters.
-	keyring  *budget.Keyring
-	leaseTTL time.Duration
-	lease    leaseCounters
+	// lease holds the lease counters.
+	keyring *budget.Keyring
+	lease   leaseCounters
 }
 
 // New validates the specs (defaults applied) and returns a registry with
@@ -408,6 +409,9 @@ func New(specs []Spec, opts Options) (*Registry, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = DefaultLeaseTTL
 	}
+	if opts.Budget.Now == nil {
+		opts.Budget.Now = time.Now
+	}
 	if opts.MaxReportCount <= 0 {
 		opts.MaxReportCount = DefaultMaxReportCount
 	}
@@ -415,12 +419,11 @@ func New(specs []Spec, opts Options) (*Registry, error) {
 		opts.MaxBatch = DefaultMaxBatch
 	}
 	r := &Registry{
-		opts:     opts,
-		specs:    make(map[string]Spec, len(specs)),
-		shards:   make(map[string]*Shard, len(specs)),
-		boot:     map[string]*bootCall{},
-		keyring:  keyring,
-		leaseTTL: opts.LeaseTTL,
+		opts:    opts,
+		specs:   make(map[string]Spec, len(specs)),
+		shards:  make(map[string]*Shard, len(specs)),
+		boot:    map[string]*bootCall{},
+		keyring: keyring,
 	}
 	for _, s := range specs {
 		s = s.withDefaults()

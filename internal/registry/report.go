@@ -145,8 +145,9 @@ type ReportRequest struct {
 	// always replays the same draw sequence from a fresh server — even
 	// across re-anchors, because the session's RNG survives moves.
 	Seed int64
-	// Count is how many reports to draw (min 1); a count over
-	// Options.MaxReportCount is refused before anything is charged or drawn.
+	// Count is how many reports to draw (DrawCount: below 1 draws one); a
+	// count over Options.MaxReportCount is refused before anything is
+	// charged or drawn.
 	Count int
 	// Forwarded marks a request relayed by a peer node's cluster router:
 	// the receiving node serves it locally (it is — or is standing in for —
@@ -280,6 +281,11 @@ type anchoring struct {
 	draws int
 }
 
+// DrawCount is how many reports an ask for count draws: count, and one
+// when count is below one. Every report source draws this many: the
+// registry, both remotes (through it) and the device's own reporters.
+func DrawCount(count int) int { return max(count, 1) }
+
 // admit resolves the shard, merges a forwarded budget handoff, and
 // validates the draw count against Options.MaxReportCount and the cell and
 // the policy against the region's tree.
@@ -301,7 +307,7 @@ func (r *Registry) admit(ctx context.Context, region string, cell hexgrid.Coord,
 		return anchoring{}, fmt.Errorf("%w: count %d exceeds limit %d", ErrBadReport, draws, r.opts.MaxReportCount)
 	}
 	a := anchoring{sh: sh, tree: sh.Server.Tree(), uid: uid, seed: seed, pol: pol,
-		leaf: loctree.NodeID{Level: 0, Coord: cell}, draws: max(draws, 1)}
+		leaf: loctree.NodeID{Level: 0, Coord: cell}, draws: DrawCount(draws)}
 	if !a.tree.Contains(a.leaf) {
 		return anchoring{}, fmt.Errorf("%w: cell (%d, %d) outside region %q",
 			ErrBadReport, cell.Q, cell.R, sh.Spec.Name)
@@ -379,7 +385,7 @@ func (a *anchoring) session(ctx context.Context) (*session.Session, error) {
 // across the upgrade.
 func (a *anchoring) anchor(ctx context.Context, sess *session.Session) (moved bool, err error) {
 	at := sess.Bound()
-	if at.Root != a.root || (len(a.pol.Preferences) > 0 && at.Anchor != a.leaf) {
+	if at.Moved(a.root, a.leaf, a.pol) {
 		plan, entry, err := a.plan(ctx)
 		if err != nil {
 			return false, err

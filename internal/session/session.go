@@ -218,6 +218,13 @@ type Bound struct {
 	Degraded bool
 }
 
+// Moved reports whether an ask at leaf under root with pol must re-anchor
+// a session bound to b: it left the bound subtree, or its policy has
+// preferences and it left the cell they were evaluated at.
+func (b Bound) Moved(root, leaf loctree.NodeID, pol policy.Policy) bool {
+	return b.Root != root || (len(pol.Preferences) > 0 && b.Anchor != leaf)
+}
+
 // bound snapshots the current binding. Caller holds s.mu.
 func (s *Session) bound() Bound {
 	return Bound{

@@ -23,7 +23,7 @@ func TestRoundTripAllocationBudgets(t *testing.T) {
 	}
 	reg := newRegistry(t, registry.Options{}, "ra")
 	_, leafNodes := leaves(t, reg, "ra")
-	_, addr := startStream(t, reg, stream.Config{})
+	_, addr := startStream(t, reg)
 	c := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 	defer c.Close()
 	req := stream.Request{

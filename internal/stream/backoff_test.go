@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"corgi/internal/clock"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 	"corgi/internal/stream"
@@ -15,7 +16,8 @@ import (
 // two consecutive dial failures open it (ErrNodeDown in microseconds, no
 // dial timeout spent), the half-open probe closes it once the node is
 // back on the same address, and traffic returns — the recovery half of
-// cluster failover.
+// cluster failover. The breaker reads a manual clock, so the backoff
+// expires when the test advances it, not after a wait.
 func TestClientReconnectBackoff(t *testing.T) {
 	reg := newRegistry(t, registry.Options{}, "ra")
 	_, leafNodes := leaves(t, reg, "ra")
@@ -33,11 +35,13 @@ func TestClientReconnectBackoff(t *testing.T) {
 	addr := lis.Addr().String()
 	lis.Close()
 
-	backoff := 50 * time.Millisecond
+	// The first failure backs off 250ms, the second twice that.
+	backoff := 250 * time.Millisecond
+	clk := clock.NewManual()
 	c := stream.NewClient(addr, stream.ClientConfig{
-		Timeout:          5 * time.Second,
-		DialTimeout:      time.Second,
-		ReconnectBackoff: backoff,
+		Timeout:     5 * time.Second,
+		DialTimeout: time.Second,
+		Now:         clk.Now,
 	})
 	defer c.Close()
 
@@ -75,39 +79,25 @@ func TestClientReconnectBackoff(t *testing.T) {
 	}
 
 	// Revive the node on the same address.
-	lis2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("re-listen on %s: %v", addr, err)
-	}
-	srv, err := stream.NewServer(reg, stream.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(lis2)
-	t.Cleanup(func() { srv.Close() })
+	serveStream(t, reg, addr)
 
-	// After the backoff expires, the next call is the half-open probe and
-	// must find the recovered node. The second failure doubled the
-	// backoff, so allow a few windows before declaring the client stuck.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, err := c.Report(req)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, stream.ErrNodeDown) {
-			t.Fatalf("probe hit recovered node and failed: %v", err)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client never returned to a recovered node")
-		}
-		time.Sleep(backoff / 2)
+	// The node is back, but the clock has not moved: the breaker holds.
+	if _, err := c.Report(req); !errors.Is(err, stream.ErrNodeDown) {
+		t.Fatalf("breaker let a dial through before its backoff expired: %v", err)
+	}
+	// Once the backoff has expired, the next call is the half-open probe
+	// and must find the recovered node.
+	clk.Advance(2 * backoff)
+	if _, err := c.Report(req); errors.Is(err, stream.ErrNodeDown) {
+		t.Fatal("client never returned to a recovered node")
+	} else if err != nil {
+		t.Fatalf("probe hit recovered node and failed: %v", err)
 	}
 	if !c.Healthy() {
 		t.Fatal("client unhealthy after successful exchange")
 	}
-	if st := c.Stats(); st.Probes == 0 {
-		t.Fatalf("recovery did not go through a half-open probe: %+v", st)
+	if st := c.Stats(); st.Probes != 1 {
+		t.Fatalf("recovery did not go through exactly one half-open probe: %+v", st)
 	}
 
 	// The breaker is closed: the next exchange works without waiting.

@@ -38,41 +38,34 @@ type ClientConfig struct {
 	// Timeout bounds one exchange end to end — write through response —
 	// via connection deadlines; zero means no deadline.
 	Timeout time.Duration
-	// MaxFrameBytes bounds one received frame (default 4 MiB, matching the
-	// server).
-	MaxFrameBytes int
 	// MaxIdleConns bounds the pooled idle connections (default 16). Active
 	// connections are unbounded: each concurrent caller holds one
 	// exclusively for the duration of its exchange.
 	MaxIdleConns int
-	// ReconnectBackoff is the first wait after a failed dial (default
-	// 250ms); consecutive failures double it up to maxReconnectBackoff.
-	// After two consecutive dial failures, exchanges that would need a
-	// fresh dial fail fast with ErrNodeDown while the backoff runs; after
-	// it expires ONE probe dial runs (half-open) and its outcome resets or
-	// extends the backoff.
-	// Before this existed, a node that closed with GOODBYE kept eating a
-	// full dial timeout from every caller until it recovered — failover
-	// worked, but at seconds per request instead of microseconds — and a
-	// recovered node was only rediscovered by luck of timing.
-	ReconnectBackoff time.Duration
+	// Now is the clock the reconnect breaker reads (nil: time.Now). Socket
+	// deadlines stay on the real clock: the kernel enforces them.
+	Now func() time.Time
 }
 
-// maxReconnectBackoff caps the doubling dial backoff.
-const maxReconnectBackoff = 15 * time.Second
+// The reconnect backoff: a failed dial waits firstReconnectBackoff, each
+// consecutive failure doubles it up to maxReconnectBackoff, and getConn's
+// breaker fails fast while it runs. Without it, a node that closed with
+// GOODBYE cost every caller a full dial timeout until it recovered, and a
+// recovered node was only rediscovered by luck of timing.
+const (
+	firstReconnectBackoff = 250 * time.Millisecond
+	maxReconnectBackoff   = 15 * time.Second
+)
 
 func (c ClientConfig) withDefaults() ClientConfig {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 5 * time.Second
 	}
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = DefaultMaxFrameBytes
-	}
 	if c.MaxIdleConns <= 0 {
 		c.MaxIdleConns = DefaultMaxIdleConns
 	}
-	if c.ReconnectBackoff <= 0 {
-		c.ReconnectBackoff = 250 * time.Millisecond
+	if c.Now == nil {
+		c.Now = time.Now
 	}
 	return c
 }
@@ -153,10 +146,7 @@ func (c *Client) dial() (*clientConn, error) {
 	}
 	cc := &clientConn{
 		conn: conn,
-		fr: newFrameReader(
-			bufio.NewReaderSize(countingReader{r: conn, n: &c.bytesIn}, 64<<10),
-			c.cfg.MaxFrameBytes,
-		),
+		fr:   newFrameReader(bufio.NewReaderSize(countingReader{r: conn, n: &c.bytesIn}, 64<<10)),
 	}
 	if err := c.handshake(cc); err != nil {
 		conn.Close()
@@ -167,10 +157,8 @@ func (c *Client) dial() (*clientConn, error) {
 
 // handshake sends HELLO and validates WELCOME.
 func (c *Client) handshake(cc *clientConn) error {
-	if c.cfg.DialTimeout > 0 {
-		cc.conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-		defer cc.conn.SetDeadline(time.Time{})
-	}
+	cc.conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
+	defer cc.conn.SetDeadline(time.Time{})
 	bp := getFrame(frameHello)
 	*bp = append(*bp, Magic...)
 	*bp = append(*bp, Version, Version)
@@ -227,7 +215,7 @@ func (c *Client) getConn() (cc *clientConn, reused bool, err error) {
 	}
 	probe := false
 	if c.dialFails >= failFastThreshold {
-		if c.probing || time.Now().Before(c.backoffUntil) {
+		if c.probing || c.cfg.Now().Before(c.backoffUntil) {
 			c.mu.Unlock()
 			c.failFast.Add(1)
 			return nil, false, ErrNodeDown
@@ -245,11 +233,11 @@ func (c *Client) getConn() (cc *clientConn, reused bool, err error) {
 	}
 	if err != nil {
 		c.dialFails++
-		backoff := c.cfg.ReconnectBackoff << (c.dialFails - 1)
+		backoff := firstReconnectBackoff << (c.dialFails - 1)
 		if backoff > maxReconnectBackoff || backoff <= 0 {
 			backoff = maxReconnectBackoff
 		}
-		c.backoffUntil = time.Now().Add(backoff)
+		c.backoffUntil = c.cfg.Now().Add(backoff)
 	} else {
 		c.dialFails = 0
 		c.backoffUntil = time.Time{}

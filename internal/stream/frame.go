@@ -8,8 +8,8 @@ import (
 	"sync"
 )
 
-// ErrFrameTooLarge marks a frame whose declared length exceeds the
-// negotiated bound. The reader cannot trust anything after an oversized
+// ErrFrameTooLarge marks a frame whose declared length exceeds
+// DefaultMaxFrameBytes. The reader cannot trust anything after an oversized
 // header, so the connection closes after reporting it.
 var ErrFrameTooLarge = errors.New("stream: frame exceeds size limit")
 
@@ -55,14 +55,10 @@ func finishFrame(b []byte) []byte {
 type frameReader struct {
 	r   io.Reader
 	buf []byte
-	max int
 }
 
-func newFrameReader(r io.Reader, max int) *frameReader {
-	if max <= 0 {
-		max = DefaultMaxFrameBytes
-	}
-	return &frameReader{r: r, buf: make([]byte, 4096), max: max}
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: r, buf: make([]byte, 4096)}
 }
 
 // next reads one frame, returning its type and payload.
@@ -74,8 +70,8 @@ func (fr *frameReader) next() (byte, []byte, error) {
 	if n < 1 {
 		return 0, nil, fmt.Errorf("stream: empty frame")
 	}
-	if int(n) > fr.max {
-		return 0, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, fr.max)
+	if n > DefaultMaxFrameBytes {
+		return 0, nil, fmt.Errorf("%w: %d bytes (limit %d)", ErrFrameTooLarge, n, DefaultMaxFrameBytes)
 	}
 	if int(n) > len(fr.buf) {
 		fr.buf = make([]byte, int(n))

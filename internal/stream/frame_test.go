@@ -36,7 +36,7 @@ func TestFrameReaderPartialDelivery(t *testing.T) {
 	wire = append(wire, rawFrame(frameGoodbye, codec.AppendString(nil, "first"))...)
 	wire = append(wire, rawFrame(frameError, []byte{1, 2, 3})...)
 
-	fr := newFrameReader(iotest.OneByteReader(bytes.NewReader(wire)), 0)
+	fr := newFrameReader(iotest.OneByteReader(bytes.NewReader(wire)))
 	ftype, payload, err := fr.next()
 	if err != nil || ftype != frameGoodbye {
 		t.Fatalf("frame 1: type %d, err %v", ftype, err)
@@ -57,21 +57,21 @@ func TestFrameReaderPartialDelivery(t *testing.T) {
 func TestFrameReaderRejectsMalformedHeaders(t *testing.T) {
 	// Declared length beyond the bound: the reader refuses before buffering.
 	huge := make([]byte, 4)
-	binary.LittleEndian.PutUint32(huge, 1<<30)
-	fr := newFrameReader(bytes.NewReader(huge), 1<<10)
+	binary.LittleEndian.PutUint32(huge, DefaultMaxFrameBytes+1)
+	fr := newFrameReader(bytes.NewReader(huge))
 	if _, _, err := fr.next(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: %v", err)
 	}
 
 	// A full header followed by a short body is a torn connection, not EOF.
 	torn := rawFrame(frameGoodbye, []byte("hello"))[:7]
-	fr = newFrameReader(bytes.NewReader(torn), 0)
+	fr = newFrameReader(bytes.NewReader(torn))
 	if _, _, err := fr.next(); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated body: %v", err)
 	}
 
 	// Zero-length frames carry no type byte.
-	fr = newFrameReader(bytes.NewReader(make([]byte, 4)), 0)
+	fr = newFrameReader(bytes.NewReader(make([]byte, 4)))
 	if _, _, err := fr.next(); err == nil {
 		t.Fatal("empty frame accepted")
 	}
@@ -138,10 +138,10 @@ func frameTestRegistry(t *testing.T, names ...string) *registry.Registry {
 	return reg
 }
 
-func frameTestServer(t *testing.T, cfg Config) (*Server, string) {
+func frameTestServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	reg := frameTestRegistry(t, "ra")
-	srv, err := NewServer(reg, cfg)
+	srv, err := NewServer(reg, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func frameTestServer(t *testing.T, cfg Config) (*Server, string) {
 // TestServerSurvivesPartialFrameDelivery drives a real server connection
 // one byte per write: handshake and a REPORT must still resolve.
 func TestServerSurvivesPartialFrameDelivery(t *testing.T) {
-	srv, addr := frameTestServer(t, Config{})
+	srv, addr := frameTestServer(t)
 	reg := srv.reg
 	sh, err := reg.Shard(context.Background(), "ra")
 	if err != nil {
@@ -183,7 +183,7 @@ func TestServerSurvivesPartialFrameDelivery(t *testing.T) {
 	hello := append([]byte(Magic), Version, Version)
 	writeByByte(rawFrame(frameHello, hello))
 
-	fr := newFrameReader(bufio.NewReader(conn), 0)
+	fr := newFrameReader(bufio.NewReader(conn))
 	ftype, _, err := fr.next()
 	if err != nil || ftype != frameWelcome {
 		t.Fatalf("handshake: type %d, err %v", ftype, err)
@@ -219,7 +219,7 @@ func TestServerSurvivesPartialFrameDelivery(t *testing.T) {
 // TestServerRejectsOversizedFrame expects ERROR 413 with reqID 0 (a
 // connection-level fault) and a closed connection after it.
 func TestServerRejectsOversizedFrame(t *testing.T) {
-	srv, addr := frameTestServer(t, Config{MaxFrameBytes: 1 << 12})
+	srv, addr := frameTestServer(t)
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -231,14 +231,15 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 	if _, err := conn.Write(rawFrame(frameHello, hello)); err != nil {
 		t.Fatal(err)
 	}
-	fr := newFrameReader(bufio.NewReader(conn), 0)
+	fr := newFrameReader(bufio.NewReader(conn))
 	if ftype, _, err := fr.next(); err != nil || ftype != frameWelcome {
 		t.Fatalf("handshake: type %d, err %v", ftype, err)
 	}
 
-	// A header declaring 2 MiB against the 4 KiB server bound.
+	// A header declaring one byte past the bound: the server refuses on
+	// the length prefix, before any body arrives.
 	huge := make([]byte, 4)
-	binary.LittleEndian.PutUint32(huge, 2<<20)
+	binary.LittleEndian.PutUint32(huge, DefaultMaxFrameBytes+1)
 	if _, err := conn.Write(huge); err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 
 	"corgi/internal/budget"
 	"corgi/internal/clientdraw"
+	"corgi/internal/clock"
 	"corgi/internal/cluster"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
@@ -179,7 +180,7 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 	{
 		reg := newRegistry(t, registry.Options{}, "ra")
 		tree, leafA, leafB := worldOf(reg)
-		_, addr := startStream(t, reg, stream.Config{})
+		_, addr := startStream(t, reg)
 		sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 		defer sc.Close()
 		overStream = drawLocal(tree, leafA, leafB, true,
@@ -214,7 +215,7 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 func TestReleaseLeavesDecodedGrantsAlone(t *testing.T) {
 	reg := newRegistry(t, registry.Options{}, "ra")
 	_, leafNodes := leaves(t, reg, "ra")
-	_, addr := startStream(t, reg, stream.Config{})
+	_, addr := startStream(t, reg)
 	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 	defer sc.Close()
 	h, err := proto.NewMultiHandler(reg)
@@ -298,7 +299,7 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 
 	// Stream wire: same refusal as a *StatusError with the headroom field.
 	regS := newRegistry(t, opts, "ra")
-	_, addr := startStream(t, regS, stream.Config{})
+	_, addr := startStream(t, regS)
 	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 	defer sc.Close()
 	req := stream.Request{Region: "ra", Cell: cell, UID: 5, Policy: pol, Seed: 1}
@@ -319,12 +320,13 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestLeaseTokenRejections pins the key-gating: a tampered token, a
-// genuinely-signed-but-expired token, and a token presented by the wrong
-// user all answer 403 on both wires, and the registry counts them.
+// TestLeaseTokenRejections pins the key-gating: a tampered token, a token
+// presented by the wrong user, and the server's own token once the
+// registry's clock has passed its lifetime all answer 403, and the
+// registry counts them.
 func TestLeaseTokenRejections(t *testing.T) {
-	secret := bytes.Repeat([]byte{0x5a}, 32)
-	reg := newRegistry(t, registry.Options{LeaseSecret: secret}, "ra")
+	clk := clock.NewManual()
+	reg := newRegistry(t, registry.Options{Budget: budget.Config{Now: clk.Now}}, "ra")
 	_, leafNodes := leaves(t, reg, "ra")
 	cell := [2]int{leafNodes[0].Coord.Q, leafNodes[0].Coord.R}
 	pol := policy.Policy{PrivacyLevel: 1}
@@ -336,7 +338,7 @@ func TestLeaseTokenRejections(t *testing.T) {
 	hsrv := httptest.NewServer(h.Mux())
 	t.Cleanup(hsrv.Close)
 	hc := proto.NewClient(hsrv.URL).Remote()
-	_, addr := startStream(t, reg, stream.Config{})
+	_, addr := startStream(t, reg)
 	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 	defer sc.Close()
 	ask := func(uid int64, token []byte) registry.LeaseRequest {
@@ -369,25 +371,8 @@ func TestLeaseTokenRejections(t *testing.T) {
 		t.Fatalf("stream forged token: %v", err)
 	}
 
-	// Expired: the exact claims of the real token, correctly signed under
-	// the server's own secret, but past its expiry.
-	tok, err := budget.DecodeLeaseToken(lr.Token)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kr, err := budget.NewKeyring(secret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tok.ExpiresAt = time.Now().Add(-time.Minute).UnixMilli()
-	wantHTTP403(ask(9, kr.Sign(tok)))
-
 	// Wrong presenter: a valid token under a different request UID.
 	wantHTTP403(ask(10, lr.Token))
-
-	if st := reg.LeaseStats(); st.DeniedToken != 4 {
-		t.Fatalf("denied_token = %d, want 4: %+v", st.DeniedToken, st)
-	}
 
 	// The denials never touched the session: the original lease still
 	// renews and continues at the position it granted.
@@ -397,6 +382,15 @@ func TestLeaseTokenRejections(t *testing.T) {
 	}
 	if !lr2.Renewed || lr2.RNGPos != 2 {
 		t.Fatalf("renewal after denials: renewed=%v pos=%d", lr2.Renewed, lr2.RNGPos)
+	}
+
+	// Expired: the server's own token, presented once the registry's clock
+	// has passed its lifetime.
+	clk.Advance(registry.DefaultLeaseTTL + time.Millisecond)
+	wantHTTP403(ask(9, lr2.Token))
+
+	if st := reg.LeaseStats(); st.DeniedToken != 4 {
+		t.Fatalf("denied_token = %d, want 4: %+v", st.DeniedToken, st)
 	}
 }
 
@@ -433,7 +427,7 @@ func TestMaxReportCountLimit(t *testing.T) {
 	hsrv := httptest.NewServer(h.Mux())
 	t.Cleanup(hsrv.Close)
 	hc := proto.NewClient(hsrv.URL)
-	_, addr := startStream(t, reg, stream.Config{})
+	_, addr := startStream(t, reg)
 	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 	defer sc.Close()
 

@@ -43,7 +43,7 @@ func TestRemoteViewsMatchRegistry(t *testing.T) {
 	leafA, leafB := tree.LeavesUnder(roots[0])[0], tree.LeavesUnder(roots[1])[0]
 
 	sreg := newRegistry(t, opts, "ra")
-	_, addr := startStream(t, sreg, stream.Config{})
+	_, addr := startStream(t, sreg)
 	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 	defer sc.Close()
 

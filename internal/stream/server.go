@@ -30,15 +30,6 @@ type Config struct {
 	// Timeout bounds each frame's report work (the whole batch for
 	// REPORTS); zero means no per-frame deadline.
 	Timeout time.Duration
-	// MaxFrameBytes bounds one frame's type+payload (default 4 MiB).
-	MaxFrameBytes int
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxFrameBytes <= 0 {
-		c.MaxFrameBytes = DefaultMaxFrameBytes
-	}
-	return c
 }
 
 // Stats is a point-in-time snapshot of a stream server's counters,
@@ -118,7 +109,7 @@ func NewServer(reg *registry.Registry, cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		reg:       reg,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		interned:  make(map[string]string),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*serverConn]struct{}),
@@ -244,10 +235,7 @@ func (c countingReader) Read(p []byte) (int, error) {
 // stickiness contract: one user's pipelined reports on one connection
 // resolve in send order, so their draw sequence replays deterministically.
 func (s *Server) serveConn(sc *serverConn) {
-	fr := newFrameReader(
-		bufio.NewReaderSize(countingReader{r: sc.conn, n: &s.bytesIn}, 64<<10),
-		s.cfg.MaxFrameBytes,
-	)
+	fr := newFrameReader(bufio.NewReaderSize(countingReader{r: sc.conn, n: &s.bytesIn}, 64<<10))
 	if !s.handshake(sc, fr) {
 		return
 	}

@@ -49,13 +49,18 @@ func newRegistry(t *testing.T, opts registry.Options, names ...string) *registry
 }
 
 // startStream serves a stream server for reg on a loopback port.
-func startStream(t *testing.T, reg *registry.Registry, cfg stream.Config) (*stream.Server, string) {
+func startStream(t *testing.T, reg *registry.Registry) (*stream.Server, string) {
+	return serveStream(t, reg, "127.0.0.1:0")
+}
+
+// serveStream serves reg over corgi-stream on addr until the test ends.
+func serveStream(t *testing.T, reg *registry.Registry, addr string) (*stream.Server, string) {
 	t.Helper()
-	srv, err := stream.NewServer(reg, cfg)
+	srv, err := stream.NewServer(reg, stream.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +81,7 @@ func leaves(t *testing.T, reg *registry.Registry, region string) (*loctree.Tree,
 
 func TestStreamReportRoundTrip(t *testing.T) {
 	reg := newRegistry(t, registry.Options{}, "ra", "rb")
-	srv, addr := startStream(t, reg, stream.Config{})
+	srv, addr := startStream(t, reg)
 	_, leafNodes := leaves(t, reg, "ra")
 	leaf := leafNodes[0]
 
@@ -190,7 +195,7 @@ func TestStreamTrajectoryEquivalence(t *testing.T) {
 	var overStream []draw
 	{
 		reg := newRegistry(t, registry.Options{}, "ra")
-		_, addr := startStream(t, reg, stream.Config{})
+		_, addr := startStream(t, reg)
 		c := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 		defer c.Close()
 		for i, leaf := range movesOf(reg) {
@@ -294,7 +299,7 @@ func TestStreamBatchPartialFailureMatchesHTTP(t *testing.T) {
 
 	regStream := newRegistry(t, budgeted, "ra")
 	prime(regStream, leaf)
-	_, addr := startStream(t, regStream, stream.Config{})
+	_, addr := startStream(t, regStream)
 	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
 	defer sc.Close()
 	streamItems := make([]stream.Request, 0, 4)
@@ -370,16 +375,7 @@ func TestStreamMidShutdownReconnect(t *testing.T) {
 		Policy: policy.Policy{PrivacyLevel: 1}, Seed: 11, Count: 2,
 	}
 
-	srv1, err := stream.NewServer(reg, stream.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := lis.Addr().String()
-	go srv1.Serve(lis)
+	srv1, addr := startStream(t, reg)
 
 	c := stream.NewClient(addr, stream.ClientConfig{
 		Timeout: 10 * time.Second, DialTimeout: 2 * time.Second,
@@ -409,16 +405,7 @@ func TestStreamMidShutdownReconnect(t *testing.T) {
 
 	// Same address, same registry: the next request dials fresh and the
 	// session stream continues.
-	srv2, err := stream.NewServer(reg, stream.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lis2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv2.Serve(lis2)
-	t.Cleanup(func() { srv2.Close() })
+	serveStream(t, reg, addr)
 
 	second, err := c.Report(req)
 	if err != nil {
@@ -463,7 +450,7 @@ func TestStreamMidShutdownReconnect(t *testing.T) {
 // runs this under -race.
 func TestStreamConcurrentSharedRegistry(t *testing.T) {
 	reg := newRegistry(t, registry.Options{}, "ra", "rb")
-	streamSrv, addr := startStream(t, reg, stream.Config{})
+	streamSrv, addr := startStream(t, reg)
 	h, err := proto.NewMultiHandler(reg)
 	if err != nil {
 		t.Fatal(err)
