@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"corgi/internal/flight"
 )
 
 // DefaultCacheBytes bounds the entry cache when EngineOptions.CacheBytes is
@@ -134,8 +136,8 @@ func (s *EngineStats) Merge(o EngineStats) {
 
 // engine is the concurrent forest-generation core: a semaphore-bounded
 // worker pool over independent subtree solves (each subtree's matrix is
-// independent, Algorithm 3), per-key singleflight so concurrent requests for
-// the same (node, delta) share one LP solve, and a two-tier read path over
+// independent, Algorithm 3), a flight.Group so concurrent requests for the
+// same (node, delta) share one LP solve, and a two-tier read path over
 // finished entries — a byte-bounded in-memory LRU backed by an optional
 // durable snapshot store consulted before any solve runs.
 type engine struct {
@@ -144,16 +146,17 @@ type engine struct {
 	cache   *entryCache
 	store   ForestStore
 
-	mu     sync.Mutex
-	flight map[forestKey]*flightCall
+	// solving joins concurrent requests for one key onto one solve, and
+	// loading joins concurrent misses for siblings of one (level, delta)
+	// forest onto one snapshot read.
+	solving flight.Group[forestKey, *ForestEntry]
+	loading flight.Group[StoredForestRef, []*ForestEntry]
 
-	// storeMu guards the snapshot-load singleflight and the set of (level,
-	// delta) forests known to be persisted (or being persisted), which
-	// dedupes write-backs.
-	storeMu     sync.Mutex
-	storeFlight map[StoredForestRef]*storeCall
-	persisted   map[StoredForestRef]bool
-	writeWG     sync.WaitGroup
+	// storeMu guards the set of (level, delta) forests known to be
+	// persisted (or being persisted), which dedupes write-backs.
+	storeMu   sync.Mutex
+	persisted map[StoredForestRef]bool
+	writeWG   sync.WaitGroup
 
 	// upMu guards the set of keys with a background optimal solve running;
 	// upgradeWG lets tests and shutdown wait for upgrades to land.
@@ -186,25 +189,6 @@ type engine struct {
 	fallback func(ctx context.Context, root forestKey) (*ForestEntry, error)
 }
 
-// flightCall is one in-progress generation that concurrent requesters for
-// the same key wait on instead of solving again.
-type flightCall struct {
-	done  chan struct{}
-	entry *ForestEntry
-	err   error
-}
-
-// storeCall is one in-progress snapshot load that concurrent cache misses
-// for sibling keys of the same (level, delta) forest wait on instead of
-// re-reading the file.
-type storeCall struct {
-	done chan struct{}
-	// entries is what the load returned, set before done closes. Waiters
-	// take their entry from here, not from the cache: a cache smaller than
-	// the forest has evicted early siblings by the time the load finishes.
-	entries []*ForestEntry
-}
-
 func newEngine(opts EngineOptions, generate func(context.Context, forestKey) (*ForestEntry, error)) *engine {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -215,14 +199,12 @@ func newEngine(opts EngineOptions, generate func(context.Context, forestKey) (*F
 		capacity = DefaultCacheBytes
 	}
 	en := &engine{
-		workers:     workers,
-		sem:         make(chan struct{}, workers),
-		store:       opts.Store,
-		flight:      map[forestKey]*flightCall{},
-		storeFlight: map[StoredForestRef]*storeCall{},
-		persisted:   map[StoredForestRef]bool{},
-		upgrading:   map[forestKey]bool{},
-		generate:    generate,
+		workers:   workers,
+		sem:       make(chan struct{}, workers),
+		store:     opts.Store,
+		persisted: map[StoredForestRef]bool{},
+		upgrading: map[forestKey]bool{},
+		generate:  generate,
 	}
 	en.cache = newEntryCache(capacity, &en.alias)
 	return en
@@ -236,44 +218,21 @@ func newEngine(opts EngineOptions, generate func(context.Context, forestKey) (*F
 // its own, still-healthy context instead of failing.
 func (en *engine) entry(ctx context.Context, key forestKey) (*ForestEntry, error) {
 	for {
-		e, err := en.entryOnce(ctx, key)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// A cached degraded fallback does not satisfy the real path: fall
+		// through to the solve, whose published result replaces the fallback.
+		if e, ok := en.cache.get(key); ok && !e.Degraded {
+			return e, nil
+		}
+		e, err := en.solving.Do(ctx, key, func() (*ForestEntry, error) { return en.solve(ctx, key) })
 		if err != nil && ctx.Err() == nil &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			continue
 		}
 		return e, err
 	}
-}
-
-func (en *engine) entryOnce(ctx context.Context, key forestKey) (*ForestEntry, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// A cached degraded fallback does not satisfy the real path: fall
-	// through to the solve, whose published result replaces the fallback.
-	if e, ok := en.cache.get(key); ok && !e.Degraded {
-		return e, nil
-	}
-	en.mu.Lock()
-	if call, ok := en.flight[key]; ok {
-		en.mu.Unlock()
-		select {
-		case <-call.done:
-			return call.entry, call.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	call := &flightCall{done: make(chan struct{})}
-	en.flight[key] = call
-	en.mu.Unlock()
-
-	call.entry, call.err = en.solve(ctx, key)
-	en.mu.Lock()
-	delete(en.flight, key)
-	en.mu.Unlock()
-	close(call.done)
-	return call.entry, call.err
 }
 
 // solve resolves one cache miss under the worker-pool semaphore: first a
@@ -388,58 +347,43 @@ func (en *engine) waitUpgrades() { en.upgradeWG.Wait() }
 // storeFetch consults the durable store for the forest containing key.
 // Snapshot files hold whole (level, delta) forests, so a hit publishes
 // every sibling entry to the cache at once; concurrent misses for siblings
-// of the same forest share one file read (per-forest singleflight).
+// of the same forest share one file read (a flight.Group per forest).
 func (en *engine) storeFetch(ctx context.Context, key forestKey) (*ForestEntry, bool) {
 	ref := StoredForestRef{Level: key.node.Level, Delta: key.delta}
-	en.storeMu.Lock()
-	if call, ok := en.storeFlight[ref]; ok {
-		en.storeMu.Unlock()
-		select {
-		case <-call.done:
-		case <-ctx.Done():
-			return nil, false
+	// Waiters take their entry from the load's result, not from the cache:
+	// a cache smaller than the forest has evicted early siblings by the
+	// time the load finishes. fn reports a miss as no entries, so the only
+	// error is a waiter's own ctx, which every caller checks after a miss.
+	entries, _ := en.loading.Do(ctx, ref, func() ([]*ForestEntry, error) {
+		// A load that finished between the caller's cache miss and this
+		// point published its entries before it freed ref: serve from the
+		// cache below rather than read the snapshot again. (Skip a
+		// degraded fallback a concurrent fast path may have slipped in: a
+		// snapshot hit is always optimal.)
+		if e, ok := en.cache.peek(key); ok && !e.Degraded {
+			return nil, nil
 		}
-		for _, e := range call.entries {
-			if e.Root == key.node {
-				return e, true
-			}
+		entries, err := en.store.Load(ctx, ref.Level, ref.Delta)
+		if err != nil || len(entries) == 0 {
+			en.storeMisses.Add(1)
+			return nil, nil
 		}
-		return nil, false
-	}
-	// A load that finished between the caller's cache miss and this point
-	// published its entries before it left storeFlight: serve from them
-	// rather than read the snapshot again. (Skip a degraded fallback a
-	// concurrent fast path may have slipped in: a snapshot hit is always
-	// optimal.)
-	if e, ok := en.cache.peek(key); ok && !e.Degraded {
-		en.storeMu.Unlock()
-		return e, true
-	}
-	call := &storeCall{done: make(chan struct{})}
-	en.storeFlight[ref] = call
-	en.storeMu.Unlock()
-
-	var hit *ForestEntry
-	entries, err := en.store.Load(ctx, ref.Level, ref.Delta)
-	if err == nil && len(entries) > 0 {
 		en.storeHits.Add(1)
 		en.markPersisted(ref)
-		call.entries = entries
 		for _, e := range entries {
-			k := forestKey{node: e.Root, delta: ref.Delta}
-			en.cache.add(k, e)
-			if k == key {
-				hit = e
-			}
+			en.cache.add(forestKey{node: e.Root, delta: ref.Delta}, e)
 		}
-	} else {
-		en.storeMisses.Add(1)
+		return entries, nil
+	})
+	for _, e := range entries {
+		if e.Root == key.node {
+			return e, true
+		}
 	}
-	en.storeMu.Lock()
-	delete(en.storeFlight, ref)
-	en.storeMu.Unlock()
-	close(call.done)
-	return hit, hit != nil
+	if e, ok := en.cache.peek(key); ok && !e.Degraded {
+		return e, true
+	}
+	return nil, false
 }
 
 // markPersisted records that ref is durably stored (or being stored).
@@ -527,39 +471,44 @@ func (en *engine) hydrate(ctx context.Context) (int, error) {
 }
 
 // forest fans the privacy level's nodes out across the worker pool and
-// assembles the result. The first error cancels the remaining solves.
-func (en *engine) forest(ctx context.Context, keys []forestKey) (map[forestKey]*ForestEntry, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	out := make(map[forestKey]*ForestEntry, len(keys))
-	for _, key := range keys {
-		wg.Add(1)
-		go func(key forestKey) {
-			defer wg.Done()
-			e, err := en.entry(ctx, key)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				return
-			}
-			out[key] = e
-		}(key)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+// returns their entries in keys' order. The first error cancels the
+// remaining solves.
+func (en *engine) forest(ctx context.Context, keys []forestKey) ([]*ForestEntry, error) {
+	out := make([]*ForestEntry, len(keys))
+	err := fanOut(ctx, len(keys), func(ctx context.Context, i int) (err error) {
+		out[i], err = en.entry(ctx, keys[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// fanOut runs fn(ctx, i) for every i in [0, n) concurrently and returns
+// the first error, whose arrival cancels the ctx the others run under.
+func fanOut(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := fn(ctx, i); err != nil {
+				once.Do(func() {
+					first = err
+					cancel()
+				})
+			}
+		}(i)
+	}
+	wg.Wait()
+	return first
 }
 
 func (en *engine) stats() EngineStats {

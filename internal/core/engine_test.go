@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -291,5 +292,104 @@ func TestEngineArgumentValidation(t *testing.T) {
 	}
 	if err := srv.Warmup(context.Background(), -1); err == nil {
 		t.Error("negative warmup delta must fail")
+	}
+}
+
+// failOneSubtree makes srv's generation of fail return errBoom once every
+// other generation in the fan-out has started, and every other generation
+// wait for its ctx to end and count that it did.
+func failOneSubtree(srv *Server, fail forestKey, others int, cancelled *atomic.Int32) {
+	started := make(chan struct{}, others)
+	srv.engine.generate = func(ctx context.Context, key forestKey) (*ForestEntry, error) {
+		if key == fail {
+			for i := 0; i < others; i++ {
+				<-started
+			}
+			return nil, errBoom
+		}
+		started <- struct{}{}
+		<-ctx.Done()
+		cancelled.Add(1)
+		return nil, ctx.Err()
+	}
+}
+
+var errBoom = errors.New("boom")
+
+// TestForestFirstErrorCancelsSiblings fails one subtree of a level-1
+// forest while its six siblings are solving: their ctx is cancelled, and
+// GenerateForestCtx returns the failing subtree's error, not a sibling's
+// cancellation.
+func TestForestFirstErrorCancelsSiblings(t *testing.T) {
+	srv := newEngineTestServer(t, EngineOptions{Workers: 7})
+	nodes := srv.Tree().LevelNodes(1)
+	var cancelled atomic.Int32
+	failOneSubtree(srv, forestKey{node: nodes[3], delta: 1}, len(nodes)-1, &cancelled)
+	if _, err := srv.GenerateForestCtx(context.Background(), 1, 1); !errors.Is(err, errBoom) {
+		t.Fatalf("forest with a failing subtree returned %v, want errBoom", err)
+	}
+	if n := cancelled.Load(); n != int32(len(nodes)-1) {
+		t.Fatalf("%d of %d siblings saw their ctx cancelled", n, len(nodes)-1)
+	}
+	if st := srv.Stats(); st.Solves != 0 {
+		t.Fatalf("failed forest counted %d solves", st.Solves)
+	}
+}
+
+// TestWarmupFirstErrorCancelsTheRest fails one subtree of one warmup
+// forest while every other subtree of every forest is solving: all of
+// them are cancelled and Warmup returns the failure, naming its forest.
+func TestWarmupFirstErrorCancelsTheRest(t *testing.T) {
+	// Height 2, deltas 0..1: (7 + 1) subtrees x 2 deltas, all at once.
+	srv := newEngineTestServer(t, EngineOptions{Workers: 16})
+	var cancelled atomic.Int32
+	failOneSubtree(srv, forestKey{node: srv.Tree().Root(), delta: 1}, 15, &cancelled)
+	err := srv.Warmup(context.Background(), 1)
+	if !errors.Is(err, errBoom) {
+		t.Fatalf("warmup with a failing subtree returned %v, want errBoom", err)
+	}
+	if want := "warmup level 2 delta 1"; !strings.Contains(err.Error(), want) {
+		t.Errorf("warmup error %q does not name its forest (%q)", err, want)
+	}
+	if n := cancelled.Load(); n != 15 {
+		t.Fatalf("%d of 15 other subtrees saw their ctx cancelled", n)
+	}
+}
+
+// TestDeltaBoundRefusedBeforeSolving: a subtree of K leaves takes deltas
+// in [0, K) on every entry point, and a refused delta runs no solve;
+// Warmup past a level's bound warms what the level allows.
+func TestDeltaBoundRefusedBeforeSolving(t *testing.T) {
+	srv := newEngineTestServer(t, EngineOptions{Workers: 2})
+	ctx := context.Background()
+	sub, root := srv.Tree().LevelNodes(1)[0], srv.Tree().Root()
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"forest L1 delta 7", func() error { _, err := srv.GenerateForestCtx(ctx, 1, 7); return err }},
+		{"forest L2 delta 49", func() error { _, err := srv.GenerateForestCtx(ctx, 2, 49); return err }},
+		{"entry L1 delta 7", func() error { _, err := srv.GenerateEntryCtx(ctx, sub, 7); return err }},
+		{"entry L2 delta 1<<30", func() error { _, err := srv.GenerateEntryCtx(ctx, root, 1<<30); return err }},
+		{"serve L1 delta 7", func() error { _, err := srv.ServeEntryCtx(ctx, sub, 7); return err }},
+		{"serve L1 delta -1", func() error { _, err := srv.ServeEntryCtx(ctx, sub, -1); return err }},
+	} {
+		if err := tc.call(); !errors.Is(err, ErrDeltaRange) {
+			t.Errorf("%s: %v, want ErrDeltaRange", tc.name, err)
+		}
+	}
+	if st := srv.Stats(); st.Solves != 0 || st.Misses != 0 {
+		t.Fatalf("refused deltas reached the engine: %d solves, %d misses", st.Solves, st.Misses)
+	}
+
+	// Level 1 subtrees have 7 leaves, so warming deltas 0..7 solves 0..6
+	// there (7 x 7) and 0..7 at the root (8). What a solve returns does
+	// not matter here, only which keys are asked for.
+	srv.engine.generate = func(context.Context, forestKey) (*ForestEntry, error) { return &ForestEntry{}, nil }
+	if err := srv.Warmup(ctx, 7); err != nil {
+		t.Fatalf("warmup past level 1's bound: %v", err)
+	}
+	if st := srv.Stats(); st.Solves != 7*7+8 {
+		t.Fatalf("warmup to delta 7 ran %d solves, want %d", st.Solves, 7*7+8)
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"corgi/internal/geo"
@@ -127,15 +127,14 @@ func (s *Server) Stats() EngineStats { return s.engine.stats() }
 // GenerateEntryCtx generates (or returns cached) the robust matrix for one
 // subtree root at the privacy level, prunable up to delta locations,
 // honoring ctx cancellation/deadline while waiting for a worker slot or a
-// shared in-flight solve.
+// shared in-flight solve. delta must lie in [0, K) for a subtree of K
+// leaves (see checkDelta).
 func (s *Server) GenerateEntryCtx(ctx context.Context, root loctree.NodeID, delta int) (*ForestEntry, error) {
-	if !s.tree.Contains(root) {
-		return nil, fmt.Errorf("core: node %v not in tree", root)
+	key, err := s.entryKey(root, delta)
+	if err != nil {
+		return nil, err
 	}
-	if delta < 0 {
-		return nil, fmt.Errorf("core: delta must be >= 0, got %d", delta)
-	}
-	return s.engine.entry(ctx, forestKey{node: root, delta: delta})
+	return s.engine.entry(ctx, key)
 }
 
 // ServeEntryCtx is the degraded-capable read path: with
@@ -146,13 +145,34 @@ func (s *Server) GenerateEntryCtx(ctx context.Context, root loctree.NodeID, delt
 // replaces the fallback on completion. Without the option it is exactly
 // GenerateEntryCtx.
 func (s *Server) ServeEntryCtx(ctx context.Context, root loctree.NodeID, delta int) (*ForestEntry, error) {
-	if !s.tree.Contains(root) {
-		return nil, fmt.Errorf("core: node %v not in tree", root)
+	key, err := s.entryKey(root, delta)
+	if err != nil {
+		return nil, err
 	}
-	if delta < 0 {
-		return nil, fmt.Errorf("core: delta must be >= 0, got %d", delta)
+	return s.engine.entryFast(ctx, key)
+}
+
+// entryKey validates one entry request: root must be a node of the tree
+// and delta within its subtree's bound.
+func (s *Server) entryKey(root loctree.NodeID, delta int) (forestKey, error) {
+	leaves := s.tree.LeavesUnder(root)
+	if leaves == nil {
+		return forestKey{}, fmt.Errorf("core: node %v not in tree", root)
 	}
-	return s.engine.entryFast(ctx, forestKey{node: root, delta: delta})
+	return forestKey{node: root, delta: delta}, checkDelta(delta, len(leaves))
+}
+
+// ErrDeltaRange marks a delta outside [0, K) for a subtree of K leaves. A
+// prune set of K or more leaves nothing to report from, so no user can
+// reach such a delta and the server refuses it before any solve runs.
+var ErrDeltaRange = errors.New("delta out of range")
+
+// checkDelta enforces ErrDeltaRange's bound for a subtree of k leaves.
+func checkDelta(delta, k int) error {
+	if delta < 0 || delta >= k {
+		return fmt.Errorf("core: %w: delta %d, want [0,%d) for a subtree of %d leaves", ErrDeltaRange, delta, k, k)
+	}
+	return nil
 }
 
 // PeekEntry returns the cached entry for (root, delta) without touching the
@@ -252,10 +272,10 @@ func (s *Server) GenerateForestCtx(ctx context.Context, privacyLevel, delta int)
 	if privacyLevel < 1 || privacyLevel > s.tree.Height() {
 		return nil, fmt.Errorf("core: privacy level %d outside [1,%d]", privacyLevel, s.tree.Height())
 	}
-	if delta < 0 {
-		return nil, fmt.Errorf("core: delta must be >= 0, got %d", delta)
-	}
 	nodes := s.tree.LevelNodes(privacyLevel)
+	if err := checkDelta(delta, len(s.tree.LeavesUnder(nodes[0]))); err != nil {
+		return nil, err
+	}
 	keys := make([]forestKey, len(nodes))
 	for i, node := range nodes {
 		keys[i] = forestKey{node: node, delta: delta}
@@ -269,16 +289,14 @@ func (s *Server) GenerateForestCtx(ctx context.Context, privacyLevel, delta int)
 		Delta:        delta,
 		Entries:      make(map[loctree.NodeID]*ForestEntry, len(keys)),
 	}
-	entries := make([]*ForestEntry, len(keys))
 	for i, key := range keys {
-		forest.Entries[key.node] = got[key]
-		entries[i] = got[key]
+		forest.Entries[key.node] = got[i]
 	}
 	// Write the completed forest back to the durable store asynchronously.
-	// The slice above is the assembled forest itself, so cache eviction
-	// racing the write cannot truncate the snapshot; write-backs dedupe
-	// per (level, delta) inside the engine.
-	s.engine.persistAsync(privacyLevel, delta, entries)
+	// got is the assembled forest itself, so cache eviction racing the
+	// write cannot truncate the snapshot; write-backs dedupe per (level,
+	// delta) inside the engine.
+	s.engine.persistAsync(privacyLevel, delta, got)
 	return forest, nil
 }
 
@@ -302,35 +320,26 @@ func (s *Server) FlushStore() { s.engine.flushStore() }
 // semaphore still bounds real solve parallelism, and warm-started bases
 // inside each generation keep the individual solves short — so total warmup
 // time approaches the critical path of the slowest subtree rather than the
-// sum over levels. The first error cancels the remaining forests. Entries
-// evicted by the byte bound are simply regenerated on demand later.
+// sum over levels. A level whose subtrees have maxDelta leaves or fewer
+// warms only the deltas below its leaf count (see checkDelta). The first
+// error cancels the remaining forests. Entries evicted by the byte bound
+// are simply regenerated on demand later.
 func (s *Server) Warmup(ctx context.Context, maxDelta int) error {
 	if maxDelta < 0 {
 		return fmt.Errorf("core: warmup delta must be >= 0, got %d", maxDelta)
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
+	var forests []StoredForestRef
 	for level := 1; level <= s.tree.Height(); level++ {
-		for delta := 0; delta <= maxDelta; delta++ {
-			wg.Add(1)
-			go func(level, delta int) {
-				defer wg.Done()
-				if _, err := s.GenerateForestCtx(ctx, level, delta); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: warmup level %d delta %d: %w", level, delta, err)
-						cancel()
-					}
-					mu.Unlock()
-				}
-			}(level, delta)
+		k := len(s.tree.LeavesUnder(s.tree.LevelNodes(level)[0]))
+		for delta := 0; delta <= maxDelta && delta < k; delta++ {
+			forests = append(forests, StoredForestRef{Level: level, Delta: delta})
 		}
 	}
-	wg.Wait()
-	return firstErr
+	return fanOut(ctx, len(forests), func(ctx context.Context, i int) error {
+		f := forests[i]
+		if _, err := s.GenerateForestCtx(ctx, f.Level, f.Delta); err != nil {
+			return fmt.Errorf("core: warmup level %d delta %d: %w", f.Level, f.Delta, err)
+		}
+		return nil
+	})
 }

@@ -2,12 +2,14 @@ package proto
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"corgi/internal/policy"
 	"corgi/internal/registry"
 )
 
@@ -208,5 +210,66 @@ func TestMultiStats(t *testing.T) {
 	}
 	if ms.Total.Solves != ms.Regions["nyc"].Solves || ms.Total.Solves == 0 {
 		t.Errorf("aggregate solves %d vs nyc %d", ms.Total.Solves, ms.Regions["nyc"].Solves)
+	}
+}
+
+// TestForestDeltaBound: a height-2 region's level-1 subtrees have 7
+// leaves and its root 49, so GET /v1/forest refuses delta >= 7 at
+// privacy_l=1 and delta >= 49 at privacy_l=2 with 422, and so does a
+// report whose preferences prune every leaf of its subtree. None of them
+// runs a solve.
+func TestForestDeltaBound(t *testing.T) {
+	ts, reg := newMultiTestServer(t)
+	resp, err := http.Get(ts.URL + "/v1/forest?region=sf&privacy_l=1&delta=6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta 6 at privacy_l=1 -> %d, want 200", resp.StatusCode)
+	}
+	solves := reg.AggregateStats().Solves
+
+	for _, q := range []string{
+		"privacy_l=1&delta=7", "privacy_l=1&delta=48", "privacy_l=1&delta=49",
+		"privacy_l=1&delta=1000", "privacy_l=1&delta=1073741824",
+		"privacy_l=2&delta=49", "privacy_l=2&delta=1000", "privacy_l=2&delta=1073741824",
+	} {
+		resp, err := http.Get(ts.URL + "/v1/forest?region=sf&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("GET /v1/forest?%s -> %d, want 422", q, resp.StatusCode)
+		}
+	}
+
+	// No leaf is less than 0 km away, so this policy prunes all seven.
+	pred, err := policy.ParsePredicate("distance < 0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := reg.Shard(context.Background(), "sf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := sh.Server.Tree().LevelNodes(0)[0]
+	body, err := json.Marshal(ReportRequest{Region: "sf", Cell: [2]int{leaf.Coord.Q, leaf.Coord.R},
+		Policy: policy.Policy{PrivacyLevel: 1, Preferences: []policy.Predicate{pred}}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+"/v1/report", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("report pruning every leaf -> %d, want 422", resp.StatusCode)
+	}
+
+	if got := reg.AggregateStats().Solves; got != solves {
+		t.Fatalf("refused requests ran %d solves", got-solves)
 	}
 }

@@ -31,6 +31,7 @@ import (
 
 	"corgi/internal/budget"
 	"corgi/internal/core"
+	"corgi/internal/flight"
 	"corgi/internal/geo"
 	"corgi/internal/gowalla"
 	"corgi/internal/hexgrid"
@@ -343,14 +344,6 @@ type ReportHandler interface {
 	Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, error)
 }
 
-// bootCall is one in-progress region bootstrap that concurrent first
-// requests join instead of bootstrapping again.
-type bootCall struct {
-	done  chan struct{}
-	shard *Shard
-	err   error
-}
-
 // Registry owns the region set and their lazily-bootstrapped shards.
 type Registry struct {
 	opts  Options
@@ -359,7 +352,9 @@ type Registry struct {
 
 	mu     sync.Mutex
 	shards map[string]*Shard
-	boot   map[string]*bootCall
+	// booting joins concurrent first requests for a region onto one
+	// bootstrap.
+	booting flight.Group[string, *Shard]
 
 	bootstraps atomic.Uint64
 
@@ -422,7 +417,6 @@ func New(specs []Spec, opts Options) (*Registry, error) {
 		opts:    opts,
 		specs:   make(map[string]Spec, len(specs)),
 		shards:  make(map[string]*Shard, len(specs)),
-		boot:    map[string]*bootCall{},
 		keyring: keyring,
 	}
 	for _, s := range specs {
@@ -491,46 +485,34 @@ func (r *Registry) Shard(ctx context.Context, name string) (*Shard, error) {
 		return nil, fmt.Errorf("%w %q; available regions: %s",
 			ErrUnknownRegion, name, strings.Join(r.order, ", "))
 	}
-	r.mu.Lock()
-	if sh, ok := r.shards[name]; ok {
+	if sh, ok := r.ShardIfReady(name); ok {
 		// A ready shard costs nothing to hand out, so an expired context
 		// only matters on the wait/bootstrap paths below (the caller's
 		// own generation will still see the expiry).
-		r.mu.Unlock()
 		return sh, nil
 	}
 	if err := ctx.Err(); err != nil {
-		r.mu.Unlock()
 		return nil, err
 	}
-	if call, ok := r.boot[name]; ok {
-		r.mu.Unlock()
-		select {
-		case <-call.done:
-			return call.shard, call.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
+	return r.booting.Do(ctx, name, func() (*Shard, error) {
+		// A bootstrap that finished after the lookup above published its
+		// shard before it freed name.
+		if sh, ok := r.ShardIfReady(name); ok {
+			return sh, nil
 		}
-	}
-	call := &bootCall{done: make(chan struct{})}
-	r.boot[name] = call
-	r.mu.Unlock()
-
-	// Bootstrap outside the lock with a background-rooted context: the
-	// shard outlives the triggering request, so one impatient client must
-	// not abort it for everyone queued behind.
-	call.shard, call.err = r.bootstrap(context.WithoutCancel(ctx), spec)
-	r.mu.Lock()
-	if call.err == nil {
-		r.shards[name] = call.shard
-	}
-	delete(r.boot, name)
-	r.mu.Unlock()
-	close(call.done)
-	if call.err == nil {
+		// Bootstrap with a background-rooted context: the shard outlives
+		// the triggering request, so one impatient client must not abort
+		// it for everyone queued behind.
+		sh, err := r.bootstrap(context.WithoutCancel(ctx), spec)
+		if err != nil {
+			return nil, err
+		}
+		r.mu.Lock()
+		r.shards[name] = sh
+		r.mu.Unlock()
 		r.bootstraps.Add(1)
-	}
-	return call.shard, call.err
+		return sh, nil
+	})
 }
 
 // BootstrapAll eagerly bootstraps every configured region in order,

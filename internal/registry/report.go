@@ -332,6 +332,11 @@ func (a *anchoring) plan(ctx context.Context) (prunePlan, *core.ForestEntry, err
 		return plan, nil, err
 	}
 	entry, err := a.sh.Server.ServeEntryCtx(ctx, a.root, len(plan.pruned))
+	if errors.Is(err, core.ErrDeltaRange) {
+		// The prune set is a subset of the subtree's leaves, so only one
+		// that takes all of them reaches the bound.
+		return plan, nil, fmt.Errorf("%w: preferences prune every location in subtree %v", ErrBadReport, a.root)
+	}
 	return plan, entry, err
 }
 
