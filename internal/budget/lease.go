@@ -92,7 +92,9 @@ func appendTokenPayload(buf []byte, t LeaseToken) []byte {
 
 // decodeToken parses an encoded token, the signed payload followed by its
 // tag, and returns the payload length: the tag is the last tagLen bytes.
-func decodeToken(data []byte) (LeaseToken, int, error) {
+// region is the region the caller expects the token to name: a token that
+// names it shares that string instead of allocating one.
+func decodeToken(data []byte, region string) (LeaseToken, int, error) {
 	var t LeaseToken
 	payloadLen := len(data) - tagLen
 	if payloadLen < 0 {
@@ -106,9 +108,9 @@ func decodeToken(data []byte) (LeaseToken, int, error) {
 		return t, 0, fmt.Errorf("%w: version %d unsupported", ErrBadLeaseToken, v)
 	}
 	t.UID = c.Varint()
-	region := c.Bytes()
-	if len(region) > 256 {
-		return t, 0, fmt.Errorf("%w: region length %d out of range", ErrBadLeaseToken, len(region))
+	named := c.Bytes()
+	if len(named) > 256 {
+		return t, 0, fmt.Errorf("%w: region length %d out of range", ErrBadLeaseToken, len(named))
 	}
 	t.Root = c.Node()
 	t.Delta = int(c.Uvarint())
@@ -124,15 +126,20 @@ func decodeToken(data []byte) (LeaseToken, int, error) {
 		return t, 0, fmt.Errorf("%w: draw cap %d out of range", ErrBadLeaseToken, drawCap)
 	}
 	t.DrawCap = int(drawCap)
-	t.Region = string(region)
+	if string(named) == region {
+		t.Region = region
+	} else {
+		t.Region = string(named)
+	}
 	return t, payloadLen, nil
 }
 
 // DecodeLeaseToken parses a token WITHOUT authenticating it. Clients use
 // it to read their own lease's cap and expiry; servers must only trust
-// fields coming out of Keyring.Verify.
-func DecodeLeaseToken(data []byte) (LeaseToken, error) {
-	t, _, err := decodeToken(data)
+// fields coming out of Keyring.Verify. region is the region the caller
+// expects ("" for none): a token naming it shares that string.
+func DecodeLeaseToken(data []byte, region string) (LeaseToken, error) {
+	t, _, err := decodeToken(data, region)
 	return t, err
 }
 
@@ -218,10 +225,19 @@ func (k *Keyring) AppendSign(dst []byte, t LeaseToken) []byte {
 // Verify authenticates an encoded token and checks it against the clock:
 // a tampered payload, a truncated tag, a key mismatch (wrong user or
 // wrong server secret), or an expired lease all fail with
-// ErrBadLeaseToken. Only a verified token's fields may be trusted. A token
-// that verifies costs one allocation, its Region string.
-func (k *Keyring) Verify(data []byte, now time.Time) (LeaseToken, error) {
-	t, off, err := decodeToken(data)
+// ErrBadLeaseToken. Only a verified token's fields may be trusted.
+//
+// region, when given, is the region the caller expects the token to name.
+// A token naming it shares that string and verifies without allocating; a
+// token naming another region still verifies, with a Region string of its
+// own, and the caller compares. The argument is optional only because
+// bench/layers.go calls Verify(data, now).
+func (k *Keyring) Verify(data []byte, now time.Time, region ...string) (LeaseToken, error) {
+	var want string
+	if len(region) > 0 {
+		want = region[0]
+	}
+	t, off, err := decodeToken(data, want)
 	if err != nil {
 		return LeaseToken{}, err
 	}

@@ -47,7 +47,7 @@ func TestLeaseTokenRoundTrip(t *testing.T) {
 	}
 	// Unauthenticated decode (the client-side read path) sees the same
 	// fields.
-	dec, err := DecodeLeaseToken(data)
+	dec, err := DecodeLeaseToken(data, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func FuzzDecodeLeaseToken(f *testing.F) {
 	f.Add([]byte("CGT1"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tok, err := DecodeLeaseToken(data)
+		tok, err := DecodeLeaseToken(data, "")
 		if err != nil {
 			return
 		}

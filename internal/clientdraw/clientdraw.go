@@ -94,6 +94,11 @@ type Lease struct {
 	st   *storage
 	rng  *rand.Rand
 	used int
+	// miss is the error of the lease's first draw outside its subtree,
+	// written once (missed) and returned again for every later draw at
+	// that same cell, so a user who left the subtree pays for it once.
+	miss   mechanism.OutsideSubtreeError
+	missed bool
 }
 
 // storage is what a lease draws from: the decoded bundle (node lists, row
@@ -114,7 +119,7 @@ type storage struct {
 // back from Token: the caller must not write it afterwards. bundle is only
 // read during the call.
 func Open(tree *loctree.Tree, bundle, token []byte) (*Lease, error) {
-	return open(tree, nil, nil, 0, 0, bundle, token)
+	return open(tree, nil, nil, 0, 0, "", bundle, token)
 }
 
 // open is Open and Renew: decode the grant into st (fresh storage when nil)
@@ -122,8 +127,9 @@ func Open(tree *loctree.Tree, bundle, token []byte) (*Lease, error) {
 // standing at position pos of seed; it continues when the bundle does (the
 // same seed, a position at or past pos), advancing only across the gap.
 // Otherwise the stream is seeded from the bundle and burned to its
-// position.
-func open(tree *loctree.Tree, st *storage, rng *rand.Rand, seed int64, pos uint64, bundle, token []byte) (*Lease, error) {
+// position. region is the region the token is expected to name; a token
+// naming it shares that string.
+func open(tree *loctree.Tree, st *storage, rng *rand.Rand, seed int64, pos uint64, region string, bundle, token []byte) (*Lease, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("clientdraw: nil tree")
 	}
@@ -134,7 +140,7 @@ func open(tree *loctree.Tree, st *storage, rng *rand.Rand, seed int64, pos uint6
 	if err := codec.DecodeLeaseBundleInto(b, bundle); err != nil {
 		return nil, err
 	}
-	tok, err := budget.DecodeLeaseToken(token)
+	tok, err := budget.DecodeLeaseToken(token, region)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +198,7 @@ func (l *Lease) Renew(bundle, token []byte) (*Lease, error) {
 	l.st, l.rng = nil, nil
 	l.used = l.tok.DrawCap
 	l.mu.Unlock()
-	return open(l.tree, st, rng, l.seed, pos, bundle, token)
+	return open(l.tree, st, rng, l.seed, pos, l.tok.Region, bundle, token)
 }
 
 // Token returns the signed lease token, for renewal: the slice Open or
@@ -224,7 +230,10 @@ func (l *Lease) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 		return &ExhaustedError{Used: l.used, Cap: l.tok.DrawCap, Asked: n}
 	}
 	rows := &l.st.rows
-	row, err := rows.RowFor(leaf)
+	row, covered, err := rows.Resolve(leaf)
+	if !covered {
+		return l.outside(leaf)
+	}
 	if err != nil {
 		return err
 	}
@@ -238,4 +247,19 @@ func (l *Lease) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 	}
 	l.used += n
 	return nil
+}
+
+// outside is the refusal of a draw at leaf, a cell outside the leased
+// subtree; caller holds l.mu. The lease's first miss is written into l.miss
+// and a miss at the same cell returns it again. A miss at another cell
+// gets an error of its own: a returned error is never rewritten, so two
+// goroutines refused at two cells each read their own.
+func (l *Lease) outside(leaf loctree.NodeID) error {
+	if !l.missed {
+		l.miss, l.missed = mechanism.OutsideSubtreeError{Leaf: leaf, Root: l.root}, true
+	}
+	if l.miss.Leaf == leaf {
+		return &l.miss
+	}
+	return &mechanism.OutsideSubtreeError{Leaf: leaf, Root: l.root}
 }

@@ -2,6 +2,7 @@ package clientdraw
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
+	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 	"corgi/internal/policy"
 	"corgi/internal/session"
@@ -309,4 +311,58 @@ func TestRenewHandsOverOnce(t *testing.T) {
 	}
 	wg.Wait()
 	check("at once", l, gs, got)
+}
+
+// TestOutsideMissesNameTheirOwnCell: the lease keeps the error of its first
+// draw outside the subtree and hands it out again for that cell only. Two
+// goroutines refused at two outside cells of one lease each get an error
+// naming their own cell and the lease's root, and an error once returned
+// still names its cell after misses elsewhere. The refusals consume
+// nothing.
+func TestOutsideMissesNameTheirOwnCell(t *testing.T) {
+	w := newLeaseWorld(t, policy.Policy{PrivacyLevel: 1}, nil)
+	a, b := w.entryA.Leaves, w.entryB.Leaves
+	l := w.open(a[2], 4)
+	miss := func(cell loctree.NodeID) (*mechanism.OutsideSubtreeError, error) {
+		err := l.DrawCellNInto(cell, make([]loctree.NodeID, 1))
+		var out *mechanism.OutsideSubtreeError
+		if !errors.As(err, &out) || out.Leaf != cell || out.Root != w.entryA.Root {
+			return nil, fmt.Errorf("draw at %v: %v, want an OutsideSubtreeError naming it and %v", cell, err, w.entryA.Root)
+		}
+		return out, nil
+	}
+
+	var wg sync.WaitGroup
+	for _, cell := range []loctree.NodeID{b[0], b[1]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 100 {
+				e, err := miss(cell)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := fmt.Sprintf("%v: cell %v, subtree %v", ErrOutsideSubtree, cell, w.entryA.Root); e.Error() != want {
+					t.Errorf("refusal reads %q, want %q", e.Error(), want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	first, err := miss(b[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cell := range []loctree.NodeID{b[1], b[2], b[0]} {
+		if _, err := miss(cell); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first.Leaf != b[0] {
+		t.Fatalf("a returned refusal was rewritten to name %v", first.Leaf)
+	}
+	w.same(l, a[2], 4)
 }

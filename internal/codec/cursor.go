@@ -79,6 +79,16 @@ func (c *Cursor) Raw(n int) []byte {
 	return v
 }
 
+// Since returns the bytes read after mark, a copy of c taken earlier
+// (mark := *c): the raw encoding of what was read in between. It is nil
+// once a read has failed.
+func (c *Cursor) Since(mark Cursor) []byte {
+	if c.err != nil {
+		return nil
+	}
+	return c.b[mark.off:c.off]
+}
+
 // U8 reads one byte.
 func (c *Cursor) U8() byte {
 	if c.off >= len(c.b) {

@@ -269,13 +269,22 @@ func TestBindingMatchesMapOracle(t *testing.T) {
 				if err := rows.Reset(tree, root, precision, pruned, b.Nodes(), weights); err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				// Rows.Resolve reports an outside leaf as not covered, with
+				// no error; as a RowFor it is ErrOutsideSubtree.
+				rowsRowFor := func(leaf loctree.NodeID) (int, error) {
+					row, covered, err := rows.Resolve(leaf)
+					if !covered && err == nil {
+						return 0, mechanism.ErrOutsideSubtree
+					}
+					return row, err
+				}
 				for _, leaf := range append(slices.Clone(all), root) { // every cell, in or out, and a non-leaf
 					wantRow, want := o.rowFor(leaf)
 					outcomes[want]++
-					for form, resolve := range map[string]func(loctree.NodeID) (int, error){"Binding": b.RowFor, "Rows": rows.RowFor} {
+					for form, resolve := range map[string]func(loctree.NodeID) (int, error){"Binding.RowFor": b.RowFor, "Rows.Resolve": rowsRowFor} {
 						gotRow, err := resolve(leaf)
 						if classify(err) != want || (want == resolved && gotRow != wantRow) {
-							t.Fatalf("%s %s.RowFor(%v) = %d, %v; oracle row %d outcome %d", name, form, leaf, gotRow, err, wantRow, want)
+							t.Fatalf("%s %s(%v) = %d, %v; oracle row %d outcome %d", name, form, leaf, gotRow, err, wantRow, want)
 						}
 					}
 					if b.Covers(leaf) != (want != outside) {

@@ -103,12 +103,17 @@ func (r *Rows) pos(leaf loctree.NodeID) (int, bool) {
 // Nodes returns the report node set. Callers must not mutate it.
 func (r *Rows) Nodes() []loctree.NodeID { return r.nodes }
 
-// RowFor resolves a true leaf cell to its report row — the same
-// resolution the live Binding applies, so refusals match the server's
-// row for row.
-func (r *Rows) RowFor(leaf loctree.NodeID) (int, error) {
+// Resolve resolves a true leaf cell to its report row — the same
+// resolution the live Binding's RowFor applies, so refusals match the
+// server's row for row — except that a leaf outside the subtree is
+// reported as covered false, with no error built: the caller reports it.
+func (r *Rows) Resolve(leaf loctree.NodeID) (row int, covered bool, err error) {
 	pos, covered := r.pos(leaf)
-	return rowForLeaf(r.root, pos, covered, r.rowOf, leaf)
+	if !covered {
+		return 0, false, nil
+	}
+	row, err = rowForLeaf(r.root, pos, true, r.rowOf, leaf)
+	return row, true, err
 }
 
 // Alias builds (and caches) the alias table for one row from its exact

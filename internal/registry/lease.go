@@ -194,7 +194,7 @@ func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, gr
 	now := r.opts.Budget.Now()
 	if len(req.Token) > 0 {
 		var err error
-		prev, err = r.keyring.Verify(req.Token, now)
+		prev, err = r.keyring.Verify(req.Token, now, sh.Spec.Name)
 		if err != nil {
 			r.lease.deniedToken.Add(1)
 			return err

@@ -412,7 +412,7 @@ func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGra
 	var grant *registry.LeaseGrant
 	err := c.call(frameLease, frameLeaseGrant, "stream: LEASE_GRANT",
 		func(b []byte) []byte { return appendLeaseReq(b, &req, draws, token) },
-		func(d *codec.Cursor) (err error) { grant, err = decodeLeaseGrant(d); return err })
+		func(d *codec.Cursor) (err error) { grant, err = decodeLeaseGrant(d, req.Region); return err })
 	if err != nil {
 		return nil, err
 	}

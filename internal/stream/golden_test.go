@@ -161,7 +161,7 @@ func reencode(t *testing.T, name string, payload []byte) []byte {
 			EpsRemaining: se.EpsRemaining, HasEps: se.HasEpsRemaining})
 	case "lease_grant":
 		var g *registry.LeaseGrant
-		if g, err = decodeLeaseGrant(&d); err == nil {
+		if g, err = decodeLeaseGrant(&d, "ra"); err == nil {
 			b = appendLeaseGrant(b, g)
 		}
 	default:

@@ -130,20 +130,13 @@ func NewServer(reg *registry.Registry, cfg Config) (*Server, error) {
 // cluster router installs itself here during wiring, before Serve.
 func (s *Server) SetHandler(h registry.ReportHandler) { s.handler.Store(&h) }
 
-// intern returns the canonical string for a region name's bytes without
-// allocating for known regions (the map lookup with a string(b) key does
-// not escape). Unknown names allocate and then fail resolution with 404.
-func (s *Server) intern(b []byte) string {
-	if name, ok := s.interned[string(b)]; ok {
-		return name
-	}
-	return string(b)
-}
-
 // serverConn is one accepted connection's state.
 type serverConn struct {
 	srv  *Server
 	conn net.Conn
+	// in shares region names and preference lists across the requests
+	// this connection decodes.
+	in interner
 
 	// wmu serializes frame writes: the conn's own responses interleave
 	// with Shutdown's GOODBYE from another goroutine.
@@ -192,7 +185,7 @@ func (s *Server) Serve(lis net.Listener) error {
 			}
 			return err
 		}
-		sc := &serverConn{srv: s, conn: conn}
+		sc := &serverConn{srv: s, conn: conn, in: interner{regions: s.interned}}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -324,7 +317,7 @@ func (s *Server) handleReport(sc *serverConn, payload []byte) {
 	defer s.inflight.Done()
 	d := codec.NewCursor(payload, "stream: REPORT")
 	reqID := d.U32()
-	req, err := decodeRequest(&d, s.intern)
+	req, err := decodeRequest(&d, &sc.in)
 	if err == nil {
 		err = d.Done()
 	}
@@ -354,7 +347,7 @@ func (s *Server) handleLease(sc *serverConn, payload []byte) {
 	defer s.inflight.Done()
 	d := codec.NewCursor(payload, "stream: LEASE")
 	reqID := d.U32()
-	req, draws, token, err := decodeLeaseReq(&d, s.intern)
+	req, draws, token, err := decodeLeaseReq(&d, &sc.in)
 	if err == nil {
 		err = d.Done()
 	}
@@ -398,7 +391,7 @@ func (s *Server) handleReports(sc *serverConn, payload []byte) {
 	}
 	asks := make([]registry.ReportRequest, n)
 	for i := range asks {
-		req, err := decodeRequest(&d, s.intern)
+		req, err := decodeRequest(&d, &sc.in)
 		if err != nil {
 			s.badFrame(sc, reqID, err)
 			return

@@ -50,6 +50,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -320,17 +321,91 @@ const maxHandoffEvents = 1 << 14
 // real policy.
 const maxPreferences = 1 << 10
 
-// decodeRequest reads one request body. intern maps region-name bytes to a
-// shared string (nil falls back to a fresh allocation per request). It
-// accepts only what appendRequest writes, so a request that decodes
-// encodes back to the same bytes.
-func decodeRequest(d *codec.Cursor, intern func([]byte) string) (Request, error) {
-	var req Request
-	if rb := d.Bytes(); intern != nil {
-		req.Region = intern(rb)
-	} else {
-		req.Region = string(rb)
+// maxKeptPreferencesLen bounds the encoded length of the preference list
+// a connection keeps for its next request. A longer list is decoded afresh
+// on every request that sends it, and the kept list stays as it was.
+const maxKeptPreferencesLen = 256
+
+// interner hands the requests one connection decodes the values they
+// repeat, shared instead of copied: region names from the server's fixed
+// table, and the preference list of the last request whose list was
+// short, kept with its encoded bytes. A list it hands out is never
+// written again, by the interner or by anyone it is handed to (sessions
+// keep their policy's preferences read-only), so every request that sends
+// the same bytes may hold it. A connection decodes its frames one at a
+// time, so the interner takes no lock. A nil interner decodes every value
+// afresh.
+type interner struct {
+	regions map[string]string
+	raw     []byte
+	prefs   []policy.Predicate
+}
+
+// region returns the string for a region name's bytes, the server's own
+// for a known region (the lookup with a string(b) key does not allocate).
+// Unknown names allocate and then fail resolution with 404.
+func (in *interner) region(b []byte) string {
+	if in != nil {
+		if name, ok := in.regions[string(b)]; ok {
+			return name
+		}
 	}
+	return string(b)
+}
+
+// preferences returns the predicate list raw encodes: its count, then the
+// predicates, which readPredicates has checked. When raw repeats the kept
+// list's bytes the kept list is returned; otherwise a list no longer than
+// maxKeptPreferencesLen replaces it.
+func (in *interner) preferences(raw []byte) []policy.Predicate {
+	if in != nil && in.prefs != nil && bytes.Equal(raw, in.raw) {
+		return in.prefs
+	}
+	d := codec.NewCursor(raw, "stream: preferences")
+	ps := make([]policy.Predicate, d.Uvarint())
+	readPredicates(&d, len(ps), ps) // raw was read once already: it cannot fail
+	if in != nil && len(raw) <= maxKeptPreferencesLen {
+		in.raw, in.prefs = append(in.raw[:0], raw...), ps
+	}
+	return ps
+}
+
+// readPredicates reads n predicates into ps, or with ps nil only checks
+// them and reads past them.
+func readPredicates(d *codec.Cursor, n int, ps []policy.Predicate) error {
+	for i := range n {
+		name := d.Bytes()
+		op := policy.Op(d.U8())
+		var val policy.Value
+		switch kind := policy.Kind(d.U8()); kind {
+		case policy.KindString:
+			if s := d.Bytes(); ps != nil {
+				val = policy.String(string(s))
+			}
+		case policy.KindNumber:
+			val = policy.Number(d.F64())
+		case policy.KindBool:
+			v := d.U8()
+			if v > 1 {
+				return fmt.Errorf("stream: predicate %d has boolean byte %d", i, v)
+			}
+			val = policy.Bool(v == 1)
+		default:
+			return fmt.Errorf("stream: predicate %d has unknown kind %d", i, kind)
+		}
+		if ps != nil {
+			ps[i] = policy.Predicate{Var: string(name), Op: op, Val: val}
+		}
+	}
+	return d.Err()
+}
+
+// decodeRequest reads one request body, taking its region name and
+// preference list from in. It accepts only what appendRequest writes, so a
+// request that decodes encodes back to the same bytes.
+func decodeRequest(d *codec.Cursor, in *interner) (Request, error) {
+	var req Request
+	req.Region = in.region(d.Bytes())
 	req.Cell[0] = int(d.Varint())
 	req.Cell[1] = int(d.Varint())
 	req.UID = d.Varint()
@@ -338,31 +413,16 @@ func decodeRequest(d *codec.Cursor, intern func([]byte) string) (Request, error)
 	req.Count = int(d.Varint())
 	req.PrivacyLevel = int(d.Varint())
 	req.PrecisionLevel = int(d.Varint())
+	mark := *d
 	nprefs := d.Count(minPredicateLen)
 	if nprefs > maxPreferences {
 		return req, fmt.Errorf("stream: request carries %d preferences (limit %d)", nprefs, maxPreferences)
 	}
-	if nprefs > 0 {
-		req.Preferences = make([]policy.Predicate, nprefs)
+	if err := readPredicates(d, nprefs, nil); err != nil {
+		return req, err
 	}
-	for i := range req.Preferences {
-		p := &req.Preferences[i]
-		p.Var = d.Str()
-		p.Op = policy.Op(d.U8())
-		switch kind := policy.Kind(d.U8()); kind {
-		case policy.KindString:
-			p.Val = policy.String(d.Str())
-		case policy.KindNumber:
-			p.Val = policy.Number(d.F64())
-		case policy.KindBool:
-			v := d.U8()
-			if v > 1 {
-				return req, fmt.Errorf("stream: predicate %d has boolean byte %d", i, v)
-			}
-			p.Val = policy.Bool(v == 1)
-		default:
-			return req, fmt.Errorf("stream: predicate %d has unknown kind %d", i, kind)
-		}
+	if nprefs > 0 {
+		req.Preferences = in.preferences(d.Since(mark))
 	}
 	flags := d.U8()
 	if flags&^(reqFlagForwarded|reqFlagHandoff) != 0 {
@@ -525,8 +585,8 @@ func appendLeaseReq(b []byte, req *Request, draws int, token []byte) []byte {
 // decodeLeaseReq reads one LEASE body. The returned token aliases the
 // frame buffer (like every Cursor.Bytes read) and is only read
 // synchronously by the handler before the next frame arrives.
-func decodeLeaseReq(d *codec.Cursor, intern func([]byte) string) (Request, int, []byte, error) {
-	req, err := decodeRequest(d, intern)
+func decodeLeaseReq(d *codec.Cursor, in *interner) (Request, int, []byte, error) {
+	req, err := decodeRequest(d, in)
 	if err != nil {
 		return req, 0, nil, err
 	}
@@ -570,11 +630,19 @@ func appendLeaseGrant(b []byte, g *registry.LeaseGrant) []byte {
 }
 
 // decodeLeaseGrant reads one LEASE_GRANT body into the registry's grant
-// type. Token and bundle are copied out of the frame buffer — the caller
-// keeps them for the lease's whole lifetime.
-func decodeLeaseGrant(d *codec.Cursor) (*registry.LeaseGrant, error) {
+// type. region is the region the request named, shared by the grant when
+// the server answers with those bytes, as decodeResponse does. Token and
+// bundle are copied out of the frame buffer into one buffer of their own,
+// the token first with its capacity clipped: the caller keeps the token
+// for the lease's whole lifetime, and an append to it cannot reach the
+// bundle. A decoded grant is the struct and that buffer.
+func decodeLeaseGrant(d *codec.Cursor, region string) (*registry.LeaseGrant, error) {
 	g := &registry.LeaseGrant{}
-	g.Region = d.Str()
+	if served := d.Bytes(); string(served) == region {
+		g.Region = region
+	} else {
+		g.Region = string(served)
+	}
 	g.PrecisionLevel = int(d.Varint())
 	g.SubtreeRoot = d.Node()
 	g.Pruned = int(d.Varint())
@@ -590,7 +658,13 @@ func decodeLeaseGrant(d *codec.Cursor) (*registry.LeaseGrant, error) {
 	g.DrawCap = int(d.Uvarint())
 	g.RNGPos = d.Uvarint()
 	g.ExpiresAt = d.Varint()
-	g.Token = append([]byte(nil), d.Bytes()...)
-	g.Bundle = append([]byte(nil), d.Bytes()...)
-	return g, d.Err()
+	token, bundle := d.Bytes(), d.Bytes()
+	if err := d.Err(); err != nil {
+		return g, err
+	}
+	buf := make([]byte, len(token)+len(bundle))
+	n := copy(buf, token)
+	copy(buf[n:], bundle)
+	g.Token, g.Bundle = buf[:n:n], buf[n:]
+	return g, nil
 }
