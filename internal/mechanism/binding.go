@@ -29,7 +29,8 @@ type Config struct {
 	// Pruned, when non-nil, is the precomputed prune set — the source
 	// leaves failing Policy.Preferences — and Bind skips re-evaluating
 	// them (an empty-but-non-nil slice means "evaluated, nothing pruned").
-	// Leave nil to have Bind evaluate Preferences over Attrs.
+	// Leave nil to have Bind evaluate Preferences over Attrs. Bind keeps no
+	// reference to the slice: the caller may reuse it once Bind returns.
 	Pruned []loctree.NodeID
 	// Anchor is the true cell the preference attributes were evaluated at.
 	// Bind does not read it: where one user's preferences were evaluated is
@@ -41,12 +42,12 @@ type Config struct {
 	// required when Policy.PrecisionLevel > 0.
 	Priors *loctree.Priors
 	// Epsilon is the Geo-Ind budget the source was generated under. It
-	// never changes a weight; an unpruned binding is shared only among
-	// binds under the same one.
+	// never changes a weight; a binding is shared only among binds under
+	// the same one.
 	Epsilon float64
 }
 
-// Binding is one user's customized view of a source: the prune set
+// Binding is one customized view of a source: the prune set
 // evaluated, δ-prunability verified, the report node set fixed, and rows
 // served lazily. It is the single implementation of prune/renormalize/
 // precision-grouping behind the resident-session, lease-detach, and
@@ -54,12 +55,15 @@ type Config struct {
 // precisionWeights / DetachRows is what keeps draws byte-identical across
 // all of them, so treat any change there as a wire-format change.
 //
-// Who owns a Binding depends on its prune set. One that prunes nothing is a
-// function of (source, precision level) alone, so the source holds it (see
-// LeafIndex) and Bind hands the same object to every session of every such
-// user: "no preferences" and "preferences that prune nothing here" are one
-// case. One that prunes something is built fresh for its caller and
-// belongs to it.
+// A Binding is a function of (source, precision level, prune set) and of
+// the tree, priors and ε it was bound under; nothing else about the user
+// goes into it, so the source owns it (see LeafIndex) and Bind hands the
+// same object to every session of every user it fits. One that prunes
+// nothing sits in its precision level's slot for the source's lifetime:
+// "no preferences" and "preferences that prune nothing here" are one case.
+// One that prunes something sits in one of the source's few pruned slots
+// until a bind with a prune set the source does not hold takes that slot;
+// the sessions bound to it keep it either way.
 //
 // Either way a Binding is immutable once Bind returns, apart from the alias
 // cache, whose slots are atomic: concurrent Alias calls are safe, and two
@@ -100,11 +104,14 @@ type Binding struct {
 // set is fixed. No alias table is built yet — rows build lazily on first
 // use.
 //
-// When S is empty the result is the binding the source already holds for
-// the policy's precision level, provided it was bound under this tree,
-// these priors and this ε (the serving stack always does; a caller binding
-// one source under others gets a private binding, as does whoever loses
-// the race to publish the first one).
+// The result is the binding the source already holds for the policy's
+// precision level and S, provided it was bound under this tree, these
+// priors and this ε (the serving stack always does; a caller binding one
+// source under others gets a binding of its own). When the source holds
+// none, Bind builds one and keeps it: in the precision level's unpruned
+// slot when S is empty and the slot is still free (whoever loses the race
+// to publish the first one keeps a private binding), in the next pruned
+// slot otherwise, with a copy of S.
 func Bind(cfg Config) (*Binding, error) {
 	if cfg.Tree == nil {
 		return nil, fmt.Errorf("mechanism: nil tree")
@@ -141,10 +148,12 @@ func Bind(cfg Config) (*Binding, error) {
 	var slot *atomic.Pointer[Binding]
 	if len(pruned) == 0 {
 		if slot = idx.unprunedSlot(cfg.Policy.PrecisionLevel); slot != nil {
-			if b := slot.Load(); b != nil && b.tree == cfg.Tree && b.priors == cfg.Priors && b.epsilon == cfg.Epsilon {
+			if b := slot.Load(); b != nil && b.boundUnder(&cfg) {
 				return b, nil
 			}
 		}
+	} else if b := idx.prunedBinding(&cfg, pruned); b != nil {
+		return b, nil
 	}
 	b := &Binding{
 		tree:      cfg.Tree,
@@ -157,7 +166,12 @@ func Bind(cfg Config) (*Binding, error) {
 	if len(pruned) == 0 {
 		b.keep, b.keptLeaves = idx.identity, leaves
 	} else {
+		// The source keeps b past this call, and the caller may reuse
+		// cfg.Pruned; a set Bind evaluated is its own already.
 		b.pruned = pruned
+		if cfg.Pruned != nil {
+			b.pruned = slices.Clone(pruned)
+		}
 		b.dropIdx = make([]bool, len(leaves))
 		kept := len(leaves)
 		for _, n := range pruned {
@@ -199,10 +213,20 @@ func Bind(cfg Config) (*Binding, error) {
 		}
 	}
 	b.rowAlias = make([]atomic.Pointer[sample.Alias], len(b.nodes))
-	if slot != nil {
+	switch {
+	case slot != nil:
 		slot.CompareAndSwap(nil, b)
+	case len(pruned) > 0:
+		idx.keepPruned(b)
 	}
 	return b, nil
+}
+
+// boundUnder reports whether b serves binds of cfg's precision level under
+// cfg's tree, priors and ε; the prune set is the caller's to compare.
+func (b *Binding) boundUnder(cfg *Config) bool {
+	return b.precision == cfg.Policy.PrecisionLevel && b.tree == cfg.Tree &&
+		b.priors == cfg.Priors && b.epsilon == cfg.Epsilon
 }
 
 // Source returns the bound source.

@@ -102,13 +102,13 @@ type Source interface {
 
 // LeafIndex is the part of a binding that depends only on the source: each
 // support leaf's matrix position, the identity position list the unpruned
-// arms use as their keep set, and the unpruned bindings themselves. A source
-// embeds one and hands it to every Bind, so a re-anchor looks positions up
-// instead of rebuilding them and, when the user's preferences prune nothing,
-// takes the binding that is already there. The zero value is ready (entries
-// decoded from the wire or a store need no constructor), the table is
-// immutable once built, and all of it is collected with the source that
-// holds it.
+// arms use as their keep set, and the bindings themselves. A source embeds
+// one and hands it to every Bind, so a re-anchor looks positions up instead
+// of rebuilding them and, when the user's prune set is one a bind over this
+// source has already built, takes the binding that is already there. The
+// zero value is ready (entries decoded from the wire or a store need no
+// constructor), the position table is immutable once built, and all of it
+// is collected with the source that holds it.
 type LeafIndex struct {
 	once     sync.Once
 	pos      map[loctree.NodeID]int
@@ -118,7 +118,18 @@ type LeafIndex struct {
 	// A policy's precision level lies below its privacy level, which is the
 	// root's, so there is one slot per level under the root.
 	unpruned []atomic.Pointer[Binding]
+	// pruned holds the last prunedSlots bindings with a non-empty prune set
+	// that a Bind over this source built, at any precision level, each
+	// stored into the slot after the previous one (nextPruned counts them).
+	// Bind scans every slot: a few prune sets per entry recur (those of the
+	// users' home and work cells), and a hashed index would crowd them.
+	pruned     [prunedSlots]atomic.Pointer[Binding]
+	nextPruned atomic.Uint32
 }
+
+// prunedSlots is how many pruned bindings one source keeps. A power of two,
+// so the slot counter wraps without skipping a slot.
+const prunedSlots = 8
 
 // Over returns x, built on the first call over the source's subtree root
 // and support leaves. A source always passes its own, so later calls find
@@ -143,6 +154,25 @@ func (x *LeafIndex) unprunedSlot(level int) *atomic.Pointer[Binding] {
 		return nil
 	}
 	return &x.unpruned[level]
+}
+
+// prunedBinding returns the pruned binding x holds for cfg's precision
+// level, tree, priors and ε whose prune set equals pruned, nil if it holds
+// none.
+func (x *LeafIndex) prunedBinding(cfg *Config, pruned []loctree.NodeID) *Binding {
+	for i := range x.pruned {
+		if b := x.pruned[i].Load(); b != nil && b.boundUnder(cfg) && slices.Equal(b.pruned, pruned) {
+			return b
+		}
+	}
+	return nil
+}
+
+// keepPruned stores b into the next pruned slot, displacing the binding
+// that slot held. Two binds that miss on one prune set at once both store
+// theirs: equal bindings in two slots, either of which serves a hit.
+func (x *LeafIndex) keepPruned(b *Binding) {
+	x.pruned[(x.nextPruned.Add(1)-1)%prunedSlots].Store(b)
 }
 
 // Pos returns leaf's matrix position, or ok=false when the source does not

@@ -13,9 +13,9 @@ import (
 	"corgi/internal/clientdraw"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
+	"corgi/internal/mechanism"
 	"corgi/internal/policy"
 	"corgi/internal/raceon"
-	"corgi/internal/sample"
 )
 
 // reportAllocs measures Report's allocations per call over a cycle of
@@ -37,14 +37,14 @@ func reportAllocs(t *testing.T, reg *Registry, req ReportRequest, cells ...hexgr
 
 // TestReportAllocationBudgets pins the report path's allocations per
 // temperature. The budgets are the design, not a measurement to loosen. A
-// released report allocates nothing while the user's preferences prune
-// nothing: the result is the pool's, and a re-anchor takes the binding the
-// entry already holds, whether the policy has no preferences or has some
-// that remove no cell of the new subtree. A pruned re-anchor allocates the
-// prune set and a binding of its own with exactly sized position slices.
-// The renormalized alias table the first draw after a pruned re-anchor
-// builds is sample.NewSubset's own cost, measured here on the same row and
-// set aside: no budget on the re-anchor can shrink it.
+// released report allocates nothing: the result is the pool's, the prune
+// set is evaluated into pooled scratch, and a re-anchor takes the binding
+// the entry already holds for the user's prune set, whether the policy has
+// no preferences, has some that remove no cell of the new subtree, or has
+// some that remove a set the entry has bound before. An entry keeps a few
+// pruned bindings; a bind whose set it no longer holds costs what a pruned
+// re-anchor cost before entries kept them: a copy of the set and a binding
+// with exactly sized position slices.
 func TestReportAllocationBudgets(t *testing.T) {
 	if raceon.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -73,18 +73,42 @@ func TestReportAllocationBudgets(t *testing.T) {
 
 	// A user alternating between two cells of the subtree that holds their
 	// home: "home = false" re-evaluates at every move and prunes one cell.
-	sh, prefs, away, root, drop := homeUser(t, reg)
-	entry, err := sh.Server.ServeEntryCtx(context.Background(), root, 1)
+	sh, prefs, away, root, _ := homeUser(t, reg)
+	if got := reportAllocs(t, reg, prefs, away[0], away[1]); got > 0 {
+		t.Errorf("home = false re-anchor: %v allocs/op, budget 0", got)
+	}
+
+	// Nine prune sets cycled through one delta-2 entry in turn: each bind
+	// needs the set the entry displaced longest ago, so every bind misses.
+	entry, err := sh.Server.ServeEntryCtx(context.Background(), root, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := testing.AllocsPerRun(200, func() {
-		if _, _, err := sample.NewSubset(entry.MatrixRow(0), drop); err != nil {
+	leaves := entry.SupportLeaves()
+	var sets [][]loctree.NodeID
+	for _, l := range leaves {
+		sets = append(sets, []loctree.NodeID{l})
+	}
+	sets = append(sets, leaves[:2], leaves[2:4])
+	cfg := mechanism.Config{Tree: sh.Server.Tree(), Source: entry, Delta: 2, Policy: prefs.Policy,
+		Priors: sh.Server.Priors(), Epsilon: sh.Spec.Epsilon}
+	var scratch []loctree.NodeID
+	i := 0
+	var last *mechanism.Binding
+	if got := testing.AllocsPerRun(200, func() {
+		scratch = append(scratch[:0], sets[i%len(sets)]...)
+		i++
+		cfg.Pruned = scratch
+		b, err := mechanism.Bind(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if got := reportAllocs(t, reg, prefs, away[0], away[1]) - table; got > 9 {
-		t.Errorf("home = false re-anchor: %v allocs/op beside the %v of its alias table, budget 9", got, table)
+		last = b
+	}); got > 7 {
+		t.Errorf("bind of a prune set the entry no longer holds: %v allocs/op, budget 7", got)
+	}
+	if again, err := mechanism.Bind(cfg); err != nil || again != last {
+		t.Errorf("the entry does not hold the set it bound last (%v)", err)
 	}
 }
 

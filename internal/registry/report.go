@@ -230,17 +230,41 @@ func grown[T any](s []T, n int) []T {
 type prunePlan struct {
 	pruned []loctree.NodeID
 	anchor loctree.NodeID
+	// scratch holds the pooled array pruned was written into, nil when the
+	// policy has no preferences; release hands it back.
+	scratch *[]loctree.NodeID
+}
+
+// release returns the plan's prune set to the pool. Nothing may read
+// p.pruned after it: the next evalPrune on any goroutine overwrites it.
+func (p *prunePlan) release() {
+	if p.scratch == nil {
+		return
+	}
+	*p.scratch = p.pruned[:0]
+	pruneScratch.Put(p.scratch)
+	p.pruned, p.scratch = nil, nil
 }
 
 // attrScratch recycles the one attribute map evalPrune fills leaf by leaf.
 var attrScratch = sync.Pool{New: func() any { return make(policy.Attributes, 6) }}
 
+// pruneScratch recycles the arrays evalPrune writes prune sets into. No
+// session keeps one: mechanism.Bind copies a set the entry keeps a binding
+// for. Its arrays are never nil, so an evaluated set never reads as "not
+// evaluated" (mechanism.Config.Pruned).
+var pruneScratch = sync.Pool{New: func() any {
+	s := make([]loctree.NodeID, 0, 7)
+	return &s
+}}
+
 // evalPrune evaluates a policy's preferences over the subtree's leaves,
 // anchored at the user's true cell: the same prune set
 // mechanism.EvalPreferences returns over Shard.Attrs, computed without
 // materializing the attribute maps — each leaf's attributes overwrite the
-// previous leaf's in one scratch map. Preference-free policies prune
-// nothing and anchor nowhere (their sessions are cell-independent).
+// previous leaf's in one scratch map, and the set is written into pooled
+// scratch the caller releases. Preference-free policies prune nothing and
+// anchor nowhere (their sessions are cell-independent).
 func evalPrune(sh *Shard, tree *loctree.Tree, uid int64, pol policy.Policy, root, leaf loctree.NodeID) (prunePlan, error) {
 	plan := prunePlan{pruned: []loctree.NodeID{}}
 	if len(pol.Preferences) == 0 {
@@ -253,6 +277,8 @@ func evalPrune(sh *Shard, tree *loctree.Tree, uid int64, pol policy.Policy, root
 	view := md.View(int(uid), tree.Center(leaf))
 	attrs := attrScratch.Get().(policy.Attributes)
 	defer attrScratch.Put(attrs)
+	plan.scratch = pruneScratch.Get().(*[]loctree.NodeID)
+	plan.pruned = (*plan.scratch)[:0]
 	for _, l := range tree.LeavesUnder(root) {
 		view.Fill(attrs, l)
 		allowed, err := pol.Allowed(attrs)
@@ -325,19 +351,25 @@ func (r *Registry) admit(ctx context.Context, region string, cell hexgrid.Coord,
 
 // plan evaluates the preferences at the request's cell and fetches the
 // forest entry that absorbs the resulting prune set (Sec. 5.3: the
-// request's delta is |S|).
+// request's delta is |S|). The caller releases the plan once the bind that
+// reads its prune set returns; a plan that comes with an error is released
+// already.
 func (a *anchoring) plan(ctx context.Context) (prunePlan, *core.ForestEntry, error) {
 	plan, err := evalPrune(a.sh, a.tree, a.uid, a.pol, a.root, a.leaf)
+	var entry *core.ForestEntry
+	if err == nil {
+		entry, err = a.sh.Server.ServeEntryCtx(ctx, a.root, len(plan.pruned))
+	}
 	if err != nil {
-		return plan, nil, err
+		plan.release()
+		if errors.Is(err, core.ErrDeltaRange) {
+			// The prune set is a subset of the subtree's leaves, so only
+			// one that takes all of them reaches the bound.
+			err = fmt.Errorf("%w: preferences prune every location in subtree %v", ErrBadReport, a.root)
+		}
+		return prunePlan{}, nil, err
 	}
-	entry, err := a.sh.Server.ServeEntryCtx(ctx, a.root, len(plan.pruned))
-	if errors.Is(err, core.ErrDeltaRange) {
-		// The prune set is a subset of the subtree's leaves, so only one
-		// that takes all of them reaches the bound.
-		return plan, nil, fmt.Errorf("%w: preferences prune every location in subtree %v", ErrBadReport, a.root)
-	}
-	return plan, entry, err
+	return plan, entry, nil
 }
 
 // session returns the user's resident session, building one when there is
@@ -370,6 +402,7 @@ func (a *anchoring) session(ctx context.Context) (*session.Session, error) {
 		Epsilon: a.sh.Spec.Epsilon,
 	}
 	sess, err := a.sh.Sessions.GetOrCreate(key, func() (*session.Session, error) { return session.New(cfg) })
+	plan.release()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadReport, err)
 	}
@@ -395,16 +428,19 @@ func (a *anchoring) anchor(ctx context.Context, sess *session.Session) (moved bo
 		if err != nil {
 			return false, err
 		}
-		if err := sess.Rebind(session.Rebind{
+		delta := len(plan.pruned)
+		err = sess.Rebind(session.Rebind{
 			Entry:  entry,
-			Delta:  len(plan.pruned),
+			Delta:  delta,
 			Pruned: plan.pruned,
 			Anchor: plan.anchor,
-		}); err != nil {
+		})
+		plan.release()
+		if err != nil {
 			return false, fmt.Errorf("%w: %v", ErrBadReport, err)
 		}
 		moved = true
-		at = session.Bound{Root: a.root, Pruned: len(plan.pruned), Degraded: entry.Degraded}
+		at = session.Bound{Root: a.root, Pruned: delta, Degraded: entry.Degraded}
 	}
 	if at.Degraded {
 		if e, ok := a.sh.Server.PeekEntry(at.Root, at.Pruned); ok && !e.Degraded {

@@ -82,6 +82,7 @@ type Config struct {
 	// them (callers like registry.Report already evaluated once to size
 	// delta; an empty-but-non-nil slice means "evaluated, nothing
 	// pruned"). Leave nil to have New evaluate Preferences over Attrs.
+	// The session keeps no reference to the slice, here or in Rebind.
 	Pruned []loctree.NodeID
 	// Anchor records the true cell the preference attributes were
 	// evaluated at (the "distance" attribute is relative to the user's
@@ -186,8 +187,8 @@ func New(cfg Config) (*Session, error) {
 // Rebind re-anchors the session onto a new forest entry — the mobility
 // move: the policy, seed, and RNG position carry forward untouched, only
 // the subtree binding (prune set, report node set, alias cache) is
-// replaced: by the entry's own when the prune set is empty, by a freshly
-// built one otherwise. The binding is found or assembled outside the
+// replaced: by the one the entry holds for the prune set, or by one built
+// now when it holds none. The binding is found or assembled outside the
 // session lock, so in-flight draws against the old subtree finish on the
 // old binding; a failed rebind leaves the session exactly as it was.
 func (s *Session) Rebind(r Rebind) error {
@@ -257,7 +258,10 @@ func (s *Session) Bound() Bound {
 // moved on, and the new subtree's own entry governs. (A session that left
 // and came back to the same degraded entry's shared binding in that window
 // is indistinguishable from one that never left, and upgrades: it is bound
-// to the entry this one replaces either way.)
+// to the entry this one replaces either way. That holds for a pruned
+// binding too: the entry keeps it for the set it prunes, so a session that
+// returns with the same prune set, as its anchor cell's preferences give,
+// gets the same binding back while the entry still holds it.)
 func (s *Session) Upgrade(entry mechanism.Source, delta int) (bool, error) {
 	if entry == nil || entry.Dim() == 0 || entry.IsDegraded() {
 		return false, nil
