@@ -475,7 +475,7 @@ func (en *engine) hydrate(ctx context.Context) (int, error) {
 // remaining solves.
 func (en *engine) forest(ctx context.Context, keys []forestKey) ([]*ForestEntry, error) {
 	out := make([]*ForestEntry, len(keys))
-	err := fanOut(ctx, len(keys), func(ctx context.Context, i int) (err error) {
+	err := flight.FanOut(ctx, len(keys), len(keys), func(ctx context.Context, i int) (err error) {
 		out[i], err = en.entry(ctx, keys[i])
 		return err
 	})
@@ -483,32 +483,6 @@ func (en *engine) forest(ctx context.Context, keys []forestKey) ([]*ForestEntry,
 		return nil, err
 	}
 	return out, nil
-}
-
-// fanOut runs fn(ctx, i) for every i in [0, n) concurrently and returns
-// the first error, whose arrival cancels the ctx the others run under.
-func fanOut(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg    sync.WaitGroup
-		once  sync.Once
-		first error
-	)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := fn(ctx, i); err != nil {
-				once.Do(func() {
-					first = err
-					cancel()
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
-	return first
 }
 
 func (en *engine) stats() EngineStats {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"corgi/internal/flight"
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
@@ -335,7 +336,7 @@ func (s *Server) Warmup(ctx context.Context, maxDelta int) error {
 			forests = append(forests, StoredForestRef{Level: level, Delta: delta})
 		}
 	}
-	return fanOut(ctx, len(forests), func(ctx context.Context, i int) error {
+	return flight.FanOut(ctx, len(forests), len(forests), func(ctx context.Context, i int) error {
 		f := forests[i]
 		if _, err := s.GenerateForestCtx(ctx, f.Level, f.Delta); err != nil {
 			return fmt.Errorf("core: warmup level %d delta %d: %w", f.Level, f.Delta, err)

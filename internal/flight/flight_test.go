@@ -156,3 +156,104 @@ func TestKeyFreesWhenFnReturns(t *testing.T) {
 	}
 	close(release)
 }
+
+// TestPanickingCallFreesItsKey panics in fn while a waiter is joined: the
+// panic reaches the leader with its own value, the waiter gets an error
+// saying the call panicked, and the next Do for the key runs its fn. The
+// next Do goes first, under an already-cancelled ctx: a key left taken
+// would make it join the dead call and return the ctx's error at once.
+func TestPanickingCallFreesItsKey(t *testing.T) {
+	var g Group[string, int]
+	running, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		g.Do(context.Background(), "k", func() (int, error) {
+			close(running)
+			<-release
+			panic("solve blew up")
+		})
+	}()
+	<-running
+	w := newJoinWatch(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := g.Do(w, "k", func() (int, error) { return 0, nil })
+		waiter <- err
+	}()
+	<-w.joined
+	close(release)
+	if p := <-leader; p != "solve blew up" {
+		t.Fatalf("leader recovered %v, want the fn's own panic value", p)
+	}
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if v, err := g.Do(cancelled, "k", func() (int, error) { return 7, nil }); v != 7 || err != nil {
+		t.Fatalf("Do after a panic: (%d, %v), want (7, nil): the key stayed taken", v, err)
+	}
+	if err := <-waiter; !errors.Is(err, errPanicked) {
+		t.Errorf("waiter on a panicking call got %v, want errPanicked", err)
+	}
+}
+
+// TestFanOutHoldsItsBound runs 6 calls 2 at a time: the first 2 are seen
+// running together before any returns, no more than 2 ever run at once,
+// and all 6 run.
+func TestFanOutHoldsItsBound(t *testing.T) {
+	const n, limit = 6, 2
+	var cur, peak, ran atomic.Int32
+	started, release := make(chan struct{}, n), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- FanOut(context.Background(), n, limit, func(ctx context.Context, i int) error {
+			c := cur.Add(1)
+			for p := peak.Load(); c > p && !peak.CompareAndSwap(p, c); p = peak.Load() {
+			}
+			started <- struct{}{}
+			<-release
+			cur.Add(-1)
+			ran.Add(1)
+			return nil
+		})
+	}()
+	for i := 0; i < limit; i++ {
+		<-started
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if p, r := peak.Load(), ran.Load(); p != limit || r != n {
+		t.Errorf("peak %d concurrent, %d ran; want %d and %d", p, r, limit, n)
+	}
+}
+
+// TestFanOutSkipsCallsAfterItsFirstError runs 5 calls one at a time, the
+// first of which fails: no other call starts and the failure is returned.
+// Under a ctx cancelled before the start, the calls that fit the bound
+// still start and the rest are skipped with the ctx's error.
+func TestFanOutSkipsCallsAfterItsFirstError(t *testing.T) {
+	var ran atomic.Int32
+	err := FanOut(context.Background(), 5, 1, func(ctx context.Context, i int) error {
+		ran.Add(1)
+		if i == 0 {
+			return errBoom
+		}
+		return nil
+	})
+	if !errors.Is(err, errBoom) || ran.Load() != 1 {
+		t.Errorf("first call failing: (%v, %d ran), want (errBoom, 1 ran)", err, ran.Load())
+	}
+
+	ran.Store(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = FanOut(ctx, 5, 2, func(ctx context.Context, i int) error {
+		ran.Add(1)
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || ran.Load() != 2 {
+		t.Errorf("cancelled ctx: (%v, %d ran), want (context.Canceled, 2 ran)", err, ran.Load())
+	}
+}

@@ -377,12 +377,11 @@ func LeafPriors(cs []CheckIn, t *loctree.Tree, smoothing float64) ([]float64, er
 	for i := range out {
 		out[i] = smoothing
 	}
+	// IndexOf alone tells a leaf of the tree from a cell outside it, so
+	// each check-in costs one map lookup (Tree.Locate would add a second).
+	sys := t.System()
 	for _, c := range cs {
-		leaf, ok := t.Locate(c.Loc, 0)
-		if !ok {
-			continue
-		}
-		if idx, ok := t.IndexOf(leaf); ok {
+		if idx, ok := t.IndexOf(loctree.NodeID{Coord: sys.Locate(0, c.Loc)}); ok {
 			out[idx]++
 		}
 	}

@@ -166,12 +166,22 @@ var rotPerLevel = math.Atan2(math.Sqrt(3), 5)
 // sqrt7 is the inter-level spacing factor.
 var sqrt7 = math.Sqrt(7)
 
+// basisLevels is how many levels, from 0, a System keeps a precomputed
+// basis for. Location trees are a few levels tall, so every level they
+// locate or center on is covered; a level above falls back to computing
+// its basis per call.
+const basisLevels = 8
+
 // System anchors hex lattices of every level onto the Earth via a local
 // equirectangular projection. Level 0 is the finest (leaf) resolution;
 // level h has spacing leafSpacing * 7^(h/2) and basis rotated by h*19.1066°.
 type System struct {
 	proj        *geo.Projection
 	leafSpacing float64 // km between adjacent level-0 cell centers
+	// bases[h] is basisAt(h), computed once in NewSystem: a region's
+	// bootstrap locates every check-in, and the basis costs a Pow and
+	// four trigonometric calls.
+	bases [basisLevels][2]geo.XY
 }
 
 // NewSystem creates a hex system centered at origin whose level-0 cells
@@ -183,7 +193,11 @@ func NewSystem(origin geo.LatLng, leafSpacingKm float64) (*System, error) {
 	if !origin.Valid() {
 		return nil, fmt.Errorf("hexgrid: invalid origin %v", origin)
 	}
-	return &System{proj: geo.NewProjection(origin), leafSpacing: leafSpacingKm}, nil
+	s := &System{proj: geo.NewProjection(origin), leafSpacing: leafSpacingKm}
+	for h := range s.bases {
+		s.bases[h][0], s.bases[h][1] = s.basisAt(h)
+	}
+	return s, nil
 }
 
 // Origin returns the anchor point of the system.
@@ -197,6 +211,14 @@ func (s *System) Spacing(level int) float64 {
 
 // basis returns the lattice basis vectors at a level.
 func (s *System) basis(level int) (a1, a2 geo.XY) {
+	if level >= 0 && level < basisLevels {
+		return s.bases[level][0], s.bases[level][1]
+	}
+	return s.basisAt(level)
+}
+
+// basisAt computes the lattice basis vectors at a level.
+func (s *System) basisAt(level int) (a1, a2 geo.XY) {
 	sp := s.Spacing(level)
 	theta := rotPerLevel * float64(level)
 	a1 = geo.XY{X: sp * math.Cos(theta), Y: sp * math.Sin(theta)}

@@ -365,3 +365,65 @@ func TestRoundDiv7(t *testing.T) {
 		}
 	}
 }
+
+// directBasis computes a level's basis from the formula on every call, as
+// System did before it kept one per level; directCenterXY and
+// directLocateXY center and locate with it.
+func directBasis(s *System, level int) (a1, a2 geo.XY) {
+	sp := s.leafSpacing * math.Pow(math.Sqrt(7), float64(level))
+	theta := math.Atan2(math.Sqrt(3), 5) * float64(level)
+	a1 = geo.XY{X: sp * math.Cos(theta), Y: sp * math.Sin(theta)}
+	a2 = geo.XY{X: sp * math.Cos(theta+math.Pi/3), Y: sp * math.Sin(theta+math.Pi/3)}
+	return a1, a2
+}
+
+func directCenterXY(s *System, level int, c Coord) geo.XY {
+	a1, a2 := directBasis(s, level)
+	return a1.Scale(float64(c.Q)).Add(a2.Scale(float64(c.R)))
+}
+
+func directLocateXY(s *System, level int, p geo.XY) Coord {
+	a1, a2 := directBasis(s, level)
+	det := a1.X*a2.Y - a1.Y*a2.X
+	return roundHex((p.X*a2.Y-p.Y*a2.X)/det, (p.Y*a1.X-p.X*a1.Y)/det)
+}
+
+// TestCachedBasisIsBitIdentical holds CenterXY and LocateXY to the direct
+// formula on levels inside the precomputed range and past it: every center
+// must match bit for bit and every point of a grid spanning a few cells
+// must land in the same cell.
+func TestCachedBasisIsBitIdentical(t *testing.T) {
+	origins := []geo.LatLng{
+		geo.SanFrancisco.Center(),
+		{Lat: 40.7128, Lng: -74.006},
+		{Lat: -33.8688, Lng: 151.2093},
+	}
+	for _, origin := range origins {
+		for _, spacing := range []float64{0.1, 0.37} {
+			s, err := NewSystem(origin, spacing)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for level := 0; level <= basisLevels+2; level++ {
+				for q := -3; q <= 3; q++ {
+					for r := -3; r <= 3; r++ {
+						c := Coord{q, r}
+						got, want := s.CenterXY(level, c), directCenterXY(s, level, c)
+						if math.Float64bits(got.X) != math.Float64bits(want.X) || math.Float64bits(got.Y) != math.Float64bits(want.Y) {
+							t.Fatalf("origin %v spacing %v level %d: CenterXY(%v) = %v, direct %v", origin, spacing, level, c, got, want)
+						}
+					}
+				}
+				span := 4 * s.Spacing(level)
+				for i := -20; i <= 20; i++ {
+					for j := -20; j <= 20; j++ {
+						p := geo.XY{X: span * float64(i) / 20, Y: span * float64(j) / 20}
+						if got, want := s.LocateXY(level, p), directLocateXY(s, level, p); got != want {
+							t.Fatalf("origin %v spacing %v level %d: LocateXY(%v) = %v, direct %v", origin, spacing, level, p, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"hash/fnv"
 	"maps"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -515,15 +516,19 @@ func (r *Registry) Shard(ctx context.Context, name string) (*Shard, error) {
 	})
 }
 
-// BootstrapAll eagerly bootstraps every configured region in order,
-// stopping at the first failure.
+// BootstrapAll eagerly bootstraps every configured region, side by side
+// but at most GOMAXPROCS at a time: a bootstrap is CPU-bound and holds its
+// region's check-in sample while it runs, and the region list may be long.
+// The first failure cancels the regions not yet started and is returned
+// wrapped with its region's name; BootstrapAll returns only once every
+// bootstrap it started has.
 func (r *Registry) BootstrapAll(ctx context.Context) error {
-	for _, name := range r.order {
-		if _, err := r.Shard(ctx, name); err != nil {
-			return fmt.Errorf("registry: bootstrapping %q: %w", name, err)
+	return flight.FanOut(ctx, len(r.order), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
+		if _, err := r.Shard(ctx, r.order[i]); err != nil {
+			return fmt.Errorf("registry: bootstrapping %q: %w", r.order[i], err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // bootstrap builds one region's tree, priors, targets, and engine shard.
