@@ -1,17 +1,18 @@
 // Package clientdraw replays the server's exact draw sequence from a
 // lease bundle, on the device. It is the client half of the draw-lease
 // pipeline: internal/session.DetachLease serializes a session's
-// customized rows plus RNG coordinates (seed + position), internal/codec
-// carries them as a bundle, and Open rebuilds them into a
+// customized rows plus stream coordinates (seed + position),
+// internal/codec carries them as a bundle, and Open rebuilds them into a
 // mechanism.Rows — the detached form of the server's row-serving
 // abstraction, building the same Walker alias tables (internal/sample)
-// over the same float64 weight vectors, equal inputs, equal tables — then
-// seeds math/rand identically and fast-forwards to the recorded position.
-// From there every draw consumes exactly one uniform variate, just
-// like the server, so the device-local sequence is byte-identical to what
-// /v1/report, the stream transport, or an in-proc registry would have
-// produced for the same seed, including across re-anchors (each lease
-// carries the position its window starts at).
+// over the same float64 weight vectors, equal inputs, equal tables. Draw i
+// of a lease reads sample.Uniform(seed, position+i), the variate the
+// server's session reads at that position, so the device-local sequence
+// is byte-identical to what /v1/report, the stream transport, or an
+// in-proc registry would have produced for the same seed, including
+// across re-anchors (each lease carries the position its window starts
+// at). A lease holds no generator: opening one at any position costs the
+// same.
 //
 // The lease enforces its own draw cap client-side (ErrLeaseExhausted) —
 // not as security (the token's HMAC and the server's pre-paid accounting
@@ -21,7 +22,7 @@
 // same mechanism code the server runs: a cell outside the leased subtree
 // is ErrOutsideSubtree (renew at the new location), a draw from a row the
 // server would refuse (pruned own location, degenerate row) fails without
-// consuming RNG.
+// consuming a position.
 //
 // Who owns what. On the server a bundle is a set of views: its node lists
 // are the session binding's and an unpruned binding's rows are the forest
@@ -44,13 +45,13 @@ package clientdraw
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"corgi/internal/budget"
 	"corgi/internal/codec"
 	"corgi/internal/loctree"
 	"corgi/internal/mechanism"
+	"corgi/internal/sample"
 )
 
 // ErrLeaseExhausted marks a draw attempted past the lease's pre-paid cap;
@@ -78,8 +79,8 @@ func (e *ExhaustedError) Unwrap() error { return ErrLeaseExhausted }
 var ErrOutsideSubtree = mechanism.ErrOutsideSubtree
 
 // Lease is an open draw lease: the detached mechanism rows with their
-// lazily built alias tables, and the positioned RNG stream. Create with
-// Open; continue with Renew.
+// lazily built alias tables, and the stream window it draws in. Create
+// with Open; continue with Renew.
 type Lease struct {
 	tree     *loctree.Tree
 	token    []byte
@@ -89,10 +90,10 @@ type Lease struct {
 	seed     int64
 
 	mu sync.Mutex
-	// st and rng are this lease's alone until Renew hands them to the next
-	// lease, which leaves both nil here and the lease retired.
-	st   *storage
-	rng  *rand.Rand
+	// st is this lease's alone until Renew hands it to the next lease,
+	// which leaves it nil here and the lease retired.
+	st *storage
+	// used counts the draws taken: the next reads position tok.RNGPos+used.
 	used int
 	// miss is the error of the lease's first draw outside its subtree,
 	// written once (missed) and returned again for every later draw at
@@ -110,26 +111,21 @@ type storage struct {
 	rows   mechanism.Rows
 }
 
-// Open decodes a lease grant's bundle and token and positions the RNG
-// stream: seed the bundle's source, then burn its recorded position so
-// the first local draw consumes the exact variate the server's resident
-// stream reserved for it. The token is parsed (unauthenticated — the
-// client holds no key) for the draw cap; tampering with it only breaks
-// the client's own renewal. The lease keeps token, not a copy, and hands it
-// back from Token: the caller must not write it afterwards. bundle is only
-// read during the call.
+// Open decodes a lease grant's bundle and token. The lease's first draw
+// reads the bundle's recorded position of its seed's stream, the variate
+// the server's session reserved for it. The token is parsed
+// (unauthenticated — the client holds no key) for the draw cap; tampering
+// with it only breaks the client's own renewal. The lease keeps token, not
+// a copy, and hands it back from Token: the caller must not write it
+// afterwards. bundle is only read during the call.
 func Open(tree *loctree.Tree, bundle, token []byte) (*Lease, error) {
-	return open(tree, nil, nil, 0, 0, "", bundle, token)
+	return open(tree, nil, "", bundle, token)
 }
 
-// open is Open and Renew: decode the grant into st (fresh storage when nil)
-// and position the stream. rng, when non-nil, is a handed-over stream
-// standing at position pos of seed; it continues when the bundle does (the
-// same seed, a position at or past pos), advancing only across the gap.
-// Otherwise the stream is seeded from the bundle and burned to its
-// position. region is the region the token is expected to name; a token
-// naming it shares that string.
-func open(tree *loctree.Tree, st *storage, rng *rand.Rand, seed int64, pos uint64, region string, bundle, token []byte) (*Lease, error) {
+// open is Open and Renew: decode the grant into st (fresh storage when
+// nil). region is the region the token is expected to name; a token naming
+// it shares that string.
+func open(tree *loctree.Tree, st *storage, region string, bundle, token []byte) (*Lease, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("clientdraw: nil tree")
 	}
@@ -151,18 +147,6 @@ func open(tree *loctree.Tree, st *storage, rng *rand.Rand, seed int64, pos uint6
 	if err := st.rows.Reset(tree, b.Root, b.PrecisionLevel, b.Pruned, b.Nodes, b.Rows); err != nil {
 		return nil, fmt.Errorf("clientdraw: %w", err)
 	}
-	if rng != nil && b.Seed == seed && b.RNGPos >= pos {
-		for ; pos < b.RNGPos; pos++ {
-			rng.Float64()
-		}
-	} else {
-		rng = rand.New(rand.NewSource(b.Seed))
-		// Fast-forward to the leased window: one variate per position, the
-		// same consumption rate as one alias draw.
-		for i := uint64(0); i < b.RNGPos; i++ {
-			rng.Float64()
-		}
-	}
 	return &Lease{
 		tree:     tree,
 		token:    token,
@@ -171,34 +155,26 @@ func open(tree *loctree.Tree, st *storage, rng *rand.Rand, seed int64, pos uint6
 		degraded: b.Degraded,
 		seed:     b.Seed,
 		st:       st,
-		rng:      rng,
 	}, nil
 }
 
 // Renew opens the next lease window from a renewal grant and retires this
 // lease: from then on its draws report exhausted, while Root, Degraded and
 // Token still describe the window it was. The first Renew of a lease hands
-// the new one its live RNG stream and its storage. The stream saves
-// replaying from the seed: positions grow without bound over a user's
-// lifetime, so Open's burn-from-zero costs O(position) per renewal —
-// quadratic over a session — while a handover is O(forfeited draws), the
-// stream only advancing across the gap the server skipped (renewals
-// continue at the old window's cap, so unconsumed draws are burned, never
-// replayed by the next window). The storage saves the allocations: the
-// grant decodes into this lease's node lists, rows and arena, and alias
-// tables rebuild into this lease's tables. When the grant does not continue
-// the stream (a different seed, or a position behind the current one), the
-// new lease seeds its own, as Open does; so does every later Renew of the
-// same lease, which has nothing left to hand over — two leases never share
-// a stream. A Renew that fails retires this lease all the same. bundle and
-// token are held as in Open.
+// the new one its storage, which saves the allocations: the grant decodes
+// into this lease's node lists, rows and arena, and alias tables rebuild
+// into this lease's tables. Every later Renew of the same lease has
+// nothing left to hand over and decodes into fresh storage, as Open does.
+// The new lease draws from the grant's own position, wherever that is. A
+// Renew that fails retires this lease all the same. bundle and token are
+// held as in Open.
 func (l *Lease) Renew(bundle, token []byte) (*Lease, error) {
 	l.mu.Lock()
-	st, rng, pos := l.st, l.rng, l.tok.RNGPos+uint64(l.used)
-	l.st, l.rng = nil, nil
+	st := l.st
+	l.st = nil
 	l.used = l.tok.DrawCap
 	l.mu.Unlock()
-	return open(l.tree, st, rng, l.seed, pos, l.tok.Region, bundle, token)
+	return open(l.tree, st, l.tok.Region, bundle, token)
 }
 
 // Token returns the signed lease token, for renewal: the slice Open or
@@ -213,7 +189,7 @@ func (l *Lease) Root() loctree.NodeID { return l.root }
 func (l *Lease) Degraded() bool { return l.degraded }
 
 // DrawCellNInto draws len(out) reports into a caller-owned slice. All
-// checks run before any variate is consumed — a refused draw (cap
+// checks run before any position is consumed — a refused draw (cap
 // exhausted, cell outside the subtree, pruned own location, degenerate
 // row) leaves the stream position untouched, exactly as the server's
 // session does, so a client that renews after a refusal stays
@@ -241,9 +217,9 @@ func (l *Lease) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 	if err != nil {
 		return err
 	}
-	nodes := rows.Nodes()
+	nodes, pos := rows.Nodes(), l.tok.RNGPos+uint64(l.used)
 	for i := range out {
-		out[i] = nodes[a.Draw(l.rng)]
+		out[i] = nodes[a.Pick(sample.Uniform(l.seed, pos+uint64(i)))]
 	}
 	l.used += n
 	return nil

@@ -17,6 +17,7 @@ import (
 	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 	"corgi/internal/policy"
+	"corgi/internal/sample"
 	"corgi/internal/session"
 )
 
@@ -177,7 +178,7 @@ func TestLeaseDrawsWhatTheSessionDraws(t *testing.T) {
 			t.Fatalf("draw past the cap: %v", err)
 		}
 
-		// The renewal continues the handed-over stream.
+		// The renewal continues the stream at its grant's position.
 		l, err = l.Renew(w.grant(a[3], 4))
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +191,7 @@ func TestLeaseDrawsWhatTheSessionDraws(t *testing.T) {
 		}
 		w.used(l, 2, 4)
 
-		// Both sessions re-anchor; the server burned the old window's two
+		// Both sessions re-anchor; the server skipped the old window's two
 		// unused draws, and so must the resident stream.
 		for _, s := range []*session.Session{w.leased, w.resident} {
 			if err := s.Rebind(session.Rebind{Entry: w.entryB, Pruned: []loctree.NodeID{}}); err != nil {
@@ -207,6 +208,47 @@ func TestLeaseDrawsWhatTheSessionDraws(t *testing.T) {
 		// A lease opened from scratch at the same position draws the same.
 		w.same(w.open(b[4], 2), b[4], 2)
 	}
+}
+
+// TestOpenAtAFarPosition: a lease granted at position 2^40 opens at once
+// (stepping a generator there would take 2^40 variates) and draws what the
+// naive oracle draws there, the row's alias table picking with
+// sample.Uniform(seed, position), and what the resident session draws
+// after a fast-forward to the same position.
+func TestOpenAtAFarPosition(t *testing.T) {
+	const far = uint64(1) << 40
+	w := newLeaseWorld(t, policy.Policy{PrivacyLevel: 1}, nil)
+	leaf := w.entryA.Leaves[2]
+	w.leased.FastForward(far)
+	b, err := w.leased.DetachLease(leaf, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.RNGPos != far {
+		t.Fatalf("detached at position %d, want %d", b.RNGPos, far)
+	}
+	table, err := sample.New(w.entryA.Matrix.Row(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := codec.EncodeLeaseBundle(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(w.tree, bundle, w.keys.Sign(budget.LeaseToken{UID: 1, Region: "r", Root: b.Root,
+		Eps: 1, DrawCap: 4, RNGPos: far, ExpiresAt: 1 << 50}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [1]loctree.NodeID
+	if err := l.DrawCellNInto(leaf, got[:]); err != nil {
+		t.Fatal(err)
+	}
+	if want := w.entryA.Leaves[table.Pick(sample.Uniform(99, far))]; got[0] != want { // the world's seed
+		t.Fatalf("first draw at position %d: %v, oracle %v", far, got[0], want)
+	}
+	w.resident.FastForward(far + 1)
+	w.same(l, leaf, 3)
 }
 
 // TestLeaseRefusesWhatTheSessionRefuses: with leaf 1 pruned, row 0 is

@@ -33,8 +33,8 @@ func readGolden(t *testing.T, name string, got []byte) []byte {
 	return want
 }
 
-// TestLeaseBundleGolden pins a bundle with empty, dense and sparse rows to
-// bytes the encoder wrote before the decoder moved onto the cursor.
+// TestLeaseBundleGolden pins a version-2 bundle with empty, dense and
+// sparse rows to its recorded bytes.
 func TestLeaseBundleGolden(t *testing.T) {
 	got, err := EncodeLeaseBundle(testBundle())
 	if err != nil {

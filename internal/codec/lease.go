@@ -13,17 +13,17 @@ package codec
 // Layout (all integers little endian; varints are encoding/binary's):
 //
 //	"CGL1"               magic
-//	uint8  version (1)
+//	uint8  version (2)
 //	uint8  flags (bit 0: degraded entry)
 //	uvarint precision level
 //	node   subtree root
 //	varint seed
-//	uvarint rng position (draws consumed before the leased window)
+//	uvarint stream position (draws consumed before the leased window)
 //	uvarint pruned count, then that many nodes
 //	uvarint node count n (>= 1), then n nodes (the report outcomes)
 //	n rows, each:
 //	  uint8 kind 0: empty — the row is unsampleable (degenerate after
-//	         pruning); a client draw from it fails without consuming RNG
+//	         pruning); a client draw from it fails without consuming a position
 //	  uint8 kind 1: dense — n float64 bit patterns
 //	  uint8 kind 2: sparse — uvarint nnz, then nnz x (uvarint col,
 //	         float64 bits); omitted columns are exactly 0.0
@@ -46,8 +46,10 @@ import (
 // leaseMagic brands an encoded lease bundle.
 const leaseMagic = "CGL1"
 
-// leaseVersion is the current bundle layout version.
-const leaseVersion = 1
+// leaseVersion is the current bundle version. It names the draw stream as
+// well as the layout: (Seed, RNGPos) address sample.Uniform's stream, and
+// a bundle of another version is refused rather than drawn from.
+const leaseVersion = 2
 
 // MaxLeaseNodes caps the report-node count a bundle may carry, shared with
 // the matrix codec's dimension limit (the paper's largest tree has 343
@@ -86,9 +88,10 @@ type LeaseBundle struct {
 	PrecisionLevel int
 	// Degraded marks rows detached from a planar-Laplace fallback entry.
 	Degraded bool
-	// Seed and RNGPos are the RNG coordinates: the client seeds
-	// rand.New(rand.NewSource(Seed)) and burns RNGPos variates, landing
-	// exactly where the server's resident stream stood at detach time.
+	// Seed and RNGPos are the stream coordinates: the client's draw i
+	// reads sample.Uniform(Seed, RNGPos+i), the variate the server's
+	// session would have read there, RNGPos being where the session's
+	// stream stood at detach time.
 	Seed   int64
 	RNGPos uint64
 	// Pruned lists the leaves the policy's preferences removed (a draw at

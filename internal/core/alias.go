@@ -45,7 +45,7 @@ func (s *aliasState) unlock() { s.mu.Unlock() }
 // AliasRow returns the O(1) alias sampler for matrix row i, building and
 // caching it on first use. Concurrent callers for rows of the same entry
 // serialize on the build; returned tables are immutable and safe for
-// concurrent draws (each caller brings its own *rand.Rand). Entries
+// concurrent draws (each caller brings its own variate to Pick). Entries
 // decoded from the wire work identically — they simply report no engine
 // counters. A build on a cached entry re-checks the engine cache's byte
 // bound (outside the entry lock: bound enforcement may evict and detach

@@ -119,8 +119,8 @@ func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*regis
 			return nil, err
 		}
 		if st.lease != nil {
-			// Renewal: hand the live RNG stream to the next window instead
-			// of replaying O(position) variates from the seed.
+			// Renewal: hand the lease's storage to the next window, which
+			// decodes and rebuilds its tables into it.
 			st.lease, err = st.lease.Renew(grant.Bundle, grant.Token)
 		} else if st.tree, err = l.Tree(req.Region); err == nil {
 			st.lease, err = clientdraw.Open(st.tree, grant.Bundle, grant.Token)

@@ -109,7 +109,7 @@ func TestRunnersGolden(t *testing.T) {
 		{id: "ext-budget", digest: "cd1f2b5ac4ad7296647bef885fbcb375419b5bbcf28031ae53c84438d175c3bd"},
 		{id: "ext-rpbvariant", digest: "a61ac8c68f98081adba414264cb0c05bf8be2be0cf462409bf00f500b71a1d65"},
 		{id: "ext-approx-quality", digest: "5f2b6e2715b6ea3adb20abab460abf60ff9dbfb4860e764c15507eecd2c04c19"},
-		{id: "frontier", digest: "dabb01bea11f088776ceb3be0ae760eb1b65f5ef81b6513b8dae9faad46eafb2"},
+		{id: "frontier", digest: "45eea922de5e6f5d49022184fe5bccc75357851e079fbcf1c94bb4f4ad67de5c"},
 	} {
 		t.Run(tc.id, func(t *testing.T) {
 			out := quickOutput(t, tc.id)
@@ -156,7 +156,7 @@ func TestFrontierFullGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "e6b2ff60105b7876b7fca344ae0432bdecc01a97fbb6d0bc52e77140904410af"
+	const want = "53c925ac30c3588106e7e68047dd9b513adf84dc96c81bd8816325cf6a77895f"
 	if got := fmt.Sprintf("%x", sha256.Sum256(artifactJSON(t, out.Artifact))); got != want {
 		t.Errorf("artifact sha256 = %s, want %s", got, want)
 	}

@@ -87,7 +87,6 @@ func TestSessionsSharingBindingsDrawWhatEachDrawsAlone(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					alone := rand.New(rand.NewSource(seed))
 					for i := 0; i < 150; i++ {
 						k := (g + i) % 2
 						if err := sess.Rebind(session.Rebind{Entry: srcs[k], Delta: delta, Pruned: pruned[k]}); err != nil {
@@ -106,7 +105,8 @@ func TestSessionsSharingBindingsDrawWhatEachDrawsAlone(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						if want := oracles[k].nodes[table.Draw(alone)]; got[0] != want {
+						// Alone, draw i reads position i of the seed's stream.
+						if want := oracles[k].nodes[table.Pick(sample.Uniform(seed, uint64(i)))]; got[0] != want {
 							t.Errorf("session %d draw %d from %v: %v, alone %v", g, i, leaf, got[0], want)
 							return
 						}

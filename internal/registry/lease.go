@@ -235,8 +235,8 @@ func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, gr
 		return err
 	}
 	// A renewal continues the stream where the leased window ends: for a
-	// resident session FastForward is a no-op (DetachLease already burned
-	// the cap), but a session rebuilt after eviction starts at position 0
+	// resident session FastForward is a no-op (DetachLease already moved
+	// past the cap), but a session rebuilt after eviction starts at position 0
 	// and must catch up to the token's recorded end before detaching the
 	// next window — that is what keeps one seed yielding one sequence
 	// across lease generations and evictions alike.
@@ -245,7 +245,7 @@ func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, gr
 	}
 
 	// Re-anchor + detach, with the same retry loop as Report: DetachLease
-	// refuses (without burning RNG) when a concurrent request re-anchored
+	// refuses (without moving the stream) when a concurrent request re-anchored
 	// the shared session off this request's subtree. The detach, the
 	// encoder and the signer all write into the grant's own buffers.
 	bundle := &grant.bundle

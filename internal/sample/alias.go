@@ -6,19 +6,23 @@
 // dominates report latency. An alias table pays the scan once and then
 // draws in constant time.
 //
-// A table New returns is immutable, so any number of goroutines may Draw
-// from one table concurrently — each with its own *rand.Rand, which is NOT
-// safe for concurrent use (callers serialize or shard their RNGs; see also
-// the note in internal/obf). Build rewrites a table in place, for an owner
-// that holds the table alone and wants its arrays back for another row (a
-// device lease rebuilding its tables at renewal); a table anyone else can
-// reach, and every table New returned, is never rebuilt.
+// A table New returns is immutable, so any number of goroutines may Pick
+// from one table concurrently: a table holds no stream state, and the
+// variate a pick consumes comes from the caller. Build rewrites a table in
+// place, for an owner that holds the table alone and wants its arrays back
+// for another row (a device lease rebuilding its tables at renewal); a
+// table anyone else can reach, and every table New returned, is never
+// rebuilt.
 //
 // A draw consumes exactly one uniform variate (the one-uniform trick: the
 // integer part of u*n picks the bucket, the fractional part flips the
-// biased coin), the same RNG consumption as one inverse-CDF scan. Code
-// that switches between the two samplers therefore keeps its RNG stream
-// alignment, though the drawn values differ for the same stream.
+// biased coin), the same consumption as one inverse-CDF scan.
+//
+// The variates sessions and device leases draw with come from Uniform, a
+// stream addressed by (seed, position): the draw at position p of a seed's
+// stream is a pure function of the two, so a server session and a device
+// lease holding the same coordinates draw the same cells, and reaching
+// position p costs nothing however large p is.
 package sample
 
 import (
@@ -174,18 +178,44 @@ func NewSubset(row []float64, drop []bool) (*Alias, []int, error) {
 func (a *Alias) N() int { return a.n }
 
 // Draw returns one outcome index in O(1), consuming exactly one uniform
-// variate from rng. The table itself is read-only; rng is the only mutable
+// variate from rng; it is Pick(rng.Float64()). rng is the only mutable
 // state, so concurrent draws need per-goroutine (or serialized) RNGs.
-func (a *Alias) Draw(rng *rand.Rand) int {
-	u := rng.Float64() * float64(a.n)
+func (a *Alias) Draw(rng *rand.Rand) int { return a.Pick(rng.Float64()) }
+
+// Pick returns the outcome the uniform variate u in [0, 1) selects: the
+// integer part of u*n is the bucket, the fractional part its coin.
+func (a *Alias) Pick(u float64) int {
+	u *= float64(a.n)
 	i := int(u)
-	if i >= a.n { // u == n is impossible for Float64 in [0,1), but guard fp
+	if i >= a.n { // u == n is impossible for u in [0,1), but guard fp
 		i = a.n - 1
 	}
 	if u-float64(i) < a.prob[i] {
 		return i
 	}
 	return int(a.alias[i])
+}
+
+// goldenGamma is 2^64 divided by the golden ratio, SplitMix64's increment.
+const goldenGamma = 0x9E3779B97F4A7C15
+
+// mix64 is SplitMix64's finaliser: a bijection of uint64 whose every
+// output bit depends on every input bit.
+func mix64(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// Uniform returns the variate at position pos of seed's stream, in [0, 1)
+// on the 2^-53 grid: SplitMix64 started from the mixed seed, whose pos-th
+// output is computed directly instead of by stepping. The stream is part
+// of the lease protocol — a device draws at the positions its lease names
+// and must land on the server's cells — so it never changes without the
+// lease bundle's version.
+func Uniform(seed int64, pos uint64) float64 {
+	z := mix64(mix64(uint64(seed)) + (pos+1)*goldenGamma)
+	return float64(z>>11) * 0x1p-53
 }
 
 // Prob returns the exact probability the table assigns to outcome j —

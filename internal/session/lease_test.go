@@ -20,7 +20,7 @@ import (
 
 // detachByCopy is DetachLease as it stood while a bundle owned everything
 // it pointed at: its own copy of the node lists and one fresh vector per
-// row, asked of the binding a row at a time. It burns nothing, so a
+// row, asked of the binding a row at a time. It moves nothing, so a
 // DetachLease right after it stands at the same stream position.
 func detachByCopy(s *Session) *codec.LeaseBundle {
 	s.mu.Lock()

@@ -45,7 +45,7 @@ func (s *Stats) Merge(o Stats) {
 
 // Manager is a bounded LRU of live report sessions keyed by Key. A user's
 // repeat reports hit their resident session — reusing its cached alias
-// rows and advancing its RNG stream — while the bound keeps a server
+// rows and advancing its draw stream — while the bound keeps a server
 // tracking millions of occasional users from holding a session for each.
 type Manager struct {
 	mu      sync.Mutex

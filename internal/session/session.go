@@ -2,12 +2,12 @@
 // path of the report pipeline. A session binds one privacy-forest entry
 // (the subtree covering the user's location), an evaluated customization
 // policy <Privacy_l, Precision_l, User_Preferences> (Sec. 3.2), and a
-// seeded RNG, and then serves obfuscated-location draws in O(1) per report
-// via Walker alias tables (internal/sample).
+// seeded draw stream, and then serves obfuscated-location draws in O(1) per
+// report via Walker alias tables (internal/sample).
 //
 // The customization itself — preference pruning, Sec. 4.3 renormalization,
 // Equ. 17 precision grouping — lives in internal/mechanism: a session is
-// one mechanism.Binding plus the RNG stream and draw counters. The binding
+// one mechanism.Binding plus the draw stream and its counters. The binding
 // works row-wise: it prunes and renormalizes only the rows the drawn-from
 // distribution actually depends on, builds the alias table for that row
 // once, and caches it for every subsequent draw. The full n x n customized
@@ -17,18 +17,23 @@
 // Sessions are mobility-aware: a session is the user's stream, not the
 // subtree's. When a moving user's reported cell leaves the bound subtree,
 // Rebind swaps in the forest entry covering the new location — re-pruning
-// under the carried-forward policy — while the RNG stream keeps advancing
+// under the carried-forward policy — while the draw stream keeps advancing
 // uninterrupted. A seeded session replaying the same move sequence
 // therefore yields the same draw sequence regardless of how many subtree
 // boundaries the trajectory crosses, which is what keeps the /v1/report
 // equivalence guarantee alive for trajectories, not just fixed cells.
 //
-// Sessions are safe for concurrent use: the internal *rand.Rand and which
+// The stream is a seed and a position: the variate of draw p is
+// sample.Uniform(seed, p), computed rather than stepped to, so a session
+// carries no generator state, and seeking past a detached lease window or
+// to a renewal's position after an eviction only moves the position.
+//
+// Sessions are safe for concurrent use: the stream position and which
 // binding is live are serialized under the session mutex. The binding
 // itself may be shared: one that prunes nothing belongs to the forest entry
 // and serves every such session of it (mechanism.Bind), so what a session
-// owns is its RNG stream, its attribute anchor, and the pointer. Draw
-// sequences are deterministic per seed.
+// owns is its seed and position, its attribute anchor, and the pointer.
+// Draw sequences are deterministic per seed.
 package session
 
 import (
@@ -36,7 +41,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -45,6 +49,7 @@ import (
 	"corgi/internal/loctree"
 	"corgi/internal/mechanism"
 	"corgi/internal/policy"
+	"corgi/internal/sample"
 )
 
 // ErrUnsampleable re-exports mechanism.ErrUnsampleable: a draw that failed
@@ -93,7 +98,7 @@ type Config struct {
 	// Priors supplies leaf priors for precision reduction (Equ. 17);
 	// required when Policy.PrecisionLevel > 0.
 	Priors *loctree.Priors
-	// Seed initializes the session RNG; equal seeds yield equal draw
+	// Seed names the session's draw stream; equal seeds yield equal draw
 	// sequences.
 	Seed int64
 	// Epsilon is the Geo-Ind budget the entry was generated under,
@@ -131,8 +136,9 @@ type Session struct {
 	// is the session's, not the binding's: users whose preferences prune
 	// nothing share one binding whatever cell each was evaluated at.
 	anchor loctree.NodeID
-	rng    *rand.Rand
 
+	// draws is the stream position: the next draw reads
+	// sample.Uniform(seed, draws). Written under mu, read anywhere.
 	draws     atomic.Uint64
 	reanchors atomic.Uint64
 }
@@ -155,9 +161,9 @@ func (s *Session) bind(entry mechanism.Source, delta int, pruned []loctree.NodeI
 	})
 }
 
-// New validates the policy, prepares the initial binding, and seeds the
-// RNG stream the session keeps for its whole life — including across
-// Rebind re-anchors.
+// New validates the policy and prepares the initial binding. The session
+// draws from position 0 of cfg.Seed's stream and keeps that stream for its
+// whole life, including across Rebind re-anchors.
 func New(cfg Config) (*Session, error) {
 	if cfg.Tree == nil {
 		return nil, fmt.Errorf("session: nil tree")
@@ -174,7 +180,6 @@ func New(cfg Config) (*Session, error) {
 		priors:  cfg.Priors,
 		seed:    cfg.Seed,
 		epsilon: cfg.Epsilon,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}
 	b, err := s.bind(cfg.Entry, cfg.Delta, cfg.Pruned, cfg.Attrs)
 	if err != nil {
@@ -185,7 +190,7 @@ func New(cfg Config) (*Session, error) {
 }
 
 // Rebind re-anchors the session onto a new forest entry — the mobility
-// move: the policy, seed, and RNG position carry forward untouched, only
+// move: the policy, seed, and stream position carry forward untouched, only
 // the subtree binding (prune set, report node set, alias cache) is
 // replaced: by the one the entry holds for the prune set, or by one built
 // now when it holds none. The binding is found or assembled outside the
@@ -244,9 +249,9 @@ func (s *Session) Bound() Bound {
 }
 
 // Upgrade swaps the session's degraded binding for one backed by the
-// LP-optimal entry that replaced it, without disturbing the RNG stream or
+// LP-optimal entry that replaced it, without disturbing the draw stream or
 // the re-anchor counter: the swap is invisible to the draw sequence's
-// position (each alias draw consumes exactly one RNG value regardless of
+// position (each alias draw consumes exactly one position regardless of
 // which matrix backs it), so a session that started on the fallback and
 // upgraded mid-stream stays seed-deterministic from the swap onward.
 //
@@ -367,9 +372,9 @@ func (s *Session) DrawCellNBound(leaf loctree.NodeID, out []loctree.NodeID) (Bou
 	if err != nil {
 		return Bound{}, err
 	}
-	nodes := b.Nodes()
+	nodes, pos := b.Nodes(), s.draws.Load()
 	for i := range out {
-		out[i] = nodes[a.Draw(s.rng)]
+		out[i] = nodes[a.Pick(sample.Uniform(s.seed, pos+uint64(i)))]
 	}
 	s.draws.Add(uint64(len(out)))
 	return s.bound(), nil
@@ -379,11 +384,11 @@ func (s *Session) DrawCellNBound(leaf loctree.NodeID, out []loctree.NodeID) (Bou
 // a client can draw from without the server: the exact per-row weight
 // vectors (full float64 precision — quantizing would shift alias
 // thresholds and break draw equivalence), the report node set, the prune
-// set, and the RNG coordinates (seed + position). It then burns n variates
-// from the session's own RNG stream, pre-advancing it past the leased
-// window: the resident stream and the client's detached stream never
-// overlap, and a later server-side draw continues exactly where an
-// n-draw client that used its whole cap would have left the stream.
+// set, and the stream coordinates (seed + position). It then moves the
+// session's position past the n-draw leased window, one addition however
+// large n is: the resident draws and the client's detached draws never overlap,
+// and a later server-side draw continues exactly where an n-draw client
+// that used its whole cap would have left the stream.
 // (A client that draws fewer than n forfeits the unused positions — the
 // privacy-conservative direction, mirroring how its pre-paid epsilon is
 // forfeited.)
@@ -398,13 +403,13 @@ func (s *Session) DrawCellNBound(leaf loctree.NodeID, out []loctree.NodeID) (Bou
 // editing it. Callers read the bundle; they must not write through it.
 //
 // Rows the live path would refuse (degenerate after pruning) come back as
-// empty rows: the client errors on them without consuming RNG, exactly as
+// empty rows: the client errors on them without consuming a position, as
 // the server does when the alias build fails.
 //
 // leaf anchors the detach the way it anchors a draw: if the current
 // binding does not cover it (a concurrent request re-anchored the shared
-// session), DetachLease fails with ErrOutsideSubtree before burning any
-// variate, so the caller's re-anchor-and-retry loop keeps the stream
+// session), DetachLease fails with ErrOutsideSubtree before moving the
+// position, so the caller's re-anchor-and-retry loop keeps the stream
 // position exact — the same contract DrawCellNInto gives the report path.
 //
 // DetachLease allocates the bundle, its row headers and, for pruned or
@@ -448,27 +453,23 @@ func (s *Session) DetachLeaseInto(bundle *codec.LeaseBundle, arena []float64, le
 		Nodes:          b.Nodes(),
 		Rows:           rows,
 	}
-	for i := 0; i < n; i++ {
-		s.rng.Float64()
-	}
 	s.draws.Add(uint64(n))
 	return arena, nil
 }
 
-// FastForward advances the session's RNG stream to absolute position pos
-// (a draws-consumed count — every alias draw and every leased position
-// consumes exactly one variate). It is forward-only: a position at or
-// behind the current one is a no-op, never a rewind. The lease pipeline
-// uses it to rebuild stream continuity after a session eviction — a
-// renewal token carries the position its lease ends at, and a freshly
-// re-created session fast-forwards there before detaching the next lease.
+// FastForward moves the session's stream to absolute position pos (a
+// draws-consumed count — every alias draw and every leased position
+// consumes exactly one). It is forward-only: a position at or behind the
+// current one is a no-op, never a rewind. The lease pipeline uses it to
+// rebuild stream continuity after a session eviction — a renewal token
+// carries the position its lease ends at, and a freshly re-created session
+// fast-forwards there before detaching the next lease. The move is one
+// store, whatever the distance.
 func (s *Session) FastForward(pos uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	cur := s.draws.Load()
-	for ; cur < pos; cur++ {
-		s.rng.Float64()
-		s.draws.Add(1)
+	if pos > s.draws.Load() {
+		s.draws.Store(pos)
 	}
 }
 
@@ -477,7 +478,7 @@ func (s *Session) FastForward(pos uint64) {
 // excludes the subtree and the true cell — a session is the user's
 // continuous stream, and mobility (changing subtree, changing attribute
 // anchor) is handled by re-anchoring the resident session rather than
-// keying a new one, which is what keeps one seeded RNG stream running
+// keying a new one, which is what keeps one seeded draw stream running
 // across a whole trajectory. Anything that changes the draw distribution
 // irreconcilably (the policy, the seed) remains part of the key, so a
 // stale session can never serve a changed policy.

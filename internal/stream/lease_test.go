@@ -84,7 +84,7 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 	// initial 8-draw lease at leafA, then 4-draw renewals at leafB and
 	// leafA. Every grant's RNG position must land exactly where the
 	// in-process stream stood: 0, 8, 12. useRenew picks the renewal
-	// constructor — Renew's RNG handover and Open's burn-from-seed must
+	// constructor — Renew's storage handover and a fresh Open must
 	// produce the same stream.
 	drawLocal := func(tree *loctree.Tree, leafA, leafB loctree.NodeID, useRenew bool,
 		acquire func(leaf loctree.NodeID, draws int, token []byte) (*registry.LeaseGrant, error)) []draw {
