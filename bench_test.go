@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"corgi/internal/core"
 	"corgi/internal/mechanism"
 	"corgi/internal/obf"
 	"corgi/internal/proto"
@@ -39,13 +40,14 @@ func benchGenerateForest(b *testing.B, workers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := ServerConfig{
-		Params: Params{Epsilon: 15, Iterations: 2, UseGraphApprox: true},
-		Engine: EngineOptions{Workers: workers},
+	probs := make([]float64, len(targets))
+	for i := range probs {
+		probs[i] = 1
 	}
+	params := Params{Epsilon: 15, Iterations: 2, UseGraphApprox: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		server, err := NewServerWithConfig(region, priors, targets, cfg)
+		server, err := core.NewServerWithOptions(region.Tree, priors, targets, probs, params, core.EngineOptions{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,24 +33,22 @@
 // Forest generation is served by a concurrent engine (see ARCHITECTURE.md):
 // independent subtree LP solves fan out across a bounded worker pool,
 // concurrent requests for the same (node, delta) share one solve, and
-// finished matrices live in a byte-bounded LRU cache. NewServer uses
-// engine defaults; NewServerWithConfig tunes workers, cache size, and
-// startup warmup, and Server.Stats exposes the engine counters.
+// finished matrices live in a byte-bounded LRU cache. NewServer uses the
+// engine defaults, and Server.Stats exposes the engine counters. A
+// multi-region deployment (named regions, stores, budgets, transports) is
+// assembled by internal/node; cmd/corgi-server is flags over it.
 package corgi
 
 import (
 	"fmt"
 
-	"corgi/internal/budget"
 	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/gowalla"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
-	"corgi/internal/registry"
 	"corgi/internal/session"
-	"corgi/internal/store"
 )
 
 // Re-exported fundamental types. Aliases keep the public API a strict view
@@ -74,8 +72,6 @@ type (
 	Attributes = policy.Attributes
 	// Params tunes matrix generation (epsilon, delta, Algorithm-1 rounds).
 	Params = core.Params
-	// EngineOptions tunes the concurrent generation engine (workers, cache).
-	EngineOptions = core.EngineOptions
 	// Server is the CORGI server (Algorithm 3).
 	Server = core.Server
 	// Forest is a privacy forest: one robust matrix per privacy-level node.
@@ -84,12 +80,6 @@ type (
 	CheckIn = gowalla.CheckIn
 	// Metadata holds the per-user/per-cell policy heuristics of Sec. 6.1.
 	Metadata = gowalla.Metadata
-	// RegionSpec declares one named region of a multi-region deployment
-	// (center, tree shape, generation parameters, prior source).
-	RegionSpec = registry.Spec
-	// MultiServer is the multi-region sharding layer: named regions, one
-	// engine shard each, bootstrapped lazily on first use.
-	MultiServer = registry.Registry
 	// ReportSession is a bound per-user report stream: one forest entry,
 	// one evaluated policy, one seeded RNG, O(1) alias-table draws. It is
 	// mobility-aware: ReportSession.Rebind re-anchors it onto the forest
@@ -98,9 +88,6 @@ type (
 	ReportSession = session.Session
 	// ReportSessionConfig configures NewReportSession.
 	ReportSessionConfig = session.Config
-	// BudgetConfig tunes per-user epsilon-budget accounting (sliding
-	// window, per-window cap, tracked-user bound).
-	BudgetConfig = budget.Config
 )
 
 // SanFrancisco is the paper's evaluation region.
@@ -164,25 +151,10 @@ func BuildMetadata(cs []CheckIn, t *Tree) (*Metadata, error) {
 	return gowalla.BuildMetadata(cs, t, 0.2)
 }
 
-// ServerConfig bundles generation parameters with engine tuning for
-// NewServerWithConfig.
-type ServerConfig struct {
-	// Params tunes matrix generation; Delta is ignored (per-request).
-	Params Params
-	// Engine tunes concurrency and caching; the zero value uses defaults
-	// (GOMAXPROCS workers, a 256 MiB cache).
-	Engine EngineOptions
-}
-
 // NewServer constructs the CORGI server over a region with default engine
 // options. targets are the service locations Q of Equ. (6); params.Delta is
 // ignored (chosen per request).
 func NewServer(r *Region, priors *Priors, targets []LatLng, params Params) (*Server, error) {
-	return NewServerWithConfig(r, priors, targets, ServerConfig{Params: params})
-}
-
-// NewServerWithConfig is NewServer with explicit engine tuning.
-func NewServerWithConfig(r *Region, priors *Priors, targets []LatLng, cfg ServerConfig) (*Server, error) {
 	if r == nil {
 		return nil, fmt.Errorf("corgi: nil region")
 	}
@@ -190,61 +162,8 @@ func NewServerWithConfig(r *Region, priors *Priors, targets []LatLng, cfg Server
 	for i := range probs {
 		probs[i] = 1
 	}
-	return core.NewServerWithOptions(r.Tree, priors, targets, probs, cfg.Params, cfg.Engine)
+	return core.NewServerWithOptions(r.Tree, priors, targets, probs, params, core.EngineOptions{})
 }
-
-// MultiServerConfig tunes a multi-region deployment.
-type MultiServerConfig struct {
-	// Engine tunes each region's shard (workers, cache bytes); every
-	// shard gets its own worker pool and cache of this shape. Engine.Store
-	// must be nil here — it has no region namespacing; use StoreDir, which
-	// keys each shard's snapshots by its region's spec hash.
-	Engine EngineOptions
-	// WarmupDelta > 0 precomputes every (level, delta <= WarmupDelta)
-	// forest right after a shard bootstraps; 0 (and negatives) disable
-	// warmup. (Warming only delta 0 is possible via the internal
-	// registry, which cmd/corgi-server uses.)
-	WarmupDelta int
-	// StoreDir, when non-empty, attaches the persistent forest store at
-	// that directory: shards hydrate from snapshots when they bootstrap
-	// (a restart over a populated store serves precomputed forests with
-	// zero LP solves) and newly solved forests write back asynchronously,
-	// keyed by each region's spec hash so spec changes invalidate stale
-	// snapshots. Populate a store offline with cmd/corgi-gen.
-	StoreDir string
-	// Budget, when Budget.LimitEps > 0, enables per-user epsilon-budget
-	// accounting on the report pipeline: each draw charges the region's
-	// epsilon against the user's sliding-window cap, and over-cap users
-	// are rejected (429 on the wire).
-	Budget BudgetConfig
-}
-
-// NewMultiServer builds the multi-region sharding layer over a set of
-// region specs: each region gets its own location tree, priors, service
-// targets, and generation engine, bootstrapped lazily (and exactly once,
-// even under concurrent first requests) when first addressed. The first
-// spec is the default region for requests that name none. Builtin metro
-// specs are available via BuiltinRegion.
-func NewMultiServer(specs []RegionSpec, cfg MultiServerConfig) (*MultiServer, error) {
-	warmup := -1
-	if cfg.WarmupDelta > 0 {
-		warmup = cfg.WarmupDelta
-	}
-	var st *store.Store
-	if cfg.StoreDir != "" {
-		var err error
-		if st, err = store.Open(cfg.StoreDir); err != nil {
-			return nil, err
-		}
-	}
-	return registry.New(specs, registry.Options{
-		Engine: cfg.Engine, WarmupDelta: warmup, Store: st, Budget: cfg.Budget,
-	})
-}
-
-// BuiltinRegion returns the builtin spec for a metro name ("sf", "nyc",
-// "la", ...).
-func BuiltinRegion(name string) (RegionSpec, bool) { return registry.BuiltinSpec(name) }
 
 // NewReportSession binds a per-user report session: preferences are
 // evaluated once, |S| is verified against the forest entry's reserved

@@ -1,9 +1,6 @@
 package corgi
 
-import (
-	"context"
-	"testing"
-)
+import "testing"
 
 // TestPublicAPIEndToEnd drives the full published flow: region, dataset,
 // priors, metadata, server, forest, customization, reporting.
@@ -110,51 +107,6 @@ func TestFacadeValidation(t *testing.T) {
 	}
 	if _, err := RandomLeafTargets(region.Tree, 100, 1); err == nil {
 		t.Error("too many targets must fail")
-	}
-}
-
-// TestMultiServerPublicAPI drives the multi-region sharding layer through
-// the facade: builtin specs, lazy bootstrap, per-shard forests, stats.
-func TestMultiServerPublicAPI(t *testing.T) {
-	sf, ok := BuiltinRegion("sf")
-	if !ok {
-		t.Fatal("builtin sf missing")
-	}
-	nyc, ok := BuiltinRegion("nyc")
-	if !ok {
-		t.Fatal("builtin nyc missing")
-	}
-	for _, spec := range []*RegionSpec{&sf, &nyc} {
-		spec.UniformPriors = true // keep the test fast
-		spec.Iterations = 1
-		spec.Targets = 3
-	}
-	ms, err := NewMultiServer([]RegionSpec{sf, nyc}, MultiServerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.DefaultRegion() != "sf" || len(ms.Names()) != 2 {
-		t.Fatalf("names %v default %q", ms.Names(), ms.DefaultRegion())
-	}
-	sh, err := ms.Shard(context.Background(), "nyc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	forest, err := sh.Server.GenerateForest(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(forest.Entries) != 7 {
-		t.Fatalf("nyc forest has %d entries", len(forest.Entries))
-	}
-	if ms.Ready("sf") {
-		t.Error("sf bootstrapped without being addressed")
-	}
-	if agg := ms.AggregateStats(); agg.Solves == 0 {
-		t.Error("aggregate stats lost the nyc solves")
-	}
-	if _, err := NewMultiServer(nil, MultiServerConfig{}); err == nil {
-		t.Error("empty spec list must fail")
 	}
 }
 

@@ -4,31 +4,21 @@
 // (Definition 4.2, "delta-prunable").
 //
 // ExactPair implements Definition 4.3 / Equ. (12) by exhaustive subset
-// enumeration (exponential in delta; the ext-budget study and tests
-// only). ApproxPair implements the approximation of Equ. (14) (O(K log K)
-// as the paper sorts it, one O(K delta) pass here). Both maximise over the
-// prune sets that keep the pair (i, j) alive; indices outside the row
-// (-1, -1) mask nothing and give the literal equations, a maximum over
-// every prune set. The paper prints Equ. (14) with row j inside the max,
-// while the derivation in Proposition 4.5 bounds via row i; both variants
-// are provided (VariantProof is the default used by the solver,
-// VariantPrinted feeds the ext-rpbvariant ablation).
+// enumeration (exponential in delta; the evaluation's ext-budget and
+// ext-rpbvariant tables and tests only). ApproxPair implements the
+// approximation of Equ. (14) (O(K log K) as the paper sorts it, one
+// O(K delta) pass here). Both maximise over the prune sets that keep the
+// pair (i, j) alive; indices outside the row (-1, -1) mask nothing and give
+// the literal equations, a maximum over every prune set. ApproxPair reads
+// the one row whose top-delta mass it reserves: the derivation in
+// Proposition 4.5 bounds via row i, which is what the solver passes, while
+// the paper prints Equ. (14) with row j; ext-rpbvariant passes row j to
+// show that form is unsound.
 package budget
 
 import (
 	"fmt"
 	"math"
-)
-
-// Variant selects which row's top-delta mass enters Equ. (14).
-type Variant int
-
-// Variants of the approximate reserved budget.
-const (
-	// VariantProof uses row i (the form derived in Proposition 4.5).
-	VariantProof Variant = iota
-	// VariantPrinted uses row j (the form printed as Equ. (14)).
-	VariantPrinted
 )
 
 // clampMass keeps 1-T strictly positive for the logarithm.
@@ -60,15 +50,17 @@ func TightenedMultiplier(eps, epsReserved, d float64) float64 {
 }
 
 // ApproxPair computes the approximate reserved budget for the constraint
-// pair (i, j), maximizing over prune sets S that keep the pair alive, i.e.
-// i, j not in S. The paper's Equ. (12)/(14) write the max over all
-// S ⊆ V_{i,0}, but Definition 4.2 only requires the pruned matrix to stay
-// Geo-Ind for the *surviving* pairs: pruning i or j deletes the (i, j)
-// constraint together with its row and column (Sec. 4.3). Because a row's
-// dominant entry is typically its own diagonal z[i][i], including it in the
-// top-delta mass wildly over-reserves — enough to make Equ. (16) infeasible
-// in strong-budget regimes — so the solver uses this corrected form.
-func ApproxPair(zi, zj []float64, i, j int, d, eps float64, delta int, v Variant) (float64, error) {
+// pair (i, j) from row, the row whose top-delta mass it reserves (row i of
+// the matrix for Proposition 4.5's bound), maximizing over prune sets S
+// that keep the pair alive, i.e. i, j not in S. The paper's Equ. (12)/(14)
+// write the max over all S ⊆ V_{i,0}, but Definition 4.2 only requires the
+// pruned matrix to stay Geo-Ind for the *surviving* pairs: pruning i or j
+// deletes the (i, j) constraint together with its row and column
+// (Sec. 4.3). Because a row's dominant entry is typically its own diagonal
+// z[i][i], including it in the top-delta mass wildly over-reserves —
+// enough to make Equ. (16) infeasible in strong-budget regimes — so the
+// solver uses this corrected form.
+func ApproxPair(row []float64, i, j int, d, eps float64, delta int) (float64, error) {
 	if d <= 0 {
 		return 0, fmt.Errorf("budget: distance must be positive, got %v", d)
 	}
@@ -77,10 +69,6 @@ func ApproxPair(zi, zj []float64, i, j int, d, eps float64, delta int, v Variant
 	}
 	if delta < 0 {
 		return 0, fmt.Errorf("budget: delta must be >= 0, got %d", delta)
-	}
-	row := zi
-	if v == VariantPrinted {
-		row = zj
 	}
 	t := clampMass(topDeltaSumExcluding(row, delta, i, j))
 	if t == 0 {

@@ -59,20 +59,20 @@ func TestTopDeltaSumMonotone(t *testing.T) {
 
 func TestApproxValidation(t *testing.T) {
 	zi := []float64{0.5, 0.5}
-	if _, err := ApproxPair(zi, zi, -1, -1, 0, 1, 1, VariantProof); err == nil {
+	if _, err := ApproxPair(zi, -1, -1, 0, 1, 1); err == nil {
 		t.Error("zero distance must fail")
 	}
-	if _, err := ApproxPair(zi, zi, -1, -1, 1, 0, 1, VariantProof); err == nil {
+	if _, err := ApproxPair(zi, -1, -1, 1, 0, 1); err == nil {
 		t.Error("zero epsilon must fail")
 	}
-	if _, err := ApproxPair(zi, zi, -1, -1, 1, 1, -1, VariantProof); err == nil {
+	if _, err := ApproxPair(zi, -1, -1, 1, 1, -1); err == nil {
 		t.Error("negative delta must fail")
 	}
 }
 
 func TestApproxZeroDelta(t *testing.T) {
 	zi := []float64{0.2, 0.3, 0.5}
-	got, err := ApproxPair(zi, zi, -1, -1, 1.5, 10, 0, VariantProof)
+	got, err := ApproxPair(zi, -1, -1, 1.5, 10, 0)
 	if err != nil || got != 0 {
 		t.Errorf("delta=0 must reserve nothing, got %v err %v", got, err)
 	}
@@ -82,7 +82,7 @@ func TestApproxIncreasesWithDelta(t *testing.T) {
 	zi := []float64{0.4, 0.3, 0.2, 0.1}
 	prev := -1.0
 	for delta := 0; delta <= 4; delta++ {
-		got, err := ApproxPair(zi, zi, -1, -1, 1, 5, delta, VariantProof)
+		got, err := ApproxPair(zi, -1, -1, 1, 5, delta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestApproxIncreasesWithDelta(t *testing.T) {
 func TestApproxFormula(t *testing.T) {
 	// Hand check: T = 0.6, eps=2, d=0.5 -> eps' = 2*ln((1-0.6/e)/(0.4)).
 	zi := []float64{0.6, 0.25, 0.15}
-	got, err := ApproxPair(zi, nil, -1, -1, 0.5, 2, 1, VariantProof)
+	got, err := ApproxPair(zi, -1, -1, 0.5, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,23 +109,23 @@ func TestApproxFormula(t *testing.T) {
 func TestApproxVariants(t *testing.T) {
 	zi := []float64{0.9, 0.05, 0.05}
 	zj := []float64{0.2, 0.4, 0.4}
-	pi, err := ApproxPair(zi, zj, -1, -1, 1, 3, 1, VariantProof)
+	pi, err := ApproxPair(zi, -1, -1, 1, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pj, err := ApproxPair(zi, zj, -1, -1, 1, 3, 1, VariantPrinted)
+	pj, err := ApproxPair(zj, -1, -1, 1, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pi <= pj {
-		t.Errorf("row i has the heavier top mass here, so proof variant should reserve more: %v vs %v", pi, pj)
+		t.Errorf("row i has the heavier top mass here, so the proof form (row i) should reserve more than the printed one (row j): %v vs %v", pi, pj)
 	}
 }
 
 func TestApproxHeavyMassClamped(t *testing.T) {
 	// Nearly all mass in the top entry: must stay finite.
 	zi := []float64{1 - 1e-15, 1e-15}
-	got, err := ApproxPair(zi, nil, -1, -1, 1, 5, 1, VariantProof)
+	got, err := ApproxPair(zi, -1, -1, 1, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestApproxUpperBoundsExactUnderGeoInd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			approx, err := ApproxPair(zi, zj, -1, -1, d, eps, delta, VariantProof)
+			approx, err := ApproxPair(zi, -1, -1, d, eps, delta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -340,13 +340,13 @@ func TestReservedBudgetAllocatesNothing(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	rng := rand.New(rand.NewSource(49))
-	zi, zj := make([]float64, 49), make([]float64, 49)
+	zi := make([]float64, 49)
 	for k := range zi {
-		zi[k], zj[k] = rng.Float64()/49, rng.Float64()/49
+		zi[k] = rng.Float64() / 49
 	}
 	for delta := 1; delta <= 3; delta++ {
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := ApproxPair(zi, zj, 3, 10, 0.2, 15, delta, VariantProof); err != nil {
+			if _, err := ApproxPair(zi, 3, 10, 0.2, 15, delta); err != nil {
 				t.Fatal(err)
 			}
 		})

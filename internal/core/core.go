@@ -226,11 +226,6 @@ type Params struct {
 	// UseGraphApprox selects the Sec. 4.2 constraint reduction; when false
 	// the full O(K^3) pairwise constraint set is used (Fig. 10 baseline).
 	UseGraphApprox bool
-	// BudgetVariant selects the reserved-budget approximation form.
-	BudgetVariant budget.Variant
-	// DWExact runs the column-generation tail to full optimality
-	// certification instead of stopping when improvement stalls below 0.1%.
-	DWExact bool
 	// NoWarmStart disables carrying simplex bases between related solves
 	// (Algorithm-1 iterations, DW master rounds and pricing solves). Every
 	// solve then starts from the crash basis. Exists to benchmark the
@@ -239,8 +234,8 @@ type Params struct {
 }
 
 func (p Params) validate() error {
-	if p.Epsilon <= 0 {
-		return fmt.Errorf("core: epsilon must be positive, got %v", p.Epsilon)
+	if !(p.Epsilon > 0) || math.IsInf(p.Epsilon, 1) {
+		return fmt.Errorf("core: epsilon must be positive and finite, got %v", p.Epsilon)
 	}
 	if p.Delta < 0 {
 		return fmt.Errorf("core: delta must be >= 0, got %d", p.Delta)
@@ -355,9 +350,7 @@ func (inst *Instance) solveMatrix(p Params, pairs []obf.Pair, mult []float64, ca
 		}
 		return m, st, err
 	}
-	return inst.solveDW(pairs, mult, dwOptions{
-		Exact: p.DWExact, SeedUniform: tightened, NoWarmStart: p.NoWarmStart,
-	}, carry)
+	return inst.solveDW(pairs, mult, dwOptions{SeedUniform: tightened, NoWarmStart: p.NoWarmStart}, carry)
 }
 
 // solveLP builds and solves the LP of Equ. (8)/(16): minimize quality loss
@@ -466,7 +459,7 @@ func (inst *Instance) GenerateCtx(ctx context.Context, p Params) (*Result, error
 		}
 		// Reserved privacy budget from the current matrix (Equ. 14).
 		for pi, pr := range pairs {
-			ep, err := budget.ApproxPair(m.Row(pr.I), m.Row(pr.J), pr.I, pr.J, pr.Dist, p.Epsilon, p.Delta, p.BudgetVariant)
+			ep, err := budget.ApproxPair(m.Row(pr.I), pr.I, pr.J, pr.Dist, p.Epsilon, p.Delta)
 			if err != nil {
 				return nil, fmt.Errorf("core: reserved budget for pair (%d,%d): %w", pr.I, pr.J, err)
 			}

@@ -95,8 +95,10 @@ func TestGenerateNonRobustSmall(t *testing.T) {
 
 func TestGenerateParamValidation(t *testing.T) {
 	inst := buildInstance(t, 7, 3, 2)
-	if _, err := inst.Generate(Params{Epsilon: 0}); err == nil {
-		t.Error("zero epsilon must fail")
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := inst.Generate(Params{Epsilon: eps}); err == nil {
+			t.Errorf("epsilon %v must fail", eps)
+		}
 	}
 	if _, err := inst.Generate(Params{Epsilon: 15, Delta: -1}); err == nil {
 		t.Error("negative delta must fail")
@@ -172,11 +174,12 @@ func TestPairSets(t *testing.T) {
 }
 
 func TestEpsilonMonotonicity(t *testing.T) {
-	// Higher epsilon (weaker constraint) must not increase quality loss.
+	// Higher epsilon (weaker constraint) must not increase quality loss,
+	// under the production DW solve with its stall and tail-budget stops.
 	inst := buildInstance(t, 19, 10, 6)
 	prev := math.Inf(1)
 	for _, eps := range []float64{10, 15, 20} {
-		res, err := inst.Generate(Params{Epsilon: eps, UseGraphApprox: true, DWExact: true})
+		res, err := inst.Generate(Params{Epsilon: eps, UseGraphApprox: true})
 		if err != nil {
 			t.Fatalf("eps=%v: %v", eps, err)
 		}

@@ -36,7 +36,6 @@ import (
 
 // dwOptions tunes the decomposition.
 type dwOptions struct {
-	Exact       bool // run the tail to full optimality certification
 	SeedUniform bool // seed the uniform generator per block (tightened cones)
 	NoWarmStart bool // disable master/pricing warm starts (benchmarking)
 }
@@ -47,15 +46,15 @@ const (
 )
 
 // dwStallTol ends the convergence tail once the master objective improves
-// by less than this relative amount over dwStallRounds consecutive rounds
-// (unless Exact). The assembled matrix stays exactly feasible; only the
-// objective is within ~dwStallTol*dwStallRounds of optimal.
+// by less than this relative amount over dwStallRounds consecutive rounds.
+// The assembled matrix stays exactly feasible; only the objective is within
+// ~dwStallTol*dwStallRounds of optimal.
 const (
 	dwStallTol    = 1e-3
 	dwStallRounds = 3
 	// dwExactBudget caps the number of exact pricing LP solves per
-	// generation when not in Exact mode; the tail then stops with a
-	// feasible, near-optimal master. Certification mode ignores the cap.
+	// generation; the tail then stops with a feasible, near-optimal
+	// master.
 	dwExactBudget = 30
 )
 
@@ -245,7 +244,6 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 
 	var master *lp.Solution
 	converged := false
-	exact := opt.Exact
 	prevObj := math.Inf(1)
 	stall := 0
 	cursor := 0
@@ -262,7 +260,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 		for i := 0; i < k; i++ {
 			artMass += master.X[i]
 		}
-		if !exact && artMass < 1e-9 {
+		if artMass < 1e-9 {
 			rel := (prevObj - master.Objective) / math.Max(math.Abs(master.Objective), 1e-12)
 			if rel < dwStallTol {
 				stall++
@@ -331,7 +329,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 		// a full LP certification round run. This concentrates the
 		// expensive pricing solves in the convergence tail.
 		if added == 0 {
-			if !exact && exactSolves >= dwExactBudget && artMass < 1e-9 {
+			if exactSolves >= dwExactBudget && artMass < 1e-9 {
 				break // tail budget spent: accept the near-optimal master
 			}
 			for scan := 0; scan < k; scan++ {

@@ -59,8 +59,33 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServerWithOptions(tree, priors, tgt, []float64{1, 2}, Params{Epsilon: 1}, EngineOptions{}); err == nil {
 		t.Error("mismatched probs must fail")
 	}
-	if _, err := NewServerWithOptions(tree, priors, tgt, []float64{1}, Params{Epsilon: 0}, EngineOptions{}); err == nil {
-		t.Error("zero epsilon must fail")
+	for _, eps := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := NewServerWithOptions(tree, priors, tgt, []float64{1}, Params{Epsilon: eps}, EngineOptions{}); err == nil {
+			t.Errorf("epsilon %v must fail", eps)
+		}
+	}
+}
+
+// TestEntryPairsFollowGraphApprox pins that an entry names the constraint
+// set it was solved under: with the graph approximation off, every directed
+// pair, all of which its matrix satisfies.
+func TestEntryPairsFollowGraphApprox(t *testing.T) {
+	base, tree, priors := newFlowServer(t)
+	srv, err := NewServerWithOptions(tree, priors, base.targets, base.targetProbs, Params{
+		Epsilon: 15, Iterations: 3, UseGraphApprox: false,
+	}, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := srv.GenerateEntryCtx(context.Background(), tree.LevelNodes(1)[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(e.Leaves) * (len(e.Leaves) - 1); len(e.Pairs) != want {
+		t.Fatalf("full-LP entry carries %d pairs, want all %d", len(e.Pairs), want)
+	}
+	if rep := e.Matrix.CheckGeoInd(e.Pairs, 15, 1e-6); rep.Violated != 0 {
+		t.Errorf("full-LP entry violates %d of its %d constraints", rep.Violated, rep.Total)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"corgi/internal/flight"
@@ -26,7 +27,8 @@ type ForestEntry struct {
 	Leaves []loctree.NodeID
 	Matrix *obf.Matrix
 	// Pairs is the Geo-Ind constraint set the matrix was generated under
-	// (graph-approximation neighbor pairs), kept for audits. Degraded
+	// (the graph-approximation neighbor pairs, or every pair when
+	// Params.UseGraphApprox is off), kept for audits. Degraded
 	// fallback entries carry none (their bound holds analytically for every
 	// pair, not just graph neighbors).
 	Pairs []obf.Pair
@@ -91,8 +93,8 @@ func NewServerWithOptions(tree *loctree.Tree, priors *loctree.Priors, targets []
 	if len(targets) == 0 || len(targets) != len(targetProbs) {
 		return nil, fmt.Errorf("core: server needs matching targets and probabilities")
 	}
-	if params.Epsilon <= 0 {
-		return nil, fmt.Errorf("core: server epsilon must be positive")
+	if !(params.Epsilon > 0) || math.IsInf(params.Epsilon, 1) {
+		return nil, fmt.Errorf("core: server epsilon must be positive and finite, got %v", params.Epsilon)
 	}
 	if params.Iterations < 1 {
 		params.Iterations = 1
@@ -256,7 +258,7 @@ func (s *Server) generate(ctx context.Context, key forestKey) (*ForestEntry, err
 		Root:   root,
 		Leaves: leaves,
 		Matrix: res.Matrix,
-		Pairs:  inst.NeighborPairs(),
+		Pairs:  inst.constraintPairs(p.UseGraphApprox),
 		Result: res,
 	}, nil
 }

@@ -107,7 +107,7 @@ func TestRunnersGolden(t *testing.T) {
 		{id: "ext-planar", digest: "6df5c4de30d094d7e9791acb66b71c96375a0b2adfb91c78953bc193ab8e0d09"},
 		{id: "ext-attack", digest: "41cd563bafbfb3353d03da8c130209557cfa79693a4a83aded4c42248a05497d"},
 		{id: "ext-budget", digest: "cd1f2b5ac4ad7296647bef885fbcb375419b5bbcf28031ae53c84438d175c3bd"},
-		{id: "ext-rpbvariant", digest: "a61ac8c68f98081adba414264cb0c05bf8be2be0cf462409bf00f500b71a1d65"},
+		{id: "ext-rpbvariant", digest: "4a90a0ae0752281a65fb1cb7cd6172b4f5247aef0f1800e7b463d41d6b9e73e7"},
 		{id: "ext-approx-quality", digest: "5f2b6e2715b6ea3adb20abab460abf60ff9dbfb4860e764c15507eecd2c04c19"},
 		{id: "frontier", digest: "45eea922de5e6f5d49022184fe5bccc75357851e079fbcf1c94bb4f4ad67de5c"},
 	} {
@@ -198,6 +198,25 @@ func TestExtBudgetSoundness(t *testing.T) {
 		if row[4] != "true" {
 			t.Errorf("approx < exact for delta=%s", row[0])
 		}
+	}
+}
+
+// TestExtRPBVariantSoundness checks Prop. 4.5 at K=21 for delta <= 3: the
+// proof form of Equ. (14) (row i) reserves at least the exact budget on
+// every pair, while the printed form (row j) falls short on some pair
+// already at delta=1.
+func TestExtRPBVariantSoundness(t *testing.T) {
+	rows := quickOutput(t, "ext-rpbvariant").Tables[0].Rows
+	if len(rows) != 3 {
+		t.Fatalf("%d rows, want one per delta 1..3", len(rows))
+	}
+	for _, row := range rows {
+		if row[3] != row[1] {
+			t.Errorf("delta=%s: the proof form reserves at least the exact budget on %s of %s pairs", row[0], row[3], row[1])
+		}
+	}
+	if rows[0][4] == rows[0][1] {
+		t.Errorf("delta=1: the printed form is sound on all %s pairs, want a shortfall", rows[0][1])
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"maps"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -120,6 +121,12 @@ func (s Spec) validate() error {
 	}
 	if !s.Center().Valid() {
 		return fmt.Errorf("registry: region %q center %v invalid", s.Name, s.Center())
+	}
+	// NaN and ±Inf pass every comparison below and make Hash's JSON
+	// encoding fail.
+	if math.IsNaN(s.LeafSpacingKm) || math.IsInf(s.LeafSpacingKm, 0) ||
+		math.IsNaN(s.Epsilon) || math.IsInf(s.Epsilon, 0) {
+		return fmt.Errorf("registry: region %q needs a finite leaf_spacing_km and epsilon", s.Name)
 	}
 	if s.LeafSpacingKm < 0 || s.Height < 0 || s.Epsilon < 0 || s.Iterations < 0 || s.Targets < 0 {
 		return fmt.Errorf("registry: region %q has negative parameters", s.Name)

@@ -3,6 +3,7 @@ package registry
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -45,6 +46,11 @@ func TestSpecDefaultsAndValidation(t *testing.T) {
 		{Name: "far", CenterLat: 91, CenterLng: 0}, // bad center
 		{Name: "neg", CenterLat: 1, CenterLng: 1, Height: -1},
 		{Name: "many", CenterLat: 1, CenterLng: 1, Height: 1, Targets: 8}, // 8 targets, 7 leaves
+		// Non-finite values pass the sign checks and break Hash.
+		{Name: "nan-eps", CenterLat: 1, CenterLng: 1, Epsilon: math.NaN()},
+		{Name: "inf-eps", CenterLat: 1, CenterLng: 1, Epsilon: math.Inf(1)},
+		{Name: "nan-spacing", CenterLat: 1, CenterLng: 1, LeafSpacingKm: math.NaN()},
+		{Name: "inf-spacing", CenterLat: 1, CenterLng: 1, LeafSpacingKm: math.Inf(1)},
 	} {
 		if err := bad.withDefaults().validate(); err == nil {
 			t.Errorf("spec %+v must fail validation", bad)
@@ -82,6 +88,9 @@ func TestLazyBootstrapSingleflight(t *testing.T) {
 	}
 	if r.Ready("sf") {
 		t.Fatal("no shard may exist before first use")
+	}
+	if names := r.Names(); r.DefaultRegion() != "sf" || strings.Join(names, ",") != "sf,nyc" {
+		t.Fatalf("names %v default %q, want [sf nyc] default sf", names, r.DefaultRegion())
 	}
 
 	const waiters = 32
