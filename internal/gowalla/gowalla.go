@@ -5,23 +5,30 @@
 //   - Load/LoadFile: a parser for the real Gowalla check-in format
 //     (user <TAB> ISO-time <TAB> lat <TAB> lng <TAB> location-id), so the
 //     genuine dataset can be dropped in, and
-//   - Generate: a synthetic generator that reproduces the statistical
+//   - Each: a synthetic generator that reproduces the statistical
 //     features the paper actually consumes: a dense SF check-in sample with
 //     Zipf place popularity and per-user routines (home, office, favorite
-//     places, rare odd-hour outliers).
+//     places, rare odd-hour outliers). It streams the sample to a callback
+//     and stores none of it; Generate collects the same stream into a
+//     slice. Generated times are UTC.
 //
 // On top of either source it computes leaf priors for a location tree (by
 // check-in counts, Laplace-smoothed — Sec. 6.1 "Priors") and the policy
 // metadata heuristics the paper describes (home, office, outlier, popular).
+// PriorCounter and MetadataBuilder take one check-in at a time, so a
+// streamed sample is counted without being held; LeafPriors and
+// BuildMetadata are the same over a slice.
 package gowalla
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -136,8 +143,10 @@ type Dataset struct {
 	Places   []Place
 }
 
-// GenConfig parameterizes Generate. The zero value is completed by
-// (GenConfig).withDefaults to the paper-scale SF sample.
+// GenConfig parameterizes Each and Generate. The zero value is completed
+// by (GenConfig).withDefaults to the paper-scale SF sample. Start and End
+// are instants, read whatever their location, and must lie between the
+// years 1678 and 2262 (Unix nanoseconds); every generated Time is UTC.
 type GenConfig struct {
 	Seed        int64
 	NumUsers    int
@@ -170,8 +179,8 @@ func (c GenConfig) withDefaults() GenConfig {
 	return c
 }
 
-// numClusters is the number of venue neighborhoods Generate scatters
-// places around.
+// numClusters is the number of venue neighborhoods the generator
+// scatters places around.
 const numClusters = 15
 
 // userProfile is a synthetic user's routine.
@@ -182,16 +191,83 @@ type userProfile struct {
 	weight    float64
 }
 
-// Generate produces a deterministic synthetic dataset with the properties
-// the paper's pipeline consumes (see the package comment).
+// Generate collects Each's stream into a Dataset, together with the venue
+// table the check-ins were drawn around.
 func Generate(cfg GenConfig) (*Dataset, error) {
-	cfg = cfg.withDefaults()
-	if cfg.NumUsers < 1 || cfg.NumPlaces < 10 || cfg.NumCheckIns < cfg.NumUsers {
-		return nil, fmt.Errorf("gowalla: degenerate config %+v", cfg)
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return nil, err
 	}
-	if !cfg.End.After(cfg.Start) {
-		return nil, fmt.Errorf("gowalla: empty time range")
+	cs := make([]CheckIn, 0, cfg.NumCheckIns)
+	places := generate(cfg, func(c CheckIn) { cs = append(cs, c) })
+	return &Dataset{CheckIns: cs, Places: places}, nil
+}
+
+// Each streams the synthetic sample cfg describes (see the package
+// comment) to fn, one check-in at a time and in Generate's order, and
+// keeps none of them: a caller that only counts the sample never holds it.
+// The error is a config Generate would reject too; fn is not called then.
+func Each(cfg GenConfig, fn func(CheckIn)) error {
+	cfg, err := cfg.resolve()
+	if err != nil {
+		return err
 	}
+	generate(cfg, fn)
+	return nil
+}
+
+// The generator keeps time as Unix nanoseconds, which reach from 1678 to
+// 2262; a range must stay a week inside either end, room for the day
+// arithmetic (a weekend skip, a slot's hours) to run past End unclamped.
+var (
+	earliestStart = time.Unix(0, math.MinInt64).Add(7 * 24 * time.Hour)
+	latestEnd     = time.Unix(0, math.MaxInt64).Add(-7 * 24 * time.Hour)
+)
+
+// resolve completes cfg's zero fields and rejects a config the generator
+// cannot serve.
+func (c GenConfig) resolve() (GenConfig, error) {
+	c = c.withDefaults()
+	if c.NumUsers < 1 || c.NumPlaces < 10 || c.NumCheckIns < c.NumUsers {
+		return c, fmt.Errorf("gowalla: degenerate config %+v", c)
+	}
+	if !c.End.After(c.Start) {
+		return c, fmt.Errorf("gowalla: empty time range")
+	}
+	if c.Start.Before(earliestStart) || c.End.After(latestEnd) {
+		return c, fmt.Errorf("gowalla: time range %v to %v outside the years 1678 to 2262",
+			c.Start, c.End)
+	}
+	return c, nil
+}
+
+const (
+	secondNs = int64(time.Second)
+	hourNs   = int64(time.Hour)
+	dayNs    = 24 * hourNs
+)
+
+// floorDay rounds Unix nanoseconds t down to its UTC midnight. The zero
+// time Time.Truncate counts from lies a whole number of days before the
+// Unix epoch, so this is t's Truncate(24 * time.Hour).
+func floorDay(t int64) int64 {
+	m := t % dayNs
+	if m < 0 {
+		m += dayNs
+	}
+	return t - m
+}
+
+// weekend reports whether the UTC day holding Unix nanoseconds t is a
+// Saturday or a Sunday. The epoch's day was a Thursday.
+func weekend(t int64) bool {
+	wd := (floorDay(t)/dayNs%7 + 7 + int64(time.Thursday)) % 7
+	return wd == int64(time.Saturday) || wd == int64(time.Sunday)
+}
+
+// generate runs the generator over a resolved cfg, handing fn each
+// check-in as it is drawn, and returns the venue table.
+func generate(cfg GenConfig, fn func(CheckIn)) []Place {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	// Venue clusters ("neighborhoods") inside the box.
@@ -245,13 +321,23 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 		totalW += w
 	}
 
-	span := cfg.End.Sub(cfg.Start)
-	ds := &Dataset{Places: places, CheckIns: make([]CheckIn, 0, cfg.NumCheckIns)}
-	jitter := func(p geo.LatLng) geo.LatLng {
-		return geo.LatLng{
-			Lat: p.Lat + rng.NormFloat64()*0.0003,
-			Lng: p.Lng + rng.NormFloat64()*0.0003,
-		}
+	start, end := cfg.Start.UnixNano(), cfg.End.UnixNano()
+	// Time.Sub saturates a range longer than 292 years where end-start
+	// would wrap.
+	span := int64(cfg.End.Sub(cfg.Start))
+	n := 0
+	emit := func(u, place int, ts int64) {
+		p := places[place].Loc
+		fn(CheckIn{
+			UserID: u,
+			Time:   time.Unix(0, ts).UTC(),
+			Loc: geo.LatLng{
+				Lat: p.Lat + rng.NormFloat64()*0.0003,
+				Lng: p.Lng + rng.NormFloat64()*0.0003,
+			},
+			PlaceID: place,
+		})
+		n++
 	}
 	// Apportion check-ins to users proportionally to weight (at least 1).
 	for u := range users {
@@ -259,11 +345,10 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 		if share < 1 {
 			share = 1
 		}
-		for k := 0; k < share && len(ds.CheckIns) < cfg.NumCheckIns; k++ {
+		for k := 0; k < share && n < cfg.NumCheckIns; k++ {
 			var place int
 			var hour int
-			day := cfg.Start.Add(time.Duration(rng.Int63n(int64(span))))
-			day = day.Truncate(24 * time.Hour)
+			day := floorDay(start + rng.Int63n(span))
 			switch r := rng.Float64(); {
 			case r < 0.35: // home: evenings and nights
 				place = users[u].home
@@ -271,21 +356,20 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 			case r < 0.60: // office: weekday working hours
 				place = users[u].office
 				hour = 9 + rng.Intn(9)
-				// Skipping a weekend forward can overrun cfg.End (a Saturday
+				// Skipping a weekend forward can overrun End (a Saturday
 				// draw on the range's last weekend lands 2 days past it);
 				// re-draw the day until a weekday's working hours fit, giving
 				// up after a bounded number of tries (degenerate weekend-only
 				// ranges), where the final range clamp below still holds the
 				// in-range invariant.
 				for tries := 0; ; tries++ {
-					for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
-						day = day.Add(24 * time.Hour)
+					for weekend(day) {
+						day += dayNs
 					}
-					slotEnd := day.Add(time.Duration(hour)*time.Hour + time.Hour)
-					if !slotEnd.After(cfg.End) || tries >= 64 {
+					if day+int64(hour+1)*hourNs <= end || tries >= 64 {
 						break
 					}
-					day = cfg.Start.Add(time.Duration(rng.Int63n(int64(span)))).Truncate(24 * time.Hour)
+					day = floorDay(start + rng.Int63n(span))
 				}
 			case r < 0.85: // favorites: daytime/evening
 				place = users[u].favorites[rng.Intn(len(users[u].favorites))]
@@ -297,40 +381,25 @@ func Generate(cfg GenConfig) (*Dataset, error) {
 				place = rng.Intn(cfg.NumPlaces)
 				hour = rng.Intn(5)
 			}
-			ts := day.Add(time.Duration(hour)*time.Hour +
-				time.Duration(rng.Intn(3600))*time.Second)
-			ts = clampTime(ts, cfg.Start, cfg.End)
-			ds.CheckIns = append(ds.CheckIns, CheckIn{
-				UserID:  u,
-				Time:    ts,
-				Loc:     jitter(places[place].Loc),
-				PlaceID: place,
-			})
+			ts := day + int64(hour)*hourNs + int64(rng.Intn(3600))*secondNs
+			// Every check-in lies in [start, end), whatever the day
+			// arithmetic (truncation against a non-midnight start, weekend
+			// skips near the range edge) produced.
+			if ts < start {
+				ts = start
+			} else if ts >= end {
+				ts = end - secondNs
+			}
+			emit(u, place, ts)
 		}
 	}
 	// Top up to the exact requested count with popular wanders.
-	for len(ds.CheckIns) < cfg.NumCheckIns {
+	for n < cfg.NumCheckIns {
 		u := rng.Intn(cfg.NumUsers)
 		place := popPick()
-		ts := cfg.Start.Add(time.Duration(rng.Int63n(int64(span))))
-		ds.CheckIns = append(ds.CheckIns, CheckIn{
-			UserID: u, Time: ts, Loc: jitter(places[place].Loc), PlaceID: place,
-		})
+		emit(u, place, start+rng.Int63n(span))
 	}
-	return ds, nil
-}
-
-// clampTime forces ts into [start, end): every generated check-in must lie
-// inside the configured range, whatever day arithmetic (truncation against
-// a non-midnight start, weekend skips near the range edge) produced it.
-func clampTime(ts, start, end time.Time) time.Time {
-	if ts.Before(start) {
-		return start
-	}
-	if !ts.Before(end) {
-		return end.Add(-time.Second)
-	}
-	return ts
+	return places
 }
 
 // Trajectory is one user's time-ordered check-in sequence — the replay
@@ -366,27 +435,52 @@ func Trajectories(cs []CheckIn) []Trajectory {
 
 // LeafPriors counts check-ins per leaf cell of the tree and returns the
 // add-`smoothing` (Laplace) smoothed, unnormalized weights, aligned with
-// tree.LevelNodes(0). Check-ins outside the tree are ignored. Smoothing
-// must be positive so every leaf keeps a nonzero prior (Equ. 17 divides by
-// node priors).
+// tree.LevelNodes(0): a PriorCounter fed cs in order.
 func LeafPriors(cs []CheckIn, t *loctree.Tree, smoothing float64) ([]float64, error) {
+	pc, err := NewPriorCounter(t, smoothing)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cs {
+		pc.Add(c)
+	}
+	return pc.Weights(), nil
+}
+
+// PriorCounter accumulates leaf priors one check-in at a time, so a
+// sample that is streamed (Each) is counted without being stored.
+type PriorCounter struct {
+	tree   *loctree.Tree
+	counts []float64
+}
+
+// NewPriorCounter starts every leaf of t at smoothing, which must be
+// positive so every leaf keeps a nonzero prior (Equ. 17 divides by node
+// priors).
+func NewPriorCounter(t *loctree.Tree, smoothing float64) (*PriorCounter, error) {
 	if smoothing <= 0 {
 		return nil, fmt.Errorf("gowalla: smoothing must be positive, got %v", smoothing)
 	}
-	out := make([]float64, t.NumLeaves())
-	for i := range out {
-		out[i] = smoothing
+	counts := make([]float64, t.NumLeaves())
+	for i := range counts {
+		counts[i] = smoothing
 	}
-	// IndexOf alone tells a leaf of the tree from a cell outside it, so
-	// each check-in costs one map lookup (Tree.Locate would add a second).
-	sys := t.System()
-	for _, c := range cs {
-		if idx, ok := t.IndexOf(loctree.NodeID{Coord: sys.Locate(0, c.Loc)}); ok {
-			out[idx]++
-		}
-	}
-	return out, nil
+	return &PriorCounter{tree: t, counts: counts}, nil
 }
+
+// Add counts c in its leaf; a check-in outside the tree is ignored. IndexOf
+// alone tells a leaf of the tree from a cell outside it, so a check-in
+// costs one map lookup (Tree.Locate would add a second).
+func (p *PriorCounter) Add(c CheckIn) {
+	if idx, ok := p.tree.IndexOf(loctree.NodeID{Coord: p.tree.System().Locate(0, c.Loc)}); ok {
+		p.counts[idx]++
+	}
+}
+
+// Weights returns the smoothed, unnormalized leaf weights counted so far,
+// aligned with tree.LevelNodes(0). The counter keeps counting into the
+// returned slice.
+func (p *PriorCounter) Weights() []float64 { return p.counts }
 
 // SplitTrainTest deterministically splits check-ins (trainFrac in (0,1))
 // for the priors-vs-real-locations protocol of Sec. 6.2.3.
@@ -438,107 +532,149 @@ func isWork(ts time.Time) bool {
 // isOdd reports outlier-typical small hours (00:00–05:00).
 func isOdd(h int) bool { return h < 5 }
 
-// BuildMetadata derives the policy heuristics from a check-in corpus:
+// BuildMetadata derives the policy heuristics from a check-in corpus: a
+// MetadataBuilder fed cs in order.
+func BuildMetadata(cs []CheckIn, t *loctree.Tree, popularFrac float64) (*Metadata, error) {
+	b, err := NewMetadataBuilder(t, popularFrac)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range cs {
+		b.Add(c)
+	}
+	return b.Build(), nil
+}
+
+// cellKey is one user's visits to one leaf.
+type cellKey struct {
+	user int
+	leaf loctree.NodeID
+}
+
+// cellCounts tallies a cellKey's check-ins: all of them, and those at
+// home-typical, office-typical and outlier-typical times.
+type cellCounts struct {
+	visits, night, work, odd int
+}
+
+// MetadataBuilder accumulates the policy heuristics one check-in at a
+// time, so a sample that is streamed (Each) is summarized without being
+// stored. Build derives:
 //
 //   - home(u): the leaf cell with the most night check-ins of user u,
 //   - office(u): the leaf with the most weekday working-hour check-ins,
 //   - outlier(u): leaves u visited at most once, at odd hours,
 //   - popular: the top `popularFrac` fraction of visited leaves by count.
-func BuildMetadata(cs []CheckIn, t *loctree.Tree, popularFrac float64) (*Metadata, error) {
+type MetadataBuilder struct {
+	tree        *loctree.Tree
+	popularFrac float64
+	cells       map[cellKey]cellCounts
+	byLeaf      map[loctree.NodeID]int
+}
+
+// NewMetadataBuilder starts an empty builder over t; popularFrac must lie
+// in (0, 1].
+func NewMetadataBuilder(t *loctree.Tree, popularFrac float64) (*MetadataBuilder, error) {
 	if popularFrac <= 0 || popularFrac > 1 {
 		return nil, fmt.Errorf("gowalla: popularFrac %v outside (0,1]", popularFrac)
 	}
-	md := &Metadata{
+	return &MetadataBuilder{
 		tree:        t,
-		HomeLeaf:    map[int]loctree.NodeID{},
-		OfficeLeaf:  map[int]loctree.NodeID{},
-		OutlierLeaf: map[int]map[loctree.NodeID]bool{},
-		PopularLeaf: map[loctree.NodeID]bool{},
-		CountByLeaf: map[loctree.NodeID]int{},
+		popularFrac: popularFrac,
+		cells:       map[cellKey]cellCounts{},
+		byLeaf:      map[loctree.NodeID]int{},
+	}, nil
+}
+
+// Add tallies c against its leaf; a check-in outside the tree is ignored.
+func (b *MetadataBuilder) Add(c CheckIn) {
+	leaf, ok := b.tree.Locate(c.Loc, 0)
+	if !ok {
+		return
 	}
-	type cellKey struct {
-		user int
-		leaf loctree.NodeID
+	b.byLeaf[leaf]++
+	k := cellKey{user: c.UserID, leaf: leaf}
+	n := b.cells[k]
+	n.visits++
+	h := c.Time.Hour()
+	if isNight(h) {
+		n.night++
 	}
-	nightCount := map[cellKey]int{}
-	workCount := map[cellKey]int{}
-	visitCount := map[cellKey]int{}
-	oddCount := map[cellKey]int{}
-	for _, c := range cs {
-		leaf, ok := t.Locate(c.Loc, 0)
-		if !ok {
-			continue
-		}
-		md.CountByLeaf[leaf]++
-		k := cellKey{user: c.UserID, leaf: leaf}
-		visitCount[k]++
-		if isNight(c.Time.Hour()) {
-			nightCount[k]++
-		}
-		if isWork(c.Time) {
-			workCount[k]++
-		}
-		if isOdd(c.Time.Hour()) {
-			oddCount[k]++
-		}
+	if isWork(c.Time) {
+		n.work++
 	}
-	argmaxPerUser := func(counts map[cellKey]int) map[int]loctree.NodeID {
+	if isOdd(h) {
+		n.odd++
+	}
+	b.cells[k] = n
+}
+
+// Build derives the metadata from the check-ins added so far. The
+// builder's per-leaf counts become the metadata's CountByLeaf, so a
+// builder is done once built.
+func (b *MetadataBuilder) Build() *Metadata {
+	t := b.tree
+	// Each user's cells in (user, leaf BFS index) order: the argmax below
+	// keeps the first of a tie, so the order makes it deterministic.
+	type indexed struct {
+		cellKey
+		idx int
+		cellCounts
+	}
+	cells := make([]indexed, 0, len(b.cells))
+	for k, n := range b.cells {
+		idx, _ := t.IndexOf(k.leaf)
+		cells = append(cells, indexed{k, idx, n})
+	}
+	slices.SortFunc(cells, func(x, y indexed) int {
+		return cmp.Or(cmp.Compare(x.user, y.user), cmp.Compare(x.idx, y.idx))
+	})
+	argmaxPerUser := func(count func(cellCounts) int) map[int]loctree.NodeID {
 		best := map[int]loctree.NodeID{}
 		bestN := map[int]int{}
-		// Deterministic iteration: sort keys.
-		keys := make([]cellKey, 0, len(counts))
-		for k := range counts {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool {
-			ka, kb := keys[a], keys[b]
-			if ka.user != kb.user {
-				return ka.user < kb.user
-			}
-			ia, _ := t.IndexOf(ka.leaf)
-			ib, _ := t.IndexOf(kb.leaf)
-			return ia < ib
-		})
-		for _, k := range keys {
-			if counts[k] > bestN[k.user] {
-				bestN[k.user] = counts[k]
-				best[k.user] = k.leaf
+		for _, c := range cells {
+			if n := count(c.cellCounts); n > bestN[c.user] {
+				bestN[c.user] = n
+				best[c.user] = c.leaf
 			}
 		}
 		return best
 	}
-	md.HomeLeaf = argmaxPerUser(nightCount)
-	md.OfficeLeaf = argmaxPerUser(workCount)
-	for k, n := range visitCount {
-		if n <= 1 && oddCount[k] > 0 {
-			if md.OutlierLeaf[k.user] == nil {
-				md.OutlierLeaf[k.user] = map[loctree.NodeID]bool{}
+	md := &Metadata{
+		tree:        t,
+		HomeLeaf:    argmaxPerUser(func(n cellCounts) int { return n.night }),
+		OfficeLeaf:  argmaxPerUser(func(n cellCounts) int { return n.work }),
+		OutlierLeaf: map[int]map[loctree.NodeID]bool{},
+		PopularLeaf: map[loctree.NodeID]bool{},
+		CountByLeaf: b.byLeaf,
+	}
+	for _, c := range cells {
+		if c.visits <= 1 && c.odd > 0 {
+			if md.OutlierLeaf[c.user] == nil {
+				md.OutlierLeaf[c.user] = map[loctree.NodeID]bool{}
 			}
-			md.OutlierLeaf[k.user][k.leaf] = true
+			md.OutlierLeaf[c.user][c.leaf] = true
 		}
 	}
-	// Popular: top fraction of visited leaves by check-in count.
+	// Popular: top fraction of visited leaves by check-in count, ties by
+	// BFS index.
 	type leafCount struct {
-		leaf loctree.NodeID
-		n    int
+		leaf   loctree.NodeID
+		idx, n int
 	}
-	var lcs []leafCount
-	for leaf, n := range md.CountByLeaf {
-		lcs = append(lcs, leafCount{leaf, n})
+	lcs := make([]leafCount, 0, len(b.byLeaf))
+	for leaf, n := range b.byLeaf {
+		idx, _ := t.IndexOf(leaf)
+		lcs = append(lcs, leafCount{leaf, idx, n})
 	}
-	sort.Slice(lcs, func(a, b int) bool {
-		if lcs[a].n != lcs[b].n {
-			return lcs[a].n > lcs[b].n
-		}
-		ia, _ := t.IndexOf(lcs[a].leaf)
-		ib, _ := t.IndexOf(lcs[b].leaf)
-		return ia < ib
+	slices.SortFunc(lcs, func(x, y leafCount) int {
+		return cmp.Or(cmp.Compare(y.n, x.n), cmp.Compare(x.idx, y.idx))
 	})
-	top := int(math.Ceil(popularFrac * float64(len(lcs))))
+	top := int(math.Ceil(b.popularFrac * float64(len(lcs))))
 	for i := 0; i < top && i < len(lcs); i++ {
 		md.PopularLeaf[lcs[i].leaf] = true
 	}
-	return md, nil
+	return md
 }
 
 // Annotate builds the policy attribute map for every leaf of the tree, from

@@ -2,7 +2,11 @@ package gowalla
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -417,6 +421,478 @@ func TestTrajectories(t *testing.T) {
 		for j := range trajs[i].Points {
 			if trajs[i].Points[j] != again[i].Points[j] {
 				t.Fatal("trajectory extraction not deterministic")
+			}
+		}
+	}
+}
+
+// referenceGenerate is the generator written over time.Time arithmetic
+// into a stored slice: the oracle Each and Generate are held to, bit for
+// bit.
+func referenceGenerate(cfg GenConfig) (*Dataset, error) {
+	cfg = cfg.withDefaults()
+	if cfg.NumUsers < 1 || cfg.NumPlaces < 10 || cfg.NumCheckIns < cfg.NumUsers {
+		return nil, fmt.Errorf("gowalla: degenerate config %+v", cfg)
+	}
+	if !cfg.End.After(cfg.Start) {
+		return nil, fmt.Errorf("gowalla: empty time range")
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+
+	// Venue clusters ("neighborhoods") inside the box.
+	type cluster struct {
+		center geo.LatLng
+		spread float64
+	}
+	clusters := make([]cluster, numClusters)
+	for i := range clusters {
+		clusters[i] = cluster{
+			center: geo.LatLng{
+				Lat: cfg.BBox.MinLat + rng.Float64()*(cfg.BBox.MaxLat-cfg.BBox.MinLat),
+				Lng: cfg.BBox.MinLng + rng.Float64()*(cfg.BBox.MaxLng-cfg.BBox.MinLng),
+			},
+			spread: 0.002 + rng.Float64()*0.008, // ~0.2..1.1 km
+		}
+	}
+	places := make([]Place, cfg.NumPlaces)
+	for i := range places {
+		cl := clusters[rng.Intn(len(clusters))]
+		for {
+			p := geo.LatLng{
+				Lat: cl.center.Lat + rng.NormFloat64()*cl.spread,
+				Lng: cl.center.Lng + rng.NormFloat64()*cl.spread,
+			}
+			if cfg.BBox.Contains(p) {
+				places[i] = Place{ID: i, Loc: p}
+				break
+			}
+		}
+	}
+	// Zipf popularity over places (s ~ 1.05).
+	zipf := rand.NewZipf(rng, 1.05, 1, uint64(cfg.NumPlaces-1))
+	popPick := func() int { return int(zipf.Uint64()) }
+
+	users := make([]userProfile, cfg.NumUsers)
+	totalW := 0.0
+	for u := range users {
+		home := rng.Intn(cfg.NumPlaces)
+		office := rng.Intn(cfg.NumPlaces)
+		for office == home {
+			office = rng.Intn(cfg.NumPlaces)
+		}
+		nf := 3 + rng.Intn(6)
+		favs := make([]int, nf)
+		for i := range favs {
+			favs[i] = popPick()
+		}
+		w := math.Exp(rng.NormFloat64()) // lognormal activity
+		users[u] = userProfile{home: home, office: office, favorites: favs, weight: w}
+		totalW += w
+	}
+
+	span := cfg.End.Sub(cfg.Start)
+	ds := &Dataset{Places: places, CheckIns: make([]CheckIn, 0, cfg.NumCheckIns)}
+	jitter := func(p geo.LatLng) geo.LatLng {
+		return geo.LatLng{
+			Lat: p.Lat + rng.NormFloat64()*0.0003,
+			Lng: p.Lng + rng.NormFloat64()*0.0003,
+		}
+	}
+	// Apportion check-ins to users proportionally to weight (at least 1).
+	for u := range users {
+		share := int(float64(cfg.NumCheckIns) * users[u].weight / totalW)
+		if share < 1 {
+			share = 1
+		}
+		for k := 0; k < share && len(ds.CheckIns) < cfg.NumCheckIns; k++ {
+			var place int
+			var hour int
+			day := cfg.Start.Add(time.Duration(rng.Int63n(int64(span))))
+			day = day.Truncate(24 * time.Hour)
+			switch r := rng.Float64(); {
+			case r < 0.35: // home: evenings and nights
+				place = users[u].home
+				hour = (19 + rng.Intn(11)) % 24
+			case r < 0.60: // office: weekday working hours
+				place = users[u].office
+				hour = 9 + rng.Intn(9)
+				// Skipping a weekend forward can overrun cfg.End (a Saturday
+				// draw on the range's last weekend lands 2 days past it);
+				// re-draw the day until a weekday's working hours fit, giving
+				// up after a bounded number of tries (degenerate weekend-only
+				// ranges), where the final range clamp below still holds the
+				// in-range invariant.
+				for tries := 0; ; tries++ {
+					for day.Weekday() == time.Saturday || day.Weekday() == time.Sunday {
+						day = day.Add(24 * time.Hour)
+					}
+					slotEnd := day.Add(time.Duration(hour)*time.Hour + time.Hour)
+					if !slotEnd.After(cfg.End) || tries >= 64 {
+						break
+					}
+					day = cfg.Start.Add(time.Duration(rng.Int63n(int64(span)))).Truncate(24 * time.Hour)
+				}
+			case r < 0.85: // favorites: daytime/evening
+				place = users[u].favorites[rng.Intn(len(users[u].favorites))]
+				hour = 10 + rng.Intn(12)
+			case r < 0.98: // popular wander
+				place = popPick()
+				hour = 8 + rng.Intn(14)
+			default: // outlier: rare, odd hours
+				place = rng.Intn(cfg.NumPlaces)
+				hour = rng.Intn(5)
+			}
+			ts := day.Add(time.Duration(hour)*time.Hour +
+				time.Duration(rng.Intn(3600))*time.Second)
+			ts = clampTime(ts, cfg.Start, cfg.End)
+			ds.CheckIns = append(ds.CheckIns, CheckIn{
+				UserID:  u,
+				Time:    ts,
+				Loc:     jitter(places[place].Loc),
+				PlaceID: place,
+			})
+		}
+	}
+	// Top up to the exact requested count with popular wanders.
+	for len(ds.CheckIns) < cfg.NumCheckIns {
+		u := rng.Intn(cfg.NumUsers)
+		place := popPick()
+		ts := cfg.Start.Add(time.Duration(rng.Int63n(int64(span))))
+		ds.CheckIns = append(ds.CheckIns, CheckIn{
+			UserID: u, Time: ts, Loc: jitter(places[place].Loc), PlaceID: place,
+		})
+	}
+	return ds, nil
+}
+
+// clampTime forces ts into [start, end): every generated check-in must lie
+// inside the configured range, whatever day arithmetic (truncation against
+// a non-midnight start, weekend skips near the range edge) produced it.
+func clampTime(ts, start, end time.Time) time.Time {
+	if ts.Before(start) {
+		return start
+	}
+	if !ts.Before(end) {
+		return end.Add(-time.Second)
+	}
+	return ts
+}
+
+// oracleConfigs are the configs Each is held to the reference over: the
+// default SF sample, a registry region's box, a 600-check-in sample that
+// the per-user pass fills before its last user, one small enough that the
+// top-up loop runs, a range whose last weekend overruns End (the office
+// re-draw), one ending at 17:00 on a Friday (a working-hours slot that
+// ends exactly at End is kept), one starting mid-day on a Friday (the clamp to Start), one
+// before the Unix epoch (negative nanoseconds) and one longer than a
+// time.Duration reaches (a saturated span).
+func oracleConfigs(t *testing.T) map[string]GenConfig {
+	day := func(y int, m time.Month, d, h int) time.Time { return time.Date(y, m, d, h, 0, 0, 0, time.UTC) }
+	return map[string]GenConfig{
+		"default": {},
+		"region":  {BBox: regionBBox(t)},
+		"cut":     {NumCheckIns: 600},
+		"topup":   {NumUsers: 20, NumPlaces: 50, NumCheckIns: 600},
+		"overrun": {NumUsers: 20, NumPlaces: 40, NumCheckIns: 2000, Start: day(2009, 2, 2, 0), End: day(2009, 2, 15, 12)},
+		"slotend": {NumUsers: 20, NumPlaces: 40, NumCheckIns: 2000, Start: day(2009, 2, 2, 0), End: day(2009, 2, 13, 17)},
+		"midday":  {NumUsers: 20, NumPlaces: 40, NumCheckIns: 1000, Start: day(2009, 2, 6, 13), End: day(2009, 2, 8, 12)},
+		"pre1970": {NumUsers: 50, NumPlaces: 100, NumCheckIns: 3000, Start: day(1951, 3, 4, 5), End: day(1953, 1, 1, 0)},
+		"long":    {NumUsers: 50, NumPlaces: 100, NumCheckIns: 3000, Start: day(1700, 1, 1, 0), End: day(2250, 1, 1, 0)},
+	}
+}
+
+// regionTree is the default sf registry region's tree: height 2 over
+// 0.1 km leaves.
+func regionTree(t *testing.T) *loctree.Tree {
+	t.Helper()
+	center := geo.LatLng{Lat: 37.765, Lng: -122.435}
+	sys, err := hexgrid.NewSystem(center, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := loctree.NewAt(sys, center, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
+}
+
+// regionBBox is the box a registry region's synthetic sample is laid over:
+// regionTree's leaf centers, padded by one 0.1 km leaf spacing.
+func regionBBox(t *testing.T) geo.BoundingBox {
+	tree := regionTree(t)
+	pad := 0.1 / 111.0
+	b := geo.BoundingBox{MinLat: 90, MinLng: 180, MaxLat: -90, MaxLng: -180}
+	for _, leaf := range tree.LevelNodes(0) {
+		c := tree.Center(leaf)
+		b.MinLat, b.MaxLat = math.Min(b.MinLat, c.Lat), math.Max(b.MaxLat, c.Lat)
+		b.MinLng, b.MaxLng = math.Min(b.MinLng, c.Lng), math.Max(b.MaxLng, c.Lng)
+	}
+	return geo.BoundingBox{MinLat: b.MinLat - pad, MinLng: b.MinLng - pad, MaxLat: b.MaxLat + pad, MaxLng: b.MaxLng + pad}
+}
+
+// sameCheckIn reports the first field in which got differs from want,
+// comparing coordinates as float64 bits.
+func sameCheckIn(got, want CheckIn) string {
+	switch {
+	case got.UserID != want.UserID:
+		return fmt.Sprintf("user %d, want %d", got.UserID, want.UserID)
+	case !got.Time.Equal(want.Time) || got.Time.Location() != want.Time.Location():
+		return fmt.Sprintf("time %v, want %v", got.Time, want.Time)
+	case math.Float64bits(got.Loc.Lat) != math.Float64bits(want.Loc.Lat) ||
+		math.Float64bits(got.Loc.Lng) != math.Float64bits(want.Loc.Lng):
+		return fmt.Sprintf("location %v, want %v", got.Loc, want.Loc)
+	case got.PlaceID != want.PlaceID:
+		return fmt.Sprintf("place %d, want %d", got.PlaceID, want.PlaceID)
+	}
+	return ""
+}
+
+// TestEachMatchesReference holds Each and Generate to the reference
+// generator, bit for bit, over seeds 1-8 of every oracle config: the same
+// check-ins in the same order and the same venue table.
+func TestEachMatchesReference(t *testing.T) {
+	for name, cfg := range oracleConfigs(t) {
+		for seed := int64(1); seed <= 8; seed++ {
+			cfg.Seed = seed
+			want, err := referenceGenerate(cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: reference: %v", name, seed, err)
+			}
+			var streamed []CheckIn
+			if err := Each(cfg, func(c CheckIn) { streamed = append(streamed, c) }); err != nil {
+				t.Fatalf("%s seed %d: Each: %v", name, seed, err)
+			}
+			got, err := Generate(cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: Generate: %v", name, seed, err)
+			}
+			for src, cs := range map[string][]CheckIn{"Each": streamed, "Generate": got.CheckIns} {
+				if len(cs) != len(want.CheckIns) {
+					t.Fatalf("%s seed %d: %s gave %d check-ins, want %d", name, seed, src, len(cs), len(want.CheckIns))
+				}
+				for i := range cs {
+					if d := sameCheckIn(cs[i], want.CheckIns[i]); d != "" {
+						t.Fatalf("%s seed %d: %s check-in %d: %s", name, seed, src, i, d)
+					}
+				}
+			}
+			if len(got.Places) != len(want.Places) {
+				t.Fatalf("%s seed %d: %d places, want %d", name, seed, len(got.Places), len(want.Places))
+			}
+			for i, p := range got.Places {
+				w := want.Places[i]
+				if p.ID != w.ID || math.Float64bits(p.Loc.Lat) != math.Float64bits(w.Loc.Lat) ||
+					math.Float64bits(p.Loc.Lng) != math.Float64bits(w.Loc.Lng) {
+					t.Fatalf("%s seed %d: place %d is %+v, want %+v", name, seed, i, p, w)
+				}
+			}
+		}
+	}
+}
+
+// TestOracleConfigsReachEveryBranch checks that the oracle configs run the
+// loops they are there for. The per-user pass emits users in ascending id
+// order, so a user id below its predecessor's is the top-up loop's. An
+// office draw on the overrun config's last weekend skips to the Monday
+// after End and is re-drawn; day draws are uniform over the range, so
+// the many check-ins of other kinds that land on that weekend show office
+// draws land there too.
+func TestOracleConfigsReachEveryBranch(t *testing.T) {
+	cfgs := oracleConfigs(t)
+	descents := func(cfg GenConfig) int {
+		ds, err := Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for i := 1; i < len(ds.CheckIns); i++ {
+			if ds.CheckIns[i].UserID < ds.CheckIns[i-1].UserID {
+				n++
+			}
+		}
+		return n
+	}
+	if n := descents(cfgs["topup"]); n == 0 {
+		t.Error("the topup config never reaches the top-up loop")
+	}
+	if n := descents(cfgs["cut"]); n != 0 {
+		t.Errorf("the cut config reaches the top-up loop %d times, want its per-user pass cut short", n)
+	}
+	cfg := cfgs["overrun"]
+	saturday := floorDay(cfg.End.UnixNano()) - dayNs
+	lastWeekend := 0
+	if err := Each(cfg, func(c CheckIn) {
+		if c.Time.UnixNano() >= saturday {
+			lastWeekend++
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if lastWeekend < 50 {
+		t.Errorf("the overrun config puts %d check-ins on its last weekend, want at least 50", lastWeekend)
+	}
+}
+
+// TestEachRejectsRangesOutsideUnixNano: a Start before 1678 or an End after
+// 2262 (less a week's margin) is refused with an error by Each and
+// Generate alike, and Each calls fn for nothing.
+func TestEachRejectsRangesOutsideUnixNano(t *testing.T) {
+	for _, cfg := range []GenConfig{
+		{Start: time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{End: time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)},
+		{Start: time.Date(1677, 1, 1, 0, 0, 0, 0, time.UTC), End: time.Date(2263, 1, 1, 0, 0, 0, 0, time.UTC)},
+	} {
+		calls := 0
+		if err := Each(cfg, func(CheckIn) { calls++ }); err == nil || calls != 0 {
+			t.Errorf("Each(%v..%v) = %v after %d check-ins, want an error and none", cfg.Start, cfg.End, err, calls)
+		}
+		if _, err := Generate(cfg); err == nil {
+			t.Errorf("Generate(%v..%v) succeeded, want an error", cfg.Start, cfg.End)
+		}
+	}
+}
+
+// referenceBuildMetadata is BuildMetadata written over one map per count
+// and a comparator that looks each leaf's index up: the oracle
+// MetadataBuilder is held to. It derives the policy heuristics from a
+// check-in corpus:
+//
+//   - home(u): the leaf cell with the most night check-ins of user u,
+//   - office(u): the leaf with the most weekday working-hour check-ins,
+//   - outlier(u): leaves u visited at most once, at odd hours,
+//   - popular: the top `popularFrac` fraction of visited leaves by count.
+func referenceBuildMetadata(cs []CheckIn, t *loctree.Tree, popularFrac float64) (*Metadata, error) {
+	if popularFrac <= 0 || popularFrac > 1 {
+		return nil, fmt.Errorf("gowalla: popularFrac %v outside (0,1]", popularFrac)
+	}
+	md := &Metadata{
+		tree:        t,
+		HomeLeaf:    map[int]loctree.NodeID{},
+		OfficeLeaf:  map[int]loctree.NodeID{},
+		OutlierLeaf: map[int]map[loctree.NodeID]bool{},
+		PopularLeaf: map[loctree.NodeID]bool{},
+		CountByLeaf: map[loctree.NodeID]int{},
+	}
+	type cellKey struct {
+		user int
+		leaf loctree.NodeID
+	}
+	nightCount := map[cellKey]int{}
+	workCount := map[cellKey]int{}
+	visitCount := map[cellKey]int{}
+	oddCount := map[cellKey]int{}
+	for _, c := range cs {
+		leaf, ok := t.Locate(c.Loc, 0)
+		if !ok {
+			continue
+		}
+		md.CountByLeaf[leaf]++
+		k := cellKey{user: c.UserID, leaf: leaf}
+		visitCount[k]++
+		if isNight(c.Time.Hour()) {
+			nightCount[k]++
+		}
+		if isWork(c.Time) {
+			workCount[k]++
+		}
+		if isOdd(c.Time.Hour()) {
+			oddCount[k]++
+		}
+	}
+	argmaxPerUser := func(counts map[cellKey]int) map[int]loctree.NodeID {
+		best := map[int]loctree.NodeID{}
+		bestN := map[int]int{}
+		// Deterministic iteration: sort keys.
+		keys := make([]cellKey, 0, len(counts))
+		for k := range counts {
+			keys = append(keys, k)
+		}
+		sort.Slice(keys, func(a, b int) bool {
+			ka, kb := keys[a], keys[b]
+			if ka.user != kb.user {
+				return ka.user < kb.user
+			}
+			ia, _ := t.IndexOf(ka.leaf)
+			ib, _ := t.IndexOf(kb.leaf)
+			return ia < ib
+		})
+		for _, k := range keys {
+			if counts[k] > bestN[k.user] {
+				bestN[k.user] = counts[k]
+				best[k.user] = k.leaf
+			}
+		}
+		return best
+	}
+	md.HomeLeaf = argmaxPerUser(nightCount)
+	md.OfficeLeaf = argmaxPerUser(workCount)
+	for k, n := range visitCount {
+		if n <= 1 && oddCount[k] > 0 {
+			if md.OutlierLeaf[k.user] == nil {
+				md.OutlierLeaf[k.user] = map[loctree.NodeID]bool{}
+			}
+			md.OutlierLeaf[k.user][k.leaf] = true
+		}
+	}
+	// Popular: top fraction of visited leaves by check-in count.
+	type leafCount struct {
+		leaf loctree.NodeID
+		n    int
+	}
+	var lcs []leafCount
+	for leaf, n := range md.CountByLeaf {
+		lcs = append(lcs, leafCount{leaf, n})
+	}
+	sort.Slice(lcs, func(a, b int) bool {
+		if lcs[a].n != lcs[b].n {
+			return lcs[a].n > lcs[b].n
+		}
+		ia, _ := t.IndexOf(lcs[a].leaf)
+		ib, _ := t.IndexOf(lcs[b].leaf)
+		return ia < ib
+	})
+	top := int(math.Ceil(popularFrac * float64(len(lcs))))
+	for i := 0; i < top && i < len(lcs); i++ {
+		md.PopularLeaf[lcs[i].leaf] = true
+	}
+	return md, nil
+}
+
+// TestBuildMetadataMatchesReference holds BuildMetadata to the reference
+// over seeds 1-8 of a few oracle configs, on the SF test tree and on a
+// registry-sized region tree: every map equal.
+func TestBuildMetadataMatchesReference(t *testing.T) {
+	cfgs := oracleConfigs(t)
+	trees := []*loctree.Tree{testTree(t), regionTree(t)}
+	for _, name := range []string{"default", "region", "topup", "overrun"} {
+		for seed := int64(1); seed <= 8; seed++ {
+			cfg := cfgs[name]
+			cfg.Seed = seed
+			ds, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tree := range trees {
+				got, err := BuildMetadata(ds.CheckIns, tree, 0.2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := referenceBuildMetadata(ds.CheckIns, tree, 0.2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for field, pair := range map[string][2]any{
+					"HomeLeaf":    {got.HomeLeaf, want.HomeLeaf},
+					"OfficeLeaf":  {got.OfficeLeaf, want.OfficeLeaf},
+					"OutlierLeaf": {got.OutlierLeaf, want.OutlierLeaf},
+					"PopularLeaf": {got.PopularLeaf, want.PopularLeaf},
+					"CountByLeaf": {got.CountByLeaf, want.CountByLeaf},
+				} {
+					if !reflect.DeepEqual(pair[0], pair[1]) {
+						t.Fatalf("%s seed %d, %d-leaf tree: %s differs from the reference", name, seed, tree.NumLeaves(), field)
+					}
+				}
 			}
 		}
 	}

@@ -76,8 +76,11 @@ type Spec struct {
 	// SyntheticCheckIns sizes the synthetic sample when CheckinsPath is
 	// empty. Default 38523 (the paper's SF sample); must be at least 500.
 	SyntheticCheckIns int `json:"synthetic_checkins,omitempty"`
-	// UniformPriors skips check-in data entirely and uses the uniform
-	// leaf distribution (fast bootstrap; useful for tests and load rigs).
+	// UniformPriors skips check-in data for the priors and uses the
+	// uniform leaf distribution (fast bootstrap; useful for tests and load
+	// rigs). The policy metadata of a preference-bearing report still
+	// derives from the check-in source, so SyntheticCheckIns still has to
+	// be at least 500 when CheckinsPath is empty.
 	UniformPriors bool `json:"uniform_priors,omitempty"`
 }
 
@@ -140,9 +143,11 @@ func (s Spec) validate() error {
 	if s.Targets > leaves {
 		return fmt.Errorf("registry: region %q asks for %d targets from %d leaves", s.Name, s.Targets, leaves)
 	}
-	// gowalla.Generate rejects fewer check-ins than its 500 synthetic
-	// users; surface that at registration instead of at (lazy) bootstrap.
-	if !s.UniformPriors && s.CheckinsPath == "" && s.SyntheticCheckIns < 500 {
+	// gowalla.Each rejects fewer check-ins than its 500 synthetic users;
+	// surface that at registration instead of at (lazy) bootstrap or at
+	// the first preference-bearing report, whose metadata a uniform-priors
+	// region still synthesizes.
+	if s.CheckinsPath == "" && s.SyntheticCheckIns < 500 {
 		return fmt.Errorf("registry: region %q synthetic_checkins %d below the generator minimum 500",
 			s.Name, s.SyntheticCheckIns)
 	}
@@ -295,30 +300,45 @@ type Shard struct {
 	// Options.Budget left accounting disabled.
 	Budget *budget.Accountant
 
-	// meta lazily derives the region's policy-attribute metadata (home /
-	// office / outlier / popular heuristics, Sec. 6.1) from the same
+	// meta is the region's policy-attribute metadata (home / office /
+	// outlier / popular heuristics, Sec. 6.1), derived from the same
 	// check-in source as the priors. Only the report path needs it, and
-	// only for policies with preferences, so no bootstrap pays for it
-	// up front.
-	metaOnce sync.Once
-	meta     *gowalla.Metadata
-	metaErr  error
+	// only for policies with preferences, so no bootstrap pays for it up
+	// front: Metadata builds it on first use, joining concurrent first
+	// callers onto one build in metaBuild, and keeps only a success.
+	meta      atomic.Pointer[gowalla.Metadata]
+	metaBuild flight.Group[struct{}, *gowalla.Metadata]
 }
 
-// Metadata returns the shard's lazily-built policy metadata. Regions
-// configured with UniformPriors still derive metadata from their seeded
-// synthetic check-in sample, so preference-bearing report requests work
-// against fast-bootstrap regions too.
+// Metadata returns the shard's policy metadata, building it on first use.
+// Regions configured with UniformPriors still derive metadata from their
+// check-in source (a seeded synthetic sample unless CheckinsPath is set),
+// so preference-bearing report requests work against fast-bootstrap
+// regions too. A synthetic sample streams from gowalla.Each into the
+// builder and is never stored. A failed build is not kept: the next call
+// tries again, so a check-in file that appears later is picked up.
 func (sh *Shard) Metadata() (*gowalla.Metadata, error) {
-	sh.metaOnce.Do(func() {
-		cs, err := regionCheckIns(sh.Spec, sh.Server.Tree())
-		if err != nil {
-			sh.metaErr = fmt.Errorf("registry: region %q metadata: %w", sh.Spec.Name, err)
-			return
+	if md := sh.meta.Load(); md != nil {
+		return md, nil
+	}
+	return sh.metaBuild.Do(context.Background(), struct{}{}, func() (*gowalla.Metadata, error) {
+		// A build that finished after the load above published before it
+		// freed the key.
+		if md := sh.meta.Load(); md != nil {
+			return md, nil
 		}
-		sh.meta, sh.metaErr = gowalla.BuildMetadata(cs, sh.Server.Tree(), 0.2)
+		tree := sh.Server.Tree()
+		b, err := gowalla.NewMetadataBuilder(tree, 0.2)
+		if err != nil {
+			return nil, err
+		}
+		if err := eachRegionCheckIn(sh.Spec, tree, b.Add); err != nil {
+			return nil, fmt.Errorf("registry: region %q metadata: %w", sh.Spec.Name, err)
+		}
+		md := b.Build()
+		sh.meta.Store(md)
+		return md, nil
 	})
-	return sh.meta, sh.metaErr
 }
 
 // Attrs builds the attribute map one user's preference evaluation sees
@@ -524,11 +544,10 @@ func (r *Registry) Shard(ctx context.Context, name string) (*Shard, error) {
 }
 
 // BootstrapAll eagerly bootstraps every configured region, side by side
-// but at most GOMAXPROCS at a time: a bootstrap is CPU-bound and holds its
-// region's check-in sample while it runs, and the region list may be long.
-// The first failure cancels the regions not yet started and is returned
-// wrapped with its region's name; BootstrapAll returns only once every
-// bootstrap it started has.
+// but at most GOMAXPROCS at a time: a bootstrap is CPU-bound, and the
+// region list may be long. The first failure cancels the regions not yet
+// started and is returned wrapped with its region's name; BootstrapAll
+// returns only once every bootstrap it started has.
 func (r *Registry) BootstrapAll(ctx context.Context) error {
 	return flight.FanOut(ctx, len(r.order), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
 		if _, err := r.Shard(ctx, r.order[i]); err != nil {
@@ -597,46 +616,47 @@ func (r *Registry) bootstrap(ctx context.Context, spec Spec) (*Shard, error) {
 	return sh, nil
 }
 
-// regionCheckIns resolves a region's check-in sample: the configured real
-// Gowalla file clipped to the region's bounding box, or the deterministic
-// synthetic sample seeded by the spec. Priors and policy metadata both
-// derive from it, so the two views of a region always agree.
-func regionCheckIns(spec Spec, tree *loctree.Tree) ([]gowalla.CheckIn, error) {
+// eachRegionCheckIn hands fn a region's check-in sample, one check-in at
+// a time: the configured real Gowalla file clipped to the region's
+// bounding box, or the deterministic synthetic sample seeded by the spec,
+// streamed from gowalla.Each without being stored. Priors and policy
+// metadata both derive from it, so the two views of a region always agree.
+func eachRegionCheckIn(spec Spec, tree *loctree.Tree, fn func(gowalla.CheckIn)) error {
 	bbox := treeBBox(tree, spec.LeafSpacingKm)
 	if spec.CheckinsPath != "" {
 		all, err := gowalla.LoadFile(spec.CheckinsPath)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return gowalla.FilterBBox(all, bbox), nil
+		for _, c := range gowalla.FilterBBox(all, bbox) {
+			fn(c)
+		}
+		return nil
 	}
-	ds, err := gowalla.Generate(gowalla.GenConfig{
+	return gowalla.Each(gowalla.GenConfig{
 		Seed:        spec.Seed,
 		NumCheckIns: spec.SyntheticCheckIns,
 		BBox:        bbox,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ds.CheckIns, nil
+	}, fn)
 }
 
-// buildPriors derives the region's public leaf priors: uniform, from a
-// real check-in file clipped to the region, or from a deterministic
-// synthetic sample laid over the region's own bounding box.
+// buildPriors derives the region's public leaf priors: uniform, or
+// Laplace-smoothed check-in counts from the region's sample
+// (eachRegionCheckIn). A synthetic sample is counted as it streams: the
+// bootstrap allocates the leaf counts and the generator's venue and user
+// tables, never the check-ins.
 func buildPriors(spec Spec, tree *loctree.Tree) (*loctree.Priors, error) {
 	if spec.UniformPriors {
 		return loctree.UniformPriors(tree), nil
 	}
-	cs, err := regionCheckIns(spec, tree)
+	pc, err := gowalla.NewPriorCounter(tree, 1)
 	if err != nil {
 		return nil, err
 	}
-	leaf, err := gowalla.LeafPriors(cs, tree, 1)
-	if err != nil {
+	if err := eachRegionCheckIn(spec, tree, pc.Add); err != nil {
 		return nil, err
 	}
-	return loctree.NewPriors(tree, leaf)
+	return loctree.NewPriors(tree, pc.Weights())
 }
 
 // treeBBox bounds the tree's leaf centers, padded by one leaf spacing so

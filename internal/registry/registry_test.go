@@ -51,6 +51,9 @@ func TestSpecDefaultsAndValidation(t *testing.T) {
 		{Name: "inf-eps", CenterLat: 1, CenterLng: 1, Epsilon: math.Inf(1)},
 		{Name: "nan-spacing", CenterLat: 1, CenterLng: 1, LeafSpacingKm: math.NaN()},
 		{Name: "inf-spacing", CenterLat: 1, CenterLng: 1, LeafSpacingKm: math.Inf(1)},
+		// Uniform priors skip the sample, but the metadata of a
+		// preference-bearing report is still synthesized from it.
+		{Name: "few", CenterLat: 1, CenterLng: 1, UniformPriors: true, SyntheticCheckIns: 100},
 	} {
 		if err := bad.withDefaults().validate(); err == nil {
 			t.Errorf("spec %+v must fail validation", bad)

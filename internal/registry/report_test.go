@@ -3,11 +3,15 @@ package registry
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"corgi/internal/budget"
+	"corgi/internal/gowalla"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
@@ -510,4 +514,89 @@ func TestReportConcurrentMoversResultsDescribeTheirOwnBinding(t *testing.T) {
 		}(root, cell)
 	}
 	wg.Wait()
+}
+
+// TestMetadataRetriesAfterFailure: a uniform-priors region whose check-in
+// file is missing at its first preference-bearing report fails that report,
+// and once the file is written the next report builds the metadata and is
+// served. Concurrent first callers share one build, and a built metadata
+// is kept when the file goes away again.
+func TestMetadataRetriesAfterFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkins.txt")
+	specs := fastSpecs("meta")
+	specs[0].CheckinsPath = path
+	reg, err := New(specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := reg.Shard(context.Background(), "meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, _ := policy.ParsePredicate("home = false")
+	req := ReportRequest{
+		Region: "meta",
+		Cell:   centerCell(t, reg, "meta"),
+		Policy: policy.Policy{PrivacyLevel: 1, Preferences: []policy.Predicate{pred}},
+		Seed:   3,
+	}
+	if _, err := reg.Report(context.Background(), req); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("report before the check-in file exists = %v, want fs.ErrNotExist", err)
+	}
+	ds, err := gowalla.Generate(gowalla.GenConfig{
+		Seed: 5, NumCheckIns: 600, BBox: treeBBox(sh.Server.Tree(), sh.Spec.LeafSpacingKm),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gowalla.Save(f, ds.CheckIns); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.Report(context.Background(), req); err != nil {
+		t.Fatalf("report after the check-in file was written: %v", err)
+	}
+	md, err := sh.Metadata()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Concurrent first callers on a fresh shard join one build.
+	fresh, err := New(specs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshSh, err := fresh.Shard(context.Background(), "meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]*gowalla.Metadata, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], _ = freshSh.Metadata()
+		}(i)
+	}
+	wg.Wait()
+	for i, m := range got {
+		if m == nil || m != got[0] {
+			t.Fatalf("concurrent caller %d got metadata %p, caller 0 %p", i, m, got[0])
+		}
+	}
+
+	// Once built, the metadata no longer reads the file.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := sh.Metadata(); err != nil || again != md {
+		t.Errorf("built metadata not kept: %p, %v; want %p", again, err, md)
+	}
 }
