@@ -60,6 +60,14 @@ const DefaultWindow = time.Hour
 // trades memory against remembering rare users' spend.
 const DefaultMaxUsers = 1 << 16
 
+// resolution buckets spend events: all charges inside one resolution-sized
+// interval merge into one event stamped at the interval's *end*, bounding
+// per-user memory to Window/resolution events. Bucketed spend expires at
+// most resolution later than its exact time — never earlier (no
+// under-count), and never later than that bound (sustained sub-resolution
+// traffic cannot stop the window from sliding).
+const resolution = time.Second
+
 // Config tunes an Accountant.
 type Config struct {
 	// LimitEps is the per-user epsilon cap per window. It must be positive;
@@ -69,14 +77,6 @@ type Config struct {
 	Window time.Duration
 	// MaxUsers bounds the tracked-user LRU (DefaultMaxUsers if <= 0).
 	MaxUsers int
-	// Resolution buckets spend events: all charges inside one
-	// Resolution-sized interval merge into one event stamped at the
-	// interval's *end*, bounding per-user memory to Window/Resolution
-	// events (default 1s). Bucketed spend expires at most Resolution later
-	// than its exact time — never earlier (no under-count), and never
-	// later than that bound (sustained sub-Resolution traffic cannot stop
-	// the window from sliding).
-	Resolution time.Duration
 	// Now is the clock the window reads (nil: time.Now); node.Config.Now
 	// feeds it, and tests hand it a clock.Manual's.
 	Now func() time.Time
@@ -88,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxUsers <= 0 {
 		c.MaxUsers = DefaultMaxUsers
-	}
-	if c.Resolution <= 0 {
-		c.Resolution = time.Second
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -258,12 +255,12 @@ func (a *Accountant) Charge(uid int64, eps float64) (remaining float64, err erro
 			Window: a.cfg.Window,
 		}
 	}
-	// Bucket the charge: everything inside one Resolution interval merges
+	// Bucket the charge: everything inside one resolution interval merges
 	// into one event stamped at the interval's end. The fixed stamp is
 	// what keeps the window sliding — rewriting the stamp on each merge
-	// would let a sustained sub-Resolution stream postpone its own expiry
+	// would let a sustained sub-resolution stream postpone its own expiry
 	// forever, turning the sliding window into a full-window lockout.
-	bucketEnd := now.Truncate(a.cfg.Resolution).Add(a.cfg.Resolution)
+	bucketEnd := now.Truncate(resolution).Add(resolution)
 	if n := len(u.events); n > 0 && u.events[n-1].at.Equal(bucketEnd) {
 		u.events[n-1].eps += eps
 	} else {

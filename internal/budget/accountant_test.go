@@ -152,42 +152,40 @@ func TestUsersIndependent(t *testing.T) {
 // TestCoalescingKeepsSpendLive verifies the resolution-bucketing path
 // never expires merged spend before any of its charges would have expired
 // exactly: a bucket is stamped at its interval's end, so expiry is at most
-// Resolution late and never early.
+// one bucket (resolution, 1s) late and never early.
 func TestCoalescingKeepsSpendLive(t *testing.T) {
 	clk := clock.NewManual()
-	a, err := NewAccountant(Config{
-		LimitEps: 10, Window: 10 * time.Second, Resolution: 5 * time.Second, Now: clk.Now,
-	})
+	a, err := NewAccountant(Config{LimitEps: 10, Window: 10 * time.Second, Now: clk.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Charge(1, 1); err != nil { // t=0, bucket [0,5s) stamped 5s
+	if _, err := a.Charge(1, 1); err != nil { // t=0, bucket [0,1s) stamped 1s
 		t.Fatal(err)
 	}
-	clk.Advance(4 * time.Second) // t=4s: same bucket, merges
+	clk.Advance(800 * time.Millisecond) // t=0.8s: same bucket, merges
 	if _, err := a.Charge(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	// t=9s: 9s after the first charge, 5s after the second — both must be
-	// live (the second charge's exact expiry is t=14s).
-	clk.Advance(5 * time.Second)
+	// t=10s: 9.2s after the second charge — both must be live (the second
+	// charge's exact expiry is t=10.8s).
+	clk.Advance(9200 * time.Millisecond)
 	if got := a.Spent(1); got != 2 {
 		t.Fatalf("bucketed spend expired early: live %v, want 2", got)
 	}
-	// The bucket stamp is t=5s, so the merged spend expires at t=15s —
-	// within Resolution of the last charge's exact expiry, never before it.
-	clk.Advance(5 * time.Second) // t=14s
+	// The bucket stamp is t=1s, so the merged spend expires at t=11s —
+	// within one bucket of the last charge's exact expiry, never before it.
+	clk.Advance(800 * time.Millisecond) // t=10.8s
 	if got := a.Spent(1); got != 2 {
 		t.Fatalf("bucketed spend expired before the last charge's exact expiry: live %v", got)
 	}
-	clk.Advance(time.Second + time.Millisecond) // t=15.001s
+	clk.Advance(200*time.Millisecond + time.Millisecond) // t=11.001s
 	if got := a.Spent(1); got != 0 {
 		t.Fatalf("bucketed spend should be expired: live %v", got)
 	}
 }
 
 // TestSustainedTrafficWindowSlides pins the fixed-stamp semantics: a
-// steady sub-Resolution report stream must see old spend expire as the
+// steady sub-resolution report stream must see old spend expire as the
 // window slides. (A previous formulation rewrote the merged event's
 // timestamp on every charge, so a sustained stream postponed its own
 // expiry forever and hit a full-window lockout.)
@@ -197,7 +195,7 @@ func TestSustainedTrafficWindowSlides(t *testing.T) {
 	// ~20-22 eps (window + one bucket of slack), well under the 25 cap —
 	// so a true sliding window grants every charge indefinitely.
 	a, err := NewAccountant(Config{
-		LimitEps: 25, Window: 10 * time.Second, Resolution: time.Second, Now: clk.Now,
+		LimitEps: 25, Window: 10 * time.Second, Now: clk.Now,
 	})
 	if err != nil {
 		t.Fatal(err)

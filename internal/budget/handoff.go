@@ -37,7 +37,7 @@ import (
 )
 
 // HandoffEvent is one spend event in transit: when it was charged (the
-// bucketed stamp, see Config.Resolution) and how much epsilon.
+// bucketed stamp, see resolution) and how much epsilon.
 type HandoffEvent struct {
 	AtUnixNano int64   `json:"at"`
 	Eps        float64 `json:"eps"`

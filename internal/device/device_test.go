@@ -182,6 +182,7 @@ func TestEveryPathDrawsTheSame(t *testing.T) {
 	}
 
 	var want []string
+	var wantFacts []registry.Facts
 	for _, p := range sources(t, 2*count) {
 		n := newNode(t, opts)
 		tree := n.dial(t, false).Tree
@@ -198,6 +199,7 @@ func TestEveryPathDrawsTheSame(t *testing.T) {
 		}
 		reporter := p.reporter(n)
 		var got []string
+		var facts []registry.Facts
 		for i, ask := range asks {
 			res, err := reporter.Report(context.Background(), registry.ReportRequest{
 				Region: "dv", Cell: ask.cell, UID: uid, Policy: ask.pol, Seed: seed, Count: count,
@@ -219,19 +221,37 @@ func TestEveryPathDrawsTheSame(t *testing.T) {
 				}
 				got = append(got, r.String())
 			}
+			facts = append(facts, res.Facts)
 			if p.name == "device.Leased" {
 				strangers(n)
 			}
 		}
 		if want == nil {
-			want = got
+			want, wantFacts = got, facts
 			if distinct(want) < 4 {
 				t.Fatalf("the sequence %v barely varies: it would not tell two streams apart", want)
+			}
+			if !wantFacts[3].Reanchored || !wantFacts[6].Reanchored {
+				t.Fatalf("the registry did not re-anchor on the commutes: %+v", wantFacts)
 			}
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s drew\n  %v\nthe registry in process drew\n  %v", p.name, got, want)
+		}
+		for i, f := range facts {
+			want := wantFacts[i]
+			if p.name == "device.Leased" {
+				// A leased report's Reanchored is its grant's: whether the
+				// renewal moved the server-side session. The strangers have
+				// evicted that session by then, so every renewal builds a
+				// fresh one and none re-anchors, where the other paths
+				// re-anchor on each commute.
+				want.Reanchored = false
+			}
+			if f != want {
+				t.Errorf("%s: ask %d answered with facts\n  %+v\nwant\n  %+v", p.name, i, f, want)
+			}
 		}
 		if p.name == "device.Leased" {
 			if st := n.reg.LeaseStats(); st.Renewed != 4 || n.reg.AggregateSessionStats().Evicted < 4 {

@@ -97,11 +97,8 @@ func (f *Forest) Report(_ context.Context, req registry.ReportRequest) (*registr
 	}
 	key := session.Key{UID: req.UID, Seed: req.Seed, Policy: session.PolicyFingerprint(pol)}
 	sess := f.sessions[key]
-	res := &registry.ReportResult{Region: req.Region, SubtreeRoot: root, PrecisionLevel: pol.PrecisionLevel}
-	if sess != nil {
-		res.Reanchored = sess.Bound().Moved(root, leaf, pol)
-	}
-	if sess == nil || res.Reanchored {
+	moved := sess != nil && sess.Bound().Moved(root, leaf, pol)
+	if sess == nil || moved {
 		to, err := f.plan(root, leaf, pol)
 		if err != nil {
 			return nil, err
@@ -123,14 +120,17 @@ func (f *Forest) Report(_ context.Context, req registry.ReportRequest) (*registr
 		}
 		f.sessions[key] = sess
 	}
-	res.Reports = make([]loctree.NodeID, registry.DrawCount(req.Count))
-	from, err := sess.DrawCellNBound(leaf, res.Reports)
+	reports := make([]loctree.NodeID, registry.DrawCount(req.Count))
+	from, err := sess.DrawCellNBound(leaf, reports)
 	if err != nil {
 		return nil, fmt.Errorf("obfuscating: %w", err)
 	}
-	res.Pruned, res.Degraded = from.Pruned, from.Degraded
-	res.Centers = centers(tree, res.Reports)
-	return res, nil
+	return &registry.ReportResult{
+		Facts: registry.Facts{Region: req.Region, SubtreeRoot: root, PrecisionLevel: pol.PrecisionLevel,
+			Pruned: from.Pruned, Reanchored: moved, Degraded: from.Degraded},
+		Reports: reports,
+		Centers: centers(tree, reports),
+	}, nil
 }
 
 // plan is what a session standing at leaf must be bound to: the

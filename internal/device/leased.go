@@ -79,16 +79,22 @@ func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*regis
 	defer st.mu.Unlock()
 
 	leaf := loctree.NodeID{Level: 0, Coord: req.Cell}
-	res := &registry.ReportResult{Region: req.Region, Reports: make([]loctree.NodeID, registry.DrawCount(req.Count))}
+	reports := make([]loctree.NodeID, registry.DrawCount(req.Count))
+	// What this report's grants, if it needed any, said and charged.
+	var reanchored, budgeted bool
+	var spent, remaining float64
 	for attempt := 0; ; attempt++ {
 		var token []byte
 		if st.lease != nil {
-			err := st.lease.DrawCellNInto(leaf, res.Reports)
+			err := st.lease.DrawCellNInto(leaf, reports)
 			if err == nil {
-				res.SubtreeRoot, res.PrecisionLevel = st.lease.Root(), req.Policy.PrecisionLevel
-				res.Pruned, res.Degraded = st.pruned, st.lease.Degraded()
-				res.Centers = centers(st.tree, res.Reports)
-				return res, nil
+				return &registry.ReportResult{
+					Facts: registry.Facts{Region: req.Region, SubtreeRoot: st.lease.Root(), PrecisionLevel: req.Policy.PrecisionLevel,
+						Pruned: st.pruned, Reanchored: reanchored, Budgeted: budgeted,
+						EpsSpent: spent, EpsRemaining: remaining, Degraded: st.lease.Degraded()},
+					Reports: reports,
+					Centers: centers(st.tree, reports),
+				}, nil
 			}
 			if !errors.Is(err, clientdraw.ErrLeaseExhausted) && !errors.Is(err, clientdraw.ErrOutsideSubtree) {
 				return nil, err
@@ -130,8 +136,8 @@ func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*regis
 			return nil, err
 		}
 		st.pruned = grant.Pruned
-		res.Reanchored = res.Reanchored || grant.Reanchored
-		res.Budgeted, res.EpsRemaining = grant.Budgeted, grant.EpsRemaining
-		res.EpsSpent += grant.EpsSpent
+		reanchored = reanchored || grant.Reanchored
+		budgeted, remaining = grant.Budgeted, grant.EpsRemaining
+		spent += grant.EpsSpent
 	}
 }

@@ -111,9 +111,9 @@ func TestDriveClassification(t *testing.T) {
 	}{
 		{"report 200", report(&registry.ReportResult{}, nil), one,
 			sample{status: 200, cold: true}, 1, []bool{true}},
-		{"report 200 reanchored", report(&registry.ReportResult{Reanchored: true}, nil), one,
+		{"report 200 reanchored", report(&registry.ReportResult{Facts: registry.Facts{Reanchored: true}}, nil), one,
 			sample{status: 200, cold: true, reanchored: true}, 1, []bool{true}},
-		{"report 200 degraded", report(&registry.ReportResult{Degraded: true}, nil), one,
+		{"report 200 degraded", report(&registry.ReportResult{Facts: registry.Facts{Degraded: true}}, nil), one,
 			sample{status: 200, cold: true, degraded: true}, 1, []bool{true}},
 		{"report 429", report(nil, rejected(http.StatusTooManyRequests)), one,
 			sample{status: 429, budgetRejected: true}, 0, []bool{false}},

@@ -12,8 +12,6 @@ import (
 	"context"
 	"net/http"
 
-	"corgi/internal/hexgrid"
-	"corgi/internal/loctree"
 	"corgi/internal/registry"
 	"corgi/internal/stream"
 )
@@ -33,17 +31,8 @@ type LeaseRequest struct {
 // LeaseResponse is an issued lease: the signed token, the encoded bundle,
 // and the customization facts a report response would carry.
 type LeaseResponse struct {
-	Region         string `json:"region"`
-	PrecisionLevel int    `json:"precision_l"`
-	SubtreeRoot    [2]int `json:"subtree_root"`
-	Pruned         int    `json:"pruned"`
-	Reanchored     bool   `json:"reanchored,omitempty"`
-	// Budgeted / EpsSpent / EpsRemaining mirror ReportResponse, except the
-	// spend covers the whole pre-paid draw cap in one charge.
-	Budgeted     bool    `json:"budgeted,omitempty"`
-	EpsSpent     float64 `json:"eps_spent,omitempty"`
-	EpsRemaining float64 `json:"eps_remaining,omitempty"`
-	Degraded     bool    `json:"degraded,omitempty"`
+	// Facts' EpsSpent covers the whole pre-paid draw cap in one charge.
+	stream.Facts
 	// DrawCap is the granted cap; RNGPos the stream position the leased
 	// window starts at; ExpiresUnixMs the token expiry.
 	DrawCap       int    `json:"draw_cap"`
@@ -59,21 +48,13 @@ type LeaseResponse struct {
 // leaseResponse converts a registry grant to its wire form.
 func leaseResponse(g *registry.LeaseGrant) *LeaseResponse {
 	return &LeaseResponse{
-		Region:         g.Region,
-		PrecisionLevel: g.PrecisionLevel,
-		SubtreeRoot:    [2]int{g.SubtreeRoot.Coord.Q, g.SubtreeRoot.Coord.R},
-		Pruned:         g.Pruned,
-		Reanchored:     g.Reanchored,
-		Budgeted:       g.Budgeted,
-		EpsSpent:       g.EpsSpent,
-		EpsRemaining:   g.EpsRemaining,
-		Degraded:       g.Degraded,
-		DrawCap:        g.DrawCap,
-		RNGPos:         g.RNGPos,
-		ExpiresUnixMs:  g.ExpiresAt,
-		Renewed:        g.Renewed,
-		Token:          g.Token,
-		Bundle:         g.Bundle,
+		Facts:         stream.WireFacts(g.Facts),
+		DrawCap:       g.DrawCap,
+		RNGPos:        g.RNGPos,
+		ExpiresUnixMs: g.ExpiresAt,
+		Renewed:       g.Renewed,
+		Token:         g.Token,
+		Bundle:        g.Bundle,
 	}
 }
 
@@ -119,23 +100,12 @@ func (r Remote) Lease(ctx context.Context, req registry.LeaseRequest) (*registry
 		return nil, err
 	}
 	return &registry.LeaseGrant{
-		Region: lr.Region,
-		SubtreeRoot: loctree.NodeID{
-			Level: req.Policy.PrivacyLevel,
-			Coord: hexgrid.Coord{Q: lr.SubtreeRoot[0], R: lr.SubtreeRoot[1]},
-		},
-		PrecisionLevel: lr.PrecisionLevel,
-		Pruned:         lr.Pruned,
-		Reanchored:     lr.Reanchored,
-		Budgeted:       lr.Budgeted,
-		EpsSpent:       lr.EpsSpent,
-		EpsRemaining:   lr.EpsRemaining,
-		Degraded:       lr.Degraded,
-		DrawCap:        lr.DrawCap,
-		RNGPos:         lr.RNGPos,
-		ExpiresAt:      lr.ExpiresUnixMs,
-		Renewed:        lr.Renewed,
-		Token:          lr.Token,
-		Bundle:         lr.Bundle,
+		Facts:     lr.Registry(req.Policy.PrivacyLevel),
+		DrawCap:   lr.DrawCap,
+		RNGPos:    lr.RNGPos,
+		ExpiresAt: lr.ExpiresUnixMs,
+		Renewed:   lr.Renewed,
+		Token:     lr.Token,
+		Bundle:    lr.Bundle,
 	}, nil
 }

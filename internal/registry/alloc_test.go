@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -295,6 +296,11 @@ func TestReportReturnsPooledResultOnError(t *testing.T) {
 		t.Skip("under the race detector sync.Pool drops a share of what is Put")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	// One P: sync.Pool.Put parks an object in the putting P's private slot,
+	// which a Get on another P cannot take, so a test goroutine that moved
+	// to another P between the failed report's Release and held() would
+	// read the result the pool kept as dropped.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// A capacity no other report in this process asks for.
 	const count = 1 << 12
 	reg, err := New(fastSpecs("bench-mob"), Options{
@@ -380,6 +386,7 @@ func TestReportReturnsPooledResultOnError(t *testing.T) {
 // but whether the grant came back is not asserted.
 func TestLeaseReturnsPooledGrantOnError(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // one P, as in TestReportReturnsPooledResultOnError
 	region := strings.Repeat("r", 200)
 	const draws = 4
 	// Room for two leases and half of a third.

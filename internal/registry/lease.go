@@ -15,6 +15,7 @@ package registry
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -23,8 +24,8 @@ import (
 	"corgi/internal/budget"
 	"corgi/internal/codec"
 	"corgi/internal/hexgrid"
-	"corgi/internal/loctree"
 	"corgi/internal/policy"
+	"corgi/internal/session"
 )
 
 // DefaultLeaseTTL bounds a draw lease's lifetime when Options.LeaseTTL is
@@ -67,15 +68,8 @@ type LeaseRequest struct {
 // client draws from, and the customization facts a report response would
 // carry.
 type LeaseGrant struct {
-	Region         string
-	SubtreeRoot    loctree.NodeID
-	PrecisionLevel int
-	Pruned         int
-	Reanchored     bool
-	Budgeted       bool
-	EpsSpent       float64
-	EpsRemaining   float64
-	Degraded       bool
+	// Facts' EpsSpent covers the whole pre-paid draw cap, charged at once.
+	Facts
 	// DrawCap echoes the granted cap; RNGPos is the stream position the
 	// leased window starts at; ExpiresAt the token expiry (Unix ms).
 	DrawCap   int
@@ -207,63 +201,37 @@ func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, gr
 		renewed = true
 	}
 
-	grant.Region = sh.Spec.Name
-	grant.SubtreeRoot = a.root
-	grant.PrecisionLevel = req.Policy.PrecisionLevel
-	grant.DrawCap = draws
-	grant.Renewed = renewed
+	grant.DrawCap, grant.Renewed = draws, renewed
 	// ONE charge pre-pays the whole cap under linear composition: the
 	// client's n draws cost exactly what n report requests would, but the
 	// accountant is hit once per lease instead of once per draw. Unused
 	// draws are forfeited, not refunded — over-charging is the
 	// privacy-conservative direction, and it is what keeps the server
-	// from ever trusting client draw accounting.
-	if sh.Budget != nil {
-		cost := sh.Spec.Epsilon * float64(draws)
-		remaining, err := sh.Budget.Charge(req.UID, cost)
-		if err != nil {
-			r.lease.deniedBudget.Add(1)
-			return err
+	// from ever trusting client draw accounting. The detach, the encoder
+	// and the signer all write into the grant's own buffers.
+	bundle := &grant.bundle
+	err := a.serve(ctx, &grant.Facts, func(sess *session.Session) (session.Bound, error) {
+		// A renewal continues the stream where the leased window ends: for
+		// a resident session FastForward is a no-op (DetachLease already
+		// moved past the cap), but a session rebuilt after eviction starts
+		// at position 0 and must catch up to the token's recorded end
+		// before detaching the next window — that is what keeps one seed
+		// yielding one sequence across lease generations and evictions
+		// alike. A detach refused after a concurrent re-anchor leaves the
+		// stream where it was, so a retry catching up again is a no-op.
+		if renewed {
+			sess.FastForward(prev.RNGPos + uint64(prev.DrawCap))
 		}
-		grant.Budgeted = true
-		grant.EpsSpent = cost
-		grant.EpsRemaining = remaining
+		var err error
+		grant.arena, err = sess.DetachLeaseInto(bundle, grant.arena, a.leaf, draws)
+		return session.Bound{Pruned: len(bundle.Pruned), Degraded: bundle.Degraded}, err
+	})
+	if errors.Is(err, ErrBudgetExhausted) {
+		r.lease.deniedBudget.Add(1)
 	}
-
-	sess, err := a.session(ctx)
 	if err != nil {
 		return err
 	}
-	// A renewal continues the stream where the leased window ends: for a
-	// resident session FastForward is a no-op (DetachLease already moved
-	// past the cap), but a session rebuilt after eviction starts at position 0
-	// and must catch up to the token's recorded end before detaching the
-	// next window — that is what keeps one seed yielding one sequence
-	// across lease generations and evictions alike.
-	if renewed {
-		sess.FastForward(prev.RNGPos + uint64(prev.DrawCap))
-	}
-
-	// Re-anchor + detach, with the same retry loop as Report: DetachLease
-	// refuses (without moving the stream) when a concurrent request re-anchored
-	// the shared session off this request's subtree. The detach, the
-	// encoder and the signer all write into the grant's own buffers.
-	bundle := &grant.bundle
-	for attempt := 0; ; attempt++ {
-		moved, err := a.anchor(ctx, sess)
-		if err != nil {
-			return err
-		}
-		grant.Reanchored = grant.Reanchored || moved
-		if grant.arena, err = sess.DetachLeaseInto(bundle, grant.arena, a.leaf, draws); err == nil {
-			break
-		}
-		if !retryAnchor(err, attempt) {
-			return drawErr(err)
-		}
-	}
-	grant.Degraded = bundle.Degraded
-	grant.Pruned = len(bundle.Pruned)
 	grant.RNGPos = bundle.RNGPos
 	if grant.Bundle, err = codec.AppendLeaseBundle(grant.Bundle, bundle); err != nil {
 		return err

@@ -161,34 +161,44 @@ type ReportRequest struct {
 	Handoff *budget.Handoff
 }
 
-// ReportResult carries the drawn reports and the customization facts a
-// client may want to display.
-type ReportResult struct {
+// Facts is the outcome of a user's customization (Algorithm 4) as a
+// report and a lease both answer it: where the draws come from, what the
+// policy pruned, and what the ask was charged.
+type Facts struct {
+	// SubtreeRoot roots the privacy-forest entry the rows come from, at
+	// the policy's privacy level; PrecisionLevel is the tree level of
+	// every reported node.
 	Region         string
 	SubtreeRoot    loctree.NodeID
 	PrecisionLevel int
 	// Pruned is how many locations the policy's preferences removed from
 	// the obfuscation range.
-	Pruned  int
-	Reports []loctree.NodeID
-	// Centers are the reported nodes' centers, index-aligned with
-	// Reports, so the serving layer never needs a second shard lookup.
-	Centers []geo.LatLng
-	// Reanchored is true when this request moved the user's resident
-	// session onto a different subtree (or preference anchor) — the
-	// mobility slow path between a warm hit and a cold session build.
+	Pruned int
+	// Reanchored is true when this ask moved the user's resident session
+	// onto a different subtree (or preference anchor) — the mobility slow
+	// path between a warm hit and a cold session build.
 	Reanchored bool
 	// Budgeted is true when the shard runs an epsilon accountant; then
-	// EpsSpent is what this request charged (epsilon x draws, linear
+	// EpsSpent is what this ask charged (epsilon x draws, linear
 	// composition) and EpsRemaining the user's window headroom after it.
 	Budgeted     bool
 	EpsSpent     float64
 	EpsRemaining float64
-	// Degraded is true when the reports were drawn from a planar-Laplace
-	// fallback entry (degraded serving): the same epsilon bound holds, but
-	// utility is below the LP optimum until the background solve lands and
-	// the session upgrades.
+	// Degraded is true when the rows are a planar-Laplace fallback entry's
+	// (degraded serving): the same epsilon bound holds, but utility is
+	// below the LP optimum until the background solve lands and the
+	// session upgrades.
 	Degraded bool
+}
+
+// ReportResult carries the drawn reports and the customization facts a
+// client may want to display.
+type ReportResult struct {
+	Facts
+	Reports []loctree.NodeID
+	// Centers are the reported nodes' centers, index-aligned with
+	// Reports, so the serving layer never needs a second shard lookup.
+	Centers []geo.LatLng
 
 	// pooled marks a result Registry.Report took from resultPool; Release
 	// returns it.
@@ -452,24 +462,59 @@ func (a *anchoring) anchor(ctx context.Context, sess *session.Session) (moved bo
 	return moved, nil
 }
 
-// retryAnchor reports whether a failed draw or detach should re-anchor and
-// try again: a concurrent request on the same stream can re-anchor the
-// shared session between this request's anchor and its draw, and each
-// request must still be served from its own cell — so retry rather than
-// surface a spurious rejection (whose budget was already charged). The
-// attempt bound only guards against a pathological livelock of perfectly
-// interleaved movers.
-func retryAnchor(err error, attempt int) bool {
-	return errors.Is(err, session.ErrOutsideSubtree) && attempt < 4
-}
-
-// drawErr classifies a draw or detach failure: degenerate matrix data is a
-// server fault (5xx), anything else the request's own doing.
-func drawErr(err error) error {
-	if errors.Is(err, session.ErrUnsampleable) {
+// serve answers an admitted ask into f; act, a draw or a detach, is the
+// one thing a report and a lease do differently. It opens f with where the
+// ask is served from and charges the ask's epsilon under linear
+// composition — each of the draws leaks the subtree matrix's epsilon —
+// before any session work: a rejected ask never touches the RNG (so a
+// budget-capped user's replay stays aligned with an uncapped one), and an
+// over-budget user hammering moves cannot make the shard pay for entry
+// generation and re-anchoring it will never serve. The flip side: an ask
+// that fails after admission (over-budget prune set, degenerate row) has
+// still consumed budget — over-charging is the privacy-conservative
+// direction. Then it finds the user's session, anchors it at the ask's
+// cell and runs act, which returns the binding it was served from: Pruned
+// and Degraded come from that binding, not from the session, because a
+// concurrent mover on this stream may re-anchor the session the moment
+// act's lock is released.
+func (a *anchoring) serve(ctx context.Context, f *Facts, act func(*session.Session) (session.Bound, error)) error {
+	f.Region, f.SubtreeRoot, f.PrecisionLevel = a.sh.Spec.Name, a.root, a.pol.PrecisionLevel
+	if a.sh.Budget != nil {
+		cost := a.sh.Spec.Epsilon * float64(a.draws)
+		remaining, err := a.sh.Budget.Charge(a.uid, cost)
+		if err != nil {
+			return err
+		}
+		f.Budgeted, f.EpsSpent, f.EpsRemaining = true, cost, remaining
+	}
+	sess, err := a.session(ctx)
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("%w: %v", ErrBadReport, err)
+	for attempt := 0; ; attempt++ {
+		moved, err := a.anchor(ctx, sess)
+		if err != nil {
+			return err
+		}
+		f.Reanchored = f.Reanchored || moved
+		from, err := act(sess)
+		switch {
+		case err == nil:
+			f.Pruned, f.Degraded = from.Pruned, from.Degraded
+			return nil
+		case errors.Is(err, session.ErrOutsideSubtree) && attempt < 4:
+			// A concurrent ask on the same stream re-anchored the shared
+			// session between this ask's anchor and its act. Each ask must
+			// still be served from its own cell, so re-anchor and try again
+			// rather than surface a spurious rejection (whose budget was
+			// already charged). The bound only guards against a
+			// pathological livelock of perfectly interleaved movers.
+		case errors.Is(err, session.ErrUnsampleable):
+			return err // degenerate matrix data: a server fault (5xx)
+		default:
+			return fmt.Errorf("%w: %v", ErrBadReport, err)
+		}
+	}
 }
 
 // Report runs the full report pipeline for one request: resolve the
@@ -508,54 +553,14 @@ func (r *Registry) Report(ctx context.Context, req ReportRequest) (*ReportResult
 // report fills res, a zeroed result, with the admitted request's answer.
 // On an error res holds nothing a caller may use.
 func (a *anchoring) report(ctx context.Context, res *ReportResult) error {
-	sh, count := a.sh, a.draws
-	res.Region = sh.Spec.Name
-	res.SubtreeRoot = a.root
-	res.PrecisionLevel = a.pol.PrecisionLevel
-	// Charge epsilon under linear composition — each of the count draws
-	// leaks the subtree matrix's epsilon — before any session work: a
-	// rejected report never touches the RNG (so a budget-capped user's
-	// replay stays aligned with an uncapped one), and an over-budget user
-	// hammering moves cannot make the shard pay for entry generation and
-	// re-anchoring it will never serve. The flip side: a request that
-	// fails after admission (over-budget prune set, degenerate row) has
-	// still consumed budget — over-charging is the privacy-conservative
-	// direction.
-	if sh.Budget != nil {
-		cost := sh.Spec.Epsilon * float64(count)
-		remaining, err := sh.Budget.Charge(a.uid, cost)
-		if err != nil {
-			return err
-		}
-		res.Budgeted = true
-		res.EpsSpent = cost
-		res.EpsRemaining = remaining
-	}
-
-	sess, err := a.session(ctx)
+	res.Reports = grown(res.Reports, a.draws)
+	err := a.serve(ctx, &res.Facts, func(sess *session.Session) (session.Bound, error) {
+		return sess.DrawCellNBound(a.leaf, res.Reports)
+	})
 	if err != nil {
 		return err
 	}
-	res.Reports = grown(res.Reports, count)
-	for attempt := 0; ; attempt++ {
-		moved, err := a.anchor(ctx, sess)
-		if err != nil {
-			return err
-		}
-		res.Reanchored = res.Reanchored || moved
-		// Pruned and Degraded come from the binding the draws came from: a
-		// concurrent mover on this stream may re-anchor the session the
-		// moment the draw's lock is released.
-		from, err := sess.DrawCellNBound(a.leaf, res.Reports)
-		if err == nil {
-			res.Pruned, res.Degraded = from.Pruned, from.Degraded
-			break
-		}
-		if !retryAnchor(err, attempt) {
-			return drawErr(err)
-		}
-	}
-	res.Centers = grown(res.Centers, count)
+	res.Centers = grown(res.Centers, a.draws)
 	for i, n := range res.Reports {
 		res.Centers[i] = a.tree.Center(n)
 	}

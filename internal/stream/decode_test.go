@@ -77,7 +77,7 @@ func requestHead() []byte {
 // elements it claims missing or too short to be there.
 func TestDecodeCountsBoundedByBytes(t *testing.T) {
 	const reports = 1 << 18 // 256 KiB of padding claiming 8 MiB of reports
-	reportOK := appendResult(codec.AppendU32(nil, 7), &registry.ReportResult{Region: "ra"})
+	reportOK := appendResult(codec.AppendU32(nil, 7), &registry.ReportResult{Facts: registry.Facts{Region: "ra"}})
 	reportOK = binary.AppendUvarint(reportOK[:len(reportOK)-1], reports)
 	reportOK = append(reportOK, make([]byte, reports)...)
 

@@ -271,7 +271,7 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 // it); when the server filled in its default for a request that named
 // none, it is the server's.
 func TestDecodeResponseRegion(t *testing.T) {
-	res := &registry.ReportResult{Region: "ra", PrecisionLevel: 1,
+	res := &registry.ReportResult{Facts: registry.Facts{Region: "ra", PrecisionLevel: 1},
 		Reports: make([]loctree.NodeID, 2), Centers: make([]geo.LatLng, 2)}
 	payload := appendResult(nil, res)
 	for _, asked := range []string{"ra", "", "rab"} {

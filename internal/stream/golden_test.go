@@ -49,19 +49,21 @@ func goldenRequest() Request {
 
 func goldenResult() *registry.ReportResult {
 	return &registry.ReportResult{
-		Region:         "ra",
-		SubtreeRoot:    loctree.NodeID{Level: 2, Coord: hexgrid.Coord{Q: -1, R: 3}},
-		PrecisionLevel: 1,
-		Pruned:         4,
+		Facts: registry.Facts{
+			Region:         "ra",
+			SubtreeRoot:    loctree.NodeID{Level: 2, Coord: hexgrid.Coord{Q: -1, R: 3}},
+			PrecisionLevel: 1,
+			Pruned:         4,
+			Reanchored:     true,
+			Budgeted:       true,
+			EpsSpent:       1.6,
+			EpsRemaining:   6.4,
+		},
 		Reports: []loctree.NodeID{
 			{Level: 1, Coord: hexgrid.Coord{Q: 0, R: 2}},
 			{Level: 1, Coord: hexgrid.Coord{Q: -2, R: 5}},
 		},
-		Centers:      []geo.LatLng{{Lat: 37.765, Lng: -122.435}, {Lat: 37.8, Lng: -122.41}},
-		Reanchored:   true,
-		Budgeted:     true,
-		EpsSpent:     1.6,
-		EpsRemaining: 6.4,
+		Centers: []geo.LatLng{{Lat: 37.765, Lng: -122.435}, {Lat: 37.8, Lng: -122.41}},
 	}
 }
 
@@ -79,20 +81,22 @@ func goldenFrames() map[string][]byte {
 	reportsOK = appendRejection(reportsOK, registry.Rejection{Status: 429, Msg: "budget exhausted", EpsRemaining: 0.75, HasEps: true})
 
 	grant := &registry.LeaseGrant{
-		Region:         "ra",
-		SubtreeRoot:    loctree.NodeID{Level: 2, Coord: hexgrid.Coord{Q: -1, R: 3}},
-		PrecisionLevel: 0,
-		Pruned:         2,
-		Budgeted:       true,
-		EpsSpent:       3.2,
-		EpsRemaining:   4.8,
-		Degraded:       true,
-		DrawCap:        32,
-		RNGPos:         1024,
-		ExpiresAt:      1700000060000,
-		Renewed:        true,
-		Token:          []byte("CGT1 opaque token bytes"),
-		Bundle:         []byte("CGL1 opaque bundle bytes"),
+		Facts: registry.Facts{
+			Region:         "ra",
+			SubtreeRoot:    loctree.NodeID{Level: 2, Coord: hexgrid.Coord{Q: -1, R: 3}},
+			PrecisionLevel: 0,
+			Pruned:         2,
+			Budgeted:       true,
+			EpsSpent:       3.2,
+			EpsRemaining:   4.8,
+			Degraded:       true,
+		},
+		DrawCap:   32,
+		RNGPos:    1024,
+		ExpiresAt: 1700000060000,
+		Renewed:   true,
+		Token:     []byte("CGT1 opaque token bytes"),
+		Bundle:    []byte("CGL1 opaque bundle bytes"),
 	}
 	return map[string][]byte{
 		"report":      appendRequest(codec.AppendU32(nil, 7), &req),

@@ -54,7 +54,7 @@ func (r Remote) ReportBatch(_ context.Context, reqs []registry.ReportRequest) ([
 
 // The four functions below are every copy between the wire's request shape
 // and the registry's asks, one per direction for reports and for leases;
-// WireResponse and Response.Result are the pair for report answers. Both
+// WireFacts and Facts.Registry are the pair for the answers' facts. Both
 // transports' servers and Remote views convert through them and nowhere
 // else.
 
@@ -128,21 +128,43 @@ func WireRequests(reqs []registry.ReportRequest) []Request {
 	return out
 }
 
+// WireFacts spells a registry answer's customization facts in the wire
+// shape; with Facts.Registry it is the one copy between the two, for
+// report and lease answers alike.
+func WireFacts(f registry.Facts) Facts {
+	return Facts{
+		Region:         f.Region,
+		PrecisionLevel: f.PrecisionLevel,
+		SubtreeRoot:    [2]int{f.SubtreeRoot.Coord.Q, f.SubtreeRoot.Coord.R},
+		Pruned:         f.Pruned,
+		Reanchored:     f.Reanchored,
+		Budgeted:       f.Budgeted,
+		EpsSpent:       f.EpsSpent,
+		EpsRemaining:   f.EpsRemaining,
+		Degraded:       f.Degraded,
+	}
+}
+
+// Registry is WireFacts' inverse. The wire sends the subtree root's
+// coordinate only, so its level is the ask's privacy level.
+func (f Facts) Registry(privacyLevel int) registry.Facts {
+	return registry.Facts{
+		Region:         f.Region,
+		SubtreeRoot:    loctree.NodeID{Level: privacyLevel, Coord: hexgrid.Coord{Q: f.SubtreeRoot[0], R: f.SubtreeRoot[1]}},
+		PrecisionLevel: f.PrecisionLevel,
+		Pruned:         f.Pruned,
+		Reanchored:     f.Reanchored,
+		Budgeted:       f.Budgeted,
+		EpsSpent:       f.EpsSpent,
+		EpsRemaining:   f.EpsRemaining,
+		Degraded:       f.Degraded,
+	}
+}
+
 // WireResponse spells a registry result in the wire shape, for the JSON
 // routes; REPORT_OK frames encode the result directly (appendResult).
 func WireResponse(res *registry.ReportResult) *Response {
-	resp := &Response{
-		Region:         res.Region,
-		PrecisionLevel: res.PrecisionLevel,
-		SubtreeRoot:    [2]int{res.SubtreeRoot.Coord.Q, res.SubtreeRoot.Coord.R},
-		Pruned:         res.Pruned,
-		Reports:        make([]ReportedLocation, len(res.Reports)),
-		Reanchored:     res.Reanchored,
-		Budgeted:       res.Budgeted,
-		EpsSpent:       res.EpsSpent,
-		EpsRemaining:   res.EpsRemaining,
-		Degraded:       res.Degraded,
-	}
+	resp := &Response{Facts: WireFacts(res.Facts), Reports: make([]ReportedLocation, len(res.Reports))}
 	for i, n := range res.Reports {
 		c := res.Centers[i]
 		resp.Reports[i] = ReportedLocation{Q: n.Coord.Q, R: n.Coord.R, Lat: c.Lat, Lng: c.Lng}
@@ -151,25 +173,13 @@ func WireResponse(res *registry.ReportResult) *Response {
 }
 
 // Result is WireResponse's inverse: a decoded response as the registry's
-// result type. The wire sends node coordinates only, so the subtree root's level
-// comes from the request policy's privacy level and the reports' from the
-// response's precision level.
+// result type, the subtree root at the ask's privacy level and the reports
+// at the response's precision level.
 func (resp *Response) Result(privacyLevel int) *registry.ReportResult {
 	res := &registry.ReportResult{
-		Region: resp.Region,
-		SubtreeRoot: loctree.NodeID{
-			Level: privacyLevel,
-			Coord: hexgrid.Coord{Q: resp.SubtreeRoot[0], R: resp.SubtreeRoot[1]},
-		},
-		PrecisionLevel: resp.PrecisionLevel,
-		Pruned:         resp.Pruned,
-		Reanchored:     resp.Reanchored,
-		Budgeted:       resp.Budgeted,
-		EpsSpent:       resp.EpsSpent,
-		EpsRemaining:   resp.EpsRemaining,
-		Degraded:       resp.Degraded,
-		Reports:        make([]loctree.NodeID, len(resp.Reports)),
-		Centers:        make([]geo.LatLng, len(resp.Reports)),
+		Facts:   resp.Registry(privacyLevel),
+		Reports: make([]loctree.NodeID, len(resp.Reports)),
+		Centers: make([]geo.LatLng, len(resp.Reports)),
 	}
 	for i, rep := range resp.Reports {
 		res.Reports[i] = loctree.NodeID{

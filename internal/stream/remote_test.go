@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"corgi/internal/budget"
+	"corgi/internal/geo"
+	"corgi/internal/hexgrid"
+	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/proto"
 	"corgi/internal/registry"
@@ -89,11 +92,8 @@ func TestRemoteViewsMatchRegistry(t *testing.T) {
 
 	sameReport := func(name string, got, want *registry.ReportResult) {
 		t.Helper()
-		if got.Region != want.Region || got.SubtreeRoot != want.SubtreeRoot ||
-			got.PrecisionLevel != want.PrecisionLevel || got.Pruned != want.Pruned ||
-			got.Reanchored != want.Reanchored || got.Degraded != want.Degraded ||
-			got.Budgeted != want.Budgeted || got.EpsSpent != want.EpsSpent || got.EpsRemaining != want.EpsRemaining {
-			t.Fatalf("%s: facts %+v, registry %+v", name, got, want)
+		if got.Facts != want.Facts {
+			t.Fatalf("%s: facts %+v, registry %+v", name, got.Facts, want.Facts)
 		}
 		if !reflect.DeepEqual(got.Reports, want.Reports) {
 			t.Fatalf("%s: draws %v, registry %v", name, got.Reports, want.Reports)
@@ -167,6 +167,90 @@ func TestRemoteViewsMatchRegistry(t *testing.T) {
 		}
 		if rej := registry.Classify(err); rej.Status != se.Status || !rej.HasEps || rej.EpsRemaining != 0 {
 			t.Fatalf("%s: Classify(%v) = %+v", name, err, rej)
+		}
+	}
+}
+
+// factsHandler answers every ask with the same facts.
+type factsHandler struct{ facts registry.Facts }
+
+func (h factsHandler) Report(context.Context, registry.ReportRequest) (*registry.ReportResult, error) {
+	return &registry.ReportResult{Facts: h.facts,
+		Reports: []loctree.NodeID{{Level: h.facts.PrecisionLevel, Coord: hexgrid.Coord{Q: 1, R: -1}}},
+		Centers: []geo.LatLng{{Lat: 37.77, Lng: -122.42}}}, nil
+}
+
+func (h factsHandler) Lease(context.Context, registry.LeaseRequest) (*registry.LeaseGrant, error) {
+	return &registry.LeaseGrant{Facts: h.facts, DrawCap: 4, Token: []byte("token"), Bundle: []byte("bundle")}, nil
+}
+
+// TestFactsSurviveEveryWire: facts with every field set come back from a
+// report and from a lease unchanged, over the JSON routes and over the
+// REPORT_OK and LEASE_GRANT frames, so no converter and no codec drops or
+// garbles one of them.
+func TestFactsSurviveEveryWire(t *testing.T) {
+	want := registry.Facts{
+		Region:         "ra",
+		SubtreeRoot:    loctree.NodeID{Level: 2, Coord: hexgrid.Coord{Q: -1, R: 3}},
+		PrecisionLevel: 1,
+		Pruned:         4,
+		Reanchored:     true,
+		Budgeted:       true,
+		EpsSpent:       1.5,
+		EpsRemaining:   6.25,
+		Degraded:       true,
+	}
+	for i, v := 0, reflect.ValueOf(want); i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("fact %s is zero: a wire that dropped it would pass", v.Type().Field(i).Name)
+		}
+	}
+	h := factsHandler{want}
+	srv, addr := startStream(t, newRegistry(t, registry.Options{}, "ra"))
+	srv.SetHandler(h)
+	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
+	defer sc.Close()
+	mh, err := proto.NewMultiHandler(newRegistry(t, registry.Options{}, "ra"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh.Handler = h
+	hsrv := httptest.NewServer(mh.Mux())
+	defer hsrv.Close()
+
+	ctx := context.Background()
+	// The wires carry the subtree root's coordinate; its level is the ask's.
+	pol := policy.Policy{PrivacyLevel: want.SubtreeRoot.Level, PrecisionLevel: want.PrecisionLevel}
+	report := func(h registry.ReportHandler) (registry.Facts, error) {
+		res, err := h.Report(ctx, registry.ReportRequest{Region: "ra", Policy: pol})
+		if err != nil {
+			return registry.Facts{}, err
+		}
+		return res.Facts, nil
+	}
+	lease := func(h registry.ReportHandler) (registry.Facts, error) {
+		grant, err := h.Lease(ctx, registry.LeaseRequest{Region: "ra", Policy: pol, Draws: 4})
+		if err != nil {
+			return registry.Facts{}, err
+		}
+		return grant.Facts, nil
+	}
+	for _, tc := range []struct {
+		name string
+		ask  func(registry.ReportHandler) (registry.Facts, error)
+		via  registry.ReportHandler
+	}{
+		{"JSON report", report, proto.NewClient(hsrv.URL).Remote()},
+		{"JSON lease", lease, proto.NewClient(hsrv.URL).Remote()},
+		{"REPORT_OK", report, sc.Remote()},
+		{"LEASE_GRANT", lease, sc.Remote()},
+	} {
+		got, err := tc.ask(tc.via)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != want {
+			t.Errorf("%s: facts came back as\n  %+v\nsent\n  %+v", tc.name, got, want)
 		}
 	}
 }

@@ -151,32 +151,28 @@ type ReportedLocation struct {
 	Lng float64 `json:"lng"`
 }
 
+// Facts is registry.Facts in the wire shape, under the JSON keys both
+// transports use (registry.Facts says what each fact means): a report
+// (Response) and a lease (internal/proto's LeaseResponse) answer with it.
+// SubtreeRoot is the root's coordinate; its level is the ask's privacy
+// level. WireFacts and Facts.Registry convert between the two.
+type Facts struct {
+	Region         string  `json:"region"`
+	PrecisionLevel int     `json:"precision_l"`
+	SubtreeRoot    [2]int  `json:"subtree_root"`
+	Pruned         int     `json:"pruned"`
+	Reanchored     bool    `json:"reanchored,omitempty"`
+	Budgeted       bool    `json:"budgeted,omitempty"`
+	EpsSpent       float64 `json:"eps_spent,omitempty"`
+	EpsRemaining   float64 `json:"eps_remaining,omitempty"`
+	Degraded       bool    `json:"degraded,omitempty"`
+}
+
 // Response carries the drawn reports plus the customization facts, on
 // either transport (internal/proto aliases it as ReportResponse).
 type Response struct {
-	Region string `json:"region"`
-	// PrecisionLevel is the tree level of every reported node.
-	PrecisionLevel int `json:"precision_l"`
-	// SubtreeRoot names the privacy-forest entry that served the draws.
-	SubtreeRoot [2]int `json:"subtree_root"`
-	// Pruned is how many locations the policy's preferences removed.
-	Pruned  int                `json:"pruned"`
+	Facts
 	Reports []ReportedLocation `json:"reports"`
-	// Reanchored is true when this request moved the user's session onto a
-	// different subtree (or preference anchor) — mobility clients and the
-	// loadgen use it to measure re-anchor rates.
-	Reanchored bool `json:"reanchored,omitempty"`
-	// Budgeted is true when the server runs epsilon-budget accounting;
-	// EpsSpent is what this request charged and EpsRemaining the user's
-	// window headroom after it.
-	Budgeted     bool    `json:"budgeted,omitempty"`
-	EpsSpent     float64 `json:"eps_spent,omitempty"`
-	EpsRemaining float64 `json:"eps_remaining,omitempty"`
-	// Degraded is true when the reports were drawn from a planar-Laplace
-	// fallback entry (degraded serving): the epsilon guarantee holds in
-	// full, but utility is below the LP optimum until the background solve
-	// replaces the fallback.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // ItemResult is one batch item's outcome: items fail independently with
@@ -311,9 +307,9 @@ const (
 )
 
 // maxHandoffEvents bounds a handoff's event count on decode. The
-// accountant buckets spend at Config.Resolution, so a real handoff holds
-// at most Window/Resolution events (3600 at the defaults); anything past
-// the bound is a malformed frame.
+// accountant buckets spend into one-second intervals, so a real handoff
+// holds at most one event per second of its Window (3600 at the default
+// hour); anything past the bound is a malformed frame.
 const maxHandoffEvents = 1 << 14
 
 // maxPreferences bounds one request's predicate count on decode; policies
@@ -444,6 +440,28 @@ func decodeRequest(d *codec.Cursor, in *interner) (Request, error) {
 	return req, d.Err()
 }
 
+// appendFactsTail appends what follows the subtree root in a REPORT_OK and
+// a LEASE_GRANT body alike: |S|, the flags byte (the facts' bits set in
+// flags, which holds the frame's own) and, when budgeted, the charge.
+func appendFactsTail(b []byte, f *registry.Facts, flags byte) []byte {
+	b = binary.AppendVarint(b, int64(f.Pruned))
+	if f.Reanchored {
+		flags |= resFlagReanchored
+	}
+	if f.Budgeted {
+		flags |= resFlagBudgeted
+	}
+	if f.Degraded {
+		flags |= resFlagDegraded
+	}
+	b = append(b, flags)
+	if f.Budgeted {
+		b = codec.AppendF64(b, f.EpsSpent)
+		b = codec.AppendF64(b, f.EpsRemaining)
+	}
+	return b
+}
+
 // appendResult serializes a registry report result straight from the
 // pipeline's own types — the server never builds an intermediate response
 // struct, it encodes ReportResult into the pooled frame buffer directly.
@@ -452,22 +470,7 @@ func appendResult(b []byte, res *registry.ReportResult) []byte {
 	b = binary.AppendVarint(b, int64(res.PrecisionLevel))
 	b = binary.AppendVarint(b, int64(res.SubtreeRoot.Coord.Q))
 	b = binary.AppendVarint(b, int64(res.SubtreeRoot.Coord.R))
-	b = binary.AppendVarint(b, int64(res.Pruned))
-	var flags byte
-	if res.Reanchored {
-		flags |= resFlagReanchored
-	}
-	if res.Budgeted {
-		flags |= resFlagBudgeted
-	}
-	if res.Degraded {
-		flags |= resFlagDegraded
-	}
-	b = append(b, flags)
-	if res.Budgeted {
-		b = codec.AppendF64(b, res.EpsSpent)
-		b = codec.AppendF64(b, res.EpsRemaining)
-	}
+	b = appendFactsTail(b, &res.Facts, 0)
 	b = binary.AppendUvarint(b, uint64(len(res.Reports)))
 	for i, n := range res.Reports {
 		c := res.Centers[i]
@@ -603,25 +606,11 @@ func appendLeaseGrant(b []byte, g *registry.LeaseGrant) []byte {
 	b = codec.AppendString(b, g.Region)
 	b = binary.AppendVarint(b, int64(g.PrecisionLevel))
 	b = codec.AppendNode(b, g.SubtreeRoot)
-	b = binary.AppendVarint(b, int64(g.Pruned))
 	var flags byte
-	if g.Reanchored {
-		flags |= resFlagReanchored
-	}
-	if g.Budgeted {
-		flags |= resFlagBudgeted
-	}
-	if g.Degraded {
-		flags |= resFlagDegraded
-	}
 	if g.Renewed {
-		flags |= grantFlagRenewed
+		flags = grantFlagRenewed
 	}
-	b = append(b, flags)
-	if g.Budgeted {
-		b = codec.AppendF64(b, g.EpsSpent)
-		b = codec.AppendF64(b, g.EpsRemaining)
-	}
+	b = appendFactsTail(b, &g.Facts, flags)
 	b = binary.AppendUvarint(b, uint64(g.DrawCap))
 	b = binary.AppendUvarint(b, g.RNGPos)
 	b = binary.AppendVarint(b, g.ExpiresAt)
