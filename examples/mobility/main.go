@@ -29,7 +29,6 @@ import (
 	"corgi/internal/policy"
 	"corgi/internal/proto"
 	"corgi/internal/registry"
-	"corgi/internal/stream"
 )
 
 func main() {
@@ -105,8 +104,8 @@ func run(w io.Writer) error {
 		if err != nil {
 			// The budget rejection arrives as the server's status, as every
 			// transport's client returns it.
-			var se *stream.StatusError
-			if errors.As(err, &se) && se.Status == http.StatusTooManyRequests {
+			var rej *registry.Rejection
+			if errors.As(err, &rej) && rej.Status == http.StatusTooManyRequests {
 				fmt.Fprintf(w, "step %d (%-7s): 429 Too Many Requests — epsilon window spent; retry after the window slides\n",
 					i+1, route[i])
 				continue

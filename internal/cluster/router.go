@@ -182,7 +182,7 @@ func (r *Router) exportHandoff(region string, uid int64) (h *budget.Handoff, com
 // client, until one answers; ok=false means none did and the caller serves
 // locally. ask issues the request against a peer with the budget handoff
 // it is given (and the forwarded bit set). Each attempt is wrapped in its
-// own export: a peer that answered — a result or a *stream.StatusError,
+// own export: a peer that answered — a result or a *registry.Rejection,
 // whose classification (429, 422, ...) is the request's real outcome — has
 // imported the handoff (import precedes validation), so the export
 // commits; a transport failure means the peer never processed the
@@ -194,8 +194,8 @@ func forward[T any](r *Router, ahead []string, region string, uid int64,
 	for _, member := range ahead {
 		export, commit, rollback := r.exportHandoff(region, uid)
 		res, err = ask(r.peers[member].client.Remote(), export)
-		var se *stream.StatusError
-		if err != nil && !errors.As(err, &se) {
+		var rej *registry.Rejection
+		if err != nil && !errors.As(err, &rej) {
 			rollback()
 			r.failovers.Add(1)
 			continue

@@ -170,6 +170,10 @@ func (s *Server) entryKey(root loctree.NodeID, delta int) (forestKey, error) {
 // reach such a delta and the server refuses it before any solve runs.
 var ErrDeltaRange = errors.New("delta out of range")
 
+// ErrPrivacyLevel marks a forest asked for at a privacy level the tree
+// does not have: levels run from 1 to the tree's height.
+var ErrPrivacyLevel = errors.New("privacy level out of range")
+
 // checkDelta enforces ErrDeltaRange's bound for a subtree of k leaves.
 func checkDelta(delta, k int) error {
 	if delta < 0 || delta >= k {
@@ -273,7 +277,7 @@ func (s *Server) GenerateForest(privacyLevel, delta int) (*Forest, error) {
 // error (or ctx expiry) cancels the remaining solves.
 func (s *Server) GenerateForestCtx(ctx context.Context, privacyLevel, delta int) (*Forest, error) {
 	if privacyLevel < 1 || privacyLevel > s.tree.Height() {
-		return nil, fmt.Errorf("core: privacy level %d outside [1,%d]", privacyLevel, s.tree.Height())
+		return nil, fmt.Errorf("core: %w: %d outside [1,%d]", ErrPrivacyLevel, privacyLevel, s.tree.Height())
 	}
 	nodes := s.tree.LevelNodes(privacyLevel)
 	if err := checkDelta(delta, len(s.tree.LeavesUnder(nodes[0]))); err != nil {

@@ -525,7 +525,7 @@ func (f *flakyRemote) Lease(ctx context.Context, req registry.LeaseRequest) (*re
 		f.leases = append(f.leases, "fresh")
 	case *f.forbidRenewal:
 		f.leases = append(f.leases, "renewal refused")
-		return nil, &stream.StatusError{Status: http.StatusForbidden, Msg: "lease token expired"}
+		return nil, &registry.Rejection{Status: http.StatusForbidden, Msg: "lease token expired"}
 	default:
 		f.leases = append(f.leases, "renewal")
 	}

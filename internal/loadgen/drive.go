@@ -13,7 +13,6 @@ import (
 	"corgi/internal/policy"
 	"corgi/internal/proto"
 	"corgi/internal/registry"
-	"corgi/internal/stream"
 )
 
 // sample is one measured round trip.
@@ -174,13 +173,13 @@ func reportTarget(h registry.ReportHandler, precision, count int) target {
 			}
 		}
 		var (
-			results []stream.BatchResult
+			results []registry.BatchOutcome
 			err     error
 		)
 		if len(reqs) == 1 {
 			var res *registry.ReportResult
 			res, err = h.Report(ctx, reqs[0])
-			results = []stream.BatchResult{{Result: res}}
+			results = []registry.BatchOutcome{{Result: res}}
 		} else if b, ok := h.(batcher); ok {
 			results, err = b.ReportBatch(ctx, reqs)
 		} else {
@@ -191,7 +190,7 @@ func reportTarget(h registry.ReportHandler, precision, count int) target {
 		}
 		out := outcome{status: http.StatusOK, items: make([]item, len(results))}
 		for i, r := range results {
-			if r.Err != nil {
+			if r.Result == nil {
 				out.items[i].err = true
 				continue
 			}
@@ -204,19 +203,19 @@ func reportTarget(h registry.ReportHandler, precision, count int) target {
 // batcher is what a handler must add to carry -batch round trips; both
 // remote clients' handler views (stream.Remote, proto.Remote) do.
 type batcher interface {
-	ReportBatch(context.Context, []registry.ReportRequest) ([]stream.BatchResult, error)
+	ReportBatch(context.Context, []registry.ReportRequest) ([]registry.BatchOutcome, error)
 }
 
 // statusOf is the HTTP-equivalent status a handler answered with: 200 for
 // a result, the server's classification for a rejection, and 0 when no
 // answer arrived at all (a transport fault).
 func statusOf(err error) int {
-	var se *stream.StatusError
+	var rej *registry.Rejection
 	switch {
 	case err == nil:
 		return http.StatusOK
-	case errors.As(err, &se):
-		return se.Status
+	case errors.As(err, &rej):
+		return rej.Status
 	}
 	return 0
 }

@@ -11,7 +11,6 @@ import (
 	"corgi/internal/loctree"
 	"corgi/internal/proto"
 	"corgi/internal/registry"
-	"corgi/internal/stream"
 )
 
 func TestColdTracker(t *testing.T) {
@@ -55,10 +54,10 @@ func (f fakeHandler) Lease(context.Context, registry.LeaseRequest) (*registry.Le
 // fakeBatcher answers every ReportBatch with canned item outcomes.
 type fakeBatcher struct {
 	fakeHandler
-	items []stream.BatchResult
+	items []registry.BatchOutcome
 }
 
-func (f fakeBatcher) ReportBatch(context.Context, []registry.ReportRequest) ([]stream.BatchResult, error) {
+func (f fakeBatcher) ReportBatch(context.Context, []registry.ReportRequest) ([]registry.BatchOutcome, error) {
 	return f.items, nil
 }
 
@@ -82,14 +81,18 @@ func fakeForests(t *testing.T, status int) target {
 // claims, both when the request is the first to touch its keys and when it
 // is a later one.
 func TestDriveClassification(t *testing.T) {
-	rejected := func(status int) error { return &stream.StatusError{Status: status, Msg: "refused"} }
+	rejected := func(status int) error { return &registry.Rejection{Status: status, Msg: "refused"} }
 	report := func(res *registry.ReportResult, err error) target {
 		return reportTarget(fakeHandler{res, err}, 0, 1)
 	}
 	batch := func(items ...error) target {
 		f := fakeBatcher{}
 		for _, err := range items {
-			f.items = append(f.items, stream.BatchResult{Result: &registry.ReportResult{}, Err: err})
+			out := registry.BatchOutcome{Result: &registry.ReportResult{}, Rejection: registry.Rejection{Status: http.StatusOK}}
+			if err != nil {
+				out = registry.BatchOutcome{Rejection: registry.Classify(err)}
+			}
+			f.items = append(f.items, out)
 		}
 		return reportTarget(f, 0, 1)
 	}

@@ -80,7 +80,7 @@ func (h *MultiHandler) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 // lease requests (or renews) a client-side draw lease. Non-200 responses
-// return a *stream.StatusError carrying the status and, for budget
+// return a *registry.Rejection carrying the status and, for budget
 // rejections, the eps_remaining headroom.
 func (c *Client) lease(ctx context.Context, req LeaseRequest) (*LeaseResponse, error) {
 	if req.Region == "" {

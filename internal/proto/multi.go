@@ -180,14 +180,14 @@ func (h *MultiHandler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // shardErrStatus classifies a failed shard resolution: an unknown region
 // is the caller's fault, an interrupted wait is 503, and any other
 // bootstrap failure is a server fault.
-func shardErrStatus(err error) (int, string) {
+func shardErrStatus(err error) registry.Rejection {
 	switch {
 	case errors.Is(err, registry.ErrUnknownRegion):
-		return http.StatusNotFound, err.Error()
+		return registry.Rejection{Status: http.StatusNotFound, Msg: err.Error()}
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, "region bootstrap interrupted: " + err.Error()
+		return registry.Rejection{Status: http.StatusServiceUnavailable, Msg: "region bootstrap interrupted: " + err.Error()}
 	default:
-		return http.StatusInternalServerError, "region bootstrap failed: " + err.Error()
+		return registry.Rejection{Status: http.StatusInternalServerError, Msg: "region bootstrap failed: " + err.Error()}
 	}
 }
 
@@ -197,8 +197,7 @@ func shardErrStatus(err error) (int, string) {
 func (h *MultiHandler) shard(ctx context.Context, w http.ResponseWriter, r *http.Request) (*registry.Shard, bool) {
 	sh, err := h.reg.Shard(ctx, r.URL.Query().Get("region"))
 	if err != nil {
-		status, msg := shardErrStatus(err)
-		http.Error(w, msg, status)
+		reject(w, shardErrStatus(err))
 		return nil, false
 	}
 	return sh, true
@@ -298,8 +297,7 @@ func (h *MultiHandler) handleForest(w http.ResponseWriter, r *http.Request) {
 	}
 	forest, err := sh.Server.GenerateForestCtx(ctx, level, delta)
 	if err != nil {
-		status, msg := generateErrStatus(err)
-		http.Error(w, msg, status)
+		reject(w, generateErrStatus(err))
 		return
 	}
 	writeForestNegotiated(w, r, sh.Server.Tree(), forest)

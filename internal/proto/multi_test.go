@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"corgi/internal/core"
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 )
@@ -271,5 +274,41 @@ func TestForestDeltaBound(t *testing.T) {
 
 	if got := reg.AggregateStats().Solves; got != solves {
 		t.Fatalf("refused requests ran %d solves", got-solves)
+	}
+}
+
+// TestForestRefusals pins GET /v1/forest's classifier: only an
+// out-of-range privacy level or delta is the caller's (422), interrupted
+// work is 504 or 503, and any other failure, a solver's or a recovered
+// panic's, is the server's 500, as the report routes answer it. The two
+// 422s are checked over HTTP as well, so the sentinels are the ones the
+// engine returns.
+func TestForestRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		err    error
+		status int
+	}{
+		{fmt.Errorf("core: %w: 9 outside [1,2]", core.ErrPrivacyLevel), http.StatusUnprocessableEntity},
+		{fmt.Errorf("core: %w: delta 7, want [0,7)", core.ErrDeltaRange), http.StatusUnprocessableEntity},
+		{fmt.Errorf("solving: %w", context.DeadlineExceeded), http.StatusGatewayTimeout},
+		{context.Canceled, http.StatusServiceUnavailable},
+		{errors.New("core: DW numerical failure"), http.StatusInternalServerError},
+		{errors.New("flight: the call for this key panicked"), http.StatusInternalServerError},
+	} {
+		if rej := generateErrStatus(tc.err); rej.Status != tc.status || rej.Msg == "" {
+			t.Errorf("%v -> %+v, want %d", tc.err, rej, tc.status)
+		}
+	}
+
+	ts, _ := newMultiTestServer(t)
+	for _, q := range []string{"privacy_l=0", "privacy_l=9", "privacy_l=1&delta=-1"} {
+		resp, err := http.Get(ts.URL + "/v1/forest?region=sf&" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("GET /v1/forest?%s -> %d, want 422", q, resp.StatusCode)
+		}
 	}
 }

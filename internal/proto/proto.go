@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -52,7 +53,7 @@ import (
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/obf"
-	"corgi/internal/stream"
+	"corgi/internal/registry"
 )
 
 // TreeResponse describes the server's location tree so a client can rebuild
@@ -214,19 +215,20 @@ func drainBody(body io.Reader) {
 	io.Copy(io.Discard, io.LimitReader(body, 64<<10))
 }
 
-// statusError turns a non-200 response into the *stream.StatusError every
+// statusError turns a non-200 response into the *registry.Rejection every
 // Client method returns for one: the status, the (bounded) body as the
 // message, and — on budget rejections — the user's live epsilon headroom
-// from the X-Corgi-Eps-Remaining header.
+// from the X-Corgi-Eps-Remaining header, ignored unless it parses to a
+// finite number.
 func statusError(resp *http.Response) error {
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	se := &stream.StatusError{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
+	rej := &registry.Rejection{Status: resp.StatusCode, Msg: string(bytes.TrimSpace(msg))}
 	if v := resp.Header.Get(epsRemainingHeader); v != "" {
-		if rem, err := strconv.ParseFloat(v, 64); err == nil {
-			se.EpsRemaining, se.HasEpsRemaining = rem, true
+		if rem, err := strconv.ParseFloat(v, 64); err == nil && !math.IsNaN(rem) && !math.IsInf(rem, 0) {
+			rej.EpsRemaining, rej.HasEps = rem, true
 		}
 	}
-	return se
+	return rej
 }
 
 // MaxResponseBytes bounds every Client response body, as it bounds a
@@ -298,17 +300,21 @@ func priorsResponse(tree *loctree.Tree, priors *loctree.Priors) PriorsResponse {
 	return resp
 }
 
-// generateErrStatus maps a forest-generation error to GET /v1/forest's
-// HTTP status and message.
-func generateErrStatus(err error) (int, string) {
+// generateErrStatus classifies a failed GET /v1/forest: an out-of-range
+// privacy level or delta is the caller's (422), interrupted work 5xx, and
+// anything else, a solver failure or a recovered panic among them, a
+// server fault.
+func generateErrStatus(err error) registry.Rejection {
+	rej := registry.Rejection{Status: http.StatusInternalServerError, Msg: err.Error()}
 	switch {
+	case errors.Is(err, core.ErrPrivacyLevel), errors.Is(err, core.ErrDeltaRange):
+		rej.Status = http.StatusUnprocessableEntity
 	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, "generation timed out: " + err.Error()
+		rej.Status, rej.Msg = http.StatusGatewayTimeout, "generation timed out: "+rej.Msg
 	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable, "request canceled"
-	default:
-		return http.StatusUnprocessableEntity, err.Error()
+		rej.Status, rej.Msg = http.StatusServiceUnavailable, "request canceled"
 	}
+	return rej
 }
 
 // wantsForestV2 reports whether the request negotiated the compact v2

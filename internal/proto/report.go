@@ -24,8 +24,8 @@ type (
 	ReportedLocation = stream.ReportedLocation
 	// ReportResponse carries the drawn reports plus the customization facts.
 	ReportResponse = stream.Response
-	// ReportItemResult is one batch item's outcome; items fail
-	// independently with per-item HTTP-equivalent statuses.
+	// ReportItemResult is one batch item's outcome: a report or the
+	// item's own refusal.
 	ReportItemResult = stream.ItemResult
 )
 
@@ -58,9 +58,9 @@ func decodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 // 429-rejected lease and report requests.
 const epsRemainingHeader = "X-Corgi-Eps-Remaining"
 
-// reject answers a refused ask: the classification's status and message,
-// with a budget rejection's live headroom in X-Corgi-Eps-Remaining (the
-// JSON-free analogue of the ERROR frame's eps_remaining field).
+// reject is the HTTP side's one writer of a refusal: the status and
+// message, with a budget rejection's live headroom in X-Corgi-Eps-Remaining
+// (the JSON-free analogue of the ERROR frame's eps_remaining field).
 func reject(w http.ResponseWriter, rej registry.Rejection) {
 	if rej.HasEps {
 		w.Header().Set(epsRemainingHeader, strconv.FormatFloat(rej.EpsRemaining, 'g', -1, 64))
@@ -109,8 +109,7 @@ func (h *MultiHandler) handleReports(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := BatchReportResponse{Items: make([]ReportItemResult, len(outs))}
 	for i, out := range outs {
-		resp.Items[i] = ReportItemResult{Status: out.Status, Error: out.Msg,
-			EpsRemaining: out.EpsRemaining, HasEpsRemaining: out.HasEps}
+		resp.Items[i].Rejection = out.Rejection
 		if out.Result != nil {
 			resp.Items[i].Report = stream.WireResponse(out.Result)
 			out.Result.Release()
@@ -121,7 +120,7 @@ func (h *MultiHandler) handleReports(w http.ResponseWriter, r *http.Request) {
 
 // Report draws obfuscated reports from the server-side pipeline. A client
 // with a bound region (NewRegionClient) fills an empty request Region.
-// Non-200 answers return a *stream.StatusError.
+// Non-200 answers return a *registry.Rejection.
 func (c *Client) Report(req ReportRequest) (*ReportResponse, error) {
 	return c.report(context.Background(), req)
 }
@@ -139,8 +138,9 @@ func (c *Client) report(ctx context.Context, req ReportRequest) (*ReportResponse
 
 // reportBatch draws for many requests in one POST /v1/reports round trip;
 // per-item outcomes come back in request order with their own statuses.
-// The caller's slice is not modified: a bound region fills empty item
-// regions on a copy.
+// An item reading 200 without a report, or a refusal Check fails, makes
+// the envelope malformed. The caller's slice is not modified: a bound
+// region fills empty item regions on a copy.
 func (c *Client) reportBatch(ctx context.Context, items []ReportRequest) (*BatchReportResponse, error) {
 	sent := items
 	if c.region != "" {
@@ -158,12 +158,21 @@ func (c *Client) reportBatch(ctx context.Context, items []ReportRequest) (*Batch
 	if len(resp.Items) != len(items) {
 		return nil, fmt.Errorf("proto: batch answered %d items for %d requests", len(resp.Items), len(items))
 	}
+	for i, it := range resp.Items {
+		if it.Status == http.StatusOK {
+			if it.Report == nil {
+				return nil, fmt.Errorf("proto: batch item %d reads 200 without a report", i)
+			}
+		} else if err := it.Check(); err != nil {
+			return nil, fmt.Errorf("proto: batch item %d: %w", i, err)
+		}
+	}
 	return &resp, nil
 }
 
 // Remote is a Client seen as a registry.ReportHandler, the JSON twin of
 // stream.Remote: registry request types in, registry result types out,
-// rejections as *stream.StatusError, anything else a transport fault. The
+// rejections as *registry.Rejection, anything else a transport fault. The
 // context bounds each round trip.
 type Remote struct{ c *Client }
 
@@ -181,16 +190,16 @@ func (r Remote) Report(ctx context.Context, req registry.ReportRequest) (*regist
 
 // ReportBatch draws for many requests in one POST /v1/reports round trip;
 // per-item outcomes come back in request order.
-func (r Remote) ReportBatch(ctx context.Context, reqs []registry.ReportRequest) ([]stream.BatchResult, error) {
+func (r Remote) ReportBatch(ctx context.Context, reqs []registry.ReportRequest) ([]registry.BatchOutcome, error) {
 	resp, err := r.c.reportBatch(ctx, stream.WireRequests(reqs))
 	if err != nil {
 		return nil, err
 	}
-	return stream.BatchResults(reqs, resp.Items), nil
+	return stream.Outcomes(reqs, resp.Items), nil
 }
 
-// postJSON posts a JSON body and decodes a JSON response; a non-200 answer returns a
-// *stream.StatusError. Every return path fully drains the
+// postJSON posts a JSON body and decodes a JSON response; a non-200 answer
+// returns a *registry.Rejection. Every return path fully drains the
 // response body first, so the keep-alive connection goes back to the
 // transport's pool instead of being torn down — without the drain, error
 // responses and decoder-trailing bytes force a fresh TCP connection per

@@ -16,7 +16,6 @@ import (
 	"corgi/internal/policy"
 	"corgi/internal/registry"
 	"corgi/internal/session"
-	"corgi/internal/stream"
 )
 
 func reportSpecs(names ...string) []registry.Spec {
@@ -173,7 +172,7 @@ func TestReportBatchPerItemStatuses(t *testing.T) {
 		http.StatusUnprocessableEntity, http.StatusUnprocessableEntity}
 	for i, item := range resp.Items {
 		if item.Status != want[i] {
-			t.Fatalf("item %d status %d (%s), want %d", i, item.Status, item.Error, want[i])
+			t.Fatalf("item %d status %d (%s), want %d", i, item.Status, item.Msg, want[i])
 		}
 		if (item.Report != nil) != (item.Status == http.StatusOK) {
 			t.Fatalf("item %d payload/status mismatch: %+v", i, item)
@@ -382,11 +381,11 @@ func TestReportBudget429(t *testing.T) {
 	// carries the spent window's headroom, as /v1/lease and the stream
 	// ERROR frame do.
 	_, err = c.Report(req)
-	var se *stream.StatusError
-	if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests {
+	var rej *registry.Rejection
+	if !errors.As(err, &rej) || rej.Status != http.StatusTooManyRequests {
 		t.Fatalf("over-budget report -> %v, want 429", err)
 	}
-	if rem, ok := se.BudgetRemaining(); !ok || rem != 0 {
+	if rem, ok := rej.EpsRemaining, rej.HasEps; !ok || rem != 0 {
 		t.Fatalf("429 headroom = %v, %v; want 0, true", rem, ok)
 	}
 
@@ -421,5 +420,61 @@ func TestReportBudget429(t *testing.T) {
 	}
 	if _, ok := stats.Budget["ra"]; !ok {
 		t.Fatal("per-region budget stats missing")
+	}
+}
+
+// TestMalformedRefusalsOverJSON: a batch envelope whose item reads 200
+// without a report, or refuses with a status outside 400-599, is a
+// malformed answer, not a set of outcomes; and a 429 whose
+// X-Corgi-Eps-Remaining is not a finite number reads as a 429 without
+// headroom, as an unparsable one does.
+func TestMalformedRefusalsOverJSON(t *testing.T) {
+	var body, header string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/report" {
+			w.Header().Set(epsRemainingHeader, header)
+			http.Error(w, "spent", http.StatusTooManyRequests)
+			return
+		}
+		w.Write([]byte(body))
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	ctx := context.Background()
+	items := []ReportRequest{{Region: "ra"}}
+	for _, body = range []string{
+		`{"items":[{"status":200}]}`,
+		`{"items":[{"status":0,"error":"no status"}]}`,
+		`{"items":[{"status":302,"error":"moved"}]}`,
+		`{"items":[{"status":600,"error":"high"}]}`,
+	} {
+		if resp, err := c.reportBatch(ctx, items); err == nil {
+			t.Errorf("envelope %s decoded as %+v, want a malformed-envelope error", body, resp.Items)
+		}
+	}
+	want := registry.Rejection{Status: http.StatusTooManyRequests, Msg: "spent", HasEps: true}
+	body = `{"items":[{"status":429,"error":"spent","eps_remaining":0,"has_eps_remaining":true}]}`
+	if resp, err := c.reportBatch(ctx, items); err != nil || resp.Items[0].Rejection != want {
+		t.Errorf("well-formed refused item: %+v, %v", resp, err)
+	}
+
+	for _, tc := range []struct {
+		header string
+		want   registry.Rejection
+	}{
+		{"0.5", registry.Rejection{Status: http.StatusTooManyRequests, Msg: "spent", EpsRemaining: 0.5, HasEps: true}},
+		{"0", want},
+		{"NaN", registry.Rejection{Status: http.StatusTooManyRequests, Msg: "spent"}},
+		{"Inf", registry.Rejection{Status: http.StatusTooManyRequests, Msg: "spent"}},
+		{"-Inf", registry.Rejection{Status: http.StatusTooManyRequests, Msg: "spent"}},
+		{"1e999", registry.Rejection{Status: http.StatusTooManyRequests, Msg: "spent"}},
+		{"x", registry.Rejection{Status: http.StatusTooManyRequests, Msg: "spent"}},
+	} {
+		header = tc.header
+		_, err := c.Report(ReportRequest{Region: "ra"})
+		var rej *registry.Rejection
+		if !errors.As(err, &rej) || *rej != tc.want {
+			t.Errorf("429 with headroom header %q: %v, want %+v", tc.header, err, tc.want)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 
@@ -29,16 +30,36 @@ var ErrBudgetExhausted = budget.ErrBudgetExhausted
 // Rejection is a refused ask as every wire carries it: the HTTP-equivalent
 // status, the message, and on a 429 the user's live epsilon headroom. Each
 // transport has one encoder for it (status line plus X-Corgi-Eps-Remaining,
-// ERROR frame, batch item), so a given failure is the same answer whichever
-// route it leaves by.
+// ERROR frame, batch item) and one decoder, so a given failure is the same
+// answer whichever route it leaves by; both clients return a decoded one
+// as a *Rejection error. The JSON keys are a batch item's.
 type Rejection struct {
-	Status int
-	Msg    string
+	Status int    `json:"status"`
+	Msg    string `json:"error,omitempty"`
 	// EpsRemaining is the user's window headroom on a budget rejection
-	// (valid when HasEps), so transports report it without a second
-	// accountant query.
-	EpsRemaining float64
-	HasEps       bool
+	// (valid when HasEps, a headroom of exactly 0 included), so transports
+	// report it without a second accountant query.
+	EpsRemaining float64 `json:"eps_remaining,omitempty"`
+	HasEps       bool    `json:"has_eps_remaining,omitempty"`
+}
+
+// Error formats the status and message a server refused with.
+func (r *Rejection) Error() string {
+	return fmt.Sprintf("server returned %d: %s", r.Status, r.Msg)
+}
+
+// Check refuses what no server writes as a refusal: a status outside
+// 400-599 or a headroom that is not finite. Every decoder of a peer's
+// refusal holds it to Check, so a malformed one is a decode error and
+// never reaches a writer (net/http panics on a status it cannot send).
+func (r *Rejection) Check() error {
+	if r.Status < 400 || r.Status > 599 {
+		return fmt.Errorf("refusal status %d outside 400-599", r.Status)
+	}
+	if math.IsNaN(r.EpsRemaining) || math.IsInf(r.EpsRemaining, 0) {
+		return fmt.Errorf("refusal headroom %v is not finite", r.EpsRemaining)
+	}
+	return nil
 }
 
 // Classify maps a report-pipeline error to its Rejection. It is the single
@@ -49,21 +70,15 @@ type Rejection struct {
 // is the honest class), a forged or expired lease token 403, interrupted
 // work 5xx, and anything else a server fault.
 func Classify(err error) Rejection {
-	rej := Rejection{Msg: err.Error()}
-	// A forwarded request's failure arrives as the transport error the
-	// owner node answered with (stream.StatusError, from either of its
-	// wires); it carries the owner's classification and headroom, which
-	// must pass through unchanged so a 429 on the owner is a 429 to the
-	// client.
-	var fwd interface {
-		HTTPStatus() int
-		BudgetRemaining() (float64, bool)
-	}
+	// A forwarded request's failure arrives as the *Rejection the owner
+	// node answered with, from either of its wires; it carries the owner's
+	// classification and headroom, which pass through unchanged so a 429
+	// on the owner is a 429 to the client.
+	var fwd *Rejection
 	if errors.As(err, &fwd) {
-		rej.Status = fwd.HTTPStatus()
-		rej.EpsRemaining, rej.HasEps = fwd.BudgetRemaining()
-		return rej
+		return *fwd
 	}
+	rej := Rejection{Msg: err.Error()}
 	switch {
 	case errors.Is(err, ErrUnknownRegion):
 		rej.Status = http.StatusNotFound

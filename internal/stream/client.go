@@ -89,7 +89,8 @@ type ClientStats struct {
 // connection — the server restarted, said GOODBYE, or the conn idled out —
 // closes it and retries once on a freshly dialed one, the same
 // stale-keep-alive retry semantics HTTP clients apply. Application-level
-// rejections come back as *StatusError and leave the connection healthy.
+// rejections come back as *registry.Rejection and leave the connection
+// healthy.
 //
 // Client is safe for concurrent use; each concurrent exchange holds its
 // own connection, so per-user FIFO ordering is the caller's to arrange
@@ -304,20 +305,19 @@ func (c *Client) Stats() ClientStats {
 	}
 }
 
-// decodeErrorFrame turns an ERROR payload into a *StatusError.
+// decodeErrorFrame turns an ERROR payload into the *registry.Rejection it
+// carries, or a decode error when the body is not one a server writes.
 func decodeErrorFrame(payload []byte) error {
 	d := codec.NewCursor(payload, "stream: ERROR")
 	d.U32() // reqID, already matched by the caller (0 for connection-level)
-	se := &StatusError{Status: int(d.U16())}
-	if d.U8()&errFlagEpsRemaining != 0 {
-		se.EpsRemaining = d.F64()
-		se.HasEpsRemaining = true
+	rej, err := decodeRejection(&d)
+	if err == nil {
+		err = d.Done()
 	}
-	se.Msg = d.Str()
-	if err := d.Err(); err != nil {
+	if err != nil {
 		return err
 	}
-	return se
+	return &rej
 }
 
 // exchange writes one request frame and reads its matching response,
@@ -364,8 +364,8 @@ func (c *Client) exchange(cc *clientConn, bp *[]byte, reqID uint32, wantType byt
 // retryable reports whether an exchange error may be cured by a fresh
 // connection: transport faults yes, application rejections no.
 func retryable(err error) bool {
-	var se *StatusError
-	return !errors.As(err, &se)
+	var rej *registry.Rejection
+	return !errors.As(err, &rej)
 }
 
 // call runs one request/response exchange on a pooled connection: encode
@@ -405,9 +405,9 @@ func (c *Client) Report(req Request) (*Response, error) {
 // Lease requests (or renews) a client-side draw lease over the stream,
 // mirroring POST /v1/lease: the request's Count field is ignored,
 // draws is the cap to pre-pay, and a non-nil token renews a previous
-// lease. Rejections come back as *StatusError with the same statuses the
-// HTTP route answers (429 with eps headroom on budget exhaustion, 403 on
-// a bad token).
+// lease. Rejections come back as *registry.Rejection with the same
+// statuses the HTTP route answers (429 with eps headroom on budget
+// exhaustion, 403 on a bad token).
 func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGrant, error) {
 	var grant *registry.LeaseGrant
 	err := c.call(frameLease, frameLeaseGrant, "stream: LEASE_GRANT",

@@ -31,7 +31,7 @@ func decodeBody(ftype byte, payload []byte) error {
 	case frameWelcome:
 		return decodeWelcome(payload)
 	case frameError:
-		if err = decodeErrorFrame(payload); errors.As(err, new(*StatusError)) {
+		if err = decodeErrorFrame(payload); errors.As(err, new(*registry.Rejection)) {
 			return nil
 		}
 		return err
@@ -106,8 +106,10 @@ func TestDecodeCountsBoundedByBytes(t *testing.T) {
 
 // FuzzDecodeFrame feeds arbitrary bodies to every frame body decoder. None
 // may panic; none may allocate more than a small multiple of its input (a
-// claimed count is paid for by bytes, see Cursor.Count); and a REPORT body
-// that decodes is one appendRequest writes, byte for byte.
+// claimed count is paid for by bytes, see Cursor.Count); a REPORT body
+// that decodes is one appendRequest writes, byte for byte; and an ERROR
+// body that decodes is one appendRejection writes after its reqID, with a
+// status in 400-599.
 func FuzzDecodeFrame(f *testing.F) {
 	types := map[string]byte{"report": frameReport, "reports": frameReports, "report_ok": frameReportOK,
 		"reports_ok": frameReportsOK, "error": frameError, "lease": frameLease, "lease_grant": frameLeaseGrant}
@@ -121,7 +123,19 @@ func FuzzDecodeFrame(f *testing.F) {
 		if got, bound := allocatedBy(func() { err = decodeBody(ftype, payload) }), 24*len(payload)+16<<10; got > uint64(bound) {
 			t.Fatalf("frame type %d: %d bytes allocated decoding a %d-byte body, bound %d", ftype, got, len(payload), bound)
 		}
-		if ftype != frameReport || err != nil {
+		if err != nil {
+			return
+		}
+		if ftype == frameError {
+			var rej *registry.Rejection
+			errors.As(decodeErrorFrame(payload), &rej)
+			again := appendRejection(codec.AppendU32(nil, binary.LittleEndian.Uint32(payload)), *rej)
+			if !bytes.Equal(again, payload) || rej.Status < 400 || rej.Status > 599 {
+				t.Fatalf("ERROR body\n %x\ndecodes to %+v, which encodes to\n %x", payload, *rej, again)
+			}
+			return
+		}
+		if ftype != frameReport {
 			return
 		}
 		d := codec.NewCursor(payload, "REPORT")

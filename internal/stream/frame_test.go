@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"testing"
 	"testing/iotest"
@@ -252,8 +253,8 @@ func TestServerRejectsOversizedFrame(t *testing.T) {
 	if id := d.U32(); id != 0 {
 		t.Fatalf("connection-level ERROR carries reqID %d, want 0", id)
 	}
-	var se *StatusError
-	if err := decodeErrorFrame(payload); !errors.As(err, &se) || se.Status != 413 {
+	var rej *registry.Rejection
+	if err := decodeErrorFrame(payload); !errors.As(err, &rej) || rej.Status != 413 {
 		t.Fatalf("ERROR decode: %v", err)
 	}
 	// The server closes after a connection-level fault.
@@ -286,5 +287,96 @@ func TestDecodeResponseRegion(t *testing.T) {
 		if resp.Region != "ra" || len(resp.Reports) != 2 {
 			t.Errorf("asked %q: decoded region %q, %d reports; served \"ra\", 2", asked, resp.Region, len(resp.Reports))
 		}
+	}
+}
+
+// scriptedServer is a stream server that answers the handshake and then
+// each request frame with the frame answer writes for its type and reqID,
+// so a test controls every byte a client decodes.
+func scriptedServer(t *testing.T, answer func(ftype byte, reqID uint32) []byte) string {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { lis.Close() })
+	go func() {
+		for {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				fr := newFrameReader(conn)
+				if _, _, err := fr.next(); err != nil {
+					return
+				}
+				conn.Write(rawFrame(frameWelcome, []byte{Version, 64, 100}))
+				for {
+					ftype, payload, err := fr.next()
+					if err != nil || len(payload) < 4 {
+						return
+					}
+					conn.Write(answer(ftype, binary.LittleEndian.Uint32(payload)))
+				}
+			}()
+		}
+	}()
+	return lis.Addr().String()
+}
+
+// TestMalformedRefusalIsADecodeError: a refusal no server writes — a
+// status outside 400-599, unknown flag bits, a headroom that is not
+// finite, bytes after the message — comes back from the client as a decode
+// error, in an ERROR frame and in a REPORTS_OK item alike, never as a
+// *registry.Rejection a forwarding node would answer its own client with.
+// A well-formed refusal comes back as itself.
+func TestMalformedRefusalIsADecodeError(t *testing.T) {
+	valid := registry.Rejection{Status: 429, Msg: "budget exhausted", EpsRemaining: 0.75, HasEps: true}
+	withFlags := func(flags byte, tail []byte) []byte {
+		return codec.AppendString(append(append(codec.AppendU16(nil, 429), flags), tail...), "spent")
+	}
+	cases := []struct {
+		name string
+		body []byte // after the reqID
+		ok   bool
+	}{
+		{"valid", appendRejection(nil, valid), true},
+		{"status 0", appendRejection(nil, registry.Rejection{Msg: "no status"}), false},
+		{"status 200", appendRejection(nil, registry.Rejection{Status: 200, Msg: "fine"}), false},
+		{"status 399", appendRejection(nil, registry.Rejection{Status: 399, Msg: "low"}), false},
+		{"status 600", appendRejection(nil, registry.Rejection{Status: 600, Msg: "high"}), false},
+		{"unknown flag bit", withFlags(errFlagEpsRemaining|2, codec.AppendF64(nil, 1)), false},
+		{"NaN headroom", withFlags(errFlagEpsRemaining, codec.AppendF64(nil, math.NaN())), false},
+		{"infinite headroom", withFlags(errFlagEpsRemaining, codec.AppendF64(nil, math.Inf(1))), false},
+		{"trailing bytes", append(appendRejection(nil, valid), 0), false},
+	}
+	req := Request{Region: "ra", Policy: policy.Policy{PrivacyLevel: 1}}
+	for _, tc := range cases {
+		addr := scriptedServer(t, func(ftype byte, reqID uint32) []byte {
+			if ftype == frameReports {
+				items := codec.AppendUvarints(codec.AppendU32(nil, reqID), 1)
+				return rawFrame(frameReportsOK, append(items, tc.body...))
+			}
+			return rawFrame(frameError, append(codec.AppendU32(nil, reqID), tc.body...))
+		})
+		c := NewClient(addr, ClientConfig{Timeout: 10 * time.Second})
+		_, err := c.Report(req)
+		var rej *registry.Rejection
+		switch isRej := errors.As(err, &rej); {
+		case tc.ok && (!isRej || *rej != valid):
+			t.Errorf("%s ERROR: %v, want the refusal %+v", tc.name, err, valid)
+		case !tc.ok && (err == nil || isRej):
+			t.Errorf("%s ERROR: %v (%T), want a decode error", tc.name, err, err)
+		}
+		items, err := c.ReportBatch([]Request{req})
+		switch {
+		case tc.ok && (err != nil || len(items) != 1 || items[0].Rejection != valid):
+			t.Errorf("%s item: %+v, %v, want the refusal %+v", tc.name, items, err, valid)
+		case !tc.ok && err == nil:
+			t.Errorf("%s item: decoded as %+v, want a decode error", tc.name, items)
+		}
+		c.Close()
 	}
 }

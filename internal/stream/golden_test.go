@@ -153,16 +153,14 @@ func reencode(t *testing.T, name string, payload []byte) []byte {
 				b = appendResult(codec.AppendU16(b, uint16(it.Status)), it.Report.Result(0))
 				continue
 			}
-			b = appendRejection(b, registry.Rejection{Status: it.Status, Msg: it.Error,
-				EpsRemaining: it.EpsRemaining, HasEps: it.HasEpsRemaining})
+			b = appendRejection(b, it.Rejection)
 		}
 	case "error":
-		var se *StatusError
-		if err := decodeErrorFrame(payload); !errors.As(err, &se) {
+		var rej *registry.Rejection
+		if err := decodeErrorFrame(payload); !errors.As(err, &rej) {
 			t.Fatalf("ERROR golden: %v", err)
 		}
-		return appendRejection(b, registry.Rejection{Status: se.Status, Msg: se.Msg,
-			EpsRemaining: se.EpsRemaining, HasEps: se.HasEpsRemaining})
+		return appendRejection(b, *rej)
 	case "lease_grant":
 		var g *registry.LeaseGrant
 		if g, err = decodeLeaseGrant(&d, "ra"); err == nil {

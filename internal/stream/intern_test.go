@@ -125,7 +125,7 @@ func TestKeptPreferencesOnOneConnection(t *testing.T) {
 			}
 			for i, r := range sent {
 				if items[i].Report == nil {
-					t.Fatalf("%s REPORTS item %d: %d %s", step, i, items[i].Status, items[i].Error)
+					t.Fatalf("%s REPORTS item %d: %d %s", step, i, items[i].Status, items[i].Msg)
 				}
 				if want := refDraws(t, ref, r); !reflect.DeepEqual(cellsOf(items[i].Report), want) {
 					t.Fatalf("%s REPORTS item %d: stream drew %v, in-process %v", step, i, cellsOf(items[i].Report), want)

@@ -276,11 +276,11 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 	}
 	// 4 more draws cost 60 against 30 of headroom: refused, headroom intact.
 	_, err = hc.Lease(context.Background(), ask(4, lr.Token))
-	var le *stream.StatusError
+	var le *registry.Rejection
 	if !errors.As(err, &le) || le.Status != http.StatusTooManyRequests {
 		t.Fatalf("over-cap renewal: %v", err)
 	}
-	if !le.HasEpsRemaining || le.EpsRemaining != 2*eps {
+	if !le.HasEps || le.EpsRemaining != 2*eps {
 		t.Fatalf("429 headroom: %+v", le)
 	}
 	// A renewal the headroom does cover still succeeds: the refusal spent
@@ -297,7 +297,7 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 		t.Fatalf("lease stats: %+v", st)
 	}
 
-	// Stream wire: same refusal as a *StatusError with the headroom field.
+	// Stream wire: same refusal as a *registry.Rejection with the headroom field.
 	regS := newRegistry(t, opts, "ra")
 	_, addr := startStream(t, regS)
 	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
@@ -311,11 +311,11 @@ func TestLeaseBudgetExhaustion(t *testing.T) {
 		t.Fatalf("stream issue: %+v", g)
 	}
 	_, err = sc.Lease(req, 4, g.Token)
-	var se *stream.StatusError
+	var se *registry.Rejection
 	if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests {
 		t.Fatalf("stream over-cap renewal: %v", err)
 	}
-	if !se.HasEpsRemaining || se.EpsRemaining != 2*eps {
+	if !se.HasEps || se.EpsRemaining != 2*eps {
 		t.Fatalf("stream 429 headroom: %+v", se)
 	}
 }
@@ -353,9 +353,9 @@ func TestLeaseTokenRejections(t *testing.T) {
 	wantHTTP403 := func(req registry.LeaseRequest) {
 		t.Helper()
 		_, err := hc.Lease(context.Background(), req)
-		var le *stream.StatusError
+		var le *registry.Rejection
 		if !errors.As(err, &le) || le.Status != http.StatusForbidden {
-			t.Fatalf("want 403 StatusError, got %v", err)
+			t.Fatalf("want 403 Rejection, got %v", err)
 		}
 	}
 
@@ -366,7 +366,7 @@ func TestLeaseTokenRejections(t *testing.T) {
 	_, err = sc.Lease(stream.Request{
 		Region: "ra", Cell: cell, UID: 9, Policy: pol, Seed: 2,
 	}, 2, forged)
-	var se *stream.StatusError
+	var se *registry.Rejection
 	if !errors.As(err, &se) || se.Status != http.StatusForbidden {
 		t.Fatalf("stream forged token: %v", err)
 	}
@@ -447,16 +447,13 @@ func TestMaxReportCountLimit(t *testing.T) {
 	wire := stream.WireRequest(ask)
 
 	// rejection reads the answer off an error, whichever entry produced it
-	// (a client's *stream.StatusError classifies as the status it carries).
+	// (a client's *registry.Rejection classifies as itself).
 	rejection := func(err error) registry.Rejection {
 		t.Helper()
 		if err == nil {
 			t.Fatalf("count %d accepted", over)
 		}
 		return registry.Classify(err)
-	}
-	item := func(it stream.ItemResult) registry.Rejection {
-		return registry.Rejection{Status: it.Status, Msg: it.Error}
 	}
 	cases := []struct {
 		name  string
@@ -472,7 +469,7 @@ func TestMaxReportCountLimit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rejection(items[0].Err)
+			return items[0].Rejection
 		}},
 		{"http lease", func() registry.Rejection {
 			_, err := hc.Remote().Lease(ctx, leaseAsk)
@@ -484,7 +481,7 @@ func TestMaxReportCountLimit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return item(items[0])
+			return items[0].Rejection
 		}},
 		{"stream lease", func() registry.Rejection {
 			_, err := sc.Lease(stream.WireLease(leaseAsk), over, nil)

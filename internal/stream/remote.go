@@ -13,9 +13,9 @@ import (
 // registry's own request types and answers with its result types, so a
 // caller holding a handler (the cluster router, corgi-loadgen) drives a
 // remote node exactly as it would an in-process *registry.Registry.
-// Rejections come back as *StatusError; any other error is a transport
-// fault. The context is not observed — ClientConfig.Timeout bounds each
-// exchange.
+// Rejections come back as *registry.Rejection; any other error is a
+// transport fault. The context is not observed — ClientConfig.Timeout
+// bounds each exchange.
 type Remote struct{ c *Client }
 
 // Remote returns the client's registry.ReportHandler view.
@@ -35,21 +35,14 @@ func (r Remote) Lease(_ context.Context, req registry.LeaseRequest) (*registry.L
 	return r.c.Lease(WireLease(req), req.Draws, req.Token)
 }
 
-// BatchResult is one batch item's outcome in handler terms: Result on
-// success, otherwise the *StatusError the item was refused with.
-type BatchResult struct {
-	Result *registry.ReportResult
-	Err    error
-}
-
 // ReportBatch draws for many requests in one REPORTS round trip; per-item
 // outcomes come back in request order.
-func (r Remote) ReportBatch(_ context.Context, reqs []registry.ReportRequest) ([]BatchResult, error) {
+func (r Remote) ReportBatch(_ context.Context, reqs []registry.ReportRequest) ([]registry.BatchOutcome, error) {
 	items, err := r.c.ReportBatch(WireRequests(reqs))
 	if err != nil {
 		return nil, err
 	}
-	return BatchResults(reqs, items), nil
+	return Outcomes(reqs, items), nil
 }
 
 // The four functions below are every copy between the wire's request shape
@@ -191,20 +184,16 @@ func (resp *Response) Result(privacyLevel int) *registry.ReportResult {
 	return res
 }
 
-// BatchResults converts a batch envelope's items; reqs is index-aligned
-// with items (the callers check the server answered every request).
-func BatchResults(reqs []registry.ReportRequest, items []ItemResult) []BatchResult {
-	out := make([]BatchResult, len(items))
+// Outcomes is the batch answer in the registry's terms: each item's
+// refusal as it came, and a served item's report as a result. reqs is
+// index-aligned with items (the callers check the server answered every
+// request, and that an item reading 200 carries its report).
+func Outcomes(reqs []registry.ReportRequest, items []ItemResult) []registry.BatchOutcome {
+	out := make([]registry.BatchOutcome, len(items))
 	for i, it := range items {
-		if it.Status == statusOK && it.Report != nil {
+		out[i].Rejection = it.Rejection
+		if it.Report != nil {
 			out[i].Result = it.Report.Result(reqs[i].Policy.PrivacyLevel)
-			continue
-		}
-		out[i].Err = &StatusError{
-			Status:          it.Status,
-			Msg:             it.Error,
-			EpsRemaining:    it.EpsRemaining,
-			HasEpsRemaining: it.HasEpsRemaining,
 		}
 	}
 	return out

@@ -23,7 +23,7 @@ import (
 // batchHandler is the contract both remote views add ReportBatch to.
 type batchHandler interface {
 	registry.ReportHandler
-	ReportBatch(context.Context, []registry.ReportRequest) ([]stream.BatchResult, error)
+	ReportBatch(context.Context, []registry.ReportRequest) ([]registry.BatchOutcome, error)
 }
 
 // TestRemoteViewsMatchRegistry drives the two clients' registry.ReportHandler
@@ -31,7 +31,7 @@ type batchHandler interface {
 // registry gets, each against its own fresh server, and checks they answer
 // like the registry does: the same draws, subtree, flags and budget facts
 // from Report, the same lease window from Lease, per-item outcomes from
-// ReportBatch, and every rejection as the one *stream.StatusError carrying
+// ReportBatch, and every rejection as the one *registry.Rejection carrying
 // the server's classification.
 func TestRemoteViewsMatchRegistry(t *testing.T) {
 	ctx := context.Background()
@@ -129,11 +129,12 @@ func TestRemoteViewsMatchRegistry(t *testing.T) {
 			t.Fatalf("%s lease: grant %+v, registry %+v", name, grant, wantGrant)
 		}
 
-		// A rejection is a *StatusError with the server's classification,
-		// single or per batch item; the batch's good item still answers.
-		var se *stream.StatusError
-		if _, err := h.Report(ctx, bad); !errors.As(err, &se) || se.Status != http.StatusUnprocessableEntity {
-			t.Fatalf("%s: bad policy answered %v, want a 422 StatusError", name, err)
+		// A rejection is a *registry.Rejection with the server's
+		// classification, single or per batch item; the batch's good item
+		// still answers.
+		var rej *registry.Rejection
+		if _, err := h.Report(ctx, bad); !errors.As(err, &rej) || rej.Status != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: bad policy answered %v, want a 422 Rejection", name, err)
 		}
 		unknown := req
 		unknown.Region = "atlantis"
@@ -141,12 +142,12 @@ func TestRemoteViewsMatchRegistry(t *testing.T) {
 		if err != nil || len(items) != 3 {
 			t.Fatalf("%s batch: %d items, %v", name, len(items), err)
 		}
-		if items[0].Err != nil || items[0].Result.SubtreeRoot != want2.SubtreeRoot || len(items[0].Result.Reports) != 3 {
+		if items[0].Status != http.StatusOK || items[0].Result.SubtreeRoot != want2.SubtreeRoot || len(items[0].Result.Reports) != 3 {
 			t.Fatalf("%s batch item 0: %+v", name, items[0])
 		}
 		for i, status := range map[int]int{1: http.StatusUnprocessableEntity, 2: http.StatusNotFound} {
-			if !errors.As(items[i].Err, &se) || se.Status != status || items[i].Result != nil {
-				t.Fatalf("%s batch item %d: %+v, want a %d StatusError", name, i, items[i], status)
+			if items[i].Status != status || items[i].Result != nil {
+				t.Fatalf("%s batch item %d: %+v, want a %d Rejection", name, i, items[i], status)
 			}
 		}
 	}
@@ -161,12 +162,12 @@ func TestRemoteViewsMatchRegistry(t *testing.T) {
 		_, err := h.Lease(ctx, registry.LeaseRequest{
 			Region: "ra", Cell: leafA.Coord, UID: 8, Policy: req.Policy, Seed: 11, Draws: 1,
 		})
-		var se *stream.StatusError
-		if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests || !se.HasEpsRemaining || se.EpsRemaining != 0 {
-			t.Fatalf("%s: over-cap lease answered %v, want a 429 StatusError with zero headroom", name, err)
+		var rej *registry.Rejection
+		if !errors.As(err, &rej) || rej.Status != http.StatusTooManyRequests || !rej.HasEps || rej.EpsRemaining != 0 {
+			t.Fatalf("%s: over-cap lease answered %v, want a 429 Rejection with zero headroom", name, err)
 		}
-		if rej := registry.Classify(err); rej.Status != se.Status || !rej.HasEps || rej.EpsRemaining != 0 {
-			t.Fatalf("%s: Classify(%v) = %+v", name, err, rej)
+		if got := registry.Classify(err); got != *rej {
+			t.Fatalf("%s: Classify(%v) = %+v", name, err, got)
 		}
 	}
 }
@@ -182,6 +183,24 @@ func (h factsHandler) Report(context.Context, registry.ReportRequest) (*registry
 
 func (h factsHandler) Lease(context.Context, registry.LeaseRequest) (*registry.LeaseGrant, error) {
 	return &registry.LeaseGrant{Facts: h.facts, DrawCap: 4, Token: []byte("token"), Bundle: []byte("bundle")}, nil
+}
+
+// servedBy starts a stream server and a JSON server that answer every ask
+// through h, and returns a client's handler view of each.
+func servedBy(t *testing.T, h registry.ReportHandler) (stream.Remote, proto.Remote) {
+	t.Helper()
+	srv, addr := startStream(t, newRegistry(t, registry.Options{}, "ra"))
+	srv.SetHandler(h)
+	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
+	t.Cleanup(func() { sc.Close() })
+	mh, err := proto.NewMultiHandler(newRegistry(t, registry.Options{}, "ra"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mh.Handler = h
+	hsrv := httptest.NewServer(mh.Mux())
+	t.Cleanup(hsrv.Close)
+	return sc.Remote(), proto.NewClient(hsrv.URL).Remote()
 }
 
 // TestFactsSurviveEveryWire: facts with every field set come back from a
@@ -205,19 +224,7 @@ func TestFactsSurviveEveryWire(t *testing.T) {
 			t.Fatalf("fact %s is zero: a wire that dropped it would pass", v.Type().Field(i).Name)
 		}
 	}
-	h := factsHandler{want}
-	srv, addr := startStream(t, newRegistry(t, registry.Options{}, "ra"))
-	srv.SetHandler(h)
-	sc := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
-	defer sc.Close()
-	mh, err := proto.NewMultiHandler(newRegistry(t, registry.Options{}, "ra"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mh.Handler = h
-	hsrv := httptest.NewServer(mh.Mux())
-	defer hsrv.Close()
-
+	sr, hr := servedBy(t, factsHandler{want})
 	ctx := context.Background()
 	// The wires carry the subtree root's coordinate; its level is the ask's.
 	pol := policy.Policy{PrivacyLevel: want.SubtreeRoot.Level, PrecisionLevel: want.PrecisionLevel}
@@ -240,10 +247,10 @@ func TestFactsSurviveEveryWire(t *testing.T) {
 		ask  func(registry.ReportHandler) (registry.Facts, error)
 		via  registry.ReportHandler
 	}{
-		{"JSON report", report, proto.NewClient(hsrv.URL).Remote()},
-		{"JSON lease", lease, proto.NewClient(hsrv.URL).Remote()},
-		{"REPORT_OK", report, sc.Remote()},
-		{"LEASE_GRANT", lease, sc.Remote()},
+		{"JSON report", report, hr},
+		{"JSON lease", lease, hr},
+		{"REPORT_OK", report, sr},
+		{"LEASE_GRANT", lease, sr},
 	} {
 		got, err := tc.ask(tc.via)
 		if err != nil {
@@ -251,6 +258,70 @@ func TestFactsSurviveEveryWire(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("%s: facts came back as\n  %+v\nsent\n  %+v", tc.name, got, want)
+		}
+	}
+}
+
+// refusingHandler refuses every ask with the same rejection.
+type refusingHandler struct{ rej registry.Rejection }
+
+func (h refusingHandler) Report(context.Context, registry.ReportRequest) (*registry.ReportResult, error) {
+	rej := h.rej
+	return nil, &rej
+}
+
+func (h refusingHandler) Lease(context.Context, registry.LeaseRequest) (*registry.LeaseGrant, error) {
+	rej := h.rej
+	return nil, &rej
+}
+
+// TestRefusalSurvivesEveryWire is TestFactsSurviveEveryWire for a refused
+// ask: a handler's *registry.Rejection comes back equal to itself — status,
+// message and headroom, a headroom of exactly 0 included — over the JSON
+// report, lease and batch item, the ERROR frame after a REPORT and after a
+// LEASE, and the REPORTS_OK item; and both views' ReportBatch answer the
+// same outcome.
+func TestRefusalSurvivesEveryWire(t *testing.T) {
+	ctx := context.Background()
+	ask := registry.ReportRequest{Region: "ra", Policy: policy.Policy{PrivacyLevel: 1}}
+	for _, want := range []registry.Rejection{
+		{Status: http.StatusTooManyRequests, Msg: "budget exhausted: 0.75 eps left", EpsRemaining: 0.75, HasEps: true},
+		{Status: http.StatusTooManyRequests, Msg: "budget exhausted", EpsRemaining: 0, HasEps: true},
+	} {
+		sr, hr := servedBy(t, refusingHandler{want})
+		refusal := func(_ any, err error) registry.Rejection {
+			var rej *registry.Rejection
+			if !errors.As(err, &rej) {
+				t.Fatalf("answer %v (%T), want a *registry.Rejection", err, err)
+			}
+			return *rej
+		}
+		batch := func(h batchHandler) registry.BatchOutcome {
+			outs, err := h.ReportBatch(ctx, []registry.ReportRequest{ask})
+			if err != nil || len(outs) != 1 {
+				t.Fatalf("batch: %d outcomes, %v", len(outs), err)
+			}
+			return outs[0]
+		}
+		lease := registry.LeaseRequest{Region: "ra", Policy: ask.Policy, Draws: 4}
+		httpItem, streamItem := batch(hr), batch(sr)
+		for _, tc := range []struct {
+			name string
+			got  registry.Rejection
+		}{
+			{"JSON report", refusal(hr.Report(ctx, ask))},
+			{"JSON lease", refusal(hr.Lease(ctx, lease))},
+			{"JSON batch item", httpItem.Rejection},
+			{"ERROR after REPORT", refusal(sr.Report(ctx, ask))},
+			{"ERROR after LEASE", refusal(sr.Lease(ctx, lease))},
+			{"REPORTS_OK item", streamItem.Rejection},
+		} {
+			if tc.got != want {
+				t.Errorf("%s: refusal came back as\n  %+v\nsent\n  %+v", tc.name, tc.got, want)
+			}
+		}
+		if httpItem != streamItem || httpItem.Result != nil {
+			t.Errorf("batch outcomes differ: JSON %+v, stream %+v", httpItem, streamItem)
 		}
 	}
 }

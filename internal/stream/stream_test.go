@@ -320,16 +320,11 @@ func TestStreamBatchPartialFailureMatchesHTTP(t *testing.T) {
 	}
 	for i := range wantStatus {
 		hi, si := httpResp[i], streamResp[i]
-		status, msg := http.StatusOK, ""
-		var se *stream.StatusError
-		if errors.As(hi.Err, &se) {
-			status, msg = se.Status, se.Msg
+		if hi.Status != wantStatus[i] || si.Status != wantStatus[i] {
+			t.Fatalf("item %d: http %d, stream %d, want %d", i, hi.Status, si.Status, wantStatus[i])
 		}
-		if status != wantStatus[i] || si.Status != wantStatus[i] {
-			t.Fatalf("item %d: http %d, stream %d, want %d", i, status, si.Status, wantStatus[i])
-		}
-		if msg != si.Error {
-			t.Fatalf("item %d message diverged: http %q, stream %q", i, msg, si.Error)
+		if hi.Msg != si.Msg {
+			t.Fatalf("item %d message diverged: http %q, stream %q", i, hi.Msg, si.Msg)
 		}
 		if (hi.Result != nil) != (si.Report != nil) {
 			t.Fatalf("item %d payload presence diverged", i)
@@ -337,13 +332,12 @@ func TestStreamBatchPartialFailureMatchesHTTP(t *testing.T) {
 	}
 	// The 429 item carries the user's live headroom on both wires, which an
 	// exhausted window pins to zero.
-	if !streamResp[0].HasEpsRemaining || streamResp[0].EpsRemaining != 0 {
+	if !streamResp[0].HasEps || streamResp[0].EpsRemaining != 0 {
 		t.Fatalf("429 item headroom: %+v", streamResp[0])
 	}
-	var se429 *stream.StatusError
-	if !errors.As(httpResp[0].Err, &se429) || se429.HasEpsRemaining != streamResp[0].HasEpsRemaining ||
-		se429.EpsRemaining != streamResp[0].EpsRemaining {
-		t.Fatalf("429 item headroom diverged: http %+v, stream %+v", httpResp[0].Err, streamResp[0])
+	if h429 := httpResp[0].Rejection; h429.HasEps != streamResp[0].HasEps ||
+		h429.EpsRemaining != streamResp[0].EpsRemaining {
+		t.Fatalf("429 item headroom diverged: http %+v, stream %+v", h429, streamResp[0])
 	}
 	// The valid item's draw matches across transports (same seed, fresh
 	// identically-primed registries).
@@ -353,10 +347,10 @@ func TestStreamBatchPartialFailureMatchesHTTP(t *testing.T) {
 	}
 
 	// A single REPORT for the exhausted user mirrors the batch item as a
-	// *StatusError with the same classification.
+	// *registry.Rejection with the same classification.
 	_, err = sc.Report(streamItems[0])
-	var se *stream.StatusError
-	if !errors.As(err, &se) || se.Status != http.StatusTooManyRequests || !se.HasEpsRemaining {
+	var rej *registry.Rejection
+	if !errors.As(err, &rej) || rej.Status != http.StatusTooManyRequests || !rej.HasEps {
 		t.Fatalf("single over-budget report: %v", err)
 	}
 }
@@ -393,13 +387,13 @@ func TestStreamMidShutdownReconnect(t *testing.T) {
 	}
 
 	// Nothing listens: the pooled connection fails, the retry dial is
-	// refused, and the error surfaces cleanly (no hang, no StatusError).
+	// refused, and the error surfaces cleanly (no hang, no Rejection).
 	_, err = c.Report(req)
 	if err == nil {
 		t.Fatal("report succeeded against a drained server")
 	}
-	var se *stream.StatusError
-	if errors.As(err, &se) {
+	var rej *registry.Rejection
+	if errors.As(err, &rej) {
 		t.Fatalf("transport fault misclassified as application error: %v", err)
 	}
 

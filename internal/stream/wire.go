@@ -175,49 +175,13 @@ type Response struct {
 	Reports []ReportedLocation `json:"reports"`
 }
 
-// ItemResult is one batch item's outcome: items fail independently with
-// per-item HTTP-equivalent statuses, on the REPORTS frame and on POST
-// /v1/reports alike.
+// ItemResult is one batch item's outcome on the wire: items fail
+// independently, on the REPORTS frame and on POST /v1/reports alike, so an
+// item is a Status 200 with its Report, or the refusal it was answered
+// with (a headroom of exactly 0 included).
 type ItemResult struct {
-	Status int       `json:"status"`
-	Error  string    `json:"error,omitempty"`
+	registry.Rejection
 	Report *Response `json:"report,omitempty"`
-	// EpsRemaining is the user's window headroom on a budget rejection
-	// (valid when HasEpsRemaining; mirrors the single-request ERROR frame
-	// and the 429's X-Corgi-Eps-Remaining header). Both batch wires carry
-	// it, a headroom of exactly 0 included.
-	EpsRemaining    float64 `json:"eps_remaining,omitempty"`
-	HasEpsRemaining bool    `json:"has_eps_remaining,omitempty"`
-}
-
-// StatusError is an application-level rejection from a remote node: the
-// HTTP-equivalent status the server classified the request with
-// (registry.Classify), whichever transport carried it — an ERROR
-// frame, or a non-200 answer to internal/proto's client. The connection
-// stays healthy after one; only transport faults close it.
-type StatusError struct {
-	Status int
-	Msg    string
-	// EpsRemaining carries the user's live budget headroom on a 429
-	// (valid when HasEpsRemaining).
-	EpsRemaining    float64
-	HasEpsRemaining bool
-}
-
-// Error formats the server's status and message.
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("server returned %d: %s", e.Status, e.Msg)
-}
-
-// HTTPStatus exposes the owner node's classification to registry.Classify,
-// so a forwarding router re-answers a peer's rejection with the peer's own
-// status instead of a generic 500.
-func (e *StatusError) HTTPStatus() int { return e.Status }
-
-// BudgetRemaining exposes a 429's live headroom, to callers and — for a
-// forwarded rejection — to registry.Classify.
-func (e *StatusError) BudgetRemaining() (float64, bool) {
-	return e.EpsRemaining, e.HasEpsRemaining
 }
 
 // quantLat/quantLng map degrees onto codec's [0,1] fixed-point domain and
@@ -548,25 +512,39 @@ func appendRejection(b []byte, rej registry.Rejection) []byte {
 	return codec.AppendString(b, rej.Msg)
 }
 
-// decodeItem reads one batch item result (status, then error or body);
-// region is the region the item's request named.
-func decodeItem(d *codec.Cursor, region string) (ItemResult, error) {
-	var it ItemResult
-	it.Status = int(d.U16())
+// decodeRejection reads what appendRejection writes, for an ERROR frame
+// after its reqID and a refused REPORTS_OK item alike. It accepts only
+// what a server sends: known flag bits and a refusal Check passes.
+func decodeRejection(d *codec.Cursor) (registry.Rejection, error) {
+	rej := registry.Rejection{Status: int(d.U16())}
+	flags := d.U8()
+	if flags&errFlagEpsRemaining != 0 {
+		rej.EpsRemaining, rej.HasEps = d.F64(), true
+	}
+	rej.Msg = d.Str()
 	if err := d.Err(); err != nil {
-		return it, err
+		return rej, err
 	}
-	if it.Status == statusOK {
+	if flags&^errFlagEpsRemaining != 0 {
+		return rej, fmt.Errorf("stream: refusal flags %#x carry unknown bits", flags)
+	}
+	if err := rej.Check(); err != nil {
+		return rej, fmt.Errorf("stream: %w", err)
+	}
+	return rej, nil
+}
+
+// decodeItem reads one batch item: status 200 and a result body, or a
+// refusal; region is the region the item's request named.
+func decodeItem(d *codec.Cursor, region string) (ItemResult, error) {
+	mark := *d
+	if d.U16() == statusOK {
 		rep, err := decodeResponse(d, region)
-		it.Report = rep
-		return it, err
+		return ItemResult{Rejection: registry.Rejection{Status: statusOK}, Report: rep}, err
 	}
-	if d.U8()&errFlagEpsRemaining != 0 {
-		it.EpsRemaining = d.F64()
-		it.HasEpsRemaining = true
-	}
-	it.Error = d.Str()
-	return it, d.Err()
+	*d = mark
+	rej, err := decodeRejection(d)
+	return ItemResult{Rejection: rej}, err
 }
 
 // statusOK avoids importing net/http just for the constant in hot paths.
