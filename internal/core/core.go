@@ -285,24 +285,42 @@ func (inst *Instance) constraintPairs(useApprox bool) []obf.Pair {
 // feasible and the warm start lands.
 //
 // It also owns the LP workspaces of the generation: one lp.Solver for the
-// direct LP or the Dantzig-Wolfe master, one for the pricing problem. A carry
-// comes from carryPool in GenerateCtx and goes back when the generation
-// returns, having forgotten its generator columns and basis. The Solvers keep
+// direct LP or the Dantzig-Wolfe master, one for the pricing problem, and
+// the two DW problems they solve, which each solveDW Resets and refills; and
+// every array a DW round works in, so that a round allocates the matrix it
+// returns and nothing that grows with the round count. A carry comes from
+// carryPool in GenerateCtx and goes back when the generation returns, having
+// forgotten its generator columns and basis. The Solvers and Problems keep
 // their arrays and nothing else that a later generation can see: an lp.Solver
-// knows a problem by an id no later problem has, so what crosses generations
-// is capacity.
+// knows a problem by an id no later problem has, and Reset issues a new one,
+// so what crosses generations is capacity.
 type solveCarry struct {
 	pool    []dwColumn
 	basis   []int
 	master  lp.Solver
 	pricing lp.Solver
+
+	// The DW master and pricing problems.
+	mp, sub lp.Problem
+	// slab holds every generator vector of the generation (see slab).
+	slab slab
+	prof profileWork
+	// Per-call scratch of solveDW, sized by startDW.
+	blockCost             [][]float64
+	objW                  []float64
+	needExact, profAdded  []bool
+	learned               [][]float64
+	masterBasis, subBasis []int
+	rowIdx                []int
+	rowVal                []float64
 }
 
 var carryPool = sync.Pool{New: func() any { return new(solveCarry) }}
 
-// release hands the carry back to carryPool.
+// release hands the carry back to carryPool. The generation's columns are
+// gone, so its slab starts over.
 func (c *solveCarry) release() {
-	c.pool, c.basis = nil, c.basis[:0]
+	c.pool, c.basis, c.slab = c.pool[:0], c.basis[:0], c.slab[:0]
 	carryPool.Put(c)
 }
 

@@ -43,6 +43,7 @@ type dwOptions struct {
 const (
 	dwMaxRounds = 400  // pricing rounds before giving up
 	dwPriceTol  = 1e-9 // a block must price below -dwPriceTol to enter
+	learnedCap  = 256  // LP-discovered generators the fast pass offers every block
 )
 
 // dwStallTol ends the convergence tail once the master objective improves
@@ -76,13 +77,15 @@ type dwColumn struct {
 //
 // carry supplies the generator columns of the previous related solve
 // (re-admitted where they still fit the cone), receives this solve's, and
-// owns the two LP workspaces. The master problem grows by one AddColumn per
-// generated column and is rebuilt only when pruning reindexes it; the pricing
-// problem is built once and only its objective moves, so its standard form
-// and scales are computed once per call.
+// owns the two LP workspaces, the two problems they solve and the scratch
+// this function works in. The master problem grows by one AddColumn per generated column and
+// is Reset and refilled only when pruning reindexes it; the pricing problem
+// is refilled once per call and only its objective moves, so its standard
+// form and scales are computed once per call.
 func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, carry *solveCarry) (*obf.Matrix, solveStats, error) {
 	k := inst.K()
-	blockCost := squareRows(k) // w_l[i] = priors[i]*cost[i][l]
+	carry.startDW(k)
+	blockCost := carry.blockCost // w_l[i] = priors[i]*cost[i][l]
 	for l := 0; l < k; l++ {
 		for i := 0; i < k; i++ {
 			blockCost[l][i] = inst.priors[i] * inst.cost[i][l]
@@ -92,31 +95,25 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 	// Pricing problem skeleton: K vars, cone rows + simplex row. The
 	// objective is rewritten every call.
 	var st solveStats
-	sub := lp.NewProblem(k)
+	sub := &carry.sub
+	sub.Reset(k)
 	{
-		idx := make([]int, k)
-		ones := make([]float64, k)
+		idx, ones := carry.rowIdx[:0], carry.rowVal[:0]
 		for j := 0; j < k; j++ {
-			idx[j], ones[j] = j, 1
+			idx, ones = append(idx, j), append(ones, 1)
 		}
 		if err := sub.AddConstraint(lp.EQ, 1, idx, ones); err != nil {
 			return nil, st, err
 		}
 		for pi, p := range pairs {
-			if err := sub.AddConstraint(lp.LE, 0, []int{p.I, p.J}, []float64{1, -mult[pi]}); err != nil {
+			idx, ones = append(idx[:0], p.I, p.J), append(ones[:0], 1, -mult[pi])
+			if err := sub.AddConstraint(lp.LE, 0, idx, ones); err != nil {
 				return nil, st, err
 			}
 		}
+		carry.rowIdx, carry.rowVal = idx, ones
 	}
 	subOpts := lp.Options{Perturb: true}
-
-	// Fast pricing candidates: the single-peak exponential profiles
-	// x^(m)_j = exp(-sigma_m(j)), sigma_m = shortest path from m under arc
-	// weights ln(mult). These are vertices of P (the tight set is the
-	// shortest-path tree), so adding one is always sound; the exact LP
-	// below only runs for blocks where no profile prices negative, which
-	// keeps convergence exact while eliminating most pricing solves.
-	profiles := exponentialProfiles(k, pairs, mult)
 
 	// Big-M artificials keep the master feasible until enough columns exist.
 	maxW := 0.0
@@ -130,8 +127,10 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 	bigM := (maxW + 1) * float64(k) * 10
 
 	// Re-admit seed generators that remain inside the (possibly tightened)
-	// cone; their cost is re-derived for their block.
-	var cols []dwColumn
+	// cone; their cost is re-derived for their block. The pool is filtered
+	// in place: column ci is read before any kept column is written at or
+	// past it.
+	cols := carry.pool[:0]
 	for _, c := range carry.pool {
 		if c.block < 0 || c.block >= k || len(c.g) != k {
 			continue
@@ -152,6 +151,15 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 		}
 		cols = append(cols, dwColumn{block: c.block, g: c.g, cost: cost})
 	}
+
+	// Fast pricing candidates: the single-peak exponential profiles
+	// x^(m)_j = exp(-sigma_m(j)), sigma_m = shortest path from m under arc
+	// weights ln(mult). These are vertices of P (the tight set is the
+	// shortest-path tree), so adding one is always sound; the exact LP
+	// below only runs for blocks where no profile prices negative, which
+	// keeps convergence exact while eliminating most pricing solves.
+	profiles := carry.prof.exponentialProfiles(k, pairs, mult, &carry.slab)
+
 	// Seed every block with the uniform generator when it lies in the cone
 	// (guaranteed whenever every multiplier is >= 1, which the capped
 	// reserved budget ensures): the master is then feasible from round 0
@@ -164,7 +172,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 		}
 	}
 	if uniformOK {
-		u := make([]float64, k)
+		u := carry.slab.cut(k)
 		for i := range u {
 			u[i] = 1 / float64(k)
 		}
@@ -176,50 +184,49 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 			cols = append(cols, dwColumn{block: l, g: u, cost: cost})
 		}
 	}
-	objW := make([]float64, k)
-	needExact := make([]bool, k)
-	type profKey struct {
-		block, peak int
-	}
-	profAdded := map[profKey]bool{}
-	// learned collects LP-discovered generators; they are shared across
-	// blocks in the fast pass (a vertex found for one block often prices
-	// negative for its neighbors too).
-	var learned [][]float64
-	const learnedCap = 256
+	objW, needExact := carry.objW, carry.needExact
+	// profAdded[l*stride+m] says block l has been given profile m (m < k) or
+	// learned generator m-k.
+	stride := k + learnedCap
+	profAdded := carry.profAdded
+	// learned collects LP-discovered generators, at most learnedCap; they
+	// are shared across blocks in the fast pass (a vertex found for one
+	// block often prices negative for its neighbors too).
+	learned := carry.learned[:0]
 
 	// Warm-start state: the previous master basis (invalidated when column
 	// pruning reindexes cols) and the last pricing basis.
-	var masterBasis, subBasis []int
+	masterBasis, subBasis := carry.masterBasis[:0], carry.subBasis[:0]
 
 	// The master: K Big-M artificials (one per row-sum constraint), then one
 	// variable per generated column, appended as columns arrive. inMaster is
-	// how many of cols the problem already holds; nil means build it.
-	var mp *lp.Problem
+	// how many of cols the problem already holds; rebuild says refill it.
+	mp := &carry.mp
+	rebuild := true
 	inMaster := 0
-	rowIdx := make([]int, 0, k)
-	rowVal := make([]float64, 0, k)
 	solveMaster := func() (*lp.Solution, error) {
-		if mp == nil {
-			mp = lp.NewProblem(k)
+		if rebuild {
+			mp.Reset(k)
 			for i := 0; i < k; i++ {
 				if err := mp.SetObjectiveCoeff(i, bigM); err != nil {
 					return nil, err
 				}
-				if err := mp.AddConstraint(lp.EQ, 1, []int{i}, []float64{1}); err != nil {
+				idx, val := append(carry.rowIdx[:0], i), append(carry.rowVal[:0], 1)
+				if err := mp.AddConstraint(lp.EQ, 1, idx, val); err != nil {
 					return nil, err
 				}
 			}
-			inMaster = 0
+			rebuild, inMaster = false, 0
 		}
 		for _, c := range cols[inMaster:] {
-			rowIdx, rowVal = rowIdx[:0], rowVal[:0]
+			rowIdx, rowVal := carry.rowIdx[:0], carry.rowVal[:0]
 			for i, g := range c.g {
 				if g != 0 {
 					rowIdx = append(rowIdx, i)
 					rowVal = append(rowVal, g)
 				}
 			}
+			carry.rowIdx, carry.rowVal = rowIdx, rowVal
 			if _, err := mp.AddColumn(c.cost, rowIdx, rowVal); err != nil {
 				return nil, err
 			}
@@ -282,7 +289,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 			}
 			bestProfile, bestVal := -1, -dwPriceTol
 			for m := 0; m < k; m++ {
-				if profAdded[profKey{l, m}] {
+				if profAdded[l*stride+m] {
 					continue
 				}
 				v := 0.0
@@ -294,9 +301,8 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 					bestProfile = m
 				}
 			}
-			var bestLearned []float64
 			for m := range learned {
-				if profAdded[profKey{l, -m - 1}] {
+				if profAdded[l*stride+k+m] {
 					continue
 				}
 				v := 0.0
@@ -305,21 +311,29 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 				}
 				if v < bestVal {
 					bestVal = v
-					bestProfile = -m - 1
-					bestLearned = learned[m]
+					bestProfile = k + m
+					if m == 0 {
+						// A block whose best candidate is learned generator
+						// 0 goes to the exact pass instead. Its key used to
+						// be -m-1, which is the no-candidate value; every
+						// recorded matrix was solved that way.
+						bestProfile = -1
+					}
 				}
 			}
 			if bestProfile != -1 {
-				g := bestLearned
-				if bestProfile >= 0 {
+				var g []float64
+				if bestProfile < k {
 					g = profiles[bestProfile]
+				} else {
+					g = learned[bestProfile-k]
 				}
 				cost := 0.0
 				for i := 0; i < k; i++ {
 					cost += blockCost[l][i] * g[i]
 				}
 				cols = append(cols, dwColumn{block: l, g: g, cost: cost})
-				profAdded[profKey{l, bestProfile}] = true
+				profAdded[l*stride+bestProfile] = true
 				added++
 			} else {
 				needExact[l] = true
@@ -367,7 +381,8 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 					return nil, st, fmt.Errorf("core: DW pricing %v (%s)", subSol.Status, subSol.Note)
 				}
 				if subSol.Objective < -dwPriceTol {
-					g := append([]float64(nil), subSol.X...)
+					g := carry.slab.cut(k)
+					copy(g, subSol.X)
 					cost := 0.0
 					for i := 0; i < k; i++ {
 						cost += blockCost[l][i] * g[i]
@@ -390,9 +405,11 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 			}
 		}
 		// Contain master growth: keep columns the master actually uses
-		// plus the freshest generation.
+		// plus the freshest generation. The kept columns are compacted in
+		// place: column ci is read before any kept column is written at or
+		// past it.
 		if len(cols) > 12*k {
-			kept := make([]dwColumn, 0, 8*k)
+			kept := cols[:0]
 			for ci, c := range cols {
 				if ci < len(master.X)-k {
 					if master.X[k+ci] > 1e-12 {
@@ -405,7 +422,7 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 				}
 			}
 			cols = kept
-			masterBasis, mp = nil, nil // pruning reindexed the master's columns
+			masterBasis, rebuild = masterBasis[:0], true // pruning reindexed the master's columns
 		}
 		if added == 0 {
 			converged = true
@@ -450,7 +467,54 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 		return nil, st, fmt.Errorf("core: DW assembly: %w", err)
 	}
 	carry.pool = cols
+	carry.masterBasis, carry.subBasis, carry.learned = masterBasis, subBasis, learned
 	return z, st, nil
+}
+
+// startDW sizes the carry's per-call scratch for a solveDW over k cells and
+// clears the record of which generators each block has been given.
+func (c *solveCarry) startDW(k int) {
+	if len(c.blockCost) != k {
+		c.blockCost = squareRows(k)
+	}
+	c.objW = fit(c.objW, k)
+	c.needExact = fit(c.needExact, k)
+	c.profAdded = fit(c.profAdded, k*(k+learnedCap))
+	clear(c.profAdded)
+}
+
+// slab hands out the generator columns of one generation: the profiles and
+// uniform seeds of every solveDW and every column an exact pricing solve
+// finds. A column is cut once and never moves, however many Algorithm-1
+// rounds carry it, and the slab is emptied only when no column is left,
+// as the generation ends.
+type slab []float64
+
+// cut returns n values of the slab, contents unspecified. When the array is
+// full the slab goes on in one twice the size; the columns already cut keep
+// the old one.
+func (s *slab) cut(n int) []float64 {
+	lo := len(*s)
+	if lo+n > cap(*s) {
+		*s, lo = make(slab, 0, max(2*cap(*s), 64*n)), 0
+	}
+	*s = (*s)[:lo+n]
+	return (*s)[lo : lo+n : lo+n]
+}
+
+// profileWork is the scratch of exponentialProfiles, kept by the carry from
+// call to call.
+type profileWork struct {
+	rows  [][]float64
+	first []int32
+	arcs  []profArc
+	dist  []float64
+	pq    profHeap
+}
+
+type profArc struct {
+	to int32
+	w  float64
 }
 
 // exponentialProfiles returns, for every peak m, the normalized profile
@@ -458,33 +522,32 @@ func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, c
 // from m to j under arc weight ln(mult_p) on arc (p.I -> p.J). Such a
 // profile satisfies every cone constraint x_i <= mult*x_j (shortest-path
 // optimality condition), so it is a feasible — in fact extreme — point of
-// P = C ∩ simplex.
-func exponentialProfiles(k int, pairs []obf.Pair, mult []float64) [][]float64 {
+// P = C ∩ simplex. The profiles are cut from s, so master columns that use
+// them outlive the next call; the list of rows is pw's, and the next call
+// overwrites it.
+func (pw *profileWork) exponentialProfiles(k int, pairs []obf.Pair, mult []float64, s *slab) [][]float64 {
 	// Arc list: sigma_j <= sigma_i + ln(mult) encodes x_i <= mult*x_j. Node
 	// i's arcs are arcs[first[i]:first[i+1]], in pair order.
-	type arc struct {
-		to int32
-		w  float64
-	}
-	first := make([]int32, k+2)
+	first := fit(pw.first, k+2)
+	clear(first)
 	for _, p := range pairs {
 		first[p.I+2]++
 	}
 	for i := 2; i < len(first); i++ {
 		first[i] += first[i-1]
 	}
-	arcs := make([]arc, len(pairs))
+	arcs := fit(pw.arcs, len(pairs))
 	for pi, p := range pairs {
 		w := math.Log(mult[pi])
 		if w < 0 {
 			w = 0 // capped budgets keep mult >= 1; guard regardless
 		}
-		arcs[first[p.I+1]] = arc{to: int32(p.J), w: w}
+		arcs[first[p.I+1]] = profArc{to: int32(p.J), w: w}
 		first[p.I+1]++
 	}
-	out := squareRows(k)
-	dist := make([]float64, k)
-	var pq profHeap
+	out := fit(pw.rows, k)
+	dist := fit(pw.dist, k)
+	pq := pw.pq
 	for m := 0; m < k; m++ {
 		for i := range dist {
 			dist[i] = math.Inf(1)
@@ -503,7 +566,7 @@ func exponentialProfiles(k int, pairs []obf.Pair, mult []float64) [][]float64 {
 				}
 			}
 		}
-		prof := out[m]
+		prof := s.cut(k)
 		sum := 0.0
 		for i := 0; i < k; i++ {
 			prof[i] = math.Exp(-dist[i])
@@ -514,8 +577,19 @@ func exponentialProfiles(k int, pairs []obf.Pair, mult []float64) [][]float64 {
 				prof[i] /= sum
 			}
 		}
+		out[m] = prof
 	}
+	pw.rows, pw.first, pw.arcs, pw.dist, pw.pq = out, first, arcs, dist, pq
 	return out
+}
+
+// fit returns s with length n, reusing its array when that is large enough.
+// The contents are unspecified.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // squareRows returns k zeroed rows of length k over one backing array.

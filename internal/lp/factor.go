@@ -60,6 +60,14 @@ func (s *sparseState) clearFactor() {
 	}
 }
 
+// reserveEta makes room in the eta arenas for an eta of up to n entries,
+// doubling them when they must grow: append would grow an arena of this
+// size in 1.25x steps, and a generation from a cold workspace pays for every
+// step.
+func (s *sparseState) reserveEta(n int) {
+	s.etaIdx, s.etaVal = reserve(s.etaIdx, n), reserve(s.etaVal, n)
+}
+
 // etaCol returns the nonzeros of eta e.
 func (s *sparseState) etaCol(e *eta) ([]int32, []float64) {
 	return s.etaIdx[e.lo:e.hi], s.etaVal[e.lo:e.hi]
@@ -161,10 +169,11 @@ func (s *sparseState) loadBump() {
 	}
 }
 
-// growBump extends both bump arenas by n unused slots.
+// growBump extends both bump arenas by n unused slots, doubling them when
+// they must grow.
 func (s *sparseState) growBump(n int) {
-	s.bumpIdx = append(s.bumpIdx, make([]int32, n)...)
-	s.bumpVal = append(s.bumpVal, make([]float64, n)...)
+	s.bumpIdx = append(reserve(s.bumpIdx, n), make([]int32, n)...)
+	s.bumpVal = append(reserve(s.bumpVal, n), make([]float64, n)...)
 }
 
 // reserveBump makes room for extra more entries in bump column ci, moving
@@ -178,6 +187,7 @@ func (s *sparseState) reserveBump(ci int, extra int32) {
 	lo, n := s.colLo[ci], s.colLen[ci]
 	s.colLo[ci] = int32(len(s.bumpIdx))
 	s.colCap[ci] = min(2*need, int32(s.m))
+	s.bumpIdx, s.bumpVal = reserve(s.bumpIdx, int(s.colCap[ci])), reserve(s.bumpVal, int(s.colCap[ci]))
 	s.bumpIdx = append(s.bumpIdx, s.bumpIdx[lo:lo+n]...)
 	s.bumpVal = append(s.bumpVal, s.bumpVal[lo:lo+n]...)
 	s.growBump(int(s.colCap[ci] - n))
@@ -253,6 +263,7 @@ func (s *sparseState) factorBump() error {
 		// Emit the eta: the column's full current state in row order, pivot
 		// at rPiv. The column itself stays unordered; a bit per kept row and
 		// its offset in pos give the order without a sort.
+		s.reserveEta(len(cIdx))
 		lo := int32(len(s.etaIdx))
 		for k, r := range cIdx {
 			if r == rPiv || math.Abs(cVal[k]) >= dropTol {

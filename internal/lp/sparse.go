@@ -16,8 +16,8 @@ func Solve(p *Problem, opt *Options) (*Solution, error) {
 
 // Solver is the workspace of the sparse simplex: the standard form and its
 // scales, the simplex vectors, the eta file, the reinversion scratch and the
-// arrays of the Solution it returns, all flat arrays that grow to the largest
-// problem seen and are overwritten by each solve. A Solve on a reused Solver
+// Solution it returns with its arrays, all of it flat arrays that grow to the
+// largest problem seen and are overwritten by each solve. A Solve on a reused Solver
 // returns exactly what a fresh one would; reuse saves only the allocations.
 // The zero value is ready. A Solver is not safe for concurrent use.
 //
@@ -38,20 +38,24 @@ type Solver struct {
 	rev  int
 }
 
-// Solve is the package-level Solve on this workspace. The X, Duals and Basis
-// of the Solution it returns are the workspace's own arrays: they are valid
-// until the next Solve on this Solver, and a caller that needs them longer
-// copies them.
+// Solve is the package-level Solve on this workspace. The Solution it returns,
+// X, Duals and Basis included, is the workspace's own: it is valid until the
+// next Solve on this Solver, and a caller that needs any of it longer copies
+// it.
 func (sv *Solver) Solve(p *Problem, opt *Options) (*Solution, error) {
 	if len(p.rows) == 0 {
 		// Unconstrained over x >= 0: x = 0 is optimal unless some cost is
 		// negative, and then that variable grows without bound.
 		for _, cj := range p.c {
 			if cj < -optTol {
-				return &Solution{Status: Unbounded}, nil
+				sv.st.sol = Solution{Status: Unbounded}
+				return &sv.st.sol, nil
 			}
 		}
-		return &Solution{Status: Optimal, X: make([]float64, p.nv), Duals: []float64{}}, nil
+		sv.st.x = resize(sv.st.x, p.nv)
+		clear(sv.st.x)
+		sv.st.sol = Solution{Status: Optimal, X: sv.st.x, Duals: []float64{}}
+		return &sv.st.sol, nil
 	}
 	sf := &sv.sf
 	if sv.prob == p.id && sv.rev == p.rev {
@@ -118,16 +122,19 @@ type sparseState struct {
 	warmCol []int     // tryWarmBasis: the decoded warm basis
 	crash   []int     // tryWarmBasis: the crash basis to fall back to
 
-	// The arrays of the Solution run returns.
+	// The Solution run returns, and its arrays.
+	sol      Solution
 	x, duals []float64
 	basisOut []int
 }
 
 // resize returns s with length n, reusing its array when that is large
-// enough. The contents are unspecified.
+// enough and at least doubling its capacity when not, so a master that
+// gains columns from solve to solve reallocates a logarithmic number of
+// times. The contents are unspecified.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
@@ -260,6 +267,7 @@ func (s *sparseState) btran(y []float64) {
 // indices into s.work) at row r.
 func (s *sparseState) appendEta(r int32, touched []int32) {
 	w := s.work
+	s.reserveEta(len(touched))
 	lo := int32(len(s.etaIdx))
 	for _, j := range touched {
 		v := w[j]
@@ -760,7 +768,7 @@ func (s *sparseState) run(p *Problem, bTrue []float64, opt *Options) *Solution {
 			s.basisOut[i] = j
 		}
 	}
-	return &Solution{
+	s.sol = Solution{
 		Status:       Optimal,
 		X:            x,
 		Objective:    p.Eval(x),
@@ -770,9 +778,11 @@ func (s *sparseState) run(p *Problem, bTrue []float64, opt *Options) *Solution {
 		Basis:        s.basisOut,
 		Warm:         warm,
 	}
+	return &s.sol
 }
 
 // stopped is the Solution of a solve that did not reach an optimum.
 func (s *sparseState) stopped(status Status, note string) *Solution {
-	return &Solution{Status: status, Iterations: s.iters, Reinversions: s.reinversions, Note: note}
+	s.sol = Solution{Status: status, Iterations: s.iters, Reinversions: s.reinversions, Note: note}
+	return &s.sol
 }
