@@ -30,8 +30,6 @@ var unreachableKept = map[string]string{
 	"attack.Adversary.Posterior":           "posterior-ratio oracle: the exact Bayesian posterior that the eps-Geo-Ind-after-pruning tests bound",
 	"attack.Adversary.PosteriorRatioBound": "posterior-ratio oracle: the e^(eps*d) bound the tests hold that posterior to",
 	"attack.Adversary.MAPAccuracy":         "posterior-ratio oracle: the MAP adversary's exact success rate",
-	"graphx.Graph.ShortestFrom":            "exact d_G (Dijkstra from one source) that the stretch tests compare the approximated graph against",
-	"graphx.Graph.AllShortest":             "exact d_G between every pair, the same oracle from every source",
 	"lp.Problem.CheckFeasible":             "feasibility oracle the solver tests check every returned point with",
 	"sample.Alias.Prob":                    "the exact distribution an alias table encodes, the oracle of the sampler's distribution tests",
 	"sample.Alias.N":                       "the support size of an alias table, read by the same distribution tests",

@@ -73,25 +73,23 @@ func Quantize(v float64) uint32 {
 func Dequantize(q uint32) float64 { return float64(q) / quantScale }
 
 // EncodeMatrix packs a matrix into the quantized row-sparse binary blob.
+// Each row takes the shorter of its sparse and dense forms; a first pass
+// sums those lengths, so the blob is allocated once at its final size.
 func EncodeMatrix(m *obf.Matrix) ([]byte, error) {
 	dim := m.Dim()
 	if dim > MaxDim {
 		return nil, fmt.Errorf("codec: matrix dimension %d exceeds limit %d", dim, MaxDim)
 	}
-	var buf []byte
 	qrow := make([]uint32, dim)
+	size := 0
 	for i := 0; i < dim; i++ {
-		row := m.Row(i)
-		nnz := 0
-		for j, v := range row {
-			qrow[j] = Quantize(v)
-			if qrow[j] != 0 {
-				nnz++
-			}
-		}
-		sparseBytes := 2 + 6*nnz
-		denseBytes := 2 + 4*dim
-		if sparseBytes < denseBytes {
+		n, _ := rowForm(quantizeRow(qrow, m.Row(i)), dim)
+		size += n
+	}
+	buf := make([]byte, 0, size)
+	for i := 0; i < dim; i++ {
+		nnz := quantizeRow(qrow, m.Row(i))
+		if _, sparse := rowForm(nnz, dim); sparse {
 			buf = AppendU16(buf, uint16(nnz))
 			for j, q := range qrow {
 				if q == 0 {
@@ -107,6 +105,31 @@ func EncodeMatrix(m *obf.Matrix) ([]byte, error) {
 		}
 	}
 	return buf, nil
+}
+
+// quantizeRow fills qrow with row's quantized entries and returns how many
+// are nonzero.
+func quantizeRow(qrow []uint32, row []float64) int {
+	nnz := 0
+	for j, v := range row {
+		qrow[j] = Quantize(v)
+		if qrow[j] != 0 {
+			nnz++
+		}
+	}
+	return nnz
+}
+
+// rowForm returns the encoded length of a row of dim entries, nnz of them
+// nonzero, and whether that is the sparse form (a 2-byte count, then a
+// 2-byte column and 4-byte value per entry) rather than the dense one (a
+// 2-byte mark, then every value).
+func rowForm(nnz, dim int) (int, bool) {
+	sparse, dense := 2+6*nnz, 2+4*dim
+	if sparse < dense {
+		return sparse, true
+	}
+	return dense, false
 }
 
 // DecodeMatrix unpacks a blob back into a dense matrix.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"corgi/internal/obf"
+	"corgi/internal/raceon"
 )
 
 // sparseMatrix builds a row-stochastic matrix with nnz nonzeros per row.
@@ -45,6 +46,31 @@ func TestRoundTripWithinTolerance(t *testing.T) {
 					t.Fatalf("nnz=%d (%d,%d): decode error %g", nnz, i, j, d)
 				}
 			}
+		}
+	}
+}
+
+// TestEncodeMatrixSizedOnce: the blob is allocated at its final length,
+// for sparse rows, dense rows and a mix, so encoding a matrix allocates the
+// blob and one row of quantized values and nothing else.
+func TestEncodeMatrixSizedOnce(t *testing.T) {
+	for _, nnz := range []int{1, 3, 49} {
+		m := sparseMatrix(49, nnz, int64(nnz))
+		for j := range m.Row(0) {
+			m.Set(0, j, 1.0/49)
+		}
+		blob, err := EncodeMatrix(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(blob) != len(blob) {
+			t.Errorf("nnz=%d: %d-byte blob has capacity %d", nnz, len(blob), cap(blob))
+		}
+		if raceon.Enabled {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = EncodeMatrix(m) }); allocs > 2 {
+			t.Errorf("nnz=%d: EncodeMatrix allocates %.0f times, want 2", nnz, allocs)
 		}
 	}
 }

@@ -5,8 +5,47 @@ import (
 	"runtime"
 	"testing"
 
+	"corgi/internal/geo"
+	"corgi/internal/graphx"
+	"corgi/internal/hexgrid"
 	"corgi/internal/raceon"
 )
+
+// TestNewInstanceAllocationBudget pins what building a K=49 instance with 20
+// targets allocates, the problem a cold forest entry solves. While the
+// distance and cost matrices and the target distances took one array per
+// row and the approximation graph one adjacency list per node, this
+// measured 399 allocations. The matrices are now row-major K×K arrays and
+// the graph's adjacency is two CSR arrays: it measures 19, one array per
+// table and the graph's cell index. The budget is the 30 set with them.
+func TestNewInstanceAllocationBudget(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := hexgrid.Disk(hexgrid.Coord{}, 4)[:49]
+	priors := make([]float64, len(cells))
+	for i := range priors {
+		priors[i] = 1
+	}
+	targets, probs, err := RandomCellTargets(sys, cells, 20, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := NewInstance(sys, cells, priors, targets, probs, graphx.WeightPaper); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocations per K=49 instance: %.0f", allocs)
+	const budget = 30
+	if allocs > budget {
+		t.Errorf("a K=49 instance allocates %.0f times, want at most %d", allocs, budget)
+	}
+}
 
 // TestGenerateAllocationBudget pins what one K=49 generation allocates once
 // the workspace pool is primed: the server's parameters (eps 15, delta 2, five

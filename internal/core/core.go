@@ -37,8 +37,10 @@ type Instance struct {
 	priors  []float64 // normalized
 	graph   *graphx.Graph
 	centers []geo.LatLng
-	cost    [][]float64 // c[k][l] = E_q |d(k,q)-d(l,q)|  (Equ. 3/6)
-	dist    [][]float64 // pairwise haversine center distances
+	// cost[k*K+l] = E_q |d(k,q)-d(l,q)| (Equ. 3/6) and dist[i*K+j] the
+	// haversine distance between centers i and j, both row-major K×K.
+	cost []float64
+	dist []float64
 }
 
 // NewInstance builds an instance over the given level-0 cells of sys.
@@ -96,32 +98,33 @@ func NewInstanceLevel(sys *hexgrid.System, level int, cells []hexgrid.Coord, pri
 	for i, c := range cells {
 		inst.centers[i] = sys.Center(level, c)
 	}
-	inst.dist = make([][]float64, k)
-	for i := range inst.dist {
-		inst.dist[i] = make([]float64, k)
-		for j := range inst.dist[i] {
+	inst.dist = make([]float64, k*k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
 			if i != j {
-				inst.dist[i][j] = geo.Haversine(inst.centers[i], inst.centers[j])
+				inst.dist[i*k+j] = geo.Haversine(inst.centers[i], inst.centers[j])
 			}
 		}
 	}
-	// Cost matrix: c[k][l] = sum_q Pr(q) * |d(k,q) - d(l,q)|.
-	dToTarget := make([][]float64, k)
-	for i := range dToTarget {
-		dToTarget[i] = make([]float64, len(targets))
+	// Cost matrix: c[k][l] = sum_q Pr(q) * |d(k,q) - d(l,q)|, over the K×T
+	// center-to-target distances.
+	nt := len(targets)
+	dToTarget := make([]float64, k*nt)
+	for i := 0; i < k; i++ {
 		for q, tgt := range targets {
-			dToTarget[i][q] = geo.Haversine(inst.centers[i], tgt)
+			dToTarget[i*nt+q] = geo.Haversine(inst.centers[i], tgt)
 		}
 	}
-	inst.cost = make([][]float64, k)
-	for i := range inst.cost {
-		inst.cost[i] = make([]float64, k)
-		for j := range inst.cost[i] {
+	inst.cost = make([]float64, k*k)
+	for i := 0; i < k; i++ {
+		di := dToTarget[i*nt : (i+1)*nt]
+		for j := 0; j < k; j++ {
+			dj := dToTarget[j*nt : (j+1)*nt]
 			s := 0.0
-			for q := range targets {
-				s += tp[q] * math.Abs(dToTarget[i][q]-dToTarget[j][q])
+			for q := range di {
+				s += tp[q] * math.Abs(di[q]-dj[q])
 			}
-			inst.cost[i][j] = s
+			inst.cost[i*k+j] = s
 		}
 	}
 	return inst, nil
@@ -155,10 +158,10 @@ func (inst *Instance) Centers() []geo.LatLng { return inst.centers }
 func (inst *Instance) Priors() []float64 { return inst.priors }
 
 // Dist returns the haversine distance between cells i and j.
-func (inst *Instance) Dist(i, j int) float64 { return inst.dist[i][j] }
+func (inst *Instance) Dist(i, j int) float64 { return inst.dist[i*inst.K()+j] }
 
 // Cost returns the expected travel-cost estimation error of reporting l for k.
-func (inst *Instance) Cost(k, l int) float64 { return inst.cost[k][l] }
+func (inst *Instance) Cost(k, l int) float64 { return inst.cost[k*inst.K()+l] }
 
 // QualityLoss evaluates Equ. (7) for a matrix over this instance's cells.
 func (inst *Instance) QualityLoss(m *obf.Matrix) (float64, error) {
@@ -169,7 +172,7 @@ func (inst *Instance) QualityLoss(m *obf.Matrix) (float64, error) {
 	loss := 0.0
 	for i := 0; i < k; i++ {
 		row := m.Row(i)
-		ci := inst.cost[i]
+		ci := inst.cost[i*k : (i+1)*k]
 		s := 0.0
 		for j := 0; j < k; j++ {
 			s += row[j] * ci[j]
@@ -201,7 +204,7 @@ func (inst *Instance) AllPairs() []obf.Pair {
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			if i != j {
-				out = append(out, obf.Pair{I: i, J: j, Dist: inst.dist[i][j]})
+				out = append(out, obf.Pair{I: i, J: j, Dist: inst.dist[i*k+j]})
 			}
 		}
 	}
@@ -382,7 +385,7 @@ func (inst *Instance) solveLP(sv *lp.Solver, pairs []obf.Pair, mult []float64, o
 	for i := 0; i < k; i++ {
 		w := inst.priors[i]
 		for j := 0; j < k; j++ {
-			obj[i*k+j] = w * inst.cost[i][j]
+			obj[i*k+j] = w * inst.cost[i*k+j]
 		}
 	}
 	if err := prob.SetObjective(obj); err != nil {
@@ -445,6 +448,12 @@ func (inst *Instance) Generate(p Params) (*Result, error) {
 // the initial solve and between Algorithm-1 iterations (an individual LP
 // solve still runs to completion).
 func (inst *Instance) GenerateCtx(ctx context.Context, p Params) (*Result, error) {
+	return inst.generate(ctx, p, inst.constraintPairs(p.UseGraphApprox))
+}
+
+// generate is GenerateCtx over pairs, the instance's constraint pairs for
+// p.UseGraphApprox, which a caller that keeps them builds once for both.
+func (inst *Instance) generate(ctx context.Context, p Params, pairs []obf.Pair) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
@@ -452,12 +461,15 @@ func (inst *Instance) GenerateCtx(ctx context.Context, p Params) (*Result, error
 		return nil, err
 	}
 	start := time.Now()
-	pairs := inst.constraintPairs(p.UseGraphApprox)
 	mult := make([]float64, len(pairs))
 	for i, pr := range pairs {
 		mult[i] = math.Exp(p.Epsilon * pr.Dist)
 	}
-	res := &Result{Constraints: len(pairs) * inst.K()}
+	rounds := 0
+	if p.Delta > 0 {
+		rounds = p.Iterations
+	}
+	res := &Result{Constraints: len(pairs) * inst.K(), Trace: make([]float64, 0, rounds+1)}
 	carry := carryPool.Get().(*solveCarry)
 	defer carry.release()
 	m, st, err := inst.solveMatrix(p, pairs, mult, carry, false)
@@ -471,7 +483,7 @@ func (inst *Instance) GenerateCtx(ctx context.Context, p Params) (*Result, error
 	}
 	res.Trace = append(res.Trace, loss)
 
-	for it := 0; it < p.Iterations && p.Delta > 0; it++ {
+	for it := 0; it < rounds; it++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

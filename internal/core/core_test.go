@@ -173,6 +173,89 @@ func TestPairSets(t *testing.T) {
 	}
 }
 
+// TestInstanceMatchesNaiveReference: the flat distance and cost matrices
+// and the neighbor pairs equal, bit for bit, a reference built one element
+// at a time from their definitions, at two lattice levels and in both
+// weight modes, with non-uniform target probabilities.
+func TestInstanceMatchesNaiveReference(t *testing.T) {
+	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := hexgrid.Disk(hexgrid.Coord{}, 4)[:45]
+	priors := make([]float64, len(cells))
+	for i := range priors {
+		priors[i] = float64(1 + i%3)
+	}
+	targets := make([]geo.LatLng, 7)
+	probs := make([]float64, len(targets))
+	for q := range targets {
+		targets[q] = sys.Center(0, cells[5*q+1])
+		probs[q] = 0.3 + float64(q)
+	}
+	for _, level := range []int{0, 1} {
+		for _, mode := range []graphx.WeightMode{graphx.WeightPaper, graphx.WeightExact} {
+			inst, err := NewInstanceLevel(sys, level, cells, priors, targets, probs, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := len(cells)
+			center := func(i int) geo.LatLng { return sys.Center(level, cells[i]) }
+			sum := 0.0
+			for _, p := range probs {
+				sum += p
+			}
+			same := func(what string, i, j int, got, want float64) {
+				t.Helper()
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("level %d mode %d: %s(%d,%d) = %v, want %v", level, mode, what, i, j, got, want)
+				}
+			}
+			for i := 0; i < k; i++ {
+				for j := 0; j < k; j++ {
+					d := 0.0
+					if i != j {
+						d = geo.Haversine(center(i), center(j))
+					}
+					same("Dist", i, j, inst.Dist(i, j), d)
+					c := 0.0
+					for q, tgt := range targets {
+						c += probs[q] / sum * math.Abs(geo.Haversine(center(i), tgt)-geo.Haversine(center(j), tgt))
+					}
+					same("Cost", i, j, inst.Cost(i, j), c)
+				}
+			}
+			scale := 1.0
+			if mode == graphx.WeightExact {
+				scale = 1 / graphx.Stretch
+			}
+			var want []obf.Pair
+			for i, c := range cells {
+				nbrs := hexgrid.Neighbors(c)
+				diag := hexgrid.DiagonalNeighbors(c)
+				for _, n := range append(nbrs[:], diag[:]...) {
+					for j := i + 1; j < k; j++ {
+						if cells[j] == n {
+							w := sys.CenterDistance(level, c, n) * scale
+							want = append(want, obf.Pair{I: i, J: j, Dist: w}, obf.Pair{I: j, J: i, Dist: w})
+						}
+					}
+				}
+			}
+			got := inst.NeighborPairs()
+			if len(got) != len(want) {
+				t.Fatalf("level %d mode %d: %d neighbor pairs, want %d", level, mode, len(got), len(want))
+			}
+			for n := range got {
+				if got[n].I != want[n].I || got[n].J != want[n].J {
+					t.Fatalf("level %d mode %d: pair %d is (%d,%d), want (%d,%d)", level, mode, n, got[n].I, got[n].J, want[n].I, want[n].J)
+				}
+				same("NeighborPairs", got[n].I, got[n].J, got[n].Dist, want[n].Dist)
+			}
+		}
+	}
+}
+
 func TestEpsilonMonotonicity(t *testing.T) {
 	// Higher epsilon (weaker constraint) must not increase quality loss,
 	// under the production DW solve with its stall and tail-budget stops.

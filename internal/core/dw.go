@@ -85,10 +85,10 @@ type dwColumn struct {
 func (inst *Instance) solveDW(pairs []obf.Pair, mult []float64, opt dwOptions, carry *solveCarry) (*obf.Matrix, solveStats, error) {
 	k := inst.K()
 	carry.startDW(k)
-	blockCost := carry.blockCost // w_l[i] = priors[i]*cost[i][l]
+	blockCost := carry.blockCost // w_l[i] = priors[i]*cost[i*k+l]
 	for l := 0; l < k; l++ {
 		for i := 0; i < k; i++ {
-			blockCost[l][i] = inst.priors[i] * inst.cost[i][l]
+			blockCost[l][i] = inst.priors[i] * inst.cost[i*k+l]
 		}
 	}
 

@@ -254,7 +254,8 @@ func (s *Server) generate(ctx context.Context, key forestKey) (*ForestEntry, err
 	if delta == 0 {
 		p.Iterations = 0
 	}
-	res, err := inst.GenerateCtx(ctx, p)
+	pairs := inst.constraintPairs(p.UseGraphApprox)
+	res, err := inst.generate(ctx, p, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("core: subtree %v: %w", root, err)
 	}
@@ -262,7 +263,7 @@ func (s *Server) generate(ctx context.Context, key forestKey) (*ForestEntry, err
 		Root:   root,
 		Leaves: leaves,
 		Matrix: res.Matrix,
-		Pairs:  inst.constraintPairs(p.UseGraphApprox),
+		Pairs:  pairs,
 		Result: res,
 	}, nil
 }

@@ -19,7 +19,6 @@
 package graphx
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -53,12 +52,15 @@ type Edge struct {
 	Diagonal bool
 }
 
-// Graph is the 12-neighbor approximation graph over a finite cell set.
+// Graph is the 12-neighbor approximation graph over a finite cell set. Its
+// adjacency is compressed sparse rows: node i's half-edges are
+// adj[off[i]:off[i+1]], in the order of the edges they come from.
 type Graph struct {
 	coords []hexgrid.Coord
 	index  map[hexgrid.Coord]int
 	edges  []Edge
-	adj    [][]halfEdge
+	off    []int32
+	adj    []halfEdge
 }
 
 type halfEdge struct {
@@ -77,7 +79,8 @@ func Build(cells []hexgrid.Coord, dist func(a, b hexgrid.Coord) float64, mode We
 	g := &Graph{
 		coords: append([]hexgrid.Coord(nil), cells...),
 		index:  make(map[hexgrid.Coord]int, len(cells)),
-		adj:    make([][]halfEdge, len(cells)),
+		// Every node has at most 12 neighbors: at most 6 edges per node.
+		edges: make([]Edge, 0, 6*len(cells)),
 	}
 	for i, c := range g.coords {
 		if _, dup := g.index[c]; dup {
@@ -95,10 +98,7 @@ func Build(cells []hexgrid.Coord, dist func(a, b hexgrid.Coord) float64, mode We
 			return
 		}
 		d := dist(c, n)
-		e := Edge{From: i, To: j, W: d * scale, Dist: d, Diagonal: diag}
-		g.edges = append(g.edges, e)
-		g.adj[i] = append(g.adj[i], halfEdge{to: int32(j), w: e.W})
-		g.adj[j] = append(g.adj[j], halfEdge{to: int32(i), w: e.W})
+		g.edges = append(g.edges, Edge{From: i, To: j, W: d * scale, Dist: d, Diagonal: diag})
 	}
 	for i, c := range g.coords {
 		for _, n := range hexgrid.Neighbors(c) {
@@ -108,7 +108,32 @@ func Build(cells []hexgrid.Coord, dist func(a, b hexgrid.Coord) float64, mode We
 			add(i, c, n, true)
 		}
 	}
+	g.buildAdjacency()
 	return g, nil
+}
+
+// buildAdjacency fills off and adj from the edge list, both half-edges of
+// each edge placed in one pass over the list, so that every node's run
+// keeps edge order. While it counts and places, off[i+2] and then off[i+1]
+// is node i's cursor; when it is done, off[i] is where node i starts.
+func (g *Graph) buildAdjacency() {
+	n := len(g.coords)
+	off := make([]int32, n+2)
+	for _, e := range g.edges {
+		off[e.From+2]++
+		off[e.To+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	adj := make([]halfEdge, 2*len(g.edges))
+	for _, e := range g.edges {
+		adj[off[e.From+1]] = halfEdge{to: int32(e.To), w: e.W}
+		off[e.From+1]++
+		adj[off[e.To+1]] = halfEdge{to: int32(e.From), w: e.W}
+		off[e.To+1]++
+	}
+	g.off, g.adj = off[:n+1], adj
 }
 
 // Edges returns the undirected edge list. The slice must not be modified.
@@ -120,72 +145,19 @@ func (g *Graph) Connected() bool {
 		return false
 	}
 	seen := make([]bool, len(g.coords))
-	stack := []int{0}
+	stack := make([]int32, 1, len(g.coords))
 	seen[0] = true
 	count := 1
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, he := range g.adj[v] {
+		for _, he := range g.adj[g.off[v]:g.off[v+1]] {
 			if !seen[he.to] {
 				seen[he.to] = true
 				count++
-				stack = append(stack, int(he.to))
+				stack = append(stack, he.to)
 			}
 		}
 	}
 	return count == len(g.coords)
-}
-
-// ShortestFrom returns d_G(src, ·) by Dijkstra. Unreachable nodes get +Inf.
-func (g *Graph) ShortestFrom(src int) []float64 {
-	n := len(g.coords)
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	pq := &distHeap{items: []distItem{{node: int32(src), d: 0}}}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(distItem)
-		if it.d > dist[it.node] {
-			continue
-		}
-		for _, he := range g.adj[it.node] {
-			nd := it.d + he.w
-			if nd < dist[he.to] {
-				dist[he.to] = nd
-				heap.Push(pq, distItem{node: he.to, d: nd})
-			}
-		}
-	}
-	return dist
-}
-
-// AllShortest returns the full d_G matrix (n x n) via repeated Dijkstra.
-func (g *Graph) AllShortest() [][]float64 {
-	out := make([][]float64, len(g.coords))
-	for i := range out {
-		out[i] = g.ShortestFrom(i)
-	}
-	return out
-}
-
-type distItem struct {
-	node int32
-	d    float64
-}
-
-type distHeap struct{ items []distItem }
-
-func (h *distHeap) Len() int           { return len(h.items) }
-func (h *distHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
-func (h *distHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *distHeap) Push(x interface{}) { h.items = append(h.items, x.(distItem)) }
-func (h *distHeap) Pop() interface{} {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

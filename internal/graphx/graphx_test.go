@@ -1,6 +1,7 @@
 package graphx
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 
@@ -48,8 +49,8 @@ func TestGraphStructureOnDisk(t *testing.T) {
 	if !ok {
 		t.Fatal("center not indexed")
 	}
-	if len(g.adj[ci]) != 12 {
-		t.Errorf("center degree = %d, want 12", len(g.adj[ci]))
+	if deg := g.off[ci+1] - g.off[ci]; deg != 12 {
+		t.Errorf("center degree = %d, want 12", deg)
 	}
 	// Immediate edges have weight ~a, diagonal ~sqrt(3)a.
 	a := 0.5
@@ -221,8 +222,8 @@ func TestConstraintCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, degrees := len(g.coords), 0
-	for _, a := range g.adj {
-		degrees += len(a)
+	for i := 0; i < k; i++ {
+		degrees += int(g.off[i+1] - g.off[i])
 	}
 	if degrees != 2*len(g.Edges()) {
 		t.Fatalf("adjacency lists hold %d half-edges for %d edges", degrees, len(g.Edges()))
@@ -246,4 +247,97 @@ func TestIndexOfMiss(t *testing.T) {
 	if len(g.Edges()) != 0 {
 		t.Error("single cell has no edges")
 	}
+}
+
+// TestAdjacencyFollowsEdgeOrder: every node's half-edges are exactly the
+// edges that touch it, in Edges() order, with the edge's weight, which is
+// the order Connected and the shortest-path oracle below walk them in.
+func TestAdjacencyFollowsEdgeOrder(t *testing.T) {
+	dist, _ := testDist(t)
+	cells := hexgrid.Disk(hexgrid.Coord{}, 4)
+	cells = append(cells[:20:20], cells[25:]...) // an irregular region
+	g, err := Build(cells, dist, WeightExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := len(g.coords)
+	if len(g.off) != k+1 || g.off[0] != 0 || int(g.off[k]) != len(g.adj) {
+		t.Fatalf("off has %d entries spanning [%d,%d] over %d half-edges, want %d from 0", len(g.off), g.off[0], g.off[len(g.off)-1], len(g.adj), k+1)
+	}
+	want := make([][]halfEdge, k)
+	for _, e := range g.Edges() {
+		want[e.From] = append(want[e.From], halfEdge{to: int32(e.To), w: e.W})
+		want[e.To] = append(want[e.To], halfEdge{to: int32(e.From), w: e.W})
+	}
+	degrees := 0
+	for i := 0; i < k; i++ {
+		got := g.adj[g.off[i]:g.off[i+1]]
+		degrees += len(got)
+		if len(got) != len(want[i]) {
+			t.Fatalf("node %d has %d half-edges, want %d", i, len(got), len(want[i]))
+		}
+		for n := range got {
+			if got[n] != want[i][n] {
+				t.Fatalf("node %d half-edge %d = %+v, want %+v (edge order)", i, n, got[n], want[i][n])
+			}
+		}
+	}
+	if degrees != 2*len(g.Edges()) {
+		t.Errorf("degrees sum to %d, want 2·%d", degrees, len(g.Edges()))
+	}
+}
+
+// ShortestFrom returns d_G(src, ·) by Dijkstra, the exact graph distance
+// the stretch tests compare the approximation against. Unreachable nodes
+// get +Inf.
+func (g *Graph) ShortestFrom(src int) []float64 {
+	n := len(g.coords)
+	dist := make([]float64, n)
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	pq := &distHeap{items: []distItem{{node: int32(src), d: 0}}}
+	for pq.Len() > 0 {
+		it := heap.Pop(pq).(distItem)
+		if it.d > dist[it.node] {
+			continue
+		}
+		for _, he := range g.adj[g.off[it.node]:g.off[it.node+1]] {
+			nd := it.d + he.w
+			if nd < dist[he.to] {
+				dist[he.to] = nd
+				heap.Push(pq, distItem{node: he.to, d: nd})
+			}
+		}
+	}
+	return dist
+}
+
+// AllShortest returns the full d_G matrix (n x n) via repeated Dijkstra.
+func (g *Graph) AllShortest() [][]float64 {
+	out := make([][]float64, len(g.coords))
+	for i := range out {
+		out[i] = g.ShortestFrom(i)
+	}
+	return out
+}
+
+type distItem struct {
+	node int32
+	d    float64
+}
+
+type distHeap struct{ items []distItem }
+
+func (h *distHeap) Len() int           { return len(h.items) }
+func (h *distHeap) Less(i, j int) bool { return h.items[i].d < h.items[j].d }
+func (h *distHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
+func (h *distHeap) Push(x interface{}) { h.items = append(h.items, x.(distItem)) }
+func (h *distHeap) Pop() interface{} {
+	old := h.items
+	n := len(old)
+	it := old[n-1]
+	h.items = old[:n-1]
+	return it
 }
