@@ -81,6 +81,7 @@ import (
 	"time"
 
 	"corgi/internal/node"
+	"corgi/internal/registry"
 )
 
 func main() {
@@ -88,7 +89,7 @@ func main() {
 	cfg.Bind(flag.CommandLine)
 	flag.Parse()
 	if cfg.ListRegions {
-		fmt.Println(strings.Join(node.BuiltinRegions(), "\n"))
+		fmt.Println(strings.Join(registry.BuiltinNames(), "\n"))
 		return
 	}
 

@@ -127,11 +127,7 @@ func UniformPriors(t *Tree) *Priors { return loctree.UniformPriors(t) }
 // PriorsFromCheckIns counts check-ins per leaf (add-one smoothed), the
 // paper's prior construction (Sec. 6.1).
 func PriorsFromCheckIns(cs []CheckIn, t *Tree) (*Priors, error) {
-	leaf, err := gowalla.LeafPriors(cs, t, 1)
-	if err != nil {
-		return nil, err
-	}
-	return loctree.NewPriors(t, leaf)
+	return loctree.NewPriors(t, gowalla.LeafPriors(cs, t))
 }
 
 // GenerateCheckIns produces the synthetic Gowalla-style San Francisco
@@ -147,8 +143,8 @@ func GenerateCheckIns(seed int64) ([]CheckIn, error) {
 
 // BuildMetadata derives home/office/outlier/popular heuristics from
 // check-ins for policy construction.
-func BuildMetadata(cs []CheckIn, t *Tree) (*Metadata, error) {
-	return gowalla.BuildMetadata(cs, t, 0.2)
+func BuildMetadata(cs []CheckIn, t *Tree) *Metadata {
+	return gowalla.BuildMetadata(cs, t)
 }
 
 // NewServer constructs the CORGI server over a region with default engine

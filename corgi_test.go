@@ -23,10 +23,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md, err := BuildMetadata(cs, region.Tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	md := BuildMetadata(cs, region.Tree)
 	targets, err := RandomLeafTargets(region.Tree, 10, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ import (
 	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/gowalla"
-	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
 	"corgi/internal/policy"
 	"corgi/internal/proto"
@@ -81,10 +80,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	md, err := gowalla.BuildMetadata(ds.CheckIns, tree, 0.2)
-	if err != nil {
-		return err
-	}
+	md := gowalla.BuildMetadata(ds.CheckIns, tree)
 
 	// The user's policy: keep home, office, and outlier cells out of the
 	// obfuscation range (exactly the predicates of Sec. 6.1).
@@ -151,7 +147,7 @@ func run(w io.Writer) error {
 		return err
 	}
 	auditInst, err := core.NewInstance(sys, cellCoords, leafPriors,
-		[]geo.LatLng{real}, []float64{1}, graphx.WeightPaper)
+		[]geo.LatLng{real}, []float64{1}, 0)
 	if err != nil {
 		return err
 	}

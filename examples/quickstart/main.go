@@ -57,10 +57,7 @@ func run(w io.Writer) error {
 		len(forest.Entries), forest.Delta)
 
 	// 4. The user customizes locally: never report their home cell.
-	md, err := corgi.BuildMetadata(checkins, region.Tree)
-	if err != nil {
-		return err
-	}
+	md := corgi.BuildMetadata(checkins, region.Tree)
 	real := corgi.SanFrancisco.Center()
 	attrs := md.Annotate(0 /* user id */, real)
 	notHome, err := corgi.ParsePredicate("home != true")

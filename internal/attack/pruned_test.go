@@ -7,7 +7,6 @@ import (
 
 	"corgi/internal/core"
 	"corgi/internal/geo"
-	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
 )
 
@@ -37,7 +36,7 @@ func robustInstance(t *testing.T, k, delta, iterations int) (*core.Instance, *co
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := core.NewInstance(sys, cells, priors, targets, probs, graphx.WeightPaper)
+	inst, err := core.NewInstance(sys, cells, priors, targets, probs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,11 +28,10 @@ import (
 )
 
 // Instance is one obfuscation-matrix generation problem: a finite location
-// set V (leaf hex cells), a prior over it, and the target locations Q whose
-// travel-cost estimation error defines the quality loss (Equ. 6/7).
+// set V (hex cells of one lattice level), a prior over it, and the target
+// locations Q whose travel-cost estimation error defines the quality loss
+// (Equ. 6/7).
 type Instance struct {
-	sys     *hexgrid.System
-	level   int // hex-lattice level of the cells (0 = leaves)
 	cells   []hexgrid.Coord
 	priors  []float64 // normalized
 	graph   *graphx.Graph
@@ -43,20 +42,14 @@ type Instance struct {
 	dist []float64
 }
 
-// NewInstance builds an instance over the given level-0 cells of sys.
+// NewInstance builds an instance over the given cells of sys's lattice
+// level (0 = leaves; a coarser level generates a matrix directly at that
+// precision, the "matrix recalculation" alternative of Sec. 6.2.6).
 // priors must be non-negative with positive sum (normalized internally);
 // targets with probabilities targetProbs (normalized likewise) define the
-// quality-loss objective. mode selects the graph-approximation weighting.
+// quality-loss objective.
 func NewInstance(sys *hexgrid.System, cells []hexgrid.Coord, priors []float64,
-	targets []geo.LatLng, targetProbs []float64, mode graphx.WeightMode) (*Instance, error) {
-	return NewInstanceLevel(sys, 0, cells, priors, targets, targetProbs, mode)
-}
-
-// NewInstanceLevel is NewInstance over cells of an arbitrary lattice level
-// (used when generating a matrix directly at a coarser precision level, the
-// "matrix recalculation" alternative of Sec. 6.2.6).
-func NewInstanceLevel(sys *hexgrid.System, level int, cells []hexgrid.Coord, priors []float64,
-	targets []geo.LatLng, targetProbs []float64, mode graphx.WeightMode) (*Instance, error) {
+	targets []geo.LatLng, targetProbs []float64, level int) (*Instance, error) {
 	k := len(cells)
 	if k < 2 {
 		return nil, fmt.Errorf("core: need at least 2 cells, got %d", k)
@@ -80,7 +73,7 @@ func NewInstanceLevel(sys *hexgrid.System, level int, cells []hexgrid.Coord, pri
 	}
 	g, err := graphx.Build(cells, func(a, b hexgrid.Coord) float64 {
 		return sys.CenterDistance(level, a, b)
-	}, mode)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -88,8 +81,6 @@ func NewInstanceLevel(sys *hexgrid.System, level int, cells []hexgrid.Coord, pri
 		return nil, fmt.Errorf("core: cell set is not connected under the 12-neighbor graph")
 	}
 	inst := &Instance{
-		sys:     sys,
-		level:   level,
 		cells:   append([]hexgrid.Coord(nil), cells...),
 		priors:  pr,
 		graph:   g,
@@ -184,13 +175,13 @@ func (inst *Instance) QualityLoss(m *obf.Matrix) (float64, error) {
 
 // NeighborPairs returns the directed Geo-Ind constraint pairs under the
 // graph approximation: both directions of every graph edge, carrying the
-// edge's (possibly mode-scaled) weight as the budget distance.
+// edge's center distance as the budget distance.
 func (inst *Instance) NeighborPairs() []obf.Pair {
 	edges := inst.graph.Edges()
 	out := make([]obf.Pair, 0, 2*len(edges))
 	for _, e := range edges {
-		out = append(out, obf.Pair{I: e.From, J: e.To, Dist: e.W})
-		out = append(out, obf.Pair{I: e.To, J: e.From, Dist: e.W})
+		out = append(out, obf.Pair{I: e.From, J: e.To, Dist: e.Dist})
+		out = append(out, obf.Pair{I: e.To, J: e.From, Dist: e.Dist})
 	}
 	return out
 }

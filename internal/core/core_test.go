@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"corgi/internal/geo"
-	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
 	"corgi/internal/obf"
 )
@@ -35,7 +34,7 @@ func buildInstance(t testing.TB, k int, nTargets int, seed int64) *Instance {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := NewInstance(sys, cells, priors, targets, probs, graphx.WeightPaper)
+	inst, err := NewInstance(sys, cells, priors, targets, probs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,24 +47,24 @@ func TestNewInstanceValidation(t *testing.T) {
 	priors := []float64{1, 1, 1, 1, 1, 1, 1}
 	tgt := []geo.LatLng{sys.Center(0, cells[0])}
 	tp := []float64{1}
-	if _, err := NewInstance(sys, cells[:1], priors[:1], tgt, tp, graphx.WeightPaper); err == nil {
+	if _, err := NewInstance(sys, cells[:1], priors[:1], tgt, tp, 0); err == nil {
 		t.Error("single cell must fail")
 	}
-	if _, err := NewInstance(sys, cells, priors[:3], tgt, tp, graphx.WeightPaper); err == nil {
+	if _, err := NewInstance(sys, cells, priors[:3], tgt, tp, 0); err == nil {
 		t.Error("prior length mismatch must fail")
 	}
-	if _, err := NewInstance(sys, cells, priors, nil, nil, graphx.WeightPaper); err == nil {
+	if _, err := NewInstance(sys, cells, priors, nil, nil, 0); err == nil {
 		t.Error("no targets must fail")
 	}
-	if _, err := NewInstance(sys, cells, priors, tgt, []float64{1, 1}, graphx.WeightPaper); err == nil {
+	if _, err := NewInstance(sys, cells, priors, tgt, []float64{1, 1}, 0); err == nil {
 		t.Error("target prob mismatch must fail")
 	}
-	if _, err := NewInstance(sys, cells, []float64{1, 1, 1, 1, 1, 1, -1}, tgt, tp, graphx.WeightPaper); err == nil {
+	if _, err := NewInstance(sys, cells, []float64{1, 1, 1, 1, 1, 1, -1}, tgt, tp, 0); err == nil {
 		t.Error("negative prior must fail")
 	}
 	// Disconnected cells.
 	bad := []hexgrid.Coord{{Q: 0, R: 0}, {Q: 50, R: 50}}
-	if _, err := NewInstance(sys, bad, []float64{1, 1}, tgt, tp, graphx.WeightPaper); err == nil {
+	if _, err := NewInstance(sys, bad, []float64{1, 1}, tgt, tp, 0); err == nil {
 		t.Error("disconnected cells must fail")
 	}
 }
@@ -175,8 +174,8 @@ func TestPairSets(t *testing.T) {
 
 // TestInstanceMatchesNaiveReference: the flat distance and cost matrices
 // and the neighbor pairs equal, bit for bit, a reference built one element
-// at a time from their definitions, at two lattice levels and in both
-// weight modes, with non-uniform target probabilities.
+// at a time from their definitions, at two lattice levels, with non-uniform
+// target probabilities.
 func TestInstanceMatchesNaiveReference(t *testing.T) {
 	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.1)
 	if err != nil {
@@ -194,64 +193,58 @@ func TestInstanceMatchesNaiveReference(t *testing.T) {
 		probs[q] = 0.3 + float64(q)
 	}
 	for _, level := range []int{0, 1} {
-		for _, mode := range []graphx.WeightMode{graphx.WeightPaper, graphx.WeightExact} {
-			inst, err := NewInstanceLevel(sys, level, cells, priors, targets, probs, mode)
-			if err != nil {
-				t.Fatal(err)
+		inst, err := NewInstance(sys, cells, priors, targets, probs, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := len(cells)
+		center := func(i int) geo.LatLng { return sys.Center(level, cells[i]) }
+		sum := 0.0
+		for _, p := range probs {
+			sum += p
+		}
+		same := func(what string, i, j int, got, want float64) {
+			t.Helper()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("level %d: %s(%d,%d) = %v, want %v", level, what, i, j, got, want)
 			}
-			k := len(cells)
-			center := func(i int) geo.LatLng { return sys.Center(level, cells[i]) }
-			sum := 0.0
-			for _, p := range probs {
-				sum += p
-			}
-			same := func(what string, i, j int, got, want float64) {
-				t.Helper()
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("level %d mode %d: %s(%d,%d) = %v, want %v", level, mode, what, i, j, got, want)
+		}
+		for i := 0; i < k; i++ {
+			for j := 0; j < k; j++ {
+				d := 0.0
+				if i != j {
+					d = geo.Haversine(center(i), center(j))
 				}
-			}
-			for i := 0; i < k; i++ {
-				for j := 0; j < k; j++ {
-					d := 0.0
-					if i != j {
-						d = geo.Haversine(center(i), center(j))
-					}
-					same("Dist", i, j, inst.Dist(i, j), d)
-					c := 0.0
-					for q, tgt := range targets {
-						c += probs[q] / sum * math.Abs(geo.Haversine(center(i), tgt)-geo.Haversine(center(j), tgt))
-					}
-					same("Cost", i, j, inst.Cost(i, j), c)
+				same("Dist", i, j, inst.Dist(i, j), d)
+				c := 0.0
+				for q, tgt := range targets {
+					c += probs[q] / sum * math.Abs(geo.Haversine(center(i), tgt)-geo.Haversine(center(j), tgt))
 				}
+				same("Cost", i, j, inst.Cost(i, j), c)
 			}
-			scale := 1.0
-			if mode == graphx.WeightExact {
-				scale = 1 / graphx.Stretch
-			}
-			var want []obf.Pair
-			for i, c := range cells {
-				nbrs := hexgrid.Neighbors(c)
-				diag := hexgrid.DiagonalNeighbors(c)
-				for _, n := range append(nbrs[:], diag[:]...) {
-					for j := i + 1; j < k; j++ {
-						if cells[j] == n {
-							w := sys.CenterDistance(level, c, n) * scale
-							want = append(want, obf.Pair{I: i, J: j, Dist: w}, obf.Pair{I: j, J: i, Dist: w})
-						}
+		}
+		var want []obf.Pair
+		for i, c := range cells {
+			nbrs := hexgrid.Neighbors(c)
+			diag := hexgrid.DiagonalNeighbors(c)
+			for _, n := range append(nbrs[:], diag[:]...) {
+				for j := i + 1; j < k; j++ {
+					if cells[j] == n {
+						w := sys.CenterDistance(level, c, n)
+						want = append(want, obf.Pair{I: i, J: j, Dist: w}, obf.Pair{I: j, J: i, Dist: w})
 					}
 				}
 			}
-			got := inst.NeighborPairs()
-			if len(got) != len(want) {
-				t.Fatalf("level %d mode %d: %d neighbor pairs, want %d", level, mode, len(got), len(want))
+		}
+		got := inst.NeighborPairs()
+		if len(got) != len(want) {
+			t.Fatalf("level %d: %d neighbor pairs, want %d", level, len(got), len(want))
+		}
+		for n := range got {
+			if got[n].I != want[n].I || got[n].J != want[n].J {
+				t.Fatalf("level %d: pair %d is (%d,%d), want (%d,%d)", level, n, got[n].I, got[n].J, want[n].I, want[n].J)
 			}
-			for n := range got {
-				if got[n].I != want[n].I || got[n].J != want[n].J {
-					t.Fatalf("level %d mode %d: pair %d is (%d,%d), want (%d,%d)", level, mode, n, got[n].I, got[n].J, want[n].I, want[n].J)
-				}
-				same("NeighborPairs", got[n].I, got[n].J, got[n].Dist, want[n].Dist)
-			}
+			same("NeighborPairs", got[n].I, got[n].J, got[n].Dist, want[n].Dist)
 		}
 	}
 }

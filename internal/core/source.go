@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"corgi/internal/graphx"
 	"corgi/internal/loctree"
 	"corgi/internal/mechanism"
 	"corgi/internal/obf"
@@ -67,7 +66,7 @@ func buildForestMatrix(cfg mechanism.BuildConfig, delta int) (*obf.Matrix, error
 	if err != nil {
 		return nil, err
 	}
-	inst, err := NewInstance(cfg.Sys, cfg.Cells, cfg.Priors, cfg.Targets, cfg.TargetProbs, graphx.WeightPaper)
+	inst, err := NewInstance(cfg.Sys, cfg.Cells, cfg.Priors, cfg.Targets, cfg.TargetProbs, 0)
 	if err != nil {
 		return nil, err
 	}

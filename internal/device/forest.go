@@ -79,11 +79,7 @@ func (c *Conn) CorpusAttrs(real geo.LatLng) Attributes {
 		if err != nil {
 			return nil, err
 		}
-		md, err := gowalla.BuildMetadata(ds.CheckIns, c.Tree, 0.2)
-		if err != nil {
-			return nil, err
-		}
-		return md.Annotate(0, real), nil
+		return gowalla.BuildMetadata(ds.CheckIns, c.Tree).Annotate(0, real), nil
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/gowalla"
-	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/obf"
@@ -183,11 +182,7 @@ func newWorld(seed int64, height, clusters, nTargets int, holdout bool) (*world,
 	// Check-ins land across the whole SF box; the tree covers only its
 	// center. That matches the paper's approach of indexing an area of
 	// interest; priors are smoothed so every leaf is usable.
-	leaf, err := gowalla.LeafPriors(checkIns, tree, 1)
-	if err != nil {
-		return nil, err
-	}
-	priors, err := loctree.NewPriors(tree, leaf)
+	priors, err := loctree.NewPriors(tree, gowalla.LeafPriors(checkIns, tree))
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +249,7 @@ func (w *world) instance(m int) (*core.Instance, []loctree.NodeID, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	inst, err := core.NewInstance(w.tree.System(), cells, pr, w.targets, w.tprobs, graphx.WeightPaper)
+	inst, err := core.NewInstance(w.tree.System(), cells, pr, w.targets, w.tprobs, 0)
 	return inst, leaves, err
 }
 

@@ -9,7 +9,6 @@ import (
 	"corgi/internal/budget"
 	"corgi/internal/core"
 	"corgi/internal/geo"
-	"corgi/internal/graphx"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
 	"corgi/internal/mechanism"
@@ -377,7 +376,7 @@ func recalcAtLevel1(e *world, parents []loctree.NodeID) (time.Duration, error) {
 		cells[i] = p.Coord
 		pr[i] = e.priors.Of(e.tree, p)
 	}
-	inst, err := core.NewInstanceLevel(e.tree.System(), 1, cells, pr, e.targets, e.tprobs, graphx.WeightPaper)
+	inst, err := core.NewInstance(e.tree.System(), cells, pr, e.targets, e.tprobs, 1)
 	if err != nil {
 		return 0, err
 	}

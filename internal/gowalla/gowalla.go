@@ -434,17 +434,14 @@ func Trajectories(cs []CheckIn) []Trajectory {
 }
 
 // LeafPriors counts check-ins per leaf cell of the tree and returns the
-// add-`smoothing` (Laplace) smoothed, unnormalized weights, aligned with
+// add-one (Laplace) smoothed, unnormalized weights, aligned with
 // tree.LevelNodes(0): a PriorCounter fed cs in order.
-func LeafPriors(cs []CheckIn, t *loctree.Tree, smoothing float64) ([]float64, error) {
-	pc, err := NewPriorCounter(t, smoothing)
-	if err != nil {
-		return nil, err
-	}
+func LeafPriors(cs []CheckIn, t *loctree.Tree) []float64 {
+	pc := NewPriorCounter(t)
 	for _, c := range cs {
 		pc.Add(c)
 	}
-	return pc.Weights(), nil
+	return pc.Weights()
 }
 
 // PriorCounter accumulates leaf priors one check-in at a time, so a
@@ -454,18 +451,17 @@ type PriorCounter struct {
 	counts []float64
 }
 
-// NewPriorCounter starts every leaf of t at smoothing, which must be
-// positive so every leaf keeps a nonzero prior (Equ. 17 divides by node
-// priors).
-func NewPriorCounter(t *loctree.Tree, smoothing float64) (*PriorCounter, error) {
-	if smoothing <= 0 {
-		return nil, fmt.Errorf("gowalla: smoothing must be positive, got %v", smoothing)
-	}
+// smoothing is the count every leaf starts at: add-one smoothing keeps
+// every leaf's prior nonzero (Equ. 17 divides by node priors).
+const smoothing = 1
+
+// NewPriorCounter starts every leaf of t at smoothing.
+func NewPriorCounter(t *loctree.Tree) *PriorCounter {
 	counts := make([]float64, t.NumLeaves())
 	for i := range counts {
 		counts[i] = smoothing
 	}
-	return &PriorCounter{tree: t, counts: counts}, nil
+	return &PriorCounter{tree: t, counts: counts}
 }
 
 // Add counts c in its leaf; a check-in outside the tree is ignored. IndexOf
@@ -534,15 +530,12 @@ func isOdd(h int) bool { return h < 5 }
 
 // BuildMetadata derives the policy heuristics from a check-in corpus: a
 // MetadataBuilder fed cs in order.
-func BuildMetadata(cs []CheckIn, t *loctree.Tree, popularFrac float64) (*Metadata, error) {
-	b, err := NewMetadataBuilder(t, popularFrac)
-	if err != nil {
-		return nil, err
-	}
+func BuildMetadata(cs []CheckIn, t *loctree.Tree) *Metadata {
+	b := NewMetadataBuilder(t)
 	for _, c := range cs {
 		b.Add(c)
 	}
-	return b.Build(), nil
+	return b.Build()
 }
 
 // cellKey is one user's visits to one leaf.
@@ -564,26 +557,23 @@ type cellCounts struct {
 //   - home(u): the leaf cell with the most night check-ins of user u,
 //   - office(u): the leaf with the most weekday working-hour check-ins,
 //   - outlier(u): leaves u visited at most once, at odd hours,
-//   - popular: the top `popularFrac` fraction of visited leaves by count.
+//   - popular: the top popularFrac of visited leaves by count.
 type MetadataBuilder struct {
-	tree        *loctree.Tree
-	popularFrac float64
-	cells       map[cellKey]cellCounts
-	byLeaf      map[loctree.NodeID]int
+	tree   *loctree.Tree
+	cells  map[cellKey]cellCounts
+	byLeaf map[loctree.NodeID]int
 }
 
-// NewMetadataBuilder starts an empty builder over t; popularFrac must lie
-// in (0, 1].
-func NewMetadataBuilder(t *loctree.Tree, popularFrac float64) (*MetadataBuilder, error) {
-	if popularFrac <= 0 || popularFrac > 1 {
-		return nil, fmt.Errorf("gowalla: popularFrac %v outside (0,1]", popularFrac)
-	}
+// popularFrac is the fraction of visited leaves that count as popular.
+const popularFrac = 0.2
+
+// NewMetadataBuilder starts an empty builder over t.
+func NewMetadataBuilder(t *loctree.Tree) *MetadataBuilder {
 	return &MetadataBuilder{
-		tree:        t,
-		popularFrac: popularFrac,
-		cells:       map[cellKey]cellCounts{},
-		byLeaf:      map[loctree.NodeID]int{},
-	}, nil
+		tree:   t,
+		cells:  map[cellKey]cellCounts{},
+		byLeaf: map[loctree.NodeID]int{},
+	}
 }
 
 // Add tallies c against its leaf; a check-in outside the tree is ignored.
@@ -670,7 +660,7 @@ func (b *MetadataBuilder) Build() *Metadata {
 	slices.SortFunc(lcs, func(x, y leafCount) int {
 		return cmp.Or(cmp.Compare(y.n, x.n), cmp.Compare(x.idx, y.idx))
 	})
-	top := int(math.Ceil(b.popularFrac * float64(len(lcs))))
+	top := int(math.Ceil(popularFrac * float64(len(lcs))))
 	for i := 0; i < top && i < len(lcs); i++ {
 		md.PopularLeaf[lcs[i].leaf] = true
 	}

@@ -196,10 +196,7 @@ func TestGeneratePopularitySkew(t *testing.T) {
 func TestLeafPriors(t *testing.T) {
 	tree := testTree(t)
 	ds := smallDataset(t)
-	priors, err := LeafPriors(ds.CheckIns, tree, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	priors := LeafPriors(ds.CheckIns, tree)
 	if len(priors) != tree.NumLeaves() {
 		t.Fatalf("got %d priors", len(priors))
 	}
@@ -212,9 +209,6 @@ func TestLeafPriors(t *testing.T) {
 	}
 	if total <= float64(tree.NumLeaves()) {
 		t.Error("no check-ins landed in the tree")
-	}
-	if _, err := LeafPriors(ds.CheckIns, tree, 0); err == nil {
-		t.Error("zero smoothing must fail")
 	}
 }
 
@@ -245,10 +239,7 @@ func TestSplitTrainTest(t *testing.T) {
 func TestBuildMetadata(t *testing.T) {
 	tree := testTree(t)
 	ds := smallDataset(t)
-	md, err := BuildMetadata(ds.CheckIns, tree, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	md := BuildMetadata(ds.CheckIns, tree)
 	if len(md.HomeLeaf) == 0 || len(md.OfficeLeaf) == 0 {
 		t.Fatal("no home/office inferred")
 	}
@@ -259,9 +250,6 @@ func TestBuildMetadata(t *testing.T) {
 	visited := len(md.CountByLeaf)
 	if got := len(md.PopularLeaf); got > visited/2 {
 		t.Errorf("too many popular cells: %d of %d visited", got, visited)
-	}
-	if _, err := BuildMetadata(ds.CheckIns, tree, 0); err == nil {
-		t.Error("zero popularFrac must fail")
 	}
 	// Home cells are in-tree.
 	for u, leaf := range md.HomeLeaf {
@@ -274,8 +262,8 @@ func TestBuildMetadata(t *testing.T) {
 func TestMetadataDeterminism(t *testing.T) {
 	tree := testTree(t)
 	ds := smallDataset(t)
-	md1, _ := BuildMetadata(ds.CheckIns, tree, 0.2)
-	md2, _ := BuildMetadata(ds.CheckIns, tree, 0.2)
+	md1 := BuildMetadata(ds.CheckIns, tree)
+	md2 := BuildMetadata(ds.CheckIns, tree)
 	for u, h := range md1.HomeLeaf {
 		if md2.HomeLeaf[u] != h {
 			t.Fatalf("home for user %d differs across builds", u)
@@ -291,10 +279,7 @@ func TestMetadataDeterminism(t *testing.T) {
 func TestAnnotate(t *testing.T) {
 	tree := testTree(t)
 	ds := smallDataset(t)
-	md, err := BuildMetadata(ds.CheckIns, tree, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	md := BuildMetadata(ds.CheckIns, tree)
 	// Pick a user that has a home.
 	var user int = -1
 	for u := range md.HomeLeaf {
@@ -761,11 +746,8 @@ func TestEachRejectsRangesOutsideUnixNano(t *testing.T) {
 //   - home(u): the leaf cell with the most night check-ins of user u,
 //   - office(u): the leaf with the most weekday working-hour check-ins,
 //   - outlier(u): leaves u visited at most once, at odd hours,
-//   - popular: the top `popularFrac` fraction of visited leaves by count.
-func referenceBuildMetadata(cs []CheckIn, t *loctree.Tree, popularFrac float64) (*Metadata, error) {
-	if popularFrac <= 0 || popularFrac > 1 {
-		return nil, fmt.Errorf("gowalla: popularFrac %v outside (0,1]", popularFrac)
-	}
+//   - popular: the top popularFrac of visited leaves by count.
+func referenceBuildMetadata(cs []CheckIn, t *loctree.Tree) *Metadata {
 	md := &Metadata{
 		tree:        t,
 		HomeLeaf:    map[int]loctree.NodeID{},
@@ -856,7 +838,7 @@ func referenceBuildMetadata(cs []CheckIn, t *loctree.Tree, popularFrac float64) 
 	for i := 0; i < top && i < len(lcs); i++ {
 		md.PopularLeaf[lcs[i].leaf] = true
 	}
-	return md, nil
+	return md
 }
 
 // TestBuildMetadataMatchesReference holds BuildMetadata to the reference
@@ -874,14 +856,8 @@ func TestBuildMetadataMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, tree := range trees {
-				got, err := BuildMetadata(ds.CheckIns, tree, 0.2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := referenceBuildMetadata(ds.CheckIns, tree, 0.2)
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := BuildMetadata(ds.CheckIns, tree)
+				want := referenceBuildMetadata(ds.CheckIns, tree)
 				for field, pair := range map[string][2]any{
 					"HomeLeaf":    {got.HomeLeaf, want.HomeLeaf},
 					"OfficeLeaf":  {got.OfficeLeaf, want.OfficeLeaf},

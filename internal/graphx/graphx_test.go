@@ -3,11 +3,16 @@ package graphx
 import (
 	"container/heap"
 	"math"
+	"math/rand"
 	"testing"
 
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
 )
+
+// Stretch is the worst-case ratio d_G / d_Euclid for the 12-neighbor hex
+// lattice: cos(15°) + (2-sqrt(3))*sin(15°).
+var Stretch = math.Cos(math.Pi/12) + (2-math.Sqrt(3))*math.Sin(math.Pi/12)
 
 func testDist(t *testing.T) (func(a, b hexgrid.Coord) float64, *hexgrid.System) {
 	t.Helper()
@@ -20,13 +25,23 @@ func testDist(t *testing.T) (func(a, b hexgrid.Coord) float64, *hexgrid.System) 
 	}, sys
 }
 
+// indexOf is the position of c in cells, or -1.
+func indexOf(cells []hexgrid.Coord, c hexgrid.Coord) int {
+	for i, x := range cells {
+		if x == c {
+			return i
+		}
+	}
+	return -1
+}
+
 func TestBuildValidation(t *testing.T) {
 	dist, _ := testDist(t)
-	if _, err := Build(nil, dist, WeightPaper); err == nil {
+	if _, err := Build(nil, dist); err == nil {
 		t.Error("empty cell set must fail")
 	}
 	cells := []hexgrid.Coord{{Q: 0, R: 0}, {Q: 0, R: 0}}
-	if _, err := Build(cells, dist, WeightPaper); err == nil {
+	if _, err := Build(cells, dist); err == nil {
 		t.Error("duplicate cells must fail")
 	}
 }
@@ -34,65 +49,108 @@ func TestBuildValidation(t *testing.T) {
 func TestGraphStructureOnDisk(t *testing.T) {
 	dist, _ := testDist(t)
 	cells := hexgrid.Disk(hexgrid.Coord{}, 3) // 37 cells
-	g, err := Build(cells, dist, WeightPaper)
+	g, err := Build(cells, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.coords) != 37 {
-		t.Errorf("%d nodes, want 37", len(g.coords))
+	if g.n != 37 {
+		t.Errorf("%d nodes, want 37", g.n)
 	}
 	if !g.Connected() {
 		t.Error("disk graph must be connected")
 	}
 	// The center cell has all 12 neighbors inside the disk.
-	ci, ok := g.index[hexgrid.Coord{}]
-	if !ok {
-		t.Fatal("center not indexed")
-	}
-	if deg := g.off[ci+1] - g.off[ci]; deg != 12 {
+	ci := indexOf(cells, hexgrid.Coord{})
+	if deg := len(adjacency(g)[ci]); deg != 12 {
 		t.Errorf("center degree = %d, want 12", deg)
 	}
 	// Immediate edges have weight ~a, diagonal ~sqrt(3)a.
 	a := 0.5
 	for _, e := range g.Edges() {
 		want := a
-		if e.Diagonal {
+		if hexgrid.GridDist(cells[e.From], cells[e.To]) == 2 {
 			want = math.Sqrt(3) * a
 		}
-		if math.Abs(e.W-want) > 1e-9 {
-			t.Errorf("edge %d-%d weight %v, want %v", e.From, e.To, e.W, want)
+		if math.Abs(e.Dist-want) > 1e-9 {
+			t.Errorf("edge %d-%d weight %v, want %v", e.From, e.To, e.Dist, want)
 		}
 		if e.From >= e.To {
 			t.Errorf("edge %d-%d not normalized", e.From, e.To)
 		}
-		if e.W != e.Dist {
-			t.Errorf("paper mode must keep W == Dist")
-		}
 	}
 }
 
-func TestWeightExactMode(t *testing.T) {
+// TestBuildMatchesNaiveScan: on random irregular subsets of a radius-5
+// disk, in random order and some of them disconnected, Build's edges are
+// in order those of a linear scan over each cell's immediate then diagonal
+// neighbors, and Connected agrees with a breadth-first search over them.
+func TestBuildMatchesNaiveScan(t *testing.T) {
 	dist, _ := testDist(t)
-	cells := hexgrid.Disk(hexgrid.Coord{}, 2)
-	gp, err := Build(cells, dist, WeightPaper)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge, err := Build(cells, dist, WeightExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gp.Edges()) != len(ge.Edges()) {
-		t.Fatal("edge counts differ across modes")
-	}
-	for i, ep := range gp.Edges() {
-		ee := ge.Edges()[i]
-		if math.Abs(ee.W-ep.W/Stretch) > 1e-12 {
-			t.Errorf("exact weight %v, want %v/Stretch", ee.W, ep.W)
+	disk := hexgrid.Disk(hexgrid.Coord{}, 5)
+	rng := rand.New(rand.NewSource(1))
+	connected, disconnected := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		keep := 0.2 + 0.8*rng.Float64()
+		var cells []hexgrid.Coord
+		for _, i := range rng.Perm(len(disk)) {
+			if rng.Float64() < keep {
+				cells = append(cells, disk[i])
+			}
 		}
-		if ee.Dist != ep.Dist {
-			t.Error("Dist must be mode independent")
+		if len(cells) == 0 {
+			continue
 		}
+		g, err := Build(cells, dist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []Edge
+		for i, c := range cells {
+			n6, d6 := hexgrid.Neighbors(c), hexgrid.DiagonalNeighbors(c)
+			for _, n := range append(n6[:], d6[:]...) {
+				if j := indexOf(cells, n); j > i {
+					want = append(want, Edge{From: i, To: j, Dist: dist(c, n)})
+				}
+			}
+		}
+		got := g.Edges()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d edges, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d: edge %d = %+v, want %+v", trial, i, got[i], want[i])
+			}
+		}
+		// Breadth-first from node 0 over the scanned edges.
+		seen := make([]bool, len(cells))
+		seen[0] = true
+		queue, reached := []int{0}, 1
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			for _, e := range want {
+				for _, u := range [][2]int{{e.From, e.To}, {e.To, e.From}} {
+					if u[0] == v && !seen[u[1]] {
+						seen[u[1]] = true
+						reached++
+						queue = append(queue, u[1])
+					}
+				}
+			}
+		}
+		bfs := reached == len(cells)
+		if g.Connected() != bfs {
+			t.Fatalf("trial %d (%d cells): Connected() = %v, breadth-first search says %v", trial, len(cells), g.Connected(), bfs)
+		}
+		if bfs {
+			connected++
+		} else {
+			disconnected++
+		}
+	}
+	if connected == 0 || disconnected == 0 {
+		t.Fatalf("%d connected and %d disconnected subsets: both kinds must occur", connected, disconnected)
 	}
 }
 
@@ -106,28 +164,28 @@ func TestStretchValue(t *testing.T) {
 func TestShortestPathsBasics(t *testing.T) {
 	dist, _ := testDist(t)
 	cells := hexgrid.Disk(hexgrid.Coord{}, 3)
-	g, err := Build(cells, dist, WeightPaper)
+	g, err := Build(cells, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci := g.index[hexgrid.Coord{}]
-	d := g.ShortestFrom(ci)
+	ci := indexOf(cells, hexgrid.Coord{})
+	d := shortestFrom(adjacency(g), ci)
 	if d[ci] != 0 {
 		t.Errorf("self distance %v", d[ci])
 	}
 	// Immediate neighbor: a. Diagonal: sqrt(3)a (single diagonal edge,
 	// shorter than two immediate hops 2a).
 	a := 0.5
-	ni := g.index[hexgrid.Coord{Q: 1, R: 0}]
+	ni := indexOf(cells, hexgrid.Coord{Q: 1, R: 0})
 	if math.Abs(d[ni]-a) > 1e-9 {
 		t.Errorf("immediate neighbor d_G = %v, want %v", d[ni], a)
 	}
-	di := g.index[hexgrid.Coord{Q: 1, R: 1}]
+	di := indexOf(cells, hexgrid.Coord{Q: 1, R: 1})
 	if math.Abs(d[di]-math.Sqrt(3)*a) > 1e-9 {
 		t.Errorf("diagonal neighbor d_G = %v, want %v", d[di], math.Sqrt(3)*a)
 	}
 	// Straight line of 3 immediate hops.
-	fi := g.index[hexgrid.Coord{Q: 3, R: 0}]
+	fi := indexOf(cells, hexgrid.Coord{Q: 3, R: 0})
 	if math.Abs(d[fi]-3*a) > 1e-9 {
 		t.Errorf("3-hop straight d_G = %v, want %v", d[fi], 3*a)
 	}
@@ -137,17 +195,17 @@ func TestShortestPathsVsEuclidStretch(t *testing.T) {
 	// d_Euclid <= d_G <= Stretch * d_Euclid for all pairs in a convex disk.
 	dist, sys := testDist(t)
 	cells := hexgrid.Disk(hexgrid.Coord{}, 4)
-	g, err := Build(cells, dist, WeightPaper)
+	g, err := Build(cells, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := g.AllShortest()
-	for i := 0; i < len(g.coords); i++ {
-		for j := 0; j < len(g.coords); j++ {
+	all := allShortest(g)
+	for i := range cells {
+		for j := range cells {
 			if i == j {
 				continue
 			}
-			eu := sys.CenterXY(0, g.coords[i]).Dist(sys.CenterXY(0, g.coords[j]))
+			eu := sys.CenterXY(0, cells[i]).Dist(sys.CenterXY(0, cells[j]))
 			dg := all[i][j]
 			if dg < eu-1e-9 {
 				t.Fatalf("pair %d-%d: d_G %v < Euclid %v (impossible)", i, j, dg, eu)
@@ -159,34 +217,14 @@ func TestShortestPathsVsEuclidStretch(t *testing.T) {
 	}
 }
 
-func TestExactModeGuarantee(t *testing.T) {
-	// With WeightExact, d_G(scaled) <= d_Euclid for all pairs: the property
-	// the paper's Lemma 4.1 needs.
-	dist, sys := testDist(t)
-	cells := hexgrid.Disk(hexgrid.Coord{}, 4)
-	g, err := Build(cells, dist, WeightExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := g.AllShortest()
-	for i := 0; i < len(g.coords); i++ {
-		for j := i + 1; j < len(g.coords); j++ {
-			eu := sys.CenterXY(0, g.coords[i]).Dist(sys.CenterXY(0, g.coords[j]))
-			if all[i][j] > eu+1e-9 {
-				t.Fatalf("pair %d-%d: scaled d_G %v > Euclid %v", i, j, all[i][j], eu)
-			}
-		}
-	}
-}
-
 func TestShortestSymmetry(t *testing.T) {
 	dist, _ := testDist(t)
 	cells := hexgrid.Disk(hexgrid.Coord{}, 3)
-	g, err := Build(cells, dist, WeightPaper)
+	g, err := Build(cells, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := g.AllShortest()
+	all := allShortest(g)
 	for i := range all {
 		for j := range all {
 			if math.Abs(all[i][j]-all[j][i]) > 1e-9 {
@@ -199,14 +237,14 @@ func TestShortestSymmetry(t *testing.T) {
 func TestDisconnectedGraph(t *testing.T) {
 	dist, _ := testDist(t)
 	cells := []hexgrid.Coord{{Q: 0, R: 0}, {Q: 10, R: 10}}
-	g, err := Build(cells, dist, WeightPaper)
+	g, err := Build(cells, dist)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Connected() {
 		t.Error("far-apart cells must be disconnected")
 	}
-	d := g.ShortestFrom(0)
+	d := shortestFrom(adjacency(g), 0)
 	if !math.IsInf(d[1], 1) {
 		t.Errorf("unreachable distance = %v, want +Inf", d[1])
 	}
@@ -217,13 +255,13 @@ func TestDisconnectedGraph(t *testing.T) {
 // against one per ordered pair per column without.
 func TestConstraintCount(t *testing.T) {
 	dist, _ := testDist(t)
-	g, err := Build(hexgrid.Disk(hexgrid.Coord{}, 3), dist, WeightPaper)
+	g, err := Build(hexgrid.Disk(hexgrid.Coord{}, 3), dist)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k, degrees := len(g.coords), 0
-	for i := 0; i < k; i++ {
-		degrees += int(g.off[i+1] - g.off[i])
+	k, degrees := g.n, 0
+	for _, nb := range adjacency(g) {
+		degrees += len(nb)
 	}
 	if degrees != 2*len(g.Edges()) {
 		t.Fatalf("adjacency lists hold %d half-edges for %d edges", degrees, len(g.Edges()))
@@ -235,75 +273,54 @@ func TestConstraintCount(t *testing.T) {
 	}
 }
 
+// TestIndexOfMiss: neighbors missing from the cell set give no edge, and a
+// single cell is one connected component.
 func TestIndexOfMiss(t *testing.T) {
 	dist, _ := testDist(t)
-	g, err := Build([]hexgrid.Coord{{Q: 0, R: 0}}, dist, WeightPaper)
+	g, err := Build([]hexgrid.Coord{{Q: 0, R: 0}}, dist)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := g.index[hexgrid.Coord{Q: 5, R: 5}]; ok {
-		t.Error("foreign cell must not be found")
 	}
 	if len(g.Edges()) != 0 {
 		t.Error("single cell has no edges")
 	}
+	if !g.Connected() {
+		t.Error("a single cell is connected")
+	}
 }
 
-// TestAdjacencyFollowsEdgeOrder: every node's half-edges are exactly the
-// edges that touch it, in Edges() order, with the edge's weight, which is
-// the order Connected and the shortest-path oracle below walk them in.
-func TestAdjacencyFollowsEdgeOrder(t *testing.T) {
-	dist, _ := testDist(t)
-	cells := hexgrid.Disk(hexgrid.Coord{}, 4)
-	cells = append(cells[:20:20], cells[25:]...) // an irregular region
-	g, err := Build(cells, dist, WeightExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := len(g.coords)
-	if len(g.off) != k+1 || g.off[0] != 0 || int(g.off[k]) != len(g.adj) {
-		t.Fatalf("off has %d entries spanning [%d,%d] over %d half-edges, want %d from 0", len(g.off), g.off[0], g.off[len(g.off)-1], len(g.adj), k+1)
-	}
-	want := make([][]halfEdge, k)
+type halfEdge struct {
+	to int
+	w  float64
+}
+
+// adjacency lists each node's half-edges in Edges() order, for the
+// shortest-path oracle below.
+func adjacency(g *Graph) [][]halfEdge {
+	adj := make([][]halfEdge, g.n)
 	for _, e := range g.Edges() {
-		want[e.From] = append(want[e.From], halfEdge{to: int32(e.To), w: e.W})
-		want[e.To] = append(want[e.To], halfEdge{to: int32(e.From), w: e.W})
+		adj[e.From] = append(adj[e.From], halfEdge{to: e.To, w: e.Dist})
+		adj[e.To] = append(adj[e.To], halfEdge{to: e.From, w: e.Dist})
 	}
-	degrees := 0
-	for i := 0; i < k; i++ {
-		got := g.adj[g.off[i]:g.off[i+1]]
-		degrees += len(got)
-		if len(got) != len(want[i]) {
-			t.Fatalf("node %d has %d half-edges, want %d", i, len(got), len(want[i]))
-		}
-		for n := range got {
-			if got[n] != want[i][n] {
-				t.Fatalf("node %d half-edge %d = %+v, want %+v (edge order)", i, n, got[n], want[i][n])
-			}
-		}
-	}
-	if degrees != 2*len(g.Edges()) {
-		t.Errorf("degrees sum to %d, want 2·%d", degrees, len(g.Edges()))
-	}
+	return adj
 }
 
-// ShortestFrom returns d_G(src, ·) by Dijkstra, the exact graph distance
+// shortestFrom returns d_G(src, ·) by Dijkstra, the exact graph distance
 // the stretch tests compare the approximation against. Unreachable nodes
 // get +Inf.
-func (g *Graph) ShortestFrom(src int) []float64 {
-	n := len(g.coords)
-	dist := make([]float64, n)
+func shortestFrom(adj [][]halfEdge, src int) []float64 {
+	dist := make([]float64, len(adj))
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	dist[src] = 0
-	pq := &distHeap{items: []distItem{{node: int32(src), d: 0}}}
+	pq := &distHeap{items: []distItem{{node: src, d: 0}}}
 	for pq.Len() > 0 {
 		it := heap.Pop(pq).(distItem)
 		if it.d > dist[it.node] {
 			continue
 		}
-		for _, he := range g.adj[g.off[it.node]:g.off[it.node+1]] {
+		for _, he := range adj[it.node] {
 			nd := it.d + he.w
 			if nd < dist[he.to] {
 				dist[he.to] = nd
@@ -314,17 +331,18 @@ func (g *Graph) ShortestFrom(src int) []float64 {
 	return dist
 }
 
-// AllShortest returns the full d_G matrix (n x n) via repeated Dijkstra.
-func (g *Graph) AllShortest() [][]float64 {
-	out := make([][]float64, len(g.coords))
+// allShortest returns the full d_G matrix (n x n) via repeated Dijkstra.
+func allShortest(g *Graph) [][]float64 {
+	adj := adjacency(g)
+	out := make([][]float64, g.n)
 	for i := range out {
-		out[i] = g.ShortestFrom(i)
+		out[i] = shortestFrom(adj, i)
 	}
 	return out
 }
 
 type distItem struct {
-	node int32
+	node int
 	d    float64
 }
 

@@ -97,9 +97,6 @@ func (c *Config) Bind(fs *flag.FlagSet) {
 		"this node's own entry in -cluster-peers (its stream address); required with -cluster-peers")
 }
 
-// BuiltinRegions lists what -regions accepts: what -list-regions prints.
-func BuiltinRegions() []string { return registry.BuiltinNames() }
-
 // Node is one serving process's parts, exported so that a caller reaches
 // the part it means (a node's accountants through Registry, one transport
 // through Stream or HTTP) instead of through an option made for it. Stream

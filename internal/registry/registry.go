@@ -328,10 +328,7 @@ func (sh *Shard) Metadata() (*gowalla.Metadata, error) {
 			return md, nil
 		}
 		tree := sh.Server.Tree()
-		b, err := gowalla.NewMetadataBuilder(tree, 0.2)
-		if err != nil {
-			return nil, err
-		}
+		b := gowalla.NewMetadataBuilder(tree)
 		if err := eachRegionCheckIn(sh.Spec, tree, b.Add); err != nil {
 			return nil, fmt.Errorf("registry: region %q metadata: %w", sh.Spec.Name, err)
 		}
@@ -343,15 +340,12 @@ func (sh *Shard) Metadata() (*gowalla.Metadata, error) {
 
 // Attrs builds the attribute map one user's preference evaluation sees
 // over the given leaves, anchored at refLoc (the "distance" attribute is
-// relative to it). The report path passes only the privacy subtree's
-// leaves; nil annotates the whole region.
+// relative to it). Callers pass the privacy subtree's leaves, so only
+// those are annotated.
 func (sh *Shard) Attrs(uid int, refLoc geo.LatLng, leaves []loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error) {
 	md, err := sh.Metadata()
 	if err != nil {
 		return nil, err
-	}
-	if leaves == nil {
-		return md.Annotate(uid, refLoc), nil
 	}
 	return md.AnnotateLeaves(uid, refLoc, leaves), nil
 }
@@ -649,10 +643,7 @@ func buildPriors(spec Spec, tree *loctree.Tree) (*loctree.Priors, error) {
 	if spec.UniformPriors {
 		return loctree.UniformPriors(tree), nil
 	}
-	pc, err := gowalla.NewPriorCounter(tree, 1)
-	if err != nil {
-		return nil, err
-	}
+	pc := gowalla.NewPriorCounter(tree)
 	if err := eachRegionCheckIn(spec, tree, pc.Add); err != nil {
 		return nil, err
 	}

@@ -1,10 +1,10 @@
 // Package sample implements Walker/Vose alias tables: O(1) draws from a
 // discrete distribution after an O(n) build. The report-serving hot path
-// draws one obfuscated location per request from a matrix row; the linear
-// inverse-CDF scan of obf.Matrix.SampleRow costs O(n) per draw, which at
-// the paper's height-3 setup (343-leaf subtrees) and beyond (n >= 1024)
-// dominates report latency. An alias table pays the scan once and then
-// draws in constant time.
+// draws one obfuscated location per request from a matrix row; a linear
+// inverse-CDF scan of the row costs O(n) per draw, which at the paper's
+// height-3 setup (343-leaf subtrees) and beyond (n >= 1024) dominates
+// report latency. An alias table pays the scan once and then draws in
+// constant time.
 //
 // A table New returns is immutable, so any number of goroutines may Pick
 // from one table concurrently: a table holds no stream state, and the
