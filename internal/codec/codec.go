@@ -9,6 +9,8 @@
 //     actually there before anything is sized by it.
 //   - The lease bundle (lease.go) is a detached session binding in exact
 //     float64 bits, for device-side draws.
+//   - Gzip (gzip.go) compresses every gzipped HTTP body and every store
+//     snapshot through a pooled compressor.
 //   - The matrix blob (this file) is the compact, quantized, row-sparse
 //     matrix encoding of a forest entry's portable form,
 //     core.CompactEntry, which is both a wire-v2 entry (internal/proto)

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -439,6 +440,41 @@ func TestForestEvaluatesPreferencesOnTheDevice(t *testing.T) {
 	}
 	if _, err := conn.Ask(geo.LatLng{Lat: 10, Lng: 10}, 1, pol, 7, 1); err == nil {
 		t.Error("a location an ocean away was located in the region")
+	}
+}
+
+// TestCorpusAttrsBuildsOnce: CorpusAttrs summarizes the check-in corpus on
+// its first call only. A second call answers the same attributes and
+// allocates a small share of what the first did.
+func TestCorpusAttrsBuildsOnce(t *testing.T) {
+	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := loctree.NewAt(sys, geo.SanFrancisco.Center(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attrs := (&Conn{Tree: tree}).CorpusAttrs(geo.SanFrancisco.Center())
+	cell := tree.LevelNodes(0)[0]
+	call := func() (map[loctree.NodeID]policy.Attributes, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := attrs(cell)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, after.TotalAlloc - before.TotalAlloc
+	}
+	first, built := call()
+	second, kept := call()
+	if len(first) != tree.NumLeaves() || !reflect.DeepEqual(first, second) {
+		t.Fatalf("the second call answered %d leaves' attributes unlike the first's %d", len(second), len(first))
+	}
+	t.Logf("first call %d B, second %d B", built, kept)
+	if kept*20 > built {
+		t.Errorf("the second call allocated %d B against the first's %d: the corpus was built again", kept, built)
 	}
 }
 

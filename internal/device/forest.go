@@ -10,6 +10,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"corgi/internal/core"
 	"corgi/internal/geo"
@@ -72,14 +73,26 @@ func InHand(tree *loctree.Tree, eps float64, priors *loctree.Priors, forests ...
 }
 
 // CorpusAttrs stands in for the user's own data: user 0's attributes in
-// the synthetic check-in corpus, with distances measured from real.
+// the synthetic check-in corpus, with distances measured from real. The
+// corpus is generated and summarized on the first call and kept for the
+// later ones; a call whose build fails keeps nothing, so the next one
+// tries again.
 func (c *Conn) CorpusAttrs(real geo.LatLng) Attributes {
+	var (
+		mu sync.Mutex
+		md *gowalla.Metadata
+	)
 	return func(loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error) {
-		ds, err := gowalla.Generate(gowalla.GenConfig{Seed: 1})
-		if err != nil {
-			return nil, err
+		mu.Lock()
+		defer mu.Unlock()
+		if md == nil {
+			ds, err := gowalla.Generate(gowalla.GenConfig{Seed: 1})
+			if err != nil {
+				return nil, err
+			}
+			md = gowalla.BuildMetadata(ds.CheckIns, c.Tree)
 		}
-		return gowalla.BuildMetadata(ds.CheckIns, c.Tree).Annotate(0, real), nil
+		return md.Annotate(0, real), nil
 	}
 }
 

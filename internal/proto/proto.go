@@ -31,7 +31,6 @@ package proto
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -48,6 +47,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"corgi/internal/codec"
 	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
@@ -117,9 +117,7 @@ func writeRaw(w http.ResponseWriter, r *http.Request, contentType string, body [
 	w.Header().Set("Content-Type", contentType)
 	if acceptsGzip(r) {
 		w.Header().Set("Content-Encoding", "gzip")
-		gz := gzip.NewWriter(w)
-		defer gz.Close()
-		gz.Write(body)
+		codec.Gzip(w, body)
 		return
 	}
 	w.Write(body)

@@ -1,6 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"compress/gzip"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -151,5 +155,60 @@ func TestPeerFetchRefusedOnce(t *testing.T) {
 	}
 	if fetches != 1 {
 		t.Fatalf("the saved key went to the peer again: %d fetches", fetches)
+	}
+}
+
+// TestPeerFetchRefusesGzipBomb: a peer file with a valid header and
+// checksum whose payload inflates past maxSnapshotJSON is corrupt: it is
+// refused, not persisted, and the miss falls through. Its JSON is the
+// requested key's snapshot padded with whitespace, which a decoder with no
+// cap accepts, and the padding compresses so well that the file is small.
+// With the gzip trailer's true length the refusal comes before anything is
+// inflated; with a forged small one, one byte past the claim.
+func TestPeerFetchRefusesGzipBomb(t *testing.T) {
+	src, _, k := peerPair(t)
+	snap, err := src.Load(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.Write(make([]byte, headerLen))
+	gz, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz.Write(js)
+	pad := bytes.Repeat([]byte{' '}, 1<<16)
+	for n := len(js); n <= maxSnapshotJSON; n += len(pad) {
+		gz.Write(pad)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	honest := buf.Bytes()
+	frame(honest)
+	forged := append([]byte(nil), honest...)
+	binary.LittleEndian.PutUint32(forged[len(forged)-4:], uint32(len(js)))
+	frame(forged)
+
+	for name, bomb := range map[string][]byte{"true length": honest, "forged length": forged} {
+		if len(bomb) > 1<<20 {
+			t.Fatalf("%s: the bomb is %d bytes, not small", name, len(bomb))
+		}
+		if _, err := decodeKeyed(bomb, k); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: decode: %v, want ErrCorrupt", name, err)
+		}
+		_, local, _ := peerPair(t)
+		local.SetPeerFetch(func(Key) ([]byte, error) { return bomb, nil })
+		if _, err := local.Load(k); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: load: %v, want the ErrNotFound fall-through", name, err)
+		}
+		if _, err := local.LoadRaw(k); !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s: the bomb reached the snapshot directory", name)
+		}
 	}
 }

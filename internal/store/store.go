@@ -57,6 +57,7 @@ import (
 	"strings"
 	"time"
 
+	"corgi/internal/codec"
 	"corgi/internal/core"
 )
 
@@ -76,6 +77,12 @@ var ErrNotFound = errors.New("store: snapshot not found")
 // version, checksum, truncation, or a payload that disagrees with its key).
 // Callers fall through to compute instead of serving it.
 var ErrCorrupt = errors.New("store: snapshot corrupt")
+
+// maxSnapshotJSON caps a snapshot's inflated payload at 64 MiB, the bound
+// proto.MaxResponseBytes puts on a response body. No forest comes near
+// it, so a payload over it is corrupt: a peer's gzip bomb is refused
+// before it is inflated.
+const maxSnapshotJSON = 64 << 20
 
 // Key addresses one forest snapshot.
 type Key struct {
@@ -297,23 +304,26 @@ func encodeFile(snap *Snapshot) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var payload bytes.Buffer
-	gz := gzip.NewWriter(&payload)
-	if _, err := gz.Write(js); err != nil {
+	var buf bytes.Buffer
+	buf.Write(make([]byte, headerLen))
+	if err := codec.Gzip(&buf, js); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	if err := gz.Close(); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	sum := sha256.Sum256(payload.Bytes())
-	out := make([]byte, 0, headerLen+payload.Len())
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint16(out, FormatVersion)
-	out = binary.LittleEndian.AppendUint16(out, 0) // reserved
-	out = binary.LittleEndian.AppendUint32(out, uint32(payload.Len()))
-	out = append(out, sum[:]...)
-	out = append(out, payload.Bytes()...)
-	return out, nil
+	raw := buf.Bytes()
+	frame(raw)
+	return raw, nil
+}
+
+// frame fills in the header of a file whose payload follows headerLen
+// reserved bytes.
+func frame(raw []byte) {
+	payload := raw[headerLen:]
+	copy(raw, magic[:])
+	binary.LittleEndian.PutUint16(raw[4:], FormatVersion)
+	binary.LittleEndian.PutUint16(raw[6:], 0) // reserved
+	binary.LittleEndian.PutUint32(raw[8:], uint32(len(payload)))
+	sum := sha256.Sum256(payload)
+	copy(raw[12:], sum[:])
 }
 
 // decodeFile validates the frame and decodes the snapshot. Every failure
@@ -341,11 +351,24 @@ func decodeFile(raw []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	js, err := io.ReadAll(gz)
-	if err != nil {
+	// The checksum shows only that the payload is what its writer sent,
+	// and a peer's file brings its own. So the inflated length the gzip
+	// trailer claims (its last 4 bytes; NewReader has read a 10-byte
+	// header) is held to the cap before anything is inflated, and the
+	// payload is refused one byte past that claim.
+	size := binary.LittleEndian.Uint32(payload[len(payload)-4:])
+	if size > maxSnapshotJSON {
+		return nil, fmt.Errorf("%w: payload claims to inflate to %d bytes, over the %d-byte cap", ErrCorrupt, size, maxSnapshotJSON)
+	}
+	js := make([]byte, size)
+	if _, err := io.ReadFull(gz, js); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if err := gz.Close(); err != nil {
+	// The end of the stream is where the reader checks its CRC and length.
+	if _, err := gz.Read(make([]byte, 1)); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("payload inflates past the %d bytes its trailer claims", size)
+		}
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	var snap Snapshot
