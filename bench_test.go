@@ -44,7 +44,7 @@ func benchGenerateForest(b *testing.B, workers int) {
 	for i := range probs {
 		probs[i] = 1
 	}
-	params := Params{Epsilon: 15, Iterations: 2, UseGraphApprox: true}
+	params := Params{Epsilon: 15, Iterations: 2}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		server, err := core.NewServerWithOptions(region.Tree, priors, targets, probs, params, core.EngineOptions{Workers: workers})
@@ -67,7 +67,7 @@ func benchWireSetup(b *testing.B) (*Region, *Forest) {
 	region, priors := benchSetup(b)
 	targets, _ := RandomLeafTargets(region.Tree, 10, 1)
 	server, err := NewServer(region, priors, targets, Params{
-		Epsilon: 15, Iterations: 1, UseGraphApprox: true,
+		Epsilon: 15, Iterations: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -104,7 +104,7 @@ func BenchmarkMatrixPrune(b *testing.B) {
 	region, priors := benchSetup(b)
 	targets, _ := RandomLeafTargets(region.Tree, 10, 1)
 	server, err := NewServer(region, priors, targets, Params{
-		Epsilon: 15, Iterations: 1, UseGraphApprox: true,
+		Epsilon: 15, Iterations: 1,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -126,7 +126,7 @@ func BenchmarkPrecisionReduce(b *testing.B) {
 	region, priors := benchSetup(b)
 	targets, _ := RandomLeafTargets(region.Tree, 10, 1)
 	server, err := NewServer(region, priors, targets, Params{
-		Epsilon: 15, Iterations: 1, UseGraphApprox: true,
+		Epsilon: 15, Iterations: 1,
 	})
 	if err != nil {
 		b.Fatal(err)

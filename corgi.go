@@ -12,14 +12,16 @@
 //	priors := corgi.UniformPriors(region.Tree)
 //	targets, _ := corgi.RandomLeafTargets(region.Tree, 10, 42)
 //	server, _ := corgi.NewServer(region, priors, targets, corgi.Params{
-//		Epsilon: 15, Iterations: 3, UseGraphApprox: true,
+//		Epsilon: 15, Iterations: 3,
 //	})
 //	forest, _ := server.GenerateForest(1 /* privacy level */, 2 /* delta */)
 //	leaf, _ := region.Tree.Locate(real, 0)
 //	root, _ := region.Tree.AncestorAt(leaf, 1)
+//	entry := forest.Entries[root]
+//	pruned, _ := corgi.EvalPreferences(entry.Leaves, pol, attrs)
 //	sess, _ := corgi.NewReportSession(corgi.ReportSessionConfig{
-//		Tree: region.Tree, Entry: forest.Entries[root], Delta: forest.Delta,
-//		Policy: pol, Attrs: attrs, Priors: priors, Seed: 7,
+//		Tree: region.Tree, Entry: entry, Delta: forest.Delta,
+//		Policy: pol, Pruned: pruned, Priors: priors, Seed: 7,
 //	})
 //	reported, _ := sess.Draw(real) // what the location-based service sees
 //
@@ -47,6 +49,7 @@ import (
 	"corgi/internal/gowalla"
 	"corgi/internal/hexgrid"
 	"corgi/internal/loctree"
+	"corgi/internal/mechanism"
 	"corgi/internal/policy"
 	"corgi/internal/session"
 )
@@ -161,9 +164,16 @@ func NewServer(r *Region, priors *Priors, targets []LatLng, params Params) (*Ser
 	return core.NewServerWithOptions(r.Tree, priors, targets, probs, params, core.EngineOptions{})
 }
 
-// NewReportSession binds a per-user report session: preferences are
-// evaluated once, |S| is verified against the forest entry's reserved
-// prune budget, and every draw is O(1) via cached Walker alias tables —
+// EvalPreferences returns the leaves that fail the policy's preferences —
+// the prune set S (step 2 of Fig. 8) a ReportSessionConfig carries. attrs
+// must cover every leaf.
+func EvalPreferences(leaves []NodeID, pol Policy, attrs map[NodeID]Attributes) ([]NodeID, error) {
+	return mechanism.EvalPreferences(leaves, pol, attrs)
+}
+
+// NewReportSession binds a per-user report session: the evaluated prune
+// set's size |S| is verified against the forest entry's reserved prune
+// budget, and every draw is O(1) via cached Walker alias tables —
 // the row-wise hot path the serving stack's POST /v1/report uses. Draw
 // sequences are deterministic per Config.Seed.
 func NewReportSession(cfg ReportSessionConfig) (*ReportSession, error) {

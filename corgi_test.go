@@ -29,7 +29,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	server, err := NewServer(region, priors, targets, Params{
-		Epsilon: 15, Iterations: 2, UseGraphApprox: true,
+		Epsilon: 15, Iterations: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +48,14 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	pol := Policy{PrivacyLevel: 1, PrecisionLevel: 0, Preferences: []Predicate{notHome}}
 	realLeaf, _ := region.Tree.Locate(real, 0)
 	root, _ := region.Tree.AncestorAt(realLeaf, 1)
+	entry := forest.Entries[root]
+	pruned, err := EvalPreferences(entry.Leaves, pol, attrs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess, err := NewReportSession(ReportSessionConfig{
-		Tree: region.Tree, Entry: forest.Entries[root], Delta: forest.Delta,
-		Policy: pol, Attrs: attrs, Priors: priors, Seed: 9,
+		Tree: region.Tree, Entry: entry, Delta: forest.Delta,
+		Policy: pol, Pruned: pruned, Priors: priors, Seed: 9,
 	})
 	if err != nil {
 		t.Fatal(err)

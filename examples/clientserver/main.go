@@ -84,7 +84,7 @@ func run(w io.Writer) error {
 	f := &device.Forest{
 		Conn:    conn,
 		NoCache: true,
-		Attrs: func(loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error) {
+		Attrs: func(loctree.NodeID, []loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error) {
 			return attrs, nil
 		},
 	}

@@ -44,7 +44,7 @@ func run(w io.Writer) error {
 		return err
 	}
 	server, err := corgi.NewServer(region, priors, targets, corgi.Params{
-		Epsilon: 15, Iterations: 3, UseGraphApprox: true,
+		Epsilon: 15, Iterations: 3,
 	})
 	if err != nil {
 		return err
@@ -77,9 +77,14 @@ func run(w io.Writer) error {
 		return fmt.Errorf("real location %v outside the region", real)
 	}
 	root, _ := region.Tree.AncestorAt(leaf, pol.PrivacyLevel)
+	entry := forest.Entries[root]
+	pruned, err := corgi.EvalPreferences(entry.Leaves, pol, attrs)
+	if err != nil {
+		return err
+	}
 	sess, err := corgi.NewReportSession(corgi.ReportSessionConfig{
-		Tree: region.Tree, Entry: forest.Entries[root], Delta: forest.Delta,
-		Policy: pol, Attrs: attrs, Priors: priors, Seed: 7,
+		Tree: region.Tree, Entry: entry, Delta: forest.Delta,
+		Policy: pol, Pruned: pruned, Priors: priors, Seed: 7,
 	})
 	if err != nil {
 		return err

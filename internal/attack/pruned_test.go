@@ -41,7 +41,7 @@ func robustInstance(t *testing.T, k, delta, iterations int) (*core.Instance, *co
 		t.Fatal(err)
 	}
 	res, err := inst.Generate(core.Params{
-		Epsilon: 15, Delta: delta, Iterations: iterations, UseGraphApprox: true,
+		Epsilon: 15, Delta: delta, Iterations: iterations,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,7 +78,7 @@ func newLeaseWorld(t *testing.T, pol policy.Policy, pruned []int) *leaseWorld {
 	if w.keys, err = budget.NewKeyring([]byte("clientdraw test secret")); err != nil {
 		t.Fatal(err)
 	}
-	prune := []loctree.NodeID{}
+	var prune []loctree.NodeID
 	for _, p := range pruned {
 		prune = append(prune, w.entryA.Leaves[p])
 	}
@@ -194,7 +194,7 @@ func TestLeaseDrawsWhatTheSessionDraws(t *testing.T) {
 		// Both sessions re-anchor; the server skipped the old window's two
 		// unused draws, and so must the resident stream.
 		for _, s := range []*session.Session{w.leased, w.resident} {
-			if err := s.Rebind(session.Rebind{Entry: w.entryB, Pruned: []loctree.NodeID{}}); err != nil {
+			if err := s.Rebind(session.Rebind{Entry: w.entryB}); err != nil {
 				t.Fatal(err)
 			}
 		}

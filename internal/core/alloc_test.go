@@ -61,7 +61,7 @@ func TestGenerateAllocationBudget(t *testing.T) {
 		t.Skip("the race detector allocates on its own and empties sync.Pool at random")
 	}
 	inst := buildInstance(t, 49, 49, 9)
-	p := Params{Epsilon: 15, Delta: 2, Iterations: 5, UseGraphApprox: true}
+	p := Params{Epsilon: 15, Delta: 2, Iterations: 5}
 	generate := func() {
 		if _, err := inst.GenerateCtx(context.Background(), p); err != nil {
 			t.Fatal(err)
@@ -90,7 +90,7 @@ func TestGenerateAllocationsDoNotGrowWithRounds(t *testing.T) {
 	}
 	inst := buildInstance(t, 49, 49, 9)
 	cold := func(iterations int) uint64 {
-		p := Params{Epsilon: 15, Delta: 2, Iterations: iterations, UseGraphApprox: true}
+		p := Params{Epsilon: 15, Delta: 2, Iterations: iterations}
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.GC()

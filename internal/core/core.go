@@ -217,9 +217,6 @@ type Params struct {
 	Delta int
 	// Iterations is t in Algorithm 1 (paper: converges in ~4, uses 10).
 	Iterations int
-	// UseGraphApprox selects the Sec. 4.2 constraint reduction; when false
-	// the full O(K^3) pairwise constraint set is used (Fig. 10 baseline).
-	UseGraphApprox bool
 	// NoWarmStart disables carrying simplex bases between related solves
 	// (Algorithm-1 iterations, DW master rounds and pricing solves). Every
 	// solve then starts from the crash basis. Exists to benchmark the
@@ -261,14 +258,6 @@ type Result struct {
 	WarmAccepts  int
 	// Elapsed is the wall-clock generation time.
 	Elapsed time.Duration
-}
-
-// constraintPairs returns the directed pair set used for LP constraints.
-func (inst *Instance) constraintPairs(useApprox bool) []obf.Pair {
-	if useApprox {
-		return inst.NeighborPairs()
-	}
-	return inst.AllPairs()
 }
 
 // solveCarry threads reusable solver state between related solves over the
@@ -426,8 +415,8 @@ func (inst *Instance) solveLP(sv *lp.Solver, pairs []obf.Pair, mult []float64, o
 	return m, sol, nil
 }
 
-// Generate produces an obfuscation matrix for the instance. With Delta == 0
-// it solves the plain LP of Equ. (8) (the paper's non-robust baseline);
+// Generate produces an obfuscation matrix for the instance, constrained over
+// the Sec. 4.2 graph approximation (NeighborPairs). With Delta == 0 it solves the plain LP of Equ. (8) (the paper's non-robust baseline);
 // with Delta > 0 it runs Algorithm 1: alternately computing the reserved
 // privacy budget (Equ. 14) from the current matrix and re-solving the
 // tightened LP of Equ. (16), for Params.Iterations rounds.
@@ -439,12 +428,13 @@ func (inst *Instance) Generate(p Params) (*Result, error) {
 // the initial solve and between Algorithm-1 iterations (an individual LP
 // solve still runs to completion).
 func (inst *Instance) GenerateCtx(ctx context.Context, p Params) (*Result, error) {
-	return inst.generate(ctx, p, inst.constraintPairs(p.UseGraphApprox))
+	return inst.GenerateOver(ctx, p, inst.NeighborPairs())
 }
 
-// generate is GenerateCtx over pairs, the instance's constraint pairs for
-// p.UseGraphApprox, which a caller that keeps them builds once for both.
-func (inst *Instance) generate(ctx context.Context, p Params, pairs []obf.Pair) (*Result, error) {
+// GenerateOver is GenerateCtx over an explicit constraint pair set:
+// AllPairs gives the un-approximated LP of Equ. (4), the Fig. 10 baseline.
+// A caller that keeps the pairs builds them once for both.
+func (inst *Instance) GenerateOver(ctx context.Context, p Params, pairs []obf.Pair) (*Result, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}

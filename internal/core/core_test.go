@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestNewInstanceValidation(t *testing.T) {
 
 func TestGenerateNonRobustSmall(t *testing.T) {
 	inst := buildInstance(t, 7, 7, 1)
-	res, err := inst.Generate(Params{Epsilon: 15, UseGraphApprox: true})
+	res, err := inst.Generate(Params{Epsilon: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestGenerateParamValidation(t *testing.T) {
 
 func TestGenerateRobustSmall(t *testing.T) {
 	inst := buildInstance(t, 7, 7, 3)
-	res, err := inst.Generate(Params{Epsilon: 15, Delta: 2, Iterations: 4, UseGraphApprox: true})
+	res, err := inst.Generate(Params{Epsilon: 15, Delta: 2, Iterations: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestEpsilonMonotonicity(t *testing.T) {
 	inst := buildInstance(t, 19, 10, 6)
 	prev := math.Inf(1)
 	for _, eps := range []float64{10, 15, 20} {
-		res, err := inst.Generate(Params{Epsilon: eps, UseGraphApprox: true})
+		res, err := inst.Generate(Params{Epsilon: eps})
 		if err != nil {
 			t.Fatalf("eps=%v: %v", eps, err)
 		}
@@ -270,11 +271,12 @@ func TestGraphApproxMatchesFullSmall(t *testing.T) {
 	// At K=7 both constraint sets should produce feasible matrices with the
 	// approximation's loss >= the full LP's (shrunken feasible region).
 	inst := buildInstance(t, 7, 7, 7)
-	full, err := inst.Generate(Params{Epsilon: 15, UseGraphApprox: false})
+	allPairs := inst.AllPairs()
+	full, err := inst.GenerateOver(context.Background(), Params{Epsilon: 15}, allPairs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := inst.Generate(Params{Epsilon: 15, UseGraphApprox: true})
+	approx, err := inst.Generate(Params{Epsilon: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +287,7 @@ func TestGraphApproxMatchesFullSmall(t *testing.T) {
 		t.Errorf("full LP must have more constraints: %d vs %d", full.Constraints, approx.Constraints)
 	}
 	// The full-LP matrix satisfies every pairwise constraint.
-	rep := full.Matrix.CheckGeoInd(inst.AllPairs(), 15, 1e-6)
+	rep := full.Matrix.CheckGeoInd(allPairs, 15, 1e-6)
 	if rep.Violated != 0 {
 		t.Errorf("full LP matrix violates %d pairwise constraints", rep.Violated)
 	}
@@ -324,7 +326,7 @@ func TestPaperScaleK49(t *testing.T) {
 		t.Skip("paper-scale solve skipped in -short")
 	}
 	inst := buildInstance(t, 49, 49, 9)
-	res, err := inst.Generate(Params{Epsilon: 15, UseGraphApprox: true})
+	res, err := inst.Generate(Params{Epsilon: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func newEngineTestServer(t *testing.T, opts EngineOptions) *Server {
 	leaves := tree.LevelNodes(0)
 	targets := []geo.LatLng{tree.Center(leaves[0]), tree.Center(leaves[24]), tree.Center(leaves[48])}
 	srv, err := NewServerWithOptions(tree, priors, targets, []float64{1, 1, 1}, Params{
-		Epsilon: 15, Iterations: 2, UseGraphApprox: true,
+		Epsilon: 15, Iterations: 2,
 	}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"corgi/internal/geo"
@@ -36,7 +37,7 @@ func newFlowServer(t *testing.T) (*Server, *loctree.Tree, *loctree.Priors) {
 		probs = append(probs, 1)
 	}
 	srv, err := NewServerWithOptions(tree, priors, targets, probs, Params{
-		Epsilon: 15, Iterations: 3, UseGraphApprox: true,
+		Epsilon: 15, Iterations: 3,
 	}, EngineOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -67,25 +68,31 @@ func TestNewServerValidation(t *testing.T) {
 }
 
 // TestEntryPairsFollowGraphApprox pins that an entry names the constraint
-// set it was solved under: with the graph approximation off, every directed
-// pair, all of which its matrix satisfies.
+// set it was solved under: the Sec. 4.2 neighbor pairs of its subtree, fewer
+// than every directed pair, all of which its matrix satisfies.
 func TestEntryPairsFollowGraphApprox(t *testing.T) {
-	base, tree, priors := newFlowServer(t)
-	srv, err := NewServerWithOptions(tree, priors, base.targets, base.targetProbs, Params{
-		Epsilon: 15, Iterations: 3, UseGraphApprox: false,
-	}, EngineOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv, tree, _ := newFlowServer(t)
 	e, err := srv.GenerateEntryCtx(context.Background(), tree.LevelNodes(1)[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(e.Leaves) * (len(e.Leaves) - 1); len(e.Pairs) != want {
-		t.Fatalf("full-LP entry carries %d pairs, want all %d", len(e.Pairs), want)
+	cells := make([]hexgrid.Coord, len(e.Leaves))
+	priors := make([]float64, len(e.Leaves))
+	for i, l := range e.Leaves {
+		cells[i], priors[i] = l.Coord, 1
+	}
+	inst, err := NewInstance(tree.System(), cells, priors, srv.targets, srv.targetProbs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(e.Pairs, inst.NeighborPairs()) {
+		t.Fatalf("entry carries %d pairs, want the subtree's %d neighbor pairs", len(e.Pairs), len(inst.NeighborPairs()))
+	}
+	if all := len(e.Leaves) * (len(e.Leaves) - 1); len(e.Pairs) >= all {
+		t.Errorf("entry carries %d pairs, not fewer than all %d", len(e.Pairs), all)
 	}
 	if rep := e.Matrix.CheckGeoInd(e.Pairs, 15, 1e-6); rep.Violated != 0 {
-		t.Errorf("full-LP entry violates %d of its %d constraints", rep.Violated, rep.Total)
+		t.Errorf("entry violates %d of its %d constraints", rep.Violated, rep.Total)
 	}
 }
 
@@ -174,7 +181,8 @@ func TestGenerateEntryCaching(t *testing.T) {
 
 // userSession is Algorithm 4's set-up as the device runs it (device.Forest):
 // locate the real leaf, take the forest entry of its privacy-level
-// ancestor, and bind a session to it.
+// ancestor, evaluate the preferences over its leaves, and bind a session to
+// it.
 func userSession(tree *loctree.Tree, forest *Forest, real geo.LatLng, pol policy.Policy,
 	attrs map[loctree.NodeID]policy.Attributes, priors *loctree.Priors, seed int64) (*session.Session, error) {
 	realLeaf, ok := tree.Locate(real, 0)
@@ -189,9 +197,13 @@ func userSession(tree *loctree.Tree, forest *Forest, real geo.LatLng, pol policy
 	if !ok {
 		return nil, fmt.Errorf("forest has no entry for subtree %v", root)
 	}
+	pruned, err := mechanism.EvalPreferences(entry.Leaves, pol, attrs)
+	if err != nil {
+		return nil, err
+	}
 	return session.New(session.Config{
 		Tree: tree, Entry: entry, Delta: forest.Delta,
-		Policy: pol, Attrs: attrs, Priors: priors, Seed: seed,
+		Policy: pol, Pruned: pruned, Priors: priors, Seed: seed,
 	})
 }
 

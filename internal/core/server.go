@@ -27,8 +27,7 @@ type ForestEntry struct {
 	Leaves []loctree.NodeID
 	Matrix *obf.Matrix
 	// Pairs is the Geo-Ind constraint set the matrix was generated under
-	// (the graph-approximation neighbor pairs, or every pair when
-	// Params.UseGraphApprox is off), kept for audits. Degraded
+	// (the graph-approximation neighbor pairs), kept for audits. Degraded
 	// fallback entries carry none (their bound holds analytically for every
 	// pair, not just graph neighbors).
 	Pairs []obf.Pair
@@ -254,8 +253,8 @@ func (s *Server) generate(ctx context.Context, key forestKey) (*ForestEntry, err
 	if delta == 0 {
 		p.Iterations = 0
 	}
-	pairs := inst.constraintPairs(p.UseGraphApprox)
-	res, err := inst.generate(ctx, p, pairs)
+	pairs := inst.NeighborPairs()
+	res, err := inst.GenerateOver(ctx, p, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("core: subtree %v: %w", root, err)
 	}

@@ -62,24 +62,14 @@ var Mechanisms = []mechanism.Factory{
 }
 
 func buildForestMatrix(cfg mechanism.BuildConfig, delta int) (*obf.Matrix, error) {
-	cfg, err := cfg.WithDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.Sys == nil {
+		return nil, fmt.Errorf("core: forest build needs a hexgrid system")
 	}
 	inst, err := NewInstance(cfg.Sys, cfg.Cells, cfg.Priors, cfg.Targets, cfg.TargetProbs, 0)
 	if err != nil {
 		return nil, err
 	}
-	iters := cfg.Iterations
-	if iters <= 0 {
-		iters = 5
-	}
-	res, err := inst.Generate(Params{
-		Epsilon:        cfg.Epsilon,
-		Delta:          delta,
-		Iterations:     iters,
-		UseGraphApprox: true,
-	})
+	res, err := inst.Generate(Params{Epsilon: cfg.Epsilon, Delta: delta, Iterations: cfg.Iterations})
 	if err != nil {
 		return nil, fmt.Errorf("core: forest build: %w", err)
 	}

@@ -372,8 +372,11 @@ func TestForestEvaluatesPreferencesOnTheDevice(t *testing.T) {
 	leaves := tree.LeavesUnder(tree.LevelNodes(1)[0])
 	// A cell is sensitive while the user stands next to it in leaf order.
 	var evaluatedAt []loctree.NodeID
-	attrs := func(cell loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error) {
+	attrs := func(cell loctree.NodeID, asked []loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error) {
 		evaluatedAt = append(evaluatedAt, cell)
+		if !reflect.DeepEqual(asked, leaves) {
+			t.Errorf("attributes asked for %v, want the subtree's leaves %v", asked, leaves)
+		}
 		out := map[loctree.NodeID]policy.Attributes{}
 		for i, l := range tree.LevelNodes(0) {
 			out[l] = policy.Attributes{"sensitive": policy.Bool(i > 0 && tree.LevelNodes(0)[i-1] == cell)}
@@ -444,8 +447,10 @@ func TestForestEvaluatesPreferencesOnTheDevice(t *testing.T) {
 }
 
 // TestCorpusAttrsBuildsOnce: CorpusAttrs summarizes the check-in corpus on
-// its first call only. A second call answers the same attributes and
-// allocates a small share of what the first did.
+// its first call only, and each call annotates the leaves it is asked for:
+// one level-1 subtree's seven, not the region's 49. A second call answers
+// the same attributes and allocates a small share of what the first did,
+// below what annotating every leaf of the region takes (about 29.5 KB).
 func TestCorpusAttrsBuildsOnce(t *testing.T) {
 	sys, err := hexgrid.NewSystem(geo.SanFrancisco.Center(), 0.5)
 	if err != nil {
@@ -457,10 +462,12 @@ func TestCorpusAttrsBuildsOnce(t *testing.T) {
 	}
 	attrs := (&Conn{Tree: tree}).CorpusAttrs(geo.SanFrancisco.Center())
 	cell := tree.LevelNodes(0)[0]
+	root, _ := tree.AncestorAt(cell, 1)
+	leaves := tree.LeavesUnder(root)
 	call := func() (map[loctree.NodeID]policy.Attributes, uint64) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := attrs(cell)
+		got, err := attrs(cell, leaves)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -469,12 +476,15 @@ func TestCorpusAttrsBuildsOnce(t *testing.T) {
 	}
 	first, built := call()
 	second, kept := call()
-	if len(first) != tree.NumLeaves() || !reflect.DeepEqual(first, second) {
-		t.Fatalf("the second call answered %d leaves' attributes unlike the first's %d", len(second), len(first))
+	if len(first) != len(leaves) || !reflect.DeepEqual(first, second) {
+		t.Fatalf("the second call answered %d leaves' attributes unlike the first's %d, want %d", len(second), len(first), len(leaves))
 	}
 	t.Logf("first call %d B, second %d B", built, kept)
 	if kept*20 > built {
 		t.Errorf("the second call allocated %d B against the first's %d: the corpus was built again", kept, built)
+	}
+	if kept > 8<<10 {
+		t.Errorf("the second call allocated %d B, above 8 KiB: it annotated more than the subtree's %d leaves", kept, len(leaves))
 	}
 }
 

@@ -23,9 +23,11 @@ import (
 	"corgi/internal/session"
 )
 
-// Attributes are the user's own per-leaf attributes as seen from the cell
-// they stand in ("distance" is relative to it). They never leave the device.
-type Attributes func(cell loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error)
+// Attributes are the user's own attributes of leaves, as seen from the
+// cell they stand in ("distance" is relative to it). Preference evaluation
+// asks for the leaves of one privacy subtree at a time. They never leave
+// the device.
+type Attributes func(cell loctree.NodeID, leaves []loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error)
 
 // Forest is Algorithm 4 on the device: the mechanism runs where the true
 // location is, which is the setting Geo-Ind is stated for. The priors are
@@ -76,13 +78,13 @@ func InHand(tree *loctree.Tree, eps float64, priors *loctree.Priors, forests ...
 // the synthetic check-in corpus, with distances measured from real. The
 // corpus is generated and summarized on the first call and kept for the
 // later ones; a call whose build fails keeps nothing, so the next one
-// tries again.
+// tries again. Each call annotates only the leaves it is asked about.
 func (c *Conn) CorpusAttrs(real geo.LatLng) Attributes {
 	var (
 		mu sync.Mutex
 		md *gowalla.Metadata
 	)
-	return func(loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error) {
+	return func(_ loctree.NodeID, leaves []loctree.NodeID) (map[loctree.NodeID]policy.Attributes, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if md == nil {
@@ -92,7 +94,7 @@ func (c *Conn) CorpusAttrs(real geo.LatLng) Attributes {
 			}
 			md = gowalla.BuildMetadata(ds.CheckIns, c.Tree)
 		}
-		return md.Annotate(0, real), nil
+		return md.AnnotateLeaves(0, real, leaves), nil
 	}
 }
 
@@ -156,21 +158,20 @@ func (f *Forest) plan(root, leaf loctree.NodeID, pol policy.Policy) (session.Reb
 		}
 		f.priors = priors
 	}
-	// A non-nil prune set tells the session it is already evaluated.
-	to := session.Rebind{Pruned: []loctree.NodeID{}}
+	var to session.Rebind
 	if len(pol.Preferences) > 0 {
 		if f.Attrs == nil {
 			return to, errors.New("attributes: the policy has preferences and the device has no attributes")
 		}
-		attrs, err := f.Attrs(leaf)
+		leaves := tree.LeavesUnder(root)
+		attrs, err := f.Attrs(leaf, leaves)
 		if err != nil {
 			return to, fmt.Errorf("attributes: %w", err)
 		}
-		set, err := mechanism.EvalPreferences(tree.LeavesUnder(root), pol, attrs)
-		if err != nil {
+		if to.Pruned, err = mechanism.EvalPreferences(leaves, pol, attrs); err != nil {
 			return to, fmt.Errorf("preferences: %w", err)
 		}
-		to.Pruned, to.Anchor = append(to.Pruned, set...), leaf
+		to.Anchor = leaf
 	}
 	forest, err := f.forest(pol.PrivacyLevel, len(to.Pruned))
 	if err != nil {

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -40,9 +41,7 @@ func Fig9(cfg *Config) (*Output, error) {
 		Header: []string{"delta", "repeat", "iteration", "loss_diff_km"}}
 	for _, delta := range []int{2, 4} {
 		for rep, inst := range insts {
-			res, err := inst.Generate(core.Params{
-				Epsilon: epsDefault, Delta: delta, Iterations: iters, UseGraphApprox: true,
-			})
+			res, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: delta, Iterations: iters})
 			if err != nil {
 				return nil, err
 			}
@@ -73,14 +72,14 @@ func Fig10a(cfg *Config) (*Output, error) {
 	}
 	tab := &Table{ID: "fig10a", Title: "running time (s) of robust matrix generation (Fig. 10a)",
 		Header: []string{"delta", "with_approx_s", "without_approx_s", "speedup"}}
+	allPairs := inst.AllPairs()
 	for _, delta := range deltas {
-		with, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: delta,
-			Iterations: iters, UseGraphApprox: true})
+		with, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: delta, Iterations: iters})
 		if err != nil {
 			return nil, err
 		}
-		without, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: delta,
-			Iterations: iters, UseGraphApprox: false})
+		without, err := inst.GenerateOver(context.Background(),
+			core.Params{Epsilon: epsDefault, Delta: delta, Iterations: iters}, allPairs)
 		if err != nil {
 			return nil, err
 		}
@@ -135,14 +134,13 @@ func Fig11(cfg *Config) (*Output, error) {
 		Header: []string{"epsilon", "non_robust", "corgi_d1", "corgi_d2", "corgi_d3"}}
 	for _, eps := range epsList {
 		row := []string{fmt.Sprintf("%.0f", eps)}
-		nr, err := inst.Generate(core.Params{Epsilon: eps, UseGraphApprox: true})
+		nr, err := inst.Generate(core.Params{Epsilon: eps})
 		if err != nil {
 			return nil, err
 		}
 		row = append(row, f6(nr.QualityLoss))
 		for _, delta := range []int{1, 2, 3} {
-			res, err := inst.Generate(core.Params{Epsilon: eps, Delta: delta,
-				Iterations: iters, UseGraphApprox: true})
+			res, err := inst.Generate(core.Params{Epsilon: eps, Delta: delta, Iterations: iters})
 			if err != nil {
 				return nil, err
 			}
@@ -206,12 +204,11 @@ func Fig12(cfg *Config) (*Output, error) {
 		// Violation audits need vertex (optimal) solutions: early-stopped
 		// mixtures leave Geo-Ind constraints slack and pruning-immune,
 		// hiding the robustness effect under test.
-		robust, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: setup.delta,
-			Iterations: iters, UseGraphApprox: true})
+		robust, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: setup.delta, Iterations: iters})
 		if err != nil {
 			return nil, err
 		}
-		plain, err := inst.Generate(core.Params{Epsilon: epsDefault, UseGraphApprox: true})
+		plain, err := inst.Generate(core.Params{Epsilon: epsDefault})
 		if err != nil {
 			return nil, err
 		}
@@ -249,7 +246,7 @@ func Fig13(cfg *Config) (*Output, error) {
 		if err != nil {
 			return 0, err
 		}
-		res, err := inst.Generate(core.Params{Epsilon: eps, Delta: delta, Iterations: iters, UseGraphApprox: true})
+		res, err := inst.Generate(core.Params{Epsilon: eps, Delta: delta, Iterations: iters})
 		if err != nil {
 			return 0, err
 		}
@@ -305,7 +302,7 @@ func Fig14(cfg *Config) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		base, err := inst.Generate(core.Params{Epsilon: epsDefault, UseGraphApprox: true})
+		base, err := inst.Generate(core.Params{Epsilon: epsDefault})
 		if err != nil {
 			return nil, err
 		}
@@ -352,8 +349,7 @@ func Fig14(cfg *Config) (*Output, error) {
 		leafPr[i] = e.priors.Of(e.tree, l)
 	}
 	for _, delta := range deltas {
-		res, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: delta,
-			Iterations: iters, UseGraphApprox: true})
+		res, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: delta, Iterations: iters})
 		if err != nil {
 			return nil, err
 		}
@@ -380,7 +376,7 @@ func recalcAtLevel1(e *world, parents []loctree.NodeID) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	res, err := inst.Generate(core.Params{Epsilon: epsDefault, UseGraphApprox: true})
+	res, err := inst.Generate(core.Params{Epsilon: epsDefault})
 	if err != nil {
 		return 0, err
 	}
@@ -399,12 +395,11 @@ func Headline(cfg *Config) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	robust, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: 3,
-		Iterations: iters, UseGraphApprox: true})
+	robust, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: 3, Iterations: iters})
 	if err != nil {
 		return nil, err
 	}
-	plain, err := inst.Generate(core.Params{Epsilon: epsDefault, UseGraphApprox: true})
+	plain, err := inst.Generate(core.Params{Epsilon: epsDefault})
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +444,7 @@ func ExtPlanar(cfg *Config) (*Output, error) {
 		centers[i] = proj.Forward(c)
 	}
 	for _, eps := range []float64{15, 17, 19} {
-		res, err := inst.Generate(core.Params{Epsilon: eps, UseGraphApprox: true})
+		res, err := inst.Generate(core.Params{Epsilon: eps})
 		if err != nil {
 			return nil, err
 		}
@@ -489,12 +484,11 @@ func ExtAttack(cfg *Config) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	plain, err := inst.Generate(core.Params{Epsilon: epsDefault, UseGraphApprox: true})
+	plain, err := inst.Generate(core.Params{Epsilon: epsDefault})
 	if err != nil {
 		return nil, err
 	}
-	robust, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: 3,
-		Iterations: iters, UseGraphApprox: true})
+	robust, err := inst.Generate(core.Params{Epsilon: epsDefault, Delta: 3, Iterations: iters})
 	if err != nil {
 		return nil, err
 	}
@@ -527,7 +521,7 @@ func ExtBudget(cfg *Config) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := inst.Generate(core.Params{Epsilon: epsDefault, UseGraphApprox: true})
+	res, err := inst.Generate(core.Params{Epsilon: epsDefault})
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +569,7 @@ func ExtRPBVariant(cfg *Config) (*Output, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := inst.Generate(core.Params{Epsilon: epsDefault, UseGraphApprox: true})
+	res, err := inst.Generate(core.Params{Epsilon: epsDefault})
 	if err != nil {
 		return nil, err
 	}
@@ -634,15 +628,16 @@ func ExtApproxQuality(cfg *Config) (*Output, error) {
 		if err != nil {
 			return nil, err
 		}
-		full, err := inst.Generate(core.Params{Epsilon: epsDefault, UseGraphApprox: false})
+		allPairs := inst.AllPairs()
+		full, err := inst.GenerateOver(context.Background(), core.Params{Epsilon: epsDefault}, allPairs)
 		if err != nil {
 			return nil, err
 		}
-		approx, err := inst.Generate(core.Params{Epsilon: epsDefault, UseGraphApprox: true})
+		approx, err := inst.Generate(core.Params{Epsilon: epsDefault})
 		if err != nil {
 			return nil, err
 		}
-		rep := approx.Matrix.CheckGeoInd(inst.AllPairs(), epsDefault, 1e-6)
+		rep := approx.Matrix.CheckGeoInd(allPairs, epsDefault, 1e-6)
 		premium := 0.0
 		if full.QualityLoss > 0 {
 			premium = 100 * (approx.QualityLoss - full.QualityLoss) / full.QualityLoss

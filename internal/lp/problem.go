@@ -332,9 +332,6 @@ type Options struct {
 	// perturbed solve the true RHS is restored and the solve is finished
 	// exactly from the same basis.
 	Perturb bool
-	// Seed drives the perturbation. Zero means a fixed default seed so runs
-	// are reproducible.
-	Seed int64
 	// WarmBasis seeds the sparse solver with a starting basis, typically a
 	// prior related solve's Solution.Basis. One entry per constraint row:
 	// >= 0 names a standard-form column (structural variables first, then
@@ -354,13 +351,6 @@ func (o *Options) maxIters(m, n int) int {
 }
 
 func (o *Options) perturb() bool { return o != nil && o.Perturb }
-
-func (o *Options) seed() int64 {
-	if o == nil || o.Seed == 0 {
-		return 0x5f3759df
-	}
-	return o.Seed
-}
 
 func (o *Options) warmBasis() []int {
 	if o == nil {

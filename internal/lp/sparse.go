@@ -72,9 +72,9 @@ func (sv *Solver) Solve(p *Problem, opt *Options) (*Solution, error) {
 	// all have b=0, which otherwise causes severe stalling).
 	if opt.perturb() {
 		if sv.rng == nil {
-			sv.rng = rand.New(rand.NewSource(opt.seed()))
+			sv.rng = rand.New(rand.NewSource(perturbSeed))
 		} else {
-			sv.rng.Seed(opt.seed())
+			sv.rng.Seed(perturbSeed)
 		}
 		for i := range sf.b {
 			sf.b[i] += pertScale * (1 + sv.rng.Float64())
@@ -91,6 +91,9 @@ const (
 	pertScale  = 1e-8  // RHS perturbation magnitude
 	stallLimit = 256   // degenerate pivots before switching to Bland
 )
+
+// perturbSeed seeds every RHS perturbation, so a solve is reproducible.
+const perturbSeed = 0x5f3759df
 
 // refactorEtas is the pivot count between reinversions. It is a variable so
 // tests can force frequent reinversion.

@@ -23,14 +23,10 @@ type Config struct {
 	Delta int
 	// Policy is the user's customization triple.
 	Policy policy.Policy
-	// Attrs provides per-leaf attributes for preference evaluation; nil is
-	// fine when the policy has no preferences.
-	Attrs map[loctree.NodeID]policy.Attributes
-	// Pruned, when non-nil, is the precomputed prune set — the source
-	// leaves failing Policy.Preferences — and Bind skips re-evaluating
-	// them (an empty-but-non-nil slice means "evaluated, nothing pruned").
-	// Leave nil to have Bind evaluate Preferences over Attrs. Bind keeps no
-	// reference to the slice: the caller may reuse it once Bind returns.
+	// Pruned is the prune set S the caller evaluated — the source leaves
+	// failing Policy.Preferences (EvalPreferences) — nil or empty when
+	// nothing is pruned. Bind keeps no reference to the slice: the caller
+	// may reuse it once Bind returns.
 	Pruned []loctree.NodeID
 	// Anchor is the true cell the preference attributes were evaluated at.
 	// Bind does not read it: where one user's preferences were evaluated is
@@ -48,7 +44,7 @@ type Config struct {
 }
 
 // Binding is one customized view of a source: the prune set
-// evaluated, δ-prunability verified, the report node set fixed, and rows
+// applied, δ-prunability verified, the report node set fixed, and rows
 // served lazily. It is the single implementation of prune/renormalize/
 // precision-grouping behind the resident-session, lease-detach, and
 // user-side (Algorithm 4) paths; the float operation order in buildRow /
@@ -97,12 +93,12 @@ type Binding struct {
 	rowAlias []atomic.Pointer[sample.Alias] // by report row, built on first use
 }
 
-// Bind evaluates the policy against one source: preferences decide the
-// prune set S over the subtree's leaves (step 2-3 of Fig. 8), the
-// δ-prunability of the source is verified against |S| (Sec. 5.3: the
-// reserved budget must cover the realized prune set), and the report node
-// set is fixed. No alias table is built yet — rows build lazily on first
-// use.
+// Bind applies the policy to one source: the caller's prune set S (step 2
+// of Fig. 8, evaluated before the bind) is checked against the subtree's
+// leaves, the δ-prunability of the source is verified against |S| (Sec.
+// 5.3: the reserved budget must cover the realized prune set), and the
+// report node set is fixed (step 3). No alias table is built yet — rows
+// build lazily on first use.
 //
 // The result is the binding the source already holds for the policy's
 // precision level and S, provided it was bound under this tree, these
@@ -124,21 +120,11 @@ func Bind(cfg Config) (*Binding, error) {
 	}
 	leaves := cfg.Source.SupportLeaves()
 	idx := cfg.Source.LeafIndex()
-	var pruned []loctree.NodeID
-	switch {
-	case cfg.Pruned != nil:
-		for _, n := range cfg.Pruned {
-			if _, ok := idx.Pos(n); !ok {
-				return nil, fmt.Errorf("mechanism: pruned leaf %v not in subtree %v", n, cfg.Source.SubtreeRoot())
-			}
+	pruned := cfg.Pruned
+	for _, n := range pruned {
+		if _, ok := idx.Pos(n); !ok {
+			return nil, fmt.Errorf("mechanism: pruned leaf %v not in subtree %v", n, cfg.Source.SubtreeRoot())
 		}
-		pruned = cfg.Pruned
-	case len(cfg.Policy.Preferences) > 0:
-		evaluated, err := EvalPreferences(leaves, cfg.Policy, cfg.Attrs)
-		if err != nil {
-			return nil, err
-		}
-		pruned = evaluated
 	}
 	if len(pruned) > cfg.Delta {
 		return nil, fmt.Errorf("mechanism: preferences prune %d locations but the matrix is only %d-prunable (Sec. 5.3 tradeoff)",
@@ -167,11 +153,8 @@ func Bind(cfg Config) (*Binding, error) {
 		b.keep, b.keptLeaves = idx.identity, leaves
 	} else {
 		// The source keeps b past this call, and the caller may reuse
-		// cfg.Pruned; a set Bind evaluated is its own already.
-		b.pruned = pruned
-		if cfg.Pruned != nil {
-			b.pruned = slices.Clone(pruned)
-		}
+		// cfg.Pruned.
+		b.pruned = slices.Clone(pruned)
 		b.dropIdx = make([]bool, len(leaves))
 		kept := len(leaves)
 		for _, n := range pruned {
@@ -421,10 +404,14 @@ func (b *Binding) detachInto(row int, dst []float64) ([]float64, error) {
 }
 
 // EvalPreferences returns the leaves of the subtree that fail the policy's
-// preferences — the prune set S (step 2 of Fig. 8). attrs must cover every
-// leaf it is asked about.
+// preferences — the prune set S (step 2 of Fig. 8) a Config carries. A
+// policy without preferences prunes nothing and reads no attributes;
+// otherwise attrs must cover every leaf it is asked about.
 func EvalPreferences(leaves []loctree.NodeID, pol policy.Policy,
 	attrs map[loctree.NodeID]policy.Attributes) ([]loctree.NodeID, error) {
+	if len(pol.Preferences) == 0 {
+		return nil, nil
+	}
 	var pruned []loctree.NodeID
 	for _, leaf := range leaves {
 		a, ok := attrs[leaf]

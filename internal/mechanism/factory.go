@@ -15,13 +15,11 @@ type BuildConfig struct {
 	Sys *hexgrid.System
 	// Cells are the leaf cells (level 0) the matrix covers, in row order.
 	Cells []hexgrid.Coord
-	// Priors are the per-cell priors, index-aligned with Cells. Nil means
-	// uniform.
+	// Priors are the per-cell priors, index-aligned with Cells.
 	Priors []float64
 	// Targets / TargetProbs are the service locations the LP's quality
 	// objective weighs (the paper's NR_TARGET protocol); builders that
-	// need none ignore them. Nil defaults to the first min(3, n) cell
-	// centers, uniformly weighted.
+	// need none ignore them.
 	Targets     []geo.LatLng
 	TargetProbs []float64
 	// Epsilon is the Geo-Ind budget (km^-1).
@@ -29,41 +27,9 @@ type BuildConfig struct {
 	// Delta is the robustness prune budget (Algorithm 1); 0 builds a
 	// non-robust matrix. Builders without a robustness notion ignore it.
 	Delta int
-	// Iterations bounds Algorithm-1 robustness rounds; <= 0 lets the
-	// builder pick its default.
+	// Iterations bounds Algorithm-1 robustness rounds; a robust build
+	// needs at least one.
 	Iterations int
-}
-
-// WithDefaults fills what a builder may leave unset: uniform priors and
-// the first min(3, n) cell centers as targets. Every builder applies it
-// to the config it is given.
-func (c BuildConfig) WithDefaults() (BuildConfig, error) {
-	if c.Sys == nil {
-		return c, fmt.Errorf("mechanism: build needs a hexgrid system")
-	}
-	if len(c.Cells) == 0 {
-		return c, fmt.Errorf("mechanism: build needs at least one cell")
-	}
-	if c.Priors == nil {
-		c.Priors = make([]float64, len(c.Cells))
-		for i := range c.Priors {
-			c.Priors[i] = 1
-		}
-	}
-	if len(c.Priors) != len(c.Cells) {
-		return c, fmt.Errorf("mechanism: %d priors for %d cells", len(c.Priors), len(c.Cells))
-	}
-	if c.Targets == nil {
-		n := len(c.Cells)
-		if n > 3 {
-			n = 3
-		}
-		for i := 0; i < n; i++ {
-			c.Targets = append(c.Targets, c.Sys.Center(0, c.Cells[i]))
-			c.TargetProbs = append(c.TargetProbs, 1)
-		}
-	}
-	return c, nil
 }
 
 // Factory is one way of building an obfuscation matrix, named as the
@@ -79,8 +45,7 @@ type Factory struct {
 	// construction for the configured Delta (Algorithm 1), as opposed to
 	// baselines that merely happen to survive pruning.
 	Robust bool
-	// Build constructs the row-stochastic matrix over cfg.Cells, applying
-	// cfg.WithDefaults first.
+	// Build constructs the row-stochastic matrix over cfg.Cells.
 	Build func(cfg BuildConfig) (*obf.Matrix, error)
 }
 
@@ -92,9 +57,8 @@ const PlanarLaplaceName = "planar-laplace"
 // over cfg.Cells (planar.DiscretizedRows over the cell centers): no LP,
 // δ-prunable for every δ, since the bound holds row-wise.
 func PlanarLaplace(cfg BuildConfig) (*obf.Matrix, error) {
-	cfg, err := cfg.WithDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.Sys == nil {
+		return nil, fmt.Errorf("mechanism: build needs a hexgrid system")
 	}
 	centers := make([]geo.LatLng, len(cfg.Cells))
 	for i, c := range cfg.Cells {

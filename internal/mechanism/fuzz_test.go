@@ -47,14 +47,18 @@ func newFuzzWorld() (*fuzzWorld, error) {
 	leaves := tree.LevelNodes(0)
 	root := tree.LevelNodes(1)[0]
 	cells := make([]hexgrid.Coord, len(leaves))
+	priors := make([]float64, len(leaves))
 	for i, l := range leaves {
-		cells[i] = l.Coord
+		cells[i], priors[i] = l.Coord, 1
 	}
+	targets := []geo.LatLng{sys.Center(0, cells[0]), sys.Center(0, cells[1]), sys.Center(0, cells[2])}
+	build := mechanism.BuildConfig{Sys: sys, Cells: cells, Priors: priors,
+		Targets: targets, TargetProbs: []float64{1, 1, 1}, Iterations: 2}
 	return &fuzzWorld{
 		tree:    tree,
 		root:    root,
 		leaves:  leaves,
-		build:   mechanism.BuildConfig{Sys: sys, Cells: cells, Iterations: 2},
+		build:   build,
 		priors:  loctree.UniformPriors(tree),
 		sources: map[string]*core.ForestEntry{},
 	}, nil

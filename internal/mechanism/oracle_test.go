@@ -311,7 +311,7 @@ func TestConcurrentBindsShareOneLeafIndex(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			pruned := []loctree.NodeID{}
+			var pruned []loctree.NodeID
 			if g%2 == 1 {
 				pruned = append(pruned, leaves[g])
 			}

@@ -66,7 +66,7 @@ func TestSessionsSharingBindingsDrawWhatEachDrawsAlone(t *testing.T) {
 			for k, root := range tc.roots {
 				leaves := tree.LeavesUnder(root)
 				m := randomMatrix(rng, len(leaves))
-				pruned[k], drawable[k] = []loctree.NodeID{}, leaves
+				drawable[k] = leaves
 				if tc.prune >= 0 {
 					pruned[k] = []loctree.NodeID{leaves[tc.prune]}
 					drawable[k] = slices.Delete(slices.Clone(leaves), tc.prune, tc.prune+1)
@@ -163,11 +163,14 @@ func TestBindSharesOnlyWhatIsTheSame(t *testing.T) {
 		attrs[l] = policy.Attributes{"blocked": policy.Bool(false)}
 	}
 	keepAll := plain
-	keepAll.Policy.Preferences, keepAll.Attrs = []policy.Predicate{pred}, attrs
-	evaluated := keepAll
-	evaluated.Attrs, evaluated.Pruned = nil, []loctree.NodeID{}
+	keepAll.Policy.Preferences = []policy.Predicate{pred}
+	if keepAll.Pruned, err = mechanism.EvalPreferences(leaves, keepAll.Policy, attrs); err != nil {
+		t.Fatal(err)
+	}
+	empty := keepAll
+	empty.Pruned = []loctree.NodeID{}
 	for name, cfg := range map[string]mechanism.Config{
-		"the same config": plain, "preferences that prune nothing": keepAll, "an empty precomputed prune set": evaluated,
+		"the same config": plain, "preferences that prune nothing": keepAll, "an empty prune set": empty,
 	} {
 		if b := bind(cfg); b != first {
 			t.Errorf("%s: bound a second unpruned binding", name)

@@ -73,9 +73,6 @@ func TestEvalPruneMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.pruned == nil {
-				t.Fatalf("user %d at %v: nil prune set; an evaluated set is never nil", c.UserID, leaf)
-			}
 			wantAnchor := leaf
 			var want []loctree.NodeID
 			if len(pol.Preferences) == 0 {

@@ -64,7 +64,8 @@ type Spec struct {
 	// Iterations is the Algorithm-1 robustness round count. Default 5.
 	Iterations int `json:"iterations,omitempty"`
 	// Targets is how many service target locations to spread over the
-	// leaves. Default 20 (clamped to the leaf count).
+	// leaves. Default 20. It may not exceed the tree's 7^Height leaves, so
+	// a height-1 region (7 leaves) must set it.
 	Targets int `json:"targets,omitempty"`
 	// Seed drives the synthetic check-in sample that builds the priors.
 	// Default: a stable hash of Name, so distinct regions get distinct
@@ -141,7 +142,8 @@ func (s Spec) validate() error {
 		leaves *= 7
 	}
 	if s.Targets > leaves {
-		return fmt.Errorf("registry: region %q asks for %d targets from %d leaves", s.Name, s.Targets, leaves)
+		return fmt.Errorf("registry: region %q asks for %d targets from %d leaves: set targets to at most %d (7^height)",
+			s.Name, s.Targets, leaves, leaves)
 	}
 	// gowalla.Each rejects fewer check-ins than its 500 synthetic users;
 	// surface that at registration instead of at (lazy) bootstrap or at
@@ -578,9 +580,8 @@ func (r *Registry) bootstrap(ctx context.Context, spec Spec) (*Shard, error) {
 		engineOpts.Store = fs
 	}
 	srv, err := core.NewServerWithOptions(tree, priors, targets, probs, core.Params{
-		Epsilon:        spec.Epsilon,
-		Iterations:     spec.Iterations,
-		UseGraphApprox: true,
+		Epsilon:    spec.Epsilon,
+		Iterations: spec.Iterations,
 	}, engineOpts)
 	if err != nil {
 		return nil, fmt.Errorf("registry: region %q server: %w", spec.Name, err)

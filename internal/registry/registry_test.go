@@ -46,6 +46,7 @@ func TestSpecDefaultsAndValidation(t *testing.T) {
 		{Name: "far", CenterLat: 91, CenterLng: 0}, // bad center
 		{Name: "neg", CenterLat: 1, CenterLng: 1, Height: -1},
 		{Name: "many", CenterLat: 1, CenterLng: 1, Height: 1, Targets: 8}, // 8 targets, 7 leaves
+		{Name: "short", CenterLat: 1, CenterLng: 1, Height: 1},            // the default 20 targets, 7 leaves
 		// Non-finite values pass the sign checks and break Hash.
 		{Name: "nan-eps", CenterLat: 1, CenterLng: 1, Epsilon: math.NaN()},
 		{Name: "inf-eps", CenterLat: 1, CenterLng: 1, Epsilon: math.Inf(1)},

@@ -276,8 +276,7 @@ var attrScratch = sync.Pool{New: func() any { return make(policy.Attributes, 6) 
 
 // pruneScratch recycles the arrays evalPrune writes prune sets into. No
 // session keeps one: mechanism.Bind copies a set the entry keeps a binding
-// for. Its arrays are never nil, so an evaluated set never reads as "not
-// evaluated" (mechanism.Config.Pruned).
+// for.
 var pruneScratch = sync.Pool{New: func() any {
 	s := make([]loctree.NodeID, 0, 7)
 	return &s
@@ -291,7 +290,7 @@ var pruneScratch = sync.Pool{New: func() any {
 // scratch the caller releases. Preference-free policies prune nothing and
 // anchor nowhere (their sessions are cell-independent).
 func evalPrune(sh *Shard, tree *loctree.Tree, uid int64, pol policy.Policy, root, leaf loctree.NodeID) (prunePlan, error) {
-	plan := prunePlan{pruned: []loctree.NodeID{}}
+	var plan prunePlan
 	if len(pol.Preferences) == 0 {
 		return plan, nil
 	}

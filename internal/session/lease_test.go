@@ -95,7 +95,7 @@ func TestLeaseBundleBytesUnchanged(t *testing.T) {
 		}
 		for _, tc := range cases {
 			s, err := New(Config{Tree: tree, Entry: tc.entry, Delta: len(tc.blocked), Policy: tc.pol,
-				Attrs: blockAttrs(tree, tc.blocked...), Priors: priors, Seed: 5})
+				Pruned: tc.blocked, Priors: priors, Seed: 5})
 			if err != nil {
 				t.Fatalf("K=%d %s: %v", len(entry.Leaves), tc.name, err)
 			}

@@ -16,12 +16,13 @@
 //
 // Sessions are mobility-aware: a session is the user's stream, not the
 // subtree's. When a moving user's reported cell leaves the bound subtree,
-// Rebind swaps in the forest entry covering the new location — re-pruning
-// under the carried-forward policy — while the draw stream keeps advancing
-// uninterrupted. A seeded session replaying the same move sequence
-// therefore yields the same draw sequence regardless of how many subtree
-// boundaries the trajectory crosses, which is what keeps the /v1/report
-// equivalence guarantee alive for trajectories, not just fixed cells.
+// Rebind swaps in the forest entry covering the new location — with the
+// prune set the caller re-evaluated there under the carried-forward policy —
+// while the draw stream keeps advancing uninterrupted. A seeded session
+// replaying the same move sequence therefore yields the same draw sequence
+// regardless of how many subtree boundaries the trajectory crosses, which
+// is what keeps the /v1/report equivalence guarantee alive for
+// trajectories, not just fixed cells.
 //
 // The stream is a seed and a position: the variate of draw p is
 // sample.Uniform(seed, p), computed rather than stepped to, so a session
@@ -79,15 +80,10 @@ type Config struct {
 	Delta int
 	// Policy is the user's customization triple.
 	Policy policy.Policy
-	// Attrs provides per-leaf attributes for preference evaluation; nil is
-	// fine when the policy has no preferences.
-	Attrs map[loctree.NodeID]policy.Attributes
-	// Pruned, when non-nil, is the precomputed prune set — the Entry
-	// leaves failing Policy.Preferences — and New skips re-evaluating
-	// them (callers like registry.Report already evaluated once to size
-	// delta; an empty-but-non-nil slice means "evaluated, nothing
-	// pruned"). Leave nil to have New evaluate Preferences over Attrs.
-	// The session keeps no reference to the slice, here or in Rebind.
+	// Pruned is the prune set the caller evaluated — the Entry leaves
+	// failing Policy.Preferences (mechanism.EvalPreferences), whose size
+	// chose Entry's delta — nil or empty when nothing is pruned. The
+	// session keeps no reference to the slice, here or in Rebind.
 	Pruned []loctree.NodeID
 	// Anchor records the true cell the preference attributes were
 	// evaluated at (the "distance" attribute is relative to the user's
@@ -101,8 +97,9 @@ type Config struct {
 	// Seed names the session's draw stream; equal seeds yield equal draw
 	// sequences.
 	Seed int64
-	// Epsilon is the Geo-Ind budget the entry was generated under,
-	// surfaced in Meta. Metadata only: it never changes a weight.
+	// Epsilon is the Geo-Ind budget the entry was generated under. It never
+	// changes a weight; it is part of the key that decides which binds may
+	// share a binding (mechanism.Config.Epsilon).
 	Epsilon float64
 }
 
@@ -114,9 +111,7 @@ type Rebind struct {
 	Entry mechanism.Source
 	// Delta is the prune budget Entry was generated with.
 	Delta int
-	// Attrs / Pruned mirror Config: the prune set over Entry's leaves,
-	// precomputed or evaluated here from Attrs.
-	Attrs  map[loctree.NodeID]policy.Attributes
+	// Pruned mirrors Config: the evaluated prune set over Entry's leaves.
 	Pruned []loctree.NodeID
 	// Anchor is the new attribute anchor cell (zero when preference-free).
 	Anchor loctree.NodeID
@@ -143,18 +138,16 @@ type Session struct {
 	reanchors atomic.Uint64
 }
 
-// bind evaluates the policy against one forest entry through the shared
-// mechanism implementation (step 2-3 of Fig. 8, the Sec. 5.3 δ admission
-// check, and the report node set). No alias table is built yet — rows
-// build lazily on first draw.
-func (s *Session) bind(entry mechanism.Source, delta int, pruned []loctree.NodeID,
-	attrs map[loctree.NodeID]policy.Attributes) (*mechanism.Binding, error) {
+// bind applies the policy and an evaluated prune set to one forest entry
+// through the shared mechanism implementation (step 3 of Fig. 8, the Sec.
+// 5.3 δ admission check, and the report node set). No alias table is built
+// yet — rows build lazily on first draw.
+func (s *Session) bind(entry mechanism.Source, delta int, pruned []loctree.NodeID) (*mechanism.Binding, error) {
 	return mechanism.Bind(mechanism.Config{
 		Tree:    s.tree,
 		Source:  entry,
 		Delta:   delta,
 		Policy:  s.pol,
-		Attrs:   attrs,
 		Pruned:  pruned,
 		Priors:  s.priors,
 		Epsilon: s.epsilon,
@@ -181,7 +174,7 @@ func New(cfg Config) (*Session, error) {
 		seed:    cfg.Seed,
 		epsilon: cfg.Epsilon,
 	}
-	b, err := s.bind(cfg.Entry, cfg.Delta, cfg.Pruned, cfg.Attrs)
+	b, err := s.bind(cfg.Entry, cfg.Delta, cfg.Pruned)
 	if err != nil {
 		return nil, err
 	}
@@ -197,7 +190,7 @@ func New(cfg Config) (*Session, error) {
 // session lock, so in-flight draws against the old subtree finish on the
 // old binding; a failed rebind leaves the session exactly as it was.
 func (s *Session) Rebind(r Rebind) error {
-	b, err := s.bind(r.Entry, r.Delta, r.Pruned, r.Attrs)
+	b, err := s.bind(r.Entry, r.Delta, r.Pruned)
 	if err != nil {
 		return err
 	}
@@ -277,13 +270,7 @@ func (s *Session) Upgrade(entry mechanism.Source, delta int) (bool, error) {
 	if !cur.Source().IsDegraded() || cur.Root() != entry.SubtreeRoot() {
 		return false, nil
 	}
-	pruned := cur.Pruned()
-	if pruned == nil {
-		// Non-nil means "already evaluated, nothing pruned": the bind must
-		// not re-run preference evaluation (the attrs are long gone).
-		pruned = []loctree.NodeID{}
-	}
-	b, err := s.bind(entry, delta, pruned, nil)
+	b, err := s.bind(entry, delta, cur.Pruned())
 	if err != nil {
 		return false, err
 	}

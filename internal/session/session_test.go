@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,20 +57,6 @@ func testWorld(t *testing.T, privacyLevel int) (*loctree.Tree, *core.ForestEntry
 	return tree, entry, loctree.UniformPriors(tree)
 }
 
-// blockAttrs marks the given leaves with blocked=true and everything else
-// blocked=false.
-func blockAttrs(tree *loctree.Tree, blocked ...loctree.NodeID) map[loctree.NodeID]policy.Attributes {
-	isBlocked := map[loctree.NodeID]bool{}
-	for _, l := range blocked {
-		isBlocked[l] = true
-	}
-	attrs := map[loctree.NodeID]policy.Attributes{}
-	for _, l := range tree.LevelNodes(0) {
-		attrs[l] = policy.Attributes{"blocked": policy.Bool(isBlocked[l])}
-	}
-	return attrs
-}
-
 func blockPolicy(privacy, precision int) policy.Policy {
 	pred, _ := policy.ParsePredicate("blocked != true")
 	return policy.Policy{
@@ -92,13 +79,12 @@ func drawN(s *Session, leaf loctree.NodeID, n int) ([]loctree.NodeID, error) {
 func TestRowWeightsMatchMatrixPath(t *testing.T) {
 	tree, entry, priors := testWorld(t, 2)
 	blocked := []loctree.NodeID{entry.Leaves[3], entry.Leaves[11], entry.Leaves[30]}
-	attrs := blockAttrs(tree, blocked...)
 
 	for _, precision := range []int{0, 1} {
 		pol := blockPolicy(2, precision)
 		s, err := New(Config{
 			Tree: tree, Entry: entry, Delta: len(blocked),
-			Policy: pol, Attrs: attrs, Priors: priors, Seed: 1,
+			Policy: pol, Pruned: blocked, Priors: priors, Seed: 1,
 		})
 		if err != nil {
 			t.Fatalf("precision %d: %v", precision, err)
@@ -171,10 +157,9 @@ func TestRowWeightsMatchMatrixPath(t *testing.T) {
 func TestBudgetEnforced(t *testing.T) {
 	tree, entry, priors := testWorld(t, 2)
 	blocked := []loctree.NodeID{entry.Leaves[3], entry.Leaves[11]}
-	attrs := blockAttrs(tree, blocked...)
 	_, err := New(Config{
 		Tree: tree, Entry: entry, Delta: 1, // budget below |S| = 2
-		Policy: blockPolicy(2, 0), Attrs: attrs, Priors: priors,
+		Policy: blockPolicy(2, 0), Pruned: blocked, Priors: priors,
 	})
 	if err == nil {
 		t.Fatal("prune set beyond the reserved budget accepted")
@@ -184,10 +169,10 @@ func TestBudgetEnforced(t *testing.T) {
 func TestOwnLocationPruned(t *testing.T) {
 	tree, entry, priors := testWorld(t, 2)
 	real := entry.Leaves[5]
-	attrs := blockAttrs(tree, real)
+	pruned := []loctree.NodeID{real}
 	s, err := New(Config{
 		Tree: tree, Entry: entry, Delta: 1,
-		Policy: blockPolicy(2, 0), Attrs: attrs, Priors: priors,
+		Policy: blockPolicy(2, 0), Pruned: pruned, Priors: priors,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +183,7 @@ func TestOwnLocationPruned(t *testing.T) {
 	// At coarser precision the ancestor row still exists.
 	s2, err := New(Config{
 		Tree: tree, Entry: entry, Delta: 1,
-		Policy: blockPolicy(2, 1), Attrs: attrs, Priors: priors,
+		Policy: blockPolicy(2, 1), Pruned: pruned, Priors: priors,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -657,5 +642,68 @@ func TestDegradedAndOptimalEntriesNeverShareABinding(t *testing.T) {
 	}
 	if bind(degraded) == bind(optimal) {
 		t.Fatal("the upgrade merged the two entries' bindings")
+	}
+}
+
+// TestUpgradeOfPrunedDegradedSessionKeepsItsPruneSet: a session bound to a
+// degraded entry with a non-empty prune set upgrades onto the optimal entry
+// with that set, not with none: its Bound and Pruned read as before, and
+// from the position it reached it draws what a fresh session bound to the
+// optimal entry with the same set draws.
+func TestUpgradeOfPrunedDegradedSessionKeepsItsPruneSet(t *testing.T) {
+	tree, optimal, priors := testWorld(t, 1)
+	degraded := synthEntryAt(t, tree, optimal.Root, 5)
+	degraded.Degraded = true
+	pol := blockPolicy(1, 0)
+	real := optimal.Leaves[0]
+	pruned := []loctree.NodeID{optimal.Leaves[2], optimal.Leaves[4]}
+	cfg := Config{Tree: tree, Entry: degraded, Delta: len(pruned), Policy: pol,
+		Pruned: pruned, Anchor: real, Priors: priors, Seed: 11}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := drawN(s, real, 5); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Bound()
+	if before.Pruned != len(pruned) || !before.Degraded {
+		t.Fatalf("before the upgrade: bound to %+v", before)
+	}
+
+	upgraded, err := s.Upgrade(optimal, len(pruned))
+	if err != nil || !upgraded {
+		t.Fatalf("upgrade: %v, %v", upgraded, err)
+	}
+	want := before
+	want.Degraded = false
+	if after := s.Bound(); after != want {
+		t.Fatalf("after the upgrade: bound to %+v, want %+v", after, want)
+	}
+	if got := s.Pruned(); !slices.Equal(got, pruned) {
+		t.Fatalf("after the upgrade: pruned %v, want %v", got, pruned)
+	}
+
+	cfg.Entry = optimal
+	fresh, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.FastForward(s.Draws())
+	got, err := drawN(s, real, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := drawN(fresh, real, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, ref) {
+		t.Fatalf("upgraded session drew %v, a fresh one on the optimal entry %v", got, ref)
+	}
+	for _, r := range got {
+		if slices.Contains(pruned, r) {
+			t.Fatalf("upgraded session reported pruned cell %v", r)
+		}
 	}
 }

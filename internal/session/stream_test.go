@@ -63,8 +63,7 @@ func TestNewSessionFootprint(t *testing.T) {
 		t.Skip("the race detector allocates on its own account")
 	}
 	tree, entry, priors := testWorld(t, 2)
-	cfg := Config{Tree: tree, Entry: entry, Policy: policy.Policy{PrivacyLevel: 2}, Priors: priors,
-		Pruned: []loctree.NodeID{}}
+	cfg := Config{Tree: tree, Entry: entry, Policy: policy.Policy{PrivacyLevel: 2}, Priors: priors}
 	if _, err := New(cfg); err != nil { // warm the entry's shared binding
 		t.Fatal(err)
 	}
