@@ -105,7 +105,7 @@ func NewRouter(reg *registry.Registry, self string, members []Peer, cfg RouterCo
 		reg:   reg,
 		ring:  ring,
 		peers: make(map[string]peerNode, len(members)),
-		httpc: &http.Client{Timeout: fetchTimeout},
+		httpc: proto.NewHTTPClient(fetchTimeout),
 	}
 	for _, p := range members {
 		if p.Name != self { // a client dials on first use
@@ -245,7 +245,9 @@ func (r *Router) Lease(ctx context.Context, req registry.LeaseRequest) (*registr
 // FetchSnapshot implements the store's PeerFetchFunc: ask every peer
 // with an HTTP endpoint for the snapshot's raw file bytes, first hit
 // wins. The store validates the bytes (checksum + key match), so this
-// path only needs to move them.
+// path only needs to move them, whole: a body over
+// proto.MaxResponseBytes is a miss at that peer, never a truncated hit,
+// and the next peer is asked.
 func (r *Router) FetchSnapshot(k store.Key) ([]byte, error) {
 	for _, pn := range r.peers {
 		if pn.httpURL == "" {
@@ -262,7 +264,7 @@ func (r *Router) FetchSnapshot(k store.Key) ([]byte, error) {
 			resp.Body.Close()
 			continue
 		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, proto.MaxResponseBytes))
+		raw, err := proto.ReadBody(resp, proto.MaxResponseBytes)
 		resp.Body.Close()
 		if err != nil {
 			continue

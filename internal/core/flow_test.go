@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"corgi/internal/geo"
@@ -69,13 +70,32 @@ func TestNewServerValidation(t *testing.T) {
 
 // TestEntryPairsFollowGraphApprox pins that an entry names the constraint
 // set it was solved under: the Sec. 4.2 neighbor pairs of its subtree, fewer
-// than every directed pair, all of which its matrix satisfies.
+// than every directed pair, all of which its matrix satisfies. The pairs
+// depend on the subtree's cells alone, so its entries at deltas 1-3, solved
+// at once, hold one list, and a later solve over that list (delta 4) leaves
+// it as it was.
 func TestEntryPairsFollowGraphApprox(t *testing.T) {
 	srv, tree, _ := newFlowServer(t)
-	e, err := srv.GenerateEntryCtx(context.Background(), tree.LevelNodes(1)[0], 1)
-	if err != nil {
-		t.Fatal(err)
+	root := tree.LevelNodes(1)[0]
+	entries := make([]*ForestEntry, 3)
+	var wg sync.WaitGroup
+	for i := range entries {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			e, err := srv.GenerateEntryCtx(context.Background(), root, i+1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			entries[i] = e
+		}(i)
 	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	e := entries[0]
 	cells := make([]hexgrid.Coord, len(e.Leaves))
 	priors := make([]float64, len(e.Leaves))
 	for i, l := range e.Leaves {
@@ -85,14 +105,31 @@ func TestEntryPairsFollowGraphApprox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(e.Pairs, inst.NeighborPairs()) {
-		t.Fatalf("entry carries %d pairs, want the subtree's %d neighbor pairs", len(e.Pairs), len(inst.NeighborPairs()))
+	want := inst.NeighborPairs()
+	if all := len(e.Leaves) * (len(e.Leaves) - 1); len(want) >= all {
+		t.Errorf("the subtree has %d neighbor pairs, not fewer than all %d", len(want), all)
 	}
-	if all := len(e.Leaves) * (len(e.Leaves) - 1); len(e.Pairs) >= all {
-		t.Errorf("entry carries %d pairs, not fewer than all %d", len(e.Pairs), all)
+	for i, d := range entries {
+		if !slices.Equal(d.Pairs, want) {
+			t.Fatalf("delta %d entry carries %d pairs, want the subtree's %d neighbor pairs", i+1, len(d.Pairs), len(want))
+		}
+		if &d.Pairs[0] != &e.Pairs[0] {
+			t.Errorf("delta %d entry holds its own copy of the subtree's pairs", i+1)
+		}
+		if rep := d.Matrix.CheckGeoInd(d.Pairs, 15, 1e-6); rep.Violated != 0 {
+			t.Errorf("delta %d entry violates %d of its %d constraints", i+1, rep.Violated, rep.Total)
+		}
 	}
-	if rep := e.Matrix.CheckGeoInd(e.Pairs, 15, 1e-6); rep.Violated != 0 {
-		t.Errorf("entry violates %d of its %d constraints", rep.Violated, rep.Total)
+	before := slices.Clone(e.Pairs)
+	d4, err := srv.GenerateEntryCtx(context.Background(), root, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &d4.Pairs[0] != &e.Pairs[0] {
+		t.Error("delta 4 entry holds its own copy of the subtree's pairs")
+	}
+	if !slices.Equal(e.Pairs, before) {
+		t.Error("a solve over the shared pairs changed them")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"corgi/internal/flight"
@@ -27,9 +28,11 @@ type ForestEntry struct {
 	Leaves []loctree.NodeID
 	Matrix *obf.Matrix
 	// Pairs is the Geo-Ind constraint set the matrix was generated under
-	// (the graph-approximation neighbor pairs), kept for audits. Degraded
-	// fallback entries carry none (their bound holds analytically for every
-	// pair, not just graph neighbors).
+	// (the graph-approximation neighbor pairs), kept for audits. It depends
+	// on the subtree's cells alone, so every entry of one subtree, whatever
+	// its delta, shares one slice: it is read-only. Degraded fallback
+	// entries carry none (their bound holds analytically for every pair,
+	// not just graph neighbors).
 	Pairs []obf.Pair
 	// Result carries generation statistics (trace, LP iterations, timing).
 	Result *Result
@@ -71,6 +74,11 @@ type Server struct {
 	targets     []geo.LatLng
 	targetProbs []float64
 	params      Params
+
+	// pairs memoizes each subtree root's NeighborPairs ([]obf.Pair), built
+	// by the first generation under that root: the engine solves a
+	// subtree's deltas concurrently, and all of them share one list.
+	pairs sync.Map
 
 	engine *engine
 }
@@ -253,7 +261,7 @@ func (s *Server) generate(ctx context.Context, key forestKey) (*ForestEntry, err
 	if delta == 0 {
 		p.Iterations = 0
 	}
-	pairs := inst.NeighborPairs()
+	pairs := s.neighborPairs(root, inst)
 	res, err := inst.GenerateOver(ctx, p, pairs)
 	if err != nil {
 		return nil, fmt.Errorf("core: subtree %v: %w", root, err)
@@ -265,6 +273,17 @@ func (s *Server) generate(ctx context.Context, key forestKey) (*ForestEntry, err
 		Pairs:  pairs,
 		Result: res,
 	}, nil
+}
+
+// neighborPairs returns root's constraint pairs: the memoized list when
+// an earlier generation under root built one, else inst's, which the
+// first of concurrent builders publishes for every later one.
+func (s *Server) neighborPairs(root loctree.NodeID, inst *Instance) []obf.Pair {
+	if pairs, ok := s.pairs.Load(root); ok {
+		return pairs.([]obf.Pair)
+	}
+	pairs, _ := s.pairs.LoadOrStore(root, inst.NeighborPairs())
+	return pairs.([]obf.Pair)
 }
 
 // GenerateForest implements Algorithm 3: a matrix for every node at the

@@ -121,21 +121,11 @@ func entriesAt(trace []request, idx int64, n int) []request {
 }
 
 // forestTarget issues one forest request per round trip, built as
-// proto.Client builds its own (proto.NewForestRequest), gzip-negotiated
-// explicitly so the body is counted compressed, read to completion and
-// discarded undecoded.
-func forestTarget(server string, concurrency int) target {
-	// The idle pool must cover every worker or keep-alive connections are
-	// torn down and re-dialed constantly (DefaultTransport keeps only 2
-	// idle conns per host).
-	client := &http.Client{
-		Timeout: 10 * time.Minute,
-		Transport: &http.Transport{
-			MaxIdleConns:        concurrency + 8,
-			MaxIdleConnsPerHost: concurrency + 8,
-			IdleConnTimeout:     90 * time.Second,
-		},
-	}
+// proto.Client builds its own (proto.NewForestRequest) and sent over the
+// same keep-alive pool, gzip-negotiated explicitly so the body is counted
+// compressed, read to completion and discarded undecoded.
+func forestTarget(server string) target {
+	client := proto.NewHTTPClient(10 * time.Minute)
 	return func(ctx context.Context, entries []request) outcome {
 		e := entries[0]
 		req, err := proto.NewForestRequest(ctx, server, e.Region, e.Level, e.Delta, false)

@@ -72,7 +72,7 @@ func fakeForests(t *testing.T, status int) target {
 		w.Write([]byte("forest bytes"))
 	}))
 	t.Cleanup(srv.Close)
-	return forestTarget(srv.URL, 1)
+	return forestTarget(srv.URL)
 }
 
 // TestDriveClassification pins the one round-trip accounting every target
@@ -97,7 +97,7 @@ func TestDriveClassification(t *testing.T) {
 		return reportTarget(f, 0, 1)
 	}
 	refused := errors.New("refused")
-	unreachable := forestTarget("http://127.0.0.1:1", 1)
+	unreachable := forestTarget("http://127.0.0.1:1")
 	one := []request{{Region: "sf", Level: 1, ColdKey: "sf|1|root"}}
 	four := []request{forestRequest("sf", 1, 0), forestRequest("sf", 1, 1), forestRequest("la", 1, 0), forestRequest("la", 2, 0)}
 	cases := []struct {

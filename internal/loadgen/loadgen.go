@@ -194,7 +194,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	defer cl.Close()
 	switch {
 	case cfg.Workload == "forest":
-		tgt = forestTarget(cfg.Server, cfg.Concurrency)
+		tgt = forestTarget(cfg.Server)
 	case cfg.Cluster != "":
 		if ct, err = newClusterTargets(&cl, cfg.Cluster, cfg.Transport, cfg.Concurrency); err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)

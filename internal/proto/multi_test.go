@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"corgi/internal/core"
@@ -310,5 +313,65 @@ func TestForestRefusals(t *testing.T) {
 		if resp.StatusCode != http.StatusUnprocessableEntity {
 			t.Errorf("GET /v1/forest?%s -> %d, want 422", q, resp.StatusCode)
 		}
+	}
+}
+
+// TestClientsShareOnePool: two goroutines each hold one region client per
+// region of a six-region server and take turns through them. Every client
+// rides the process's one keep-alive pool, so the server sees one
+// connection per goroutine, not one per client. The first two requests are
+// held until both have arrived, so each dials its own connection: net/http
+// hands a connection freed while a request waits on its dial to that
+// request, and the dial then lands in the pool as one connection more.
+func TestClientsShareOnePool(t *testing.T) {
+	names := []string{"r0", "r1", "r2", "r3", "r4", "r5"}
+	reg, err := registry.New(reportSpecs(names...), registry.Options{WarmupDelta: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewMultiHandler(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := h.Mux()
+	var served, dialed atomic.Int32
+	var firstTwo sync.WaitGroup
+	firstTwo.Add(2)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if served.Add(1) <= 2 {
+			firstTwo.Done()
+			firstTwo.Wait()
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			clients := make([]*Client, len(names))
+			for i, name := range names {
+				clients[i] = NewRegionClient(ts.URL, name)
+			}
+			for round := 0; round < 3; round++ {
+				for _, c := range clients {
+					if _, _, err := c.FetchTree(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := dialed.Load(); n > 2 {
+		t.Errorf("12 clients on 2 goroutines opened %d connections, want at most 2", n)
 	}
 }

@@ -235,24 +235,27 @@ func statusError(resp *http.Response) error {
 // without limit.
 const MaxResponseBytes = 64 << 20
 
-// readBody reads a whole response body of at most MaxResponseBytes.
-func readBody(resp *http.Response) ([]byte, error) {
-	if resp.ContentLength > MaxResponseBytes {
-		return nil, fmt.Errorf("proto: response body of %d bytes exceeds %d", resp.ContentLength, MaxResponseBytes)
+// ReadBody reads a whole response body of at most limit bytes. A longer
+// body, whether its Content-Length declares it or it only runs on, is an
+// error, never a truncated read.
+func ReadBody(resp *http.Response, limit int64) ([]byte, error) {
+	if resp.ContentLength > limit {
+		return nil, fmt.Errorf("proto: response body of %d bytes exceeds %d", resp.ContentLength, limit)
 	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, MaxResponseBytes+1))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) > MaxResponseBytes {
-		return nil, fmt.Errorf("proto: response body exceeds %d bytes", MaxResponseBytes)
+	if int64(len(raw)) > limit {
+		return nil, fmt.Errorf("proto: response body exceeds %d bytes", limit)
 	}
 	return raw, nil
 }
 
-// decodeBody decodes a whole JSON response body, read by readBody, into v.
+// decodeBody decodes a whole JSON response body, of at most
+// MaxResponseBytes, into v.
 func decodeBody(resp *http.Response, v any) error {
-	raw, err := readBody(resp)
+	raw, err := ReadBody(resp, MaxResponseBytes)
 	if err != nil {
 		return err
 	}
@@ -411,19 +414,35 @@ type Client struct {
 // bytes_received.
 func (c *Client) BytesIn() int64 { return c.bytesIn.Load() }
 
-// NewClient targets a server base URL (e.g. "http://127.0.0.1:8080"). The
-// client gets its own transport with an idle-connection pool sized for
-// concurrent callers: the shared DefaultTransport keeps only 2 idle
-// connections per host, which under a concurrent workload (the loadgen,
-// batch fan-outs) tears down and re-dials keep-alive connections
-// constantly.
+// idleConnsPerHost caps the keep-alive pool's idle connections, per host
+// and in all: it covers corgi-loadgen's default -concurrency 8 (the most
+// CI and the README run) several times over, and a client's batch
+// fan-outs.
+const idleConnsPerHost = 64
+
+// keepAlive is the process's one HTTP transport. Every Client, every
+// NewHTTPClient caller and so every region and every goroutine share its
+// idle pool, one per host: a transport per client would keep a client's
+// last connection open, with its buffers and goroutines, for as long as
+// the client lives.
+var keepAlive = &http.Transport{
+	MaxIdleConns:        idleConnsPerHost,
+	MaxIdleConnsPerHost: idleConnsPerHost,
+	IdleConnTimeout:     90 * time.Second,
+}
+
+// NewHTTPClient returns an HTTP client over the process's one keep-alive
+// pool, the pool every Client uses, whose requests give up after timeout.
+func NewHTTPClient(timeout time.Duration) *http.Client {
+	return &http.Client{Transport: keepAlive, Timeout: timeout}
+}
+
+// NewClient targets a server base URL (e.g. "http://127.0.0.1:8080").
+// Every client shares the process's one keep-alive pool (NewHTTPClient),
+// so clients for several regions of one server reuse each other's idle
+// connections instead of each keeping its own.
 func NewClient(base string) *Client {
-	tr := &http.Transport{
-		MaxIdleConns:        64,
-		MaxIdleConnsPerHost: 64,
-		IdleConnTimeout:     90 * time.Second,
-	}
-	return &Client{base: base, http: &http.Client{Transport: tr, Timeout: 10 * time.Minute}}
+	return &Client{base: base, http: NewHTTPClient(10 * time.Minute)}
 }
 
 // NewRegionClient targets one named region of a multi-region server.
@@ -580,7 +599,7 @@ func (c *Client) FetchForestTagged(tree *loctree.Tree, privacyLevel, delta int, 
 	if resp.StatusCode != http.StatusOK {
 		return nil, statusError(resp)
 	}
-	raw, err := readBody(resp)
+	raw, err := ReadBody(resp, MaxResponseBytes)
 	if err != nil {
 		return nil, err
 	}

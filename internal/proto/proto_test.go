@@ -232,3 +232,27 @@ func TestResponseBodiesAreBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestReadBodyRefusesOverLimit holds ReadBody to its bound at a small
+// limit: a body of exactly limit bytes comes back whole, one byte more is
+// an error whether Content-Length declares it or the body only runs on,
+// and so is a declared length over the limit that the body never sends.
+func TestReadBodyRefusesOverLimit(t *testing.T) {
+	const limit = 8
+	read := func(body string, declared int64) ([]byte, error) {
+		return ReadBody(&http.Response{Body: io.NopCloser(strings.NewReader(body)), ContentLength: declared}, limit)
+	}
+	for _, declared := range []int64{-1, limit} {
+		if raw, err := read("12345678", declared); err != nil || string(raw) != "12345678" {
+			t.Errorf("body at the limit (declared %d): %q, %v", declared, raw, err)
+		}
+	}
+	for _, tc := range []struct {
+		body     string
+		declared int64
+	}{{"123456789", -1}, {"123456789", limit + 1}, {"1234", limit + 1}} {
+		if raw, err := read(tc.body, tc.declared); err == nil || !strings.Contains(err.Error(), "exceeds 8") {
+			t.Errorf("%d-byte body declared %d: %q, %v, want an error", len(tc.body), tc.declared, raw, err)
+		}
+	}
+}
