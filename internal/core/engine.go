@@ -369,10 +369,7 @@ func (en *engine) storeFetch(ctx context.Context, key forestKey) (*ForestEntry, 
 			return nil, nil
 		}
 		en.storeHits.Add(1)
-		en.markPersisted(ref)
-		for _, e := range entries {
-			en.cache.add(forestKey{node: e.Root, delta: ref.Delta}, e)
-		}
+		en.publish(ref, entries)
 		return entries, nil
 	})
 	for _, e := range entries {
@@ -386,11 +383,15 @@ func (en *engine) storeFetch(ctx context.Context, key forestKey) (*ForestEntry, 
 	return nil, false
 }
 
-// markPersisted records that ref is durably stored (or being stored).
-func (en *engine) markPersisted(ref StoredForestRef) {
+// publish records that ref is durably stored, so no write-back repeats it,
+// and adds the forest's entries, read from the store, to the cache.
+func (en *engine) publish(ref StoredForestRef, entries []*ForestEntry) {
 	en.storeMu.Lock()
 	en.persisted[ref] = true
 	en.storeMu.Unlock()
+	for _, e := range entries {
+		en.cache.add(forestKey{node: e.Root, delta: ref.Delta}, e)
+	}
 }
 
 // persistAsync writes a completed forest back to the durable store without
@@ -460,10 +461,7 @@ func (en *engine) hydrate(ctx context.Context) (int, error) {
 		if err != nil || len(entries) == 0 {
 			continue
 		}
-		en.markPersisted(ref)
-		for _, e := range entries {
-			en.cache.add(forestKey{node: e.Root, delta: ref.Delta}, e)
-		}
+		en.publish(ref, entries)
 		loaded += len(entries)
 		en.storeHydrated.Add(uint64(len(entries)))
 	}

@@ -300,12 +300,12 @@ func TestFig9RepeatsDiffer(t *testing.T) {
 	}
 }
 
-// TestFrontierReportPR10 asserts the quick frontier sweep's acceptance
+// TestFrontierReport asserts the quick frontier sweep's acceptance
 // shape (both adversaries, truncated Gowalla replay): the three registered
 // mechanisms under the remapping adversary, both serving mechanisms under
 // the trajectory adversary, and the robust mechanism dominating the
 // non-robust baseline post-prune.
-func TestFrontierReportPR10(t *testing.T) {
+func TestFrontierReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("frontier sweep solves LPs and replays trajectories; skipped in -short")
 	}

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"corgi/internal/codec"
 	"corgi/internal/core"
 	"corgi/internal/geo"
 	"corgi/internal/hexgrid"
@@ -142,9 +143,18 @@ func TestWireV2DecodeErrors(t *testing.T) {
 		t.Error("trailing bytes must fail")
 	}
 	c = clone()
-	// Zero the first row's payload: the row no longer sums to 1.
-	for i := 2; i < 8 && i < len(c.Entries[0].Data); i++ {
-		c.Entries[0].Data[i] = 0
+	// Halve the first row through the codec, so the blob is well formed
+	// whatever form the row encodes to, and the row sums to 1/2.
+	m, err := codec.DecodeMatrix(c.Entries[0].Data, c.Entries[0].Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := m.Row(0)
+	for j := range row {
+		row[j] /= 2
+	}
+	if c.Entries[0].Data, err = codec.EncodeMatrix(m); err != nil {
+		t.Fatal(err)
 	}
 	if decode(c) == nil {
 		t.Error("non-stochastic row must fail")
