@@ -34,7 +34,6 @@ var unreachableKept = map[string]string{
 	"sample.Alias.Prob":                    "the exact distribution an alias table encodes, the oracle of the sampler's distribution tests",
 	"sample.Alias.N":                       "the support size of an alias table, read by the same distribution tests",
 	"hexgrid.Disk":                         "the cell-disk fixture five packages' tests build their regions from",
-	"core.Server.WaitUpgrades":             "fixture: waits out the degraded-to-optimal background solves that the engine and registry tests assert on",
 	"raceon.Enabled":                       "fixture: tests whose assertions the race detector perturbs skip on it",
 	"clock.NewManual":                      "fixture: the manual clock the budget, stream and cluster tests (and nodetest's nodes) read instead of time.Now",
 	"clock.Manual.Now":                     "fixture: what a test hands every Now field in place of time.Now",

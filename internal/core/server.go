@@ -198,8 +198,8 @@ func (s *Server) PeekEntry(root loctree.NodeID, delta int) (*ForestEntry, bool) 
 }
 
 // WaitUpgrades blocks until every background degraded-to-optimal upgrade
-// started so far has finished. Tests use it for deterministic upgrade
-// observation; servers may call it on drain.
+// started so far has finished. node.Shutdown waits on it before the
+// store flush; tests use it for deterministic upgrade observation.
 func (s *Server) WaitUpgrades() { s.engine.waitUpgrades() }
 
 // fallbackEntry is the degraded entry degraded serving answers with while

@@ -10,7 +10,8 @@
 // which the addresses are known (a test listens on 127.0.0.1:0); Start
 // reads Config.ClusterPeers and Config.ClusterSelf, installs the hooks and
 // begins serving. Shutdown drains in the one order: stream, then HTTP,
-// then the router's peer connections, then pending store writes.
+// then the router's peer connections, then upgrade solves, then pending
+// store writes.
 package node
 
 import (
@@ -279,9 +280,10 @@ func (n *Node) Served() <-chan error { return n.served }
 // The stream drains first: clients get GOODBYE frames, in-flight report
 // frames finish writing, then connections close. HTTP drains second, then
 // the router drops its peer connections — only now, because a request
-// draining on either transport may still be forwarding — and last the
-// store flushes: freshly solved forests persist asynchronously, and this
-// makes them durable so the next start hydrates them. The first call does
+// draining on either transport may still be forwarding — then the
+// degraded-serving upgrade solves finish, and last the store flushes:
+// freshly solved forests persist asynchronously, and this makes them
+// durable so the next start hydrates them. The first call does
 // the work and reports what went wrong; later calls return nil.
 func (n *Node) Shutdown(ctx context.Context) (err error) {
 	n.shutdown.Do(func() {
@@ -300,6 +302,7 @@ func (n *Node) Shutdown(ctx context.Context) (err error) {
 		if n.Router != nil {
 			n.Router.Close()
 		}
+		errs = append(errs, n.waitUpgrades(ctx))
 		n.Registry.FlushStores()
 		for ; n.serving > 0; n.serving-- {
 			if serveErr := <-n.served; !errors.Is(serveErr, http.ErrServerClosed) && !errors.Is(serveErr, stream.ErrServerClosed) {
@@ -309,4 +312,26 @@ func (n *Node) Shutdown(ctx context.Context) (err error) {
 		err = errors.Join(errs...)
 	})
 	return err
+}
+
+// waitUpgrades waits, at most until ctx ends, for the degraded-serving
+// upgrade solves of every bootstrapped shard: they run detached from any
+// request, and a finished one writes its forest back to the store.
+func (n *Node) waitUpgrades(ctx context.Context) error {
+	done := make(chan struct{})
+	// The wait ends when the solves do, also after ctx has ended.
+	go func() {
+		defer close(done)
+		for _, name := range n.Registry.Names() {
+			if sh, ok := n.Registry.ShardIfReady(name); ok {
+				sh.Server.WaitUpgrades()
+			}
+		}
+	}()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }

@@ -227,6 +227,37 @@ func TestSingleNode(t *testing.T) {
 	}
 }
 
+// TestShutdownWaitsForUpgrades: a -degraded-serving node answers a cold
+// privacy-level-2 report from its fallback and solves the K=49 entry in
+// the background, detached from the request. Shutdown returns only once
+// that solve has landed, so no solve outlives the node and the store
+// flush after it sees what the solve wrote.
+func TestShutdownWaitsForUpgrades(t *testing.T) {
+	nd, err := node.Listen(parse(t, "-stream-addr", "", "-degraded-serving"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Shutdown(context.Background())
+	if err := nd.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	res, err := proto.NewRegionClient(url(nd), testRegion).Remote().Report(context.Background(),
+		registry.ReportRequest{Region: testRegion, Policy: policy.Policy{PrivacyLevel: 2}, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Degraded {
+		t.Fatal("the cold report was not served from the fallback; no upgrade runs")
+	}
+	if err := nd.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sh, _ := nd.Registry.ShardIfReady(testRegion)
+	if got := sh.Server.Stats().DegradedUpgrades; got != 1 {
+		t.Errorf("Shutdown returned with %d of 1 upgrade solves landed", got)
+	}
+}
+
 // TestRefusedConfigs: what the flags cannot mean is refused before
 // anything serves, and a node that was refused at Start releases its
 // listeners on Shutdown.
