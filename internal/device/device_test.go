@@ -558,6 +558,41 @@ func TestLeased(t *testing.T) {
 	}
 }
 
+// TestLeasedRenewsWhereASessionReanchors: a lease with preferences holds
+// only at its grant cell. A user with a distance preference who moves
+// inside the leased subtree, cap unspent, is granted a renewal evaluated
+// where they now stand, as a server session re-anchors.
+func TestLeasedRenewsWhereASessionReanchors(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins a region")
+	}
+	n := newNode(t, registry.Options{})
+	tree := n.dial(t, false).Tree
+	// Leaves 1 and 4 of a level-1 subtree flank its centre, 0.2 km apart.
+	leaves := tree.LeavesUnder(tree.LevelNodes(1)[0])
+	pred, _ := policy.ParsePredicate("distance <= 0.15")
+	req := registry.ReportRequest{Region: "dv", Cell: leaves[1].Coord, UID: 3, Seed: 11,
+		Policy: policy.Policy{PrivacyLevel: 1, Preferences: []policy.Predicate{pred}}}
+	l := &Leased{Remote: n.reg, Tree: func(string) (*loctree.Tree, error) { return tree, nil }, Draws: 4}
+	if _, err := l.Report(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	req.Cell = leaves[4].Coord
+	moved, err := l.Report(context.Background(), req)
+	if err != nil {
+		t.Fatalf("report after the move: %v", err)
+	}
+	want, _ := newNode(t, registry.Options{}).reg.Report(context.Background(), req)
+	if !moved.Reanchored || moved.Pruned != want.Pruned || want.Pruned == 0 {
+		t.Errorf("moved: reanchored %v, %d pruned; a report there prunes %d", moved.Reanchored, moved.Pruned, want.Pruned)
+	}
+	for _, r := range moved.Reports {
+		if geo.Haversine(tree.Center(leaves[4]), tree.Center(r)) > 0.15 {
+			t.Errorf("drew %v, which the prune set at %v removes", r, leaves[4])
+		}
+	}
+}
+
 // flakyRemote logs lease asks and refuses renewals with a 403 on demand.
 type flakyRemote struct {
 	registry.ReportHandler

@@ -33,14 +33,14 @@ type Leased struct {
 }
 
 // leaseState is one user stream's lease, the tree it was opened against
-// and its grant's prune count; its mutex serializes that stream's draws and
-// renewals (matching the per-connection FIFO ordering the stream transport
-// gives a user), while distinct users proceed in parallel.
+// and what its grant was bound to; its mutex serializes that stream's draws
+// and renewals (matching the per-connection FIFO ordering the stream
+// transport gives a user), while distinct users proceed in parallel.
 type leaseState struct {
-	mu     sync.Mutex
-	lease  *clientdraw.Lease
-	tree   *loctree.Tree
-	pruned int
+	mu    sync.Mutex
+	lease *clientdraw.Lease
+	tree  *loctree.Tree
+	bound session.Bound
 }
 
 func (l *Leased) state(key session.Key) *leaseState {
@@ -62,17 +62,17 @@ func (l *Leased) Lease(ctx context.Context, req registry.LeaseRequest) (*registr
 	return l.Remote.Lease(ctx, req)
 }
 
-// Report implements registry.ReportHandler with the lease state machine
-// for one report: draw on-device from the user's open lease, acquiring or
-// renewing it first when needed. The caller's measured latency covers
-// whatever the report actually cost — near-zero for a leased draw, one
-// round trip when a renewal was due — which is exactly the amortization
-// the path sells. The result says what the lease was customized to
-// (subtree, precision level, prune count) and, when this report had to be
-// granted a lease, what the grant charged. A rejected renewal surfaces as
-// the remote's own error (a 429 is a budget rejection like on the other
-// paths); a 403 on an expired token falls back to one fresh (un-renewed)
-// lease attempt.
+// Report implements registry.ReportHandler with the lease state machine for
+// one report: draw on-device from the user's open lease, acquiring it first,
+// or renewing it when its cap is spent or where a server session would
+// re-anchor (session.Bound.Moved). The caller's measured latency covers
+// whatever the report actually cost — near-zero for a leased draw, one round
+// trip when a renewal was due — which is exactly the amortization the path
+// sells. The result says what the lease was customized to (subtree,
+// precision level, prune count) and, when this report had to be granted a
+// lease, what the grant charged. A rejected renewal surfaces as the remote's
+// own error (a 429 is a budget rejection like on the other paths); a 403 on
+// an expired token falls back to one fresh (un-renewed) lease attempt.
 func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*registry.ReportResult, error) {
 	st := l.state(session.Key{Region: req.Region, UID: req.UID, Seed: req.Seed, Policy: session.PolicyFingerprint(req.Policy)})
 	st.mu.Lock()
@@ -86,20 +86,22 @@ func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*regis
 	for attempt := 0; ; attempt++ {
 		var token []byte
 		if st.lease != nil {
-			err := st.lease.DrawCellNInto(leaf, reports)
-			if err == nil {
-				return &registry.ReportResult{
-					Facts: registry.Facts{Region: req.Region, SubtreeRoot: st.lease.Root(), PrecisionLevel: req.Policy.PrecisionLevel,
-						Pruned: st.pruned, Reanchored: reanchored, Budgeted: budgeted,
-						EpsSpent: spent, EpsRemaining: remaining, Degraded: st.lease.Degraded()},
-					Reports: reports,
-					Centers: centers(st.tree, reports),
-				}, nil
+			if root, _ := st.tree.AncestorAt(leaf, req.Policy.PrivacyLevel); !st.bound.Moved(root, leaf, req.Policy) {
+				err := st.lease.DrawCellNInto(leaf, reports)
+				if err == nil {
+					return &registry.ReportResult{
+						Facts: registry.Facts{Region: req.Region, SubtreeRoot: root, PrecisionLevel: req.Policy.PrecisionLevel,
+							Pruned: st.bound.Pruned, Reanchored: reanchored, Budgeted: budgeted,
+							EpsSpent: spent, EpsRemaining: remaining, Degraded: st.lease.Degraded()},
+						Reports: reports,
+						Centers: centers(st.tree, reports),
+					}, nil
+				}
+				if !errors.Is(err, clientdraw.ErrLeaseExhausted) {
+					return nil, err
+				}
 			}
-			if !errors.Is(err, clientdraw.ErrLeaseExhausted) && !errors.Is(err, clientdraw.ErrOutsideSubtree) {
-				return nil, err
-			}
-			// Cap spent or the user moved off the leased subtree: renew.
+			// Cap spent, or a session would re-anchor here: renew.
 			token = st.lease.Token()
 		}
 		if attempt >= 3 {
@@ -135,7 +137,7 @@ func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*regis
 			st.lease = nil
 			return nil, err
 		}
-		st.pruned = grant.Pruned
+		st.bound = session.Bound{Root: st.lease.Root(), Anchor: leaf, Pruned: grant.Pruned}
 		reanchored = reanchored || grant.Reanchored
 		budgeted, remaining = grant.Budgeted, grant.EpsRemaining
 		spent += grant.EpsSpent

@@ -76,8 +76,7 @@ type grant struct {
 
 // disruption is what can lose a user's spend or move its server-side
 // stream: a strangers step (node -1: every node's accountant evicts), or
-// a down or restart of a node, or forwards to a node that met stale
-// pooled connections and may have failed over to the stand-in.
+// a down or restart of a node.
 type disruption struct {
 	step, node int
 	at         time.Time
@@ -90,9 +89,6 @@ type outcome struct {
 	// (ROADMAP item 3).
 	compared int
 	known    []int
-	// leasePruned counts leased asks that failed because their lease's
-	// prune set removes the cell the user moved to.
-	leasePruned int
 }
 
 // reference is the naive single-registry replay: one in-process registry
@@ -178,9 +174,7 @@ func run(t testing.TB, sched []step) (*outcome, error) {
 			j++
 		}
 		if j > i {
-			before := s.retries()
 			answers := s.burst(sched[i:j])
-			s.staleForwards(i, before)
 			if j == len(sched) {
 				// The run's last barrier is shutting every node down:
 				// an upgrade solve the last burst started must not
@@ -496,44 +490,6 @@ func (s *sim) disrupt(i, n int, do func() error) {
 	}
 }
 
-// retries counts, per router and peer, the exchanges that met a stale
-// pooled connection.
-func (s *sim) retries() map[[2]string]uint64 {
-	out := map[[2]string]uint64{}
-	for i, nd := range s.c.Nodes {
-		if s.up[i] {
-			for peer, st := range nd.Router.Stats().Nodes {
-				out[[2]string{s.names[i], peer}] = st.Stream.Retries
-			}
-		}
-	}
-	return out
-}
-
-// staleForwards marks the burst starting at step i as a disruption of
-// every node a router met stale pooled connections to: a connection pooled
-// before that node restarted fails, the retry can draw another stale one,
-// and the router then fails over to the stand-in, which charges and draws
-// in the owner's place.
-func (s *sim) staleForwards(i int, before map[[2]string]uint64) {
-	for key, n := range s.retries() {
-		if n == before[key] {
-			continue
-		}
-		for p, name := range s.names {
-			if name != key[1] {
-				continue
-			}
-			s.events = append(s.events, disruption{step: i, node: p, at: s.c.Clock.Now()})
-			for u := range s.seq {
-				if s.serving(u) == name {
-					s.tainted[u] = true
-				}
-			}
-		}
-	}
-}
-
 // retire keeps node i's budget counters before its instance goes.
 func (s *sim) retire(i int) {
 	if sh, ok := s.c.Nodes[i].Registry.ShardIfReady(region); ok && sh.Budget != nil {
@@ -626,13 +582,6 @@ func (s *sim) check(sched []step, from int, answers []answer) error {
 		}
 		switch {
 		case a.status == http.StatusTooManyRequests:
-			continue
-		case st.leased() && st.pref == prefNear && a.status == http.StatusInternalServerError &&
-			strings.Contains(a.err.Error(), "prune the user's own location"):
-			// A lease keeps the prune set of the cell it was granted at,
-			// so a distance preference that prunes the user's new cell
-			// in the same subtree fails the draw instead of renewing.
-			s.out.leasePruned++
 			continue
 		case st.pref == prefAll && a.status != http.StatusUnprocessableEntity:
 			return fail("a preference set that prunes the whole subtree answered %d, want 422: %v", a.status, a.err)
@@ -777,9 +726,7 @@ func (s *sim) checkBudget() error {
 // step last, ending at time t, spans a disruption that can lose its
 // spend: a strangers step between two of its grants, or, at any time in
 // the window before its last grant, a disruption of one of the two nodes
-// that can hold its spend, its owner and its stand-in. After a restart
-// the ring's routing to the node stays unsettled for as long as its
-// peers hold connections pooled before it (staleForwards).
+// that can hold its spend, its owner and its stand-in.
 func (s *sim) spans(u, first, last int, t time.Time) bool {
 	for _, e := range s.events {
 		switch {

@@ -65,8 +65,7 @@ func TestSim(t *testing.T) {
 	for seed := int64(ciSeedFirst); seed <= ciSeedLast; seed++ {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			out := simulate(t, generate(seed))
-			t.Logf("%d draws held to the reference; users %v over-spent across a loss; %d leased asks hit a stale prune set",
-				out.compared, out.known, out.leasePruned)
+			t.Logf("%d draws held to the reference; users %v over-spent across a loss", out.compared, out.known)
 			compared += out.compared
 		})
 	}

@@ -194,21 +194,21 @@ func (c *Client) writeFrame(cc *clientConn, bp *[]byte) error {
 // in a row mean the node is really down.
 const failFastThreshold = 2
 
-// getConn checks a connection out of the pool, dialing when empty.
-// reused reports whether the connection might be stale (and so a failed
-// exchange should retry on a fresh one). With the pool empty and the
-// node in reconnect backoff after failFastThreshold consecutive dial
-// failures, it fails fast with ErrNodeDown instead of burning a dial
-// timeout; the first caller after the backoff expires becomes the
-// half-open probe (probing gates concurrent callers out until its dial
-// resolves).
-func (c *Client) getConn() (cc *clientConn, reused bool, err error) {
+// getConn checks a connection out of the pool, dialing when it is empty or
+// fresh is set (a retry: a peer restart leaves the whole pool stale). reused
+// reports whether the connection might be stale (and so a failed exchange
+// should retry on a fresh one). When it would dial with the node in
+// reconnect backoff after failFastThreshold consecutive dial failures, it
+// fails fast with ErrNodeDown instead of burning a dial timeout; the first
+// caller after the backoff expires becomes the half-open probe (probing
+// gates concurrent callers out until its dial resolves).
+func (c *Client) getConn(fresh bool) (cc *clientConn, reused bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, false, ErrClientClosed
 	}
-	if n := len(c.idle); n > 0 {
+	if n := len(c.idle); n > 0 && !fresh {
 		cc = c.idle[n-1]
 		c.idle = c.idle[:n-1]
 		c.mu.Unlock()
@@ -459,7 +459,7 @@ func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 // reconnect policy.
 func (c *Client) withConn(fn func(cc *clientConn) error) error {
 	for attempt := 0; ; attempt++ {
-		cc, reused, err := c.getConn()
+		cc, reused, err := c.getConn(attempt > 0)
 		if err != nil {
 			return err
 		}
@@ -476,8 +476,8 @@ func (c *Client) withConn(fn func(cc *clientConn) error) error {
 		cc.conn.Close()
 		if reused && attempt == 0 {
 			// A pooled connection can be stale (server restarted or drained
-			// while it idled); one fresh dial retries the exchange. Failures
-			// on a fresh connection are real and surface.
+			// while it idled), and so can the rest of the pool; one fresh
+			// dial retries the exchange. Failures on it are real and surface.
 			c.retries.Add(1)
 			continue
 		}

@@ -155,6 +155,37 @@ func frameTestServer(t *testing.T) (*Server, string) {
 	return srv, lis.Addr().String()
 }
 
+// TestRetryAfterRestartDialsFresh: a server restarted on its address leaves
+// every pooled connection stale, so the one retry after the first fails
+// must dial afresh. Taking the second pooled one fails too, and a cluster
+// router then fails over to a stand-in.
+func TestRetryAfterRestartDialsFresh(t *testing.T) {
+	srv, addr := frameTestServer(t)
+	c := NewClient(addr, ClientConfig{})
+	defer c.Close()
+	a, errA := c.dial()
+	b, errB := c.dial()
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	c.putConn(a)
+	c.putConn(b)
+	srv.Shutdown(context.Background())
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _ := NewServer(srv.reg, Config{})
+	go again.Serve(lis)
+	defer again.Close()
+
+	before := c.Stats()
+	_, err = c.Report(Request{Region: "ra", Policy: policy.Policy{PrivacyLevel: 1}})
+	if after := c.Stats(); err != nil || after.Retries != before.Retries+1 || after.Dials != before.Dials+1 {
+		t.Fatalf("report after the restart: %v; stats %+v, before it %+v", err, after, before)
+	}
+}
+
 // TestServerSurvivesPartialFrameDelivery drives a real server connection
 // one byte per write: handshake and a REPORT must still resolve.
 func TestServerSurvivesPartialFrameDelivery(t *testing.T) {
