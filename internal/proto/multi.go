@@ -120,9 +120,9 @@ func (h *MultiHandler) Mux() *http.ServeMux {
 	mux.HandleFunc("/v1/tree", only(http.MethodGet, h.handleTree))
 	mux.HandleFunc("/v1/priors", only(http.MethodGet, h.handlePriors))
 	mux.HandleFunc("/v1/forest", only(http.MethodGet, h.handleForest))
-	mux.HandleFunc("/v1/report", h.handleReport)
-	mux.HandleFunc("/v1/reports", h.handleReports)
-	mux.HandleFunc("/v1/lease", h.handleLease)
+	mux.HandleFunc("/v1/report", only(http.MethodPost, h.handleReport))
+	mux.HandleFunc("/v1/reports", only(http.MethodPost, h.handleReports))
+	mux.HandleFunc("/v1/lease", only(http.MethodPost, h.handleLease))
 	mux.HandleFunc("/v1/store/snapshot", only(http.MethodGet, h.handleStoreSnapshot))
 	return mux
 }

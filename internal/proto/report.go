@@ -41,12 +41,8 @@ type BatchReportResponse struct {
 }
 
 // decodePost reads a POST route's JSON body (at most limit bytes) into v,
-// answering 405 or 400 itself when it cannot.
+// answering 400 itself when it cannot.
 func decodePost(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return false
-	}
 	if err := json.NewDecoder(io.LimitReader(r.Body, limit)).Decode(v); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return false
@@ -199,11 +195,11 @@ func (r Remote) ReportBatch(ctx context.Context, reqs []registry.ReportRequest) 
 }
 
 // postJSON posts a JSON body and decodes a JSON response; a non-200 answer
-// returns a *registry.Rejection. Every return path fully drains the
-// response body first, so the keep-alive connection goes back to the
-// transport's pool instead of being torn down — without the drain, error
-// responses and decoder-trailing bytes force a fresh TCP connection per
-// affected request.
+// returns a *registry.Rejection. A nil Idempotency-Key, never sent, makes
+// the POST replayable like a GET: net/http resends it when a reused
+// connection fails unanswered (the server restarted), and a draw charged
+// twice beats one lost. Every return path drains the response body, so
+// the connection goes back to the pool instead of being torn down.
 func (c *Client) postJSON(ctx context.Context, path string, body, v interface{}) error {
 	data, err := json.Marshal(body)
 	if err != nil {
@@ -214,6 +210,7 @@ func (c *Client) postJSON(ctx context.Context, path string, body, v interface{})
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header["Idempotency-Key"] = nil
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,6 +146,62 @@ func TestReportRemoteEqualsLocal(t *testing.T) {
 	}
 }
 
+// TestPostRetriesStaleKeepAlive: a restarted server has closed every
+// keep-alive connection a client pooled to it, so the next POST on one
+// meets the close before any answer. The client replays it once on a
+// fresh connection, as it does a GET: a replayed report is at worst
+// charged twice, where a refused one is lost.
+func TestPostRetriesStaleKeepAlive(t *testing.T) {
+	reg, err := registry.New(reportSpecs("ra"), registry.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewMultiHandler(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := h.Mux()
+	var served, dialed atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if _, sent := r.Header["Idempotency-Key"]; sent {
+			t.Error("the client sent an Idempotency-Key header")
+		}
+		if served.Add(1) == 2 {
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			conn.Close()
+			return
+		}
+		mux.ServeHTTP(w, r)
+	}))
+	srv.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dialed.Add(1)
+		}
+	}
+	srv.Start()
+	defer srv.Close()
+	sh, err := reg.Shard(context.Background(), "ra")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := registry.ReportRequest{Cell: sh.Server.Tree().LevelNodes(0)[0].Coord, Policy: policy.Policy{PrivacyLevel: 1}, Count: 1}
+	remote := NewRegionClient(srv.URL, "ra").Remote()
+	for i := 1; i <= 2; i++ {
+		res, err := remote.Report(context.Background(), req)
+		if err != nil {
+			t.Fatalf("report %d: %v", i, err)
+		}
+		res.Release()
+	}
+	if d, s := dialed.Load(), served.Load(); d != 2 || s != 3 {
+		t.Fatalf("two reports took %d connections and %d requests, want 2 and 3", d, s)
+	}
+}
+
 func TestReportBatchPerItemStatuses(t *testing.T) {
 	srv, _ := reportServer(t, "ra")
 	c := NewClient(srv.URL)
@@ -200,8 +258,8 @@ func TestReportLimitsAndMethods(t *testing.T) {
 		t.Fatalf("oversized count: %v", err)
 	}
 
-	// GET is rejected on both routes.
-	for _, path := range []string{"/v1/report", "/v1/reports"} {
+	// GET is rejected on every POST route.
+	for _, path := range []string{"/v1/report", "/v1/reports", "/v1/lease"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -206,8 +206,11 @@ func run(t testing.TB, sched []step) (*outcome, error) {
 	return &s.out, nil
 }
 
-// start brings the three nodes up from corgi-server flags and picks each
-// user's uid so that user i is owned by node i % nodes.
+// start brings the three nodes up from corgi-server flags, makes each
+// node's clients and picks each user's uid so that user i is owned by
+// node i % nodes. The clients last the whole run, as a device's do: a
+// restarted node listens on its old addresses, and each client retries a
+// request that a connection the restart left stale did not answer.
 func (s *sim) start() {
 	dir := s.t.TempDir()
 	specs, err := json.Marshal([]registry.Spec{spec})
@@ -230,7 +233,8 @@ func (s *sim) start() {
 	})
 	for i, nd := range s.c.Nodes {
 		s.names[i], s.up[i] = nd.Config.ClusterSelf, true
-		s.dial(i)
+		s.https[i] = proto.NewRegionClient("http://"+nd.HTTPListener.Addr().String(), region)
+		s.strms[i] = stream.NewClient(nd.StreamListener.Addr().String(), stream.ClientConfig{})
 	}
 	ring := s.c.Nodes[0].Router.Ring()
 	for u := range s.uids {
@@ -253,21 +257,6 @@ func (s *sim) owned(i int) int64 {
 			return s.nextID
 		}
 	}
-}
-
-// dial makes the clients of node i's current instance.
-func (s *sim) dial(i int) {
-	nd := s.c.Nodes[i]
-	s.https[i] = proto.NewRegionClient("http://"+nd.HTTPListener.Addr().String(), region)
-	s.strms[i] = stream.NewClient(nd.StreamListener.Addr().String(), stream.ClientConfig{})
-}
-
-// hangUp drops the clients of node i's instance, which is going down.
-func (s *sim) hangUp(i int) {
-	s.strms[i].Close()
-	s.strms[i] = nil
-	// Keep-alive connections to the old instance must not carry a POST.
-	proto.NewHTTPClient(0).CloseIdleConnections()
 }
 
 // entry is the node an ask for node i enters at: i, or the next node up.
@@ -440,18 +429,15 @@ func (s *sim) barrier(st step, i int) error {
 		s.disrupt(i, st.node, func() error {
 			s.retire(st.node)
 			s.up[st.node] = false
-			s.hangUp(st.node)
 			return s.c.Nodes[st.node].Shutdown(s.ctx)
 		})
 	case opRestart:
 		s.disrupt(i, st.node, func() error {
 			if s.up[st.node] {
 				s.retire(st.node)
-				s.hangUp(st.node)
 			}
 			s.c.Restart(st.node)
 			s.up[st.node] = true
-			s.dial(st.node)
 			// Past every peer's reconnect backoff: the next forward
 			// probes the new instance and finds it.
 			s.c.Clock.Advance(time.Minute)
@@ -540,17 +526,20 @@ func (s *sim) evictReference() error {
 	return nil
 }
 
-// shutdown takes every node that is up down, the run's last barrier.
+// shutdown takes every node that is up down and closes the stream
+// clients, the run's last barrier.
 func (s *sim) shutdown() error {
 	for i, nd := range s.c.Nodes {
 		if s.up[i] {
 			s.retire(i)
 			s.up[i] = false
-			s.hangUp(i)
 			if err := nd.Shutdown(s.ctx); err != nil {
 				return fmt.Errorf("shutting node %d down: %w", i, err)
 			}
 		}
+	}
+	for _, c := range s.strms {
+		c.Close()
 	}
 	return nil
 }

@@ -87,10 +87,11 @@ type ClientStats struct {
 // idle pool (dialing and re-negotiating HELLO/WELCOME when empty), hold
 // it exclusively, and return it on success. An I/O failure on a pooled
 // connection — the server restarted, said GOODBYE, or the conn idled out —
-// closes it and retries once on a freshly dialed one, the same
-// stale-keep-alive retry semantics HTTP clients apply. Application-level
-// rejections come back as *registry.Rejection and leave the connection
-// healthy.
+// closes it and retries once on a fresh dial, never on another pooled one.
+// net/http gives proto.Client's requests, POSTs too, the same rule: one
+// that fails unanswered on a reused connection is retried, on a fresh one
+// it fails. Application-level rejections come back as *registry.Rejection
+// and leave the connection healthy.
 //
 // Client is safe for concurrent use; each concurrent exchange holds its
 // own connection, so per-user FIFO ordering is the caller's to arrange
