@@ -122,6 +122,10 @@ type Node struct {
 	served   chan error
 	serving  int
 	shutdown sync.Once
+	// fresh holds the HTTP connections in http.StateNew; it is nil once
+	// Shutdown has begun the HTTP drain.
+	freshMu sync.Mutex
+	fresh   map[net.Conn]struct{}
 }
 
 // Listen builds the node's registry (and opens its store) from cfg and
@@ -245,11 +249,24 @@ func (n *Node) Start(ctx context.Context) error {
 			len(members), cfg.ClusterSelf, router.Ring().Shares()[cfg.ClusterSelf]*100)
 	}
 
+	n.fresh = map[net.Conn]struct{}{}
 	n.HTTP = &http.Server{
 		Handler:      h.Mux(),
 		ReadTimeout:  cfg.ReadTimeout,
 		WriteTimeout: cfg.WriteTimeout,
 		IdleTimeout:  cfg.IdleTimeout,
+		ConnState: func(c net.Conn, state http.ConnState) {
+			n.freshMu.Lock()
+			defer n.freshMu.Unlock()
+			switch {
+			case state != http.StateNew:
+				delete(n.fresh, c)
+			case n.fresh == nil:
+				c.Close() // accepted after the drain began
+			default:
+				n.fresh[c] = struct{}{}
+			}
+		},
 	}
 	n.serving = 1
 	go func() { n.served <- n.HTTP.Serve(n.HTTPListener) }()
@@ -276,15 +293,15 @@ func (n *Node) Start(ctx context.Context) error {
 // that is the node failing: the listener stopped on its own.
 func (n *Node) Served() <-chan error { return n.served }
 
-// Shutdown takes the node down in the one order, each step bounded by ctx.
-// The stream drains first: clients get GOODBYE frames, in-flight report
-// frames finish writing, then connections close. HTTP drains second, then
-// the router drops its peer connections — only now, because a request
-// draining on either transport may still be forwarding — then the
-// degraded-serving upgrade solves finish, and last the store flushes:
-// freshly solved forests persist asynchronously, and this makes them
-// durable so the next start hydrates them. The first call does
-// the work and reports what went wrong; later calls return nil.
+// Shutdown takes the node down in the one order. The stream drains first:
+// clients get GOODBYE frames, in-flight report frames finish writing, then
+// connections close. HTTP drains second by the same rule: begun requests
+// are answered, and a connection with none closes at once. Then the router
+// drops its peer connections (a draining request may still forward), the
+// upgrade solves finish, and last the store flushes its write-backs for the
+// next start to hydrate. ctx bounds the two drains and the upgrade wait, not
+// the router close or the flush. The first call does the work and reports
+// what went wrong; later calls return nil.
 func (n *Node) Shutdown(ctx context.Context) (err error) {
 	n.shutdown.Do(func() {
 		var errs []error
@@ -292,6 +309,19 @@ func (n *Node) Shutdown(ctx context.Context) (err error) {
 			errs = append(errs, n.Stream.Shutdown(ctx))
 		}
 		if n.HTTP != nil {
+			// http.Server.Shutdown keeps a StateNew connection open up to 5 s
+			// (Go issue 22682). net/http leaves StateNew only once it has read
+			// a whole request header, so such a connection holds at most part
+			// of one (or, for an instant, a whole one). Closing it fails that
+			// request unretried, as the connection is fresh: as a dial after
+			// the listener closes fails, and as Shutdown fails an idle
+			// connection holding part of its next header.
+			n.freshMu.Lock()
+			for c := range n.fresh {
+				c.Close()
+			}
+			n.fresh = nil
+			n.freshMu.Unlock()
 			errs = append(errs, n.HTTP.Shutdown(ctx))
 		}
 		// A listener no server took over is still open.

@@ -9,8 +9,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"corgi/internal/hexgrid"
 	"corgi/internal/node"
@@ -41,6 +43,20 @@ func parse(t *testing.T, args ...string) node.Config {
 		t.Fatal(err)
 	}
 	return cfg
+}
+
+// serve starts one node from args; the test's end shuts it down.
+func serve(t *testing.T, args ...string) *node.Node {
+	t.Helper()
+	nd, err := node.Listen(parse(t, args...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { nd.Shutdown(context.Background()) })
+	if err := nd.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return nd
 }
 
 func url(nd *node.Node) string { return "http://" + nd.HTTPListener.Addr().String() }
@@ -198,15 +214,7 @@ func TestClusterAssembly(t *testing.T) {
 // TestSingleNode: without -stream-addr, -store or -cluster-peers the parts
 // that serve them stay nil and the node serves HTTP alone.
 func TestSingleNode(t *testing.T) {
-	cfg := parse(t, "-stream-addr", "", "-eager")
-	nd, err := node.Listen(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Shutdown(context.Background())
-	if err := nd.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	nd := serve(t, "-stream-addr", "", "-eager")
 	if nd.Stream != nil || nd.StreamListener != nil || nd.Store != nil || nd.Router != nil {
 		t.Errorf("single node has cluster parts: %+v", nd)
 	}
@@ -233,14 +241,7 @@ func TestSingleNode(t *testing.T) {
 // that solve has landed, so no solve outlives the node and the store
 // flush after it sees what the solve wrote.
 func TestShutdownWaitsForUpgrades(t *testing.T) {
-	nd, err := node.Listen(parse(t, "-stream-addr", "", "-degraded-serving"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nd.Shutdown(context.Background())
-	if err := nd.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	nd := serve(t, "-stream-addr", "", "-degraded-serving")
 	res, err := proto.NewRegionClient(url(nd), testRegion).Remote().Report(context.Background(),
 		registry.ReportRequest{Region: testRegion, Policy: policy.Policy{PrivacyLevel: 2}, Count: 1})
 	if err != nil {
@@ -255,6 +256,64 @@ func TestShutdownWaitsForUpgrades(t *testing.T) {
 	sh, _ := nd.Registry.ShardIfReady(testRegion)
 	if got := sh.Server.Stats().DegradedUpgrades; got != 1 {
 		t.Errorf("Shutdown returned with %d of 1 upgrade solves landed", got)
+	}
+}
+
+// TestShutdownClosesSilentConnection: a connection that has sent no
+// request, as a client's keep-alive pool holds after dialing for a request
+// another connection served, is closed at once. net/http alone would keep
+// it open for 5 s, and every node restart under such a pool would wait.
+func TestShutdownClosesSilentConnection(t *testing.T) {
+	nd := serve(t, "-stream-addr", "")
+	silent, err := net.Dial("tcp", nd.HTTPListener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The listener accepts in dial order, so once a later connection is
+	// answered the silent one has been accepted and is tracked.
+	resp, err := http.Get(url(nd) + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	begin := time.Now()
+	if err := nd.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(begin); took > time.Second {
+		t.Errorf("Shutdown took %v with one silent connection open, want under 1s", took)
+	}
+}
+
+// TestShutdownAnswersBegunRequest: a request whose header the node has read
+// is answered in full before Shutdown closes its connection. The cold K=49
+// forest is still solving when Shutdown begins.
+func TestShutdownAnswersBegunRequest(t *testing.T) {
+	nd := serve(t, "-stream-addr", "")
+	c := proto.NewRegionClient(url(nd), testRegion)
+	tree, _, err := c.FetchTree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fetched := make(chan error, 1)
+	go func() {
+		_, err := c.FetchForest(tree, 2, 1)
+		fetched <- err
+	}()
+	for nd.Registry.AggregateStats().InFlight == 0 {
+		select {
+		case err := <-fetched:
+			t.Fatalf("the forest GET ended (%v) before its solve was seen running", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	if err := nd.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-fetched; err != nil {
+		t.Errorf("the forest GET begun before Shutdown failed: %v", err)
 	}
 }
 
