@@ -74,7 +74,7 @@ const (
 // Rows of an unpruned leaf-precision binding are the forest entry's matrix
 // rows in place; only the row headers, and the array pruned and precision
 // rows are computed into, belong to whoever detached it (the registry's
-// pooled grant). Read it, encode it, never write through it. A bundle a
+// pooled lease). Read it, encode it, never write through it. A bundle a
 // device decodes owns everything: DecodeLeaseBundleInto reads into the
 // bundle's own node lists, row headers and row arena, reusing them from
 // one decode to the next, so its slices stay valid only until the bundle

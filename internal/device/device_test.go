@@ -28,6 +28,7 @@ import (
 	"corgi/internal/loctree"
 	"corgi/internal/policy"
 	"corgi/internal/proto"
+	"corgi/internal/raceon"
 	"corgi/internal/registry"
 	"corgi/internal/stream"
 )
@@ -347,6 +348,50 @@ func TestInHandDrawsWhatItHolds(t *testing.T) {
 		Policy: policy.Policy{PrivacyLevel: 2}, Count: 1})
 	if err == nil || !strings.Contains(err.Error(), "no privacy_l=2 delta=|S|=0 forest in hand") {
 		t.Fatalf("a forest it was not given: %v, want a refusal", err)
+	}
+}
+
+// TestReportAllocatesOneObject: a warm one-report ask allocates the result
+// alone, its report and that report's center inside it, on both device
+// reporters: a leased draw from an open lease, and an in-hand draw from a
+// bound session. Neither asks a server, so the figure is the device's own.
+func TestReportAllocatesOneObject(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	ctx := context.Background()
+	n := newNode(t, registry.Options{})
+	sh, err := n.reg.Shard(ctx, "dv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	forest, err := sh.Server.GenerateForestCtx(ctx, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := sh.Server.Tree()
+	req := registry.ReportRequest{Region: "dv", Cell: tree.LevelNodes(0)[0].Coord, UID: 3,
+		Policy: policy.Policy{PrivacyLevel: 1}, Seed: 11, Count: 1}
+	const runs = 200
+	for _, p := range []struct {
+		name string
+		dev  Reporter
+	}{
+		// The cap covers the opening ask and every measured one, so the
+		// lease is never renewed.
+		{"device.Leased", &Leased{Remote: n.reg, Tree: func(string) (*loctree.Tree, error) { return tree, nil }, Draws: runs + 2}},
+		{"device.Forest", InHand(tree, sh.Spec.Epsilon, sh.Server.Priors(), forest)},
+	} {
+		if _, err := p.dev.Report(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(runs, func() {
+			if _, err := p.dev.Report(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 1 {
+			t.Errorf("%s: a warm one-report ask allocates %v objects, want the result alone", p.name, got)
+		}
 	}
 }
 

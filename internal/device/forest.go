@@ -131,17 +131,13 @@ func (f *Forest) Report(_ context.Context, req registry.ReportRequest) (*registr
 		}
 		f.sessions[key] = sess
 	}
-	reports := make([]loctree.NodeID, registry.DrawCount(req.Count))
-	from, err := sess.DrawCellNBound(leaf, reports)
+	res := newResult(req.Count)
+	from, err := sess.DrawCellNBound(leaf, res.Reports)
 	if err != nil {
 		return nil, fmt.Errorf("obfuscating: %w", err)
 	}
-	return &registry.ReportResult{
-		Facts: registry.Facts{Region: req.Region, SubtreeRoot: root, PrecisionLevel: pol.PrecisionLevel,
-			Pruned: from.Pruned, Reanchored: moved, Degraded: from.Degraded},
-		Reports: reports,
-		Centers: centers(tree, reports),
-	}, nil
+	return res.done(tree, registry.Facts{Region: req.Region, SubtreeRoot: root, PrecisionLevel: pol.PrecisionLevel,
+		Pruned: from.Pruned, Reanchored: moved, Degraded: from.Degraded}), nil
 }
 
 // plan is what a session standing at leaf must be bound to: the
@@ -185,13 +181,35 @@ func (f *Forest) plan(root, leaf loctree.NodeID, pol policy.Policy) (session.Reb
 	return to, nil
 }
 
-// centers looks up the drawn nodes' centers, index-aligned.
-func centers(tree *loctree.Tree, nodes []loctree.NodeID) []geo.LatLng {
-	out := make([]geo.LatLng, len(nodes))
-	for i, n := range nodes {
-		out[i] = tree.Center(n)
+// result is a report as a device builds it. With one report, the result,
+// its report and that report's center are this one object, as the stream
+// client's decoded response is.
+type result struct {
+	registry.ReportResult
+	report [1]loctree.NodeID
+	center [1]geo.LatLng
+}
+
+// newResult allocates the result of a count-report ask, its Reports sized
+// for the draws to be written into and its Centers for done to fill.
+func newResult(count int) *result {
+	res := &result{}
+	if n := registry.DrawCount(count); n > len(res.report) {
+		res.Reports, res.Centers = make([]loctree.NodeID, n), make([]geo.LatLng, n)
+	} else {
+		res.Reports, res.Centers = res.report[:], res.center[:]
 	}
-	return out
+	return res
+}
+
+// done completes a result whose Reports are drawn: it sets the facts and
+// looks up each report's center, index-aligned.
+func (res *result) done(tree *loctree.Tree, facts registry.Facts) *registry.ReportResult {
+	res.Facts = facts
+	for i, n := range res.Reports {
+		res.Centers[i] = tree.Center(n)
+	}
+	return &res.ReportResult
 }
 
 // cachedForest is one cached forest response: the tag to revalidate with

@@ -79,7 +79,7 @@ func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*regis
 	defer st.mu.Unlock()
 
 	leaf := loctree.NodeID{Level: 0, Coord: req.Cell}
-	reports := make([]loctree.NodeID, registry.DrawCount(req.Count))
+	res := newResult(req.Count)
 	// What this report's grants, if it needed any, said and charged.
 	var reanchored, budgeted bool
 	var spent, remaining float64
@@ -87,15 +87,11 @@ func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*regis
 		var token []byte
 		if st.lease != nil {
 			if root, _ := st.tree.AncestorAt(leaf, req.Policy.PrivacyLevel); !st.bound.Moved(root, leaf, req.Policy) {
-				err := st.lease.DrawCellNInto(leaf, reports)
+				err := st.lease.DrawCellNInto(leaf, res.Reports)
 				if err == nil {
-					return &registry.ReportResult{
-						Facts: registry.Facts{Region: req.Region, SubtreeRoot: root, PrecisionLevel: req.Policy.PrecisionLevel,
-							Pruned: st.bound.Pruned, Reanchored: reanchored, Budgeted: budgeted,
-							EpsSpent: spent, EpsRemaining: remaining, Degraded: st.lease.Degraded()},
-						Reports: reports,
-						Centers: centers(st.tree, reports),
-					}, nil
+					return res.done(st.tree, registry.Facts{Region: req.Region, SubtreeRoot: root,
+						PrecisionLevel: req.Policy.PrecisionLevel, Pruned: st.bound.Pruned, Reanchored: reanchored,
+						Budgeted: budgeted, EpsSpent: spent, EpsRemaining: remaining, Degraded: st.lease.Degraded()}), nil
 				}
 				if !errors.Is(err, clientdraw.ErrLeaseExhausted) {
 					return nil, err

@@ -413,9 +413,9 @@ func TestLeaseReturnsPooledGrantOnError(t *testing.T) {
 	// buffer has room for this region, which is what the failing lease was
 	// handed.
 	held := func() bool {
-		g := grantPool.Get().(*LeaseGrant)
-		defer grantPool.Put(g)
-		return raceon.Enabled || cap(g.Token) > len(region)
+		is := grantPool.Get().(*issued)
+		defer grantPool.Put(is)
+		return raceon.Enabled || cap(is.grant.Token) > len(region)
 	}
 	req := LeaseRequest{Region: region, Cell: tree.LeavesUnder(roots[0])[0].Coord, UID: 1, Seed: 1,
 		Policy: policy.Policy{PrivacyLevel: 1}, Draws: draws}

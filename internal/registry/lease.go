@@ -66,7 +66,9 @@ type LeaseRequest struct {
 
 // LeaseGrant is an issued lease: the signed token, the encoded bundle the
 // client draws from, and the customization facts a report response would
-// carry.
+// carry. Its fields are what either wire carries: the state the server
+// built the lease in lives in the pooled issued a grant from Registry.Lease
+// belongs to, and a decoded grant has none.
 type LeaseGrant struct {
 	// Facts' EpsSpent covers the whole pre-paid draw cap, charged at once.
 	Facts
@@ -82,42 +84,52 @@ type LeaseGrant struct {
 	Token  []byte
 	Bundle []byte
 
-	// pooled marks a grant Registry.Lease took from grantPool; Release
-	// returns it.
-	pooled bool
-	// bundle is the detached lease Bundle was encoded from, and arena the
-	// array its pruned or precision rows were computed into: the grant owns
-	// both, with bundle's row headers, so the next lease built in this grant
-	// reuses them (bundle's node lists and unpruned rows are views of the
-	// session binding and the forest entry, see codec.LeaseBundle).
+	// issued is the pooled lease this grant is the answer of when
+	// Registry.Lease made it, and nil otherwise; Release returns it.
+	issued *issued
+}
+
+// issued is one lease as Registry.Lease builds it: the grant, the detached
+// lease its Bundle was encoded from, and the array that lease's pruned or
+// precision rows were computed into. It owns all three, with bundle's row
+// headers, so the next lease built in it reuses them (bundle's node lists
+// and unpruned rows are views of the session binding and the forest entry,
+// see codec.LeaseBundle).
+type issued struct {
+	grant  LeaseGrant
 	bundle codec.LeaseBundle
 	arena  []float64
 }
 
-// grantPool recycles whole grants with every buffer a lease is built in:
-// the token, the encoded bundle, the detached bundle's row headers and the
-// row arena. A lease that is released allocates nothing for its answer.
-var grantPool = sync.Pool{New: func() any { return new(LeaseGrant) }}
+// grantPool recycles whole issued leases with every buffer a lease is built
+// in: the token, the encoded bundle, the detached bundle's row headers and
+// the row arena. A lease that is released allocates nothing for its answer.
+var grantPool = sync.Pool{New: func() any {
+	is := new(issued)
+	is.grant.issued = is
+	return is
+}}
 
-// Release hands the grant back to Registry.Lease for reuse, the struct and
-// every buffer above. It has ReportResult.Release's contract: after Release
+// Release hands the grant back to Registry.Lease for reuse, with every
+// buffer above. It has ReportResult.Release's contract: after Release
 // nothing of the grant may be read, not a field and not a slice (Token and
 // Bundle included: the next Lease on any goroutine overwrites them), so
 // copy out what must outlive the call first. It is optional (a grant never
 // released is collected by the GC) and a no-op on a grant that did not come
-// from Registry.Lease (a decoded remote answer); the serving transports
-// call it once the grant is encoded.
+// from Registry.Lease, such as a client's decoded grant, which owns its
+// bytes; the serving transports call it once the grant is encoded.
 func (g *LeaseGrant) Release() {
-	if !g.pooled {
+	is := g.issued
+	if is == nil {
 		return
 	}
 	// The row headers may point into forest entries: drop those pointers
-	// so a pooled grant keeps no entry alive.
-	rows := g.bundle.Rows
+	// so a pooled lease keeps no entry alive.
+	rows := is.bundle.Rows
 	clear(rows)
-	*g = LeaseGrant{Token: g.Token[:0], Bundle: g.Bundle[:0],
-		bundle: codec.LeaseBundle{Rows: rows[:0]}, arena: g.arena}
-	grantPool.Put(g)
+	is.grant = LeaseGrant{Token: g.Token[:0], Bundle: g.Bundle[:0], issued: is}
+	is.bundle = codec.LeaseBundle{Rows: rows[:0]}
+	grantPool.Put(is)
 }
 
 // leaseCounters tracks lease issuance at the registry level (the keyring
@@ -167,19 +179,18 @@ func (r *Registry) Lease(ctx context.Context, req LeaseRequest) (*LeaseGrant, er
 	if err != nil {
 		return nil, err
 	}
-	grant := grantPool.Get().(*LeaseGrant)
-	grant.pooled = true
-	if err := r.issue(ctx, &a, req, grant); err != nil {
-		grant.Release()
+	is := grantPool.Get().(*issued)
+	if err := r.issue(ctx, &a, req, is); err != nil {
+		is.grant.Release()
 		return nil, err
 	}
-	return grant, nil
+	return &is.grant, nil
 }
 
-// issue fills grant, a zeroed pooled grant, with the admitted request's
-// lease. On an error grant holds nothing a caller may use.
-func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, grant *LeaseGrant) error {
-	sh, draws := a.sh, a.draws
+// issue fills is, a zeroed pooled lease, with the admitted request's
+// lease. On an error is holds nothing a caller may use.
+func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, is *issued) error {
+	sh, draws, grant := a.sh, a.draws, &is.grant
 
 	// Renewal first: a bad token must be refused before the budget is
 	// touched (403 beats 429 — the client's next move differs).
@@ -209,7 +220,7 @@ func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, gr
 	// privacy-conservative direction, and it is what keeps the server
 	// from ever trusting client draw accounting. The detach, the encoder
 	// and the signer all write into the grant's own buffers.
-	bundle := &grant.bundle
+	bundle := &is.bundle
 	err := a.serve(ctx, &grant.Facts, func(sess *session.Session) (session.Bound, error) {
 		// A renewal continues the stream where the leased window ends: for
 		// a resident session FastForward is a no-op (DetachLease already
@@ -223,7 +234,7 @@ func (r *Registry) issue(ctx context.Context, a *anchoring, req LeaseRequest, gr
 			sess.FastForward(prev.RNGPos + uint64(prev.DrawCap))
 		}
 		var err error
-		grant.arena, err = sess.DetachLeaseInto(bundle, grant.arena, a.leaf, draws)
+		is.arena, err = sess.DetachLeaseInto(bundle, is.arena, a.leaf, draws)
 		return session.Bound{Pruned: len(bundle.Pruned), Degraded: bundle.Degraded}, err
 	})
 	if errors.Is(err, ErrBudgetExhausted) {

@@ -408,14 +408,17 @@ func (c *Client) Report(req Request) (*Response, error) {
 // draws is the cap to pre-pay, and a non-nil token renews a previous
 // lease. Rejections come back as *registry.Rejection with the same
 // statuses the HTTP route answers (429 with eps headroom on budget
-// exhaustion, 403 on a bad token).
-func (c *Client) Lease(req Request, draws int, token []byte) (*registry.LeaseGrant, error) {
-	var grant *registry.LeaseGrant
+// exhaustion, 403 on a bad token). The grant is a value the caller owns,
+// with no pool behind it (Release is a no-op): the one allocation is the
+// buffer its Token and Bundle share, which no later call touches. On an
+// error the grant is zero.
+func (c *Client) Lease(req Request, draws int, token []byte) (registry.LeaseGrant, error) {
+	var grant registry.LeaseGrant
 	err := c.call(frameLease, frameLeaseGrant, "stream: LEASE_GRANT",
 		func(b []byte) []byte { return appendLeaseReq(b, &req, draws, token) },
-		func(d *codec.Cursor) (err error) { grant, err = decodeLeaseGrant(d, req.Region); return err })
+		func(d *codec.Cursor) error { return decodeLeaseGrant(d, req.Region, &grant) })
 	if err != nil {
-		return nil, err
+		return registry.LeaseGrant{}, err
 	}
 	return grant, nil
 }

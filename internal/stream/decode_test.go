@@ -54,7 +54,7 @@ func decodeBody(ftype byte, payload []byte) error {
 			}
 		}
 	case frameLeaseGrant:
-		_, err = decodeLeaseGrant(&d, "ra")
+		err = decodeLeaseGrant(&d, "ra", &registry.LeaseGrant{})
 	default:
 		return nil
 	}

@@ -162,9 +162,9 @@ func reencode(t *testing.T, name string, payload []byte) []byte {
 		}
 		return appendRejection(b, *rej)
 	case "lease_grant":
-		var g *registry.LeaseGrant
-		if g, err = decodeLeaseGrant(&d, "ra"); err == nil {
-			b = appendLeaseGrant(b, g)
+		var g registry.LeaseGrant
+		if err = decodeLeaseGrant(&d, "ra", &g); err == nil {
+			b = appendLeaseGrant(b, &g)
 		}
 	default:
 		t.Fatalf("no decoder for golden %q", name)

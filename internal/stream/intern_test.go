@@ -140,7 +140,7 @@ func TestKeptPreferencesOnOneConnection(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s in-process lease: %v", step, err)
 			}
-			if got, want := leaseDraws(t, tree, grant, cell), leaseDraws(t, tree, want, cell); !reflect.DeepEqual(got, want) {
+			if got, want := leaseDraws(t, tree, &grant, cell), leaseDraws(t, tree, want, cell); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s LEASE: stream grant draws %v, in-process %v", step, got, want)
 			}
 		}

@@ -185,10 +185,11 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 		defer sc.Close()
 		overStream = drawLocal(tree, leafA, leafB, true,
 			func(leaf loctree.NodeID, draws int, token []byte) (*registry.LeaseGrant, error) {
-				return sc.Lease(stream.Request{
+				g, err := sc.Lease(stream.Request{
 					Region: "ra", Cell: [2]int{leaf.Coord.Q, leaf.Coord.R}, UID: uid,
 					Policy: pol, Seed: seed,
 				}, draws, token)
+				return &g, err
 			})
 	}
 
@@ -210,8 +211,11 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 }
 
 // TestReleaseLeavesDecodedGrantsAlone: only a grant Registry.Lease made
-// is the pool's. A grant a client decoded off either wire is its caller's,
-// and Release leaves every field and every byte of it as it was.
+// is the pool's. A grant a client decoded off either wire, whether the
+// caller holds the stream client's value, a handler's pointer, or what a
+// cluster router relayed from the uid's owner, is its caller's: it carries
+// no pooled lease, Release leaves every field and every byte of it as it
+// was, and so does a renewal on the same client.
 func TestReleaseLeavesDecodedGrantsAlone(t *testing.T) {
 	reg := newRegistry(t, registry.Options{}, "ra")
 	_, leafNodes := leaves(t, reg, "ra")
@@ -224,22 +228,64 @@ func TestReleaseLeavesDecodedGrantsAlone(t *testing.T) {
 	}
 	hsrv := httptest.NewServer(h.Mux())
 	t.Cleanup(hsrv.Close)
-	for name, remote := range map[string]registry.ReportHandler{
-		"stream.Client.Lease": sc.Remote(),
-		"proto.Remote.Lease":  proto.NewClient(hsrv.URL).Remote(),
+	// A second node whose router relays the asks of the uids reg's node
+	// owns to it over the stream.
+	router, err := cluster.NewRouter(newRegistry(t, registry.Options{}, "ra"), "self",
+		[]cluster.Peer{{Name: "self"}, {Name: addr, StreamAddr: addr}}, cluster.RouterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(router.Close)
+	relayed := int64(100)
+	for router.Ring().Owner(relayed) != addr {
+		relayed++
+	}
+
+	ask := func(uid int64, token []byte) registry.LeaseRequest {
+		return registry.LeaseRequest{Region: "ra", Cell: leafNodes[0].Coord, UID: uid,
+			Policy: policy.Policy{PrivacyLevel: 1}, Seed: 1, Draws: 4, Token: token}
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		lease func(token []byte) (*registry.LeaseGrant, error)
+	}{
+		{"stream.Client.Lease", func(token []byte) (*registry.LeaseGrant, error) {
+			req := ask(1, token)
+			g, err := sc.Lease(stream.WireLease(req), req.Draws, req.Token)
+			return &g, err
+		}},
+		{"stream.Remote.Lease", func(token []byte) (*registry.LeaseGrant, error) { return sc.Remote().Lease(ctx, ask(2, token)) }},
+		{"proto.Remote.Lease", func(token []byte) (*registry.LeaseGrant, error) {
+			return proto.NewClient(hsrv.URL).Remote().Lease(ctx, ask(3, token))
+		}},
+		{"cluster.Router.Lease", func(token []byte) (*registry.LeaseGrant, error) { return router.Lease(ctx, ask(relayed, token)) }},
 	} {
-		g, err := remote.Lease(context.Background(), registry.LeaseRequest{Region: "ra", Cell: leafNodes[0].Coord,
-			UID: 1, Policy: policy.Policy{PrivacyLevel: 1}, Seed: 1, Draws: 4})
+		g, err := tc.lease(nil)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.ValueOf(g).Elem().FieldByName("issued").IsNil() {
+			t.Errorf("%s: a decoded grant belongs to a pooled lease", tc.name)
 		}
 		before := *g
 		before.Token, before.Bundle = bytes.Clone(g.Token), bytes.Clone(g.Bundle)
 		g.Release()
 		if !reflect.DeepEqual(*g, before) {
 			t.Errorf("%s: Release changed a decoded grant (region %q, %d token bytes; was %q, %d)",
-				name, g.Region, len(g.Token), before.Region, len(before.Token))
+				tc.name, g.Region, len(g.Token), before.Region, len(before.Token))
 		}
+		next, err := tc.lease(g.Token)
+		if err != nil {
+			t.Fatalf("%s renewal: %v", tc.name, err)
+		}
+		next.Release()
+		if !bytes.Equal(g.Token, before.Token) || !bytes.Equal(g.Bundle, before.Bundle) {
+			t.Errorf("%s: a renewal on the same client rewrote the first grant's token or bundle", tc.name)
+		}
+	}
+	if got := router.Stats().ForwardedOut; got != 2 {
+		t.Errorf("the router forwarded %d leases, want its 2", got)
 	}
 }
 

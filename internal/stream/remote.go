@@ -30,9 +30,16 @@ func (r Remote) Report(_ context.Context, req registry.ReportRequest) (*registry
 	return resp.Result(req.Policy.PrivacyLevel), nil
 }
 
-// Lease implements registry.ReportHandler over one LEASE exchange.
+// Lease implements registry.ReportHandler over one LEASE exchange. The
+// handler interface answers with a pointer, so the grant Client.Lease
+// decoded moves to the heap: one object for the grant, one buffer for its
+// bytes, and no pool behind either.
 func (r Remote) Lease(_ context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
-	return r.c.Lease(WireLease(req), req.Draws, req.Token)
+	grant, err := r.c.Lease(WireLease(req), req.Draws, req.Token)
+	if err != nil {
+		return nil, err
+	}
+	return &grant, nil
 }
 
 // ReportBatch draws for many requests in one REPORTS round trip; per-item

@@ -596,15 +596,15 @@ func appendLeaseGrant(b []byte, g *registry.LeaseGrant) []byte {
 	return codec.AppendString(b, g.Bundle)
 }
 
-// decodeLeaseGrant reads one LEASE_GRANT body into the registry's grant
-// type. region is the region the request named, shared by the grant when
-// the server answers with those bytes, as decodeResponse does. Token and
-// bundle are copied out of the frame buffer into one buffer of their own,
-// the token first with its capacity clipped: the caller keeps the token
-// for the lease's whole lifetime, and an append to it cannot reach the
-// bundle. A decoded grant is the struct and that buffer.
-func decodeLeaseGrant(d *codec.Cursor, region string) (*registry.LeaseGrant, error) {
-	g := &registry.LeaseGrant{}
+// decodeLeaseGrant reads one LEASE_GRANT body into g, a zero grant the
+// caller owns. region is the region the request named, shared by the grant
+// when the server answers with those bytes, as decodeResponse does. Token
+// and bundle are copied out of the frame buffer into one buffer of their
+// own, the token first with its capacity clipped: the caller keeps the
+// token for the lease's whole lifetime, and an append to it cannot reach
+// the bundle. Unless the server names another region, that buffer is all
+// a decoded grant allocates.
+func decodeLeaseGrant(d *codec.Cursor, region string, g *registry.LeaseGrant) error {
 	if served := d.Bytes(); string(served) == region {
 		g.Region = region
 	} else {
@@ -627,11 +627,11 @@ func decodeLeaseGrant(d *codec.Cursor, region string) (*registry.LeaseGrant, err
 	g.ExpiresAt = d.Varint()
 	token, bundle := d.Bytes(), d.Bytes()
 	if err := d.Err(); err != nil {
-		return g, err
+		return err
 	}
 	buf := make([]byte, len(token)+len(bundle))
 	n := copy(buf, token)
 	copy(buf[n:], bundle)
 	g.Token, g.Bundle = buf[:n:n], buf[n:]
-	return g, nil
+	return nil
 }
