@@ -27,19 +27,19 @@
 // Who owns what. On the server a bundle is a set of views: its node lists
 // are the session binding's and an unpruned binding's rows are the forest
 // entry's matrix rows, read once by the encoder and never written (see
-// codec.LeaseBundle). On the device everything is the lease's own, and it
-// is handed down a renewal chain rather than made anew: Open decodes the
-// bundle bytes into fresh storage (node lists, row headers, every row in
-// one arena, the mechanism.Rows over them, the alias tables it builds),
-// and Renew moves the retired lease's storage into the new lease, which
-// decodes and rebuilds into it, growing it only when the new bundle is
-// larger. Storage belongs to one lease at a time, and a retired lease never
-// reads it again. The bundle bytes themselves are not retained. The one
-// slice a Lease shares with its caller is the token, kept as given for the
-// next renewal.
+// codec.LeaseBundle). On the device everything is the lease's own, and a
+// lease is one object for the life of a renewal chain: Open decodes the
+// bundle bytes into the lease (node lists, row headers, every row in one
+// arena, the mechanism.Rows over them, the alias tables it builds), and
+// Renew decodes the next grant into the same lease and rebuilds its tables
+// in place, growing its storage only when the new bundle is larger. The
+// bundle bytes themselves are not retained. The one slice a Lease shares
+// with its caller is the token, kept as given for the next renewal. An
+// error a draw returned is the caller's: the lease never writes it again,
+// also across renewals.
 //
-// A Lease is safe for concurrent use; draws serialize under an internal
-// mutex exactly as server-side sessions do.
+// A Lease is safe for concurrent use; draws and renewals serialize under
+// an internal mutex exactly as server-side sessions do.
 package clientdraw
 
 import (
@@ -80,36 +80,37 @@ var ErrOutsideSubtree = mechanism.ErrOutsideSubtree
 
 // Lease is an open draw lease: the detached mechanism rows with their
 // lazily built alias tables, and the stream window it draws in. Create
-// with Open; continue with Renew.
+// with Open; continue with Renew, which moves the same Lease to the next
+// window.
 type Lease struct {
-	tree     *loctree.Tree
-	token    []byte
-	tok      budget.LeaseToken
-	root     loctree.NodeID
-	degraded bool
-	seed     int64
+	tree *loctree.Tree
 
 	mu sync.Mutex
-	// st is this lease's alone until Renew hands it to the next lease,
-	// which leaves it nil here and the lease retired.
-	st *storage
-	// used counts the draws taken: the next reads position tok.RNGPos+used.
-	used int
-	// miss is the error of the lease's first draw outside its subtree,
-	// written once (missed) and returned again for every later draw at
-	// that same cell, so a user who left the subtree pays for it once.
-	miss   mechanism.OutsideSubtreeError
-	missed bool
-}
-
-// storage is what a lease draws from: the decoded bundle (node lists, row
-// headers, row arena) and the rows over it with the alias tables they
-// built. Renew hands it down a chain of leases, each decoding and building
-// into what the one before it held.
-type storage struct {
+	// The window: the last grant that opened, written by Open and by each
+	// Renew that succeeds.
+	token    []byte
+	tok      budget.LeaseToken
+	degraded bool
+	// bundle is the decoded grant and rows the mechanism rows over it,
+	// with the alias tables they built; a failed Renew leaves them torn,
+	// and used at the cap keeps them from being read.
 	bundle codec.LeaseBundle
 	rows   mechanism.Rows
+	// used counts the window's draws: the next reads position
+	// tok.RNGPos+used.
+	used int
+	// miss is the error of the window's first draw outside its subtree,
+	// nil until then, and returned again for every later draw at that same
+	// cell, so a user who left the subtree pays for it once. It is a slot
+	// of a slab (misses holds the slots not yet handed out): a window
+	// takes the next slot, so an error returned in an earlier window is
+	// never written again.
+	miss   *mechanism.OutsideSubtreeError
+	misses []mechanism.OutsideSubtreeError
 }
+
+// missSlab is how many windows' first misses one allocation holds.
+const missSlab = 16
 
 // Open decodes a lease grant's bundle and token. The lease's first draw
 // reads the bundle's recorded position of its seed's stream, the variate
@@ -119,74 +120,81 @@ type storage struct {
 // a copy, and hands it back from Token: the caller must not write it
 // afterwards. bundle is only read during the call.
 func Open(tree *loctree.Tree, bundle, token []byte) (*Lease, error) {
-	return open(tree, nil, "", bundle, token)
-}
-
-// open is Open and Renew: decode the grant into st (fresh storage when
-// nil). region is the region the token is expected to name; a token naming
-// it shares that string.
-func open(tree *loctree.Tree, st *storage, region string, bundle, token []byte) (*Lease, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("clientdraw: nil tree")
 	}
-	if st == nil {
-		st = new(storage)
-	}
-	b := &st.bundle
-	if err := codec.DecodeLeaseBundleInto(b, bundle); err != nil {
+	l := &Lease{tree: tree}
+	if err := l.load(bundle, token); err != nil {
 		return nil, err
 	}
-	tok, err := budget.DecodeLeaseToken(token, region)
-	if err != nil {
-		return nil, err
-	}
-	if tok.RNGPos != b.RNGPos || tok.Root != b.Root {
-		return nil, fmt.Errorf("clientdraw: token and bundle disagree (root %v/%v, position %d/%d)",
-			tok.Root, b.Root, tok.RNGPos, b.RNGPos)
-	}
-	if err := st.rows.Reset(tree, b.Root, b.PrecisionLevel, b.Pruned, b.Nodes, b.Rows); err != nil {
-		return nil, fmt.Errorf("clientdraw: %w", err)
-	}
-	return &Lease{
-		tree:     tree,
-		token:    token,
-		tok:      tok,
-		root:     b.Root,
-		degraded: b.Degraded,
-		seed:     b.Seed,
-		st:       st,
-	}, nil
+	return l, nil
 }
 
-// Renew opens the next lease window from a renewal grant and retires this
-// lease: from then on its draws report exhausted, while Root, Degraded and
-// Token still describe the window it was. The first Renew of a lease hands
-// the new one its storage, which saves the allocations: the grant decodes
-// into this lease's node lists, rows and arena, and alias tables rebuild
-// into this lease's tables. Every later Renew of the same lease has
-// nothing left to hand over and decodes into fresh storage, as Open does.
-// The new lease draws from the grant's own position, wherever that is. A
-// Renew that fails retires this lease all the same. bundle and token are
+// Renew moves the lease to the next window, from a renewal grant, and
+// returns it: the grant decodes into this lease's node lists, rows and
+// arena, and alias tables rebuild into this lease's tables. The lease then
+// draws from the grant's own position, wherever that is, and Root,
+// Degraded and Token describe the new window. A Renew that fails returns
+// nil and retires the lease: every draw reports exhausted, while Root,
+// Degraded and Token still describe the window it was. Renewals of one
+// lease serialize; the last one decides the window. bundle and token are
 // held as in Open.
 func (l *Lease) Renew(bundle, token []byte) (*Lease, error) {
 	l.mu.Lock()
-	st := l.st
-	l.st = nil
+	defer l.mu.Unlock()
+	if err := l.load(bundle, token); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// load decodes a grant into l as its window; caller holds l.mu or owns l
+// alone. It retires the current window first, so on an error l draws
+// nothing.
+func (l *Lease) load(bundle, token []byte) error {
 	l.used = l.tok.DrawCap
-	l.mu.Unlock()
-	return open(l.tree, st, l.tok.Region, bundle, token)
+	b := &l.bundle
+	if err := codec.DecodeLeaseBundleInto(b, bundle); err != nil {
+		return err
+	}
+	// A token naming the region the last one named shares its string.
+	tok, err := budget.DecodeLeaseToken(token, l.tok.Region)
+	if err != nil {
+		return err
+	}
+	if tok.RNGPos != b.RNGPos || tok.Root != b.Root {
+		return fmt.Errorf("clientdraw: token and bundle disagree (root %v/%v, position %d/%d)",
+			tok.Root, b.Root, tok.RNGPos, b.RNGPos)
+	}
+	if err := l.rows.Reset(l.tree, b.Root, b.PrecisionLevel, b.Pruned, b.Nodes, b.Rows); err != nil {
+		return fmt.Errorf("clientdraw: %w", err)
+	}
+	l.token, l.tok, l.degraded, l.used, l.miss = token, tok, b.Degraded, 0, nil
+	return nil
 }
 
 // Token returns the signed lease token, for renewal: the slice Open or
-// Renew was given, to be sent, not written.
-func (l *Lease) Token() []byte { return l.token }
+// the last Renew was given, to be sent, not written.
+func (l *Lease) Token() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.token
+}
 
 // Root returns the leased privacy subtree.
-func (l *Lease) Root() loctree.NodeID { return l.root }
+func (l *Lease) Root() loctree.NodeID {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tok.Root
+}
 
 // Degraded reports whether the leased rows came from a planar-Laplace
 // fallback entry.
-func (l *Lease) Degraded() bool { return l.degraded }
+func (l *Lease) Degraded() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.degraded
+}
 
 // DrawCellNInto draws len(out) reports into a caller-owned slice. All
 // checks run before any position is consumed — a refused draw (cap
@@ -201,11 +209,11 @@ func (l *Lease) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// A retired lease stops here: its storage is the next lease's now.
+	// A retired lease stops here: a failed Renew left its rows torn.
 	if l.used+n > l.tok.DrawCap {
 		return &ExhaustedError{Used: l.used, Cap: l.tok.DrawCap, Asked: n}
 	}
-	rows := &l.st.rows
+	rows := &l.rows
 	row, covered, err := rows.Resolve(leaf)
 	if !covered {
 		return l.outside(leaf)
@@ -219,23 +227,27 @@ func (l *Lease) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 	}
 	nodes, pos := rows.Nodes(), l.tok.RNGPos+uint64(l.used)
 	for i := range out {
-		out[i] = nodes[a.Pick(sample.Uniform(l.seed, pos+uint64(i)))]
+		out[i] = nodes[a.Pick(sample.Uniform(l.bundle.Seed, pos+uint64(i)))]
 	}
 	l.used += n
 	return nil
 }
 
 // outside is the refusal of a draw at leaf, a cell outside the leased
-// subtree; caller holds l.mu. The lease's first miss is written into l.miss
-// and a miss at the same cell returns it again. A miss at another cell
-// gets an error of its own: a returned error is never rewritten, so two
-// goroutines refused at two cells each read their own.
+// subtree; caller holds l.mu. The window's first miss is written into the
+// next slot of the slab and a miss at the same cell returns it again. A
+// miss at another cell gets an error of its own: a returned error is never
+// rewritten, so two goroutines refused at two cells each read their own.
 func (l *Lease) outside(leaf loctree.NodeID) error {
-	if !l.missed {
-		l.miss, l.missed = mechanism.OutsideSubtreeError{Leaf: leaf, Root: l.root}, true
+	if l.miss == nil {
+		if len(l.misses) == 0 {
+			l.misses = make([]mechanism.OutsideSubtreeError, missSlab)
+		}
+		l.miss, l.misses = &l.misses[0], l.misses[1:]
+		*l.miss = mechanism.OutsideSubtreeError{Leaf: leaf, Root: l.tok.Root}
 	}
 	if l.miss.Leaf == leaf {
-		return &l.miss
+		return l.miss
 	}
-	return &mechanism.OutsideSubtreeError{Leaf: leaf, Root: l.root}
+	return &mechanism.OutsideSubtreeError{Leaf: leaf, Root: l.tok.Root}
 }

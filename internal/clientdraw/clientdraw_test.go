@@ -1,10 +1,12 @@
 package clientdraw
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -276,83 +278,343 @@ func TestLeaseRefusesWhatTheSessionRefuses(t *testing.T) {
 	w.same(l, a[4], 4) // still aligned after the refusals
 }
 
-// TestRenewHandsOverOnce renews one lease twice, as two goroutines that
-// both saw it run out would: one after the other, then at once. The first
-// Renew hands over the lease's stream and storage; the second has nothing
-// left to hand over and seeds its own stream, as Open does. So each
-// successor draws exactly what a fresh Open of its own grant draws, neither
-// shares a stream or storage with the other, and the renewed lease draws
-// nothing more.
-func TestRenewHandsOverOnce(t *testing.T) {
+// TestRenewKeepsOneWindow renews one lease several times, as a device that
+// saw it run out would, and then from two goroutines at once. Renew moves
+// the lease itself and returns it, so after renewals one after the other
+// it draws exactly what a fresh Open of the last grant draws. Renewals at
+// once serialize: the lease ends at one grant, whole, each draw between
+// them reads a window of its own, and no variate position is drawn twice.
+func TestRenewKeepsOneWindow(t *testing.T) {
 	w := newLeaseWorld(t, policy.Policy{PrivacyLevel: 1}, nil)
 	leaf := w.entryA.Leaves[2]
 	type grant struct{ bundle, token []byte }
+	grants := func(n int) []grant {
+		gs := make([]grant, n)
+		for i := range gs {
+			gs[i].bundle, gs[i].token = w.grant(leaf, 4)
+		}
+		return gs
+	}
 	draw := func(l *Lease) []loctree.NodeID {
+		t.Helper()
 		out := make([]loctree.NodeID, 4)
 		if err := l.DrawCellNInto(leaf, out); err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
 		return out
 	}
 	// opened draws what a fresh Open of g draws.
 	opened := func(g grant) []loctree.NodeID {
+		t.Helper()
 		l, err := Open(w.tree, g.bundle, g.token)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return draw(l)
 	}
-	check := func(how string, l *Lease, gs [2]grant, got [2][]loctree.NodeID) {
-		t.Helper()
-		for i, g := range gs {
-			if want := opened(g); !slices.Equal(got[i], want) {
-				t.Errorf("%s: renewal %d drew %v, a fresh Open of its grant %v", how, i, got[i], want)
-			}
-		}
-		if err := l.DrawCellNInto(leaf, make([]loctree.NodeID, 1)); !errors.Is(err, ErrLeaseExhausted) {
-			t.Errorf("%s: the renewed lease drew again: %v", how, err)
-		}
-	}
-	grants := func() (gs [2]grant) {
-		for i := range gs {
-			gs[i].bundle, gs[i].token = w.grant(leaf, 4)
-		}
-		return gs
-	}
 
 	l := w.open(leaf, 4)
-	gs := grants()
-	var next [2]*Lease
+	gs := grants(3)
 	for i, g := range gs {
-		var err error
-		if next[i], err = l.Renew(g.bundle, g.token); err != nil {
+		n, err := l.Renew(g.bundle, g.token)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if n != l {
+			t.Fatalf("renewal %d returned another lease", i)
+		}
 	}
-	var got [2][]loctree.NodeID
-	for i, n := range next {
-		got[i] = draw(n)
+	if !bytes.Equal(l.Token(), gs[2].token) {
+		t.Fatal("the lease does not hold its last grant's token")
 	}
-	check("one after the other", l, gs, got)
+	if got, want := draw(l), opened(gs[2]); !slices.Equal(got, want) {
+		t.Fatalf("one after the other: the lease drew %v, a fresh Open of the last grant %v", got, want)
+	}
+	w.used(l, 4, 4)
 
-	l = w.open(leaf, 4)
-	gs = grants()
-	got = [2][]loctree.NodeID{}
+	// A renewal that fails retires the lease, with draws left in its
+	// window, and says so; Root and Token still describe the window it
+	// was, and the next grant renews it.
+	gs = grants(2)
+	if _, err := l.Renew(gs[0].bundle, gs[0].token); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := l.Renew(gs[1].bundle[:len(gs[1].bundle)/2], gs[1].token); n != nil || err == nil {
+		t.Fatalf("a torn bundle renewed the lease: %v, %v", n, err)
+	}
+	w.used(l, 4, 4)
+	if l.Root() != w.entryA.Root || !bytes.Equal(l.Token(), gs[0].token) {
+		t.Fatal("a failed renewal changed the window the lease describes")
+	}
+	if _, err := l.Renew(gs[1].bundle, gs[1].token); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := draw(l), opened(gs[1]); !slices.Equal(got, want) {
+		t.Fatalf("after a failed renewal the lease drew %v, a fresh Open of its next grant %v", got, want)
+	}
+
+	for round := range 20 {
+		l := w.open(leaf, 4)
+		gs := grants(2)
+		want := [2][]loctree.NodeID{opened(gs[0]), opened(gs[1])}
+		if slices.Equal(want[0], want[1]) {
+			t.Fatalf("round %d: both grants draw %v, so a window drawn twice would not show", round, want[0])
+		}
+		// drew[i] is what goroutine i drew after its renewal, nil if the
+		// lease was spent by then.
+		var drew [2][]loctree.NodeID
+		var wg sync.WaitGroup
+		for i, g := range gs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n, err := l.Renew(g.bundle, g.token)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n != l {
+					t.Error("a renewal at once returned another lease")
+				}
+				out := make([]loctree.NodeID, 4)
+				if err := l.DrawCellNInto(leaf, out); err == nil {
+					drew[i] = out
+				} else if !errors.Is(err, ErrLeaseExhausted) {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		last := slices.IndexFunc(gs, func(g grant) bool { return bytes.Equal(g.token, l.Token()) })
+		if last < 0 {
+			t.Fatalf("round %d: the lease holds neither grant's token", round)
+		}
+		w.used(l, 4, 4)
+		// Each window is drawn at most once, and the last one whole.
+		seen := [2]bool{}
+		for _, d := range drew {
+			if d == nil {
+				continue
+			}
+			k := slices.IndexFunc(want[:], func(w []loctree.NodeID) bool { return slices.Equal(w, d) })
+			if k < 0 || seen[k] {
+				t.Fatalf("round %d: a renewal drew %v; the grants draw %v and %v, each once", round, d, want[0], want[1])
+			}
+			seen[k] = true
+		}
+		if !seen[last] {
+			t.Fatalf("round %d: nobody drew the window the lease ended at", round)
+		}
+	}
+}
+
+// TestRenewChainDrawsWhatOpenDraws renews one lease through a long chain of
+// grants from four sessions: leaf rows of level-1 and level-2 subtrees,
+// precision-reduced rows, pruned sets that leave a row degenerate, and
+// degraded entries, so the bundle grows and shrinks as the user moves
+// between subtrees. Each window is drawn until its cap, left part-used, or
+// refused outside the subtree before the next renewal. After every Renew
+// the lease must answer every call, draws, refusals and errors alike,
+// exactly as a fresh Open of the same grant does, while a reader polls
+// Root, Degraded and Token, and an error a window returned must still read
+// the same at the end of the chain.
+func TestRenewChainDrawsWhatOpenDraws(t *testing.T) {
+	const renewals = 64
+	w := newLeaseWorld(t, policy.Policy{PrivacyLevel: 1}, nil)
+	tree, priors := w.tree, loctree.UniformPriors(w.tree)
+	type source struct {
+		s       *session.Session
+		entries []*core.ForestEntry
+		prunes  [][]int // by entry variant: leaf indexes pruned
+	}
+	var sources []source
+	roots1, roots2 := tree.LevelNodes(1), tree.LevelNodes(2)
+	for i, pol := range []policy.Policy{{PrivacyLevel: 1}, {PrivacyLevel: 1}, {PrivacyLevel: 2, PrecisionLevel: 1}, {PrivacyLevel: 2}} {
+		roots := roots1
+		if pol.PrivacyLevel == 2 {
+			roots = roots2
+		}
+		var src source
+		for j, root := range roots[:3] {
+			e := entryOver(t, tree, root, int64(10*i+j))
+			e.Degraded = j == 2
+			src.entries = append(src.entries, e)
+		}
+		if i == 1 { // row 0 degenerate once leaf 1 goes
+			src.prunes = [][]int{{1}, {1, 4}, {5}}
+		}
+		var err error
+		if src.s, err = session.New(session.Config{Tree: tree, Entry: src.entries[0], Policy: pol,
+			Priors: priors, Seed: int64(7 + i)}); err != nil {
+			t.Fatal(err)
+		}
+		sources = append(sources, src)
+	}
+	// outside is a cell no window's subtree covers: every window refuses
+	// it, each naming its own root.
+	far := tree.LeavesUnder(roots2[len(roots2)-1])
+	outside := far[len(far)-1]
+	rng := rand.New(rand.NewSource(3))
+	// grant rebinds a source's session onto one of its entries, with one
+	// of its prune sets, and detaches an n-draw lease there.
+	grant := func(src source, n int) (bundle, token []byte, leaves []loctree.NodeID) {
+		t.Helper()
+		e := src.entries[rng.Intn(len(src.entries))]
+		var pruned []loctree.NodeID
+		if src.prunes != nil {
+			for _, p := range src.prunes[rng.Intn(len(src.prunes))] {
+				pruned = append(pruned, e.Leaves[p])
+			}
+		}
+		if err := src.s.Rebind(session.Rebind{Entry: e, Delta: len(pruned), Pruned: pruned}); err != nil {
+			t.Fatal(err)
+		}
+		leaf := e.Leaves[2+rng.Intn(len(e.Leaves)-2)] // never a pruned or degenerate row
+		b, err := src.s.DetachLease(leaf, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bundle, err = codec.EncodeLeaseBundle(b); err != nil {
+			t.Fatal(err)
+		}
+		return bundle, w.keys.Sign(budget.LeaseToken{UID: 1, Region: "r", Root: b.Root, Delta: len(b.Pruned),
+			Eps: 1, DrawCap: n, RNGPos: b.RNGPos, ExpiresAt: 1 << 50}), e.Leaves
+	}
+	// same makes one call on both leases and requires the outcomes equal
+	// byte for byte; it reports whether the draw was served.
+	same := func(i int, l, fresh *Lease, cell loctree.NodeID, n int) bool {
+		t.Helper()
+		var answers [2]string
+		for j, l := range []*Lease{l, fresh} {
+			out := make([]loctree.NodeID, n)
+			if err := l.DrawCellNInto(cell, out); err != nil {
+				answers[j] = "error: " + err.Error()
+			} else {
+				answers[j] = fmt.Sprint(out)
+			}
+		}
+		if answers[0] != answers[1] {
+			t.Fatalf("renewal %d, %d draws at %v: the renewed lease %s, a fresh Open %s", i, n, cell, answers[0], answers[1])
+		}
+		return !strings.HasPrefix(answers[0], "error: ")
+	}
+
+	bundle, token, _ := grant(sources[0], 4)
+	l, err := Open(tree, bundle, token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for i, g := range gs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n, err := l.Renew(g.bundle, g.token)
-			if err != nil {
-				t.Error(err)
+	defer wg.Wait()
+	defer close(stop)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if root := l.Root(); root.Level != 1 && root.Level != 2 {
+				t.Errorf("Root read %v mid-chain", root)
 				return
 			}
-			got[i] = draw(n)
-		}()
+			if len(l.Token()) == 0 {
+				t.Error("Token read empty mid-chain")
+				return
+			}
+			l.Degraded()
+		}
+	}()
+	var grew, shrank, spent, missed, degraded int
+	type keptMiss struct {
+		err  *mechanism.OutsideSubtreeError
+		read mechanism.OutsideSubtreeError
 	}
-	wg.Wait()
-	check("at once", l, gs, got)
+	var kept []keptMiss
+	var from [4]int // windows by source
+	for i := range renewals {
+		k := rng.Intn(len(sources))
+		src := sources[k]
+		from[k]++
+		n := 1 + rng.Intn(6)
+		prev := len(bundle)
+		bundle, token, leaves := grant(src, n)
+		switch {
+		case len(bundle) > prev:
+			grew++
+		case len(bundle) < prev:
+			shrank++
+		}
+		renewed, err := l.Renew(bundle, token)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renewed != l {
+			t.Fatalf("renewal %d returned another lease", i)
+		}
+		fresh, err := Open(tree, bundle, token)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Root() != fresh.Root() || l.Degraded() != fresh.Degraded() || !bytes.Equal(l.Token(), fresh.Token()) {
+			t.Fatalf("renewal %d: lease over %v (degraded %v), a fresh Open over %v (%v)",
+				i, l.Root(), l.Degraded(), fresh.Root(), fresh.Degraded())
+		}
+		if l.Degraded() {
+			degraded++
+		}
+		// Every leaf once, refusals included; or a cell outside the
+		// subtree, a leaf inside and the outside cell again; or nothing.
+		// Then, every other window, the rest of the cap and one draw past it.
+		var calls []loctree.NodeID
+		switch i % 3 {
+		case 0:
+			calls = leaves
+		case 1:
+			calls = []loctree.NodeID{outside, leaves[2+rng.Intn(len(leaves)-2)], outside}
+			missed++
+		}
+		drawn := 0
+		for _, cell := range calls {
+			if drawn < n && same(i, l, fresh, cell, 1) {
+				drawn++
+			}
+		}
+		if i%3 == 1 && drawn < n {
+			// The window's first miss, kept: no later window may rewrite
+			// it. A refusal consumes nothing, so the two leases stay aligned.
+			var e *mechanism.OutsideSubtreeError
+			if !errors.As(l.DrawCellNInto(calls[0], make([]loctree.NodeID, 1)), &e) {
+				t.Fatalf("renewal %d: no refusal outside the subtree", i)
+			}
+			kept = append(kept, keptMiss{e, *e})
+		}
+		if i%2 == 0 {
+			cell := leaves[2+rng.Intn(len(leaves)-2)]
+			if drawn < n && !same(i, l, fresh, cell, n-drawn) {
+				t.Fatalf("renewal %d: the rest of the cap was refused", i)
+			}
+			if same(i, l, fresh, cell, 1) {
+				t.Fatalf("renewal %d: a draw past the cap was served", i)
+			}
+			spent++
+		}
+	}
+	if len(kept) == 0 {
+		t.Fatal("no window's refusal was kept")
+	}
+	for _, k := range kept {
+		if *k.err != k.read {
+			t.Fatalf("a refusal returned as %+v was rewritten to %+v", k.read, *k.err)
+		}
+	}
+	if grew == 0 || shrank == 0 || spent == 0 || missed == 0 || degraded == 0 || slices.Contains(from[:], 0) {
+		t.Fatalf("the chain grew its bundle %d times, shrank it %d, spent %d windows, missed in %d, %d were degraded, by source %v: each must happen",
+			grew, shrank, spent, missed, degraded, from)
+	}
 }
 
 // TestOutsideMissesNameTheirOwnCell: the lease keeps the error of its first

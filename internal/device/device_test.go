@@ -395,6 +395,78 @@ func TestReportAllocatesOneObject(t *testing.T) {
 	}
 }
 
+// TestLeasedRenewalAllocatesTheResult: a report that renews its user's
+// lease allocates nothing for the renewal, because Renew moves the lease in
+// place. A move to another subtree allocates the result alone; at the cap
+// the refused draw's ExhaustedError comes on top. The grants are made
+// beforehand and handed out in turn, so only the device is measured.
+func TestLeasedRenewalAllocatesTheResult(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	ctx := context.Background()
+	n := newNode(t, registry.Options{})
+	sh, err := n.reg.Shard(ctx, "dv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := sh.Server.Tree()
+	subtrees := tree.LevelNodes(1)
+	home, away := tree.LeavesUnder(subtrees[0])[2], tree.LeavesUnder(subtrees[1])[3]
+	const runs = 200
+	for _, c := range []struct {
+		name   string
+		draws  int
+		cells  []loctree.NodeID // asked in turn
+		allocs float64
+	}{
+		{"at the cap", 1, []loctree.NodeID{home}, 2},
+		{"across subtrees", 4, []loctree.NodeID{home, away}, 1},
+	} {
+		req := registry.ReportRequest{Region: "dv", UID: 5, Policy: policy.Policy{PrivacyLevel: 1}, Seed: 13, Count: 1}
+		ask := registry.LeaseRequest{Region: "dv", UID: 5, Policy: req.Policy, Seed: req.Seed, Draws: c.draws}
+		remote := &granted{}
+		for i := range runs + 2 { // the opening ask, AllocsPerRun's warm-up and its runs
+			ask.Cell = c.cells[i%len(c.cells)].Coord
+			g, err := n.reg.Lease(ctx, ask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			remote.grants = append(remote.grants, g)
+			ask.Token = g.Token
+		}
+		dev := &Leased{Remote: remote, Tree: func(string) (*loctree.Tree, error) { return tree, nil }, Draws: c.draws}
+		i := 0
+		report := func() {
+			req.Cell = c.cells[i%len(c.cells)].Coord
+			i++
+			if _, err := dev.Report(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		report()
+		if got := testing.AllocsPerRun(runs, report); got != c.allocs {
+			t.Errorf("%s: a report that renews its lease allocates %v objects, want %v", c.name, got, c.allocs)
+		}
+		if len(remote.grants) != 0 {
+			t.Errorf("%s: %d grants left: not every report renewed", c.name, len(remote.grants))
+		}
+	}
+}
+
+// granted is a remote that answers every lease ask with the next of the
+// grants it holds.
+type granted struct {
+	registry.ReportHandler
+	grants []*registry.LeaseGrant
+}
+
+func (g *granted) Lease(context.Context, registry.LeaseRequest) (*registry.LeaseGrant, error) {
+	next := g.grants[0]
+	g.grants = g.grants[1:]
+	return next, nil
+}
+
 func distinct(s []string) int {
 	seen := map[string]bool{}
 	for _, v := range s {

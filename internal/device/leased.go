@@ -123,8 +123,9 @@ func (l *Leased) Report(ctx context.Context, req registry.ReportRequest) (*regis
 			return nil, err
 		}
 		if st.lease != nil {
-			// Renewal: hand the lease's storage to the next window, which
-			// decodes and rebuilds its tables into it.
+			// Renewal: the lease moves to the next window in place,
+			// decoding the grant and rebuilding its tables into its own
+			// storage.
 			st.lease, err = st.lease.Renew(grant.Bundle, grant.Token)
 		} else if st.tree, err = l.Tree(req.Region); err == nil {
 			st.lease, err = clientdraw.Open(st.tree, grant.Bundle, grant.Token)

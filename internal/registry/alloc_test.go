@@ -192,11 +192,12 @@ func leaseAllocs(t *testing.T, reg *Registry, req LeaseRequest) float64 {
 // the detached bundle and the arena a pruned session's renormalized rows
 // are computed into, and the verified token names the shard's own region
 // string. No row is copied: a K=49 renewal costs what a K=7 one does.
-// On the device, a renewal decodes into the storage of the lease it
-// retires, rebuilds its first alias table into that lease's tables and
-// parses a token naming the retired lease's region: it allocates the new
-// Lease alone. Leaving the subtree costs nothing past the first refusal at
-// a cell, which the lease keeps.
+// On the device, a renewal decodes into the lease itself, rebuilds its
+// first alias table into the lease's tables and parses a token naming the
+// region the last one named: it allocates nothing. Leaving the subtree
+// costs nothing past the first refusal at a cell, which the lease keeps;
+// that refusal takes a slot of a slab the lease allocates a few windows at
+// a time, since a refusal once returned is the caller's to keep.
 func TestLeaseAllocationBudgets(t *testing.T) {
 	if raceon.Enabled {
 		t.Skip("the race detector allocates on its own account")
@@ -246,13 +247,14 @@ func TestLeaseAllocationBudgets(t *testing.T) {
 		t.Errorf("Keyring.Verify of a token naming the expected region: %v allocs/op, budget 0", got)
 	}
 
-	// The device: renew, draw once, then step outside the leased subtree.
-	// Every renewal needs the grant after its own, or the client would fall
-	// back to re-seeding its stream; AllocsPerRun calls 1 + 200 times. The
-	// grants are kept, not released: the device holds their tokens.
+	// The device: renew, draw once, then step outside the leased subtree,
+	// then miss and renew in every window. Every renewal needs the grant
+	// after its own; AllocsPerRun calls 1 + 200 times, allocsPer 1 + 320.
+	// The grants are kept, not released: the device holds their tokens.
+	const missRuns = 320
 	tree := sh.Server.Tree()
 	ctx := context.Background()
-	grants := make([]*LeaseGrant, 202)
+	grants := make([]*LeaseGrant, 202+1+missRuns)
 	for i := range grants {
 		if grants[i], err = reg.Lease(ctx, k7); err != nil {
 			t.Fatal(err)
@@ -273,8 +275,8 @@ func TestLeaseAllocationBudgets(t *testing.T) {
 		if err := lease.DrawCellNInto(leafA, out); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 1 {
-		t.Errorf("client renew + first draw, K=7: %v allocs/op, budget 1 (the Lease)", got)
+	}); got > 0 {
+		t.Errorf("client renew + first draw, K=7: %v allocs/op, budget 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() {
 		if err := lease.DrawCellNInto(leafB, out); !errors.Is(err, clientdraw.ErrOutsideSubtree) {
@@ -283,6 +285,35 @@ func TestLeaseAllocationBudgets(t *testing.T) {
 	}); got > 0 {
 		t.Errorf("refused draw outside the subtree: %v allocs/op, budget 0", got)
 	}
+	if got := allocsPer(missRuns, func() {
+		if err := lease.DrawCellNInto(leafB, out); !errors.Is(err, clientdraw.ErrOutsideSubtree) {
+			t.Fatalf("draw outside the subtree: %v", err)
+		}
+		if lease, err = lease.Renew(next[0].Bundle, next[0].Token); err != nil {
+			t.Fatal(err)
+		}
+		next = next[1:]
+		if err := lease.DrawCellNInto(leafA, out); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= 0.1 {
+		t.Errorf("client miss outside the subtree, then renew + first draw, K=7: %v allocs/op, budget 0.1 (a slab of refusals per 16 windows)", got)
+	}
+}
+
+// allocsPer is testing.AllocsPerRun without its rounding down to a whole
+// count: the mean allocations of one call of f over runs calls, after a
+// warm-up call, for a cost paid once in many calls.
+func allocsPer(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
 // TestReportReturnsPooledResultOnError: Report takes its result from the

@@ -84,7 +84,7 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 	// initial 8-draw lease at leafA, then 4-draw renewals at leafB and
 	// leafA. Every grant's RNG position must land exactly where the
 	// in-process stream stood: 0, 8, 12. useRenew picks the renewal
-	// constructor — Renew's storage handover and a fresh Open must
+	// constructor — Renew moving the lease in place and a fresh Open must
 	// produce the same stream.
 	drawLocal := func(tree *loctree.Tree, leafA, leafB loctree.NodeID, useRenew bool,
 		acquire func(leaf loctree.NodeID, draws int, token []byte) (*registry.LeaseGrant, error)) []draw {
@@ -117,10 +117,8 @@ func TestLeaseTrajectoryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prev != nil {
-				if err := prev.DrawCellNInto(leafA, make([]loctree.NodeID, 1)); !errors.Is(err, clientdraw.ErrLeaseExhausted) {
-					t.Fatalf("retired lease still draws: %v", err)
-				}
+			if prev != nil && useRenew && l != prev {
+				t.Fatal("Renew returned another lease")
 			}
 			return l
 		}
