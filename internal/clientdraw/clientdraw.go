@@ -33,10 +33,12 @@
 // arena, the mechanism.Rows over them, the alias tables it builds), and
 // Renew decodes the next grant into the same lease and rebuilds its tables
 // in place, growing its storage only when the new bundle is larger. The
-// bundle bytes themselves are not retained. The one slice a Lease shares
-// with its caller is the token, kept as given for the next renewal. An
-// error a draw returned is the caller's: the lease never writes it again,
-// also across renewals.
+// bundle bytes themselves are not retained, and the token is copied into
+// a buffer of the lease's, which each Renew that succeeds reuses: a Lease
+// shares no byte with its caller, so a grant decoded into a transport's
+// shared buffer keeps nothing of that buffer alive. An error a draw
+// returned is the caller's: the lease never writes it again, also across
+// renewals.
 //
 // A Lease is safe for concurrent use; draws and renewals serialize under
 // an internal mutex exactly as server-side sessions do.
@@ -101,24 +103,28 @@ type Lease struct {
 	used int
 	// miss is the error of the window's first draw outside its subtree,
 	// nil until then, and returned again for every later draw at that same
-	// cell, so a user who left the subtree pays for it once. It is a slot
-	// of a slab (misses holds the slots not yet handed out): a window
-	// takes the next slot, so an error returned in an earlier window is
-	// never written again.
+	// cell, so a user who left the subtree pays for it once; capped is the
+	// same for the window's first draw past its cap, returned again for an
+	// equal (Used, Cap, Asked). Each is a slot of a slab (misses and caps
+	// hold the slots not yet handed out): a window takes the next slot, so
+	// an error returned in an earlier window is never written again.
 	miss   *mechanism.OutsideSubtreeError
 	misses []mechanism.OutsideSubtreeError
+	capped *ExhaustedError
+	caps   []ExhaustedError
 }
 
-// missSlab is how many windows' first misses one allocation holds.
-const missSlab = 16
+// refusalSlab is how many windows' first refusals of one kind one
+// allocation holds.
+const refusalSlab = 16
 
 // Open decodes a lease grant's bundle and token. The lease's first draw
 // reads the bundle's recorded position of its seed's stream, the variate
 // the server's session reserved for it. The token is parsed
 // (unauthenticated — the client holds no key) for the draw cap; tampering
-// with it only breaks the client's own renewal. The lease keeps token, not
-// a copy, and hands it back from Token: the caller must not write it
-// afterwards. bundle is only read during the call.
+// with it only breaks the client's own renewal. Neither slice is kept:
+// bundle and token are only read during the call, and the lease hands back
+// its own copy of the token from Token.
 func Open(tree *loctree.Tree, bundle, token []byte) (*Lease, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("clientdraw: nil tree")
@@ -138,7 +144,8 @@ func Open(tree *loctree.Tree, bundle, token []byte) (*Lease, error) {
 // nil and retires the lease: every draw reports exhausted, while Root,
 // Degraded and Token still describe the window it was. Renewals of one
 // lease serialize; the last one decides the window. bundle and token are
-// held as in Open.
+// only read during the call, as in Open; the token is copied into the
+// lease's token buffer, over the bytes Token returned before.
 func (l *Lease) Renew(bundle, token []byte) (*Lease, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -169,12 +176,16 @@ func (l *Lease) load(bundle, token []byte) error {
 	if err := l.rows.Reset(l.tree, b.Root, b.PrecisionLevel, b.Pruned, b.Nodes, b.Rows); err != nil {
 		return fmt.Errorf("clientdraw: %w", err)
 	}
-	l.token, l.tok, l.degraded, l.used, l.miss = token, tok, b.Degraded, 0, nil
+	l.token = append(l.token[:0], token...)
+	l.tok, l.degraded, l.used = tok, b.Degraded, 0
+	l.miss, l.capped = nil, nil
 	return nil
 }
 
-// Token returns the signed lease token, for renewal: the slice Open or
-// the last Renew was given, to be sent, not written.
+// Token returns the signed lease token, for renewal: the lease's copy of
+// the token Open or the last Renew that succeeded was given, to be sent,
+// not written. The bytes are valid until the next Renew that succeeds,
+// which copies its token over them.
 func (l *Lease) Token() []byte {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -211,7 +222,7 @@ func (l *Lease) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 	defer l.mu.Unlock()
 	// A retired lease stops here: a failed Renew left its rows torn.
 	if l.used+n > l.tok.DrawCap {
-		return &ExhaustedError{Used: l.used, Cap: l.tok.DrawCap, Asked: n}
+		return l.exhausted(n)
 	}
 	rows := &l.rows
 	row, covered, err := rows.Resolve(leaf)
@@ -241,7 +252,7 @@ func (l *Lease) DrawCellNInto(leaf loctree.NodeID, out []loctree.NodeID) error {
 func (l *Lease) outside(leaf loctree.NodeID) error {
 	if l.miss == nil {
 		if len(l.misses) == 0 {
-			l.misses = make([]mechanism.OutsideSubtreeError, missSlab)
+			l.misses = make([]mechanism.OutsideSubtreeError, refusalSlab)
 		}
 		l.miss, l.misses = &l.misses[0], l.misses[1:]
 		*l.miss = mechanism.OutsideSubtreeError{Leaf: leaf, Root: l.tok.Root}
@@ -250,4 +261,22 @@ func (l *Lease) outside(leaf loctree.NodeID) error {
 		return l.miss
 	}
 	return &mechanism.OutsideSubtreeError{Leaf: leaf, Root: l.tok.Root}
+}
+
+// exhausted is the refusal of n draws past the cap; caller holds l.mu. As
+// in outside, the window's first is written into the next slot of its slab
+// and returned again for an equal refusal, and any other gets its own.
+func (l *Lease) exhausted(n int) error {
+	e := ExhaustedError{Used: l.used, Cap: l.tok.DrawCap, Asked: n}
+	if l.capped == nil {
+		if len(l.caps) == 0 {
+			l.caps = make([]ExhaustedError, refusalSlab)
+		}
+		l.capped, l.caps = &l.caps[0], l.caps[1:]
+		*l.capped = e
+	}
+	if *l.capped == e {
+		return l.capped
+	}
+	return &ExhaustedError{Used: e.Used, Cap: e.Cap, Asked: e.Asked}
 }

@@ -670,3 +670,87 @@ func TestOutsideMissesNameTheirOwnCell(t *testing.T) {
 	}
 	w.same(l, a[2], 4)
 }
+
+// TestCapRefusalsAreKept: the lease keeps the error of its window's first
+// draw past the cap and hands it out again for an equal refusal only. A
+// refusal asking for another count gets its own error, and an error once
+// returned reads the same after later refusals and renewals.
+func TestCapRefusalsAreKept(t *testing.T) {
+	w := newLeaseWorld(t, policy.Policy{PrivacyLevel: 1}, nil)
+	leaf := w.entryA.Leaves[2]
+	l := w.open(leaf, 4)
+	w.same(l, leaf, 3)
+	refuse := func(n int) *ExhaustedError {
+		t.Helper()
+		var e *ExhaustedError
+		if err := l.DrawCellNInto(leaf, make([]loctree.NodeID, n)); !errors.As(err, &e) {
+			t.Fatalf("%d draws with one left: %v, want an ExhaustedError", n, err)
+		}
+		return e
+	}
+	first := refuse(2)
+	if again := refuse(2); again != first {
+		t.Fatal("an equal refusal in the same window got another error")
+	}
+	if other := refuse(3); other == first || *other != (ExhaustedError{Used: 3, Cap: 4, Asked: 3}) {
+		t.Fatalf("a refusal of 3 draws read %+v (the kept one: %v)", *other, other == first)
+	}
+	w.same(l, leaf, 1)
+	bundle, token := w.grant(leaf, 4)
+	if _, err := l.Renew(bundle, token); err != nil {
+		t.Fatal(err)
+	}
+	w.same(l, leaf, 3)
+	if next := refuse(2); next == first {
+		t.Fatal("a renewed window handed out the last window's refusal")
+	}
+	if *first != (ExhaustedError{Used: 3, Cap: 4, Asked: 2}) {
+		t.Fatalf("a returned refusal was rewritten to %+v", *first)
+	}
+}
+
+// TestLeaseSharesNothingWithItsCaller: the lease copies what it keeps of a
+// grant, so a caller may write over the grant's bytes once Open or Renew
+// returns, as a transport that reuses its buffers would. The lease then
+// draws what a lease opened from clean copies draws, and Token returns the
+// token it was given.
+func TestLeaseSharesNothingWithItsCaller(t *testing.T) {
+	w := newLeaseWorld(t, policy.Policy{PrivacyLevel: 1}, nil)
+	leaf := w.entryA.Leaves[2]
+	var l *Lease
+	for _, stage := range []string{"Open", "Renew"} {
+		bundle, token := w.grant(leaf, 4)
+		cleanBundle, cleanToken := bytes.Clone(bundle), bytes.Clone(token)
+		var err error
+		if l == nil {
+			l, err = Open(w.tree, bundle, token)
+		} else {
+			_, err = l.Renew(bundle, token)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range [][]byte{bundle, token} {
+			for i := range b {
+				b[i] ^= 0xa5
+			}
+		}
+		ref, err := Open(w.tree, cleanBundle, cleanToken)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(l.Token(), cleanToken) {
+			t.Fatalf("after %s the lease's token changed with the caller's bytes", stage)
+		}
+		got, want := make([]loctree.NodeID, 4), make([]loctree.NodeID, 4)
+		if err := l.DrawCellNInto(leaf, got); err != nil {
+			t.Fatalf("after %s: %v", stage, err)
+		}
+		if err := ref.DrawCellNInto(leaf, want); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("after %s the lease drew %v, a lease over clean copies %v", stage, got, want)
+		}
+	}
+}

@@ -127,6 +127,9 @@ type clientConn struct {
 	// serial per connection).
 	nextID   uint32
 	draining bool
+	// answers holds the slabs the connection's answers are cut from; the
+	// exchange that holds the connection is the only one decoding.
+	answers answers
 }
 
 // NewClient targets a server stream address (host:port).
@@ -371,8 +374,9 @@ func retryable(err error) bool {
 
 // call runs one request/response exchange on a pooled connection: encode
 // appends the request body after the reqID, decode reads the response body
-// (which must be consumed exactly); respName names it in decode errors.
-func (c *Client) call(reqType, respType byte, respName string, encode func([]byte) []byte, decode func(*codec.Cursor) error) error {
+// (which must be consumed exactly) into answers cut from the connection's
+// slabs; respName names it in decode errors.
+func (c *Client) call(reqType, respType byte, respName string, encode func([]byte) []byte, decode func(*codec.Cursor, *answers) error) error {
 	return c.withConn(func(cc *clientConn) error {
 		cc.nextID++
 		reqID := cc.nextID
@@ -383,7 +387,7 @@ func (c *Client) call(reqType, respType byte, respName string, encode func([]byt
 			return err
 		}
 		d := codec.NewCursor(payload, respName)
-		if err := decode(&d); err != nil {
+		if err := decode(&d, &cc.answers); err != nil {
 			return err
 		}
 		return d.Done()
@@ -391,12 +395,17 @@ func (c *Client) call(reqType, respType byte, respName string, encode func([]byt
 }
 
 // Report draws obfuscated reports over the stream, mirroring
-// proto.Client.Report.
+// proto.Client.Report. The response is the caller's: no later call touches
+// it. It is cut from a slab the connection allocates for every sixteen
+// responses, so a response the caller keeps keeps its slab alive.
 func (c *Client) Report(req Request) (*Response, error) {
 	var resp *Response
 	err := c.call(frameReport, frameReportOK, "stream: REPORT_OK",
 		func(b []byte) []byte { return appendRequest(b, &req) },
-		func(d *codec.Cursor) (err error) { resp, err = decodeResponse(d, req.Region); return err })
+		func(d *codec.Cursor, a *answers) (err error) {
+			resp, err = decodeResponse(d, req.Region, a)
+			return err
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -409,14 +418,16 @@ func (c *Client) Report(req Request) (*Response, error) {
 // lease. Rejections come back as *registry.Rejection with the same
 // statuses the HTTP route answers (429 with eps headroom on budget
 // exhaustion, 403 on a bad token). The grant is a value the caller owns,
-// with no pool behind it (Release is a no-op): the one allocation is the
-// buffer its Token and Bundle share, which no later call touches. On an
+// with no pool behind it (Release is a no-op): its Token and Bundle share
+// one buffer that no later call touches. That buffer is cut from a 16 KiB
+// chunk of the connection's, so a grant the caller keeps keeps its chunk
+// alive; a grant larger than a quarter chunk has a buffer of its own. On an
 // error the grant is zero.
 func (c *Client) Lease(req Request, draws int, token []byte) (registry.LeaseGrant, error) {
 	var grant registry.LeaseGrant
 	err := c.call(frameLease, frameLeaseGrant, "stream: LEASE_GRANT",
 		func(b []byte) []byte { return appendLeaseReq(b, &req, draws, token) },
-		func(d *codec.Cursor) error { return decodeLeaseGrant(d, req.Region, &grant) })
+		func(d *codec.Cursor, a *answers) error { return decodeLeaseGrant(d, req.Region, &grant, a) })
 	if err != nil {
 		return registry.LeaseGrant{}, err
 	}
@@ -425,7 +436,8 @@ func (c *Client) Lease(req Request, draws int, token []byte) (registry.LeaseGran
 
 // ReportBatch draws for many requests in one REPORTS round trip,
 // mirroring POST /v1/reports: per-item outcomes come back in
-// request order with their own statuses.
+// request order with their own statuses, each served item's report cut
+// from the connection's slab as Report's response is.
 func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 	var results []ItemResult
 	err := c.call(frameReports, frameReportsOK, "stream: REPORTS_OK",
@@ -436,7 +448,7 @@ func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 			}
 			return b
 		},
-		func(d *codec.Cursor) error {
+		func(d *codec.Cursor, a *answers) error {
 			n := d.Count(minItemLen)
 			if err := d.Err(); err != nil {
 				return err
@@ -447,7 +459,7 @@ func (c *Client) ReportBatch(items []Request) ([]ItemResult, error) {
 			results = make([]ItemResult, n)
 			for i := range results {
 				var err error
-				if results[i], err = decodeItem(d, items[i].Region); err != nil {
+				if results[i], err = decodeItem(d, items[i].Region, a); err != nil {
 					return err
 				}
 			}

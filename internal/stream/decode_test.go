@@ -46,15 +46,15 @@ func decodeBody(ftype byte, payload []byte) error {
 	case frameLease:
 		_, _, _, err = decodeLeaseReq(&d, nil)
 	case frameReportOK:
-		_, err = decodeResponse(&d, "ra")
+		_, err = decodeResponse(&d, "ra", nil)
 	case frameReportsOK:
 		for range d.Count(minItemLen) {
-			if _, err = decodeItem(&d, "ra"); err != nil {
+			if _, err = decodeItem(&d, "ra", nil); err != nil {
 				break
 			}
 		}
 	case frameLeaseGrant:
-		err = decodeLeaseGrant(&d, "ra", &registry.LeaseGrant{})
+		err = decodeLeaseGrant(&d, "ra", &registry.LeaseGrant{}, nil)
 	default:
 		return nil
 	}

@@ -239,7 +239,7 @@ func TestServerSurvivesPartialFrameDelivery(t *testing.T) {
 	if id := d.U32(); id != 7 {
 		t.Fatalf("reqID %d, want 7", id)
 	}
-	resp, err := decodeResponse(&d, req.Region)
+	resp, err := decodeResponse(&d, req.Region, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestDecodeResponseRegion(t *testing.T) {
 	payload := appendResult(nil, res)
 	for _, asked := range []string{"ra", "", "rab"} {
 		d := codec.NewCursor(payload, "REPORT_OK")
-		resp, err := decodeResponse(&d, asked)
+		resp, err := decodeResponse(&d, asked, nil)
 		if err == nil {
 			err = d.Done()
 		}

@@ -138,7 +138,7 @@ func reencode(t *testing.T, name string, payload []byte) []byte {
 		}
 	case "report_ok":
 		var resp *Response
-		if resp, err = decodeResponse(&d, "ra"); err == nil {
+		if resp, err = decodeResponse(&d, "ra", nil); err == nil {
 			b = appendResult(b, resp.Result(0))
 		}
 	case "reports_ok":
@@ -146,7 +146,7 @@ func reencode(t *testing.T, name string, payload []byte) []byte {
 		b = codec.AppendUvarints(b, uint64(n))
 		for i := 0; i < n && err == nil; i++ {
 			var it ItemResult
-			if it, err = decodeItem(&d, "ra"); err != nil {
+			if it, err = decodeItem(&d, "ra", nil); err != nil {
 				break
 			}
 			if it.Report != nil {
@@ -163,7 +163,7 @@ func reencode(t *testing.T, name string, payload []byte) []byte {
 		return appendRejection(b, *rej)
 	case "lease_grant":
 		var g registry.LeaseGrant
-		if err = decodeLeaseGrant(&d, "ra", &g); err == nil {
+		if err = decodeLeaseGrant(&d, "ra", &g, nil); err == nil {
 			b = appendLeaseGrant(b, &g)
 		}
 	default:

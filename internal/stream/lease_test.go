@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -284,6 +285,114 @@ func TestReleaseLeavesDecodedGrantsAlone(t *testing.T) {
 	}
 	if got := router.Stats().ForwardedOut; got != 2 {
 		t.Errorf("the router forwarded %d leases, want its 2", got)
+	}
+}
+
+// TestKeptAnswersSurviveSlabRefills: the stream client cuts the answers it
+// decodes from its connection's slabs, and an answer stays its caller's.
+// One client keeps three slabs' worth of REPORT responses, some with more
+// than one report, and three chunks' worth of LEASE grants, renewing each
+// user's lease with the token it kept. Among the grants is a level-2
+// lease, whose K=49 bundle is larger than a quarter chunk, and among the
+// exchanges one the client retries on a fresh dial after the server
+// restarts. Every kept slice is full to its capacity, so an append to it
+// cannot write into another answer, and every field and byte of every
+// answer reads at the end as it did when it was decoded.
+func TestKeptAnswersSurviveSlabRefills(t *testing.T) {
+	const (
+		responses  = 3*16 + 1     // three sixteen-slot slabs and one more
+		grantBytes = 3 * 16 << 10 // three 16 KiB chunks
+	)
+	reg := newRegistry(t, registry.Options{}, "ra")
+	_, leafNodes := leaves(t, reg, "ra")
+	srv, addr := startStream(t, reg)
+	c := stream.NewClient(addr, stream.ClientConfig{Timeout: 10 * time.Second})
+	defer c.Close()
+
+	type keptResponse struct {
+		resp *stream.Response
+		snap stream.Response
+	}
+	type keptGrant struct {
+		grant, snap registry.LeaseGrant
+	}
+	var resps []keptResponse
+	var grants []keptGrant
+	var tokens [4][]byte // each user's last token, as kept in its grant
+	cut, big, retried := 0, false, false
+	for i := 0; len(resps) < responses || cut < grantBytes; i++ {
+		leaf := leafNodes[i%len(leafNodes)].Coord
+		req := stream.Request{Region: "ra", Cell: [2]int{leaf.Q, leaf.R}, UID: int64(i % 4),
+			Policy: policy.Policy{PrivacyLevel: 1}, Seed: 1, Count: 1 + i%3}
+		if i == 40 {
+			// Every pooled connection goes stale: the next exchange fails on
+			// the pooled one and is retried on a fresh dial.
+			shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			err := srv.Shutdown(shutCtx)
+			cancel()
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, _ = serveStream(t, reg, addr)
+		}
+		before := c.Stats().Retries
+		resp, err := c.Report(req)
+		if err != nil {
+			t.Fatalf("report %d: %v", i, err)
+		}
+		retried = retried || c.Stats().Retries > before
+		snap := *resp
+		snap.Reports = slices.Clone(resp.Reports)
+		resps = append(resps, keptResponse{resp, snap})
+
+		uid := i % 4
+		if i == 20 {
+			// A user of their own, at the privacy level of the whole tree.
+			uid, req.UID, req.Policy.PrivacyLevel = -1, 100, 2
+		}
+		var token []byte
+		if uid >= 0 {
+			token = tokens[uid]
+		}
+		grant, err := c.Lease(req, 4, token)
+		if err != nil {
+			t.Fatalf("lease %d: %v", i, err)
+		}
+		n := len(grant.Token) + len(grant.Bundle)
+		if uid < 0 {
+			if n <= 4<<10 {
+				t.Fatalf("the level-2 grant holds %d bytes, not more than a quarter chunk", n)
+			}
+			big = true
+		} else {
+			tokens[uid] = grant.Token
+			cut += n
+		}
+		snapGrant := grant
+		snapGrant.Token, snapGrant.Bundle = bytes.Clone(grant.Token), bytes.Clone(grant.Bundle)
+		grants = append(grants, keptGrant{grant, snapGrant})
+	}
+	if !big || !retried {
+		t.Fatalf("a grant over a quarter chunk: %v; an exchange retried on a fresh dial: %v", big, retried)
+	}
+
+	for i, k := range resps {
+		if r := k.resp.Reports; cap(r) != len(r) {
+			t.Fatalf("response %d: %d reports with room for %d", i, len(r), cap(r))
+		}
+		if !reflect.DeepEqual(*k.resp, k.snap) {
+			t.Fatalf("response %d changed after it was decoded: %+v, was %+v", i, *k.resp, k.snap)
+		}
+	}
+	for i, k := range grants {
+		if g := k.grant; cap(g.Token) != len(g.Token) || cap(g.Bundle) != len(g.Bundle) {
+			t.Fatalf("grant %d: token %d/%d, bundle %d/%d bytes of their capacity",
+				i, len(g.Token), cap(g.Token), len(g.Bundle), cap(g.Bundle))
+		}
+		if !reflect.DeepEqual(k.grant, k.snap) {
+			t.Fatalf("grant %d changed after it was decoded (region %q, %d token bytes, %d bundle bytes)",
+				i, k.grant.Region, len(k.grant.Token), len(k.grant.Bundle))
+		}
 	}
 }
 

@@ -32,8 +32,8 @@ func (r Remote) Report(_ context.Context, req registry.ReportRequest) (*registry
 
 // Lease implements registry.ReportHandler over one LEASE exchange. The
 // handler interface answers with a pointer, so the grant Client.Lease
-// decoded moves to the heap: one object for the grant, one buffer for its
-// bytes, and no pool behind either.
+// decoded moves to the heap: one object for the grant, its bytes cut from
+// the connection's chunk as Client.Lease says, and no pool behind either.
 func (r Remote) Lease(_ context.Context, req registry.LeaseRequest) (*registry.LeaseGrant, error) {
 	grant, err := r.c.Lease(WireLease(req), req.Draws, req.Token)
 	if err != nil {

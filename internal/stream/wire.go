@@ -446,21 +446,69 @@ func appendResult(b []byte, res *registry.ReportResult) []byte {
 	return b
 }
 
-// decodedResponse is a Response as the client allocates it: the struct and
-// room for the usual single report in one object, Response.Reports pointing
+// decodedResponse is a Response as the client decodes it: the struct and
+// room for the usual single report in one slot, Response.Reports pointing
 // into it.
 type decodedResponse struct {
 	Response
 	one [1]ReportedLocation
 }
 
-// decodeResponse reads one result body into the client-side Response.
-// region is the region the request named: the server answers with the
-// region it served, nearly always those same bytes, and then the response
-// shares the request's string instead of copying it. With one report, a
-// decoded response is one allocation.
-func decodeResponse(d *codec.Cursor, region string) (*Response, error) {
-	dec := &decodedResponse{}
+// Slab sizes of a connection's answers: responseSlab decodedResponse slots
+// per allocation, and chunkBytes bytes per grant chunk. A grant whose token
+// and bundle need more than a quarter of a chunk gets a buffer of its own,
+// so a chunk that runs out leaves at most a quarter of it unused.
+const (
+	responseSlab = 16
+	chunkBytes   = 16 << 10
+)
+
+// answers is the memory one connection decodes its answers into: the
+// decodedResponse slots and the grant chunk bytes not yet handed out. A
+// slot or a byte range is handed out once and never again, so the answer
+// is its caller's and no later decode touches it; an answer the caller
+// keeps keeps its slab alive. A connection decodes one answer at a time,
+// under the exchange that holds it, so answers takes no lock. A nil
+// *answers allocates every answer on its own.
+type answers struct {
+	responses []decodedResponse
+	chunk     []byte
+}
+
+// response hands out the next decodedResponse slot.
+func (a *answers) response() *decodedResponse {
+	if a == nil {
+		return new(decodedResponse)
+	}
+	if len(a.responses) == 0 {
+		a.responses = make([]decodedResponse, responseSlab)
+	}
+	dec := &a.responses[0]
+	a.responses = a.responses[1:]
+	return dec
+}
+
+// bytes hands out n bytes, cut from the chunk with their capacity clipped
+// so an append to them cannot reach the next answer's.
+func (a *answers) bytes(n int) []byte {
+	if a == nil || n > chunkBytes/4 {
+		return make([]byte, n)
+	}
+	if len(a.chunk) < n {
+		a.chunk = make([]byte, chunkBytes)
+	}
+	b := a.chunk[:n:n]
+	a.chunk = a.chunk[n:]
+	return b
+}
+
+// decodeResponse reads one result body into a client-side Response cut
+// from a. region is the region the request named: the server answers with
+// the region it served, nearly always those same bytes, and then the
+// response shares the request's string instead of copying it. With one
+// report, a decoded response is one slot of a's slab.
+func decodeResponse(d *codec.Cursor, region string, a *answers) (*Response, error) {
+	dec := a.response()
 	resp := &dec.Response
 	if served := d.Bytes(); string(served) == region {
 		resp.Region = region
@@ -534,12 +582,12 @@ func decodeRejection(d *codec.Cursor) (registry.Rejection, error) {
 	return rej, nil
 }
 
-// decodeItem reads one batch item: status 200 and a result body, or a
-// refusal; region is the region the item's request named.
-func decodeItem(d *codec.Cursor, region string) (ItemResult, error) {
+// decodeItem reads one batch item: status 200 and a result body cut from
+// a, or a refusal; region is the region the item's request named.
+func decodeItem(d *codec.Cursor, region string, a *answers) (ItemResult, error) {
 	mark := *d
 	if d.U16() == statusOK {
-		rep, err := decodeResponse(d, region)
+		rep, err := decodeResponse(d, region, a)
 		return ItemResult{Rejection: registry.Rejection{Status: statusOK}, Report: rep}, err
 	}
 	*d = mark
@@ -599,12 +647,12 @@ func appendLeaseGrant(b []byte, g *registry.LeaseGrant) []byte {
 // decodeLeaseGrant reads one LEASE_GRANT body into g, a zero grant the
 // caller owns. region is the region the request named, shared by the grant
 // when the server answers with those bytes, as decodeResponse does. Token
-// and bundle are copied out of the frame buffer into one buffer of their
-// own, the token first with its capacity clipped: the caller keeps the
-// token for the lease's whole lifetime, and an append to it cannot reach
-// the bundle. Unless the server names another region, that buffer is all
-// a decoded grant allocates.
-func decodeLeaseGrant(d *codec.Cursor, region string, g *registry.LeaseGrant) error {
+// and bundle are copied out of the frame buffer into one buffer cut from a,
+// the token first with its capacity clipped, so an append to the token
+// cannot reach the bundle. Unless the server names another region, or the
+// grant is larger than a quarter chunk, a decoded grant allocates nothing
+// beyond a's slab.
+func decodeLeaseGrant(d *codec.Cursor, region string, g *registry.LeaseGrant, a *answers) error {
 	if served := d.Bytes(); string(served) == region {
 		g.Region = region
 	} else {
@@ -629,7 +677,7 @@ func decodeLeaseGrant(d *codec.Cursor, region string, g *registry.LeaseGrant) er
 	if err := d.Err(); err != nil {
 		return err
 	}
-	buf := make([]byte, len(token)+len(bundle))
+	buf := a.bytes(len(token) + len(bundle))
 	n := copy(buf, token)
 	copy(buf[n:], bundle)
 	g.Token, g.Bundle = buf[:n:n], buf[n:]
